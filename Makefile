@@ -37,10 +37,12 @@ vet: build
 test:
 	$(GO) test -shuffle=on -timeout $(TIMEOUT) ./...
 
-# The concurrency suites under the race detector: the live scheduler,
-# the sharded socket hub + load generator, the download facade, and the
-# des parallel sweep driver (TestWorkerDeterminism: same seed ⇒ identical
-# results across worker counts, raced).
+# The concurrency suites under the race detector: the live scheduler —
+# and through it the query plane (internal/qplane), whose transitions
+# live's timer callbacks and serving goroutines share under the peer
+# mutex — the sharded socket hub + load generator, the download facade,
+# and the des parallel sweep driver (TestWorkerDeterminism: same seed ⇒
+# identical results across worker counts, raced).
 race:
 	$(GO) test -race -timeout $(TIMEOUT) ./internal/des/ ./internal/live/ ./internal/netrt/ ./download/
 

@@ -2,6 +2,9 @@
 // enumerates every delivery order of a small configuration up to a chosen
 // decision depth and reports failures/deadlocks with a replayable witness.
 //
+// Exit codes: 0 every schedule clean, 1 a schedule failed or deadlocked,
+// 2 usage.
+//
 // Example:
 //
 //	drexplore -protocol crash1 -n 3 -L 12 -crash 0:6 -depth 6
@@ -10,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -20,21 +24,26 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-func run() int {
+// run explores one configuration and returns the exit code.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("drexplore", flag.ContinueOnError)
+	fs.SetOutput(stdout)
 	var (
-		protocol = flag.String("protocol", "crash1", "protocol to explore")
-		n        = flag.Int("n", 3, "peers (keep tiny: the tree is exponential)")
-		tf       = flag.Int("t", 1, "fault bound")
-		l        = flag.Int("L", 12, "input bits")
-		seed     = flag.Int64("seed", 1, "input/coins seed")
-		depth    = flag.Int("depth", 6, "explored decision depth")
-		budget   = flag.Int("budget", 500000, "max executions")
-		crash    = flag.String("crash", "", "crash points, e.g. 0:6,2:10 (peer:actions)")
+		protocol = fs.String("protocol", "crash1", "protocol to explore")
+		n        = fs.Int("n", 3, "peers (keep tiny: the tree is exponential)")
+		tf       = fs.Int("t", 1, "fault bound")
+		l        = fs.Int("L", 12, "input bits")
+		seed     = fs.Int64("seed", 1, "input/coins seed")
+		depth    = fs.Int("depth", 6, "explored decision depth")
+		budget   = fs.Int("budget", 500000, "max executions")
+		crash    = fs.String("crash", "", "crash points, e.g. 0:6,2:10 (peer:actions)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	factory, err := download.Protocol(*protocol).Factory()
 	if err != nil {
@@ -70,10 +79,10 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "drexplore: %v\n", err)
 		return 2
 	}
-	fmt.Printf("%s n=%d t=%d L=%d depth=%d crash=%v\n", *protocol, *n, *tf, *l, *depth, points)
-	fmt.Println(rep)
+	fmt.Fprintf(stdout, "%s n=%d t=%d L=%d depth=%d crash=%v\n", *protocol, *n, *tf, *l, *depth, points)
+	fmt.Fprintln(stdout, rep)
 	if rep.FirstBad != nil {
-		fmt.Printf("first failing schedule prefix: %v\n", rep.FirstBad)
+		fmt.Fprintf(stdout, "first failing schedule prefix: %v\n", rep.FirstBad)
 	}
 	if !rep.Ok() {
 		return 1

@@ -12,10 +12,10 @@ import (
 // a seeded grid of small fault-free specs: the deterministic and the
 // concurrent runtime must produce bit-identical outputs, and — for the
 // protocols whose query pattern is schedule-invariant — the same query
-// complexity Q. The crashk family's Q is asserted against its
-// complexity envelope instead, because its reassignment stage reacts to
-// message arrival order and so varies Q across schedules even without
-// faults. This property is what makes the des-pinned fixture corpus a
+// complexity Q. crash1's and the crashk family's Q is asserted against
+// the complexity envelope instead, because which blocks they re-query
+// depends on message arrival order even without faults (see
+// qScheduleInvariant). This property is what makes the des-pinned fixture corpus a
 // sound proxy for live behavior.
 func TestDesLiveEquivalence(t *testing.T) {
 	if testing.Short() {

@@ -68,13 +68,15 @@ func (rt Runtime) Supports(c *Case) bool {
 // complexity Q does not depend on message arrival order: their query
 // pattern is fixed by (n, t, L, seed) alone, so the des-pinned Q must
 // reproduce on the concurrent and socket runtimes too (the des-vs-live
-// equivalence property asserts this). The crashk family is excluded:
-// its reassignment stage reacts to whichever progress reports arrive
-// first, so even fault-free runs legitimately vary Q across schedules
-// (see docs/SPEC.md, "Runtime invariance").
+// equivalence property asserts this). Two families are excluded and held
+// to their envelope instead (see docs/SPEC.md, "Runtime invariance").
+// The crashk family's reassignment stage reacts to whichever progress
+// reports arrive first. crash1 waits for n−1 pushes, so with everyone
+// alive the slowest peer's block is re-spread and re-queried, and which
+// peer is slowest is the schedule's choice: on TCP crash1/n6t1/none/s1
+// missed its des-pinned Q in 17 of 30 runs.
 var qScheduleInvariant = map[string]bool{
 	string(download.Naive):      true,
-	string(download.Crash1):     true,
 	string(download.Committee):  true,
 	string(download.TwoCycle):   true,
 	string(download.MultiCycle): true,

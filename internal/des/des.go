@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/bitarray"
 	"repro/internal/obs"
+	"repro/internal/qplane"
 	"repro/internal/sim"
 	"repro/internal/source"
 )
@@ -82,34 +83,8 @@ type event struct {
 	from sim.PeerID // evMessage only
 	msg  sim.Message
 	qr   sim.QueryReply
-	call *srcCall    // evSrcIssue/evSrcFail, and evQueryReply via the source tier
-	fail source.Kind // evSrcFail only
-}
-
-// srcCall is one logical protocol query in flight through the source
-// tier. It survives retries (attempt increments per issue) and parking
-// behind the breaker; the reply delivered to the protocol always covers
-// the full original index set, merging warm-served values with fetched
-// ones so protocols never see partial replies.
-type srcCall struct {
-	tag     int
-	indices []int // the protocol's full request
-	fetch   []int // subset actually needing the source
-	pos     []int // positions of fetch within indices; nil = identity
-	bits    *bitarray.Array
-	ordinal uint64
-	attempt int
-}
-
-// merged fills the fetched positions into the reply array.
-func (sc *srcCall) merged(rep *bitarray.Array) *bitarray.Array {
-	if sc.pos == nil {
-		return rep
-	}
-	for k, j := range sc.pos {
-		sc.bits.Set(j, rep.Get(k))
-	}
-	return sc.bits
+	call *qplane.Call // evSrcIssue/evSrcFail, and evQueryReply via the source tier
+	fail source.Kind  // evSrcFail only
 }
 
 type peerState struct {
@@ -128,15 +103,12 @@ type peerState struct {
 	// arrival order right after Init.
 	pending []*event
 	stats   sim.PeerStats
-	// Source tier (nil/zero without an enabled source fault plan).
-	client  *source.Client
-	parked  []*srcCall // queries waiting out an open breaker
-	ordinal uint64     // monotonic logical-query counter
-	wakeSet bool       // an evSrcWake is pending
+	// q is the peer's query plane (package qplane): Q charging, the
+	// source-call lifecycle and the churn warm state. The engine supplies
+	// only the event times.
+	q *qplane.Plane
 	// Churn (nil without a churn schedule for this peer).
-	churn    *sim.ChurnPeer
-	persist  *bitarray.Tracker // source-verified bits, survives the crash
-	rejoined bool
+	churn *sim.ChurnPeer
 	// Parallel-scheduler state (see parallel.go); nil/zero in serial runs.
 	mach    sim.Machine
 	menv    sim.Env
@@ -172,15 +144,6 @@ type engine struct {
 	// stats are observable. Correctness still never depends on them.
 	churnLive int
 	res       sim.Result
-	// src is the fault-injecting source tier; nil without an enabled
-	// plan, in which case Query reads the input directly (the oracle
-	// fast path, which keeps the no-fault goldens and allocation
-	// budgets byte-identical).
-	src source.Source
-	// mirror is the untrusted mirror fleet when spec.Mirrors is
-	// enabled (src then points at it); its per-peer hit/failure
-	// counters are folded into the result.
-	mirror *source.Mirrored
 	// Observability handles (see peerState): nil handles are no-ops, and
 	// timing/depth sampling is additionally gated on mDispatch so the
 	// disabled path never touches the wall clock.
@@ -202,6 +165,7 @@ func newEngine(spec *sim.Spec) *engine {
 		current: -1,
 		cap:     cfg.EventCap(),
 	}
+	tier := qplane.NewTier(e.input, cfg.N, cfg.Seed, spec.SourceFaults, spec.Mirrors, spec.SourcePolicy)
 	var know *sim.Knowledge
 	if spec.Faults.Model == sim.FaultByzantine {
 		know = &sim.Knowledge{
@@ -240,13 +204,13 @@ func newEngine(spec *sim.Spec) *engine {
 			p.churn = cp
 			p.crashPoint = cp.CrashAfter
 			p.impl = spec.NewPeer(id)
-			p.persist = bitarray.NewTracker(cfg.L)
 			if cp.Downtime >= 0 {
 				e.churnLive++
 			}
 		} else {
 			p.impl = spec.NewPeer(id)
 		}
+		p.q = tier.NewPlane(i, &p.stats, p.churn != nil)
 		p.ctx = &peerCtx{e: e, p: p}
 		e.peers[i] = p
 		if p.honest {
@@ -282,27 +246,6 @@ func newEngine(spec *sim.Spec) *engine {
 		}
 	}
 	e.tl = spec.Timeline
-	if spec.SourceFaults.Enabled() || spec.Mirrors.Enabled() {
-		// The authoritative tier (fault-wrapped when a plan is set); the
-		// mirror fleet, when enabled, sits in front of it and falls back
-		// to it on verification failure.
-		e.src = source.Wrap(source.NewTrusted(e.input), spec.SourceFaults)
-		if spec.Mirrors.Enabled() {
-			e.mirror = source.NewMirrored(e.input, spec.Mirrors, cfg.N, e.src)
-			e.src = e.mirror
-		}
-	}
-	if spec.SourceFaults.Enabled() {
-		pol := spec.SourcePolicy
-		if pol.Seed == 0 {
-			// Derive the jitter seed from the run seed so backoff
-			// schedules are reproducible without extra configuration.
-			pol.Seed = cfg.Seed ^ 0x50c0_5eed
-		}
-		for _, p := range e.peers {
-			p.client = source.NewClient(int(p.id), pol)
-		}
-	}
 	// Schedule starts.
 	for _, p := range e.peers {
 		ev := e.newEvent()
@@ -399,11 +342,15 @@ func (e *engine) step(p *peerState, ev *event) {
 		e.mEvents.Inc()
 		switch ev.kind {
 		case evSrcIssue:
-			e.issueCall(p, ev.call)
+			e.srcDo(p, p.q.Admit(e.now, ev.call))
 		case evSrcFail:
 			e.srcFail(p, ev.call, ev.fail)
 		case evSrcWake:
-			e.srcWake(p)
+			n := p.q.Wake(e.now)
+			if n.Op == qplane.Fetch {
+				e.tracef("t=%.3f peer %d source PROBE (ordinal=%d)", e.now, p.id, n.Call.Ordinal)
+			}
+			e.srcDo(p, n)
 		}
 		e.release(ev)
 		return
@@ -474,23 +421,18 @@ func (e *engine) deliver(p *peerState, ev *event) {
 		}
 		p.impl.OnMessage(ev.from, ev.msg)
 	case evQueryReply:
-		if ev.call != nil && p.client != nil {
-			// The reply crossed the (faulty) source: feed the breaker.
-			// A success closing a half-open breaker releases every
-			// parked query.
-			if p.client.OnSuccess(e.now) {
+		if ev.call != nil {
+			// The reply crossed the (faulty) source: des reports the
+			// success when the reply arrives.
+			if flushed, closed := p.q.Success(e.now); closed {
 				e.tracef("t=%.3f peer %d source BREAKER closed (flushing %d parked)",
-					e.now, p.id, len(p.parked))
-				e.flushParked(p)
+					e.now, p.id, len(flushed))
+				for _, call := range flushed {
+					e.srcDo(p, p.q.Admit(e.now, call))
+				}
 			}
 		}
-		if p.persist != nil {
-			// Persist source-verified bits so a churn rejoin resumes
-			// warm instead of re-downloading.
-			for j, idx := range ev.qr.Indices {
-				p.persist.LearnFromSource(idx, ev.qr.Bits.Get(j))
-			}
-		}
+		p.q.Learn(ev.qr)
 		e.observe("qreply", p.id, -1, "", len(ev.qr.Indices))
 		p.impl.OnQueryReply(ev.qr)
 	}
@@ -504,7 +446,7 @@ func (e *engine) crash(p *peerState) {
 	e.tl.Mark(e.now, int(p.id), "crash", "")
 	e.observe("crash", p.id, -1, "", 0)
 	e.tracef("t=%.3f peer %d CRASH (actions=%d)", e.now, p.id, p.actions)
-	if p.churn != nil && p.churn.Downtime >= 0 && !p.rejoined {
+	if p.churn != nil && p.churn.Downtime >= 0 && !p.stats.Rejoined {
 		ev := e.newEvent()
 		ev.at, ev.kind, ev.to = e.now+p.churn.Downtime, evRejoin, p.id
 		e.push(ev)
@@ -518,25 +460,21 @@ func (e *engine) crash(p *peerState) {
 // point — but stays accounted faulty, so correctness aggregates never
 // depend on it.
 func (e *engine) rejoin(p *peerState) {
-	if !p.crashed || p.terminated || p.rejoined {
+	if !p.crashed || p.terminated || p.stats.Rejoined {
 		return
 	}
 	e.events++
 	e.mEvents.Inc()
 	p.crashed = false
-	p.rejoined = true
-	p.stats.Rejoined = true
+	p.q.Rejoin()
 	p.crashPoint = -1
 	p.actions = 0
-	p.parked = nil // in-flight calls of the old incarnation died with it
-	p.wakeSet = false
 	p.impl = e.spec.NewPeer(p.id)
 	p.started = true
 	p.pending = nil
 	e.tl.Mark(e.now, int(p.id), "rejoin", "")
 	e.observe("rejoin", p.id, -1, "", 0)
-	e.tracef("t=%.3f peer %d REJOIN (%d bits persisted)", e.now, p.id,
-		p.persist.Len()-p.persist.UnknownCount())
+	e.tracef("t=%.3f peer %d REJOIN (%d bits persisted)", e.now, p.id, p.q.Persisted())
 	e.current = p.id
 	p.impl.Init(p.ctx)
 	e.current = -1
@@ -552,136 +490,67 @@ func (e *engine) queryDelay(p *peerState) float64 {
 	return d
 }
 
-// issueCall admits one logical query through the peer's breaker and
-// fetches it, parking it while the breaker is open. Queries are never
-// abandoned: the protocol is owed a reply, so a parked call waits for
-// the source to heal (graceful degradation, not failure).
-func (e *engine) issueCall(p *peerState, call *srcCall) {
-	if p.terminated || p.crashed {
-		return
+// srcDo carries out the query plane's verdict on the engine's clock:
+// attempt now, re-admit after the backoff, or wake the breaker later.
+func (e *engine) srcDo(p *peerState, n qplane.Next) {
+	switch n.Op {
+	case qplane.Fetch:
+		e.fetch(p, n.Call)
+	case qplane.Retry:
+		ev := e.newEvent()
+		ev.at, ev.kind, ev.to, ev.call = n.At, evSrcIssue, p.id, n.Call
+		e.push(ev)
+	case qplane.Wake:
+		ev := e.newEvent()
+		ev.at, ev.kind, ev.to = n.At, evSrcWake, p.id
+		e.push(ev)
 	}
-	if p.client != nil {
-		if ok, wake := p.client.Admit(e.now); !ok {
-			p.parked = append(p.parked, call)
-			e.scheduleWake(p, wake)
-			return
-		}
-	}
-	e.fetch(p, call)
 }
 
 // fetch performs one source attempt. Success schedules the protocol's
-// query reply (warm bits merged in); failure schedules the moment the
-// peer's client learns of it — after the query deadline for lost
-// replies, after one round trip for active refusals.
-func (e *engine) fetch(p *peerState, call *srcCall) {
-	call.attempt++
-	rep, err := e.src.Fetch(source.Request{
-		Peer: int(p.id), Indices: call.fetch, Ordinal: call.ordinal,
-		Attempt: call.attempt, Now: e.now,
-	})
+// query reply; failure schedules the moment the peer learns of it — after
+// the query deadline for lost replies, after one round trip for active
+// refusals.
+func (e *engine) fetch(p *peerState, call *qplane.Call) {
+	qr, latency, err := p.q.Fetch(e.now, call)
 	if err != nil {
 		kind := source.KindOf(err)
 		at := e.now
 		if kind == source.KindTimeout {
-			at += p.client.Policy().Deadline
+			at += p.q.Deadline()
 		} else {
 			at += e.queryDelay(p)
 		}
 		e.tracef("t=%.3f peer %d source FAIL %s (ordinal=%d attempt=%d)",
-			e.now, p.id, kind, call.ordinal, call.attempt)
+			e.now, p.id, kind, call.Ordinal, call.Attempt)
 		ev := e.newEvent()
 		ev.at, ev.kind, ev.to, ev.call, ev.fail = at, evSrcFail, p.id, call, kind
 		e.push(ev)
 		return
 	}
 	ev := e.newEvent()
-	ev.at, ev.kind, ev.to = e.now+e.queryDelay(p)+rep.Latency, evQueryReply, p.id
-	ev.qr = sim.QueryReply{Tag: call.tag, Indices: call.indices, Bits: call.merged(rep.Bits)}
-	ev.call = call
+	ev.at, ev.kind, ev.to = e.now+e.queryDelay(p)+latency, evQueryReply, p.id
+	ev.qr, ev.call = qr, call
 	e.push(ev)
 }
 
-// srcFail lets the client rule on a now-known failure: either schedule
-// the backed-off retry or park the call behind the opened breaker.
-func (e *engine) srcFail(p *peerState, call *srcCall, kind source.Kind) {
-	e.observe("qfail", p.id, -1, kind.String(), len(call.fetch))
-	retryAt, park := p.client.OnFailure(e.now, kind, call.ordinal, call.attempt)
-	if park {
-		// The attempt counter stays monotonic across parking: each probe
-		// of this call rolls fresh fault decisions, which is what makes
-		// the probe loop live under any FailRate/TimeoutRate < 1.
-		p.parked = append(p.parked, call)
-		e.tracef("t=%.3f peer %d source BREAKER open (parked=%d, probe at t=%.3f)",
-			e.now, p.id, len(p.parked), p.client.WakeAt())
-		e.scheduleWake(p, p.client.WakeAt())
-		return
+// srcFail delivers a now-known failure to the plane, which either backs
+// the call off or parks it behind the opened breaker.
+func (e *engine) srcFail(p *peerState, call *qplane.Call, kind source.Kind) {
+	e.observe("qfail", p.id, -1, kind.String(), len(call.Fetch))
+	n := p.q.Fail(e.now, call, kind)
+	if n.Op != qplane.Retry {
+		e.tracef("t=%.3f peer %d source BREAKER open (parked=%d)", e.now, p.id, p.q.Parked())
 	}
-	ev := e.newEvent()
-	ev.at, ev.kind, ev.to, ev.call = retryAt, evSrcIssue, p.id, call
-	e.push(ev)
-}
-
-// srcWake fires when an open breaker's cooldown may have elapsed: it
-// releases one parked call as the half-open probe. The probe's outcome
-// drives everything else — success flushes the parked queue, failure
-// re-opens and schedules the next wake.
-func (e *engine) srcWake(p *peerState) {
-	p.wakeSet = false
-	if p.client == nil || len(p.parked) == 0 {
-		return
-	}
-	switch p.client.State() {
-	case source.StateHalfOpen:
-		return // a probe is already in flight; its outcome decides
-	case source.StateOpen:
-		if e.now < p.client.WakeAt() {
-			// The breaker re-opened after this wake was scheduled.
-			e.scheduleWake(p, p.client.WakeAt())
-			return
-		}
-	}
-	ok, wake := p.client.Admit(e.now)
-	if !ok {
-		e.scheduleWake(p, wake)
-		return
-	}
-	call := p.parked[0]
-	p.parked = p.parked[1:]
-	e.tracef("t=%.3f peer %d source PROBE (ordinal=%d)", e.now, p.id, call.ordinal)
-	e.fetch(p, call)
-}
-
-// scheduleWake schedules at most one pending evSrcWake per peer; the
-// handler re-evaluates and re-schedules if it fired early, so a single
-// outstanding wake is enough for liveness.
-func (e *engine) scheduleWake(p *peerState, at float64) {
-	if p.wakeSet {
-		return
-	}
-	p.wakeSet = true
-	if at < e.now {
-		at = e.now
-	}
-	ev := e.newEvent()
-	ev.at, ev.kind, ev.to = at, evSrcWake, p.id
-	e.push(ev)
-}
-
-// flushParked re-issues every parked call after the breaker closed.
-func (e *engine) flushParked(p *peerState) {
-	calls := p.parked
-	p.parked = nil
-	for _, call := range calls {
-		e.issueCall(p, call)
-	}
+	e.srcDo(p, n)
 }
 
 func (e *engine) result() *sim.Result {
 	e.res.PerPeer = make([]sim.PeerStats, len(e.peers))
 	var fails *obs.CounterVec
 	var retries, opens, deferred *obs.Counter
-	if e.src != nil && e.spec.Metrics != nil {
+	srcTier := e.spec.SourceFaults.Enabled() || e.spec.Mirrors.Enabled()
+	if srcTier && e.spec.Metrics != nil {
 		label := e.spec.Label
 		if label == "" {
 			label = "unknown"
@@ -698,37 +567,23 @@ func (e *engine) result() *sim.Result {
 		_ = fails.With(label, "outage") // pre-create the common series
 	}
 	for i, p := range e.peers {
-		if p.client != nil {
-			p.client.Settle(e.now)
-			st := p.client.Stats()
-			p.stats.SourceRetries = st.Retries
-			p.stats.SourceFailures = st.Failures
-			p.stats.BreakerOpens = st.BreakerOpens
-			p.stats.DeferredQueries = st.Deferred
-			p.stats.DegradedTime = st.DegradedTime
-			if e.spec.Metrics != nil {
-				label := e.spec.Label
-				if label == "" {
-					label = "unknown"
-				}
-				fails.With(label, "outage").Add(int64(st.Outages))
-				fails.With(label, "flaky").Add(int64(st.Flaky))
-				fails.With(label, "ratelimit").Add(int64(st.RateLimits))
-				fails.With(label, "timeout").Add(int64(st.Timeouts))
-				retries.Add(int64(st.Retries))
-				opens.Add(int64(st.BreakerOpens))
-				deferred.Add(int64(st.Deferred))
+		st := p.q.Settle(e.now)
+		if e.spec.SourceFaults.Enabled() && e.spec.Metrics != nil {
+			label := e.spec.Label
+			if label == "" {
+				label = "unknown"
 			}
-		}
-		if e.mirror != nil {
-			ms := e.mirror.PeerStats(int(p.id))
-			p.stats.MirrorHits = ms.MirrorHits
-			p.stats.ProofFailures = ms.ProofFailures
-			p.stats.FallbackQueries = ms.FallbackQueries
+			fails.With(label, "outage").Add(int64(st.Outages))
+			fails.With(label, "flaky").Add(int64(st.Flaky))
+			fails.With(label, "ratelimit").Add(int64(st.RateLimits))
+			fails.With(label, "timeout").Add(int64(st.Timeouts))
+			retries.Add(int64(st.Retries))
+			opens.Add(int64(st.BreakerOpens))
+			deferred.Add(int64(st.Deferred))
 		}
 		e.res.PerPeer[i] = p.stats
 	}
-	if e.mirror != nil && e.spec.Metrics != nil {
+	if e.spec.Mirrors.Enabled() && e.spec.Metrics != nil {
 		label := e.spec.Label
 		if label == "" {
 			label = "unknown"
@@ -867,81 +722,24 @@ func (c *peerCtx) Query(tag int, indices []int) {
 			return
 		}
 	}
-	for _, idx := range indices {
-		if idx < 0 || idx >= c.e.cfg.L {
-			panic(fmt.Sprintf("des: peer %d queried out-of-range index %d", p.id, idx))
-		}
-	}
-	// Rejoined churn peers answer from persisted (source-verified) state
-	// where they can: warm bits are free — only the remainder is charged
-	// to Q and sent to the source.
-	var (
-		warm     *bitarray.Array
-		pos      []int
-		fetchIdx = indices
-	)
-	if p.rejoined && p.persist != nil {
-		warm = bitarray.New(len(indices))
-		for j, idx := range indices {
-			if v, ok := p.persist.Get(idx); ok {
-				warm.Set(j, v)
-			} else {
-				pos = append(pos, j)
-			}
-		}
-		if len(pos) == len(indices) {
-			warm, pos = nil, nil // nothing persisted: plain query
-		} else {
-			fetchIdx = make([]int, len(pos))
-			for k, j := range pos {
-				fetchIdx[k] = indices[j]
-			}
-			p.stats.WarmHitBits += len(indices) - len(fetchIdx)
-		}
-	}
-	p.stats.QueryBits += len(fetchIdx)
-	p.stats.QueryCalls++
-	p.mQueryBits.Add(int64(len(fetchIdx)))
+	b := p.q.Begin(tag, indices)
+	p.mQueryBits.Add(int64(b.Charged))
 	p.mQueries.Inc()
-	c.e.observe("query", p.id, -1, "", len(fetchIdx))
-	idxCopy := append([]int(nil), indices...)
-	if warm != nil && len(pos) == 0 {
-		// Full warm hit: answered locally, no source round trip.
+	c.e.observe("query", p.id, -1, "", b.Charged)
+	switch b.Kind {
+	case qplane.Issue:
+		// Through the (possibly faulty, possibly mirrored) source tier.
+		c.e.srcDo(p, p.q.Admit(c.e.now, b.Call))
+	case qplane.WarmHit:
+		// Answered locally, no source round trip.
 		ev := c.e.newEvent()
-		ev.at, ev.kind, ev.to = c.e.now+1e-6, evQueryReply, p.id
-		ev.qr = sim.QueryReply{Tag: tag, Indices: idxCopy, Bits: warm}
+		ev.at, ev.kind, ev.to, ev.qr = c.e.now+1e-6, evQueryReply, p.id, b.Reply
 		c.e.push(ev)
-		return
+	case qplane.Oracle:
+		ev := c.e.newEvent()
+		ev.at, ev.kind, ev.to, ev.qr = c.e.now+c.e.queryDelay(p), evQueryReply, p.id, b.Reply
+		c.e.push(ev)
 	}
-	if c.e.src != nil {
-		// Route through the (possibly faulty) source tier with the
-		// peer's retry/breaker client.
-		fetch := idxCopy
-		if warm != nil {
-			fetch = fetchIdx // already a fresh slice
-		}
-		p.ordinal++
-		call := &srcCall{tag: tag, indices: idxCopy, fetch: fetch,
-			pos: pos, bits: warm, ordinal: p.ordinal}
-		c.e.issueCall(p, call)
-		return
-	}
-	// Oracle fast path: the paper's perfectly available source.
-	bits := warm
-	if bits == nil {
-		bits = bitarray.New(len(indices))
-		for j, idx := range indices {
-			bits.Set(j, c.e.input.Get(idx))
-		}
-	} else {
-		for k, j := range pos {
-			bits.Set(j, c.e.input.Get(fetchIdx[k]))
-		}
-	}
-	ev := c.e.newEvent()
-	ev.at, ev.kind, ev.to = c.e.now+c.e.queryDelay(p), evQueryReply, p.id
-	ev.qr = sim.QueryReply{Tag: tag, Indices: idxCopy, Bits: bits}
-	c.e.push(ev)
 }
 
 func (c *peerCtx) Output(out *bitarray.Array) {

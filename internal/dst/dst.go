@@ -1,9 +1,11 @@
 // Package dst is the deterministic-simulation test harness: FoundationDB
-// style record/replay/shrink/search layered on the DES/explore contract.
+// style record/replay/shrink/search on a choice-driven engine that
+// shares the sim contract (peers, contexts, fault semantics, crash action
+// counting) with package des.
 //
-// Where package des samples asynchronous schedules through delay policies
-// and package explore enumerates small delivery-order trees, dst makes
-// every execution a first-class, serializable artifact:
+// Where package des samples asynchronous schedules through delay
+// policies, dst makes every execution a first-class, serializable
+// artifact:
 //
 //   - Record: any run of the choice engine — random schedule search, the
 //     Byzantine strategy search, or a promoted explore/fuzz finding — is
@@ -22,12 +24,15 @@
 //     programs) drives the committee/twocycle/multicycle protocols
 //     looking for safety or liveness violations below their β thresholds.
 //
-// The engine is choice-driven like package explore — "which pending event
-// is delivered next" — rather than delay-driven like package des, because
-// that is the representation delta debugging minimizes well: a minimal
+// The engine is choice-driven — "which pending event is delivered next" —
+// rather than delay-driven like package des, because that is the
+// representation delta debugging minimizes well: a minimal
 // counterexample is a short list of small integers, not a float schedule.
 // Scheduling choices beyond the recorded list default to FIFO (choice 0),
-// so truncating a replay is always meaningful.
+// so truncating a replay is always meaningful. It is also the engine
+// package explore enumerates small delivery-order trees on: RunPrefix
+// runs one schedule from a choice prefix and reports the fan-outs the
+// enumerator's odometer needs.
 package dst
 
 import (

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"repro/internal/bitarray"
+	"repro/internal/qplane"
 	"repro/internal/sim"
 	"repro/internal/source"
 )
@@ -19,8 +20,8 @@ import (
 // Determinism contract: given identical runSpec and chooser decisions the
 // engine produces an identical event sequence, identical sim.Result, and
 // identical event hash. Everything random is derived from the spec seed
-// exactly as in des/explore (input, per-peer coins, adversary knowledge
-// coins), and no map iteration influences delivery order.
+// exactly as in des (input, per-peer coins, adversary knowledge coins),
+// and no map iteration influences delivery order.
 
 // chooser picks which pending event is delivered at a decision point:
 // decision is the 0-based index of the decision, fanout the number of
@@ -114,31 +115,7 @@ type cevent struct {
 	from sim.PeerID
 	msg  sim.Message
 	qr   sim.QueryReply
-	call *scall // kind 4
-}
-
-// scall is one logical protocol query in flight through the source tier
-// (the choice-engine twin of des's srcCall): it survives retries and
-// parking, and merges warm-served bits into the final reply.
-type scall struct {
-	tag     int
-	indices []int // the protocol's full request
-	fetch   []int // subset actually needing the source
-	pos     []int // positions of fetch within indices; nil = identity
-	bits    *bitarray.Array
-	ordinal uint64
-	attempt int
-}
-
-// merged fills the fetched positions into the reply array.
-func (sc *scall) merged(rep *bitarray.Array) *bitarray.Array {
-	if sc.pos == nil {
-		return rep
-	}
-	for k, j := range sc.pos {
-		sc.bits.Set(j, rep.Get(k))
-	}
-	return sc.bits
+	call *qplane.Call // kind 4, and kind 3 via the source tier
 }
 
 type cpeer struct {
@@ -153,15 +130,11 @@ type cpeer struct {
 	started    bool
 	buffer     []*cevent // pre-start deliveries
 	stats      sim.PeerStats
-	// Source tier (nil/zero without an enabled source fault plan).
-	client  *source.Client
-	parked  []*scall
-	ordinal uint64
-	wakeSet bool
+	// q is the peer's query plane (package qplane); the engine supplies
+	// only the order in which its events are delivered.
+	q *qplane.Plane
 	// Churn (nil without a churn entry for this peer).
-	churn    *ChurnPoint
-	persist  *bitarray.Tracker // source-verified bits, survives the crash
-	rejoined bool
+	churn *ChurnPoint
 }
 
 type cengine struct {
@@ -177,8 +150,6 @@ type cengine struct {
 	// keeps scheduling for them after every honest peer finished, so
 	// recovery runs to completion (matching the des runtime).
 	churnLive int
-	src       source.Source    // nil without an enabled plan
-	mirror    *source.Mirrored // nil without an enabled mirror plan
 	hash      uint64
 	out       *Outcome
 	res       sim.Result
@@ -250,13 +221,7 @@ func execute(spec *runSpec, choose chooser) *Outcome {
 	for i := range spec.churn {
 		churnFor[sim.PeerID(spec.churn[i].Peer)] = &spec.churn[i]
 	}
-	if spec.srcPlan.Enabled() || spec.mirrorPlan.Enabled() {
-		e.src = source.Wrap(source.NewTrusted(input), spec.srcPlan)
-		if spec.mirrorPlan.Enabled() {
-			e.mirror = source.NewMirrored(input, spec.mirrorPlan, spec.n, e.src)
-			e.src = e.mirror
-		}
-	}
+	tier := qplane.NewTier(input, spec.n, spec.seed, spec.srcPlan, spec.mirrorPlan, source.Policy{})
 	for i := 0; i < spec.n; i++ {
 		id := sim.PeerID(i)
 		p := &cpeer{
@@ -290,16 +255,13 @@ func execute(spec *runSpec, choose chooser) *Outcome {
 			p.churn = cp
 			p.crashPoint = cp.Point
 			p.impl = spec.newPeer(id)
-			p.persist = bitarray.NewTracker(spec.l)
 			if cp.Rejoin {
 				e.churnLive++
 			}
 		} else {
 			p.impl = spec.newPeer(id)
 		}
-		if e.src != nil {
-			p.client = source.NewClient(int(id), source.Policy{Seed: spec.seed ^ 0x50c0_5eed})
-		}
+		p.q = tier.NewPlane(i, &p.stats, p.churn != nil)
 		e.peers = append(e.peers, p)
 		if p.honest {
 			e.live++
@@ -318,21 +280,7 @@ func execute(spec *runSpec, choose chooser) *Outcome {
 
 	e.res.PerPeer = make([]sim.PeerStats, len(e.peers))
 	for i, p := range e.peers {
-		if p.client != nil {
-			p.client.Settle(e.now)
-			st := p.client.Stats()
-			p.stats.SourceRetries = st.Retries
-			p.stats.SourceFailures = st.Failures
-			p.stats.BreakerOpens = st.BreakerOpens
-			p.stats.DeferredQueries = st.Deferred
-			p.stats.DegradedTime = st.DegradedTime
-		}
-		if e.mirror != nil {
-			ms := e.mirror.PeerStats(int(p.id))
-			p.stats.MirrorHits = ms.MirrorHits
-			p.stats.ProofFailures = ms.ProofFailures
-			p.stats.FallbackQueries = ms.FallbackQueries
-		}
+		p.q.Settle(e.now)
 		e.res.PerPeer[i] = p.stats
 	}
 	e.res.Events = e.steps
@@ -397,9 +345,9 @@ func (e *cengine) step(ev *cevent) {
 		e.steps++
 		e.now = float64(e.steps)
 		if ev.kind == 4 {
-			e.srcIssue(p, ev.call)
+			e.srcDo(p, p.q.Admit(e.now, ev.call))
 		} else {
-			e.srcWake(p)
+			e.srcDo(p, p.q.Wake(e.now))
 		}
 		return
 	}
@@ -437,19 +385,11 @@ func (e *cengine) dispatch(p *cpeer, ev *cevent) bool {
 		e.observe("deliver", p.id, ev.from, msgType(ev.msg), ev.msg.SizeBits())
 		p.impl.OnMessage(ev.from, ev.msg)
 	case 3:
-		if ev.call != nil && p.client != nil {
-			// The reply crossed the (faulty) source: feed the breaker. A
-			// success closing a half-open breaker releases parked queries.
-			if p.client.OnSuccess(e.now) {
-				e.flushParked(p)
-			}
+		if ev.call != nil {
+			// The second success report of this call (see fetch).
+			e.srcSuccess(p)
 		}
-		if p.persist != nil {
-			// Persist source-verified bits so a churn rejoin resumes warm.
-			for j, idx := range ev.qr.Indices {
-				p.persist.LearnFromSource(idx, ev.qr.Bits.Get(j))
-			}
-		}
+		p.q.Learn(ev.qr)
 		e.observe("qreply", p.id, -1, "", len(ev.qr.Indices))
 		p.impl.OnQueryReply(ev.qr)
 	}
@@ -461,18 +401,15 @@ func (e *cengine) dispatch(p *cpeer, ev *cevent) bool {
 // warm from the persisted verified-index state (see cctx.Query). The
 // recovered peer runs honestly to completion but stays accounted faulty.
 func (e *cengine) rejoin(p *cpeer) {
-	if !p.crashed || p.terminated || p.rejoined {
+	if !p.crashed || p.terminated || p.stats.Rejoined {
 		return
 	}
 	e.steps++
 	e.now = float64(e.steps)
 	p.crashed = false
-	p.rejoined = true
-	p.stats.Rejoined = true
+	p.q.Rejoin()
 	p.crashPoint = -1
 	p.actions = 0
-	p.parked = nil // in-flight calls of the old incarnation died with it
-	p.wakeSet = false
 	p.buffer = nil
 	p.started = true
 	p.impl = e.spec.newPeer(p.id)
@@ -482,91 +419,43 @@ func (e *cengine) rejoin(p *cpeer) {
 	e.current = -1
 }
 
-// srcIssue admits one logical query through the peer's breaker and
-// fetches it, parking it while the breaker is open.
-func (e *cengine) srcIssue(p *cpeer, call *scall) {
-	if ok, _ := p.client.Admit(e.now); !ok {
-		p.parked = append(p.parked, call)
-		e.scheduleWake(p)
-		return
+// srcDo appends the query plane's verdict as a pending event: the chooser
+// decides when a retry or a breaker wake lands, so the plane's times are
+// ignored. A wake delivered early re-arms itself, and each delivery
+// advances the step clock, so the wait always ends.
+func (e *cengine) srcDo(p *cpeer, n qplane.Next) {
+	switch n.Op {
+	case qplane.Fetch:
+		e.fetch(p, n.Call)
+	case qplane.Retry:
+		e.pending = append(e.pending, &cevent{kind: 4, to: p.id, call: n.Call})
+	case qplane.Wake:
+		e.pending = append(e.pending, &cevent{kind: 5, to: p.id})
 	}
-	e.fetch(p, call)
 }
 
 // fetch performs one source attempt at the current step clock. Failures
 // are ruled on immediately (the choice engine has no deadlines — the
-// chooser already controls when the retry lands); successes append the
-// protocol's reply as a pending event.
-func (e *cengine) fetch(p *cpeer, call *scall) {
-	call.attempt++
-	rep, err := e.src.Fetch(source.Request{
-		Peer: int(p.id), Indices: call.fetch, Ordinal: call.ordinal,
-		Attempt: call.attempt, Now: e.now,
-	})
+// chooser already controls when the retry lands). A success is reported
+// to the breaker twice, here and when the reply is delivered: the pinned
+// replay corpus records the event order that produces.
+func (e *cengine) fetch(p *cpeer, call *qplane.Call) {
+	qr, _, err := p.q.Fetch(e.now, call)
 	if err != nil {
 		kind := source.KindOf(err)
-		e.observe("qfail", p.id, -1, kind.String(), len(call.fetch))
-		_, park := p.client.OnFailure(e.now, kind, call.ordinal, call.attempt)
-		if park {
-			// Attempts stay monotonic across parking so each probe rolls
-			// fresh fault decisions (liveness under any rate < 1).
-			p.parked = append(p.parked, call)
-			e.scheduleWake(p)
-			return
-		}
-		e.pending = append(e.pending, &cevent{kind: 4, to: p.id, call: call})
+		e.observe("qfail", p.id, -1, kind.String(), len(call.Fetch))
+		e.srcDo(p, p.q.Fail(e.now, call, kind))
 		return
 	}
-	if p.client.OnSuccess(e.now) {
-		e.flushParked(p)
-	}
-	e.pending = append(e.pending, &cevent{
-		kind: 3, to: p.id, call: call,
-		qr: sim.QueryReply{Tag: call.tag, Indices: call.indices, Bits: call.merged(rep.Bits)},
-	})
+	e.srcSuccess(p)
+	e.pending = append(e.pending, &cevent{kind: 3, to: p.id, call: call, qr: qr})
 }
 
-// srcWake re-evaluates an open breaker: once the cooldown (in steps) has
-// elapsed it releases one parked call as the half-open probe; fired early
-// it re-appends itself, and each delivery advances the clock, so the wait
-// always ends.
-func (e *cengine) srcWake(p *cpeer) {
-	p.wakeSet = false
-	if len(p.parked) == 0 {
-		return
-	}
-	switch p.client.State() {
-	case source.StateHalfOpen:
-		return // a probe is already in flight; its outcome decides
-	case source.StateOpen:
-		if e.now < p.client.WakeAt() {
-			e.scheduleWake(p)
-			return
-		}
-	}
-	if ok, _ := p.client.Admit(e.now); !ok {
-		e.scheduleWake(p)
-		return
-	}
-	call := p.parked[0]
-	p.parked = p.parked[1:]
-	e.fetch(p, call)
-}
-
-// scheduleWake keeps at most one pending wake event per peer.
-func (e *cengine) scheduleWake(p *cpeer) {
-	if p.wakeSet {
-		return
-	}
-	p.wakeSet = true
-	e.pending = append(e.pending, &cevent{kind: 5, to: p.id})
-}
-
-// flushParked re-issues every parked call after the breaker closed.
-func (e *cengine) flushParked(p *cpeer) {
-	calls := p.parked
-	p.parked = nil
-	for _, call := range calls {
+// srcSuccess reports a source success; a closing breaker re-issues every
+// parked call.
+func (e *cengine) srcSuccess(p *cpeer) {
+	flushed, _ := p.q.Success(e.now)
+	for _, call := range flushed {
 		e.pending = append(e.pending, &cevent{kind: 4, to: p.id, call: call})
 	}
 }
@@ -581,7 +470,7 @@ func (e *cengine) act(p *cpeer) bool {
 		p.crashed = true
 		p.stats.Crashed = true
 		e.observe("crash", p.id, -1, "", 0)
-		if p.churn != nil && p.churn.Rejoin && !p.rejoined {
+		if p.churn != nil && p.churn.Rejoin && !p.stats.Rejoined {
 			e.pending = append(e.pending, &cevent{kind: 6, to: p.id})
 		}
 		return false
@@ -651,81 +540,16 @@ func (c *cctx) Query(tag int, indices []int) {
 		return
 	}
 	p := c.p
-	for _, idx := range indices {
-		if idx < 0 || idx >= c.e.spec.l {
-			panic(fmt.Sprintf("dst: peer %d queried out-of-range index %d", p.id, idx))
-		}
+	b := p.q.Begin(tag, indices)
+	c.e.observe("query", p.id, -1, "", b.Charged)
+	switch b.Kind {
+	case qplane.Issue:
+		// Through the (possibly faulty) source tier; the chooser decides
+		// when the attempt — and hence its fault roll — happens.
+		c.e.pending = append(c.e.pending, &cevent{kind: 4, to: p.id, call: b.Call})
+	case qplane.WarmHit, qplane.Oracle:
+		c.e.pending = append(c.e.pending, &cevent{kind: 3, to: p.id, qr: b.Reply})
 	}
-	// Rejoined churn peers answer from persisted (source-verified) state
-	// where they can: warm bits are free — only the remainder is charged
-	// to Q and sent to the source (exact des semantics).
-	var (
-		warm     *bitarray.Array
-		pos      []int
-		fetchIdx = indices
-	)
-	if p.rejoined && p.persist != nil {
-		warm = bitarray.New(len(indices))
-		for j, idx := range indices {
-			if v, ok := p.persist.Get(idx); ok {
-				warm.Set(j, v)
-			} else {
-				pos = append(pos, j)
-			}
-		}
-		if len(pos) == len(indices) {
-			warm, pos = nil, nil // nothing persisted: plain query
-		} else {
-			fetchIdx = make([]int, len(pos))
-			for k, j := range pos {
-				fetchIdx[k] = indices[j]
-			}
-			p.stats.WarmHitBits += len(indices) - len(fetchIdx)
-		}
-	}
-	p.stats.QueryBits += len(fetchIdx)
-	p.stats.QueryCalls++
-	c.e.observe("query", p.id, -1, "", len(fetchIdx))
-	idxCopy := append([]int(nil), indices...)
-	if warm != nil && len(pos) == 0 {
-		// Full warm hit: answered locally, no source round trip.
-		c.e.pending = append(c.e.pending, &cevent{
-			kind: 3, to: p.id,
-			qr: sim.QueryReply{Tag: tag, Indices: idxCopy, Bits: warm},
-		})
-		return
-	}
-	if c.e.src != nil {
-		// Route through the (possibly faulty) source tier; the chooser
-		// decides when the attempt — and hence its fault roll — happens.
-		fetch := idxCopy
-		if warm != nil {
-			fetch = fetchIdx // already a fresh slice
-		}
-		p.ordinal++
-		c.e.pending = append(c.e.pending, &cevent{
-			kind: 4, to: p.id,
-			call: &scall{tag: tag, indices: idxCopy, fetch: fetch,
-				pos: pos, bits: warm, ordinal: p.ordinal},
-		})
-		return
-	}
-	// Oracle fast path: the paper's perfectly available source.
-	bits := warm
-	if bits == nil {
-		bits = bitarray.New(len(indices))
-		for j, idx := range indices {
-			bits.Set(j, c.e.input.Get(idx))
-		}
-	} else {
-		for k, j := range pos {
-			bits.Set(j, c.e.input.Get(fetchIdx[k]))
-		}
-	}
-	c.e.pending = append(c.e.pending, &cevent{
-		kind: 3, to: p.id,
-		qr: sim.QueryReply{Tag: tag, Indices: idxCopy, Bits: bits},
-	})
 }
 
 // Output implements sim.Context.

@@ -14,18 +14,18 @@
 // deadlock live — the fuzzer found it at n = 4 — and where "verified for
 // ALL schedules up to depth D" is a meaningful statement.
 //
-// The explorer runs its own small engine sharing the sim contract: event
-// delivery is chosen by a prefix of choice indices instead of virtual
-// time; crash action-counting matches package des. Delays are irrelevant
-// — reordering subsumes them.
+// The explorer is an enumerator, not an engine: every schedule runs on
+// package dst's choice engine (dst.RunPrefix), where event delivery is
+// chosen by a prefix of choice indices instead of virtual time and crash
+// action-counting matches package des. Delays are irrelevant — reordering
+// subsumes them.
 package explore
 
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
-	"repro/internal/bitarray"
+	"repro/internal/dst"
 	"repro/internal/sim"
 )
 
@@ -59,6 +59,14 @@ func (c *Config) validate() error {
 		return fmt.Errorf("explore: %d crash points exceeds t=%d", len(c.CrashPoints), c.T)
 	}
 	return nil
+}
+
+// cell is the configuration in the form dst's choice engine runs.
+func (c *Config) cell() dst.Cell {
+	return dst.Cell{
+		N: c.N, T: c.T, L: c.L, MsgBits: 64, Seed: c.Seed,
+		NewPeer: c.NewPeer, CrashPoints: c.CrashPoints,
+	}
 }
 
 // Report summarizes an exploration.
@@ -103,25 +111,28 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Budget <= 0 {
 		cfg.Budget = 200000
 	}
-	input := (&sim.Config{N: cfg.N, T: cfg.T, L: cfg.L, MsgBits: 64, Seed: cfg.Seed}).ResolveInput()
-
 	rep := &Report{Exhaustive: true}
+	cell := cfg.cell()
 	prefix := []int{}
 	for {
 		if rep.Executions >= cfg.Budget {
 			rep.Exhaustive = false
 			return rep, nil
 		}
-		res := execute(&cfg, input, prefix)
+		// The prefix's digits at the first MaxChoices decision points,
+		// FIFO afterwards; radix is the fan-out seen at each of them.
+		out, radix := dst.RunPrefix(cell, prefix, cfg.MaxChoices)
 		rep.Executions++
-		if res.fanout > rep.MaxFanout {
-			rep.MaxFanout = res.fanout
+		for _, r := range radix {
+			if r > rep.MaxFanout {
+				rep.MaxFanout = r
+			}
 		}
 		bad := false
-		if res.deadlocked {
+		if out.Result.Deadlocked {
 			rep.Deadlocks++
 			bad = true
-		} else if !res.correct {
+		} else if !out.Result.Correct {
 			rep.Failures++
 			bad = true
 		}
@@ -130,7 +141,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 		// Advance the mixed-radix odometer over the branching factors
 		// this execution actually saw.
-		next, ok := advance(prefix, res.radix)
+		next, ok := advance(prefix, radix)
 		if !ok {
 			return rep, nil
 		}
@@ -144,9 +155,8 @@ func Replay(cfg Config, prefix []int) (correct, deadlocked bool, err error) {
 	if err := cfg.validate(); err != nil {
 		return false, false, err
 	}
-	input := (&sim.Config{N: cfg.N, T: cfg.T, L: cfg.L, MsgBits: 64, Seed: cfg.Seed}).ResolveInput()
-	res := execute(&cfg, input, prefix)
-	return res.correct, res.deadlocked, nil
+	out, _ := dst.RunPrefix(cfg.cell(), prefix, len(prefix))
+	return out.Result.Correct, out.Result.Deadlocked, nil
 }
 
 // advance increments the prefix as a mixed-radix counter whose digit
@@ -179,239 +189,3 @@ func increment(digits, radix []int) ([]int, bool) {
 	}
 	return nil, false
 }
-
-// --- the choice-driven engine -------------------------------------------
-
-type xevent struct {
-	kind int // 1 start, 2 msg, 3 qreply
-	to   sim.PeerID
-	from sim.PeerID
-	msg  sim.Message
-	qr   sim.QueryReply
-}
-
-type xresult struct {
-	correct    bool
-	deadlocked bool
-	radix      []int
-	fanout     int
-}
-
-type xengine struct {
-	cfg     *Config
-	input   *bitarray.Array
-	pending []*xevent
-	peers   []*xpeer
-	prefix  []int
-	step    int
-	radix   []int
-	fanout  int
-	current sim.PeerID
-}
-
-type xpeer struct {
-	id         sim.PeerID
-	impl       sim.Peer
-	rng        *rand.Rand
-	crashPoint int
-	actions    int
-	crashed    bool
-	terminated bool
-	started    bool
-	buffer     []*xevent // pre-start deliveries
-	output     *bitarray.Array
-}
-
-func execute(cfg *Config, input *bitarray.Array, prefix []int) *xresult {
-	e := &xengine{cfg: cfg, input: input, prefix: prefix, current: -1}
-	for i := 0; i < cfg.N; i++ {
-		id := sim.PeerID(i)
-		p := &xpeer{
-			id:         id,
-			impl:       cfg.NewPeer(id),
-			rng:        rand.New(rand.NewSource(cfg.Seed + int64(i)*0x9e3779b97f4a7c + 1)),
-			crashPoint: -1,
-		}
-		if pt, faulty := cfg.CrashPoints[id]; faulty {
-			p.crashPoint = pt
-		}
-		e.peers = append(e.peers, p)
-		e.pending = append(e.pending, &xevent{kind: 1, to: id})
-	}
-
-	maxSteps := 200*cfg.N*cfg.N + 64*cfg.N*cfg.L + 100000
-	for steps := 0; len(e.pending) > 0 && steps < maxSteps; steps++ {
-		if e.allHonestDone() {
-			break
-		}
-		idx := 0
-		if e.step < cfg.MaxChoices && len(e.pending) > 1 {
-			// A real decision point: record its fan-out and take the
-			// prefix's digit (0 beyond the prefix).
-			e.radix = append(e.radix, len(e.pending))
-			if len(e.pending) > e.fanout {
-				e.fanout = len(e.pending)
-			}
-			if e.step < len(e.prefix) {
-				idx = e.prefix[e.step] % len(e.pending)
-			}
-			e.step++
-		}
-		ev := e.pending[idx]
-		e.pending = append(e.pending[:idx], e.pending[idx+1:]...)
-		e.dispatch(ev)
-	}
-
-	res := &xresult{radix: e.radix, fanout: e.fanout}
-	res.correct = true
-	for _, p := range e.peers {
-		if p.crashPoint >= 0 {
-			continue // faulty: exempt
-		}
-		if !p.terminated || p.output == nil || !p.output.Equal(input) {
-			res.correct = false
-		}
-	}
-	if !res.correct && !e.allHonestDone() && len(e.pending) == 0 {
-		res.deadlocked = true
-	}
-	return res
-}
-
-func (e *xengine) allHonestDone() bool {
-	for _, p := range e.peers {
-		if p.crashPoint < 0 && !p.terminated {
-			return false
-		}
-	}
-	return true
-}
-
-func (e *xengine) dispatch(ev *xevent) {
-	p := e.peers[ev.to]
-	if p.crashed || p.terminated {
-		return
-	}
-	if !p.started && ev.kind != 1 {
-		p.buffer = append(p.buffer, ev)
-		return
-	}
-	if !e.act(p) {
-		return
-	}
-	e.deliver(p, ev)
-	if ev.kind == 1 {
-		for _, buf := range p.buffer {
-			if p.crashed || p.terminated {
-				break
-			}
-			if !e.act(p) {
-				break
-			}
-			e.deliver(p, buf)
-		}
-		p.buffer = nil
-	}
-}
-
-// act consumes one crash action; false means the peer just crashed.
-func (e *xengine) act(p *xpeer) bool {
-	if p.crashPoint < 0 {
-		return true
-	}
-	p.actions++
-	if p.actions > p.crashPoint {
-		p.crashed = true
-		return false
-	}
-	return true
-}
-
-func (e *xengine) deliver(p *xpeer, ev *xevent) {
-	e.current = p.id
-	defer func() { e.current = -1 }()
-	switch ev.kind {
-	case 1:
-		p.started = true
-		p.impl.Init(&xctx{e: e, p: p})
-	case 2:
-		p.impl.OnMessage(ev.from, ev.msg)
-	case 3:
-		p.impl.OnQueryReply(ev.qr)
-	}
-}
-
-type xctx struct {
-	e *xengine
-	p *xpeer
-}
-
-var _ sim.Context = (*xctx)(nil)
-
-func (c *xctx) ID() sim.PeerID { return c.p.id }
-func (c *xctx) N() int         { return c.e.cfg.N }
-func (c *xctx) T() int         { return c.e.cfg.T }
-func (c *xctx) L() int         { return c.e.cfg.L }
-func (c *xctx) MsgBits() int   { return 64 }
-
-// Send implements sim.Context.
-func (c *xctx) Send(to sim.PeerID, m sim.Message) {
-	if c.p.crashed || c.p.terminated || to == c.p.id || to < 0 || int(to) >= c.e.cfg.N {
-		return
-	}
-	if !c.e.act(c.p) {
-		return
-	}
-	c.e.pending = append(c.e.pending, &xevent{kind: 2, to: to, from: c.p.id, msg: m})
-}
-
-// Broadcast implements sim.Context.
-func (c *xctx) Broadcast(m sim.Message) {
-	for i := 0; i < c.e.cfg.N; i++ {
-		if sim.PeerID(i) != c.p.id {
-			c.Send(sim.PeerID(i), m)
-		}
-	}
-}
-
-// Query implements sim.Context.
-func (c *xctx) Query(tag int, indices []int) {
-	if c.p.crashed || c.p.terminated {
-		return
-	}
-	if !c.e.act(c.p) {
-		return
-	}
-	bits := bitarray.New(len(indices))
-	for j, idx := range indices {
-		bits.Set(j, c.e.input.Get(idx))
-	}
-	c.e.pending = append(c.e.pending, &xevent{
-		kind: 3, to: c.p.id,
-		qr: sim.QueryReply{Tag: tag, Indices: append([]int(nil), indices...), Bits: bits},
-	})
-}
-
-// Output implements sim.Context.
-func (c *xctx) Output(out *bitarray.Array) {
-	if !c.p.crashed && !c.p.terminated {
-		c.p.output = out.Clone()
-	}
-}
-
-// Terminate implements sim.Context.
-func (c *xctx) Terminate() {
-	if !c.p.crashed {
-		c.p.terminated = true
-	}
-}
-
-// Rand implements sim.Context.
-func (c *xctx) Rand() *rand.Rand { return c.p.rng }
-
-// Now implements sim.Context. The explorer has no clock; scheduling is
-// pure event order.
-func (c *xctx) Now() float64 { return float64(c.e.step) }
-
-// Logf implements sim.Context.
-func (c *xctx) Logf(string, ...any) {}

@@ -1,215 +1,124 @@
 package live
 
-// Fault planes of the live runtime: the churn adversary (crash at an
-// action count, rejoin warm after a scaled downtime) and the faulty
-// source tier (per-peer retry/backoff/breaker clients over a
-// source.FaultPlan). Both port the des runtime's semantics onto wall
-// clocks: what des schedules as events (evRejoin, evSrcIssue, evSrcFail,
-// evSrcWake) the live runtime schedules as tracked timer callbacks, so
-// the same protocols face the same adversary under real concurrency —
-// with the race detector watching the recovery paths.
+// Fault planes of the live runtime: the wall-clock driver of the query
+// plane (package qplane) and the churn adversary's rejoin. What des
+// schedules as events (evSrcIssue, evSrcFail, evSrcWake, evRejoin) the
+// live runtime schedules as tracked timer callbacks, so the same
+// protocols face the same adversary under real concurrency — with the
+// race detector watching the recovery paths. Every callback first checks
+// that its incarnation is still running: calls of a crashed incarnation
+// die here, exactly as the des engine drops their events.
 
 import (
-	"fmt"
-
-	"repro/internal/bitarray"
-	"repro/internal/sim"
+	"repro/internal/qplane"
 	"repro/internal/source"
 )
 
-// liveCall is one logical protocol query in flight through the source
-// tier. It survives retries (attempt increments per issue) and parking
-// behind the breaker; the reply delivered to the protocol always covers
-// the full original index set, merging warm-served values with fetched
-// ones so protocols never see partial replies.
-type liveCall struct {
-	tag     int
-	indices []int // the protocol's full request
-	fetch   []int // subset actually needing the source
-	pos     []int // positions of fetch within indices; nil = identity
-	bits    *bitarray.Array
-	ordinal uint64
-	attempt int
-}
+// gone (mu held) reports that no source-tier work should run for the
+// peer any more.
+func (p *livePeer) gone() bool { return p.terminated || p.crashed || p.stopped }
 
-// merged fills the fetched positions into the reply array.
-func (lc *liveCall) merged(rep *bitarray.Array) *bitarray.Array {
-	if lc.pos == nil {
-		return rep
-	}
-	for k, j := range lc.pos {
-		lc.bits.Set(j, rep.Get(k))
-	}
-	return lc.bits
-}
-
-// queryDelay returns the adversary's query round-trip latency, floored
-// like message delays.
+// queryDelay is the adversary's query round-trip latency.
 func (p *livePeer) queryDelay() float64 {
-	d := p.w.spec.Delays.QueryDelay(p.id, p.w.now())
-	if d <= 0 {
-		d = 0
-	}
-	return d
+	return p.w.spec.Delays.QueryDelay(p.id, p.w.now())
 }
 
-// issueCall admits one logical query through the peer's breaker and
-// fetches it, parking it while the breaker is open. Queries are never
-// abandoned: the protocol is owed a reply, so a parked call waits for
-// the source to heal (graceful degradation, not failure).
-func (p *livePeer) issueCall(call *liveCall) {
+// issueCall admits one logical query through the plane.
+func (p *livePeer) issueCall(call *qplane.Call) {
 	p.mu.Lock()
-	if p.terminated || p.crashed || p.stopped {
+	if p.gone() {
 		p.mu.Unlock()
 		return
 	}
-	if p.client != nil {
-		if ok, wake := p.client.Admit(p.w.now()); !ok {
-			p.parked = append(p.parked, call)
-			p.scheduleWake(wake)
-			p.mu.Unlock()
-			return
-		}
-	}
+	now := p.w.now()
+	n := p.q.Admit(now, call)
 	p.mu.Unlock()
-	p.fetchCall(call)
+	p.srcDo(now, n)
+}
+
+// srcDo carries out the plane's verdict of time now with timers: attempt
+// now, re-admit after the backoff, or wake the breaker later.
+func (p *livePeer) srcDo(now float64, n qplane.Next) {
+	switch n.Op {
+	case qplane.Fetch:
+		p.fetchCall(n.Call)
+	case qplane.Retry:
+		p.w.after(n.At-now, func() { p.issueCall(n.Call) })
+	case qplane.Wake:
+		p.w.after(n.At-now, p.srcWake)
+	}
 }
 
 // fetchCall performs one source attempt. Success schedules the
-// protocol's query reply (warm bits merged in); failure schedules the
-// moment the peer's client learns of it — after the query deadline for
-// lost replies, after one round trip for active refusals.
-func (p *livePeer) fetchCall(call *liveCall) {
-	call.attempt++
-	rep, err := p.w.src.Fetch(source.Request{
-		Peer: int(p.id), Indices: call.fetch, Ordinal: call.ordinal,
-		Attempt: call.attempt, Now: p.w.now(),
-	})
+// protocol's query reply; failure schedules the moment the peer learns
+// of it — after the query deadline for lost replies, after one round trip
+// for active refusals.
+func (p *livePeer) fetchCall(call *qplane.Call) {
+	qr, latency, err := p.q.Fetch(p.w.now(), call)
 	if err != nil {
-		if p.client == nil {
-			// Without a fault plan the tier is mirror+trusted, which
-			// always falls back to a correct answer.
-			panic(fmt.Sprintf("live: source failed without a fault plan: %v", err))
-		}
 		kind := source.KindOf(err)
 		wait := p.queryDelay()
 		if kind == source.KindTimeout {
-			// A lost reply is only discovered by the deadline expiring.
-			wait = p.client.Policy().Deadline
+			wait = p.q.Deadline()
 		}
 		p.w.after(wait, func() { p.srcFail(call, kind) })
 		return
 	}
-	p.w.after(p.queryDelay()+rep.Latency, func() {
-		// The reply crossed the (faulty) source: feed the breaker. A
-		// success closing a half-open breaker releases every parked query.
-		var flushed []*liveCall
+	p.w.after(p.queryDelay()+latency, func() {
+		// The reply crossed the (faulty) source: live reports the
+		// success when the reply arrives.
 		p.mu.Lock()
-		if p.client != nil && p.client.OnSuccess(p.w.now()) {
-			flushed = p.parked
-			p.parked = nil
-		}
+		flushed, _ := p.q.Success(p.w.now())
 		p.mu.Unlock()
 		for _, fc := range flushed {
 			p.issueCall(fc)
 		}
-		p.enqueue(delivery{kind: dlQueryReply,
-			qr: sim.QueryReply{Tag: call.tag, Indices: call.indices, Bits: call.merged(rep.Bits)}})
+		p.enqueue(delivery{kind: dlQueryReply, qr: qr})
 	})
 }
 
-// srcFail lets the client rule on a now-known failure: either schedule
-// the backed-off retry or park the call behind the opened breaker. Calls
-// of a crashed incarnation die here, exactly as the des engine drops
-// their events.
-func (p *livePeer) srcFail(call *liveCall, kind source.Kind) {
+// srcFail delivers a now-known failure to the plane.
+func (p *livePeer) srcFail(call *qplane.Call, kind source.Kind) {
 	p.mu.Lock()
-	if p.terminated || p.crashed || p.stopped {
+	if p.gone() {
 		p.mu.Unlock()
 		return
 	}
 	now := p.w.now()
-	retryAt, park := p.client.OnFailure(now, kind, call.ordinal, call.attempt)
-	if park {
-		// The attempt counter stays monotonic across parking: each probe
-		// of this call rolls fresh fault decisions, which is what makes
-		// the probe loop live under any FailRate/TimeoutRate < 1.
-		p.parked = append(p.parked, call)
-		p.scheduleWake(p.client.WakeAt())
-		p.mu.Unlock()
-		return
-	}
+	n := p.q.Fail(now, call, kind)
 	p.mu.Unlock()
-	p.w.after(retryAt-now, func() { p.issueCall(call) })
+	p.srcDo(now, n)
 }
 
-// scheduleWake (mu held) arms at most one pending breaker wake per peer;
-// the handler re-evaluates and re-arms if it fired early, so a single
-// outstanding wake is enough for liveness.
-func (p *livePeer) scheduleWake(at float64) {
-	if p.wakeSet {
-		return
-	}
-	p.wakeSet = true
-	p.w.after(at-p.w.now(), p.srcWake)
-}
-
-// srcWake fires when an open breaker's cooldown may have elapsed: it
-// releases one parked call as the half-open probe. The probe's outcome
-// drives everything else — success flushes the parked queue, failure
-// re-opens and arms the next wake.
+// srcWake fires when an open breaker's cooldown may have elapsed.
 func (p *livePeer) srcWake() {
 	p.mu.Lock()
-	p.wakeSet = false
-	if p.client == nil || len(p.parked) == 0 || p.terminated || p.crashed || p.stopped {
+	if p.gone() {
 		p.mu.Unlock()
 		return
 	}
 	now := p.w.now()
-	switch p.client.State() {
-	case source.StateHalfOpen:
-		p.mu.Unlock()
-		return // a probe is already in flight; its outcome decides
-	case source.StateOpen:
-		if now < p.client.WakeAt() {
-			// The breaker re-opened after this wake was armed.
-			p.scheduleWake(p.client.WakeAt())
-			p.mu.Unlock()
-			return
-		}
-	}
-	ok, wake := p.client.Admit(now)
-	if !ok {
-		p.scheduleWake(wake)
-		p.mu.Unlock()
-		return
-	}
-	call := p.parked[0]
-	p.parked = p.parked[1:]
+	n := p.q.Wake(now)
 	p.mu.Unlock()
-	p.fetchCall(call)
+	p.srcDo(now, n)
 }
 
 // rejoin revives a crashed churn peer after its downtime: a fresh
 // protocol instance restarts and its subsequent queries are answered
-// from the persisted verified-index state where possible (see Query).
-// The recovered peer runs honestly to completion — recovery is the whole
-// point — but stays accounted faulty, so correctness aggregates never
-// depend on it.
+// from the persisted verified-index state where possible. The recovered
+// peer runs honestly to completion — recovery is the whole point — but
+// stays accounted faulty, so correctness aggregates never depend on it.
 func (p *livePeer) rejoin() {
 	p.mu.Lock()
-	if !p.crashed || p.terminated || p.rejoined || p.stopped {
+	if !p.crashed || p.terminated || p.stats.Rejoined || p.stopped {
 		p.mu.Unlock()
 		return
 	}
 	p.crashed = false
-	p.rejoined = true
-	p.stats.Rejoined = true
+	p.q.Rejoin()
 	p.crashPoint = -1
 	p.actions = 0
-	p.queue = nil  // deliveries addressed to the dead incarnation
-	p.parked = nil // in-flight source calls died with it
-	p.wakeSet = false
+	p.queue = nil // deliveries addressed to the dead incarnation
 	p.impl = p.w.spec.NewPeer(p.id)
 	if p.ready != nil {
 		// Scheduler mode: owe a fresh Init; a worker serves it next. The

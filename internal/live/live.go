@@ -18,8 +18,8 @@ import (
 	"time"
 
 	"repro/internal/bitarray"
+	"repro/internal/qplane"
 	"repro/internal/sim"
-	"repro/internal/source"
 )
 
 // Runtime runs peers as goroutines with wall-clock delays.
@@ -69,16 +69,7 @@ func (rt *Runtime) Run(spec *sim.Spec) (*sim.Result, error) {
 		peers: make([]*livePeer, spec.Config.N),
 		done:  make(chan struct{}),
 	}
-	if spec.SourceFaults.Enabled() || spec.Mirrors.Enabled() {
-		// The authoritative tier (fault-wrapped when a plan is set); the
-		// mirror fleet, when enabled, sits in front of it and falls back
-		// to it on verification failure.
-		w.src = source.Wrap(source.NewTrusted(w.input), spec.SourceFaults)
-		if spec.Mirrors.Enabled() {
-			w.mirror = source.NewMirrored(w.input, spec.Mirrors, w.cfg.N, w.src)
-			w.src = w.mirror
-		}
-	}
+	tier := qplane.NewTier(w.input, w.cfg.N, w.cfg.Seed, spec.SourceFaults, spec.Mirrors, spec.SourcePolicy)
 	var know *sim.Knowledge
 	if spec.Faults.Model == sim.FaultByzantine {
 		know = &sim.Knowledge{
@@ -119,26 +110,15 @@ func (rt *Runtime) Run(spec *sim.Spec) (*sim.Result, error) {
 			p.churn = cp
 			p.crashPoint = cp.CrashAfter
 			p.impl = spec.NewPeer(id)
-			p.persist = bitarray.NewTracker(w.cfg.L)
 			if cp.Downtime >= 0 {
 				w.churnLive++
 			}
 		} else {
 			p.impl = spec.NewPeer(id)
 		}
+		p.q = tier.NewPlane(i, &p.stats, p.churn != nil)
 		w.peers[i] = p
 		w.liveHonest += btoi(p.honest)
-	}
-	if spec.SourceFaults.Enabled() {
-		pol := spec.SourcePolicy
-		if pol.Seed == 0 {
-			// Derive the jitter seed from the run seed so backoff
-			// schedules are reproducible without extra configuration.
-			pol.Seed = w.cfg.Seed ^ 0x50c0_5eed
-		}
-		for _, p := range w.peers {
-			p.client = source.NewClient(int(p.id), pol)
-		}
 	}
 	expired := w.runAll(deadline)
 
@@ -146,23 +126,9 @@ func (rt *Runtime) Run(spec *sim.Spec) (*sim.Result, error) {
 	res.DeadlineHit = expired
 	for i, p := range w.peers {
 		p.mu.Lock()
+		p.q.Settle(w.now())
 		res.PerPeer[i] = p.stats
 		p.mu.Unlock()
-		if p.client != nil {
-			p.client.Settle(w.now())
-			st := p.client.Stats()
-			res.PerPeer[i].SourceRetries = st.Retries
-			res.PerPeer[i].SourceFailures = st.Failures
-			res.PerPeer[i].BreakerOpens = st.BreakerOpens
-			res.PerPeer[i].DeferredQueries = st.Deferred
-			res.PerPeer[i].DegradedTime = st.DegradedTime
-		}
-		if w.mirror != nil {
-			ms := w.mirror.PeerStats(i)
-			res.PerPeer[i].MirrorHits = ms.MirrorHits
-			res.PerPeer[i].ProofFailures = ms.ProofFailures
-			res.PerPeer[i].FallbackQueries = ms.FallbackQueries
-		}
 	}
 	res.Finalize(w.input)
 	return res, nil
@@ -196,13 +162,6 @@ type world struct {
 	input *bitarray.Array
 	scale time.Duration
 	start time.Time
-	// src, when non-nil, is the external-source tier queries route
-	// through: the trusted array fault-wrapped by Spec.SourceFaults,
-	// fronted by the untrusted mirror fleet when Spec.Mirrors is set.
-	// mirror aliases the fleet for per-peer verification stats.
-	src    source.Source
-	mirror *source.Mirrored
-
 	peers []*livePeer
 
 	mu         sync.Mutex
@@ -403,29 +362,23 @@ type livePeer struct {
 	queued bool
 	inited bool
 
-	// Source tier (nil/zero without an enabled source fault plan). client
-	// and parked are mu-guarded: timer callbacks (retries, breaker wakes)
-	// feed them alongside the serving goroutine.
-	client  *source.Client
-	parked  []*liveCall // queries waiting out an open breaker
-	wakeSet bool        // a breaker wake timer is armed
+	// q is the peer's query plane (package qplane). Its transitions run
+	// under mu — timer callbacks (retries, breaker wakes) drive it
+	// alongside the serving goroutine — except Fetch, which touches no
+	// plane state, and Learn, which only the serving goroutine calls. The
+	// warm state hands off between churn incarnations through mu (rejoin
+	// runs under it before the new incarnation starts).
+	q *qplane.Plane
 
-	// Churn (nil without a churn schedule for this peer). persist's
-	// contents and the rejoined flag hand off between incarnations
-	// through mu (rejoin writes them before the new incarnation starts).
-	churn    *sim.ChurnPeer
-	persist  *bitarray.Tracker // source-verified bits, survives the crash
-	rejoined bool
+	// Churn (nil without a churn schedule for this peer).
+	churn *sim.ChurnPeer
 
 	// Fields below are owned by the loop goroutine (guarded by mu only
 	// for the final stats snapshot in Run).
 	crashed    bool
 	terminated bool
 	actions    int
-	// ordinal is the monotonic logical-query counter seeding mirror
-	// picks; owned by the peer's serving goroutine like actions.
-	ordinal uint64
-	stats   sim.PeerStats
+	stats      sim.PeerStats
 }
 
 var _ sim.Context = (*livePeer)(nil)
@@ -580,13 +533,7 @@ func (p *livePeer) dispatch(d delivery) bool {
 	case dlMessage:
 		p.impl.OnMessage(d.from, d.msg)
 	case dlQueryReply:
-		if p.persist != nil {
-			// Persist source-verified bits so a churn rejoin resumes
-			// warm instead of re-downloading.
-			for j, idx := range d.qr.Indices {
-				p.persist.LearnFromSource(idx, d.qr.Bits.Get(j))
-			}
-		}
+		p.q.Learn(d.qr)
 		p.impl.OnQueryReply(d.qr)
 	}
 	return true
@@ -596,7 +543,7 @@ func (p *livePeer) setCrashed() {
 	p.mu.Lock()
 	p.crashed = true
 	p.stats.Crashed = true
-	rejoin := p.churn != nil && p.churn.Downtime >= 0 && !p.rejoined
+	rejoin := p.churn != nil && p.churn.Downtime >= 0 && !p.stats.Rejoined
 	p.cond.Broadcast()
 	p.mu.Unlock()
 	if rejoin {
@@ -671,81 +618,19 @@ func (p *livePeer) Query(tag int, indices []int) {
 	if !p.countAction() {
 		return
 	}
-	for _, idx := range indices {
-		if idx < 0 || idx >= p.w.cfg.L {
-			panic(fmt.Sprintf("live: peer %d queried out-of-range index %d", p.id, idx))
-		}
-	}
-	// Rejoined churn peers answer from persisted (source-verified) state
-	// where they can: warm bits are free — only the remainder is charged
-	// to Q and sent to the source.
-	var (
-		warm     *bitarray.Array
-		pos      []int
-		fetchIdx = indices
-	)
-	if p.rejoined && p.persist != nil {
-		warm = bitarray.New(len(indices))
-		for j, idx := range indices {
-			if v, ok := p.persist.Get(idx); ok {
-				warm.Set(j, v)
-			} else {
-				pos = append(pos, j)
-			}
-		}
-		if len(pos) == len(indices) {
-			warm, pos = nil, nil // nothing persisted: plain query
-		} else {
-			fetchIdx = make([]int, len(pos))
-			for k, j := range pos {
-				fetchIdx[k] = indices[j]
-			}
-		}
-	}
 	p.mu.Lock()
-	if warm != nil {
-		p.stats.WarmHitBits += len(indices) - len(fetchIdx)
-	}
-	p.stats.QueryBits += len(fetchIdx)
-	p.stats.QueryCalls++
+	b := p.q.Begin(tag, indices)
 	p.mu.Unlock()
-	idxCopy := append([]int(nil), indices...)
-	if warm != nil && len(pos) == 0 {
-		// Full warm hit: answered locally, no source round trip.
-		p.w.after(0, func() {
-			p.enqueue(delivery{kind: dlQueryReply, qr: sim.QueryReply{Tag: tag, Indices: idxCopy, Bits: warm}})
-		})
-		return
+	switch b.Kind {
+	case qplane.Issue:
+		// Through the (possibly faulty, possibly mirrored) source tier.
+		p.issueCall(b.Call)
+	case qplane.WarmHit:
+		// Answered locally, no source round trip.
+		p.w.after(0, func() { p.enqueue(delivery{kind: dlQueryReply, qr: b.Reply}) })
+	case qplane.Oracle:
+		p.w.after(p.queryDelay(), func() { p.enqueue(delivery{kind: dlQueryReply, qr: b.Reply}) })
 	}
-	if p.w.src != nil {
-		// Route through the (possibly faulty, possibly mirrored) source
-		// tier with the peer's retry/breaker client. Every returned bit
-		// is verified, so Q charges exactly as on the direct path.
-		fetch := idxCopy
-		if warm != nil {
-			fetch = fetchIdx // already a fresh slice
-		}
-		p.ordinal++
-		p.issueCall(&liveCall{tag: tag, indices: idxCopy, fetch: fetch,
-			pos: pos, bits: warm, ordinal: p.ordinal})
-		return
-	}
-	// Oracle fast path: the paper's perfectly available source.
-	bits := warm
-	if bits == nil {
-		bits = bitarray.New(len(indices))
-		for j, idx := range indices {
-			bits.Set(j, p.w.input.Get(idx))
-		}
-	} else {
-		for k, j := range pos {
-			bits.Set(j, p.w.input.Get(fetchIdx[k]))
-		}
-	}
-	delay := p.w.spec.Delays.QueryDelay(p.id, p.w.now())
-	p.w.after(delay, func() {
-		p.enqueue(delivery{kind: dlQueryReply, qr: sim.QueryReply{Tag: tag, Indices: idxCopy, Bits: bits}})
-	})
 }
 
 // Output implements sim.Context.
