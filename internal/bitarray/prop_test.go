@@ -136,18 +136,22 @@ func TestTrackerVsModel(t *testing.T) {
 				if got := tr.LearnRange(lo, lo+length, src, srcOff); got != want {
 					t.Fatalf("n=%d: LearnRange [%d,%d) conflict %v, model %v", n, lo, lo+length, got, want)
 				}
-			case 2: // KnownRange / KnownSegment
+			case 2: // KnownRange / AnyKnown / KnownSegment
 				length := rng.Intn(n + 1)
 				lo := rng.Intn(n - length + 1)
-				want := true
+				want, wantAny := true, false
 				for i := lo; i < lo+length; i++ {
-					if !known[i] {
+					if known[i] {
+						wantAny = true
+					} else {
 						want = false
-						break
 					}
 				}
 				if got := tr.KnownRange(lo, lo+length); got != want {
 					t.Fatalf("n=%d: KnownRange [%d,%d) = %v, model %v", n, lo, lo+length, got, want)
+				}
+				if got := tr.AnyKnown(lo, lo+length); got != wantAny {
+					t.Fatalf("n=%d: AnyKnown [%d,%d) = %v, model %v", n, lo, lo+length, got, wantAny)
 				}
 				seg, ok := tr.KnownSegment(lo, length)
 				if ok != want {

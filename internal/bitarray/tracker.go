@@ -120,23 +120,47 @@ func (t *Tracker) KnownRange(lo, hi int) bool {
 	if lo < 0 || hi > t.vals.n || lo > hi {
 		panic(fmt.Sprintf("bitarray: known range [%d,%d) out of range of %d bits", lo, hi, t.vals.n))
 	}
-	pos := lo
-	for pos < hi {
-		n := wordBits - pos%wordBits
-		if n > hi-pos {
-			n = hi - pos
-		}
-		mask := ^uint64(0)
-		if n < wordBits {
-			mask = 1<<uint(n) - 1
-		}
-		mask <<= uint(pos) % wordBits
+	for pos := lo; pos < hi; {
+		mask, n := wordMask(pos, hi)
 		if t.known.words[pos/wordBits]&mask != mask {
 			return false
 		}
 		pos += n
 	}
 	return true
+}
+
+// wordMask returns the mask selecting the bits of [pos, hi) that lie in
+// pos's word, and how many bits that is — the step of every word-at-a-time
+// scan of the known mask.
+func wordMask(pos, hi int) (mask uint64, n int) {
+	n = wordBits - pos%wordBits
+	if n > hi-pos {
+		n = hi - pos
+	}
+	mask = ^uint64(0)
+	if n < wordBits {
+		mask = 1<<uint(n) - 1
+	}
+	return mask << (uint(pos) % wordBits), n
+}
+
+// AnyKnown reports whether at least one bit in [lo, hi) is known, checking
+// whole words of the known mask at a time. It is KnownRange's dual: a set
+// computed over unknown bits is still exact while AnyKnown is false on
+// each of its ranges.
+func (t *Tracker) AnyKnown(lo, hi int) bool {
+	if lo < 0 || hi > t.vals.n || lo > hi {
+		panic(fmt.Sprintf("bitarray: any-known range [%d,%d) out of range of %d bits", lo, hi, t.vals.n))
+	}
+	for pos := lo; pos < hi; {
+		mask, n := wordMask(pos, hi)
+		if t.known.words[pos/wordBits]&mask != 0 {
+			return true
+		}
+		pos += n
+	}
+	return false
 }
 
 // CopyRange copies learned values [lo, hi) into dst at dstOff. The caller
@@ -155,17 +179,8 @@ func (t *Tracker) Complete() bool { return t.unknown == 0 }
 // UnknownIn returns the indices in [start, start+length) not yet known,
 // appended to dst. Fully-known words are skipped with one mask compare.
 func (t *Tracker) UnknownIn(dst []int, start, length int) []int {
-	pos, end := start, start+length
-	for pos < end {
-		n := wordBits - pos%wordBits
-		if n > end-pos {
-			n = end - pos
-		}
-		mask := ^uint64(0)
-		if n < wordBits {
-			mask = 1<<uint(n) - 1
-		}
-		mask <<= uint(pos) % wordBits
+	for pos, end := start, start+length; pos < end; {
+		mask, n := wordMask(pos, end)
 		wi := pos / wordBits
 		for inv := ^t.known.words[wi] & mask; inv != 0; inv &= inv - 1 {
 			dst = append(dst, wi*wordBits+bits.TrailingZeros64(inv))

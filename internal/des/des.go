@@ -661,6 +661,20 @@ func (c *peerCtx) active() bool {
 }
 
 func (c *peerCtx) Send(to sim.PeerID, m sim.Message) {
+	size, chunks := c.sizeOf(m)
+	c.send(to, m, size, chunks)
+}
+
+// sizeOf returns m's accounted size and the number of b-bit link messages
+// it occupies.
+func (c *peerCtx) sizeOf(m sim.Message) (size, chunks int) {
+	size = m.SizeBits()
+	return size, max(1, (size+c.e.cfg.MsgBits-1)/c.e.cfg.MsgBits)
+}
+
+// send is Send with sizeOf(m) supplied by the caller, so a broadcast walks
+// a long message once and not once per recipient.
+func (c *peerCtx) send(to sim.PeerID, m sim.Message, size, chunks int) {
 	if !c.active() {
 		return
 	}
@@ -676,11 +690,6 @@ func (c *peerCtx) Send(to sim.PeerID, m sim.Message) {
 			c.e.crash(p)
 			return
 		}
-	}
-	size := m.SizeBits()
-	chunks := (size + c.e.cfg.MsgBits - 1) / c.e.cfg.MsgBits
-	if chunks < 1 {
-		chunks = 1
 	}
 	p.stats.MsgsSent += chunks
 	p.stats.MsgBitsSent += size
@@ -703,9 +712,10 @@ func (c *peerCtx) Send(to sim.PeerID, m sim.Message) {
 }
 
 func (c *peerCtx) Broadcast(m sim.Message) {
+	size, chunks := c.sizeOf(m)
 	for i := 0; i < c.e.cfg.N; i++ {
 		if sim.PeerID(i) != c.p.id {
-			c.Send(sim.PeerID(i), m)
+			c.send(sim.PeerID(i), m, size, chunks)
 		}
 	}
 }

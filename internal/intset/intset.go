@@ -126,6 +126,15 @@ type Builder struct {
 	set Set
 }
 
+// BuilderOver returns a Builder that fills buf from its start. A caller
+// that counted the coalesced ranges beforehand hands in a buffer of exactly
+// that capacity and the set is built without a single growth; carving one
+// backing array into capacity-capped sub-slices (buf[lo:lo:hi]) builds many
+// sets from one allocation, and a range beyond the cap reallocates instead
+// of writing into the neighbour. The increasing/coalescing checks of Add
+// and AddRange apply unchanged.
+func BuilderOver(buf []Range) Builder { return Builder{set: Set{ranges: buf[:0]}} }
+
 // Add appends x, which must exceed every previously added index.
 func (b *Builder) Add(x int) { b.set.appendOne(x) }
 

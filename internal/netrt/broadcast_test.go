@@ -1,0 +1,115 @@
+package netrt
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"net"
+	"testing"
+
+	"repro/internal/bitarray"
+	"repro/internal/intset"
+	"repro/internal/protocols/crashk"
+	"repro/internal/sim"
+)
+
+// sentFrame is one frame as the far end of the connection read it.
+type sentFrame struct {
+	kind    byte
+	seq     uint64
+	payload []byte
+}
+
+// pipeClient is a client on an in-memory connection: sent() closes the
+// client's end, unless a churn crash already has, and returns every frame
+// the far end read.
+func pipeClient(id sim.PeerID, n int, churn *sim.ChurnPeer) (c *client, sent func() []sentFrame) {
+	near, far := net.Pipe()
+	c = &client{cfg: &Config{N: n}, id: id, conn: near, churn: churn}
+	done := make(chan []sentFrame)
+	go func() {
+		var frames []sentFrame
+		for {
+			kind, seq, payload, err := readFrame(far)
+			if err != nil {
+				done <- frames
+				return
+			}
+			frames = append(frames, sentFrame{kind, seq, payload})
+		}
+	}()
+	return c, func() []sentFrame {
+		near.Close()
+		return <-done
+	}
+}
+
+func broadcastSamples() []sim.Message {
+	var a, b intset.Builder
+	for x := 3; x < 900; x += 2 + x%5 {
+		a.Add(x)
+		b.Add(x + 1000)
+	}
+	return []sim.Message{
+		&crashk.Req2{Phase: 3, IdxBits: 11, Items: []crashk.Req2Item{{Q: 1, Indices: a.Set()}, {Q: 4, Indices: b.Set()}}},
+		&crashk.Full{Values: bitarray.Random(rand.New(rand.NewSource(9)), 2048)},
+	}
+}
+
+// TestBroadcastMatchesSends: Broadcast encodes its message once, and must
+// still put on the connection and keep in the outbox exactly the frames
+// that one Send per other peer does — and, on a churn peer whose crash
+// point falls inside the broadcast, stop after the same number of them.
+func TestBroadcastMatchesSends(t *testing.T) {
+	const n, id = 6, sim.PeerID(2)
+	for mi, m := range broadcastSamples() {
+		// crashAfter < 0: no churn. Otherwise the action budget, from a
+		// crash before the first send to one the broadcast never reaches.
+		for crashAfter := -1; crashAfter <= n; crashAfter++ {
+			label := fmt.Sprintf("message %d, CrashAfter %d", mi, crashAfter)
+			churn := func() *sim.ChurnPeer {
+				if crashAfter < 0 {
+					return nil
+				}
+				return &sim.ChurnPeer{Peer: id, CrashAfter: crashAfter}
+			}
+			bc, bcSent := pipeClient(id, n, churn())
+			bc.Broadcast(m)
+			sc, scSent := pipeClient(id, n, churn())
+			for i := 0; i < n; i++ {
+				sc.Send(sim.PeerID(i), m) // Send drops i == id itself
+			}
+			got, want := bcSent(), scSent()
+
+			wantFrames := n - 1
+			if crashAfter >= 0 {
+				wantFrames = min(crashAfter, n-1)
+			}
+			if len(want) != wantFrames {
+				t.Fatalf("%s: the Send loop wrote %d frames, expected %d", label, len(want), wantFrames)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: Broadcast wrote %d frames, the Send loop %d", label, len(got), len(want))
+			}
+			for k := range want {
+				if got[k].kind != want[k].kind || got[k].seq != want[k].seq || !bytes.Equal(got[k].payload, want[k].payload) {
+					t.Fatalf("%s: frame %d is (kind %d, seq %d, %d bytes), the Send loop's (kind %d, seq %d, %d bytes)",
+						label, k, got[k].kind, got[k].seq, len(got[k].payload), want[k].kind, want[k].seq, len(want[k].payload))
+				}
+				// The outbox keeps each frame for retransmission, under
+				// the same seq and in a buffer of its own.
+				bo, so := bc.out.frames[k], sc.out.frames[k]
+				if bo.kind != so.kind || bo.seq != so.seq || !bytes.Equal(bo.payload, so.payload) {
+					t.Fatalf("%s: outbox frame %d differs from the Send loop's", label, k)
+				}
+				if k > 0 && &bo.payload[0] == &bc.out.frames[k-1].payload[0] {
+					t.Fatalf("%s: outbox frames %d and %d share a buffer", label, k-1, k)
+				}
+			}
+			if bc.actions != sc.actions || bc.crashed != sc.crashed {
+				t.Fatalf("%s: Broadcast left actions=%d crashed=%v, the Send loop actions=%d crashed=%v",
+					label, bc.actions, bc.crashed, sc.actions, sc.crashed)
+			}
+		}
+	}
+}

@@ -2054,19 +2054,36 @@ func (c *client) Send(to sim.PeerID, m sim.Message) {
 		return
 	}
 	out := binary.AppendUvarint(make([]byte, 0, 16+m.SizeBits()/8), uint64(to))
-	out, err := wire.MarshalAppend(out, m)
+	c.enqueue(kMsg, marshalAppend(out, m))
+}
+
+// marshalAppend is wire.MarshalAppend for messages a protocol emitted: one
+// the codec does not know is a bug in the build, not an input condition.
+func marshalAppend(dst []byte, m sim.Message) []byte {
+	out, err := wire.MarshalAppend(dst, m)
 	if err != nil {
 		panic(fmt.Sprintf("netrt: unencodable message %T: %v", m, err))
 	}
-	c.enqueue(kMsg, out)
+	return out
 }
 
-// Broadcast implements sim.Context.
+// Broadcast implements sim.Context. It is Send to every other peer in id
+// order — one action tick, one outbox frame and one write attempt per
+// destination — with the message sized and encoded once, at the first
+// destination that is not dropped by the churn crash point. Each frame
+// still owns its payload: the outbox retains it for retransmission.
 func (c *client) Broadcast(m sim.Message) {
+	var body []byte
 	for i := 0; i < c.cfg.N; i++ {
-		if sim.PeerID(i) != c.id {
-			c.Send(sim.PeerID(i), m)
+		to := sim.PeerID(i)
+		if to == c.id || !c.countAction() {
+			continue
 		}
+		if body == nil {
+			body = marshalAppend(make([]byte, 0, 16+m.SizeBits()/8), m)
+		}
+		out := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(body)), uint64(to))
+		c.enqueue(kMsg, append(out, body...))
 	}
 }
 

@@ -127,10 +127,17 @@ type Peer struct {
 	// queryWait tracks outstanding stage-1 source queries for this phase.
 	queryWait int
 
-	// heard[r] is the set of peers whose Resp1 for phase r arrived
-	// (kept per phase: stage-2 answers about q require knowing whether q
-	// was heard in that phase).
-	heard map[int]map[sim.PeerID]bool
+	// heard is the set of peers whose Resp1 for the current phase arrived:
+	// stage 2 waits for n−t−1 of them and stage 3 asks about the rest.
+	// Reset at every startPhase; a Resp1 of another phase still teaches its
+	// values but is not recorded here.
+	heard map[sim.PeerID]bool
+
+	// byOwner is the current phase's partition of the bits unknown at
+	// startPhase, by owner. Known bits only grow, so until the phase ends
+	// byOwner[q] ∩ still-unknown is exactly what a fresh partition would
+	// assign to q; stage 3 narrows the silent peers' entries that way.
+	byOwner []intset.Set
 
 	// needs is the per-silent-peer request content of the current phase's
 	// Req2, kept to evaluate the Fast early exit.
@@ -173,7 +180,7 @@ func (p *Peer) Step(env *sim.Env, ev sim.Event, em *sim.Emitter) {
 func (p *Peer) init() {
 	p.track = bitarray.NewTracker(p.env.L)
 	p.idxBits = indexBits(p.env.L)
-	p.heard = make(map[int]map[sim.PeerID]bool)
+	p.heard = make(map[sim.PeerID]bool)
 	p.defer1 = make(map[int][]deferred1)
 	p.defer2 = make(map[int][]deferred2)
 	if p.opts.Threshold <= 0 {
@@ -196,12 +203,13 @@ func (p *Peer) startPhase(r int) {
 	p.phase = r
 	p.stage = stQuery
 	p.em.MarkPhase(phaseName(r))
-	p.heard[r] = make(map[sim.PeerID]bool)
+	clear(p.heard)
 	p.needs = nil
 	p.resp2Count = 0
 
 	// Partition my unknown bits by this phase's owner.
 	byOwner := p.unknownByOwner(r)
+	p.byOwner = byOwner
 
 	// Stage 1: query my own bits, request the rest.
 	mine := byOwner[p.env.ID]
@@ -210,30 +218,101 @@ func (p *Peer) startPhase(r int) {
 		p.queryWait = 1
 		p.em.Query(r, mine.Elements())
 	}
+	reqs := make([]Req1, 0, p.env.N-1)
 	for j := 0; j < p.env.N; j++ {
 		id := sim.PeerID(j)
 		if id == p.env.ID {
 			continue
 		}
-		p.em.Send(id, &Req1{Phase: r, Indices: byOwner[id], IdxBits: p.idxBits})
+		reqs = append(reqs, Req1{Phase: r, Indices: byOwner[id], IdxBits: p.idxBits})
+		p.em.Send(id, &reqs[len(reqs)-1])
 	}
 	if p.queryWait == 0 {
 		p.enterWait1()
 	}
 }
 
-// unknownByOwner groups the currently unknown bits by their phase-r owner.
-func (p *Peer) unknownByOwner(r int) []intset.Set {
-	builders := make([]intset.Builder, p.env.N)
-	unknown := p.track.UnknownAll()
-	for _, x := range unknown {
-		builders[owner(p.opts.Reassign, r, x, p.env.L, p.env.N)].Add(x)
+// walkChunk is how many tracker bits one UnknownIn call of a walk covers:
+// the index scratch is a fixed stack array, so nothing a walk allocates
+// grows with L.
+const walkChunk = 256
+
+// eachUnknown calls fn for every still-unknown bit of [lo, hi), in
+// increasing order.
+func (p *Peer) eachUnknown(lo, hi int, fn func(x int)) {
+	var buf [walkChunk]int
+	for start := lo; start < hi; start += walkChunk {
+		for _, x := range p.track.UnknownIn(buf[:0], start, min(walkChunk, hi-start)) {
+			fn(x)
+		}
 	}
-	sets := make([]intset.Set, p.env.N)
+}
+
+// unknownByOwner groups the currently unknown bits by their phase-r owner.
+// Two walks over the tracker: the first counts each owner's coalesced
+// ranges, so that one backing array of exactly that total can be carved
+// into per-owner sub-slices capped at their own count; the second fills
+// them. owner() is recomputed in the second walk rather than remembered:
+// a per-bit scratch would be the one allocation here that grows with L.
+func (p *Peer) unknownByOwner(r int) []intset.Set {
+	n, L := p.env.N, p.env.L
+	scratch := make([]int, 2*n)
+	counts, last := scratch[:n], scratch[n:]
+	for i := range last {
+		last[i] = -2 // adjacent to no index
+	}
+	p.eachUnknown(0, L, func(x int) {
+		o := owner(p.opts.Reassign, r, x, L, n)
+		if x != last[o]+1 {
+			counts[o]++
+		}
+		last[o] = x
+	})
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	backing := make([]intset.Range, total)
+	builders := make([]intset.Builder, n)
+	off := 0
+	for i, c := range counts {
+		builders[i] = intset.BuilderOver(backing[off : off : off+c])
+		off += c
+	}
+	p.eachUnknown(0, L, func(x int) {
+		builders[owner(p.opts.Reassign, r, x, L, n)].Add(x)
+	})
+	sets := make([]intset.Set, n)
 	for i := range builders {
 		sets[i] = builders[i].Set()
 	}
 	return sets
+}
+
+// stillUnknown returns set minus the bits learned since it was computed:
+// the very same Set when none was, a filtered copy otherwise.
+func (p *Peer) stillUnknown(set intset.Set) intset.Set {
+	untouched := true
+	set.ForEachRange(func(lo, hi int) {
+		if untouched && p.track.AnyKnown(lo, hi) {
+			untouched = false
+		}
+	})
+	if untouched {
+		return set
+	}
+	runs, last := 0, -2
+	set.ForEachRange(func(lo, hi int) {
+		p.eachUnknown(lo, hi, func(x int) {
+			if x != last+1 {
+				runs++
+			}
+			last = x
+		})
+	})
+	b := intset.BuilderOver(make([]intset.Range, runs))
+	set.ForEachRange(func(lo, hi int) { p.eachUnknown(lo, hi, b.Add) })
+	return b.Set()
 }
 
 // enterWait1 moves to stage 2: my own queries are done, so I can now
@@ -253,7 +332,7 @@ func (p *Peer) checkWait1() {
 		return
 	}
 	// Count myself: wait for n−t−1 others.
-	if len(p.heard[p.phase]) < p.env.N-p.env.T-1 {
+	if len(p.heard) < p.env.N-p.env.T-1 {
 		return
 	}
 	p.enterWait2()
@@ -273,24 +352,31 @@ func (p *Peer) enterWait2() {
 	}
 	delete(p.defer2, r)
 
-	byOwner := p.unknownByOwner(r)
-	var items []Req2Item
-	for j := 0; j < p.env.N; j++ {
-		id := sim.PeerID(j)
-		if id == p.env.ID || p.heard[r][id] {
+	// What a silent peer still owes me is its share of the phase's
+	// partition less anything learned since.
+	silent := func(id sim.PeerID) bool { return id != p.env.ID && !p.heard[id] }
+	missing := 0
+	for j, set := range p.byOwner {
+		if !silent(sim.PeerID(j)) || set.Empty() {
 			continue
 		}
-		if byOwner[id].Empty() {
-			continue
+		if set = p.stillUnknown(set); !set.Empty() {
+			missing++
 		}
-		items = append(items, Req2Item{Q: id, Indices: byOwner[id]})
+		p.byOwner[j] = set
 	}
-	p.needs = items
-	if len(items) == 0 {
+	if missing == 0 {
 		// Nothing missing: skip the stage-3 wait.
 		p.endPhase()
 		return
 	}
+	items := make([]Req2Item, 0, missing)
+	for j, set := range p.byOwner {
+		if id := sim.PeerID(j); silent(id) && !set.Empty() {
+			items = append(items, Req2Item{Q: id, Indices: set})
+		}
+	}
+	p.needs = items
 	p.em.Broadcast(&Req2{Phase: r, Items: items, IdxBits: p.idxBits})
 	p.checkWait2()
 }
@@ -412,10 +498,8 @@ func (p *Peer) onMessage(from sim.PeerID, m sim.Message) {
 			return // malformed (possible only from faulty senders)
 		}
 		p.learnSet(msg.Indices, msg.Values)
-		if h := p.heard[msg.Phase]; h != nil {
-			h[from] = true
-		}
 		if p.phase == msg.Phase {
+			p.heard[from] = true
 			p.checkWait1()
 		}
 		p.recheck()

@@ -1,0 +1,175 @@
+package crashk
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/bitarray"
+	"repro/internal/intset"
+	"repro/internal/sim"
+)
+
+// partitionPeer returns a peer far enough into init() for the partition
+// code to run: an environment, an all-unknown tracker and an emitter.
+func partitionPeer(id sim.PeerID, n, L int, re Reassign) *Peer {
+	return &Peer{
+		env:     &sim.Env{ID: id, N: n, L: L},
+		em:      &sim.Emitter{},
+		opts:    Options{Reassign: re, Threshold: 1, MaxPhases: 64},
+		track:   bitarray.NewTracker(L),
+		idxBits: indexBits(L),
+		heard:   make(map[sim.PeerID]bool),
+		defer1:  make(map[int][]deferred1),
+		defer2:  make(map[int][]deferred2),
+	}
+}
+
+// learnRandom marks a random mix of single bits and runs as known.
+func learnRandom(rng *rand.Rand, tr *bitarray.Tracker, density float64) {
+	L := tr.Len()
+	ones := bitarray.New(L)
+	for x := 0; x < L; {
+		switch {
+		case rng.Float64() >= density:
+			x++
+		case rng.Intn(4) == 0:
+			hi := min(L, x+1+rng.Intn(100))
+			tr.LearnRange(x, hi, ones, x)
+			x = hi
+		default:
+			tr.Learn(x, rng.Intn(2) == 0)
+			x++
+		}
+	}
+}
+
+// modelPartition is the partition's definition: every unknown bit, in
+// increasing order, appended to its owner's list.
+func modelPartition(p *Peer, r int) []intset.Set {
+	per := make([][]int, p.env.N)
+	for x := 0; x < p.env.L; x++ {
+		if !p.track.Known(x) {
+			o := owner(p.opts.Reassign, r, x, p.env.L, p.env.N)
+			per[o] = append(per[o], x)
+		}
+	}
+	sets := make([]intset.Set, p.env.N)
+	for i, idx := range per {
+		sets[i] = intset.FromSorted(idx)
+	}
+	return sets
+}
+
+func rangesOf(s intset.Set) (out []intset.Range) {
+	s.ForEachRange(func(lo, hi int) { out = append(out, intset.Range{Lo: lo, Hi: hi}) })
+	return out
+}
+
+func requireSameSets(t *testing.T, label string, got, want []intset.Set) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d sets, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(rangesOf(got[i]), rangesOf(want[i])) {
+			t.Fatalf("%s: owner %d has %v, want %v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// TestPartitionMatchesModel checks the two-walk, one-backing partition
+// against the per-owner FromSorted model, and stage 3's narrowed sets
+// against a fresh partition taken at that moment.
+func TestPartitionMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, re := range []Reassign{ReassignHash, ReassignRotate} {
+		for _, n := range []int{1, 2, 16, 128} {
+			for _, r := range []int{1, 2, 7} {
+				for trial := 0; trial < 12; trial++ {
+					L := 1 + rng.Intn(3000)
+					density := []float64{0, 0.05, 0.5, 0.95, 1}[trial%5]
+					label := fmt.Sprintf("reassign=%d n=%d r=%d L=%d density=%.2f", re, n, r, L, density)
+					p := partitionPeer(sim.PeerID(rng.Intn(n)), n, L, re)
+					learnRandom(rng, p.track, density)
+
+					got := p.unknownByOwner(r)
+					requireSameSets(t, label, got, modelPartition(p, r))
+					// Later in the phase: more bits known, some peers heard.
+					p.phase, p.stage, p.byOwner = r, stWait1, got
+					learnRandom(rng, p.track, 0.3)
+					for j := 0; j < n; j++ {
+						if rng.Intn(3) == 0 {
+							p.heard[sim.PeerID(j)] = true
+						}
+					}
+					fresh := modelPartition(p, r)
+					var want []Req2Item
+					for j, set := range fresh {
+						if id := sim.PeerID(j); id != p.env.ID && !p.heard[id] && !set.Empty() {
+							want = append(want, Req2Item{Q: id, Indices: set})
+						}
+					}
+					p.enterWait2()
+					var sent *Req2
+					for _, a := range p.em.Actions() {
+						if a.Kind == sim.ActBroadcast {
+							if req, ok := a.Msg.(*Req2); ok && sent == nil {
+								sent = req
+							}
+						}
+					}
+					if len(want) == 0 {
+						if sent != nil {
+							t.Fatalf("%s: Req2 broadcast with nothing missing: %v", label, sent.Items)
+						}
+						continue
+					}
+					if sent == nil {
+						t.Fatalf("%s: no Req2 broadcast, want %d items", label, len(want))
+					}
+					if len(sent.Items) != len(want) || cap(sent.Items) != len(want) {
+						t.Fatalf("%s: Req2 has %d items (cap %d), want exactly %d",
+							label, len(sent.Items), cap(sent.Items), len(want))
+					}
+					for k, it := range sent.Items {
+						if it.Q != want[k].Q || !reflect.DeepEqual(rangesOf(it.Indices), rangesOf(want[k].Indices)) {
+							t.Fatalf("%s: item %d is (%d, %v), want (%d, %v)",
+								label, k, it.Q, it.Indices, want[k].Q, want[k].Indices)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPartitionAllocBudget pins the partition's allocations: the sets, the
+// builders, the count scratch and one backing array, whatever L is.
+func TestPartitionAllocBudget(t *testing.T) {
+	for _, L := range []int{1 << 10, 1 << 16} {
+		p := partitionPeer(3, 16, L, ReassignHash)
+		learnRandom(rand.New(rand.NewSource(int64(L))), p.track, 0.5)
+		if allocs := testing.AllocsPerRun(10, func() { p.unknownByOwner(2) }); allocs > 4 {
+			t.Errorf("L=%d: unknownByOwner allocated %.0f times, budget 4", L, allocs)
+		}
+	}
+}
+
+// TestStillUnknownSharesUntouchedSet: a silent peer's set none of whose
+// bits was learned goes into the Req2 as it is, without a copy.
+func TestStillUnknownSharesUntouchedSet(t *testing.T) {
+	p := partitionPeer(0, 16, 1<<12, ReassignHash)
+	learnRandom(rand.New(rand.NewSource(4)), p.track, 0.5)
+	sets := p.unknownByOwner(2)
+	if allocs := testing.AllocsPerRun(10, func() {
+		for _, s := range sets {
+			if got := p.stillUnknown(s); got.RangeCount() != s.RangeCount() {
+				t.Fatalf("untouched set changed: %v → %v", s, got)
+			}
+		}
+	}); allocs != 0 {
+		t.Errorf("stillUnknown copied an untouched set: %.0f allocations", allocs)
+	}
+}

@@ -1,19 +1,23 @@
 package wire
 
 import (
+	"encoding/binary"
+	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/bitarray"
 	"repro/internal/intset"
 	"repro/internal/protocols/crash1"
+	"repro/internal/protocols/crashk"
 )
 
 // TestMarshalAppendAllocFree pins the encode path's allocation contract:
 // appending into a buffer with sufficient capacity must not allocate at
-// all. The TCP runtime relies on this to reuse one scratch buffer per
-// connection, and bitarray.AppendTo exists precisely to keep this path
-// free of intermediate []byte materialization.
+// all. The TCP runtime relies on this to encode a message straight into
+// the buffer its outbox retains, and bitarray.AppendTo exists precisely to
+// keep this path free of intermediate []byte materialization.
 func TestMarshalAppendAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	msg := &crash1.Push{
@@ -56,5 +60,58 @@ func TestMarshalAllocBudget(t *testing.T) {
 	// anything beyond that means a field started materializing copies.
 	if allocs > 6 {
 		t.Fatalf("Marshal allocated %.1f times per op, budget 6", allocs)
+	}
+}
+
+// TestUnmarshalSetAllocBudget pins the decode side of a phase ≥ 2 request,
+// whose set has about one range per bit: the message, the set's ranges
+// reserved once from the count in the header, and nothing per range.
+func TestUnmarshalSetAllocBudget(t *testing.T) {
+	var b intset.Builder
+	for x := 0; x < 2*4096; x += 2 {
+		b.Add(x)
+	}
+	raw, err := Marshal(&crashk.Req1{Phase: 2, Indices: b.Set(), IdxBits: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		m, err := Unmarshal(raw, 1<<13)
+		if err != nil || m.(*crashk.Req1).Indices.RangeCount() != 4096 {
+			t.Fatalf("decode: %v, %v", m, err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("Unmarshal of a 4096-range Req1 allocated %.1f times per op, budget 3", allocs)
+	}
+}
+
+// HostileSetCount is a Req1 whose set header claims 2^20 ranges (the most
+// maxItems lets through) in a 16-byte payload. Exported for the fuzz seed
+// corpus in package wire_test.
+func HostileSetCount() []byte {
+	raw := binary.AppendUvarint([]byte{tagCrashkReq1, 1}, maxItems)
+	for len(raw) < 1+16 {
+		raw = append(raw, 1)
+	}
+	return raw
+}
+
+// TestHostileSetCountSizesNoAllocation: the count in a set header sizes
+// the decoder's one reservation, so a count the payload cannot hold must
+// be refused before it does — here 16 MB of ranges for 16 bytes of frame.
+func TestHostileSetCountSizesNoAllocation(t *testing.T) {
+	raw := HostileSetCount()
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := Unmarshal(raw, 4096); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("hostile set count: err = %v, want ErrTruncated", err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp >= 1024 {
+		t.Fatalf("hostile set count allocated %d bytes per decode, want < 1 KB", perOp)
 	}
 }

@@ -28,6 +28,7 @@ func FuzzUnmarshal(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00, 0x01})
+	f.Add(wire.HostileSetCount())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := wire.Unmarshal(data, 4096)

@@ -52,8 +52,8 @@ func Marshal(m sim.Message) ([]byte, error) { return MarshalAppend(nil, m) }
 
 // MarshalAppend encodes m appended to dst and returns the extended slice.
 // It is the allocation-free encode path: with sufficient capacity in dst
-// no allocation occurs (see the package alloc-budget tests), which lets
-// the TCP runtime reuse one scratch buffer per connection.
+// no allocation occurs (see the package alloc-budget tests), so the TCP
+// runtime encodes straight into the one buffer its outbox retains.
 func MarshalAppend(dst []byte, m sim.Message) ([]byte, error) {
 	w := writer{buf: dst}
 	switch v := m.(type) {
@@ -345,8 +345,15 @@ func (r *reader) set() intset.Set {
 		r.fail()
 		return intset.Set{}
 	}
+	// A range costs at least two bytes, so a count above half of what is
+	// left is truncated whatever follows; rejecting it here is what lets
+	// the count size the one allocation below.
+	if n64 > uint64(len(r.buf)/2) {
+		r.fail()
+		return intset.Set{}
+	}
 	n := int(n64)
-	var b intset.Builder
+	b := intset.BuilderOver(make([]intset.Range, n))
 	prevEnd := 0
 	for i := 0; i < n && r.err == nil; i++ {
 		gap := r.uvarint()
