@@ -15,7 +15,7 @@ GOVULNCHECK := golang.org/x/vuln/cmd/govulncheck@v1.1.3
 # pathologies). Override for slow local machines: make test TIMEOUT=20m.
 TIMEOUT ?= 10m
 
-.PHONY: all build fmt vet test race bench bench-ci conform conformance chaos source-chaos mirrors scale-smoke storm experiments fuzz lint cover dst-search dst-regen harden clean
+.PHONY: all build fmt vet test race bench bench-ci profile conform conformance chaos source-chaos mirrors scale-smoke storm experiments fuzz lint cover dst-search dst-regen harden clean
 
 all: build vet test
 
@@ -56,6 +56,19 @@ bench:
 bench-ci:
 	$(GO) run ./cmd/drbench -bench -quick -out bench
 	$(GO) test -race -count=1 -timeout $(TIMEOUT) ./internal/sweep/
+
+# CPU and heap profile of one whole-download cell of `go run ./benchmark`
+# (download/cells_bench_test.go: des-crashk, des-committee, tcp-crashk,
+# tcp-naive-bmaj), 40 downloads as in one benchmark pass. The test binary
+# and the profiles land in benchmark/out/ (git-ignored) for `go tool pprof
+# -list`; the cumulative top is printed. Not a gate.
+CELL ?= des-crashk
+profile:
+	mkdir -p benchmark/out
+	$(GO) test -run '^$$' -bench 'BenchmarkCell/$(CELL)$$' -benchtime 40x -timeout $(TIMEOUT) \
+		-o benchmark/out/download.test \
+		-cpuprofile benchmark/out/$(CELL).cpu.prof -memprofile benchmark/out/$(CELL).mem.prof ./download
+	$(GO) tool pprof -top -cum -nodecount=40 benchmark/out/download.test benchmark/out/$(CELL).cpu.prof
 
 conform:
 	$(GO) run ./cmd/drconform -n 16 -L 2048 -seeds 3 -tcp

@@ -143,7 +143,12 @@ type engine struct {
 	// every honest peer finished, so recovery runs to completion and its
 	// stats are observable. Correctness still never depends on them.
 	churnLive int
-	res       sim.Result
+	// deadAt is the latest arrival time among the dead letters send did not
+	// queue (those past Spec.Deadline excepted: deadPast records that there
+	// was one). See deadLetter.
+	deadAt   float64
+	deadPast bool
+	res      sim.Result
 	// Observability handles (see peerState): nil handles are no-ops, and
 	// timing/depth sampling is additionally gated on mDispatch so the
 	// disabled path never touches the wall clock.
@@ -295,7 +300,7 @@ func (e *engine) run() {
 			// The next deliverable event lies past the deadline while some
 			// honest peer is still running: cut the execution off here.
 			e.release(ev)
-			e.res.DeadlineHit = true
+			e.cutAtDeadline()
 			return
 		}
 		if ev.at > e.now {
@@ -313,6 +318,51 @@ func (e *engine) run() {
 				break
 			}
 			e.step(p, e.queue.pop())
+		}
+	}
+	e.queueExhausted()
+}
+
+// deadLetter accounts for a message to a peer that can never read it, due
+// at the given time. M is charged at send; past that, step would pop such
+// a message only to drop it, uncounted. So it is not queued. What a popped
+// one could still show is where the run's clock stops — the deadline cut
+// and Settle read it — and which of Deadlocked, DeadlineHit and EventCapHit
+// ends a starved run: cutAtDeadline and queueExhausted work both out from
+// the latest due time kept here.
+func (e *engine) deadLetter(at float64) {
+	if d := e.spec.Deadline; d > 0 && at > d {
+		e.deadPast = true
+	} else if at > e.deadAt {
+		e.deadAt = at
+	}
+}
+
+// cutAtDeadline ends a run whose next event lies past Spec.Deadline. The
+// dead letters due before the deadline were due before that event too, so
+// the clock had reached the last of them.
+func (e *engine) cutAtDeadline() {
+	e.res.DeadlineHit = true
+	e.now = max(e.now, e.deadAt)
+}
+
+// queueExhausted ends a run that has nothing left to deliver. Dead letters
+// still due would have been popped one by one under the loop's checks, in
+// the loop's order: nobody left to wait for, the event cap, the deadline,
+// and then the clock moves to the letter. A letter due at the very time of
+// the last event counts as popped before it.
+func (e *engine) queueExhausted() {
+	if e.honestLive == 0 && e.churnLive == 0 {
+		return
+	}
+	if e.deadPast || e.deadAt > e.now {
+		if e.events >= e.cap {
+			e.res.EventCapHit = true
+			return
+		}
+		if e.now = max(e.now, e.deadAt); e.deadPast {
+			e.res.DeadlineHit = true
+			return
 		}
 	}
 	if e.honestLive > 0 {
@@ -446,11 +496,24 @@ func (e *engine) crash(p *peerState) {
 	e.tl.Mark(e.now, int(p.id), "crash", "")
 	e.observe("crash", p.id, -1, "", 0)
 	e.tracef("t=%.3f peer %d CRASH (actions=%d)", e.now, p.id, p.actions)
-	if p.churn != nil && p.churn.Downtime >= 0 && !p.stats.Rejoined {
+	if p.rejoins() {
 		ev := e.newEvent()
 		ev.at, ev.kind, ev.to = e.now+p.churn.Downtime, evRejoin, p.id
 		e.push(ev)
 	}
+}
+
+// rejoins reports whether a crash of p is followed by a rejoin: p is a
+// churn peer with a downtime that has not used its one rejoin yet.
+func (p *peerState) rejoins() bool {
+	return p.churn != nil && p.churn.Downtime >= 0 && !p.stats.Rejoined
+}
+
+// unreachable reports whether p can never again read a message: it has
+// terminated, or crashed with no rejoin to come. step drops every event
+// for such a peer unread.
+func (p *peerState) unreachable() bool {
+	return p.terminated || (p.crashed && !p.rejoins())
 }
 
 // rejoin revives a crashed churn peer: a fresh protocol instance is
@@ -706,8 +769,15 @@ func (c *peerCtx) send(to sim.PeerID, m sim.Message, size, chunks int) {
 	// the link; the receiver acts on the full payload when the last
 	// chunk lands. This is what makes the paper's T = O(L/(nb) + …)
 	// time bounds — and their dependence on b — observable.
+	at := c.e.now + delay*float64(chunks)
+	if c.e.peers[to].unreachable() {
+		// M, the observer and the delay stream have been charged above
+		// exactly as for any send.
+		c.e.deadLetter(at)
+		return
+	}
 	ev := c.e.newEvent()
-	ev.at, ev.kind, ev.to, ev.from, ev.msg = c.e.now+delay*float64(chunks), evMessage, to, p.id, m
+	ev.at, ev.kind, ev.to, ev.from, ev.msg = at, evMessage, to, p.id, m
 	c.e.push(ev)
 }
 

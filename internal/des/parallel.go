@@ -219,9 +219,7 @@ func (e *engine) runParallel() {
 			return
 		}
 	}
-	if e.honestLive > 0 {
-		e.res.Deadlocked = true
-	}
+	e.queueExhausted()
 }
 
 // applyBatch replays one batch in global sequence order, replicating the
@@ -239,7 +237,7 @@ func (e *engine) applyBatch(batch []*event, tasks []peerTask) bool {
 			return true
 		}
 		if d := e.spec.Deadline; d > 0 && ev.at > d {
-			e.res.DeadlineHit = true
+			e.cutAtDeadline()
 			e.releaseBatch(batch[bi:])
 			return true
 		}

@@ -54,6 +54,16 @@ func detCases() []workerCase {
 			}
 			return s
 		}},
+		// Most sends go to peers crashed from the start: dead letters that
+		// the engine counts without queueing (see TestDeadLetters).
+		{"crashk-fast/crash-majority", func() *sim.Spec {
+			s := base(crashk.NewFast, 16, 12, 512, 10)
+			s.Faults = sim.FaultSpec{
+				Model: sim.FaultCrash, Faulty: adversary.SpreadFaulty(16, 12),
+				Crash: &adversary.CrashAll{Point: 0},
+			}
+			return s
+		}},
 		{"committee/silent-byzantine", func() *sim.Spec {
 			s := base(committee.New, 9, 2, 96, 8)
 			s.Faults = sim.FaultSpec{

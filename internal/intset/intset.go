@@ -72,6 +72,16 @@ func (s Set) Empty() bool { return len(s.ranges) == 0 }
 // RangeCount returns the number of coalesced ranges — the wire cost unit.
 func (s Set) RangeCount() int { return len(s.ranges) }
 
+// Bounds returns the smallest half-open interval [lo, hi) holding every
+// element: the ranges are sorted, so it is the first Lo and the last Hi.
+// The empty set has bounds [0, 0).
+func (s Set) Bounds() (lo, hi int) {
+	if len(s.ranges) == 0 {
+		return 0, 0
+	}
+	return s.ranges[0].Lo, s.ranges[len(s.ranges)-1].Hi
+}
+
 // Contains reports membership.
 func (s Set) Contains(x int) bool {
 	i := sort.Search(len(s.ranges), func(i int) bool { return s.ranges[i].Hi > x })

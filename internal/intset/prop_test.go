@@ -72,6 +72,13 @@ func checkAgainstModel(t *testing.T, s Set, model map[int]bool, universe int) {
 		}
 	}
 	want := sortedKeys(model)
+	wantLo, wantHi := 0, 0
+	if len(want) > 0 {
+		wantLo, wantHi = want[0], want[len(want)-1]+1
+	}
+	if lo, hi := s.Bounds(); lo != wantLo || hi != wantHi {
+		t.Fatalf("Bounds [%d,%d), model [%d,%d)", lo, hi, wantLo, wantHi)
+	}
 	got := s.Elements()
 	if len(got) != len(want) {
 		t.Fatalf("Elements len %d, model %d", len(got), len(want))

@@ -603,6 +603,9 @@ func newHub(cfg Config, input *bitarray.Array, met *netMetrics) (*hub, error) {
 	}
 	// Bounce timers arm only after the accept loops own their listeners:
 	// an early bounce must race the running loop, not hub construction.
+	// With the loops running, later and bounceShard may already be adding
+	// timers of their own, so the list is extended under h.mu as they do.
+	h.mu.Lock()
 	for _, b := range cfg.ShardBounces {
 		s := h.shards[b.Shard]
 		down := b.Down
@@ -610,6 +613,7 @@ func newHub(cfg Config, input *bitarray.Array, met *netMetrics) (*hub, error) {
 			h.bounceShard(s, down)
 		}))
 	}
+	h.mu.Unlock()
 	go h.retxLoop()
 	go h.pingLoop()
 	return h, nil

@@ -144,6 +144,9 @@ type Peer struct {
 	needs []Req2Item
 	// resp2Count counts stage-2 answers received for the current phase.
 	resp2Count int
+	// ruled is answerReq2's scratch: its ruling on each item of the request
+	// in hand. It carries nothing from one request to the next.
+	ruled []bool
 
 	// Deferred requests: stage-1 requests wait for my stage ≥ 2 of their
 	// phase; stage-2 requests wait for my stage ≥ 3 of their phase.
@@ -578,21 +581,25 @@ func (p *Peer) answerReq2(from sim.PeerID, req *Req2) {
 	// Having heard q this phase implies knowing every requested bit (the
 	// stage-1 answer covered them); knowing them all without having heard
 	// q is just as good, so the answer rule is simply "values if I know
-	// them all, me-neither otherwise". Answerability is decided first so
-	// all answered items' values share one arena allocation; the tracker
-	// cannot change between the two passes.
+	// them all, me-neither otherwise". Each item is ruled on once, before
+	// anything is copied, so all answered items' values share one arena
+	// allocation.
+	ruled := p.ruled[:0]
 	answered, total := 0, 0
 	for _, it := range req.Items {
-		if p.answerable(it.Indices) {
+		ok := p.answerable(it.Indices)
+		ruled = append(ruled, ok)
+		if ok {
 			answered++
 			total += it.Indices.Len()
 		}
 	}
+	p.ruled = ruled
 	ar := bitarray.NewArena(answered, total)
-	items := make([]Resp2Item, 0, len(req.Items))
-	for _, it := range req.Items {
-		if !p.answerable(it.Indices) {
-			items = append(items, Resp2Item{Q: it.Q, MeNeither: true})
+	items := make([]Resp2Item, len(req.Items))
+	for k, it := range req.Items {
+		if !ruled[k] {
+			items[k] = Resp2Item{Q: it.Q, MeNeither: true}
 			continue
 		}
 		vals := ar.New(it.Indices.Len())
@@ -601,7 +608,7 @@ func (p *Peer) answerReq2(from sim.PeerID, req *Req2) {
 			p.track.CopyRange(vals, i, lo, hi)
 			i += hi - lo
 		})
-		items = append(items, Resp2Item{Q: it.Q, Indices: it.Indices, Values: vals})
+		items[k] = Resp2Item{Q: it.Q, Indices: it.Indices, Values: vals}
 	}
 	p.em.Send(from, &Resp2{Phase: req.Phase, Items: items, IdxBits: p.idxBits})
 }
@@ -635,13 +642,9 @@ func validPayload(set intset.Set, values *bitarray.Array, L int) bool {
 	return values != nil && values.Len() == set.Len() && inRange(set, L)
 }
 
-// inRange reports whether every index of the set lies in [0, L).
+// inRange reports whether every index of the set lies in [0, L). A Set's
+// ranges are sorted, so its bounds decide for all of them.
 func inRange(set intset.Set, L int) bool {
-	ok := true
-	set.ForEachRange(func(lo, hi int) {
-		if lo < 0 || hi > L {
-			ok = false
-		}
-	})
-	return ok
+	lo, hi := set.Bounds()
+	return lo >= 0 && hi <= L
 }

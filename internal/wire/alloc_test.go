@@ -115,3 +115,65 @@ func TestHostileSetCountSizesNoAllocation(t *testing.T) {
 		t.Fatalf("hostile set count allocated %d bytes per decode, want < 1 KB", perOp)
 	}
 }
+
+// TestDecodedSetsAreSorted: crashk rules a set in or out of range by its
+// bounds alone (intset.Set.Bounds), which is sound only if the ranges of
+// every set the decoder lets through are sorted and disjoint. Frames here
+// are valid Req2 encodings, the same with bytes overwritten, and the
+// hostile-count frame; whatever decodes must agree with a per-range walk.
+func TestDecodedSetsAreSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	frames := [][]byte{HostileSetCount()}
+	for i := 0; i < 300; i++ {
+		req := &crashk.Req2{Phase: 1 + rng.Intn(4), IdxBits: 12}
+		for k := rng.Intn(5); k > 0; k-- {
+			var b intset.Builder
+			for x := rng.Intn(50); x < 4000 && rng.Intn(12) > 0; x += 40 + rng.Intn(300) {
+				b.AddRange(x, x+1+rng.Intn(40))
+			}
+			req.Items = append(req.Items, crashk.Req2Item{Q: 3, Indices: b.Set()})
+		}
+		raw, err := Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, raw)
+		for k := 0; k < 8; k++ {
+			bad := append([]byte(nil), raw...)
+			for j := 1 + rng.Intn(3); j > 0 && len(bad) > 1; j-- {
+				bad[1+rng.Intn(len(bad)-1)] = byte(rng.Intn(256))
+			}
+			frames = append(frames, bad)
+		}
+	}
+	decoded := 0
+	for _, raw := range frames {
+		m, err := Unmarshal(raw, 4096)
+		if err != nil {
+			continue
+		}
+		req, ok := m.(*crashk.Req2)
+		if !ok {
+			continue
+		}
+		for _, it := range req.Items {
+			decoded++
+			prevHi, minLo, maxHi := -1, 0, 0
+			it.Indices.ForEachRange(func(lo, hi int) {
+				if lo <= prevHi || hi <= lo {
+					t.Fatalf("decoded set %v: range [%d,%d) after end %d", it.Indices, lo, hi, prevHi)
+				}
+				if prevHi < 0 {
+					minLo = lo
+				}
+				prevHi, maxHi = hi, hi
+			})
+			if lo, hi := it.Indices.Bounds(); lo != minLo || hi != maxHi {
+				t.Fatalf("decoded set %v: Bounds [%d,%d), walk [%d,%d)", it.Indices, lo, hi, minLo, maxHi)
+			}
+		}
+	}
+	if decoded < 300 {
+		t.Fatalf("only %d sets decoded: the frames do not exercise the decoder", decoded)
+	}
+}
