@@ -59,7 +59,8 @@ bench-ci:
 
 # CPU and heap profile of one whole-download cell of `go run ./benchmark`
 # (download/cells_bench_test.go: des-crashk, des-committee, tcp-crashk,
-# tcp-naive-bmaj), 40 downloads as in one benchmark pass. The test binary
+# tcp-naive-bmaj, plus des-committee-quarter for the short-run committee
+# schedule), 40 downloads as in one benchmark pass. The test binary
 # and the profiles land in benchmark/out/ (git-ignored) for `go tool pprof
 # -list`; the cumulative top is printed. Not a gate.
 CELL ?= des-crashk

@@ -353,3 +353,38 @@ func (a *Array) clearTail() {
 		a.words[len(a.words)-1] &= (1 << (uint(a.n) % wordBits)) - 1
 	}
 }
+
+// Not complements every bit.
+func (a *Array) Not() {
+	for i := range a.words {
+		a.words[i] = ^a.words[i]
+	}
+	a.clearTail()
+}
+
+// Gather returns the array whose bit k is bit idx[k] of a, assembled a
+// word at a time. It panics if an index is out of range.
+func (a *Array) Gather(idx []int) *Array {
+	out := New(len(idx))
+	var w uint64
+	for k, i := range idx {
+		a.check(i)
+		w |= a.words[i/wordBits] >> (uint(i) % wordBits) & 1 << (uint(k) % wordBits)
+		if k%wordBits == wordBits-1 || k == len(idx)-1 {
+			out.words[k/wordBits], w = w, 0
+		}
+	}
+	return out
+}
+
+// Bits64 returns bits [pos, pos+n) as the low n bits of a word, n ≤ 64,
+// bit pos lowest. It panics if the range is out of bounds.
+func (a *Array) Bits64(pos, n int) uint64 {
+	if pos < 0 || n < 0 || n > wordBits || pos+n > a.n {
+		panic(fmt.Sprintf("bitarray: bits [%d,%d) out of range of %d bits, 64 at a time", pos, pos+n, a.n))
+	}
+	if n == 0 {
+		return 0
+	}
+	return a.extract64(pos, n)
+}

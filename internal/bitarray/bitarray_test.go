@@ -49,6 +49,10 @@ func TestOutOfRangePanics(t *testing.T) {
 		func() { New(10).Set(10, true) },
 		func() { New(10).Slice(5, 6) },
 		func() { New(10).Slice(-1, 2) },
+		func() { New(10).Gather([]int{3, 10}) },
+		func() { New(10).Bits64(5, 6) },
+		func() { New(100).Bits64(0, 65) },
+		func() { New(10).Bits64(-1, 2) },
 	}
 	for i, fn := range tests {
 		func() {

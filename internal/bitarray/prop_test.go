@@ -47,7 +47,7 @@ func TestArrayVsModel(t *testing.T) {
 		a := New(n)
 		model := make([]bool, n)
 		for op := 0; op < 300; op++ {
-			switch rng.Intn(6) {
+			switch rng.Intn(9) {
 			case 0: // Set
 				i, v := rng.Intn(n), rng.Intn(2) == 0
 				a.Set(i, v)
@@ -94,6 +94,28 @@ func TestArrayVsModel(t *testing.T) {
 				a.Fill(v)
 				for i := range model {
 					model[i] = v
+				}
+			case 6: // Not
+				a.Not()
+				for i := range model {
+					model[i] = !model[i]
+				}
+			case 7: // Gather at random, repeated and unsorted indices
+				idx := make([]int, rng.Intn(2*n+2))
+				want := make([]bool, len(idx))
+				for k := range idx {
+					idx[k] = rng.Intn(n)
+					want[k] = model[idx[k]]
+				}
+				checkAgainst(t, a.Gather(idx), want, "gather")
+			case 8: // Bits64 at a random (unaligned) position
+				length := rng.Intn(min(n, 64) + 1)
+				pos := rng.Intn(n - length + 1)
+				got := a.Bits64(pos, length)
+				for i := 0; i < 64; i++ {
+					if want := i < length && model[pos+i]; got>>uint(i)&1 == 1 != want {
+						t.Fatalf("n=%d: Bits64(%d,%d) bit %d is %v, model %v", n, pos, length, i, !want, want)
+					}
 				}
 			}
 			checkAgainst(t, a, model, "array")

@@ -140,7 +140,12 @@ func TestStartHub(t *testing.T) {
 		t.Fatalf("ShardStats: got %d shards, want 2", len(stats))
 	}
 	// Peer 3 lives on shard 3 % 2 = 1: its ack/qreply frames must have
-	// flowed through that shard's writer.
+	// flowed through that shard's writer. The writer counts a batch after
+	// the flush that let the reply be read, so give it until a deadline.
+	for deadline := time.Now().Add(5 * time.Second); stats[1].Written == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		stats = hub.ShardStats()
+	}
 	if stats[1].Written == 0 {
 		t.Errorf("shard 1 wrote no frames: %+v", stats)
 	}

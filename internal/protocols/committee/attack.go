@@ -1,9 +1,6 @@
 package committee
 
-import (
-	"repro/internal/bitarray"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Protocol-aware Byzantine attackers used in tests and experiments. They
 // forge well-formed Reports, which is strictly stronger than the generic
@@ -25,7 +22,7 @@ func NewLiar(_ sim.PeerID, k *sim.Knowledge) sim.Peer { return &Liar{know: k} }
 // Init implements sim.Peer.
 func (a *Liar) Init(ctx sim.Context) {
 	a.ctx = ctx
-	a.broadcastForged(flipAll)
+	ctx.Broadcast(forge(ctx.ID(), a.know, true))
 }
 
 // OnMessage implements sim.Peer.
@@ -49,8 +46,8 @@ func NewEquivocator(_ sim.PeerID, k *sim.Knowledge) sim.Peer { return &Equivocat
 // Init implements sim.Peer.
 func (a *Equivocator) Init(ctx sim.Context) {
 	a.ctx = ctx
-	truth := a.forge(false)
-	lies := a.forge(true)
+	truth := forge(ctx.ID(), a.know, false)
+	lies := forge(ctx.ID(), a.know, true)
 	for j := 0; j < ctx.N(); j++ {
 		id := sim.PeerID(j)
 		if id == ctx.ID() {
@@ -70,28 +67,14 @@ func (a *Equivocator) OnMessage(sim.PeerID, sim.Message) {}
 // OnQueryReply implements sim.Peer.
 func (a *Equivocator) OnQueryReply(sim.QueryReply) {}
 
-func flipAll(v bool) bool { return !v }
-
-func (a *Liar) broadcastForged(flip func(bool) bool) {
-	cfg := a.know.Config
-	mine := Assignments(a.ctx.ID(), cfg.L, cfg.N, cfg.T)
-	vals := bitarray.New(len(mine))
-	for k, idx := range mine {
-		vals.Set(k, flip(a.know.Input.Get(idx)))
-	}
-	a.ctx.Broadcast(&Report{Indices: mine, Bits: vals, IdxBits: indexBits(cfg.L)})
-}
-
-func (a *Equivocator) forge(flip bool) *Report {
-	cfg := a.know.Config
-	mine := Assignments(a.ctx.ID(), cfg.L, cfg.N, cfg.T)
-	vals := bitarray.New(len(mine))
-	for k, idx := range mine {
-		v := a.know.Input.Get(idx)
-		if flip {
-			v = !v
-		}
-		vals.Set(k, v)
+// forge builds the Report peer id owes under k's configuration, with the
+// true values or with every one of them complemented.
+func forge(id sim.PeerID, k *sim.Knowledge, flip bool) *Report {
+	cfg := k.Config
+	mine := Assignments(id, cfg.L, cfg.N, cfg.T)
+	vals := k.Input.Gather(mine)
+	if flip {
+		vals.Not()
 	}
 	return &Report{Indices: mine, Bits: vals, IdxBits: indexBits(cfg.L)}
 }

@@ -79,21 +79,23 @@ func CommitteeSize(t int) int { return 2*t + 1 }
 // under the round-robin schedule C_i = {(i·s + j) mod n : 0 ≤ j < s}.
 func InCommittee(p sim.PeerID, i, n, t int) bool {
 	s := CommitteeSize(t)
-	if s >= n {
-		return true
-	}
-	d := (int(p) - i*s) % n
-	if d < 0 {
-		d += n
-	}
-	return d < s
+	return s >= n || mod(int(p)-i*s, n) < s
 }
 
 // Assignments returns the indices peer p must query, in increasing order.
 func Assignments(p sim.PeerID, L, n, t int) []int {
-	var out []int
-	for i := 0; i < L; i++ {
-		if InCommittee(p, i, n, t) {
+	s := min(CommitteeSize(t), n)
+	// p is a member while its offset (see follow) is below s. One walk
+	// counts, the other fills.
+	count := 0
+	for i, d := 0, mod(int(p), n); i < L; i, d = i+1, follow(d, 1, s, n) {
+		if d < s {
+			count++
+		}
+	}
+	out := make([]int, 0, count)
+	for i, d := 0, mod(int(p), n); i < L; i, d = i+1, follow(d, 1, s, n) {
+		if d < s {
 			out = append(out, i)
 		}
 	}
@@ -104,15 +106,14 @@ func Assignments(p sim.PeerID, L, n, t int) []int {
 type Peer struct {
 	idxBits int
 	track   *bitarray.Tracker
-	// votes[i] counts, per reported value, the distinct committee members
-	// of index i that reported it: votes[i][0] zeros, votes[i][1] ones.
-	votes [][2]int16
+	// votes counts, per index and reported value, the distinct committee
+	// members that reported it, and learns a bit at the threshold.
+	votes *tally
 	// seenReport deduplicates senders wholesale: honest members send
 	// exactly one Report, so only the first Report per sender counts.
 	// This is what keeps vote processing allocation-free — a per-index
 	// sender set would cost a map per input bit.
 	seenReport map[sim.PeerID]bool
-	accept     int // threshold t+1
 	naive      bool
 	// reported is set once this peer's own committee Report went out. A
 	// peer must never terminate before reporting: its votes may be the
@@ -136,7 +137,7 @@ func (p *Peer) Step(env *sim.Env, ev sim.Event, em *sim.Emitter) {
 	case sim.EvInit:
 		p.init(env, em)
 	case sim.EvMessage:
-		p.onMessage(env, ev.From, ev.Msg, em)
+		p.onMessage(ev.From, ev.Msg, em)
 	case sim.EvQueryReply:
 		p.onQueryReply(ev.Reply, em)
 	}
@@ -145,9 +146,9 @@ func (p *Peer) Step(env *sim.Env, ev sim.Event, em *sim.Emitter) {
 func (p *Peer) init(env *sim.Env, em *sim.Emitter) {
 	p.idxBits = indexBits(env.L)
 	p.track = bitarray.NewTracker(env.L)
-	p.accept = env.T + 1
+	accept := env.T + 1
 	if p.weakAccept && env.T >= 1 {
-		p.accept = env.T
+		accept = env.T
 	}
 	em.MarkPhase("elect")
 	if CommitteeSize(env.T) > env.N {
@@ -161,7 +162,7 @@ func (p *Peer) init(env *sim.Env, em *sim.Emitter) {
 		em.Query(0, all)
 		return
 	}
-	p.votes = make([][2]int16, env.L)
+	p.votes = newTally(env.L, env.N, CommitteeSize(env.T), accept, p.track)
 	p.seenReport = make(map[sim.PeerID]bool, env.N)
 	mine := Assignments(env.ID, env.L, env.N, env.T)
 	if len(mine) == 0 {
@@ -183,19 +184,15 @@ func (p *Peer) onQueryReply(r sim.QueryReply, em *sim.Emitter) {
 		p.maybeFinish(em)
 		return
 	}
-	// Broadcast my committee report.
-	vals := bitarray.New(len(r.Indices))
-	for k, idx := range r.Indices {
-		v, _ := p.track.Get(idx)
-		vals.Set(k, v)
-	}
-	em.Broadcast(&Report{Indices: append([]int(nil), r.Indices...), Bits: vals, IdxBits: p.idxBits})
+	// Broadcast my committee report: the reply's values, which are what
+	// the tracker now holds for these (distinct) indices.
+	em.Broadcast(&Report{Indices: append([]int(nil), r.Indices...), Bits: r.Bits.Slice(0, len(r.Indices)), IdxBits: p.idxBits})
 	p.reported = true
 	em.MarkPhase("verify")
 	p.maybeFinish(em)
 }
 
-func (p *Peer) onMessage(env *sim.Env, from sim.PeerID, m sim.Message, em *sim.Emitter) {
+func (p *Peer) onMessage(from sim.PeerID, m sim.Message, em *sim.Emitter) {
 	if p.done || p.naive {
 		return
 	}
@@ -210,29 +207,7 @@ func (p *Peer) onMessage(env *sim.Env, from sim.PeerID, m sim.Message, em *sim.E
 		return // one report per member; Byzantine repeats are dropped
 	}
 	p.seenReport[from] = true
-	accept := int16(p.accept)
-	prev := -1
-	for k, idx := range rep.Indices {
-		// Honest reports list strictly increasing indices; rejecting
-		// violations stops a Byzantine member double-voting one bit
-		// inside a single report.
-		if idx <= prev || idx >= env.L {
-			continue
-		}
-		prev = idx
-		// Only committee members of idx may vote.
-		if !InCommittee(from, idx, env.N, env.T) {
-			continue
-		}
-		var v int
-		if rep.Bits.Get(k) {
-			v = 1
-		}
-		p.votes[idx][v]++
-		if p.votes[idx][v] >= accept && !p.track.Known(idx) {
-			p.track.Learn(idx, v == 1)
-		}
-	}
+	p.votes.count(from, rep)
 	p.maybeFinish(em)
 }
 
