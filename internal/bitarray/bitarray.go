@@ -362,19 +362,66 @@ func (a *Array) Not() {
 	a.clearTail()
 }
 
-// Gather returns the array whose bit k is bit idx[k] of a, assembled a
-// word at a time. It panics if an index is out of range.
+// Gather returns the array whose bit k is bit idx[k] of a. It panics if an
+// index is out of range.
 func (a *Array) Gather(idx []int) *Array {
-	out := New(len(idx))
-	var w uint64
-	for k, i := range idx {
-		a.check(i)
-		w |= a.words[i/wordBits] >> (uint(i) % wordBits) & 1 << (uint(k) % wordBits)
-		if k%wordBits == wordBits-1 || k == len(idx)-1 {
-			out.words[k/wordBits], w = w, 0
-		}
+	out, ok := a.GatherFrom(idx, 0)
+	if !ok {
+		panic(fmt.Sprintf("bitarray: gather index out of range of %d bits", a.n))
 	}
 	return out
+}
+
+// GatherFrom returns the array whose bit k is bit idx[k]-base of a: a holds
+// the bits of a span that starts at absolute index base. ok is false, and
+// the array nil, if an index falls outside the span — the form for spans
+// that arrived from outside the program. An ascending run of a word or
+// more is one block copy; everything else is assembled a word at a time in
+// a register.
+func (a *Array) GatherFrom(idx []int, base int) (out *Array, ok bool) {
+	out = New(len(idx))
+	for k := 0; k < len(idx); {
+		if r := runLen(idx[k:]); r >= wordBits {
+			if r < len(idx)-k {
+				r &^= wordBits - 1 // keep k on an output word boundary
+			}
+			i := idx[k] - base
+			if i < 0 || i > a.n-r {
+				return nil, false
+			}
+			out.copyBits(a, i, k, r)
+			k += r
+			continue
+		}
+		end := min(k+wordBits, len(idx))
+		var w uint64
+		for j, i := range idx[k:end] {
+			i -= base
+			if i < 0 || i >= a.n {
+				return nil, false
+			}
+			w |= a.words[i/wordBits] >> (uint(i) % wordBits) & 1 << uint(j)
+		}
+		out.words[k/wordBits] = w
+		k = end
+	}
+	return out, true
+}
+
+// runLen returns the length of the run idx[0], idx[0]+1, … that idx starts
+// with when that is a word or more, and otherwise some smaller value —
+// after one comparison, unless the 64th index happens to fit a run. It is
+// how the indexed operations find the stretches worth a block copy without
+// slowing lists that have none.
+func runLen(idx []int) int {
+	if len(idx) < wordBits || idx[wordBits-1] != idx[0]+wordBits-1 {
+		return 0
+	}
+	r := 1
+	for r < len(idx) && idx[r] == idx[r-1]+1 {
+		r++
+	}
+	return r
 }
 
 // Bits64 returns bits [pos, pos+n) as the low n bits of a word, n ≤ 64,

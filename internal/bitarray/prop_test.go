@@ -238,6 +238,162 @@ func TestTrackerVsModel(t *testing.T) {
 	}
 }
 
+// mixedIndices draws an index list over [0, n) from the shapes the
+// run-aware paths must tell apart: ascending runs of 63, 64 and 65 and of
+// random length that start and end off word boundaries, descending
+// stretches, repeated indices and scattered singles, in random order.
+func mixedIndices(rng *rand.Rand, n int) []int {
+	var idx []int
+	for pieces := rng.Intn(8) + 1; pieces > 0; pieces-- {
+		length := []int{1, 2, 63, 64, 65, 130, rng.Intn(300) + 1}[rng.Intn(7)]
+		if length > n {
+			length = n
+		}
+		start := rng.Intn(n - length + 1)
+		switch rng.Intn(4) {
+		case 0, 1: // ascending run
+			for i := 0; i < length; i++ {
+				idx = append(idx, start+i)
+			}
+		case 2: // descending stretch
+			for i := length - 1; i >= 0; i-- {
+				idx = append(idx, start+i)
+			}
+		case 3: // one index repeated, then scattered singles
+			for i := 0; i < length%5+2; i++ {
+				idx = append(idx, start)
+			}
+			for i := 0; i < length%7; i++ {
+				idx = append(idx, rng.Intn(n))
+			}
+		}
+	}
+	return idx
+}
+
+// panics reports whether f panicked.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
+}
+
+// TestGatherVsModel: Gather and GatherFrom agree with the per-bit model on
+// lists mixing every run shape, at a span offset, and differ only in how
+// they refuse an index outside the array — panic against ok=false.
+func TestGatherVsModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1807))
+	for _, n := range append(propLens, 4096) {
+		a := Random(rng, n)
+		for trial := 0; trial < 60; trial++ {
+			idx := mixedIndices(rng, n)
+			want := make([]bool, len(idx))
+			for k, i := range idx {
+				want[k] = a.Get(i)
+			}
+			checkAgainst(t, a.Gather(idx), want, "gather")
+
+			base := rng.Intn(1000) - 200
+			shifted := make([]int, len(idx))
+			for k, i := range idx {
+				shifted[k] = i + base
+			}
+			got, ok := a.GatherFrom(shifted, base)
+			if !ok {
+				t.Fatalf("n=%d: GatherFrom refused in-range indices at base %d", n, base)
+			}
+			checkAgainst(t, got, want, "gather-from")
+
+			// One index just past either end, at a random position —
+			// inside a run as often as not.
+			at := rng.Intn(len(idx))
+			for _, out := range []int{-1, n} {
+				bad := append([]int(nil), idx...)
+				bad[at] = out
+				if got, ok := a.GatherFrom(bad, 0); ok || got != nil {
+					t.Fatalf("n=%d: GatherFrom accepted index %d", n, out)
+				}
+				if !panics(func() { a.Gather(bad) }) {
+					t.Fatalf("n=%d: Gather accepted index %d", n, out)
+				}
+			}
+		}
+	}
+	// A run whose start is in range and whose end is not, and an index
+	// whose offset from base overflows.
+	a := Random(rng, 200)
+	run := make([]int, 100)
+	for i := range run {
+		run[i] = 150 + i
+	}
+	if _, ok := a.GatherFrom(run, 0); ok {
+		t.Fatal("GatherFrom accepted a run ending past the array")
+	}
+	const maxInt = int(^uint(0) >> 1)
+	if _, ok := a.GatherFrom([]int{maxInt}, -1); ok {
+		t.Fatal("GatherFrom accepted an overflowing offset")
+	}
+	for i := range run {
+		run[i] = maxInt - 99 + i
+	}
+	if _, ok := a.GatherFrom(run, 0); ok {
+		t.Fatal("GatherFrom accepted a run at the top of the int range")
+	}
+}
+
+// TestLearnIndexedVsModel: the indexed source-authoritative learn leaves a
+// tracker exactly as one LearnFromSource per index, in order, would — known
+// bits overwritten, a repeated index keeping its last value, unknown
+// counted down once per newly known bit.
+func TestLearnIndexedVsModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(2718))
+	for _, n := range append(propLens, 4096) {
+		tr, ref := NewTracker(n), NewTracker(n)
+		for trial := 0; trial < 40; trial++ {
+			// Some peer-learned bits first, so overwrites have something
+			// to overwrite.
+			for k := rng.Intn(n/4 + 1); k > 0; k-- {
+				i, v := rng.Intn(n), rng.Intn(2) == 0
+				tr.Learn(i, v)
+				ref.Learn(i, v)
+			}
+			idx := mixedIndices(rng, n)
+			vals := Random(rng, len(idx)+rng.Intn(3))
+			tr.LearnIndexedFromSource(idx, vals)
+			for k, i := range idx {
+				ref.LearnFromSource(i, vals.Get(k))
+			}
+			if tr.UnknownCount() != ref.UnknownCount() {
+				t.Fatalf("n=%d: unknown %d, per-bit model %d", n, tr.UnknownCount(), ref.UnknownCount())
+			}
+			if !tr.known.Equal(ref.known) || !tr.vals.Equal(ref.vals) {
+				t.Fatalf("n=%d trial %d: tracker differs from the per-bit model", n, trial)
+			}
+			if trial%10 == 9 {
+				tr, ref = NewTracker(n), NewTracker(n)
+			}
+		}
+		idx := mixedIndices(rng, n)
+		if !panics(func() { NewTracker(n).LearnIndexedFromSource(idx, New(len(idx)-1)) }) {
+			t.Fatalf("n=%d: learn accepted fewer values than indices", n)
+		}
+		for _, out := range []int{-1, n} {
+			bad := append([]int(nil), idx...)
+			bad[rng.Intn(len(bad))] = out
+			if !panics(func() { NewTracker(n).LearnIndexedFromSource(bad, New(len(bad))) }) {
+				t.Fatalf("n=%d: learn accepted index %d", n, out)
+			}
+		}
+	}
+	run := make([]int, 100)
+	for i := range run {
+		run[i] = 150 + i
+	}
+	if !panics(func() { NewTracker(200).LearnIndexedFromSource(run, New(100)) }) {
+		t.Fatal("learn accepted a run ending past the tracker")
+	}
+}
+
 func TestArenaMatchesFreshArrays(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ar := NewArena(8, 8*130)
@@ -259,11 +415,4 @@ func TestArenaMatchesFreshArrays(t *testing.T) {
 			t.Fatalf("array %d: arena %s, fresh %s", i, got[i], want[i])
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

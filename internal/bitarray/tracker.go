@@ -67,6 +67,40 @@ func (t *Tracker) LearnFromSource(i int, v bool) (overwrote bool) {
 	return false
 }
 
+// LearnIndexedFromSource records bit idx[k] as bit k of vals for every k,
+// in order, with LearnFromSource's semantics: the source's answer
+// overwrites, so of a repeated index the last value stands. An ascending
+// run of a word or more is written a destination word at a time, the newly
+// known bits counted by popcount. It panics if an index is out of range or
+// vals is shorter than idx.
+func (t *Tracker) LearnIndexedFromSource(idx []int, vals *Array) {
+	if vals.n < len(idx) {
+		panic(fmt.Sprintf("bitarray: %d values for %d learned indices", vals.n, len(idx)))
+	}
+	for k := 0; k < len(idx); {
+		if r := runLen(idx[k:]); r >= wordBits {
+			lo := idx[k]
+			if lo < 0 || lo > t.vals.n-r {
+				panic(fmt.Sprintf("bitarray: learn range [%d,%d+%d) out of range of %d bits", lo, lo, r, t.vals.n))
+			}
+			for pos, hi := lo, lo+r; pos < hi; {
+				mask, n := wordMask(pos, hi)
+				wi := pos / wordBits
+				sv := vals.extract64(k+pos-lo, n) << (uint(pos) % wordBits)
+				t.vals.words[wi] = t.vals.words[wi]&^mask | sv
+				t.unknown -= bits.OnesCount64(mask &^ t.known.words[wi])
+				t.known.words[wi] |= mask
+				pos += n
+			}
+			k += r
+			continue
+		}
+		for end := min(k+wordBits, len(idx)); k < end; k++ {
+			t.LearnFromSource(idx[k], vals.Get(k))
+		}
+	}
+}
+
 // LearnSegment records bits [start, start+seg.Len()) from a segment value.
 func (t *Tracker) LearnSegment(start int, seg *Array) {
 	t.LearnRange(start, start+seg.Len(), seg, 0)

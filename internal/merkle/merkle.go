@@ -294,18 +294,13 @@ func leafHashAt(scratch []byte, j, nbits int, bits *bitarray.Array, off int) ([H
 	buf := append(scratch[:0], 0x00)
 	buf = binary.AppendUvarint(buf, uint64(j))
 	buf = binary.AppendUvarint(buf, uint64(nbits))
-	var acc byte
-	for k := 0; k < nbits; k++ {
-		if bits.Get(off + k) {
-			acc |= 1 << (uint(k) % 8)
-		}
-		if k%8 == 7 {
-			buf = append(buf, acc)
-			acc = 0
-		}
-	}
-	if nbits%8 != 0 {
-		buf = append(buf, acc)
+	// The leaf's bits, little-endian: bit k of the leaf is bit k%8 of byte
+	// k/8, so a 64-bit window is eight bytes as they stand.
+	for k := 0; k < nbits; k += 64 {
+		n := min(64, nbits-k)
+		var w [8]byte
+		binary.LittleEndian.PutUint64(w[:], bits.Bits64(off+k, n))
+		buf = append(buf, w[:(n+7)/8]...)
 	}
 	return sha256.Sum256(buf), buf
 }

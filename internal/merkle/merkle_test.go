@@ -3,6 +3,7 @@ package merkle
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 
@@ -21,17 +22,7 @@ func naiveBuild(x *bitarray.Array, leafBits int) *naiveTree {
 	p := Params{TotalBits: x.Len(), LeafBits: leafBits}
 	var level [][32]byte
 	for j := 0; j < p.Leaves(); j++ {
-		nb := p.LeafWidth(j)
-		buf := []byte{0x00}
-		buf = binary.AppendUvarint(buf, uint64(j))
-		buf = binary.AppendUvarint(buf, uint64(nb))
-		packed := make([]byte, (nb+7)/8)
-		for k := 0; k < nb; k++ {
-			if x.Get(j*leafBits + k) {
-				packed[k/8] |= 1 << (uint(k) % 8)
-			}
-		}
-		level = append(level, sha256.Sum256(append(buf, packed...)))
+		level = append(level, refLeafHash(j, p.LeafWidth(j), x, j*leafBits))
 	}
 	nt := &naiveTree{p: p, levels: [][][32]byte{level}}
 	for len(level) > 1 {
@@ -48,6 +39,48 @@ func naiveBuild(x *bitarray.Array, leafBits int) *naiveTree {
 		level = next
 	}
 	return nt
+}
+
+// refLeafHash is the leaf hash one bit at a time: leaf j's nb bits start
+// at x[off].
+func refLeafHash(j, nb int, x *bitarray.Array, off int) [32]byte {
+	buf := []byte{0x00}
+	buf = binary.AppendUvarint(buf, uint64(j))
+	buf = binary.AppendUvarint(buf, uint64(nb))
+	packed := make([]byte, (nb+7)/8)
+	for k := 0; k < nb; k++ {
+		if x.Get(off + k) {
+			packed[k/8] |= 1 << (uint(k) % 8)
+		}
+	}
+	return sha256.Sum256(append(buf, packed...))
+}
+
+// TestLeafHashMatchesPerBitReference: the leaf buffer is filled from
+// 64-bit windows; every leaf width from one bit to past two words, at
+// offsets on and off word boundaries, hashes as the per-bit reference does.
+func TestLeafHashMatchesPerBitReference(t *testing.T) {
+	x := bitarray.Random(rand.New(rand.NewSource(8)), 130+200)
+	var scratch []byte
+	for nb := 1; nb <= 130; nb++ {
+		for _, off := range []int{0, 1, 63, 64, 65, 127, 200} {
+			var got [32]byte
+			got, scratch = leafHashAt(scratch, nb%7, nb, x, off)
+			if got != refLeafHash(nb%7, nb, x, off) {
+				t.Fatalf("width %d at offset %d: leaf hash differs from the per-bit reference", nb, off)
+			}
+		}
+	}
+}
+
+// TestBuildRootPinned: the root over the conformance corpus's committed
+// array is the one its netrt-root frame carries (fixtures/frames.json).
+func TestBuildRootPinned(t *testing.T) {
+	x := bitarray.Random(rand.New(rand.NewSource(21)), 4096)
+	root := Build(x, 64).Root()
+	if got, want := hex.EncodeToString(root[:]), "953b5b841e90ffaef8fd2ed66f1180d7bac95e2502525ea6011f0e246867ac7b"; got != want {
+		t.Fatalf("root %s, the netrt-root fixture pins %s", got, want)
+	}
 }
 
 func (nt *naiveTree) root() [32]byte { return nt.levels[len(nt.levels)-1][0] }

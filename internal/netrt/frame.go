@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 )
 
@@ -163,7 +164,10 @@ func readFrame(r io.Reader) (kind byte, seq uint64, payload []byte, err error) {
 // encodeQueryHeader encodes tag (zig-zag, tags may be negative) plus
 // delta-encoded indices.
 func encodeQueryHeader(tag int, indices []int) []byte {
-	out := binary.AppendVarint(nil, int64(tag))
+	// Sized for one byte an index — exact for a range query, whose deltas
+	// are all +1, and a head start for the rest.
+	out := make([]byte, 0, 2*binary.MaxVarintLen64+len(indices))
+	out = binary.AppendVarint(out, int64(tag))
 	out = binary.AppendUvarint(out, uint64(len(indices)))
 	prev := 0
 	for _, idx := range indices {
@@ -173,35 +177,93 @@ func encodeQueryHeader(tag int, indices []int) []byte {
 	return out
 }
 
-func queryHeaderLen(tag int, indices []int) int {
-	return len(encodeQueryHeader(tag, indices))
-}
-
-// decodeQuery decodes a query header. maxCount bounds the accepted index
-// count so a hostile frame cannot force a huge allocation: a legitimate
-// query never asks for more than L indices, and every encoded index costs
-// at least one payload byte.
-func decodeQuery(payload []byte, maxCount int) (tag int, indices []int, ok bool) {
+// queryPrelude reads a query header's tag and index count; pos is where the
+// index list starts. maxCount bounds the accepted count so a hostile frame
+// cannot force a huge allocation: a legitimate query never asks for more
+// than L indices, and every encoded index costs at least one payload byte.
+func queryPrelude(payload []byte, maxCount int) (tag int, cnt uint64, pos int, ok bool) {
 	t64, n := binary.Varint(payload)
 	if n <= 0 {
-		return 0, nil, false
+		return 0, 0, 0, false
 	}
-	payload = payload[n:]
-	cnt, n := binary.Uvarint(payload)
-	if n <= 0 || cnt > uint64(len(payload)) || (maxCount >= 0 && cnt > uint64(maxCount)) {
-		return 0, nil, false
+	cnt, m := binary.Uvarint(payload[n:])
+	if m <= 0 || cnt > uint64(len(payload)-n) || (maxCount >= 0 && cnt > uint64(maxCount)) {
+		return 0, 0, 0, false
 	}
-	payload = payload[n:]
-	indices = make([]int, 0, cnt)
+	return int(t64), cnt, n + m, true
+}
+
+// decodeQuery decodes a query header into its index list; hdrLen is the
+// number of payload bytes the header occupies. Only a caller that must hand
+// the list on (the hub's source tier) decodes; the rest use scanQuery.
+func decodeQuery(payload []byte, maxCount int) (tag int, indices []int, hdrLen int, ok bool) {
+	tag, cnt, pos, ok := queryPrelude(payload, maxCount)
+	if !ok {
+		return 0, nil, 0, false
+	}
+	indices = make([]int, cnt)
+	prev := int64(0)
+	for i := range indices {
+		// The one-byte varint — any step of less than 64 either way, so
+		// nearly every step of a real index list — is read in line.
+		if pos < len(payload) && payload[pos] < 0x80 {
+			b := payload[pos]
+			prev += int64(b>>1) ^ -int64(b&1)
+			pos++
+		} else {
+			d, n := binary.Varint(payload[pos:])
+			if n <= 0 {
+				return 0, nil, 0, false
+			}
+			pos += n
+			prev += d
+		}
+		indices[i] = int(prev)
+	}
+	return tag, indices, pos, true
+}
+
+// scanQuery walks a query header without building its index list. It
+// accepts exactly the payloads decodeQuery accepts and agrees with it on
+// tag, count and header length; lo and hi are the smallest and largest
+// index (0, 0 for an empty list). Where eight steps of +1 follow each other
+// they are taken as one.
+func scanQuery(payload []byte, maxCount int) (tag, count, hdrLen, lo, hi int, ok bool) {
+	tag, cnt, pos, ok := queryPrelude(payload, maxCount)
+	if !ok {
+		return 0, 0, 0, 0, 0, false
+	}
 	prev := int64(0)
 	for i := uint64(0); i < cnt; i++ {
-		d, n := binary.Varint(payload)
-		if n <= 0 {
-			return 0, nil, false
+		// Eight times 0x02, the zig-zag varint of +1: every byte of a range
+		// query's index list but the first. Without the overflow guard the
+		// eight would skip the extremes that a wrap-around passes through
+		// one step at a time.
+		const eightSteps = 0x0202020202020202
+		if i > 0 && cnt-i >= 8 && len(payload)-pos >= 8 && prev <= math.MaxInt64-8 &&
+			binary.LittleEndian.Uint64(payload[pos:]) == eightSteps {
+			pos += 8
+			prev += 8
+			i += 7
+		} else if pos < len(payload) && payload[pos] < 0x80 {
+			b := payload[pos]
+			prev += int64(b>>1) ^ -int64(b&1)
+			pos++
+		} else {
+			d, n := binary.Varint(payload[pos:])
+			if n <= 0 {
+				return 0, 0, 0, 0, 0, false
+			}
+			pos += n
+			prev += d
 		}
-		payload = payload[n:]
-		prev += d
-		indices = append(indices, int(prev))
+		if idx := int(prev); i == 0 {
+			lo, hi = idx, idx
+		} else if idx < lo {
+			lo = idx
+		} else if idx > hi {
+			hi = idx
+		}
 	}
-	return int(t64), indices, true
+	return tag, int(cnt), pos, lo, hi, true
 }

@@ -3,6 +3,7 @@ package netrt
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"sync"
 	"testing"
 )
@@ -47,31 +48,94 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
+// queryHeaderSeeds are the header shapes the scan/decode equivalence must
+// hold on: the long run that is naive's whole-array query, the lists with
+// no run at all, and the malformed ones each rejection branch exists for.
+func queryHeaderSeeds() [][]byte {
+	run := make([]int, 262144)
+	alt := make([]int, 300)
+	desc := make([]int, 300)
+	for i := range run {
+		run[i] = i
+	}
+	for i := range alt {
+		alt[i] = 1000 + i%2 // alternating +1 / −1
+		desc[i] = 5000 - 3*i
+	}
+	over := encodeQueryHeader(1, run[:100])
+	return [][]byte{
+		encodeQueryHeader(0, []int{0, 1, 2}),
+		encodeQueryHeader(-5, []int{100, 50, 200}),
+		{0x00, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20}, // count 2^40
+		{0x80}, // truncated tag
+		encodeQueryHeader(0, run),
+		encodeQueryHeader(7, alt),
+		encodeQueryHeader(-1, desc),
+		encodeQueryHeader(3, []int{9, 9, 9, 10, 10, 2, 2}),                             // duplicates
+		{0x82, 0x00, 0x83, 0x00, 0x82, 0x80, 0x00, 0x02, 0x84, 0x00},                   // non-minimal varints: tag 1, count 3, +1 +1 +2
+		{0x00, 0x03, 0x02, 0x02, 0x80},                                                 // truncated mid-varint
+		over[:50],                                                                      // count 100 > bytes left
+		binary.AppendUvarint([]byte{0x00}, fuzzMaxCount+1),                             // count > maxCount
+		{0x00, 0x02, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02, 0x02}, // delta overflows 64 bits
+		// A run that wraps the index past MaxInt64: the extremes lie inside
+		// a stretch of eight +1 steps.
+		append(binary.AppendVarint([]byte{0x00, 17}, math.MaxInt64-3), bytes.Repeat([]byte{0x02}, 16)...),
+	}
+}
+
+// fuzzMaxCount is the index bound the fuzz target decodes under: naive's
+// whole-array query at the benchmark's L must pass it.
+const fuzzMaxCount = 1 << 18
+
 func FuzzDecodeQuery(f *testing.F) {
-	f.Add(encodeQueryHeader(0, []int{0, 1, 2}))
-	f.Add(encodeQueryHeader(-5, []int{100, 50, 200}))
-	f.Add([]byte{0x00, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20}) // count 2^40
-	f.Add([]byte{0x80})                                     // truncated tag
+	for _, seed := range queryHeaderSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const maxCount = 1 << 16
-		tag, indices, ok := decodeQuery(data, maxCount)
+		tag, indices, hdrLen, ok := decodeQuery(data, fuzzMaxCount)
+		// scanQuery accepts iff decodeQuery does, and tells the same story.
+		stag, count, shdr, lo, hi, sok := scanQuery(data, fuzzMaxCount)
+		if sok != ok {
+			t.Fatalf("decode ok=%v, scan ok=%v", ok, sok)
+		}
 		if !ok {
 			return
 		}
-		if len(indices) > maxCount {
-			t.Fatalf("decode accepted %d indices over the %d bound", len(indices), maxCount)
+		wantLo, wantHi := 0, 0
+		for i, idx := range indices {
+			if i == 0 || idx < wantLo {
+				wantLo = idx
+			}
+			if i == 0 || idx > wantHi {
+				wantHi = idx
+			}
+		}
+		if stag != tag || count != len(indices) || shdr != hdrLen || lo != wantLo || hi != wantHi {
+			t.Fatalf("scan (tag %d, count %d, hdr %d, [%d,%d]) != decode (tag %d, count %d, hdr %d, [%d,%d])",
+				stag, count, shdr, lo, hi, tag, len(indices), hdrLen, wantLo, wantHi)
+		}
+		if hdrLen > len(data) {
+			t.Fatalf("header of %d bytes in %d bytes of input", hdrLen, len(data))
+		}
+		if len(indices) > fuzzMaxCount {
+			t.Fatalf("decode accepted %d indices over the %d bound", len(indices), fuzzMaxCount)
 		}
 		// Every accepted index costs at least one input byte, so the
 		// count can never force an allocation larger than the frame.
 		if len(indices) > len(data) {
 			t.Fatalf("%d indices from %d bytes", len(indices), len(data))
 		}
+		// Bytes after the header are not the header's business.
+		if _, _, h2, _, _, ok2 := scanQuery(data[:hdrLen], fuzzMaxCount); !ok2 || h2 != hdrLen {
+			t.Fatalf("header alone scans to (%d, %v), want (%d, true)", h2, ok2, hdrLen)
+		}
 		// Whatever was decoded must survive a re-encode/re-decode cycle
 		// (byte-prefix equality would be too strong: varint readers
 		// accept non-minimal encodings like 0x80 0x00).
-		tag2, indices2, ok2 := decodeQuery(encodeQueryHeader(tag, indices), maxCount)
-		if !ok2 || tag2 != tag || len(indices2) != len(indices) {
-			t.Fatalf("re-decode mismatch: (%d,%v) → (%d,%v,%v)", tag, indices, tag2, indices2, ok2)
+		enc := encodeQueryHeader(tag, indices)
+		tag2, indices2, hdr2, ok2 := decodeQuery(enc, fuzzMaxCount)
+		if !ok2 || tag2 != tag || len(indices2) != len(indices) || hdr2 != len(enc) {
+			t.Fatalf("re-decode mismatch: (%d,%v) → (%d,%v,%d of %d,%v)", tag, indices, tag2, indices2, hdr2, len(enc), ok2)
 		}
 		for i := range indices {
 			if indices2[i] != indices[i] {
@@ -79,6 +143,79 @@ func FuzzDecodeQuery(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestScanQuerySeeds runs the fuzz seeds' accept/reject expectations as a
+// plain test, so the shapes the equivalence rests on are pinned by name.
+func TestScanQuerySeeds(t *testing.T) {
+	seeds := queryHeaderSeeds()
+	wantOK := []bool{true, true, false, false, true, true, true, true, true, false, false, false, false, true}
+	if len(wantOK) != len(seeds) {
+		t.Fatalf("%d expectations for %d seeds", len(wantOK), len(seeds))
+	}
+	for i, seed := range seeds {
+		_, indices, hdrLen, ok := decodeQuery(seed, fuzzMaxCount)
+		_, count, shdr, _, _, sok := scanQuery(seed, fuzzMaxCount)
+		if ok != wantOK[i] || sok != wantOK[i] {
+			t.Errorf("seed %d: decode ok=%v scan ok=%v, want %v", i, ok, sok, wantOK[i])
+		}
+		if ok && (count != len(indices) || shdr != hdrLen) {
+			t.Errorf("seed %d: scan (%d, %d) != decode (%d, %d)", i, count, shdr, len(indices), hdrLen)
+		}
+	}
+	// The non-minimal seed decodes to what its minimal form does, under a
+	// different key: a retry is the identical frame, not an equivalent one.
+	tag, indices, _, _ := decodeQuery(seeds[8], fuzzMaxCount)
+	if tag != 1 || len(indices) != 3 || indices[0] != 1 || indices[1] != 2 || indices[2] != 4 {
+		t.Errorf("non-minimal seed decoded to tag %d indices %v", tag, indices)
+	}
+	if qkeyOfHeader(tag, seeds[8]) == qkeyOfHeader(tag, encodeQueryHeader(tag, indices)) {
+		t.Error("non-minimal and minimal encodings share a key")
+	}
+}
+
+// TestQueryKeyOfHeader: equal headers get equal keys; changing any one
+// byte, the length or the tag changes the key.
+func TestQueryKeyOfHeader(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 8, 9, 16, 23, 300} {
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = 17*i + i%3
+		}
+		hdr := encodeQueryHeader(4, idx)
+		key := qkeyOfHeader(4, hdr)
+		if key != qkeyOfHeader(4, append([]byte(nil), hdr...)) {
+			t.Fatalf("n=%d: equal headers, different keys", n)
+		}
+		if key == qkeyOfHeader(5, hdr) {
+			t.Errorf("n=%d: key ignores the tag", n)
+		}
+		if key == qkeyOfHeader(4, hdr[:len(hdr)-1]) || key == qkeyOfHeader(4, append(hdr[:len(hdr):len(hdr)], 0)) {
+			t.Errorf("n=%d: key ignores the length", n)
+		}
+		for i := range hdr {
+			mut := append([]byte(nil), hdr...)
+			mut[i] ^= 0x40
+			if key == qkeyOfHeader(4, mut) {
+				t.Errorf("n=%d: key ignores byte %d", n, i)
+			}
+		}
+	}
+}
+
+// TestQueryHeaderNoAllocs: matching a reply to its query builds nothing.
+func TestQueryHeaderNoAllocs(t *testing.T) {
+	run := make([]int, 4096)
+	for i := range run {
+		run[i] = i
+	}
+	hdr := encodeQueryHeader(0, run)
+	if n := testing.AllocsPerRun(20, func() { scanQuery(hdr, len(run)) }); n != 0 {
+		t.Errorf("scanQuery allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { qkeyOfHeader(0, hdr) }); n != 0 {
+		t.Errorf("qkeyOfHeader allocates %v times", n)
+	}
 }
 
 // FuzzFrameRoundTrip drives the encoder with arbitrary (kind, seq,
@@ -111,13 +248,13 @@ func FuzzFrameRoundTrip(f *testing.F) {
 func TestDecodeQueryBounds(t *testing.T) {
 	huge := binary.AppendVarint(nil, 0)
 	huge = binary.AppendUvarint(huge, 1<<40)
-	if _, _, ok := decodeQuery(huge, 1<<20); ok {
+	if _, _, _, ok := decodeQuery(huge, 1<<20); ok {
 		t.Fatal("accepted count 2^40 with empty body")
 	}
-	if _, _, ok := decodeQuery(encodeQueryHeader(1, []int{1, 2, 3}), 2); ok {
+	if _, _, _, ok := decodeQuery(encodeQueryHeader(1, []int{1, 2, 3}), 2); ok {
 		t.Fatal("accepted 3 indices over maxCount 2")
 	}
-	if tag, idx, ok := decodeQuery(encodeQueryHeader(1, []int{1, 2, 3}), 3); !ok || tag != 1 || len(idx) != 3 {
+	if tag, idx, hdrLen, ok := decodeQuery(encodeQueryHeader(1, []int{1, 2, 3}), 3); !ok || tag != 1 || len(idx) != 3 || hdrLen != 5 {
 		t.Fatalf("rejected legitimate query: ok=%v tag=%d idx=%v", ok, tag, idx)
 	}
 }

@@ -1,14 +1,20 @@
 package netrt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/bitarray"
+	"repro/internal/merkle"
 	"repro/internal/sim"
+	"repro/internal/source"
 )
 
 // TestFaultPlanDeterministic verifies the acceptance requirement that the
@@ -291,11 +297,255 @@ func TestHostileFramesCannotPanicHub(t *testing.T) {
 		if kind != kQReply {
 			continue
 		}
-		tag, indices, ok := decodeQuery(payload, 64)
+		tag, indices, _, ok := decodeQuery(payload, 64)
 		if !ok || tag != 0 || len(indices) != 3 {
 			t.Fatalf("mangled reply: ok=%v tag=%d indices=%v", ok, tag, indices)
 		}
 		return
+	}
+}
+
+// scriptedHub is the far end of a client's connection, played by the test:
+// it reads the HELLO like any frame, acks every reliable frame so the
+// client can finish, and hands each QUERY and QUERYSRC payload to onQuery,
+// which answers — or does not — through reply. onQuery runs off the test
+// goroutine: t.Error, not t.Fatal.
+func scriptedHub(t *testing.T, onQuery func(kind byte, payload []byte, reply func(kind byte, payload []byte))) (addr string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	var replySeq atomic.Uint64
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				var mu sync.Mutex
+				reply := func(kind byte, payload []byte) {
+					_ = writeFrame(conn, &mu, kind, replySeq.Add(1), payload)
+				}
+				for {
+					kind, seq, payload, err := readFrame(conn)
+					if err != nil {
+						return
+					}
+					if seq > 0 { // TCP keeps the order, so the newest is the cumulative ack
+						_ = writeFrame(conn, &mu, kAck, 0, binary.AppendUvarint(nil, seq))
+					}
+					if kind == kQuery || kind == kQuerySrc {
+						onQuery(kind, payload, reply)
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// askOnce is a protocol that asks the source one query and terminates on
+// its first reply, reading one bit per index as every protocol does.
+type askOnce struct {
+	tag int
+	idx []int
+	ctx sim.Context
+	got chan sim.QueryReply // buffered: a second delivery must not block the loop
+}
+
+func (p *askOnce) Init(ctx sim.Context) {
+	p.ctx = ctx
+	ctx.Query(p.tag, append([]int(nil), p.idx...))
+}
+
+func (p *askOnce) OnMessage(sim.PeerID, sim.Message) {}
+
+func (p *askOnce) OnQueryReply(r sim.QueryReply) {
+	out := bitarray.New(len(r.Indices))
+	for j := range r.Indices {
+		out.Set(j, r.Bits.Get(j))
+	}
+	p.got <- r
+	p.ctx.Output(out)
+	p.ctx.Terminate()
+}
+
+// runAskOnce runs one client, whose protocol is an askOnce for (tag, idx),
+// against the hub at addr and returns the reply the protocol was handed.
+func runAskOnce(t *testing.T, addr string, tag int, idx []int) (sim.QueryReply, *clientStats) {
+	t.Helper()
+	peer := &askOnce{tag: tag, idx: idx, got: make(chan sim.QueryReply, 8)}
+	cfg := &Config{N: 1, L: 64, MsgBits: 64, Seed: 1, IdleTimeout: 5 * time.Second,
+		Resilience: Resilience{QueryTimeout: 40 * time.Millisecond},
+		NewPeer:    func(sim.PeerID) sim.Peer { return peer }}
+	st := &clientStats{}
+	done := make(chan error, 1)
+	go func() {
+		_, err := runIncarnation(cfg, 0, addr, st, nil, nil, nil, false)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("client failed: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("client never finished")
+	}
+	if len(peer.got) != 1 {
+		t.Fatalf("protocol was handed %d replies, want 1", len(peer.got))
+	}
+	return <-peer.got, st
+}
+
+// qreply is a QREPLY payload: the header as given, then the bits.
+func qreply(hdr []byte, vals ...bool) []byte {
+	raw := bitarray.FromBools(vals).Bytes()
+	out := append([]byte(nil), hdr...)
+	out = binary.AppendUvarint(out, uint64(len(raw)))
+	return append(out, raw...)
+}
+
+func checkReply(t *testing.T, got sim.QueryReply, tag int, idx []int, vals []bool) {
+	t.Helper()
+	if got.Tag != tag || !slices.Equal(got.Indices, idx) || !got.Bits.Equal(bitarray.FromBools(vals)) {
+		t.Fatalf("reply (tag %d, indices %v, bits %s), want (tag %d, indices %v, bits %s)",
+			got.Tag, got.Indices, got.Bits, tag, idx, bitarray.FromBools(vals))
+	}
+}
+
+// TestHostileQReplyCannotPanicClient is the client's half of the test
+// above: a QREPLY whose bit count is not its index count — short, long or
+// empty — is dropped like any other malformed frame, where it used to
+// reach the protocol and panic the process on the first missing bit. The
+// well-formed reply behind them is still delivered.
+func TestHostileQReplyCannotPanicClient(t *testing.T) {
+	idx, vals := []int{3, 4, 5, 9}, []bool{true, false, true, true}
+	addr := scriptedHub(t, func(_ byte, hdr []byte, reply func(byte, []byte)) {
+		reply(kQReply, qreply(hdr, true, true))                                   // short
+		reply(kQReply, qreply(hdr, false, false, false, false, true, true, true)) // long
+		reply(kQReply, qreply(hdr))                                               // empty
+		reply(kQReply, qreply(hdr, vals...))
+	})
+	got, _ := runAskOnce(t, addr, 2, idx)
+	checkReply(t, got, 2, idx, vals)
+}
+
+// TestForeignHeaderReplyIsNotDelivered: one reply, one owner. A reply that
+// echoes a different well-formed header for the same tag — other indices,
+// same count — answers no query of this client: it is not delivered, the
+// query stays owed, and the retry, which must be the identical QUERY
+// frame, completes it from the client's own index list.
+func TestForeignHeaderReplyIsNotDelivered(t *testing.T) {
+	idx, vals := []int{3, 4, 5, 9}, []bool{true, false, true, true}
+	var mu sync.Mutex
+	var seen [][]byte
+	addr := scriptedHub(t, func(kind byte, hdr []byte, reply func(byte, []byte)) {
+		mu.Lock()
+		seen = append(seen, hdr)
+		first := len(seen) == 1
+		mu.Unlock()
+		if kind != kQuery {
+			t.Errorf("query arrived as %s", kindName(kind))
+		}
+		if first {
+			reply(kQReply, qreply(encodeQueryHeader(2, []int{10, 11, 12, 13}), false, true, false, false))
+			return
+		}
+		reply(kQReply, qreply(hdr, vals...))
+	})
+	got, st := runAskOnce(t, addr, 2, idx)
+	checkReply(t, got, 2, idx, vals)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(seen) < 2 || st.queryRetries < 1 {
+		t.Fatalf("hub saw %d queries, client counted %d retries: the foreign reply settled the query", len(seen), st.queryRetries)
+	}
+	for _, hdr := range seen {
+		if !bytes.Equal(hdr, encodeQueryHeader(2, idx)) {
+			t.Fatalf("a retry is not the identical QUERY frame: %x", hdr)
+		}
+	}
+	if st.dupsDeduped < 1 {
+		t.Error("the foreign reply was not counted as nobody's")
+	}
+}
+
+// TestFallbackRetryChargesOnce drives the hub through one logical query's
+// worst path — QUERY, a forged QPROOF, QUERYSRC, silence, the QUERYSRC
+// retry — and checks the hub charges its bits into Q once, echoes the
+// request's header bytes verbatim every time, and charges a second
+// logical query separately.
+func TestFallbackRetryChargesOnce(t *testing.T) {
+	plan, err := source.ParseMirrorPlan("mirrors=3,byz=3,behavior=forge,seed=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newTestHub(t, Config{N: 1, T: 0, L: 256, MsgBits: 64, Seed: 5, Mirrors: plan, IdleTimeout: 5 * time.Second})
+	conn, err := net.Dial("tcp", h.shards[0].addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var mu sync.Mutex
+	if err := writeFrame(conn, &mu, kHello, 0, binary.AppendUvarint(nil, 0)); err != nil {
+		t.Fatal(err)
+	}
+	idx := make([]int, 128)
+	for i := range idx {
+		idx[i] = 64 + i
+	}
+	hdr := encodeQueryHeader(4, idx)
+	seq := uint64(0)
+	ask := func(kind byte, hdr []byte, want byte) []byte {
+		t.Helper()
+		seq++
+		if err := writeFrame(conn, &mu, kind, seq, hdr); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		for {
+			k, _, payload, err := readFrame(conn)
+			if err != nil {
+				t.Fatalf("no %s for %s: %v", kindName(want), kindName(kind), err)
+			}
+			if k != want {
+				continue // ROOT, acks, pings
+			}
+			if !bytes.HasPrefix(payload, hdr) {
+				t.Fatalf("%s does not echo the request header verbatim", kindName(want))
+			}
+			return payload
+		}
+	}
+	proof, ok := decodeProofReply(ask(kQuery, hdr, kQProof)[len(hdr):])
+	if !ok {
+		t.Fatal("malformed QPROOF body")
+	}
+	if merkle.Verify(h.mirror.Root(), h.mirror.Params(), proof.LeafLo, proof.LeafHi, proof.Bits, proof.Proof) {
+		t.Fatal("the all-forging fleet served a proof that verifies")
+	}
+	first := ask(kQuerySrc, hdr, kQReply)
+	again := ask(kQuerySrc, hdr, kQReply) // the client's retry after a silence
+	if !bytes.Equal(first, again) {
+		t.Fatal("the retry drew a different reply")
+	}
+	charged := func() (bits, calls int) {
+		hp := h.peers[0]
+		hp.mu.Lock()
+		defer hp.mu.Unlock()
+		return hp.queryBits, hp.queryCalls
+	}
+	if bits, calls := charged(); bits != len(idx) || calls != 1 {
+		t.Fatalf("one logical query charged %d bits in %d calls, want %d in 1", bits, calls, len(idx))
+	}
+	ask(kQuerySrc, encodeQueryHeader(4, idx[:10]), kQReply)
+	if bits, calls := charged(); bits != len(idx)+10 || calls != 2 {
+		t.Fatalf("two logical queries charged %d bits in %d calls, want %d in 2", bits, calls, len(idx)+10)
 	}
 }
 

@@ -157,7 +157,7 @@ func (c *connLoad) run(deadline time.Time) error {
 		if kind != kQReply {
 			continue // acks, pings
 		}
-		tag, _, ok := decodeQuery(payload, c.l)
+		tag, _, _, _, _, ok := scanQuery(payload, c.l)
 		if !ok {
 			continue
 		}

@@ -27,6 +27,7 @@
 package netrt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -917,7 +918,7 @@ func (h *hub) writeData(hp *hubPeer, kind byte, seq uint64, payload []byte) {
 // waiting out its silence deadline; query bits are only charged for
 // fetches that actually served bits.
 func (h *hub) answerQuery(hp *hubPeer, payload []byte) {
-	tag, indices, ok := decodeQuery(payload, h.cfg.L)
+	tag, indices, hdrLen, ok := decodeQuery(payload, h.cfg.L)
 	if !ok {
 		return
 	}
@@ -926,6 +927,7 @@ func (h *hub) answerQuery(hp *hubPeer, payload []byte) {
 			return
 		}
 	}
+	hdr := payload[:hdrLen] // echoed verbatim: the client matches replies by these bytes
 	hp.mu.Lock()
 	hp.srcServes++
 	serve := hp.srcServes
@@ -950,12 +952,12 @@ func (h *hub) answerQuery(hp *hubPeer, payload []byte) {
 		hp.replySeq++
 		seq := hp.replySeq
 		hp.mu.Unlock()
-		out := encodeQueryHeader(tag, indices)
+		out := append(make([]byte, 0, hdrLen+1), hdr...)
 		out = append(out, byte(kind))
 		h.transmit(hp, kQErr, seq, srcID, out, 0)
 		return
 	}
-	key := qkeyOf(tag, indices)
+	key := qkeyOfHeader(tag, hdr)
 	hp.mu.Lock()
 	if hp.charged == nil {
 		hp.charged = make(map[qkey]bool)
@@ -973,10 +975,10 @@ func (h *hub) answerQuery(hp *hubPeer, payload []byte) {
 		h.met.queryServed(int(hp.id), len(indices))
 	}
 
-	out := encodeQueryHeader(tag, indices)
-	raw := rep.Bits.Bytes()
-	out = binary.AppendUvarint(out, uint64(len(raw)))
-	out = append(out, raw...)
+	n := rep.Bits.EncodedLen()
+	out := append(make([]byte, 0, hdrLen+binary.MaxVarintLen64+n), hdr...)
+	out = binary.AppendUvarint(out, uint64(n))
+	out = rep.Bits.AppendTo(out)
 	if rep.Latency > 0 {
 		// Injected reply latency: the reply is already "delayed inside
 		// the source", so it skips the network plan's per-frame rolls.
@@ -990,29 +992,19 @@ func (h *hub) answerQuery(hp *hubPeer, payload []byte) {
 // seeded mirror for this serve, forward the covering leaf-range request,
 // and put its (possibly Byzantine) proof-carrying reply on the wire
 // verbatim. Verification — and therefore all Q charging — happens on the
-// client; the hub never vouches for a mirror's bits.
+// client; the hub never vouches for a mirror's bits. The fleet is asked
+// for a leaf span, so the header is scanned for its bounds, not decoded.
 func (h *hub) answerMirrorQuery(hp *hubPeer, payload []byte) {
-	tag, indices, ok := decodeQuery(payload, h.cfg.L)
+	_, count, hdrLen, lo, hi, ok := scanQuery(payload, h.cfg.L)
 	if !ok {
 		return
 	}
-	if len(indices) == 0 {
+	if count == 0 {
 		h.answerQuery(hp, payload)
 		return
 	}
-	for _, idx := range indices {
-		if idx < 0 || idx >= h.cfg.L {
-			return
-		}
-	}
-	lo, hi := indices[0], indices[0]
-	for _, idx := range indices[1:] {
-		if idx < lo {
-			lo = idx
-		}
-		if idx > hi {
-			hi = idx
-		}
+	if lo < 0 || hi >= h.cfg.L {
+		return
 	}
 	hp.mu.Lock()
 	hp.srcServes++
@@ -1020,14 +1012,11 @@ func (h *hub) answerMirrorQuery(hp *hubPeer, payload []byte) {
 	hp.replySeq++
 	seq := hp.replySeq
 	hp.mu.Unlock()
-	p := h.mirror.Params()
-	leafLo, leafHi := p.LeafSpan(lo, hi)
+	leafLo, leafHi := h.mirror.Params().LeafSpan(lo, hi)
 	rep := h.mirror.ServeMirror(source.RangeRequest{
 		Peer: int(hp.id), Ordinal: serve, LeafLo: leafLo, LeafHi: leafHi,
 	})
-	out := encodeQueryHeader(tag, indices)
-	out = encodeProofReply(out, rep)
-	h.transmit(hp, kQProof, seq, srcID, out, 0)
+	h.transmit(hp, kQProof, seq, srcID, encodeProofReply(payload[:hdrLen], rep), 0)
 }
 
 func (h *hub) markDone(hp *hubPeer, payload []byte) {
@@ -1493,9 +1482,7 @@ func (c *client) drainLocal() {
 // the protocol's original reply by merging warm and fetched bits.
 func (c *client) finishReply(tag int, indices []int, bits *bitarray.Array, full []int) {
 	if c.persist != nil {
-		for j, idx := range indices {
-			c.persist.LearnFromSource(idx, bits.Get(j))
-		}
+		c.persist.LearnIndexedFromSource(indices, bits)
 	}
 	if full != nil && c.persist != nil {
 		merged := bitarray.New(len(full))
@@ -1724,31 +1711,31 @@ func (c *client) handleFrame(kind byte, seq uint64, payload []byte) {
 		if !fresh {
 			return
 		}
-		tag, indices, ok := decodeQuery(payload, c.cfg.L)
+		tag, count, hdrLen, _, _, ok := scanQuery(payload, c.cfg.L)
 		if !ok {
 			dbg("client %d: malformed qreply", c.id)
 			return
 		}
-		rest := payload[queryHeaderLen(tag, indices):]
+		hdr, rest := payload[:hdrLen], payload[hdrLen:]
 		n64, n := binary.Uvarint(rest)
-		if n <= 0 || int(n64) > len(rest[n:]) {
+		if n <= 0 || n64 > uint64(len(rest[n:])) {
 			return
 		}
 		bits, err := bitarray.FromBytes(rest[n : n+int(n64)])
-		if err != nil {
-			return
+		if err != nil || bits.Len() != count {
+			return // one bit per index, or it is line noise
 		}
 		// Retry matching: a retried query may draw several replies; only
 		// as many as are owed reach the protocol, keeping duplicated and
 		// replayed replies idempotent.
-		key := qkeyOf(tag, indices)
+		key := qkeyOfHeader(tag, hdr)
 		now := time.Now()
 		c.mu.Lock()
-		pq := c.queries[key]
+		pq := c.pendingFor(key, hdr)
 		owed := pq != nil && pq.count > 0
-		var full []int
+		var indices, full []int
 		if owed {
-			full = pq.full
+			indices, full = pq.indices, pq.full
 			pq.count--
 			if pq.count == 0 {
 				delete(c.queries, key)
@@ -1806,20 +1793,20 @@ func (c *client) handleFrame(kind byte, seq uint64, payload []byte) {
 		if !fresh {
 			return
 		}
-		tag, indices, ok := decodeQuery(payload, c.cfg.L)
+		tag, _, hdrLen, _, _, ok := scanQuery(payload, c.cfg.L)
 		if !ok {
 			dbg("client %d: malformed qerr", c.id)
 			return
 		}
-		rest := payload[queryHeaderLen(tag, indices):]
+		hdr, rest := payload[:hdrLen], payload[hdrLen:]
 		if len(rest) < 1 {
 			return
 		}
 		kind := source.Kind(rest[0])
-		key := qkeyOf(tag, indices)
+		key := qkeyOfHeader(tag, hdr)
 		nowS := time.Since(c.start).Seconds()
 		c.mu.Lock()
-		pq := c.queries[key]
+		pq := c.pendingFor(key, hdr)
 		if pq == nil || c.terminated {
 			c.mu.Unlock()
 			return
@@ -1843,23 +1830,47 @@ func (c *client) handleFrame(kind byte, seq uint64, payload []byte) {
 	}
 }
 
+// pendingFor returns the pending query whose QUERY frame carried exactly
+// the header hdr (key is qkeyOfHeader of it), or nil: a reply echoing any
+// other bytes — another query's, or noise that still parses — is nobody's.
+// Caller holds c.mu.
+func (c *client) pendingFor(key qkey, hdr []byte) *pendingQuery {
+	if pq := c.queries[key]; pq != nil && bytes.Equal(pq.payload, hdr) {
+		return pq
+	}
+	return nil
+}
+
 // handleProofReply runs the mirror tier's client half: verify the
 // proof-carrying reply against the authoritative root and either serve
 // the verified bits to the protocol (charging them into Q) or flip the
 // pending query to the QUERYSRC fallback. A malformed body is dropped
 // like line noise — the silence deadline re-issues the query.
 func (c *client) handleProofReply(payload []byte) {
-	tag, indices, ok := decodeQuery(payload, c.cfg.L)
+	tag, _, hdrLen, _, _, ok := scanQuery(payload, c.cfg.L)
 	if !ok {
 		dbg("client %d: malformed qproof header", c.id)
 		return
 	}
-	rep, ok := decodeProofReply(payload[queryHeaderLen(tag, indices):])
+	hdr := payload[:hdrLen]
+	rep, ok := decodeProofReply(payload[hdrLen:])
 	if !ok {
 		dbg("client %d: malformed qproof body", c.id)
 		return
 	}
+	// Only this goroutine settles or deletes a pending query, so pq and
+	// its index list stay valid across the unlocked verification below.
+	key := qkeyOfHeader(tag, hdr)
 	c.mu.Lock()
+	pq := c.pendingFor(key, hdr)
+	owed := pq != nil && pq.count > 0
+	if !owed {
+		c.dupsDeduped++
+		c.met.dupDropped(int(c.id))
+		c.mu.Unlock()
+		return
+	}
+	indices := pq.indices
 	rootKnown, root := c.rootKnown, c.root
 	c.mu.Unlock()
 	// Verify outside the lock: SHA-256 over the span must not stall the
@@ -1869,30 +1880,12 @@ func (c *client) handleProofReply(payload []byte) {
 		merkle.Verify(root, c.mparams, rep.LeafLo, rep.LeafHi, rep.Bits, rep.Proof)
 	var bits *bitarray.Array
 	if verified {
-		base := rep.LeafLo * c.mparams.LeafBits
-		bits = bitarray.New(len(indices))
-		for j, idx := range indices {
-			off := idx - base
-			if off < 0 || off >= rep.Bits.Len() {
-				// Verified span does not cover the request: treat as a
-				// mirror failure rather than trusting partial coverage.
-				verified, bits = false, nil
-				break
-			}
-			bits.Set(j, rep.Bits.Get(off))
-		}
+		// A verified span that does not cover the request is a mirror
+		// failure, not partial coverage to be trusted.
+		bits, verified = rep.Bits.GatherFrom(indices, rep.LeafLo*c.mparams.LeafBits)
 	}
-	key := qkeyOf(tag, indices)
 	now := time.Now()
 	c.mu.Lock()
-	pq := c.queries[key]
-	owed := pq != nil && pq.count > 0
-	if !owed {
-		c.dupsDeduped++
-		c.met.dupDropped(int(c.id))
-		c.mu.Unlock()
-		return
-	}
 	if verified {
 		full := pq.full
 		pq.count--
@@ -2130,7 +2123,7 @@ func (c *client) Query(tag int, indices []int) {
 		}
 	}
 	payload := encodeQueryHeader(tag, wireIdx)
-	key := qkeyOf(tag, wireIdx)
+	key := qkeyOfHeader(tag, payload)
 	now := time.Now()
 	c.mu.Lock()
 	if c.terminated {
@@ -2140,7 +2133,7 @@ func (c *client) Query(tag int, indices []int) {
 	pq := c.queries[key]
 	if pq == nil {
 		c.qOrd++
-		pq = &pendingQuery{payload: payload, ord: c.qOrd, srcKind: kQuery}
+		pq = &pendingQuery{payload: payload, indices: wireIdx, ord: c.qOrd, srcKind: kQuery}
 		c.queries[key] = pq
 	}
 	if len(wireIdx) < len(indices) {

@@ -27,18 +27,19 @@ const qproofRefused byte = 0x01
 // legitimate tree over L ≤ maxFrame bits never has more leaves.
 const qproofMaxLeaf = maxFrame
 
-// encodeProofReply appends the QPROOF body for rep to out (the encoded
-// query header) and returns the extended slice.
-func encodeProofReply(out []byte, rep source.RangeReply) []byte {
+// encodeProofReply returns a QPROOF payload: hdr (the encoded query
+// header) followed by the body for rep, in a buffer of its own sized once.
+func encodeProofReply(hdr []byte, rep source.RangeReply) []byte {
 	if rep.Refused {
-		return append(out, qproofRefused)
+		return append(append(make([]byte, 0, len(hdr)+1), hdr...), qproofRefused)
 	}
-	out = append(out, 0)
+	nbits := rep.Bits.EncodedLen()
+	out := make([]byte, 0, len(hdr)+1+3*binary.MaxVarintLen64+nbits+rep.Proof.EncodedLen())
+	out = append(append(out, hdr...), 0)
 	out = binary.AppendUvarint(out, uint64(rep.LeafLo))
 	out = binary.AppendUvarint(out, uint64(rep.LeafHi))
-	raw := rep.Bits.Bytes()
-	out = binary.AppendUvarint(out, uint64(len(raw)))
-	out = append(out, raw...)
+	out = binary.AppendUvarint(out, uint64(nbits))
+	out = rep.Bits.AppendTo(out)
 	return rep.Proof.AppendTo(out)
 }
 
@@ -57,9 +58,7 @@ func MarshalRootFrame(root [merkle.HashBytes]byte) []byte {
 // MarshalProofFrame encodes a complete QPROOF frame: the query header
 // echoing the request, then the proof-carrying body for rep.
 func MarshalProofFrame(seq uint64, tag int, indices []int, rep source.RangeReply) []byte {
-	payload := encodeQueryHeader(tag, indices)
-	payload = encodeProofReply(payload, rep)
-	return appendFrame(nil, kQProof, seq, payload)
+	return appendFrame(nil, kQProof, seq, encodeProofReply(encodeQueryHeader(tag, indices), rep))
 }
 
 // MarshalQuerySrcFrame encodes a complete QUERYSRC frame: the
@@ -91,21 +90,21 @@ func RoundTripMirrorFrame(data []byte) ([]byte, error) {
 		copy(root[:], payload)
 		return MarshalRootFrame(root), nil
 	case kQProof:
-		tag, indices, ok := decodeQuery(payload, -1)
+		tag, indices, hdrLen, ok := decodeQuery(payload, -1)
 		if !ok {
 			return nil, fmt.Errorf("netrt: malformed QPROOF query header")
 		}
-		rep, ok := decodeProofReply(payload[queryHeaderLen(tag, indices):])
+		rep, ok := decodeProofReply(payload[hdrLen:])
 		if !ok {
 			return nil, fmt.Errorf("netrt: malformed QPROOF body")
 		}
 		return MarshalProofFrame(seq, tag, indices, rep), nil
 	case kQuerySrc:
-		tag, indices, ok := decodeQuery(payload, -1)
+		tag, indices, hdrLen, ok := decodeQuery(payload, -1)
 		if !ok {
 			return nil, fmt.Errorf("netrt: malformed QUERYSRC header")
 		}
-		if queryHeaderLen(tag, indices) != len(payload) {
+		if hdrLen != len(payload) {
 			return nil, fmt.Errorf("netrt: trailing bytes in QUERYSRC payload")
 		}
 		return MarshalQuerySrcFrame(seq, tag, indices), nil

@@ -1,10 +1,11 @@
 package netrt
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"time"
 
-	"repro/internal/adversary"
+	"repro/internal/hashmix"
 )
 
 // This file holds the resilience primitives both endpoints use to survive
@@ -231,28 +232,49 @@ func (d *dedupWindow) admit(seq uint64) bool {
 	return true
 }
 
-// qkey identifies one logical source query for retry matching: the tag
-// plus a hash of the index set, so concurrent same-tag queries with
+// qkey identifies one logical source query for retry matching and charge
+// dedup: the tag plus a hash of the QUERY header's bytes (SPEC §2.3: a
+// retry is the identical QUERY frame), so concurrent same-tag queries with
 // different indices keep separate retry state.
 type qkey struct {
 	tag int
 	h   uint64
 }
 
-func qkeyOf(tag int, indices []int) qkey {
-	words := make([]uint64, 0, len(indices)+1)
-	words = append(words, uint64(len(indices)))
-	for _, idx := range indices {
-		words = append(words, uint64(int64(idx)))
+// qkeyOfHeader keys a query by its encoded header: the client hashes the
+// payload it encoded, the hub and the reply handlers the header bytes of
+// the frame in hand, so no side builds an index list to match a query.
+// Eight header bytes cost one Mix, which is a bijection: headers of one
+// length that differ in a single byte always get different keys. The words
+// go round four lanes because one Mix must finish before the next on its
+// lane can start, and a whole-array header is 32,768 of them.
+func qkeyOfHeader(tag int, hdr []byte) qkey {
+	lane := [4]uint64{0x9E3779B97F4A7C15 ^ uint64(len(hdr)), 1, 2, 3}
+	for ; len(hdr) >= 32; hdr = hdr[32:] {
+		lane[0] = hashmix.Mix(lane[0] ^ binary.LittleEndian.Uint64(hdr))
+		lane[1] = hashmix.Mix(lane[1] ^ binary.LittleEndian.Uint64(hdr[8:]))
+		lane[2] = hashmix.Mix(lane[2] ^ binary.LittleEndian.Uint64(hdr[16:]))
+		lane[3] = hashmix.Mix(lane[3] ^ binary.LittleEndian.Uint64(hdr[24:]))
 	}
-	return qkey{tag: tag, h: adversary.Mix64(words...)}
+	var tail [32]byte
+	copy(tail[:], hdr)
+	h := uint64(0)
+	for i, l := range lane {
+		h = hashmix.Mix(h ^ hashmix.Mix(l^binary.LittleEndian.Uint64(tail[8*i:])))
+	}
+	return qkey{tag: tag, h: h}
 }
 
 // pendingQuery tracks one outstanding source query awaiting its reply.
 type pendingQuery struct {
-	payload  []byte // encoded query header, re-sent verbatim on retry
-	count    int    // outstanding identical queries (replies owed)
-	attempts int    // send attempts so far (the silence budget)
+	payload []byte // encoded query header, re-sent verbatim on retry
+	// indices is the list payload encodes — the slice the protocol handed
+	// to Query, kept, not copied, as sim.Context.Query allows. A reply is
+	// served from it, never from the indices a reply frame claims.
+	indices []int
+
+	count    int // outstanding identical queries (replies owed)
+	attempts int // send attempts so far (the silence budget)
 	deadline time.Time
 	gaveUp   bool
 	// ord is the client's monotonic logical-query counter, identifying

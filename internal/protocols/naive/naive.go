@@ -67,9 +67,7 @@ func (p *Peer) init(env *sim.Env, em *sim.Emitter) {
 }
 
 func (p *Peer) onQueryReply(r sim.QueryReply, em *sim.Emitter) {
-	for j, idx := range r.Indices {
-		p.track.LearnFromSource(idx, r.Bits.Get(j))
-	}
+	p.track.LearnIndexedFromSource(r.Indices, r.Bits)
 	if p.track.Complete() {
 		out, err := p.track.Output()
 		if err != nil {

@@ -352,9 +352,9 @@ func (c *recordCtx) Send(to PeerID, m Message) { c.em.Send(to, m) }
 func (c *recordCtx) Broadcast(m Message)       { c.em.Broadcast(m) }
 
 // Query records a copy of the indices: a recorded action may be applied
-// long after the handler returned, and peers are allowed to reuse their
-// index scratch buffers once Context.Query returns (the runtimes copy at
-// call time).
+// long after the handler returned, and the runtime it reaches may keep the
+// slice until the reply (see Context.Query), so the copy is the action's
+// own.
 func (c *recordCtx) Query(tag int, indices []int) {
 	c.em.Query(tag, append([]int(nil), indices...))
 }

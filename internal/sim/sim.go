@@ -76,6 +76,8 @@ type Context interface {
 	// Query asynchronously requests the source values at the given
 	// indices; the reply arrives later via OnQueryReply carrying tag.
 	// Query complexity accounting charges len(indices) bits immediately.
+	// A runtime may keep indices until the reply is delivered (the socket
+	// runtime serves the reply from it): do not write to it afterwards.
 	Query(tag int, indices []int)
 
 	// Output records the peer's output array (its claim about X).

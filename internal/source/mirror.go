@@ -280,16 +280,13 @@ func (m *Mirrored) Fetch(req Request) (Reply, error) {
 	p := m.tree.Params()
 	leafLo, leafHi := p.LeafSpan(lo, hi)
 	rep := m.ServeMirror(RangeRequest{Peer: req.Peer, Ordinal: req.Ordinal, LeafLo: leafLo, LeafHi: leafHi})
-	verified := !rep.Refused &&
-		merkle.Verify(m.root, p, leafLo, leafHi, rep.Bits, rep.Proof)
-	if verified {
-		bits := bitarray.New(len(req.Indices))
-		base := leafLo * p.LeafBits
-		for j, idx := range req.Indices {
-			bits.Set(j, rep.Bits.Get(idx-base))
+	if !rep.Refused && merkle.Verify(m.root, p, leafLo, leafHi, rep.Bits, rep.Proof) {
+		// The verified span covers [lo, hi] by construction of LeafSpan; a
+		// span that somehow does not is a mirror failure like any other.
+		if bits, ok := rep.Bits.GatherFrom(req.Indices, leafLo*p.LeafBits); ok {
+			m.record(req.Peer, MirrorStats{MirrorHits: 1})
+			return Reply{Bits: bits}, nil
 		}
-		m.record(req.Peer, MirrorStats{MirrorHits: 1})
-		return Reply{Bits: bits}, nil
 	}
 	st := MirrorStats{FallbackQueries: 1}
 	if !rep.Refused {

@@ -51,11 +51,7 @@ func NewTrusted(input *bitarray.Array) *Trusted { return &Trusted{input: input} 
 // Fetch answers the query directly from the array. Out-of-range indices
 // panic (callers validate against L first, as the runtimes always have).
 func (t *Trusted) Fetch(req Request) (Reply, error) {
-	bits := bitarray.New(len(req.Indices))
-	for j, idx := range req.Indices {
-		bits.Set(j, t.input.Get(idx))
-	}
-	return Reply{Bits: bits}, nil
+	return Reply{Bits: t.input.Gather(req.Indices)}, nil
 }
 
 // Faulty wraps a Source with a FaultPlan: queries crossing it suffer the
