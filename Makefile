@@ -181,6 +181,7 @@ cover:
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
 # Deterministic-simulation harness deep gate (see docs/TESTING.md):
+#  0. the pinned replay corpus, byte for byte, through the shipped binary;
 #  1. the dst suite (record/replay determinism, shrinker, replay corpus);
 #  2. strategy search over the Byzantine-capable protocols below their β
 #     thresholds — fixed seeds make every run reproducible; any finding
@@ -189,6 +190,7 @@ cover:
 #     same search MUST find a violation, or the harness itself is broken.
 DST_BUDGET ?= 3m
 dst-search:
+	$(GO) run ./cmd/drshrink verify internal/dst/testdata/replays/*.dsr
 	$(GO) test -count=1 -timeout $(TIMEOUT) ./internal/dst/ ./internal/adversary/
 	$(GO) run ./cmd/drshrink search -protocol committee  -n 4 -t 1 -L 32 -seed 101 -strategies 48 -schedules 6 -budget $(DST_BUDGET) -out-dir dst-findings
 	$(GO) run ./cmd/drshrink search -protocol committee  -n 7 -t 3 -L 70 -seed 102 -strategies 24 -schedules 4 -budget $(DST_BUDGET) -out-dir dst-findings

@@ -1,0 +1,60 @@
+package main
+
+import (
+	"os"
+	"path/filepath"
+	"regexp"
+	"testing"
+)
+
+const corpus = "../../internal/dst/testdata/replays"
+
+// TestVerifyCorpus pins the CI step `drshrink verify <corpus>`: every
+// committed replay reproduces its expectation and event hash through the
+// shipped binary's code path, exit 0.
+func TestVerifyCorpus(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join(corpus, "*.dsr"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no replay corpus under %s (err %v)", corpus, err)
+	}
+	if code := run(append([]string{"verify"}, files...)); code != 0 {
+		t.Fatalf("verify over the committed corpus exited %d, want 0", code)
+	}
+}
+
+// TestVerifyRejectsWrongHash: one hex digit of event_hash changed is a
+// replay that no longer reproduces its recording — exit 1, also when the
+// other files on the command line are fine.
+func TestVerifyRejectsWrongHash(t *testing.T) {
+	good := filepath.Join(corpus, "committee-correct-pinned.dsr")
+	b, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	re := regexp.MustCompile(`"event_hash": "([0-9a-f])`)
+	m := re.FindSubmatchIndex(b)
+	if m == nil {
+		t.Fatalf("%s has no event_hash", good)
+	}
+	if b[m[2]] == '0' {
+		b[m[2]] = '1'
+	} else {
+		b[m[2]] = '0'
+	}
+	bad := filepath.Join(t.TempDir(), "tampered.dsr")
+	if err := os.WriteFile(bad, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := run([]string{"verify", good, bad}); code != 1 {
+		t.Fatalf("verify of a tampered event_hash exited %d, want 1", code)
+	}
+}
+
+// TestUsageErrors pins exit 2 for what is not a command line at all.
+func TestUsageErrors(t *testing.T) {
+	for _, args := range [][]string{nil, {"frobnicate"}, {"verify"}} {
+		if code := run(args); code != 2 {
+			t.Errorf("run(%q) exited %d, want 2", args, code)
+		}
+	}
+}

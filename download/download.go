@@ -339,16 +339,14 @@ type Report struct {
 // errors are returned; protocol-level failures are reported in the
 // Report (Correct=false with Failures).
 func Run(opts Options) (*Report, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	if opts.TCP {
-		return runTCP(opts)
-	}
-	spec, err := buildSpec(opts)
+	r, err := opts.validate()
 	if err != nil {
 		return nil, err
 	}
+	if opts.TCP {
+		return runTCP(opts, r)
+	}
+	spec := buildSpec(opts, r)
 	var rec *trace.Recorder
 	if opts.TraceJSONL != nil {
 		rec = trace.NewRecorder(opts.TraceJSONL)
@@ -374,75 +372,95 @@ func Run(opts Options) (*Report, error) {
 	return buildReport(res), nil
 }
 
+// resolved is what checked options come to: the values every runtime's
+// set-up needs, derived in one place.
+type resolved struct {
+	factory    func(sim.PeerID) sim.Peer
+	msgBits    int // Options.MsgBits, or max(64, L/N) when that is 0
+	input      *bitarray.Array
+	srcPlan    *source.FaultPlan
+	mirrorPlan *source.MirrorPlan
+	churn      []sim.ChurnPeer
+	faulty     int // number of peers misbehaving per Options.Behavior
+}
+
 // validate catches option-level misconfiguration with a specific error
 // before spec construction: every case here either slipped through to a
 // confusing sim-level message before, or — like a negative Faulty count —
-// silently degenerated into a run with no faults at all.
-func (o *Options) validate() error {
-	if _, err := o.Protocol.Factory(); err != nil {
-		return err
+// silently degenerated into a run with no faults at all. What it parses
+// and derives on the way it hands back.
+func (o *Options) validate() (*resolved, error) {
+	r := &resolved{msgBits: o.MsgBits}
+	var err error
+	if r.factory, err = o.Protocol.Factory(); err != nil {
+		return nil, err
 	}
 	switch {
 	case o.N < 2:
-		return fmt.Errorf("download: need at least 2 peers, have N=%d", o.N)
+		return nil, fmt.Errorf("download: need at least 2 peers, have N=%d", o.N)
 	case o.L <= 0:
-		return fmt.Errorf("download: input length L=%d must be positive", o.L)
+		return nil, fmt.Errorf("download: input length L=%d must be positive", o.L)
 	case o.T < 0 || o.T >= o.N:
-		return fmt.Errorf("download: fault bound T=%d outside [0, N) for N=%d", o.T, o.N)
+		return nil, fmt.Errorf("download: fault bound T=%d outside [0, N) for N=%d", o.T, o.N)
 	case o.MsgBits < 0:
-		return fmt.Errorf("download: message size MsgBits=%d must not be negative (0 derives a default)", o.MsgBits)
+		return nil, fmt.Errorf("download: message size MsgBits=%d must not be negative (0 derives a default)", o.MsgBits)
 	case o.Faulty < 0:
-		return fmt.Errorf("download: Faulty=%d must not be negative", o.Faulty)
+		return nil, fmt.Errorf("download: Faulty=%d must not be negative", o.Faulty)
 	case o.Deadline < 0:
-		return fmt.Errorf("download: Deadline=%g must not be negative", o.Deadline)
+		return nil, fmt.Errorf("download: Deadline=%g must not be negative", o.Deadline)
 	case o.Input != nil && len(o.Input) != o.L:
-		return fmt.Errorf("download: input length %d != L=%d", len(o.Input), o.L)
+		return nil, fmt.Errorf("download: input length %d != L=%d", len(o.Input), o.L)
 	case o.Live && o.TCP:
-		return errors.New("download: Live and TCP are mutually exclusive")
+		return nil, errors.New("download: Live and TCP are mutually exclusive")
 	case o.LiveTimeScale < 0:
-		return fmt.Errorf("download: LiveTimeScale=%v must not be negative", o.LiveTimeScale)
+		return nil, fmt.Errorf("download: LiveTimeScale=%v must not be negative", o.LiveTimeScale)
 	case o.LiveTimeScale > 0 && !o.Live:
-		return errors.New("download: LiveTimeScale requires Live")
+		return nil, errors.New("download: LiveTimeScale requires Live")
 	}
-	if o.SourceFaults != "" {
-		if _, err := source.ParsePlan(o.SourceFaults); err != nil {
-			return err
-		}
+	if r.srcPlan, err = source.ParsePlan(o.SourceFaults); err != nil {
+		return nil, err
 	}
-	if o.Mirrors != "" {
-		if _, err := source.ParseMirrorPlan(o.Mirrors); err != nil {
-			return err
-		}
+	if r.mirrorPlan, err = source.ParseMirrorPlan(o.Mirrors); err != nil {
+		return nil, err
 	}
 	if err := o.validateChurn(); err != nil {
-		return err
+		return nil, err
 	}
 	switch o.Behavior {
-	case NoFaults, CrashImmediate, CrashRandom, Silent, Spam, Liar, Equivocate:
-	default:
-		return fmt.Errorf("download: unknown behavior %q", o.Behavior)
-	}
-	if o.Behavior == NoFaults {
+	case NoFaults:
 		if o.Faulty != 0 {
-			return errors.New("download: faulty peers given without a behavior")
+			return nil, errors.New("download: faulty peers given without a behavior")
 		}
-		return nil
+	case CrashImmediate, CrashRandom, Silent, Spam, Liar, Equivocate:
+		r.faulty = o.Faulty
+		if r.faulty == 0 {
+			r.faulty = o.T
+		}
+		if r.faulty >= o.N {
+			return nil, fmt.Errorf("download: %d faulty peers leaves no honest peer (N=%d)", r.faulty, o.N)
+		}
+		if r.faulty > o.T && !o.AllowExcessFaults {
+			return nil, fmt.Errorf("download: %d faulty exceeds bound T=%d (set AllowExcessFaults to model a violated fault bound)", r.faulty, o.T)
+		}
+		if o.TCP && o.Behavior != CrashImmediate {
+			return nil, &UnsupportedError{Runtime: "tcp", Feature: fmt.Sprintf("behavior %q", o.Behavior),
+				Reason: "sockets implement crash-from-start faults only"}
+		}
+	default:
+		return nil, fmt.Errorf("download: unknown behavior %q", o.Behavior)
 	}
-	count := o.Faulty
-	if count == 0 {
-		count = o.T
+	if r.msgBits == 0 {
+		r.msgBits = max(64, o.L/o.N)
 	}
-	if count >= o.N {
-		return fmt.Errorf("download: %d faulty peers leaves no honest peer (N=%d)", count, o.N)
+	if o.Input != nil {
+		r.input = bitarray.FromBools(o.Input)
 	}
-	if count > o.T && !o.AllowExcessFaults {
-		return fmt.Errorf("download: %d faulty exceeds bound T=%d (set AllowExcessFaults to model a violated fault bound)", count, o.T)
+	for _, cp := range o.Churn {
+		r.churn = append(r.churn, sim.ChurnPeer{
+			Peer: sim.PeerID(cp.Peer), CrashAfter: cp.CrashAfter, Downtime: cp.Downtime,
+		})
 	}
-	if o.TCP && o.Behavior != CrashImmediate {
-		return &UnsupportedError{Runtime: "tcp", Feature: fmt.Sprintf("behavior %q", o.Behavior),
-			Reason: "sockets implement crash-from-start faults only"}
-	}
-	return nil
+	return r, nil
 }
 
 // validateChurn checks the churn schedule against the selected runtime.
@@ -474,61 +492,15 @@ func (o *Options) validateChurn() error {
 	return nil
 }
 
-// runTCP maps the options onto the real-socket runtime.
-func runTCP(opts Options) (*Report, error) {
-	if opts.Live {
-		return nil, errors.New("download: Live and TCP are mutually exclusive")
-	}
-	factory, err := opts.Protocol.Factory()
-	if err != nil {
-		return nil, err
-	}
-	var absent []sim.PeerID
-	switch opts.Behavior {
-	case NoFaults:
-	case CrashImmediate:
-		count := opts.Faulty
-		if count == 0 {
-			count = opts.T
-		}
-		absent = adversary.SpreadFaulty(opts.N, count)
-	default:
-		return nil, &UnsupportedError{Runtime: "tcp", Feature: fmt.Sprintf("behavior %q", opts.Behavior),
-			Reason: "sockets implement crash-from-start faults only"}
-	}
-	churn := make([]sim.ChurnPeer, 0, len(opts.Churn))
-	for _, cp := range opts.Churn {
-		churn = append(churn, sim.ChurnPeer{
-			Peer: sim.PeerID(cp.Peer), CrashAfter: cp.CrashAfter, Downtime: cp.Downtime,
-		})
-	}
-	var input *bitarray.Array
-	if opts.Input != nil {
-		if len(opts.Input) != opts.L {
-			return nil, fmt.Errorf("download: input length %d != L=%d", len(opts.Input), opts.L)
-		}
-		input = bitarray.FromBools(opts.Input)
-	}
-	msgBits := opts.MsgBits
-	if msgBits == 0 {
-		msgBits = opts.L / max(opts.N, 1)
-		if msgBits < 64 {
-			msgBits = 64
-		}
-	}
-	srcPlan, err := source.ParsePlan(opts.SourceFaults)
-	if err != nil {
-		return nil, err
-	}
-	mirrorPlan, err := source.ParseMirrorPlan(opts.Mirrors)
-	if err != nil {
-		return nil, err
-	}
+// runTCP maps the options onto the real-socket runtime. The faulty peers
+// are absent from the start: validate admits no other behavior on sockets.
+func runTCP(opts Options, r *resolved) (*Report, error) {
 	res, err := netrt.Run(netrt.Config{
-		N: opts.N, T: opts.T, L: opts.L, MsgBits: msgBits,
-		Seed: opts.Seed, NewPeer: factory, Absent: absent, Input: input,
-		SourceFaults: srcPlan, Mirrors: mirrorPlan,
-		Churn: churn, CheckpointDir: opts.CheckpointDir,
+		N: opts.N, T: opts.T, L: opts.L, MsgBits: r.msgBits,
+		Seed: opts.Seed, NewPeer: r.factory, Input: r.input,
+		Absent:       adversary.SpreadFaulty(opts.N, r.faulty),
+		SourceFaults: r.srcPlan, Mirrors: r.mirrorPlan,
+		Churn: r.churn, CheckpointDir: opts.CheckpointDir,
 		Metrics: opts.Metrics, Timeline: opts.Timeline, Label: string(opts.Protocol),
 	})
 	if err != nil {
@@ -537,107 +509,50 @@ func runTCP(opts Options) (*Report, error) {
 	return buildReport(res), nil
 }
 
-func buildSpec(opts Options) (*sim.Spec, error) {
-	factory, err := opts.Protocol.Factory()
-	if err != nil {
-		return nil, err
-	}
-	msgBits := opts.MsgBits
-	if msgBits == 0 {
-		msgBits = opts.L / max(opts.N, 1)
-		if msgBits < 64 {
-			msgBits = 64
-		}
-	}
-	var input *bitarray.Array
-	if opts.Input != nil {
-		if len(opts.Input) != opts.L {
-			return nil, fmt.Errorf("download: input length %d != L=%d", len(opts.Input), opts.L)
-		}
-		input = bitarray.FromBools(opts.Input)
-	}
-	spec := &sim.Spec{
+func buildSpec(opts Options, r *resolved) *sim.Spec {
+	faults := buildFaults(opts, r.faulty)
+	faults.Churn = r.churn
+	return &sim.Spec{
 		Config: sim.Config{
 			N: opts.N, T: opts.T, L: opts.L,
-			MsgBits: msgBits, Seed: opts.Seed, Input: input,
+			MsgBits: r.msgBits, Seed: opts.Seed, Input: r.input,
 		},
-		NewPeer:  factory,
-		Delays:   adversary.NewRandomUnit(opts.Seed + 1000003),
-		Trace:    opts.Trace,
-		Metrics:  opts.Metrics,
-		Timeline: opts.Timeline,
-		Label:    string(opts.Protocol),
-		Deadline: opts.Deadline,
-		Workers:  opts.Workers,
+		NewPeer:      r.factory,
+		Delays:       adversary.NewRandomUnit(opts.Seed + 1000003),
+		Faults:       faults,
+		SourceFaults: r.srcPlan,
+		Mirrors:      r.mirrorPlan,
+		Trace:        opts.Trace,
+		Metrics:      opts.Metrics,
+		Timeline:     opts.Timeline,
+		Label:        string(opts.Protocol),
+		Deadline:     opts.Deadline,
+		Workers:      opts.Workers,
 	}
-	srcPlan, err := source.ParsePlan(opts.SourceFaults)
-	if err != nil {
-		return nil, err
-	}
-	spec.SourceFaults = srcPlan
-	mirrorPlan, err := source.ParseMirrorPlan(opts.Mirrors)
-	if err != nil {
-		return nil, err
-	}
-	spec.Mirrors = mirrorPlan
-	faults, err := buildFaults(opts)
-	if err != nil {
-		return nil, err
-	}
-	for _, cp := range opts.Churn {
-		faults.Churn = append(faults.Churn, sim.ChurnPeer{
-			Peer: sim.PeerID(cp.Peer), CrashAfter: cp.CrashAfter, Downtime: cp.Downtime,
-		})
-	}
-	spec.Faults = faults
-	return spec, nil
 }
 
-func buildFaults(opts Options) (sim.FaultSpec, error) {
+// buildFaults places count faulty peers of the validated behavior.
+func buildFaults(opts Options, count int) sim.FaultSpec {
 	if opts.Behavior == NoFaults {
-		if opts.Faulty != 0 {
-			return sim.FaultSpec{}, errors.New("download: faulty peers given without a behavior")
-		}
-		return sim.FaultSpec{Model: sim.FaultNone}, nil
+		return sim.FaultSpec{Model: sim.FaultNone}
 	}
-	count := opts.Faulty
-	if count == 0 {
-		count = opts.T
+	f := sim.FaultSpec{
+		Faulty:      adversary.SpreadFaulty(opts.N, count),
+		AllowExcess: count > opts.T,
 	}
-	if count > opts.T && !opts.AllowExcessFaults {
-		return sim.FaultSpec{}, fmt.Errorf("download: %d faulty exceeds bound T=%d", count, opts.T)
-	}
-	excess := count > opts.T
-	faulty := adversary.SpreadFaulty(opts.N, count)
 	switch opts.Behavior {
 	case CrashImmediate:
-		return sim.FaultSpec{
-			Model: sim.FaultCrash, Faulty: faulty, AllowExcess: excess,
-			Crash: &adversary.CrashAll{Point: 0},
-		}, nil
+		f.Model, f.Crash = sim.FaultCrash, &adversary.CrashAll{Point: 0}
 	case CrashRandom:
-		return sim.FaultSpec{
-			Model: sim.FaultCrash, Faulty: faulty, AllowExcess: excess,
-			Crash: adversary.NewCrashRandom(opts.Seed+9, faulty, 100*opts.N),
-		}, nil
+		f.Model, f.Crash = sim.FaultCrash, adversary.NewCrashRandom(opts.Seed+9, f.Faulty, 100*opts.N)
 	case Silent:
-		return sim.FaultSpec{
-			Model: sim.FaultByzantine, Faulty: faulty, AllowExcess: excess,
-			NewByzantine: adversary.NewSilent,
-		}, nil
+		f.Model, f.NewByzantine = sim.FaultByzantine, adversary.NewSilent
 	case Spam:
-		return sim.FaultSpec{
-			Model: sim.FaultByzantine, Faulty: faulty, AllowExcess: excess,
-			NewByzantine: adversary.NewSpammer(8, 512),
-		}, nil
+		f.Model, f.NewByzantine = sim.FaultByzantine, adversary.NewSpammer(8, 512)
 	case Liar, Equivocate:
-		return sim.FaultSpec{
-			Model: sim.FaultByzantine, Faulty: faulty, AllowExcess: excess,
-			NewByzantine: liarFor(opts.Protocol, opts.Behavior),
-		}, nil
-	default:
-		return sim.FaultSpec{}, fmt.Errorf("download: unknown behavior %q", opts.Behavior)
+		f.Model, f.NewByzantine = sim.FaultByzantine, liarFor(opts.Protocol, opts.Behavior)
 	}
+	return f
 }
 
 // liarFor picks the strongest protocol-aware attacker available.

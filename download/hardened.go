@@ -96,7 +96,8 @@ func RunHardened(opts Options, pol harden.Policy) (*Report, error) {
 // and tests that want to skip or reorder rungs. The first rung must be
 // opts.Protocol.
 func RunHardenedLadder(opts Options, pol harden.Policy, ladder []Protocol) (*Report, error) {
-	if err := opts.validate(); err != nil {
+	r, err := opts.validate()
+	if err != nil {
 		return nil, err
 	}
 	if opts.TCP {
@@ -113,10 +114,7 @@ func RunHardenedLadder(opts Options, pol harden.Policy, ladder []Protocol) (*Rep
 		}
 		rungs[i] = harden.Rung{Name: string(p), NewPeer: factory}
 	}
-	spec, err := buildSpec(opts)
-	if err != nil {
-		return nil, err
-	}
+	spec := buildSpec(opts, r)
 	var rec *trace.Recorder
 	if opts.TraceJSONL != nil {
 		rec = trace.NewRecorder(opts.TraceJSONL)

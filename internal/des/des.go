@@ -1,9 +1,14 @@
 // Package des is the deterministic discrete-event runtime for the DR-model
-// simulation. Peers are event-driven state machines (sim.Peer); the engine
-// maintains a virtual clock and a priority queue of pending deliveries
-// whose latencies are chosen by the adversary's sim.DelayPolicy. Given a
-// seed, executions are fully reproducible: ties in delivery time break by
-// insertion sequence.
+// simulation, and the only in-process event loop: one engine, two
+// schedulers. Peers are event-driven state machines (sim.Peer). Under Run
+// the engine maintains a virtual clock and a priority queue of pending
+// deliveries whose latencies are chosen by the adversary's
+// sim.DelayPolicy; ties in delivery time break by insertion sequence.
+// Under RunChoices the adversary schedules directly: a chooser picks which
+// pending event is delivered next, and time is the number of events
+// delivered (package dst records, replays, shrinks and searches such
+// runs; package explore enumerates them). Given a seed and, for
+// RunChoices, the decisions, executions are fully reproducible.
 //
 // The engine implements the paper's failure semantics:
 //
@@ -48,13 +53,55 @@ func (rt *Runtime) Run(spec *sim.Spec) (*sim.Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("des: %w", err)
 	}
-	e := newEngine(spec)
+	e := newEngine(spec, nil)
 	if e.parallelOK() {
 		e.runParallel()
 	} else {
 		e.run()
 	}
 	return e.result(), nil
+}
+
+// Schedule is what a RunChoices execution decided.
+type Schedule struct {
+	// Choices holds every decision taken, one per decision point, already
+	// reduced mod the fan-out at that point.
+	Choices []int
+	// MaxFanout is the largest number of events pending at a decision point.
+	MaxFanout int
+	// Panic is the value peer code panicked with, which ended the run then
+	// and there; nil for a run that ended by itself.
+	Panic any
+}
+
+// RunChoices executes the spec with the adversary as the scheduler. All
+// pending events — starts, messages, query replies, source retries and
+// breaker wakes, churn rejoins — wait in one list in arrival order;
+// whenever two or more wait, choose(decision, fanout) names the one
+// delivered next (decision counts decision points from 0, and the value
+// is reduced mod fanout). The clock is the number of events delivered, so
+// Result.Time still orders terminations, a source.FaultPlan's times count
+// steps, and a churn peer's Downtime only says whether it rejoins.
+// Result.Events is the step count.
+//
+// Spec.Delays is never consulted and Spec.Workers is ignored: every such
+// run is serial. The schedule space differs from Run's in a few places,
+// each marked where the engine branches on its chooser; package dst's
+// pinned replay corpus fixes them. A panic in peer code is a finding, not
+// a crash: the Result describes the run up to it.
+func RunChoices(spec *sim.Spec, choose func(decision, fanout int) int) (*sim.Result, Schedule, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, Schedule{}, fmt.Errorf("des: %w", err)
+	}
+	if spec.Deadline > 0 {
+		return nil, Schedule{}, fmt.Errorf("des: a choice-driven run has no virtual time for Deadline %g to bound; set Config.MaxEvents", spec.Deadline)
+	}
+	e := newEngine(spec, choose)
+	func() {
+		defer func() { e.sched.Panic = recover() }()
+		e.runChoices()
+	}()
+	return e.result(), e.sched, nil
 }
 
 type eventKind int
@@ -124,9 +171,13 @@ type peerState struct {
 }
 
 type engine struct {
-	spec    *sim.Spec
-	cfg     sim.Config
-	input   *bitarray.Array
+	spec  *sim.Spec
+	cfg   sim.Config
+	input *bitarray.Array
+	// choose is nil under Run. Under RunChoices it picks the next event, and
+	// queue is then a plain list in arrival order instead of a heap.
+	choose  func(decision, fanout int) int
+	sched   Schedule
 	queue   eventQueue
 	free    []*event // recycled event structs (see alloc-budget tests)
 	seq     int64
@@ -160,11 +211,12 @@ type engine struct {
 	tl        *obs.Timeline
 }
 
-func newEngine(spec *sim.Spec) *engine {
+func newEngine(spec *sim.Spec, choose func(decision, fanout int) int) *engine {
 	cfg := spec.Config
 	e := &engine{
 		spec:    spec,
 		cfg:     cfg,
+		choose:  choose,
 		input:   cfg.ResolveInput(),
 		peers:   make([]*peerState, cfg.N),
 		current: -1,
@@ -254,7 +306,10 @@ func newEngine(spec *sim.Spec) *engine {
 	// Schedule starts.
 	for _, p := range e.peers {
 		ev := e.newEvent()
-		ev.at, ev.kind, ev.to = spec.Delays.StartDelay(p.id), evStart, p.id
+		ev.kind, ev.to = evStart, p.id
+		if choose == nil {
+			ev.at = spec.Delays.StartDelay(p.id)
+		}
 		e.push(ev)
 	}
 	return e
@@ -280,10 +335,26 @@ func (e *engine) release(ev *event) {
 	e.free = append(e.free, ev)
 }
 
+// push makes ev pending. A chooser indexes the pending events by arrival,
+// so for it they are appended and their times mean nothing.
 func (e *engine) push(ev *event) {
+	if e.choose != nil {
+		e.queue.es = append(e.queue.es, ev)
+		return
+	}
 	ev.seq = e.seq
 	e.seq++
 	e.queue.push(ev)
+}
+
+// count books one delivered event. A choice-driven run has no other clock:
+// its time is the number of events delivered so far.
+func (e *engine) count() {
+	e.events++
+	e.mEvents.Inc()
+	if e.choose != nil {
+		e.now = float64(e.events)
+	}
 }
 
 func (e *engine) run() {
@@ -319,6 +390,30 @@ func (e *engine) run() {
 			}
 			e.step(p, e.queue.pop())
 		}
+	}
+	e.queueExhausted()
+}
+
+// runChoices is run for RunChoices: the chooser, not the clock, says which
+// pending event is next, one event per turn (no same-timestamp batching),
+// and a single pending event is delivered without asking.
+func (e *engine) runChoices() {
+	for e.queue.len() > 0 && (e.honestLive > 0 || e.churnLive > 0) {
+		if e.events >= e.cap {
+			e.res.EventCapHit = true
+			return
+		}
+		idx := 0
+		if n := e.queue.len(); n > 1 {
+			e.sched.MaxFanout = max(e.sched.MaxFanout, n)
+			idx = e.choose(len(e.sched.Choices), n) % n
+			if idx < 0 {
+				idx += n
+			}
+			e.sched.Choices = append(e.sched.Choices, idx)
+		}
+		ev := e.queue.take(idx)
+		e.step(e.peers[ev.to], ev)
 	}
 	e.queueExhausted()
 }
@@ -388,8 +483,7 @@ func (e *engine) step(p *peerState, ev *event) {
 	case evSrcIssue, evSrcFail, evSrcWake:
 		// Engine bookkeeping: no crash-action accounting, no handler
 		// delivery, but still events under the non-termination cap.
-		e.events++
-		e.mEvents.Inc()
+		e.count()
 		switch ev.kind {
 		case evSrcIssue:
 			e.srcDo(p, p.q.Admit(e.now, ev.call))
@@ -432,8 +526,7 @@ func (e *engine) step(p *peerState, ev *event) {
 // dispatch performs the crash check and delivers one event; it reports
 // whether the event was actually delivered.
 func (e *engine) dispatch(p *peerState, ev *event) bool {
-	e.events++
-	e.mEvents.Inc()
+	e.count()
 	// A delivery is an action; the adversary may crash the peer here
 	// instead of letting it process the event.
 	if !p.honest && p.crashPoint >= 0 {
@@ -472,15 +565,9 @@ func (e *engine) deliver(p *peerState, ev *event) {
 		p.impl.OnMessage(ev.from, ev.msg)
 	case evQueryReply:
 		if ev.call != nil {
-			// The reply crossed the (faulty) source: des reports the
-			// success when the reply arrives.
-			if flushed, closed := p.q.Success(e.now); closed {
-				e.tracef("t=%.3f peer %d source BREAKER closed (flushing %d parked)",
-					e.now, p.id, len(flushed))
-				for _, call := range flushed {
-					e.srcDo(p, p.q.Admit(e.now, call))
-				}
-			}
+			// The reply crossed the (faulty) source: the breaker hears of
+			// the success when the reply arrives.
+			e.srcSuccess(p)
 		}
 		p.q.Learn(ev.qr)
 		e.observe("qreply", p.id, -1, "", len(ev.qr.Indices))
@@ -526,8 +613,7 @@ func (e *engine) rejoin(p *peerState) {
 	if !p.crashed || p.terminated || p.stats.Rejoined {
 		return
 	}
-	e.events++
-	e.mEvents.Inc()
+	e.count()
 	p.crashed = false
 	p.q.Rejoin()
 	p.crashPoint = -1
@@ -544,8 +630,11 @@ func (e *engine) rejoin(p *peerState) {
 }
 
 // queryDelay returns the adversary's query round-trip latency, floored
-// like message delays.
+// like message delays. A chooser draws no delays.
 func (e *engine) queryDelay(p *peerState) float64 {
+	if e.choose != nil {
+		return 0
+	}
 	d := e.spec.Delays.QueryDelay(p.id, e.now)
 	if d <= 0 {
 		d = 1e-9
@@ -553,8 +642,38 @@ func (e *engine) queryDelay(p *peerState) float64 {
 	return d
 }
 
+// issue hands a source call to the peer's breaker. Under a clock it is
+// admitted now; a chooser places the admission — and so the attempt's
+// fault roll — as an event of its own.
+func (e *engine) issue(p *peerState, call *qplane.Call) {
+	if e.choose != nil {
+		ev := e.newEvent()
+		ev.kind, ev.to, ev.call = evSrcIssue, p.id, call
+		e.push(ev)
+		return
+	}
+	e.srcDo(p, p.q.Admit(e.now, call))
+}
+
+// srcSuccess reports a source success to the plane; a breaker it closes
+// re-issues every parked call.
+func (e *engine) srcSuccess(p *peerState) {
+	flushed, closed := p.q.Success(e.now)
+	if !closed {
+		return
+	}
+	e.tracef("t=%.3f peer %d source BREAKER closed (flushing %d parked)",
+		e.now, p.id, len(flushed))
+	for _, call := range flushed {
+		e.issue(p, call)
+	}
+}
+
 // srcDo carries out the query plane's verdict on the engine's clock:
-// attempt now, re-admit after the backoff, or wake the breaker later.
+// attempt now, re-admit after the backoff, or wake the breaker later. (A
+// chooser decides when a retry or a wake lands; a wake delivered early
+// re-arms itself, and every delivery advances the step clock, so the wait
+// always ends.)
 func (e *engine) srcDo(p *peerState, n qplane.Next) {
 	switch n.Op {
 	case qplane.Fetch:
@@ -578,18 +697,31 @@ func (e *engine) fetch(p *peerState, call *qplane.Call) {
 	qr, latency, err := p.q.Fetch(e.now, call)
 	if err != nil {
 		kind := source.KindOf(err)
+		e.tracef("t=%.3f peer %d source FAIL %s (ordinal=%d attempt=%d)",
+			e.now, p.id, kind, call.Ordinal, call.Attempt)
+		if e.choose != nil {
+			// No deadline or round trip to wait out: the chooser already
+			// controls when the retry lands, so the failure is ruled on at
+			// once, with no evSrcFail in between.
+			e.srcFail(p, call, kind)
+			return
+		}
 		at := e.now
 		if kind == source.KindTimeout {
 			at += p.q.Deadline()
 		} else {
 			at += e.queryDelay(p)
 		}
-		e.tracef("t=%.3f peer %d source FAIL %s (ordinal=%d attempt=%d)",
-			e.now, p.id, kind, call.Ordinal, call.Attempt)
 		ev := e.newEvent()
 		ev.at, ev.kind, ev.to, ev.call, ev.fail = at, evSrcFail, p.id, call, kind
 		e.push(ev)
 		return
+	}
+	if e.choose != nil {
+		// Under a chooser the breaker hears of a success twice, here and
+		// when the reply is delivered: the pinned replay corpus records the
+		// event order that produces.
+		e.srcSuccess(p)
 	}
 	ev := e.newEvent()
 	ev.at, ev.kind, ev.to = e.now+e.queryDelay(p)+latency, evQueryReply, p.id
@@ -761,20 +893,25 @@ func (c *peerCtx) send(to sim.PeerID, m sim.Message, size, chunks int) {
 	if c.e.spec.Observer != nil {
 		c.e.observeMsg("send", p.id, to, m)
 	}
-	delay := c.e.spec.Delays.MessageDelay(p.id, to, c.e.now, size)
-	if delay <= 0 {
-		delay = 1e-9
-	}
-	// A payload larger than b is ⌈size/b⌉ consecutive b-bit messages on
-	// the link; the receiver acts on the full payload when the last
-	// chunk lands. This is what makes the paper's T = O(L/(nb) + …)
-	// time bounds — and their dependence on b — observable.
-	at := c.e.now + delay*float64(chunks)
-	if c.e.peers[to].unreachable() {
-		// M, the observer and the delay stream have been charged above
-		// exactly as for any send.
-		c.e.deadLetter(at)
-		return
+	var at float64
+	if c.e.choose == nil {
+		delay := c.e.spec.Delays.MessageDelay(p.id, to, c.e.now, size)
+		if delay <= 0 {
+			delay = 1e-9
+		}
+		// A payload larger than b is ⌈size/b⌉ consecutive b-bit messages on
+		// the link; the receiver acts on the full payload when the last
+		// chunk lands. This is what makes the paper's T = O(L/(nb) + …)
+		// time bounds — and their dependence on b — observable.
+		at = c.e.now + delay*float64(chunks)
+		if c.e.peers[to].unreachable() {
+			// M, the observer and the delay stream have been charged above
+			// exactly as for any send. Only under a clock, though: a dead
+			// letter is one of the events a chooser chooses among, so there
+			// it is queued like any other.
+			c.e.deadLetter(at)
+			return
+		}
 	}
 	ev := c.e.newEvent()
 	ev.at, ev.kind, ev.to, ev.from, ev.msg = at, evMessage, to, p.id, m
@@ -809,7 +946,7 @@ func (c *peerCtx) Query(tag int, indices []int) {
 	switch b.Kind {
 	case qplane.Issue:
 		// Through the (possibly faulty, possibly mirrored) source tier.
-		c.e.srcDo(p, p.q.Admit(c.e.now, b.Call))
+		c.e.issue(p, b.Call)
 	case qplane.WarmHit:
 		// Answered locally, no source round trip.
 		ev := c.e.newEvent()

@@ -7,7 +7,7 @@ import "repro/internal/sim"
 // the end every struct sits in the free list, the queue or a pre-start
 // buffer.
 func RunSerialCountingEvents(spec *sim.Spec) (res *sim.Result, queued, allocated int) {
-	e := newEngine(spec)
+	e := newEngine(spec, nil)
 	e.run()
 	allocated = len(e.free) + e.queue.len()
 	for _, p := range e.peers {

@@ -31,6 +31,14 @@ func (q *eventQueue) push(ev *event) {
 	}
 }
 
+// take removes and returns the i-th event of a queue kept as a plain list
+// (see engine.push): what a chooser's decision names.
+func (q *eventQueue) take(i int) *event {
+	ev := q.es[i]
+	q.es = append(q.es[:i], q.es[i+1:]...)
+	return ev
+}
+
 func (q *eventQueue) pop() *event {
 	es := q.es
 	top := es[0]

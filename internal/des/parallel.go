@@ -287,8 +287,7 @@ func (e *engine) releaseBatch(rest []*event) {
 // real context. Honest peers carry no crash point, so the adversary's
 // crash check is skipped exactly as dispatch skips it.
 func (e *engine) applyRec(p *peerState, ev *event, acts []sim.Action) {
-	e.events++
-	e.mEvents.Inc()
+	e.count()
 	if e.mDispatch != nil {
 		e.mDepth.Observe(float64(e.queue.len()))
 		start := time.Now()

@@ -1,13 +1,16 @@
 // Package dst is the deterministic-simulation test harness: FoundationDB
-// style record/replay/shrink/search on a choice-driven engine that
-// shares the sim contract (peers, contexts, fault semantics, crash action
-// counting) with package des.
+// style record/replay/shrink/search. It has no engine of its own. Package
+// des is the one event loop, with two schedulers: des.Run draws delays
+// from a policy, des.RunChoices asks a chooser which pending event is
+// delivered next. dst owns what turns the second into a test harness —
+// the replay file format and its lowering to a sim.Spec, the choosers,
+// the event hash (a sim.Observer), the shrinker and the search — and one
+// peer, context, fault and query-plane implementation serves both.
 //
-// Where package des samples asynchronous schedules through delay
-// policies, dst makes every execution a first-class, serializable
-// artifact:
+// Where des.Run samples asynchronous schedules through delay policies,
+// dst makes every execution a first-class, serializable artifact:
 //
-//   - Record: any run of the choice engine — random schedule search, the
+//   - Record: any choice-driven run — random schedule search, the
 //     Byzantine strategy search, or a promoted explore/fuzz finding — is
 //     captured as a versioned replay file (*.dsr) holding the input seed,
 //     the fault pattern (crash points or a Byzantine strategy program and
@@ -24,15 +27,14 @@
 //     programs) drives the committee/twocycle/multicycle protocols
 //     looking for safety or liveness violations below their β thresholds.
 //
-// The engine is choice-driven — "which pending event is delivered next" —
-// rather than delay-driven like package des, because that is the
-// representation delta debugging minimizes well: a minimal
-// counterexample is a short list of small integers, not a float schedule.
-// Scheduling choices beyond the recorded list default to FIFO (choice 0),
-// so truncating a replay is always meaningful. It is also the engine
-// package explore enumerates small delivery-order trees on: RunPrefix
-// runs one schedule from a choice prefix and reports the fan-outs the
-// enumerator's odometer needs.
+// The runs are choice-driven — "which pending event is delivered next" —
+// rather than delay-driven, because that is the representation delta
+// debugging minimizes well: a minimal counterexample is a short list of
+// small integers, not a float schedule. Scheduling choices beyond the
+// recorded list default to FIFO (choice 0), so truncating a replay is
+// always meaningful. Package explore enumerates small delivery-order
+// trees the same way: RunPrefix runs one schedule from a choice prefix
+// and reports the fan-outs the enumerator's odometer needs.
 package dst
 
 import (

@@ -1,12 +1,9 @@
 package dst
 
 import (
-	"fmt"
-
 	"repro/internal/adversary"
 	"repro/internal/des"
 	"repro/internal/harden"
-	"repro/internal/sim"
 )
 
 // The hardened re-check: every finding the strategy search produces is a
@@ -53,16 +50,6 @@ func DefaultLadder(protocol string) []string {
 	return []string{protocol, "naive"}
 }
 
-// crashMap replays a replay file's crash points as a sim.CrashPolicy.
-type crashMap map[sim.PeerID]int
-
-func (m crashMap) CrashPoint(p sim.PeerID) int {
-	if pt, ok := m[p]; ok {
-		return pt
-	}
-	return -1
-}
-
 // CheckHardened re-runs the scenario of r under the hardening supervisor
 // with the given escalation ladder (nil selects DefaultLadder). The
 // error covers structural problems only; the supervisor's performance is
@@ -82,43 +69,18 @@ func CheckHardened(r *Replay, ladder []string, pol harden.Policy) (*HardenedChec
 		}
 		rungs[i] = harden.Rung{Name: p.Name, NewPeer: p.New}
 	}
-	proto, err := LookupProtocol(r.Protocol)
+	// Only the adversary and the model parameters carry over (see above):
+	// a replay's source and mirror plans and its churn rejoins are timed
+	// in chooser steps, which mean nothing on des's virtual clock.
+	base := *r
+	base.SourcePlan, base.MirrorPlan, base.Churn = "", "", nil
+	spec, err := base.spec()
 	if err != nil {
 		return nil, err
 	}
-	spec := sim.Spec{
-		Config: sim.Config{
-			N: r.N, T: r.T, L: r.L, MsgBits: r.MsgBits, Seed: r.Seed,
-		},
-		Delays: adversary.NewRandomUnit(r.Seed + 1000003),
-	}
-	faulty := make([]sim.PeerID, len(r.Faulty))
-	for i, p := range r.Faulty {
-		faulty[i] = sim.PeerID(p)
-	}
-	switch r.Fault {
-	case "", FaultNone:
-		spec.Faults = sim.FaultSpec{Model: sim.FaultNone}
-	case FaultCrash:
-		cm := make(crashMap, len(r.CrashPoints))
-		for _, cp := range r.CrashPoints {
-			cm[sim.PeerID(cp.Peer)] = cp.Point
-		}
-		spec.Faults = sim.FaultSpec{
-			Model: sim.FaultCrash, Faulty: faulty, Crash: cm,
-			AllowExcess: len(faulty) > r.T,
-		}
-	case FaultByzantine:
-		spec.Faults = sim.FaultSpec{
-			Model: sim.FaultByzantine, Faulty: faulty,
-			NewByzantine: r.strategy().NewStrategist(proto.New),
-			AllowExcess:  len(faulty) > r.T,
-		}
-	default:
-		return nil, fmt.Errorf("dst: unknown fault model %q", r.Fault)
-	}
+	spec.Delays = adversary.NewRandomUnit(r.Seed + 1000003)
 	out, err := harden.Run(harden.Config{
-		Base:    spec,
+		Base:    *spec,
 		Rungs:   rungs,
 		Policy:  pol,
 		Runtime: des.New(),

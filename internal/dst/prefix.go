@@ -17,15 +17,15 @@ type Cell struct {
 // FIFO". radix holds the fan-out at each of the first depth decision
 // points — the digit radixes of the explorer's mixed-radix odometer.
 func RunPrefix(c Cell, prefix []int, depth int) (out *Outcome, radix []int) {
-	spec := &runSpec{n: c.N, t: c.T, l: c.L, b: c.MsgBits, seed: c.Seed, newPeer: c.NewPeer}
+	var faults sim.FaultSpec
 	if len(c.CrashPoints) > 0 {
-		spec.fault = sim.FaultCrash
-		spec.crash = c.CrashPoints
+		faults.Model, faults.Crash = sim.FaultCrash, crashMap(c.CrashPoints)
 		for id := range c.CrashPoints {
-			spec.faulty = append(spec.faulty, id)
+			faults.Faulty = append(faults.Faulty, id)
 		}
 	}
-	out = execute(spec, func(d, fanout int) int {
+	spec := lower(sim.Config{N: c.N, T: c.T, L: c.L, MsgBits: c.MsgBits, Seed: c.Seed}, c.NewPeer, faults)
+	out, err := run(spec, func(d, fanout int) int {
 		if d >= depth {
 			return 0
 		}
@@ -35,5 +35,10 @@ func RunPrefix(c Cell, prefix []int, depth int) (out *Outcome, radix []int) {
 		}
 		return 0
 	})
+	if err != nil {
+		// Cells are written in code, not read from files: a bad one is a bug
+		// at the call site.
+		panic(err)
+	}
 	return out, radix
 }

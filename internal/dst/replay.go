@@ -278,8 +278,32 @@ func (r *Replay) Save(path string) error {
 	return nil
 }
 
-// spec lowers the replay to an engine runSpec.
-func (r *Replay) spec(obs sim.Observer) (*runSpec, error) {
+// crashMap serves a crash-point table as a sim.CrashPolicy.
+type crashMap map[sim.PeerID]int
+
+func (m crashMap) CrashPoint(p sim.PeerID) int {
+	if pt, ok := m[p]; ok {
+		return pt
+	}
+	return -1
+}
+
+// lower is the one place dst builds a sim.Spec: Replay.spec feeds it from
+// a file, RunPrefix from a Cell. A replay may list more faulty peers than
+// t (the shrinker lowers T, the search adds churn on top of its t faulty),
+// which sim.Spec admits only when told so.
+func lower(cfg sim.Config, newPeer func(sim.PeerID) sim.Peer, faults sim.FaultSpec) *sim.Spec {
+	if faults.Model == 0 {
+		faults.Model = sim.FaultNone
+	}
+	faults.AllowExcess = len(faults.Faulty)+len(faults.Churn) > cfg.T
+	return &sim.Spec{Config: cfg, NewPeer: newPeer, Faults: faults}
+}
+
+// spec lowers the replay to the sim.Spec it describes. A churn peer's
+// rejoin is an event the chooser places, so its Downtime only says whether
+// there is one.
+func (r *Replay) spec() (*sim.Spec, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
@@ -295,28 +319,31 @@ func (r *Replay) spec(obs sim.Observer) (*runSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec := &runSpec{
-		n: r.N, t: r.T, l: r.L, b: r.MsgBits, seed: r.Seed,
-		newPeer:    proto.New,
-		observer:   obs,
-		srcPlan:    plan,
-		mirrorPlan: mplan,
-		churn:      append([]ChurnPoint(nil), r.Churn...),
-	}
+	var faults sim.FaultSpec
 	for _, p := range r.Faulty {
-		spec.faulty = append(spec.faulty, sim.PeerID(p))
+		faults.Faulty = append(faults.Faulty, sim.PeerID(p))
 	}
 	switch r.Fault {
 	case FaultCrash:
-		spec.fault = sim.FaultCrash
-		spec.crash = make(map[sim.PeerID]int, len(r.CrashPoints))
+		crash := make(crashMap, len(r.CrashPoints))
 		for _, cp := range r.CrashPoints {
-			spec.crash[sim.PeerID(cp.Peer)] = cp.Point
+			crash[sim.PeerID(cp.Peer)] = cp.Point
 		}
+		faults.Model, faults.Crash = sim.FaultCrash, crash
 	case FaultByzantine:
-		spec.fault = sim.FaultByzantine
-		spec.newByz = r.strategy().NewStrategist(proto.New)
+		faults.Model, faults.NewByzantine = sim.FaultByzantine, r.strategy().NewStrategist(proto.New)
 	}
+	for _, cp := range r.Churn {
+		down := -1.0
+		if cp.Rejoin {
+			down = 0
+		}
+		faults.Churn = append(faults.Churn, sim.ChurnPeer{
+			Peer: sim.PeerID(cp.Peer), CrashAfter: cp.Point, Downtime: down,
+		})
+	}
+	spec := lower(sim.Config{N: r.N, T: r.T, L: r.L, MsgBits: r.MsgBits, Seed: r.Seed}, proto.New, faults)
+	spec.SourceFaults, spec.Mirrors = plan, mplan
 	return spec, nil
 }
 
@@ -327,11 +354,12 @@ func Run(r *Replay) (*Outcome, error) { return RunObserved(r, nil) }
 // RunObserved replays with a structured observer attached (e.g. a
 // trace.Recorder producing drtrace-compatible JSONL).
 func RunObserved(r *Replay, obs sim.Observer) (*Outcome, error) {
-	spec, err := r.spec(obs)
+	spec, err := r.spec()
 	if err != nil {
 		return nil, err
 	}
-	return execute(spec, replayChooser(r.Choices)), nil
+	spec.Observer = obs
+	return run(spec, replayChooser(r.Choices))
 }
 
 // Record executes the run described by r under a seeded random schedule
@@ -339,11 +367,14 @@ func RunObserved(r *Replay, obs sim.Observer) (*Outcome, error) {
 // list and event hash filled in, plus the outcome. The returned replay
 // re-executes the recorded run exactly.
 func Record(r *Replay, scheduleSeed int64) (*Replay, *Outcome, error) {
-	spec, err := r.spec(nil)
+	spec, err := r.spec()
 	if err != nil {
 		return nil, nil, err
 	}
-	out := execute(spec, randomChooser(scheduleSeed))
+	out, err := run(spec, randomChooser(scheduleSeed))
+	if err != nil {
+		return nil, nil, err
+	}
 	rec := r.Clone()
 	rec.Choices = append([]int(nil), out.Choices...)
 	rec.EventHash = HashString(out.EventHash)

@@ -2,8 +2,10 @@ package dst
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -180,21 +182,103 @@ func TestObserverEmitsTrace(t *testing.T) {
 	}
 }
 
+// TestObservabilityDoesNotPerturb: an observer, a timeline and a metrics
+// registry watch a replay without changing it — same event hash, choices
+// and Result as the bare run. All three protocols call sim.MarkPhase; des's
+// context delivers those marks (to the caller's observer and the timeline)
+// and the event hash must not fold them, or every pinned hash would move.
+func TestObservabilityDoesNotPerturb(t *testing.T) {
+	h := eventHash{sum: fnvOffset}
+	h.OnEvent(sim.ObservedEvent{Kind: "phase", Peer: 1, Other: -1, Name: "download"})
+	if h.sum != fnvOffset {
+		t.Fatal("the event hash folds phase marks")
+	}
+	for _, proto := range []string{"crash1", "crashk", "committee"} {
+		rec, bare, err := Record(base(proto, 4, 1, 32, 5), 123)
+		if err != nil {
+			t.Fatalf("%s: record: %v", proto, err)
+		}
+		spec, err := rec.spec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mem trace.Memory
+		spec.Observer, spec.Timeline, spec.Metrics, spec.Label = &mem, obs.NewTimeline(), obs.New(), proto
+		watched, err := run(spec, replayChooser(rec.Choices))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if watched.EventHash != bare.EventHash {
+			t.Errorf("%s: event hash %s watched, %s bare", proto,
+				HashString(watched.EventHash), HashString(bare.EventHash))
+		}
+		if !reflect.DeepEqual(watched.Choices, bare.Choices) {
+			t.Errorf("%s: choices differ when watched", proto)
+		}
+		if !reflect.DeepEqual(watched.Result, bare.Result) {
+			t.Errorf("%s: result %v watched, %v bare", proto, watched.Result, bare.Result)
+		}
+		phases := 0
+		for _, ev := range mem.Events {
+			if ev.Kind == "phase" {
+				phases++
+			}
+		}
+		marks := 0
+		for _, ev := range spec.Timeline.Events() {
+			if ev.Kind == "phase" {
+				marks++
+			}
+		}
+		if phases == 0 || marks == 0 {
+			t.Errorf("%s: %d phase events observed, %d on the timeline: the marks this test is about never flowed",
+				proto, phases, marks)
+		}
+	}
+}
+
+// TestStepCapIsViolation: Config.MaxEvents is the choice runs' step cap,
+// and exhausting it is reported, not looped on.
+func TestStepCapIsViolation(t *testing.T) {
+	spec, err := base("naive", 4, 1, 32, 2).spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Config.MaxEvents = 5
+	out, err := run(spec, fifoChooser)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Result.EventCapHit || out.Steps != 5 || !out.Violation() {
+		t.Fatalf("cap 5: EventCapHit=%v steps=%d violation=%v", out.Result.EventCapHit, out.Steps, out.Violation())
+	}
+}
+
 // TestPanicIsViolation: a panicking peer is captured as an incorrect
 // outcome, not a crashed test process.
 func TestPanicIsViolation(t *testing.T) {
 	r := base("crash1", 4, 1, 32, 1)
-	spec, err := r.spec(nil)
+	spec, err := r.spec()
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.newPeer = func(id sim.PeerID) sim.Peer { return panicPeer{} }
-	out := execute(spec, fifoChooser)
+	spec.NewPeer = func(id sim.PeerID) sim.Peer { return panicPeer{} }
+	out, err := run(spec, fifoChooser)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if out.PanicValue == "" {
 		t.Fatal("panic not captured")
 	}
 	if !out.Violation() {
 		t.Fatal("panic outcome not a violation")
+	}
+	if f := out.Result.Failures; len(f) == 0 || !strings.HasPrefix(f[0], "peer panic: deliberate") {
+		t.Fatalf("panic not the first failure listed: %v", f)
+	}
+	// The run stopped at the panicking delivery; it did not drain.
+	if out.Steps != 1 || out.Result.Deadlocked {
+		t.Fatalf("steps=%d deadlocked=%v after a panic in the first Init", out.Steps, out.Result.Deadlocked)
 	}
 }
 

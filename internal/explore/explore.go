@@ -15,10 +15,9 @@
 // ALL schedules up to depth D" is a meaningful statement.
 //
 // The explorer is an enumerator, not an engine: every schedule runs on
-// package dst's choice engine (dst.RunPrefix), where event delivery is
-// chosen by a prefix of choice indices instead of virtual time and crash
-// action-counting matches package des. Delays are irrelevant — reordering
-// subsumes them.
+// des's choice-driven scheduler (des.RunChoices, through dst.RunPrefix),
+// where event delivery is chosen by a prefix of choice indices instead of
+// virtual time. Delays are irrelevant — reordering subsumes them.
 package explore
 
 import (
@@ -61,7 +60,7 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// cell is the configuration in the form dst's choice engine runs.
+// cell is the configuration in the form dst.RunPrefix runs.
 func (c *Config) cell() dst.Cell {
 	return dst.Cell{
 		N: c.N, T: c.T, L: c.L, MsgBits: 64, Seed: c.Seed,

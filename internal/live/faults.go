@@ -120,20 +120,12 @@ func (p *livePeer) rejoin() {
 	p.actions = 0
 	p.queue = nil // deliveries addressed to the dead incarnation
 	p.impl = p.w.spec.NewPeer(p.id)
-	if p.ready != nil {
-		// Scheduler mode: owe a fresh Init; a worker serves it next. The
-		// crashing worker's serve() returned without clearing queued (no
-		// wakeup could matter once crashed), so clear it here or the
-		// ready push would be suppressed forever.
-		p.queued = false
-		p.inited = false
-		p.markReady()
-		p.mu.Unlock()
-		return
-	}
+	// Owe a fresh Init; a worker serves it next. The crashing worker's
+	// serve() returned without clearing queued (no wakeup could matter once
+	// crashed), so clear it here or the ready push would be suppressed
+	// forever.
+	p.queued = false
+	p.inited = false
+	p.markReady()
 	p.mu.Unlock()
-	// Goroutine mode: the old loop exited on the crash, so this timer
-	// goroutine becomes the rejoined incarnation's loop. It stays tracked
-	// through w.timers until termination or stop.
-	p.loop()
 }

@@ -1,8 +1,9 @@
-// Package live executes DR-model protocols as real concurrent goroutines:
-// every peer runs its own event loop over a channel-fed queue, message and
-// query latencies are wall-clock sleeps (virtual units scaled by
-// TimeScale), and delivery interleavings come from the Go scheduler rather
-// than a deterministic event queue.
+// Package live executes DR-model protocols under real concurrency: worker
+// goroutines serve the peers from a shared ready queue (as many workers as
+// peers unless Spec.Workers says fewer), message and query latencies are
+// wall-clock timers (virtual units scaled by TimeScale), and delivery
+// interleavings come from the Go scheduler rather than a deterministic
+// event queue.
 //
 // The point of this runtime is validation: a protocol that passes under
 // package des might still harbor hidden assumptions about atomic handler
@@ -22,7 +23,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Runtime runs peers as goroutines with wall-clock delays.
+// Runtime runs peers on worker goroutines with wall-clock delays.
 type Runtime struct {
 	// TimeScale converts one virtual time unit to wall time. The default
 	// is 2ms, keeping unit-latency executions around a few hundred
@@ -67,6 +68,7 @@ func (rt *Runtime) Run(spec *sim.Spec) (*sim.Result, error) {
 		scale: scale,
 		start: time.Now(),
 		peers: make([]*livePeer, spec.Config.N),
+		ready: newReadyQueue(),
 		done:  make(chan struct{}),
 	}
 	tier := qplane.NewTier(w.input, w.cfg.N, w.cfg.Seed, spec.SourceFaults, spec.Mirrors, spec.SourcePolicy)
@@ -90,7 +92,6 @@ func (rt *Runtime) Run(spec *sim.Spec) (*sim.Result, error) {
 			rng:        rand.New(rand.NewSource(w.cfg.Seed + int64(i)*0x9e3779b97f4a7c + 1)),
 			stats:      sim.PeerStats{ID: id, Honest: true},
 		}
-		p.cond = sync.NewCond(&p.mu)
 		if spec.Faults.IsFaulty(id) {
 			p.honest = false
 			p.stats.Honest = false
@@ -146,7 +147,6 @@ type deliveryKind int
 const (
 	dlMessage deliveryKind = iota + 1
 	dlQueryReply
-	dlStop
 )
 
 type delivery struct {
@@ -163,6 +163,8 @@ type world struct {
 	scale time.Duration
 	start time.Time
 	peers []*livePeer
+	// ready is the run queue the workers serve peers from.
+	ready *readyQueue
 
 	mu         sync.Mutex
 	liveHonest int // honest peers not yet terminated
@@ -198,54 +200,23 @@ func (w *world) countDone(honest bool) {
 	}
 }
 
-// runAll starts the peer loops and waits for the last honest termination
-// or the deadline; it reports whether the deadline expired with honest
-// peers still running. With Spec.Workers > 1 the peers are multiplexed
-// M-per-worker over a shared ready queue instead of one goroutine each.
+// runAll serves the peers until the last honest termination or the
+// deadline; it reports whether the deadline expired with honest peers
+// still running. Worker goroutines take peers from the shared ready queue.
+// A peer becomes ready when it has started and has pending work; the
+// queued flag guarantees at most one worker serves a given peer at a time,
+// preserving the single-threaded-per-peer invariant the Context
+// implementation relies on. Spec.Workers > 1 multiplexes the peers over
+// that many workers, which is what lets one process carry far more peers
+// than it could afford goroutine stacks for; otherwise there is a worker
+// per peer, so no ready peer ever waits for another's handler.
 func (w *world) runAll(deadline time.Duration) bool {
-	if ws := w.spec.Workers; ws > 1 {
-		return w.runSched(ws, deadline)
+	workers := w.spec.Workers
+	if workers <= 1 {
+		workers = len(w.peers)
 	}
-	var loops sync.WaitGroup
 	for _, p := range w.peers {
-		loops.Add(1)
-		go func(p *livePeer) {
-			defer loops.Done()
-			p.loop()
-		}(p)
 		// Staggered starts per the delay policy.
-		startDelay := w.spec.Delays.StartDelay(p.id)
-		w.after(startDelay, func() { p.enqueueStart() })
-	}
-
-	expired := false
-	select {
-	case <-w.done:
-	case <-time.After(deadline):
-		w.mu.Lock()
-		expired = w.liveHonest > 0 || w.churnLive > 0
-		w.mu.Unlock()
-	}
-	// Stop all loops and wait for them plus in-flight timers.
-	for _, p := range w.peers {
-		p.stop()
-	}
-	loops.Wait()
-	w.timers.Wait()
-	return expired
-}
-
-// runSched is the M-per-worker execution mode: `workers` scheduler
-// goroutines serve peers from a shared ready queue. A peer becomes ready
-// when it has started and has pending work; the queued flag guarantees at
-// most one worker serves a given peer at a time, preserving the
-// single-threaded-per-peer invariant the Context implementation relies
-// on. This is what lets one process carry far more peers than it could
-// afford goroutine stacks and channel buffers for.
-func (w *world) runSched(workers int, deadline time.Duration) bool {
-	rq := newReadyQueue()
-	for _, p := range w.peers {
-		p.ready = rq
 		startDelay := w.spec.Delays.StartDelay(p.id)
 		w.after(startDelay, func() { p.enqueueStart() })
 	}
@@ -255,7 +226,7 @@ func (w *world) runSched(workers int, deadline time.Duration) bool {
 		go func() {
 			defer wg.Done()
 			for {
-				p, ok := rq.pop()
+				p, ok := w.ready.pop()
 				if !ok {
 					return
 				}
@@ -272,10 +243,11 @@ func (w *world) runSched(workers int, deadline time.Duration) bool {
 		expired = w.liveHonest > 0 || w.churnLive > 0
 		w.mu.Unlock()
 	}
+	// Stop all peers and wait for the workers plus in-flight timers.
 	for _, p := range w.peers {
 		p.stop()
 	}
-	rq.close()
+	w.ready.close()
 	wg.Wait()
 	w.timers.Wait()
 	return expired
@@ -339,9 +311,10 @@ func (w *world) after(units float64, fn func()) {
 	})
 }
 
-// livePeer is one peer's goroutine-facing state. The handler loop is the
-// only goroutine that touches impl and stats (except for the final
-// collection after the loop exits), so protocol code stays lock-free.
+// livePeer is one peer's goroutine-facing state. The worker serving the
+// peer is the only goroutine that touches impl and stats (except for the
+// final collection after the workers exit), so protocol code stays
+// lock-free.
 type livePeer struct {
 	w          *world
 	id         sim.PeerID
@@ -351,14 +324,11 @@ type livePeer struct {
 	crashPoint int
 
 	mu      sync.Mutex
-	cond    *sync.Cond
 	queue   []delivery
 	started bool
 	stopped bool
-	// Scheduler mode (Spec.Workers > 1): ready is the shared run queue,
-	// queued marks the peer as enqueued or being served (at most one
-	// worker touches a peer at a time), inited latches the Init call.
-	ready  *readyQueue
+	// queued marks the peer as in the ready queue or being served (at most
+	// one worker touches a peer at a time), inited latches the Init call.
 	queued bool
 	inited bool
 
@@ -373,7 +343,7 @@ type livePeer struct {
 	// Churn (nil without a churn schedule for this peer).
 	churn *sim.ChurnPeer
 
-	// Fields below are owned by the loop goroutine (guarded by mu only
+	// Fields below are owned by the serving worker (guarded by mu only
 	// for the final stats snapshot in Run).
 	crashed    bool
 	terminated bool
@@ -386,7 +356,6 @@ var _ sim.Context = (*livePeer)(nil)
 func (p *livePeer) enqueueStart() {
 	p.mu.Lock()
 	p.started = true
-	p.cond.Broadcast()
 	p.markReady()
 	p.mu.Unlock()
 }
@@ -394,7 +363,6 @@ func (p *livePeer) enqueueStart() {
 func (p *livePeer) enqueue(d delivery) {
 	p.mu.Lock()
 	p.queue = append(p.queue, d)
-	p.cond.Broadcast()
 	p.markReady()
 	p.mu.Unlock()
 }
@@ -404,14 +372,14 @@ func (p *livePeer) enqueue(d delivery) {
 // the hand-off single-shot — serve() clears it under mu after draining,
 // so no wakeup is lost and no two workers ever share a peer.
 func (p *livePeer) markReady() {
-	if p.ready == nil || p.queued || p.stopped || p.crashed || p.terminated || !p.started {
+	if p.queued || p.stopped || p.crashed || p.terminated || !p.started {
 		return
 	}
 	if p.inited && len(p.queue) == 0 {
 		return
 	}
 	p.queued = true
-	p.ready.push(p)
+	p.w.ready.push(p)
 }
 
 // serve runs one scheduling quantum: Init if still owed, then drain the
@@ -445,12 +413,6 @@ func (p *livePeer) serve() {
 		d := p.queue[0]
 		p.queue = p.queue[1:]
 		p.mu.Unlock()
-		if d.kind == dlStop {
-			p.mu.Lock()
-			p.queued = false
-			p.mu.Unlock()
-			return
-		}
 		if !p.dispatch(d) {
 			return
 		}
@@ -460,52 +422,7 @@ func (p *livePeer) serve() {
 func (p *livePeer) stop() {
 	p.mu.Lock()
 	p.stopped = true
-	p.cond.Broadcast()
 	p.mu.Unlock()
-}
-
-func (p *livePeer) loop() {
-	// Wait for start.
-	p.mu.Lock()
-	for !p.started && !p.stopped {
-		p.cond.Wait()
-	}
-	if p.stopped {
-		p.mu.Unlock()
-		return
-	}
-	p.mu.Unlock()
-
-	if !p.countAction() {
-		return // crashed on the start action; a churn rejoin restarts the loop
-	}
-	p.impl.Init(p)
-	for {
-		p.mu.Lock()
-		for len(p.queue) == 0 && !p.stopped {
-			p.cond.Wait()
-		}
-		if p.stopped || p.terminated || p.crashed {
-			p.mu.Unlock()
-			return
-		}
-		d := p.queue[0]
-		p.queue = p.queue[1:]
-		p.mu.Unlock()
-
-		if d.kind == dlStop {
-			return
-		}
-		if !p.dispatch(d) {
-			return
-		}
-		p.mu.Lock()
-		dead := p.terminated || p.crashed
-		p.mu.Unlock()
-		if dead {
-			return
-		}
-	}
 }
 
 // countAction advances the adversary's action clock (start, sends,
@@ -544,7 +461,6 @@ func (p *livePeer) setCrashed() {
 	p.crashed = true
 	p.stats.Crashed = true
 	rejoin := p.churn != nil && p.churn.Downtime >= 0 && !p.stats.Rejoined
-	p.cond.Broadcast()
 	p.mu.Unlock()
 	if rejoin {
 		p.w.after(p.churn.Downtime, p.rejoin)
@@ -557,7 +473,7 @@ func (p *livePeer) isDead() bool {
 	return p.crashed || p.terminated
 }
 
-// --- sim.Context implementation (called from the loop goroutine) ---
+// --- sim.Context implementation (called from the serving worker) ---
 
 // ID implements sim.Context.
 func (p *livePeer) ID() sim.PeerID { return p.id }
@@ -654,7 +570,6 @@ func (p *livePeer) Terminate() {
 	p.terminated = true
 	p.stats.Terminated = true
 	p.stats.TermTime = p.w.now()
-	p.cond.Broadcast()
 	p.mu.Unlock()
 	if p.honest {
 		p.w.honestDone()

@@ -1,14 +1,14 @@
-// Package qplane is the query plane of the in-process runtimes (des, dst,
-// live): the per-peer lifecycle of a protocol query on its way to the
+// Package qplane is the query plane of the in-process runtimes (des under
+// either of its schedulers, live): the per-peer lifecycle of a protocol query on its way to the
 // external source and back, and the one place where the paper's query
 // complexity Q is charged.
 //
 // The plane is a plain state machine. It has no clock, goroutine or
 // scheduler: every transition takes the caller's notion of "now" and
 // returns a Next telling the driver what to schedule. The drivers own
-// only the timing — des turns a Next into timed events, dst into
-// chooser-ordered pending events, live into wall timers under the peer's
-// mutex — so one lifecycle serves three schedulers:
+// only the timing — des turns a Next into timed events under Run and into
+// chooser-ordered pending events under RunChoices, live into wall timers
+// under the peer's mutex — so one lifecycle serves three schedulers:
 //
 //	Begin ─┬─ WarmHit ───────────────────────────────► reply
 //	       ├─ Oracle ────────────────────────────────► reply

@@ -10,6 +10,36 @@ import (
 	"testing"
 )
 
+// runtimeFiles parses every non-test Go file of the in-process runtime
+// packages and hands it to visit. It fails the test when it finds fewer
+// files than the packages hold today: a guard that scans nothing passes.
+func runtimeFiles(t *testing.T, visit func(dir string, fset *token.FileSet, f *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	files := 0
+	for _, dir := range []string{"../des", "../dst", "../live"} {
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			files++
+			visit(dir, fset, f)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// des 3 (des, heap, parallel), dst 7, live 2.
+	if files < 12 {
+		t.Fatalf("scanned only %d files: the runtime packages moved, update this guard", files)
+	}
+}
+
 // TestChargeStaysSingle guards "the only place Q is charged": no
 // non-test file of the in-process runtimes may assign PeerStats.QueryBits
 // — they charge through Plane.Begin or not at all.
@@ -23,42 +53,45 @@ func TestChargeStaysSingle(t *testing.T) {
 		}
 		return false
 	}
-	fset := token.NewFileSet()
-	files := 0
-	for _, dir := range []string{"../des", "../dst", "../live"} {
-		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return err
+	runtimeFiles(t, func(_ string, fset *token.FileSet, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			var lhs []ast.Expr
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				lhs = n.Lhs
+			case *ast.IncDecStmt:
+				lhs = []ast.Expr{n.X}
+			case *ast.KeyValueExpr:
+				lhs = []ast.Expr{n.Key}
 			}
-			f, err := parser.ParseFile(fset, path, nil, 0)
-			if err != nil {
-				return err
+			for _, e := range lhs {
+				if isQ(e) {
+					t.Errorf("%s: QueryBits is written outside qplane.Begin", fset.Position(e.Pos()))
+				}
 			}
-			files++
-			ast.Inspect(f, func(n ast.Node) bool {
-				var lhs []ast.Expr
-				switch n := n.(type) {
-				case *ast.AssignStmt:
-					lhs = n.Lhs
-				case *ast.IncDecStmt:
-					lhs = []ast.Expr{n.X}
-				case *ast.KeyValueExpr:
-					lhs = []ast.Expr{n.Key}
-				}
-				for _, e := range lhs {
-					if isQ(e) {
-						t.Errorf("%s: QueryBits is written outside qplane.Begin", fset.Position(e.Pos()))
-					}
-				}
-				return true
-			})
-			return nil
+			return true
 		})
-		if err != nil {
-			t.Fatal(err)
+	})
+}
+
+// TestDstHasNoContext guards "one event loop": package dst runs on des's
+// engine and must not grow a sim.Context of its own again. Any method
+// named like the context's verbs counts as one.
+func TestDstHasNoContext(t *testing.T) {
+	runtimeFiles(t, func(dir string, fset *token.FileSet, f *ast.File) {
+		if dir != "../dst" {
+			return
 		}
-	}
-	if files < 8 {
-		t.Fatalf("scanned only %d files: the runtime packages moved, update this guard", files)
-	}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil {
+				continue
+			}
+			switch fn.Name.Name {
+			case "Query", "Send", "Broadcast":
+				t.Errorf("%s: method %s makes a second in-process sim.Context; schedule through des.RunChoices instead",
+					fset.Position(fn.Pos()), fn.Name.Name)
+			}
+		}
+	})
 }

@@ -9,9 +9,10 @@
 // Byzantine). The headline complexity measure is the query complexity Q —
 // the maximum number of bits queried by any nonfaulty peer.
 //
-// Two runtimes execute the same protocols: package des (deterministic
-// discrete-event, virtual time) and package live (real goroutines and
-// channels with wall-clock delays).
+// Two in-process runtimes execute the same protocols: package des
+// (deterministic discrete-event; scheduled by a delay policy on virtual
+// time, or event by event by a chooser) and package live (real goroutines
+// with wall-clock delays).
 package sim
 
 import (

@@ -102,8 +102,9 @@ type Spec struct {
 	// Trace, when non-nil, receives Logf output and runtime traces.
 	Trace io.Writer
 	// Observer, when non-nil, receives a structured callback for every
-	// send, delivery, query, crash, and termination (des runtime only).
-	// See package trace for a JSONL recorder and analyzer.
+	// send, delivery, query, crash, and termination (des runtime only,
+	// under either scheduler). See package trace for a JSONL recorder and
+	// analyzer.
 	Observer Observer
 	// Metrics, when non-nil, receives runtime counters and histograms
 	// (per-peer query bits, message counts, event-loop stats). The
@@ -130,11 +131,12 @@ type Spec struct {
 	// workers instead of the default execution strategy: the des runtime
 	// speculates honest-peer state-machine steps on a worker pool and
 	// applies their effects in exact serial order — the Result is
-	// byte-identical at every worker count — and the live runtime runs
-	// peers M-per-worker instead of goroutine-per-peer. Values ≤ 1 keep
-	// the classic single-threaded (des) or goroutine-per-peer (live)
-	// execution. The des scheduler falls back to serial when a feature
-	// incompatible with speculation is set (Trace, SourceFaults, Churn).
+	// byte-identical at every worker count — and the live runtime serves
+	// its ready queue with that many workers. Values ≤ 1 keep des
+	// single-threaded and give live one worker per peer. The des
+	// scheduler falls back to serial when a feature incompatible with
+	// speculation is set (Trace, SourceFaults, Mirrors, Churn), and
+	// des.RunChoices ignores the field: a choice-driven run is serial.
 	Workers int
 }
 
