@@ -57,19 +57,30 @@ bench-ci:
 	$(GO) run ./cmd/drbench -bench -quick -out bench
 	$(GO) test -race -count=1 -timeout $(TIMEOUT) ./internal/sweep/
 
-# CPU and heap profile of one whole-download cell of `go run ./benchmark`
-# (download/cells_bench_test.go: des-crashk, des-committee, tcp-crashk,
+# CPU and heap profile of one cell of `go run ./benchmark`: a whole-download
+# cell (download/cells_bench_test.go: des-crashk, des-committee, tcp-crashk,
 # tcp-naive-bmaj, plus des-committee-quarter for the short-run committee
-# schedule), 40 downloads as in one benchmark pass. The test binary
-# and the profiles land in benchmark/out/ (git-ignored) for `go tool pprof
-# -list`; the cumulative top is printed. Not a gate.
+# schedule), 40 downloads as in one benchmark pass, or hub-load
+# (internal/netrt/bench_test.go), 10 load trials. The package follows from
+# the cell's name. The test binary and the profiles land in benchmark/out/
+# (git-ignored) for `go tool pprof -list`; the cumulative top is printed.
+# Not a gate.
 CELL ?= des-crashk
+ifeq ($(CELL),hub-load)
+PROFILE_PKG := ./internal/netrt
+PROFILE_BENCH := BenchmarkHubLoad$$
+PROFILE_N := 10x
+else
+PROFILE_PKG := ./download
+PROFILE_BENCH := BenchmarkCell/$(CELL)$$
+PROFILE_N := 40x
+endif
 profile:
 	mkdir -p benchmark/out
-	$(GO) test -run '^$$' -bench 'BenchmarkCell/$(CELL)$$' -benchtime 40x -timeout $(TIMEOUT) \
-		-o benchmark/out/download.test \
-		-cpuprofile benchmark/out/$(CELL).cpu.prof -memprofile benchmark/out/$(CELL).mem.prof ./download
-	$(GO) tool pprof -top -cum -nodecount=40 benchmark/out/download.test benchmark/out/$(CELL).cpu.prof
+	$(GO) test -run '^$$' -bench '$(PROFILE_BENCH)' -benchtime $(PROFILE_N) -timeout $(TIMEOUT) \
+		-o benchmark/out/$(CELL).test \
+		-cpuprofile benchmark/out/$(CELL).cpu.prof -memprofile benchmark/out/$(CELL).mem.prof $(PROFILE_PKG)
+	$(GO) tool pprof -top -cum -nodecount=40 benchmark/out/$(CELL).test benchmark/out/$(CELL).cpu.prof
 
 conform:
 	$(GO) run ./cmd/drconform -n 16 -L 2048 -seeds 3 -tcp

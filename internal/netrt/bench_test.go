@@ -74,3 +74,35 @@ func BenchmarkQueryHeader(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkHubLoad is one hub-load trial of `go run ./benchmark` an
+// iteration, for taking a profile of it (`make profile CELL=hub-load`).
+// The source of truth for the parameters is benchmark/workloads.go
+// (loadTrial and loadOp's hub); copy a change there to here. The input is
+// the seed-derived default and not a generated array, which the profiled
+// code does not see. Every query must be answered.
+func BenchmarkHubLoad(b *testing.B) {
+	trial := LoadSpec{Clients: 25000, Conns: 2, QueriesPerClient: 4, BitsPerQuery: 8, Window: 256}
+	want := int64(trial.Clients * trial.QueriesPerClient)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		hub, err := StartHub(Config{N: 2, Shards: 2, ShardQueue: 1024, L: 4096, MsgBits: 64, Seed: int64(i + 1)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := hub.GenerateLoad(trial)
+		var dropped int64
+		for _, s := range hub.ShardStats() {
+			dropped += s.Dropped
+		}
+		hub.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Queries != want || res.Replies != want || res.TimedOut || dropped != 0 {
+			b.Fatalf("queries=%d replies=%d (want %d each) timedOut=%v shardDropped=%d",
+				res.Queries, res.Replies, want, res.TimedOut, dropped)
+		}
+		b.ReportMetric(res.Percentile(50), "p50-ms")
+	}
+}

@@ -25,12 +25,12 @@ type sentFrame struct {
 // the far end read.
 func pipeClient(id sim.PeerID, n int, churn *sim.ChurnPeer) (c *client, sent func() []sentFrame) {
 	near, far := net.Pipe()
-	c = &client{cfg: &Config{N: n}, id: id, conn: near, churn: churn}
+	c = &client{cfg: &Config{N: n}, id: id, conn: newFrameConn(near, 0), churn: churn}
 	done := make(chan []sentFrame)
 	go func() {
 		var frames []sentFrame
-		for {
-			kind, seq, payload, err := readFrame(far)
+		for in := newFrameConn(far, 0); ; {
+			kind, seq, payload, err := in.readFrame()
 			if err != nil {
 				done <- frames
 				return

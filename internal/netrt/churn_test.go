@@ -182,13 +182,23 @@ func TestShardBounceMidDownload(t *testing.T) {
 	// back 150ms later. Peers homed on the dead shard are severed mid-
 	// download and must redial through backoff until the listener returns;
 	// every client still finishes with output X.
+	//
+	// "Mid-download" holds by construction, not by the sockets being slow:
+	// with T = 0 nobody finishes a phase without hearing from peer 0, and a
+	// partition keeps peer 0's messages from everyone for 20 times the
+	// bounce delay (and their retransmission for an RTO after that), so the
+	// run cannot have ended when the bounce timer fires.
+	const bounceAfter = 2 * time.Millisecond
 	res, err := netrt.Run(netrt.Config{
 		N: 8, T: 0, L: 4096, MsgBits: 256, Seed: 23,
 		NewPeer: crashk.New,
 		Shards:  2,
 		ShardBounces: []netrt.ShardBounce{
-			{Shard: 1, After: 2 * time.Millisecond, Down: 150 * time.Millisecond},
+			{Shard: 1, After: bounceAfter, Down: 150 * time.Millisecond},
 		},
+		Faults: &netrt.FaultPlan{Seed: 23, Partitions: []netrt.Partition{
+			{A: []sim.PeerID{0}, B: []sim.PeerID{1, 2, 3, 4, 5, 6, 7}, Start: 0, Heal: 20 * bounceAfter},
+		}},
 		Timeout: 30 * time.Second,
 	})
 	if err != nil {

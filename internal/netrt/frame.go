@@ -1,13 +1,25 @@
 package netrt
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"sync"
+	"time"
 )
 
+// Frame I/O. Every connection of the runtime — the hub's, the client's, the
+// load generator's — is a frameConn, and a frame costs about one system call
+// in each direction: a small frame is assembled and leaves in one write, and
+// frames are read through a per-connection buffer, so a header and its body,
+// and a run of small frames that arrived together, share one read. The hub's
+// shard writers go further and put several frames into one write
+// (flushBatch); they share the frameConn's write lock. See docs/RUNTIMES.md
+// "Frame I/O".
+//
 // Frame format v2 (v1 had no sequence number):
 //
 //	[4B length][1B kind][uvarint seq][payload]
@@ -109,26 +121,96 @@ func kindName(k byte) string {
 // maxFrame bounds a frame's size (hostile or buggy peers).
 const maxFrame = 64 << 20
 
-func writeFrame(w io.Writer, mu *sync.Mutex, kind byte, seq uint64, payload []byte) error {
+// coalesceMax is the largest payload that writeFrame copies next to its
+// header so the frame leaves in one write. A larger payload is written from
+// where it lies, after the header: the copy would cost more than the second
+// system call saves.
+const coalesceMax = 4 << 10
+
+// readBufSize sizes a connection's read buffer. A body that does not fit is
+// read straight into its own payload slice (bufio.Reader does that).
+const readBufSize = 16 << 10
+
+// eagerFrame is how much of a frame's announced size readFrame allocates
+// before any of it has arrived; the rest is allocated as it is read.
+const eagerFrame = 1 << 20
+
+// frameConn is one connection's frame I/O: the write lock and scratch that
+// make a frame's bytes contiguous on the wire, and the read buffer. It lives
+// exactly as long as nc does, so bytes buffered by one reader of the
+// connection (the hello or resume handshake) are there for the next (the
+// serve loop), and two values are the same connection iff the pointers are
+// equal.
+type frameConn struct {
+	nc net.Conn
+	// idle, when positive, is the silence a reader tolerates: the read
+	// deadline is armed whenever the buffer has run dry and the socket is
+	// about to be read. Zero leaves the deadline to the owner.
+	idle time.Duration
+	r    *bufio.Reader
+
+	wmu  sync.Mutex
+	wbuf []byte // one small frame, or a large frame's header
+}
+
+func newFrameConn(conn net.Conn, idle time.Duration) *frameConn {
+	fc := &frameConn{nc: conn, idle: idle}
+	fc.r = bufio.NewReaderSize(socketReader{fc}, readBufSize)
+	return fc
+}
+
+// socketReader is the read buffer's source.
+type socketReader struct{ fc *frameConn }
+
+func (s socketReader) Read(p []byte) (int, error) {
+	if s.fc.idle > 0 {
+		s.fc.nc.SetReadDeadline(time.Now().Add(s.fc.idle))
+	}
+	return s.fc.nc.Read(p)
+}
+
+// readFrame returns the connection's next frame, from the buffer when it is
+// already there.
+func (fc *frameConn) readFrame() (kind byte, seq uint64, payload []byte, err error) {
+	return readFrame(fc.r)
+}
+
+// writeFrame encodes one frame (byte for byte what appendFrame produces)
+// and writes it.
+func (fc *frameConn) writeFrame(kind byte, seq uint64, payload []byte) error {
 	if len(payload) > maxFrame-16 {
 		return fmt.Errorf("netrt: frame too large: %d", len(payload))
 	}
-	hdr := make([]byte, 4, 5+binary.MaxVarintLen64)
-	hdr = append(hdr, kind)
-	hdr = binary.AppendUvarint(hdr, seq)
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(hdr)-4+len(payload)))
-	mu.Lock()
-	defer mu.Unlock()
-	if _, err := w.Write(hdr); err != nil {
+	fc.wmu.Lock()
+	defer fc.wmu.Unlock()
+	if len(payload) <= coalesceMax {
+		fc.wbuf = appendFrame(fc.wbuf[:0], kind, seq, payload)
+		_, err := fc.nc.Write(fc.wbuf)
 		return err
 	}
-	_, err := w.Write(payload)
+	// The header of an empty frame, its length made to cover the payload.
+	fc.wbuf = appendFrame(fc.wbuf[:0], kind, seq, nil)
+	binary.BigEndian.PutUint32(fc.wbuf, uint32(len(fc.wbuf)-4+len(payload)))
+	if _, err := fc.nc.Write(fc.wbuf); err != nil {
+		return err
+	}
+	_, err := fc.nc.Write(payload)
 	return err
 }
 
+// writeEncoded writes frames the caller has already encoded with
+// appendFrame, in one write.
+func (fc *frameConn) writeEncoded(frames []byte) error {
+	fc.wmu.Lock()
+	defer fc.wmu.Unlock()
+	_, err := fc.nc.Write(frames)
+	return err
+}
+
+func (fc *frameConn) Close() error { return fc.nc.Close() }
+
 // appendFrame appends one encoded frame to dst and returns the extended
-// slice. The shard writers use it to coalesce several frames into a
-// single socket write; the encoding is byte-identical to writeFrame.
+// slice: the one definition of a frame's bytes.
 func appendFrame(dst []byte, kind byte, seq uint64, payload []byte) []byte {
 	at := len(dst)
 	dst = append(dst, 0, 0, 0, 0, kind)
@@ -138,21 +220,29 @@ func appendFrame(dst []byte, kind byte, seq uint64, payload []byte) []byte {
 	return dst
 }
 
-// readFrame reads one frame. It accepts any io.Reader so fuzz targets can
-// drive it from byte slices; runtime callers pass a net.Conn with a read
-// deadline already set.
+// readFrame reads one frame. It accepts any io.Reader so tests and fuzz
+// targets can drive it from byte slices; the runtime reads through a
+// frameConn. A frame of up to eagerFrame bytes gets its one exact
+// allocation; a larger one is allocated as its bytes arrive, so a header
+// alone cannot make the reader allocate what it announces.
 func readFrame(r io.Reader) (kind byte, seq uint64, payload []byte, err error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, nil, err
 	}
-	size := binary.BigEndian.Uint32(hdr[:])
+	size := int(binary.BigEndian.Uint32(hdr[:]))
 	if size < 2 || size > maxFrame {
 		return 0, 0, nil, fmt.Errorf("netrt: bad frame size %d", size)
 	}
-	buf := make([]byte, size)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, 0, nil, err
+	buf := make([]byte, min(size, eagerFrame))
+	for got := 0; ; {
+		if _, err := io.ReadFull(r, buf[got:]); err != nil {
+			return 0, 0, nil, err
+		}
+		if got = len(buf); got == size {
+			break
+		}
+		buf = append(buf, make([]byte, min(got, size-got))...)
 	}
 	seq, n := binary.Uvarint(buf[1:])
 	if n <= 0 {

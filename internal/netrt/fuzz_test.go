@@ -3,8 +3,8 @@ package netrt
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
-	"sync"
 	"testing"
 )
 
@@ -16,10 +16,7 @@ import (
 func FuzzReadFrame(f *testing.F) {
 	// A well-formed frame, plus the malformed shapes the hostile-frame
 	// regression test exercises.
-	var buf bytes.Buffer
-	var mu sync.Mutex
-	_ = writeFrame(&buf, &mu, kMsg, 7, []byte("payload"))
-	f.Add(buf.Bytes())
+	f.Add(appendFrame(nil, kMsg, 7, []byte("payload")))
 	f.Add([]byte{0, 0, 0, 0})                  // length below minimum
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})      // length over maxFrame
 	f.Add([]byte{0, 0, 0, 2, kMsg, 0x80})      // truncated seq uvarint
@@ -27,6 +24,18 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 16, 0, kDone, 1})       // large length, no body
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, seq, payload, err := readFrame(bytes.NewReader(data))
+		// A connection's reader that gets the same bytes in two socket
+		// reads, cut at a point the input picks, must say the same.
+		cut := 0
+		for _, b := range data {
+			cut = (cut*31 + int(b)) % (len(data) + 1)
+		}
+		halves := io.MultiReader(bytes.NewReader(data[:cut]), bytes.NewReader(data[cut:]))
+		bk, bs, bp, berr := newFrameConn(&recConn{src: halves}, 0).readFrame()
+		if (berr == nil) != (err == nil) || bk != kind || bs != seq || !bytes.Equal(bp, payload) {
+			t.Fatalf("cut at %d of %d: buffered reader (%d,%d,%x,%v), plain reader (%d,%d,%x,%v)",
+				cut, len(data), bk, bs, bp, berr, kind, seq, payload, err)
+		}
 		if err != nil {
 			return
 		}
@@ -35,12 +44,11 @@ func FuzzReadFrame(f *testing.F) {
 			t.Fatalf("payload longer than input: %d > %d", len(payload), len(data))
 		}
 		// And must round-trip through writeFrame.
-		var out bytes.Buffer
-		var mu sync.Mutex
-		if err := writeFrame(&out, &mu, kind, seq, payload); err != nil {
+		out := &recConn{}
+		if err := newFrameConn(out, 0).writeFrame(kind, seq, payload); err != nil {
 			t.Fatalf("re-encode of parsed frame failed: %v", err)
 		}
-		k2, s2, p2, err := readFrame(bytes.NewReader(out.Bytes()))
+		k2, s2, p2, err := readFrame(bytes.NewReader(out.wrote))
 		if err != nil || k2 != kind || s2 != seq || !bytes.Equal(p2, payload) {
 			t.Fatalf("round-trip mismatch: (%d,%d,%x) → (%d,%d,%x) err=%v",
 				kind, seq, payload, k2, s2, p2, err)
@@ -226,12 +234,11 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(kMsg, uint64(1), []byte{0x01, 0x02})
 	f.Add(kQReply, uint64(1<<40), bytes.Repeat([]byte{0xAB}, 300))
 	f.Fuzz(func(t *testing.T, kind byte, seq uint64, payload []byte) {
-		var buf bytes.Buffer
-		var mu sync.Mutex
-		if err := writeFrame(&buf, &mu, kind, seq, payload); err != nil {
+		out := &recConn{}
+		if err := newFrameConn(out, 0).writeFrame(kind, seq, payload); err != nil {
 			return // oversized payloads are rejected, which is fine
 		}
-		k, s, p, err := readFrame(bytes.NewReader(buf.Bytes()))
+		k, s, p, err := readFrame(bytes.NewReader(out.wrote))
 		if err != nil {
 			t.Fatalf("decode of encoded frame failed: %v", err)
 		}

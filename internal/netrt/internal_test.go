@@ -222,8 +222,8 @@ func TestIdleDeadlineDetectsDeadLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	var mu sync.Mutex
-	if err := writeFrame(conn, &mu, kHello, 0, binary.AppendUvarint(nil, 0)); err != nil {
+	fc := newFrameConn(conn, 0)
+	if err := fc.writeFrame(kHello, 0, binary.AppendUvarint(nil, 0)); err != nil {
 		t.Fatal(err)
 	}
 	// Send nothing further: the hub keeps pinging us, but our silence
@@ -231,7 +231,7 @@ func TestIdleDeadlineDetectsDeadLink(t *testing.T) {
 	start := time.Now()
 	conn.SetReadDeadline(start.Add(5 * idle))
 	for {
-		if _, _, _, err := readFrame(conn); err != nil {
+		if _, _, _, err := fc.readFrame(); err != nil {
 			break
 		}
 	}
@@ -268,8 +268,8 @@ func TestHostileFramesCannotPanicHub(t *testing.T) {
 		}
 		// The hub must drop (or ignore) the garbage without dying.
 		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		for {
-			if _, _, _, err := readFrame(conn); err != nil {
+		for in := newFrameConn(conn, 0); ; {
+			if _, _, _, err := in.readFrame(); err != nil {
 				break
 			}
 		}
@@ -281,16 +281,16 @@ func TestHostileFramesCannotPanicHub(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	var mu sync.Mutex
-	if err := writeFrame(conn, &mu, kHello, 0, binary.AppendUvarint(nil, 1)); err != nil {
+	fc := newFrameConn(conn, 0)
+	if err := fc.writeFrame(kHello, 0, binary.AppendUvarint(nil, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(conn, &mu, kQuery, 1, encodeQueryHeader(0, []int{0, 1, 2})); err != nil {
+	if err := fc.writeFrame(kQuery, 1, encodeQueryHeader(0, []int{0, 1, 2})); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	for {
-		kind, _, payload, err := readFrame(conn)
+		kind, _, payload, err := fc.readFrame()
 		if err != nil {
 			t.Fatalf("no query reply after hostile traffic: %v", err)
 		}
@@ -326,17 +326,17 @@ func scriptedHub(t *testing.T, onQuery func(kind byte, payload []byte, reply fun
 			}
 			go func() {
 				defer conn.Close()
-				var mu sync.Mutex
+				fc := newFrameConn(conn, 0)
 				reply := func(kind byte, payload []byte) {
-					_ = writeFrame(conn, &mu, kind, replySeq.Add(1), payload)
+					_ = fc.writeFrame(kind, replySeq.Add(1), payload)
 				}
 				for {
-					kind, seq, payload, err := readFrame(conn)
+					kind, seq, payload, err := fc.readFrame()
 					if err != nil {
 						return
 					}
 					if seq > 0 { // TCP keeps the order, so the newest is the cumulative ack
-						_ = writeFrame(conn, &mu, kAck, 0, binary.AppendUvarint(nil, seq))
+						_ = fc.writeFrame(kAck, 0, binary.AppendUvarint(nil, seq))
 					}
 					if kind == kQuery || kind == kQuerySrc {
 						onQuery(kind, payload, reply)
@@ -491,8 +491,8 @@ func TestFallbackRetryChargesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	var mu sync.Mutex
-	if err := writeFrame(conn, &mu, kHello, 0, binary.AppendUvarint(nil, 0)); err != nil {
+	fc := newFrameConn(conn, 0)
+	if err := fc.writeFrame(kHello, 0, binary.AppendUvarint(nil, 0)); err != nil {
 		t.Fatal(err)
 	}
 	idx := make([]int, 128)
@@ -504,12 +504,12 @@ func TestFallbackRetryChargesOnce(t *testing.T) {
 	ask := func(kind byte, hdr []byte, want byte) []byte {
 		t.Helper()
 		seq++
-		if err := writeFrame(conn, &mu, kind, seq, hdr); err != nil {
+		if err := fc.writeFrame(kind, seq, hdr); err != nil {
 			t.Fatal(err)
 		}
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 		for {
-			k, _, payload, err := readFrame(conn)
+			k, _, payload, err := fc.readFrame()
 			if err != nil {
 				t.Fatalf("no %s for %s: %v", kindName(want), kindName(kind), err)
 			}
@@ -559,12 +559,12 @@ func TestRejectUnknownPeer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var mu sync.Mutex
-		if err := writeFrame(conn, &mu, kHello, 0, binary.AppendUvarint(nil, id)); err != nil {
+		fc := newFrameConn(conn, 0)
+		if err := fc.writeFrame(kHello, 0, binary.AppendUvarint(nil, id)); err != nil {
 			t.Fatal(err)
 		}
 		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		kind, _, _, err := readFrame(conn)
+		kind, _, _, err := fc.readFrame()
 		if err != nil || kind != kReject {
 			t.Fatalf("hello(%d): got kind=%d err=%v, want REJECT", id, kind, err)
 		}

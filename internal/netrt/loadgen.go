@@ -92,8 +92,8 @@ func (r *LoadResult) Percentile(p float64) float64 {
 type connLoad struct {
 	spec  LoadSpec
 	l     int
-	conn  net.Conn
-	mu    sync.Mutex // writeFrame contract; uncontended here
+	conn  *frameConn
+	out   []byte // encoded queries not yet written: see flush
 	seq   uint64
 	first int // global id of this conn's first logical client
 	count int // logical clients on this conn
@@ -111,8 +111,9 @@ type connLoad struct {
 
 // sendNext issues local client li's next query: BitsPerQuery consecutive
 // indices at a (client, ordinal)-derived offset, tagged with the client's
-// global id so the reply routes back without per-client connections.
-func (c *connLoad) sendNext(li int) error {
+// global id so the reply routes back without per-client connections. The
+// query is timed from here, and leaves with the next flush.
+func (c *connLoad) sendNext(li int) {
 	global := c.first + li
 	ord := int(c.issued[li])
 	c.issued[li]++
@@ -128,26 +129,38 @@ func (c *connLoad) sendNext(li int) error {
 	c.seq++
 	payload := encodeQueryHeader(global, indices)
 	c.sentAt[li] = time.Now()
-	if err := writeFrame(c.conn, &c.mu, kQuery, c.seq, payload); err != nil {
-		return err
-	}
+	c.out = appendFrame(c.out, kQuery, c.seq, payload)
 	c.queries++
 	c.inflight++
-	return nil
+}
+
+// flush writes the queries issued since the last one, in one write. run
+// calls it whenever it is about to wait for the socket — the pipelined
+// client's rule — so the queries that one read's worth of replies released
+// travel together, and none is held while the connection is idle.
+func (c *connLoad) flush() error {
+	if len(c.out) == 0 {
+		return nil
+	}
+	err := c.conn.writeEncoded(c.out)
+	c.out = c.out[:0]
+	return err
 }
 
 // run drives this connection to completion or the deadline.
 func (c *connLoad) run(deadline time.Time) error {
 	for c.nextStart < c.count && c.inflight < c.spec.Window {
-		li := c.nextStart
+		c.sendNext(c.nextStart)
 		c.nextStart++
-		if err := c.sendNext(li); err != nil {
-			return err
-		}
 	}
+	c.conn.nc.SetReadDeadline(deadline)
 	for c.completed < c.count {
-		c.conn.SetReadDeadline(deadline)
-		kind, _, payload, err := readFrame(c.conn)
+		if c.conn.r.Buffered() == 0 {
+			if err := c.flush(); err != nil {
+				return err
+			}
+		}
+		kind, _, payload, err := c.conn.readFrame()
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				return nil // deadline: unanswered queries count as drops
@@ -172,17 +185,12 @@ func (c *connLoad) run(deadline time.Time) error {
 		c.remaining[li]--
 		switch {
 		case c.remaining[li] > 0:
-			if err := c.sendNext(li); err != nil {
-				return err
-			}
+			c.sendNext(li)
 		default:
 			c.completed++
 			if c.nextStart < c.count {
-				next := c.nextStart
+				c.sendNext(c.nextStart)
 				c.nextStart++
-				if err := c.sendNext(next); err != nil {
-					return err
-				}
 			}
 		}
 	}
@@ -231,7 +239,9 @@ func (x *Hub) GenerateLoad(spec LoadSpec) (*LoadResult, error) {
 		id := sim.PeerID(i)
 		conn, err := net.DialTimeout("tcp", x.h.addrFor(id), 10*time.Second)
 		if err == nil {
-			err = writeFrame(conn, &d.mu, kHello, 0, binary.AppendUvarint(nil, uint64(id)))
+			// No idle deadline: run reads against the trial's own.
+			d.conn = newFrameConn(conn, 0)
+			err = d.conn.writeFrame(kHello, 0, binary.AppendUvarint(nil, uint64(id)))
 		}
 		if err != nil {
 			for _, prev := range drivers[:i] {
@@ -242,7 +252,6 @@ func (x *Hub) GenerateLoad(spec LoadSpec) (*LoadResult, error) {
 			}
 			return nil, fmt.Errorf("netrt: load conn %d: %w", i, err)
 		}
-		d.conn = conn
 	}
 
 	start := time.Now()

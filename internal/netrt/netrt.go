@@ -406,11 +406,10 @@ func Run(cfg Config) (*sim.Result, error) {
 // persist across flaps and reconnects, which is what makes duplicated or
 // replayed frames idempotent.
 type hubPeer struct {
-	id      sim.PeerID
-	writeMu sync.Mutex // serializes frame writes on the current conn
+	id sim.PeerID
 
 	mu   sync.Mutex
-	conn net.Conn // nil while disconnected
+	conn *frameConn // nil while disconnected
 	// killed marks a KillAfter casualty: reconnects are refused.
 	killed bool
 	// out is the reliable hub→peer stream (MSG frames): unacked frames
@@ -647,15 +646,16 @@ func (h *hub) acceptLoop(s *hubShard, ln net.Listener) {
 
 // rejectConn permanently refuses a connection (unknown, absent, or killed
 // peer): the REJECT frame tells the client to stop redialing.
-func (h *hub) rejectConn(conn net.Conn) {
-	var mu sync.Mutex
-	_ = writeFrame(conn, &mu, kReject, 0, nil)
+func (h *hub) rejectConn(conn *frameConn) {
+	_ = conn.writeFrame(kReject, 0, nil)
 	conn.Close()
 }
 
-func (h *hub) serve(conn net.Conn) {
-	conn.SetReadDeadline(time.Now().Add(h.idle))
-	kind, _, payload, err := readFrame(conn)
+func (h *hub) serve(nc net.Conn) {
+	// One reader for the connection's whole life: whatever arrived in the
+	// same segment as HELLO is in its buffer for the loop below.
+	conn := newFrameConn(nc, h.idle)
+	kind, _, payload, err := conn.readFrame()
 	if err != nil || kind != kHello {
 		conn.Close()
 		return
@@ -725,8 +725,7 @@ func (h *hub) serve(conn net.Conn) {
 	h.pump(hp)
 
 	for {
-		conn.SetReadDeadline(time.Now().Add(h.idle))
-		kind, seq, payload, err := readFrame(conn)
+		kind, seq, payload, err := conn.readFrame()
 		if err != nil {
 			// Read error or idle deadline: the link is dead. Drop it and
 			// let the peer's reconnect (or the run timeout) sort it out.
@@ -1345,10 +1344,10 @@ func runIncarnation(cfg *Config, id sim.PeerID, addr string, st *clientStats, me
 	// is acked (or we were rejected), so nothing of ours is in flight.
 	// Half-close and drain so the hub's own in-flight writes are not RST.
 	if conn != nil {
-		if tc, ok := conn.(*net.TCPConn); ok {
+		if tc, ok := conn.nc.(*net.TCPConn); ok {
 			_ = tc.CloseWrite()
 		}
-		_, _ = io.Copy(io.Discard, conn)
+		_, _ = io.Copy(io.Discard, conn.nc)
 		conn.Close()
 	}
 	return false, nil
@@ -1367,10 +1366,8 @@ type client struct {
 	// met is the run's shared observability bundle; nil when disabled.
 	met *netMetrics
 
-	writeMu sync.Mutex // serializes frame writes on the current conn
-
 	mu   sync.Mutex
-	conn net.Conn
+	conn *frameConn
 	// out is the reliable client→hub stream (MSG/QUERY/DONE): replayed
 	// after every reconnect, retransmitted if long unacked.
 	out outbox
@@ -1508,9 +1505,9 @@ func (c *client) finishReply(tag int, indices []int, bits *bitarray.Array, full 
 var _ sim.Context = (*client)(nil)
 
 // write counts one outbound frame and writes it on conn.
-func (c *client) write(conn net.Conn, kind byte, seq uint64, payload []byte) error {
+func (c *client) write(conn *frameConn, kind byte, seq uint64, payload []byte) error {
 	c.met.cliTx(kind, len(payload))
-	return writeFrame(conn, &c.writeMu, kind, seq, payload)
+	return conn.writeFrame(kind, seq, payload)
 }
 
 // connect dials the hub with capped exponential backoff, then replays
@@ -1522,7 +1519,7 @@ func (c *client) connect(initial bool) error {
 			c.met.backoffObserve(d)
 			time.Sleep(d)
 		}
-		conn, err := net.Dial("tcp", c.addr)
+		nc, err := net.Dial("tcp", c.addr)
 		if err != nil {
 			c.mu.Lock()
 			term := c.terminated
@@ -1532,6 +1529,9 @@ func (c *client) connect(initial bool) error {
 			}
 			continue
 		}
+		// One reader for the connection's whole life: frames that arrive
+		// in the same segment as RESUME are in its buffer for loop.
+		conn := newFrameConn(nc, c.idle)
 		c.mu.Lock()
 		needResume := c.needResume
 		c.mu.Unlock()
@@ -1581,10 +1581,9 @@ func (c *client) connect(initial bool) error {
 // receive dedup restarts at the hub's outbox base. Everything before the
 // verdict is discarded — reliable frames will be retransmitted against
 // the aligned streams, best-effort ones are recovered end-to-end.
-func (c *client) awaitResume(conn net.Conn) error {
+func (c *client) awaitResume(conn *frameConn) error {
 	for {
-		conn.SetReadDeadline(time.Now().Add(c.idle))
-		kind, _, payload, err := readFrame(conn)
+		kind, _, payload, err := conn.readFrame()
 		if err != nil {
 			return err
 		}
@@ -1630,8 +1629,7 @@ func (c *client) loop() {
 		if finished {
 			return
 		}
-		conn.SetReadDeadline(time.Now().Add(c.idle))
-		kind, seq, payload, err := readFrame(conn)
+		kind, seq, payload, err := conn.readFrame()
 		if err != nil {
 			c.mu.Lock()
 			finished := c.rejected || c.crashed || (c.terminated && c.out.empty())

@@ -240,11 +240,8 @@ func (h *hub) flushBatch(s *hubShard, batch []shardFrame) {
 			s.dropped.Add(int64(cb.frames))
 			h.met.shardEventN(s.idx, "conn_down", cb.frames)
 		} else {
-			conn.SetWriteDeadline(time.Now().Add(h.idle))
-			hp.writeMu.Lock()
-			_, err := conn.Write(cb.buf)
-			hp.writeMu.Unlock()
-			if err != nil {
+			conn.nc.SetWriteDeadline(time.Now().Add(h.idle))
+			if err := conn.writeEncoded(cb.buf); err != nil {
 				s.writeErrs.Add(1)
 				h.met.shardEvent(s.idx, "write_err")
 			} else {

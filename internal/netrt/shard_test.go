@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -28,16 +27,15 @@ func TestAppendFrameMatchesWriteFrame(t *testing.T) {
 		{kAck, 127, binary.AppendUvarint(nil, 127)},
 		{kDone, 128, []byte{}},
 	}
-	var mu sync.Mutex
 	for _, tc := range cases {
-		var direct bytes.Buffer
-		if err := writeFrame(&direct, &mu, tc.kind, tc.seq, tc.payload); err != nil {
+		direct := &recConn{}
+		if err := newFrameConn(direct, 0).writeFrame(tc.kind, tc.seq, tc.payload); err != nil {
 			t.Fatal(err)
 		}
 		batched := appendFrame(nil, tc.kind, tc.seq, tc.payload)
-		if !bytes.Equal(direct.Bytes(), batched) {
+		if !bytes.Equal(direct.wrote, batched) {
 			t.Fatalf("kind=%d seq=%d: writeFrame %x != appendFrame %x",
-				tc.kind, tc.seq, direct.Bytes(), batched)
+				tc.kind, tc.seq, direct.wrote, batched)
 		}
 		// And a coalesced double encoding must decode as two frames.
 		both := appendFrame(batched, tc.kind, tc.seq+1, tc.payload)
@@ -113,16 +111,16 @@ func TestStartHub(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	var mu sync.Mutex
-	if err := writeFrame(conn, &mu, kHello, 0, binary.AppendUvarint(nil, uint64(id))); err != nil {
+	fc := newFrameConn(conn, 0)
+	if err := fc.writeFrame(kHello, 0, binary.AppendUvarint(nil, uint64(id))); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(conn, &mu, kQuery, 1, encodeQueryHeader(7, []int{0, 3, 5})); err != nil {
+	if err := fc.writeFrame(kQuery, 1, encodeQueryHeader(7, []int{0, 3, 5})); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	for {
-		kind, _, payload, err := readFrame(conn)
+		kind, _, payload, err := fc.readFrame()
 		if err != nil {
 			t.Fatalf("no reply from StartHub hub: %v", err)
 		}
