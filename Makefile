@@ -60,9 +60,10 @@ bench-ci:
 # CPU and heap profile of one cell of `go run ./benchmark`: a whole-download
 # cell (download/cells_bench_test.go: des-crashk, des-committee, tcp-crashk,
 # tcp-naive-bmaj, plus des-committee-quarter for the short-run committee
-# schedule), 40 downloads as in one benchmark pass, or hub-load
-# (internal/netrt/bench_test.go), 10 load trials. The package follows from
-# the cell's name. The test binary and the profiles land in benchmark/out/
+# schedule), 40 downloads as in one benchmark pass, or one of the two
+# workloads that drive internal/netrt directly (internal/netrt/bench_test.go):
+# hub-load, 10 load trials, and tcp-storm, 40 downloads. The package follows
+# from the cell's name. The test binary and the profiles land in benchmark/out/
 # (git-ignored) for `go tool pprof -list`; the cumulative top is printed.
 # Not a gate.
 CELL ?= des-crashk
@@ -70,6 +71,10 @@ ifeq ($(CELL),hub-load)
 PROFILE_PKG := ./internal/netrt
 PROFILE_BENCH := BenchmarkHubLoad$$
 PROFILE_N := 10x
+else ifeq ($(CELL),tcp-storm)
+PROFILE_PKG := ./internal/netrt
+PROFILE_BENCH := BenchmarkStorm$$
+PROFILE_N := 40x
 else
 PROFILE_PKG := ./download
 PROFILE_BENCH := BenchmarkCell/$(CELL)$$

@@ -4,16 +4,42 @@
 // a few contiguous runs plus stragglers; ranges keep both the in-memory
 // footprint and the accounted message size proportional to the run count
 // rather than the element count.
+//
+// A range is held as two int32: from phase 2 on crashk exchanges sets with
+// about one range per bit, so the bytes of a range are the bytes of every
+// decoded or partitioned set. The API speaks int; an index beyond
+// ±MaxIndex is refused where a set is built, never wrapped.
 package intset
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
+// MaxIndex bounds every range end a Set can hold: −MaxIndex ≤ Lo and
+// Hi ≤ MaxIndex, so elements lie in [−MaxIndex, MaxIndex).
+const MaxIndex = math.MaxInt32
+
 // Range is the half-open interval [Lo, Hi).
 type Range struct {
-	Lo, Hi int
+	Lo, Hi int32
+}
+
+// checkBounds panics if [lo, hi) cannot be held: a protocol bug, which
+// must not wrap into a valid-looking range. The message is built out of
+// line so that the check itself inlines into Add and AddRange.
+func checkBounds(lo, hi int) {
+	if lo < -MaxIndex || hi > MaxIndex {
+		panicBounds(lo, hi)
+	}
+}
+
+func panicBounds(lo, hi int) {
+	if lo < -MaxIndex {
+		panic(fmt.Sprintf("intset: index %d below the bound %d", lo, -MaxIndex))
+	}
+	panic(fmt.Sprintf("intset: index %d beyond the bound %d", hi-1, MaxIndex-1))
 }
 
 // Set is a sorted sequence of disjoint, non-adjacent ranges. The zero
@@ -39,29 +65,31 @@ func FromRange(lo, hi int) Set {
 	if hi <= lo {
 		return Set{}
 	}
-	return Set{ranges: []Range{{lo, hi}}}
+	checkBounds(lo, hi)
+	return Set{ranges: []Range{{int32(lo), int32(hi)}}}
 }
 
 func (s *Set) appendOne(x int) {
+	checkBounds(x, x+1)
 	n := len(s.ranges)
 	if n > 0 {
 		last := &s.ranges[n-1]
-		if x < last.Hi {
+		if x < int(last.Hi) {
 			panic(fmt.Sprintf("intset: indices not strictly increasing at %d", x))
 		}
-		if x == last.Hi {
+		if x == int(last.Hi) {
 			last.Hi++
 			return
 		}
 	}
-	s.ranges = append(s.ranges, Range{x, x + 1})
+	s.ranges = append(s.ranges, Range{int32(x), int32(x + 1)})
 }
 
 // Len returns the number of elements.
 func (s Set) Len() int {
 	n := 0
 	for _, r := range s.ranges {
-		n += r.Hi - r.Lo
+		n += int(r.Hi) - int(r.Lo)
 	}
 	return n
 }
@@ -79,27 +107,32 @@ func (s Set) Bounds() (lo, hi int) {
 	if len(s.ranges) == 0 {
 		return 0, 0
 	}
-	return s.ranges[0].Lo, s.ranges[len(s.ranges)-1].Hi
+	return int(s.ranges[0].Lo), int(s.ranges[len(s.ranges)-1].Hi)
 }
 
 // Contains reports membership.
 func (s Set) Contains(x int) bool {
-	i := sort.Search(len(s.ranges), func(i int) bool { return s.ranges[i].Hi > x })
-	return i < len(s.ranges) && s.ranges[i].Lo <= x
+	i := sort.Search(len(s.ranges), func(i int) bool { return int(s.ranges[i].Hi) > x })
+	return i < len(s.ranges) && int(s.ranges[i].Lo) <= x
 }
 
 // ForEachRange calls fn for every coalesced range [lo, hi) in increasing
 // order — the natural unit for wire encoding.
 func (s Set) ForEachRange(fn func(lo, hi int)) {
 	for _, r := range s.ranges {
-		fn(r.Lo, r.Hi)
+		fn(int(r.Lo), int(r.Hi))
 	}
 }
+
+// Ranges returns the coalesced ranges in increasing order: ForEachRange
+// for a caller that stops at the first range deciding its question. The
+// slice is the set's own and must not be written.
+func (s Set) Ranges() []Range { return s.ranges }
 
 // ForEach calls fn for every element in increasing order.
 func (s Set) ForEach(fn func(x int)) {
 	for _, r := range s.ranges {
-		for x := r.Lo; x < r.Hi; x++ {
+		for x := int(r.Lo); x < int(r.Hi); x++ {
 			fn(x)
 		}
 	}
@@ -153,17 +186,18 @@ func (b *Builder) AddRange(lo, hi int) {
 	if hi <= lo {
 		return
 	}
+	checkBounds(lo, hi)
 	if n := len(b.set.ranges); n > 0 {
 		last := &b.set.ranges[n-1]
-		if lo < last.Hi {
+		if lo < int(last.Hi) {
 			panic(fmt.Sprintf("intset: range [%d,%d) overlaps existing end %d", lo, hi, last.Hi))
 		}
-		if lo == last.Hi {
-			last.Hi = hi
+		if lo == int(last.Hi) {
+			last.Hi = int32(hi)
 			return
 		}
 	}
-	b.set.ranges = append(b.set.ranges, Range{lo, hi})
+	b.set.ranges = append(b.set.ranges, Range{int32(lo), int32(hi)})
 }
 
 // Set returns the accumulated set.

@@ -3,6 +3,11 @@ package netrt
 import (
 	"math/rand"
 	"testing"
+	"time"
+
+	"repro/internal/protocols/crashk"
+	"repro/internal/sim"
+	"repro/internal/source"
 )
 
 // queryShapes are the index lists the query header codec meets in the
@@ -104,5 +109,44 @@ func BenchmarkHubLoad(b *testing.B) {
 				res.Queries, res.Replies, want, res.TimedOut, dropped)
 		}
 		b.ReportMetric(res.Percentile(50), "p50-ms")
+	}
+}
+
+// BenchmarkStorm is one tcp-storm download of `go run ./benchmark` an
+// iteration, for taking a profile of it (`make profile CELL=tcp-storm`):
+// the workload drives Run directly, so no download.Run cell can stand in
+// for it. The source of truth for the parameters is benchmark/workloads.go
+// (stormOp, stormAbsent, stormChurn); copy a change there to here. The
+// input is the seed-derived default and the fault-plan seeds are the
+// iteration's, neither of which the profiled code sees. Every honest peer
+// must output the input, the churn peer after rejoining from its
+// checkpoint.
+func BenchmarkStorm(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		seed := int64(i + 1)
+		res, err := Run(Config{
+			N: 16, T: 4, L: 65536, MsgBits: 65536 / 16, Seed: seed,
+			NewPeer: crashk.NewFast, Label: "crashk-fast",
+			Absent:        []sim.PeerID{3, 8, 13},
+			Churn:         []sim.ChurnPeer{{Peer: 1, CrashAfter: 60, Downtime: 0.05}},
+			CheckpointDir: b.TempDir(),
+			Faults:        &FaultPlan{Seed: seed + 1000, Drop: .02, Dup: .02, Delay: 2 * time.Millisecond, Reorder: .05},
+			SourceFaults:  &source.FaultPlan{Seed: seed + 2000, FailRate: 0.1},
+			SourcePolicy:  source.Policy{BaseBackoff: 0.02, MaxBackoff: 0.2, Deadline: 0.25, BreakerCooldown: 0.1},
+			Resilience:    Resilience{QueryTimeout: 60 * time.Millisecond, RTO: 30 * time.Millisecond},
+			Shards:        2,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Correct || res.Rejoins != 1 {
+			b.Fatalf("seed %d: correct=%v rejoins=%d: %v", seed, res.Correct, res.Rejoins, res.Failures)
+		}
+		for _, ps := range res.PerPeer {
+			if ps.Honest && !ps.OutputCorrect {
+				b.Fatalf("seed %d: honest peer %d did not output the input", seed, ps.ID)
+			}
+		}
 	}
 }

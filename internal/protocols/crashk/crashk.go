@@ -251,6 +251,22 @@ func (p *Peer) eachUnknown(lo, hi int, fn func(x int)) {
 	}
 }
 
+// eachOwned calls fn(o, x) for every still-unknown bit x with its phase-r
+// owner o; each owner sees its bits in increasing order. Phase 1's owner
+// function is the block partition, so its blocks are walked one by one
+// rather than rediscovered by a division per bit.
+func (p *Peer) eachOwned(r int, fn func(o, x int)) {
+	n, L := p.env.N, p.env.L
+	if r == 1 {
+		for o := 0; o < n; o++ {
+			lo, hi := sim.BlockRange(L, n, sim.PeerID(o))
+			p.eachUnknown(lo, hi, func(x int) { fn(o, x) })
+		}
+		return
+	}
+	p.eachUnknown(0, L, func(x int) { fn(int(owner(p.opts.Reassign, r, x, L, n)), x) })
+}
+
 // unknownByOwner groups the currently unknown bits by their phase-r owner.
 // Two walks over the tracker: the first counts each owner's coalesced
 // ranges, so that one backing array of exactly that total can be carved
@@ -258,14 +274,13 @@ func (p *Peer) eachUnknown(lo, hi int, fn func(x int)) {
 // them. owner() is recomputed in the second walk rather than remembered:
 // a per-bit scratch would be the one allocation here that grows with L.
 func (p *Peer) unknownByOwner(r int) []intset.Set {
-	n, L := p.env.N, p.env.L
+	n := p.env.N
 	scratch := make([]int, 2*n)
 	counts, last := scratch[:n], scratch[n:]
 	for i := range last {
 		last[i] = -2 // adjacent to no index
 	}
-	p.eachUnknown(0, L, func(x int) {
-		o := owner(p.opts.Reassign, r, x, L, n)
+	p.eachOwned(r, func(o, x int) {
 		if x != last[o]+1 {
 			counts[o]++
 		}
@@ -282,9 +297,7 @@ func (p *Peer) unknownByOwner(r int) []intset.Set {
 		builders[i] = intset.BuilderOver(backing[off : off : off+c])
 		off += c
 	}
-	p.eachUnknown(0, L, func(x int) {
-		builders[owner(p.opts.Reassign, r, x, L, n)].Add(x)
-	})
+	p.eachOwned(r, func(o, x int) { builders[o].Add(x) })
 	sets := make([]intset.Set, n)
 	for i := range builders {
 		sets[i] = builders[i].Set()
@@ -292,16 +305,32 @@ func (p *Peer) unknownByOwner(r int) []intset.Set {
 	return sets
 }
 
+// allKnown reports whether every bit of set, which must lie in [0, L), is
+// known; it stops at the first range holding an unknown one.
+func (p *Peer) allKnown(set intset.Set) bool {
+	for _, r := range set.Ranges() {
+		if !p.track.KnownRange(int(r.Lo), int(r.Hi)) {
+			return false
+		}
+	}
+	return true
+}
+
+// anyKnown is allKnown's dual: it stops at the first range holding a
+// known bit.
+func (p *Peer) anyKnown(set intset.Set) bool {
+	for _, r := range set.Ranges() {
+		if p.track.AnyKnown(int(r.Lo), int(r.Hi)) {
+			return true
+		}
+	}
+	return false
+}
+
 // stillUnknown returns set minus the bits learned since it was computed:
 // the very same Set when none was, a filtered copy otherwise.
 func (p *Peer) stillUnknown(set intset.Set) intset.Set {
-	untouched := true
-	set.ForEachRange(func(lo, hi int) {
-		if untouched && p.track.AnyKnown(lo, hi) {
-			untouched = false
-		}
-	})
-	if untouched {
+	if !p.anyKnown(set) {
 		return set
 	}
 	runs, last := 0, -2
@@ -402,13 +431,7 @@ func (p *Peer) checkWait2() {
 // Req2 is now known — the Theorem 2.13 early-exit condition.
 func (p *Peer) needsSatisfied() bool {
 	for _, it := range p.needs {
-		satisfied := true
-		it.Indices.ForEachRange(func(lo, hi int) {
-			if satisfied && !p.track.KnownRange(lo, hi) {
-				satisfied = false
-			}
-		})
-		if !satisfied {
+		if !p.allKnown(it.Indices) {
 			return false
 		}
 	}
@@ -559,13 +582,7 @@ func (p *Peer) answerReq1(from sim.PeerID, req *Req1) {
 // Known-ness is checked before allocating: answering "me neither" (the
 // common case under heavy crash fractions) must not allocate at all.
 func (p *Peer) extract(set intset.Set) (vals *bitarray.Array, ok bool) {
-	ok = true
-	set.ForEachRange(func(lo, hi int) {
-		if ok && !p.track.KnownRange(lo, hi) {
-			ok = false
-		}
-	})
-	if !ok {
+	if !p.allKnown(set) {
 		return nil, false
 	}
 	vals = bitarray.New(set.Len())
@@ -615,16 +632,7 @@ func (p *Peer) answerReq2(from sim.PeerID, req *Req2) {
 
 // answerable reports whether a stage-2 item is in range and fully known.
 func (p *Peer) answerable(set intset.Set) bool {
-	if !inRange(set, p.env.L) {
-		return false
-	}
-	known := true
-	set.ForEachRange(func(lo, hi int) {
-		if known && !p.track.KnownRange(lo, hi) {
-			known = false
-		}
-	})
-	return known
+	return inRange(set, p.env.L) && p.allKnown(set)
 }
 
 // learnSet records values delivered alongside their index set.

@@ -62,9 +62,8 @@ func modelPartition(p *Peer, r int) []intset.Set {
 	return sets
 }
 
-func rangesOf(s intset.Set) (out []intset.Range) {
-	s.ForEachRange(func(lo, hi int) { out = append(out, intset.Range{Lo: lo, Hi: hi}) })
-	return out
+func rangesOf(s intset.Set) []intset.Range {
+	return append([]intset.Range(nil), s.Ranges()...) // nil for every empty set
 }
 
 func requireSameSets(t *testing.T, label string, got, want []intset.Set) {
@@ -171,5 +170,82 @@ func TestStillUnknownSharesUntouchedSet(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("stillUnknown copied an untouched set: %.0f allocations", allocs)
+	}
+}
+
+// TestPhase1PartitionWalksBlocks: phase 1 walks sim.BlockRange per owner
+// instead of asking owner() per bit; the two must name the same partition
+// where blocks are uneven (L not a multiple of N), empty (N > L), a single
+// bit, and on a tracker that is already warm — a churn peer restarting from
+// a checkpoint enters phase 1 knowing scattered bits and whole blocks.
+func TestPhase1PartitionWalksBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, c := range []struct{ L, n int }{
+		{1, 1}, {1, 16}, {5, 16}, {15, 16}, {16, 16}, {17, 16}, {100, 7},
+		{1000, 16}, {4099, 128}, {65536 + 3, 16},
+	} {
+		warm := map[string]func(p *Peer){
+			"cold":      func(*Peer) {},
+			"scattered": func(p *Peer) { learnRandom(rng, p.track, 0.4) },
+			"whole blocks": func(p *Peer) {
+				ones := bitarray.New(c.L)
+				for _, o := range []int{0, c.n / 2, c.n - 1} {
+					lo, hi := sim.BlockRange(c.L, c.n, sim.PeerID(o))
+					p.track.LearnRange(lo, hi, ones, lo)
+				}
+				learnRandom(rng, p.track, 0.05)
+			},
+			"complete": func(p *Peer) { p.track.LearnRange(0, c.L, bitarray.New(c.L), 0) },
+		}
+		for name, learn := range warm {
+			p := partitionPeer(sim.PeerID(c.n-1), c.n, c.L, ReassignHash)
+			learn(p)
+			label := fmt.Sprintf("L=%d n=%d %s", c.L, c.n, name)
+			got := p.unknownByOwner(1)
+			requireSameSets(t, label, got, modelPartition(p, 1))
+			covered := 0
+			for _, s := range got {
+				covered += s.Len()
+			}
+			if covered != p.track.UnknownCount() {
+				t.Fatalf("%s: partition holds %d bits, %d are unknown", label, covered, p.track.UnknownCount())
+			}
+		}
+	}
+}
+
+// TestNeedsSatisfiedStopsAtTheUnknownRange: the Fast early exit must say no
+// wherever the one still-unknown range of its request lies — first, in the
+// middle, or last, where a walk that stopped early for the wrong reason
+// would not look — and yes once that range too is known.
+func TestNeedsSatisfiedStopsAtTheUnknownRange(t *testing.T) {
+	const L = 1 << 10
+	ranges := [][2]int{{3, 9}, {64, 65}, {100, 300}, {511, 513}, {1000, 1024}}
+	var b intset.Builder
+	for _, r := range ranges {
+		b.AddRange(r[0], r[1])
+	}
+	ones := bitarray.New(L)
+	for hole := range ranges {
+		p := partitionPeer(0, 16, L, ReassignHash)
+		p.needs = []Req2Item{{Q: 1, Indices: intset.FromRange(20, 30)}, {Q: 2, Indices: b.Set()}}
+		p.track.LearnRange(20, 30, ones, 20)
+		for k, r := range ranges {
+			if k != hole {
+				p.track.LearnRange(r[0], r[1], ones, r[0])
+			}
+		}
+		lo, hi := ranges[hole][0], ranges[hole][1]
+		if p.needsSatisfied() {
+			t.Fatalf("satisfied with range [%d,%d) unknown", lo, hi)
+		}
+		p.track.LearnRange(lo, hi-1, ones, lo) // all of it but its last bit
+		if p.needsSatisfied() {
+			t.Fatalf("satisfied with bit %d unknown", hi-1)
+		}
+		p.track.Learn(hi-1, true)
+		if !p.needsSatisfied() {
+			t.Fatalf("not satisfied with every requested bit known (hole was [%d,%d))", lo, hi)
+		}
 	}
 }

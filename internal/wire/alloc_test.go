@@ -65,7 +65,8 @@ func TestMarshalAllocBudget(t *testing.T) {
 
 // TestUnmarshalSetAllocBudget pins the decode side of a phase ≥ 2 request,
 // whose set has about one range per bit: the message, the set's ranges
-// reserved once from the count in the header, and nothing per range.
+// reserved once from the count in the header — eight bytes each — and
+// nothing per range.
 func TestUnmarshalSetAllocBudget(t *testing.T) {
 	var b intset.Builder
 	for x := 0; x < 2*4096; x += 2 {
@@ -75,14 +76,22 @@ func TestUnmarshalSetAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
+	const ranges, runs = 4096, 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() {
 		m, err := Unmarshal(raw, 1<<13)
-		if err != nil || m.(*crashk.Req1).Indices.RangeCount() != 4096 {
+		if err != nil || m.(*crashk.Req1).Indices.RangeCount() != ranges {
 			t.Fatalf("decode: %v, %v", m, err)
 		}
 	})
+	runtime.ReadMemStats(&after)
 	if allocs > 3 {
-		t.Fatalf("Unmarshal of a 4096-range Req1 allocated %.1f times per op, budget 3", allocs)
+		t.Fatalf("Unmarshal of a %d-range Req1 allocated %.1f times per op, budget 3", ranges, allocs)
+	}
+	// AllocsPerRun makes one warm-up call beyond its runs.
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); perOp > 8*ranges+256 {
+		t.Fatalf("Unmarshal of a %d-range Req1 allocated %d bytes per op, budget 8 a range + 256", ranges, perOp)
 	}
 }
 

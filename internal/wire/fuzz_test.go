@@ -29,6 +29,15 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00, 0x01})
 	f.Add(wire.HostileSetCount())
+	// What the decoder is strict about: bytes after a whole message, a
+	// range that starts where the last one ended, a padded varint.
+	req1, err := wire.Marshal(seedMsgs[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(req1, 0xDE))
+	f.Add([]byte{req1[0], 1, 2, 1, 1, 0, 1})
+	f.Add([]byte{req1[0], 1, 1, 0x80, 0x00, 1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := wire.Unmarshal(data, 4096)

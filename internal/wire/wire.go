@@ -5,10 +5,13 @@
 // (package netrt) and by tests that check the semantic size accounting is
 // honest (encoded length tracks SizeBits within a small framing overhead).
 //
-// Frame format: one type byte, then a type-specific payload built from
-// unsigned varints (encoding/binary), length-prefixed bitarray payloads,
-// and index sets encoded as coalesced (start, length) range pairs —
-// matching the accounting model of package intset.
+// Frame format (docs/SPEC.md §2.1): one type byte, then a type-specific
+// payload built from unsigned varints (encoding/binary), length-prefixed
+// bitarray payloads, and index sets encoded as a range count and one
+// (gap-from-previous-end, length) pair per coalesced range — matching the
+// accounting model of package intset, and two bytes a range for the sets
+// crashk sends from phase 2 on. Decoding is length-strict, and the set
+// decoder accepts exactly what the encoder can emit.
 package wire
 
 import (
@@ -237,6 +240,9 @@ func Unmarshal(data []byte, L int) (sim.Message, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
+	if len(r.buf) != 0 {
+		return nil, ErrTruncated // trailing bytes: decoding is length-strict
+	}
 	return m, nil
 }
 
@@ -263,15 +269,25 @@ func (w *writer) bits(a *bitarray.Array) {
 	w.buf = a.AppendTo(w.buf)
 }
 
+// set encodes the range count, then one (gap-from-previous-end, length)
+// pair per range. From phase 2 on nearly every pair of a crashk set is two
+// values below 0x80, which are their own varints.
 func (w *writer) set(s intset.Set) {
-	w.uvarint(uint64(s.RangeCount()))
-	// Encode ranges as (gap-from-previous-end, length) pairs.
-	prevEnd := 0
-	s.ForEachRange(func(lo, hi int) {
-		w.uvarint(uint64(lo - prevEnd))
-		w.uvarint(uint64(hi - lo))
+	ranges := s.Ranges()
+	buf := binary.AppendUvarint(w.buf, uint64(len(ranges)))
+	prevEnd := int64(0)
+	for _, rg := range ranges {
+		lo, hi := int64(rg.Lo), int64(rg.Hi)
+		gap, length := uint64(lo-prevEnd), uint64(hi-lo)
+		if gap|length < 0x80 {
+			buf = append(buf, byte(gap), byte(length))
+		} else {
+			buf = binary.AppendUvarint(buf, gap)
+			buf = binary.AppendUvarint(buf, length)
+		}
 		prevEnd = hi
-	})
+	}
+	w.buf = buf
 }
 
 type reader struct {
@@ -335,10 +351,16 @@ func (r *reader) bits() *bitarray.Array {
 	return a
 }
 
-// maxIndex bounds decoded index values; hostile varints past it would
-// otherwise overflow int arithmetic into negative ranges.
-const maxIndex = 1 << 40
+// maxIndex bounds decoded index values: what an intset.Set can hold, so
+// nothing the decoder lets through can fail to fit.
+const maxIndex = intset.MaxIndex
 
+// set decodes what writer.set wrote, a pair at a time on a local cursor:
+// two bytes below 0x80 are a gap and a length, anything else goes through
+// binary.Uvarint. It accepts only what writer.set can emit — lengths ≥ 1,
+// gaps ≥ 1 after the first range (a gap of 0 would have been coalesced),
+// minimal varints, every index ≤ maxIndex — so a decoded set re-encodes to
+// the bytes it came from.
 func (r *reader) set() intset.Set {
 	n64 := r.uvarint()
 	if r.err != nil || n64 > maxItems {
@@ -354,25 +376,43 @@ func (r *reader) set() intset.Set {
 	}
 	n := int(n64)
 	b := intset.BuilderOver(make([]intset.Range, n))
-	prevEnd := 0
-	for i := 0; i < n && r.err == nil; i++ {
-		gap := r.uvarint()
-		length := r.uvarint()
-		if r.err != nil || gap > maxIndex || length == 0 || length > maxIndex {
-			r.fail()
-			break
+	buf, pos := r.buf, 0
+	prevEnd := uint64(0)
+	for i := 0; i < n; i++ {
+		var gap, length uint64
+		if pos+1 < len(buf) && buf[pos]|buf[pos+1] < 0x80 {
+			gap, length = uint64(buf[pos]), uint64(buf[pos+1])
+			pos += 2
+		} else {
+			var kg, kl int
+			gap, kg = minimalUvarint(buf[pos:])
+			length, kl = minimalUvarint(buf[pos+kg:])
+			if kg == 0 || kl == 0 {
+				r.fail()
+				return intset.Set{}
+			}
+			pos += kg + kl
 		}
-		lo := prevEnd + int(gap)
-		hi := lo + int(length)
-		if lo < prevEnd || hi < lo || hi > maxIndex {
+		// A sum that wrapped has a term above maxIndex, refused just below.
+		hi := prevEnd + gap + length
+		if length == 0 || (gap == 0 && i > 0) || gap > maxIndex || length > maxIndex || hi > maxIndex {
 			r.fail()
-			break
+			return intset.Set{}
 		}
-		b.AddRange(lo, hi)
+		b.AddRange(int(prevEnd+gap), int(hi))
 		prevEnd = hi
 	}
-	if r.err != nil {
-		return intset.Set{}
-	}
+	r.buf = buf[pos:]
 	return b.Set()
+}
+
+// minimalUvarint is binary.Uvarint with every refusal reported as a width
+// of 0: a short or overflowing encoding, and one padded with a zero last
+// byte, which the encoder never writes.
+func minimalUvarint(buf []byte) (v uint64, width int) {
+	v, k := binary.Uvarint(buf)
+	if k <= 0 || (k > 1 && buf[k-1] == 0) {
+		return 0, 0
+	}
+	return v, k
 }

@@ -1,6 +1,7 @@
 package wire_test
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -100,28 +101,26 @@ type unregistered struct{}
 
 func (unregistered) SizeBits() int { return 0 }
 
-// TestTruncationRobustness: every prefix of a valid frame must fail
-// cleanly, never panic.
+// TestTruncationRobustness: decoding is length-strict, so every proper
+// prefix of a valid frame is ErrTruncated — never a shorter message, never
+// a panic.
 func TestTruncationRobustness(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m := &crashk.Resp2{Phase: 2, IdxBits: 12, Items: []crashk.Resp2Item{
 		{Q: 5, Indices: intset.FromRange(0, 64), Values: randBits(rng, 64)},
 		{Q: 6, MeNeither: true},
+		{Q: 7, Indices: intset.FromSorted([]int{3, 200, 201, 1000}), Values: randBits(rng, 4)},
 	}}
 	raw, err := wire.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := wire.Unmarshal(raw, testL)
-	if err != nil {
+	if _, err := wire.Unmarshal(raw, testL); err != nil {
 		t.Fatal(err)
 	}
-	_ = full
 	for cut := 0; cut < len(raw); cut++ {
-		if _, err := wire.Unmarshal(raw[:cut], testL); err == nil && cut < len(raw)-1 {
-			// Some prefixes may parse as shorter valid frames only if
-			// the item count happens to cover it — but never panic.
-			continue
+		if _, err := wire.Unmarshal(raw[:cut], testL); !errors.Is(err, wire.ErrTruncated) {
+			t.Fatalf("prefix of %d of %d bytes: err = %v, want ErrTruncated", cut, len(raw), err)
 		}
 	}
 }
