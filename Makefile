@@ -41,10 +41,12 @@ test:
 # and through it the query plane (internal/qplane), whose transitions
 # live's timer callbacks and serving goroutines share under the peer
 # mutex — the sharded socket hub + load generator, the download facade,
-# and the des parallel sweep driver (TestWorkerDeterminism: same seed ⇒
-# identical results across worker counts, raced).
+# the des parallel sweep driver (TestWorkerDeterminism: same seed ⇒
+# identical results across worker counts, raced), and committee's Report,
+# the one message that caches on itself and is shared between recipients
+# (TestSharedReportRace).
 race:
-	$(GO) test -race -timeout $(TIMEOUT) ./internal/des/ ./internal/live/ ./internal/netrt/ ./download/
+	$(GO) test -race -timeout $(TIMEOUT) ./internal/des/ ./internal/live/ ./internal/netrt/ ./download/ ./internal/protocols/committee/
 
 bench:
 	$(GO) test -bench=. -benchmem . | tee bench_output.txt
@@ -60,8 +62,9 @@ bench-ci:
 # CPU and heap profile of one cell of `go run ./benchmark`: a whole-download
 # cell (download/cells_bench_test.go: des-crashk, des-committee, tcp-crashk,
 # tcp-naive-bmaj, plus des-committee-quarter for the short-run committee
-# schedule), 40 downloads as in one benchmark pass, or one of the two
-# workloads that drive internal/netrt directly (internal/netrt/bench_test.go):
+# schedule and table1-committee for the shape of the paper's Table-1 row,
+# 94.8 M messages a download), 40 downloads as in one benchmark pass, or one
+# of the two workloads that drive internal/netrt directly (internal/netrt/bench_test.go):
 # hub-load, 10 load trials, and tcp-storm, 40 downloads. The package follows
 # from the cell's name. The test binary and the profiles land in benchmark/out/
 # (git-ignored) for `go tool pprof -list`; the cumulative top is printed.

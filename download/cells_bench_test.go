@@ -14,7 +14,13 @@ import (
 // mirror-plan seed is fixed. des-committee-quarter is not a benchmark
 // workload: it is des-committee at β = 1/4, where a member's list is runs
 // of one or two indices and not of 127, the other shape of schedule the
-// vote tally has to be fast on.
+// vote tally has to be fast on. table1-committee is not one either: it has
+// the shape of EXPERIMENTS.md T1's committee row and of `make bench-ci`'s
+// full-scale one (N=256, β = 1/4, L=16384, Liar; 94.8 M messages a
+// download), so that a profile and ROADMAP item 4's Workers measurement
+// have the large cell at hand — but the delay policy and the placement of
+// the faulty peers are download's, not internal/experiments', so its paper
+// metrics are not that row's.
 var benchCells = []struct {
 	name string
 	opts download.Options
@@ -24,6 +30,8 @@ var benchCells = []struct {
 	{"des-committee", download.Options{Protocol: download.Committee, N: 128, T: 63, L: 2048,
 		Behavior: download.Liar}},
 	{"des-committee-quarter", download.Options{Protocol: download.Committee, N: 128, T: 32, L: 2048,
+		Behavior: download.Liar}},
+	{"table1-committee", download.Options{Protocol: download.Committee, N: 256, T: 64, L: 16384,
 		Behavior: download.Liar}},
 	{"tcp-crashk", download.Options{Protocol: download.CrashKFast, N: 16, T: 8, L: 65536,
 		Behavior: download.CrashImmediate, TCP: true}},

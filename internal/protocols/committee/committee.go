@@ -15,12 +15,23 @@
 // Peers whose configuration violates 2t+1 ≤ n (i.e., β ≥ 1/2) fall back to
 // querying the entire array: the only deterministic option in that regime.
 //
+// A report is read as words, not as indices. The per-index rules — one
+// report per sender, strictly increasing indices inside a report, indices
+// inside the array, membership of the sender on the index's committee —
+// are the scatter's (tally.scatter): it turns a report into its ballot,
+// the list of 64-index words it votes in, and that list is what is counted.
+// A ballot depends on the report and on (sender, L, n, s) only, so it is
+// kept on the Report under that key: where one *Report reaches many
+// recipients in one process (des, live) it is scattered at the first
+// delivery and read at the others.
+//
 // The protocol is written against the state-machine API (sim.Machine);
 // New wraps it in sim.AsPeer for the classic sim.Peer surface.
 package committee
 
 import (
 	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/bitarray"
 	"repro/internal/sim"
@@ -38,10 +49,20 @@ func indexBits(L int) int {
 // Report carries a committee member's queried bits: Bits.Get(k) is the
 // value of index Indices[k]. One Report per peer covers all of its
 // committee assignments.
+//
+// A Report is frozen once it is sent (sim.Message): des and live hand the
+// same *Report to every recipient. ballot is the one thing written after
+// that — the report's votes as words, built by whichever recipient counts
+// it first (tally.count) and stored with the key it was built under. It
+// is atomic because recipients may run on different goroutines (des with
+// Spec.Workers > 1, live); two that race build equal ballots and either
+// store stands. Holding it makes a Report uncopyable by value.
 type Report struct {
 	Indices []int
 	Bits    *bitarray.Array
 	IdxBits int
+
+	ballot atomic.Pointer[ballot]
 }
 
 var _ sim.Message = (*Report)(nil)
@@ -177,16 +198,16 @@ func (p *Peer) onQueryReply(r sim.QueryReply, em *sim.Emitter) {
 	if p.done {
 		return
 	}
-	for k, idx := range r.Indices {
-		p.track.LearnFromSource(idx, r.Bits.Get(k))
-	}
+	p.track.LearnIndexedFromSource(r.Indices, r.Bits)
 	if p.naive {
 		p.maybeFinish(em)
 		return
 	}
 	// Broadcast my committee report: the reply's values, which are what
-	// the tracker now holds for these (distinct) indices.
-	em.Broadcast(&Report{Indices: append([]int(nil), r.Indices...), Bits: r.Bits.Slice(0, len(r.Indices)), IdxBits: p.idxBits})
+	// the tracker now holds for these (distinct) indices. The reply's list
+	// is this peer's own from delivery on (sim.QueryReply) and is not
+	// written again, so the Report takes it as it is.
+	em.Broadcast(&Report{Indices: r.Indices, Bits: r.Bits.Slice(0, len(r.Indices)), IdxBits: p.idxBits})
 	p.reported = true
 	em.MarkPhase("verify")
 	p.maybeFinish(em)

@@ -56,16 +56,68 @@ func mod(a, n int) int {
 	return a
 }
 
-// count casts the votes of one report. It keeps every rule of the
-// per-index loop it replaces: indices at or below an earlier one, or
+// ballot is a report read as words: for every destination word the report
+// votes in, ascending, the indices voted on (any) and those voted 1 (one).
+// It is a function of the report's Indices and Bits and of its key and of
+// nothing a receiver holds, so it is computed at a report's first delivery
+// and read at the others (Report.ballot).
+type ballot struct {
+	key   ballotKey
+	words []wordVotes
+}
+
+// ballotKey is everything outside a report that its ballot depends on: who
+// sent it, and the array and schedule it is counted under.
+type ballotKey struct {
+	from    sim.PeerID
+	l, n, s int
+}
+
+type wordVotes struct {
+	w        int
+	any, one uint64
+}
+
+// emit appends one word of votes; a word nobody voted in is not listed.
+func (b *ballot) emit(w int, one, any uint64) {
+	if any != 0 {
+		b.words = append(b.words, wordVotes{w, any, one})
+	}
+}
+
+// count casts the votes of one report: it looks up or builds the report's
+// ballot, then adds its words to the counters — the first delivery of a
+// report exactly as every later one. The key is compared on every use: a
+// Byzantine peer may relay another's Report under its own id, and one
+// Report may be counted under more than one configuration.
+func (t *tally) count(from sim.PeerID, rep *Report) {
+	key := ballotKey{from, t.l, t.n, t.s}
+	b := rep.ballot.Load()
+	if b == nil || b.key != key {
+		b = t.scatter(key, rep)
+		rep.ballot.Store(b)
+	}
+	for _, v := range b.words {
+		t.cast(v.w, v.one, v.any)
+	}
+}
+
+// scatter builds the ballot of rep under key, which names this tally's
+// array and schedule. It keeps every rule of
+// the per-index loop it replaces: indices at or below an earlier one, or
 // outside the array, are skipped (a member cannot vote twice on one bit
 // inside a report), and only members of an index's committee vote on it.
-func (t *tally) count(from sim.PeerID, rep *Report) {
+// A report votes in at most one word per index and in no word outside the
+// array, which bounds the list whatever the report holds.
+func (t *tally) scatter(key ballotKey, rep *Report) *ballot {
+	b := &ballot{key: key}
+	b.words = make([]wordVotes, 0, min((t.l+63)/64, len(rep.Indices)))
 	if t.runs {
-		t.countRuns(from, rep)
+		t.countRuns(b, rep)
 	} else {
-		t.countEach(from, rep)
+		t.countEach(b, rep)
 	}
+	return b
 }
 
 // follow moves d, the sender's offset on a committee (a member iff d < s),
@@ -88,10 +140,10 @@ func follow(d, gap, s, n int) int {
 
 // countEach scatters a report index by index, assembling each destination
 // word in registers: any marks the indices voted on, one those voted 1.
-// Accepted indices only increase, so each word is cast once.
-func (t *tally) countEach(from sim.PeerID, rep *Report) {
+// Accepted indices only increase, so each word is emitted once.
+func (t *tally) countEach(b *ballot, rep *Report) {
 	idx, l, n, s := rep.Indices, t.l, t.n, t.s
-	prev, d := -1, mod(int(from)+s, n) // d is the offset at index prev
+	prev, d := -1, mod(int(b.key.from)+s, n) // d is the offset at index prev
 	var w int
 	var one, any, src uint64
 	for k, i := range idx {
@@ -108,14 +160,14 @@ func (t *tally) countEach(from sim.PeerID, rep *Report) {
 			continue
 		}
 		if i>>6 != w {
-			t.cast(w, one, any)
+			b.emit(w, one, any)
 			w, one, any = i>>6, 0, 0
 		}
 		bit := uint64(1) << (uint(i) % 64)
 		any |= bit
 		one |= bit & -v
 	}
-	t.cast(w, one, any)
+	b.emit(w, one, any)
 }
 
 // countRuns is countEach for schedules whose honest lists are long runs
@@ -123,9 +175,9 @@ func (t *tally) countEach(from sim.PeerID, rep *Report) {
 // membership run on together, values are copied a word at a time. A list
 // that does not run on costs more here than in countEach, never a
 // different vote.
-func (t *tally) countRuns(from sim.PeerID, rep *Report) {
+func (t *tally) countRuns(b *ballot, rep *Report) {
 	idx, l, n, s := rep.Indices, t.l, t.n, t.s
-	prev, d := -1, mod(int(from)+s, n)
+	prev, d := -1, mod(int(b.key.from)+s, n)
 	var w int
 	var one, any uint64
 	for k := 0; k < len(idx); k++ {
@@ -146,7 +198,7 @@ func (t *tally) countRuns(from sim.PeerID, rep *Report) {
 		for pos, q := i, k; pos < i+r; {
 			take := min(64-pos%64, i+r-pos) // stay inside one destination word
 			if pos>>6 != w {
-				t.cast(w, one, any)
+				b.emit(w, one, any)
 				w, one, any = pos>>6, 0, 0
 			}
 			any |= ^uint64(0) >> (64 - uint(take)) << (uint(pos) % 64)
@@ -155,15 +207,12 @@ func (t *tally) countRuns(from sim.PeerID, rep *Report) {
 		}
 		k, prev = k+r-1, i+r-1
 	}
-	t.cast(w, one, any)
+	b.emit(w, one, any)
 }
 
 // cast adds one word of votes to the counters and learns what the carries
 // name.
 func (t *tally) cast(w int, one, any uint64) {
-	if any == 0 {
-		return
-	}
 	t.learn(w, t.add(2*w, any&^one), false)
 	t.learn(w, t.add(2*w+1, one), true)
 }

@@ -3,7 +3,9 @@ package committee
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/bitarray"
@@ -116,10 +118,15 @@ type rig struct {
 
 func newRig(t *testing.T, n, tf, l int, weak bool, seed int64) *rig {
 	rng := rand.New(rand.NewSource(seed))
-	id := sim.PeerID(rng.Intn(n))
-	r := &rig{t: t, label: fmt.Sprintf("n=%d t=%d L=%d weak=%v seed=%d", n, tf, l, weak, seed),
+	return newRigAt(t, sim.PeerID(rng.Intn(n)), n, tf, l, weak, seed, bitarray.Random(rng, l))
+}
+
+// newRigAt is newRig for a chosen receiver and input: rigs that share an
+// input can be handed the same report objects.
+func newRigAt(t *testing.T, id sim.PeerID, n, tf, l int, weak bool, seed int64, input *bitarray.Array) *rig {
+	r := &rig{t: t, label: fmt.Sprintf("n=%d t=%d L=%d weak=%v seed=%d receiver=%d", n, tf, l, weak, seed, id),
 		env:   sim.Env{ID: id, N: n, T: tf, L: l},
-		input: bitarray.Random(rng, l), peer: &Peer{weakAccept: weak}, model: newModel(id, n, tf, l, weak)}
+		input: input, peer: &Peer{weakAccept: weak}, model: newModel(id, n, tf, l, weak)}
 	r.know = &sim.Knowledge{Input: r.input, Config: sim.Config{N: n, T: tf, L: l}}
 	r.step(sim.Event{Kind: sim.EvInit})
 	return r
@@ -145,9 +152,44 @@ func (r *rig) reply() {
 }
 
 func (r *rig) deliver(from sim.PeerID, rep *Report, what string) {
+	counts := !r.peer.done && !r.peer.seenReport[from] && rep.Bits != nil && rep.Bits.Len() >= len(rep.Indices)
 	r.model.onMessage(from, rep)
 	r.step(sim.Event{Kind: sim.EvMessage, From: from, Msg: rep})
 	r.compare(fmt.Sprintf("%s from %d", what, from))
+	if counts {
+		r.checkBallot(from, rep, what)
+	}
+}
+
+// unshared returns a Report with rep's fields and no ballot.
+func unshared(rep *Report) *Report {
+	return &Report{Indices: rep.Indices, Bits: rep.Bits, IdxBits: rep.IdxBits}
+}
+
+// checkBallot holds the ballot a counted report now carries to its form:
+// keyed as it was just used, one entry per word voted in, ascending, no
+// value without a vote, and entry for entry what a scatter of an unshared
+// copy of the report gives.
+func (r *rig) checkBallot(from sim.PeerID, rep *Report, what string) {
+	r.t.Helper()
+	tl := r.peer.votes
+	key := ballotKey{from, tl.l, tl.n, tl.s}
+	b := rep.ballot.Load()
+	if b == nil || b.key != key {
+		r.t.Fatalf("%s: %s from %d left ballot %+v, want one keyed %+v", r.label, what, from, b, key)
+	}
+	fresh := tl.scatter(key, unshared(rep))
+	if !slices.Equal(b.words, fresh.words) {
+		r.t.Fatalf("%s: %s from %d: ballot %v, a fresh scatter gives %v", r.label, what, from, b.words, fresh.words)
+	}
+	if cap(b.words) > min((tl.l+63)/64, len(rep.Indices)) {
+		r.t.Fatalf("%s: %s from %d: ballot sized %d for L=%d and %d indices", r.label, what, from, cap(b.words), tl.l, len(rep.Indices))
+	}
+	for k, v := range b.words {
+		if v.any == 0 || v.one&^v.any != 0 || v.w < 0 || v.w >= (tl.l+63)/64 || (k > 0 && v.w <= b.words[k-1].w) {
+			r.t.Fatalf("%s: %s from %d: ballot entry %d of %v is not in form", r.label, what, from, k, b.words)
+		}
+	}
 }
 
 func (r *rig) compare(after string) {
@@ -254,37 +296,143 @@ var tallyCells = []struct{ n, t, l int }{
 // TestTallyMatchesPerIndexLoop is the model check: honest, Liar,
 // Equivocator, Forge'd and hostile reports, in random order and with
 // repeated senders, leave tracker, vote counts, completion and output
-// equal to the per-index loop's after every single message.
+// equal to the per-index loop's after every single message. Reports are
+// shared the way des and live share them: every report object goes to
+// three receivers with different ids (two of one parity, one of the other,
+// so the Equivocator's two objects are both in play), and a third of the
+// senders are Byzantine relays that pass on an honest peer's very pointer
+// under their own id — before, after or between that pointer's honest
+// deliveries.
 func TestTallyMatchesPerIndexLoop(t *testing.T) {
 	for _, c := range tallyCells {
 		for _, weak := range []bool{false, true} {
 			for seed := int64(1); seed <= 6; seed++ {
-				r := newRig(t, c.n, c.t, c.l, weak, seed)
 				rng := rand.New(rand.NewSource(seed * 7919))
+				input := bitarray.Random(rng, c.l)
+				first := rng.Intn(c.n)
+				var rigs [3]*rig
+				for k := range rigs {
+					rigs[k] = newRigAt(t, sim.PeerID((first+k)%c.n), c.n, c.t, c.l, weak, seed, input)
+				}
+				know := rigs[0].know
+				honest := make([]*Report, c.n)
+				for s := range honest {
+					honest[s] = forge(sim.PeerID(s), know, false)
+				}
 				senders := rng.Perm(c.n)
 				senders = append(senders, senders[:c.n/3]...) // repeats are dropped
 				replyAt := rng.Intn(len(senders))
 				for j, s := range senders {
-					if j == replyAt {
-						r.reply()
-					}
 					from := sim.PeerID(s)
-					honest := forge(from, r.know, false)
-					switch roll := rng.Intn(10); {
+					what, rep := "honest", [2]*Report{honest[s], honest[s]} // by the receiver's parity
+					switch roll := rng.Intn(15); {
 					case roll < 4:
-						r.deliver(from, honest, "honest")
 					case roll < 6:
-						r.deliver(from, forge(from, r.know, true), "liar")
+						what, rep[0] = "liar", forge(from, know, true)
+						rep[1] = rep[0]
 					case roll < 7:
-						r.deliver(from, forge(from, r.know, int(r.env.ID)%2 == 1), "equivocator")
+						what, rep[1] = "equivocator", forge(from, know, true)
 					case roll < 8:
-						r.deliver(from, honest.Forge(rng).(*Report), "forged")
+						what, rep[0] = "forged", honest[s].Forge(rng).(*Report)
+						rep[1] = rep[0]
+					case roll < 10:
+						rep[0], what = hostile(rng, rng.Intn(hostileKinds), honest[s], c.l, c.n)
+						rep[1] = rep[0]
 					default:
-						rep, name := hostile(rng, rng.Intn(hostileKinds), honest, c.l, c.n)
-						r.deliver(from, rep, name)
+						what, rep[0] = "relayed", honest[rng.Intn(c.n)]
+						rep[1] = rep[0]
+					}
+					for _, r := range rigs {
+						if j == replyAt {
+							r.reply()
+						}
+						r.deliver(from, rep[int(r.env.ID)%2], what)
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestReportReusedAcrossCells counts one Report under tallies of different
+// (L, n, s) and senders, twice around — a fixture reused across cells, or a
+// pointer relayed between runs. Each count must equal the count of an
+// unshared copy: a ballot built under another key is never cast.
+func TestReportReusedAcrossCells(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	know := &sim.Knowledge{Input: bitarray.Random(rng, 700), Config: sim.Config{N: 128, T: 63, L: 700}}
+	every, _ := hostile(rng, 3, forge(5, know, false), 700, 128)
+	cells := []struct {
+		from    sim.PeerID
+		l, n, t int
+	}{ // each differs from the one before it in a single part of the key
+		{5, 700, 128, 63}, {5, 650, 128, 63}, {5, 650, 127, 63}, {5, 650, 127, 62}, {6, 650, 127, 62}, {6, 64, 16, 2}, {5, 700, 128, 63}}
+	for _, rep := range []*Report{forge(5, know, false), every} {
+		for round := 0; round < 2; round++ {
+			for _, c := range cells {
+				shared := newTally(c.l, c.n, CommitteeSize(c.t), c.t+1, bitarray.NewTracker(c.l))
+				alone := newTally(c.l, c.n, CommitteeSize(c.t), c.t+1, bitarray.NewTracker(c.l))
+				for k := 0; k <= c.t; k++ { // t+1 identical counts carry every bit voted on
+					shared.count(c.from, rep)
+					alone.count(c.from, unshared(rep))
+				}
+				if !slices.Equal(shared.cnt, alone.cnt) || !shared.track.Snapshot().Equal(alone.track.Snapshot()) ||
+					shared.track.UnknownCount() != alone.track.UnknownCount() {
+					t.Fatalf("round %d, from=%d L=%d n=%d t=%d: a shared report counted differently from an unshared copy (%d unknown, want %d)",
+						round, c.from, c.l, c.n, c.t, shared.track.UnknownCount(), alone.track.UnknownCount())
+				}
+			}
+		}
+	}
+}
+
+// TestSharedReportRace is des with Spec.Workers > 1 and internal/live in
+// one place: eight goroutines, each with its own tally, count the same 128
+// report objects in eight different orders — on two cells, so that lookups
+// under a foreign key race with the rest. With at most t liars the final
+// state does not depend on the order, and every goroutine's counters and
+// tracker must equal those of a sequential count of unshared reports.
+// Meant for `make race`; without the detector it still checks the values.
+func TestSharedReportRace(t *testing.T) {
+	const n, tf, workers = 128, 63, 8
+	ls := [2]int{2048, 1000}
+	know := &sim.Knowledge{Input: bitarray.Random(rand.New(rand.NewSource(8)), ls[0]), Config: sim.Config{N: n, T: tf, L: ls[0]}}
+	build := func() []*Report {
+		reps := make([]*Report, n)
+		for s := range reps {
+			reps[s] = forge(sim.PeerID(s), know, s%3 == 0 && s/3 < tf)
+		}
+		return reps
+	}
+	run := func(l int, reps []*Report, order []int) *tally {
+		tl := newTally(l, n, CommitteeSize(tf), tf+1, bitarray.NewTracker(l))
+		for _, s := range order {
+			tl.count(sim.PeerID(s), reps[s])
+		}
+		return tl
+	}
+	var want [2]*tally
+	for k, l := range ls {
+		want[k] = run(l, build(), rand.New(rand.NewSource(1)).Perm(n))
+		if !want[k].track.Complete() {
+			t.Fatalf("L=%d: the sequential count left %d bits unknown", l, want[k].track.UnknownCount())
+		}
+	}
+	shared := build()
+	got := make([]*tally, workers)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = run(ls[g%2], shared, rand.New(rand.NewSource(int64(100+g))).Perm(n))
+		}()
+	}
+	wg.Wait()
+	for g, tl := range got {
+		w := want[g%2]
+		if !slices.Equal(tl.cnt, w.cnt) || !tl.track.Snapshot().Equal(w.track.Snapshot()) || tl.track.UnknownCount() != 0 {
+			t.Errorf("goroutine %d (L=%d): counters or tracker differ from the sequential count (%d unknown)", g, ls[g%2], tl.track.UnknownCount())
 		}
 	}
 }
@@ -403,25 +551,45 @@ func TestAssignmentsExact(t *testing.T) {
 	}
 }
 
-// TestOnMessageDoesNotAllocate: counting a report allocates nothing on
-// either kind of schedule as long as it does not complete the peer.
+// TestOnMessageDoesNotAllocate states both halves of a report's cost. Its
+// first delivery in a process builds the ballot: at most two allocations
+// (the ballot and its word list), the list sized from min(⌈L/64⌉,
+// len(Indices)) so that a hostile report cannot grow it. Every later
+// delivery, to this peer or another, allocates nothing. Neither completes
+// the peer.
 func TestOnMessageDoesNotAllocate(t *testing.T) {
 	for _, c := range []struct{ n, t, l int }{{128, 63, 2048}, {128, 32, 2048}} {
 		r := newRig(t, c.n, c.t, c.l, false, 1)
 		from := sim.PeerID((int(r.env.ID) + 1) % c.n)
-		ev := sim.Event{Kind: sim.EvMessage, From: from, Msg: forge(from, r.know, false)}
-		allocs := testing.AllocsPerRun(20, func() {
-			delete(r.peer.seenReport, from)
-			r.em.Reset(false)
-			r.peer.Step(&r.env, ev, &r.em)
-		})
-		if allocs != 0 || r.peer.done {
-			t.Errorf("n=%d t=%d: %v allocations per report (done %v), want 0", c.n, c.t, allocs, r.peer.done)
+		honest := forge(from, r.know, false)
+		every, _ := hostile(rand.New(rand.NewSource(1)), 3, honest, c.l, c.n)
+		long, _ := hostile(rand.New(rand.NewSource(1)), 1, every, c.l, c.n) // 2L indices
+		for _, rep := range []*Report{honest, every, long} {
+			ev := sim.Event{Kind: sim.EvMessage, From: from, Msg: rep}
+			step := func() {
+				delete(r.peer.seenReport, from)
+				r.em.Reset(false)
+				r.peer.Step(&r.env, ev, &r.em)
+			}
+			// AllocsPerRun's warm-up call would hide a first delivery, so
+			// every run is made one.
+			first := testing.AllocsPerRun(20, func() {
+				rep.ballot.Store(nil)
+				step()
+			})
+			later := testing.AllocsPerRun(20, step)
+			if first > 2 || later != 0 || r.peer.done {
+				t.Errorf("n=%d t=%d, %d indices: %v allocations at a first delivery, want ≤ 2; %v at a later one, want 0 (done %v)",
+					c.n, c.t, len(rep.Indices), first, later, r.peer.done)
+			}
+			if b := rep.ballot.Load(); cap(b.words) > (c.l+63)/64 {
+				t.Errorf("n=%d t=%d, %d indices: ballot sized for %d words of an array of %d", c.n, c.t, len(rep.Indices), cap(b.words), (c.l+63)/64)
+			}
 		}
 	}
 }
 
-func benchCount(b *testing.B, n, tf, l int, runs bool) {
+func benchCount(b *testing.B, n, tf, l int, runs, first bool) {
 	input := bitarray.Random(rand.New(rand.NewSource(1)), l)
 	know := &sim.Knowledge{Input: input, Config: sim.Config{N: n, T: tf, L: l}}
 	reps := make([]*Report, n)
@@ -431,18 +599,31 @@ func benchCount(b *testing.B, n, tf, l int, runs bool) {
 	// The threshold is out of reach, so every pass counts every vote.
 	tl := newTally(l, 4*n, CommitteeSize(tf), 4*n-1, bitarray.NewTracker(l))
 	tl.n, tl.runs = n, runs
+	for s, rep := range reps {
+		tl.count(sim.PeerID(s), rep)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if first {
+			reps[i%n].ballot.Store(nil) // a report this process has not counted yet
+		}
 		tl.count(sim.PeerID(i%n), reps[i%n])
 	}
 }
 
 // BenchmarkCount prices one report on the two shapes of schedule, each on
-// both scatter paths; the schedule picks the faster one (docs/PERF.md).
+// both scatter paths — the schedule picks the faster one (docs/PERF.md) —
+// and in both halves: first is a report not counted before in this
+// process (scatter, two allocations, cast), later is each of the other
+// n − 2 deliveries of the same object on des and live (cast only). A
+// socket receiver decodes its own copy and pays first every time.
 func BenchmarkCount(b *testing.B) {
 	for _, c := range []struct{ n, t int }{{128, 63}, {128, 60}, {128, 56}, {128, 48}, {128, 32}, {256, 64}, {32, 3}} {
 		for _, runs := range []bool{false, true} {
-			b.Run(fmt.Sprintf("n=%d/t=%d/runs=%v", c.n, c.t, runs), func(b *testing.B) { benchCount(b, c.n, c.t, 2048, runs) })
+			for _, half := range []string{"first", "later"} {
+				b.Run(fmt.Sprintf("n=%d/t=%d/runs=%v/%s", c.n, c.t, runs, half), func(b *testing.B) { benchCount(b, c.n, c.t, 2048, runs, half == "first") })
+			}
 		}
 	}
 }

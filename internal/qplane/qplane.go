@@ -219,10 +219,7 @@ func (p *Plane) Begin(tag int, indices []int) Begun {
 	default:
 		bits := warm
 		if bits == nil {
-			bits = bitarray.New(len(indices))
-			for j, idx := range indices {
-				bits.Set(j, input.Get(idx))
-			}
+			bits = input.Gather(indices) // in range: checked above, ahead of the charge
 		} else {
 			for k, j := range pos {
 				bits.Set(j, input.Get(fetch[k]))

@@ -26,6 +26,14 @@ type PeerID int
 
 // Message is any protocol message. SizeBits is used for message-complexity
 // accounting: a message of s bits counts as ceil(s/b) network messages.
+//
+// A message handed to Send or Broadcast is frozen: des and live deliver the
+// one pointer to every recipient, possibly on several goroutines, and
+// neither the sender, the runtime, an observer nor a recipient writes to
+// it again (adversary.Forgeable returns a deep copy for that reason).
+// Whatever a message type caches on itself must be a function of its own
+// fields and of a key it checks on every use — a Byzantine sender may relay
+// another peer's pointer under its own id — and safe to fill concurrently.
 type Message interface {
 	SizeBits() int
 }
@@ -33,6 +41,16 @@ type Message interface {
 // QueryReply carries the source's answer to a Query call: Bits.Get(j) is
 // X[Indices[j]]. Tag echoes the tag passed to Query so protocols can
 // correlate replies with outstanding requests.
+//
+// Indices and Bits belong to the receiving peer from delivery on: no
+// runtime reads or writes them afterwards, so a peer may keep them or put
+// them in a message without a copy. On des and live Indices is the copy
+// qplane.Begin made of the query's list and Bits a fresh array (the
+// oracle's gather, the source's reply or the warm merge); the qplane.Call
+// that held them is dropped at delivery. On netrt Indices is the slice the
+// peer itself passed to Query (or the client's own missing/full list) and
+// Bits is decoded per reply; Context.Query already forbids writing to that
+// slice after the call.
 type QueryReply struct {
 	Tag     int
 	Indices []int
