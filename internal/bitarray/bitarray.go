@@ -267,10 +267,12 @@ func FromBytes(data []byte) (*Array, error) {
 	if len(data) < 8 {
 		return nil, errors.New("bitarray: truncated header")
 	}
-	n := int(binary.LittleEndian.Uint64(data))
-	if n < 0 {
-		return nil, errors.New("bitarray: negative length")
+	n64 := binary.LittleEndian.Uint64(data)
+	if n64 > uint64(len(data)-8)*8 {
+		// Checked before ⌈n/64⌉ is taken: a count near 2⁶³ would wrap it.
+		return nil, fmt.Errorf("bitarray: %d bits announced in %d bytes", n64, len(data)-8)
 	}
+	n := int(n64)
 	nw := (n + wordBits - 1) / wordBits
 	if len(data) < 8+nw*8 {
 		return nil, fmt.Errorf("bitarray: need %d bytes, have %d", 8+nw*8, len(data))

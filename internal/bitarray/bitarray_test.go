@@ -1,6 +1,7 @@
 package bitarray
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -160,6 +161,15 @@ func TestFromBytesErrors(t *testing.T) {
 	raw := a.Bytes()
 	if _, err := FromBytes(raw[:len(raw)-1]); err == nil {
 		t.Error("truncated body accepted")
+	}
+	// A bit count whose word count wraps, and the largest ones: an error,
+	// not a panic in the allocation.
+	for _, n := range []uint64{1<<63 - 1, 1<<63 - 64, 1 << 63, 1<<64 - 1, 129} {
+		hostile := binary.LittleEndian.AppendUint64(nil, n)
+		hostile = append(hostile, make([]byte, 16)...)
+		if _, err := FromBytes(hostile); err == nil {
+			t.Errorf("%d bits in 16 bytes accepted", n)
+		}
 	}
 }
 

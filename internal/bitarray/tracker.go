@@ -224,6 +224,45 @@ func (t *Tracker) UnknownIn(dst []int, start, length int) []int {
 	return dst
 }
 
+// UnknownRuns calls fn(runLo, runHi) for every maximal run of unknown bits
+// within [lo, hi), in increasing order. The known mask is read a word at a
+// time, so a run costs one call however long it is and a fully known word
+// one compare; a run that crosses a word boundary is still one call.
+func (t *Tracker) UnknownRuns(lo, hi int, fn func(runLo, runHi int)) {
+	if lo < 0 || hi > t.vals.n || lo > hi {
+		panic(fmt.Sprintf("bitarray: unknown-runs range [%d,%d) out of range of %d bits", lo, hi, t.vals.n))
+	}
+	start := -1 // the open run's first bit; -1 while none is open
+	for pos := lo; pos < hi; {
+		mask, n := wordMask(pos, hi)
+		wi, sh := pos/wordBits, pos%wordBits
+		inv := ^t.known.words[wi] & mask
+		if start >= 0 && inv&1 == 0 {
+			// A run is carried only into a word-aligned pos (sh = 0), and
+			// ends there unless the word's first bit is unknown.
+			fn(start, pos)
+			start = -1
+		}
+		for inv != 0 {
+			s := bits.TrailingZeros64(inv)
+			e := s + bits.TrailingZeros64(^(inv >> uint(s))) // the run's end in this word
+			if start < 0 {
+				start = wi*wordBits + s
+			}
+			if e == sh+n {
+				break // it reaches the end of the word's part: the next word may go on with it
+			}
+			fn(start, wi*wordBits+e)
+			start = -1
+			inv &^= 1<<uint(e) - 1
+		}
+		pos += n
+	}
+	if start >= 0 {
+		fn(start, hi)
+	}
+}
+
 // UnknownAll returns every unknown index, in increasing order.
 func (t *Tracker) UnknownAll() []int {
 	dst := make([]int, 0, t.unknown)

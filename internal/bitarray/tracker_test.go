@@ -101,6 +101,71 @@ func TestTrackerUnknownIn(t *testing.T) {
 	}
 }
 
+// runsOf groups an increasing index list into maximal runs [lo, hi).
+func runsOf(idx []int) [][2]int {
+	var runs [][2]int
+	for _, x := range idx {
+		if k := len(runs) - 1; k >= 0 && runs[k][1] == x {
+			runs[k][1]++
+			continue
+		}
+		runs = append(runs, [2]int{x, x + 1})
+	}
+	return runs
+}
+
+// TestUnknownRunsVsUnknownIn: the runs are exactly UnknownIn's indices,
+// grouped, over masks of every density — runs inside a word, across
+// words, a bit long — and over ranges with unaligned ends, empty, all
+// known and all unknown. A range outside the tracker panics.
+func TestUnknownRunsVsUnknownIn(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	ones := New(1024)
+	ones.Fill(true)
+	for trial := 0; trial < 400; trial++ {
+		n := []int{1, 63, 64, 65, 128, 200, 1000}[trial%7]
+		tr := NewTracker(n)
+		density := []float64{0, 0.02, 0.3, 0.7, 0.98, 1}[trial%6]
+		for x := 0; x < n; {
+			hi := x + 1
+			if trial%3 == 0 { // known and unknown runs of up to two words
+				hi = min(n, x+1+rng.Intn(130))
+			}
+			if rng.Float64() < density {
+				tr.LearnRange(x, hi, ones, 0)
+			}
+			x = hi
+		}
+		for k := 0; k < 20; k++ {
+			lo := rng.Intn(n + 1)
+			hi := lo + rng.Intn(n-lo+1)
+			switch k {
+			case 0:
+				lo, hi = 0, n
+			case 1:
+				hi = lo
+			}
+			var got [][2]int
+			tr.UnknownRuns(lo, hi, func(a, b int) { got = append(got, [2]int{a, b}) })
+			want := runsOf(tr.UnknownIn(nil, lo, hi-lo))
+			if len(got) != len(want) {
+				t.Fatalf("n=%d [%d,%d): runs %v, want %v", n, lo, hi, got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d [%d,%d): runs %v, want %v", n, lo, hi, got, want)
+				}
+			}
+		}
+	}
+	tr := NewTracker(100)
+	for _, r := range [][2]int{{-1, 5}, {0, 101}, {7, 6}} {
+		if !panics(func() { tr.UnknownRuns(r[0], r[1], func(int, int) {}) }) {
+			t.Errorf("UnknownRuns(%d, %d) on 100 bits did not panic", r[0], r[1])
+		}
+	}
+}
+
 func TestTrackerSegments(t *testing.T) {
 	tr := NewTracker(100)
 	seg := FromBools([]bool{true, true, false, true})

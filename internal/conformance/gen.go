@@ -256,8 +256,7 @@ func generateFrames() (*Frames, error) {
 			{Q: 5, Indices: intset.FromRange(0, 64)},
 			{Q: 9, Indices: intset.FromSorted([]int{7, 9})},
 		}}},
-		{"crashk-resp2", &crashk.Resp2{Phase: 2, IdxBits: idxBits, Items: []crashk.Resp2Item{
-			{Q: 5, MeNeither: true},
+		{"crashk-resp2", &crashk.Resp2{Phase: 2, IdxBits: idxBits, MeNeither: intset.FromRange(5, 6), Items: []crashk.Resp2Item{
 			{Q: 9, Indices: intset.FromSorted([]int{7, 9}), Values: bits(2)},
 		}}},
 		{"crashk-full", &crashk.Full{Values: bits(frameL)}},

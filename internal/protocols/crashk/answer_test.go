@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/bitarray"
@@ -22,11 +23,20 @@ func walkInRange(set intset.Set, L int) bool {
 	return ok
 }
 
+// modelItem is one answer item by its definition: a peer, and either
+// me-neither or the requested values.
+type modelItem struct {
+	Q         sim.PeerID
+	MeNeither bool
+	Indices   intset.Set
+	Values    *bitarray.Array
+}
+
 // modelAnswer is answerReq2's definition, item by item with fresh slices:
 // values if the item is in range and every bit of it is known, me-neither
 // otherwise.
-func modelAnswer(p *Peer, req *Req2) *Resp2 {
-	resp := &Resp2{Phase: req.Phase, IdxBits: p.idxBits}
+func modelAnswer(p *Peer, req *Req2) []modelItem {
+	var items []modelItem
 	for _, it := range req.Items {
 		known := walkInRange(it.Indices, p.env.L)
 		if known {
@@ -35,7 +45,7 @@ func modelAnswer(p *Peer, req *Req2) *Resp2 {
 			})
 		}
 		if !known {
-			resp.Items = append(resp.Items, Resp2Item{Q: it.Q, MeNeither: true})
+			items = append(items, modelItem{Q: it.Q, MeNeither: true})
 			continue
 		}
 		vals := bitarray.New(it.Indices.Len())
@@ -45,8 +55,24 @@ func modelAnswer(p *Peer, req *Req2) *Resp2 {
 			vals.Set(i, v)
 			i++
 		})
-		resp.Items = append(resp.Items, Resp2Item{Q: it.Q, Indices: it.Indices, Values: vals})
+		items = append(items, modelItem{Q: it.Q, Indices: it.Indices, Values: vals})
 	}
+	return items
+}
+
+// splitModel turns the per-item answer into the message's two lists: the
+// supplied items, and the me-neither peers as one set.
+func splitModel(req *Req2, idxBits int, items []modelItem) *Resp2 {
+	resp := &Resp2{Phase: req.Phase, IdxBits: idxBits}
+	var neither []int
+	for _, it := range items {
+		if it.MeNeither {
+			neither = append(neither, int(it.Q))
+			continue
+		}
+		resp.Items = append(resp.Items, Resp2Item{Q: it.Q, Indices: it.Indices, Values: it.Values})
+	}
+	resp.MeNeither = intset.FromSorted(neither)
 	return resp
 }
 
@@ -62,9 +88,25 @@ func randomSubset(rng *rand.Rand, tr *bitarray.Tracker, want int, density float6
 	return b.Set()
 }
 
+// increasingPeers draws up to k peers of [0, n) in increasing order, in
+// runs of consecutive ids and as singletons.
+func increasingPeers(rng *rand.Rand, n, k int) []sim.PeerID {
+	var qs []sim.PeerID
+	for q := rng.Intn(3); q < n && len(qs) < k; {
+		qs = append(qs, sim.PeerID(q))
+		if rng.Intn(2) == 0 {
+			q++
+		} else {
+			q += 2 + rng.Intn(4)
+		}
+	}
+	return qs
+}
+
 // req2Items builds a request holding every kind of item a peer can be sent:
-// all known, none known, mixed, out of range at either end, and empty.
-func req2Items(rng *rand.Rand, tr *bitarray.Tracker, n int) []Req2Item {
+// all known, none known, mixed, out of range at either end, and empty,
+// about up to k peers of [0, n) in increasing order.
+func req2Items(rng *rand.Rand, tr *bitarray.Tracker, n, k int) []Req2Item {
 	L := tr.Len()
 	var beyond, below intset.Builder
 	beyond.AddRange(L-1-rng.Intn(L), L+1+rng.Intn(5))
@@ -77,9 +119,10 @@ func req2Items(rng *rand.Rand, tr *bitarray.Tracker, n int) []Req2Item {
 		func() intset.Set { return below.Set() },
 		func() intset.Set { return intset.Set{} },
 	}
-	items := make([]Req2Item, n)
-	for k := range items {
-		items[k] = Req2Item{Q: sim.PeerID(rng.Intn(64)), Indices: kinds[(k+rng.Intn(2))%len(kinds)]()}
+	qs := increasingPeers(rng, n, k)
+	items := make([]Req2Item, len(qs))
+	for i, q := range qs {
+		items[i] = Req2Item{Q: q, Indices: kinds[(i+rng.Intn(2))%len(kinds)]()}
 	}
 	return items
 }
@@ -97,63 +140,158 @@ func sentResp2(t *testing.T, p *Peer, to sim.PeerID) *Resp2 {
 	return resp
 }
 
+// requireSameResp2 compares two answers field by field.
+func requireSameResp2(t *testing.T, label string, got, want *Resp2) {
+	t.Helper()
+	if got.Phase != want.Phase || got.IdxBits != want.IdxBits || len(got.Items) != len(want.Items) {
+		t.Fatalf("%s: got (phase %d, idx %d, %d items), want (%d, %d, %d)", label,
+			got.Phase, got.IdxBits, len(got.Items), want.Phase, want.IdxBits, len(want.Items))
+	}
+	if !reflect.DeepEqual(rangesOf(got.MeNeither), rangesOf(want.MeNeither)) {
+		t.Fatalf("%s: me-neither %v, want %v", label, got.MeNeither, want.MeNeither)
+	}
+	if r := got.MeNeither.Ranges(); cap(r) != len(r) || cap(got.Items) != len(got.Items) {
+		t.Fatalf("%s: %d me-neither runs in room for %d, %d items in room for %d", label,
+			len(r), cap(r), len(got.Items), cap(got.Items))
+	}
+	for k, w := range want.Items {
+		g := got.Items[k]
+		if g.Q != w.Q || !reflect.DeepEqual(rangesOf(g.Indices), rangesOf(w.Indices)) {
+			t.Fatalf("%s: item %d is (%d, %v), want (%d, %v)", label, k, g.Q, g.Indices, w.Q, w.Indices)
+		}
+		if g.Values == nil || !g.Values.Equal(w.Values) {
+			t.Fatalf("%s: item %d values %v, want %v", label, k, g.Values, w.Values)
+		}
+	}
+	if got.SizeBits() != want.SizeBits() {
+		t.Fatalf("%s: SizeBits %d, want %d", label, got.SizeBits(), want.SizeBits())
+	}
+}
+
 // TestAnswerReq2MatchesModel compares the one-ruling, one-arena answer with
-// the per-item model, field by field.
+// the per-item model, split into supplied items and the me-neither set, and
+// its size with the per-item accounting: a peer word and a flag bit for
+// every item, and set and values for a supplied one.
 func TestAnswerReq2MatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for _, re := range []Reassign{ReassignHash, ReassignRotate} {
 		for trial := 0; trial < 60; trial++ {
 			L := 2 + rng.Intn(1500)
+			n := 2 + rng.Intn(300)
 			density := []float64{0, 0.3, 0.7, 1}[trial%4]
-			p := partitionPeer(1, 16, L, re)
+			p := partitionPeer(1, n, L, re)
 			learnRandom(rng, p.track, density)
 			// Two requests through one peer: the ruling scratch is reused.
-			for _, n := range []int{1 + rng.Intn(20), rng.Intn(8)} {
-				label := fmt.Sprintf("reassign=%d L=%d density=%.1f items=%d", re, L, density, n)
-				req := &Req2{Phase: 1 + rng.Intn(5), Items: req2Items(rng, p.track, n), IdxBits: p.idxBits}
-				want := modelAnswer(p, req)
+			for _, k := range []int{1 + rng.Intn(40), rng.Intn(8)} {
+				req := &Req2{Phase: 1 + rng.Intn(5), Items: req2Items(rng, p.track, n, k), IdxBits: p.idxBits}
+				label := fmt.Sprintf("reassign=%d n=%d L=%d density=%.1f items=%d", re, n, L, density, len(req.Items))
+				items := modelAnswer(p, req)
+				perItem := headerBits
+				for _, it := range items {
+					perItem += p.idxBits + 1
+					if !it.MeNeither {
+						perItem += it.Indices.SizeBits(p.idxBits) + it.Values.Len()
+					}
+				}
+				want := splitModel(req, p.idxBits, items)
 				p.em.Reset(false)
 				p.answerReq2(7, req)
 				got := sentResp2(t, p, 7)
-				if got.Phase != want.Phase || got.IdxBits != want.IdxBits || len(got.Items) != len(want.Items) {
-					t.Fatalf("%s: got (phase %d, idx %d, %d items), want (%d, %d, %d)", label,
-						got.Phase, got.IdxBits, len(got.Items), want.Phase, want.IdxBits, len(want.Items))
-				}
-				for k, w := range want.Items {
-					g := got.Items[k]
-					if g.Q != w.Q || g.MeNeither != w.MeNeither ||
-						!reflect.DeepEqual(rangesOf(g.Indices), rangesOf(w.Indices)) {
-						t.Fatalf("%s: item %d is (%d, %v, %v), want (%d, %v, %v)", label, k,
-							g.Q, g.MeNeither, g.Indices, w.Q, w.MeNeither, w.Indices)
-					}
-					if (g.Values == nil) != (w.Values == nil) || (w.Values != nil && !g.Values.Equal(w.Values)) {
-						t.Fatalf("%s: item %d values %v, want %v", label, k, g.Values, w.Values)
-					}
-				}
-				if got.SizeBits() != want.SizeBits() {
-					t.Fatalf("%s: SizeBits %d, want %d", label, got.SizeBits(), want.SizeBits())
+				requireSameResp2(t, label, got, want)
+				if got.SizeBits() != perItem {
+					t.Fatalf("%s: SizeBits %d, the per-item accounting says %d", label, got.SizeBits(), perItem)
 				}
 			}
 		}
 	}
 }
 
-// TestAnswerReq2AllocBudget: the message, its item slice and the arena's
-// slab and array headers, however many items the request has.
+// TestMalformedReq2GetsNoAnswer: a request whose peers are not strictly
+// increasing, or lie outside [0, N), is not answered — wherever in the
+// request the offending peer is.
+func TestMalformedReq2GetsNoAnswer(t *testing.T) {
+	const n, L = 16, 512
+	p := partitionPeer(1, n, L, ReassignHash)
+	learnRandom(rand.New(rand.NewSource(5)), p.track, 0.5)
+	item := func(q int) Req2Item { return Req2Item{Q: sim.PeerID(q), Indices: intset.FromRange(q, q+3)} }
+	for _, c := range []struct {
+		name string
+		qs   []int
+	}{
+		{"duplicate", []int{2, 3, 3, 9}},
+		{"decreasing", []int{2, 9, 3}},
+		{"decreasing at the start", []int{5, 4}},
+		{"negative", []int{-1, 3}},
+		{"negative after others", []int{1, 3, -2}},
+		{"N", []int{3, n}},
+		{"beyond N", []int{n + 7}},
+	} {
+		req := &Req2{Phase: 1, IdxBits: p.idxBits}
+		for _, q := range c.qs {
+			req.Items = append(req.Items, item(q))
+		}
+		p.em.Reset(false)
+		p.answerReq2(7, req)
+		if acts := p.em.Actions(); len(acts) != 0 {
+			t.Errorf("%s %v: answered with %+v", c.name, c.qs, acts)
+		}
+	}
+	// The same peers in order are answered: it is the order that was refused.
+	p.em.Reset(false)
+	p.answerReq2(7, &Req2{Phase: 1, IdxBits: p.idxBits, Items: []Req2Item{item(0), item(3), item(n - 1)}})
+	sentResp2(t, p, 7)
+}
+
+// allocatedBytes is the average bytes one call of f allocates. The counter
+// is the process's, so it is averaged over runs.
+func allocatedBytes(runs int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestAnswerReq2AllocBudget: an all-me-neither answer is the message and
+// one range array, and when the silent peers form one run its bytes do not
+// grow with their number; a mixed answer adds the item slice and the
+// arena's slab and array headers.
 func TestAnswerReq2AllocBudget(t *testing.T) {
+	const n, L = 128, 1 << 12
 	rng := rand.New(rand.NewSource(17))
-	p := partitionPeer(1, 16, 1<<12, ReassignHash)
+	p := partitionPeer(1, n, L, ReassignHash)
 	learnRandom(rng, p.track, 0.6)
-	for _, n := range []int{8, 120} {
-		req := &Req2{Phase: 2, Items: req2Items(rng, p.track, n), IdxBits: p.idxBits}
+	unknown := randomSubset(rng, p.track, 0, 0.5)
+	measure := func(req *Req2) (allocs float64, bytes uint64) {
 		p.answerReq2(7, req) // sizes the scratch and the emitter's action list
-		allocs := testing.AllocsPerRun(20, func() {
+		run := func() {
 			p.em.Reset(false)
 			p.answerReq2(7, req)
-		})
-		if allocs > 4 {
-			t.Errorf("%d items: answerReq2 allocated %.0f times, budget 4", n, allocs)
 		}
+		return testing.AllocsPerRun(20, run), allocatedBytes(200, run)
+	}
+	oneRun := make(map[int]uint64)
+	for _, k := range []int{8, 120} {
+		req := &Req2{Phase: 2, IdxBits: p.idxBits}
+		for q := 3; q < 3+k; q++ {
+			req.Items = append(req.Items, Req2Item{Q: sim.PeerID(q), Indices: unknown})
+		}
+		allocs, bytes := measure(req)
+		if allocs > 2 {
+			t.Errorf("%d me-neither peers in one run: %.0f allocations, budget 2", k, allocs)
+		}
+		oneRun[k] = bytes
+		scattered := &Req2{Phase: 2, IdxBits: p.idxBits, Items: req2Items(rng, p.track, n, k)}
+		if allocs, _ := measure(scattered); allocs > 5 {
+			t.Errorf("%d mixed items: %.0f allocations, budget 5", len(scattered.Items), allocs)
+		}
+	}
+	// 16 B of slack for whatever else the process allocated meanwhile; the
+	// old answer, 48 B an item, would differ by more than 5 KB.
+	if oneRun[120] > oneRun[8]+16 {
+		t.Errorf("one run of me-neither peers: %d B at 8 peers, %d B at 120", oneRun[8], oneRun[120])
 	}
 }
 

@@ -138,6 +138,10 @@ type Peer struct {
 	// byOwner[q] ∩ still-unknown is exactly what a fresh partition would
 	// assign to q; stage 3 narrows the silent peers' entries that way.
 	byOwner []intset.Set
+	// counts, ends and builders are unknownByOwner's per-owner scratch,
+	// sized n at the first phase and reused by every later one.
+	counts, ends []int
+	builders     []intset.Builder
 
 	// needs is the per-silent-peer request content of the current phase's
 	// Req2, kept to evaluate the Fast early exit.
@@ -235,36 +239,25 @@ func (p *Peer) startPhase(r int) {
 	}
 }
 
-// walkChunk is how many tracker bits one UnknownIn call of a walk covers:
-// the index scratch is a fixed stack array, so nothing a walk allocates
-// grows with L.
-const walkChunk = 256
-
-// eachUnknown calls fn for every still-unknown bit of [lo, hi), in
-// increasing order.
-func (p *Peer) eachUnknown(lo, hi int, fn func(x int)) {
-	var buf [walkChunk]int
-	for start := lo; start < hi; start += walkChunk {
-		for _, x := range p.track.UnknownIn(buf[:0], start, min(walkChunk, hi-start)) {
-			fn(x)
-		}
-	}
-}
-
-// eachOwned calls fn(o, x) for every still-unknown bit x with its phase-r
-// owner o; each owner sees its bits in increasing order. Phase 1's owner
-// function is the block partition, so its blocks are walked one by one
-// rather than rediscovered by a division per bit.
-func (p *Peer) eachOwned(r int, fn func(o, x int)) {
+// eachOwnedRun calls fn(o, lo, hi) for runs [lo, hi) of still-unknown bits
+// whose phase-r owner is o; each owner sees its runs in increasing order.
+// Phase 1's owner function is the block partition, so each block's maximal
+// unknown runs come from the tracker a word at a time; later phases hash
+// every unknown bit and pass it on as a run of one.
+func (p *Peer) eachOwnedRun(r int, fn func(o, lo, hi int)) {
 	n, L := p.env.N, p.env.L
 	if r == 1 {
 		for o := 0; o < n; o++ {
 			lo, hi := sim.BlockRange(L, n, sim.PeerID(o))
-			p.eachUnknown(lo, hi, func(x int) { fn(o, x) })
+			p.track.UnknownRuns(lo, hi, func(lo, hi int) { fn(o, lo, hi) })
 		}
 		return
 	}
-	p.eachUnknown(0, L, func(x int) { fn(int(owner(p.opts.Reassign, r, x, L, n)), x) })
+	p.track.UnknownRuns(0, L, func(lo, hi int) {
+		for x := lo; x < hi; x++ {
+			fn(int(owner(p.opts.Reassign, r, x, L, n)), x, x+1)
+		}
+	})
 }
 
 // unknownByOwner groups the currently unknown bits by their phase-r owner.
@@ -273,31 +266,34 @@ func (p *Peer) eachOwned(r int, fn func(o, x int)) {
 // into per-owner sub-slices capped at their own count; the second fills
 // them. owner() is recomputed in the second walk rather than remembered:
 // a per-bit scratch would be the one allocation here that grows with L.
+// The per-owner scratch is the peer's, so a phase allocates the backing
+// array and the sets and nothing else.
 func (p *Peer) unknownByOwner(r int) []intset.Set {
 	n := p.env.N
-	scratch := make([]int, 2*n)
-	counts, last := scratch[:n], scratch[n:]
-	for i := range last {
-		last[i] = -2 // adjacent to no index
+	if len(p.counts) != n {
+		p.counts, p.ends, p.builders = make([]int, n), make([]int, n), make([]intset.Builder, n)
 	}
-	p.eachOwned(r, func(o, x int) {
-		if x != last[o]+1 {
+	counts, ends, builders := p.counts, p.ends, p.builders
+	for i := range counts {
+		counts[i], ends[i] = 0, -1 // -1: adjacent to no run
+	}
+	p.eachOwnedRun(r, func(o, lo, hi int) {
+		if lo != ends[o] {
 			counts[o]++
 		}
-		last[o] = x
+		ends[o] = hi
 	})
 	total := 0
 	for _, c := range counts {
 		total += c
 	}
 	backing := make([]intset.Range, total)
-	builders := make([]intset.Builder, n)
 	off := 0
 	for i, c := range counts {
 		builders[i] = intset.BuilderOver(backing[off : off : off+c])
 		off += c
 	}
-	p.eachOwned(r, func(o, x int) { builders[o].Add(x) })
+	p.eachOwnedRun(r, func(o, lo, hi int) { builders[o].AddRange(lo, hi) })
 	sets := make([]intset.Set, n)
 	for i := range builders {
 		sets[i] = builders[i].Set()
@@ -328,22 +324,21 @@ func (p *Peer) anyKnown(set intset.Set) bool {
 }
 
 // stillUnknown returns set minus the bits learned since it was computed:
-// the very same Set when none was, a filtered copy otherwise.
+// the very same Set when none was, a filtered copy otherwise. The set's
+// ranges never touch, so neither do the unknown runs of two of them, and
+// the runs counted are the copy's ranges.
 func (p *Peer) stillUnknown(set intset.Set) intset.Set {
 	if !p.anyKnown(set) {
 		return set
 	}
-	runs, last := 0, -2
-	set.ForEachRange(func(lo, hi int) {
-		p.eachUnknown(lo, hi, func(x int) {
-			if x != last+1 {
-				runs++
-			}
-			last = x
-		})
-	})
+	runs := 0
+	for _, r := range set.Ranges() {
+		p.track.UnknownRuns(int(r.Lo), int(r.Hi), func(int, int) { runs++ })
+	}
 	b := intset.BuilderOver(make([]intset.Range, runs))
-	set.ForEachRange(func(lo, hi int) { p.eachUnknown(lo, hi, b.Add) })
+	for _, r := range set.Ranges() {
+		p.track.UnknownRuns(int(r.Lo), int(r.Hi), b.AddRange)
+	}
 	return b.Set()
 }
 
@@ -488,9 +483,7 @@ func (p *Peer) complete() {
 }
 
 func (p *Peer) onQueryReply(r sim.QueryReply) {
-	for j, idx := range r.Indices {
-		p.track.LearnFromSource(idx, r.Bits.Get(j))
-	}
+	p.track.LearnIndexedFromSource(r.Indices, r.Bits)
 	switch p.stage {
 	case stQuery:
 		if r.Tag == p.phase {
@@ -537,7 +530,7 @@ func (p *Peer) onMessage(from sim.PeerID, m sim.Message) {
 		}
 	case *Resp2:
 		for _, it := range msg.Items {
-			if !it.MeNeither && validPayload(it.Indices, it.Values, p.env.L) {
+			if validPayload(it.Indices, it.Values, p.env.L) {
 				p.learnSet(it.Indices, it.Values)
 			}
 		}
@@ -599,24 +592,44 @@ func (p *Peer) answerReq2(from sim.PeerID, req *Req2) {
 	// stage-1 answer covered them); knowing them all without having heard
 	// q is just as good, so the answer rule is simply "values if I know
 	// them all, me-neither otherwise". Each item is ruled on once, before
-	// anything is copied, so all answered items' values share one arena
-	// allocation.
+	// anything is copied: the answered items' values then share one arena
+	// allocation, and the me-neither peers, which ascend like the request's,
+	// one range array sized by the runs they form.
 	ruled := p.ruled[:0]
-	answered, total := 0, 0
+	answered, total, runs := 0, 0, 0
+	prev, lastNeither := -1, -2
 	for _, it := range req.Items {
+		q := int(it.Q)
+		if q <= prev || q >= p.env.N {
+			return // malformed: peers out of order or out of range
+		}
+		prev = q
 		ok := p.answerable(it.Indices)
 		ruled = append(ruled, ok)
 		if ok {
 			answered++
 			total += it.Indices.Len()
+			continue
 		}
+		if q != lastNeither+1 {
+			runs++
+		}
+		lastNeither = q
 	}
 	p.ruled = ruled
-	ar := bitarray.NewArena(answered, total)
-	items := make([]Resp2Item, len(req.Items))
+	resp := &Resp2{Phase: req.Phase, IdxBits: p.idxBits}
+	var ar *bitarray.Arena
+	if answered > 0 {
+		ar = bitarray.NewArena(answered, total)
+		resp.Items = make([]Resp2Item, 0, answered)
+	}
+	var neither intset.Builder
+	if runs > 0 {
+		neither = intset.BuilderOver(make([]intset.Range, runs))
+	}
 	for k, it := range req.Items {
 		if !ruled[k] {
-			items[k] = Resp2Item{Q: it.Q, MeNeither: true}
+			neither.Add(int(it.Q))
 			continue
 		}
 		vals := ar.New(it.Indices.Len())
@@ -625,9 +638,10 @@ func (p *Peer) answerReq2(from sim.PeerID, req *Req2) {
 			p.track.CopyRange(vals, i, lo, hi)
 			i += hi - lo
 		})
-		items[k] = Resp2Item{Q: it.Q, Indices: it.Indices, Values: vals}
+		resp.Items = append(resp.Items, Resp2Item{Q: it.Q, Indices: it.Indices, Values: vals})
 	}
-	p.em.Send(from, &Resp2{Phase: req.Phase, Items: items, IdxBits: p.idxBits})
+	resp.MeNeither = neither.Set()
+	p.em.Send(from, resp)
 }
 
 // answerable reports whether a stage-2 item is in range and fully known.

@@ -63,7 +63,9 @@ type Req2Item struct {
 
 // Req2 is the stage-2 request listing every peer the sender failed to hear
 // from in stage 1 of the phase, with the bits it still needs from each.
-// The recipient answers once it reaches stage 3 of the same phase.
+// The recipient answers once it reaches stage 3 of the same phase. Items
+// name their peers in increasing order and within [0, N); a request that
+// does not is malformed and gets no answer.
 type Req2 struct {
 	Phase   int
 	Items   []Req2Item
@@ -81,33 +83,31 @@ func (m *Req2) SizeBits() int {
 	return s
 }
 
-// Resp2Item answers about one silent peer: either MeNeither (the responder
-// did not hear Q either and cannot supply the bits) or the requested
-// values.
+// Resp2Item supplies the requested values of one silent peer Q's bits.
 type Resp2Item struct {
-	Q         sim.PeerID
-	MeNeither bool
-	Indices   intset.Set
-	Values    *bitarray.Array
+	Q       sim.PeerID
+	Indices intset.Set
+	Values  *bitarray.Array
 }
 
-// Resp2 answers a Req2.
+// Resp2 answers a Req2: Items for the peers whose bits the responder can
+// supply, MeNeither for the others (it did not hear them either). Both
+// ascend in Q, and together they name exactly the request's peers.
 type Resp2 struct {
-	Phase   int
-	Items   []Resp2Item
-	IdxBits int
+	Phase     int
+	Items     []Resp2Item
+	MeNeither intset.Set
+	IdxBits   int
 }
 
 var _ sim.Message = (*Resp2)(nil)
 
-// SizeBits implements sim.Message.
+// SizeBits implements sim.Message: a peer word and a flag bit per named
+// peer, and the index set and values of every supplied item.
 func (m *Resp2) SizeBits() int {
-	s := headerBits
+	s := headerBits + (m.IdxBits+1)*(len(m.Items)+m.MeNeither.Len())
 	for _, it := range m.Items {
-		s += m.IdxBits + 1
-		if !it.MeNeither {
-			s += it.Indices.SizeBits(m.IdxBits) + it.Values.Len()
-		}
+		s += it.Indices.SizeBits(m.IdxBits) + it.Values.Len()
 	}
 	return s
 }

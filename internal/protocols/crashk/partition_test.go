@@ -75,6 +75,10 @@ func requireSameSets(t *testing.T, label string, got, want []intset.Set) {
 		if !reflect.DeepEqual(rangesOf(got[i]), rangesOf(want[i])) {
 			t.Fatalf("%s: owner %d has %v, want %v", label, i, got[i], want[i])
 		}
+		// Counted exactly: the backing is carved into just what each holds.
+		if r := got[i].Ranges(); cap(r) != len(r) {
+			t.Fatalf("%s: owner %d holds %d ranges in room for %d", label, i, len(r), cap(r))
+		}
 	}
 }
 
@@ -137,6 +141,9 @@ func TestPartitionMatchesModel(t *testing.T) {
 							t.Fatalf("%s: item %d is (%d, %v), want (%d, %v)",
 								label, k, it.Q, it.Indices, want[k].Q, want[k].Indices)
 						}
+						if r := it.Indices.Ranges(); cap(r) != len(r) {
+							t.Fatalf("%s: item %d holds %d ranges in room for %d", label, k, len(r), cap(r))
+						}
 					}
 				}
 			}
@@ -144,14 +151,66 @@ func TestPartitionMatchesModel(t *testing.T) {
 	}
 }
 
-// TestPartitionAllocBudget pins the partition's allocations: the sets, the
-// builders, the count scratch and one backing array, whatever L is.
+// TestReq2PeersIncrease: whatever a peer knows and whomever it heard, the
+// Req2 that enterWait2 broadcasts names silent peers of [0, N) in strictly
+// increasing order — the order answerReq2 requires — so another honest
+// peer always answers it.
+func TestReq2PeersIncrease(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	sent := 0
+	for trial := 0; trial < 400; trial++ {
+		n, L, r := 2+rng.Intn(200), 1+rng.Intn(4000), 1+rng.Intn(6)
+		re := []Reassign{ReassignHash, ReassignRotate}[trial%2]
+		p := partitionPeer(sim.PeerID(rng.Intn(n)), n, L, re)
+		learnRandom(rng, p.track, rng.Float64())
+		p.phase, p.stage, p.byOwner = r, stWait1, p.unknownByOwner(r)
+		heard := rng.Float64()
+		for j := 0; j < n; j++ {
+			if rng.Float64() < heard {
+				p.heard[sim.PeerID(j)] = true
+			}
+		}
+		p.enterWait2()
+		var req *Req2
+		for _, a := range p.em.Actions() {
+			if m, ok := a.Msg.(*Req2); ok && a.Kind == sim.ActBroadcast {
+				req = m
+			}
+		}
+		if req == nil {
+			continue
+		}
+		sent++
+		for k, it := range req.Items {
+			if it.Q < 0 || int(it.Q) >= n || it.Q == p.env.ID || p.heard[it.Q] || (k > 0 && it.Q <= req.Items[k-1].Q) {
+				t.Fatalf("n=%d: item %d names peer %d after %v", n, k, it.Q, req.Items[:k])
+			}
+		}
+		other := partitionPeer(sim.PeerID(rng.Intn(n)), n, L, re)
+		learnRandom(rng, other.track, rng.Float64())
+		other.answerReq2(p.env.ID, req)
+		resp := sentResp2(t, other, p.env.ID)
+		if named := len(resp.Items) + resp.MeNeither.Len(); named != len(req.Items) {
+			t.Fatalf("n=%d: answer names %d peers, the request %d", n, named, len(req.Items))
+		}
+	}
+	if sent < 100 {
+		t.Fatalf("only %d of 400 trials sent a Req2", sent)
+	}
+}
+
+// TestPartitionAllocBudget pins the partition's allocations: after a
+// peer's first phase, which sizes its per-owner scratch, a phase allocates
+// the backing array and the sets and nothing else, whatever L is and in
+// either kind of phase.
 func TestPartitionAllocBudget(t *testing.T) {
 	for _, L := range []int{1 << 10, 1 << 16} {
-		p := partitionPeer(3, 16, L, ReassignHash)
-		learnRandom(rand.New(rand.NewSource(int64(L))), p.track, 0.5)
-		if allocs := testing.AllocsPerRun(10, func() { p.unknownByOwner(2) }); allocs > 4 {
-			t.Errorf("L=%d: unknownByOwner allocated %.0f times, budget 4", L, allocs)
+		for _, r := range []int{1, 2} {
+			p := partitionPeer(3, 16, L, ReassignHash)
+			learnRandom(rand.New(rand.NewSource(int64(L))), p.track, 0.5)
+			if allocs := testing.AllocsPerRun(10, func() { p.unknownByOwner(r) }); allocs != 2 {
+				t.Errorf("L=%d phase %d: unknownByOwner allocated %.0f times, want 2", L, r, allocs)
+			}
 		}
 	}
 }
@@ -173,11 +232,12 @@ func TestStillUnknownSharesUntouchedSet(t *testing.T) {
 	}
 }
 
-// TestPhase1PartitionWalksBlocks: phase 1 walks sim.BlockRange per owner
-// instead of asking owner() per bit; the two must name the same partition
-// where blocks are uneven (L not a multiple of N), empty (N > L), a single
-// bit, and on a tracker that is already warm — a churn peer restarting from
-// a checkpoint enters phase 1 knowing scattered bits and whole blocks.
+// TestPhase1PartitionWalksBlocks: phase 1 takes each sim.BlockRange's
+// unknown runs from the tracker instead of asking owner() per bit; the two
+// must name the same partition where blocks are uneven (L not a multiple
+// of N), empty (N > L), a single bit, and on a tracker that is already
+// warm — a churn peer restarting from a checkpoint enters phase 1 knowing
+// scattered bits and whole blocks.
 func TestPhase1PartitionWalksBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, c := range []struct{ L, n int }{

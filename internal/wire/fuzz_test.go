@@ -1,6 +1,7 @@
 package wire_test
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/bitarray"
@@ -11,7 +12,8 @@ import (
 )
 
 // FuzzUnmarshal hammers the decoder with arbitrary bytes: it must never
-// panic, and anything it accepts must re-marshal cleanly.
+// panic, and anything it accepts must re-marshal to the very bytes it came
+// from (SPEC.md §2.1: Marshal(Unmarshal(b)) == b).
 func FuzzUnmarshal(f *testing.F) {
 	// Seed corpus: valid frames of several types plus junk.
 	seedMsgs := []interface{ SizeBits() int }{
@@ -38,14 +40,28 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(append(req1, 0xDE))
 	f.Add([]byte{req1[0], 1, 2, 1, 1, 0, 1})
 	f.Add([]byte{req1[0], 1, 1, 0x80, 0x00, 1})
+	// Frames the decoder must refuse because they would re-encode to other
+	// bytes — a me-neither byte of 2, an empty bitarray field — and a bit
+	// count whose word count wraps.
+	f.Add([]byte{4, 2, 1, 5, 2, 0, 0})
+	f.Add([]byte{4, 2, 1, 5, 2, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{8, 1, 7, 2, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{5, 0})
+	f.Add([]byte{5, 16, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0})
+	// A Resp2 whose peers do not ascend.
+	f.Add([]byte{4, 2, 2, 9, 1, 5, 1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := wire.Unmarshal(data, 4096)
 		if err != nil {
 			return
 		}
-		if _, err := wire.Marshal(m); err != nil {
+		back, err := wire.Marshal(m)
+		if err != nil {
 			t.Fatalf("decoded message failed to re-marshal: %v", err)
+		}
+		if !bytes.Equal(back, data) {
+			t.Fatalf("% x decoded, and re-encoded to % x", data, back)
 		}
 	})
 }

@@ -36,31 +36,31 @@ func modelWriteSet(buf []byte, s intset.Set) []byte {
 // can have written.
 type lenient struct {
 	gapZero bool // a range after the first starts where the last one ended
-	padded  bool // a gap or length varint ends in a zero byte
+	padded  bool // the count, a gap or a length varint ends in a zero byte
 }
 
 func modelReadSet(buf []byte) (set intset.Set, rest []byte, why lenient, err error) {
-	uvarint := func(strict bool) uint64 {
+	uvarint := func() uint64 {
 		v, k := binary.Uvarint(buf)
 		if err != nil || k <= 0 {
 			err = ErrTruncated
 			return 0
 		}
-		if strict && k > 1 && buf[k-1] == 0 {
+		if k > 1 && buf[k-1] == 0 {
 			why.padded = true
 		}
 		buf = buf[k:]
 		return v
 	}
-	n64 := uvarint(false)
+	n64 := uvarint()
 	if err != nil || n64 > maxItems || n64 > uint64(len(buf)/2) {
 		return intset.Set{}, nil, why, ErrTruncated
 	}
 	var b intset.Builder
 	prevEnd := 0
 	for i := 0; i < int(n64); i++ {
-		gap := uvarint(true)
-		length := uvarint(true)
+		gap := uvarint()
+		length := uvarint()
 		if err != nil || gap > maxIndex || length == 0 || length > maxIndex {
 			return intset.Set{}, nil, why, ErrTruncated
 		}
@@ -323,7 +323,7 @@ func TestUnmarshalIsLengthStrict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, raw := range [][]byte{req1Frame(1, 0, 64), req2, {tagCrashkFull, 0}, {tagJunk, 7}, {tagCrash1Who, 1, 2}} {
+	for _, raw := range [][]byte{req1Frame(1, 0, 64), req2, {tagCrashkFull, 8, 0, 0, 0, 0, 0, 0, 0, 0}, {tagJunk, 7}, {tagCrash1Who, 1, 2}} {
 		if _, err := Unmarshal(raw, 4096); err != nil {
 			t.Fatalf("% x: %v", raw, err)
 		}

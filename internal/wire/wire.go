@@ -10,8 +10,9 @@
 // bitarray payloads, and index sets encoded as a range count and one
 // (gap-from-previous-end, length) pair per coalesced range — matching the
 // accounting model of package intset, and two bytes a range for the sets
-// crashk sends from phase 2 on. Decoding is length-strict, and the set
-// decoder accepts exactly what the encoder can emit.
+// crashk sends from phase 2 on. Decoding is length-strict and accepts
+// exactly what the encoder can emit, so Marshal(Unmarshal(b)) == b for
+// every frame b that decodes.
 package wire
 
 import (
@@ -80,16 +81,22 @@ func MarshalAppend(dst []byte, m sim.Message) ([]byte, error) {
 	case *crashk.Resp2:
 		w.byte(tagCrashkResp2)
 		w.uvarint(uint64(v.Phase))
-		w.uvarint(uint64(len(v.Items)))
-		for _, it := range v.Items {
-			w.uvarint(uint64(it.Q))
-			if it.MeNeither {
+		w.uvarint(uint64(len(v.Items) + v.MeNeither.Len()))
+		// One list by peer: the supplied items and the me-neither peers
+		// merged in increasing Q.
+		items := v.Items
+		for _, rg := range v.MeNeither.Ranges() {
+			for q := int(rg.Lo); q < int(rg.Hi); q++ {
+				for len(items) > 0 && int(items[0].Q) < q {
+					w.resp2Item(items[0])
+					items = items[1:]
+				}
+				w.uvarint(uint64(q))
 				w.byte(1)
-				continue
 			}
-			w.byte(0)
-			w.set(it.Indices)
-			w.bits(it.Values)
+		}
+		for _, it := range items {
+			w.resp2Item(it)
 		}
 	case *crashk.Full:
 		w.byte(tagCrashkFull)
@@ -161,10 +168,7 @@ func Unmarshal(data []byte, L int) (sim.Message, error) {
 	case tagCrashkReq2:
 		v := &crashk.Req2{IdxBits: idxBits}
 		v.Phase = int(r.uvarint())
-		n := int(r.uvarint())
-		if n > maxItems {
-			return nil, ErrTruncated
-		}
+		n := r.count()
 		for i := 0; i < n && r.err == nil; i++ {
 			it := crashk.Req2Item{Q: sim.PeerID(r.uvarint())}
 			it.Indices = r.set()
@@ -172,22 +176,31 @@ func Unmarshal(data []byte, L int) (sim.Message, error) {
 		}
 		m = v
 	case tagCrashkResp2:
+		// The list is split back into supplied items and me-neither peers;
+		// a peer not strictly above the previous one would not merge back
+		// into the same list.
 		v := &crashk.Resp2{IdxBits: idxBits}
 		v.Phase = int(r.uvarint())
-		n := int(r.uvarint())
-		if n > maxItems {
-			return nil, ErrTruncated
-		}
+		n := r.count()
+		var neither intset.Builder
+		prev := int64(-1)
 		for i := 0; i < n && r.err == nil; i++ {
-			it := crashk.Resp2Item{Q: sim.PeerID(r.uvarint())}
-			if r.byte() == 1 {
-				it.MeNeither = true
-			} else {
-				it.Indices = r.set()
-				it.Values = r.bits()
+			q := r.uvarint()
+			if q >= maxIndex || int64(q) <= prev {
+				r.fail()
+				break
 			}
+			prev = int64(q)
+			if r.flag() {
+				neither.Add(int(q))
+				continue
+			}
+			it := crashk.Resp2Item{Q: sim.PeerID(q)}
+			it.Indices = r.set()
+			it.Values = r.bits()
 			v.Items = append(v.Items, it)
 		}
+		v.MeNeither = neither.Set()
 		m = v
 	case tagCrashkFull:
 		m = &crashk.Full{Values: r.bits()}
@@ -206,7 +219,7 @@ func Unmarshal(data []byte, L int) (sim.Message, error) {
 		v := &crash1.MissingReply{IdxBits: idxBits}
 		v.Phase = int(r.uvarint())
 		v.About = sim.PeerID(r.uvarint())
-		if r.byte() == 1 {
+		if r.flag() {
 			v.MeNeither = true
 		} else {
 			v.Indices = r.set()
@@ -215,10 +228,7 @@ func Unmarshal(data []byte, L int) (sim.Message, error) {
 		m = v
 	case tagCommitteeReport:
 		v := &committee.Report{IdxBits: idxBits}
-		n := int(r.uvarint())
-		if n > maxItems {
-			return nil, ErrTruncated
-		}
+		n := r.count()
 		prev := uint64(0)
 		for i := 0; i < n && r.err == nil; i++ {
 			prev += r.uvarint()
@@ -253,20 +263,29 @@ type writer struct{ buf []byte }
 
 func (w *writer) byte(b byte)      { w.buf = append(w.buf, b) }
 func (w *writer) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
-func (w *writer) bytesField(b []byte) {
-	w.uvarint(uint64(len(b)))
-	w.buf = append(w.buf, b...)
-}
+
+// noBits is what a nil array is sent as: the 0-bit array, which is what
+// the receiver gets. An empty field is never written, so the decoder
+// refuses one.
+var noBits = bitarray.New(0)
 
 func (w *writer) bits(a *bitarray.Array) {
 	if a == nil {
-		w.bytesField(nil)
-		return
+		a = noBits
 	}
 	// Append the serialization directly instead of materializing a.Bytes()
 	// into a temporary.
 	w.uvarint(uint64(a.EncodedLen()))
 	w.buf = a.AppendTo(w.buf)
+}
+
+// resp2Item writes a supplied item of a Resp2's list: peer, flag 0, set,
+// values.
+func (w *writer) resp2Item(it crashk.Resp2Item) {
+	w.uvarint(uint64(it.Q))
+	w.byte(0)
+	w.set(it.Indices)
+	w.bits(it.Values)
 }
 
 // set encodes the range count, then one (gap-from-previous-end, length)
@@ -311,17 +330,39 @@ func (r *reader) byte() byte {
 	return b
 }
 
+// uvarint reads a minimal varint: one padded with a zero last byte is
+// refused, because the encoder would write it shorter.
 func (r *reader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
+	v, n := minimalUvarint(r.buf)
+	if n == 0 {
 		r.fail()
 		return 0
 	}
 	r.buf = r.buf[n:]
 	return v
+}
+
+// flag reads a flag byte, which is 0 or 1 and nothing else.
+func (r *reader) flag() bool {
+	b := r.byte()
+	if b > 1 {
+		r.fail()
+	}
+	return b == 1
+}
+
+// count reads a collection size, refusing one above maxItems before it is
+// turned into an int.
+func (r *reader) count() int {
+	n := r.uvarint()
+	if n > maxItems {
+		r.fail()
+		return 0
+	}
+	return int(n)
 }
 
 func (r *reader) bytesField() []byte {
@@ -335,13 +376,28 @@ func (r *reader) bytesField() []byte {
 	return b
 }
 
+// bits decodes what writer.bits wrote and nothing else: the 8-byte bit
+// count n, then exactly ⌈n/64⌉ words with no bit set past n. An empty
+// field, a short or long one and a set padding bit would each re-encode to
+// other bytes.
 func (r *reader) bits() *bitarray.Array {
 	raw := r.bytesField()
 	if r.err != nil {
 		return nil
 	}
-	if len(raw) == 0 {
-		return bitarray.New(0)
+	if len(raw) < 8 || len(raw)%8 != 0 {
+		r.fail()
+		return nil
+	}
+	n := binary.LittleEndian.Uint64(raw)
+	words := uint64(len(raw)/8 - 1)
+	if n > 64*words || n+64 <= 64*words {
+		r.fail()
+		return nil
+	}
+	if tail := n % 64; tail != 0 && binary.LittleEndian.Uint64(raw[len(raw)-8:])>>tail != 0 {
+		r.fail()
+		return nil
 	}
 	a, err := bitarray.FromBytes(raw)
 	if err != nil {
