@@ -41,10 +41,9 @@ test:
 # and through it the query plane (internal/qplane), whose transitions
 # live's timer callbacks and serving goroutines share under the peer
 # mutex — the sharded socket hub + load generator, the download facade,
-# the des parallel sweep driver (TestWorkerDeterminism: same seed ⇒
-# identical results across worker counts, raced), and committee's Report,
-# the one message that caches on itself and is shared between recipients
-# (TestSharedReportRace).
+# the des engine, and committee's Report, the one message that caches on
+# itself and is shared between recipients (TestSharedReportRace, and
+# internal/live's TestCommitteeLiveWithLiars through the live runtime).
 race:
 	$(GO) test -race -timeout $(TIMEOUT) ./internal/des/ ./internal/live/ ./internal/netrt/ ./download/ ./internal/protocols/committee/
 
@@ -97,9 +96,9 @@ conform:
 # "The conformance tier"): the conformance package suite (drift refusal,
 # negative controls, des-vs-live equivalence, fixture round-trips), the
 # drconform exit-code regressions, then the committed golden corpus
-# executed on every runtime — des, the sm multiplexed-scheduler column,
-# live, and real TCP sockets — diffed field-by-field into a protocol ×
-# runtime pass matrix. Regenerate the corpus with
+# executed on every runtime — des, live, and real TCP sockets — diffed
+# field-by-field into a protocol × runtime pass matrix. Regenerate the
+# corpus with
 # `go test ./internal/conformance -update` (refuses semantic drift
 # unless CorpusVersion is bumped).
 conformance:

@@ -74,7 +74,6 @@ func run(args []string, stdout io.Writer, interrupt <-chan struct{}) int {
 		fixtures = fs.Bool("fixtures", false, "run the committed golden fixture corpus instead of the sweep grid")
 		fixDir   = fs.String("fixture-dir", conformance.DefaultDir, "fixture corpus directory (fixture mode)")
 		liveOff  = fs.Bool("no-live", false, "drop the live column from fixture mode (it is on by default there)")
-		smOff    = fs.Bool("no-sm", false, "drop the state-machine scheduler column from fixture mode (on by default there)")
 		scale    = fs.Duration("live-scale", 500*time.Microsecond, "live runtime time scale in fixture mode")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -82,7 +81,7 @@ func run(args []string, stdout io.Writer, interrupt <-chan struct{}) int {
 	}
 
 	if *fixtures {
-		return runFixtures(stdout, *fixDir, *tcpRT, !*liveOff, !*smOff, *scale)
+		return runFixtures(stdout, *fixDir, *tcpRT, !*liveOff, *scale)
 	}
 
 	rep := conformance.RunGrid(conformance.GridConfig{
@@ -102,16 +101,13 @@ func run(args []string, stdout io.Writer, interrupt <-chan struct{}) int {
 	return 0
 }
 
-func runFixtures(stdout io.Writer, dir string, tcp, live, sm bool, scale time.Duration) int {
+func runFixtures(stdout io.Writer, dir string, tcp, live bool, scale time.Duration) int {
 	corpus, err := conformance.Load(dir)
 	if err != nil {
 		fmt.Fprintf(stdout, "drconform: %v\n", err)
 		return 1
 	}
 	runtimes := []conformance.Runtime{conformance.DES}
-	if sm {
-		runtimes = append(runtimes, conformance.SM)
-	}
 	if live {
 		runtimes = append(runtimes, conformance.Live)
 	}

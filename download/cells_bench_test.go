@@ -17,8 +17,7 @@ import (
 // vote tally has to be fast on. table1-committee is not one either: it has
 // the shape of EXPERIMENTS.md T1's committee row and of `make bench-ci`'s
 // full-scale one (N=256, β = 1/4, L=16384, Liar; 94.8 M messages a
-// download), so that a profile and ROADMAP item 4's Workers measurement
-// have the large cell at hand — but the delay policy and the placement of
+// download), so that a profile has the large cell at hand — but the delay policy and the placement of
 // the faulty peers are download's, not internal/experiments', so its paper
 // metrics are not that row's.
 var benchCells = []struct {

@@ -193,12 +193,9 @@ type Options struct {
 	// meaningless elsewhere — the des and live runtimes persist in
 	// memory — and rejected there to catch misconfiguration.
 	CheckpointDir string
-	// Workers, when > 1, multiplexes peers M-per-worker over this many
-	// scheduler workers: the des runtime speculates honest-peer state
-	// machines on a worker pool and applies their effects in exact serial
-	// order (results are byte-identical at any worker count), and the
-	// live runtime serves peers from a shared run queue instead of one
-	// goroutine each. Ignored by TCP runs.
+	// Workers is live only; des and TCP ignore it. When > 1 the live
+	// runtime serves peers from a shared run queue with this many workers
+	// instead of one goroutine each.
 	Workers int
 	// Live runs the goroutine runtime instead of the deterministic
 	// discrete-event runtime.

@@ -99,7 +99,7 @@ type Expect struct {
 	// Crash-recovery counters, nonzero only for churn cases. Rejoins is
 	// runtime-invariant (the action clock is part of the contract), so
 	// every column must reproduce it; WarmHitBits depends on which
-	// deliveries landed before the crash and is pinned on des/sm only.
+	// deliveries landed before the crash and is pinned on des only.
 	Rejoins     int `json:"rejoins,omitempty"`
 	WarmHitBits int `json:"warm_hit_bits,omitempty"`
 }

@@ -37,31 +37,11 @@ func TestCorpus(t *testing.T) {
 	}
 }
 
-// TestCorpusSM is the state-machine column of the conformance tier: the
-// corpus re-executed on the multiplexed des scheduler (Workers > 1) and
-// held to the full des field mask — byte-identical results or fail.
-func TestCorpusSM(t *testing.T) {
-	if *update {
-		t.Skip("regeneration runs in TestCorpus")
-	}
-	corpus, err := Load(fixturesDir)
-	if err != nil {
-		t.Fatalf("load corpus (regenerate with -update): %v", err)
-	}
-	rep := RunFixtures(corpus, Config{Runtimes: []Runtime{SM}})
-	if rep.Failed() {
-		var b strings.Builder
-		rep.WriteMatrix(&b)
-		t.Fatalf("sm fixture conformance failed:\n%s", b.String())
-	}
-}
-
 // TestCorpusMirrors is the live and tcp half of the mirror-row
-// acceptance gate (des and sm run the full corpus in TestCorpus and
-// TestCorpusSM): every pinned mirror case — honest fleet and
-// Byzantine-majority fleet — must conform on the concurrent and
-// real-socket runtimes too, which exercises the ROOT/QPROOF/QUERYSRC
-// frames end to end.
+// acceptance gate (des runs the full corpus in TestCorpus): every pinned
+// mirror case — honest fleet and Byzantine-majority fleet — must conform
+// on the concurrent and real-socket runtimes too, which exercises the
+// ROOT/QPROOF/QUERYSRC frames end to end.
 func TestCorpusMirrors(t *testing.T) {
 	if *update {
 		t.Skip("regeneration runs in TestCorpus")

@@ -26,13 +26,7 @@ const (
 	DES  Runtime = "des"  // deterministic discrete-event engine
 	Live Runtime = "live" // goroutine runtime (wall-clock, scaled)
 	TCP  Runtime = "tcp"  // real-socket runtime (internal/netrt)
-	SM   Runtime = "sm"   // state-machine peer core on the multiplexed des scheduler
 )
-
-// smWorkers is the worker count the sm column runs under. Any value > 1
-// engages the speculative scheduler; the determinism property
-// (internal/des TestWorkerDeterminism) covers other counts.
-const smWorkers = 4
 
 // Supports reports whether the runtime can execute a case at all. A
 // skipped cell is not a pass: the matrix prints it as "-", and the
@@ -52,13 +46,6 @@ func (rt Runtime) Supports(c *Case) bool {
 		// time-invariant, so the downtime unit difference cannot drift.
 		return c.SourceFaults == "" &&
 			(c.Behavior == "" || c.Behavior == string(download.CrashImmediate))
-	case SM:
-		// Source fault plans and churn force the des engine back onto
-		// the serial loop (see des.parallelOK), so running them here
-		// would re-test the DES column under another name; the cell is
-		// skipped to keep the sm column an honest gate on the
-		// speculative scheduler.
-		return c.SourceFaults == "" && c.Churn == ""
 	default:
 		return true
 	}
@@ -89,13 +76,7 @@ var qScheduleInvariant = map[string]bool{
 // time) and source counters are deterministic only on the des engine.
 func fieldsFor(rt Runtime, c *Case) []string {
 	fields := []string{"correct", "output_fnv"}
-	if rt == DES || rt == SM {
-		// The sm column must be byte-identical to des: the speculative
-		// scheduler applies every Result-visible effect at the serial
-		// position, so the full des mask applies unchanged. (Mirror
-		// cases additionally pin the des parallelOK gate: the mirror
-		// tier falls back to the serial loop at any worker count, so
-		// the sm column must reproduce des exactly there too.)
+	if rt == DES {
 		return append(fields, "q", "msgs", "msg_bits", "events", "time",
 			"src_failures", "src_retries", "breaker_opens",
 			"mirror_hits", "proof_failures", "fallback_queries",
@@ -204,9 +185,6 @@ func RunCase(c *Case, rt Runtime, cfg *Config) CaseOutcome {
 	}
 	if rt == Live {
 		opts.LiveTimeScale = cfg.LiveScale
-	}
-	if rt == SM {
-		opts.Workers = smWorkers
 	}
 	if rt == TCP {
 		for _, cp := range churn {

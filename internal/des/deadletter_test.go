@@ -120,7 +120,7 @@ func (d toPeerDelay) StartDelay(sim.PeerID) float64          { return 0 }
 
 const churnDelay = 1.5
 
-func deadLetterCells(t *testing.T) []workerCase {
+func deadLetterCells(t *testing.T) []specCase {
 	crashSpec := func(newPeer func(sim.PeerID) sim.Peer, n, tt, l int, seed int64, faulty []sim.PeerID, crash sim.CrashPolicy) *sim.Spec {
 		return &sim.Spec{
 			Config:  sim.Config{N: n, T: tt, L: l, MsgBits: 64, Seed: seed},
@@ -148,7 +148,7 @@ func deadLetterCells(t *testing.T) []workerCase {
 			}
 		}
 	}
-	return []workerCase{
+	return []specCase{
 		{"crash-majority-from-start", func() *sim.Spec {
 			return crashSpec(crashk.NewFast, 16, 12, 512, 31, adversary.SpreadFaulty(16, 12), &adversary.CrashAll{Point: 0})
 		}},

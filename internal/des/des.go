@@ -54,11 +54,7 @@ func (rt *Runtime) Run(spec *sim.Spec) (*sim.Result, error) {
 		return nil, fmt.Errorf("des: %w", err)
 	}
 	e := newEngine(spec, nil)
-	if e.parallelOK() {
-		e.runParallel()
-	} else {
-		e.run()
-	}
+	e.run()
 	return e.result(), nil
 }
 
@@ -84,11 +80,10 @@ type Schedule struct {
 // steps, and a churn peer's Downtime only says whether it rejoins.
 // Result.Events is the step count.
 //
-// Spec.Delays is never consulted and Spec.Workers is ignored: every such
-// run is serial. The schedule space differs from Run's in a few places,
-// each marked where the engine branches on its chooser; package dst's
-// pinned replay corpus fixes them. A panic in peer code is a finding, not
-// a crash: the Result describes the run up to it.
+// Spec.Delays is never consulted. The schedule space differs from Run's
+// in a few places, each marked where the engine branches on its chooser;
+// package dst's pinned replay corpus fixes them. A panic in peer code is
+// a finding, not a crash: the Result describes the run up to it.
 func RunChoices(spec *sim.Spec, choose func(decision, fanout int) int) (*sim.Result, Schedule, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, Schedule{}, fmt.Errorf("des: %w", err)
@@ -156,11 +151,6 @@ type peerState struct {
 	q *qplane.Plane
 	// Churn (nil without a churn schedule for this peer).
 	churn *sim.ChurnPeer
-	// Parallel-scheduler state (see parallel.go); nil/zero in serial runs.
-	mach    sim.Machine
-	menv    sim.Env
-	sem     sim.Emitter
-	specNow float64
 	// Metric handles, resolved once at engine construction. All nil when
 	// spec.Metrics is nil; nil obs handles are allocation-free no-ops, so
 	// the hot paths below call them unconditionally.
@@ -989,8 +979,8 @@ func (c *peerCtx) Rand() *rand.Rand { return c.p.rng }
 func (c *peerCtx) Now() float64     { return c.e.now }
 
 // TracingEnabled implements sim.Tracer: Logf output is consumed exactly
-// when the spec carries a trace writer, so machine drivers (sim.AsPeer,
-// the parallel scheduler) capture log actions only when they will print.
+// when the spec carries a trace writer, so sim.AsPeer captures log actions
+// only when they will print.
 func (c *peerCtx) TracingEnabled() bool { return c.e.spec.Trace != nil }
 
 // MarkPhase implements sim.PhaseMarker: it records a phase-transition

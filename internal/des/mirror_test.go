@@ -172,25 +172,3 @@ func TestMirrorDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// TestMirrorWorkersFallBackSerial: the speculative scheduler declines
-// mirror specs and the serial fallback produces identical results at
-// any worker count.
-func TestMirrorWorkersFallBackSerial(t *testing.T) {
-	run := func(workers int) *sim.Result {
-		spec := naiveSpec(19)
-		spec.NewPeer = naive.NewBatched(32)
-		spec.Mirrors = mustMirrors(t, "mirrors=4,byz=2,behavior=forge,seed=8")
-		spec.Workers = workers
-		res, err := des.New().Run(spec)
-		if err != nil {
-			t.Fatalf("Run(workers=%d): %v", workers, err)
-		}
-		return res
-	}
-	a, b := run(1), run(8)
-	if a.Q != b.Q || a.Events != b.Events || a.Time != b.Time ||
-		a.MirrorHits != b.MirrorHits || a.FallbackQueries != b.FallbackQueries {
-		t.Fatalf("worker counts diverged under mirrors: %v vs %v", a, b)
-	}
-}

@@ -54,9 +54,10 @@ func indexBits(L int) int {
 // same *Report to every recipient. ballot is the one thing written after
 // that — the report's votes as words, built by whichever recipient counts
 // it first (tally.count) and stored with the key it was built under. It
-// is atomic because recipients may run on different goroutines (des with
-// Spec.Workers > 1, live); two that race build equal ballots and either
-// store stands. Holding it makes a Report uncopyable by value.
+// is atomic because recipients may run on different goroutines (live;
+// TestSharedReportRace and internal/live's TestCommitteeLiveWithLiars
+// race it); two that race build equal ballots and either store stands.
+// Holding it makes a Report uncopyable by value.
 type Report struct {
 	Indices []int
 	Bits    *bitarray.Array

@@ -386,8 +386,9 @@ func TestReportReusedAcrossCells(t *testing.T) {
 	}
 }
 
-// TestSharedReportRace is des with Spec.Workers > 1 and internal/live in
-// one place: eight goroutines, each with its own tally, count the same 128
+// TestSharedReportRace is internal/live's sharing pattern without the
+// runtime around it (TestCommitteeLiveWithLiars races it through live
+// itself): eight goroutines, each with its own tally, count the same 128
 // report objects in eight different orders — on two cells, so that lookups
 // under a foreign key race with the rest. With at most t liars the final
 // state does not depend on the order, and every goroutine's counters and

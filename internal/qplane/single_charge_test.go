@@ -34,8 +34,8 @@ func runtimeFiles(t *testing.T, visit func(dir string, fset *token.FileSet, f *a
 			t.Fatal(err)
 		}
 	}
-	// des 3 (des, heap, parallel), dst 7, live 2.
-	if files < 12 {
+	// des 2 (des, heap), dst 7, live 2.
+	if files < 11 {
 		t.Fatalf("scanned only %d files: the runtime packages moved, update this guard", files)
 	}
 }

@@ -10,15 +10,10 @@ import (
 // This file defines the resumable state-machine form of a protocol peer:
 // instead of calling Context methods imperatively from inside handlers, a
 // Machine consumes one Event per Step and emits an ordered list of Actions.
-// The two forms are interchangeable — AsPeer adapts a Machine to the Peer
-// interface by replaying its actions through a real Context in emission
-// order, and MachineOf adapts any Peer to a Machine by recording its
-// Context calls — but the explicit form is what lets a scheduler multiplex
-// many peers per worker: a Step is a pure function of (machine state,
-// event) with no engine re-entry, so workers can run Steps speculatively
-// and a single-threaded coordinator can apply the recorded actions later,
-// preserving the exact side-effect order a serial execution would produce.
-// See docs/SCALING.md.
+// AsPeer adapts a Machine to the Peer interface by replaying its actions
+// through a real Context in emission order, so every runtime drives it
+// unchanged. A Step is a function of (machine state, event) with no
+// runtime re-entry, so its effects can be inspected as data.
 
 // EventKind discriminates Machine inputs.
 type EventKind uint8
@@ -119,14 +114,11 @@ type Machine interface {
 }
 
 // Emitter accumulates one Step's actions. The backing buffer is reused
-// across Steps by the driver (AsPeer, the des parallel scheduler), so a
-// steady-state Step allocates nothing for the action list itself.
+// across Steps by the driver (AsPeer), so a steady-state Step allocates
+// nothing for the action list itself.
 type Emitter struct {
 	acts    []Action
 	tracing bool
-	// terminated latches once ActTerminate is emitted, letting drivers and
-	// machines short-circuit without scanning the action list.
-	terminated bool
 }
 
 // Reset clears the emitter for a new Step, keeping capacity. tracing
@@ -138,15 +130,11 @@ func (e *Emitter) Reset(tracing bool) {
 	}
 	e.acts = e.acts[:0]
 	e.tracing = tracing
-	e.terminated = false
 }
 
 // Actions returns the accumulated actions. The slice is valid until the
 // next Reset.
 func (e *Emitter) Actions() []Action { return e.acts }
-
-// Terminated reports whether this Step emitted ActTerminate.
-func (e *Emitter) Terminated() bool { return e.terminated }
 
 // Tracing reports whether Logf output is being captured, so machines can
 // gate expensive trace-only computation the way Context users gate on the
@@ -177,7 +165,6 @@ func (e *Emitter) Output(out *bitarray.Array) {
 
 // Terminate emits an ActTerminate.
 func (e *Emitter) Terminate() {
-	e.terminated = true
 	e.acts = append(e.acts, Action{Kind: ActTerminate})
 }
 
@@ -253,12 +240,8 @@ var _ Peer = (*machinePeer)(nil)
 
 // AsPeer adapts a Machine to the Peer interface. Protocol constructors
 // return AsPeer(machine) so every existing runtime, test, and golden
-// fixture runs the state-machine implementation unchanged; schedulers
-// that want the machine itself unwrap it via MachineBehind.
+// fixture runs the state-machine implementation unchanged.
 func AsPeer(m Machine) Peer { return &machinePeer{m: m} }
-
-// Machine exposes the wrapped machine (see MachineBehind).
-func (p *machinePeer) Machine() Machine { return p.m }
 
 func (p *machinePeer) Init(ctx Context) {
 	p.ctx = ctx
@@ -279,93 +262,3 @@ func (p *machinePeer) step(ev Event) {
 	p.m.Step(&p.env, ev, &p.em)
 	ApplyActions(p.ctx, p.em.acts)
 }
-
-// MachineBehind unwraps the Machine inside an AsPeer adapter, reporting
-// whether p carries one.
-func MachineBehind(p Peer) (Machine, bool) {
-	if mp, ok := p.(interface{ Machine() Machine }); ok {
-		return mp.Machine(), true
-	}
-	return nil, false
-}
-
-// recordedMachine adapts an arbitrary Peer to the Machine interface by
-// running its handlers against a recording Context: every Context call
-// becomes an emitted action instead of an immediate effect. Combined with
-// ApplyActions this round-trips exactly — the recorded actions, applied
-// in order, make the same Context calls the peer made — which is what
-// lets the des parallel scheduler speculate un-ported peers on worker
-// goroutines.
-type recordedMachine struct {
-	peer Peer
-	ctx  recordCtx
-}
-
-// MachineOf adapts any Peer to the Machine interface. If p already wraps
-// a Machine (AsPeer), that machine is returned directly.
-func MachineOf(p Peer) Machine {
-	if m, ok := MachineBehind(p); ok {
-		return m
-	}
-	rm := &recordedMachine{peer: p}
-	rm.ctx.m = rm
-	return rm
-}
-
-func (rm *recordedMachine) Step(env *Env, ev Event, em *Emitter) {
-	rm.ctx.env, rm.ctx.em = env, em
-	switch ev.Kind {
-	case EvInit:
-		rm.peer.Init(&rm.ctx)
-	case EvMessage:
-		rm.peer.OnMessage(ev.From, ev.Msg)
-	case EvQueryReply:
-		rm.peer.OnQueryReply(ev.Reply)
-	}
-	rm.ctx.env, rm.ctx.em = nil, nil
-}
-
-// recordCtx is the recording Context a recordedMachine hands its peer. It
-// answers the read-only accessors from the Env and turns every mutating
-// call into an action. The peer retains it across handlers (it captures
-// ctx in Init), so it is a stable pointer whose env/em fields are rebound
-// per Step.
-type recordCtx struct {
-	m   *recordedMachine
-	env *Env
-	em  *Emitter
-}
-
-var _ Context = (*recordCtx)(nil)
-var _ PhaseMarker = (*recordCtx)(nil)
-var _ Tracer = (*recordCtx)(nil)
-
-func (c *recordCtx) ID() PeerID       { return c.env.ID }
-func (c *recordCtx) N() int           { return c.env.N }
-func (c *recordCtx) T() int           { return c.env.T }
-func (c *recordCtx) L() int           { return c.env.L }
-func (c *recordCtx) MsgBits() int     { return c.env.MsgBits }
-func (c *recordCtx) Rand() *rand.Rand { return c.env.Rand }
-func (c *recordCtx) Now() float64     { return c.env.Now() }
-
-func (c *recordCtx) Send(to PeerID, m Message) { c.em.Send(to, m) }
-func (c *recordCtx) Broadcast(m Message)       { c.em.Broadcast(m) }
-
-// Query records a copy of the indices: a recorded action may be applied
-// long after the handler returned, and the runtime it reaches may keep the
-// slice until the reply (see Context.Query), so the copy is the action's
-// own.
-func (c *recordCtx) Query(tag int, indices []int) {
-	c.em.Query(tag, append([]int(nil), indices...))
-}
-
-// Output records a snapshot: Context.Output captures the array's value at
-// call time (runtimes clone it), so the recording must too.
-func (c *recordCtx) Output(out *bitarray.Array) { c.em.Output(out.Clone()) }
-
-func (c *recordCtx) Terminate()            { c.em.Terminate() }
-func (c *recordCtx) MarkPhase(name string) { c.em.MarkPhase(name) }
-
-func (c *recordCtx) Logf(format string, args ...any) { c.em.Logf(format, args...) }
-
-func (c *recordCtx) TracingEnabled() bool { return c.em.Tracing() }

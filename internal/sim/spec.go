@@ -127,16 +127,9 @@ type Spec struct {
 	// Zero means no deadline (the event cap and the live runtime's
 	// wall-clock default still apply).
 	Deadline float64
-	// Workers, when > 1, multiplexes peers over this many scheduler
-	// workers instead of the default execution strategy: the des runtime
-	// speculates honest-peer state-machine steps on a worker pool and
-	// applies their effects in exact serial order — the Result is
-	// byte-identical at every worker count — and the live runtime serves
-	// its ready queue with that many workers. Values ≤ 1 keep des
-	// single-threaded and give live one worker per peer. The des
-	// scheduler falls back to serial when a feature incompatible with
-	// speculation is set (Trace, SourceFaults, Mirrors, Churn), and
-	// des.RunChoices ignores the field: a choice-driven run is serial.
+	// Workers is live only; des and TCP ignore it. When > 1 the live
+	// runtime serves its ready queue with this many workers instead of
+	// one per peer.
 	Workers int
 }
 
