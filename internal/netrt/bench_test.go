@@ -1,10 +1,13 @@
 package netrt
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/adversary"
+	"repro/internal/intset"
 	"repro/internal/protocols/crashk"
 	"repro/internal/sim"
 	"repro/internal/source"
@@ -147,6 +150,102 @@ func BenchmarkStorm(b *testing.B) {
 			if ps.Honest && !ps.OutputCorrect {
 				b.Fatalf("seed %d: honest peer %d did not output the input", seed, ps.ID)
 			}
+		}
+	}
+}
+
+// crashkReq2 is a Req2 shaped like tcp-crashk's in phase 2 (N=16, T=8,
+// L=65536): one item per crashed peer, each a random quarter of that peer's
+// block, ~1,024 indices in runs of one or two. It encodes to ~12 KB, between
+// the median (8.8 KB) and the upper quartile (16 KB) of the Req2s that
+// three tcp-crashk downloads sent.
+func crashkReq2() *crashk.Req2 {
+	const n, t, L = 16, 8, 65536
+	rng := rand.New(rand.NewSource(11))
+	req := &crashk.Req2{Phase: 2, IdxBits: 16}
+	for _, q := range adversary.SpreadFaulty(n, t) {
+		var share intset.Builder
+		lo, hi := sim.BlockRange(L, n, q)
+		for i := lo; i < hi; i++ {
+			if rng.Intn(4) == 0 {
+				share.Add(i)
+			}
+		}
+		req.Items = append(req.Items, crashk.Req2Item{Q: q, Indices: share.Set()})
+	}
+	return req
+}
+
+// BenchmarkBroadcastRelay is one broadcast of crashkReq2 from a client to
+// the n − 1 others through the hub an iteration, on one goroutine and over
+// in-memory connections: the sender's Broadcast; the hub's read, ACK and
+// route of each frame; one shard flush; and each destination's read,
+// decode and ACK. Frames are acked as they would be, so every outbox stays
+// warm. B/op and allocs/op are the row.
+func BenchmarkBroadcastRelay(b *testing.B) {
+	const n = 16
+	m := crashkReq2()
+	h := bareHub(b, Config{N: n, T: 8, L: 65536, MsgBits: 65536 / n, Seed: 1})
+	s := h.shards[0]
+	// Each link is a recConn whose writes the far end reads back.
+	type link struct {
+		rc *recConn
+		r  *bytes.Reader
+		in *frameConn
+	}
+	newLink := func() link {
+		l := link{rc: &recConn{}, r: bytes.NewReader(nil)}
+		l.in = newFrameConn(&recConn{src: l.r}, 0)
+		return l
+	}
+	up := newLink()
+	sender := &client{cfg: &h.cfg, id: 0, conn: newFrameConn(up.rc, 0)}
+	from := h.peers[0]
+	from.conn = newFrameConn(&recConn{discard: true}, 0)
+	down := make([]link, n)
+	dests := make([]*client, n)
+	for i := 1; i < n; i++ {
+		down[i] = newLink()
+		h.peers[sim.PeerID(i)].conn = newFrameConn(down[i].rc, 0)
+		dests[i] = &client{cfg: &h.cfg, id: sim.PeerID(i), impl: &recorder{}, conn: newFrameConn(&recConn{discard: true}, 0)}
+	}
+	batch := make([]shardFrame, 0, cap(s.q))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		up.rc.wrote = up.rc.wrote[:0]
+		sender.Broadcast(m)
+		sender.out.ackTo(sender.out.nextSeq)
+		up.r.Reset(up.rc.wrote)
+		for k := 1; k < n; k++ {
+			_, seq, payload, err := up.in.readFrame()
+			if err != nil {
+				b.Fatal(err)
+			}
+			h.writeData(from, kAck, 0, numPayload(seq, nil))
+			h.route(from, payload)
+		}
+		for batch = batch[:0]; len(s.q) > 0; {
+			batch = append(batch, <-s.q)
+		}
+		h.flushBatch(s, batch)
+		for i := 1; i < n; i++ {
+			hp, l, c := h.peers[sim.PeerID(i)], down[i], dests[i]
+			hp.out.ackTo(hp.out.nextSeq)
+			l.r.Reset(l.rc.wrote)
+			l.rc.wrote = l.rc.wrote[:0]
+			kind, seq, payload, err := l.in.readFrame()
+			if err != nil {
+				b.Fatal(err)
+			}
+			c.handleFrame(kind, seq, payload)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(marshalAppend(nil, m))), "msg-B")
+	for i := 1; i < n; i++ {
+		if got := len(dests[i].impl.(*recorder).msgs); got != b.N {
+			b.Fatalf("peer %d was delivered %d messages in %d broadcasts", i, got, b.N)
 		}
 	}
 }

@@ -17,8 +17,11 @@ import (
 // frames are read through a per-connection buffer, so a header and its body,
 // and a run of small frames that arrived together, share one read. The hub's
 // shard writers go further and put several frames into one write
-// (flushBatch); they share the frameConn's write lock. See docs/RUNTIMES.md
-// "Frame I/O".
+// (flushBatch); they share the frameConn's write lock. A frame's bytes are
+// allocated once per trip: a frame read lies in a buffer the connection
+// keeps until its next read, and a frame waiting to be sent holds its
+// payload as a framePayload, whose body several frames may share. See
+// docs/RUNTIMES.md "Frame I/O".
 //
 // Frame format v2 (v1 had no sequence number):
 //
@@ -128,15 +131,20 @@ const maxFrame = 64 << 20
 const coalesceMax = 4 << 10
 
 // readBufSize sizes a connection's read buffer. A body that does not fit is
-// read straight into its own payload slice (bufio.Reader does that).
+// read straight into its destination (bufio.Reader does that).
 const readBufSize = 16 << 10
+
+// keepFrame bounds the buffer a connection keeps for the frames it reads: a
+// frame of up to keepFrame bytes after the length is read into it, a larger
+// one into an allocation of its own.
+const keepFrame = 64 << 10
 
 // eagerFrame is how much of a frame's announced size readFrame allocates
 // before any of it has arrived; the rest is allocated as it is read.
 const eagerFrame = 1 << 20
 
 // frameConn is one connection's frame I/O: the write lock and scratch that
-// make a frame's bytes contiguous on the wire, and the read buffer. It lives
+// make a frame's bytes contiguous on the wire, and the read buffers. It lives
 // exactly as long as nc does, so bytes buffered by one reader of the
 // connection (the hello or resume handshake) are there for the next (the
 // serve loop), and two values are the same connection iff the pointers are
@@ -148,15 +156,48 @@ type frameConn struct {
 	// about to be read. Zero leaves the deadline to the owner.
 	idle time.Duration
 	r    *bufio.Reader
+	// kept holds the frame read last, when it fits in keepFrame bytes. It
+	// starts at a size every control frame fits in and grows to the
+	// largest such frame the connection has read.
+	kept []byte
 
 	wmu  sync.Mutex
 	wbuf []byte // one small frame, or a large frame's header
 }
 
 func newFrameConn(conn net.Conn, idle time.Duration) *frameConn {
-	fc := &frameConn{nc: conn, idle: idle}
+	fc := &frameConn{nc: conn, idle: idle, kept: make([]byte, 512)}
 	fc.r = bufio.NewReaderSize(socketReader{fc}, readBufSize)
 	return fc
+}
+
+// framePayload is a payload as a frame being sent holds it: an optional
+// leading uvarint kept as a number — a MSG's peer id, an ACK's cumulative
+// seq, a DONE's output length — and then a body that is shared and never
+// written to. A broadcast's outbox entries share one body, and an ACK has
+// none, so neither costs an allocation per frame. appendFrame puts the
+// number on the wire.
+type framePayload struct {
+	num    uint64
+	hasNum bool
+	body   []byte
+}
+
+// rawPayload is a payload that is all body.
+func rawPayload(body []byte) framePayload { return framePayload{body: body} }
+
+// numPayload is a payload that is num's uvarint, then body.
+func numPayload(num uint64, body []byte) framePayload {
+	return framePayload{num: num, hasNum: true, body: body}
+}
+
+// len is the payload's length on the wire.
+func (p framePayload) len() int {
+	if !p.hasNum {
+		return len(p.body)
+	}
+	var b [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(b[:], p.num) + len(p.body)
 }
 
 // socketReader is the read buffer's source.
@@ -170,31 +211,34 @@ func (s socketReader) Read(p []byte) (int, error) {
 }
 
 // readFrame returns the connection's next frame, from the buffer when it is
-// already there.
+// already there. The payload is valid until the next readFrame on the
+// connection, which may reuse its bytes: whatever outlives that is copied.
 func (fc *frameConn) readFrame() (kind byte, seq uint64, payload []byte, err error) {
-	return readFrame(fc.r)
+	kind, seq, payload, fc.kept, err = readFrameInto(fc.r, fc.kept)
+	return kind, seq, payload, err
 }
 
 // writeFrame encodes one frame (byte for byte what appendFrame produces)
 // and writes it.
-func (fc *frameConn) writeFrame(kind byte, seq uint64, payload []byte) error {
-	if len(payload) > maxFrame-16 {
-		return fmt.Errorf("netrt: frame too large: %d", len(payload))
+func (fc *frameConn) writeFrame(kind byte, seq uint64, p framePayload) error {
+	size := p.len()
+	if size > maxFrame-16 {
+		return fmt.Errorf("netrt: frame too large: %d", size)
 	}
 	fc.wmu.Lock()
 	defer fc.wmu.Unlock()
-	if len(payload) <= coalesceMax {
-		fc.wbuf = appendFrame(fc.wbuf[:0], kind, seq, payload)
+	if size <= coalesceMax {
+		fc.wbuf = appendFrame(fc.wbuf[:0], kind, seq, p)
 		_, err := fc.nc.Write(fc.wbuf)
 		return err
 	}
-	// The header of an empty frame, its length made to cover the payload.
-	fc.wbuf = appendFrame(fc.wbuf[:0], kind, seq, nil)
-	binary.BigEndian.PutUint32(fc.wbuf, uint32(len(fc.wbuf)-4+len(payload)))
+	// The frame without its body, its length made to cover the body.
+	fc.wbuf = appendFrame(fc.wbuf[:0], kind, seq, framePayload{num: p.num, hasNum: p.hasNum})
+	binary.BigEndian.PutUint32(fc.wbuf, uint32(len(fc.wbuf)-4+len(p.body)))
 	if _, err := fc.nc.Write(fc.wbuf); err != nil {
 		return err
 	}
-	_, err := fc.nc.Write(payload)
+	_, err := fc.nc.Write(p.body)
 	return err
 }
 
@@ -211,33 +255,56 @@ func (fc *frameConn) Close() error { return fc.nc.Close() }
 
 // appendFrame appends one encoded frame to dst and returns the extended
 // slice: the one definition of a frame's bytes.
-func appendFrame(dst []byte, kind byte, seq uint64, payload []byte) []byte {
+func appendFrame(dst []byte, kind byte, seq uint64, p framePayload) []byte {
 	at := len(dst)
 	dst = append(dst, 0, 0, 0, 0, kind)
 	dst = binary.AppendUvarint(dst, seq)
-	dst = append(dst, payload...)
+	if p.hasNum {
+		dst = binary.AppendUvarint(dst, p.num)
+	}
+	dst = append(dst, p.body...)
 	binary.BigEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
 	return dst
 }
 
-// readFrame reads one frame. It accepts any io.Reader so tests and fuzz
-// targets can drive it from byte slices; the runtime reads through a
-// frameConn. A frame of up to eagerFrame bytes gets its one exact
-// allocation; a larger one is allocated as its bytes arrive, so a header
-// alone cannot make the reader allocate what it announces.
+// readFrame reads one frame into an allocation of its own. It accepts any
+// io.Reader so tests, fuzz targets and the fixture codec can drive it from
+// byte slices; the runtime reads through a frameConn.
 func readFrame(r io.Reader) (kind byte, seq uint64, payload []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, nil, err
+	kind, seq, payload, _, err = readFrameInto(r, nil)
+	return kind, seq, payload, err
+}
+
+// readFrameInto reads one frame from r. A frame of up to keepFrame bytes is
+// read into kept, which is grown if it is short and returned for the next
+// call; with kept nil, and for a larger frame, the frame gets an allocation
+// of its own. That allocation is exact up to eagerFrame bytes; a larger
+// frame is allocated as its bytes arrive, so a header alone cannot make the
+// reader allocate what it announces.
+func readFrameInto(r io.Reader, kept []byte) (kind byte, seq uint64, payload, keep []byte, err error) {
+	hdr := kept
+	if hdr == nil {
+		hdr = make([]byte, 4)
 	}
-	size := int(binary.BigEndian.Uint32(hdr[:]))
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+		return 0, 0, nil, kept, err
+	}
+	size := int(binary.BigEndian.Uint32(hdr))
 	if size < 2 || size > maxFrame {
-		return 0, 0, nil, fmt.Errorf("netrt: bad frame size %d", size)
+		return 0, 0, nil, kept, fmt.Errorf("netrt: bad frame size %d", size)
 	}
-	buf := make([]byte, min(size, eagerFrame))
+	var buf []byte
+	if kept != nil && size <= keepFrame {
+		if len(kept) < size {
+			kept = make([]byte, min(max(size, 2*len(kept)), keepFrame))
+		}
+		buf = kept[:size]
+	} else {
+		buf = make([]byte, min(size, eagerFrame))
+	}
 	for got := 0; ; {
 		if _, err := io.ReadFull(r, buf[got:]); err != nil {
-			return 0, 0, nil, err
+			return 0, 0, nil, kept, err
 		}
 		if got = len(buf); got == size {
 			break
@@ -246,9 +313,9 @@ func readFrame(r io.Reader) (kind byte, seq uint64, payload []byte, err error) {
 	}
 	seq, n := binary.Uvarint(buf[1:])
 	if n <= 0 {
-		return 0, 0, nil, fmt.Errorf("netrt: bad frame seq")
+		return 0, 0, nil, kept, fmt.Errorf("netrt: bad frame seq")
 	}
-	return buf[0], seq, buf[1+n:], nil
+	return buf[0], seq, buf[1+n:], kept, nil
 }
 
 // encodeQueryHeader encodes tag (zig-zag, tags may be negative) plus

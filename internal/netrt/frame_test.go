@@ -62,6 +62,13 @@ func (c *recConn) SetReadDeadline(t time.Time) error {
 	return nil
 }
 
+func (c *recConn) SetWriteDeadline(t time.Time) error {
+	if c.Conn != nil {
+		return c.Conn.SetWriteDeadline(t)
+	}
+	return nil
+}
+
 func (c *recConn) counts() (writes, reads, readArms int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -80,32 +87,44 @@ func patterned(n int, salt uint64) []byte {
 
 // TestWriteFrameBytesAndWrites: whatever its kind and size, a frame reaches
 // the connection as exactly the bytes appendFrame defines — in one Write up
-// to coalesceMax payload bytes, in two (header, then the payload uncopied)
-// above.
+// to coalesceMax payload bytes, in two (header, then the body uncopied)
+// above — and a numbered payload is its number's uvarint, then its body.
 func TestWriteFrameBytesAndWrites(t *testing.T) {
-	sizes := []int{0, 1, coalesceMax - 1, coalesceMax, coalesceMax + 1, 1 << 20}
+	sizes := []int{0, 1, coalesceMax - 3, coalesceMax - 1, coalesceMax, coalesceMax + 1, 1 << 20}
 	for kind := kHello; kind <= kResume; kind++ {
 		for _, size := range sizes {
 			for _, seq := range []uint64{0, 127, 128, 1 << 40} {
-				payload := patterned(size, seq+uint64(kind))
-				rc := &recConn{}
-				if err := newFrameConn(rc, 0).writeFrame(kind, seq, payload); err != nil {
-					t.Fatal(err)
-				}
-				if want := appendFrame(nil, kind, seq, payload); !bytes.Equal(rc.wrote, want) {
-					t.Fatalf("%s seq %d, %d bytes: wire bytes differ from appendFrame's", kindName(kind), seq, size)
-				}
-				wantWrites := 1
-				if size > coalesceMax {
-					wantWrites = 2
-				}
-				if rc.writes != wantWrites {
-					t.Errorf("%s seq %d, %d bytes: %d Writes, want %d", kindName(kind), seq, size, rc.writes, wantWrites)
+				body := patterned(size, seq+uint64(kind))
+				num := seq + 5
+				for _, p := range []framePayload{rawPayload(body), numPayload(num, body)} {
+					payload := body
+					if p.hasNum {
+						payload = append(binary.AppendUvarint(nil, num), body...)
+					}
+					rc := &recConn{}
+					if err := newFrameConn(rc, 0).writeFrame(kind, seq, p); err != nil {
+						t.Fatal(err)
+					}
+					want := appendFrame(nil, kind, seq, p)
+					if _, _, got, err := readFrame(bytes.NewReader(want)); err != nil || !bytes.Equal(got, payload) || p.len() != len(payload) {
+						t.Fatalf("%s seq %d, %d bytes, numbered %v: appendFrame encoded a %d-byte payload for %d (%v)",
+							kindName(kind), seq, size, p.hasNum, len(got), len(payload), err)
+					}
+					if !bytes.Equal(rc.wrote, want) {
+						t.Fatalf("%s seq %d, %d bytes, numbered %v: wire bytes differ from appendFrame's", kindName(kind), seq, size, p.hasNum)
+					}
+					wantWrites := 1
+					if len(payload) > coalesceMax {
+						wantWrites = 2
+					}
+					if rc.writes != wantWrites {
+						t.Errorf("%s seq %d, %d bytes, numbered %v: %d Writes, want %d", kindName(kind), seq, size, p.hasNum, rc.writes, wantWrites)
+					}
 				}
 			}
 		}
 	}
-	if err := newFrameConn(&recConn{}, 0).writeFrame(kMsg, 1, make([]byte, maxFrame)); err == nil {
+	if err := newFrameConn(&recConn{}, 0).writeFrame(kMsg, 1, rawPayload(make([]byte, maxFrame))); err == nil {
 		t.Error("a payload of maxFrame bytes was accepted")
 	}
 }
@@ -117,15 +136,15 @@ func TestWriteFrameReusesItsScratch(t *testing.T) {
 	rc := &recConn{discard: true}
 	fc := newFrameConn(rc, 0)
 	payload := patterned(300, 1)
-	if err := fc.writeFrame(kQReply, 1, patterned(coalesceMax, 2)); err != nil {
+	if err := fc.writeFrame(kQReply, 1, rawPayload(patterned(coalesceMax, 2))); err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = fc.writeFrame(kQReply, 1<<20, payload) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { _ = fc.writeFrame(kQReply, 1<<20, rawPayload(payload)) }); n != 0 {
 		t.Errorf("a small-frame write allocates %v times", n)
 	}
 	rc.discard = false
-	_ = fc.writeFrame(kAck, 0, []byte{9})
-	if want := appendFrame(nil, kAck, 0, []byte{9}); !bytes.Equal(rc.wrote, want) {
+	_ = fc.writeFrame(kAck, 0, rawPayload([]byte{9}))
+	if want := appendFrame(nil, kAck, 0, rawPayload([]byte{9})); !bytes.Equal(rc.wrote, want) {
 		t.Errorf("frame after a larger one: % x, want % x", rc.wrote, want)
 	}
 }
@@ -146,7 +165,7 @@ func TestWriteFrameConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				seq := uint64(w)<<32 | uint64(i)
-				if err := fc.writeFrame(kMsg, seq, patterned(sizeOf(i), seq)); err != nil {
+				if err := fc.writeFrame(kMsg, seq, rawPayload(patterned(sizeOf(i), seq))); err != nil {
 					t.Errorf("writer %d frame %d: %v", w, i, err)
 					return
 				}
@@ -189,17 +208,20 @@ func TestWriteFrameConcurrent(t *testing.T) {
 // eagerFrame.
 func seamStream() (stream []byte, frames []sentFrame) {
 	sizes := []int{0, 1, 14, readBufSize - 7, readBufSize - 6, readBufSize - 5, readBufSize, 3 * readBufSize, 0, 9,
+		keepFrame - 3, keepFrame - 2, keepFrame - 1, 5, keepFrame + 1, 7,
 		eagerFrame - 3, eagerFrame - 2, eagerFrame - 1, eagerFrame + 1, 3, 2*eagerFrame + 5}
 	for i, size := range sizes {
 		f := sentFrame{kind: kHello + byte(i)%kResume, seq: uint64(i) * 1000, payload: patterned(size, uint64(i))}
 		frames = append(frames, f)
-		stream = appendFrame(stream, f.kind, f.seq, f.payload)
+		stream = appendFrame(stream, f.kind, f.seq, rawPayload(f.payload))
 	}
 	return stream, frames
 }
 
 // TestReadFrameAtEverySeam: however the socket cuts the stream up, the
-// frames that come out of a connection's reader are the ones that went in.
+// frames that come out of a connection's reader are the ones that went in,
+// and a frame read into the kept buffer after a longer one shows none of
+// the longer one's bytes.
 func TestReadFrameAtEverySeam(t *testing.T) {
 	stream, frames := seamStream()
 	cuts := map[string]func(io.Reader) io.Reader{
@@ -241,25 +263,86 @@ func TestReadFrameAllocatesWhatArrives(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], maxFrame)
 	for _, tail := range [][]byte{nil, {kMsg, 1, 2, 3}} {
-		var err error
-		got := allocated(func() { _, _, _, err = readFrame(bytes.NewReader(append(hdr[:], tail...))) })
-		if err == nil {
-			t.Fatal("a frame that announced maxFrame and stopped was accepted")
+		readers := map[string]func(io.Reader) error{
+			"plain": func(r io.Reader) error { _, _, _, err := readFrame(r); return err },
+			"connection": func(r io.Reader) error {
+				_, _, _, err := newFrameConn(&recConn{src: r}, 0).readFrame()
+				return err
+			},
 		}
-		if got >= 2<<20 {
-			t.Errorf("header announcing maxFrame + %d bytes: reader allocated %d bytes, want < 2 MiB", len(tail), got)
+		for name, read := range readers {
+			var err error
+			got := allocated(func() { err = read(bytes.NewReader(append(hdr[:], tail...))) })
+			if err == nil {
+				t.Fatalf("%s reader: a frame that announced maxFrame and stopped was accepted", name)
+			}
+			if got >= 2<<20 {
+				t.Errorf("%s reader, header announcing maxFrame + %d bytes: allocated %d bytes, want < 2 MiB", name, len(tail), got)
+			}
 		}
 	}
 
 	big := patterned(3<<20, 77)
-	kind, seq, payload, err := readFrame(bytes.NewReader(appendFrame(nil, kDone, 5, big)))
+	kind, seq, payload, err := readFrame(bytes.NewReader(appendFrame(nil, kDone, 5, rawPayload(big))))
 	if err != nil || kind != kDone || seq != 5 || !bytes.Equal(payload, big) {
 		t.Fatalf("3 MiB frame: (%s, seq %d, %d bytes, %v)", kindName(kind), seq, len(payload), err)
 	}
 
-	exact := appendFrame(nil, kQReply, 1, patterned(256<<10, 3))
+	exact := appendFrame(nil, kQReply, 1, rawPayload(patterned(256<<10, 3)))
 	if got := allocated(func() { _, _, _, _ = readFrame(bytes.NewReader(exact)) }); got > uint64(len(exact))*9/8 { // its size class, once
 		t.Errorf("256 KiB frame: reader allocated %d bytes for %d", got, len(exact))
+	}
+}
+
+// repeatReader serves the same bytes over and over.
+type repeatReader struct {
+	data []byte
+	at   int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	n := copy(p, r.data[r.at:])
+	r.at = (r.at + n) % len(r.data)
+	return n, nil
+}
+
+// TestFrameAllocBudgets: a warm connection reads a frame of up to keepFrame
+// bytes without allocating, and an ACK costs no allocation on the client,
+// nor on the hub from writeData through the shard writer's flush.
+func TestFrameAllocBudgets(t *testing.T) {
+	for _, size := range []int{0, 9, 1000, readBufSize + 3, keepFrame - 20} {
+		frame := appendFrame(nil, kMsg, 1<<20, rawPayload(patterned(size, 4)))
+		fc := newFrameConn(&recConn{src: &repeatReader{data: frame}}, 0)
+		if n := testing.AllocsPerRun(100, func() {
+			if _, _, _, err := fc.readFrame(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("reading a %d-byte frame allocates %v times", len(frame), n)
+		}
+	}
+
+	// A duplicate MSG is acked and dropped.
+	c := &client{cfg: &Config{N: 4, L: 64}, id: 1, conn: newFrameConn(&recConn{discard: true}, 0)}
+	c.recv.resumeAt(10)
+	msg := marshalAppend(binary.AppendUvarint(nil, 2), broadcastSamples()[1])
+	if n := testing.AllocsPerRun(100, func() { c.handleFrame(kMsg, 7, msg) }); n != 0 {
+		t.Errorf("a client ACK allocates %v times", n)
+	}
+
+	s := &hubShard{q: make(chan shardFrame, 1), byPeer: make(map[*hubPeer]*connBatch)}
+	h := &hub{shards: []*hubShard{s}, idle: time.Second, stop: make(chan struct{})}
+	hp := &hubPeer{conn: newFrameConn(&recConn{discard: true}, 0)}
+	batch := make([]shardFrame, 1)
+	if n := testing.AllocsPerRun(100, func() {
+		h.writeData(hp, kAck, 0, numPayload(1<<30, nil))
+		batch[0] = <-s.q
+		h.flushBatch(s, batch)
+	}); n != 0 {
+		t.Errorf("a hub ACK allocates %v times", n)
+	}
+	if got := s.written.Load(); got != 101 {
+		t.Errorf("the shard wrote %d ACKs, want 101", got)
 	}
 }
 
@@ -270,7 +353,7 @@ func TestReadFrameAllocatesWhatArrives(t *testing.T) {
 func TestReadDeadlineArmedPerSocketRead(t *testing.T) {
 	var burst []byte
 	for i := 0; i < 1000; i++ {
-		burst = appendFrame(burst, kAck, 0, binary.AppendUvarint(nil, uint64(i)))
+		burst = appendFrame(burst, kAck, 0, numPayload(uint64(i), nil))
 	}
 	for _, idle := range []time.Duration{time.Second, 0} {
 		rc := &recConn{src: bytes.NewReader(burst)}
@@ -322,9 +405,9 @@ func TestHubTakesABurstInFewReads(t *testing.T) {
 	const queries = 1000
 	h := newTestHub(t, Config{N: 1, T: 0, L: 4096, MsgBits: 64, Seed: 3, IdleTimeout: 5 * time.Second})
 	peer, hubSide := loopbackPair(t)
-	burst := appendFrame(nil, kHello, 0, binary.AppendUvarint(nil, 0))
+	burst := appendFrame(nil, kHello, 0, numPayload(0, nil))
 	for q := 1; q <= queries; q++ {
-		burst = appendFrame(burst, kQuery, uint64(q), encodeQueryHeader(q, []int{q, q + 1, q + 2}))
+		burst = appendFrame(burst, kQuery, uint64(q), rawPayload(encodeQueryHeader(q, []int{q, q + 1, q + 2})))
 	}
 	if _, err := peer.Write(burst); err != nil {
 		t.Fatal(err)
@@ -373,8 +456,8 @@ func TestHelloAndQueryInOneSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	both := appendFrame(nil, kHello, 0, binary.AppendUvarint(nil, 1))
-	both = appendFrame(both, kQuery, 1, encodeQueryHeader(5, []int{7, 8, 9}))
+	both := appendFrame(nil, kHello, 0, numPayload(1, nil))
+	both = appendFrame(both, kQuery, 1, rawPayload(encodeQueryHeader(5, []int{7, 8, 9})))
 	if _, err := conn.Write(both); err != nil {
 		t.Fatal(err)
 	}
@@ -394,10 +477,12 @@ func TestHelloAndQueryInOneSegment(t *testing.T) {
 	}
 }
 
-// recorder is a protocol stub that keeps the messages delivered to it.
+// recorder is a protocol stub that keeps the messages and replies
+// delivered to it.
 type recorder struct {
-	from []sim.PeerID
-	msgs []sim.Message
+	from    []sim.PeerID
+	msgs    []sim.Message
+	replies []sim.QueryReply
 }
 
 func (p *recorder) Init(sim.Context) {}
@@ -405,7 +490,7 @@ func (p *recorder) OnMessage(from sim.PeerID, m sim.Message) {
 	p.from = append(p.from, from)
 	p.msgs = append(p.msgs, m)
 }
-func (p *recorder) OnQueryReply(sim.QueryReply) {}
+func (p *recorder) OnQueryReply(r sim.QueryReply) { p.replies = append(p.replies, r) }
 
 // TestResumeAndReplayInOneSegment: the hub's RESUME and the two frames it
 // replays right behind it arrive in one segment. awaitResume consumes the
@@ -414,11 +499,11 @@ func (p *recorder) OnQueryReply(sim.QueryReply) {}
 func TestResumeAndReplayInOneSegment(t *testing.T) {
 	const ackBase = 40
 	msgs := broadcastSamples()
-	segment := appendFrame(nil, kPing, 0, nil) // pre-resume frame: discarded
-	segment = appendFrame(segment, kResume, 0, binary.AppendUvarint(binary.AppendUvarint(nil, 7), ackBase))
+	segment := appendFrame(nil, kPing, 0, framePayload{}) // pre-resume frame: discarded
+	segment = appendFrame(segment, kResume, 0, rawPayload(binary.AppendUvarint(binary.AppendUvarint(nil, 7), ackBase)))
 	for i, m := range msgs {
-		body := marshalAppend(binary.AppendUvarint(nil, uint64(3+i)), m) // as hub.route rewrites it
-		segment = appendFrame(segment, kMsg, ackBase+1+uint64(i), body)
+		p := numPayload(uint64(3+i), marshalAppend(nil, m)) // as hub.route rewrites it
+		segment = appendFrame(segment, kMsg, ackBase+1+uint64(i), p)
 	}
 	rc := &recConn{src: bytes.NewReader(segment)}
 	rec := &recorder{}
@@ -474,15 +559,15 @@ func TestIdleDeadlineSparesAPingingLink(t *testing.T) {
 	}
 	defer conn.Close()
 	fc := newFrameConn(conn, 0)
-	if err := fc.writeFrame(kHello, 0, binary.AppendUvarint(nil, 0)); err != nil {
+	if err := fc.writeFrame(kHello, 0, numPayload(0, nil)); err != nil {
 		t.Fatal(err)
 	}
 	for end := time.Now().Add(4 * idle); time.Now().Before(end); time.Sleep(idle / 4) {
-		if err := fc.writeFrame(kPing, 0, nil); err != nil {
+		if err := fc.writeFrame(kPing, 0, framePayload{}); err != nil {
 			t.Fatalf("link dropped while pinging: %v", err)
 		}
 	}
-	if err := fc.writeFrame(kQuery, 1, encodeQueryHeader(0, []int{1, 2})); err != nil {
+	if err := fc.writeFrame(kQuery, 1, rawPayload(encodeQueryHeader(0, []int{1, 2}))); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))

@@ -16,13 +16,35 @@ import (
 func FuzzReadFrame(f *testing.F) {
 	// A well-formed frame, plus the malformed shapes the hostile-frame
 	// regression test exercises.
-	f.Add(appendFrame(nil, kMsg, 7, []byte("payload")))
+	f.Add(appendFrame(nil, kMsg, 7, rawPayload([]byte("payload"))))
 	f.Add([]byte{0, 0, 0, 0})                  // length below minimum
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})      // length over maxFrame
 	f.Add([]byte{0, 0, 0, 2, kMsg, 0x80})      // truncated seq uvarint
 	f.Add([]byte{0, 0, 0, 5, kQuery, 1, 2, 3}) // length longer than data
 	f.Add([]byte{0, 0, 16, 0, kDone, 1})       // large length, no body
+	// Runs of frames, each shorter than the one before: a connection reads
+	// the later ones into the bytes of the earlier ones.
+	f.Add(appendFrame(appendFrame(appendFrame(nil, kMsg, 9, rawPayload(bytes.Repeat([]byte{7}, 40))),
+		kAck, 0, numPayload(300, nil)), kPing, 0, framePayload{}))
+	f.Add(appendFrame(appendFrame(nil, kQReply, 1, rawPayload(bytes.Repeat([]byte{0xEE}, keepFrame))),
+		kDone, 2, rawPayload([]byte{1, 2})))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Read as a run of frames through one connection, the input must
+		// come out frame by frame as the plain reader makes it: a frame read
+		// into the connection's kept buffer never shows bytes of an earlier,
+		// longer one.
+		plain, conn := bytes.NewReader(data), newFrameConn(&recConn{src: bytes.NewReader(data)}, 0)
+		for i := 0; ; i++ {
+			pk, ps, pp, perr := readFrame(plain)
+			ck, cs, cp, cerr := conn.readFrame()
+			if (perr == nil) != (cerr == nil) || pk != ck || ps != cs || !bytes.Equal(pp, cp) {
+				t.Fatalf("frame %d: connection (%d,%d,%x,%v), plain reader (%d,%d,%x,%v)", i, ck, cs, cp, cerr, pk, ps, pp, perr)
+			}
+			if perr != nil {
+				break
+			}
+		}
+
 		kind, seq, payload, err := readFrame(bytes.NewReader(data))
 		// A connection's reader that gets the same bytes in two socket
 		// reads, cut at a point the input picks, must say the same.
@@ -45,7 +67,7 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		// And must round-trip through writeFrame.
 		out := &recConn{}
-		if err := newFrameConn(out, 0).writeFrame(kind, seq, payload); err != nil {
+		if err := newFrameConn(out, 0).writeFrame(kind, seq, rawPayload(payload)); err != nil {
 			t.Fatalf("re-encode of parsed frame failed: %v", err)
 		}
 		k2, s2, p2, err := readFrame(bytes.NewReader(out.wrote))
@@ -235,7 +257,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(kQReply, uint64(1<<40), bytes.Repeat([]byte{0xAB}, 300))
 	f.Fuzz(func(t *testing.T, kind byte, seq uint64, payload []byte) {
 		out := &recConn{}
-		if err := newFrameConn(out, 0).writeFrame(kind, seq, payload); err != nil {
+		if err := newFrameConn(out, 0).writeFrame(kind, seq, rawPayload(payload)); err != nil {
 			return // oversized payloads are rejected, which is fine
 		}
 		k, s, p, err := readFrame(bytes.NewReader(out.wrote))

@@ -163,9 +163,9 @@ func TestDedupWindow(t *testing.T) {
 
 func TestOutboxAckAndRetransmit(t *testing.T) {
 	var o outbox
-	o.push(kMsg, 0, []byte("a"))
-	o.push(kMsg, 0, []byte("b"))
-	o.push(kMsg, 0, []byte("c"))
+	o.push(kMsg, rawPayload([]byte("a")))
+	o.push(kMsg, rawPayload([]byte("b")))
+	o.push(kMsg, rawPayload([]byte("c")))
 	now := time.Now()
 	due := o.takeDue(now, now)
 	if len(due) != 3 || due[0].seq != 1 || due[2].seq != 3 {
@@ -223,7 +223,7 @@ func TestIdleDeadlineDetectsDeadLink(t *testing.T) {
 	}
 	defer conn.Close()
 	fc := newFrameConn(conn, 0)
-	if err := fc.writeFrame(kHello, 0, binary.AppendUvarint(nil, 0)); err != nil {
+	if err := fc.writeFrame(kHello, 0, numPayload(0, nil)); err != nil {
 		t.Fatal(err)
 	}
 	// Send nothing further: the hub keeps pinging us, but our silence
@@ -282,10 +282,10 @@ func TestHostileFramesCannotPanicHub(t *testing.T) {
 	}
 	defer conn.Close()
 	fc := newFrameConn(conn, 0)
-	if err := fc.writeFrame(kHello, 0, binary.AppendUvarint(nil, 1)); err != nil {
+	if err := fc.writeFrame(kHello, 0, numPayload(1, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if err := fc.writeFrame(kQuery, 1, encodeQueryHeader(0, []int{0, 1, 2})); err != nil {
+	if err := fc.writeFrame(kQuery, 1, rawPayload(encodeQueryHeader(0, []int{0, 1, 2}))); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -328,7 +328,7 @@ func scriptedHub(t *testing.T, onQuery func(kind byte, payload []byte, reply fun
 				defer conn.Close()
 				fc := newFrameConn(conn, 0)
 				reply := func(kind byte, payload []byte) {
-					_ = fc.writeFrame(kind, replySeq.Add(1), payload)
+					_ = fc.writeFrame(kind, replySeq.Add(1), rawPayload(payload))
 				}
 				for {
 					kind, seq, payload, err := fc.readFrame()
@@ -336,10 +336,10 @@ func scriptedHub(t *testing.T, onQuery func(kind byte, payload []byte, reply fun
 						return
 					}
 					if seq > 0 { // TCP keeps the order, so the newest is the cumulative ack
-						_ = fc.writeFrame(kAck, 0, binary.AppendUvarint(nil, seq))
+						_ = fc.writeFrame(kAck, 0, numPayload(seq, nil))
 					}
 					if kind == kQuery || kind == kQuerySrc {
-						onQuery(kind, payload, reply)
+						onQuery(kind, bytes.Clone(payload), reply) // onQuery may keep it
 					}
 				}
 			}()
@@ -492,7 +492,7 @@ func TestFallbackRetryChargesOnce(t *testing.T) {
 	}
 	defer conn.Close()
 	fc := newFrameConn(conn, 0)
-	if err := fc.writeFrame(kHello, 0, binary.AppendUvarint(nil, 0)); err != nil {
+	if err := fc.writeFrame(kHello, 0, numPayload(0, nil)); err != nil {
 		t.Fatal(err)
 	}
 	idx := make([]int, 128)
@@ -504,7 +504,7 @@ func TestFallbackRetryChargesOnce(t *testing.T) {
 	ask := func(kind byte, hdr []byte, want byte) []byte {
 		t.Helper()
 		seq++
-		if err := fc.writeFrame(kind, seq, hdr); err != nil {
+		if err := fc.writeFrame(kind, seq, rawPayload(hdr)); err != nil {
 			t.Fatal(err)
 		}
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -519,7 +519,7 @@ func TestFallbackRetryChargesOnce(t *testing.T) {
 			if !bytes.HasPrefix(payload, hdr) {
 				t.Fatalf("%s does not echo the request header verbatim", kindName(want))
 			}
-			return payload
+			return bytes.Clone(payload) // the next read reuses its bytes
 		}
 	}
 	proof, ok := decodeProofReply(ask(kQuery, hdr, kQProof)[len(hdr):])
@@ -560,7 +560,7 @@ func TestRejectUnknownPeer(t *testing.T) {
 			t.Fatal(err)
 		}
 		fc := newFrameConn(conn, 0)
-		if err := fc.writeFrame(kHello, 0, binary.AppendUvarint(nil, id)); err != nil {
+		if err := fc.writeFrame(kHello, 0, numPayload(id, nil)); err != nil {
 			t.Fatal(err)
 		}
 		conn.SetReadDeadline(time.Now().Add(2 * time.Second))

@@ -1,0 +1,190 @@
+package netrt
+
+import (
+	"bytes"
+	"encoding/binary"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/bitarray"
+	"repro/internal/sim"
+	"repro/internal/source"
+)
+
+// A payload that frameConn.readFrame returns lies in the connection's kept
+// buffer, and the next read writes over it. The tests below hand every
+// frame handler a payload, scribble over it as that next read would, and
+// check that nothing the handler delivered, queued or recorded changed.
+
+// scribble overwrites b the way the next frame read into it would.
+func scribble(b []byte) {
+	for i := range b {
+		b[i] = 0xFF
+	}
+}
+
+// bareHub is a hub's state without its goroutines: the frames it queues
+// stay in its one shard's queue, and every peer is connected.
+func bareHub(t testing.TB, cfg Config) *hub {
+	t.Helper()
+	input := (&sim.Config{N: cfg.N, T: cfg.T, L: cfg.L, MsgBits: cfg.MsgBits, Seed: cfg.Seed}).ResolveInput()
+	s := &hubShard{q: make(chan shardFrame, 64), byPeer: make(map[*hubPeer]*connBatch)}
+	h := &hub{cfg: cfg, res: cfg.Resilience.withDefaults(), idle: time.Second, input: input,
+		src: source.Wrap(source.NewTrusted(input), nil), shards: []*hubShard{s}, start: time.Now(),
+		expect: cfg.N, peers: make(map[sim.PeerID]*hubPeer), stop: make(chan struct{}), allDone: make(chan struct{})}
+	if cfg.Mirrors.Enabled() {
+		h.mirror = source.NewMirrored(input, cfg.Mirrors, cfg.N, h.src)
+	}
+	for i := 0; i < cfg.N; i++ {
+		h.peers[sim.PeerID(i)] = &hubPeer{id: sim.PeerID(i), conn: newFrameConn(&recConn{discard: true}, 0)}
+	}
+	return h
+}
+
+// queued takes the one frame the hub's call left in its shard queue.
+func queued(t *testing.T, h *hub) shardFrame {
+	t.Helper()
+	if n := len(h.shards[0].q); n != 1 {
+		t.Fatalf("%d frames queued, want 1", n)
+	}
+	return <-h.shards[0].q
+}
+
+// payloadOf is f's payload as the receiving end reads it, in a buffer of
+// its own.
+func payloadOf(f shardFrame) []byte {
+	_, _, p, _ := readFrame(bytes.NewReader(appendFrame(nil, f.kind, f.seq, f.p)))
+	return p
+}
+
+// TestHubKeepsNoReadBuffer: route, answerQuery, answerMirrorQuery and
+// markDone copy what they keep of the payload they were handed.
+func TestHubKeepsNoReadBuffer(t *testing.T) {
+	plan, err := source.ParseMirrorPlan("mirrors=2,byz=0,leaf=32,seed=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := bareHub(t, Config{N: 4, T: 1, L: 4096, MsgBits: 256, Seed: 8, Mirrors: plan})
+	src, dest := h.peers[0], h.peers[2]
+	check := func(what string, before, after []byte) {
+		t.Helper()
+		if !bytes.Equal(before, after) {
+			t.Errorf("%s changed when the read buffer was written over", what)
+		}
+	}
+
+	body := marshalAppend(nil, broadcastSamples()[0])
+	payload := append(binary.AppendUvarint(nil, uint64(dest.id)), body...)
+	h.route(src, payload)
+	want := appendFrame(nil, kMsg, 1, numPayload(uint64(src.id), body))
+	sent, kept := queued(t, h), dest.out.frames[0]
+	check("the routed MSG", want, appendFrame(nil, kMsg, 1, rawPayload(payloadOf(sent))))
+	scribble(payload)
+	check("the queued MSG", want, appendFrame(nil, sent.kind, sent.seq, sent.p))
+	check("the MSG in the outbox", want, appendFrame(nil, kept.kind, kept.seq, kept.p))
+
+	for _, answer := range []struct {
+		name string
+		call func(*hubPeer, []byte)
+	}{{"QREPLY", h.answerQuery}, {"QPROOF", h.answerMirrorQuery}} {
+		payload := encodeQueryHeader(5, []int{100, 101, 102, 140})
+		answer.call(src, payload)
+		reply := queued(t, h)
+		before := appendFrame(nil, reply.kind, reply.seq, reply.p)
+		scribble(payload)
+		check("the queued "+answer.name, before, appendFrame(nil, reply.kind, reply.seq, reply.p))
+	}
+
+	out := bitarray.FromBools([]bool{true, false, true, true, false})
+	raw := out.Bytes()
+	payload = append(binary.AppendUvarint(nil, uint64(len(raw))), raw...)
+	h.markDone(src, payload)
+	scribble(payload)
+	if src.output == nil || !src.output.Equal(out) {
+		t.Errorf("the recorded output is %v, want %v", src.output, out)
+	}
+}
+
+// TestClientKeepsNoReadBuffer: what handleFrame delivers to the protocol or
+// records for a MSG, QREPLY, QPROOF, QERR or ROOT frame, and what
+// awaitResume takes from a RESUME, does not change when the payload it was
+// handed is written over.
+func TestClientKeepsNoReadBuffer(t *testing.T) {
+	plan, err := source.ParseMirrorPlan("mirrors=2,byz=0,leaf=32,seed=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := bareHub(t, Config{N: 4, T: 1, L: 4096, MsgBits: 256, Seed: 8, Mirrors: plan})
+	rec := &recorder{}
+	c := &client{cfg: &h.cfg, id: 1, impl: rec, start: time.Now(), conn: newFrameConn(&recConn{discard: true}, 0),
+		src: source.NewClient(1, source.Policy{}), queries: make(map[qkey]*pendingQuery), mparams: h.mirror.Params()}
+
+	root := h.mirror.Root()
+	payload := bytes.Clone(root[:])
+	c.handleFrame(kRoot, 0, payload)
+	scribble(payload)
+	if !c.rootKnown || c.root != root {
+		t.Error("the recorded root changed when the read buffer was written over")
+	}
+
+	m := broadcastSamples()[0]
+	payload = marshalAppend(binary.AppendUvarint(nil, 3), m)
+	c.handleFrame(kMsg, 1, payload)
+	scribble(payload)
+	if len(rec.msgs) != 1 || rec.from[0] != 3 || !bytes.Equal(marshalAppend(nil, rec.msgs[0]), marshalAppend(nil, m)) {
+		t.Error("the delivered message changed when the read buffer was written over")
+	}
+
+	// A reply of each kind, from the hub's own answer to the client's query.
+	replySeq := uint64(0)
+	for _, answer := range []struct {
+		kind byte
+		call func(*hubPeer, []byte)
+	}{{kQReply, h.answerQuery}, {kQProof, h.answerMirrorQuery}} {
+		idx := []int{200, 201, 202, 230, 231}
+		c.Query(7, idx)
+		answer.call(h.peers[c.id], encodeQueryHeader(7, idx))
+		payload := payloadOf(queued(t, h))
+		replySeq++
+		c.handleFrame(answer.kind, replySeq, payload)
+		scribble(payload)
+		if len(rec.replies) != int(replySeq) {
+			t.Fatalf("%s: %d replies delivered, want %d", kindName(answer.kind), len(rec.replies), replySeq)
+		}
+		got := rec.replies[replySeq-1]
+		want := bitarray.New(len(idx))
+		for j, i := range idx {
+			want.Set(j, h.input.Get(i))
+		}
+		if got.Tag != 7 || !slices.Equal(got.Indices, idx) || !got.Bits.Equal(want) {
+			t.Errorf("%s: the delivered reply changed when the read buffer was written over", kindName(answer.kind))
+		}
+	}
+
+	idx := []int{9, 10, 11}
+	c.Query(2, idx)
+	hdr := encodeQueryHeader(2, idx)
+	payload = append(bytes.Clone(hdr), byte(source.KindOutage))
+	replySeq++
+	c.handleFrame(kQErr, replySeq, payload)
+	pq := c.queries[qkeyOfHeader(2, hdr)]
+	if pq == nil || pq.errs != 1 {
+		t.Fatal("the QERR was not recorded against its query")
+	}
+	deadline := pq.deadline
+	scribble(payload)
+	if pq.errs != 1 || !pq.deadline.Equal(deadline) || !bytes.Equal(pq.payload, hdr) || !slices.Equal(pq.indices, idx) {
+		t.Error("the query's recorded state changed when the read buffer was written over")
+	}
+
+	segment := appendFrame(nil, kResume, 0, rawPayload(binary.AppendUvarint(binary.AppendUvarint(nil, 70), 40)))
+	fc := newFrameConn(&recConn{src: bytes.NewReader(segment)}, 0)
+	if err := c.awaitResume(fc); err != nil {
+		t.Fatal(err)
+	}
+	scribble(fc.kept)
+	if c.out.nextSeq != 70 || c.recv.cumAck() != 40 {
+		t.Errorf("after RESUME and a written-over buffer: nextSeq %d, cumAck %d, want 70, 40", c.out.nextSeq, c.recv.cumAck())
+	}
+}

@@ -129,7 +129,7 @@ func (c *connLoad) sendNext(li int) {
 	c.seq++
 	payload := encodeQueryHeader(global, indices)
 	c.sentAt[li] = time.Now()
-	c.out = appendFrame(c.out, kQuery, c.seq, payload)
+	c.out = appendFrame(c.out, kQuery, c.seq, rawPayload(payload))
 	c.queries++
 	c.inflight++
 }
@@ -241,7 +241,7 @@ func (x *Hub) GenerateLoad(spec LoadSpec) (*LoadResult, error) {
 		if err == nil {
 			// No idle deadline: run reads against the trial's own.
 			d.conn = newFrameConn(conn, 0)
-			err = d.conn.writeFrame(kHello, 0, binary.AppendUvarint(nil, uint64(id)))
+			err = d.conn.writeFrame(kHello, 0, rawPayload(binary.AppendUvarint(nil, uint64(id))))
 		}
 		if err != nil {
 			for _, prev := range drivers[:i] {

@@ -647,7 +647,7 @@ func (h *hub) acceptLoop(s *hubShard, ln net.Listener) {
 // rejectConn permanently refuses a connection (unknown, absent, or killed
 // peer): the REJECT frame tells the client to stop redialing.
 func (h *hub) rejectConn(conn *frameConn) {
-	_ = conn.writeFrame(kReject, 0, nil)
+	_ = conn.writeFrame(kReject, 0, framePayload{})
 	conn.Close()
 }
 
@@ -711,7 +711,7 @@ func (h *hub) serve(nc net.Conn) {
 		hp.mu.Unlock()
 		body := binary.AppendUvarint(nil, sendBase)
 		body = binary.AppendUvarint(body, ackBase)
-		h.writeData(hp, kResume, 0, body)
+		h.writeData(hp, kResume, 0, rawPayload(body))
 		h.met.mark(int(hp.id), "rejoin", "")
 		dbg("peer %d resume: sendBase=%d ackBase=%d", hp.id, sendBase, ackBase)
 	}
@@ -720,7 +720,7 @@ func (h *hub) serve(nc net.Conn) {
 		// queued on this connection: the shard queue is FIFO and TCP is
 		// ordered, so the client always verifies against a known root.
 		root := h.mirror.Root()
-		h.transmit(hp, kRoot, 0, srcID, root[:], 0)
+		h.transmit(hp, kRoot, 0, srcID, rawPayload(root[:]), 0)
 	}
 	h.pump(hp)
 
@@ -759,7 +759,7 @@ func (h *hub) serve(nc net.Conn) {
 			}
 			ack := hp.recv.cumAck()
 			hp.mu.Unlock()
-			h.writeData(hp, kAck, 0, binary.AppendUvarint(nil, ack))
+			h.writeData(hp, kAck, 0, numPayload(ack, nil))
 			if !fresh {
 				continue
 			}
@@ -786,8 +786,9 @@ func (h *hub) serve(nc net.Conn) {
 
 // route forwards a MSG frame (payload: uvarint dest, wire bytes) to its
 // destination, rewriting the header to carry the sender. The frame enters
-// the destination's reliable outbox; pump and the retransmit loop carry
-// it through whatever the fault plan does.
+// the destination's reliable outbox, with a copy of the body — payload is
+// the connection's read buffer — and the sender as its number; pump and
+// the retransmit loop carry it through whatever the fault plan does.
 func (h *hub) route(src *hubPeer, payload []byte) {
 	to64, n := binary.Uvarint(payload)
 	if n <= 0 {
@@ -811,18 +812,17 @@ func (h *hub) route(src *hubPeer, payload []byte) {
 	if dest == nil {
 		return // absent forever: undeliverable
 	}
-	out := make([]byte, 0, len(body)+binary.MaxVarintLen64)
-	out = binary.AppendUvarint(out, uint64(src.id))
-	out = append(out, body...)
+	p := numPayload(uint64(src.id), bytes.Clone(body))
 	dest.mu.Lock()
-	dest.out.push(kMsg, int(src.id), out)
+	dest.out.push(kMsg, p)
 	dest.mu.Unlock()
 	h.pump(dest)
 }
 
 // pump transmits every due reliable frame toward hp: first sends, RTO
 // retries of dropped or lost frames, and post-reconnect replays all flow
-// through here.
+// through here. A hub outbox holds only relayed MSG frames, whose number
+// is their sender.
 func (h *hub) pump(hp *hubPeer) {
 	now := time.Now()
 	hp.mu.Lock()
@@ -833,7 +833,7 @@ func (h *hub) pump(hp *hubPeer) {
 	due := hp.out.takeDue(now, now.Add(-h.res.RTO))
 	hp.mu.Unlock()
 	for _, f := range due {
-		h.transmit(hp, f.kind, f.seq, sim.PeerID(f.from), f.payload, f.attempt-1)
+		h.transmit(hp, f.kind, f.seq, sim.PeerID(f.p.num), f.p, f.attempt-1)
 	}
 }
 
@@ -841,7 +841,7 @@ func (h *hub) pump(hp *hubPeer) {
 // attempt rolls fresh drop/dup/delay decisions keyed by (link, seq,
 // attempt), so the schedule is reproducible yet a lossy link still
 // delivers eventually.
-func (h *hub) transmit(hp *hubPeer, kind byte, seq uint64, from sim.PeerID, payload []byte, attempt int) {
+func (h *hub) transmit(hp *hubPeer, kind byte, seq uint64, from sim.PeerID, p framePayload, attempt int) {
 	if h.plan != nil {
 		elapsed := time.Since(h.start)
 		if h.plan.dropFrame(from, hp.id, seq, attempt, elapsed) {
@@ -858,20 +858,20 @@ func (h *hub) transmit(hp *hubPeer, kind byte, seq uint64, from sim.PeerID, payl
 			hp.planDuped++
 			hp.mu.Unlock()
 			h.met.planDupe(int(hp.id))
-			h.later(hp, kind, seq, h.plan.dupDelayFor(from, hp.id, seq, attempt), payload)
+			h.later(hp, kind, seq, h.plan.dupDelayFor(from, hp.id, seq, attempt), p)
 		}
 		if delay > 0 {
-			h.later(hp, kind, seq, delay, payload)
+			h.later(hp, kind, seq, delay, p)
 			return
 		}
 	}
-	h.writeData(hp, kind, seq, payload)
+	h.writeData(hp, kind, seq, p)
 }
 
 // later schedules a delayed write (jitter, reordering holds, stalls,
 // duplicate copies).
-func (h *hub) later(hp *hubPeer, kind byte, seq uint64, d time.Duration, payload []byte) {
-	t := time.AfterFunc(d, func() { h.writeData(hp, kind, seq, payload) })
+func (h *hub) later(hp *hubPeer, kind byte, seq uint64, d time.Duration, p framePayload) {
+	t := time.AfterFunc(d, func() { h.writeData(hp, kind, seq, p) })
 	h.mu.Lock()
 	if h.closed {
 		t.Stop()
@@ -886,7 +886,7 @@ func (h *hub) later(hp *hubPeer, kind byte, seq uint64, d time.Duration, payload
 // immediately — the reliable stream recovers via retransmission, and
 // best-effort frames are recovered end-to-end. A full shard queue blocks
 // (backpressure) until the writer drains or the hub stops.
-func (h *hub) writeData(hp *hubPeer, kind byte, seq uint64, payload []byte) {
+func (h *hub) writeData(hp *hubPeer, kind byte, seq uint64, p framePayload) {
 	hp.mu.Lock()
 	up := hp.conn != nil && !hp.killed
 	hp.mu.Unlock()
@@ -894,7 +894,7 @@ func (h *hub) writeData(hp *hubPeer, kind byte, seq uint64, payload []byte) {
 		return
 	}
 	s := h.shardFor(hp.id)
-	f := shardFrame{hp: hp, kind: kind, seq: seq, payload: payload}
+	f := shardFrame{hp: hp, kind: kind, seq: seq, p: p}
 	select {
 	case s.q <- f:
 	default:
@@ -953,7 +953,7 @@ func (h *hub) answerQuery(hp *hubPeer, payload []byte) {
 		hp.mu.Unlock()
 		out := append(make([]byte, 0, hdrLen+1), hdr...)
 		out = append(out, byte(kind))
-		h.transmit(hp, kQErr, seq, srcID, out, 0)
+		h.transmit(hp, kQErr, seq, srcID, rawPayload(out), 0)
 		return
 	}
 	key := qkeyOfHeader(tag, hdr)
@@ -981,10 +981,10 @@ func (h *hub) answerQuery(hp *hubPeer, payload []byte) {
 	if rep.Latency > 0 {
 		// Injected reply latency: the reply is already "delayed inside
 		// the source", so it skips the network plan's per-frame rolls.
-		h.later(hp, kQReply, seq, time.Duration(rep.Latency*float64(time.Second)), out)
+		h.later(hp, kQReply, seq, time.Duration(rep.Latency*float64(time.Second)), rawPayload(out))
 		return
 	}
-	h.transmit(hp, kQReply, seq, srcID, out, 0)
+	h.transmit(hp, kQReply, seq, srcID, rawPayload(out), 0)
 }
 
 // answerMirrorQuery serves a QUERY from the mirror fleet: pick the
@@ -1015,7 +1015,7 @@ func (h *hub) answerMirrorQuery(hp *hubPeer, payload []byte) {
 	rep := h.mirror.ServeMirror(source.RangeRequest{
 		Peer: int(hp.id), Ordinal: serve, LeafLo: leafLo, LeafHi: leafHi,
 	})
-	h.transmit(hp, kQProof, seq, srcID, encodeProofReply(payload[:hdrLen], rep), 0)
+	h.transmit(hp, kQProof, seq, srcID, rawPayload(encodeProofReply(payload[:hdrLen], rep)), 0)
 }
 
 func (h *hub) markDone(hp *hubPeer, payload []byte) {
@@ -1087,7 +1087,7 @@ func (h *hub) pingLoop() {
 		case <-tk.C:
 		}
 		for _, hp := range h.peers {
-			h.writeData(hp, kPing, 0, nil)
+			h.writeData(hp, kPing, 0, framePayload{})
 		}
 	}
 }
@@ -1505,9 +1505,9 @@ func (c *client) finishReply(tag int, indices []int, bits *bitarray.Array, full 
 var _ sim.Context = (*client)(nil)
 
 // write counts one outbound frame and writes it on conn.
-func (c *client) write(conn *frameConn, kind byte, seq uint64, payload []byte) error {
-	c.met.cliTx(kind, len(payload))
-	return conn.writeFrame(kind, seq, payload)
+func (c *client) write(conn *frameConn, kind byte, seq uint64, p framePayload) error {
+	c.met.cliTx(kind, p.len())
+	return conn.writeFrame(kind, seq, p)
 }
 
 // connect dials the hub with capped exponential backoff, then replays
@@ -1539,7 +1539,7 @@ func (c *client) connect(initial bool) error {
 		if needResume {
 			hello = append(hello, 1) // flag byte: resume request
 		}
-		if err := c.write(conn, kHello, 0, hello); err != nil {
+		if err := c.write(conn, kHello, 0, rawPayload(hello)); err != nil {
 			conn.Close()
 			continue
 		}
@@ -1566,9 +1566,9 @@ func (c *client) connect(initial bool) error {
 			old.Close()
 		}
 		// Refresh the hub's view of our ack state, then replay.
-		_ = c.write(conn, kAck, 0, binary.AppendUvarint(nil, ack))
+		_ = c.write(conn, kAck, 0, numPayload(ack, nil))
 		for _, f := range due {
-			_ = c.write(conn, f.kind, f.seq, f.payload)
+			_ = c.write(conn, f.kind, f.seq, f.p)
 		}
 		return nil
 	}
@@ -1680,7 +1680,7 @@ func (c *client) handleFrame(kind byte, seq uint64, payload []byte) {
 		term := c.terminated
 		c.mu.Unlock()
 		if conn != nil {
-			_ = c.write(conn, kAck, 0, binary.AppendUvarint(nil, ack))
+			_ = c.write(conn, kAck, 0, numPayload(ack, nil))
 		}
 		if !fresh || term {
 			return
@@ -1916,7 +1916,7 @@ func (c *client) handleProofReply(payload []byte) {
 	c.mu.Unlock()
 	c.met.mirrorVerdict(int(c.id), false, rep.Refused)
 	if !term {
-		c.enqueue(kQuerySrc, fp)
+		c.enqueue(kQuerySrc, rawPayload(fp))
 	}
 }
 
@@ -1992,14 +1992,14 @@ func (c *client) housekeeping() {
 		c.mu.Unlock()
 		if conn != nil {
 			if ping {
-				_ = c.write(conn, kPing, 0, nil)
+				_ = c.write(conn, kPing, 0, framePayload{})
 			}
 			for _, f := range due {
-				_ = c.write(conn, f.kind, f.seq, f.payload)
+				_ = c.write(conn, f.kind, f.seq, f.p)
 			}
 		}
 		for _, f := range retries {
-			c.enqueue(f.kind, f.payload)
+			c.enqueue(f.kind, rawPayload(f.payload))
 		}
 	}
 }
@@ -2007,21 +2007,21 @@ func (c *client) housekeeping() {
 // enqueue appends a frame to the reliable stream and attempts an
 // immediate write; on a dead connection the frame simply waits in the
 // outbox for the post-reconnect replay.
-func (c *client) enqueue(kind byte, payload []byte) {
+func (c *client) enqueue(kind byte, p framePayload) {
 	now := time.Now()
 	c.mu.Lock()
 	if c.terminated && kind != kDone {
 		c.mu.Unlock()
 		return
 	}
-	f := c.out.push(kind, int(c.id), payload)
+	f := c.out.push(kind, p)
 	f.sentAt = now
 	f.attempt = 1
 	seq := f.seq
 	conn := c.conn
 	c.mu.Unlock()
 	if conn != nil {
-		_ = c.write(conn, kind, seq, payload)
+		_ = c.write(conn, kind, seq, p)
 	}
 }
 
@@ -2042,14 +2042,10 @@ func (c *client) MsgBits() int { return c.cfg.MsgBits }
 
 // Send implements sim.Context.
 func (c *client) Send(to sim.PeerID, m sim.Message) {
-	if to == c.id || to < 0 || int(to) >= c.cfg.N {
+	if to < 0 || int(to) >= c.cfg.N {
 		return
 	}
-	if !c.countAction() {
-		return
-	}
-	out := binary.AppendUvarint(make([]byte, 0, 16+m.SizeBits()/8), uint64(to))
-	c.enqueue(kMsg, marshalAppend(out, m))
+	c.send(m, int(to), int(to)+1)
 }
 
 // marshalAppend is wire.MarshalAppend for messages a protocol emitted: one
@@ -2062,14 +2058,16 @@ func marshalAppend(dst []byte, m sim.Message) []byte {
 	return out
 }
 
-// Broadcast implements sim.Context. It is Send to every other peer in id
-// order — one action tick, one outbox frame and one write attempt per
-// destination — with the message sized and encoded once, at the first
-// destination that is not dropped by the churn crash point. Each frame
-// still owns its payload: the outbox retains it for retransmission.
-func (c *client) Broadcast(m sim.Message) {
+// Broadcast implements sim.Context: Send to every other peer in id order.
+func (c *client) Broadcast(m sim.Message) { c.send(m, 0, c.cfg.N) }
+
+// send sends m to every peer in [lo, hi) but this one: one action tick, one
+// outbox entry and one write attempt per destination. The body is encoded
+// once, at the first destination the churn crash point does not drop, and
+// every entry holds that one body beside its destination id.
+func (c *client) send(m sim.Message, lo, hi int) {
 	var body []byte
-	for i := 0; i < c.cfg.N; i++ {
+	for i := lo; i < hi; i++ {
 		to := sim.PeerID(i)
 		if to == c.id || !c.countAction() {
 			continue
@@ -2077,8 +2075,7 @@ func (c *client) Broadcast(m sim.Message) {
 		if body == nil {
 			body = marshalAppend(make([]byte, 0, 16+m.SizeBits()/8), m)
 		}
-		out := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(body)), uint64(to))
-		c.enqueue(kMsg, append(out, body...))
+		c.enqueue(kMsg, numPayload(uint64(to), body))
 	}
 }
 
@@ -2143,7 +2140,7 @@ func (c *client) Query(tag int, indices []int) {
 	pq.deadline = nextQueryDeadline(now, c.res.QueryTimeout, 0)
 	kind := pq.srcKind
 	c.mu.Unlock()
-	c.enqueue(kind, payload)
+	c.enqueue(kind, rawPayload(payload))
 }
 
 // Output implements sim.Context.
@@ -2171,16 +2168,15 @@ func (c *client) Terminate() {
 	if c.output != nil {
 		raw = c.output.Bytes()
 	}
-	body := binary.AppendUvarint(nil, uint64(len(raw)))
-	body = append(body, raw...)
-	f := c.out.push(kDone, int(c.id), body)
+	p := numPayload(uint64(len(raw)), raw)
+	f := c.out.push(kDone, p)
 	f.sentAt = now
 	f.attempt = 1
 	seq := f.seq
 	conn := c.conn
 	c.mu.Unlock()
 	if conn != nil {
-		_ = c.write(conn, kDone, seq, body)
+		_ = c.write(conn, kDone, seq, p)
 	}
 }
 

@@ -52,19 +52,19 @@ func encodeProofReply(hdr []byte, rep source.RangeReply) []byte {
 // MarshalRootFrame encodes a complete ROOT frame (header included):
 // the hub's out-of-band publication of the authoritative commitment.
 func MarshalRootFrame(root [merkle.HashBytes]byte) []byte {
-	return appendFrame(nil, kRoot, 0, root[:])
+	return appendFrame(nil, kRoot, 0, rawPayload(root[:]))
 }
 
 // MarshalProofFrame encodes a complete QPROOF frame: the query header
 // echoing the request, then the proof-carrying body for rep.
 func MarshalProofFrame(seq uint64, tag int, indices []int, rep source.RangeReply) []byte {
-	return appendFrame(nil, kQProof, seq, encodeProofReply(encodeQueryHeader(tag, indices), rep))
+	return appendFrame(nil, kQProof, seq, rawPayload(encodeProofReply(encodeQueryHeader(tag, indices), rep)))
 }
 
 // MarshalQuerySrcFrame encodes a complete QUERYSRC frame: the
 // verified-fallback query, payload-identical to QUERY.
 func MarshalQuerySrcFrame(seq uint64, tag int, indices []int) []byte {
-	return appendFrame(nil, kQuerySrc, seq, encodeQueryHeader(tag, indices))
+	return appendFrame(nil, kQuerySrc, seq, rawPayload(encodeQueryHeader(tag, indices)))
 }
 
 // RoundTripMirrorFrame strictly decodes one mirror-tier frame (ROOT,

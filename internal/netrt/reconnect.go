@@ -68,12 +68,12 @@ func backoffDelay(rng *rand.Rand, attempt int, base, max time.Duration) time.Dur
 	return d/2 + time.Duration(rng.Int63n(int64(d)))
 }
 
-// outFrame is one sent-but-unacked reliable frame.
+// outFrame is one sent-but-unacked reliable frame. Its body may be shared
+// with other entries (a broadcast's) and is never written to.
 type outFrame struct {
 	seq     uint64
 	kind    byte
-	from    int // original sender, for fault-plan decisions (hub side)
-	payload []byte
+	p       framePayload
 	sentAt  time.Time // zero means "due now" (never written, or replaying)
 	attempt int
 }
@@ -86,9 +86,9 @@ type outbox struct {
 	nextSeq uint64
 }
 
-func (o *outbox) push(kind byte, from int, payload []byte) *outFrame {
+func (o *outbox) push(kind byte, p framePayload) *outFrame {
 	o.nextSeq++
-	o.frames = append(o.frames, outFrame{seq: o.nextSeq, kind: kind, from: from, payload: payload})
+	o.frames = append(o.frames, outFrame{seq: o.nextSeq, kind: kind, p: p})
 	return &o.frames[len(o.frames)-1]
 }
 

@@ -45,12 +45,13 @@ const defaultShardQueue = 1024
 // more than syscall amortization.
 const maxWriteBatch = 64
 
-// shardFrame is one queued hub→peer frame awaiting its shard writer.
+// shardFrame is one queued hub→peer frame awaiting its shard writer. Its
+// body may be an outbox entry's, and is only read.
 type shardFrame struct {
-	hp      *hubPeer
-	kind    byte
-	seq     uint64
-	payload []byte
+	hp   *hubPeer
+	kind byte
+	seq  uint64
+	p    framePayload
 }
 
 // connBatch accumulates the encoded bytes of one flush for one peer.
@@ -226,9 +227,9 @@ func (h *hub) flushBatch(s *hubShard, batch []shardFrame) {
 			s.byPeer[f.hp] = cb
 			s.order = append(s.order, cb)
 		}
-		cb.buf = appendFrame(cb.buf, f.kind, f.seq, f.payload)
+		cb.buf = appendFrame(cb.buf, f.kind, f.seq, f.p)
 		cb.frames++
-		h.met.hubTx(f.kind, len(f.payload))
+		h.met.hubTx(f.kind, f.p.len())
 	}
 	wrote := false
 	for _, cb := range s.order {

@@ -2,7 +2,6 @@ package netrt
 
 import (
 	"bytes"
-	"encoding/binary"
 	"net"
 	"testing"
 	"time"
@@ -19,26 +18,28 @@ func TestAppendFrameMatchesWriteFrame(t *testing.T) {
 	cases := []struct {
 		kind    byte
 		seq     uint64
+		p       framePayload
 		payload []byte
 	}{
-		{kPing, 0, nil},
-		{kMsg, 1, []byte{1, 2, 3}},
-		{kQReply, 1 << 40, bytes.Repeat([]byte{0xAB}, 300)},
-		{kAck, 127, binary.AppendUvarint(nil, 127)},
-		{kDone, 128, []byte{}},
+		{kPing, 0, framePayload{}, nil},
+		{kMsg, 1, rawPayload([]byte{1, 2, 3}), []byte{1, 2, 3}},
+		{kMsg, 2, numPayload(300, []byte{1, 2, 3}), []byte{0xAC, 0x02, 1, 2, 3}},
+		{kQReply, 1 << 40, rawPayload(bytes.Repeat([]byte{0xAB}, 300)), bytes.Repeat([]byte{0xAB}, 300)},
+		{kAck, 127, numPayload(127, nil), []byte{127}},
+		{kDone, 128, rawPayload([]byte{}), nil},
 	}
 	for _, tc := range cases {
 		direct := &recConn{}
-		if err := newFrameConn(direct, 0).writeFrame(tc.kind, tc.seq, tc.payload); err != nil {
+		if err := newFrameConn(direct, 0).writeFrame(tc.kind, tc.seq, tc.p); err != nil {
 			t.Fatal(err)
 		}
-		batched := appendFrame(nil, tc.kind, tc.seq, tc.payload)
+		batched := appendFrame(nil, tc.kind, tc.seq, tc.p)
 		if !bytes.Equal(direct.wrote, batched) {
 			t.Fatalf("kind=%d seq=%d: writeFrame %x != appendFrame %x",
 				tc.kind, tc.seq, direct.wrote, batched)
 		}
 		// And a coalesced double encoding must decode as two frames.
-		both := appendFrame(batched, tc.kind, tc.seq+1, tc.payload)
+		both := appendFrame(batched, tc.kind, tc.seq+1, tc.p)
 		r := bytes.NewReader(both)
 		for want := tc.seq; want <= tc.seq+1; want++ {
 			kind, seq, payload, err := readFrame(r)
@@ -112,10 +113,10 @@ func TestStartHub(t *testing.T) {
 	}
 	defer conn.Close()
 	fc := newFrameConn(conn, 0)
-	if err := fc.writeFrame(kHello, 0, binary.AppendUvarint(nil, uint64(id))); err != nil {
+	if err := fc.writeFrame(kHello, 0, numPayload(uint64(id), nil)); err != nil {
 		t.Fatal(err)
 	}
-	if err := fc.writeFrame(kQuery, 1, encodeQueryHeader(7, []int{0, 3, 5})); err != nil {
+	if err := fc.writeFrame(kQuery, 1, rawPayload(encodeQueryHeader(7, []int{0, 3, 5}))); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
