@@ -188,7 +188,10 @@ func runPinned(t *testing.T, spec *sim.Spec) (deadLetterPin, []sim.ObservedEvent
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, queued, allocated := des.RunSerialCountingEvents(spec)
+	res, queued, allocated, err := des.RunSerialCountingEvents(spec)
+	if err != nil {
+		t.Error(err)
+	}
 	input := spec.Config.ResolveInput()
 	pin := deadLetterPin{Result: *res, LogLen: len(log.events)}
 	pin.Result.PerPeer = append([]sim.PeerStats(nil), res.PerPeer...)

@@ -99,7 +99,7 @@ func RunChoices(spec *sim.Spec, choose func(decision, fanout int) int) (*sim.Res
 	return e.result(), e.sched, nil
 }
 
-type eventKind int
+type eventKind uint8
 
 const (
 	evStart eventKind = iota + 1
@@ -118,23 +118,31 @@ const (
 )
 
 type event struct {
-	at   float64
-	seq  int64
 	kind eventKind
+	slot int32
 	to   sim.PeerID
 	from sim.PeerID // evMessage only
 	msg  sim.Message
+	src  *srcEvent // evQueryReply and the source-tier kinds only
+}
+
+// srcEvent is what only query replies and source-tier events carry.
+type srcEvent struct {
 	qr   sim.QueryReply
 	call *qplane.Call // evSrcIssue/evSrcFail, and evQueryReply via the source tier
 	fail source.Kind  // evSrcFail only
 }
+
+// slabSize is how many events a slab holds. An event stays put in its slab
+// while pending; its queue entry says when it is due and names it by slot.
+const slabSize = 256
 
 type peerState struct {
 	id         sim.PeerID
 	honest     bool
 	impl       sim.Peer
 	ctx        *peerCtx
-	rng        *rand.Rand
+	rng        *rand.Rand // nil until the peer's first Rand call
 	crashed    bool
 	terminated bool
 	started    bool
@@ -169,7 +177,9 @@ type engine struct {
 	choose  func(decision, fanout int) int
 	sched   Schedule
 	queue   eventQueue
-	free    []*event // recycled event structs (see alloc-budget tests)
+	slabs   []*[slabSize]event
+	slots   int32   // slots handed out so far
+	free    []int32 // recycled slots (see alloc-budget tests)
 	seq     int64
 	now     float64
 	peers   []*peerState
@@ -228,7 +238,6 @@ func newEngine(spec *sim.Spec, choose func(decision, fanout int) int) *engine {
 		p := &peerState{
 			id:         id,
 			honest:     true,
-			rng:        rand.New(rand.NewSource(cfg.Seed + int64(i)*0x9e3779b97f4a7c + 1)),
 			crashPoint: -1,
 			stats:      sim.PeerStats{ID: id, Honest: true},
 		}
@@ -297,44 +306,56 @@ func newEngine(spec *sim.Spec, choose func(decision, fanout int) int) *engine {
 	for _, p := range e.peers {
 		ev := e.newEvent()
 		ev.kind, ev.to = evStart, p.id
+		var at float64
 		if choose == nil {
-			ev.at = spec.Delays.StartDelay(p.id)
+			at = spec.Delays.StartDelay(p.id)
 		}
-		e.push(ev)
+		e.push(at, ev)
 	}
 	return e
 }
 
-// newEvent returns a zeroed event, reusing a recycled struct when one is
+// newEvent returns a zeroed event, reusing a recycled slot when one is
 // available. Recycling keeps steady-state event allocation at zero: the
-// pool grows to the maximum number of in-flight events and is then reused
+// slabs grow to the maximum number of in-flight events and are then reused
 // for the rest of the execution.
 func (e *engine) newEvent() *event {
 	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
+		slot := e.free[n-1]
 		e.free = e.free[:n-1]
-		return ev
+		return e.event(slot)
 	}
-	return &event{}
+	if e.slots%slabSize == 0 {
+		e.slabs = append(e.slabs, new([slabSize]event))
+	}
+	ev := e.event(e.slots)
+	ev.slot = e.slots
+	e.slots++
+	return ev
 }
 
-// release returns a processed event to the pool. References into peer-held
-// data (message, query reply) are dropped so recycling never retains them.
+func (e *engine) event(slot int32) *event {
+	return &e.slabs[slot/slabSize][slot%slabSize]
+}
+
+// release returns a processed event's slot to the free list, dropping its
+// references into peer-held data so recycling never retains them.
 func (e *engine) release(ev *event) {
-	*ev = event{}
-	e.free = append(e.free, ev)
+	*ev = event{slot: ev.slot}
+	e.free = appendDoubling(e.free, ev.slot)
 }
 
-// push makes ev pending. A chooser indexes the pending events by arrival,
-// so for it they are appended and their times mean nothing.
-func (e *engine) push(ev *event) {
+// push makes ev pending, due at at. A chooser indexes the pending events
+// by arrival, so for it they are appended and their times mean nothing.
+func (e *engine) push(at float64, ev *event) {
+	x := entry{at: at, slot: ev.slot}
 	if e.choose != nil {
-		e.queue.es = append(e.queue.es, ev)
+		e.queue.es = appendDoubling(e.queue.es, x)
 		return
 	}
-	ev.seq = e.seq
+	x.seq = e.seq
 	e.seq++
-	e.queue.push(ev)
+	e.queue.push(x)
 }
 
 // count books one delivered event. A choice-driven run has no other clock:
@@ -356,16 +377,17 @@ func (e *engine) run() {
 			e.res.EventCapHit = true
 			return
 		}
-		ev := e.queue.pop()
-		if d := e.spec.Deadline; d > 0 && ev.at > d {
+		x := e.queue.pop()
+		ev := e.event(x.slot)
+		if d := e.spec.Deadline; d > 0 && x.at > d {
 			// The next deliverable event lies past the deadline while some
 			// honest peer is still running: cut the execution off here.
 			e.release(ev)
 			e.cutAtDeadline()
 			return
 		}
-		if ev.at > e.now {
-			e.now = ev.at
+		if x.at > e.now {
+			e.now = x.at
 		}
 		p := e.peers[ev.to]
 		e.step(p, ev)
@@ -375,10 +397,10 @@ func (e *engine) run() {
 		// just skips re-entering the loop per event.
 		for e.queue.len() > 0 && (e.honestLive > 0 || e.churnLive > 0) && e.events < e.cap {
 			nxt := e.queue.head()
-			if nxt.at != e.now || nxt.to != p.id {
+			if nxt.at != e.now || e.event(nxt.slot).to != p.id {
 				break
 			}
-			e.step(p, e.queue.pop())
+			e.step(p, e.event(e.queue.pop().slot))
 		}
 	}
 	e.queueExhausted()
@@ -402,7 +424,7 @@ func (e *engine) runChoices() {
 			}
 			e.sched.Choices = append(e.sched.Choices, idx)
 		}
-		ev := e.queue.take(idx)
+		ev := e.event(e.queue.take(idx).slot)
 		e.step(e.peers[ev.to], ev)
 	}
 	e.queueExhausted()
@@ -476,9 +498,9 @@ func (e *engine) step(p *peerState, ev *event) {
 		e.count()
 		switch ev.kind {
 		case evSrcIssue:
-			e.srcDo(p, p.q.Admit(e.now, ev.call))
+			e.srcDo(p, p.q.Admit(e.now, ev.src.call))
 		case evSrcFail:
-			e.srcFail(p, ev.call, ev.fail)
+			e.srcFail(p, ev.src.call, ev.src.fail)
 		case evSrcWake:
 			n := p.q.Wake(e.now)
 			if n.Op == qplane.Fetch {
@@ -554,14 +576,14 @@ func (e *engine) deliver(p *peerState, ev *event) {
 		}
 		p.impl.OnMessage(ev.from, ev.msg)
 	case evQueryReply:
-		if ev.call != nil {
+		if ev.src.call != nil {
 			// The reply crossed the (faulty) source: the breaker hears of
 			// the success when the reply arrives.
 			e.srcSuccess(p)
 		}
-		p.q.Learn(ev.qr)
-		e.observe("qreply", p.id, -1, "", len(ev.qr.Indices))
-		p.impl.OnQueryReply(ev.qr)
+		p.q.Learn(ev.src.qr)
+		e.observe("qreply", p.id, -1, "", len(ev.src.qr.Indices))
+		p.impl.OnQueryReply(ev.src.qr)
 	}
 	e.current = -1
 }
@@ -575,8 +597,8 @@ func (e *engine) crash(p *peerState) {
 	e.tracef("t=%.3f peer %d CRASH (actions=%d)", e.now, p.id, p.actions)
 	if p.rejoins() {
 		ev := e.newEvent()
-		ev.at, ev.kind, ev.to = e.now+p.churn.Downtime, evRejoin, p.id
-		e.push(ev)
+		ev.kind, ev.to = evRejoin, p.id
+		e.push(e.now+p.churn.Downtime, ev)
 	}
 }
 
@@ -638,8 +660,8 @@ func (e *engine) queryDelay(p *peerState) float64 {
 func (e *engine) issue(p *peerState, call *qplane.Call) {
 	if e.choose != nil {
 		ev := e.newEvent()
-		ev.kind, ev.to, ev.call = evSrcIssue, p.id, call
-		e.push(ev)
+		ev.kind, ev.to, ev.src = evSrcIssue, p.id, &srcEvent{call: call}
+		e.push(0, ev)
 		return
 	}
 	e.srcDo(p, p.q.Admit(e.now, call))
@@ -670,12 +692,12 @@ func (e *engine) srcDo(p *peerState, n qplane.Next) {
 		e.fetch(p, n.Call)
 	case qplane.Retry:
 		ev := e.newEvent()
-		ev.at, ev.kind, ev.to, ev.call = n.At, evSrcIssue, p.id, n.Call
-		e.push(ev)
+		ev.kind, ev.to, ev.src = evSrcIssue, p.id, &srcEvent{call: n.Call}
+		e.push(n.At, ev)
 	case qplane.Wake:
 		ev := e.newEvent()
-		ev.at, ev.kind, ev.to = n.At, evSrcWake, p.id
-		e.push(ev)
+		ev.kind, ev.to = evSrcWake, p.id
+		e.push(n.At, ev)
 	}
 }
 
@@ -703,8 +725,8 @@ func (e *engine) fetch(p *peerState, call *qplane.Call) {
 			at += e.queryDelay(p)
 		}
 		ev := e.newEvent()
-		ev.at, ev.kind, ev.to, ev.call, ev.fail = at, evSrcFail, p.id, call, kind
-		e.push(ev)
+		ev.kind, ev.to, ev.src = evSrcFail, p.id, &srcEvent{call: call, fail: kind}
+		e.push(at, ev)
 		return
 	}
 	if e.choose != nil {
@@ -714,9 +736,8 @@ func (e *engine) fetch(p *peerState, call *qplane.Call) {
 		e.srcSuccess(p)
 	}
 	ev := e.newEvent()
-	ev.at, ev.kind, ev.to = e.now+e.queryDelay(p)+latency, evQueryReply, p.id
-	ev.qr, ev.call = qr, call
-	e.push(ev)
+	ev.kind, ev.to, ev.src = evQueryReply, p.id, &srcEvent{qr: qr, call: call}
+	e.push(e.now+e.queryDelay(p)+latency, ev)
 }
 
 // srcFail delivers a now-known failure to the plane, which either backs
@@ -904,8 +925,8 @@ func (c *peerCtx) send(to sim.PeerID, m sim.Message, size, chunks int) {
 		}
 	}
 	ev := c.e.newEvent()
-	ev.at, ev.kind, ev.to, ev.from, ev.msg = at, evMessage, to, p.id, m
-	c.e.push(ev)
+	ev.kind, ev.to, ev.from, ev.msg = evMessage, to, p.id, m
+	c.e.push(at, ev)
 }
 
 func (c *peerCtx) Broadcast(m sim.Message) {
@@ -940,12 +961,12 @@ func (c *peerCtx) Query(tag int, indices []int) {
 	case qplane.WarmHit:
 		// Answered locally, no source round trip.
 		ev := c.e.newEvent()
-		ev.at, ev.kind, ev.to, ev.qr = c.e.now+1e-6, evQueryReply, p.id, b.Reply
-		c.e.push(ev)
+		ev.kind, ev.to, ev.src = evQueryReply, p.id, &srcEvent{qr: b.Reply}
+		c.e.push(c.e.now+1e-6, ev)
 	case qplane.Oracle:
 		ev := c.e.newEvent()
-		ev.at, ev.kind, ev.to, ev.qr = c.e.now+c.e.queryDelay(p), evQueryReply, p.id, b.Reply
-		c.e.push(ev)
+		ev.kind, ev.to, ev.src = evQueryReply, p.id, &srcEvent{qr: b.Reply}
+		c.e.push(c.e.now+c.e.queryDelay(p), ev)
 	}
 }
 
@@ -975,8 +996,15 @@ func (c *peerCtx) Terminate() {
 		c.e.now, c.p.id, c.p.stats.QueryBits, c.p.stats.MsgsSent)
 }
 
-func (c *peerCtx) Rand() *rand.Rand { return c.p.rng }
-func (c *peerCtx) Now() float64     { return c.e.now }
+// Rand seeds the peer's stream at its first call, from (Seed, id) alone: no
+// draw depends on which event makes it, and a peer that never draws pays none.
+func (c *peerCtx) Rand() *rand.Rand {
+	if c.p.rng == nil {
+		c.p.rng = rand.New(rand.NewSource(c.e.cfg.Seed + int64(c.p.id)*0x9e3779b97f4a7c + 1))
+	}
+	return c.p.rng
+}
+func (c *peerCtx) Now() float64 { return c.e.now }
 
 // TracingEnabled implements sim.Tracer: Logf output is consumed exactly
 // when the spec carries a trace writer, so sim.AsPeer captures log actions

@@ -1,17 +1,48 @@
 package des
 
-import "repro/internal/sim"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
 
 // RunSerialCountingEvents runs spec on the serial loop and also reports how
-// many events the run queued and how many event structs it allocated: at
-// the end every struct sits in the free list, the queue or a pre-start
-// buffer.
-func RunSerialCountingEvents(spec *sim.Spec) (res *sim.Result, queued, allocated int) {
+// many events the run queued and how many event slots it handed out. At
+// the end every slot sits exactly once in the free list, the queue or a
+// pre-start buffer; err names the first that does not.
+func RunSerialCountingEvents(spec *sim.Spec) (res *sim.Result, queued, allocated int, err error) {
 	e := newEngine(spec, nil)
 	e.run()
-	allocated = len(e.free) + e.queue.len()
-	for _, p := range e.peers {
-		allocated += len(p.pending)
+	held := make([]int, e.slots)
+	for _, slot := range e.free {
+		held[slot]++
 	}
-	return e.result(), int(e.seq), allocated
+	for _, x := range e.queue.es {
+		held[x.slot]++
+	}
+	for _, p := range e.peers {
+		for _, ev := range p.pending {
+			held[ev.slot]++
+		}
+	}
+	for slot, n := range held {
+		if n != 1 {
+			err = fmt.Errorf("event slot %d is held %d times", slot, n)
+			break
+		}
+	}
+	return e.result(), int(e.seq), int(e.slots), err
+}
+
+// RunCountingCoins runs spec and also reports how many peers built their
+// random stream.
+func RunCountingCoins(spec *sim.Spec) (res *sim.Result, coins int) {
+	e := newEngine(spec, nil)
+	e.run()
+	for _, p := range e.peers {
+		if p.rng != nil {
+			coins++
+		}
+	}
+	return e.result(), coins
 }

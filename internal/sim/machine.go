@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/bitarray"
 )
@@ -79,10 +78,6 @@ type Env struct {
 	T       int
 	L       int
 	MsgBits int
-	// Rand is the peer's private seeded randomness source. Step calls may
-	// draw from it: the draw order equals handler order, which is exactly
-	// the order a Context-driven execution would produce.
-	Rand *rand.Rand
 	// NowFn reports the current virtual (or scaled wall) time; it is a
 	// function because the clock advances between Steps.
 	NowFn func() float64
@@ -100,7 +95,7 @@ func (e *Env) Now() float64 {
 func EnvOf(ctx Context) Env {
 	return Env{
 		ID: ctx.ID(), N: ctx.N(), T: ctx.T(), L: ctx.L(), MsgBits: ctx.MsgBits(),
-		Rand: ctx.Rand(), NowFn: ctx.Now,
+		NowFn: ctx.Now,
 	}
 }
 
