@@ -15,7 +15,7 @@ GOVULNCHECK := golang.org/x/vuln/cmd/govulncheck@v1.1.3
 # pathologies). Override for slow local machines: make test TIMEOUT=20m.
 TIMEOUT ?= 10m
 
-.PHONY: all build fmt vet test race bench bench-ci profile conform conformance chaos source-chaos mirrors scale-smoke storm experiments fuzz lint cover dst-search dst-regen harden clean
+.PHONY: all build fmt vet test race bench profile conform conformance chaos source-chaos mirrors scale-smoke storm experiments fuzz lint cover dst-search dst-regen harden clean
 
 all: build vet test
 
@@ -49,14 +49,6 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem . | tee bench_output.txt
-
-# Benchmark regression gate (see docs/PERF.md): a quick-mode pipeline run
-# writes bench/BENCH_<timestamp>.json and exits 3 if costs regress past
-# the thresholds vs the newest committed baseline; then the parallel
-# sweep driver's determinism test runs under the race detector.
-bench-ci:
-	$(GO) run ./cmd/drbench -bench -quick -out bench
-	$(GO) test -race -count=1 -timeout $(TIMEOUT) ./internal/sweep/
 
 # CPU and heap profile of one cell of `go run ./benchmark`: a whole-download
 # cell (download/cells_bench_test.go: des-crashk, des-committee, tcp-crashk,
@@ -136,13 +128,13 @@ mirrors:
 	$(GO) test -race -count=1 -timeout $(TIMEOUT) -run 'TestLiveMirror' ./internal/live/
 	$(GO) run ./cmd/drconform -n 12 -L 1024 -seeds 2 -mirrors "mirrors=5,byz=3,behavior=mixed,seed=7"
 
-# Million-peer scale gate (see docs/SCALING.md): the load-generator and
-# shard suites, then a 50k-client drload run against one sharded hub
-# with hard SLOs — p99 closed-loop latency under 2s and zero dropped
-# queries (exit 3 on breach, drbench's regression convention). The
+# Million-peer scale gate (see docs/SCALING.md): drload's suite (the
+# LOAD_ file format and the exit codes), then a 50k-client drload run
+# against one sharded hub with hard SLOs — p99 closed-loop latency under
+# 2s and zero dropped queries. drload exits 3 on a breach. The
 # LOAD_<timestamp>.json artifact lands in load/ for upload.
 scale-smoke:
-	$(GO) test -count=1 -timeout $(TIMEOUT) ./internal/benchfmt/ ./cmd/drload/
+	$(GO) test -count=1 -timeout $(TIMEOUT) ./cmd/drload/
 	$(GO) run ./cmd/drload -clients 50000 -conns 32 -shards 8 \
 		-slo-p99 2000 -slo-zero-drop -out load
 

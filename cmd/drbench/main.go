@@ -1,9 +1,8 @@
 // Command drbench regenerates the paper's evaluation: Table 1 and every
 // per-theorem experiment and ablation listed in DESIGN.md / EXPERIMENTS.md.
-// With -bench it instead runs the reproducible benchmark pipeline: measure
-// every Table-1 cell, write a schema-versioned BENCH_<timestamp>.json, and
-// diff it against a baseline, failing (exit 3) on regressions past the
-// thresholds. See docs/PERF.md.
+//
+// Exit codes: 0 every selected experiment ran, 1 an experiment failed,
+// 2 usage.
 //
 // Examples:
 //
@@ -11,64 +10,43 @@
 //	drbench -suite all
 //	drbench -suite T1,E2,E7 -quick
 //	drbench -suite E10 -csv
-//	drbench -bench -quick -out bench
-//	drbench -bench -baseline bench/BENCH_20260805T000000Z.json -max-allocs-growth 0.05
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
-	"repro/internal/benchfmt"
-	"repro/internal/des"
 	"repro/internal/experiments"
-	"repro/internal/obs"
-	"repro/internal/sim"
-	"repro/internal/sweep"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run executes the selected experiments and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("drbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list  = flag.Bool("list", false, "list experiments and exit")
-		suite = flag.String("suite", "all", "comma-separated experiment IDs, or 'all'")
-		quick = flag.Bool("quick", false, "reduced sizes for a fast smoke run")
-		csv   = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		seed  = flag.Int64("seed", 7, "suite seed")
-
-		bench     = flag.Bool("bench", false, "run the benchmark pipeline instead of experiments")
-		out       = flag.String("out", "bench", "pipeline: directory for BENCH_*.json output")
-		baseline  = flag.String("baseline", "", "pipeline: baseline file or directory (default: newest BENCH_*.json in -out)")
-		label     = flag.String("label", "", "pipeline: label recorded in the output file")
-		iters     = flag.Int("iters", 1, "pipeline: measured iterations per cell")
-		parallel  = flag.Int("parallel", 1, "pipeline: workers for the metric sweep (deterministic at any value)")
-		maxNs     = flag.Float64("max-ns-growth", 0.50, "pipeline: allowed fractional ns/op growth vs baseline")
-		maxAllocs = flag.Float64("max-allocs-growth", 0.10, "pipeline: allowed fractional allocs/op growth vs baseline")
-		withObs   = flag.Bool("obs", false, "pipeline: collect an observability snapshot from the metric sweep and embed it in the BENCH_*.json")
+		list  = fs.Bool("list", false, "list experiments and exit")
+		suite = fs.String("suite", "all", "comma-separated experiment IDs, or 'all'")
+		quick = fs.Bool("quick", false, "reduced sizes for a fast smoke run")
+		csv   = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+		seed  = fs.Int64("seed", 7, "suite seed")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list {
 		for _, e := range experiments.All() {
-			fmt.Printf("%-4s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-4s %s\n", e.ID, e.Title)
 		}
 		return 0
-	}
-
-	if *bench {
-		return runPipeline(pipelineConfig{
-			out: *out, baseline: *baseline, label: *label,
-			quick: *quick, seed: *seed, iters: *iters, parallel: *parallel, obs: *withObs,
-			thresholds: benchfmt.Thresholds{MaxNsGrowth: *maxNs, MaxAllocsGrowth: *maxAllocs},
-		})
 	}
 
 	var selected []experiments.Experiment
@@ -78,7 +56,7 @@ func run() int {
 		for _, id := range strings.Split(*suite, ",") {
 			e, ok := experiments.ByID(strings.TrimSpace(id))
 			if !ok {
-				fmt.Fprintf(os.Stderr, "drbench: unknown experiment %q (try -list)\n", id)
+				fmt.Fprintf(stderr, "drbench: unknown experiment %q (try -list)\n", id)
 				return 2
 			}
 			selected = append(selected, e)
@@ -91,228 +69,19 @@ func run() int {
 		start := time.Now()
 		table, err := e.Run(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "drbench: %s failed: %v\n", e.ID, err)
+			fmt.Fprintf(stderr, "drbench: %s failed: %v\n", e.ID, err)
 			failures++
 			continue
 		}
 		if *csv {
-			table.CSV(os.Stdout)
+			table.CSV(stdout)
 		} else {
-			table.Fprint(os.Stdout)
-			fmt.Printf("  [%s completed in %.1fs]\n\n", e.ID, time.Since(start).Seconds())
+			table.Fprint(stdout)
+			fmt.Fprintf(stdout, "  [%s completed in %.1fs]\n\n", e.ID, time.Since(start).Seconds())
 		}
 	}
 	if failures > 0 {
 		return 1
 	}
 	return 0
-}
-
-type pipelineConfig struct {
-	out, baseline, label string
-	quick, obs           bool
-	seed                 int64
-	iters, parallel      int
-	thresholds           benchfmt.Thresholds
-}
-
-// runPipeline measures every Table-1 cell and gates on the baseline diff.
-//
-// The paper metrics come from a sweep pass (parallelizable, deterministic);
-// the simulator costs come from a serial pass timed around the same cells,
-// so numbers aren't polluted by co-running goroutines. The serial pass
-// re-derives the metrics and cross-checks them against the sweep's — a
-// free end-to-end determinism check on every pipeline run.
-func runPipeline(cfg pipelineConfig) int {
-	mode := "full"
-	if cfg.quick {
-		mode = "quick"
-	}
-	if cfg.iters < 1 {
-		cfg.iters = 1
-	}
-	cells := experiments.BenchCells(experiments.Config{Seed: cfg.seed, Quick: cfg.quick})
-
-	// Metric pass. With -obs, all cells share one registry (concurrency-
-	// safe), so the snapshot aggregates the whole sweep. The timed serial
-	// pass below deliberately runs without metrics: its allocs/op and
-	// ns/op feed the regression gate and must measure the disabled path.
-	var reg *obs.Registry
-	if cfg.obs {
-		reg = obs.New()
-	}
-	var sweepCells []sweep.Cell
-	for _, c := range cells {
-		spec := c.Spec(cfg.seed)
-		if reg != nil {
-			spec.Metrics = reg
-			spec.Label = c.Name
-		}
-		sweepCells = append(sweepCells, sweep.Cell{Name: c.Name, Spec: spec})
-	}
-	metricRes, err := sweep.Run(sweepCells, sweep.Options{Workers: cfg.parallel})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "drbench: metric sweep: %v\n", err)
-		return 1
-	}
-
-	// Cost pass: serial, timed, allocation-counted via memstats deltas.
-	file := &benchfmt.File{
-		Label: cfg.label, Mode: mode, Seed: cfg.seed, Iters: cfg.iters,
-		Note:    fmt.Sprintf("generated by drbench -bench on %s/%s", runtime.GOOS, runtime.GOARCH),
-		Metrics: reg.Snapshot(),
-	}
-	for i, c := range cells {
-		row, res, err := measure(c, cfg.seed, cfg.iters)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "drbench: %s: %v\n", c.Name, err)
-			return 1
-		}
-		m := metricRes[i]
-		if res.Q != m.Q || res.Msgs != m.Msgs || res.Time != m.Time || res.AvgQ() != m.AvgQ() {
-			fmt.Fprintf(os.Stderr, "drbench: %s: serial and sweep runs disagree (Q %d vs %d, msgs %d vs %d) — determinism broken\n",
-				c.Name, res.Q, m.Q, res.Msgs, m.Msgs)
-			return 1
-		}
-		file.Rows = append(file.Rows, row)
-	}
-
-	// Proof-verify micro rows: the mirror tier's per-reply decode+verify
-	// cost, gated on allocs/op like every other cell (see merkle.go).
-	for _, mc := range merkleCells(cfg.quick) {
-		row, err := measureMerkle(mc, cfg.seed, cfg.iters)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "drbench: %s: %v\n", mc.name, err)
-			return 1
-		}
-		file.Rows = append(file.Rows, row)
-	}
-
-	path, err := benchfmt.Write(cfg.out, file)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "drbench: %v\n", err)
-		return 1
-	}
-	printRows(file)
-	fmt.Printf("wrote %s\n", path)
-
-	base, basePath, err := resolveBaseline(cfg.baseline, cfg.out, path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "drbench: baseline: %v\n", err)
-		return 1
-	}
-	if base == nil {
-		fmt.Println("no baseline found; skipping comparison")
-		return 0
-	}
-	regs, err := benchfmt.Compare(base, file, cfg.thresholds)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "drbench: compare vs %s: %v\n", basePath, err)
-		return 1
-	}
-	if len(regs) > 0 {
-		fmt.Fprintf(os.Stderr, "REGRESSIONS vs %s:\n", basePath)
-		for _, r := range regs {
-			fmt.Fprintf(os.Stderr, "  %s\n", r)
-		}
-		return 3
-	}
-	fmt.Printf("no regressions vs %s (ns +%.0f%%, allocs +%.0f%% allowed; paper metrics exact)\n",
-		basePath, 100*cfg.thresholds.MaxNsGrowth, 100*cfg.thresholds.MaxAllocsGrowth)
-	return 0
-}
-
-// measure runs one cell iters times on the des runtime, returning mean
-// wall time and allocation counts per run plus the (deterministic) result.
-func measure(c experiments.BenchCell, seed int64, iters int) (benchfmt.Row, *sim.Result, error) {
-	var last *sim.Result
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		res, err := des.New().Run(c.Spec(seed))
-		if err != nil {
-			return benchfmt.Row{}, nil, err
-		}
-		if !res.Correct {
-			return benchfmt.Row{}, nil, fmt.Errorf("incorrect run: %v", res.Failures)
-		}
-		if last != nil && (res.Q != last.Q || res.Msgs != last.Msgs || res.Time != last.Time) {
-			return benchfmt.Row{}, nil, fmt.Errorf("iterations disagree — determinism broken")
-		}
-		last = res
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&m1)
-	n := float64(iters)
-	return benchfmt.Row{
-		Name:        c.Name,
-		NsPerOp:     float64(elapsed.Nanoseconds()) / n,
-		AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / n,
-		BytesPerOp:  float64(m1.TotalAlloc-m0.TotalAlloc) / n,
-		QueryQ:      float64(last.Q),
-		AvgQ:        last.AvgQ(),
-		Msgs:        float64(last.Msgs),
-		VTime:       last.Time,
-	}, last, nil
-}
-
-// resolveBaseline picks the comparison target: an explicit file, the newest
-// BENCH_*.json in an explicit directory, or the newest in the output
-// directory other than the file just written.
-func resolveBaseline(arg, outDir, justWrote string) (*benchfmt.File, string, error) {
-	if arg != "" {
-		if st, err := os.Stat(arg); err == nil && st.IsDir() {
-			path, f, err := benchfmt.Latest(arg)
-			return f, path, err
-		}
-		f, err := benchfmt.Load(arg)
-		return f, arg, err
-	}
-	return latestExcept(outDir, justWrote)
-}
-
-func latestExcept(dir, except string) (*benchfmt.File, string, error) {
-	// benchfmt.Latest would hand back the file this run just wrote; walk
-	// down to the previous one instead.
-	path, f, err := benchfmt.Latest(dir)
-	if err != nil || f == nil {
-		return nil, "", err
-	}
-	if path != except {
-		return f, path, nil
-	}
-	// The just-written file is newest; look for an older sibling by
-	// temporarily treating it as absent.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, "", err
-	}
-	var best string
-	for _, e := range entries {
-		name := e.Name()
-		full := filepath.Join(dir, name)
-		if full == except || !strings.HasPrefix(name, benchfmt.FilePrefix) || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		if name > best {
-			best = name
-		}
-	}
-	if best == "" {
-		return nil, "", nil
-	}
-	full := filepath.Join(dir, best)
-	f, err = benchfmt.Load(full)
-	return f, full, err
-}
-
-func printRows(f *benchfmt.File) {
-	fmt.Printf("%-12s %14s %14s %14s %8s %10s %8s %10s\n",
-		"cell", "ns/op", "allocs/op", "B/op", "queryQ", "avgQ", "msgs", "vtime")
-	for _, r := range f.Rows {
-		fmt.Printf("%-12s %14.0f %14.0f %14.0f %8.0f %10.2f %8.0f %10.4f\n",
-			r.Name, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp, r.QueryQ, r.AvgQ, r.Msgs, r.VTime)
-	}
 }

@@ -5,11 +5,11 @@
 // query tag), so 100k–1M clients run in one process without 1M sockets.
 //
 // The run is recorded as a schema-versioned LOAD_<timestamp>.json
-// (internal/benchfmt) holding p50/p90/p99/max latency, throughput, the
-// drop count, and the hub's per-shard robustness counters. SLO flags turn
-// the measurement into a CI gate: -slo-p99 bounds p99 latency and
-// -slo-zero-drop requires every query answered; a breach exits 3
-// (drbench's regression convention), operational failures exit 1.
+// (loadfile.go) holding p50/p90/p99/max latency, throughput, the drop
+// count, and the hub's per-shard robustness counters. SLO flags turn the
+// measurement into a CI gate: -slo-p99 bounds p99 latency and
+// -slo-zero-drop requires every query answered. Exit codes: 0 ok, 1 an
+// operational failure, 2 bad flags, 3 an SLO breach.
 //
 // Examples:
 //
@@ -24,7 +24,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/benchfmt"
 	"repro/internal/netrt"
 )
 
@@ -78,7 +77,7 @@ func run(args []string, stdout io.Writer) int {
 		return 1
 	}
 
-	file := &benchfmt.LoadFile{
+	file := &LoadFile{
 		Label:   *label,
 		Clients: *clients, Conns: *conns, Shards: *shards,
 		QueriesPerClient: *queries, BitsPerQuery: *qbits,
@@ -96,13 +95,13 @@ func run(args []string, stdout io.Writer) int {
 		file.ThroughputQPS = float64(res.Replies) / res.Duration.Seconds()
 	}
 	for _, s := range hub.ShardStats() {
-		file.ShardStats = append(file.ShardStats, benchfmt.LoadShard{
+		file.ShardStats = append(file.ShardStats, LoadShard{
 			Enqueued: s.Enqueued, Written: s.Written, Dropped: s.Dropped,
 			Blocked: s.Blocked, WriteErrs: s.WriteErrs, Flushes: s.Flushes,
 		})
 	}
 
-	path, err := benchfmt.WriteLoad(*out, file)
+	path, err := WriteLoad(*out, file)
 	if err != nil {
 		fmt.Fprintf(stdout, "drload: %v\n", err)
 		return 1
@@ -115,7 +114,7 @@ func run(args []string, stdout io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "wrote %s\n", path)
 
-	slo := benchfmt.LoadSLO{MaxP99Ms: *sloP99, EnforceDrops: *sloZero}
+	slo := LoadSLO{MaxP99Ms: *sloP99, EnforceDrops: *sloZero}
 	if v := file.CheckSLO(slo); len(v) > 0 {
 		fmt.Fprintf(stdout, "SLO BREACH:\n")
 		for _, s := range v {

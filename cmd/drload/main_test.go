@@ -4,8 +4,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/benchfmt"
 )
 
 // TestRunSmallLoad is the CLI smoke test: a small run must exit 0, write
@@ -21,7 +19,7 @@ func TestRunSmallLoad(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d:\n%s", code, b.String())
 	}
-	path, f, err := benchfmt.LatestLoad(dir)
+	path, f, err := LatestLoad(dir)
 	if err != nil || f == nil {
 		t.Fatalf("no LOAD artifact in %s: %v", dir, err)
 	}
@@ -40,7 +38,7 @@ func TestRunSmallLoad(t *testing.T) {
 }
 
 // TestRunSLOBreachExitCode pins the CI contract: an impossible p99 SLO
-// must exit 3, drbench's regression code, and still write the artifact.
+// must exit 3 and still write the artifact.
 func TestRunSLOBreachExitCode(t *testing.T) {
 	dir := t.TempDir()
 	var b strings.Builder
@@ -55,7 +53,7 @@ func TestRunSLOBreachExitCode(t *testing.T) {
 	if !strings.Contains(b.String(), "SLO BREACH") {
 		t.Fatalf("no breach report:\n%s", b.String())
 	}
-	if _, f, err := benchfmt.LatestLoad(dir); err != nil || f == nil {
+	if _, f, err := LatestLoad(dir); err != nil || f == nil {
 		t.Fatalf("breached run wrote no artifact: %v", err)
 	}
 }

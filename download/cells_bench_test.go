@@ -15,11 +15,12 @@ import (
 // workload: it is des-committee at β = 1/4, where a member's list is runs
 // of one or two indices and not of 127, the other shape of schedule the
 // vote tally has to be fast on. table1-committee is not one either: it has
-// the shape of EXPERIMENTS.md T1's committee row and of `make bench-ci`'s
-// full-scale one (N=256, β = 1/4, L=16384, Liar; 94.8 M messages a
-// download), so that a profile has the large cell at hand — but the delay policy and the placement of
-// the faulty peers are download's, not internal/experiments', so its paper
-// metrics are not that row's.
+// the shape of EXPERIMENTS.md T1's committee row and of the full/committee
+// row of internal/regression's table1.json (N=256, β = 1/4, L=16384, Liar;
+// 94.8 M messages a download), so that a profile has the large cell at
+// hand — but the delay policy and the placement of the faulty peers are
+// download's, not internal/experiments', so its paper metrics are not
+// that row's.
 var benchCells = []struct {
 	name string
 	opts download.Options

@@ -12,8 +12,8 @@ import (
 
 // This file renders a Registry in its two interchange formats: the
 // Prometheus text exposition format (served at /metrics) and a JSON
-// snapshot (served at /snapshot.json, embedded in drbench's BENCH_*.json
-// sidecars), plus the expvar bridge for /debug/vars.
+// snapshot (served at /snapshot.json), plus the expvar bridge for
+// /debug/vars.
 
 // Snapshot is a point-in-time JSON-able view of a registry.
 type Snapshot struct {

@@ -3,8 +3,10 @@
 // these goldens signals a semantic change to the engine, the adversary
 // stream, or a protocol — which must be deliberate and documented.
 //
-// Pinned values live in testdata/goldens.json. When a semantic change is
-// intentional, regenerate with:
+// Pinned values live in testdata/goldens.json (small cells, every fault
+// plane) and testdata/table1.json (Table 1's protocol rows at the quick
+// and the paper's scale). When a semantic change is intentional,
+// regenerate both with:
 //
 //	go test ./internal/regression -update
 //
@@ -32,7 +34,7 @@ import (
 	"repro/internal/source"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/goldens.json from the current engine")
+var update = flag.Bool("update", false, "rewrite testdata/*.json from the current engine")
 
 // golden captures one pinned execution. The source-tier counters are
 // omitted when zero, so pre-existing goldens keep their exact encoding.
@@ -125,6 +127,22 @@ func capture(res *sim.Result) golden {
 
 const goldenPath = "testdata/goldens.json"
 
+// writeJSON rewrites one pinned file under -update.
+func writeJSON[V any](t *testing.T, path string, pinned map[string]V) {
+	t.Helper()
+	data, err := json.MarshalIndent(pinned, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("rewrote %s with %d rows", path, len(pinned))
+}
+
 func loadGoldens(t *testing.T) map[string]golden {
 	t.Helper()
 	data, err := os.ReadFile(goldenPath)
@@ -151,17 +169,7 @@ func TestGoldens(t *testing.T) {
 			}
 			pinned[g.name] = capture(res)
 		}
-		data, err := json.MarshalIndent(pinned, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s with %d goldens", goldenPath, len(pinned))
+		writeJSON(t, goldenPath, pinned)
 		return
 	}
 	pinned := loadGoldens(t)

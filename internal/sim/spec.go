@@ -109,7 +109,7 @@ type Spec struct {
 	// Metrics, when non-nil, receives runtime counters and histograms
 	// (per-peer query bits, message counts, event-loop stats). The
 	// registry is concurrency-safe, so unlike Trace/Observer it may be
-	// shared across parallel sweep workers. Nil disables all metric
+	// shared by runs executing at once. Nil disables all metric
 	// collection at zero cost (see package obs).
 	Metrics *obs.Registry
 	// Timeline, when non-nil, receives span/event marks (phase
