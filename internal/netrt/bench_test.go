@@ -124,7 +124,13 @@ func BenchmarkHubLoad(b *testing.B) {
 // iteration's, neither of which the profiled code sees. Every honest peer
 // must output the input, the churn peer after rejoining from its
 // checkpoint.
-func BenchmarkStorm(b *testing.B) {
+func BenchmarkStorm(b *testing.B) { benchStorm(b, .02) }
+
+// BenchmarkStormLossless is BenchmarkStorm's cell with no frame dropped:
+// the time BenchmarkStorm takes over it is the price of loss recovery.
+func BenchmarkStormLossless(b *testing.B) { benchStorm(b, 0) }
+
+func benchStorm(b *testing.B, drop float64) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		seed := int64(i + 1)
@@ -134,7 +140,7 @@ func BenchmarkStorm(b *testing.B) {
 			Absent:        []sim.PeerID{3, 8, 13},
 			Churn:         []sim.ChurnPeer{{Peer: 1, CrashAfter: 60, Downtime: 0.05}},
 			CheckpointDir: b.TempDir(),
-			Faults:        &FaultPlan{Seed: seed + 1000, Drop: .02, Dup: .02, Delay: 2 * time.Millisecond, Reorder: .05},
+			Faults:        &FaultPlan{Seed: seed + 1000, Drop: drop, Dup: .02, Delay: 2 * time.Millisecond, Reorder: .05},
 			SourceFaults:  &source.FaultPlan{Seed: seed + 2000, FailRate: 0.1},
 			SourcePolicy:  source.Policy{BaseBackoff: 0.02, MaxBackoff: 0.2, Deadline: 0.25, BreakerCooldown: 0.1},
 			Resilience:    Resilience{QueryTimeout: 60 * time.Millisecond, RTO: 30 * time.Millisecond},
@@ -223,7 +229,7 @@ func BenchmarkBroadcastRelay(b *testing.B) {
 				b.Fatal(err)
 			}
 			h.writeData(from, kAck, 0, numPayload(seq, nil))
-			h.route(from, payload)
+			h.route(from, payload, time.Now())
 		}
 		for batch = batch[:0]; len(s.q) > 0; {
 			batch = append(batch, <-s.q)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/protocols/crashk"
 	"repro/internal/protocols/naive"
 	"repro/internal/sim"
+	"repro/internal/source"
 )
 
 // chaosPlan is the acceptance schedule: ≥10% drop, duplication, jitter
@@ -155,14 +156,17 @@ func TestChaosFlapReconnect(t *testing.T) {
 	}
 }
 
-// TestChaosQueryRetry drops half of all deliveries: some first query
-// replies are lost (the decision is a pure function of the plan seed), so
-// correctness must come from the retry path, visibly counted.
+// TestChaosQueryRetry drops half of all deliveries, which the hub
+// retransmits, and has the source lose half of its replies, which only
+// the client's query deadline can recover (both decisions are pure
+// functions of the plans' seeds): correctness must come from the retry
+// path, visibly counted.
 func TestChaosQueryRetry(t *testing.T) {
 	res, err := netrt.Run(netrt.Config{
 		N: 6, T: 0, L: 128, MsgBits: 64, Seed: 11,
-		NewPeer: naive.New,
-		Faults:  &netrt.FaultPlan{Seed: 3, Drop: 0.5},
+		NewPeer:      naive.New,
+		Faults:       &netrt.FaultPlan{Seed: 3, Drop: 0.5},
+		SourceFaults: &source.FaultPlan{Seed: 4, TimeoutRate: 0.5},
 		Resilience: netrt.Resilience{
 			QueryTimeout: 100 * time.Millisecond,
 			RTO:          50 * time.Millisecond,
@@ -176,7 +180,7 @@ func TestChaosQueryRetry(t *testing.T) {
 		t.Fatalf("incorrect: %v", res)
 	}
 	if res.QueryRetries == 0 {
-		t.Errorf("QueryRetries = 0, want > 0 at 50%% drop")
+		t.Errorf("QueryRetries = 0, want > 0 with half the source's replies lost")
 	}
 }
 

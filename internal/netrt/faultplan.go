@@ -23,10 +23,9 @@ const srcID = sim.PeerID(-1)
 // the one non-reproducible runtime gets a replayable adversary.
 //
 // Liveness under a plan comes from the resilience layer, not from the
-// plan being gentle: dropped MSG frames are retransmitted until acked
-// (each attempt rolls a fresh decision, so a drop rate < 1 delivers
-// eventually — the fair-loss to reliable-link construction), dropped
-// QREPLY frames are recovered by client query retries, and severed
+// plan being gentle: dropped MSG and reply frames are retransmitted until
+// acked (each attempt rolls a fresh decision, so a drop rate < 1 delivers
+// eventually — the fair-loss to reliable-link construction), and severed
 // connections are redialed with backoff. Partitions must heal
 // (Heal < ∞) for runs to terminate, mirroring the model's finite-delay
 // requirement.

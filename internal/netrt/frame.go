@@ -56,8 +56,7 @@ const (
 	// kQErr reports an injected source failure for one query: the hub
 	// refused the fetch (outage, rate limit, transient) and tells the
 	// client actively instead of leaving it to the silence deadline. It
-	// rides the best-effort reply stream — a lost QERR just degrades to
-	// the timeout path.
+	// rides the hub's reliable stream like QREPLY.
 	kQErr
 	// kRoot publishes the authoritative Merkle root (32 bytes) to a
 	// client of a mirrored run. The hub pushes it right after HELLO on
@@ -69,7 +68,7 @@ const (
 	// span bits of the covering leaf range plus the Merkle path claimed
 	// to authenticate them. Nothing in it is trusted — the client
 	// verifies against the kRoot commitment and falls back to QUERYSRC
-	// on failure. Rides the best-effort reply stream like QREPLY.
+	// on failure. Rides the hub's reliable stream like QREPLY.
 	kQProof
 	// kQuerySrc is the verified-fallback query: same payload as QUERY,
 	// but the hub answers it from the authoritative source tier
@@ -82,8 +81,7 @@ const (
 	// base+1 — then uvarint ack base, below which the hub's own reliable
 	// stream retains nothing. Control frame: seq 0, guaranteed first on
 	// the connection; the resuming client discards every frame until it
-	// arrives (reliable ones are retransmitted, best-effort ones are
-	// recovered end-to-end).
+	// arrives (the hub retransmits every unacked one).
 	kResume
 )
 

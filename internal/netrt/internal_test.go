@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/bitarray"
 	"repro/internal/merkle"
+	"repro/internal/protocols/crashk"
 	"repro/internal/sim"
 	"repro/internal/source"
 )
@@ -141,23 +142,82 @@ func TestDedupReliable(t *testing.T) {
 	}
 }
 
-func TestDedupWindow(t *testing.T) {
-	var d dedupWindow
-	if !d.admit(1) || d.admit(1) {
-		t.Fatal("first admit should pass, duplicate should not")
+// dedupModel is dedupReliable's specification as a set: a seq is admitted
+// once, above the floor that resumeAt and fastForward set, and the
+// cumulative ack is the end of the run of admitted seqs above the floor.
+type dedupModel struct {
+	floor uint64
+	seen  map[uint64]bool
+}
+
+func (m *dedupModel) admit(seq uint64) bool {
+	if seq == 0 || seq <= m.floor || m.seen[seq] {
+		return false
 	}
-	if !d.admit(dedupWindowSize + 10) {
-		t.Fatal("jump ahead should pass")
+	m.seen[seq] = true
+	return true
+}
+
+func (m *dedupModel) cumAck() uint64 {
+	c := m.floor
+	for m.seen[c+1] {
+		c++
 	}
-	if d.admit(2) {
-		t.Fatal("seq far below the window must be treated as duplicate")
+	return c
+}
+
+func (m *dedupModel) fastForward() uint64 {
+	for s := range m.seen {
+		m.floor = max(m.floor, s)
 	}
-	// Memory stays bounded even across a long stream.
-	for s := uint64(2); s < 5*dedupWindowSize; s += 2 {
-		d.admit(s)
-	}
-	if len(d.seen) > 2*dedupWindowSize {
-		t.Fatalf("dedup window grew unbounded: %d entries", len(d.seen))
+	m.seen = map[uint64]bool{}
+	return m.floor
+}
+
+// TestChaosDedupReliableModel drives dedupReliable and dedupModel through
+// the same random streams — mostly in order, which takes admit's fast
+// path, with reorderings, duplicates, the reserved seq 0, resumes and
+// fast-forwards — and checks that they agree after every step.
+func TestChaosDedupReliableModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for run := 0; run < 200; run++ {
+		var d dedupReliable
+		m := &dedupModel{seen: map[uint64]bool{}}
+		for step := 0; step < 300; step++ {
+			switch r := rng.Intn(100); {
+			case r == 0:
+				base := d.cumAck() + uint64(rng.Intn(5))
+				d.resumeAt(base)
+				m.floor, m.seen = base, map[uint64]bool{}
+			case r == 1:
+				if got, want := d.fastForward(), m.fastForward(); got != want {
+					t.Fatalf("run %d step %d: fastForward = %d, model %d", run, step, got, want)
+				}
+			default:
+				var seq uint64
+				switch c := d.cumAck(); {
+				case r < 60:
+					seq = c + 1 // the next in order
+				case r < 85:
+					seq = c + 2 + uint64(rng.Intn(6)) // ahead of a gap
+				case r < 98:
+					seq = uint64(rng.Int63n(int64(c) + 1)) // a duplicate, or 0
+				default:
+					seq = 0
+				}
+				if got, want := d.admit(seq), m.admit(seq); got != want {
+					t.Fatalf("run %d step %d: admit(%d) = %v, model %v", run, step, seq, got, want)
+				}
+			}
+			if got, want := d.cumAck(), m.cumAck(); got != want {
+				t.Fatalf("run %d step %d: cumAck = %d, model %d", run, step, got, want)
+			}
+			for s := range d.ahead {
+				if s <= d.contig+1 {
+					t.Fatalf("run %d step %d: seq %d held ahead of contig %d", run, step, s, d.contig)
+				}
+			}
+		}
 	}
 }
 
@@ -187,6 +247,92 @@ func TestOutboxAckAndRetransmit(t *testing.T) {
 	o.ackTo(3)
 	if !o.empty() {
 		t.Fatal("outbox not drained by cumulative ack")
+	}
+}
+
+// TestChaosOutboxFastRetransmit: the third repeat of the receiver's
+// cumulative ack while frames are unacked marks the oldest one due at
+// once; a higher ack resets the count; an empty outbox counts nothing.
+func TestChaosOutboxFastRetransmit(t *testing.T) {
+	var o outbox
+	for i := 0; i < 4; i++ {
+		if o.ack(0) {
+			t.Fatal("an empty outbox called for a fast retransmit")
+		}
+	}
+	if o.repeats != 0 {
+		t.Fatalf("an empty outbox counted %d repeated acks", o.repeats)
+	}
+	for _, b := range []string{"a", "b", "c", "d", "e", "f"} {
+		o.push(kMsg, rawPayload([]byte(b)))
+	}
+	now := time.Now()
+	o.takeDue(now, now)
+	due := func() []outFrame { return o.takeDue(now, now.Add(-time.Hour)) }
+
+	// Frame 1 is lost, and frames 2, 3 and 4 each draw an ack of 0.
+	if o.ack(0) || o.ack(0) {
+		t.Fatal("fast retransmit before the third repeated ack")
+	}
+	if d := due(); len(d) != 0 {
+		t.Fatalf("frames due before the third repeated ack: %v", d)
+	}
+	if !o.ack(0) {
+		t.Fatal("the third repeated ack did not call for a fast retransmit")
+	}
+	if d := due(); len(d) != 1 || d[0].seq != 1 || d[0].attempt != 2 {
+		t.Fatalf("after the third repeated ack, due = %+v, want seq 1 on its second attempt", d)
+	}
+	if o.ack(0) {
+		t.Fatal("a fourth repeat retransmitted again")
+	}
+
+	// A higher ack pops what it covers and starts a new count; a stale one
+	// counts nothing.
+	if o.ack(2) || o.base() != 2 {
+		t.Fatalf("ack 2: base %d, want 2", o.base())
+	}
+	if o.ack(1) || o.ack(2) || o.ack(2) {
+		t.Fatal("fast retransmit before the third repeat of the new ack")
+	}
+	if !o.ack(2) {
+		t.Fatal("the third repeat of the new ack did not call for a fast retransmit")
+	}
+	if d := due(); len(d) != 1 || d[0].seq != 3 {
+		t.Fatalf("after the new ack's third repeat, due = %+v, want seq 3", d)
+	}
+	o.ack(6)
+	for i := 0; i < 3; i++ {
+		if o.ack(6) {
+			t.Fatal("a drained outbox called for a fast retransmit")
+		}
+	}
+}
+
+// TestOutboxReusesItsFront: acked frames are popped off the front, and a
+// stream that keeps a steady number of frames in flight stops growing the
+// outbox's slice.
+func TestOutboxReusesItsFront(t *testing.T) {
+	var o outbox
+	for i := 0; i < 8; i++ {
+		o.push(kMsg, rawPayload(nil))
+	}
+	grown := 0
+	for round := 0; round < 1000; round++ {
+		before := cap(o.frames)
+		o.push(kMsg, rawPayload(nil))
+		if cap(o.frames) != before {
+			grown++
+		}
+		o.ackTo(o.nextSeq - 8)
+		live := o.unacked()
+		if len(live) != 8 || live[0].seq != o.nextSeq-7 || live[7].seq != o.nextSeq {
+			t.Fatalf("round %d: unacked seqs %d..%d (%d), want %d..%d", round,
+				live[0].seq, live[len(live)-1].seq, len(live), o.nextSeq-7, o.nextSeq)
+		}
+	}
+	if grown > 2 {
+		t.Errorf("the outbox's slice grew %d times with 8 frames in flight", grown)
 	}
 }
 
@@ -509,9 +655,14 @@ func TestFallbackRetryChargesOnce(t *testing.T) {
 		}
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 		for {
-			k, _, payload, err := fc.readFrame()
+			k, s, payload, err := fc.readFrame()
 			if err != nil {
 				t.Fatalf("no %s for %s: %v", kindName(want), kindName(kind), err)
+			}
+			if s > 0 { // a reply on the hub's reliable stream: ack it, or it comes again
+				if err := fc.writeFrame(kAck, 0, numPayload(s, nil)); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if k != want {
 				continue // ROOT, acks, pings
@@ -569,5 +720,144 @@ func TestRejectUnknownPeer(t *testing.T) {
 			t.Fatalf("hello(%d): got kind=%d err=%v, want REJECT", id, kind, err)
 		}
 		conn.Close()
+	}
+}
+
+// lossProbe is the protocol of TestChaosLostFramesResentAtNextFrame. Peer
+// 0 asks the source for each bit of the array in a query of its own and
+// sends peer 1 four messages; peer 1 asks for the whole array once all
+// four have arrived. Each outputs the array and terminates.
+type lossProbe struct {
+	ctx        sim.Context
+	out        *bitarray.Array
+	msgs, bits int
+}
+
+const lossProbeMsgs = 4
+
+func (p *lossProbe) Init(ctx sim.Context) {
+	p.ctx = ctx
+	p.out = bitarray.New(ctx.L())
+	if ctx.ID() != 0 {
+		return
+	}
+	for i := 0; i < ctx.L(); i++ {
+		ctx.Query(i, []int{i})
+	}
+	for i := 0; i < lossProbeMsgs; i++ {
+		ctx.Send(1, &crashk.Full{Values: bitarray.New(ctx.L())})
+	}
+}
+
+func (p *lossProbe) OnMessage(sim.PeerID, sim.Message) {
+	if p.msgs++; p.msgs == lossProbeMsgs {
+		all := make([]int, p.ctx.L())
+		for i := range all {
+			all[i] = i
+		}
+		p.ctx.Query(0, all)
+	}
+}
+
+func (p *lossProbe) OnQueryReply(r sim.QueryReply) {
+	for j, i := range r.Indices {
+		p.out.Set(i, r.Bits.Get(j))
+	}
+	if p.bits += len(r.Indices); p.bits == p.ctx.L() {
+		p.ctx.Output(p.out)
+		p.ctx.Terminate()
+	}
+}
+
+// TestChaosLostFramesResentAtNextFrame: the plan drops the first frame of
+// each of the hub's two streams — a QREPLY toward peer 0, a MSG toward
+// peer 1 — and nothing else. With the RTO and the query timeout both at
+// 10 s, each lost frame must be resent on the third repeat of its
+// receiver's ack, which the frames behind it draw, and the run must finish
+// well inside either clock with no query retried.
+func TestChaosLostFramesResentAtNextFrame(t *testing.T) {
+	const L = 4
+	// Peer 0's stream is L replies from the source; peer 1's is the
+	// messages from peer 0, then the reply to its one query. The seed is
+	// the first to drop exactly the first frame of each, and not its
+	// retransmission.
+	streams := map[sim.PeerID][]sim.PeerID{0: {srcID, srcID, srcID, srcID}, 1: {0, 0, 0, 0, srcID}}
+	plan := &FaultPlan{Drop: 0.3}
+	for plan.Seed = 1; ; plan.Seed++ {
+		ok := true
+		for to, from := range streams {
+			ok = ok && !plan.dropFrame(from[0], to, 1, 1, 0)
+			for i, f := range from {
+				ok = ok && plan.dropFrame(f, to, uint64(i+1), 0, 0) == (i == 0)
+			}
+		}
+		if ok {
+			break
+		}
+	}
+	start := time.Now()
+	res, err := Run(Config{N: 2, T: 0, L: L, MsgBits: 64, Seed: 3,
+		NewPeer:    func(sim.PeerID) sim.Peer { return &lossProbe{} },
+		Faults:     plan,
+		Resilience: Resilience{RTO: 10 * time.Second, QueryTimeout: 10 * time.Second},
+		Timeout:    5 * time.Second,
+	})
+	if err != nil {
+		t.Fatalf("plan seed %d: %v", plan.Seed, err)
+	}
+	took := time.Since(start)
+	if !res.Correct {
+		t.Fatalf("plan seed %d: incorrect: %v", plan.Seed, res)
+	}
+	for _, id := range []int{0, 1} {
+		ps := res.PerPeer[id]
+		if ps.PlanDropped != 1 {
+			t.Errorf("peer %d: the plan dropped %d frames toward it, want 1", id, ps.PlanDropped)
+		}
+		if ps.QueryRetries != 0 {
+			t.Errorf("peer %d: %d queries retried; the lost reply was not resent by the hub", id, ps.QueryRetries)
+		}
+	}
+	if took > 2*time.Second {
+		t.Errorf("the run took %v with a lost MSG and a lost QREPLY", took)
+	}
+}
+
+// TestLaterKeepsNoDeliveryTimer: the hub keeps no timer of a delayed
+// delivery, so a fired one, and the frame its closure holds, is not kept
+// alive until the hub closes.
+func TestLaterKeepsNoDeliveryTimer(t *testing.T) {
+	const n = 40
+	h := newTestHub(t, Config{N: 1, T: 0, L: 64, MsgBits: 64, Seed: 1, IdleTimeout: 5 * time.Second,
+		Faults: &FaultPlan{Seed: 2, Dup: 0.3, Delay: time.Millisecond, Reorder: 0.2}})
+	conn, err := net.Dial("tcp", h.shards[0].addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fc := newFrameConn(conn, 0)
+	if err := fc.writeFrame(kHello, 0, numPayload(0, nil)); err != nil {
+		t.Fatal(err)
+	}
+	for q := 1; q <= n; q++ {
+		if err := fc.writeFrame(kQuery, uint64(q), rawPayload(encodeQueryHeader(q, []int{q}))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for answered := map[int]bool{}; len(answered) < n; {
+		kind, _, payload, err := fc.readFrame()
+		if err != nil {
+			t.Fatalf("%d of %d queries answered: %v", len(answered), n, err)
+		}
+		if tag, _, _, _, _, ok := scanQuery(payload, 64); ok && kind == kQReply {
+			answered[tag] = true
+		}
+	}
+	h.mu.Lock()
+	kept := len(h.timers)
+	h.mu.Unlock()
+	if kept != 0 {
+		t.Errorf("after %d delayed replies the hub holds %d timers, want none", n, kept)
 	}
 }

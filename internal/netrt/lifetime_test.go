@@ -76,9 +76,9 @@ func TestHubKeepsNoReadBuffer(t *testing.T) {
 
 	body := marshalAppend(nil, broadcastSamples()[0])
 	payload := append(binary.AppendUvarint(nil, uint64(dest.id)), body...)
-	h.route(src, payload)
+	h.route(src, payload, time.Now())
 	want := appendFrame(nil, kMsg, 1, numPayload(uint64(src.id), body))
-	sent, kept := queued(t, h), dest.out.frames[0]
+	sent, kept := queued(t, h), dest.out.unacked()[0]
 	check("the routed MSG", want, appendFrame(nil, kMsg, 1, rawPayload(payloadOf(sent))))
 	scribble(payload)
 	check("the queued MSG", want, appendFrame(nil, sent.kind, sent.seq, sent.p))
@@ -86,10 +86,10 @@ func TestHubKeepsNoReadBuffer(t *testing.T) {
 
 	for _, answer := range []struct {
 		name string
-		call func(*hubPeer, []byte)
+		call func(*hubPeer, []byte, time.Time)
 	}{{"QREPLY", h.answerQuery}, {"QPROOF", h.answerMirrorQuery}} {
 		payload := encodeQueryHeader(5, []int{100, 101, 102, 140})
-		answer.call(src, payload)
+		answer.call(src, payload, time.Now())
 		reply := queued(t, h)
 		before := appendFrame(nil, reply.kind, reply.seq, reply.p)
 		scribble(payload)
@@ -136,23 +136,24 @@ func TestClientKeepsNoReadBuffer(t *testing.T) {
 		t.Error("the delivered message changed when the read buffer was written over")
 	}
 
-	// A reply of each kind, from the hub's own answer to the client's query.
-	replySeq := uint64(0)
-	for _, answer := range []struct {
+	// A reply of each kind, from the hub's own answer to the client's query,
+	// numbered on the reliable stream after the MSG.
+	seq := uint64(1)
+	for i, answer := range []struct {
 		kind byte
-		call func(*hubPeer, []byte)
+		call func(*hubPeer, []byte, time.Time)
 	}{{kQReply, h.answerQuery}, {kQProof, h.answerMirrorQuery}} {
 		idx := []int{200, 201, 202, 230, 231}
 		c.Query(7, idx)
-		answer.call(h.peers[c.id], encodeQueryHeader(7, idx))
+		answer.call(h.peers[c.id], encodeQueryHeader(7, idx), time.Now())
 		payload := payloadOf(queued(t, h))
-		replySeq++
-		c.handleFrame(answer.kind, replySeq, payload)
+		seq++
+		c.handleFrame(answer.kind, seq, payload)
 		scribble(payload)
-		if len(rec.replies) != int(replySeq) {
-			t.Fatalf("%s: %d replies delivered, want %d", kindName(answer.kind), len(rec.replies), replySeq)
+		if len(rec.replies) != i+1 {
+			t.Fatalf("%s: %d replies delivered, want %d", kindName(answer.kind), len(rec.replies), i+1)
 		}
-		got := rec.replies[replySeq-1]
+		got := rec.replies[i]
 		want := bitarray.New(len(idx))
 		for j, i := range idx {
 			want.Set(j, h.input.Get(i))
@@ -166,8 +167,8 @@ func TestClientKeepsNoReadBuffer(t *testing.T) {
 	c.Query(2, idx)
 	hdr := encodeQueryHeader(2, idx)
 	payload = append(bytes.Clone(hdr), byte(source.KindOutage))
-	replySeq++
-	c.handleFrame(kQErr, replySeq, payload)
+	seq++
+	c.handleFrame(kQErr, seq, payload)
 	pq := c.queries[qkeyOfHeader(2, hdr)]
 	if pq == nil || pq.errs != 1 {
 		t.Fatal("the QERR was not recorded against its query")

@@ -90,11 +90,15 @@ func (r *LoadResult) Percentile(p float64) float64 {
 
 // connLoad is the per-connection driver state; one goroutine owns it.
 type connLoad struct {
-	spec  LoadSpec
-	l     int
-	conn  *frameConn
-	out   []byte // encoded queries not yet written: see flush
-	seq   uint64
+	spec LoadSpec
+	l    int
+	conn *frameConn
+	out  []byte // encoded frames not yet written: see flush
+	seq  uint64
+	// recv dedups the hub's reliable stream, which the replies ride, and
+	// acked is the cumulative position last acked to the hub.
+	recv  dedupReliable
+	acked uint64
 	first int // global id of this conn's first logical client
 	count int // logical clients on this conn
 
@@ -134,11 +138,17 @@ func (c *connLoad) sendNext(li int) {
 	c.inflight++
 }
 
-// flush writes the queries issued since the last one, in one write. run
-// calls it whenever it is about to wait for the socket — the pipelined
-// client's rule — so the queries that one read's worth of replies released
-// travel together, and none is held while the connection is idle.
+// flush writes the queries issued since the last one and one cumulative
+// ACK of the replies read since, in one write. run calls it whenever it is
+// about to wait for the socket — the pipelined client's rule — so the
+// queries that one read's worth of replies released travel together, and
+// none is held while the connection is idle. An ACK that would not advance
+// is left out: to the hub, a repeated ACK means a missing frame.
 func (c *connLoad) flush() error {
+	if ack := c.recv.cumAck(); ack > c.acked {
+		c.out = appendFrame(c.out, kAck, 0, numPayload(ack, nil))
+		c.acked = ack
+	}
 	if len(c.out) == 0 {
 		return nil
 	}
@@ -160,12 +170,15 @@ func (c *connLoad) run(deadline time.Time) error {
 				return err
 			}
 		}
-		kind, _, payload, err := c.conn.readFrame()
+		kind, seq, payload, err := c.conn.readFrame()
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				return nil // deadline: unanswered queries count as drops
 			}
 			return err
+		}
+		if seq > 0 && !c.recv.admit(seq) {
+			continue // retransmitted
 		}
 		if kind != kQReply {
 			continue // acks, pings
@@ -194,7 +207,7 @@ func (c *connLoad) run(deadline time.Time) error {
 			}
 		}
 	}
-	return nil
+	return c.flush() // the last replies' ACK, so the hub retransmits none of them
 }
 
 // GenerateLoad runs the load spec against the hub and aggregates the

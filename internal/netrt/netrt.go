@@ -412,13 +412,12 @@ type hubPeer struct {
 	conn *frameConn // nil while disconnected
 	// killed marks a KillAfter casualty: reconnects are refused.
 	killed bool
-	// out is the reliable hub→peer stream (MSG frames): unacked frames
-	// are retransmitted until the client's cumulative ack covers them.
+	// out is the reliable hub→peer stream: relayed MSGs and the source's
+	// QREPLY, QPROOF and QERR frames, numbered together. Unacked frames
+	// are retransmitted until the client's cumulative ack covers them —
+	// at the next retransmit tick past the RTO, or at once on the third
+	// repeat of the client's ack (outbox.ack).
 	out outbox
-	// replySeq numbers the best-effort hub→peer stream (QREPLY frames),
-	// which is deduped but never retransmitted — query retries recover
-	// lost replies end-to-end.
-	replySeq uint64
 	// recv dedups the peer→hub reliable stream.
 	recv dedupReliable
 
@@ -483,7 +482,8 @@ type hub struct {
 	stop chan struct{}
 
 	mu sync.Mutex
-	// timers holds pending kill/flap/chaos triggers so close can cancel.
+	// timers holds the pending kill, flap and shard-bounce triggers so close
+	// can cancel them. A delayed delivery's timer is not kept (see after).
 	timers  []*time.Timer
 	done    int
 	closed  bool
@@ -745,17 +745,24 @@ func (h *hub) serve(nc net.Conn) {
 		case kAck:
 			if v, n := binary.Uvarint(payload); n > 0 {
 				hp.mu.Lock()
-				hp.out.ackTo(v)
+				fast := hp.out.ack(v)
 				hp.mu.Unlock()
+				if fast {
+					dbg("peer %d: third repeat of ack %d, fast retransmit", hp.id, v)
+					h.pump(hp)
+				}
 			}
 		case kMsg, kQuery, kQuerySrc, kDone:
+			// One clock reading a frame: it stamps the frame's arrival and
+			// the first send of whatever the hub answers it with.
+			now := time.Now()
 			hp.mu.Lock()
 			fresh := hp.recv.admit(seq)
 			if !fresh {
 				hp.dupsDeduped++
 				h.met.dupDropped(int(hp.id))
 			} else {
-				hp.lastKind, hp.lastFrame = kind, time.Now()
+				hp.lastKind, hp.lastFrame = kind, now
 			}
 			ack := hp.recv.cumAck()
 			hp.mu.Unlock()
@@ -765,17 +772,17 @@ func (h *hub) serve(nc net.Conn) {
 			}
 			switch kind {
 			case kMsg:
-				h.route(hp, payload)
+				h.route(hp, payload, now)
 			case kQuery:
 				dbg("peer %d query %dB", hp.id, len(payload))
 				if h.mirror != nil {
-					h.answerMirrorQuery(hp, payload)
+					h.answerMirrorQuery(hp, payload, now)
 				} else {
-					h.answerQuery(hp, payload)
+					h.answerQuery(hp, payload, now)
 				}
 			case kQuerySrc:
 				dbg("peer %d fallback query %dB", hp.id, len(payload))
-				h.answerQuery(hp, payload)
+				h.answerQuery(hp, payload, now)
 			case kDone:
 				dbg("peer %d done", hp.id)
 				h.markDone(hp, payload)
@@ -786,10 +793,9 @@ func (h *hub) serve(nc net.Conn) {
 
 // route forwards a MSG frame (payload: uvarint dest, wire bytes) to its
 // destination, rewriting the header to carry the sender. The frame enters
-// the destination's reliable outbox, with a copy of the body — payload is
-// the connection's read buffer — and the sender as its number; pump and
-// the retransmit loop carry it through whatever the fault plan does.
-func (h *hub) route(src *hubPeer, payload []byte) {
+// the destination's reliable stream, with a copy of the body — payload is
+// the connection's read buffer — and the sender as its number.
+func (h *hub) route(src *hubPeer, payload []byte, now time.Time) {
 	to64, n := binary.Uvarint(payload)
 	if n <= 0 {
 		return
@@ -812,17 +818,31 @@ func (h *hub) route(src *hubPeer, payload []byte) {
 	if dest == nil {
 		return // absent forever: undeliverable
 	}
-	p := numPayload(uint64(src.id), bytes.Clone(body))
-	dest.mu.Lock()
-	dest.out.push(kMsg, p)
-	dest.mu.Unlock()
-	h.pump(dest)
+	h.send(dest, kMsg, src.id, numPayload(uint64(src.id), bytes.Clone(body)), now)
 }
 
-// pump transmits every due reliable frame toward hp: first sends, RTO
-// retries of dropped or lost frames, and post-reconnect replays all flow
-// through here. A hub outbox holds only relayed MSG frames, whose number
-// is their sender.
+// send appends a frame to hp's reliable stream and transmits its first
+// copy, sent at now; from is its sender in fault decisions. Nothing else
+// in the outbox is looked at. To a peer that is down the frame waits,
+// due, for pump to replay once the peer reconnects.
+func (h *hub) send(hp *hubPeer, kind byte, from sim.PeerID, p framePayload, now time.Time) {
+	hp.mu.Lock()
+	f := hp.out.push(kind, p)
+	seq := f.seq
+	up := hp.conn != nil && !hp.killed
+	if up {
+		f.sentAt, f.attempt = now, 1
+	}
+	hp.mu.Unlock()
+	if up {
+		h.transmit(hp, kind, seq, from, p, 0)
+	}
+}
+
+// pump retransmits every due reliable frame toward hp: RTO retries of
+// dropped or lost frames, fast retransmits, and post-reconnect replays
+// all flow through here. A MSG's number is its sender; every other frame
+// on the stream comes from the source.
 func (h *hub) pump(hp *hubPeer) {
 	now := time.Now()
 	hp.mu.Lock()
@@ -833,7 +853,11 @@ func (h *hub) pump(hp *hubPeer) {
 	due := hp.out.takeDue(now, now.Add(-h.res.RTO))
 	hp.mu.Unlock()
 	for _, f := range due {
-		h.transmit(hp, f.kind, f.seq, sim.PeerID(f.p.num), f.p, f.attempt-1)
+		from := srcID
+		if f.kind == kMsg {
+			from = sim.PeerID(f.p.num)
+		}
+		h.transmit(hp, f.kind, f.seq, from, f.p, f.attempt-1)
 	}
 }
 
@@ -871,21 +895,27 @@ func (h *hub) transmit(hp *hubPeer, kind byte, seq uint64, from sim.PeerID, p fr
 // later schedules a delayed write (jitter, reordering holds, stalls,
 // duplicate copies).
 func (h *hub) later(hp *hubPeer, kind byte, seq uint64, d time.Duration, p framePayload) {
-	t := time.AfterFunc(d, func() { h.writeData(hp, kind, seq, p) })
-	h.mu.Lock()
-	if h.closed {
-		t.Stop()
-	} else {
-		h.timers = append(h.timers, t)
-	}
-	h.mu.Unlock()
+	h.after(d, func() { h.writeData(hp, kind, seq, p) })
+}
+
+// after runs f in d unless the hub has stopped by then. The timer is not
+// kept: once it has fired, it and the frame its closure holds are garbage,
+// and a hub that closes first turns f into a no-op instead of cancelling.
+func (h *hub) after(d time.Duration, f func()) {
+	time.AfterFunc(d, func() {
+		select {
+		case <-h.stop:
+		default:
+			f()
+		}
+	})
 }
 
 // writeData hands a frame to the peer's shard writer, which batches it
 // into a coalesced socket write. A disconnected peer drops the frame
-// immediately — the reliable stream recovers via retransmission, and
-// best-effort frames are recovered end-to-end. A full shard queue blocks
-// (backpressure) until the writer drains or the hub stops.
+// immediately — the reliable stream recovers via retransmission, and a
+// control frame is sent again when it is next needed. A full shard queue
+// blocks (backpressure) until the writer drains or the hub stops.
 func (h *hub) writeData(hp *hubPeer, kind byte, seq uint64, p framePayload) {
 	hp.mu.Lock()
 	up := hp.conn != nil && !hp.killed
@@ -911,12 +941,12 @@ func (h *hub) writeData(hp *hubPeer, kind byte, seq uint64, p framePayload) {
 
 // answerQuery serves the source: decode tag + delta indices, route the
 // fetch through the source tier, and reply with the requested bits.
-// Replies ride the best-effort stream — a lost reply is recovered by the
-// client re-issuing the query. An injected source failure comes back as a
-// QERR frame instead, so the client learns of active refusals without
-// waiting out its silence deadline; query bits are only charged for
-// fetches that actually served bits.
-func (h *hub) answerQuery(hp *hubPeer, payload []byte) {
+// Replies ride the peer's reliable stream beside its MSGs, so a reply the
+// network loses is retransmitted by the hub. An injected source failure
+// comes back as a QERR frame instead, so the client learns of active
+// refusals without waiting out its silence deadline; query bits are only
+// charged for fetches that actually served bits.
+func (h *hub) answerQuery(hp *hubPeer, payload []byte, now time.Time) {
 	tag, indices, hdrLen, ok := decodeQuery(payload, h.cfg.L)
 	if !ok {
 		return
@@ -936,7 +966,7 @@ func (h *hub) answerQuery(hp *hubPeer, payload []byte) {
 		Indices: indices,
 		Ordinal: serve,
 		Attempt: 1,
-		Now:     time.Since(h.start).Seconds(),
+		Now:     now.Sub(h.start).Seconds(),
 	})
 	if err != nil {
 		kind := source.KindOf(err)
@@ -944,16 +974,12 @@ func (h *hub) answerQuery(hp *hubPeer, payload []byte) {
 		dbg("source: refusing peer %d query: %v", hp.id, err)
 		if kind == source.KindTimeout {
 			// A lost reply: stay silent and let the client's query
-			// deadline discover it, exactly like a dropped QREPLY.
+			// deadline discover it.
 			return
 		}
-		hp.mu.Lock()
-		hp.replySeq++
-		seq := hp.replySeq
-		hp.mu.Unlock()
 		out := append(make([]byte, 0, hdrLen+1), hdr...)
 		out = append(out, byte(kind))
-		h.transmit(hp, kQErr, seq, srcID, rawPayload(out), 0)
+		h.send(hp, kQErr, srcID, rawPayload(out), now)
 		return
 	}
 	key := qkeyOfHeader(tag, hdr)
@@ -967,8 +993,6 @@ func (h *hub) answerQuery(hp *hubPeer, payload []byte) {
 		hp.queryBits += len(indices)
 		hp.queryCalls++
 	}
-	hp.replySeq++
-	seq := hp.replySeq
 	hp.mu.Unlock()
 	if charge {
 		h.met.queryServed(int(hp.id), len(indices))
@@ -979,12 +1003,15 @@ func (h *hub) answerQuery(hp *hubPeer, payload []byte) {
 	out = binary.AppendUvarint(out, uint64(n))
 	out = rep.Bits.AppendTo(out)
 	if rep.Latency > 0 {
-		// Injected reply latency: the reply is already "delayed inside
-		// the source", so it skips the network plan's per-frame rolls.
-		h.later(hp, kQReply, seq, time.Duration(rep.Latency*float64(time.Second)), rawPayload(out))
+		// Injected reply latency: the reply is still inside the source, so
+		// it joins the stream only when it leaves — a retransmit tick must
+		// not send it early — and then crosses the network like any reply.
+		h.after(time.Duration(rep.Latency*float64(time.Second)), func() {
+			h.send(hp, kQReply, srcID, rawPayload(out), time.Now())
+		})
 		return
 	}
-	h.transmit(hp, kQReply, seq, srcID, rawPayload(out), 0)
+	h.send(hp, kQReply, srcID, rawPayload(out), now)
 }
 
 // answerMirrorQuery serves a QUERY from the mirror fleet: pick the
@@ -993,13 +1020,13 @@ func (h *hub) answerQuery(hp *hubPeer, payload []byte) {
 // verbatim. Verification — and therefore all Q charging — happens on the
 // client; the hub never vouches for a mirror's bits. The fleet is asked
 // for a leaf span, so the header is scanned for its bounds, not decoded.
-func (h *hub) answerMirrorQuery(hp *hubPeer, payload []byte) {
+func (h *hub) answerMirrorQuery(hp *hubPeer, payload []byte, now time.Time) {
 	_, count, hdrLen, lo, hi, ok := scanQuery(payload, h.cfg.L)
 	if !ok {
 		return
 	}
 	if count == 0 {
-		h.answerQuery(hp, payload)
+		h.answerQuery(hp, payload, now)
 		return
 	}
 	if lo < 0 || hi >= h.cfg.L {
@@ -1008,14 +1035,12 @@ func (h *hub) answerMirrorQuery(hp *hubPeer, payload []byte) {
 	hp.mu.Lock()
 	hp.srcServes++
 	serve := hp.srcServes
-	hp.replySeq++
-	seq := hp.replySeq
 	hp.mu.Unlock()
 	leafLo, leafHi := h.mirror.Params().LeafSpan(lo, hi)
 	rep := h.mirror.ServeMirror(source.RangeRequest{
 		Peer: int(hp.id), Ordinal: serve, LeafLo: leafLo, LeafHi: leafHi,
 	})
-	h.transmit(hp, kQProof, seq, srcID, rawPayload(encodeProofReply(payload[:hdrLen], rep)), 0)
+	h.send(hp, kQProof, srcID, rawPayload(encodeProofReply(payload[:hdrLen], rep)), now)
 }
 
 func (h *hub) markDone(hp *hubPeer, payload []byte) {
@@ -1371,10 +1396,9 @@ type client struct {
 	// out is the reliable client→hub stream (MSG/QUERY/DONE): replayed
 	// after every reconnect, retransmitted if long unacked.
 	out outbox
-	// recv dedups the hub→client reliable stream (MSG frames); replies
-	// dedups the best-effort QREPLY stream.
-	recv    dedupReliable
-	replies dedupWindow
+	// recv dedups the hub→client reliable stream: MSG, QREPLY, QPROOF and
+	// QERR frames.
+	recv dedupReliable
 	// queries tracks outstanding source queries for timeout + retry.
 	queries  map[qkey]*pendingQuery
 	lastPing time.Time
@@ -1578,9 +1602,9 @@ func (c *client) connect(initial bool) error {
 // awaitResume reads frames on a fresh resume connection until the hub's
 // RESUME verdict arrives, then aligns both stream positions to it: the
 // outbox numbers its next push above the hub's receive watermark, and the
-// receive dedup restarts at the hub's outbox base. Everything before the
-// verdict is discarded — reliable frames will be retransmitted against
-// the aligned streams, best-effort ones are recovered end-to-end.
+// receive dedup restarts at the hub's outbox base, which covers replies
+// as well as MSGs. Everything before the verdict is discarded: the hub
+// retransmits every unacked frame against the aligned streams.
 func (c *client) awaitResume(conn *frameConn) error {
 	for {
 		kind, _, payload, err := conn.readFrame()
@@ -1669,20 +1693,7 @@ func (c *client) handleFrame(kind byte, seq uint64, payload []byte) {
 			c.mu.Unlock()
 		}
 	case kMsg:
-		c.mu.Lock()
-		fresh := c.recv.admit(seq)
-		if !fresh {
-			c.dupsDeduped++
-			c.met.dupDropped(int(c.id))
-		}
-		ack := c.recv.cumAck()
-		conn := c.conn
-		term := c.terminated
-		c.mu.Unlock()
-		if conn != nil {
-			_ = c.write(conn, kAck, 0, numPayload(ack, nil))
-		}
-		if !fresh || term {
+		if fresh, term := c.admit(seq); !fresh || term {
 			return
 		}
 		from64, n := binary.Uvarint(payload)
@@ -1699,14 +1710,7 @@ func (c *client) handleFrame(kind byte, seq uint64, payload []byte) {
 		}
 		c.impl.OnMessage(sim.PeerID(from64), m)
 	case kQReply:
-		c.mu.Lock()
-		fresh := c.replies.admit(seq)
-		if !fresh {
-			c.dupsDeduped++
-			c.met.dupDropped(int(c.id))
-		}
-		c.mu.Unlock()
-		if !fresh {
+		if fresh, _ := c.admit(seq); !fresh {
 			return
 		}
 		tag, count, hdrLen, _, _, ok := scanQuery(payload, c.cfg.L)
@@ -1769,26 +1773,12 @@ func (c *client) handleFrame(kind byte, seq uint64, payload []byte) {
 		c.rootKnown = true
 		c.mu.Unlock()
 	case kQProof:
-		c.mu.Lock()
-		fresh := c.replies.admit(seq)
-		if !fresh {
-			c.dupsDeduped++
-			c.met.dupDropped(int(c.id))
-		}
-		c.mu.Unlock()
-		if !fresh {
+		if fresh, _ := c.admit(seq); !fresh {
 			return
 		}
 		c.handleProofReply(payload)
 	case kQErr:
-		c.mu.Lock()
-		fresh := c.replies.admit(seq)
-		if !fresh {
-			c.dupsDeduped++
-			c.met.dupDropped(int(c.id))
-		}
-		c.mu.Unlock()
-		if !fresh {
+		if fresh, _ := c.admit(seq); !fresh {
 			return
 		}
 		tag, _, hdrLen, _, _, ok := scanQuery(payload, c.cfg.L)
@@ -1826,6 +1816,28 @@ func (c *client) handleFrame(kind byte, seq uint64, payload []byte) {
 		dbg("client %d: source %s for query tag=%d (retry in %.2fs, parked=%v)",
 			c.id, kind, tag, retryAt-nowS, park)
 	}
+}
+
+// admit is the receive half of the hub's reliable stream for one frame:
+// dedup by seq, then ack the cumulative position. Every frame is acked,
+// so an ack that repeats the last one tells the hub that frames are
+// arriving past a missing one (outbox.ack). term reports whether the
+// protocol has already terminated.
+func (c *client) admit(seq uint64) (fresh, term bool) {
+	c.mu.Lock()
+	fresh = c.recv.admit(seq)
+	if !fresh {
+		c.dupsDeduped++
+		c.met.dupDropped(int(c.id))
+	}
+	ack := c.recv.cumAck()
+	conn := c.conn
+	term = c.terminated
+	c.mu.Unlock()
+	if conn != nil {
+		_ = c.write(conn, kAck, 0, numPayload(ack, nil))
+	}
+	return fresh, term
 }
 
 // pendingFor returns the pending query whose QUERY frame carried exactly

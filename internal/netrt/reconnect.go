@@ -82,53 +82,93 @@ type outFrame struct {
 // Frames stay until cumulatively acked; push assigns monotonic sequence
 // numbers starting at 1.
 type outbox struct {
+	// frames[head:] are the unacked frames in seq order. An ack pops frames
+	// off the front by advancing head, and push slides the rest down to
+	// reuse that space once it is half the slice.
 	frames  []outFrame
+	head    int
 	nextSeq uint64
+	// acked is the highest cumulative ack received, and repeats the number
+	// of acks since that repeated it (see ack).
+	acked   uint64
+	repeats int
 }
 
 func (o *outbox) push(kind byte, p framePayload) *outFrame {
+	if len(o.frames) == cap(o.frames) && o.head > 0 && o.head >= len(o.frames)/2 {
+		n := copy(o.frames, o.frames[o.head:])
+		clear(o.frames[n:])
+		o.frames, o.head = o.frames[:n], 0
+	}
 	o.nextSeq++
 	o.frames = append(o.frames, outFrame{seq: o.nextSeq, kind: kind, p: p})
 	return &o.frames[len(o.frames)-1]
 }
 
+// unacked is the frames not yet covered by a cumulative ack, oldest first.
+func (o *outbox) unacked() []outFrame { return o.frames[o.head:] }
+
 // ackTo drops every frame with seq ≤ v (cumulative ack).
 func (o *outbox) ackTo(v uint64) {
-	keep := o.frames[:0]
-	for _, f := range o.frames {
-		if f.seq > v {
-			keep = append(keep, f)
-		}
+	live := o.unacked()
+	i := 0
+	for i < len(live) && live[i].seq <= v {
+		i++
 	}
-	for i := len(keep); i < len(o.frames); i++ {
-		o.frames[i] = outFrame{} // release payloads
+	clear(live[:i]) // release payloads
+	o.head += i
+	if o.head == len(o.frames) {
+		o.frames, o.head = o.frames[:0], 0
 	}
-	o.frames = keep
 }
 
-func (o *outbox) empty() bool { return len(o.frames) == 0 }
+// ack applies the receiver's cumulative ack v, fast retransmit included:
+// the receiver acks every frame it reads, so an ack that repeats the last
+// one means a frame arrived while the oldest unacked one has not. The
+// third repeat while frames are unacked marks that oldest frame due now
+// and reports true, so the sender pumps instead of waiting out the RTO. A
+// higher ack resets the count.
+func (o *outbox) ack(v uint64) (fast bool) {
+	if v > o.acked {
+		o.acked, o.repeats = v, 0
+		o.ackTo(v)
+		return false
+	}
+	if v < o.acked || o.empty() {
+		return false
+	}
+	o.repeats++
+	if o.repeats != 3 {
+		return false
+	}
+	o.frames[o.head].sentAt = time.Time{}
+	return true
+}
+
+func (o *outbox) empty() bool { return o.head == len(o.frames) }
 
 // base returns the stream position the receiver is known to hold: every
 // seq ≤ base is either acked (dropped from the outbox) or was never
 // pushed. A resuming receiver restarts its dedup watermark here.
 func (o *outbox) base() uint64 {
-	if len(o.frames) == 0 {
+	if o.empty() {
 		return o.nextSeq
 	}
-	return o.frames[0].seq - 1
+	return o.frames[o.head].seq - 1
 }
 
 // resumeAt restarts an empty outbox so its next push is numbered base+1,
 // continuing a predecessor incarnation's stream without reusing seqs the
 // receiver has already admitted.
-func (o *outbox) resumeAt(base uint64) { o.nextSeq = base }
+func (o *outbox) resumeAt(base uint64) { o.nextSeq, o.acked = base, base }
 
 // takeDue marks every frame last sent before `cutoff` as sent now and
 // returns copies for transmission. A zero sentAt is always due.
 func (o *outbox) takeDue(now, cutoff time.Time) []outFrame {
 	var due []outFrame
-	for i := range o.frames {
-		f := &o.frames[i]
+	live := o.unacked()
+	for i := range live {
+		f := &live[i]
 		if f.sentAt.IsZero() || f.sentAt.Before(cutoff) {
 			f.sentAt = now
 			f.attempt++
@@ -142,8 +182,9 @@ func (o *outbox) takeDue(now, cutoff time.Time) []outFrame {
 // (used after a reconnect: in-flight frames on the old connection may be
 // lost).
 func (o *outbox) markAllDue() {
-	for i := range o.frames {
-		o.frames[i].sentAt = time.Time{}
+	live := o.unacked()
+	for i := range live {
+		live[i].sentAt = time.Time{}
 	}
 }
 
@@ -157,6 +198,10 @@ type dedupReliable struct {
 }
 
 func (d *dedupReliable) admit(seq uint64) bool {
+	if seq == d.contig+1 && len(d.ahead) == 0 {
+		d.contig = seq // in order, nothing held ahead: the common case
+		return true
+	}
 	if seq == 0 || seq <= d.contig || d.ahead[seq] {
 		return false
 	}
@@ -195,41 +240,6 @@ func (d *dedupReliable) fastForward() uint64 {
 func (d *dedupReliable) resumeAt(contig uint64) {
 	d.contig = contig
 	d.ahead = nil
-}
-
-// dedupWindowSize bounds the memory of a best-effort stream's dedup. Dup
-// copies race their original by at most the plan's jitter, so a window of
-// recent sequence numbers is plenty.
-const dedupWindowSize = 4096
-
-// dedupWindow dedups a best-effort stream (query replies): frames are
-// never retransmitted, so gaps are permanent and a contiguity watermark
-// would never advance. It remembers the last window of seqs instead;
-// anything older than the window is treated as a duplicate.
-type dedupWindow struct {
-	maxSeen uint64
-	seen    map[uint64]bool
-}
-
-func (d *dedupWindow) admit(seq uint64) bool {
-	if seq == 0 || seq+dedupWindowSize <= d.maxSeen || d.seen[seq] {
-		return false
-	}
-	if d.seen == nil {
-		d.seen = make(map[uint64]bool)
-	}
-	d.seen[seq] = true
-	if seq > d.maxSeen {
-		d.maxSeen = seq
-	}
-	if len(d.seen) > 2*dedupWindowSize {
-		for s := range d.seen {
-			if s+dedupWindowSize <= d.maxSeen {
-				delete(d.seen, s)
-			}
-		}
-	}
-	return true
 }
 
 // qkey identifies one logical source query for retry matching and charge
