@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -22,43 +23,49 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run executes one download and returns the exit code: 0 when every
+// honest peer output X, 1 when one did not, 2 on a usage or run error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("drsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list     = flag.Bool("list", false, "list protocols and exit")
-		protocol = flag.String("protocol", "crashk", "protocol to run")
-		n        = flag.Int("n", 16, "number of peers")
-		t        = flag.Int("t", 4, "fault bound t")
-		l        = flag.Int("L", 4096, "input length in bits")
-		b        = flag.Int("b", 0, "message size in bits (0: max(64, L/n))")
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		faulty   = flag.Int("faulty", 0, "actually faulty peers (0: t when behavior set)")
-		behavior = flag.String("behavior", "", "fault behavior: crash|crash-random|silent|spam|liar|equivocate")
-		excess   = flag.Bool("allow-excess", false, "permit -faulty above -t (model a violated fault bound; pair with -harden)")
-		hardened = flag.Bool("harden", false, "run under the hardening supervisor (detect violations, audit outputs, escalate toward naive)")
-		deadline = flag.Float64("deadline", 0, "cut the run off after this many time units (0: none)")
-		srcPlan  = flag.String("source-faults", "", `seeded source fault plan, e.g. "fail=0.25,outage=2..5,seed=7" (des and TCP runtimes)`)
-		mirrors  = flag.String("mirrors", "", `untrusted mirror fleet plan, e.g. "mirrors=5,byz=3,behavior=mixed,seed=7" (all runtimes; Merkle-verified replies, authoritative fallback)`)
-		liveRT   = flag.Bool("live", false, "run on the concurrent goroutine runtime")
-		tcpRT    = flag.Bool("tcp", false, "run over real TCP sockets (crash-from-start faults only)")
-		verbose  = flag.Bool("v", false, "print per-peer stats")
-		trace    = flag.Bool("trace", false, "print event trace to stderr")
-		traceOut = flag.String("tracejson", "", "write a structured JSONL event trace to this file")
+		list     = fs.Bool("list", false, "list protocols and exit")
+		protocol = fs.String("protocol", "crashk", "protocol to run")
+		n        = fs.Int("n", 16, "number of peers")
+		t        = fs.Int("t", 4, "fault bound t")
+		l        = fs.Int("L", 4096, "input length in bits")
+		b        = fs.Int("b", 0, "message size in bits (0: max(64, L/n))")
+		seed     = fs.Int64("seed", 1, "simulation seed")
+		faulty   = fs.Int("faulty", 0, "actually faulty peers (0: t when behavior set)")
+		behavior = fs.String("behavior", "", "fault behavior: crash|crash-random|silent|spam|liar|equivocate")
+		excess   = fs.Bool("allow-excess", false, "permit -faulty above -t (model a violated fault bound; pair with -harden)")
+		hardened = fs.Bool("harden", false, "run under the hardening supervisor (detect violations, audit outputs, escalate toward naive)")
+		deadline = fs.Float64("deadline", 0, "cut the run off after this many time units (0: none)")
+		srcPlan  = fs.String("source-faults", "", `seeded source fault plan, e.g. "fail=0.25,outage=2..5,seed=7" (des and TCP runtimes)`)
+		mirrors  = fs.String("mirrors", "", `untrusted mirror fleet plan, e.g. "mirrors=5,byz=3,behavior=mixed,seed=7" (all runtimes; Merkle-verified replies, authoritative fallback)`)
+		liveRT   = fs.Bool("live", false, "run on the concurrent goroutine runtime")
+		tcpRT    = fs.Bool("tcp", false, "run over real TCP sockets (crash-from-start faults only)")
+		verbose  = fs.Bool("v", false, "print per-peer stats")
+		trace    = fs.Bool("trace", false, "print event trace to stderr")
+		traceOut = fs.String("tracejson", "", "write a structured JSONL event trace to this file")
 
-		obsAddr = flag.String("obs", "", "serve observability endpoints (/metrics, /snapshot.json, /timeline.jsonl, /debug/vars, /debug/pprof) on this address, e.g. :9090")
-		obsHold = flag.Duration("obs-linger", 0, "keep the -obs server alive this long after the run so endpoints can be scraped")
-		metOut  = flag.String("metrics-out", "", "write a JSON metrics snapshot to this file after the run")
-		tlOut   = flag.String("timeline-out", "", "write a drtrace-compatible JSONL timeline to this file after the run")
+		obsAddr = fs.String("obs", "", "serve observability endpoints (/metrics, /snapshot.json, /timeline.jsonl, /debug/vars, /debug/pprof) on this address, e.g. :9090")
+		obsHold = fs.Duration("obs-linger", 0, "keep the -obs server alive this long after the run so endpoints can be scraped")
+		metOut  = fs.String("metrics-out", "", "write a JSON metrics snapshot to this file after the run")
+		tlOut   = fs.String("timeline-out", "", "write a drtrace-compatible JSONL timeline to this file after the run")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list {
-		fmt.Printf("%-12s %-14s %-11s %-22s %-20s %s\n",
+		fmt.Fprintf(stdout, "%-12s %-14s %-11s %-22s %-20s %s\n",
 			"PROTOCOL", "DETERMINISM", "FAULTS", "RESILIENCE", "QUERY", "SOURCE")
 		for _, info := range download.Protocols() {
-			fmt.Printf("%-12s %-14s %-11s %-22s %-20s %s\n",
+			fmt.Fprintf(stdout, "%-12s %-14s %-11s %-22s %-20s %s\n",
 				info.Protocol, info.Determinism, info.FaultModel,
 				info.Resilience, info.Query, info.Theorem)
 		}
@@ -79,12 +86,12 @@ func run() int {
 		TCP:               *tcpRT,
 	}
 	if *trace {
-		opts.Trace = os.Stderr
+		opts.Trace = stderr
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "drsim: %v\n", err)
+			fmt.Fprintf(stderr, "drsim: %v\n", err)
 			return 2
 		}
 		defer f.Close()
@@ -104,11 +111,11 @@ func run() int {
 		var err error
 		srv, err = obs.Serve(*obsAddr, reg, tl)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "drsim: %v\n", err)
+			fmt.Fprintf(stderr, "drsim: %v\n", err)
 			return 2
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "drsim: observability on http://%s/\n", srv.Addr)
+		fmt.Fprintf(stderr, "drsim: observability on http://%s/\n", srv.Addr)
 	}
 	var (
 		rep *download.Report
@@ -120,62 +127,62 @@ func run() int {
 		rep, err = download.Run(opts)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "drsim: %v\n", err)
+		fmt.Fprintf(stderr, "drsim: %v\n", err)
 		return 2
 	}
 
-	fmt.Printf("protocol    %s  (n=%d t=%d L=%d seed=%d behavior=%q)\n",
+	fmt.Fprintf(stdout, "protocol    %s  (n=%d t=%d L=%d seed=%d behavior=%q)\n",
 		*protocol, *n, *t, *l, *seed, *behavior)
-	fmt.Printf("correct     %v\n", rep.Correct)
-	fmt.Printf("Q           %d bits/peer (max over honest; avg %.1f; naive would be %d)\n",
+	fmt.Fprintf(stdout, "correct     %v\n", rep.Correct)
+	fmt.Fprintf(stdout, "Q           %d bits/peer (max over honest; avg %.1f; naive would be %d)\n",
 		rep.Q, rep.AvgQ, *l)
-	fmt.Printf("messages    %d (%d payload bits)\n", rep.Msgs, rep.MsgBits)
-	fmt.Printf("time        %.2f (virtual units; 1 = max network latency)\n", rep.Time)
+	fmt.Fprintf(stdout, "messages    %d (%d payload bits)\n", rep.Msgs, rep.MsgBits)
+	fmt.Fprintf(stdout, "time        %.2f (virtual units; 1 = max network latency)\n", rep.Time)
 	if *mirrors != "" || rep.MirrorHits > 0 || rep.ProofFailures > 0 {
-		fmt.Printf("mirrors     %d verified hits, %d proof failures, %d fallback queries (only verified bits charge into Q)\n",
+		fmt.Fprintf(stdout, "mirrors     %d verified hits, %d proof failures, %d fallback queries (only verified bits charge into Q)\n",
 			rep.MirrorHits, rep.ProofFailures, rep.FallbackQueries)
 	}
 	if *srcPlan != "" || rep.SourceFailures > 0 {
-		fmt.Printf("source      %d failures, %d retries, %d breaker opens, %d deferred queries\n",
+		fmt.Fprintf(stdout, "source      %d failures, %d retries, %d breaker opens, %d deferred queries\n",
 			rep.SourceFailures, rep.SourceRetries, rep.BreakerOpens, rep.DeferredQueries)
-		fmt.Printf("            degraded %.2f time units (worst peer); %d churn rejoins\n",
+		fmt.Fprintf(stdout, "            degraded %.2f time units (worst peer); %d churn rejoins\n",
 			rep.DegradedTime, rep.Rejoins)
 	}
 	for _, f := range rep.Failures {
-		fmt.Printf("FAILURE     %s\n", f)
+		fmt.Fprintf(stdout, "FAILURE     %s\n", f)
 	}
 	if h := rep.Hardening; h != nil {
-		fmt.Printf("hardening   detected=%v corrected=%v ladder=%v\n", h.Detected, h.Corrected, h.Ladder)
-		fmt.Printf("            audit %d bits (in Q), warm cache served %d bits free\n", h.AuditBits, h.WarmHitBits)
+		fmt.Fprintf(stdout, "hardening   detected=%v corrected=%v ladder=%v\n", h.Detected, h.Corrected, h.Ladder)
+		fmt.Fprintf(stdout, "            audit %d bits (in Q), warm cache served %d bits free\n", h.AuditBits, h.WarmHitBits)
 		for i, a := range h.Attempts {
-			fmt.Printf("attempt %d   %-10s violations=%d audited=%d peers\n", i, a.Protocol, len(a.Violations), a.AuditedPeers)
+			fmt.Fprintf(stdout, "attempt %d   %-10s violations=%d audited=%d peers\n", i, a.Protocol, len(a.Violations), a.AuditedPeers)
 			for _, v := range a.Violations {
-				fmt.Printf("            ! %s\n", v)
+				fmt.Fprintf(stdout, "            ! %s\n", v)
 			}
 		}
 	}
 	if *verbose {
-		fmt.Printf("%-5s %-7s %-8s %-11s %-10s %s\n",
+		fmt.Fprintf(stdout, "%-5s %-7s %-8s %-11s %-10s %s\n",
 			"PEER", "HONEST", "CRASHED", "TERMINATED", "QUERYBITS", "MSGS")
 		for _, p := range rep.PerPeer {
-			fmt.Printf("%-5d %-7v %-8v %-11v %-10d %d\n",
+			fmt.Fprintf(stdout, "%-5d %-7v %-8v %-11v %-10d %d\n",
 				p.ID, p.Honest, p.Crashed, p.Terminated, p.QueryBits, p.MsgsSent)
 		}
 	}
 	if *metOut != "" {
 		if err := writeMetricsSnapshot(*metOut, reg); err != nil {
-			fmt.Fprintf(os.Stderr, "drsim: %v\n", err)
+			fmt.Fprintf(stderr, "drsim: %v\n", err)
 			return 2
 		}
 	}
 	if *tlOut != "" {
 		if err := writeTimeline(*tlOut, tl); err != nil {
-			fmt.Fprintf(os.Stderr, "drsim: %v\n", err)
+			fmt.Fprintf(stderr, "drsim: %v\n", err)
 			return 2
 		}
 	}
 	if srv != nil && *obsHold > 0 {
-		fmt.Fprintf(os.Stderr, "drsim: lingering %v on http://%s/ (metrics frozen)\n", *obsHold, srv.Addr)
+		fmt.Fprintf(stderr, "drsim: lingering %v on http://%s/ (metrics frozen)\n", *obsHold, srv.Addr)
 		time.Sleep(*obsHold)
 	}
 	if !rep.Correct {

@@ -627,7 +627,7 @@ func (e *engine) rejoin(p *peerState) {
 	}
 	e.count()
 	p.crashed = false
-	p.q.Rejoin()
+	p.q.Rejoin(nil)
 	p.crashPoint = -1
 	p.actions = 0
 	p.impl = e.spec.NewPeer(p.id)

@@ -115,7 +115,7 @@ func (p *livePeer) rejoin() {
 		return
 	}
 	p.crashed = false
-	p.q.Rejoin()
+	p.q.Rejoin(nil)
 	p.crashPoint = -1
 	p.actions = 0
 	p.queue = nil // deliveries addressed to the dead incarnation

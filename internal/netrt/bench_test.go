@@ -205,7 +205,7 @@ func BenchmarkBroadcastRelay(b *testing.B) {
 		return l
 	}
 	up := newLink()
-	sender := &client{cfg: &h.cfg, id: 0, conn: newFrameConn(up.rc, 0)}
+	sender := &client{stats: &sim.PeerStats{}, cfg: &h.cfg, id: 0, conn: newFrameConn(up.rc, 0)}
 	from := h.peers[0]
 	from.conn = newFrameConn(&recConn{discard: true}, 0)
 	down := make([]link, n)
@@ -213,7 +213,7 @@ func BenchmarkBroadcastRelay(b *testing.B) {
 	for i := 1; i < n; i++ {
 		down[i] = newLink()
 		h.peers[sim.PeerID(i)].conn = newFrameConn(down[i].rc, 0)
-		dests[i] = &client{cfg: &h.cfg, id: sim.PeerID(i), impl: &recorder{}, conn: newFrameConn(&recConn{discard: true}, 0)}
+		dests[i] = &client{stats: &sim.PeerStats{}, cfg: &h.cfg, id: sim.PeerID(i), impl: &recorder{}, conn: newFrameConn(&recConn{discard: true}, 0)}
 	}
 	batch := make([]shardFrame, 0, cap(s.q))
 	b.ReportAllocs()

@@ -26,7 +26,7 @@ type sentFrame struct {
 // the far end read.
 func pipeClient(id sim.PeerID, n int, churn *sim.ChurnPeer) (c *client, sent func() []sentFrame) {
 	near, far := net.Pipe()
-	c = &client{cfg: &Config{N: n}, id: id, conn: newFrameConn(near, 0), churn: churn}
+	c = &client{stats: &sim.PeerStats{}, cfg: &Config{N: n}, id: id, conn: newFrameConn(near, 0), churn: churn}
 	done := make(chan []sentFrame)
 	go func() {
 		var frames []sentFrame
@@ -139,7 +139,7 @@ func TestBroadcastMatchesSends(t *testing.T) {
 // the allocations of encoding its message once and nothing per destination.
 func TestBroadcastAllocatesItsBodyOnly(t *testing.T) {
 	const n = 16
-	c := &client{cfg: &Config{N: n}, id: 3, conn: newFrameConn(&recConn{discard: true}, 0)}
+	c := &client{stats: &sim.PeerStats{}, cfg: &Config{N: n}, id: 3, conn: newFrameConn(&recConn{discard: true}, 0)}
 	for _, m := range broadcastSamples() {
 		body := testing.AllocsPerRun(50, func() { sinkBytes = marshalAppend(make([]byte, 0, 16+m.SizeBits()/8), m) })
 		got := testing.AllocsPerRun(50, func() {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/protocols/crashk"
 	"repro/internal/protocols/naive"
 	"repro/internal/sim"
+	"repro/internal/source"
 )
 
 // halver is the churn test protocol (mirroring the des runtime's churn
@@ -97,6 +98,112 @@ func TestChurnRejoinWarmOverTCP(t *testing.T) {
 	}
 	if ps.WarmHitBits != 256 {
 		t.Errorf("peer 0 WarmHitBits = %d, want 256", ps.WarmHitBits)
+	}
+}
+
+// probeCrash is the protocol of TestChurnCrashDuringProbeOverTCP. Every
+// peer queries X at Init under its tag — the churn peer 0's first
+// incarnation only half of it — and once all of X is in, outputs it and
+// terminates. Every other peer first sends peer 0 one message: its
+// delivery is the action that crashes peer 0.
+type probeCrash struct {
+	ctx sim.Context
+	tag int
+}
+
+func (p *probeCrash) Init(ctx sim.Context) {
+	p.ctx = ctx
+	n := ctx.L()
+	if p.tag == 1 && ctx.ID() == 0 {
+		n /= 2
+	}
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	ctx.Query(p.tag, idx)
+}
+
+func (p *probeCrash) OnMessage(sim.PeerID, sim.Message) {}
+
+func (p *probeCrash) OnQueryReply(r sim.QueryReply) {
+	if len(r.Indices) < p.ctx.L() {
+		return
+	}
+	if p.ctx.ID() != 0 {
+		p.ctx.Send(0, &crashk.Full{Values: r.Bits})
+	}
+	p.ctx.Output(r.Bits)
+	p.ctx.Terminate()
+}
+
+// TestChurnCrashDuringProbeOverTCP crashes a churn peer while its
+// breaker's half-open probe is out, and checks the rejoined incarnation
+// still downloads X. A source outage opens every peer's breaker at its
+// first query; the probes after the cooldown succeed, but with injected
+// latency, and the plan seed is picked so that peer 0's probe is slow and
+// another peer's is fast: that peer's message crashes peer 0 before its
+// probe is answered. The rejoined incarnation asks under another tag, so
+// the dead probe's reply answers nothing, and its query must go out as a
+// fresh probe instead of waiting forever behind the dead one.
+func TestChurnCrashDuringProbeOverTCP(t *testing.T) {
+	const n, l = 4, 256
+	plan := func(seed int64) *source.FaultPlan {
+		return &source.FaultPlan{Seed: seed, Outages: []source.Window{{Start: 0, End: 0.3}}, Latency: 1}
+	}
+	// probeLatency is the injected latency of peer's second source serve:
+	// the probe that follows the refused first query.
+	probeLatency := func(fp *source.FaultPlan, peer int) float64 {
+		rep, err := source.Wrap(source.NewTrusted(bitarray.New(l)), fp).Fetch(
+			source.Request{Peer: peer, Indices: []int{0}, Ordinal: 2, Attempt: 1, Now: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Latency
+	}
+	var fp *source.FaultPlan
+	for seed := int64(1); fp == nil; seed++ {
+		cand := plan(seed)
+		fastest := 1.0
+		for peer := 1; peer < n; peer++ {
+			fastest = min(fastest, probeLatency(cand, peer))
+		}
+		if probeLatency(cand, 0) > 0.8 && fastest < 0.2 {
+			fp = cand
+		}
+	}
+	incarnations := 0 // NewPeer(0) runs on peer 0's goroutine alone
+	res, err := netrt.Run(netrt.Config{
+		N: n, T: 1, L: l, MsgBits: 64, Seed: 24,
+		NewPeer: func(id sim.PeerID) sim.Peer {
+			tag := 1
+			if id == 0 {
+				if incarnations++; incarnations > 1 {
+					tag = 2
+				}
+			}
+			return &probeCrash{tag: tag}
+		},
+		Churn:         []sim.ChurnPeer{{Peer: 0, CrashAfter: 2, Downtime: 0.1}},
+		CheckpointDir: t.TempDir(),
+		SourceFaults:  fp,
+		SourcePolicy:  source.Policy{BaseBackoff: 0.02, MaxBackoff: 0.1, BreakerThreshold: 1, BreakerCooldown: 0.4},
+		Resilience:    netrt.Resilience{QueryTimeout: 2 * time.Second},
+		Timeout:       10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Correct {
+		t.Fatalf("incorrect: %v", res)
+	}
+	ps := &res.PerPeer[0]
+	if !ps.Crashed || !ps.Rejoined || !ps.Terminated || ps.BreakerOpens == 0 {
+		t.Errorf("churn peer: crashed=%v rejoined=%v terminated=%v breaker opens=%d, want a rejoin after the breaker opened",
+			ps.Crashed, ps.Rejoined, ps.Terminated, ps.BreakerOpens)
+	}
+	if ps.Output == nil || !ps.Output.Equal(res.PerPeer[1].Output) {
+		t.Error("the rejoined churn peer did not output X")
 	}
 }
 

@@ -323,7 +323,7 @@ func TestFrameAllocBudgets(t *testing.T) {
 	}
 
 	// A duplicate MSG is acked and dropped.
-	c := &client{cfg: &Config{N: 4, L: 64}, id: 1, conn: newFrameConn(&recConn{discard: true}, 0)}
+	c := &client{stats: &sim.PeerStats{}, cfg: &Config{N: 4, L: 64}, id: 1, conn: newFrameConn(&recConn{discard: true}, 0)}
 	c.recv.resumeAt(10)
 	msg := marshalAppend(binary.AppendUvarint(nil, 2), broadcastSamples()[1])
 	if n := testing.AllocsPerRun(100, func() { c.handleFrame(kMsg, 7, msg) }); n != 0 {
@@ -507,7 +507,7 @@ func TestResumeAndReplayInOneSegment(t *testing.T) {
 	}
 	rc := &recConn{src: bytes.NewReader(segment)}
 	rec := &recorder{}
-	c := &client{cfg: &Config{N: 8, L: 4096}, id: 1, idle: time.Second, impl: rec, needResume: true}
+	c := &client{stats: &sim.PeerStats{}, cfg: &Config{N: 8, L: 4096}, id: 1, idle: time.Second, impl: rec, needResume: true}
 	fc := newFrameConn(rc, c.idle)
 	if err := c.awaitResume(fc); err != nil {
 		t.Fatal(err)

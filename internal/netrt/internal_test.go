@@ -14,6 +14,7 @@ import (
 	"repro/internal/bitarray"
 	"repro/internal/merkle"
 	"repro/internal/protocols/crashk"
+	"repro/internal/qplane"
 	"repro/internal/sim"
 	"repro/internal/source"
 )
@@ -520,20 +521,17 @@ func (p *askOnce) OnQueryReply(r sim.QueryReply) {
 	p.ctx.Terminate()
 }
 
-// runAskOnce runs one client, whose protocol is an askOnce for (tag, idx),
-// against the hub at addr and returns the reply the protocol was handed.
-func runAskOnce(t *testing.T, addr string, tag int, idx []int) (sim.QueryReply, *clientStats) {
+// runPeer runs one client, peer 0 of an L-bit array, whose protocol is
+// peer, against the hub at addr until it finishes, and returns its stats.
+func runPeer(t *testing.T, addr string, l int, peer sim.Peer) *sim.PeerStats {
 	t.Helper()
-	peer := &askOnce{tag: tag, idx: idx, got: make(chan sim.QueryReply, 8)}
-	cfg := &Config{N: 1, L: 64, MsgBits: 64, Seed: 1, IdleTimeout: 5 * time.Second,
+	cfg := &Config{N: 1, L: l, MsgBits: 64, Seed: 1, IdleTimeout: 5 * time.Second,
 		Resilience: Resilience{QueryTimeout: 40 * time.Millisecond},
 		NewPeer:    func(sim.PeerID) sim.Peer { return peer }}
-	st := &clientStats{}
+	st := &sim.PeerStats{}
+	q := qplane.NewRemoteTier(cfg.L, cfg.Seed, cfg.SourcePolicy).NewPlane(0, st, false)
 	done := make(chan error, 1)
-	go func() {
-		_, err := runIncarnation(cfg, 0, addr, st, nil, nil, nil, false)
-		done <- err
-	}()
+	go func() { done <- runClient(cfg, 0, addr, q, st, nil, time.Now()) }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -542,6 +540,15 @@ func runAskOnce(t *testing.T, addr string, tag int, idx []int) (sim.QueryReply, 
 	case <-time.After(10 * time.Second):
 		t.Fatal("client never finished")
 	}
+	return st
+}
+
+// runAskOnce runs one client, whose protocol is an askOnce for (tag, idx),
+// against the hub at addr and returns the reply the protocol was handed.
+func runAskOnce(t *testing.T, addr string, tag int, idx []int) (sim.QueryReply, *sim.PeerStats) {
+	t.Helper()
+	peer := &askOnce{tag: tag, idx: idx, got: make(chan sim.QueryReply, 8)}
+	st := runPeer(t, addr, 64, peer)
 	if len(peer.got) != 1 {
 		t.Fatalf("protocol was handed %d replies, want 1", len(peer.got))
 	}
@@ -608,24 +615,25 @@ func TestForeignHeaderReplyIsNotDelivered(t *testing.T) {
 	checkReply(t, got, 2, idx, vals)
 	mu.Lock()
 	defer mu.Unlock()
-	if len(seen) < 2 || st.queryRetries < 1 {
-		t.Fatalf("hub saw %d queries, client counted %d retries: the foreign reply settled the query", len(seen), st.queryRetries)
+	if len(seen) < 2 || st.QueryRetries < 1 {
+		t.Fatalf("hub saw %d queries, client counted %d retries: the foreign reply settled the query", len(seen), st.QueryRetries)
 	}
 	for _, hdr := range seen {
 		if !bytes.Equal(hdr, encodeQueryHeader(2, idx)) {
 			t.Fatalf("a retry is not the identical QUERY frame: %x", hdr)
 		}
 	}
-	if st.dupsDeduped < 1 {
+	if st.DupFramesDropped < 1 {
 		t.Error("the foreign reply was not counted as nobody's")
 	}
 }
 
-// TestFallbackRetryChargesOnce drives the hub through one logical query's
-// worst path — QUERY, a forged QPROOF, QUERYSRC, silence, the QUERYSRC
-// retry — and checks the hub charges its bits into Q once, echoes the
-// request's header bytes verbatim every time, and charges a second
-// logical query separately.
+// TestFallbackRetryChargesOnce drives one logical query down its worst
+// path — QUERY, a forged QPROOF, QUERYSRC, silence, the QUERYSRC retry.
+// The hub echoes the request's header bytes verbatim every time and
+// answers the retry as it answered the first; a client sent down the same
+// path by a scripted hub replaying those answers charges the query into Q
+// once, at Query, and a second logical query separately.
 func TestFallbackRetryChargesOnce(t *testing.T) {
 	plan, err := source.ParseMirrorPlan("mirrors=3,byz=3,behavior=forge,seed=4")
 	if err != nil {
@@ -673,7 +681,8 @@ func TestFallbackRetryChargesOnce(t *testing.T) {
 			return bytes.Clone(payload) // the next read reuses its bytes
 		}
 	}
-	proof, ok := decodeProofReply(ask(kQuery, hdr, kQProof)[len(hdr):])
+	forged := ask(kQuery, hdr, kQProof)
+	proof, ok := decodeProofReply(forged[len(hdr):])
 	if !ok {
 		t.Fatal("malformed QPROOF body")
 	}
@@ -685,19 +694,127 @@ func TestFallbackRetryChargesOnce(t *testing.T) {
 	if !bytes.Equal(first, again) {
 		t.Fatal("the retry drew a different reply")
 	}
-	charged := func() (bits, calls int) {
-		hp := h.peers[0]
-		hp.mu.Lock()
-		defer hp.mu.Unlock()
-		return hp.queryBits, hp.queryCalls
+	hdr10 := encodeQueryHeader(4, idx[:10])
+	second := ask(kQuerySrc, hdr10, kQReply)
+
+	var mu sync.Mutex
+	var trail []string
+	addr := scriptedHub(t, func(kind byte, p []byte, reply func(byte, []byte)) {
+		mu.Lock()
+		trail = append(trail, kindName(kind))
+		silent := kind == kQuerySrc && len(trail) == 2
+		mu.Unlock()
+		switch {
+		case bytes.Equal(p, hdr10):
+			reply(kQReply, second)
+		case kind == kQuery:
+			reply(kQProof, forged)
+		case !silent:
+			reply(kQReply, first)
+		}
+	})
+	peer := &askSeq{tag: 4, asks: [][]int{idx, idx[:10]}}
+	st := runPeer(t, addr, 256, peer)
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []string{"QUERY", "QUERYSRC", "QUERYSRC", "QUERY"}; !slices.Equal(trail, want) {
+		t.Fatalf("the hub saw %v, want %v", trail, want)
 	}
-	if bits, calls := charged(); bits != len(idx) || calls != 1 {
-		t.Fatalf("one logical query charged %d bits in %d calls, want %d in 1", bits, calls, len(idx))
+	if st.ProofFailures != 1 || st.FallbackQueries != 1 || st.QueryRetries != 1 {
+		t.Errorf("proof failures %d, fallbacks %d, retries %d, want 1, 1, 1",
+			st.ProofFailures, st.FallbackQueries, st.QueryRetries)
 	}
-	ask(kQuerySrc, encodeQueryHeader(4, idx[:10]), kQReply)
-	if bits, calls := charged(); bits != len(idx)+10 || calls != 2 {
-		t.Fatalf("two logical queries charged %d bits in %d calls, want %d in 2", bits, calls, len(idx)+10)
+	if st.QueryBits != len(idx)+10 || st.QueryCalls != 2 {
+		t.Fatalf("two logical queries charged %d bits in %d calls, want %d in 2", st.QueryBits, st.QueryCalls, len(idx)+10)
 	}
+	if peer.replies != 2 {
+		t.Fatalf("protocol was handed %d replies, want 2", peer.replies)
+	}
+}
+
+// TestLateReplyServesParkedCall: a reply slowed past the silence deadline
+// can arrive after the breaker parked its call. The call still takes it:
+// the protocol gets the reply, the call leaves the plane's queue, and the
+// success the reply carries closes the breaker and re-sends the one call
+// still parked — unless the protocol has terminated, when nothing is
+// delivered or re-sent.
+func TestLateReplyServesParkedCall(t *testing.T) {
+	for _, terminated := range []bool{false, true} {
+		h := bareHub(t, Config{N: 2, T: 0, L: 256, MsgBits: 64, Seed: 8})
+		rec, st := &recorder{}, &sim.PeerStats{}
+		policy := source.Policy{BreakerThreshold: 1, BreakerCooldown: 60}
+		c := &client{cfg: &h.cfg, res: h.res, id: 1, impl: rec, start: time.Now(),
+			conn: newFrameConn(&recConn{discard: true}, 0), stats: st,
+			q: qplane.NewRemoteTier(h.cfg.L, h.cfg.Seed, policy).NewPlane(1, st, false)}
+		a, b := []int{1, 2, 3}, []int{40, 41}
+		hdrA, hdrB := encodeQueryHeader(1, a), encodeQueryHeader(2, b)
+		c.Query(1, slices.Clone(a))
+		c.Query(2, slices.Clone(b))
+		// a is refused: the breaker opens and parks it.
+		c.handleFrame(kQErr, 1, append(bytes.Clone(hdrA), byte(source.KindOutage)))
+		// b falls silent past its deadline: the open breaker parks it too.
+		now := time.Now()
+		c.mu.Lock()
+		pqA, pqB := c.queries[0], c.queries[1]
+		c.follow(nil, pqB, c.q.Silent(c.clock(now), pqB.call), now)
+		c.mu.Unlock()
+		if pqA.state != parked || pqB.state != parked || c.q.Parked() != 2 {
+			t.Fatalf("states %d and %d with %d parked, want both calls parked", pqA.state, pqB.state, c.q.Parked())
+		}
+		if terminated {
+			c.Terminate()
+		}
+		// b's reply comes in after all.
+		h.answerQuery(h.peers[1], hdrB, time.Now())
+		c.handleFrame(kQReply, 2, payloadOf(queued(t, h)))
+		if st.DupFramesDropped != 0 || c.q.Parked() != 0 || len(c.queries) != 1 || c.queries[0] != pqA {
+			t.Fatalf("terminated=%v: %d duplicates, %d parked, %d pending; want b settled and a flushed",
+				terminated, st.DupFramesDropped, c.q.Parked(), len(c.queries))
+		}
+		if terminated {
+			if len(rec.replies) != 0 || pqA.state != parked || st.QueryRetries != 0 {
+				t.Errorf("after Terminate: %d replies delivered, a in state %d, %d retries; want nothing",
+					len(rec.replies), pqA.state, st.QueryRetries)
+			}
+			continue
+		}
+		if len(rec.replies) != 1 || rec.replies[0].Tag != 2 || !slices.Equal(rec.replies[0].Indices, b) {
+			t.Fatalf("protocol got %d replies, want b's", len(rec.replies))
+		}
+		for j, i := range b {
+			if rec.replies[0].Bits.Get(j) != h.input.Get(i) {
+				t.Fatalf("reply bit %d is wrong", j)
+			}
+		}
+		if pqA.state != sent || st.QueryRetries != 1 {
+			t.Errorf("a in state %d after %d retries, want it re-sent once", pqA.state, st.QueryRetries)
+		}
+	}
+}
+
+// askSeq asks its queries one after another, each once the previous one's
+// reply arrived, and terminates after the last reply.
+type askSeq struct {
+	tag     int
+	asks    [][]int
+	ctx     sim.Context
+	replies int
+}
+
+func (p *askSeq) Init(ctx sim.Context) {
+	p.ctx = ctx
+	ctx.Query(p.tag, append([]int(nil), p.asks[0]...))
+}
+
+func (p *askSeq) OnMessage(sim.PeerID, sim.Message) {}
+
+func (p *askSeq) OnQueryReply(r sim.QueryReply) {
+	if p.replies++; p.replies < len(p.asks) {
+		p.ctx.Query(p.tag, append([]int(nil), p.asks[p.replies]...))
+		return
+	}
+	p.ctx.Output(bitarray.New(p.ctx.L()))
+	p.ctx.Terminate()
 }
 
 // TestRejectUnknownPeer: connections for out-of-range or absent ids get a

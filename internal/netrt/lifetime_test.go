@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/bitarray"
+	"repro/internal/qplane"
 	"repro/internal/sim"
 	"repro/internal/source"
 )
@@ -117,8 +118,10 @@ func TestClientKeepsNoReadBuffer(t *testing.T) {
 	}
 	h := bareHub(t, Config{N: 4, T: 1, L: 4096, MsgBits: 256, Seed: 8, Mirrors: plan})
 	rec := &recorder{}
+	st := &sim.PeerStats{}
 	c := &client{cfg: &h.cfg, id: 1, impl: rec, start: time.Now(), conn: newFrameConn(&recConn{discard: true}, 0),
-		src: source.NewClient(1, source.Policy{}), queries: make(map[qkey]*pendingQuery), mparams: h.mirror.Params()}
+		q: qplane.NewRemoteTier(h.cfg.L, h.cfg.Seed, source.Policy{}).NewPlane(1, st, false), stats: st,
+		mparams: h.mirror.Params()}
 
 	root := h.mirror.Root()
 	payload := bytes.Clone(root[:])
@@ -169,13 +172,13 @@ func TestClientKeepsNoReadBuffer(t *testing.T) {
 	payload = append(bytes.Clone(hdr), byte(source.KindOutage))
 	seq++
 	c.handleFrame(kQErr, seq, payload)
-	pq := c.queries[qkeyOfHeader(2, hdr)]
-	if pq == nil || pq.errs != 1 {
+	pq := c.owed(qkeyOfHeader(2, hdr), hdr)
+	if pq == nil || pq.state != backoff || c.q.Settle(0).Failures != 1 {
 		t.Fatal("the QERR was not recorded against its query")
 	}
 	deadline := pq.deadline
 	scribble(payload)
-	if pq.errs != 1 || !pq.deadline.Equal(deadline) || !bytes.Equal(pq.payload, hdr) || !slices.Equal(pq.indices, idx) {
+	if pq.state != backoff || !pq.deadline.Equal(deadline) || !bytes.Equal(pq.payload, hdr) || !slices.Equal(pq.call.Fetch, idx) {
 		t.Error("the query's recorded state changed when the read buffer was written over")
 	}
 

@@ -35,6 +35,7 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -43,6 +44,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/merkle"
 	"repro/internal/obs"
+	"repro/internal/qplane"
 	"repro/internal/sim"
 	"repro/internal/source"
 	"repro/internal/wire"
@@ -106,8 +108,8 @@ type Config struct {
 	// queries crossing it suffer the plan's outage windows, rate limit,
 	// transient failures, and reply latency (source.FaultPlan units are
 	// seconds here). Active refusals come back as QERR frames, which feed
-	// each client's source.Client retry/backoff/breaker state machine.
-	// Like Faults, a source plan never counts toward T.
+	// the retry/backoff/breaker lifecycle of each client's query plane
+	// (package qplane). Like Faults, a source plan never counts toward T.
 	SourceFaults *source.FaultPlan
 	// SourcePolicy tunes the clients' source resilience layer (times in
 	// seconds); zero fields default per source.Policy, and a zero Seed
@@ -117,8 +119,9 @@ type Config struct {
 	// untrusted mirror fleet: QUERY frames draw proof-carrying QPROOF
 	// replies that the client verifies against the hub-published ROOT
 	// commitment, falling back to QUERYSRC (the authoritative tier,
-	// itself subject to SourceFaults) when a proof fails. Only verified
-	// bits are charged into Q. Like Faults, mirrors never count toward T.
+	// itself subject to SourceFaults) when a proof fails. Q is charged at
+	// the client's Query either way. Like Faults, mirrors never count
+	// toward T.
 	Mirrors *source.MirrorPlan
 	// IdleTimeout overrides the dead-link detection window (default 5s).
 	IdleTimeout time.Duration
@@ -148,6 +151,14 @@ type Config struct {
 	Timeline *obs.Timeline
 	// Label is the "protocol" label value on metric series.
 	Label string
+}
+
+// idleTimeout is IdleTimeout with its default applied.
+func (c *Config) idleTimeout() time.Duration {
+	if c.IdleTimeout > 0 {
+		return c.IdleTimeout
+	}
+	return defaultIdleTimeout
 }
 
 func (c *Config) validate() error {
@@ -265,47 +276,6 @@ func (e *TimeoutError) Error() string {
 	return b.String()
 }
 
-// clientStats carries a client's robustness counters back to Run; a churn
-// peer's incarnations all accumulate into the same struct, and Run reads
-// it after the clients WaitGroup settles.
-type clientStats struct {
-	queryRetries, reconnects, dupsDeduped int
-	// src is the source resilience accounting (failures by kind, retries,
-	// breaker opens, deferred queries, degraded time).
-	src source.Stats
-	// mirrorBits are bits this client verified from mirror replies; they
-	// are the client-charged half of Q (the hub charges authoritative
-	// serves). mirror carries the hit/failure/fallback counters.
-	mirrorBits int
-	mirror     source.MirrorStats
-	// Churn accounting: bits served locally from persisted warm state
-	// (plus the fully-warm query calls that never reached the wire),
-	// whether this peer crashed and came back, and the durable-checkpoint
-	// traffic behind that recovery.
-	warmHitBits, warmCalls              int
-	rejoined                            bool
-	checkpointSaves, checkpointRestores int
-}
-
-// addSourceStats accumulates b into a across a churn peer's incarnations.
-func addSourceStats(a *source.Stats, b source.Stats) {
-	a.Retries += b.Retries
-	a.Failures += b.Failures
-	a.Outages += b.Outages
-	a.Flaky += b.Flaky
-	a.RateLimits += b.RateLimits
-	a.Timeouts += b.Timeouts
-	a.BreakerOpens += b.BreakerOpens
-	a.Deferred += b.Deferred
-	a.DegradedTime += b.DegradedTime
-}
-
-func addMirrorStats(a *source.MirrorStats, b source.MirrorStats) {
-	a.MirrorHits += b.MirrorHits
-	a.ProofFailures += b.ProofFailures
-	a.FallbackQueries += b.FallbackQueries
-}
-
 // Run executes the configuration and reports the outcome in the same
 // Result shape as the simulation runtimes. Absent peers are reported as
 // crashed/faulty. A run whose honest peers outlast Timeout fails with a
@@ -333,7 +303,11 @@ func Run(cfg Config) (*sim.Result, error) {
 		absent[p] = true
 	}
 
-	cstats := make([]clientStats, cfg.N)
+	// Each client drives its peer's query plane, which charges Q at Query
+	// and keeps the peer's accounting in stats across both incarnations
+	// of a churn peer; the hub adds its half at the end.
+	tier := qplane.NewRemoteTier(cfg.L, cfg.Seed, cfg.SourcePolicy)
+	stats := make([]sim.PeerStats, cfg.N)
 	var clients sync.WaitGroup
 	errs := make(chan error, cfg.N)
 	for i := 0; i < cfg.N; i++ {
@@ -341,13 +315,14 @@ func Run(cfg Config) (*sim.Result, error) {
 		if absent[id] {
 			continue
 		}
+		q := tier.NewPlane(i, &stats[i], churnFor(&cfg, id) != nil)
 		clients.Add(1)
-		go func(id sim.PeerID) {
+		go func() {
 			defer clients.Done()
-			if err := runClient(&cfg, id, h.addrFor(id), &cstats[id], met); err != nil {
+			if err := runClient(&cfg, id, h.addrFor(id), q, &stats[id], met, h.start); err != nil {
 				errs <- fmt.Errorf("peer %d: %w", id, err)
 			}
-		}(id)
+		}()
 	}
 
 	select {
@@ -365,36 +340,7 @@ func Run(cfg Config) (*sim.Result, error) {
 	h.close()
 	clients.Wait()
 
-	res := h.result()
-	for i := range res.PerPeer {
-		cs := &cstats[i]
-		res.PerPeer[i].QueryRetries = cs.queryRetries
-		res.PerPeer[i].Reconnects = cs.reconnects
-		res.PerPeer[i].DupFramesDropped += cs.dupsDeduped
-		res.PerPeer[i].SourceRetries = cs.src.Retries
-		res.PerPeer[i].SourceFailures = cs.src.Failures
-		res.PerPeer[i].BreakerOpens = cs.src.BreakerOpens
-		res.PerPeer[i].DeferredQueries = cs.src.Deferred
-		res.PerPeer[i].DegradedTime = cs.src.DegradedTime
-		// Mirror-verified bits are charged client-side (the hub only
-		// charges authoritative serves), so Q = hub charge + client
-		// charge covers exactly the verified bits.
-		res.PerPeer[i].QueryBits += cs.mirrorBits
-		res.PerPeer[i].QueryCalls += cs.mirror.MirrorHits
-		res.PerPeer[i].MirrorHits = cs.mirror.MirrorHits
-		res.PerPeer[i].ProofFailures = cs.mirror.ProofFailures
-		res.PerPeer[i].FallbackQueries = cs.mirror.FallbackQueries
-		// Warm-served bits never reach the wire, so the hub never charges
-		// them; like the des runtime, they stay out of QueryBits (Q counts
-		// only source-fetched bits). Fully-warm calls still count into
-		// QueryCalls — the protocol issued them — which the hub-side charge
-		// missed for the same reason.
-		res.PerPeer[i].QueryCalls += cs.warmCalls
-		res.PerPeer[i].WarmHitBits = cs.warmHitBits
-		res.PerPeer[i].Rejoined = cs.rejoined
-		res.PerPeer[i].CheckpointSaves = cs.checkpointSaves
-		res.PerPeer[i].CheckpointRestores = cs.checkpointRestores
-	}
+	res := h.result(stats)
 	res.Finalize(input)
 	return res, nil
 }
@@ -421,16 +367,8 @@ type hubPeer struct {
 	// recv dedups the peer→hub reliable stream.
 	recv dedupReliable
 
-	queryBits  int
-	queryCalls int
-	msgsSent   int
-	msgBits    int
-	// charged dedups the Q charge per logical query (tag + index-set
-	// key): a client re-sends the identical QUERY frame when its query
-	// timeout fires on a lost reply, and the des runtime's contract is
-	// that retries absorbing faults never double-charge Q. Replies are
-	// still served per arrival — only the charge is once per key.
-	charged map[qkey]bool
+	msgsSent int
+	msgBits  int
 	// srcServes counts query arrivals from this peer; it is the Ordinal
 	// fed to the source fault plan, so every retried serve rolls fresh
 	// fault decisions (a failure rate < 1 answers eventually).
@@ -530,14 +468,10 @@ func newHub(cfg Config, input *bitarray.Array, met *netMetrics) (*hub, error) {
 			rejoining[cp.Peer] = true
 		}
 	}
-	idle := cfg.IdleTimeout
-	if idle <= 0 {
-		idle = defaultIdleTimeout
-	}
 	h := &hub{
 		cfg:       cfg,
 		res:       cfg.Resilience.withDefaults(),
-		idle:      idle,
+		idle:      cfg.idleTimeout(),
 		plan:      cfg.Faults,
 		input:     input,
 		src:       source.Wrap(source.NewTrusted(input), cfg.SourceFaults),
@@ -944,10 +878,10 @@ func (h *hub) writeData(hp *hubPeer, kind byte, seq uint64, p framePayload) {
 // Replies ride the peer's reliable stream beside its MSGs, so a reply the
 // network loses is retransmitted by the hub. An injected source failure
 // comes back as a QERR frame instead, so the client learns of active
-// refusals without waiting out its silence deadline; query bits are only
-// charged for fetches that actually served bits.
+// refusals without waiting out its silence deadline. Q is the client's to
+// charge, at its Query.
 func (h *hub) answerQuery(hp *hubPeer, payload []byte, now time.Time) {
-	tag, indices, hdrLen, ok := decodeQuery(payload, h.cfg.L)
+	_, indices, hdrLen, ok := decodeQuery(payload, h.cfg.L)
 	if !ok {
 		return
 	}
@@ -982,22 +916,6 @@ func (h *hub) answerQuery(hp *hubPeer, payload []byte, now time.Time) {
 		h.send(hp, kQErr, srcID, rawPayload(out), now)
 		return
 	}
-	key := qkeyOfHeader(tag, hdr)
-	hp.mu.Lock()
-	if hp.charged == nil {
-		hp.charged = make(map[qkey]bool)
-	}
-	charge := !hp.charged[key]
-	if charge {
-		hp.charged[key] = true
-		hp.queryBits += len(indices)
-		hp.queryCalls++
-	}
-	hp.mu.Unlock()
-	if charge {
-		h.met.queryServed(int(hp.id), len(indices))
-	}
-
 	n := rep.Bits.EncodedLen()
 	out := append(make([]byte, 0, hdrLen+binary.MaxVarintLen64+n), hdr...)
 	out = binary.AppendUvarint(out, uint64(n))
@@ -1017,8 +935,8 @@ func (h *hub) answerQuery(hp *hubPeer, payload []byte, now time.Time) {
 // answerMirrorQuery serves a QUERY from the mirror fleet: pick the
 // seeded mirror for this serve, forward the covering leaf-range request,
 // and put its (possibly Byzantine) proof-carrying reply on the wire
-// verbatim. Verification — and therefore all Q charging — happens on the
-// client; the hub never vouches for a mirror's bits. The fleet is asked
+// verbatim. Verification happens on the client; the hub never vouches for
+// a mirror's bits. The fleet is asked
 // for a leaf span, so the header is scanned for its bounds, not decoded.
 func (h *hub) answerMirrorQuery(hp *hubPeer, payload []byte, now time.Time) {
 	_, count, hdrLen, lo, hi, ok := scanQuery(payload, h.cfg.L)
@@ -1170,29 +1088,29 @@ func (h *hub) close() {
 	h.wg.Wait()
 }
 
-func (h *hub) result() *sim.Result {
-	res := &sim.Result{PerPeer: make([]sim.PeerStats, h.cfg.N)}
+// result completes the clients' per-peer stats with the hub's half:
+// message counts, fault-plan and dedup counters, and what each peer output.
+func (h *hub) result(per []sim.PeerStats) *sim.Result {
+	res := &sim.Result{PerPeer: per}
 	for _, s := range h.shards {
 		res.ShardRestarts += int(s.restarts.Load())
 	}
-	for i := 0; i < h.cfg.N; i++ {
+	for i := range per {
 		id := sim.PeerID(i)
-		ps := sim.PeerStats{ID: id, Honest: !h.faulty[id], Crashed: h.faulty[id]}
+		ps := &per[i]
+		ps.ID, ps.Honest, ps.Crashed = id, !h.faulty[id], h.faulty[id]
 		if hp := h.peers[id]; hp != nil {
 			hp.mu.Lock()
-			ps.QueryBits = hp.queryBits
-			ps.QueryCalls = hp.queryCalls
 			ps.MsgsSent = hp.msgsSent
 			ps.MsgBitsSent = hp.msgBits
 			ps.Terminated = hp.terminated
 			ps.TermTime = hp.termTime
 			ps.Output = hp.output
-			ps.DupFramesDropped = hp.dupsDeduped
+			ps.DupFramesDropped += hp.dupsDeduped
 			ps.PlanDropped = hp.planDropped
 			ps.PlanDuped = hp.planDuped
 			hp.mu.Unlock()
 		}
-		res.PerPeer[i] = ps
 	}
 	return res
 }
@@ -1217,10 +1135,14 @@ func churnFor(cfg *Config, id sim.PeerID) *sim.ChurnPeer {
 // connection loss until the protocol terminates and its DONE frame is
 // acknowledged. A churn peer may go through two incarnations: the first
 // crashes itself at its action count and persists a durable checkpoint;
-// after the downtime a fresh instance reloads the checkpoint, rejoins via
-// the resume handshake, and runs to completion serving its warm bits
-// locally.
-func runClient(cfg *Config, id sim.PeerID, addr string, st *clientStats, met *netMetrics) error {
+// after the downtime a fresh instance loads the checkpoint into the
+// peer's query plane, rejoins via the resume handshake, and runs to
+// completion serving its warm bits locally. The plane q and the stats st
+// outlive the incarnations, and q settles into st when the last one ends;
+// start is the run's clock.
+func runClient(cfg *Config, id sim.PeerID, addr string, q *qplane.Plane, st *sim.PeerStats,
+	met *netMetrics, start time.Time) error {
+	defer func() { q.Settle(time.Since(start).Seconds()) }()
 	churn := churnFor(cfg, id)
 	var store *checkpoint.Store
 	if churn != nil && cfg.CheckpointDir != "" {
@@ -1231,7 +1153,23 @@ func runClient(cfg *Config, id sim.PeerID, addr string, st *clientStats, met *ne
 	}
 	rejoined := false
 	for {
-		crashed, err := runIncarnation(cfg, id, addr, st, met, churn, store, rejoined)
+		c := &client{
+			cfg:     cfg,
+			res:     cfg.Resilience.withDefaults(),
+			idle:    cfg.idleTimeout(),
+			id:      id,
+			addr:    addr,
+			rng:     rand.New(rand.NewSource(cfg.Seed + int64(id)*0x9e3779b97f4a7c + 1)),
+			nrng:    rand.New(rand.NewSource(cfg.Seed ^ (int64(id)*0x51af + 0xdead))),
+			impl:    cfg.NewPeer(id),
+			start:   start,
+			met:     met,
+			q:       q,
+			stats:   st,
+			mparams: merkle.Params{TotalBits: cfg.L, LeafBits: cfg.Mirrors.EffectiveLeafBits()},
+			stopHK:  make(chan struct{}),
+		}
+		crashed, err := c.run(churn, store, rejoined)
 		if err != nil {
 			return err
 		}
@@ -1247,86 +1185,50 @@ func runClient(cfg *Config, id sim.PeerID, addr string, st *clientStats, met *ne
 	}
 }
 
-// runIncarnation runs one life of the peer: dial, Init, frame loop, and
-// either a clean exit (terminated or rejected) or a self-inflicted churn
-// crash, reported via crashed so runClient can schedule the rejoin.
-func runIncarnation(cfg *Config, id sim.PeerID, addr string, st *clientStats, met *netMetrics,
-	churn *sim.ChurnPeer, store *checkpoint.Store, rejoined bool) (crashed bool, err error) {
-	res := cfg.Resilience.withDefaults()
-	idle := cfg.IdleTimeout
-	if idle <= 0 {
-		idle = defaultIdleTimeout
-	}
-	spol := cfg.SourcePolicy
-	if spol.Seed == 0 {
-		spol.Seed = cfg.Seed ^ 0x50c05eed
-	}
-	c := &client{
-		cfg:     cfg,
-		res:     res,
-		idle:    idle,
-		id:      id,
-		addr:    addr,
-		rng:     rand.New(rand.NewSource(cfg.Seed + int64(id)*0x9e3779b97f4a7c + 1)),
-		nrng:    rand.New(rand.NewSource(cfg.Seed ^ (int64(id)*0x51af + 0xdead))),
-		impl:    cfg.NewPeer(id),
-		start:   time.Now(),
-		met:     met,
-		src:     source.NewClient(int(id), spol),
-		queries: make(map[qkey]*pendingQuery),
-		mparams: merkle.Params{TotalBits: cfg.L, LeafBits: cfg.Mirrors.EffectiveLeafBits()},
-		stopHK:  make(chan struct{}),
-	}
-	if churn != nil {
-		if !rejoined {
-			// Only the first incarnation crashes; the rejoined one runs the
-			// honest protocol to completion.
-			c.churn = churn
-		}
-		c.persist = bitarray.NewTracker(cfg.L)
+// run runs one life of the peer: dial, Init, frame loop, and either a
+// clean exit (terminated or rejected) or a self-inflicted churn crash,
+// reported via crashed so runClient can schedule the rejoin.
+func (c *client) run(churn *sim.ChurnPeer, store *checkpoint.Store, rejoined bool) (crashed bool, err error) {
+	cfg, id := c.cfg, c.id
+	if churn != nil && !rejoined {
+		// Only the first incarnation crashes; the rejoined one runs the
+		// honest protocol to completion.
+		c.churn = churn
 	}
 	if rejoined {
-		c.rejoined = true
 		c.needResume = true
-		st.rejoined = true
+		var warm *bitarray.Tracker
 		if store != nil {
 			ck, lerr := store.Load(int(id), cfg.N, cfg.T, cfg.L, cfg.Seed)
 			switch {
 			case lerr != nil:
-				// Torn, corrupt, or mismatched checkpoint: cold rejoin,
-				// never wrong bits.
 				dbg("client %d: checkpoint unusable, cold rejoin: %v", id, lerr)
 			case ck != nil:
-				c.persist = ck.Tracker()
+				warm = ck.Tracker()
 				if ck.RootKnown {
 					c.root = ck.Root
 					c.rootKnown = true
 				}
 				c.lastPhase = ck.Phase
-				st.checkpointRestores++
-				met.mark(int(id), "restore", "")
+				c.stats.CheckpointRestores++
+				c.met.mark(int(id), "restore", "")
 				dbg("client %d: warm rejoin with %d checkpointed bits", id, ck.WarmBits())
 			}
 		}
+		if warm == nil {
+			// A torn, corrupt, mismatched or missing checkpoint rejoins
+			// cold: never wrong bits.
+			warm = bitarray.NewTracker(cfg.L)
+		}
+		c.q.Rejoin(warm)
 	}
-	defer func() {
-		c.mu.Lock()
-		c.src.Settle(time.Since(c.start).Seconds())
-		st.queryRetries += c.queryRetries
-		st.reconnects += c.reconnects
-		st.dupsDeduped += c.dupsDeduped
-		addSourceStats(&st.src, c.src.Stats())
-		st.mirrorBits += c.mirrorBits
-		addMirrorStats(&st.mirror, c.mstats)
-		st.warmHitBits += c.warmHits
-		st.warmCalls += c.warmCalls
-		c.mu.Unlock()
-	}()
 	if err := c.connect(true); err != nil {
 		return false, err
 	}
 	go c.housekeeping()
-	defer close(c.stopHK)
+	// The plane outlives this incarnation: the handshake completes only
+	// once the tick has stopped touching it.
+	defer func() { c.stopHK <- struct{}{} }()
 	if c.countAction() {
 		c.impl.Init(c)
 	}
@@ -1352,14 +1254,16 @@ func runIncarnation(cfg *Config, id sim.PeerID, addr string, st *clientStats, me
 				cs.RootKnown = true
 				cs.Root = c.root
 			}
-			cs.FromTracker(c.persist)
+			cs.FromTracker(c.q.Persist())
 			if serr := store.Save(cs); serr != nil {
 				dbg("client %d: checkpoint save failed: %v", id, serr)
 			} else {
-				st.checkpointSaves++
+				c.mu.Lock()
+				c.stats.CheckpointSaves++
+				c.mu.Unlock()
 			}
 		}
-		met.mark(int(id), "crash", "")
+		c.met.mark(int(id), "crash", "")
 		return true, nil
 	}
 	if connErr != nil {
@@ -1379,14 +1283,16 @@ func runIncarnation(cfg *Config, id sim.PeerID, addr string, st *clientStats, me
 }
 
 type client struct {
-	cfg   *Config
-	res   Resilience
-	idle  time.Duration
-	id    sim.PeerID
-	addr  string
-	rng   *rand.Rand // protocol randomness (sim.Context.Rand)
-	nrng  *rand.Rand // network randomness (backoff jitter), kept separate
-	impl  sim.Peer
+	cfg  *Config
+	res  Resilience
+	idle time.Duration
+	id   sim.PeerID
+	addr string
+	rng  *rand.Rand // protocol randomness (sim.Context.Rand)
+	nrng *rand.Rand // network randomness (backoff jitter), kept separate
+	impl sim.Peer
+	// start is when the run started: the clock of Now and of the query
+	// plane, shared by both incarnations of a churn peer.
 	start time.Time
 	// met is the run's shared observability bundle; nil when disabled.
 	met *netMetrics
@@ -1399,43 +1305,37 @@ type client struct {
 	// recv dedups the hub→client reliable stream: MSG, QREPLY, QPROOF and
 	// QERR frames.
 	recv dedupReliable
-	// queries tracks outstanding source queries for timeout + retry.
-	queries  map[qkey]*pendingQuery
+	// q is the peer's query plane (package qplane): it charges Q, serves
+	// a rejoined peer's warm bits, and rules on every retry, park and
+	// probe. stats is the peer's accounting. Both outlive the incarnation.
+	// Guarded by mu — the read loop and the housekeeping tick both drive
+	// the plane — except q.Learn, which touches only the churn tracker and
+	// runs, like the Begin that reads it, on the loop goroutine alone.
+	q     *qplane.Plane
+	stats *sim.PeerStats
+	// queries holds the calls the plane issued that await a reply, oldest
+	// first; wakeAt is when the plane's one pending breaker wake is due
+	// (zero: none).
+	queries  []*pendingQuery
+	wakeAt   time.Time
 	lastPing time.Time
-	// src is the retry/backoff/breaker state machine for source queries,
-	// fed QERR failures and QREPLY successes on the client's wall clock
-	// (seconds since start). Guarded by mu: the read loop and the
-	// housekeeping goroutine both drive it.
-	src *source.Client
-	// qOrd numbers logical queries for the source client's seeded jitter.
-	qOrd uint64
 	// Mirror-tier state (Config.Mirrors): the authoritative commitment
-	// from the hub's ROOT frame, the tree shape for verification, and
-	// the client-side accounting — Q charges only bits this client
-	// verified (mirrorBits) or the hub served authoritatively.
-	mparams    merkle.Params
-	root       [merkle.HashBytes]byte
-	rootKnown  bool
-	mirrorBits int
-	mstats     source.MirrorStats
+	// from the hub's ROOT frame and the tree shape for verification.
+	mparams   merkle.Params
+	root      [merkle.HashBytes]byte
+	rootKnown bool
 
 	// Churn state. churn is non-nil only in an incarnation that still owes
-	// its crash; persist is the verified-index tracker fed by every source
-	// reply (non-nil for every churn peer incarnation), whose contents the
-	// checkpoint saves and warm queries are answered from. actions ticks
-	// the des-runtime action clock (init, sends, queries, deliveries);
-	// crashed latches once it exceeds churn.CrashAfter. needResume makes
-	// the next successful dial request the resume handshake. pendingLocal
-	// queues fully-warm query replies for delivery between frames, so the
-	// protocol is never re-entered from inside Query.
+	// its crash. actions ticks the des-runtime action clock (init, sends,
+	// queries, deliveries); crashed latches once it exceeds
+	// churn.CrashAfter. needResume makes the next successful dial request
+	// the resume handshake. pendingLocal queues fully-warm query replies
+	// for delivery between frames, so the protocol is never re-entered
+	// from inside Query.
 	churn        *sim.ChurnPeer
-	rejoined     bool
 	needResume   bool
 	actions      int
 	crashed      bool
-	persist      *bitarray.Tracker
-	warmHits     int
-	warmCalls    int
 	lastPhase    string
 	pendingLocal []sim.QueryReply
 
@@ -1444,8 +1344,7 @@ type client struct {
 	connErr    error
 	output     *bitarray.Array
 
-	queryRetries, reconnects, dupsDeduped int
-
+	// stopHK stops the housekeeping tick: a send returns once it stopped.
 	stopHK chan struct{}
 }
 
@@ -1494,39 +1393,23 @@ func (c *client) drainLocal() {
 		if !c.countAction() {
 			return
 		}
-		c.impl.OnQueryReply(qr)
+		c.deliver(qr)
 	}
 }
 
-// finishReply feeds the persist tracker with the fetched bits and, when
-// the wire query was a warm-stripped remainder (full non-nil), rebuilds
-// the protocol's original reply by merging warm and fetched bits.
-func (c *client) finishReply(tag int, indices []int, bits *bitarray.Array, full []int) {
-	if c.persist != nil {
-		c.persist.LearnIndexedFromSource(indices, bits)
-	}
-	if full != nil && c.persist != nil {
-		merged := bitarray.New(len(full))
-		for j, idx := range full {
-			v, ok := c.persist.Get(idx)
-			if !ok {
-				// The warm bit vanished (impossible: trackers only grow) —
-				// deliver the wire reply rather than invent a value.
-				c.impl.OnQueryReply(sim.QueryReply{Tag: tag, Indices: indices, Bits: bits})
-				return
-			}
-			merged.Set(j, v)
-		}
-		c.mu.Lock()
-		c.warmHits += len(full) - len(indices)
-		c.mu.Unlock()
-		c.impl.OnQueryReply(sim.QueryReply{Tag: tag, Indices: full, Bits: merged})
-		return
-	}
-	c.impl.OnQueryReply(sim.QueryReply{Tag: tag, Indices: indices, Bits: bits})
+// deliver hands the protocol a query reply once the plane has learnt it.
+func (c *client) deliver(qr sim.QueryReply) {
+	c.q.Learn(qr)
+	c.impl.OnQueryReply(qr)
 }
 
 var _ sim.Context = (*client)(nil)
+
+// clock is t on the query plane's clock: seconds since the run started.
+func (c *client) clock(t time.Time) float64 { return t.Sub(c.start).Seconds() }
+
+// at is the wall time of plane time s.
+func (c *client) at(s float64) time.Time { return c.start.Add(time.Duration(s * float64(time.Second))) }
 
 // write counts one outbound frame and writes it on conn.
 func (c *client) write(conn *frameConn, kind byte, seq uint64, p framePayload) error {
@@ -1579,7 +1462,7 @@ func (c *client) connect(initial bool) error {
 		old := c.conn
 		c.conn = conn
 		if !initial {
-			c.reconnects++
+			c.stats.Reconnects++
 			c.met.reconnect(int(c.id))
 		}
 		c.out.markAllDue()
@@ -1727,43 +1610,7 @@ func (c *client) handleFrame(kind byte, seq uint64, payload []byte) {
 		if err != nil || bits.Len() != count {
 			return // one bit per index, or it is line noise
 		}
-		// Retry matching: a retried query may draw several replies; only
-		// as many as are owed reach the protocol, keeping duplicated and
-		// replayed replies idempotent.
-		key := qkeyOfHeader(tag, hdr)
-		now := time.Now()
-		c.mu.Lock()
-		pq := c.pendingFor(key, hdr)
-		owed := pq != nil && pq.count > 0
-		var indices, full []int
-		if owed {
-			indices, full = pq.indices, pq.full
-			pq.count--
-			if pq.count == 0 {
-				delete(c.queries, key)
-			}
-			// A served reply closes an open breaker; wake every parked
-			// query so the next housekeeping tick re-issues it.
-			if c.src.OnSuccess(time.Since(c.start).Seconds()) {
-				for _, q := range c.queries {
-					if q.deadline.After(now) {
-						q.deadline = now
-					}
-				}
-			}
-		} else {
-			c.dupsDeduped++
-			c.met.dupDropped(int(c.id))
-		}
-		term := c.terminated
-		c.mu.Unlock()
-		if !owed || term {
-			return
-		}
-		if !c.countAction() {
-			return
-		}
-		c.finishReply(tag, indices, bits, full)
+		c.complete(qkeyOfHeader(tag, hdr), hdr, bits, false)
 	case kRoot:
 		if len(payload) != merkle.HashBytes {
 			return
@@ -1791,30 +1638,21 @@ func (c *client) handleFrame(kind byte, seq uint64, payload []byte) {
 			return
 		}
 		kind := source.Kind(rest[0])
-		key := qkeyOfHeader(tag, hdr)
-		nowS := time.Since(c.start).Seconds()
+		now := time.Now()
 		c.mu.Lock()
-		pq := c.pendingFor(key, hdr)
-		if pq == nil || c.terminated {
+		pq := c.owed(qkeyOfHeader(tag, hdr), hdr)
+		if pq == nil || pq.state == parked || c.terminated {
 			c.mu.Unlock()
 			return
 		}
 		// An active refusal: the source is reachable, just unwilling. The
-		// silence budget guards lost frames, not refusals, so reset it and
-		// let the breaker pace the retry instead. errs stays monotonic —
-		// each breaker probe then rolls fresh hub-side fault decisions.
-		pq.errs++
+		// silence budget guards lost frames, not refusals, so it restarts,
+		// and the plane backs the call off or parks it. A call already
+		// parked waits for the breaker whatever its last attempt's verdict.
 		pq.attempts = 1
-		pq.gaveUp = false
-		pq.probe = false
-		retryAt, park := c.src.OnFailure(nowS, kind, pq.ord, pq.errs)
-		if park {
-			retryAt = c.src.WakeAt()
-		}
-		pq.deadline = c.start.Add(time.Duration(retryAt * float64(time.Second)))
+		c.follow(nil, pq, c.q.Fail(c.clock(now), pq.call, kind), now)
 		c.mu.Unlock()
-		dbg("client %d: source %s for query tag=%d (retry in %.2fs, parked=%v)",
-			c.id, kind, tag, retryAt-nowS, park)
+		dbg("client %d: source %s for query tag=%d", c.id, kind, tag)
 	}
 }
 
@@ -1827,8 +1665,7 @@ func (c *client) admit(seq uint64) (fresh, term bool) {
 	c.mu.Lock()
 	fresh = c.recv.admit(seq)
 	if !fresh {
-		c.dupsDeduped++
-		c.met.dupDropped(int(c.id))
+		c.dupDropped()
 	}
 	ack := c.recv.cumAck()
 	conn := c.conn
@@ -1840,22 +1677,133 @@ func (c *client) admit(seq uint64) (fresh, term bool) {
 	return fresh, term
 }
 
-// pendingFor returns the pending query whose QUERY frame carried exactly
-// the header hdr (key is qkeyOfHeader of it), or nil: a reply echoing any
-// other bytes — another query's, or noise that still parses — is nobody's.
-// Caller holds c.mu.
-func (c *client) pendingFor(key qkey, hdr []byte) *pendingQuery {
-	if pq := c.queries[key]; pq != nil && bytes.Equal(pq.payload, hdr) {
-		return pq
+// dupDropped counts a duplicate or ownerless frame (mu held).
+func (c *client) dupDropped() {
+	c.stats.DupFramesDropped++
+	c.met.dupDropped(int(c.id))
+}
+
+// owed returns the oldest call awaiting a reply to a QUERY that carried
+// exactly the header hdr (key is qkeyOfHeader of it), or nil: a reply
+// echoing any other bytes — another query's, or noise that still parses —
+// is nobody's. A call its silence parked behind the breaker still takes a
+// late reply. Caller holds c.mu.
+func (c *client) owed(key qkey, hdr []byte) *pendingQuery {
+	for _, pq := range c.queries {
+		if pq.key == key && bytes.Equal(pq.payload, hdr) {
+			return pq
+		}
 	}
 	return nil
 }
 
+// pendingOf returns the pending query of call (mu held).
+func (c *client) pendingOf(call *qplane.Call) *pendingQuery {
+	for _, pq := range c.queries {
+		if pq.call == call {
+			return pq
+		}
+	}
+	panic("netrt: the query plane released a call the client does not hold")
+}
+
+// queryFrame is a QUERY or QUERYSRC frame to send once c.mu is released.
+type queryFrame struct {
+	kind    byte
+	payload []byte
+}
+
+// transmit marks one more attempt of pq sent at now and returns its frame
+// (mu held). Every send after the first is a query retry, and the silence
+// deadline backs off with the attempts.
+func (c *client) transmit(pq *pendingQuery, now time.Time) queryFrame {
+	pq.call.Attempt++
+	pq.state = sent
+	pq.attempts++
+	exp := 0
+	if pq.attempts > 1 {
+		exp = pq.attempts
+		c.stats.QueryRetries++
+		c.met.queryRetry(int(c.id))
+	}
+	pq.deadline = nextQueryDeadline(now, c.res.QueryTimeout, exp)
+	return queryFrame{pq.kind, pq.payload}
+}
+
+// follow carries out the plane's verdict n on pq at now (mu held): send a
+// call now, back pq off until n.At, or park it until a wake releases it —
+// arming the wake when n says so. pq is nil when n came from Wake. Frames
+// to send are appended to sends.
+func (c *client) follow(sends []queryFrame, pq *pendingQuery, n qplane.Next, now time.Time) []queryFrame {
+	switch n.Op {
+	case qplane.Fetch:
+		if pq == nil || pq.call != n.Call {
+			pq = c.pendingOf(n.Call)
+		}
+		return append(sends, c.transmit(pq, now))
+	case qplane.Retry:
+		pq.state, pq.deadline = backoff, c.at(n.At)
+		return sends
+	case qplane.Wake:
+		c.wakeAt = c.at(n.At)
+	}
+	if pq != nil {
+		pq.state = parked
+	}
+	return sends
+}
+
+// sendQueries enqueues the frames follow returned.
+func (c *client) sendQueries(sends []queryFrame) {
+	for _, f := range sends {
+		c.enqueue(f.kind, rawPayload(f.payload))
+	}
+}
+
+// complete settles the oldest call owed a reply to header hdr with its
+// fetched bits, one per index of its Fetch; a reply owed to nobody counts
+// as a duplicate, and a parked call it answers leaves the plane's queue.
+// The breaker hears of the success and, until the protocol terminates,
+// every call it flushes is admitted again; then the reply, built from the
+// call, reaches the protocol through the plane's Learn. mirror marks a
+// verified QPROOF.
+func (c *client) complete(key qkey, hdr []byte, bits *bitarray.Array, mirror bool) {
+	now := time.Now()
+	c.mu.Lock()
+	pq := c.owed(key, hdr)
+	if pq == nil {
+		c.dupDropped()
+		c.mu.Unlock()
+		return
+	}
+	c.queries = slices.DeleteFunc(c.queries, func(q *pendingQuery) bool { return q == pq })
+	if pq.state == parked {
+		c.q.Unpark(pq.call)
+	}
+	if mirror {
+		c.stats.MirrorHits++
+	}
+	nowS := c.clock(now)
+	flushed, _ := c.q.Success(nowS)
+	term := c.terminated
+	var sends []queryFrame
+	if !term { // a terminated client sends no more queries
+		for _, call := range flushed {
+			sends = c.follow(sends, c.pendingOf(call), c.q.Admit(nowS, call), now)
+		}
+	}
+	c.mu.Unlock()
+	c.sendQueries(sends)
+	if !term && c.countAction() {
+		c.deliver(pq.call.Reply(bits))
+	}
+}
+
 // handleProofReply runs the mirror tier's client half: verify the
 // proof-carrying reply against the authoritative root and either serve
-// the verified bits to the protocol (charging them into Q) or flip the
-// pending query to the QUERYSRC fallback. A malformed body is dropped
-// like line noise — the silence deadline re-issues the query.
+// the verified bits to the protocol or flip the pending query to the
+// QUERYSRC fallback. A malformed body is dropped like line noise — the
+// silence deadline re-issues the query.
 func (c *client) handleProofReply(payload []byte) {
 	tag, _, hdrLen, _, _, ok := scanQuery(payload, c.cfg.L)
 	if !ok {
@@ -1868,19 +1816,16 @@ func (c *client) handleProofReply(payload []byte) {
 		dbg("client %d: malformed qproof body", c.id)
 		return
 	}
-	// Only this goroutine settles or deletes a pending query, so pq and
-	// its index list stay valid across the unlocked verification below.
+	// Only this goroutine settles a pending query, so pq stays tracked
+	// across the unlocked verification below.
 	key := qkeyOfHeader(tag, hdr)
 	c.mu.Lock()
-	pq := c.pendingFor(key, hdr)
-	owed := pq != nil && pq.count > 0
-	if !owed {
-		c.dupsDeduped++
-		c.met.dupDropped(int(c.id))
+	pq := c.owed(key, hdr)
+	if pq == nil {
+		c.dupDropped()
 		c.mu.Unlock()
 		return
 	}
-	indices := pq.indices
 	rootKnown, root := c.rootKnown, c.root
 	c.mu.Unlock()
 	// Verify outside the lock: SHA-256 over the span must not stall the
@@ -1892,49 +1837,38 @@ func (c *client) handleProofReply(payload []byte) {
 	if verified {
 		// A verified span that does not cover the request is a mirror
 		// failure, not partial coverage to be trusted.
-		bits, verified = rep.Bits.GatherFrom(indices, rep.LeafLo*c.mparams.LeafBits)
+		bits, verified = rep.Bits.GatherFrom(pq.call.Fetch, rep.LeafLo*c.mparams.LeafBits)
 	}
-	now := time.Now()
-	c.mu.Lock()
+	c.met.mirrorVerdict(int(c.id), verified, rep.Refused)
 	if verified {
-		full := pq.full
-		pq.count--
-		if pq.count == 0 {
-			delete(c.queries, key)
-		}
-		c.mirrorBits += len(indices)
-		c.mstats.MirrorHits++
-		term := c.terminated
-		c.mu.Unlock()
-		c.met.queryServed(int(c.id), len(indices))
-		c.met.mirrorVerdict(int(c.id), true, false)
-		if !term && c.countAction() {
-			c.finishReply(tag, indices, bits, full)
-		}
+		c.complete(key, hdr, bits, true)
 		return
 	}
 	// Unverified: the reply is owed but worthless. Re-issue immediately
-	// on the authoritative path; every later retry of this key follows.
+	// on the authoritative path; every later retry of this call follows.
+	now := time.Now()
+	c.mu.Lock()
 	if !rep.Refused {
-		c.mstats.ProofFailures++
+		c.stats.ProofFailures++
 	}
-	c.mstats.FallbackQueries++
-	pq.srcKind = kQuerySrc
-	pq.gaveUp = false
-	pq.attempts = 1
-	pq.deadline = nextQueryDeadline(now, c.res.QueryTimeout, 0)
-	fp := pq.payload
-	term := c.terminated
+	c.stats.FallbackQueries++
+	pq.kind = kQuerySrc
+	send := pq.state != parked && !c.terminated
+	if send {
+		pq.state = sent
+		pq.attempts = 1
+		pq.deadline = nextQueryDeadline(now, c.res.QueryTimeout, 0)
+	}
 	c.mu.Unlock()
-	c.met.mirrorVerdict(int(c.id), false, rep.Refused)
-	if !term {
-		c.enqueue(kQuerySrc, rawPayload(fp))
+	if send {
+		c.enqueue(kQuerySrc, rawPayload(pq.payload))
 	}
 }
 
-// housekeeping drives the client's timers: heartbeats, query timeout
-// retries, and belt-and-braces retransmission of long-unacked frames. It
-// never calls into the protocol, so the sequential contract holds.
+// housekeeping drives the client's timers: heartbeats, the query plane's
+// backoffs and breaker wakes, silence deadlines, and belt-and-braces
+// retransmission of long-unacked frames. It never calls into the
+// protocol, so the sequential contract holds.
 func (c *client) housekeeping() {
 	period := c.idle / 3
 	if period > 50*time.Millisecond || period <= 0 {
@@ -1956,49 +1890,23 @@ func (c *client) housekeeping() {
 			c.lastPing = now
 		}
 		due := c.out.takeDue(now, now.Add(-4*c.res.RTO))
-		type retryFrame struct {
-			kind    byte
-			payload []byte
-		}
-		var retries []retryFrame
+		var sends []queryFrame
 		if !c.terminated {
-			nowS := now.Sub(c.start).Seconds()
+			nowS := c.clock(now)
 			for _, pq := range c.queries {
-				if pq.gaveUp || now.Before(pq.deadline) {
-					continue
+				switch {
+				case pq.state == parked || now.Before(pq.deadline):
+				case pq.state == backoff:
+					sends = c.follow(sends, pq, c.q.Admit(nowS, pq.call), now)
+				case pq.attempts < c.res.QueryAttempts:
+					// Silent past its deadline; past the budget a query
+					// waits for the hub's reliable stream.
+					sends = c.follow(sends, pq, c.q.Silent(nowS, pq.call), now)
 				}
-				if pq.attempts >= c.res.QueryAttempts {
-					pq.gaveUp = true
-					dbg("client %d: query retry budget exhausted", c.id)
-					continue
-				}
-				// Graceful degradation: with the breaker open, due queries
-				// park until the half-open probe moment instead of hammering
-				// a source known to be down. In half-open, Admit lets exactly
-				// one probe through; a probe that went silent is charged as a
-				// timeout failure so the breaker reopens rather than jamming.
-				state := c.src.State()
-				ok, wake := c.src.Admit(nowS)
-				if !ok {
-					if pq.probe {
-						pq.probe = false
-						pq.errs++
-						c.src.OnFailure(nowS, source.KindTimeout, pq.ord, pq.errs)
-						wake = c.src.WakeAt()
-					}
-					pq.deadline = c.start.Add(time.Duration(wake * float64(time.Second)))
-					continue
-				}
-				pq.probe = state != source.StateClosed
-				pq.attempts++
-				c.queryRetries++
-				c.met.queryRetry(int(c.id))
-				pq.deadline = nextQueryDeadline(now, c.res.QueryTimeout, pq.attempts)
-				kind := pq.srcKind
-				if kind == 0 {
-					kind = kQuery
-				}
-				retries = append(retries, retryFrame{kind, pq.payload})
+			}
+			if !c.wakeAt.IsZero() && !now.Before(c.wakeAt) {
+				c.wakeAt = time.Time{}
+				sends = c.follow(sends, nil, c.q.Wake(nowS), now)
 			}
 		}
 		c.mu.Unlock()
@@ -2010,9 +1918,7 @@ func (c *client) housekeeping() {
 				_ = c.write(conn, f.kind, f.seq, f.p)
 			}
 		}
-		for _, f := range retries {
-			c.enqueue(f.kind, rawPayload(f.payload))
-		}
+		c.sendQueries(sends)
 	}
 }
 
@@ -2091,68 +1997,33 @@ func (c *client) send(m sim.Message, lo, hi int) {
 	}
 }
 
-// Query implements sim.Context. On a churn peer, bits the persist tracker
-// already holds are served locally: a fully-warm query never touches the
-// wire (its reply is queued for drainLocal), and a partially-warm one
-// sends only the missing remainder, remembering the original index set so
-// the reply handler can reconstruct the full reply. Warm bits still count
-// into QueryBits (matching the des runtime) but cost the source nothing.
+// Query implements sim.Context. The plane charges the query into Q and
+// serves what a rejoined churn peer holds warm: a fully-warm reply is
+// queued for drainLocal and never touches the wire; otherwise the rest
+// goes out as a QUERY frame once the breaker admits the call.
 func (c *client) Query(tag int, indices []int) {
 	if !c.countAction() {
 		return
 	}
-	wireIdx := indices
-	if c.persist != nil {
-		missing := make([]int, 0, len(indices))
-		for _, idx := range indices {
-			if idx < 0 || idx >= c.cfg.L || !c.persist.Known(idx) {
-				missing = append(missing, idx)
-			}
-		}
-		if len(missing) == 0 && len(indices) > 0 {
-			bits := bitarray.New(len(indices))
-			for j, idx := range indices {
-				v, _ := c.persist.Get(idx)
-				bits.Set(j, v)
-			}
-			c.mu.Lock()
-			if !c.terminated && !c.crashed {
-				c.warmHits += len(indices)
-				c.warmCalls++
-				c.pendingLocal = append(c.pendingLocal,
-					sim.QueryReply{Tag: tag, Indices: indices, Bits: bits})
-			}
-			c.mu.Unlock()
-			return
-		}
-		if len(missing) < len(indices) {
-			wireIdx = missing
-		}
-	}
-	payload := encodeQueryHeader(tag, wireIdx)
-	key := qkeyOfHeader(tag, payload)
 	now := time.Now()
 	c.mu.Lock()
 	if c.terminated {
 		c.mu.Unlock()
 		return
 	}
-	pq := c.queries[key]
-	if pq == nil {
-		c.qOrd++
-		pq = &pendingQuery{payload: payload, indices: wireIdx, ord: c.qOrd, srcKind: kQuery}
-		c.queries[key] = pq
+	b := c.q.Begin(tag, indices)
+	c.met.queryCharged(int(c.id), b.Charged)
+	if b.Kind == qplane.WarmHit {
+		c.pendingLocal = append(c.pendingLocal, b.Reply)
+		c.mu.Unlock()
+		return
 	}
-	if len(wireIdx) < len(indices) {
-		pq.full = indices
-	}
-	pq.count++
-	pq.gaveUp = false
-	pq.attempts = 1
-	pq.deadline = nextQueryDeadline(now, c.res.QueryTimeout, 0)
-	kind := pq.srcKind
+	payload := encodeQueryHeader(tag, b.Call.Fetch)
+	pq := &pendingQuery{call: b.Call, payload: payload, key: qkeyOfHeader(tag, payload), kind: kQuery}
+	c.queries = append(c.queries, pq)
+	sends := c.follow(nil, pq, c.q.Admit(c.clock(now), b.Call), now)
 	c.mu.Unlock()
-	c.enqueue(kind, rawPayload(payload))
+	c.sendQueries(sends)
 }
 
 // Output implements sim.Context.
@@ -2205,7 +2076,7 @@ func (c *client) MarkPhase(name string) {
 func (c *client) Rand() *rand.Rand { return c.rng }
 
 // Now implements sim.Context.
-func (c *client) Now() float64 { return time.Since(c.start).Seconds() }
+func (c *client) Now() float64 { return c.clock(time.Now()) }
 
 // Logf implements sim.Context.
 func (c *client) Logf(string, ...any) {}

@@ -76,8 +76,8 @@ func newNetMetrics(cfg *Config, start time.Time) *netMetrics {
 	}
 	m.backoff = reg.Histogram("dr_net_backoff_seconds",
 		"Reconnect backoff sleeps.", obs.ExpBuckets(1e-3, 4, 8))
-	qBits := reg.CounterVec("dr_net_query_bits_total", "Source bits served per peer (the Q measure).", "protocol", "peer")
-	qCalls := reg.CounterVec("dr_net_query_calls_total", "Source queries served per peer.", "protocol", "peer")
+	qBits := reg.CounterVec("dr_net_query_bits_total", "Source bits charged per peer at Query (the Q measure).", "protocol", "peer")
+	qCalls := reg.CounterVec("dr_net_query_calls_total", "Source queries charged per peer.", "protocol", "peer")
 	msgs := reg.CounterVec("dr_net_msgs_sent_total", "Peer messages routed, in b-bit chunks (the M measure).", "protocol", "peer")
 	msgBits := reg.CounterVec("dr_net_msg_bits_sent_total", "Payload bits routed peer-to-peer.", "protocol", "peer")
 	recon := reg.CounterVec("dr_net_reconnects_total", "Client redials that re-established a link.", "peer")
@@ -191,7 +191,7 @@ func peerAdd(handles []*obs.Counter, peer int, n int64) {
 	}
 }
 
-func (m *netMetrics) queryServed(peer, bits int) {
+func (m *netMetrics) queryCharged(peer, bits int) {
 	if m == nil {
 		return
 	}

@@ -21,7 +21,7 @@ func TestNetMetricsDisabledAllocFree(t *testing.T) {
 		m.hubRx(kQuery, 16)
 		m.cliTx(kDone, 8)
 		m.cliRx(kQReply, 32)
-		m.queryServed(3, 128)
+		m.queryCharged(3, 128)
 		m.msgRouted(2, 1, 512)
 		m.reconnect(1)
 		m.queryRetry(4)
@@ -46,7 +46,7 @@ func TestNetMetricsTimelineOnly(t *testing.T) {
 		t.Fatal("timeline-only config produced a nil bundle")
 	}
 	m.hubTx(kMsg, 10)
-	m.queryServed(1, 32)
+	m.queryCharged(1, 32)
 	m.reconnect(2)
 	m.mark(0, "phase", "x")
 	if cfg.Timeline.Len() != 2 { // reconnect mark + phase mark

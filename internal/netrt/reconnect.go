@@ -6,12 +6,13 @@ import (
 	"time"
 
 	"repro/internal/hashmix"
+	"repro/internal/qplane"
 )
 
 // This file holds the resilience primitives both endpoints use to survive
 // a FaultPlan: the retransmit outbox (fair-loss link → reliable link),
 // receiver-side dedup, capped-exponential reconnect backoff, and the
-// client's query retry bookkeeping.
+// wire state of the client's pending queries.
 
 // Resilience tunes the retry/reconnect behavior of the runtime. The zero
 // value selects defaults (see withDefaults); fields are only knobs — the
@@ -242,18 +243,18 @@ func (d *dedupReliable) resumeAt(contig uint64) {
 	d.ahead = nil
 }
 
-// qkey identifies one logical source query for retry matching and charge
-// dedup: the tag plus a hash of the QUERY header's bytes (SPEC §2.3: a
-// retry is the identical QUERY frame), so concurrent same-tag queries with
-// different indices keep separate retry state.
+// qkey identifies one logical source query for reply matching: the tag
+// plus a hash of the QUERY header's bytes (SPEC §2.3: a retry is the
+// identical QUERY frame), so concurrent same-tag queries with different
+// indices keep separate retry state.
 type qkey struct {
 	tag int
 	h   uint64
 }
 
 // qkeyOfHeader keys a query by its encoded header: the client hashes the
-// payload it encoded, the hub and the reply handlers the header bytes of
-// the frame in hand, so no side builds an index list to match a query.
+// payload it encoded and, for a reply, the header bytes the reply echoes,
+// so no index list is built to match a query.
 // Eight header bytes cost one Mix, which is a bijection: headers of one
 // length that differ in a single byte always get different keys. The words
 // go round four lanes because one Mix must finish before the next on its
@@ -275,39 +276,33 @@ func qkeyOfHeader(tag int, hdr []byte) qkey {
 	return qkey{tag: tag, h: h}
 }
 
-// pendingQuery tracks one outstanding source query awaiting its reply.
+// pendingQuery is one call of the query plane awaiting its reply, with
+// its wire state. The reply is built from the call, never from the
+// indices a reply frame claims.
 type pendingQuery struct {
-	payload []byte // encoded query header, re-sent verbatim on retry
-	// indices is the list payload encodes — the slice the protocol handed
-	// to Query, kept, not copied, as sim.Context.Query allows. A reply is
-	// served from it, never from the indices a reply frame claims.
-	indices []int
-
-	count    int // outstanding identical queries (replies owed)
-	attempts int // send attempts so far (the silence budget)
-	deadline time.Time
-	gaveUp   bool
-	// ord is the client's monotonic logical-query counter, identifying
-	// this query for the source client's seeded backoff jitter.
-	ord uint64
-	// errs counts QERR frames (active source refusals) for this query.
-	// It is never reset: like the simulation runtimes' attempt counter,
-	// it stays monotonic so breaker probes keep making progress.
-	errs int
-	// probe marks this query as the breaker's outstanding half-open
-	// probe; if it goes silent, its deadline expiry is fed back as a
-	// timeout failure so the breaker reopens instead of waiting forever.
-	probe bool
-	// srcKind is the frame kind this query (re-)issues as: kQuery on the
+	call    *qplane.Call
+	payload []byte // encoded header of call.Fetch, re-sent verbatim on retry
+	key     qkey   // qkeyOfHeader of payload
+	// kind is the frame kind the call (re-)issues as: kQuery on the
 	// mirror path, flipped to kQuerySrc once a proof fails so every
 	// retry goes authoritative.
-	srcKind byte
-	// full is the protocol's original index set when warm checkpoint bits
-	// were stripped from the wire query (churn rejoin): the reply handler
-	// merges the fetched bits with the warm ones and delivers the full
-	// set. Nil when the wire query is the full query.
-	full []int
+	kind  byte
+	state qstate
+	// attempts counts sends since the last refusal (the silence budget).
+	// deadline is when a sent call counts as silent, or when a backed-off
+	// one is due for admission.
+	attempts int
+	deadline time.Time
 }
+
+// qstate is where a pending call stands with the query plane.
+type qstate uint8
+
+const (
+	sent    qstate = iota // on the wire, a reply owed
+	backoff               // refused; the plane admits it again at its deadline
+	parked                // held by the plane behind the open breaker
+)
 
 // nextQueryDeadline backs off the retry deadline exponentially, capped.
 func nextQueryDeadline(now time.Time, timeout time.Duration, attempts int) time.Time {

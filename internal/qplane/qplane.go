@@ -1,14 +1,15 @@
-// Package qplane is the query plane of the in-process runtimes (des under
-// either of its schedulers, live): the per-peer lifecycle of a protocol query on its way to the
-// external source and back, and the one place where the paper's query
-// complexity Q is charged.
+// Package qplane is the query plane of every runtime (des under either of
+// its schedulers, live, and netrt's socket clients): the per-peer lifecycle
+// of a protocol query on its way to the external source and back, and the
+// one place where the paper's query complexity Q is charged.
 //
 // The plane is a plain state machine. It has no clock, goroutine or
 // scheduler: every transition takes the caller's notion of "now" and
 // returns a Next telling the driver what to schedule. The drivers own
 // only the timing — des turns a Next into timed events under Run and into
 // chooser-ordered pending events under RunChoices, live into wall timers
-// under the peer's mutex — so one lifecycle serves three schedulers:
+// under the peer's mutex, netrt into QUERY frames and its housekeeping
+// tick — so one lifecycle serves four drivers:
 //
 //	Begin ─┬─ WarmHit ───────────────────────────────► reply
 //	       ├─ Oracle ────────────────────────────────► reply
@@ -18,12 +19,18 @@
 //	                               │  Wake (at most one pending)
 //	                               └─ probe ─► Fetch;  Success flushes the rest
 //
+// On a remote tier (NewRemoteTier) the source is across a wire: the
+// driver's request is the Fetch, its reply goes through Call.Reply, a
+// reply that never comes goes through Silent, and one that comes after
+// Silent parked its call goes through Unpark.
+//
 // A Plane is not safe for concurrent use; Fetch alone touches no mutable
 // plane state, so a driver may run it outside whatever guards the rest.
 package qplane
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitarray"
 	"repro/internal/sim"
@@ -34,6 +41,9 @@ import (
 // input, fault-wrapped when a plan is set, fronted by the untrusted
 // mirror fleet when one is configured.
 type Tier struct {
+	l int // bits in the array
+	// input is nil on a remote tier, which has no in-process source:
+	// Begin then answers only WarmHit or Issue.
 	input *bitarray.Array
 	// src is nil for the paper's perfectly available source: Begin then
 	// answers from the input directly, which keeps the no-fault goldens
@@ -51,10 +61,8 @@ type Tier struct {
 // schedules are reproducible without extra configuration.
 func NewTier(input *bitarray.Array, n int, seed int64,
 	faults *source.FaultPlan, mirrors *source.MirrorPlan, policy source.Policy) *Tier {
-	t := &Tier{input: input, policy: policy, clients: faults.Enabled()}
-	if t.policy.Seed == 0 {
-		t.policy.Seed = seed ^ 0x50c0_5eed
-	}
+	t := NewRemoteTier(input.Len(), seed, policy)
+	t.input, t.clients = input, faults.Enabled()
 	if faults.Enabled() || mirrors.Enabled() {
 		t.src = source.Wrap(source.NewTrusted(input), faults)
 		if mirrors.Enabled() {
@@ -64,6 +72,17 @@ func NewTier(input *bitarray.Array, n int, seed int64,
 		}
 	}
 	return t
+}
+
+// NewRemoteTier builds the tier of a runtime whose source lives across a
+// wire (netrt's hub) for an array of l bits. Every peer gets a
+// retry/breaker client: the remote source's refusals reach it as
+// failures whatever plan the far side runs.
+func NewRemoteTier(l int, seed int64, policy source.Policy) *Tier {
+	if policy.Seed == 0 {
+		policy.Seed = seed ^ 0x50c0_5eed
+	}
+	return &Tier{l: l, policy: policy, clients: true}
 }
 
 // NewPlane returns peer's plane. Everything the plane accounts — Q, warm
@@ -76,7 +95,7 @@ func (t *Tier) NewPlane(peer int, stats *sim.PeerStats, churn bool) *Plane {
 		p.client = source.NewClient(peer, t.policy)
 	}
 	if churn {
-		p.persist = bitarray.NewTracker(t.input.Len())
+		p.persist = bitarray.NewTracker(t.l)
 	}
 	return p
 }
@@ -97,8 +116,9 @@ type Call struct {
 	bits *bitarray.Array // warm-served values, nil without a warm split
 }
 
-// reply merges the fetched bits into the warm-served ones.
-func (c *Call) reply(fetched *bitarray.Array) sim.QueryReply {
+// Reply builds the protocol's reply from the fetched bits, one per Fetch
+// index: after a warm split they are merged into the warm-served ones.
+func (c *Call) Reply(fetched *bitarray.Array) sim.QueryReply {
 	bits := fetched
 	if c.pos != nil {
 		for k, j := range c.pos {
@@ -168,10 +188,11 @@ type Plane struct {
 // Begin starts one protocol query and is the only place Q is charged. A
 // rejoined churn peer is served from its persisted (source-verified)
 // bits where possible: warm bits are free, only the remainder is charged
-// and sent to the source. Out-of-range indices are a protocol bug.
+// and sent to the source. Out-of-range indices are a protocol bug. Begin
+// keeps indices, which the caller hands over (sim.Context.Query): it is
+// the reply's Indices and, without a warm split, the Call's Fetch.
 func (p *Plane) Begin(tag int, indices []int) Begun {
-	input := p.tier.input
-	l := input.Len()
+	input, l := p.tier.input, p.tier.l
 	for _, idx := range indices {
 		if idx < 0 || idx >= l {
 			panic(fmt.Sprintf("qplane: peer %d queried out-of-range index %d", p.peer, idx))
@@ -204,18 +225,14 @@ func (p *Plane) Begin(tag int, indices []int) Begun {
 	p.stats.QueryBits += len(fetch)
 	p.stats.QueryCalls++
 	b := Begun{Charged: len(fetch)}
-	idxCopy := append([]int(nil), indices...)
 	switch {
 	case warm != nil && len(pos) == 0:
 		b.Kind = WarmHit
-		b.Reply = sim.QueryReply{Tag: tag, Indices: idxCopy, Bits: warm}
-	case p.tier.src != nil:
-		if warm == nil {
-			fetch = idxCopy // the caller keeps indices; after a split fetch is already fresh
-		}
+		b.Reply = sim.QueryReply{Tag: tag, Indices: indices, Bits: warm}
+	case p.tier.src != nil || input == nil:
 		p.ordinal++
 		b.Kind = Issue
-		b.Call = &Call{Tag: tag, Indices: idxCopy, Fetch: fetch, Ordinal: p.ordinal, pos: pos, bits: warm}
+		b.Call = &Call{Tag: tag, Indices: indices, Fetch: fetch, Ordinal: p.ordinal, pos: pos, bits: warm}
 	default:
 		bits := warm
 		if bits == nil {
@@ -226,7 +243,7 @@ func (p *Plane) Begin(tag int, indices []int) Begun {
 			}
 		}
 		b.Kind = Oracle
-		b.Reply = sim.QueryReply{Tag: tag, Indices: idxCopy, Bits: bits}
+		b.Reply = sim.QueryReply{Tag: tag, Indices: indices, Bits: bits}
 	}
 	return b
 }
@@ -262,7 +279,7 @@ func (p *Plane) Fetch(now float64, c *Call) (reply sim.QueryReply, latency float
 		}
 		return sim.QueryReply{}, 0, err
 	}
-	return c.reply(rep.Bits), rep.Latency, nil
+	return c.Reply(rep.Bits), rep.Latency, nil
 }
 
 // Deadline is how long the peer waits before it declares a lost reply
@@ -277,6 +294,18 @@ func (p *Plane) Fail(now float64, c *Call, kind source.Kind) Next {
 		return p.park(now, c, p.client.WakeAt())
 	}
 	return Next{Op: Retry, Call: c, At: retryAt}
+}
+
+// Silent rules on c when the driver's own deadline passed without a reply
+// to its last attempt, as on a remote tier, where a lost reply and a slow
+// one look the same. While the breaker is half-open the silence answers
+// the probe: c fails as a timeout and the breaker re-opens. Otherwise c is
+// admitted again.
+func (p *Plane) Silent(now float64, c *Call) Next {
+	if p.client != nil && p.client.State() == source.StateHalfOpen {
+		return p.Fail(now, c, source.KindTimeout)
+	}
+	return p.Admit(now, c)
 }
 
 func (p *Plane) park(now float64, c *Call, wake float64) Next {
@@ -336,26 +365,42 @@ func (p *Plane) Success(now float64) (flushed []*Call, closed bool) {
 	return flushed, true
 }
 
+// Unpark takes c out of the parked queue: on a remote tier its reply
+// came in after Silent had parked it.
+func (p *Plane) Unpark(c *Call) {
+	p.parked = slices.DeleteFunc(p.parked, func(x *Call) bool { return x == c })
+}
+
 // Parked is the number of calls waiting out an open breaker.
 func (p *Plane) Parked() int { return len(p.parked) }
 
 // Learn persists a delivered reply's source-verified bits so a churn
 // rejoin resumes warm instead of re-downloading.
 func (p *Plane) Learn(qr sim.QueryReply) {
-	if p.persist == nil {
-		return
-	}
-	for j, idx := range qr.Indices {
-		p.persist.LearnFromSource(idx, qr.Bits.Get(j))
+	if p.persist != nil {
+		p.persist.LearnIndexedFromSource(qr.Indices, qr.Bits)
 	}
 }
 
 // Persisted is the number of bits a churn peer has persisted.
 func (p *Plane) Persisted() int { return p.persist.Len() - p.persist.UnknownCount() }
 
+// Persist is a churn peer's tracker of persisted bits (nil for any other
+// peer), for a driver that checkpoints it.
+func (p *Plane) Persist() *bitarray.Tracker { return p.persist }
+
 // Rejoin starts a churn peer's second incarnation: in-flight calls of
-// the old one died with it, and from here on Begin serves warm.
-func (p *Plane) Rejoin() {
+// the old one died with it — a half-open probe among them, so the next
+// Admit probes afresh — and from here on Begin serves warm. A driver
+// whose persisted bits survive a crash only in a durable checkpoint hands
+// over the checkpoint's tracker as warm; nil keeps the plane's own.
+func (p *Plane) Rejoin(warm *bitarray.Tracker) {
+	if warm != nil {
+		p.persist = warm
+	}
+	if p.client != nil {
+		p.client.DropProbe()
+	}
 	p.parked = nil
 	p.wakeSet = false
 	p.stats.Rejoined = true

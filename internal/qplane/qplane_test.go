@@ -57,7 +57,7 @@ func TestLifecycle(t *testing.T) {
 	const cooldown = 2.0
 	in := testInput(16)
 	src := &scripted{inner: source.NewTrusted(in)}
-	tier := &Tier{input: in, src: src, clients: true,
+	tier := &Tier{l: in.Len(), input: in, src: src, clients: true,
 		policy: source.Policy{BreakerThreshold: 3, BreakerCooldown: cooldown, Seed: 1}}
 	var stats sim.PeerStats
 	p := tier.NewPlane(4, &stats, false)
@@ -234,7 +234,7 @@ func TestRejoinWarmSplit(t *testing.T) {
 		tier *Tier
 	}{
 		{"oracle", NewTier(in, 4, 1, nil, nil, source.Policy{})},
-		{"source tier", &Tier{input: in, src: source.NewTrusted(in)}},
+		{"source tier", &Tier{l: in.Len(), input: in, src: source.NewTrusted(in)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stats sim.PeerStats
@@ -262,7 +262,7 @@ func TestRejoinWarmSplit(t *testing.T) {
 			if p.Persisted() != 4 {
 				t.Fatalf("persisted %d bits, want 4", p.Persisted())
 			}
-			p.Rejoin()
+			p.Rejoin(nil)
 			if !stats.Rejoined {
 				t.Fatal("Rejoin did not mark the peer")
 			}
@@ -305,6 +305,59 @@ func TestRejoinWarmSplit(t *testing.T) {
 				t.Errorf("QueryCalls = %d, want 5", stats.QueryCalls)
 			}
 		})
+	}
+}
+
+// TestRejoinDropsDeadProbe: a churn peer that crashed while its half-open
+// probe was out never hears that probe's outcome. Rejoin forgets it, so
+// the next incarnation's first call goes out as a fresh probe instead of
+// parking behind one that will never settle.
+func TestRejoinDropsDeadProbe(t *testing.T) {
+	const cooldown = 2.0
+	var stats sim.PeerStats
+	p := NewRemoteTier(16, 1, source.Policy{BreakerThreshold: 1, BreakerCooldown: cooldown}).
+		NewPlane(0, &stats, true)
+	a := p.Begin(1, []int{0, 1}).Call
+	if n := p.Admit(0, a); n.Op != Fetch {
+		t.Fatalf("Admit = %+v, want Fetch", n)
+	}
+	if n := p.Fail(0.5, a, source.KindOutage); n.Op != Wake {
+		t.Fatalf("Fail = %+v, want the breaker open and a wake armed", n)
+	}
+	if n := p.Wake(0.5 + cooldown); n.Op != Fetch || n.Call != a {
+		t.Fatalf("Wake = %+v, want the parked call released as the probe", n)
+	}
+	p.Rejoin(nil) // the probe died with the first incarnation
+	b := p.Begin(2, []int{2, 3}).Call
+	if n := p.Admit(3, b); n.Op != Fetch || n.Call != b {
+		t.Fatalf("Admit after Rejoin = %+v, want the new call sent as a fresh probe", n)
+	}
+	if flushed, closed := p.Success(3.5); !closed || len(flushed) != 0 {
+		t.Fatalf("Success = %d flushed, closed=%v; want the breaker closed", len(flushed), closed)
+	}
+}
+
+// TestUnparkTakesLateReply: on a remote tier a slow reply can arrive after
+// the driver's deadline parked its call. Unpark takes the call out of the
+// queue, and the success the reply carries closes the breaker and
+// flushes only the calls still parked.
+func TestUnparkTakesLateReply(t *testing.T) {
+	var stats sim.PeerStats
+	p := NewRemoteTier(16, 1, source.Policy{BreakerThreshold: 1, BreakerCooldown: 2}).
+		NewPlane(0, &stats, false)
+	a, b := p.Begin(1, []int{0}).Call, p.Begin(2, []int{1}).Call
+	p.Admit(0, a)
+	p.Admit(0, b)
+	if n := p.Fail(1, a, source.KindTimeout); n.Op != Wake {
+		t.Fatalf("Fail = %+v, want the breaker open", n)
+	}
+	if n := p.Silent(1.5, b); n.Op != Idle || p.Parked() != 2 {
+		t.Fatalf("Silent = %+v with %d parked, want b parked beside a", n, p.Parked())
+	}
+	p.Unpark(b) // b's reply came in after all
+	flushed, closed := p.Success(1.6)
+	if !closed || len(flushed) != 1 || flushed[0] != a {
+		t.Fatalf("Success = %d flushed, closed=%v; want the breaker closed flushing a alone", len(flushed), closed)
 	}
 }
 

@@ -10,14 +10,14 @@ import (
 	"testing"
 )
 
-// runtimeFiles parses every non-test Go file of the in-process runtime
-// packages and hands it to visit. It fails the test when it finds fewer
+// runtimeFiles parses every non-test Go file of the runtime packages and
+// hands it to visit. It fails the test when it finds fewer
 // files than the packages hold today: a guard that scans nothing passes.
 func runtimeFiles(t *testing.T, visit func(dir string, fset *token.FileSet, f *ast.File)) {
 	t.Helper()
 	fset := token.NewFileSet()
 	files := 0
-	for _, dir := range []string{"../des", "../dst", "../live"} {
+	for _, dir := range []string{"../des", "../dst", "../live", "../netrt"} {
 		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 				return err
@@ -34,15 +34,16 @@ func runtimeFiles(t *testing.T, visit func(dir string, fset *token.FileSet, f *a
 			t.Fatal(err)
 		}
 	}
-	// des 2 (des, heap), dst 7, live 2.
-	if files < 11 {
+	// des 2 (des, heap), dst 7, live 2, netrt 8.
+	if files < 19 {
 		t.Fatalf("scanned only %d files: the runtime packages moved, update this guard", files)
 	}
 }
 
 // TestChargeStaysSingle guards "the only place Q is charged": no
-// non-test file of the in-process runtimes may assign PeerStats.QueryBits
-// — they charge through Plane.Begin or not at all.
+// non-test file of the runtimes — des, dst, live and the socket runtime
+// netrt — may assign PeerStats.QueryBits; they charge through Plane.Begin
+// or not at all.
 func TestChargeStaysSingle(t *testing.T) {
 	isQ := func(e ast.Expr) bool {
 		switch e := e.(type) {

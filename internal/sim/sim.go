@@ -44,13 +44,11 @@ type Message interface {
 //
 // Indices and Bits belong to the receiving peer from delivery on: no
 // runtime reads or writes them afterwards, so a peer may keep them or put
-// them in a message without a copy. On des and live Indices is the copy
-// qplane.Begin made of the query's list and Bits a fresh array (the
-// oracle's gather, the source's reply or the warm merge); the qplane.Call
-// that held them is dropped at delivery. On netrt Indices is the slice the
-// peer itself passed to Query (or the client's own missing/full list) and
-// Bits is decoded per reply; Context.Query already forbids writing to that
-// slice after the call.
+// them in a message without a copy. On every runtime Indices is the slice
+// the peer itself passed to Query, which Context.Query forbids writing to
+// after the call, and Bits a fresh array (the oracle's gather, the
+// source's or the wire's reply, or the warm merge); the qplane.Call that
+// held them is dropped at delivery.
 type QueryReply struct {
 	Tag     int
 	Indices []int
@@ -95,8 +93,8 @@ type Context interface {
 	// Query asynchronously requests the source values at the given
 	// indices; the reply arrives later via OnQueryReply carrying tag.
 	// Query complexity accounting charges len(indices) bits immediately.
-	// A runtime may keep indices until the reply is delivered (the socket
-	// runtime serves the reply from it): do not write to it afterwards.
+	// The runtime keeps indices as the reply's Indices: do not write to
+	// it afterwards.
 	Query(tag int, indices []int)
 
 	// Output records the peer's output array (its claim about X).

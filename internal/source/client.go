@@ -222,6 +222,11 @@ func (c *Client) open(now float64) {
 	c.stats.BreakerOpens++
 }
 
+// DropProbe forgets a half-open probe whose outcome will never be
+// reported (the caller that sent it is gone): the next Admit is let
+// through as a fresh probe instead of waiting on it forever.
+func (c *Client) DropProbe() { c.probing = false }
+
 // WakeAt returns when an open breaker should be probed.
 func (c *Client) WakeAt() float64 { return c.openedAt + c.pol.BreakerCooldown }
 
