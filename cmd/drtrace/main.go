@@ -8,11 +8,15 @@
 //	drsim -protocol crashk -n 16 -t 8 -L 8192 -behavior crash-random \
 //	      -tracejson run.jsonl
 //	drtrace run.jsonl
+//
+// Exit codes: 0 on a summary, 2 on a usage error or a trace that cannot be
+// opened or parsed.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -21,35 +25,39 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	perPeer := flag.Bool("peers", false, "print the per-peer activity table")
-	timeline := flag.Bool("timeline", false, "print per-peer ASCII event lanes")
-	width := flag.Int("width", 72, "timeline width in columns")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: drtrace [-peers] [-timeline] <trace.jsonl>")
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("drtrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	perPeer := fs.Bool("peers", false, "print the per-peer activity table")
+	timeline := fs.Bool("timeline", false, "print per-peer ASCII event lanes")
+	width := fs.Int("width", 72, "timeline width in columns")
+	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	f, err := os.Open(flag.Arg(0))
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: drtrace [-peers] [-timeline] <trace.jsonl>")
+		return 2
+	}
+	f, err := os.Open(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "drtrace: %v\n", err)
+		fmt.Fprintf(stderr, "drtrace: %v\n", err)
 		return 2
 	}
 	defer f.Close()
 	events, err := trace.Read(f)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "drtrace: %v\n", err)
+		fmt.Fprintf(stderr, "drtrace: %v\n", err)
 		return 2
 	}
 	s := trace.Analyze(events)
-	s.Fprint(os.Stdout)
+	s.Fprint(stdout)
 
 	if *timeline {
-		fmt.Println()
-		fmt.Print(trace.Timeline(events, *width))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, trace.Timeline(events, *width))
 	}
 
 	if *perPeer {
@@ -58,7 +66,7 @@ func run() int {
 			ids = append(ids, id)
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		fmt.Printf("\n%-5s %-7s %-9s %-8s %-10s %-8s %s\n",
+		fmt.Fprintf(stdout, "\n%-5s %-7s %-9s %-8s %-10s %-8s %s\n",
 			"PEER", "SENDS", "DELIVERS", "QUERIES", "QUERYBITS", "CRASHED", "TERMINATED@")
 		for _, id := range ids {
 			ps := s.PerPeer[id]
@@ -66,7 +74,7 @@ func run() int {
 			if ps.Terminated {
 				term = fmt.Sprintf("%.2f", ps.TerminatedAt)
 			}
-			fmt.Printf("%-5d %-7d %-9d %-8d %-10d %-8v %s\n",
+			fmt.Fprintf(stdout, "%-5d %-7d %-9d %-8d %-10d %-8v %s\n",
 				id, ps.Sends, ps.Delivers, ps.Queries, ps.QueryBits, ps.Crashed, term)
 		}
 	}

@@ -522,12 +522,13 @@ func (p *askOnce) OnQueryReply(r sim.QueryReply) {
 }
 
 // runPeer runs one client, peer 0 of an L-bit array, whose protocol is
-// peer, against the hub at addr until it finishes, and returns its stats.
-func runPeer(t *testing.T, addr string, l int, peer sim.Peer) *sim.PeerStats {
+// peer and whose query plane follows pol, against the hub at addr until it
+// finishes, and returns its stats.
+func runPeer(t *testing.T, addr string, l int, peer sim.Peer, pol source.Policy) *sim.PeerStats {
 	t.Helper()
 	cfg := &Config{N: 1, L: l, MsgBits: 64, Seed: 1, IdleTimeout: 5 * time.Second,
-		Resilience: Resilience{QueryTimeout: 40 * time.Millisecond},
-		NewPeer:    func(sim.PeerID) sim.Peer { return peer }}
+		Resilience: Resilience{QueryTimeout: 40 * time.Millisecond}, SourcePolicy: pol,
+		NewPeer: func(sim.PeerID) sim.Peer { return peer }}
 	st := &sim.PeerStats{}
 	q := qplane.NewRemoteTier(cfg.L, cfg.Seed, cfg.SourcePolicy).NewPlane(0, st, false)
 	done := make(chan error, 1)
@@ -548,7 +549,7 @@ func runPeer(t *testing.T, addr string, l int, peer sim.Peer) *sim.PeerStats {
 func runAskOnce(t *testing.T, addr string, tag int, idx []int) (sim.QueryReply, *sim.PeerStats) {
 	t.Helper()
 	peer := &askOnce{tag: tag, idx: idx, got: make(chan sim.QueryReply, 8)}
-	st := runPeer(t, addr, 64, peer)
+	st := runPeer(t, addr, 64, peer, source.Policy{})
 	if len(peer.got) != 1 {
 		t.Fatalf("protocol was handed %d replies, want 1", len(peer.got))
 	}
@@ -714,7 +715,7 @@ func TestFallbackRetryChargesOnce(t *testing.T) {
 		}
 	})
 	peer := &askSeq{tag: 4, asks: [][]int{idx, idx[:10]}}
-	st := runPeer(t, addr, 256, peer)
+	st := runPeer(t, addr, 256, peer, source.Policy{})
 	mu.Lock()
 	defer mu.Unlock()
 	if want := []string{"QUERY", "QUERYSRC", "QUERYSRC", "QUERY"}; !slices.Equal(trail, want) {

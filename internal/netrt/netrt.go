@@ -1168,6 +1168,7 @@ func runClient(cfg *Config, id sim.PeerID, addr string, q *qplane.Plane, st *sim
 			stats:   st,
 			mparams: merkle.Params{TotalBits: cfg.L, LeafBits: cfg.Mirrors.EffectiveLeafBits()},
 			stopHK:  make(chan struct{}),
+			rearm:   make(chan struct{}, 1),
 		}
 		crashed, err := c.run(churn, store, rejoined)
 		if err != nil {
@@ -1225,9 +1226,13 @@ func (c *client) run(churn *sim.ChurnPeer, store *checkpoint.Store, rejoined boo
 	if err := c.connect(true); err != nil {
 		return false, err
 	}
-	go c.housekeeping()
+	// The timer's first pass is a period away; a deadline set before then
+	// wakes it earlier (armAt).
+	period := c.housekeepPeriod()
+	c.hkAt = time.Now().Add(period)
+	go c.housekeeping(period)
 	// The plane outlives this incarnation: the handshake completes only
-	// once the tick has stopped touching it.
+	// once the timer has stopped touching it.
 	defer func() { c.stopHK <- struct{}{} }()
 	if c.countAction() {
 		c.impl.Init(c)
@@ -1308,16 +1313,17 @@ type client struct {
 	// q is the peer's query plane (package qplane): it charges Q, serves
 	// a rejoined peer's warm bits, and rules on every retry, park and
 	// probe. stats is the peer's accounting. Both outlive the incarnation.
-	// Guarded by mu — the read loop and the housekeeping tick both drive
+	// Guarded by mu — the read loop and the housekeeping timer both drive
 	// the plane — except q.Learn, which touches only the churn tracker and
 	// runs, like the Begin that reads it, on the loop goroutine alone.
 	q     *qplane.Plane
 	stats *sim.PeerStats
 	// queries holds the calls the plane issued that await a reply, oldest
 	// first; wakeAt is when the plane's one pending breaker wake is due
-	// (zero: none).
+	// (zero: none). hkAt is when the housekeeping timer is armed to fire.
 	queries  []*pendingQuery
 	wakeAt   time.Time
+	hkAt     time.Time
 	lastPing time.Time
 	// Mirror-tier state (Config.Mirrors): the authoritative commitment
 	// from the hub's ROOT frame and the tree shape for verification.
@@ -1344,8 +1350,10 @@ type client struct {
 	connErr    error
 	output     *bitarray.Array
 
-	// stopHK stops the housekeeping tick: a send returns once it stopped.
+	// stopHK stops the housekeeping timer: a send returns once it stopped.
+	// rearm (one slot) wakes it to re-arm for a deadline earlier than hkAt.
 	stopHK chan struct{}
+	rearm  chan struct{}
 }
 
 // countAction ticks the churn action clock; false means the crash point
@@ -1715,18 +1723,17 @@ type queryFrame struct {
 
 // transmit marks one more attempt of pq sent at now and returns its frame
 // (mu held). Every send after the first is a query retry, and the silence
-// deadline backs off with the attempts.
+// deadline doubles with each retry since the last refusal.
 func (c *client) transmit(pq *pendingQuery, now time.Time) queryFrame {
 	pq.call.Attempt++
 	pq.state = sent
 	pq.attempts++
-	exp := 0
 	if pq.attempts > 1 {
-		exp = pq.attempts
 		c.stats.QueryRetries++
 		c.met.queryRetry(int(c.id))
 	}
-	pq.deadline = nextQueryDeadline(now, c.res.QueryTimeout, exp)
+	pq.deadline = nextQueryDeadline(now, c.res.QueryTimeout, pq.attempts-1)
+	c.armAt(pq.deadline)
 	return queryFrame{pq.kind, pq.payload}
 }
 
@@ -1743,9 +1750,11 @@ func (c *client) follow(sends []queryFrame, pq *pendingQuery, n qplane.Next, now
 		return append(sends, c.transmit(pq, now))
 	case qplane.Retry:
 		pq.state, pq.deadline = backoff, c.at(n.At)
+		c.armAt(pq.deadline)
 		return sends
 	case qplane.Wake:
 		c.wakeAt = c.at(n.At)
+		c.armAt(c.wakeAt)
 	}
 	if pq != nil {
 		pq.state = parked
@@ -1858,6 +1867,7 @@ func (c *client) handleProofReply(payload []byte) {
 		pq.state = sent
 		pq.attempts = 1
 		pq.deadline = nextQueryDeadline(now, c.res.QueryTimeout, 0)
+		c.armAt(pq.deadline)
 	}
 	c.mu.Unlock()
 	if send {
@@ -1865,60 +1875,128 @@ func (c *client) handleProofReply(payload []byte) {
 	}
 }
 
-// housekeeping drives the client's timers: heartbeats, the query plane's
-// backoffs and breaker wakes, silence deadlines, and belt-and-braces
-// retransmission of long-unacked frames. It never calls into the
-// protocol, so the sequential contract holds.
-func (c *client) housekeeping() {
+// housekeepPeriod is the longest the housekeeping timer sleeps: a third
+// of the idle timeout, at most 50 ms, so heartbeats and the 4·RTO replay
+// keep their cadence.
+func (c *client) housekeepPeriod() time.Duration {
 	period := c.idle / 3
 	if period > 50*time.Millisecond || period <= 0 {
 		period = 50 * time.Millisecond
 	}
-	tk := time.NewTicker(period)
-	defer tk.Stop()
+	return period
+}
+
+// housekeeping drives the client's timers: heartbeats, the query plane's
+// backoffs and breaker wakes, silence deadlines, and belt-and-braces
+// retransmission of long-unacked frames. One timer sleeps until the
+// earliest deadline the client holds, at most period; a deadline set
+// earlier than the one it sleeps until wakes it (armAt). It never calls
+// into the protocol, so the sequential contract holds.
+func (c *client) housekeeping(period time.Duration) {
+	tm := time.NewTimer(period)
+	defer tm.Stop()
 	for {
 		select {
 		case <-c.stopHK:
 			return
-		case <-tk.C:
+		case <-c.rearm:
+		case <-tm.C:
 		}
-		now := time.Now()
-		c.mu.Lock()
-		conn := c.conn
-		ping := now.Sub(c.lastPing) >= c.idle/3
+		next := c.housekeep(time.Now(), period)
+		// Stop and drain before Reset, as the pre-1.23 timer rules want; a
+		// fire the drain misses only runs one pass early.
+		if !tm.Stop() {
+			select {
+			case <-tm.C:
+			default:
+			}
+		}
+		tm.Reset(time.Until(next))
+	}
+}
+
+// housekeep runs one pass of the client's timers at now and returns when
+// the next one is due.
+func (c *client) housekeep(now time.Time, period time.Duration) time.Time {
+	c.mu.Lock()
+	conn := c.conn
+	ping := now.Sub(c.lastPing) >= c.idle/3
+	if ping {
+		c.lastPing = now
+	}
+	due := c.out.takeDue(now, now.Add(-4*c.res.RTO))
+	var sends []queryFrame
+	if !c.terminated {
+		nowS := c.clock(now)
+		for _, pq := range c.queries {
+			switch {
+			case !c.timed(pq) || now.Before(pq.deadline):
+			case pq.state == backoff:
+				sends = c.follow(sends, pq, c.q.Admit(nowS, pq.call), now)
+			default:
+				sends = c.follow(sends, pq, c.q.Silent(nowS, pq.call), now)
+			}
+		}
+		if !c.wakeAt.IsZero() && !now.Before(c.wakeAt) {
+			c.wakeAt = time.Time{}
+			sends = c.follow(sends, nil, c.q.Wake(nowS), now)
+		}
+	}
+	next := c.nextPass(now, period)
+	c.hkAt = next
+	c.mu.Unlock()
+	if conn != nil {
 		if ping {
-			c.lastPing = now
+			_ = c.write(conn, kPing, 0, framePayload{})
 		}
-		due := c.out.takeDue(now, now.Add(-4*c.res.RTO))
-		var sends []queryFrame
-		if !c.terminated {
-			nowS := c.clock(now)
-			for _, pq := range c.queries {
-				switch {
-				case pq.state == parked || now.Before(pq.deadline):
-				case pq.state == backoff:
-					sends = c.follow(sends, pq, c.q.Admit(nowS, pq.call), now)
-				case pq.attempts < c.res.QueryAttempts:
-					// Silent past its deadline; past the budget a query
-					// waits for the hub's reliable stream.
-					sends = c.follow(sends, pq, c.q.Silent(nowS, pq.call), now)
-				}
-			}
-			if !c.wakeAt.IsZero() && !now.Before(c.wakeAt) {
-				c.wakeAt = time.Time{}
-				sends = c.follow(sends, nil, c.q.Wake(nowS), now)
-			}
+		for _, f := range due {
+			_ = c.write(conn, f.kind, f.seq, f.p)
 		}
-		c.mu.Unlock()
-		if conn != nil {
-			if ping {
-				_ = c.write(conn, kPing, 0, framePayload{})
-			}
-			for _, f := range due {
-				_ = c.write(conn, f.kind, f.seq, f.p)
-			}
+	}
+	c.sendQueries(sends)
+	return next
+}
+
+// timed reports whether pq's deadline is one the housekeeping timer
+// serves (mu held): a backed-off call's admission, or a sent call's
+// silence while it is under the QueryAttempts budget. A parked call waits
+// for the breaker's wake, and a sent one past its budget for the hub's
+// reliable stream.
+func (c *client) timed(pq *pendingQuery) bool {
+	return pq.state == backoff || pq.state == sent && pq.attempts < c.res.QueryAttempts
+}
+
+// nextPass is when the housekeeping timer must fire after a pass at now
+// (mu held): the earliest timed deadline of a call or the pending breaker
+// wake, and never later than period after now. A terminated client
+// serves no deadline.
+func (c *client) nextPass(now time.Time, period time.Duration) time.Time {
+	next := now.Add(period)
+	if c.terminated {
+		return next
+	}
+	for _, pq := range c.queries {
+		if c.timed(pq) && pq.deadline.Before(next) {
+			next = pq.deadline
 		}
-		c.sendQueries(sends)
+	}
+	if !c.wakeAt.IsZero() && c.wakeAt.Before(next) {
+		next = c.wakeAt
+	}
+	return next
+}
+
+// armAt makes the housekeeping timer fire by at (mu held): a deadline
+// earlier than the one it sleeps until wakes it to re-arm. A client whose
+// timer never ran has a zero hkAt and wakes nothing.
+func (c *client) armAt(at time.Time) {
+	if !at.Before(c.hkAt) {
+		return
+	}
+	c.hkAt = at
+	select {
+	case c.rearm <- struct{}{}:
+	default:
 	}
 }
 

@@ -304,8 +304,8 @@ const (
 	parked                // held by the plane behind the open breaker
 )
 
-// nextQueryDeadline backs off the retry deadline exponentially, capped.
-func nextQueryDeadline(now time.Time, timeout time.Duration, attempts int) time.Time {
-	d := timeout << uint(min(attempts, 3))
-	return now.Add(d)
+// nextQueryDeadline is when a query sent at now counts as silent: retry
+// k (the first send is retry 0) waits 2^k·timeout, capped at 8×.
+func nextQueryDeadline(now time.Time, timeout time.Duration, retry int) time.Time {
+	return now.Add(timeout << uint(min(retry, 3)))
 }

@@ -8,8 +8,8 @@
 // returns a Next telling the driver what to schedule. The drivers own
 // only the timing — des turns a Next into timed events under Run and into
 // chooser-ordered pending events under RunChoices, live into wall timers
-// under the peer's mutex, netrt into QUERY frames and its housekeeping
-// tick — so one lifecycle serves four drivers:
+// under the peer's mutex, netrt into QUERY frames and a timer armed at the
+// earliest deadline — so one lifecycle serves four drivers:
 //
 //	Begin ─┬─ WarmHit ───────────────────────────────► reply
 //	       ├─ Oracle ────────────────────────────────► reply
