@@ -15,7 +15,7 @@ GOVULNCHECK := golang.org/x/vuln/cmd/govulncheck@v1.1.3
 # pathologies). Override for slow local machines: make test TIMEOUT=20m.
 TIMEOUT ?= 10m
 
-.PHONY: all build fmt vet test race bench profile conform conformance chaos source-chaos mirrors scale-smoke storm experiments fuzz lint cover dst-search dst-regen harden clean
+.PHONY: all build fmt vet test race bench profile conform conformance chaos source-chaos mirrors scale-smoke storm experiments fuzz lint cover dst-search dst-regen harden loc clean
 
 all: build vet test
 
@@ -230,6 +230,15 @@ harden:
 	$(GO) run ./cmd/drshrink search -protocol committee -n 4 -t 1 -L 32 -seed 201 -strategies 24 -schedules 4 -no-shrink -harden -out-dir harden-findings
 	$(GO) run ./cmd/drshrink search -protocol twocycle  -n 4 -t 1 -L 32 -seed 202 -strategies 16 -schedules 4 -no-shrink -harden -out-dir harden-findings
 	$(GO) run ./cmd/drshrink search -protocol committee-weak -n 4 -t 1 -L 16 -seed 203 -strategies 16 -schedules 4 -no-shrink -harden -expect-finding -out-dir harden-findings
+
+# Line counts of the Go sources: non-test Go outside benchmark/ (the
+# library, CLIs and examples), all Go under benchmark/, and _test.go files
+# anywhere. Informational, not a gate.
+GOFILES = find . -path ./.git -prune -o -name '*.go'
+loc:
+	@printf '%-36s %7d\n' 'non-test Go outside benchmark/' $$($(GOFILES) ! -name '*_test.go' ! -path './benchmark/*' -print | xargs cat | wc -l)
+	@printf '%-36s %7d\n' 'Go under benchmark/' $$($(GOFILES) -path './benchmark/*' -print | xargs cat | wc -l)
+	@printf '%-36s %7d\n' '_test.go' $$($(GOFILES) -name '*_test.go' -print | xargs cat | wc -l)
 
 # Scratch outputs only — committed testdata (fuzz seed corpora, replay
 # regression files) must survive a clean.

@@ -1006,11 +1006,6 @@ func (c *peerCtx) Rand() *rand.Rand {
 }
 func (c *peerCtx) Now() float64 { return c.e.now }
 
-// TracingEnabled implements sim.Tracer: Logf output is consumed exactly
-// when the spec carries a trace writer, so sim.AsPeer captures log actions
-// only when they will print.
-func (c *peerCtx) TracingEnabled() bool { return c.e.spec.Trace != nil }
-
 // MarkPhase implements sim.PhaseMarker: it records a phase-transition
 // mark on the spec's timeline at the current virtual time and forwards a
 // "phase" event to the observer (the harden starvation detector keys its

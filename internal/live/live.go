@@ -584,10 +584,6 @@ func (p *livePeer) Rand() *rand.Rand { return p.rng }
 // Now implements sim.Context.
 func (p *livePeer) Now() float64 { return p.w.now() }
 
-// TracingEnabled implements sim.Tracer: Logf output is consumed exactly
-// when the spec carries a trace writer.
-func (p *livePeer) TracingEnabled() bool { return p.w.spec.Trace != nil }
-
 // Logf implements sim.Context.
 func (p *livePeer) Logf(format string, args ...any) {
 	if p.w.spec.Trace != nil {

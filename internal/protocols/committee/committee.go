@@ -24,9 +24,6 @@
 // kept on the Report under that key: where one *Report reaches many
 // recipients in one process (des, live) it is scattered at the first
 // delivery and read at the others.
-//
-// The protocol is written against the state-machine API (sim.Machine);
-// New wraps it in sim.AsPeer for the classic sim.Peer surface.
 package committee
 
 import (
@@ -126,6 +123,7 @@ func Assignments(p sim.PeerID, L, n, t int) []int {
 
 // Peer is one protocol instance.
 type Peer struct {
+	ctx     sim.Context
 	idxBits int
 	track   *bitarray.Tracker
 	// votes counts, per index and reported value, the distinct committee
@@ -148,73 +146,66 @@ type Peer struct {
 	weakAccept bool
 }
 
-var _ sim.Machine = (*Peer)(nil)
+var _ sim.Peer = (*Peer)(nil)
 
 // New constructs a committee-protocol peer.
-func New(sim.PeerID) sim.Peer { return sim.AsPeer(&Peer{}) }
+func New(sim.PeerID) sim.Peer { return &Peer{} }
 
-// Step implements sim.Machine.
-func (p *Peer) Step(env *sim.Env, ev sim.Event, em *sim.Emitter) {
-	switch ev.Kind {
-	case sim.EvInit:
-		p.init(env, em)
-	case sim.EvMessage:
-		p.onMessage(ev.From, ev.Msg, em)
-	case sim.EvQueryReply:
-		p.onQueryReply(ev.Reply, em)
+// Init implements sim.Peer.
+func (p *Peer) Init(ctx sim.Context) {
+	p.ctx = ctx
+	n, t, L := ctx.N(), ctx.T(), ctx.L()
+	p.idxBits = indexBits(L)
+	p.track = bitarray.NewTracker(L)
+	accept := t + 1
+	if p.weakAccept && t >= 1 {
+		accept = t
 	}
-}
-
-func (p *Peer) init(env *sim.Env, em *sim.Emitter) {
-	p.idxBits = indexBits(env.L)
-	p.track = bitarray.NewTracker(env.L)
-	accept := env.T + 1
-	if p.weakAccept && env.T >= 1 {
-		accept = env.T
-	}
-	em.MarkPhase("elect")
-	if CommitteeSize(env.T) > env.N {
+	sim.MarkPhase(ctx, "elect")
+	if CommitteeSize(t) > n {
 		// β ≥ 1/2: deterministic protocols cannot beat naive (Thm 3.1).
 		p.naive = true
-		all := make([]int, env.L)
+		all := make([]int, L)
 		for i := range all {
 			all[i] = i
 		}
-		em.MarkPhase("download")
-		em.Query(0, all)
+		sim.MarkPhase(ctx, "download")
+		ctx.Query(0, all)
 		return
 	}
-	p.votes = newTally(env.L, env.N, CommitteeSize(env.T), accept, p.track)
-	p.seenReport = make(map[sim.PeerID]bool, env.N)
-	mine := Assignments(env.ID, env.L, env.N, env.T)
+	p.votes = newTally(L, n, CommitteeSize(t), accept, p.track)
+	p.seenReport = make(map[sim.PeerID]bool, n)
+	mine := Assignments(ctx.ID(), L, n, t)
 	if len(mine) == 0 {
 		p.reported = true // nothing to report
 		return
 	}
-	em.MarkPhase("download")
-	em.Query(0, mine)
+	sim.MarkPhase(ctx, "download")
+	ctx.Query(0, mine)
 }
 
-func (p *Peer) onQueryReply(r sim.QueryReply, em *sim.Emitter) {
+// OnQueryReply implements sim.Peer.
+func (p *Peer) OnQueryReply(r sim.QueryReply) {
 	if p.done {
 		return
 	}
 	p.track.LearnIndexedFromSource(r.Indices, r.Bits)
 	if p.naive {
-		p.maybeFinish(em)
+		p.maybeFinish()
 		return
 	}
 	// Broadcast my committee report: the reply's values, which are what
 	// the tracker now holds for these (distinct) indices. The reply's list
 	// is this peer's own from delivery on (sim.QueryReply) and is not
 	// written again, so the Report takes it as it is.
-	em.Broadcast(&Report{Indices: r.Indices, Bits: r.Bits.Slice(0, len(r.Indices)), IdxBits: p.idxBits})
+	p.ctx.Broadcast(&Report{Indices: r.Indices, Bits: r.Bits.Slice(0, len(r.Indices)), IdxBits: p.idxBits})
 	p.reported = true
-	em.MarkPhase("verify")
-	p.maybeFinish(em)
+	sim.MarkPhase(p.ctx, "verify")
+	p.maybeFinish()
 }
 
-func (p *Peer) onMessage(from sim.PeerID, m sim.Message, em *sim.Emitter) {
+// OnMessage implements sim.Peer.
+func (p *Peer) OnMessage(from sim.PeerID, m sim.Message) {
 	if p.done || p.naive {
 		return
 	}
@@ -230,10 +221,10 @@ func (p *Peer) onMessage(from sim.PeerID, m sim.Message, em *sim.Emitter) {
 	}
 	p.seenReport[from] = true
 	p.votes.count(from, rep)
-	p.maybeFinish(em)
+	p.maybeFinish()
 }
 
-func (p *Peer) maybeFinish(em *sim.Emitter) {
+func (p *Peer) maybeFinish() {
 	if p.done || !p.track.Complete() {
 		return
 	}
@@ -244,7 +235,7 @@ func (p *Peer) maybeFinish(em *sim.Emitter) {
 	if err != nil {
 		panic("committee: complete tracker failed to output: " + err.Error())
 	}
-	em.Output(out)
+	p.ctx.Output(out)
 	p.done = true
-	em.Terminate()
+	p.ctx.Terminate()
 }

@@ -37,4 +37,4 @@ var _ adversary.Forgeable = (*Report)(nil)
 // TEST HOOK ONLY: it exists so the Byzantine strategy search
 // (internal/dst) can prove it detects real safety violations; nothing in
 // the production protocols uses it.
-func NewWeak(sim.PeerID) sim.Peer { return sim.AsPeer(&Peer{weakAccept: true}) }
+func NewWeak(sim.PeerID) sim.Peer { return &Peer{weakAccept: true} }

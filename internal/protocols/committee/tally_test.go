@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bitarray"
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 // modelPeer is the per-index vote loop that tally replaced, kept as the
@@ -107,13 +108,11 @@ func (t *tally) votesFor(i, v, accept int) int {
 type rig struct {
 	t     *testing.T
 	label string
-	env   sim.Env
+	ctx   *simtest.Ctx
 	input *bitarray.Array
 	know  *sim.Knowledge
 	peer  *Peer
 	model *modelPeer
-	em    sim.Emitter
-	out   *bitarray.Array // what the peer output, once it did
 }
 
 func newRig(t *testing.T, n, tf, l int, weak bool, seed int64) *rig {
@@ -125,28 +124,18 @@ func newRig(t *testing.T, n, tf, l int, weak bool, seed int64) *rig {
 // input can be handed the same report objects.
 func newRigAt(t *testing.T, id sim.PeerID, n, tf, l int, weak bool, seed int64, input *bitarray.Array) *rig {
 	r := &rig{t: t, label: fmt.Sprintf("n=%d t=%d L=%d weak=%v seed=%d receiver=%d", n, tf, l, weak, seed, id),
-		env:   sim.Env{ID: id, N: n, T: tf, L: l},
+		ctx:   simtest.New(id, n, tf, l),
 		input: input, peer: &Peer{weakAccept: weak}, model: newModel(id, n, tf, l, weak)}
 	r.know = &sim.Knowledge{Input: r.input, Config: sim.Config{N: n, T: tf, L: l}}
-	r.step(sim.Event{Kind: sim.EvInit})
+	r.peer.Init(r.ctx)
 	return r
-}
-
-func (r *rig) step(ev sim.Event) {
-	r.em.Reset(false)
-	r.peer.Step(&r.env, ev, &r.em)
-	for _, a := range r.em.Actions() {
-		if a.Kind == sim.ActOutput {
-			r.out = a.Out
-		}
-	}
 }
 
 // reply delivers the peer's own query reply to both sides.
 func (r *rig) reply() {
-	mine := Assignments(r.env.ID, r.env.L, r.env.N, r.env.T)
+	mine := Assignments(r.ctx.ID(), r.ctx.L(), r.ctx.N(), r.ctx.T())
 	rep := sim.QueryReply{Indices: mine, Bits: r.input.Gather(mine)}
-	r.step(sim.Event{Kind: sim.EvQueryReply, Reply: rep})
+	r.peer.OnQueryReply(rep)
 	r.model.onQueryReply(rep)
 	r.compare("own reply")
 }
@@ -154,7 +143,7 @@ func (r *rig) reply() {
 func (r *rig) deliver(from sim.PeerID, rep *Report, what string) {
 	counts := !r.peer.done && !r.peer.seenReport[from] && rep.Bits != nil && rep.Bits.Len() >= len(rep.Indices)
 	r.model.onMessage(from, rep)
-	r.step(sim.Event{Kind: sim.EvMessage, From: from, Msg: rep})
+	r.peer.OnMessage(from, rep)
 	r.compare(fmt.Sprintf("%s from %d", what, from))
 	if counts {
 		r.checkBallot(from, rep, what)
@@ -198,7 +187,7 @@ func (r *rig) compare(after string) {
 	if got, want := p.track.UnknownCount(), m.track.UnknownCount(); got != want {
 		r.t.Fatalf("%s, after %s: %d unknown bits, model %d", r.label, after, got, want)
 	}
-	for i := 0; i < r.env.L; i++ {
+	for i := 0; i < r.ctx.L(); i++ {
 		gv, gk := p.track.Get(i)
 		mv, mk := m.track.Get(i)
 		if gk != mk || gv != mv {
@@ -216,7 +205,7 @@ func (r *rig) compare(after string) {
 	if p.done != m.done {
 		r.t.Fatalf("%s, after %s: done %v, model %v", r.label, after, p.done, m.done)
 	}
-	if p.done && (r.out == nil || !r.out.Equal(m.track.Snapshot())) {
+	if p.done && (r.ctx.Out == nil || !r.ctx.Out.Equal(m.track.Snapshot())) {
 		r.t.Fatalf("%s, after %s: output differs from the model's tracker", r.label, after)
 	}
 }
@@ -346,7 +335,7 @@ func TestTallyMatchesPerIndexLoop(t *testing.T) {
 						if j == replyAt {
 							r.reply()
 						}
-						r.deliver(from, rep[int(r.env.ID)%2], what)
+						r.deliver(from, rep[int(r.ctx.ID())%2], what)
 					}
 				}
 			}
@@ -515,18 +504,17 @@ func TestThresholdIsExact(t *testing.T) {
 func TestThresholdBeyondInt16(t *testing.T) {
 	const tf, n, l = 33000, 2*33000 + 1, 3
 	p := &Peer{}
-	env := sim.Env{ID: n - 1, N: n, T: tf, L: l}
-	var em sim.Emitter
-	p.Step(&env, sim.Event{Kind: sim.EvInit}, &em)
+	ctx := simtest.New(n-1, n, tf, l)
+	p.Init(ctx)
 	lie := &Report{Indices: []int{0, 1, 2}, Bits: bitarray.FromBools([]bool{true, false, true}), IdxBits: 2}
 	for s := 0; s < tf; s++ {
-		em.Reset(false)
-		p.Step(&env, sim.Event{Kind: sim.EvMessage, From: sim.PeerID(s), Msg: lie}, &em)
+		ctx.Reset()
+		p.OnMessage(sim.PeerID(s), lie)
 		if p.track.UnknownCount() != l {
 			t.Fatalf("vote %d of a threshold of %d already taught %d bits", s+1, tf+1, l-p.track.UnknownCount())
 		}
 	}
-	p.Step(&env, sim.Event{Kind: sim.EvMessage, From: tf, Msg: lie}, &em)
+	p.OnMessage(tf, lie)
 	if !p.track.Complete() || !p.track.Snapshot().Equal(lie.Bits) {
 		t.Fatalf("vote %d did not carry: %d bits unknown", tf+1, p.track.UnknownCount())
 	}
@@ -561,16 +549,15 @@ func TestAssignmentsExact(t *testing.T) {
 func TestOnMessageDoesNotAllocate(t *testing.T) {
 	for _, c := range []struct{ n, t, l int }{{128, 63, 2048}, {128, 32, 2048}} {
 		r := newRig(t, c.n, c.t, c.l, false, 1)
-		from := sim.PeerID((int(r.env.ID) + 1) % c.n)
+		from := sim.PeerID((int(r.ctx.ID()) + 1) % c.n)
 		honest := forge(from, r.know, false)
 		every, _ := hostile(rand.New(rand.NewSource(1)), 3, honest, c.l, c.n)
 		long, _ := hostile(rand.New(rand.NewSource(1)), 1, every, c.l, c.n) // 2L indices
 		for _, rep := range []*Report{honest, every, long} {
-			ev := sim.Event{Kind: sim.EvMessage, From: from, Msg: rep}
 			step := func() {
 				delete(r.peer.seenReport, from)
-				r.em.Reset(false)
-				r.peer.Step(&r.env, ev, &r.em)
+				r.ctx.Reset()
+				r.peer.OnMessage(from, rep)
 			}
 			// AllocsPerRun's warm-up call would hide a first delivery, so
 			// every run is made one.

@@ -23,9 +23,6 @@
 // or all n−1 others are alive (their shares cover q's block), so waiting
 // until no bit is unknown is deadlock-free. Every peer then outputs and
 // terminates.
-//
-// The protocol is written against the state-machine API (sim.Machine);
-// New wraps it in sim.AsPeer for the classic sim.Peer surface.
 package crash1
 
 import (
@@ -104,12 +101,9 @@ const (
 	stDone    = 6
 )
 
-// Peer is one Algorithm 1 instance. env/em are rebound at every Step, so
-// the stage helpers below read like the original blocking code while all
-// effects flow through the Emitter.
+// Peer is one Algorithm 1 instance.
 type Peer struct {
-	env     *sim.Env
-	em      *sim.Emitter
+	ctx     sim.Context
 	track   *bitarray.Tracker
 	stage   int
 	idxBits int
@@ -133,10 +127,10 @@ type deferredWho struct {
 	req  *WhoIsMissing
 }
 
-var _ sim.Machine = (*Peer)(nil)
+var _ sim.Peer = (*Peer)(nil)
 
 // New constructs an Algorithm 1 peer.
-func New(sim.PeerID) sim.Peer { return sim.AsPeer(&Peer{}) }
+func New(sim.PeerID) sim.Peer { return &Peer{} }
 
 // NewLegacy constructs a peer with the PRE-FIX termination behavior:
 // finish() terminates silently instead of broadcasting the full array.
@@ -146,30 +140,19 @@ func New(sim.PeerID) sim.Peer { return sim.AsPeer(&Peer{}) }
 // TEST HOOK ONLY: it exists so the deterministic-simulation harness
 // (internal/dst) has a real, historically observed bug to find, shrink,
 // and pin as a replay regression. Production code must use New.
-func NewLegacy(sim.PeerID) sim.Peer { return sim.AsPeer(&Peer{legacy: true}) }
+func NewLegacy(sim.PeerID) sim.Peer { return &Peer{legacy: true} }
 
-// Step implements sim.Machine.
-func (p *Peer) Step(env *sim.Env, ev sim.Event, em *sim.Emitter) {
-	p.env, p.em = env, em
-	switch ev.Kind {
-	case sim.EvInit:
-		p.init()
-	case sim.EvMessage:
-		p.onMessage(ev.From, ev.Msg)
-	case sim.EvQueryReply:
-		p.onQueryReply(ev.Reply)
-	}
-	p.env, p.em = nil, nil
-}
-
-func (p *Peer) init() {
-	p.track = bitarray.NewTracker(p.env.L)
-	p.idxBits = indexBits(p.env.L)
+// Init implements sim.Peer.
+func (p *Peer) Init(ctx sim.Context) {
+	p.ctx = ctx
+	L := ctx.L()
+	p.track = bitarray.NewTracker(L)
+	p.idxBits = indexBits(L)
 	p.heard1 = make(map[sim.PeerID]bool)
 	p.missing = -1
 	p.stage = stP1Query
-	p.em.MarkPhase("phase1")
-	lo, hi := sim.BlockRange(p.env.L, p.env.N, p.env.ID)
+	sim.MarkPhase(ctx, "phase1")
+	lo, hi := sim.BlockRange(L, ctx.N(), ctx.ID())
 	if lo == hi {
 		p.afterP1Query()
 		return
@@ -178,20 +161,20 @@ func (p *Peer) init() {
 	for i := lo; i < hi; i++ {
 		idx = append(idx, i)
 	}
-	p.em.Query(1, idx)
+	ctx.Query(1, idx)
 }
 
 func (p *Peer) afterP1Query() {
-	p.em.Logf("crash1: stage1 done, pushing block")
+	p.ctx.Logf("crash1: stage1 done, pushing block")
 	p.stage = stP1Wait1
 	// Push my block to everyone.
-	lo, hi := sim.BlockRange(p.env.L, p.env.N, p.env.ID)
+	lo, hi := sim.BlockRange(p.ctx.L(), p.ctx.N(), p.ctx.ID())
 	set := intset.FromRange(lo, hi)
 	vals, ok := p.track.KnownSegment(lo, hi-lo)
 	if !ok {
 		panic("crash1: own block unknown after query")
 	}
-	p.em.Broadcast(&Push{Phase: 1, Indices: set, Values: vals, IdxBits: p.idxBits})
+	p.ctx.Broadcast(&Push{Phase: 1, Indices: set, Values: vals, IdxBits: p.idxBits})
 	// Answer deferred missing-peer questions now that stage 1 is done.
 	for _, d := range p.deferredWho {
 		p.answerWho(d.from, d.req)
@@ -205,27 +188,28 @@ func (p *Peer) checkP1Wait1() {
 		return
 	}
 	// Count myself: n−1 peers total means n−2 pushes from others.
-	if len(p.heard1) < p.env.N-2 {
+	n, me := p.ctx.N(), p.ctx.ID()
+	if len(p.heard1) < n-2 {
 		return
 	}
-	if len(p.heard1) == p.env.N-1 || p.track.Complete() {
+	if len(p.heard1) == n-1 || p.track.Complete() {
 		// Heard everyone — nothing missing.
 		p.enterCompletion()
 		return
 	}
 	// Exactly one peer missing.
-	for j := 0; j < p.env.N; j++ {
+	for j := 0; j < n; j++ {
 		id := sim.PeerID(j)
-		if id != p.env.ID && !p.heard1[id] {
+		if id != me && !p.heard1[id] {
 			p.missing = id
 			break
 		}
 	}
-	p.em.Logf("crash1: missing=%d, asking", p.missing)
+	p.ctx.Logf("crash1: missing=%d, asking", p.missing)
 	p.stage = stP1Wait2
 	p.opinions = 1 // my own "me neither"
 	p.gotValues = false
-	p.em.Broadcast(&WhoIsMissing{Phase: 1, Missing: p.missing})
+	p.ctx.Broadcast(&WhoIsMissing{Phase: 1, Missing: p.missing})
 	p.checkP1Wait2()
 }
 
@@ -237,7 +221,7 @@ func (p *Peer) checkP1Wait2() {
 		p.enterCompletion()
 		return
 	}
-	if p.opinions < p.env.N-1 {
+	if p.opinions < p.ctx.N()-1 {
 		return
 	}
 	if p.gotValues && p.track.Complete() {
@@ -251,9 +235,10 @@ func (p *Peer) checkP1Wait2() {
 // spreadShare returns the indices of q's block assigned to peer `who`
 // when the block is spread evenly over all peers except q.
 func (p *Peer) spreadShare(q, who sim.PeerID) []int {
-	lo, hi := sim.BlockRange(p.env.L, p.env.N, q)
-	others := make([]sim.PeerID, 0, p.env.N-1)
-	for j := 0; j < p.env.N; j++ {
+	n := p.ctx.N()
+	lo, hi := sim.BlockRange(p.ctx.L(), n, q)
+	others := make([]sim.PeerID, 0, n-1)
+	for j := 0; j < n; j++ {
 		if sim.PeerID(j) != q {
 			others = append(others, sim.PeerID(j))
 		}
@@ -270,10 +255,10 @@ func (p *Peer) spreadShare(q, who sim.PeerID) []int {
 }
 
 func (p *Peer) enterPhase2() {
-	p.em.Logf("crash1: entering phase 2 (missing=%d)", p.missing)
-	p.em.MarkPhase("phase2")
+	p.ctx.Logf("crash1: entering phase 2 (missing=%d)", p.missing)
+	sim.MarkPhase(p.ctx, "phase2")
 	p.stage = stP2Query
-	mine := p.spreadShare(p.missing, p.env.ID)
+	mine := p.spreadShare(p.missing, p.ctx.ID())
 	// Drop already-known bits (none expected, but harmless).
 	need := mine[:0]
 	for _, x := range mine {
@@ -285,12 +270,12 @@ func (p *Peer) enterPhase2() {
 		p.afterP2Query()
 		return
 	}
-	p.em.Query(2, need)
+	p.ctx.Query(2, need)
 }
 
 func (p *Peer) afterP2Query() {
 	p.stage = stP2Wait
-	mine := p.spreadShare(p.missing, p.env.ID)
+	mine := p.spreadShare(p.missing, p.ctx.ID())
 	if len(mine) > 0 {
 		set := intset.FromSorted(mine)
 		vals := bitarray.New(len(mine))
@@ -301,7 +286,7 @@ func (p *Peer) afterP2Query() {
 			}
 			vals.Set(i, v)
 		}
-		p.em.Broadcast(&Push{Phase: 2, Indices: set, Values: vals, IdxBits: p.idxBits})
+		p.ctx.Broadcast(&Push{Phase: 2, Indices: set, Values: vals, IdxBits: p.idxBits})
 	}
 	p.checkP2()
 }
@@ -317,8 +302,8 @@ func (p *Peer) checkP2() {
 
 // enterCompletion marks completion mode and terminates via finish.
 func (p *Peer) enterCompletion() {
-	p.em.Logf("crash1: completion mode")
-	p.em.MarkPhase("completion")
+	p.ctx.Logf("crash1: completion mode")
+	sim.MarkPhase(p.ctx, "completion")
 	p.completion = true
 	p.finish()
 }
@@ -338,19 +323,20 @@ func (p *Peer) finish() {
 		panic("crash1: finish without full knowledge: " + err.Error())
 	}
 	if !p.legacy {
-		p.em.Broadcast(&Push{
+		p.ctx.Broadcast(&Push{
 			Phase:   2,
-			Indices: intset.FromRange(0, p.env.L),
+			Indices: intset.FromRange(0, p.ctx.L()),
 			Values:  out,
 			IdxBits: p.idxBits,
 		})
 	}
-	p.em.Output(out)
+	p.ctx.Output(out)
 	p.stage = stDone
-	p.em.Terminate()
+	p.ctx.Terminate()
 }
 
-func (p *Peer) onQueryReply(r sim.QueryReply) {
+// OnQueryReply implements sim.Peer.
+func (p *Peer) OnQueryReply(r sim.QueryReply) {
 	for j, idx := range r.Indices {
 		p.track.LearnFromSource(idx, r.Bits.Get(j))
 	}
@@ -362,13 +348,14 @@ func (p *Peer) onQueryReply(r sim.QueryReply) {
 	}
 }
 
-func (p *Peer) onMessage(from sim.PeerID, m sim.Message) {
+// OnMessage implements sim.Peer.
+func (p *Peer) OnMessage(from sim.PeerID, m sim.Message) {
 	if p.stage == stDone {
 		return
 	}
 	switch msg := m.(type) {
 	case *Push:
-		if !validPayload(msg.Indices, msg.Values, p.env.L) {
+		if !validPayload(msg.Indices, msg.Values, p.ctx.L()) {
 			return // malformed (possible only from faulty senders)
 		}
 		p.learnSet(msg.Indices, msg.Values)
@@ -377,7 +364,7 @@ func (p *Peer) onMessage(from sim.PeerID, m sim.Message) {
 		}
 		p.progress()
 	case *WhoIsMissing:
-		if msg.Missing < 0 || int(msg.Missing) >= p.env.N {
+		if msg.Missing < 0 || int(msg.Missing) >= p.ctx.N() {
 			return // malformed
 		}
 		// Answer once my own phase-1 stage-1 wait is done.
@@ -388,7 +375,7 @@ func (p *Peer) onMessage(from sim.PeerID, m sim.Message) {
 		}
 	case *MissingReply:
 		if !msg.MeNeither {
-			if !validPayload(msg.Indices, msg.Values, p.env.L) {
+			if !validPayload(msg.Indices, msg.Values, p.ctx.L()) {
 				return // malformed
 			}
 			p.learnSet(msg.Indices, msg.Values)
@@ -416,13 +403,13 @@ func (p *Peer) progress() {
 }
 
 func (p *Peer) answerWho(from sim.PeerID, req *WhoIsMissing) {
-	lo, hi := sim.BlockRange(p.env.L, p.env.N, req.Missing)
+	lo, hi := sim.BlockRange(p.ctx.L(), p.ctx.N(), req.Missing)
 	vals, ok := p.track.KnownSegment(lo, hi-lo)
 	if !ok {
-		p.em.Send(from, &MissingReply{Phase: req.Phase, About: req.Missing, MeNeither: true})
+		p.ctx.Send(from, &MissingReply{Phase: req.Phase, About: req.Missing, MeNeither: true})
 		return
 	}
-	p.em.Send(from, &MissingReply{
+	p.ctx.Send(from, &MissingReply{
 		Phase:   req.Phase,
 		About:   req.Missing,
 		Indices: intset.FromRange(lo, hi),

@@ -10,6 +10,7 @@ import (
 	"repro/internal/bitarray"
 	"repro/internal/intset"
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 // walkInRange is inRange's definition: every range checked on its own.
@@ -38,7 +39,7 @@ type modelItem struct {
 func modelAnswer(p *Peer, req *Req2) []modelItem {
 	var items []modelItem
 	for _, it := range req.Items {
-		known := walkInRange(it.Indices, p.env.L)
+		known := walkInRange(it.Indices, p.ctx.L())
 		if known {
 			it.Indices.ForEachRange(func(lo, hi int) {
 				known = known && p.track.KnownRange(lo, hi)
@@ -129,15 +130,22 @@ func req2Items(rng *rand.Rand, tr *bitarray.Tracker, n, k int) []Req2Item {
 
 func sentResp2(t *testing.T, p *Peer, to sim.PeerID) *Resp2 {
 	t.Helper()
-	acts := p.em.Actions()
-	if len(acts) != 1 || acts[0].Kind != sim.ActSend || acts[0].To != to {
-		t.Fatalf("answerReq2 emitted %+v, want one send to %d", acts, to)
+	c := rec(p)
+	if !quiet(c, 1) || c.Sent[0].To != to {
+		t.Fatalf("answerReq2 sent %+v (queries %v, output %v, terminated %v, phases %q), want one send to %d",
+			c.Sent, c.Queries, c.Out, c.Terminated, c.Phases, to)
 	}
-	resp, ok := acts[0].Msg.(*Resp2)
+	resp, ok := c.Sent[0].Msg.(*Resp2)
 	if !ok {
-		t.Fatalf("answerReq2 sent a %T", acts[0].Msg)
+		t.Fatalf("answerReq2 sent a %T", c.Sent[0].Msg)
 	}
 	return resp
+}
+
+// quiet reports whether the peer made exactly sends sends or broadcasts
+// and no other call, a phase mark included.
+func quiet(c *simtest.Ctx, sends int) bool {
+	return len(c.Sent) == sends && len(c.Queries) == 0 && c.Out == nil && !c.Terminated && len(c.Phases) == 0
 }
 
 // requireSameResp2 compares two answers field by field.
@@ -194,7 +202,7 @@ func TestAnswerReq2MatchesModel(t *testing.T) {
 					}
 				}
 				want := splitModel(req, p.idxBits, items)
-				p.em.Reset(false)
+				rec(p).Reset()
 				p.answerReq2(7, req)
 				got := sentResp2(t, p, 7)
 				requireSameResp2(t, label, got, want)
@@ -230,14 +238,14 @@ func TestMalformedReq2GetsNoAnswer(t *testing.T) {
 		for _, q := range c.qs {
 			req.Items = append(req.Items, item(q))
 		}
-		p.em.Reset(false)
+		rec(p).Reset()
 		p.answerReq2(7, req)
-		if acts := p.em.Actions(); len(acts) != 0 {
-			t.Errorf("%s %v: answered with %+v", c.name, c.qs, acts)
+		if r := rec(p); !quiet(r, 0) {
+			t.Errorf("%s %v: answered with %+v (phases %q)", c.name, c.qs, r.Sent, r.Phases)
 		}
 	}
 	// The same peers in order are answered: it is the order that was refused.
-	p.em.Reset(false)
+	rec(p).Reset()
 	p.answerReq2(7, &Req2{Phase: 1, IdxBits: p.idxBits, Items: []Req2Item{item(0), item(3), item(n - 1)}})
 	sentResp2(t, p, 7)
 }
@@ -265,9 +273,9 @@ func TestAnswerReq2AllocBudget(t *testing.T) {
 	learnRandom(rng, p.track, 0.6)
 	unknown := randomSubset(rng, p.track, 0, 0.5)
 	measure := func(req *Req2) (allocs float64, bytes uint64) {
-		p.answerReq2(7, req) // sizes the scratch and the emitter's action list
+		p.answerReq2(7, req) // sizes the scratch and the recorder's send list
 		run := func() {
-			p.em.Reset(false)
+			rec(p).Reset()
 			p.answerReq2(7, req)
 		}
 		return testing.AllocsPerRun(20, run), allocatedBytes(200, run)

@@ -69,10 +69,11 @@ func BenchmarkAnswerReq2(b *testing.B) {
 					shares[q].ForEachRange(func(lo, hi int) { p.track.LearnRange(lo, hi, zeros, lo) })
 				}
 			}
+			c := rec(p)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.em.Reset(false)
+				c.Reset()
 				p.answerReq2(1, req)
 			}
 		})

@@ -78,7 +78,7 @@ func NewFast(id sim.PeerID) sim.Peer { return NewWithOptions(Options{Fast: true}
 
 // NewWithOptions returns a peer factory with explicit options.
 func NewWithOptions(opts Options) func(sim.PeerID) sim.Peer {
-	return func(sim.PeerID) sim.Peer { return sim.AsPeer(&Peer{opts: opts}) }
+	return func(sim.PeerID) sim.Peer { return &Peer{opts: opts} }
 }
 
 // owner returns the globally agreed owner of bit x in phase r. Phase 1
@@ -110,12 +110,9 @@ const (
 	stDone  = 5
 )
 
-// Peer is one protocol instance. env/em are rebound at every Step, so the
-// stage helpers below read like the original blocking code while all
-// effects flow through the Emitter.
+// Peer is one protocol instance.
 type Peer struct {
-	env  *sim.Env
-	em   *sim.Emitter
+	ctx  sim.Context
 	opts Options
 
 	track *bitarray.Tracker
@@ -168,30 +165,19 @@ type deferred2 struct {
 	req  *Req2
 }
 
-var _ sim.Machine = (*Peer)(nil)
+var _ sim.Peer = (*Peer)(nil)
 
-// Step implements sim.Machine.
-func (p *Peer) Step(env *sim.Env, ev sim.Event, em *sim.Emitter) {
-	p.env, p.em = env, em
-	switch ev.Kind {
-	case sim.EvInit:
-		p.init()
-	case sim.EvMessage:
-		p.onMessage(ev.From, ev.Msg)
-	case sim.EvQueryReply:
-		p.onQueryReply(ev.Reply)
-	}
-	p.env, p.em = nil, nil
-}
-
-func (p *Peer) init() {
-	p.track = bitarray.NewTracker(p.env.L)
-	p.idxBits = indexBits(p.env.L)
+// Init implements sim.Peer.
+func (p *Peer) Init(ctx sim.Context) {
+	p.ctx = ctx
+	n, L := ctx.N(), ctx.L()
+	p.track = bitarray.NewTracker(L)
+	p.idxBits = indexBits(L)
 	p.heard = make(map[sim.PeerID]bool)
 	p.defer1 = make(map[int][]deferred1)
 	p.defer2 = make(map[int][]deferred2)
 	if p.opts.Threshold <= 0 {
-		p.opts.Threshold = (p.env.L + p.env.N - 1) / p.env.N
+		p.opts.Threshold = (L + n - 1) / n
 	}
 	if p.opts.MaxPhases <= 0 {
 		p.opts.MaxPhases = 64
@@ -209,7 +195,7 @@ func (p *Peer) startPhase(r int) {
 	}
 	p.phase = r
 	p.stage = stQuery
-	p.em.MarkPhase(phaseName(r))
+	sim.MarkPhase(p.ctx, phaseName(r))
 	clear(p.heard)
 	p.needs = nil
 	p.resp2Count = 0
@@ -219,20 +205,21 @@ func (p *Peer) startPhase(r int) {
 	p.byOwner = byOwner
 
 	// Stage 1: query my own bits, request the rest.
-	mine := byOwner[p.env.ID]
+	n, me := p.ctx.N(), p.ctx.ID()
+	mine := byOwner[me]
 	p.queryWait = 0
 	if !mine.Empty() {
 		p.queryWait = 1
-		p.em.Query(r, mine.Elements())
+		p.ctx.Query(r, mine.Elements())
 	}
-	reqs := make([]Req1, 0, p.env.N-1)
-	for j := 0; j < p.env.N; j++ {
+	reqs := make([]Req1, 0, n-1)
+	for j := 0; j < n; j++ {
 		id := sim.PeerID(j)
-		if id == p.env.ID {
+		if id == me {
 			continue
 		}
 		reqs = append(reqs, Req1{Phase: r, Indices: byOwner[id], IdxBits: p.idxBits})
-		p.em.Send(id, &reqs[len(reqs)-1])
+		p.ctx.Send(id, &reqs[len(reqs)-1])
 	}
 	if p.queryWait == 0 {
 		p.enterWait1()
@@ -245,7 +232,7 @@ func (p *Peer) startPhase(r int) {
 // unknown runs come from the tracker a word at a time; later phases hash
 // every unknown bit and pass it on as a run of one.
 func (p *Peer) eachOwnedRun(r int, fn func(o, lo, hi int)) {
-	n, L := p.env.N, p.env.L
+	n, L := p.ctx.N(), p.ctx.L()
 	if r == 1 {
 		for o := 0; o < n; o++ {
 			lo, hi := sim.BlockRange(L, n, sim.PeerID(o))
@@ -269,7 +256,7 @@ func (p *Peer) eachOwnedRun(r int, fn func(o, lo, hi int)) {
 // The per-owner scratch is the peer's, so a phase allocates the backing
 // array and the sets and nothing else.
 func (p *Peer) unknownByOwner(r int) []intset.Set {
-	n := p.env.N
+	n := p.ctx.N()
 	if len(p.counts) != n {
 		p.counts, p.ends, p.builders = make([]int, n), make([]int, n), make([]intset.Builder, n)
 	}
@@ -359,7 +346,7 @@ func (p *Peer) checkWait1() {
 		return
 	}
 	// Count myself: wait for n−t−1 others.
-	if len(p.heard) < p.env.N-p.env.T-1 {
+	if len(p.heard) < p.ctx.N()-p.ctx.T()-1 {
 		return
 	}
 	p.enterWait2()
@@ -381,7 +368,8 @@ func (p *Peer) enterWait2() {
 
 	// What a silent peer still owes me is its share of the phase's
 	// partition less anything learned since.
-	silent := func(id sim.PeerID) bool { return id != p.env.ID && !p.heard[id] }
+	me := p.ctx.ID()
+	silent := func(id sim.PeerID) bool { return id != me && !p.heard[id] }
 	missing := 0
 	for j, set := range p.byOwner {
 		if !silent(sim.PeerID(j)) || set.Empty() {
@@ -404,7 +392,7 @@ func (p *Peer) enterWait2() {
 		}
 	}
 	p.needs = items
-	p.em.Broadcast(&Req2{Phase: r, Items: items, IdxBits: p.idxBits})
+	p.ctx.Broadcast(&Req2{Phase: r, Items: items, IdxBits: p.idxBits})
 	p.checkWait2()
 }
 
@@ -416,7 +404,7 @@ func (p *Peer) checkWait2() {
 		p.endPhase()
 		return
 	}
-	if p.resp2Count < p.env.N-p.env.T-1 {
+	if p.resp2Count < p.ctx.N()-p.ctx.T()-1 {
 		return
 	}
 	p.endPhase()
@@ -460,14 +448,14 @@ func phaseName(r int) string {
 
 // finishDirect queries every remaining unknown bit, then terminates.
 func (p *Peer) finishDirect() {
-	p.em.MarkPhase("direct")
+	sim.MarkPhase(p.ctx, "direct")
 	p.stage = stFinal
 	unknown := p.track.UnknownAll()
 	if len(unknown) == 0 {
 		p.complete()
 		return
 	}
-	p.em.Query(-1, unknown)
+	p.ctx.Query(-1, unknown)
 }
 
 // complete broadcasts the full array, outputs, and terminates.
@@ -476,13 +464,14 @@ func (p *Peer) complete() {
 	if err != nil {
 		panic("crashk: complete() with unknown bits: " + err.Error())
 	}
-	p.em.Broadcast(&Full{Values: out})
-	p.em.Output(out)
+	p.ctx.Broadcast(&Full{Values: out})
+	p.ctx.Output(out)
 	p.stage = stDone
-	p.em.Terminate()
+	p.ctx.Terminate()
 }
 
-func (p *Peer) onQueryReply(r sim.QueryReply) {
+// OnQueryReply implements sim.Peer.
+func (p *Peer) OnQueryReply(r sim.QueryReply) {
 	p.track.LearnIndexedFromSource(r.Indices, r.Bits)
 	switch p.stage {
 	case stQuery:
@@ -499,7 +488,8 @@ func (p *Peer) onQueryReply(r sim.QueryReply) {
 	}
 }
 
-func (p *Peer) onMessage(from sim.PeerID, m sim.Message) {
+// OnMessage implements sim.Peer.
+func (p *Peer) OnMessage(from sim.PeerID, m sim.Message) {
 	if p.stage == stDone {
 		return
 	}
@@ -513,7 +503,7 @@ func (p *Peer) onMessage(from sim.PeerID, m sim.Message) {
 			p.defer1[msg.Phase] = append(p.defer1[msg.Phase], deferred1{from, msg})
 		}
 	case *Resp1:
-		if !validPayload(msg.Indices, msg.Values, p.env.L) {
+		if !validPayload(msg.Indices, msg.Values, p.ctx.L()) {
 			return // malformed (possible only from faulty senders)
 		}
 		p.learnSet(msg.Indices, msg.Values)
@@ -529,8 +519,9 @@ func (p *Peer) onMessage(from sim.PeerID, m sim.Message) {
 			p.defer2[msg.Phase] = append(p.defer2[msg.Phase], deferred2{from, msg})
 		}
 	case *Resp2:
+		L := p.ctx.L()
 		for _, it := range msg.Items {
-			if validPayload(it.Indices, it.Values, p.env.L) {
+			if validPayload(it.Indices, it.Values, L) {
 				p.learnSet(it.Indices, it.Values)
 			}
 		}
@@ -540,7 +531,7 @@ func (p *Peer) onMessage(from sim.PeerID, m sim.Message) {
 		}
 		p.recheck()
 	case *Full:
-		if msg.Values == nil || msg.Values.Len() != p.env.L {
+		if msg.Values == nil || msg.Values.Len() != p.ctx.L() {
 			return // malformed
 		}
 		p.track.LearnRange(0, msg.Values.Len(), msg.Values, 0)
@@ -558,7 +549,7 @@ func (p *Peer) recheck() {
 }
 
 func (p *Peer) answerReq1(from sim.PeerID, req *Req1) {
-	if !inRange(req.Indices, p.env.L) {
+	if !inRange(req.Indices, p.ctx.L()) {
 		return // malformed request
 	}
 	vals, complete := p.extract(req.Indices)
@@ -567,7 +558,7 @@ func (p *Peer) answerReq1(from sim.PeerID, req *Req1) {
 		// tolerate Byzantine-malformed requests by simply not answering.
 		return
 	}
-	p.em.Send(from, &Resp1{Phase: req.Phase, Indices: req.Indices, Values: vals, IdxBits: p.idxBits})
+	p.ctx.Send(from, &Resp1{Phase: req.Phase, Indices: req.Indices, Values: vals, IdxBits: p.idxBits})
 }
 
 // extract gathers the tracked values of set into a fresh array, a word-
@@ -595,16 +586,17 @@ func (p *Peer) answerReq2(from sim.PeerID, req *Req2) {
 	// anything is copied: the answered items' values then share one arena
 	// allocation, and the me-neither peers, which ascend like the request's,
 	// one range array sized by the runs they form.
+	n, L := p.ctx.N(), p.ctx.L()
 	ruled := p.ruled[:0]
 	answered, total, runs := 0, 0, 0
 	prev, lastNeither := -1, -2
 	for _, it := range req.Items {
 		q := int(it.Q)
-		if q <= prev || q >= p.env.N {
+		if q <= prev || q >= n {
 			return // malformed: peers out of order or out of range
 		}
 		prev = q
-		ok := p.answerable(it.Indices)
+		ok := inRange(it.Indices, L) && p.allKnown(it.Indices)
 		ruled = append(ruled, ok)
 		if ok {
 			answered++
@@ -641,12 +633,7 @@ func (p *Peer) answerReq2(from sim.PeerID, req *Req2) {
 		resp.Items = append(resp.Items, Resp2Item{Q: it.Q, Indices: it.Indices, Values: vals})
 	}
 	resp.MeNeither = neither.Set()
-	p.em.Send(from, resp)
-}
-
-// answerable reports whether a stage-2 item is in range and fully known.
-func (p *Peer) answerable(set intset.Set) bool {
-	return inRange(set, p.env.L) && p.allKnown(set)
+	p.ctx.Send(from, resp)
 }
 
 // learnSet records values delivered alongside their index set.

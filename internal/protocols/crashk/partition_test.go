@@ -9,14 +9,14 @@ import (
 	"repro/internal/bitarray"
 	"repro/internal/intset"
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
-// partitionPeer returns a peer far enough into init() for the partition
-// code to run: an environment, an all-unknown tracker and an emitter.
+// partitionPeer returns a peer far enough into Init for the partition
+// code to run: a recording context and an all-unknown tracker.
 func partitionPeer(id sim.PeerID, n, L int, re Reassign) *Peer {
 	return &Peer{
-		env:     &sim.Env{ID: id, N: n, L: L},
-		em:      &sim.Emitter{},
+		ctx:     simtest.New(id, n, 0, L),
 		opts:    Options{Reassign: re, Threshold: 1, MaxPhases: 64},
 		track:   bitarray.NewTracker(L),
 		idxBits: indexBits(L),
@@ -25,6 +25,9 @@ func partitionPeer(id sim.PeerID, n, L int, re Reassign) *Peer {
 		defer2:  make(map[int][]deferred2),
 	}
 }
+
+// rec returns the recording context of a peer made by partitionPeer.
+func rec(p *Peer) *simtest.Ctx { return p.ctx.(*simtest.Ctx) }
 
 // learnRandom marks a random mix of single bits and runs as known.
 func learnRandom(rng *rand.Rand, tr *bitarray.Tracker, density float64) {
@@ -48,14 +51,15 @@ func learnRandom(rng *rand.Rand, tr *bitarray.Tracker, density float64) {
 // modelPartition is the partition's definition: every unknown bit, in
 // increasing order, appended to its owner's list.
 func modelPartition(p *Peer, r int) []intset.Set {
-	per := make([][]int, p.env.N)
-	for x := 0; x < p.env.L; x++ {
+	n, L := p.ctx.N(), p.ctx.L()
+	per := make([][]int, n)
+	for x := 0; x < L; x++ {
 		if !p.track.Known(x) {
-			o := owner(p.opts.Reassign, r, x, p.env.L, p.env.N)
+			o := owner(p.opts.Reassign, r, x, L, n)
 			per[o] = append(per[o], x)
 		}
 	}
-	sets := make([]intset.Set, p.env.N)
+	sets := make([]intset.Set, n)
 	for i, idx := range per {
 		sets[i] = intset.FromSorted(idx)
 	}
@@ -110,15 +114,15 @@ func TestPartitionMatchesModel(t *testing.T) {
 					fresh := modelPartition(p, r)
 					var want []Req2Item
 					for j, set := range fresh {
-						if id := sim.PeerID(j); id != p.env.ID && !p.heard[id] && !set.Empty() {
+						if id := sim.PeerID(j); id != p.ctx.ID() && !p.heard[id] && !set.Empty() {
 							want = append(want, Req2Item{Q: id, Indices: set})
 						}
 					}
 					p.enterWait2()
 					var sent *Req2
-					for _, a := range p.em.Actions() {
-						if a.Kind == sim.ActBroadcast {
-							if req, ok := a.Msg.(*Req2); ok && sent == nil {
+					for _, s := range rec(p).Sent {
+						if s.To == simtest.Broadcast {
+							if req, ok := s.Msg.(*Req2); ok && sent == nil {
 								sent = req
 							}
 						}
@@ -172,8 +176,8 @@ func TestReq2PeersIncrease(t *testing.T) {
 		}
 		p.enterWait2()
 		var req *Req2
-		for _, a := range p.em.Actions() {
-			if m, ok := a.Msg.(*Req2); ok && a.Kind == sim.ActBroadcast {
+		for _, s := range rec(p).Sent {
+			if m, ok := s.Msg.(*Req2); ok && s.To == simtest.Broadcast {
 				req = m
 			}
 		}
@@ -182,14 +186,14 @@ func TestReq2PeersIncrease(t *testing.T) {
 		}
 		sent++
 		for k, it := range req.Items {
-			if it.Q < 0 || int(it.Q) >= n || it.Q == p.env.ID || p.heard[it.Q] || (k > 0 && it.Q <= req.Items[k-1].Q) {
+			if it.Q < 0 || int(it.Q) >= n || it.Q == p.ctx.ID() || p.heard[it.Q] || (k > 0 && it.Q <= req.Items[k-1].Q) {
 				t.Fatalf("n=%d: item %d names peer %d after %v", n, k, it.Q, req.Items[:k])
 			}
 		}
 		other := partitionPeer(sim.PeerID(rng.Intn(n)), n, L, re)
 		learnRandom(rng, other.track, rng.Float64())
-		other.answerReq2(p.env.ID, req)
-		resp := sentResp2(t, other, p.env.ID)
+		other.answerReq2(p.ctx.ID(), req)
+		resp := sentResp2(t, other, p.ctx.ID())
 		if named := len(resp.Items) + resp.MeNeither.Len(); named != len(req.Items) {
 			t.Fatalf("n=%d: answer names %d peers, the request %d", n, named, len(req.Items))
 		}

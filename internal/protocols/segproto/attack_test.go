@@ -7,35 +7,8 @@ import (
 	"repro/internal/bitarray"
 	"repro/internal/dtree"
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
-
-// fakeCtx captures the messages a Byzantine behavior sends.
-type fakeCtx struct {
-	n, t, bits int
-	id         sim.PeerID
-	sent       []sim.Message
-	rng        *rand.Rand
-}
-
-var _ sim.Context = (*fakeCtx)(nil)
-
-func (c *fakeCtx) ID() sim.PeerID                   { return c.id }
-func (c *fakeCtx) N() int                           { return c.n }
-func (c *fakeCtx) T() int                           { return c.t }
-func (c *fakeCtx) L() int                           { return c.bits }
-func (c *fakeCtx) MsgBits() int                     { return 64 }
-func (c *fakeCtx) Send(_ sim.PeerID, m sim.Message) { c.sent = append(c.sent, m) }
-func (c *fakeCtx) Broadcast(m sim.Message) {
-	for i := 0; i < c.n-1; i++ {
-		c.sent = append(c.sent, m)
-	}
-}
-func (c *fakeCtx) Query(int, []int)       {}
-func (c *fakeCtx) Output(*bitarray.Array) {}
-func (c *fakeCtx) Terminate()             {}
-func (c *fakeCtx) Rand() *rand.Rand       { return c.rng }
-func (c *fakeCtx) Now() float64           { return 0 }
-func (c *fakeCtx) Logf(string, ...any)    {}
 
 func knowledgeFor(n, t, L int) *sim.Knowledge {
 	return &sim.Knowledge{
@@ -55,18 +28,18 @@ func TestColludingLiarForgesFrequentableString(t *testing.T) {
 	}
 
 	// Two liars must broadcast IDENTICAL forged strings.
-	var all [][]sim.Message
+	var all [][]simtest.Sent
 	for _, id := range []sim.PeerID{0, 1} {
-		ctx := &fakeCtx{n: n, t: tf, bits: L, id: id, rng: rand.New(rand.NewSource(int64(id)))}
+		ctx := simtest.New(id, n, tf, L)
 		liar := NewColludingLiar(id, know)
 		liar.Init(ctx)
-		if len(ctx.sent) == 0 {
+		if len(ctx.Sent) == 0 {
 			t.Fatal("liar sent nothing")
 		}
-		all = append(all, ctx.sent)
+		all = append(all, ctx.Sent)
 	}
-	sv0, ok0 := all[0][0].(*SegValue)
-	sv1, ok1 := all[1][0].(*SegValue)
+	sv0, ok0 := all[0][0].Msg.(*SegValue)
+	sv1, ok1 := all[1][0].Msg.(*SegValue)
 	if !ok0 || !ok1 {
 		t.Fatal("liar sent non-SegValue")
 	}
@@ -87,10 +60,10 @@ func TestColludingLiarForgesFrequentableString(t *testing.T) {
 
 func TestColludingLiarSilentInNaiveRegime(t *testing.T) {
 	know := knowledgeFor(8, 3, 256) // degenerate scale
-	ctx := &fakeCtx{n: 8, t: 3, bits: 256, id: 0, rng: rand.New(rand.NewSource(3))}
+	ctx := simtest.New(0, 8, 3, 256)
 	NewColludingLiar(0, know).Init(ctx)
-	if len(ctx.sent) != 0 {
-		t.Fatalf("liar sent %d messages in the naive regime", len(ctx.sent))
+	if len(ctx.Sent) != 0 {
+		t.Fatalf("liar sent %d messages in the naive regime", len(ctx.Sent))
 	}
 }
 
@@ -100,12 +73,12 @@ func TestScatterLiarSendsWellFormedVariedStrings(t *testing.T) {
 	params := Derive(n, tf, L, 0)
 	seen := map[int]bool{}
 	for id := sim.PeerID(0); id < 6; id++ {
-		ctx := &fakeCtx{n: n, t: tf, bits: L, id: id, rng: rand.New(rand.NewSource(int64(id)))}
+		ctx := simtest.New(id, n, tf, L)
 		NewScatterLiar(id, know).Init(ctx)
-		if len(ctx.sent) == 0 {
+		if len(ctx.Sent) == 0 {
 			t.Fatalf("scatter liar %d sent nothing", id)
 		}
-		sv, ok := ctx.sent[0].(*SegValue)
+		sv, ok := ctx.Sent[0].Msg.(*SegValue)
 		if !ok {
 			t.Fatal("non-SegValue")
 		}
@@ -125,13 +98,13 @@ func TestScatterLiarSendsWellFormedVariedStrings(t *testing.T) {
 func TestAttackersIgnoreTraffic(t *testing.T) {
 	know := knowledgeFor(256, 64, 1<<12)
 	for _, mk := range []func(sim.PeerID, *sim.Knowledge) sim.Peer{NewColludingLiar, NewScatterLiar} {
-		ctx := &fakeCtx{n: 256, t: 64, bits: 1 << 12, id: 0, rng: rand.New(rand.NewSource(4))}
+		ctx := simtest.New(0, 256, 64, 1<<12)
 		a := mk(0, know)
 		a.Init(ctx)
-		before := len(ctx.sent)
+		before := len(ctx.Sent)
 		a.OnMessage(1, &SegValue{Cycle: 1, Seg: 0, Values: bitarray.New(8)})
 		a.OnQueryReply(sim.QueryReply{})
-		if len(ctx.sent) != before {
+		if len(ctx.Sent) != before {
 			t.Error("attacker reacted to traffic")
 		}
 	}

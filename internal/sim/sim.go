@@ -9,10 +9,11 @@
 // Byzantine). The headline complexity measure is the query complexity Q —
 // the maximum number of bits queried by any nonfaulty peer.
 //
-// Two in-process runtimes execute the same protocols: package des
-// (deterministic discrete-event; scheduled by a delay policy on virtual
-// time, or event by event by a chooser) and package live (real goroutines
-// with wall-clock delays).
+// Three runtimes execute the same protocols: package des (deterministic
+// discrete-event; scheduled by a delay policy on virtual time, or event by
+// event by a chooser), package live (real goroutines with wall-clock
+// delays) and package netrt (every peer a client of one hub over real TCP
+// sockets).
 package sim
 
 import (
