@@ -28,7 +28,6 @@ type LoadShard struct {
 	Enqueued  int64 `json:"enqueued"`
 	Written   int64 `json:"written"`
 	Dropped   int64 `json:"dropped"`
-	Blocked   int64 `json:"blocked"`
 	WriteErrs int64 `json:"write_errs"`
 	Flushes   int64 `json:"flushes"`
 }

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func sampleLoad() *LoadFile {
@@ -76,5 +79,24 @@ func TestLoadSLO(t *testing.T) {
 	}
 	if v := f.CheckSLO(LoadSLO{MaxDropped: 0}); len(v) != 0 {
 		t.Fatal("drop bound enforced without EnforceDrops")
+	}
+}
+
+// TestOlderLoadFileStillReads: a file written while the hub had a shard
+// queue carries a per-shard "blocked" count; it reads, and the counters
+// that remain come through.
+func TestOlderLoadFileStillReads(t *testing.T) {
+	path := filepath.Join(t.TempDir(), LoadFilename(time.Unix(0, 0)))
+	old := `{"schema":1,"created":"2026-01-01T00:00:00Z","clients":10,"conns":1,"queries":10,"replies":10,
+		"shard_stats":[{"enqueued":20,"written":20,"dropped":0,"blocked":3,"write_errs":0,"flushes":4}]}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := ReadLoad(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.ShardStats) != 1 || f.ShardStats[0].Written != 20 || f.ShardStats[0].Flushes != 4 {
+		t.Fatalf("shard stats: %+v", f.ShardStats)
 	}
 }

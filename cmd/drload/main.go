@@ -38,7 +38,6 @@ func run(args []string, stdout io.Writer) int {
 		clients = fs.Int("clients", 100000, "simulated logical clients")
 		conns   = fs.Int("conns", 32, "TCP connections the clients multiplex over")
 		shards  = fs.Int("shards", 8, "hub listener shards")
-		queue   = fs.Int("queue", 1024, "per-shard outbound queue bound (frames)")
 		queries = fs.Int("queries", 1, "queries per client (closed loop)")
 		qbits   = fs.Int("qbits", 8, "bits requested per query")
 		window  = fs.Int("window", 256, "in-flight clients per connection")
@@ -57,7 +56,7 @@ func run(args []string, stdout io.Writer) int {
 
 	hub, err := netrt.StartHub(netrt.Config{
 		N: *conns, L: *l, MsgBits: *msgBits, Seed: *seed,
-		Shards: *shards, ShardQueue: *queue,
+		Shards: *shards,
 	})
 	if err != nil {
 		fmt.Fprintf(stdout, "drload: %v\n", err)
@@ -97,7 +96,7 @@ func run(args []string, stdout io.Writer) int {
 	for _, s := range hub.ShardStats() {
 		file.ShardStats = append(file.ShardStats, LoadShard{
 			Enqueued: s.Enqueued, Written: s.Written, Dropped: s.Dropped,
-			Blocked: s.Blocked, WriteErrs: s.WriteErrs, Flushes: s.Flushes,
+			WriteErrs: s.WriteErrs, Flushes: s.Flushes,
 		})
 	}
 

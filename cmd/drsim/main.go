@@ -11,6 +11,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -19,6 +20,7 @@ import (
 
 	"repro/download"
 	"repro/internal/harden"
+	"repro/internal/netrt"
 	"repro/internal/obs"
 )
 
@@ -48,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		mirrors  = fs.String("mirrors", "", `untrusted mirror fleet plan, e.g. "mirrors=5,byz=3,behavior=mixed,seed=7" (all runtimes; Merkle-verified replies, authoritative fallback)`)
 		liveRT   = fs.Bool("live", false, "run on the concurrent goroutine runtime")
 		tcpRT    = fs.Bool("tcp", false, "run over real TCP sockets (crash-from-start faults only)")
-		verbose  = fs.Bool("v", false, "print per-peer stats")
+		verbose  = fs.Bool("v", false, "print per-peer stats, and on a TCP time-out the goroutine stacks")
 		trace    = fs.Bool("trace", false, "print event trace to stderr")
 		traceOut = fs.String("tracejson", "", "write a structured JSONL event trace to this file")
 
@@ -128,6 +130,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "drsim: %v\n", err)
+		if terr := (*netrt.TimeoutError)(nil); *verbose && errors.As(err, &terr) {
+			stderr.Write(terr.Stacks)
+		}
 		return 2
 	}
 

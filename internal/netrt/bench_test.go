@@ -94,7 +94,7 @@ func BenchmarkHubLoad(b *testing.B) {
 	want := int64(trial.Clients * trial.QueriesPerClient)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		hub, err := StartHub(Config{N: 2, Shards: 2, ShardQueue: 1024, L: 4096, MsgBits: 64, Seed: int64(i + 1)})
+		hub, err := StartHub(Config{N: 2, Shards: 2, L: 4096, MsgBits: 64, Seed: int64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -184,15 +184,15 @@ func crashkReq2() *crashk.Req2 {
 
 // BenchmarkBroadcastRelay is one broadcast of crashkReq2 from a client to
 // the n − 1 others through the hub an iteration, on one goroutine and over
-// in-memory connections: the sender's Broadcast; the hub's read, ACK and
-// route of each frame; one shard flush; and each destination's read,
-// decode and ACK. Frames are acked as they would be, so every outbox stays
+// in-memory connections: the sender's Broadcast and its writer's pass; the
+// hub's read, ACK and route of each frame, and one writer pass per hub
+// connection; and each destination's read, decode and ACK, sent by its
+// writer's pass. Frames are acked as they would be, so every outbox stays
 // warm. B/op and allocs/op are the row.
 func BenchmarkBroadcastRelay(b *testing.B) {
 	const n = 16
 	m := crashkReq2()
 	h := bareHub(b, Config{N: n, T: 8, L: 65536, MsgBits: 65536 / n, Seed: 1})
-	s := h.shards[0]
 	// Each link is a recConn whose writes the far end reads back.
 	type link struct {
 		rc *recConn
@@ -215,12 +215,16 @@ func BenchmarkBroadcastRelay(b *testing.B) {
 		h.peers[sim.PeerID(i)].conn = newFrameConn(down[i].rc, 0)
 		dests[i] = &client{stats: &sim.PeerStats{}, cfg: &h.cfg, id: sim.PeerID(i), impl: &recorder{}, conn: newFrameConn(&recConn{discard: true}, 0)}
 	}
-	batch := make([]shardFrame, 0, cap(s.q))
+	// Every connection's writer keeps its own scratch: the sender's, and
+	// the hub's and the client's end of each destination's.
+	var sw wbuf
+	hw, cw := make([]wbuf, n), make([]wbuf, n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for it := 0; it < b.N; it++ {
 		up.rc.wrote = up.rc.wrote[:0]
 		sender.Broadcast(m)
+		sender.pass(sender.conn, &sw)
 		sender.out.ackTo(sender.out.nextSeq)
 		up.r.Reset(up.rc.wrote)
 		for k := 1; k < n; k++ {
@@ -228,13 +232,13 @@ func BenchmarkBroadcastRelay(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			h.writeData(from, kAck, 0, numPayload(seq, nil))
+			from.conn.owe(kAck, 0, numPayload(seq, nil))
 			h.route(from, payload, time.Now())
 		}
-		for batch = batch[:0]; len(s.q) > 0; {
-			batch = append(batch, <-s.q)
+		for i := 0; i < n; i++ {
+			hp := h.peers[sim.PeerID(i)]
+			h.pass(hp, hp.conn, &hw[i])
 		}
-		h.flushBatch(s, batch)
 		for i := 1; i < n; i++ {
 			hp, l, c := h.peers[sim.PeerID(i)], down[i], dests[i]
 			hp.out.ackTo(hp.out.nextSeq)
@@ -245,6 +249,7 @@ func BenchmarkBroadcastRelay(b *testing.B) {
 				b.Fatal(err)
 			}
 			c.handleFrame(kind, seq, payload)
+			c.pass(c.conn, &cw[i])
 		}
 	}
 	b.StopTimer()

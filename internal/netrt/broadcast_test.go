@@ -21,12 +21,13 @@ type sentFrame struct {
 	payload []byte
 }
 
-// pipeClient is a client on an in-memory connection: sent() closes the
-// client's end, unless a churn crash already has, and returns every frame
-// the far end read.
+// pipeClient is a client on an in-memory connection: sent() runs a pass of
+// the connection's writer, closes the client's end, and returns every
+// frame the far end read.
 func pipeClient(id sim.PeerID, n int, churn *sim.ChurnPeer) (c *client, sent func() []sentFrame) {
 	near, far := net.Pipe()
-	c = &client{stats: &sim.PeerStats{}, cfg: &Config{N: n}, id: id, conn: newFrameConn(near, 0), churn: churn}
+	fc := newFrameConn(near, 0)
+	c = &client{stats: &sim.PeerStats{}, cfg: &Config{N: n}, id: id, conn: fc, churn: churn}
 	done := make(chan []sentFrame)
 	go func() {
 		var frames []sentFrame
@@ -41,6 +42,7 @@ func pipeClient(id sim.PeerID, n int, churn *sim.ChurnPeer) (c *client, sent fun
 		}
 	}()
 	return c, func() []sentFrame {
+		c.pass(fc, &wbuf{})
 		near.Close()
 		return <-done
 	}

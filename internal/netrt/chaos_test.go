@@ -1,8 +1,10 @@
 package netrt_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -222,6 +224,34 @@ func TestTimeoutErrorReportsPendingPeers(t *testing.T) {
 	for _, want := range []string{"timed out", "peer 0", "peer 1"} {
 		if !containsStr(msg, want) {
 			t.Errorf("error %q missing %q", msg, want)
+		}
+	}
+}
+
+// TestRunReturnsWithinTimeout: a run whose peers never terminate returns
+// its *TimeoutError, with the goroutine profile taken at the deadline,
+// within a second of Timeout, and leaves no goroutine behind: no client
+// redials or sleeps past the hub's stop.
+func TestRunReturnsWithinTimeout(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	before := runtime.NumGoroutine()
+	start := time.Now()
+	_, err := netrt.Run(netrt.Config{N: 4, T: 0, L: 64, MsgBits: 64, Seed: 1,
+		NewPeer: func(sim.PeerID) sim.Peer { return neverPeer{} }, Timeout: timeout})
+	took := time.Since(start)
+	var terr *netrt.TimeoutError
+	if !errors.As(err, &terr) {
+		t.Fatalf("error is %T, want *netrt.TimeoutError: %v", err, err)
+	}
+	if took > timeout+time.Second {
+		t.Errorf("Run returned %v after it started; Timeout is %v", took, timeout)
+	}
+	if len(terr.Pending) != 4 || !bytes.Contains(terr.Stacks, []byte("goroutine profile:")) {
+		t.Errorf("%d peers pending, want 4; stacks %.60q", len(terr.Pending), terr.Stacks)
+	}
+	for end := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatalf("%d goroutines a second after Run returned, %d before it", runtime.NumGoroutine(), before)
 		}
 	}
 }

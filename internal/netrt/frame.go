@@ -7,17 +7,15 @@ import (
 	"io"
 	"math"
 	"net"
-	"sync"
 	"time"
 )
 
 // Frame I/O. Every connection of the runtime — the hub's, the client's, the
 // load generator's — is a frameConn, and a frame costs about one system call
-// in each direction: a small frame is assembled and leaves in one write, and
-// frames are read through a per-connection buffer, so a header and its body,
-// and a run of small frames that arrived together, share one read. The hub's
-// shard writers go further and put several frames into one write
-// (flushBatch); they share the frameConn's write lock. A frame's bytes are
+// in each direction: frames are read through a per-connection buffer, so a
+// run of frames that arrived together shares one read, and an installed
+// connection's one writer goroutine sends all it owes in one vectored write
+// (writeFrames). No read loop ever waits on a write. A frame's bytes are
 // allocated once per trip: a frame read lies in a buffer the connection
 // keeps until its next read, and a frame waiting to be sent holds its
 // payload as a framePayload, whose body several frames may share. See
@@ -122,10 +120,8 @@ func kindName(k byte) string {
 // maxFrame bounds a frame's size (hostile or buggy peers).
 const maxFrame = 64 << 20
 
-// coalesceMax is the largest payload that writeFrame copies next to its
-// header so the frame leaves in one write. A larger payload is written from
-// where it lies, after the header: the copy would cost more than the second
-// system call saves.
+// coalesceMax is the largest payload that frameBatch copies next to its
+// header; a larger one is written from where it lies.
 const coalesceMax = 4 << 10
 
 // readBufSize sizes a connection's read buffer. A body that does not fit is
@@ -141,12 +137,11 @@ const keepFrame = 64 << 10
 // before any of it has arrived; the rest is allocated as it is read.
 const eagerFrame = 1 << 20
 
-// frameConn is one connection's frame I/O: the write lock and scratch that
-// make a frame's bytes contiguous on the wire, and the read buffers. It lives
-// exactly as long as nc does, so bytes buffered by one reader of the
-// connection (the hello or resume handshake) are there for the next (the
-// serve loop), and two values are the same connection iff the pointers are
-// equal.
+// frameConn is one connection's frame I/O: its read buffers, and the state
+// of its one writer. It lives exactly as long as nc does, so bytes buffered
+// by one reader of the connection (the hello or resume handshake) are there
+// for the next (the serve loop), and two values are the same connection iff
+// the pointers are equal.
 type frameConn struct {
 	nc net.Conn
 	// idle, when positive, is the silence a reader tolerates: the read
@@ -159,12 +154,58 @@ type frameConn struct {
 	// largest such frame the connection has read.
 	kept []byte
 
-	wmu  sync.Mutex
-	wbuf []byte // one small frame, or a large frame's header
+	// wake (one slot) starts a pass of the connection's writer. owed is
+	// what the pass sends ahead of the owner's outbox, in order: RESUME,
+	// ROOT, one ACK per admitted frame (outbox.ack counts repeats), pings,
+	// copies the fault plan held back. retx asks for an outbox rescan. The
+	// owner's mutex guards both.
+	wake chan struct{}
+	owed []outFrame
+	retx bool
+}
+
+// owe has the writer's next pass send a frame (owner's mutex held).
+func (fc *frameConn) owe(kind byte, seq uint64, p framePayload) {
+	fc.owed = append(fc.owed, outFrame{kind: kind, seq: seq, p: p})
+	fc.poke()
+}
+
+// take appends to dst what a writer pass at now sends: the frames owed,
+// then what is due from out (owner's mutex held).
+func (fc *frameConn) take(dst []outFrame, out *outbox, now, cutoff time.Time) []outFrame {
+	dst = append(dst, fc.owed...)
+	clear(fc.owed)
+	fc.owed = fc.owed[:0]
+	dst = out.take(dst, now, cutoff, fc.retx)
+	fc.retx = false
+	return dst
+}
+
+// poke starts a pass of the connection's writer, if one is not pending.
+func (fc *frameConn) poke() {
+	select {
+	case fc.wake <- struct{}{}:
+	default:
+	}
+}
+
+// writeLoop is the connection's one writer: a pass per poke, until a pass
+// reports false or stop closes.
+func (fc *frameConn) writeLoop(stop <-chan struct{}, pass func() bool) {
+	for {
+		select {
+		case <-stop:
+			return
+		case <-fc.wake:
+		}
+		if !pass() {
+			return
+		}
+	}
 }
 
 func newFrameConn(conn net.Conn, idle time.Duration) *frameConn {
-	fc := &frameConn{nc: conn, idle: idle, kept: make([]byte, 512)}
+	fc := &frameConn{nc: conn, idle: idle, kept: make([]byte, 512), wake: make(chan struct{}, 1)}
 	fc.r = bufio.NewReaderSize(socketReader{fc}, readBufSize)
 	return fc
 }
@@ -216,37 +257,62 @@ func (fc *frameConn) readFrame() (kind byte, seq uint64, payload []byte, err err
 	return kind, seq, payload, err
 }
 
-// writeFrame encodes one frame (byte for byte what appendFrame produces)
-// and writes it.
-func (fc *frameConn) writeFrame(kind byte, seq uint64, p framePayload) error {
+// frameBatch is frames encoded for one write: headers and small payloads
+// in scratch, each larger body a buffer of its own.
+type frameBatch struct {
+	scratch []byte
+	mark    int // scratch[mark:] is not in bufs yet
+	bufs    net.Buffers
+	frames  int
+}
+
+// add encodes one frame (byte for byte what appendFrame produces) into b. A
+// frame over the size limit is refused.
+func (b *frameBatch) add(kind byte, seq uint64, p framePayload) error {
 	size := p.len()
 	if size > maxFrame-16 {
 		return fmt.Errorf("netrt: frame too large: %d", size)
 	}
-	fc.wmu.Lock()
-	defer fc.wmu.Unlock()
+	b.frames++
 	if size <= coalesceMax {
-		fc.wbuf = appendFrame(fc.wbuf[:0], kind, seq, p)
-		_, err := fc.nc.Write(fc.wbuf)
-		return err
+		b.scratch = appendFrame(b.scratch, kind, seq, p)
+		return nil
 	}
 	// The frame without its body, its length made to cover the body.
-	fc.wbuf = appendFrame(fc.wbuf[:0], kind, seq, framePayload{num: p.num, hasNum: p.hasNum})
-	binary.BigEndian.PutUint32(fc.wbuf, uint32(len(fc.wbuf)-4+len(p.body)))
-	if _, err := fc.nc.Write(fc.wbuf); err != nil {
-		return err
+	at := len(b.scratch)
+	b.scratch = appendFrame(b.scratch, kind, seq, framePayload{num: p.num, hasNum: p.hasNum})
+	binary.BigEndian.PutUint32(b.scratch[at:], uint32(len(b.scratch)-at-4+len(p.body)))
+	b.bufs = append(b.bufs, b.scratch[b.mark:], p.body)
+	b.mark = len(b.scratch)
+	return nil
+}
+
+// writeFrames writes b's frames in one vectored write and empties b: the
+// one write primitive, for the connection's writer, the HELLO/REJECT
+// handshake before it starts, and the load generator's raw clients.
+func (fc *frameConn) writeFrames(b *frameBatch) error {
+	if b.mark < len(b.scratch) {
+		b.bufs = append(b.bufs, b.scratch[b.mark:])
 	}
-	_, err := fc.nc.Write(p.body)
+	all := b.bufs
+	var err error
+	if len(all) == 1 {
+		_, err = fc.nc.Write(all[0])
+	} else {
+		_, err = b.bufs.WriteTo(fc.nc)
+	}
+	clear(all) // release the bodies
+	b.scratch, b.mark, b.bufs, b.frames = b.scratch[:0], 0, all[:0], 0
 	return err
 }
 
-// writeEncoded writes frames the caller has already encoded with
-// appendFrame, in one write.
-func (fc *frameConn) writeEncoded(frames []byte) error {
-	fc.wmu.Lock()
-	defer fc.wmu.Unlock()
-	_, err := fc.nc.Write(frames)
-	return err
+// writeHandshake writes a HELLO or REJECT before the writer starts.
+func writeHandshake(fc *frameConn, kind byte, p framePayload) error {
+	var b frameBatch
+	if err := b.add(kind, 0, p); err != nil {
+		return err
+	}
+	return fc.writeFrames(&b)
 }
 
 func (fc *frameConn) Close() error { return fc.nc.Close() }

@@ -75,6 +75,16 @@ func (c *recConn) counts() (writes, reads, readArms int) {
 	return c.writes, c.reads, c.readArms
 }
 
+// writeFrame writes one frame through the connection's one write
+// primitive, as the HELLO/REJECT handshake does.
+func (fc *frameConn) writeFrame(kind byte, seq uint64, p framePayload) error {
+	var b frameBatch
+	if err := b.add(kind, seq, p); err != nil {
+		return err
+	}
+	return fc.writeFrames(&b)
+}
+
 // patterned is a payload of n bytes that depends on salt at every position,
 // so a misplaced or torn payload does not compare equal.
 func patterned(n int, salt uint64) []byte {
@@ -129,73 +139,85 @@ func TestWriteFrameBytesAndWrites(t *testing.T) {
 	}
 }
 
-// TestWriteFrameReusesItsScratch: after the first one, a small frame costs
-// no allocation, and a frame written after a larger one is not polluted by
-// it.
+// TestWriteFrameReusesItsScratch: a batch written over and over costs no
+// allocation for a small frame after the first one, and a frame written
+// after a larger one is not polluted by it.
 func TestWriteFrameReusesItsScratch(t *testing.T) {
 	rc := &recConn{discard: true}
 	fc := newFrameConn(rc, 0)
+	var b frameBatch
+	write := func(kind byte, seq uint64, p framePayload) error {
+		if err := b.add(kind, seq, p); err != nil {
+			return err
+		}
+		return fc.writeFrames(&b)
+	}
 	payload := patterned(300, 1)
-	if err := fc.writeFrame(kQReply, 1, rawPayload(patterned(coalesceMax, 2))); err != nil {
+	if err := write(kQReply, 1, rawPayload(patterned(coalesceMax, 2))); err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = fc.writeFrame(kQReply, 1<<20, rawPayload(payload)) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { _ = write(kQReply, 1<<20, rawPayload(payload)) }); n != 0 {
 		t.Errorf("a small-frame write allocates %v times", n)
 	}
 	rc.discard = false
-	_ = fc.writeFrame(kAck, 0, rawPayload([]byte{9}))
+	_ = write(kAck, 0, rawPayload([]byte{9}))
 	if want := appendFrame(nil, kAck, 0, rawPayload([]byte{9})); !bytes.Equal(rc.wrote, want) {
 		t.Errorf("frame after a larger one: % x, want % x", rc.wrote, want)
 	}
 }
 
-// TestWriteFrameConcurrent: eight goroutines share one connection; every
-// frame arrives whole, and each writer's frames arrive in its own order.
+// TestWriteFrameConcurrent: eight goroutines send on one hub peer's stream
+// at once, and the connection's one writer puts their frames on it; every
+// frame arrives whole, and each goroutine's frames arrive in its own order.
 func TestWriteFrameConcurrent(t *testing.T) {
 	const writers, each = 8, 1000
 	sizeOf := func(i int) int {
 		return []int{0, 17, coalesceMax - 1, coalesceMax, coalesceMax + 1, 2 * coalesceMax}[i%6]
 	}
+	// A frame's body is its writer and index, then a patterned tail.
+	body := func(w, i int) []byte {
+		return append(binary.BigEndian.AppendUint64(nil, uint64(w)<<32|uint64(i)), patterned(sizeOf(i), uint64(w*each+i))...)
+	}
 	out, in := loopbackPair(t)
-	fc := newFrameConn(out, 0)
+	h := bareHub(t, Config{N: 1, L: 64, MsgBits: 64})
+	hp := h.peers[0]
+	hp.conn = newFrameConn(out, 0)
+	h.wg.Add(1)
+	go h.writer(hp, hp.conn)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				seq := uint64(w)<<32 | uint64(i)
-				if err := fc.writeFrame(kMsg, seq, rawPayload(patterned(sizeOf(i), seq))); err != nil {
-					t.Errorf("writer %d frame %d: %v", w, i, err)
-					return
-				}
+				h.send(hp, kQReply, rawPayload(body(w, i)))
 			}
 		}(w)
 	}
-	go func() {
-		wg.Wait()
-		out.Close()
-	}()
 
 	next := make([]int, writers)
 	rd := newFrameConn(in, 10*time.Second)
-	for {
-		kind, seq, payload, err := rd.readFrame()
-		if err == io.EOF {
-			break
-		}
+	for seq := uint64(1); seq <= writers*each; seq++ {
+		kind, got, payload, err := rd.readFrame()
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, i := int(seq>>32), int(uint32(seq))
-		if kind != kMsg || w >= writers || i != next[w] {
-			t.Fatalf("read %s seq %#x; writer %d's next frame is %d", kindName(kind), seq, w, next[w])
+		if kind != kQReply || got != seq || len(payload) < 8 {
+			t.Fatalf("read %s seq %d (%d bytes), want QREPLY seq %d", kindName(kind), got, len(payload), seq)
 		}
-		if !bytes.Equal(payload, patterned(sizeOf(i), seq)) {
+		id := binary.BigEndian.Uint64(payload)
+		w, i := int(id>>32), int(uint32(id))
+		if w >= writers || i != next[w] {
+			t.Fatalf("read writer %d's frame %d; its next frame is %d", w, i, next[w])
+		}
+		if !bytes.Equal(payload, body(w, i)) {
 			t.Fatalf("writer %d frame %d: payload torn or misplaced (%d bytes)", w, i, len(payload))
 		}
 		next[w]++
 	}
+	wg.Wait()
+	close(h.stop)
+	h.wg.Wait()
 	for w, n := range next {
 		if n != each {
 			t.Errorf("writer %d: %d of %d frames arrived", w, n, each)
@@ -308,7 +330,8 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 
 // TestFrameAllocBudgets: a warm connection reads a frame of up to keepFrame
 // bytes without allocating, and an ACK costs no allocation on the client,
-// nor on the hub from writeData through the shard writer's flush.
+// nor on the hub, from the admission that owes it through the writer's
+// pass that sends it.
 func TestFrameAllocBudgets(t *testing.T) {
 	for _, size := range []int{0, 9, 1000, readBufSize + 3, keepFrame - 20} {
 		frame := appendFrame(nil, kMsg, 1<<20, rawPayload(patterned(size, 4)))
@@ -326,18 +349,23 @@ func TestFrameAllocBudgets(t *testing.T) {
 	c := &client{stats: &sim.PeerStats{}, cfg: &Config{N: 4, L: 64}, id: 1, conn: newFrameConn(&recConn{discard: true}, 0)}
 	c.recv.resumeAt(10)
 	msg := marshalAppend(binary.AppendUvarint(nil, 2), broadcastSamples()[1])
-	if n := testing.AllocsPerRun(100, func() { c.handleFrame(kMsg, 7, msg) }); n != 0 {
+	var cw wbuf
+	if n := testing.AllocsPerRun(100, func() {
+		c.handleFrame(kMsg, 7, msg)
+		c.pass(c.conn, &cw)
+	}); n != 0 {
 		t.Errorf("a client ACK allocates %v times", n)
 	}
 
-	s := &hubShard{q: make(chan shardFrame, 1), byPeer: make(map[*hubPeer]*connBatch)}
+	s := &hubShard{}
 	h := &hub{shards: []*hubShard{s}, idle: time.Second, stop: make(chan struct{})}
 	hp := &hubPeer{conn: newFrameConn(&recConn{discard: true}, 0)}
-	batch := make([]shardFrame, 1)
+	var hw wbuf
 	if n := testing.AllocsPerRun(100, func() {
-		h.writeData(hp, kAck, 0, numPayload(1<<30, nil))
-		batch[0] = <-s.q
-		h.flushBatch(s, batch)
+		hp.mu.Lock()
+		hp.conn.owe(kAck, 0, numPayload(1<<30, nil))
+		hp.mu.Unlock()
+		h.pass(hp, hp.conn, &hw)
 	}); n != 0 {
 		t.Errorf("a hub ACK allocates %v times", n)
 	}
@@ -520,6 +548,7 @@ func TestResumeAndReplayInOneSegment(t *testing.T) {
 	}
 	c.conn = fc
 	c.loop() // ends when the segment does: the redial budget of this client is zero
+	c.pass(fc, &wbuf{})
 	if len(rec.msgs) != len(msgs) {
 		t.Fatalf("%d of the %d replayed messages were delivered", len(rec.msgs), len(msgs))
 	}
@@ -531,7 +560,7 @@ func TestResumeAndReplayInOneSegment(t *testing.T) {
 	if _, reads, _ := rc.counts(); reads > 2 {
 		t.Errorf("one segment took %d socket reads", reads)
 	}
-	// Each delivery was acked on the same connection.
+	// Each delivery was acked on the same connection, by its writer.
 	var acks []uint64
 	for r := bytes.NewReader(rc.wrote); r.Len() > 0; {
 		kind, _, payload, err := readFrame(r)

@@ -222,6 +222,9 @@ func TestChaosDedupReliableModel(t *testing.T) {
 	}
 }
 
+// takeDue takes every frame due at now (outbox.take with a full scan).
+func (o *outbox) takeDue(now, cutoff time.Time) []outFrame { return o.take(nil, now, cutoff, true) }
+
 func TestOutboxAckAndRetransmit(t *testing.T) {
 	var o outbox
 	o.push(kMsg, rawPayload([]byte("a")))
@@ -532,7 +535,7 @@ func runPeer(t *testing.T, addr string, l int, peer sim.Peer, pol source.Policy)
 	st := &sim.PeerStats{}
 	q := qplane.NewRemoteTier(cfg.L, cfg.Seed, cfg.SourcePolicy).NewPlane(0, st, false)
 	done := make(chan error, 1)
-	go func() { done <- runClient(cfg, 0, addr, q, st, nil, time.Now()) }()
+	go func() { done <- runClient(cfg, 0, addr, q, st, nil, time.Now(), nil) }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -757,7 +760,7 @@ func TestLateReplyServesParkedCall(t *testing.T) {
 		now := time.Now()
 		c.mu.Lock()
 		pqA, pqB := c.queries[0], c.queries[1]
-		c.follow(nil, pqB, c.q.Silent(c.clock(now), pqB.call), now)
+		c.follow(pqB, c.q.Silent(c.clock(now), pqB.call), now)
 		c.mu.Unlock()
 		if pqA.state != parked || pqB.state != parked || c.q.Parked() != 2 {
 			t.Fatalf("states %d and %d with %d parked, want both calls parked", pqA.state, pqB.state, c.q.Parked())
@@ -767,7 +770,7 @@ func TestLateReplyServesParkedCall(t *testing.T) {
 		}
 		// b's reply comes in after all.
 		h.answerQuery(h.peers[1], hdrB, time.Now())
-		c.handleFrame(kQReply, 2, payloadOf(queued(t, h)))
+		c.handleFrame(kQReply, 2, payloadOf(queued(t, h, h.peers[1])))
 		if st.DupFramesDropped != 0 || c.q.Parked() != 0 || len(c.queries) != 1 || c.queries[0] != pqA {
 			t.Fatalf("terminated=%v: %d duplicates, %d parked, %d pending; want b settled and a flushed",
 				terminated, st.DupFramesDropped, c.q.Parked(), len(c.queries))

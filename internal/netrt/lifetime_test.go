@@ -25,12 +25,13 @@ func scribble(b []byte) {
 	}
 }
 
-// bareHub is a hub's state without its goroutines: the frames it queues
-// stay in its one shard's queue, and every peer is connected.
+// bareHub is a hub's state without its goroutines: every peer is
+// connected, and what the hub owes a peer stays owed until a test takes it
+// (queued) or runs a writer pass.
 func bareHub(t testing.TB, cfg Config) *hub {
 	t.Helper()
 	input := (&sim.Config{N: cfg.N, T: cfg.T, L: cfg.L, MsgBits: cfg.MsgBits, Seed: cfg.Seed}).ResolveInput()
-	s := &hubShard{q: make(chan shardFrame, 64), byPeer: make(map[*hubPeer]*connBatch)}
+	s := &hubShard{}
 	h := &hub{cfg: cfg, res: cfg.Resilience.withDefaults(), idle: time.Second, input: input,
 		src: source.Wrap(source.NewTrusted(input), nil), shards: []*hubShard{s}, start: time.Now(),
 		expect: cfg.N, peers: make(map[sim.PeerID]*hubPeer), stop: make(chan struct{}), allDone: make(chan struct{})}
@@ -43,18 +44,20 @@ func bareHub(t testing.TB, cfg Config) *hub {
 	return h
 }
 
-// queued takes the one frame the hub's call left in its shard queue.
-func queued(t *testing.T, h *hub) shardFrame {
+// queued takes the one frame the hub's call left owed to hp: what the next
+// pass of its connection's writer would send.
+func queued(t *testing.T, h *hub, hp *hubPeer) outFrame {
 	t.Helper()
-	if n := len(h.shards[0].q); n != 1 {
-		t.Fatalf("%d frames queued, want 1", n)
+	frames, _ := h.collect(hp, hp.conn, nil)
+	if len(frames) != 1 {
+		t.Fatalf("%d frames owed, want 1", len(frames))
 	}
-	return <-h.shards[0].q
+	return frames[0]
 }
 
 // payloadOf is f's payload as the receiving end reads it, in a buffer of
 // its own.
-func payloadOf(f shardFrame) []byte {
+func payloadOf(f outFrame) []byte {
 	_, _, p, _ := readFrame(bytes.NewReader(appendFrame(nil, f.kind, f.seq, f.p)))
 	return p
 }
@@ -79,7 +82,7 @@ func TestHubKeepsNoReadBuffer(t *testing.T) {
 	payload := append(binary.AppendUvarint(nil, uint64(dest.id)), body...)
 	h.route(src, payload, time.Now())
 	want := appendFrame(nil, kMsg, 1, numPayload(uint64(src.id), body))
-	sent, kept := queued(t, h), dest.out.unacked()[0]
+	sent, kept := queued(t, h, dest), dest.out.unacked()[0]
 	check("the routed MSG", want, appendFrame(nil, kMsg, 1, rawPayload(payloadOf(sent))))
 	scribble(payload)
 	check("the queued MSG", want, appendFrame(nil, sent.kind, sent.seq, sent.p))
@@ -91,7 +94,7 @@ func TestHubKeepsNoReadBuffer(t *testing.T) {
 	}{{"QREPLY", h.answerQuery}, {"QPROOF", h.answerMirrorQuery}} {
 		payload := encodeQueryHeader(5, []int{100, 101, 102, 140})
 		answer.call(src, payload, time.Now())
-		reply := queued(t, h)
+		reply := queued(t, h, src)
 		before := appendFrame(nil, reply.kind, reply.seq, reply.p)
 		scribble(payload)
 		check("the queued "+answer.name, before, appendFrame(nil, reply.kind, reply.seq, reply.p))
@@ -149,7 +152,7 @@ func TestClientKeepsNoReadBuffer(t *testing.T) {
 		idx := []int{200, 201, 202, 230, 231}
 		c.Query(7, idx)
 		answer.call(h.peers[c.id], encodeQueryHeader(7, idx), time.Now())
-		payload := payloadOf(queued(t, h))
+		payload := payloadOf(queued(t, h, h.peers[c.id]))
 		seq++
 		c.handleFrame(answer.kind, seq, payload)
 		scribble(payload)

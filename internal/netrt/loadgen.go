@@ -8,8 +8,8 @@ package netrt
 // verbatim in the reply header), so a million clients need no wire
 // changes and no per-client socket. Every logical client is closed-loop
 // (at most one outstanding query), and a window bounds how many clients
-// per connection are in flight at once so startup cannot deadlock the
-// socket buffers against the hub's backpressure.
+// per connection are in flight at once, and so how many replies the hub's
+// outbox holds toward the connection.
 
 import (
 	"encoding/binary"
@@ -93,7 +93,7 @@ type connLoad struct {
 	spec LoadSpec
 	l    int
 	conn *frameConn
-	out  []byte // encoded frames not yet written: see flush
+	out  frameBatch // frames not yet written: see flush
 	seq  uint64
 	// recv dedups the hub's reliable stream, which the replies ride, and
 	// acked is the cumulative position last acked to the hub.
@@ -133,7 +133,7 @@ func (c *connLoad) sendNext(li int) {
 	c.seq++
 	payload := encodeQueryHeader(global, indices)
 	c.sentAt[li] = time.Now()
-	c.out = appendFrame(c.out, kQuery, c.seq, rawPayload(payload))
+	_ = c.out.add(kQuery, c.seq, rawPayload(payload))
 	c.queries++
 	c.inflight++
 }
@@ -146,15 +146,13 @@ func (c *connLoad) sendNext(li int) {
 // is left out: to the hub, a repeated ACK means a missing frame.
 func (c *connLoad) flush() error {
 	if ack := c.recv.cumAck(); ack > c.acked {
-		c.out = appendFrame(c.out, kAck, 0, numPayload(ack, nil))
+		_ = c.out.add(kAck, 0, numPayload(ack, nil))
 		c.acked = ack
 	}
-	if len(c.out) == 0 {
+	if c.out.frames == 0 {
 		return nil
 	}
-	err := c.conn.writeEncoded(c.out)
-	c.out = c.out[:0]
-	return err
+	return c.conn.writeFrames(&c.out)
 }
 
 // run drives this connection to completion or the deadline.
@@ -250,11 +248,11 @@ func (x *Hub) GenerateLoad(spec LoadSpec) (*LoadResult, error) {
 	// setup failure never leaves half a fleet running.
 	for i, d := range drivers {
 		id := sim.PeerID(i)
-		conn, err := net.DialTimeout("tcp", x.h.addrFor(id), 10*time.Second)
+		conn, err := dial(x.h.addrFor(id), 10*time.Second)
 		if err == nil {
 			// No idle deadline: run reads against the trial's own.
 			d.conn = newFrameConn(conn, 0)
-			err = d.conn.writeFrame(kHello, 0, rawPayload(binary.AppendUvarint(nil, uint64(id))))
+			err = writeHandshake(d.conn, kHello, rawPayload(binary.AppendUvarint(nil, uint64(id))))
 		}
 		if err != nil {
 			for _, prev := range drivers[:i] {

@@ -12,7 +12,7 @@ import (
 func TestGenerateLoad(t *testing.T) {
 	hub, err := StartHub(Config{
 		N: 8, L: 256, MsgBits: 64, Seed: 4,
-		Shards: 4, ShardQueue: 512,
+		Shards: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +43,7 @@ func TestGenerateLoad(t *testing.T) {
 	for _, s := range hub.ShardStats() {
 		written += s.Written
 	}
-	// Each query draws a QREPLY plus an ACK through the shard writers.
+	// Each query draws a QREPLY plus an ACK from its connection's writer.
 	if written < wantQ {
 		t.Fatalf("shards wrote %d frames, want >= %d", written, wantQ)
 	}

@@ -28,6 +28,7 @@ package netrt
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -35,9 +36,11 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"runtime/pprof"
 	"slices"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/bitarray"
@@ -126,13 +129,12 @@ type Config struct {
 	// IdleTimeout overrides the dead-link detection window (default 5s).
 	IdleTimeout time.Duration
 	// Shards sets the number of hub listener shards. Peer id i dials the
-	// shard i % Shards, and each shard owns its accept loop, a bounded
-	// outbound frame queue, and a writer goroutine that coalesces queued
-	// frames into batched socket writes. 0 or 1 keeps a single shard.
+	// shard i % Shards, and each shard owns a listener and its accept
+	// loop. 0 or 1 keeps a single shard.
 	Shards int
-	// ShardQueue bounds each shard's outbound queue in frames (default
-	// 1024). A full queue applies backpressure: enqueues block until the
-	// writer drains, counted by the shard's backpressure counter.
+	// ShardQueue is unused: a connection's one queue is its peer's outbox.
+	//
+	// Deprecated: ignored.
 	ShardQueue int
 	// Resilience tunes retry/reconnect behavior; zero fields default.
 	Resilience Resilience
@@ -233,8 +235,8 @@ func (c *Config) validate() error {
 			return fmt.Errorf("netrt: %w", err)
 		}
 	}
-	if c.Shards < 0 || c.ShardQueue < 0 {
-		return fmt.Errorf("netrt: negative Shards (%d) or ShardQueue (%d)", c.Shards, c.ShardQueue)
+	if c.Shards < 0 {
+		return fmt.Errorf("netrt: negative Shards (%d)", c.Shards)
 	}
 	return nil
 }
@@ -250,6 +252,10 @@ type PendingPeer struct {
 	LastFrame string
 	// LastFrameAge is how long before the deadline that frame arrived.
 	LastFrameAge time.Duration
+	// Unacked is the depth of the hub's outbox toward the peer; AckBase
+	// the position of that stream the peer is known to hold.
+	Unacked int
+	AckBase uint64
 }
 
 // TimeoutError reports which peers were still running when Config.Timeout
@@ -258,6 +264,9 @@ type PendingPeer struct {
 type TimeoutError struct {
 	After   time.Duration
 	Pending []PendingPeer
+	// Stacks is the goroutine profile (debug=1) taken as the deadline
+	// fired: a stalled run's wait cycle shows in it.
+	Stacks []byte
 }
 
 func (e *TimeoutError) Error() string {
@@ -319,7 +328,7 @@ func Run(cfg Config) (*sim.Result, error) {
 		clients.Add(1)
 		go func() {
 			defer clients.Done()
-			if err := runClient(&cfg, id, h.addrFor(id), q, &stats[id], met, h.start); err != nil {
+			if err := runClient(&cfg, id, h.addrFor(id), q, &stats[id], met, h.start, h.stop); err != nil {
 				errs <- fmt.Errorf("peer %d: %w", id, err)
 			}
 		}()
@@ -355,14 +364,14 @@ type hubPeer struct {
 	id sim.PeerID
 
 	mu   sync.Mutex
-	conn *frameConn // nil while disconnected
+	conn *frameConn // nil while disconnected; only its writer writes it
 	// killed marks a KillAfter casualty: reconnects are refused.
 	killed bool
 	// out is the reliable hub→peer stream: relayed MSGs and the source's
-	// QREPLY, QPROOF and QERR frames, numbered together. Unacked frames
-	// are retransmitted until the client's cumulative ack covers them —
-	// at the next retransmit tick past the RTO, or at once on the third
-	// repeat of the client's ack (outbox.ack).
+	// QREPLY, QPROOF and QERR frames, numbered together: the only queue
+	// toward the peer. conn's writer sends each frame once pushed, and
+	// again until the cumulative ack covers it — at the next retransmit
+	// tick past the RTO, or on the third repeat of an ack (outbox.ack).
 	out outbox
 	// recv dedups the peer→hub reliable stream.
 	recv dedupReliable
@@ -396,7 +405,7 @@ type hub struct {
 	// mirror, when non-nil, is the untrusted fleet QUERY frames are
 	// served from; QUERYSRC fallbacks bypass it through src.
 	mirror *source.Mirrored
-	// shards are the hub's listener/writer units; peer i belongs to shard
+	// shards are the hub's listener units; peer i belongs to shard
 	// i % len(shards). Built once in newHub, never mutated.
 	shards []*hubShard
 	start  time.Time
@@ -434,20 +443,16 @@ func newHub(cfg Config, input *bitarray.Array, met *netMetrics) (*hub, error) {
 	if nShards < 1 {
 		nShards = 1
 	}
-	queue := cfg.ShardQueue
-	if queue < 1 {
-		queue = defaultShardQueue
-	}
 	shards := make([]*hubShard, nShards)
 	for i := range shards {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		ln, err := listen("127.0.0.1:0")
 		if err != nil {
 			for _, s := range shards[:i] {
 				s.closeListener()
 			}
 			return nil, fmt.Errorf("netrt: listen shard %d: %w", i, err)
 		}
-		shards[i] = newHubShard(i, ln, queue)
+		shards[i] = newHubShard(i, ln)
 	}
 	faulty := make(map[sim.PeerID]bool, len(cfg.Absent)+len(cfg.KillAfter)+len(cfg.Churn))
 	absent := make(map[sim.PeerID]bool, len(cfg.Absent))
@@ -498,15 +503,8 @@ func newHub(cfg Config, input *bitarray.Array, met *netMetrics) (*hub, error) {
 	for p, d := range cfg.KillAfter {
 		hp := h.peers[p]
 		h.timers = append(h.timers, time.AfterFunc(d, func() {
-			hp.mu.Lock()
-			hp.killed = true
-			conn := hp.conn
-			hp.conn = nil
-			hp.mu.Unlock()
+			hp.sever(true)
 			h.met.mark(int(hp.id), "crash", "")
-			if conn != nil {
-				conn.Close()
-			}
 		}))
 	}
 	if h.plan != nil {
@@ -517,23 +515,17 @@ func newHub(cfg Config, input *bitarray.Array, met *netMetrics) (*hub, error) {
 			}
 			for _, at := range times {
 				h.timers = append(h.timers, time.AfterFunc(at, func() {
-					hp.mu.Lock()
-					conn := hp.conn
-					hp.conn = nil
-					hp.mu.Unlock()
-					if conn != nil {
-						dbg("flap: severing peer %d", hp.id)
+					if hp.sever(false) != nil {
+						dbg("flap: severed peer %d", hp.id)
 						h.met.mark(int(hp.id), "flap", "")
-						conn.Close()
 					}
 				}))
 			}
 		}
 	}
-	h.wg.Add(2 + 2*len(h.shards))
+	h.wg.Add(1 + len(h.shards))
 	for _, s := range h.shards {
 		go h.acceptLoop(s, s.ln)
-		go h.shardWriter(s)
 	}
 	// Bounce timers arm only after the accept loops own their listeners:
 	// an early bounce must race the running loop, not hub construction.
@@ -548,14 +540,27 @@ func newHub(cfg Config, input *bitarray.Array, met *netMetrics) (*hub, error) {
 		}))
 	}
 	h.mu.Unlock()
-	go h.retxLoop()
-	go h.pingLoop()
+	go h.tickLoop()
 	return h, nil
 }
 
+// sever closes hp's connection, if any, and returns it; kill also refuses
+// every reconnect from now on.
+func (hp *hubPeer) sever(kill bool) *frameConn {
+	hp.mu.Lock()
+	hp.killed = hp.killed || kill
+	conn := hp.conn
+	hp.conn = nil
+	hp.mu.Unlock()
+	if conn != nil {
+		conn.Close()
+		conn.poke()
+	}
+	return conn
+}
+
 // shardFor maps a peer to its shard: the same arithmetic clients use to
-// pick which address to dial, so a peer's frames always flow through one
-// queue and stay ordered.
+// pick which address to dial.
 func (h *hub) shardFor(id sim.PeerID) *hubShard {
 	return h.shards[int(id)%len(h.shards)]
 }
@@ -581,7 +586,7 @@ func (h *hub) acceptLoop(s *hubShard, ln net.Listener) {
 // rejectConn permanently refuses a connection (unknown, absent, or killed
 // peer): the REJECT frame tells the client to stop redialing.
 func (h *hub) rejectConn(conn *frameConn) {
-	_ = conn.writeFrame(kReject, 0, framePayload{})
+	_ = writeHandshake(conn, kReject, framePayload{})
 	conn.Close()
 }
 
@@ -618,9 +623,33 @@ func (h *hub) serve(nc net.Conn) {
 	// In-flight frames on the previous connection may be lost: replay
 	// everything unacked. The client's dedup absorbs any overlap.
 	hp.out.markAllDue()
+	if resume {
+		// Resume handshake: realign both stream positions for the rejoined
+		// incarnation. The peer's receive watermark fast-forwards over any
+		// out-of-order admissions — the gaps below them belonged to the
+		// dead incarnation and can never fill — and becomes the send base
+		// its fresh outbox numbers above. The ack base is where the hub's
+		// own reliable stream starts retransmitting from. RESUME is owed
+		// first, so it reaches the client before ROOT or any replay.
+		sendBase := hp.recv.fastForward()
+		ackBase := hp.out.base()
+		body := binary.AppendUvarint(nil, sendBase)
+		body = binary.AppendUvarint(body, ackBase)
+		conn.owe(kResume, 0, rawPayload(body))
+		dbg("peer %d resume: sendBase=%d ackBase=%d", hp.id, sendBase, ackBase)
+	}
+	if h.mirror != nil {
+		// The commitment precedes any reply on this connection, so the
+		// client always verifies against a known root.
+		root := h.mirror.Root()
+		if f := (outFrame{kind: kRoot, p: rawPayload(root[:])}); h.fate(hp, f, 0) {
+			conn.owe(kRoot, 0, rawPayload(root[:]))
+		}
+	}
 	hp.mu.Unlock()
 	if old != nil {
 		old.Close()
+		old.poke()
 	}
 	h.mu.Lock()
 	closed := h.closed
@@ -631,32 +660,11 @@ func (h *hub) serve(nc net.Conn) {
 	}
 	dbg("peer %d connected (reconnect=%v resume=%v)", hp.id, old != nil, resume)
 	if resume {
-		// Resume handshake: realign both stream positions for the rejoined
-		// incarnation. The peer's receive watermark fast-forwards over any
-		// out-of-order admissions — the gaps below them belonged to the
-		// dead incarnation and can never fill — and becomes the send base
-		// its fresh outbox numbers above. The ack base is where the hub's
-		// own reliable stream starts retransmitting from. RESUME is first
-		// in the shard's FIFO queue, so it reaches the client before ROOT
-		// or any replay.
-		hp.mu.Lock()
-		sendBase := hp.recv.fastForward()
-		ackBase := hp.out.base()
-		hp.mu.Unlock()
-		body := binary.AppendUvarint(nil, sendBase)
-		body = binary.AppendUvarint(body, ackBase)
-		h.writeData(hp, kResume, 0, rawPayload(body))
 		h.met.mark(int(hp.id), "rejoin", "")
-		dbg("peer %d resume: sendBase=%d ackBase=%d", hp.id, sendBase, ackBase)
 	}
-	if h.mirror != nil {
-		// Publish the authoritative commitment before any reply can be
-		// queued on this connection: the shard queue is FIFO and TCP is
-		// ordered, so the client always verifies against a known root.
-		root := h.mirror.Root()
-		h.transmit(hp, kRoot, 0, srcID, rawPayload(root[:]), 0)
-	}
-	h.pump(hp)
+	h.wg.Add(1) // serve's own count is held, so the hub cannot be waiting yet
+	go h.writer(hp, conn)
+	conn.poke()
 
 	for {
 		kind, seq, payload, err := conn.readFrame()
@@ -669,6 +677,7 @@ func (h *hub) serve(nc net.Conn) {
 				hp.conn = nil
 			}
 			hp.mu.Unlock()
+			conn.poke()
 			dbg("peer %d link down: %v", hp.id, err)
 			return
 		}
@@ -683,7 +692,7 @@ func (h *hub) serve(nc net.Conn) {
 				hp.mu.Unlock()
 				if fast {
 					dbg("peer %d: third repeat of ack %d, fast retransmit", hp.id, v)
-					h.pump(hp)
+					conn.poke()
 				}
 			}
 		case kMsg, kQuery, kQuerySrc, kDone:
@@ -698,9 +707,8 @@ func (h *hub) serve(nc net.Conn) {
 			} else {
 				hp.lastKind, hp.lastFrame = kind, now
 			}
-			ack := hp.recv.cumAck()
+			conn.owe(kAck, 0, numPayload(hp.recv.cumAck(), nil))
 			hp.mu.Unlock()
-			h.writeData(hp, kAck, 0, numPayload(ack, nil))
 			if !fresh {
 				continue
 			}
@@ -752,84 +760,148 @@ func (h *hub) route(src *hubPeer, payload []byte, now time.Time) {
 	if dest == nil {
 		return // absent forever: undeliverable
 	}
-	h.send(dest, kMsg, src.id, numPayload(uint64(src.id), bytes.Clone(body)), now)
+	h.send(dest, kMsg, numPayload(uint64(src.id), bytes.Clone(body)))
 }
 
-// send appends a frame to hp's reliable stream and transmits its first
-// copy, sent at now; from is its sender in fault decisions. Nothing else
-// in the outbox is looked at. To a peer that is down the frame waits,
-// due, for pump to replay once the peer reconnects.
-func (h *hub) send(hp *hubPeer, kind byte, from sim.PeerID, p framePayload, now time.Time) {
+// send appends a frame to hp's reliable stream and wakes its writer; toward
+// a peer that is down it waits for the replay on reconnect.
+func (h *hub) send(hp *hubPeer, kind byte, p framePayload) {
 	hp.mu.Lock()
-	f := hp.out.push(kind, p)
-	seq := f.seq
-	up := hp.conn != nil && !hp.killed
-	if up {
-		f.sentAt, f.attempt = now, 1
+	hp.out.push(kind, p)
+	if hp.conn != nil {
+		hp.conn.poke()
 	}
 	hp.mu.Unlock()
-	if up {
-		h.transmit(hp, kind, seq, from, p, 0)
-	}
 }
 
-// pump retransmits every due reliable frame toward hp: RTO retries of
-// dropped or lost frames, fast retransmits, and post-reconnect replays
-// all flow through here. A MSG's number is its sender; every other frame
-// on the stream comes from the source.
-func (h *hub) pump(hp *hubPeer) {
+// wbuf is a writer's scratch: one pass's frames, and their encoding.
+type wbuf struct {
+	frames []outFrame
+	batch  frameBatch
+}
+
+// write sends w's frames in one write under the idle deadline, if any, and
+// returns how many went out; a failed write closes conn.
+func (w *wbuf) write(conn *frameConn, idle time.Duration) (int, error) {
+	for _, f := range w.frames {
+		_ = w.batch.add(f.kind, f.seq, f.p) // a frame over the limit is never sent
+	}
+	clear(w.frames) // release the bodies
+	n := w.batch.frames
+	if n == 0 {
+		return 0, nil
+	}
+	if idle > 0 {
+		conn.nc.SetWriteDeadline(time.Now().Add(idle))
+	}
+	err := conn.writeFrames(&w.batch)
+	if err != nil {
+		conn.Close()
+	}
+	return n, err
+}
+
+// writer is conn's one writer, from serve's install until conn is no
+// longer hp's, a write fails, or the hub stops.
+func (h *hub) writer(hp *hubPeer, conn *frameConn) {
+	defer h.wg.Done()
+	var w wbuf
+	conn.writeLoop(h.stop, func() bool { return h.pass(hp, conn, &w) })
+}
+
+// pass writes what collect gathers; false ends the writer.
+func (h *hub) pass(hp *hubPeer, conn *frameConn, w *wbuf) bool {
+	var live bool
+	if w.frames, live = h.collect(hp, conn, w.frames[:0]); !live {
+		return false
+	}
+	for _, f := range w.frames {
+		h.met.hubTx(f.kind, f.p.len())
+	}
+	s := h.shardFor(hp.id)
+	n, err := w.write(conn, h.idle)
+	s.enqueued.Add(int64(n))
+	switch {
+	case err != nil:
+		s.writeErrs.Add(1)
+		h.met.shardEventN(s.idx, "write_err", 1)
+		return false
+	case n > 0:
+		s.written.Add(int64(n))
+		s.flushes.Add(1)
+		h.met.shardEventN(s.idx, "written", n)
+		h.met.shardBatch(n)
+	}
+	return true
+}
+
+// collect appends what conn owes hp to dst, outbox frames put to the fault
+// plan; once conn is no longer hp's it counts what conn owed as dropped.
+func (h *hub) collect(hp *hubPeer, conn *frameConn, dst []outFrame) ([]outFrame, bool) {
+	hp.mu.Lock()
+	defer hp.mu.Unlock()
+	if hp.conn != conn {
+		if n := len(conn.owed); n > 0 {
+			s := h.shardFor(hp.id)
+			s.enqueued.Add(int64(n))
+			s.dropped.Add(int64(n))
+			h.met.shardEventN(s.idx, "conn_down", n)
+		}
+		return dst, false
+	}
 	now := time.Now()
-	hp.mu.Lock()
-	if hp.conn == nil || hp.killed {
-		hp.mu.Unlock()
-		return
-	}
-	due := hp.out.takeDue(now, now.Add(-h.res.RTO))
-	hp.mu.Unlock()
-	for _, f := range due {
-		from := srcID
-		if f.kind == kMsg {
-			from = sim.PeerID(f.p.num)
+	ctl := len(dst) + len(conn.owed)
+	dst = conn.take(dst, &hp.out, now, now.Add(-h.res.RTO))
+	kept := dst[:ctl]
+	for _, f := range dst[ctl:] {
+		if h.fate(hp, f, f.attempt-1) {
+			kept = append(kept, f)
 		}
-		h.transmit(hp, f.kind, f.seq, from, f.p, f.attempt-1)
 	}
+	return kept, true
 }
 
-// transmit writes one frame toward hp, subject to the fault plan. Every
-// attempt rolls fresh drop/dup/delay decisions keyed by (link, seq,
-// attempt), so the schedule is reproducible yet a lossy link still
-// delivers eventually.
-func (h *hub) transmit(hp *hubPeer, kind byte, seq uint64, from sim.PeerID, p framePayload, attempt int) {
-	if h.plan != nil {
-		elapsed := time.Since(h.start)
-		if h.plan.dropFrame(from, hp.id, seq, attempt, elapsed) {
-			hp.mu.Lock()
-			hp.planDropped++
-			hp.mu.Unlock()
-			h.met.planDrop(int(hp.id))
-			dbg("plan: drop %s %d→%d seq=%d attempt=%d", kindName(kind), from, hp.id, seq, attempt)
-			return
-		}
-		delay := h.plan.delayFor(from, hp.id, seq, attempt) + h.plan.stallRemaining(hp.id, elapsed)
-		if h.plan.dupFrame(from, hp.id, seq, attempt) {
-			hp.mu.Lock()
-			hp.planDuped++
-			hp.mu.Unlock()
-			h.met.planDupe(int(hp.id))
-			h.later(hp, kind, seq, h.plan.dupDelayFor(from, hp.id, seq, attempt), p)
-		}
-		if delay > 0 {
-			h.later(hp, kind, seq, delay, p)
-			return
-		}
+// fate puts an attempt of f toward hp to the fault plan (hp.mu held): it
+// reports whether the attempt goes out now, and schedules its delayed and
+// duplicate copies. Decisions are keyed by (link, seq, attempt), so the
+// schedule replays yet a lossy link still delivers eventually.
+func (h *hub) fate(hp *hubPeer, f outFrame, attempt int) bool {
+	if h.plan == nil {
+		return true
 	}
-	h.writeData(hp, kind, seq, p)
-}
-
-// later schedules a delayed write (jitter, reordering holds, stalls,
-// duplicate copies).
-func (h *hub) later(hp *hubPeer, kind byte, seq uint64, d time.Duration, p framePayload) {
-	h.after(d, func() { h.writeData(hp, kind, seq, p) })
+	// A MSG's number is its sender; the rest come from the source.
+	kind, seq, p, from := f.kind, f.seq, f.p, srcID
+	if kind == kMsg {
+		from = sim.PeerID(p.num)
+	}
+	elapsed := time.Since(h.start)
+	if h.plan.dropFrame(from, hp.id, seq, attempt, elapsed) {
+		hp.planDropped++
+		h.met.planDrop(int(hp.id))
+		dbg("plan: drop %s %d→%d seq=%d attempt=%d", kindName(kind), from, hp.id, seq, attempt)
+		return false
+	}
+	delay := h.plan.delayFor(from, hp.id, seq, attempt) + h.plan.stallRemaining(hp.id, elapsed)
+	// A held-back copy goes to hp's connection of the moment, if any.
+	later := func(d time.Duration) {
+		h.after(d, func() {
+			hp.mu.Lock()
+			if hp.conn != nil {
+				hp.conn.owe(kind, seq, p)
+			}
+			hp.mu.Unlock()
+		})
+	}
+	if h.plan.dupFrame(from, hp.id, seq, attempt) {
+		hp.planDuped++
+		h.met.planDupe(int(hp.id))
+		later(h.plan.dupDelayFor(from, hp.id, seq, attempt))
+	}
+	if delay > 0 {
+		later(delay)
+		return false
+	}
+	return true
 }
 
 // after runs f in d unless the hub has stopped by then. The timer is not
@@ -843,34 +915,6 @@ func (h *hub) after(d time.Duration, f func()) {
 			f()
 		}
 	})
-}
-
-// writeData hands a frame to the peer's shard writer, which batches it
-// into a coalesced socket write. A disconnected peer drops the frame
-// immediately — the reliable stream recovers via retransmission, and a
-// control frame is sent again when it is next needed. A full shard queue
-// blocks (backpressure) until the writer drains or the hub stops.
-func (h *hub) writeData(hp *hubPeer, kind byte, seq uint64, p framePayload) {
-	hp.mu.Lock()
-	up := hp.conn != nil && !hp.killed
-	hp.mu.Unlock()
-	if !up {
-		return
-	}
-	s := h.shardFor(hp.id)
-	f := shardFrame{hp: hp, kind: kind, seq: seq, p: p}
-	select {
-	case s.q <- f:
-	default:
-		s.blocked.Add(1)
-		h.met.shardEvent(s.idx, "backpressure")
-		select {
-		case s.q <- f:
-		case <-h.stop:
-			return
-		}
-	}
-	s.enqueued.Add(1)
 }
 
 // answerQuery serves the source: decode tag + delta indices, route the
@@ -913,7 +957,7 @@ func (h *hub) answerQuery(hp *hubPeer, payload []byte, now time.Time) {
 		}
 		out := append(make([]byte, 0, hdrLen+1), hdr...)
 		out = append(out, byte(kind))
-		h.send(hp, kQErr, srcID, rawPayload(out), now)
+		h.send(hp, kQErr, rawPayload(out))
 		return
 	}
 	n := rep.Bits.EncodedLen()
@@ -925,11 +969,11 @@ func (h *hub) answerQuery(hp *hubPeer, payload []byte, now time.Time) {
 		// it joins the stream only when it leaves — a retransmit tick must
 		// not send it early — and then crosses the network like any reply.
 		h.after(time.Duration(rep.Latency*float64(time.Second)), func() {
-			h.send(hp, kQReply, srcID, rawPayload(out), time.Now())
+			h.send(hp, kQReply, rawPayload(out))
 		})
 		return
 	}
-	h.send(hp, kQReply, srcID, rawPayload(out), now)
+	h.send(hp, kQReply, rawPayload(out))
 }
 
 // answerMirrorQuery serves a QUERY from the mirror fleet: pick the
@@ -958,7 +1002,7 @@ func (h *hub) answerMirrorQuery(hp *hubPeer, payload []byte, now time.Time) {
 	rep := h.mirror.ServeMirror(source.RangeRequest{
 		Peer: int(hp.id), Ordinal: serve, LeafLo: leafLo, LeafHi: leafHi,
 	})
-	h.send(hp, kQProof, srcID, rawPayload(encodeProofReply(payload[:hdrLen], rep)), now)
+	h.send(hp, kQProof, rawPayload(encodeProofReply(payload[:hdrLen], rep)))
 }
 
 func (h *hub) markDone(hp *hubPeer, payload []byte) {
@@ -991,46 +1035,45 @@ func (h *hub) markDone(hp *hubPeer, payload []byte) {
 	}
 }
 
-// retxLoop periodically retransmits unacked reliable frames; this is what
-// turns the fault plan's lossy links back into reliable ones.
-func (h *hub) retxLoop() {
+// tickLoop asks every writer each tick to resend what is unacked past the
+// RTO, making lossy links reliable, and to ping every third of the idle
+// window, so read deadlines fire only on dead links.
+func (h *hub) tickLoop() {
 	defer h.wg.Done()
-	period := h.res.RTO / 2
-	if period > 50*time.Millisecond || period <= 0 {
+	pingEvery := h.idle / 3
+	if pingEvery <= 0 {
+		pingEvery = time.Second
+	}
+	period := min(h.res.RTO/2, 50*time.Millisecond, pingEvery)
+	if period <= 0 {
 		period = 50 * time.Millisecond
 	}
 	tk := time.NewTicker(period)
 	defer tk.Stop()
+	lastPing := time.Now()
 	for {
+		var now time.Time
 		select {
 		case <-h.stop:
 			return
-		case <-tk.C:
+		case now = <-tk.C:
+		}
+		ping := now.Sub(lastPing) >= pingEvery
+		if ping {
+			lastPing = now
 		}
 		for _, hp := range h.peers {
-			h.pump(hp)
-		}
-	}
-}
-
-// pingLoop heartbeats every connected peer so their read deadlines only
-// fire on genuinely dead links.
-func (h *hub) pingLoop() {
-	defer h.wg.Done()
-	period := h.idle / 3
-	if period <= 0 {
-		period = time.Second
-	}
-	tk := time.NewTicker(period)
-	defer tk.Stop()
-	for {
-		select {
-		case <-h.stop:
-			return
-		case <-tk.C:
-		}
-		for _, hp := range h.peers {
-			h.writeData(hp, kPing, 0, framePayload{})
+			hp.mu.Lock()
+			if conn := hp.conn; conn != nil {
+				if ping {
+					conn.owe(kPing, 0, framePayload{})
+				}
+				if !hp.out.empty() {
+					conn.retx = true
+					conn.poke()
+				}
+			}
+			hp.mu.Unlock()
 		}
 	}
 }
@@ -1047,7 +1090,8 @@ func (h *hub) timeoutError(after time.Duration) *TimeoutError {
 		hp := h.peers[id]
 		hp.mu.Lock()
 		term := hp.terminated
-		pp := PendingPeer{ID: id, Connected: hp.conn != nil}
+		pp := PendingPeer{ID: id, Connected: hp.conn != nil,
+			Unacked: len(hp.out.unacked()), AckBase: hp.out.base()}
 		if !hp.lastFrame.IsZero() {
 			pp.LastFrame = kindName(hp.lastKind)
 			pp.LastFrameAge = time.Since(hp.lastFrame)
@@ -1057,6 +1101,9 @@ func (h *hub) timeoutError(after time.Duration) *TimeoutError {
 			e.Pending = append(e.Pending, pp)
 		}
 	}
+	var stacks bytes.Buffer
+	_ = pprof.Lookup("goroutine").WriteTo(&stacks, 1)
+	e.Stacks = stacks.Bytes()
 	return e
 }
 
@@ -1117,9 +1164,22 @@ func (h *hub) result(per []sim.PeerStats) *sim.Result {
 
 // --- client ------------------------------------------------------------
 
-// errHubGone marks a redial refused after our own termination: the hub
-// tore the listener down because the run completed, so exit quietly.
-var errHubGone = errors.New("netrt: hub gone after termination")
+// errHubGone ends a redial quietly: the hub stopped, or the run completed.
+var errHubGone = errors.New("netrt: hub gone")
+
+// sockControl, set only by tests, adjusts every socket before it listens or
+// connects; accepted sockets inherit their listener's settings.
+var sockControl func(network, address string, c syscall.RawConn) error
+
+// listen opens a hub listener on addr.
+func listen(addr string) (net.Listener, error) {
+	return (&net.ListenConfig{Control: sockControl}).Listen(context.Background(), "tcp", addr)
+}
+
+// dial connects to the hub listener at addr.
+func dial(addr string, timeout time.Duration) (net.Conn, error) {
+	return (&net.Dialer{Timeout: timeout, Control: sockControl}).Dial("tcp", addr)
+}
 
 // churnFor returns id's churn schedule, or nil.
 func churnFor(cfg *Config, id sim.PeerID) *sim.ChurnPeer {
@@ -1139,9 +1199,9 @@ func churnFor(cfg *Config, id sim.PeerID) *sim.ChurnPeer {
 // peer's query plane, rejoins via the resume handshake, and runs to
 // completion serving its warm bits locally. The plane q and the stats st
 // outlive the incarnations, and q settles into st when the last one ends;
-// start is the run's clock.
+// start is the run's clock, and stop closes when the hub stops.
 func runClient(cfg *Config, id sim.PeerID, addr string, q *qplane.Plane, st *sim.PeerStats,
-	met *netMetrics, start time.Time) error {
+	met *netMetrics, start time.Time, stop <-chan struct{}) error {
 	defer func() { q.Settle(time.Since(start).Seconds()) }()
 	churn := churnFor(cfg, id)
 	var store *checkpoint.Store
@@ -1167,6 +1227,7 @@ func runClient(cfg *Config, id sim.PeerID, addr string, q *qplane.Plane, st *sim
 			q:       q,
 			stats:   st,
 			mparams: merkle.Params{TotalBits: cfg.L, LeafBits: cfg.Mirrors.EffectiveLeafBits()},
+			stop:    stop,
 			stopHK:  make(chan struct{}),
 			rearm:   make(chan struct{}, 1),
 		}
@@ -1181,7 +1242,11 @@ func runClient(cfg *Config, id sim.PeerID, addr string, q *qplane.Plane, st *sim
 		if churn.Downtime < 0 {
 			return nil // never rejoins: a plain mid-run crash
 		}
-		time.Sleep(time.Duration(churn.Downtime * float64(time.Second)))
+		select {
+		case <-time.After(time.Duration(churn.Downtime * float64(time.Second))):
+		case <-stop:
+			return nil
+		}
 		rejoined = true
 	}
 }
@@ -1246,9 +1311,27 @@ func (c *client) run(churn *sim.ChurnPeer, store *checkpoint.Store, rejoined boo
 	connErr := c.connErr
 	terminated := c.terminated
 	crashed = c.crashed
+	// The writer's last pass sends what is still owed: after a churn
+	// crash, all the peer sent before its crash point.
+	c.closing = true
 	c.mu.Unlock()
+	if conn != nil {
+		conn.poke()
+	}
+	c.writers.Wait()
 	dbg("client %d loop exited (terminated=%v rejected=%v crashed=%v err=%v)",
 		id, terminated, rejected, crashed, connErr)
+	if conn != nil && !crashed && connErr == nil {
+		// Graceful: our DONE is acked (or we were rejected). Half-close and
+		// drain so the hub's in-flight writes are not RST.
+		if tc, ok := conn.nc.(*net.TCPConn); ok {
+			_ = tc.CloseWrite()
+		}
+		_, _ = io.Copy(io.Discard, conn.nc)
+	}
+	if conn != nil {
+		conn.Close()
+	}
 	if crashed {
 		// Persist the durable checkpoint before going down: everything the
 		// dead incarnation verified from the source survives the crash.
@@ -1271,20 +1354,7 @@ func (c *client) run(churn *sim.ChurnPeer, store *checkpoint.Store, rejoined boo
 		c.met.mark(int(id), "crash", "")
 		return true, nil
 	}
-	if connErr != nil {
-		return false, connErr
-	}
-	// Graceful shutdown: the loop only exits cleanly once our DONE frame
-	// is acked (or we were rejected), so nothing of ours is in flight.
-	// Half-close and drain so the hub's own in-flight writes are not RST.
-	if conn != nil {
-		if tc, ok := conn.nc.(*net.TCPConn); ok {
-			_ = tc.CloseWrite()
-		}
-		_, _ = io.Copy(io.Discard, conn.nc)
-		conn.Close()
-	}
-	return false, nil
+	return false, connErr
 }
 
 type client struct {
@@ -1302,8 +1372,14 @@ type client struct {
 	// met is the run's shared observability bundle; nil when disabled.
 	met *netMetrics
 
-	mu   sync.Mutex
-	conn *frameConn
+	stop <-chan struct{} // the hub's: nothing of the client waits past it
+
+	mu sync.Mutex
+	// conn is the installed connection; only its writer (pass) writes it.
+	// writers counts running writers; closing makes a pass the last.
+	conn    *frameConn
+	writers sync.WaitGroup
+	closing bool
 	// out is the reliable client→hub stream (MSG/QUERY/DONE): replayed
 	// after every reconnect, retransmitted if long unacked.
 	out outbox
@@ -1359,7 +1435,7 @@ type client struct {
 // countAction ticks the churn action clock; false means the crash point
 // was just passed or already hit: the caller must drop the action (the
 // des runtime's CrashPolicy semantics — the exceeding action is lost).
-// Crashing closes the connection; the frame loop notices and exits.
+// After the crash the frame loop exits and run closes the connection.
 func (c *client) countAction() bool {
 	if c.churn == nil {
 		return true
@@ -1372,11 +1448,6 @@ func (c *client) countAction() bool {
 	c.actions++
 	if c.actions > c.churn.CrashAfter {
 		c.crashed = true
-		conn := c.conn
-		c.conn = nil
-		if conn != nil {
-			conn.Close()
-		}
 		dbg("client %d: churn crash at action %d", c.id, c.actions)
 		return false
 	}
@@ -1419,22 +1490,21 @@ func (c *client) clock(t time.Time) float64 { return t.Sub(c.start).Seconds() }
 // at is the wall time of plane time s.
 func (c *client) at(s float64) time.Time { return c.start.Add(time.Duration(s * float64(time.Second))) }
 
-// write counts one outbound frame and writes it on conn.
-func (c *client) write(conn *frameConn, kind byte, seq uint64, p framePayload) error {
-	c.met.cliTx(kind, p.len())
-	return conn.writeFrame(kind, seq, p)
-}
-
-// connect dials the hub with capped exponential backoff, then replays
-// every unacked frame on the fresh connection (the hub dedups overlap).
+// connect dials the hub with capped exponential backoff and starts the
+// connection's writer, whose first pass acks and replays every unacked
+// frame (the hub dedups overlap). It gives up once the hub has stopped.
 func (c *client) connect(initial bool) error {
 	for a := 0; a < c.res.ReconnectAttempts; a++ {
 		if a > 0 {
 			d := backoffDelay(c.nrng, a-1, c.res.ReconnectBase, c.res.ReconnectMax)
 			c.met.backoffObserve(d)
-			time.Sleep(d)
+			select {
+			case <-time.After(d):
+			case <-c.stop:
+				return errHubGone
+			}
 		}
-		nc, err := net.Dial("tcp", c.addr)
+		nc, err := dial(c.addr, 0)
 		if err != nil {
 			c.mu.Lock()
 			term := c.terminated
@@ -1454,7 +1524,8 @@ func (c *client) connect(initial bool) error {
 		if needResume {
 			hello = append(hello, 1) // flag byte: resume request
 		}
-		if err := c.write(conn, kHello, 0, rawPayload(hello)); err != nil {
+		c.met.cliTx(kHello, len(hello))
+		if err := writeHandshake(conn, kHello, rawPayload(hello)); err != nil {
 			conn.Close()
 			continue
 		}
@@ -1465,7 +1536,6 @@ func (c *client) connect(initial bool) error {
 				continue
 			}
 		}
-		now := time.Now()
 		c.mu.Lock()
 		old := c.conn
 		c.conn = conn
@@ -1474,20 +1544,42 @@ func (c *client) connect(initial bool) error {
 			c.met.reconnect(int(c.id))
 		}
 		c.out.markAllDue()
-		due := c.out.takeDue(now, now)
-		ack := c.recv.cumAck()
+		conn.owe(kAck, 0, numPayload(c.recv.cumAck(), nil))
+		c.writers.Add(1)
 		c.mu.Unlock()
 		if old != nil {
 			old.Close()
+			old.poke()
 		}
-		// Refresh the hub's view of our ack state, then replay.
-		_ = c.write(conn, kAck, 0, numPayload(ack, nil))
-		for _, f := range due {
-			_ = c.write(conn, f.kind, f.seq, f.p)
-		}
+		go func() {
+			defer c.writers.Done()
+			var w wbuf
+			conn.writeLoop(c.stop, func() bool { return c.pass(conn, &w) })
+		}()
+		conn.poke()
 		return nil
 	}
 	return fmt.Errorf("netrt: reconnect budget exhausted (%d attempts)", c.res.ReconnectAttempts)
+}
+
+// pass writes what conn owes in one write: its ACKs and pings, then the
+// outbox frames due (unacked for 4·RTO when housekeeping asks). False ends
+// the writer: conn replaced, the last pass (closing), or a failed write.
+func (c *client) pass(conn *frameConn, w *wbuf) bool {
+	c.mu.Lock()
+	if c.conn != conn {
+		c.mu.Unlock()
+		return false
+	}
+	now := time.Now()
+	w.frames = conn.take(w.frames[:0], &c.out, now, now.Add(-4*c.res.RTO))
+	last := c.closing
+	c.mu.Unlock()
+	for _, f := range w.frames {
+		c.met.cliTx(f.kind, f.p.len())
+	}
+	_, err := w.write(conn, c.idle)
+	return err == nil && !last
 }
 
 // awaitResume reads frames on a fresh resume connection until the hub's
@@ -1658,7 +1750,7 @@ func (c *client) handleFrame(kind byte, seq uint64, payload []byte) {
 		// and the plane backs the call off or parks it. A call already
 		// parked waits for the breaker whatever its last attempt's verdict.
 		pq.attempts = 1
-		c.follow(nil, pq, c.q.Fail(c.clock(now), pq.call, kind), now)
+		c.follow(pq, c.q.Fail(c.clock(now), pq.call, kind), now)
 		c.mu.Unlock()
 		dbg("client %d: source %s for query tag=%d", c.id, kind, tag)
 	}
@@ -1675,13 +1767,11 @@ func (c *client) admit(seq uint64) (fresh, term bool) {
 	if !fresh {
 		c.dupDropped()
 	}
-	ack := c.recv.cumAck()
-	conn := c.conn
+	if c.conn != nil {
+		c.conn.owe(kAck, 0, numPayload(c.recv.cumAck(), nil))
+	}
 	term = c.terminated
 	c.mu.Unlock()
-	if conn != nil {
-		_ = c.write(conn, kAck, 0, numPayload(ack, nil))
-	}
 	return fresh, term
 }
 
@@ -1715,16 +1805,10 @@ func (c *client) pendingOf(call *qplane.Call) *pendingQuery {
 	panic("netrt: the query plane released a call the client does not hold")
 }
 
-// queryFrame is a QUERY or QUERYSRC frame to send once c.mu is released.
-type queryFrame struct {
-	kind    byte
-	payload []byte
-}
-
-// transmit marks one more attempt of pq sent at now and returns its frame
-// (mu held). Every send after the first is a query retry, and the silence
-// deadline doubles with each retry since the last refusal.
-func (c *client) transmit(pq *pendingQuery, now time.Time) queryFrame {
+// transmit sends one more attempt of pq at now (mu held). Every send after
+// the first is a query retry, and the silence deadline doubles with each
+// retry since the last refusal.
+func (c *client) transmit(pq *pendingQuery, now time.Time) {
 	pq.call.Attempt++
 	pq.state = sent
 	pq.attempts++
@@ -1734,38 +1818,30 @@ func (c *client) transmit(pq *pendingQuery, now time.Time) queryFrame {
 	}
 	pq.deadline = nextQueryDeadline(now, c.res.QueryTimeout, pq.attempts-1)
 	c.armAt(pq.deadline)
-	return queryFrame{pq.kind, pq.payload}
+	c.push(pq.kind, rawPayload(pq.payload))
 }
 
 // follow carries out the plane's verdict n on pq at now (mu held): send a
 // call now, back pq off until n.At, or park it until a wake releases it —
-// arming the wake when n says so. pq is nil when n came from Wake. Frames
-// to send are appended to sends.
-func (c *client) follow(sends []queryFrame, pq *pendingQuery, n qplane.Next, now time.Time) []queryFrame {
+// arming the wake when n says so. pq is nil when n came from Wake.
+func (c *client) follow(pq *pendingQuery, n qplane.Next, now time.Time) {
 	switch n.Op {
 	case qplane.Fetch:
 		if pq == nil || pq.call != n.Call {
 			pq = c.pendingOf(n.Call)
 		}
-		return append(sends, c.transmit(pq, now))
+		c.transmit(pq, now)
+		return
 	case qplane.Retry:
 		pq.state, pq.deadline = backoff, c.at(n.At)
 		c.armAt(pq.deadline)
-		return sends
+		return
 	case qplane.Wake:
 		c.wakeAt = c.at(n.At)
 		c.armAt(c.wakeAt)
 	}
 	if pq != nil {
 		pq.state = parked
-	}
-	return sends
-}
-
-// sendQueries enqueues the frames follow returned.
-func (c *client) sendQueries(sends []queryFrame) {
-	for _, f := range sends {
-		c.enqueue(f.kind, rawPayload(f.payload))
 	}
 }
 
@@ -1795,14 +1871,12 @@ func (c *client) complete(key qkey, hdr []byte, bits *bitarray.Array, mirror boo
 	nowS := c.clock(now)
 	flushed, _ := c.q.Success(nowS)
 	term := c.terminated
-	var sends []queryFrame
 	if !term { // a terminated client sends no more queries
 		for _, call := range flushed {
-			sends = c.follow(sends, c.pendingOf(call), c.q.Admit(nowS, call), now)
+			c.follow(c.pendingOf(call), c.q.Admit(nowS, call), now)
 		}
 	}
 	c.mu.Unlock()
-	c.sendQueries(sends)
 	if !term && c.countAction() {
 		c.deliver(pq.call.Reply(bits))
 	}
@@ -1862,17 +1936,14 @@ func (c *client) handleProofReply(payload []byte) {
 	}
 	c.stats.FallbackQueries++
 	pq.kind = kQuerySrc
-	send := pq.state != parked && !c.terminated
-	if send {
+	if pq.state != parked && !c.terminated {
 		pq.state = sent
 		pq.attempts = 1
 		pq.deadline = nextQueryDeadline(now, c.res.QueryTimeout, 0)
 		c.armAt(pq.deadline)
+		c.push(kQuerySrc, rawPayload(pq.payload))
 	}
 	c.mu.Unlock()
-	if send {
-		c.enqueue(kQuerySrc, rawPayload(pq.payload))
-	}
 }
 
 // housekeepPeriod is the longest the housekeeping timer sleeps: a third
@@ -1888,7 +1959,8 @@ func (c *client) housekeepPeriod() time.Duration {
 
 // housekeeping drives the client's timers: heartbeats, the query plane's
 // backoffs and breaker wakes, silence deadlines, and belt-and-braces
-// retransmission of long-unacked frames. One timer sleeps until the
+// retransmission of long-unacked frames, asking the writer for the last
+// two. One timer sleeps until the
 // earliest deadline the client holds, at most period; a deadline set
 // earlier than the one it sleeps until wakes it (armAt). It never calls
 // into the protocol, so the sequential contract holds.
@@ -1919,41 +1991,33 @@ func (c *client) housekeeping(period time.Duration) {
 // the next one is due.
 func (c *client) housekeep(now time.Time, period time.Duration) time.Time {
 	c.mu.Lock()
-	conn := c.conn
-	ping := now.Sub(c.lastPing) >= c.idle/3
-	if ping {
-		c.lastPing = now
+	if conn := c.conn; conn != nil {
+		if now.Sub(c.lastPing) >= c.idle/3 {
+			c.lastPing = now
+			conn.owe(kPing, 0, framePayload{})
+		}
+		conn.retx = true
+		conn.poke()
 	}
-	due := c.out.takeDue(now, now.Add(-4*c.res.RTO))
-	var sends []queryFrame
 	if !c.terminated {
 		nowS := c.clock(now)
 		for _, pq := range c.queries {
 			switch {
 			case !c.timed(pq) || now.Before(pq.deadline):
 			case pq.state == backoff:
-				sends = c.follow(sends, pq, c.q.Admit(nowS, pq.call), now)
+				c.follow(pq, c.q.Admit(nowS, pq.call), now)
 			default:
-				sends = c.follow(sends, pq, c.q.Silent(nowS, pq.call), now)
+				c.follow(pq, c.q.Silent(nowS, pq.call), now)
 			}
 		}
 		if !c.wakeAt.IsZero() && !now.Before(c.wakeAt) {
 			c.wakeAt = time.Time{}
-			sends = c.follow(sends, nil, c.q.Wake(nowS), now)
+			c.follow(nil, c.q.Wake(nowS), now)
 		}
 	}
 	next := c.nextPass(now, period)
 	c.hkAt = next
 	c.mu.Unlock()
-	if conn != nil {
-		if ping {
-			_ = c.write(conn, kPing, 0, framePayload{})
-		}
-		for _, f := range due {
-			_ = c.write(conn, f.kind, f.seq, f.p)
-		}
-	}
-	c.sendQueries(sends)
 	return next
 }
 
@@ -2000,24 +2064,16 @@ func (c *client) armAt(at time.Time) {
 	}
 }
 
-// enqueue appends a frame to the reliable stream and attempts an
-// immediate write; on a dead connection the frame simply waits in the
-// outbox for the post-reconnect replay.
-func (c *client) enqueue(kind byte, p framePayload) {
-	now := time.Now()
-	c.mu.Lock()
-	if c.terminated && kind != kDone {
-		c.mu.Unlock()
+// push appends a frame to the reliable stream and wakes the writer (mu
+// held); without a connection it waits for the replay on reconnect. A
+// terminated or crashed incarnation sends nothing more.
+func (c *client) push(kind byte, p framePayload) {
+	if c.terminated || c.crashed {
 		return
 	}
-	f := c.out.push(kind, p)
-	f.sentAt = now
-	f.attempt = 1
-	seq := f.seq
-	conn := c.conn
-	c.mu.Unlock()
-	if conn != nil {
-		_ = c.write(conn, kind, seq, p)
+	c.out.push(kind, p)
+	if c.conn != nil {
+		c.conn.poke()
 	}
 }
 
@@ -2057,8 +2113,8 @@ func marshalAppend(dst []byte, m sim.Message) []byte {
 // Broadcast implements sim.Context: Send to every other peer in id order.
 func (c *client) Broadcast(m sim.Message) { c.send(m, 0, c.cfg.N) }
 
-// send sends m to every peer in [lo, hi) but this one: one action tick, one
-// outbox entry and one write attempt per destination. The body is encoded
+// send sends m to every peer in [lo, hi) but this one: one action tick and
+// one outbox entry per destination. The body is encoded
 // once, at the first destination the churn crash point does not drop, and
 // every entry holds that one body beside its destination id.
 func (c *client) send(m sim.Message, lo, hi int) {
@@ -2071,7 +2127,9 @@ func (c *client) send(m sim.Message, lo, hi int) {
 		if body == nil {
 			body = marshalAppend(make([]byte, 0, 16+m.SizeBits()/8), m)
 		}
-		c.enqueue(kMsg, numPayload(uint64(to), body))
+		c.mu.Lock()
+		c.push(kMsg, numPayload(uint64(to), body))
+		c.mu.Unlock()
 	}
 }
 
@@ -2099,9 +2157,8 @@ func (c *client) Query(tag int, indices []int) {
 	payload := encodeQueryHeader(tag, b.Call.Fetch)
 	pq := &pendingQuery{call: b.Call, payload: payload, key: qkeyOfHeader(tag, payload), kind: kQuery}
 	c.queries = append(c.queries, pq)
-	sends := c.follow(nil, pq, c.q.Admit(c.clock(now), b.Call), now)
+	c.follow(pq, c.q.Admit(c.clock(now), b.Call), now)
 	c.mu.Unlock()
-	c.sendQueries(sends)
 }
 
 // Output implements sim.Context.
@@ -2118,27 +2175,17 @@ func (c *client) Output(out *bitarray.Array) {
 // stream: the loop keeps running (and reconnecting if needed) until the
 // hub's cumulative ack covers it, so termination survives chaos.
 func (c *client) Terminate() {
-	now := time.Now()
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.terminated {
-		c.mu.Unlock()
 		return
 	}
-	c.terminated = true
 	var raw []byte
 	if c.output != nil {
 		raw = c.output.Bytes()
 	}
-	p := numPayload(uint64(len(raw)), raw)
-	f := c.out.push(kDone, p)
-	f.sentAt = now
-	f.attempt = 1
-	seq := f.seq
-	conn := c.conn
-	c.mu.Unlock()
-	if conn != nil {
-		_ = c.write(conn, kDone, seq, p)
-	}
+	c.push(kDone, numPayload(uint64(len(raw)), raw))
+	c.terminated = true
 }
 
 // MarkPhase implements sim.PhaseMarker: it records a phase-transition

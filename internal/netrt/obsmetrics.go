@@ -42,8 +42,8 @@ type netMetrics struct {
 	mirHits, mirPfails, mirFallbacks []*obs.Counter
 
 	// Per-shard handles indexed by shard (see shard.go).
-	shardWrittenC, shardDownC, shardBlockedC, shardErrC []*obs.Counter
-	shardBatchH                                         *obs.Histogram
+	shardWrittenC, shardDownC, shardErrC []*obs.Counter
+	shardBatchH                          *obs.Histogram
 }
 
 // newNetMetrics resolves every handle up front. Returns nil when the
@@ -124,21 +124,19 @@ func newNetMetrics(cfg *Config, start time.Time) *netMetrics {
 		nShards = 1
 	}
 	shardVec := reg.CounterVec("dr_net_shard_frames_total",
-		"Hub shard writer events: frames written, dropped on downed links, backpressure stalls, write errors.",
+		"Hub connection writer events, by the shard of the peer: frames written, frames dropped with their connection, write errors.",
 		"shard", "event")
 	m.shardWrittenC = make([]*obs.Counter, nShards)
 	m.shardDownC = make([]*obs.Counter, nShards)
-	m.shardBlockedC = make([]*obs.Counter, nShards)
 	m.shardErrC = make([]*obs.Counter, nShards)
 	for i := 0; i < nShards; i++ {
 		id := strconv.Itoa(i)
 		m.shardWrittenC[i] = shardVec.With(id, "written")
 		m.shardDownC[i] = shardVec.With(id, "conn_down")
-		m.shardBlockedC[i] = shardVec.With(id, "backpressure")
 		m.shardErrC[i] = shardVec.With(id, "write_err")
 	}
 	m.shardBatchH = reg.Histogram("dr_net_shard_batch_frames",
-		"Frames coalesced per shard writer flush.", obs.ExpBuckets(1, 2, 8))
+		"Frames sent per connection writer pass.", obs.ExpBuckets(1, 2, 8))
 	return m
 }
 
@@ -272,9 +270,7 @@ func (m *netMetrics) sourceFailure(peer int, kind string) {
 	m.mark(peer, "srcfail", kind)
 }
 
-// shardEvent counts one shard writer event; shardEventN counts n of them.
-func (m *netMetrics) shardEvent(idx int, event string) { m.shardEventN(idx, event, 1) }
-
+// shardEventN counts n connection writer events under their peer's shard.
 func (m *netMetrics) shardEventN(idx int, event string, n int) {
 	if m == nil {
 		return
@@ -285,8 +281,6 @@ func (m *netMetrics) shardEventN(idx int, event string, n int) {
 		handles = m.shardWrittenC
 	case "conn_down":
 		handles = m.shardDownC
-	case "backpressure":
-		handles = m.shardBlockedC
 	case "write_err":
 		handles = m.shardErrC
 	}
@@ -295,7 +289,7 @@ func (m *netMetrics) shardEventN(idx int, event string, n int) {
 	}
 }
 
-// shardBatch records the size of one coalesced writer flush.
+// shardBatch records the frames one connection writer pass sent.
 func (m *netMetrics) shardBatch(frames int) {
 	if m == nil || m.shardBatchH == nil {
 		return

@@ -81,7 +81,7 @@ type outFrame struct {
 
 // outbox holds the reliable stream's unacked frames for retransmission.
 // Frames stay until cumulatively acked; push assigns monotonic sequence
-// numbers starting at 1.
+// numbers starting at 1. It is the stream's send queue too (take).
 type outbox struct {
 	// frames[head:] are the unacked frames in seq order. An ack pops frames
 	// off the front by advancing head, and push slides the rest down to
@@ -93,17 +93,21 @@ type outbox struct {
 	// of acks since that repeated it (see ack).
 	acked   uint64
 	repeats int
+	// fresh counts the frames at the back never taken; marked, frames
+	// marked due since the last full scan.
+	fresh  int
+	marked bool
 }
 
-func (o *outbox) push(kind byte, p framePayload) *outFrame {
+func (o *outbox) push(kind byte, p framePayload) {
 	if len(o.frames) == cap(o.frames) && o.head > 0 && o.head >= len(o.frames)/2 {
 		n := copy(o.frames, o.frames[o.head:])
 		clear(o.frames[n:])
 		o.frames, o.head = o.frames[:n], 0
 	}
 	o.nextSeq++
+	o.fresh++
 	o.frames = append(o.frames, outFrame{seq: o.nextSeq, kind: kind, p: p})
-	return &o.frames[len(o.frames)-1]
 }
 
 // unacked is the frames not yet covered by a cumulative ack, oldest first.
@@ -118,6 +122,7 @@ func (o *outbox) ackTo(v uint64) {
 	}
 	clear(live[:i]) // release payloads
 	o.head += i
+	o.fresh = min(o.fresh, len(live)-i)
 	if o.head == len(o.frames) {
 		o.frames, o.head = o.frames[:0], 0
 	}
@@ -143,6 +148,7 @@ func (o *outbox) ack(v uint64) (fast bool) {
 		return false
 	}
 	o.frames[o.head].sentAt = time.Time{}
+	o.marked = true
 	return true
 }
 
@@ -163,20 +169,24 @@ func (o *outbox) base() uint64 {
 // receiver has already admitted.
 func (o *outbox) resumeAt(base uint64) { o.nextSeq, o.acked = base, base }
 
-// takeDue marks every frame last sent before `cutoff` as sent now and
-// returns copies for transmission. A zero sentAt is always due.
-func (o *outbox) takeDue(now, cutoff time.Time) []outFrame {
-	var due []outFrame
+// take marks the frames due at now as sent now and appends copies of them
+// to dst: the frames never taken, those marked due (a zero sentAt), and,
+// with scan, every frame last sent before cutoff.
+func (o *outbox) take(dst []outFrame, now, cutoff time.Time, scan bool) []outFrame {
 	live := o.unacked()
+	if !scan && !o.marked {
+		live = live[len(live)-o.fresh:]
+	}
 	for i := range live {
 		f := &live[i]
 		if f.sentAt.IsZero() || f.sentAt.Before(cutoff) {
 			f.sentAt = now
 			f.attempt++
-			due = append(due, *f)
+			dst = append(dst, *f)
 		}
 	}
-	return due
+	o.fresh, o.marked = 0, false
+	return dst
 }
 
 // markAllDue schedules every unacked frame for immediate retransmission
@@ -187,6 +197,7 @@ func (o *outbox) markAllDue() {
 	for i := range live {
 		live[i].sentAt = time.Time{}
 	}
+	o.marked = true
 }
 
 // dedupReliable admits each sequence number of a retransmitted-until-acked

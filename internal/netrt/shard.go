@@ -1,12 +1,11 @@
 package netrt
 
 // Hub sharding: each shard owns one listener (peer id i dials shard
-// i % Shards), a bounded outbound frame queue, and a writer goroutine
-// that drains the queue in batches, coalescing consecutive frames to the
-// same connection into a single socket write. Sharding spreads accept
-// and write work across cores, and the bounded queues give the hub a
-// backpressure point instead of unbounded goroutine/timer fan-out when a
-// load generator outruns the sockets.
+// i % Shards) and its accept loop, which spreads accept work across
+// listeners and lets a ShardBounce take a slice of the peers down. Writes
+// are not the shards' business: every connection has one writer of its
+// own (hub.pass), its peer's outbox is its queue, and TCP's window is the
+// back-pressure. A shard only tallies what its peers' writers did.
 
 import (
 	"errors"
@@ -36,54 +35,23 @@ type ShardBounce struct {
 	Down time.Duration
 }
 
-// defaultShardQueue bounds a shard's outbound queue when Config.ShardQueue
-// is unset.
-const defaultShardQueue = 1024
-
-// maxWriteBatch caps the frames one writer pass drains from its queue;
-// beyond it, latency of the first frame in the batch starts to matter
-// more than syscall amortization.
-const maxWriteBatch = 64
-
-// shardFrame is one queued hub→peer frame awaiting its shard writer. Its
-// body may be an outbox entry's, and is only read.
-type shardFrame struct {
-	hp   *hubPeer
-	kind byte
-	seq  uint64
-	p    framePayload
-}
-
-// connBatch accumulates the encoded bytes of one flush for one peer.
-type connBatch struct {
-	hp     *hubPeer
-	buf    []byte
-	frames int
-}
-
-// hubShard is one listener/writer unit of the hub.
+// hubShard is one listener unit of the hub.
 type hubShard struct {
 	idx  int
 	addr string
-	q    chan shardFrame
 
 	// lnMu guards ln, which a ShardBounce swaps at runtime: nil while the
 	// shard is down, a fresh same-address listener after restart.
 	lnMu sync.Mutex
 	ln   net.Listener
 
-	// Flush scratch, owned by the shard's writer goroutine.
-	order  []*connBatch
-	byPeer map[*hubPeer]*connBatch
-	spare  []*connBatch
-
-	// Robustness counters (also surfaced through internal/obs when
-	// metrics are enabled; see netMetrics.shardEvent).
-	enqueued  atomic.Int64 // frames accepted into the queue
+	// Robustness counters, kept by the writers of the shard's peers (also
+	// surfaced through internal/obs when metrics are enabled; see
+	// netMetrics.shardEvent).
+	enqueued  atomic.Int64 // frames a writer pass took or dropped
 	written   atomic.Int64 // frames that reached a socket write
-	dropped   atomic.Int64 // frames discarded: connection was down at flush
-	blocked   atomic.Int64 // enqueues that hit a full queue (backpressure)
-	writeErrs atomic.Int64 // batched writes that failed
+	dropped   atomic.Int64 // frames still owed to a connection that went away
+	writeErrs atomic.Int64 // writes that failed
 	flushes   atomic.Int64 // writer passes that wrote at least one frame
 	restarts  atomic.Int64 // bounce recoveries: listener came back up
 }
@@ -106,18 +74,10 @@ func (s *hubShard) closeListener() {
 // back.
 func (h *hub) bounceShard(s *hubShard, down time.Duration) {
 	dbg("shard %d: bounced (down %v)", s.idx, down)
-	h.met.shardEvent(s.idx, "bounce")
 	s.closeListener()
 	for _, hp := range h.peers {
-		if h.shardFor(hp.id) != s {
-			continue
-		}
-		hp.mu.Lock()
-		conn := hp.conn
-		hp.conn = nil
-		hp.mu.Unlock()
-		if conn != nil {
-			conn.Close()
+		if h.shardFor(hp.id) == s {
+			hp.sever(false)
 		}
 	}
 	t := time.AfterFunc(down, func() { h.restartShard(s) })
@@ -146,7 +106,7 @@ func (h *hub) restartShard(s *hubShard) {
 		if closed {
 			return
 		}
-		if ln, err = net.Listen("tcp", s.addr); err == nil {
+		if ln, err = listen(s.addr); err == nil {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -167,99 +127,12 @@ func (h *hub) restartShard(s *hubShard) {
 	h.wg.Add(1)
 	h.mu.Unlock()
 	s.restarts.Add(1)
-	h.met.shardEvent(s.idx, "restart")
 	dbg("shard %d: restarted on %s", s.idx, s.addr)
 	go h.acceptLoop(s, ln) // balances the wg.Add above via its own Done
 }
 
-func newHubShard(idx int, ln net.Listener, queue int) *hubShard {
-	return &hubShard{
-		idx:    idx,
-		ln:     ln,
-		addr:   ln.Addr().String(),
-		q:      make(chan shardFrame, queue),
-		byPeer: make(map[*hubPeer]*connBatch),
-	}
-}
-
-// shardWriter drains one shard's queue until the hub stops. Each pass
-// blocks for the first frame, then opportunistically batches whatever
-// else is already queued (up to maxWriteBatch) before flushing.
-func (h *hub) shardWriter(s *hubShard) {
-	defer h.wg.Done()
-	var batch []shardFrame
-	for {
-		var f shardFrame
-		select {
-		case <-h.stop:
-			return
-		case f = <-s.q:
-		}
-		batch = append(batch[:0], f)
-	fill:
-		for len(batch) < maxWriteBatch {
-			select {
-			case f = <-s.q:
-				batch = append(batch, f)
-			default:
-				break fill
-			}
-		}
-		h.flushBatch(s, batch)
-	}
-}
-
-// flushBatch groups a batch by destination peer, preserving per-peer
-// frame order, and writes each peer's frames as one coalesced buffer.
-// Frames whose connection is gone are dropped — exactly what the direct
-// write path did — and the reliable stream re-delivers them later.
-func (h *hub) flushBatch(s *hubShard, batch []shardFrame) {
-	for _, f := range batch {
-		cb := s.byPeer[f.hp]
-		if cb == nil {
-			if n := len(s.spare); n > 0 {
-				cb = s.spare[n-1]
-				s.spare = s.spare[:n-1]
-			} else {
-				cb = &connBatch{}
-			}
-			cb.hp = f.hp
-			s.byPeer[f.hp] = cb
-			s.order = append(s.order, cb)
-		}
-		cb.buf = appendFrame(cb.buf, f.kind, f.seq, f.p)
-		cb.frames++
-		h.met.hubTx(f.kind, f.p.len())
-	}
-	wrote := false
-	for _, cb := range s.order {
-		hp := cb.hp
-		hp.mu.Lock()
-		conn := hp.conn
-		hp.mu.Unlock()
-		if conn == nil {
-			s.dropped.Add(int64(cb.frames))
-			h.met.shardEventN(s.idx, "conn_down", cb.frames)
-		} else {
-			conn.nc.SetWriteDeadline(time.Now().Add(h.idle))
-			if err := conn.writeEncoded(cb.buf); err != nil {
-				s.writeErrs.Add(1)
-				h.met.shardEvent(s.idx, "write_err")
-			} else {
-				s.written.Add(int64(cb.frames))
-				h.met.shardEventN(s.idx, "written", cb.frames)
-				wrote = true
-			}
-		}
-		delete(s.byPeer, hp)
-		cb.hp, cb.buf, cb.frames = nil, cb.buf[:0], 0
-		s.spare = append(s.spare, cb)
-	}
-	s.order = s.order[:0]
-	if wrote {
-		s.flushes.Add(1)
-		h.met.shardBatch(len(batch))
-	}
+func newHubShard(idx int, ln net.Listener) *hubShard {
+	return &hubShard{idx: idx, ln: ln, addr: ln.Addr().String()}
 }
 
 // --- exported hub surface (load generation) ----------------------------
@@ -267,14 +140,14 @@ func (h *hub) flushBatch(s *hubShard, batch []shardFrame) {
 // ShardStats is one shard's robustness-counter snapshot.
 type ShardStats struct {
 	Addr string
-	// Enqueued counts frames accepted into the shard queue; Written the
-	// frames that reached a socket write; Dropped the frames discarded
-	// because the peer's connection was down at flush time.
+	// Enqueued counts the frames the writers of the shard's peers took or
+	// dropped; Written the frames that reached a socket write; Dropped
+	// the frames discarded because their connection went away before its
+	// writer sent them.
 	Enqueued, Written, Dropped int64
-	// Blocked counts enqueues that found the queue full and had to wait
-	// (backpressure events); WriteErrs failed batched writes; Flushes
-	// writer passes that moved at least one frame.
-	Blocked, WriteErrs, Flushes int64
+	// WriteErrs counts failed writes; Flushes writer passes that moved at
+	// least one frame.
+	WriteErrs, Flushes int64
 }
 
 // Hub is a running hub handle for external drivers (cmd/drload): raw
@@ -287,7 +160,7 @@ type Hub struct {
 }
 
 // StartHub validates the scale-relevant subset of cfg and starts a hub
-// alone: shard listeners, writers, retransmit and heartbeat loops, but no
+// alone: shard listeners and the retransmit and heartbeat clock, but no
 // protocol clients. The caller owns connection traffic and must Close.
 func StartHub(cfg Config) (*Hub, error) {
 	if cfg.N < 1 {
@@ -296,8 +169,8 @@ func StartHub(cfg Config) (*Hub, error) {
 	if cfg.L < 1 || cfg.MsgBits < 1 {
 		return nil, fmt.Errorf("netrt: StartHub needs L >= 1 and MsgBits >= 1 (got L=%d, b=%d)", cfg.L, cfg.MsgBits)
 	}
-	if cfg.Shards < 0 || cfg.ShardQueue < 0 {
-		return nil, fmt.Errorf("netrt: negative Shards (%d) or ShardQueue (%d)", cfg.Shards, cfg.ShardQueue)
+	if cfg.Shards < 0 {
+		return nil, fmt.Errorf("netrt: negative Shards (%d)", cfg.Shards)
 	}
 	if cfg.SourceFaults != nil {
 		if err := cfg.SourceFaults.Validate(); err != nil {
@@ -338,7 +211,6 @@ func (x *Hub) ShardStats() []ShardStats {
 			Enqueued:  s.enqueued.Load(),
 			Written:   s.written.Load(),
 			Dropped:   s.dropped.Load(),
-			Blocked:   s.blocked.Load(),
 			WriteErrs: s.writeErrs.Load(),
 			Flushes:   s.flushes.Load(),
 		}

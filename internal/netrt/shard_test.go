@@ -11,9 +11,10 @@ import (
 	"repro/internal/sim"
 )
 
-// TestAppendFrameMatchesWriteFrame pins that the batched write path
-// (appendFrame) produces byte-identical encodings to the per-frame path
-// (writeFrame), so readers cannot tell which path a frame took.
+// TestAppendFrameMatchesWriteFrame pins that appendFrame, the one
+// definition of a frame's bytes, is what the one write primitive
+// (writeFrames, through a one-frame batch) puts on the connection, and that
+// frames laid end to end decode one by one.
 func TestAppendFrameMatchesWriteFrame(t *testing.T) {
 	cases := []struct {
 		kind    byte
@@ -54,8 +55,7 @@ func TestAppendFrameMatchesWriteFrame(t *testing.T) {
 }
 
 // TestShardedRun runs full protocols through a multi-shard hub: peers
-// land on different listeners and all hub→peer traffic flows through the
-// batched shard writers.
+// land on different listeners, and each connection has its own writer.
 func TestShardedRun(t *testing.T) {
 	res, err := Run(Config{
 		N: 8, T: 0, L: 512, MsgBits: 128, Seed: 5,
@@ -71,9 +71,9 @@ func TestShardedRun(t *testing.T) {
 	}
 }
 
-// TestShardedRunWithAbsentPeers exercises shard writers against downed
-// links: absent peers never connect, so their frames must be dropped at
-// flush without wedging the other peers on the same shard.
+// TestShardedRunWithAbsentPeers exercises a sharded hub with downed links:
+// absent peers never connect, so their frames wait in outboxes no writer
+// drains, without wedging the other peers on the same shard.
 func TestShardedRunWithAbsentPeers(t *testing.T) {
 	res, err := Run(Config{
 		N: 8, T: 2, L: 1024, MsgBits: 256, Seed: 6,
@@ -138,9 +138,9 @@ func TestStartHub(t *testing.T) {
 	if len(stats) != 2 {
 		t.Fatalf("ShardStats: got %d shards, want 2", len(stats))
 	}
-	// Peer 3 lives on shard 3 % 2 = 1: its ack/qreply frames must have
-	// flowed through that shard's writer. The writer counts a batch after
-	// the flush that let the reply be read, so give it until a deadline.
+	// Peer 3 lives on shard 3 % 2 = 1: its connection's writer counts its
+	// ack/qreply frames there. It counts a pass after the write that let
+	// the reply be read, so give it until a deadline.
 	for deadline := time.Now().Add(5 * time.Second); stats[1].Written == 0 && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 		stats = hub.ShardStats()
