@@ -169,6 +169,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzCommitteeSchedules -fuzztime=$(FUZZTIME) ./internal/des/
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -fuzz=FuzzSetScan -fuzztime=$(FUZZTIME) -run '^$$' ./internal/intset/
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME) -run '^$$' ./internal/netrt/
 	$(GO) test -fuzz=FuzzDecodeQuery -fuzztime=$(FUZZTIME) -run '^$$' ./internal/netrt/
 	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=$(FUZZTIME) -run '^$$' ./internal/netrt/

@@ -253,8 +253,8 @@ func generateFrames() (*Frames, error) {
 		{"crashk-req1", &crashk.Req1{Phase: 3, Indices: set, IdxBits: idxBits}},
 		{"crashk-resp1", &crashk.Resp1{Phase: 3, Indices: set, Values: bits(set.Len()), IdxBits: idxBits}},
 		{"crashk-req2", &crashk.Req2{Phase: 2, IdxBits: idxBits, Items: []crashk.Req2Item{
-			{Q: 5, Indices: intset.FromRange(0, 64)},
-			{Q: 9, Indices: intset.FromSorted([]int{7, 9})},
+			{Q: 5, Indices: intset.Hold(intset.FromRange(0, 64))},
+			{Q: 9, Indices: intset.Hold(intset.FromSorted([]int{7, 9}))},
 		}}},
 		{"crashk-resp2", &crashk.Resp2{Phase: 2, IdxBits: idxBits, MeNeither: intset.FromRange(5, 6), Items: []crashk.Resp2Item{
 			{Q: 9, Indices: intset.FromSorted([]int{7, 9}), Values: bits(2)},

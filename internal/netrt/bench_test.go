@@ -177,7 +177,7 @@ func crashkReq2() *crashk.Req2 {
 				share.Add(i)
 			}
 		}
-		req.Items = append(req.Items, crashk.Req2Item{Q: q, Indices: share.Set()})
+		req.Items = append(req.Items, crashk.Req2Item{Q: q, Indices: intset.Hold(share.Set())})
 	}
 	return req
 }

@@ -55,7 +55,7 @@ func broadcastSamples() []sim.Message {
 		b.Add(x + 1000)
 	}
 	return []sim.Message{
-		&crashk.Req2{Phase: 3, IdxBits: 11, Items: []crashk.Req2Item{{Q: 1, Indices: a.Set()}, {Q: 4, Indices: b.Set()}}},
+		&crashk.Req2{Phase: 3, IdxBits: 11, Items: []crashk.Req2Item{{Q: 1, Indices: intset.Hold(a.Set())}, {Q: 4, Indices: intset.Hold(b.Set())}}},
 		&crashk.Full{Values: bitarray.Random(rand.New(rand.NewSource(9)), 2048)},
 	}
 }

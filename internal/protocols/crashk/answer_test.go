@@ -39,9 +39,10 @@ type modelItem struct {
 func modelAnswer(p *Peer, req *Req2) []modelItem {
 	var items []modelItem
 	for _, it := range req.Items {
-		known := walkInRange(it.Indices, p.ctx.L())
+		set := it.Indices.Set()
+		known := walkInRange(set, p.ctx.L())
 		if known {
-			it.Indices.ForEachRange(func(lo, hi int) {
+			set.ForEachRange(func(lo, hi int) {
 				known = known && p.track.KnownRange(lo, hi)
 			})
 		}
@@ -49,14 +50,14 @@ func modelAnswer(p *Peer, req *Req2) []modelItem {
 			items = append(items, modelItem{Q: it.Q, MeNeither: true})
 			continue
 		}
-		vals := bitarray.New(it.Indices.Len())
+		vals := bitarray.New(set.Len())
 		i := 0
-		it.Indices.ForEach(func(x int) {
+		set.ForEach(func(x int) {
 			v, _ := p.track.Get(x)
 			vals.Set(i, v)
 			i++
 		})
-		items = append(items, modelItem{Q: it.Q, Indices: it.Indices, Values: vals})
+		items = append(items, modelItem{Q: it.Q, Indices: set, Values: vals})
 	}
 	return items
 }
@@ -123,9 +124,33 @@ func req2Items(rng *rand.Rand, tr *bitarray.Tracker, n, k int) []Req2Item {
 	qs := increasingPeers(rng, n, k)
 	items := make([]Req2Item, len(qs))
 	for i, q := range qs {
-		items[i] = Req2Item{Q: q, Indices: kinds[(i+rng.Intn(2))%len(kinds)]()}
+		items[i] = Req2Item{Q: q, Indices: intset.Hold(kinds[(i+rng.Intn(2))%len(kinds)]())}
 	}
 	return items
+}
+
+// encoded returns req with every item's set passed through intset's
+// encoding and scan, held as its encoding as a decoded request holds it,
+// and how many items it encoded. A set with a negative index has no
+// encoding, and no decoded request can hold one, so such an item stays
+// held.
+func encoded(req *Req2) (*Req2, int) {
+	out := &Req2{Phase: req.Phase, IdxBits: req.IdxBits, Items: make([]Req2Item, len(req.Items))}
+	n := 0
+	for k, it := range req.Items {
+		out.Items[k] = it
+		set := it.Indices.Set()
+		if lo, _ := set.Bounds(); lo < 0 {
+			continue
+		}
+		sp, _, ok := intset.Scan(intset.AppendEncoding(nil, set))
+		if !ok {
+			panic(fmt.Sprintf("the encoding of %v does not scan", set))
+		}
+		out.Items[k].Indices = sp.Lazy()
+		n++
+	}
+	return out, n
 }
 
 func sentResp2(t *testing.T, p *Peer, to sim.PeerID) *Resp2 {
@@ -179,9 +204,12 @@ func requireSameResp2(t *testing.T, label string, got, want *Resp2) {
 // TestAnswerReq2MatchesModel compares the one-ruling, one-arena answer with
 // the per-item model, split into supplied items and the me-neither set, and
 // its size with the per-item accounting: a peer word and a flag bit for
-// every item, and set and values for a supplied one.
+// every item, and set and values for a supplied one. Every request is
+// answered twice, as built and with its items held as their encodings, as
+// a decoded request holds them: the two answers are the model's.
 func TestAnswerReq2MatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
+	encodedItems := 0
 	for _, re := range []Reassign{ReassignHash, ReassignRotate} {
 		for trial := 0; trial < 60; trial++ {
 			L := 2 + rng.Intn(1500)
@@ -202,15 +230,25 @@ func TestAnswerReq2MatchesModel(t *testing.T) {
 					}
 				}
 				want := splitModel(req, p.idxBits, items)
-				rec(p).Reset()
-				p.answerReq2(7, req)
-				got := sentResp2(t, p, 7)
-				requireSameResp2(t, label, got, want)
-				if got.SizeBits() != perItem {
-					t.Fatalf("%s: SizeBits %d, the per-item accounting says %d", label, got.SizeBits(), perItem)
+				enc, n := encoded(req)
+				encodedItems += n
+				for _, c := range []struct {
+					form string
+					req  *Req2
+				}{{"held", req}, {"encoded", enc}} {
+					rec(p).Reset()
+					p.answerReq2(7, c.req)
+					got := sentResp2(t, p, 7)
+					requireSameResp2(t, label+" "+c.form, got, want)
+					if got.SizeBits() != perItem {
+						t.Fatalf("%s %s: SizeBits %d, the per-item accounting says %d", label, c.form, got.SizeBits(), perItem)
+					}
 				}
 			}
 		}
+	}
+	if encodedItems < 1000 {
+		t.Fatalf("only %d items were encoded: the requests do not exercise the encoded form", encodedItems)
 	}
 }
 
@@ -221,7 +259,9 @@ func TestMalformedReq2GetsNoAnswer(t *testing.T) {
 	const n, L = 16, 512
 	p := partitionPeer(1, n, L, ReassignHash)
 	learnRandom(rand.New(rand.NewSource(5)), p.track, 0.5)
-	item := func(q int) Req2Item { return Req2Item{Q: sim.PeerID(q), Indices: intset.FromRange(q, q+3)} }
+	item := func(q int) Req2Item {
+		return Req2Item{Q: sim.PeerID(q), Indices: intset.Hold(intset.FromRange(q, q+3))}
+	}
 	for _, c := range []struct {
 		name string
 		qs   []int
@@ -264,8 +304,9 @@ func allocatedBytes(runs int, f func()) uint64 {
 
 // TestAnswerReq2AllocBudget: an all-me-neither answer is the message and
 // one range array, and when the silent peers form one run its bytes do not
-// grow with their number; a mixed answer adds the item slice and the
-// arena's slab and array headers.
+// grow with their number, whether the request holds its items in memory or
+// as their encodings; a mixed answer adds the item slice and the arena's
+// slab and array headers.
 func TestAnswerReq2AllocBudget(t *testing.T) {
 	const n, L = 128, 1 << 12
 	rng := rand.New(rand.NewSource(17))
@@ -284,13 +325,18 @@ func TestAnswerReq2AllocBudget(t *testing.T) {
 	for _, k := range []int{8, 120} {
 		req := &Req2{Phase: 2, IdxBits: p.idxBits}
 		for q := 3; q < 3+k; q++ {
-			req.Items = append(req.Items, Req2Item{Q: sim.PeerID(q), Indices: unknown})
+			req.Items = append(req.Items, Req2Item{Q: sim.PeerID(q), Indices: intset.Hold(unknown)})
 		}
 		allocs, bytes := measure(req)
 		if allocs > 2 {
 			t.Errorf("%d me-neither peers in one run: %.0f allocations, budget 2", k, allocs)
 		}
 		oneRun[k] = bytes
+		enc, _ := encoded(req)
+		if allocs, bytes := measure(enc); allocs > 2 || bytes > oneRun[k]+16 {
+			t.Errorf("%d encoded me-neither peers in one run: %.0f allocations and %d B, budget 2 and %d B",
+				k, allocs, bytes, oneRun[k]+16)
+		}
 		scattered := &Req2{Phase: 2, IdxBits: p.idxBits, Items: req2Items(rng, p.track, n, k)}
 		if allocs, _ := measure(scattered); allocs > 5 {
 			t.Errorf("%d mixed items: %.0f allocations, budget 5", len(scattered.Items), allocs)

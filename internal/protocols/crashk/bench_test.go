@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/bitarray"
+	"repro/internal/intset"
 	"repro/internal/sim"
 )
 
@@ -50,30 +51,38 @@ func phase2Peer(n, t, L int) (*Peer, []sim.PeerID) {
 // phase-2 request about the 115 crashed peers, each item that peer's share
 // of the bits nobody heard. all-me-neither is what the cell answers nearly
 // every time: the responder knows none of them. mixed has the responder
-// know every third item, which it then supplies.
+// know every third item, which it then supplies. decoded/all-me-neither is
+// the first request with its items held as their encodings, as the socket
+// runtime delivers it: each is ruled at its first range and never unpacked.
 func BenchmarkAnswerReq2(b *testing.B) {
 	sh := benchShapes[0]
-	for _, mixed := range []bool{false, true} {
-		name := "all-me-neither"
-		if mixed {
-			name = "mixed"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, c := range []struct {
+		name           string
+		mixed, decoded bool
+	}{
+		{"all-me-neither", false, false},
+		{"mixed", true, false},
+		{"decoded/all-me-neither", false, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			p, crashed := phase2Peer(sh.n, sh.t, sh.L)
 			shares := p.unknownByOwner(2)
 			zeros := bitarray.New(sh.L)
 			req := &Req2{Phase: 2, IdxBits: p.idxBits}
 			for k, q := range crashed {
-				req.Items = append(req.Items, Req2Item{Q: q, Indices: shares[q]})
-				if mixed && k%3 == 0 {
+				req.Items = append(req.Items, Req2Item{Q: q, Indices: intset.Hold(shares[q])})
+				if c.mixed && k%3 == 0 {
 					shares[q].ForEachRange(func(lo, hi int) { p.track.LearnRange(lo, hi, zeros, lo) })
 				}
 			}
-			c := rec(p)
+			if c.decoded {
+				req, _ = encoded(req)
+			}
+			rc := rec(p)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.Reset()
+				rc.Reset()
 				p.answerReq2(1, req)
 			}
 		})

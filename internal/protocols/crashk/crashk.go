@@ -388,7 +388,7 @@ func (p *Peer) enterWait2() {
 	items := make([]Req2Item, 0, missing)
 	for j, set := range p.byOwner {
 		if id := sim.PeerID(j); silent(id) && !set.Empty() {
-			items = append(items, Req2Item{Q: id, Indices: set})
+			items = append(items, Req2Item{Q: id, Indices: intset.Hold(set)})
 		}
 	}
 	p.needs = items
@@ -414,7 +414,7 @@ func (p *Peer) checkWait2() {
 // Req2 is now known — the Theorem 2.13 early-exit condition.
 func (p *Peer) needsSatisfied() bool {
 	for _, it := range p.needs {
-		if !p.allKnown(it.Indices) {
+		if !p.allKnown(it.Indices.Set()) {
 			return false
 		}
 	}
@@ -585,7 +585,9 @@ func (p *Peer) answerReq2(from sim.PeerID, req *Req2) {
 	// them all, me-neither otherwise". Each item is ruled on once, before
 	// anything is copied: the answered items' values then share one arena
 	// allocation, and the me-neither peers, which ascend like the request's,
-	// one range array sized by the runs they form.
+	// one range array sized by the runs they form. An item held as its
+	// encoding is ruled by walking it, which stops at the first range that
+	// is unknown, and only an answered one is unpacked.
 	n, L := p.ctx.N(), p.ctx.L()
 	ruled := p.ruled[:0]
 	answered, total, runs := 0, 0, 0
@@ -596,7 +598,12 @@ func (p *Peer) answerReq2(from sim.PeerID, req *Req2) {
 			return // malformed: peers out of order or out of range
 		}
 		prev = q
-		ok := inRange(it.Indices, L) && p.allKnown(it.Indices)
+		var ok bool
+		if set, held := it.Indices.Held(); held {
+			ok = inRange(set, L) && p.allKnown(set)
+		} else if lo, hi := it.Indices.Bounds(); lo >= 0 && hi <= L {
+			ok = it.Indices.Walk(p.track.KnownRange)
+		}
 		ruled = append(ruled, ok)
 		if ok {
 			answered++
@@ -624,13 +631,14 @@ func (p *Peer) answerReq2(from sim.PeerID, req *Req2) {
 			neither.Add(int(it.Q))
 			continue
 		}
-		vals := ar.New(it.Indices.Len())
+		set := it.Indices.Set()
+		vals := ar.New(set.Len())
 		i := 0
-		it.Indices.ForEachRange(func(lo, hi int) {
+		set.ForEachRange(func(lo, hi int) {
 			p.track.CopyRange(vals, i, lo, hi)
 			i += hi - lo
 		})
-		resp.Items = append(resp.Items, Resp2Item{Q: it.Q, Indices: it.Indices, Values: vals})
+		resp.Items = append(resp.Items, Resp2Item{Q: it.Q, Indices: set, Values: vals})
 	}
 	resp.MeNeither = neither.Set()
 	p.ctx.Send(from, resp)

@@ -55,10 +55,12 @@ func (m *Resp1) SizeBits() int {
 }
 
 // Req2Item asks about one silent peer Q: "did you hear Q in this phase?
-// If so, send me the values of these bits."
+// If so, send me the values of these bits." The sender holds the set in
+// memory; a decoded request holds it as its validated encoding, which the
+// recipient unpacks only for an item it answers.
 type Req2Item struct {
 	Q       sim.PeerID
-	Indices intset.Set
+	Indices intset.Lazy
 }
 
 // Req2 is the stage-2 request listing every peer the sender failed to hear

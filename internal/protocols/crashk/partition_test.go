@@ -115,7 +115,7 @@ func TestPartitionMatchesModel(t *testing.T) {
 					var want []Req2Item
 					for j, set := range fresh {
 						if id := sim.PeerID(j); id != p.ctx.ID() && !p.heard[id] && !set.Empty() {
-							want = append(want, Req2Item{Q: id, Indices: set})
+							want = append(want, Req2Item{Q: id, Indices: intset.Hold(set)})
 						}
 					}
 					p.enterWait2()
@@ -141,11 +141,15 @@ func TestPartitionMatchesModel(t *testing.T) {
 							label, len(sent.Items), cap(sent.Items), len(want))
 					}
 					for k, it := range sent.Items {
-						if it.Q != want[k].Q || !reflect.DeepEqual(rangesOf(it.Indices), rangesOf(want[k].Indices)) {
+						set, held := it.Indices.Held()
+						if !held {
+							t.Fatalf("%s: item %d is not held in memory", label, k)
+						}
+						if it.Q != want[k].Q || !reflect.DeepEqual(rangesOf(set), rangesOf(want[k].Indices.Set())) {
 							t.Fatalf("%s: item %d is (%d, %v), want (%d, %v)",
 								label, k, it.Q, it.Indices, want[k].Q, want[k].Indices)
 						}
-						if r := it.Indices.Ranges(); cap(r) != len(r) {
+						if r := set.Ranges(); cap(r) != len(r) {
 							t.Fatalf("%s: item %d holds %d ranges in room for %d", label, k, len(r), cap(r))
 						}
 					}
@@ -292,7 +296,7 @@ func TestNeedsSatisfiedStopsAtTheUnknownRange(t *testing.T) {
 	ones := bitarray.New(L)
 	for hole := range ranges {
 		p := partitionPeer(0, 16, L, ReassignHash)
-		p.needs = []Req2Item{{Q: 1, Indices: intset.FromRange(20, 30)}, {Q: 2, Indices: b.Set()}}
+		p.needs = []Req2Item{{Q: 1, Indices: intset.Hold(intset.FromRange(20, 30))}, {Q: 2, Indices: intset.Hold(b.Set())}}
 		p.track.LearnRange(20, 30, ones, 20)
 		for k, r := range ranges {
 			if k != hole {

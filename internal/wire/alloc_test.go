@@ -5,12 +5,14 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/bitarray"
 	"repro/internal/intset"
 	"repro/internal/protocols/crash1"
 	"repro/internal/protocols/crashk"
+	"repro/internal/sim"
 )
 
 // TestMarshalAppendAllocFree pins the encode path's allocation contract:
@@ -95,6 +97,50 @@ func TestUnmarshalSetAllocBudget(t *testing.T) {
 	}
 }
 
+// TestUnmarshalReq2AllocBudget pins the decode of a Req2 shaped like
+// tcp-crashk's from phase 2 on (N=16, T=8, L=65536): eight items of 1,900
+// one-bit ranges, two bytes each on the wire. Its items keep their sets as
+// their validated encodings, so the decode allocates the message, the
+// items, their spans and one copy of the bytes — at most items + 2 objects
+// and 2.5 B a range, where unpacked ranges would take 8 B a range.
+func TestUnmarshalReq2AllocBudget(t *testing.T) {
+	const items, ranges, L = 8, 1900, 1 << 16
+	rng := rand.New(rand.NewSource(23))
+	req := &crashk.Req2{Phase: 2, IdxBits: 16}
+	for q := 1; q < 2*items; q += 2 {
+		var b intset.Builder
+		for i, x := 0, rng.Intn(40); i < ranges; i++ {
+			b.Add(x)
+			x += 2 + rng.Intn(62)
+		}
+		req.Items = append(req.Items, crashk.Req2Item{Q: sim.PeerID(q), Indices: intset.Hold(b.Set())})
+	}
+	raw, err := Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() {
+		m, err := Unmarshal(raw, L)
+		if err != nil || len(m.(*crashk.Req2).Items) != items || m.(*crashk.Req2).Items[items-1].Indices.RangeCount() != ranges {
+			t.Fatalf("decode: %v", err)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	if allocs > items+2 {
+		t.Fatalf("Unmarshal of a %d-item Req2 allocated %.1f times per op, budget %d", items, allocs, items+2)
+	}
+	// AllocsPerRun makes one warm-up call beyond its runs.
+	perOp := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	perRange := perOp / (items * ranges)
+	t.Logf("%.0f allocations, %.2f B a range", allocs, perRange)
+	if perRange > 2.5 {
+		t.Fatalf("Unmarshal of a %d-item Req2 allocated %.0f bytes per op, %.2f B a range, budget 2.5", items, perOp, perRange)
+	}
+}
+
 // HostileSetCount is a Req1 whose set header claims 2^20 ranges (the most
 // maxItems lets through) in a 16-byte payload. Exported for the fuzz seed
 // corpus in package wire_test.
@@ -126,10 +172,11 @@ func TestHostileSetCountSizesNoAllocation(t *testing.T) {
 }
 
 // TestDecodedSetsAreSorted: crashk rules a set in or out of range by its
-// bounds alone (intset.Set.Bounds), which is sound only if the ranges of
+// bounds alone (intset.Lazy.Bounds), which is sound only if the ranges of
 // every set the decoder lets through are sorted and disjoint. Frames here
 // are valid Req2 encodings, the same with bytes overwritten, and the
-// hostile-count frame; whatever decodes must agree with a per-range walk.
+// hostile-count frame; whatever decodes must agree with a per-range walk,
+// and its walk with the set it unpacks to.
 func TestDecodedSetsAreSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	frames := [][]byte{HostileSetCount()}
@@ -140,7 +187,7 @@ func TestDecodedSetsAreSorted(t *testing.T) {
 			for x := rng.Intn(50); x < 4000 && rng.Intn(12) > 0; x += 40 + rng.Intn(300) {
 				b.AddRange(x, x+1+rng.Intn(40))
 			}
-			req.Items = append(req.Items, crashk.Req2Item{Q: 3, Indices: b.Set()})
+			req.Items = append(req.Items, crashk.Req2Item{Q: 3, Indices: intset.Hold(b.Set())})
 		}
 		raw, err := Marshal(req)
 		if err != nil {
@@ -168,7 +215,8 @@ func TestDecodedSetsAreSorted(t *testing.T) {
 		for _, it := range req.Items {
 			decoded++
 			prevHi, minLo, maxHi := -1, 0, 0
-			it.Indices.ForEachRange(func(lo, hi int) {
+			var walked []intset.Range
+			it.Indices.Walk(func(lo, hi int) bool {
 				if lo <= prevHi || hi <= lo {
 					t.Fatalf("decoded set %v: range [%d,%d) after end %d", it.Indices, lo, hi, prevHi)
 				}
@@ -176,9 +224,14 @@ func TestDecodedSetsAreSorted(t *testing.T) {
 					minLo = lo
 				}
 				prevHi, maxHi = hi, hi
+				walked = append(walked, intset.Range{Lo: int32(lo), Hi: int32(hi)})
+				return true
 			})
 			if lo, hi := it.Indices.Bounds(); lo != minLo || hi != maxHi {
 				t.Fatalf("decoded set %v: Bounds [%d,%d), walk [%d,%d)", it.Indices, lo, hi, minLo, maxHi)
+			}
+			if set := it.Indices.Set(); !slices.Equal(set.Ranges(), walked) {
+				t.Fatalf("decoded set unpacks to %v, walks as %v", set, walked)
 			}
 		}
 	}

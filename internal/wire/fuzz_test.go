@@ -18,6 +18,10 @@ func FuzzUnmarshal(f *testing.F) {
 	// Seed corpus: valid frames of several types plus junk.
 	seedMsgs := []interface{ SizeBits() int }{
 		&crashk.Req1{Phase: 1, Indices: intset.FromRange(0, 64), IdxBits: 12},
+		&crashk.Req2{Phase: 2, IdxBits: 12, Items: []crashk.Req2Item{
+			{Q: 1, Indices: intset.Hold(intset.FromSorted([]int{3, 9, 10, 200, 4000}))},
+			{Q: 4, Indices: intset.Hold(intset.FromRange(130, 400))},
+		}},
 		&crashk.Full{Values: bitarray.New(128)},
 		&segproto.SegValue{Cycle: 1, Seg: 0, Values: bitarray.New(32), IdxBits: 12},
 	}

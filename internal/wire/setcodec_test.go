@@ -318,7 +318,7 @@ func TestSetCodecSeams(t *testing.T) {
 // is checked, not each set's.
 func TestUnmarshalIsLengthStrict(t *testing.T) {
 	req2, err := Marshal(&crashk.Req2{Phase: 2, IdxBits: 12, Items: []crashk.Req2Item{
-		{Q: 1, Indices: intset.FromRange(3, 9)}, {Q: 2, Indices: intset.FromSorted([]int{1, 5})},
+		{Q: 1, Indices: intset.Hold(intset.FromRange(3, 9))}, {Q: 2, Indices: intset.Hold(intset.FromSorted([]int{1, 5}))},
 	}})
 	if err != nil {
 		t.Fatal(err)

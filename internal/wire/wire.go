@@ -10,9 +10,16 @@
 // bitarray payloads, and index sets encoded as a range count and one
 // (gap-from-previous-end, length) pair per coalesced range — matching the
 // accounting model of package intset, and two bytes a range for the sets
-// crashk sends from phase 2 on. Decoding is length-strict and accepts
-// exactly what the encoder can emit, so Marshal(Unmarshal(b)) == b for
-// every frame b that decodes.
+// crashk sends from phase 2 on. The set codec is intset's
+// (AppendEncoding, Decode, Scan), used for every set field. Decoding is
+// length-strict and accepts exactly what the encoder can emit, so
+// Marshal(Unmarshal(b)) == b for every frame b that decodes.
+//
+// Every set is decoded into ranges except a crashk Req2 item's: its set is
+// validated completely but held as its encoding (intset.Lazy), in a copy
+// of the frame's bytes that the decoded message owns and never writes. A
+// recipient rules nearly every item at its first range, so only the items
+// it answers are ever unpacked.
 package wire
 
 import (
@@ -76,7 +83,7 @@ func MarshalAppend(dst []byte, m sim.Message) ([]byte, error) {
 		w.uvarint(uint64(len(v.Items)))
 		for _, it := range v.Items {
 			w.uvarint(uint64(it.Q))
-			w.set(it.Indices)
+			w.buf = it.Indices.AppendEncoding(w.buf)
 		}
 	case *crashk.Resp2:
 		w.byte(tagCrashkResp2)
@@ -168,12 +175,7 @@ func Unmarshal(data []byte, L int) (sim.Message, error) {
 	case tagCrashkReq2:
 		v := &crashk.Req2{IdxBits: idxBits}
 		v.Phase = int(r.uvarint())
-		n := r.count()
-		for i := 0; i < n && r.err == nil; i++ {
-			it := crashk.Req2Item{Q: sim.PeerID(r.uvarint())}
-			it.Indices = r.set()
-			v.Items = append(v.Items, it)
-		}
+		v.Items = r.req2Items()
 		m = v
 	case tagCrashkResp2:
 		// The list is split back into supplied items and me-neither peers;
@@ -288,26 +290,8 @@ func (w *writer) resp2Item(it crashk.Resp2Item) {
 	w.bits(it.Values)
 }
 
-// set encodes the range count, then one (gap-from-previous-end, length)
-// pair per range. From phase 2 on nearly every pair of a crashk set is two
-// values below 0x80, which are their own varints.
-func (w *writer) set(s intset.Set) {
-	ranges := s.Ranges()
-	buf := binary.AppendUvarint(w.buf, uint64(len(ranges)))
-	prevEnd := int64(0)
-	for _, rg := range ranges {
-		lo, hi := int64(rg.Lo), int64(rg.Hi)
-		gap, length := uint64(lo-prevEnd), uint64(hi-lo)
-		if gap|length < 0x80 {
-			buf = append(buf, byte(gap), byte(length))
-		} else {
-			buf = binary.AppendUvarint(buf, gap)
-			buf = binary.AppendUvarint(buf, length)
-		}
-		prevEnd = hi
-	}
-	w.buf = buf
-}
+// set writes intset's set encoding.
+func (w *writer) set(s intset.Set) { w.buf = intset.AppendEncoding(w.buf, s) }
 
 type reader struct {
 	buf []byte
@@ -411,55 +395,55 @@ func (r *reader) bits() *bitarray.Array {
 // nothing the decoder lets through can fail to fit.
 const maxIndex = intset.MaxIndex
 
-// set decodes what writer.set wrote, a pair at a time on a local cursor:
-// two bytes below 0x80 are a gap and a length, anything else goes through
-// binary.Uvarint. It accepts only what writer.set can emit — lengths ≥ 1,
-// gaps ≥ 1 after the first range (a gap of 0 would have been coalesced),
-// minimal varints, every index ≤ maxIndex — so a decoded set re-encodes to
-// the bytes it came from.
+// set decodes what writer.set wrote through intset.Decode, which accepts
+// only what the encoder can emit, so a decoded set re-encodes to the bytes
+// it came from.
 func (r *reader) set() intset.Set {
-	n64 := r.uvarint()
-	if r.err != nil || n64 > maxItems {
+	if r.err != nil {
+		return intset.Set{}
+	}
+	s, n, ok := intset.Decode(r.buf)
+	if !ok {
 		r.fail()
 		return intset.Set{}
 	}
-	// A range costs at least two bytes, so a count above half of what is
-	// left is truncated whatever follows; rejecting it here is what lets
-	// the count size the one allocation below.
-	if n64 > uint64(len(r.buf)/2) {
+	r.buf = r.buf[n:]
+	return s
+}
+
+// req2Items decodes a Req2's items, each set validated by intset.Scan and
+// held as its encoding: a recipient mostly rules an item at its first
+// range, and unpacks only the items it answers. The spans alias one copy
+// of the rest of the frame, because the caller's buffer may be reused
+// (netrt's is). An item takes at least two bytes, a peer and a set count,
+// so a count the payload cannot hold is refused before it sizes anything.
+func (r *reader) req2Items() []crashk.Req2Item {
+	n := r.count()
+	if r.err != nil || n > len(r.buf)/2 {
 		r.fail()
-		return intset.Set{}
+		return nil
 	}
-	n := int(n64)
-	b := intset.BuilderOver(make([]intset.Range, n))
-	buf, pos := r.buf, 0
-	prevEnd := uint64(0)
-	for i := 0; i < n; i++ {
-		var gap, length uint64
-		if pos+1 < len(buf) && buf[pos]|buf[pos+1] < 0x80 {
-			gap, length = uint64(buf[pos]), uint64(buf[pos+1])
-			pos += 2
-		} else {
-			var kg, kl int
-			gap, kg = minimalUvarint(buf[pos:])
-			length, kl = minimalUvarint(buf[pos+kg:])
-			if kg == 0 || kl == 0 {
-				r.fail()
-				return intset.Set{}
-			}
-			pos += kg + kl
+	if n == 0 {
+		return nil
+	}
+	r.buf = append([]byte(nil), r.buf...)
+	spans := make([]intset.Span, n)
+	items := make([]crashk.Req2Item, n)
+	for i := range items {
+		q := r.uvarint()
+		if r.err != nil {
+			return nil
 		}
-		// A sum that wrapped has a term above maxIndex, refused just below.
-		hi := prevEnd + gap + length
-		if length == 0 || (gap == 0 && i > 0) || gap > maxIndex || length > maxIndex || hi > maxIndex {
+		sp, k, ok := intset.Scan(r.buf)
+		if !ok {
 			r.fail()
-			return intset.Set{}
+			return nil
 		}
-		b.AddRange(int(prevEnd+gap), int(hi))
-		prevEnd = hi
+		r.buf = r.buf[k:]
+		spans[i] = sp
+		items[i] = crashk.Req2Item{Q: sim.PeerID(q), Indices: spans[i].Lazy()}
 	}
-	r.buf = buf[pos:]
-	return b.Set()
+	return items
 }
 
 // minimalUvarint is binary.Uvarint with every refusal reported as a width

@@ -43,8 +43,8 @@ func TestRoundTripAllTypes(t *testing.T) {
 		&crashk.Req1{Phase: 3, Indices: set, IdxBits: idxBits},
 		&crashk.Resp1{Phase: 3, Indices: set, Values: randBits(rng, set.Len()), IdxBits: idxBits},
 		&crashk.Req2{Phase: 2, IdxBits: idxBits, Items: []crashk.Req2Item{
-			{Q: 5, Indices: intset.FromRange(0, 64)},
-			{Q: 9, Indices: intset.FromSorted([]int{7, 9})},
+			{Q: 5, Indices: intset.Hold(intset.FromRange(0, 64))},
+			{Q: 9, Indices: intset.Hold(intset.FromSorted([]int{7, 9}))},
 		}},
 		&crashk.Resp2{Phase: 2, IdxBits: idxBits, MeNeither: intset.FromRange(5, 6), Items: []crashk.Resp2Item{
 			{Q: 9, Indices: intset.FromSorted([]int{7, 9}), Values: randBits(rng, 2)},
