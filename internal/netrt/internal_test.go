@@ -756,12 +756,11 @@ func TestLateReplyServesParkedCall(t *testing.T) {
 		c.Query(2, slices.Clone(b))
 		// a is refused: the breaker opens and parks it.
 		c.handleFrame(kQErr, 1, append(bytes.Clone(hdrA), byte(source.KindOutage)))
-		// b falls silent past its deadline: the open breaker parks it too.
-		now := time.Now()
-		c.mu.Lock()
+		// b falls silent past its deadline and fails as a lost reply; once
+		// its backoff ends, the open breaker parks it too.
 		pqA, pqB := c.queries[0], c.queries[1]
-		c.follow(pqB, c.q.Silent(c.clock(now), pqB.call), now)
-		c.mu.Unlock()
+		c.housekeep(pqB.deadline, time.Hour) // silent: b backs off
+		c.housekeep(pqB.deadline, time.Hour) // its backoff ends
 		if pqA.state != parked || pqB.state != parked || c.q.Parked() != 2 {
 			t.Fatalf("states %d and %d with %d parked, want both calls parked", pqA.state, pqB.state, c.q.Parked())
 		}

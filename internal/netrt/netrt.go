@@ -1741,15 +1741,13 @@ func (c *client) handleFrame(kind byte, seq uint64, payload []byte) {
 		now := time.Now()
 		c.mu.Lock()
 		pq := c.owed(qkeyOfHeader(tag, hdr), hdr)
-		if pq == nil || pq.state == parked || c.terminated {
+		if pq == nil || pq.state != sent || c.terminated {
 			c.mu.Unlock()
 			return
 		}
-		// An active refusal: the source is reachable, just unwilling. The
-		// silence budget guards lost frames, not refusals, so it restarts,
-		// and the plane backs the call off or parks it. A call already
-		// parked waits for the breaker whatever its last attempt's verdict.
-		pq.attempts = 1
+		// An active refusal: the plane backs the call off or parks it. A
+		// call not on the wire already had its attempt ruled failed — by
+		// its silence or an earlier refusal — so the verdict is stale.
 		c.follow(pq, c.q.Fail(c.clock(now), pq.call, kind), now)
 		c.mu.Unlock()
 		dbg("client %d: source %s for query tag=%d", c.id, kind, tag)
@@ -1784,8 +1782,8 @@ func (c *client) dupDropped() {
 // owed returns the oldest call awaiting a reply to a QUERY that carried
 // exactly the header hdr (key is qkeyOfHeader of it), or nil: a reply
 // echoing any other bytes — another query's, or noise that still parses —
-// is nobody's. A call its silence parked behind the breaker still takes a
-// late reply. Caller holds c.mu.
+// is nobody's. A call whose silence already failed it, backed off or
+// parked behind the breaker, still takes a late reply. Caller holds c.mu.
 func (c *client) owed(key qkey, hdr []byte) *pendingQuery {
 	for _, pq := range c.queries {
 		if pq.key == key && bytes.Equal(pq.payload, hdr) {
@@ -1806,17 +1804,16 @@ func (c *client) pendingOf(call *qplane.Call) *pendingQuery {
 }
 
 // transmit sends one more attempt of pq at now (mu held). Every send after
-// the first is a query retry, and the silence deadline doubles with each
-// retry since the last refusal.
+// the first is a query retry, and the attempt counts as silent
+// QueryTimeout after it.
 func (c *client) transmit(pq *pendingQuery, now time.Time) {
 	pq.call.Attempt++
 	pq.state = sent
-	pq.attempts++
-	if pq.attempts > 1 {
+	if pq.call.Attempt > 1 {
 		c.stats.QueryRetries++
 		c.met.queryRetry(int(c.id))
 	}
-	pq.deadline = nextQueryDeadline(now, c.res.QueryTimeout, pq.attempts-1)
+	pq.deadline = now.Add(c.res.QueryTimeout)
 	c.armAt(pq.deadline)
 	c.push(pq.kind, rawPayload(pq.payload))
 }
@@ -1886,7 +1883,7 @@ func (c *client) complete(key qkey, hdr []byte, bits *bitarray.Array, mirror boo
 // proof-carrying reply against the authoritative root and either serve
 // the verified bits to the protocol or flip the pending query to the
 // QUERYSRC fallback. A malformed body is dropped like line noise — the
-// silence deadline re-issues the query.
+// silence deadline fails the attempt and the plane retries it.
 func (c *client) handleProofReply(payload []byte) {
 	tag, _, hdrLen, _, _, ok := scanQuery(payload, c.cfg.L)
 	if !ok {
@@ -1938,8 +1935,7 @@ func (c *client) handleProofReply(payload []byte) {
 	pq.kind = kQuerySrc
 	if pq.state != parked && !c.terminated {
 		pq.state = sent
-		pq.attempts = 1
-		pq.deadline = nextQueryDeadline(now, c.res.QueryTimeout, 0)
+		pq.deadline = now.Add(c.res.QueryTimeout)
 		c.armAt(pq.deadline)
 		c.push(kQuerySrc, rawPayload(pq.payload))
 	}
@@ -2003,11 +1999,11 @@ func (c *client) housekeep(now time.Time, period time.Duration) time.Time {
 		nowS := c.clock(now)
 		for _, pq := range c.queries {
 			switch {
-			case !c.timed(pq) || now.Before(pq.deadline):
+			case pq.state == parked || now.Before(pq.deadline):
 			case pq.state == backoff:
 				c.follow(pq, c.q.Admit(nowS, pq.call), now)
-			default:
-				c.follow(pq, c.q.Silent(nowS, pq.call), now)
+			default: // silent: the attempt failed as a lost reply
+				c.follow(pq, c.q.Fail(nowS, pq.call, source.KindTimeout), now)
 			}
 		}
 		if !c.wakeAt.IsZero() && !now.Before(c.wakeAt) {
@@ -2021,26 +2017,18 @@ func (c *client) housekeep(now time.Time, period time.Duration) time.Time {
 	return next
 }
 
-// timed reports whether pq's deadline is one the housekeeping timer
-// serves (mu held): a backed-off call's admission, or a sent call's
-// silence while it is under the QueryAttempts budget. A parked call waits
-// for the breaker's wake, and a sent one past its budget for the hub's
-// reliable stream.
-func (c *client) timed(pq *pendingQuery) bool {
-	return pq.state == backoff || pq.state == sent && pq.attempts < c.res.QueryAttempts
-}
-
 // nextPass is when the housekeeping timer must fire after a pass at now
-// (mu held): the earliest timed deadline of a call or the pending breaker
-// wake, and never later than period after now. A terminated client
-// serves no deadline.
+// (mu held): the earliest deadline of a call that is not parked — a sent
+// call's silence or a backed-off one's admission — or the pending breaker
+// wake, and never later than period after now. A parked call waits for
+// the wake, and a terminated client serves no deadline.
 func (c *client) nextPass(now time.Time, period time.Duration) time.Time {
 	next := now.Add(period)
 	if c.terminated {
 		return next
 	}
 	for _, pq := range c.queries {
-		if c.timed(pq) && pq.deadline.Before(next) {
+		if pq.state != parked && pq.deadline.Before(next) {
 			next = pq.deadline
 		}
 	}

@@ -81,7 +81,7 @@ func newNetMetrics(cfg *Config, start time.Time) *netMetrics {
 	msgs := reg.CounterVec("dr_net_msgs_sent_total", "Peer messages routed, in b-bit chunks (the M measure).", "protocol", "peer")
 	msgBits := reg.CounterVec("dr_net_msg_bits_sent_total", "Payload bits routed peer-to-peer.", "protocol", "peer")
 	recon := reg.CounterVec("dr_net_reconnects_total", "Client redials that re-established a link.", "peer")
-	qret := reg.CounterVec("dr_net_query_retries_total", "Source queries re-issued after timeout.", "peer")
+	qret := reg.CounterVec("dr_net_query_retries_total", "Source queries re-sent after a refused or silent attempt.", "peer")
 	dups := reg.CounterVec("dr_net_dup_frames_dropped_total", "Duplicate frames discarded by dedup.", "peer")
 	pdrop := reg.CounterVec("dr_net_plan_dropped_total", "Deliveries dropped by the fault plan.", "peer")
 	pdup := reg.CounterVec("dr_net_plan_duped_total", "Deliveries duplicated by the fault plan.", "peer")

@@ -18,12 +18,10 @@ import (
 // value selects defaults (see withDefaults); fields are only knobs — the
 // mechanisms are always on, they just never fire on a clean network.
 type Resilience struct {
-	// QueryTimeout is the client's wait before re-issuing an unanswered
-	// source query; it doubles per retry (capped at 8×). Default 500ms.
+	// QueryTimeout is how long the client waits for the reply to a sent
+	// source query before the attempt fails as a lost reply
+	// (source.KindTimeout) and the query plane rules on it. Default 500ms.
 	QueryTimeout time.Duration
-	// QueryAttempts bounds total attempts per query (first send
-	// included). Default 8.
-	QueryAttempts int
 	// ReconnectBase/ReconnectMax shape the capped exponential backoff
 	// between redial attempts (±50% jitter). Defaults 25ms / 1s.
 	ReconnectBase time.Duration
@@ -39,9 +37,6 @@ type Resilience struct {
 func (r Resilience) withDefaults() Resilience {
 	if r.QueryTimeout <= 0 {
 		r.QueryTimeout = 500 * time.Millisecond
-	}
-	if r.QueryAttempts <= 0 {
-		r.QueryAttempts = 8
 	}
 	if r.ReconnectBase <= 0 {
 		r.ReconnectBase = 25 * time.Millisecond
@@ -299,10 +294,8 @@ type pendingQuery struct {
 	// retry goes authoritative.
 	kind  byte
 	state qstate
-	// attempts counts sends since the last refusal (the silence budget).
 	// deadline is when a sent call counts as silent, or when a backed-off
 	// one is due for admission.
-	attempts int
 	deadline time.Time
 }
 
@@ -311,12 +304,6 @@ type qstate uint8
 
 const (
 	sent    qstate = iota // on the wire, a reply owed
-	backoff               // refused; the plane admits it again at its deadline
+	backoff               // failed; the plane admits it again at its deadline
 	parked                // held by the plane behind the open breaker
 )
-
-// nextQueryDeadline is when a query sent at now counts as silent: retry
-// k (the first send is retry 0) waits 2^k·timeout, capped at 8×.
-func nextQueryDeadline(now time.Time, timeout time.Duration, retry int) time.Time {
-	return now.Add(timeout << uint(min(retry, 3)))
-}

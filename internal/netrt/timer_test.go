@@ -13,9 +13,9 @@ import (
 
 // The client's housekeeping timer sleeps until the earliest deadline the
 // client holds. The tests below pin which deadlines count, how long a
-// query waits before it counts as silent, and — on a real socket against
-// a scripted hub — that a refused query and a breaker probe go out when
-// the policy says, not at the next period.
+// query waits before it counts as silent, what its silence does, and — on
+// a real socket against a scripted hub — that a refused query and a
+// breaker probe go out when the policy says, not at the next period.
 
 // planeClient is a client of a bare hub's peer 1 with a live query plane
 // under pol, whose frames go nowhere.
@@ -28,57 +28,92 @@ func planeClient(t *testing.T, res Resilience, pol source.Policy) *client {
 		q: qplane.NewRemoteTier(h.cfg.L, h.cfg.Seed, pol).NewPlane(1, st, false)}
 }
 
-// TestSilenceDeadlineDoublesPerRetry: attempt k of a query counts as
-// silent 2^(k-1)·QueryTimeout after it was sent, capped at 8×. A refusal
-// restarts the count: the re-send after it is attempt 2 again, however
-// many silent retries came before.
-func TestSilenceDeadlineDoublesPerRetry(t *testing.T) {
+// TestSilenceFailsAsTimeout: a sent query counts as silent QueryTimeout
+// after it went out, and its silence is the source's lost reply, ruled by
+// the plane as on every runtime: the call fails as source.KindTimeout and
+// is backed off, goes out again when the backoff ends, and parks once
+// Policy.MaxAttempts attempts have fallen silent.
+func TestSilenceFailsAsTimeout(t *testing.T) {
 	const timeout = 100 * time.Millisecond
-	want := []time.Duration{timeout, 2 * timeout, 4 * timeout, 8 * timeout, 8 * timeout} // attempts 1–5
+	pol := source.Policy{MaxAttempts: 3, BreakerThreshold: 10}
+	c := planeClient(t, Resilience{QueryTimeout: timeout}, pol)
+	before := time.Now()
+	c.Query(1, []int{1, 2, 3})
+	after := time.Now()
+	pq := c.queries[0]
+	if d := pq.deadline.Sub(before); pq.state != sent || d < timeout || d > timeout+after.Sub(before) {
+		t.Fatalf("first attempt in state %d waits %v, want sent for %v", pq.state, d, timeout)
+	}
+	for a := 1; a < pol.MaxAttempts; a++ {
+		silent := pq.deadline
+		c.housekeep(silent, time.Hour)
+		st := c.q.Settle(c.clock(silent))
+		if pq.state != backoff || !pq.deadline.After(silent) || st.Timeouts != a || st.Failures != a {
+			t.Fatalf("silence %d: state %d, due %v later, %d timeouts of %d failures; want backed off, %d timeouts",
+				a, pq.state, pq.deadline.Sub(silent), st.Timeouts, st.Failures, a)
+		}
+		due := pq.deadline
+		c.housekeep(due, time.Hour)
+		if pq.state != sent || pq.call.Attempt != a+1 || pq.deadline != due.Add(timeout) {
+			t.Fatalf("after backoff %d: state %d, attempt %d, silent %v later; want attempt %d sent for %v",
+				a, pq.state, pq.call.Attempt, pq.deadline.Sub(due), a+1, timeout)
+		}
+	}
+	c.housekeep(pq.deadline, time.Hour)
+	st := c.q.Settle(c.clock(pq.deadline))
+	if pq.state != parked || c.q.Parked() != 1 || st.Timeouts != pol.MaxAttempts || st.Retries != pol.MaxAttempts-1 {
+		t.Fatalf("after %d silences: state %d, %d parked, %d timeouts, %d retries; want the call parked",
+			pol.MaxAttempts, pq.state, c.q.Parked(), st.Timeouts, st.Retries)
+	}
+	if c.stats.QueryRetries != pol.MaxAttempts-1 {
+		t.Errorf("QueryRetries = %d, want %d re-sends", c.stats.QueryRetries, pol.MaxAttempts-1)
+	}
+}
+
+// TestSilenceOpensBreaker: silence is a failure like any other, so under
+// BreakerThreshold 1 the first one opens the breaker and parks the call
+// until the wake.
+func TestSilenceOpensBreaker(t *testing.T) {
+	c := planeClient(t, Resilience{QueryTimeout: 100 * time.Millisecond},
+		source.Policy{BreakerThreshold: 1, BreakerCooldown: 60})
+	c.Query(1, []int{1, 2, 3})
+	pq := c.queries[0]
+	c.housekeep(pq.deadline, time.Hour)
+	st := c.q.Settle(c.clock(pq.deadline))
+	if pq.state != parked || st.BreakerOpens != 1 || st.Timeouts != 1 || c.wakeAt.IsZero() {
+		t.Fatalf("state %d, %d breaker opens, %d timeouts, wake armed %v; want the call parked behind the open breaker",
+			pq.state, st.BreakerOpens, st.Timeouts, !c.wakeAt.IsZero())
+	}
+}
+
+// TestSilenceThenRefusalFailsOnce: a QERR that arrives after the call's
+// silence already failed its attempt is a stale verdict on that attempt.
+// It adds no second failure and leaves the call's backoff as it was.
+func TestSilenceThenRefusalFailsOnce(t *testing.T) {
+	c := planeClient(t, Resilience{QueryTimeout: 100 * time.Millisecond}, source.Policy{})
 	idx := []int{1, 2, 3}
-	for _, refused := range []bool{false, true} {
-		c := planeClient(t, Resilience{QueryTimeout: timeout}, source.Policy{})
-		before := time.Now()
-		c.Query(1, slices.Clone(idx))
-		after := time.Now()
-		pq := c.queries[0]
-		if d := pq.deadline.Sub(before); pq.attempts != 1 || d < want[0] || d > want[0]+after.Sub(before) {
-			t.Errorf("refused=%v: attempt %d waits %v, want %v", refused, pq.attempts, d, want[0])
-		}
-		if refused {
-			for pq.attempts < 4 {
-				c.housekeep(pq.deadline, time.Hour) // three silent retries
-			}
-			c.handleFrame(kQErr, 1, append(encodeQueryHeader(1, idx), byte(source.KindFlaky)))
-			if pq.state != backoff || pq.attempts != 1 {
-				t.Fatalf("after the refusal: state %d, attempts %d; want backed off with the count restarted", pq.state, pq.attempts)
-			}
-		}
-		for a := 2; a <= len(want); a++ {
-			now := pq.deadline
-			c.housekeep(now, time.Hour)
-			if pq.state != sent || pq.attempts != a {
-				t.Fatalf("refused=%v: state %d after %d attempts, want attempt %d sent", refused, pq.state, pq.attempts, a)
-			}
-			if d := pq.deadline.Sub(now); d != want[a-1] {
-				t.Errorf("refused=%v: attempt %d waits %v, want %v", refused, a, d, want[a-1])
-			}
-		}
+	c.Query(1, slices.Clone(idx))
+	pq := c.queries[0]
+	c.housekeep(pq.deadline, time.Hour)
+	due := pq.deadline
+	c.handleFrame(kQErr, 1, append(encodeQueryHeader(1, idx), byte(source.KindFlaky)))
+	st := c.q.Settle(c.clock(due))
+	if pq.state != backoff || pq.deadline != due || st.Failures != 1 || st.Timeouts != 1 || st.Flaky != 0 {
+		t.Fatalf("state %d, due moved %v, %d failures (%d timeouts, %d flaky); want one timeout and the backoff kept",
+			pq.state, pq.deadline.Sub(due), st.Failures, st.Timeouts, st.Flaky)
 	}
 }
 
 // TestNextPassEarliestDeadline: the timer's next pass is the earliest of a
-// backed-off call's admission, a sent call's silence while it is under the
-// QueryAttempts budget, and the pending breaker wake, and never later than
-// the period. A parked call, a sent one past its budget, an unset wake and
-// anything of a terminated client do not count.
+// backed-off call's admission, a sent call's silence and the pending
+// breaker wake, and never later than the period. A parked call, an unset
+// wake and anything of a terminated client do not count.
 func TestNextPassEarliestDeadline(t *testing.T) {
 	const period = 50 * time.Millisecond
 	now := time.Unix(1000, 0)
 	ms := func(n int) time.Time { return now.Add(time.Duration(n) * time.Millisecond) }
-	budget := Resilience{}.withDefaults().QueryAttempts
-	call := func(state qstate, attempts, at int) *pendingQuery {
-		return &pendingQuery{state: state, attempts: attempts, deadline: ms(at)}
+	call := func(state qstate, at int) *pendingQuery {
+		return &pendingQuery{state: state, deadline: ms(at)}
 	}
 	for _, tc := range []struct {
 		name       string
@@ -88,19 +123,17 @@ func TestNextPassEarliestDeadline(t *testing.T) {
 		want       time.Time
 	}{
 		{"nothing held", nil, time.Time{}, false, ms(50)},
-		{"backed off", []*pendingQuery{call(backoff, 1, 12)}, time.Time{}, false, ms(12)},
-		{"sent", []*pendingQuery{call(sent, 1, 30)}, time.Time{}, false, ms(30)},
-		{"overdue", []*pendingQuery{call(sent, 2, -5)}, time.Time{}, false, ms(-5)},
-		{"earliest of several", []*pendingQuery{call(sent, 1, 40), call(backoff, 3, 7), call(sent, 2, 9)}, time.Time{}, false, ms(7)},
-		{"parked", []*pendingQuery{call(parked, 1, 1)}, time.Time{}, false, ms(50)},
-		{"sent past the budget", []*pendingQuery{call(sent, budget, 1)}, time.Time{}, false, ms(50)},
-		{"backed off past the budget", []*pendingQuery{call(backoff, budget, 3)}, time.Time{}, false, ms(3)},
-		{"wake", []*pendingQuery{call(parked, 1, 1)}, ms(20), false, ms(20)},
-		{"wake after a deadline", []*pendingQuery{call(backoff, 1, 15)}, ms(20), false, ms(15)},
-		{"beyond the period", []*pendingQuery{call(sent, 1, 500), call(backoff, 1, 80)}, ms(2000), false, ms(50)},
-		{"terminated", []*pendingQuery{call(sent, 1, 1), call(backoff, 1, 2)}, ms(3), true, ms(50)},
+		{"backed off", []*pendingQuery{call(backoff, 12)}, time.Time{}, false, ms(12)},
+		{"sent", []*pendingQuery{call(sent, 30)}, time.Time{}, false, ms(30)},
+		{"overdue", []*pendingQuery{call(sent, -5)}, time.Time{}, false, ms(-5)},
+		{"earliest of several", []*pendingQuery{call(sent, 40), call(backoff, 7), call(sent, 9)}, time.Time{}, false, ms(7)},
+		{"parked", []*pendingQuery{call(parked, 1)}, time.Time{}, false, ms(50)},
+		{"wake", []*pendingQuery{call(parked, 1)}, ms(20), false, ms(20)},
+		{"wake after a deadline", []*pendingQuery{call(backoff, 15)}, ms(20), false, ms(15)},
+		{"beyond the period", []*pendingQuery{call(sent, 500), call(backoff, 80)}, ms(2000), false, ms(50)},
+		{"terminated", []*pendingQuery{call(sent, 1), call(backoff, 2)}, ms(3), true, ms(50)},
 	} {
-		c := &client{res: Resilience{}.withDefaults(), queries: tc.queries, wakeAt: tc.wake, terminated: tc.terminated}
+		c := &client{queries: tc.queries, wakeAt: tc.wake, terminated: tc.terminated}
 		if got := c.nextPass(now, period); !got.Equal(tc.want) {
 			t.Errorf("%s: next pass at %v, want %v", tc.name, got.Sub(now), tc.want.Sub(now))
 		}

@@ -20,9 +20,10 @@
 //	                               └─ probe ─► Fetch;  Success flushes the rest
 //
 // On a remote tier (NewRemoteTier) the source is across a wire: the
-// driver's request is the Fetch, its reply goes through Call.Reply, a
-// reply that never comes goes through Silent, and one that comes after
-// Silent parked its call goes through Unpark.
+// driver's request is the Fetch and its reply goes through Call.Reply. A
+// reply that never comes is a lost reply on every runtime — the driver
+// calls Fail with source.KindTimeout past its deadline — and one that
+// comes after Fail parked its call goes through Unpark.
 //
 // A Plane is not safe for concurrent use; Fetch alone touches no mutable
 // plane state, so a driver may run it outside whatever guards the rest.
@@ -296,18 +297,6 @@ func (p *Plane) Fail(now float64, c *Call, kind source.Kind) Next {
 	return Next{Op: Retry, Call: c, At: retryAt}
 }
 
-// Silent rules on c when the driver's own deadline passed without a reply
-// to its last attempt, as on a remote tier, where a lost reply and a slow
-// one look the same. While the breaker is half-open the silence answers
-// the probe: c fails as a timeout and the breaker re-opens. Otherwise c is
-// admitted again.
-func (p *Plane) Silent(now float64, c *Call) Next {
-	if p.client != nil && p.client.State() == source.StateHalfOpen {
-		return p.Fail(now, c, source.KindTimeout)
-	}
-	return p.Admit(now, c)
-}
-
 func (p *Plane) park(now float64, c *Call, wake float64) Next {
 	p.parked = append(p.parked, c)
 	return p.armWake(now, wake)
@@ -365,8 +354,9 @@ func (p *Plane) Success(now float64) (flushed []*Call, closed bool) {
 	return flushed, true
 }
 
-// Unpark takes c out of the parked queue: on a remote tier its reply
-// came in after Silent had parked it.
+// Unpark takes c out of the parked queue: on a remote tier a reply slower
+// than the driver's deadline can come in after its call was ruled lost
+// and parked.
 func (p *Plane) Unpark(c *Call) {
 	p.parked = slices.DeleteFunc(p.parked, func(x *Call) bool { return x == c })
 }

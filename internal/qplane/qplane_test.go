@@ -351,8 +351,14 @@ func TestUnparkTakesLateReply(t *testing.T) {
 	if n := p.Fail(1, a, source.KindTimeout); n.Op != Wake {
 		t.Fatalf("Fail = %+v, want the breaker open", n)
 	}
-	if n := p.Silent(1.5, b); n.Op != Idle || p.Parked() != 2 {
-		t.Fatalf("Silent = %+v with %d parked, want b parked beside a", n, p.Parked())
+	// b's reply is late past the driver's deadline: it fails as lost, and
+	// when its backoff ends the open breaker parks it beside a.
+	n := p.Fail(1.5, b, source.KindTimeout)
+	if n.Op != Retry {
+		t.Fatalf("Fail = %+v, want b backed off", n)
+	}
+	if n := p.Admit(n.At, b); n.Op != Idle || p.Parked() != 2 {
+		t.Fatalf("Admit = %+v with %d parked, want b parked beside a", n, p.Parked())
 	}
 	p.Unpark(b) // b's reply came in after all
 	flushed, closed := p.Success(1.6)

@@ -34,7 +34,9 @@ type PeerStats struct {
 	// recovery work, not protocol cost: fault-plan events and the retries
 	// that absorbed them.
 
-	// QueryRetries counts source queries re-issued after a timeout.
+	// QueryRetries counts every re-send of a source query on the socket
+	// runtime, whatever failed the attempt before it: a refusal or a
+	// silence.
 	QueryRetries int
 	// Reconnects counts successful redials after a severed connection.
 	Reconnects int
