@@ -2,6 +2,7 @@ package netrt
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"testing"
 	"time"
@@ -185,9 +186,9 @@ func crashkReq2() *crashk.Req2 {
 // BenchmarkBroadcastRelay is one broadcast of crashkReq2 from a client to
 // the n − 1 others through the hub an iteration, on one goroutine and over
 // in-memory connections: the sender's Broadcast and its writer's pass; the
-// hub's read, ACK and route of each frame, and one writer pass per hub
-// connection; and each destination's read, decode and ACK, sent by its
-// writer's pass. Frames are acked as they would be, so every outbox stays
+// hub's read and dispatch (h.handle: admission, ACK, route) of every frame
+// the sender wrote, and one writer pass per hub connection; and each
+// destination's read, decode and ACK, sent by its writer's pass. Frames are acked as they would be, so every outbox stays
 // warm. B/op and allocs/op are the row.
 func BenchmarkBroadcastRelay(b *testing.B) {
 	const n = 16
@@ -227,13 +228,15 @@ func BenchmarkBroadcastRelay(b *testing.B) {
 		sender.pass(sender.conn, &sw)
 		sender.out.ackTo(sender.out.nextSeq)
 		up.r.Reset(up.rc.wrote)
-		for k := 1; k < n; k++ {
-			_, seq, payload, err := up.in.readFrame()
+		for {
+			kind, seq, payload, err := up.in.readFrame()
+			if err == io.EOF {
+				break
+			}
 			if err != nil {
 				b.Fatal(err)
 			}
-			from.conn.owe(kAck, 0, numPayload(seq, nil))
-			h.route(from, payload, time.Now())
+			h.handle(from, from.conn, kind, seq, payload)
 		}
 		for i := 0; i < n; i++ {
 			hp := h.peers[sim.PeerID(i)]

@@ -1,6 +1,9 @@
 package netrt_test
 
 import (
+	"fmt"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,6 +13,7 @@ import (
 	"repro/internal/protocols/naive"
 	"repro/internal/sim"
 	"repro/internal/source"
+	"repro/internal/wire"
 )
 
 // halver is the churn test protocol (mirroring the des runtime's churn
@@ -320,6 +324,102 @@ func TestShardBounceMidDownload(t *testing.T) {
 	for i := range res.PerPeer {
 		if !res.PerPeer[i].Terminated {
 			t.Errorf("peer %d did not terminate", i)
+		}
+	}
+}
+
+// prefixPeer is the broadcast-prefix test protocol. The victim broadcasts
+// one message from Init, then queries X; its crash point, inside or just
+// past the broadcast, drops the rest. Every other peer queries X, and one
+// that the victim's broadcast names waits for it before it outputs X and
+// terminates. heard counts each peer's deliveries from the victim.
+type prefixPeer struct {
+	ctx    sim.Context
+	victim sim.PeerID
+	msg    sim.Message
+	wait   bool
+	heard  *atomic.Int32
+	out    *bitarray.Array
+}
+
+func (p *prefixPeer) Init(ctx sim.Context) {
+	p.ctx = ctx
+	if ctx.ID() == p.victim {
+		ctx.Broadcast(p.msg)
+	}
+	all := make([]int, ctx.L())
+	for i := range all {
+		all[i] = i
+	}
+	ctx.Query(1, all)
+}
+
+func (p *prefixPeer) OnMessage(from sim.PeerID, _ sim.Message) {
+	if from == p.victim {
+		p.heard.Add(1)
+		p.finish()
+	}
+}
+
+func (p *prefixPeer) OnQueryReply(r sim.QueryReply) {
+	p.out = bitarray.New(p.ctx.L())
+	for j, idx := range r.Indices {
+		p.out.Set(idx, r.Bits.Get(j))
+	}
+	p.finish()
+}
+
+func (p *prefixPeer) finish() {
+	if p.out != nil && (!p.wait || p.heard.Load() > 0) {
+		p.ctx.Output(p.out)
+		p.ctx.Terminate()
+	}
+}
+
+// TestBroadcastPrefixOverTCP: a churn peer whose crash point falls inside a
+// broadcast reaches, over sockets, exactly the first k other peers in id
+// order, one delivery each, and is charged k recipients' M — k the action
+// ticks it had left (Init takes the first). At k = 0 nothing is sent.
+func TestBroadcastPrefixOverTCP(t *testing.T) {
+	const n, L, msgBits, victim = 5, 256, 64, sim.PeerID(2)
+	msg := &crashk.Full{Values: bitarray.New(L)}
+	encoded, err := wire.Marshal(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRecipient := (len(encoded)*8 + msgBits - 1) / msgBits
+	others := []sim.PeerID{0, 1, 3, 4}
+	for k := 0; k <= n-1; k++ {
+		heard := make([]atomic.Int32, n)
+		res, err := netrt.Run(netrt.Config{
+			N: n, T: 1, L: L, MsgBits: msgBits, Seed: int64(40 + k),
+			NewPeer: func(id sim.PeerID) sim.Peer {
+				return &prefixPeer{victim: victim, msg: msg, wait: slices.Contains(others[:k], id), heard: &heard[id]}
+			},
+			Churn:   []sim.ChurnPeer{{Peer: victim, CrashAfter: 1 + k, Downtime: -1}},
+			Timeout: 30 * time.Second,
+		})
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if !res.Correct || !res.PerPeer[victim].Crashed {
+			t.Fatalf("k=%d: correct=%v, victim crashed=%v: %v", k, res.Correct, res.PerPeer[victim].Crashed, res.Failures)
+		}
+		var reached []sim.PeerID
+		for id := range heard {
+			switch heard[id].Load() {
+			case 0:
+			case 1:
+				reached = append(reached, sim.PeerID(id))
+			default:
+				t.Errorf("k=%d: peer %d was delivered the broadcast %d times", k, id, heard[id].Load())
+			}
+		}
+		if fmt.Sprint(reached) != fmt.Sprint(others[:k]) {
+			t.Errorf("k=%d: the broadcast reached %v, want %v", k, reached, others[:k])
+		}
+		if got, want := res.PerPeer[victim].MsgsSent, k*perRecipient; got != want {
+			t.Errorf("k=%d: victim charged M=%d, want %d", k, got, want)
 		}
 	}
 }

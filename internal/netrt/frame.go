@@ -33,6 +33,9 @@ import (
 //
 //	hello:  uvarint peerID
 //	msg:    uvarint to/from, then a wire-encoded protocol message
+//	bcast:  uvarint k, then a wire-encoded protocol message (client → hub
+//	        only): a broadcast to the first k peers in id order, the
+//	        sender skipped; the hub relays it as k MSGs
 //	query:  uvarint tag(zig-zag), uvarint count, delta-uvarint indices
 //	qreply: same header, then length-prefixed bitarray bytes
 //	done:   length-prefixed output bitarray bytes
@@ -81,6 +84,14 @@ const (
 	// the connection; the resuming client discards every frame until it
 	// arrives (the hub retransmits every unacked one).
 	kResume
+	// kBcast is a client's broadcast, sent once: the message's recipients
+	// are the first k peers in id order, the sender skipped. The hub admits
+	// and acks it like a MSG and relays it to each recipient as a MSG, all
+	// of them holding one copy of the body. Numbered, client → hub only.
+	kBcast
+
+	// kLast is the highest frame kind: per-kind tables are sized by it.
+	kLast = kBcast
 )
 
 // kindName renders a frame kind for debug output and timeout reports.
@@ -112,6 +123,8 @@ func kindName(k byte) string {
 		return "QUERYSRC"
 	case kResume:
 		return "RESUME"
+	case kBcast:
+		return "BCAST"
 	default:
 		return fmt.Sprintf("kind(%d)", k)
 	}

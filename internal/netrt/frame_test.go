@@ -101,7 +101,7 @@ func patterned(n int, salt uint64) []byte {
 // above — and a numbered payload is its number's uvarint, then its body.
 func TestWriteFrameBytesAndWrites(t *testing.T) {
 	sizes := []int{0, 1, coalesceMax - 3, coalesceMax - 1, coalesceMax, coalesceMax + 1, 1 << 20}
-	for kind := kHello; kind <= kResume; kind++ {
+	for kind := kHello; kind <= kLast; kind++ {
 		for _, size := range sizes {
 			for _, seq := range []uint64{0, 127, 128, 1 << 40} {
 				body := patterned(size, seq+uint64(kind))

@@ -22,6 +22,10 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, kMsg, 0x80})      // truncated seq uvarint
 	f.Add([]byte{0, 0, 0, 5, kQuery, 1, 2, 3}) // length longer than data
 	f.Add([]byte{0, 0, 16, 0, kDone, 1})       // large length, no body
+	// BCASTs: to three peers, to none, and with k cut short.
+	f.Add(appendFrame(nil, kBcast, 3, rawPayload(append([]byte{3}, "payload"...))))
+	f.Add(appendFrame(nil, kBcast, 4, rawPayload(append([]byte{0}, "payload"...))))
+	f.Add(appendFrame(nil, kBcast, 5, rawPayload([]byte{0x80})))
 	// Runs of frames, each shorter than the one before: a connection reads
 	// the later ones into the bytes of the earlier ones.
 	f.Add(appendFrame(appendFrame(appendFrame(nil, kMsg, 9, rawPayload(bytes.Repeat([]byte{7}, 40))),

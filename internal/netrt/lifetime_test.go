@@ -80,7 +80,7 @@ func TestHubKeepsNoReadBuffer(t *testing.T) {
 
 	body := marshalAppend(nil, broadcastSamples()[0])
 	payload := append(binary.AppendUvarint(nil, uint64(dest.id)), body...)
-	h.route(src, payload, time.Now())
+	h.route(src, kMsg, payload)
 	want := appendFrame(nil, kMsg, 1, numPayload(uint64(src.id), body))
 	sent, kept := queued(t, h, dest), dest.out.unacked()[0]
 	check("the routed MSG", want, appendFrame(nil, kMsg, 1, rawPayload(payloadOf(sent))))

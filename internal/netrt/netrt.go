@@ -682,85 +682,111 @@ func (h *hub) serve(nc net.Conn) {
 			return
 		}
 		h.met.hubRx(kind, len(payload))
-		switch kind {
-		case kPing:
-			// Heartbeat: reading it already refreshed the deadline.
-		case kAck:
-			if v, n := binary.Uvarint(payload); n > 0 {
-				hp.mu.Lock()
-				fast := hp.out.ack(v)
-				hp.mu.Unlock()
-				if fast {
-					dbg("peer %d: third repeat of ack %d, fast retransmit", hp.id, v)
-					conn.poke()
-				}
-			}
-		case kMsg, kQuery, kQuerySrc, kDone:
-			// One clock reading a frame: it stamps the frame's arrival and
-			// the first send of whatever the hub answers it with.
-			now := time.Now()
+		h.handle(hp, conn, kind, seq, payload)
+	}
+}
+
+// handle dispatches one frame hp sent on conn after HELLO: an ACK trims the
+// hub's outbox; a numbered frame (MSG, BCAST, QUERY, QUERYSRC, DONE) is
+// admitted, deduplicated and acked, and a fresh one routed or answered.
+// payload is conn's read buffer: whatever outlives the call is copied.
+func (h *hub) handle(hp *hubPeer, conn *frameConn, kind byte, seq uint64, payload []byte) {
+	switch kind {
+	case kPing:
+		// Heartbeat: reading it already refreshed the deadline.
+	case kAck:
+		if v, n := binary.Uvarint(payload); n > 0 {
 			hp.mu.Lock()
-			fresh := hp.recv.admit(seq)
-			if !fresh {
-				hp.dupsDeduped++
-				h.met.dupDropped(int(hp.id))
-			} else {
-				hp.lastKind, hp.lastFrame = kind, now
-			}
-			conn.owe(kAck, 0, numPayload(hp.recv.cumAck(), nil))
+			fast := hp.out.ack(v)
 			hp.mu.Unlock()
-			if !fresh {
-				continue
+			if fast {
+				dbg("peer %d: third repeat of ack %d, fast retransmit", hp.id, v)
+				conn.poke()
 			}
-			switch kind {
-			case kMsg:
-				h.route(hp, payload, now)
-			case kQuery:
-				dbg("peer %d query %dB", hp.id, len(payload))
-				if h.mirror != nil {
-					h.answerMirrorQuery(hp, payload, now)
-				} else {
-					h.answerQuery(hp, payload, now)
-				}
-			case kQuerySrc:
-				dbg("peer %d fallback query %dB", hp.id, len(payload))
+		}
+	case kMsg, kBcast, kQuery, kQuerySrc, kDone:
+		// One clock reading a frame: it stamps the frame's arrival and
+		// the first send of whatever the hub answers it with.
+		now := time.Now()
+		hp.mu.Lock()
+		fresh := hp.recv.admit(seq)
+		if !fresh {
+			hp.dupsDeduped++
+			h.met.dupDropped(int(hp.id))
+		} else {
+			hp.lastKind, hp.lastFrame = kind, now
+		}
+		conn.owe(kAck, 0, numPayload(hp.recv.cumAck(), nil))
+		hp.mu.Unlock()
+		if !fresh {
+			return
+		}
+		switch kind {
+		case kMsg, kBcast:
+			h.route(hp, kind, payload)
+		case kQuery:
+			dbg("peer %d query %dB", hp.id, len(payload))
+			if h.mirror != nil {
+				h.answerMirrorQuery(hp, payload, now)
+			} else {
 				h.answerQuery(hp, payload, now)
-			case kDone:
-				dbg("peer %d done", hp.id)
-				h.markDone(hp, payload)
 			}
+		case kQuerySrc:
+			dbg("peer %d fallback query %dB", hp.id, len(payload))
+			h.answerQuery(hp, payload, now)
+		case kDone:
+			dbg("peer %d done", hp.id)
+			h.markDone(hp, payload)
 		}
 	}
 }
 
-// route forwards a MSG frame (payload: uvarint dest, wire bytes) to its
-// destination, rewriting the header to carry the sender. The frame enters
-// the destination's reliable stream, with a copy of the body — payload is
-// the connection's read buffer — and the sender as its number.
-func (h *hub) route(src *hubPeer, payload []byte, now time.Time) {
-	to64, n := binary.Uvarint(payload)
+// route relays a MSG (payload: uvarint dest, wire bytes) or a BCAST
+// (payload: uvarint k, wire bytes; the recipients are the first k peers in
+// id order, the sender skipped) as one MSG per recipient, its number
+// rewritten to the sender. Each recipient is charged into the sender's M,
+// present or not; each present one's reliable stream gets a MSG, all of
+// them holding one copy of the body — payload is the connection's read
+// buffer. A BCAST naming no recipient, or more than there are, is refused
+// uncharged.
+func (h *hub) route(src *hubPeer, kind byte, payload []byte) {
+	v, n := binary.Uvarint(payload)
 	if n <= 0 {
 		return
 	}
 	body := payload[n:]
-	src.mu.Lock()
+	to, k := v, uint64(1)
+	if kind == kBcast {
+		if v == 0 || v >= uint64(h.cfg.N) {
+			return
+		}
+		to, k = 0, v
+	}
 	chunks := (len(body)*8 + h.cfg.MsgBits - 1) / h.cfg.MsgBits
 	if chunks < 1 {
 		chunks = 1
 	}
-	src.msgsSent += chunks
-	src.msgBits += len(body) * 8
+	src.mu.Lock()
+	src.msgsSent += int(k) * chunks
+	src.msgBits += int(k) * len(body) * 8
 	src.mu.Unlock()
-	h.met.msgRouted(int(src.id), chunks, len(body)*8)
+	h.met.msgRouted(int(src.id), int(k)*chunks, int(k)*len(body)*8)
 
-	if to64 >= uint64(h.cfg.N) {
-		return
+	var shared []byte
+	for ; k > 0 && to < uint64(h.cfg.N); to++ {
+		if kind == kBcast && to == uint64(src.id) {
+			continue
+		}
+		k--
+		dest := h.peers[sim.PeerID(to)]
+		if dest == nil {
+			continue // absent forever: undeliverable
+		}
+		if shared == nil {
+			shared = bytes.Clone(body)
+		}
+		h.send(dest, kMsg, numPayload(uint64(src.id), shared))
 	}
-	dest := h.peers[sim.PeerID(to64)]
-	if dest == nil {
-		return // absent forever: undeliverable
-	}
-	h.send(dest, kMsg, numPayload(uint64(src.id), bytes.Clone(body)))
 }
 
 // send appends a frame to hp's reliable stream and wakes its writer; toward
@@ -2056,7 +2082,16 @@ func (c *client) armAt(at time.Time) {
 // held); without a connection it waits for the replay on reconnect. A
 // terminated or crashed incarnation sends nothing more.
 func (c *client) push(kind byte, p framePayload) {
-	if c.terminated || c.crashed {
+	if c.crashed {
+		return
+	}
+	c.enqueue(kind, p)
+}
+
+// enqueue is push without the crash check (mu held): a broadcast whose own
+// tick crashed the peer still owes the recipients it counted first.
+func (c *client) enqueue(kind byte, p framePayload) {
+	if c.terminated {
 		return
 	}
 	c.out.push(kind, p)
@@ -2080,12 +2115,15 @@ func (c *client) L() int { return c.cfg.L }
 // MsgBits implements sim.Context.
 func (c *client) MsgBits() int { return c.cfg.MsgBits }
 
-// Send implements sim.Context.
+// Send implements sim.Context: one action tick and one MSG frame.
 func (c *client) Send(to sim.PeerID, m sim.Message) {
-	if to < 0 || int(to) >= c.cfg.N {
+	if to < 0 || int(to) >= c.cfg.N || to == c.id || !c.countAction() {
 		return
 	}
-	c.send(m, int(to), int(to)+1)
+	body := marshalAppend(make([]byte, 0, 16+m.SizeBits()/8), m)
+	c.mu.Lock()
+	c.push(kMsg, numPayload(uint64(to), body))
+	c.mu.Unlock()
 }
 
 // marshalAppend is wire.MarshalAppend for messages a protocol emitted: one
@@ -2098,27 +2136,24 @@ func marshalAppend(dst []byte, m sim.Message) []byte {
 	return out
 }
 
-// Broadcast implements sim.Context: Send to every other peer in id order.
-func (c *client) Broadcast(m sim.Message) { c.send(m, 0, c.cfg.N) }
-
-// send sends m to every peer in [lo, hi) but this one: one action tick and
-// one outbox entry per destination. The body is encoded
-// once, at the first destination the churn crash point does not drop, and
-// every entry holds that one body beside its destination id.
-func (c *client) send(m sim.Message, lo, hi int) {
-	var body []byte
-	for i := lo; i < hi; i++ {
-		to := sim.PeerID(i)
-		if to == c.id || !c.countAction() {
-			continue
-		}
-		if body == nil {
-			body = marshalAppend(make([]byte, 0, 16+m.SizeBits()/8), m)
-		}
-		c.mu.Lock()
-		c.push(kMsg, numPayload(uint64(to), body))
-		c.mu.Unlock()
+// Broadcast implements sim.Context: Send to every other peer in id order,
+// on the wire one BCAST frame — uvarint k, then the message encoded once —
+// that the hub relays to the first k other peers. Each recipient costs one
+// action tick, as a Send does, so a churn peer whose crash point falls
+// inside the broadcast reaches exactly the peers a Send loop would have.
+func (c *client) Broadcast(m sim.Message) {
+	k := 0
+	for k < c.cfg.N-1 && c.countAction() {
+		k++
 	}
+	if k == 0 {
+		return
+	}
+	body := binary.AppendUvarint(make([]byte, 0, 16+m.SizeBits()/8), uint64(k))
+	body = marshalAppend(body, m)
+	c.mu.Lock()
+	c.enqueue(kBcast, rawPayload(body))
+	c.mu.Unlock()
 }
 
 // Query implements sim.Context. The plane charges the query into Q and

@@ -23,10 +23,10 @@ type netMetrics struct {
 	// Frame and byte counters by (side, direction, kind). The hub and
 	// all clients run in one process, so "side" distinguishes the two
 	// halves of each link.
-	hubFramesTx, hubFramesRx [kQuerySrc + 1]*obs.Counter
-	cliFramesTx, cliFramesRx [kQuerySrc + 1]*obs.Counter
-	hubBytesTx, hubBytesRx   [kQuerySrc + 1]*obs.Counter
-	cliBytesTx, cliBytesRx   [kQuerySrc + 1]*obs.Counter
+	hubFramesTx, hubFramesRx [kLast + 1]*obs.Counter
+	cliFramesTx, cliFramesRx [kLast + 1]*obs.Counter
+	hubBytesTx, hubBytesRx   [kLast + 1]*obs.Counter
+	cliBytesTx, cliBytesRx   [kLast + 1]*obs.Counter
 
 	backoff *obs.Histogram
 
@@ -63,7 +63,7 @@ func newNetMetrics(cfg *Config, start time.Time) *netMetrics {
 	}
 	frames := reg.CounterVec("dr_net_frames_total", "Frames moved on TCP links.", "side", "dir", "kind")
 	bytes := reg.CounterVec("dr_net_frame_bytes_total", "Frame payload bytes moved on TCP links.", "side", "dir", "kind")
-	for k := byte(kHello); k <= kQuerySrc; k++ {
+	for k := byte(kHello); k <= kLast; k++ {
 		kn := kindName(k)
 		m.hubFramesTx[k] = frames.With("hub", "tx", kn)
 		m.hubFramesRx[k] = frames.With("hub", "rx", kn)
@@ -140,7 +140,7 @@ func newNetMetrics(cfg *Config, start time.Time) *netMetrics {
 	return m
 }
 
-func validKind(k byte) bool { return k >= kHello && k <= kQuerySrc }
+func validKind(k byte) bool { return k >= kHello && k <= kLast }
 
 func (m *netMetrics) hubTx(kind byte, payloadLen int) {
 	if m == nil || !validKind(kind) {

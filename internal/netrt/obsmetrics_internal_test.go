@@ -1,6 +1,7 @@
 package netrt
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -51,5 +52,45 @@ func TestNetMetricsTimelineOnly(t *testing.T) {
 	m.mark(0, "phase", "x")
 	if cfg.Timeline.Len() != 2 { // reconnect mark + phase mark
 		t.Fatalf("timeline has %d events, want 2", cfg.Timeline.Len())
+	}
+}
+
+// TestNetMetricsCountEveryKind: every frame kind kindName names has its
+// frame and byte counters on both sides and in both directions, so no
+// frame the runtime sends is missing from dr_net_frames_total or
+// dr_net_frame_bytes_total.
+func TestNetMetricsCountEveryKind(t *testing.T) {
+	reg := obs.New()
+	m := newNetMetrics(&Config{N: 2, Metrics: reg}, time.Now())
+	var kinds []byte
+	for k := 0; k < 256; k++ {
+		if !strings.HasPrefix(kindName(byte(k)), "kind(") {
+			kinds = append(kinds, byte(k))
+		}
+	}
+	if len(kinds) != int(kLast) {
+		t.Fatalf("kindName names %d kinds, want kHello..kLast (%d)", len(kinds), kLast)
+	}
+	for _, k := range kinds {
+		m.hubTx(k, 10)
+		m.hubRx(k, 20)
+		m.cliTx(k, 30)
+		m.cliRx(k, 40)
+	}
+	snap := reg.Snapshot()
+	for _, k := range kinds {
+		for _, c := range []struct {
+			side, dir string
+			bytes     float64
+		}{{"hub", "tx", 10}, {"hub", "rx", 20}, {"client", "tx", 30}, {"client", "rx", 40}} {
+			labels := map[string]string{"side": c.side, "dir": c.dir, "kind": kindName(k)}
+			frames, ok := snap.Series("dr_net_frames_total", labels)
+			if !ok || frames.Value != 1 {
+				t.Errorf("%v: %v frames counted (series present %v), want 1", labels, frames.Value, ok)
+			}
+			if b, ok := snap.Series("dr_net_frame_bytes_total", labels); !ok || b.Value != c.bytes {
+				t.Errorf("%v: %v bytes counted (series present %v), want %v", labels, b.Value, ok, c.bytes)
+			}
+		}
 	}
 }
