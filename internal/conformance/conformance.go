@@ -56,7 +56,11 @@ import (
 //	    including a pinned churn-on-tcp row; the live column now runs
 //	    flaky-source cases too (the live runtime gained the source
 //	    resilience tier alongside churn).
-const CorpusVersion = 3
+//	4 — the query header names runs: after the first index, a zero byte
+//	    escapes to a run of +1 steps or a repeat. Lists without either
+//	    encode as before, so every earlier frame is unchanged; a pinned
+//	    QUERYSRC whose list holds a run and a repeat is added.
+const CorpusVersion = 4
 
 // Fixture file names within a corpus directory.
 const (

@@ -279,7 +279,8 @@ func generateFrames() (*Frames, error) {
 
 	// The mirror-tier socket frames (netrt codec): a ROOT commitment
 	// push, a proof-carrying QPROOF reply over a seeded committed array,
-	// a refused QPROOF, and the QUERYSRC verified fallback. Pinned as
+	// a refused QPROOF, and the QUERYSRC verified fallback, once with a
+	// list of steps and once with a run and a repeat. Pinned as
 	// full frames (length header included) so framing drift fails too.
 	mrng := rand.New(rand.NewSource(21))
 	mx := bitarray.Random(mrng, frameL)
@@ -301,6 +302,7 @@ func generateFrames() (*Frames, error) {
 		{"netrt-qproof", netrt.MarshalProofFrame(9, 2, qIdx, rep)},
 		{"netrt-qproof-refused", netrt.MarshalProofFrame(10, 2, qIdx, source.RangeReply{Refused: true})},
 		{"netrt-querysrc", netrt.MarshalQuerySrcFrame(11, 2, qIdx)},
+		{"netrt-querysrc-runs", netrt.MarshalQuerySrcFrame(12, 3, []int{64, 65, 66, 67, 68, 68, 90, 91})},
 	} {
 		out.Frames = append(out.Frames, Frame{
 			Name: f.name, L: frameL, Hex: hex.EncodeToString(f.data), Codec: "netrt",

@@ -2,6 +2,7 @@ package netrt
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -36,7 +37,9 @@ import (
 //	bcast:  uvarint k, then a wire-encoded protocol message (client → hub
 //	        only): a broadcast to the first k peers in id order, the
 //	        sender skipped; the hub relays it as k MSGs
-//	query:  uvarint tag(zig-zag), uvarint count, delta-uvarint indices
+//	query:  the query header (its grammar is above encodeQueryHeader):
+//	        tag, count, and the index list as steps, a run or a repeat one
+//	        escape
 //	qreply: same header, then length-prefixed bitarray bytes
 //	done:   length-prefixed output bitarray bytes
 //	ack:    uvarint cumulative seq (highest contiguous received)
@@ -166,6 +169,10 @@ type frameConn struct {
 	// starts at a size every control frame fits in and grows to the
 	// largest such frame the connection has read.
 	kept []byte
+	// indices is the hub's decode buffer for the index lists of the QUERY
+	// and QUERYSRC frames read from the connection, reused from query to
+	// query by its serve loop alone.
+	indices []int
 
 	// wake (one slot) starts a pass of the connection's writer. owed is
 	// what the pass sends ahead of the owner's outbox, in order: RESUME,
@@ -395,109 +402,216 @@ func readFrameInto(r io.Reader, kept []byte) (kind byte, seq uint64, payload, ke
 	return buf[0], seq, buf[1+n:], kept, nil
 }
 
-// encodeQueryHeader encodes tag (zig-zag, tags may be negative) plus
-// delta-encoded indices.
+// The query header opens QUERY and QUERYSRC, and every QREPLY, QPROOF and
+// QERR echoes it byte for byte:
+//
+//	varint tag (zig-zag), uvarint count, then count indices: the first as
+//	a zig-zag varint, each later one as a step from the one before —
+//	  0x00, uvarint k   an escape: k ≥ 3 is a run of k indices, each one
+//	                    more than the one before; k = 0 repeats the one
+//	                    before
+//	  any other byte    starts the zig-zag varint of a step (never 0)
+//
+// A zero byte would be a step of 0, which distinct neighbours never take,
+// so it is free to escape. Every stretch of three or more +1 steps is one
+// escape, as long as the stretch; every varint is minimal. A list has
+// exactly one encoding, and the readers refuse any other: a header is its
+// query's key (qkeyOfHeader), and a run of [0, L) costs a few bytes.
+const (
+	queryEscape = 0x00
+	// minRun is the fewest +1 steps in a row an escape stands for.
+	minRun = 3
+)
+
+// encodeQueryHeader encodes a query header in a buffer of its own, sized
+// exactly. A header of up to 64 bytes — any run of [0, L), for one — is
+// first encoded on the stack.
 func encodeQueryHeader(tag int, indices []int) []byte {
-	// Sized for one byte an index — exact for a range query, whose deltas
-	// are all +1, and a head start for the rest.
-	out := make([]byte, 0, 2*binary.MaxVarintLen64+len(indices))
-	out = binary.AppendVarint(out, int64(tag))
-	out = binary.AppendUvarint(out, uint64(len(indices)))
-	prev := 0
-	for _, idx := range indices {
-		out = binary.AppendVarint(out, int64(idx-prev))
-		prev = idx
-	}
-	return out
+	var scratch [64]byte
+	return bytes.Clone(appendQueryHeader(scratch[:0], tag, indices))
 }
 
-// queryPrelude reads a query header's tag and index count; pos is where the
-// index list starts. maxCount bounds the accepted count so a hostile frame
-// cannot force a huge allocation: a legitimate query never asks for more
-// than L indices, and every encoded index costs at least one payload byte.
-func queryPrelude(payload []byte, maxCount int) (tag int, cnt uint64, pos int, ok bool) {
-	t64, n := binary.Varint(payload)
-	if n <= 0 {
+// appendQueryHeader appends the query header of (tag, indices) to dst.
+func appendQueryHeader(dst []byte, tag int, indices []int) []byte {
+	dst = binary.AppendVarint(dst, int64(tag))
+	dst = binary.AppendUvarint(dst, uint64(len(indices)))
+	if len(indices) == 0 {
+		return dst
+	}
+	dst = binary.AppendVarint(dst, int64(indices[0]))
+	for i := 1; i < len(indices); {
+		prev := indices[i-1]
+		switch d := indices[i] - prev; {
+		case d == 0:
+			dst = append(dst, queryEscape, 0)
+			i++
+		// Three +1 steps add up to 3: the sum screens for a run before
+		// each of its steps is checked.
+		case i+2 < len(indices) && indices[i+2]-prev == minRun &&
+			plusOne(prev, indices[i]) && plusOne(indices[i], indices[i+1]) && plusOne(indices[i+1], indices[i+2]):
+			k, last := minRun, indices[i+2]
+			for _, v := range indices[i+minRun:] {
+				if !plusOne(last, v) {
+					break
+				}
+				k, last = k+1, v
+			}
+			dst = binary.AppendUvarint(append(dst, queryEscape), uint64(k))
+			i += k
+		case d >= -64 && d < 64:
+			dst = append(dst, byte(d<<1)^byte(d>>63)) // a one-byte step
+			i++
+		default:
+			dst = binary.AppendVarint(dst, int64(d))
+			i++
+		}
+	}
+	return dst
+}
+
+// plusOne reports whether b is one above a.
+func plusOne(a, b int) bool { return b > a && b-a == 1 }
+
+// uvarint reads a minimal uvarint at p[pos:]: the one form the encoders
+// write, so a value has one encoding on the wire.
+func uvarint(p []byte, pos int) (v uint64, next int, ok bool) {
+	v, n := binary.Uvarint(p[pos:])
+	if n <= 0 || (n > 1 && p[pos+n-1] == 0) {
+		return 0, 0, false
+	}
+	return v, pos + n, true
+}
+
+// varint reads a minimal zig-zag varint at p[pos:].
+func varint(p []byte, pos int) (v int64, next int, ok bool) {
+	u, next, ok := uvarint(p, pos)
+	return int64(u>>1) ^ -int64(u&1), next, ok
+}
+
+// queryPrelude reads a query header's tag and index count; pos is where
+// the index list starts. maxCount bounds the count: a legitimate query
+// never asks for more than L indices, and a run of them costs a few bytes,
+// so only the bound keeps a hostile header from announcing more.
+func queryPrelude(payload []byte, maxCount int) (tag int, count uint64, pos int, ok bool) {
+	t64, pos, ok := varint(payload, 0)
+	if !ok {
 		return 0, 0, 0, false
 	}
-	cnt, m := binary.Uvarint(payload[n:])
-	if m <= 0 || cnt > uint64(len(payload)-n) || (maxCount >= 0 && cnt > uint64(maxCount)) {
+	count, pos, ok = uvarint(payload, pos)
+	if !ok || count > uint64(max(maxCount, 0)) {
 		return 0, 0, 0, false
 	}
-	return int(t64), cnt, n + m, true
+	return int(t64), count, pos, true
 }
 
 // decodeQuery decodes a query header into its index list; hdrLen is the
-// number of payload bytes the header occupies. Only a caller that must hand
-// the list on (the hub's source tier) decodes; the rest use scanQuery.
-func decodeQuery(payload []byte, maxCount int) (tag int, indices []int, hdrLen int, ok bool) {
-	tag, cnt, pos, ok := queryPrelude(payload, maxCount)
+// number of payload bytes the header occupies. The list lies in dst's
+// backing array when that is large enough, in a new one when not; a
+// refused header allocates nothing. Only a caller that must hand the list
+// on (the hub's source tier) decodes; the rest use scanQuery.
+func decodeQuery(dst []int, payload []byte, maxCount int) (tag int, indices []int, hdrLen int, ok bool) {
+	_, count, _, ok := queryPrelude(payload, maxCount)
 	if !ok {
 		return 0, nil, 0, false
 	}
-	indices = make([]int, cnt)
-	prev := int64(0)
-	for i := range indices {
-		// The one-byte varint — any step of less than 64 either way, so
-		// nearly every step of a real index list — is read in line.
-		if pos < len(payload) && payload[pos] < 0x80 {
-			b := payload[pos]
-			prev += int64(b>>1) ^ -int64(b&1)
-			pos++
-		} else {
-			d, n := binary.Varint(payload[pos:])
-			if n <= 0 {
-				return 0, nil, 0, false
-			}
-			pos += n
-			prev += d
+	if uint64(cap(dst)) < count {
+		if _, _, _, _, _, ok := scanQuery(payload, maxCount); !ok {
+			return 0, nil, 0, false
 		}
-		indices[i] = int(prev)
+		dst = make([]int, count)
 	}
-	return tag, indices, pos, true
+	indices = dst[:count]
+	tag, _, hdrLen, _, _, ok = walkQuery(payload, maxCount, indices)
+	if !ok {
+		return 0, nil, 0, false
+	}
+	return tag, indices, hdrLen, true
 }
 
-// scanQuery walks a query header without building its index list. It
-// accepts exactly the payloads decodeQuery accepts and agrees with it on
-// tag, count and header length; lo and hi are the smallest and largest
-// index (0, 0 for an empty list). Where eight steps of +1 follow each other
-// they are taken as one.
+// scanQuery walks a query header without building its index list, a run
+// in one step. It accepts exactly the payloads decodeQuery accepts and
+// agrees with it on tag, count and header length; lo and hi are the
+// smallest and largest index (0, 0 for an empty list).
 func scanQuery(payload []byte, maxCount int) (tag, count, hdrLen, lo, hi int, ok bool) {
+	return walkQuery(payload, maxCount, nil)
+}
+
+// walkQuery reads a query header, and writes its indices to out unless out
+// is nil (decodeQuery sizes it to the count). It refuses a list that is not
+// in its one encoding, that names more indices than its count or fewer,
+// or whose indices leave the int64 range.
+func walkQuery(payload []byte, maxCount int, out []int) (tag, count, hdrLen, lo, hi int, ok bool) {
 	tag, cnt, pos, ok := queryPrelude(payload, maxCount)
 	if !ok {
 		return 0, 0, 0, 0, 0, false
 	}
-	prev := int64(0)
-	for i := uint64(0); i < cnt; i++ {
-		// Eight times 0x02, the zig-zag varint of +1: every byte of a range
-		// query's index list but the first. Without the overflow guard the
-		// eight would skip the extremes that a wrap-around passes through
-		// one step at a time.
-		const eightSteps = 0x0202020202020202
-		if i > 0 && cnt-i >= 8 && len(payload)-pos >= 8 && prev <= math.MaxInt64-8 &&
-			binary.LittleEndian.Uint64(payload[pos:]) == eightSteps {
-			pos += 8
-			prev += 8
-			i += 7
-		} else if pos < len(payload) && payload[pos] < 0x80 {
-			b := payload[pos]
-			prev += int64(b>>1) ^ -int64(b&1)
-			pos++
-		} else {
-			d, n := binary.Varint(payload[pos:])
-			if n <= 0 {
+	if cnt == 0 {
+		return tag, 0, pos, 0, 0, true
+	}
+	prev, pos, ok := varint(payload, pos)
+	if !ok {
+		return 0, 0, 0, 0, 0, false
+	}
+	if out != nil {
+		out[0] = int(prev)
+	}
+	low, high := prev, prev
+	// plus is how many bare +1 steps in a row end at prev, or minRun when
+	// a run does: either way, what may follow is limited.
+	plus := 0
+	for i := uint64(1); i < cnt; {
+		if pos >= len(payload) {
+			return 0, 0, 0, 0, 0, false
+		}
+		var d int64
+		switch b := payload[pos]; {
+		case b == queryEscape:
+			k, next, ok := uvarint(payload, pos+1)
+			switch {
+			case !ok:
+				return 0, 0, 0, 0, 0, false
+			case k == 0: // a repeat
+				if out != nil {
+					out[i] = int(prev)
+				}
+				pos, plus, i = next, 0, i+1
+				continue
+			case k < minRun || k > cnt-i || plus > 0 || prev > math.MaxInt64-int64(k):
 				return 0, 0, 0, 0, 0, false
 			}
-			pos += n
-			prev += d
+			if out != nil {
+				run := out[i : i+k]
+				for j := range run {
+					run[j] = int(prev) + 1 + j
+				}
+			}
+			prev += int64(k)
+			pos, plus, i, high = next, minRun, i+k, max(high, prev)
+			continue
+		case b < 0x80:
+			// A one-byte step, of at most 64 either way: nearly every step
+			// of a real list is read in line.
+			d = int64(b>>1) ^ -int64(b&1)
+			pos++
+		default:
+			if d, pos, ok = varint(payload, pos); !ok {
+				return 0, 0, 0, 0, 0, false
+			}
 		}
-		if idx := int(prev); i == 0 {
-			lo, hi = idx, idx
-		} else if idx < lo {
-			lo = idx
-		} else if idx > hi {
-			hi = idx
+		if sum := prev + d; (prev^sum)&(d^sum) < 0 {
+			return 0, 0, 0, 0, 0, false // past the int64 range
 		}
+		if plus++; d != 1 {
+			plus = 0
+		}
+		if plus >= minRun {
+			return 0, 0, 0, 0, 0, false // the third bare +1 in a row, or one next to a run
+		}
+		prev += d
+		if out != nil {
+			out[i] = int(prev)
+		}
+		low, high, i = min(low, prev), max(high, prev), i+1
 	}
-	return tag, int(cnt), pos, lo, hi, true
+	return tag, int(cnt), pos, int(low), int(high), true
 }

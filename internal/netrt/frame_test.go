@@ -498,7 +498,7 @@ func TestHelloAndQueryInOneSegment(t *testing.T) {
 		if kind != kQReply {
 			continue
 		}
-		if tag, indices, _, ok := decodeQuery(payload, 64); !ok || tag != 5 || len(indices) != 3 {
+		if tag, indices, _, ok := decodeQuery(nil, payload, 64); !ok || tag != 5 || len(indices) != 3 {
 			t.Fatalf("mangled reply: ok=%v tag=%d indices=%v", ok, tag, indices)
 		}
 		return

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"io"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -82,10 +84,18 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
+// queryHeaderSeed is one header shape the scan/decode equivalence must
+// hold on, and whether the readers accept it.
+type queryHeaderSeed struct {
+	name string
+	hdr  []byte
+	ok   bool
+}
+
 // queryHeaderSeeds are the header shapes the scan/decode equivalence must
 // hold on: the long run that is naive's whole-array query, the lists with
 // no run at all, and the malformed ones each rejection branch exists for.
-func queryHeaderSeeds() [][]byte {
+func queryHeaderSeeds() []queryHeaderSeed {
 	run := make([]int, 262144)
 	alt := make([]int, 300)
 	desc := make([]int, 300)
@@ -96,26 +106,49 @@ func queryHeaderSeeds() [][]byte {
 		alt[i] = 1000 + i%2 // alternating +1 / −1
 		desc[i] = 5000 - 3*i
 	}
-	over := encodeQueryHeader(1, run[:100])
-	return [][]byte{
-		encodeQueryHeader(0, []int{0, 1, 2}),
-		encodeQueryHeader(-5, []int{100, 50, 200}),
-		{0x00, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20}, // count 2^40
-		{0x80}, // truncated tag
-		encodeQueryHeader(0, run),
-		encodeQueryHeader(7, alt),
-		encodeQueryHeader(-1, desc),
-		encodeQueryHeader(3, []int{9, 9, 9, 10, 10, 2, 2}),                             // duplicates
-		{0x82, 0x00, 0x83, 0x00, 0x82, 0x80, 0x00, 0x02, 0x84, 0x00},                   // non-minimal varints: tag 1, count 3, +1 +1 +2
-		{0x00, 0x03, 0x02, 0x02, 0x80},                                                 // truncated mid-varint
-		over[:50],                                                                      // count 100 > bytes left
-		binary.AppendUvarint([]byte{0x00}, fuzzMaxCount+1),                             // count > maxCount
-		{0x00, 0x02, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02, 0x02}, // delta overflows 64 bits
-		// A run that wraps the index past MaxInt64: the extremes lie inside
-		// a stretch of eight +1 steps.
-		append(binary.AppendVarint([]byte{0x00, 17}, math.MaxInt64-3), bytes.Repeat([]byte{0x02}, 16)...),
+	return append([]queryHeaderSeed{
+		{"short", encodeQueryHeader(0, []int{0, 1, 2}), true},
+		{"unsorted", encodeQueryHeader(-5, []int{100, 50, 200}), true},
+		{"count 2^40", []byte{0x00, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20}, false},
+		{"truncated tag", []byte{0x80}, false},
+		{"naive", encodeQueryHeader(0, run), true},
+		{"alternating", encodeQueryHeader(7, alt), true},
+		{"descending", encodeQueryHeader(-1, desc), true},
+		{"repeats", encodeQueryHeader(3, []int{9, 9, 9, 10, 10, 2, 2}), true},
+		{"runs and repeats", encodeQueryHeader(2, []int{4, 5, 6, 7, 7, 8, 9, 10, 11, 40, 41, 42}), true},
+		{"non-minimal varints", []byte{0x82, 0x00, 0x83, 0x00, 0x82, 0x80, 0x00, 0x02, 0x84, 0x00}, false}, // tag 1, count 3, +1 +1 +2
+		{"non-minimal run length", []byte{0x00, 0x04, 0x00, queryEscape, 0x83, 0x00}, false},
+		{"truncated mid-varint", []byte{0x00, 0x03, 0x02, 0x02, 0x80}, false},
+		{"count > maxCount", binary.AppendUvarint([]byte{0x00}, fuzzMaxCount+1), false},
+		{"delta overflows 64 bits", []byte{0x00, 0x02, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02, 0x02}, false},
+		// Indices that would leave the int64 range: by a run, and by a step.
+		{"run past MaxInt64", append(binary.AppendVarint([]byte{0x00, 17}, math.MaxInt64-3), queryEscape, 16), false},
+		{"step past MaxInt64", binary.AppendVarint(binary.AppendVarint([]byte{0x00, 2}, math.MaxInt64-3), 4), false},
+	}, hostileQueryHeaders()...)
+}
+
+// hostileQueryHeaders are headers that a few bytes make announce much: each
+// must be refused, and refused without an allocation. Their count is under
+// fuzzMaxCount but for the first, which claims one index more.
+func hostileQueryHeaders() []queryHeaderSeed {
+	hdr := func(count uint64, list ...byte) []byte {
+		return append(binary.AppendUvarint([]byte{0x00}, count), list...)
+	}
+	return []queryHeaderSeed{
+		{"5 bytes claiming L+1", hdr(fuzzMaxCount+1, 0x00), false},
+		{"run overshoots the count", hdr(10, 0x00, queryEscape, 10), false},
+		{"runs sum short of the count", hdr(fuzzMaxCount, 0x00, queryEscape, 5, 0x04, queryEscape, 99), false},
+		{"run of 1", hdr(3, 0x00, queryEscape, 1, 0x04), false},
+		{"run of 2", hdr(3, 0x00, queryEscape, 2), false},
+		{"three bare +1 steps", hdr(4, 0x00, stepPlusOne, stepPlusOne, stepPlusOne), false},
+		{"+1 step before a run", hdr(5, 0x00, stepPlusOne, queryEscape, 3), false},
+		{"+1 step after a run", hdr(5, 0x00, queryEscape, 3, stepPlusOne), false},
+		{"run after a run", hdr(7, 0x00, queryEscape, 3, queryEscape, 3), false},
 	}
 }
+
+// stepPlusOne is a +1 step written bare: the zig-zag varint of 1.
+const stepPlusOne = 0x02
 
 // fuzzMaxCount is the index bound the fuzz target decodes under: naive's
 // whole-array query at the benchmark's L must pass it.
@@ -123,10 +156,17 @@ const fuzzMaxCount = 1 << 18
 
 func FuzzDecodeQuery(f *testing.F) {
 	for _, seed := range queryHeaderSeeds() {
-		f.Add(seed)
+		f.Add(seed.hdr)
 	}
+	kept := make([]int, 0, fuzzMaxCount)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tag, indices, hdrLen, ok := decodeQuery(data, fuzzMaxCount)
+		tag, indices, hdrLen, ok := decodeQuery(nil, data, fuzzMaxCount)
+		// Decoding into a buffer with room, as the hub does, tells the
+		// same story.
+		ktag, kidx, khdr, kok := decodeQuery(kept, data, fuzzMaxCount)
+		if kok != ok || ok && (ktag != tag || khdr != hdrLen || !slices.Equal(kidx, indices)) {
+			t.Fatalf("decode into a kept buffer (%v, tag %d, hdr %d) != decode (%v, tag %d, hdr %d)", kok, ktag, khdr, ok, tag, hdrLen)
+		}
 		// scanQuery accepts iff decodeQuery does, and tells the same story.
 		stag, count, shdr, lo, hi, sok := scanQuery(data, fuzzMaxCount)
 		if sok != ok {
@@ -154,27 +194,14 @@ func FuzzDecodeQuery(f *testing.F) {
 		if len(indices) > fuzzMaxCount {
 			t.Fatalf("decode accepted %d indices over the %d bound", len(indices), fuzzMaxCount)
 		}
-		// Every accepted index costs at least one input byte, so the
-		// count can never force an allocation larger than the frame.
-		if len(indices) > len(data) {
-			t.Fatalf("%d indices from %d bytes", len(indices), len(data))
-		}
 		// Bytes after the header are not the header's business.
 		if _, _, h2, _, _, ok2 := scanQuery(data[:hdrLen], fuzzMaxCount); !ok2 || h2 != hdrLen {
 			t.Fatalf("header alone scans to (%d, %v), want (%d, true)", h2, ok2, hdrLen)
 		}
-		// Whatever was decoded must survive a re-encode/re-decode cycle
-		// (byte-prefix equality would be too strong: varint readers
-		// accept non-minimal encodings like 0x80 0x00).
-		enc := encodeQueryHeader(tag, indices)
-		tag2, indices2, hdr2, ok2 := decodeQuery(enc, fuzzMaxCount)
-		if !ok2 || tag2 != tag || len(indices2) != len(indices) || hdr2 != len(enc) {
-			t.Fatalf("re-decode mismatch: (%d,%v) → (%d,%v,%d of %d,%v)", tag, indices, tag2, indices2, hdr2, len(enc), ok2)
-		}
-		for i := range indices {
-			if indices2[i] != indices[i] {
-				t.Fatalf("index %d changed: %d → %d", i, indices[i], indices2[i])
-			}
+		// The readers accept exactly what the encoder emits: what was
+		// decoded re-encodes to the header's own bytes.
+		if enc := encodeQueryHeader(tag, indices); !bytes.Equal(enc, data[:hdrLen]) {
+			t.Fatalf("(%d, %v) re-encodes to %x, not to its header %x", tag, indices, enc, data[:hdrLen])
 		}
 	})
 }
@@ -182,29 +209,108 @@ func FuzzDecodeQuery(f *testing.F) {
 // TestScanQuerySeeds runs the fuzz seeds' accept/reject expectations as a
 // plain test, so the shapes the equivalence rests on are pinned by name.
 func TestScanQuerySeeds(t *testing.T) {
-	seeds := queryHeaderSeeds()
-	wantOK := []bool{true, true, false, false, true, true, true, true, true, false, false, false, false, true}
-	if len(wantOK) != len(seeds) {
-		t.Fatalf("%d expectations for %d seeds", len(wantOK), len(seeds))
-	}
-	for i, seed := range seeds {
-		_, indices, hdrLen, ok := decodeQuery(seed, fuzzMaxCount)
-		_, count, shdr, _, _, sok := scanQuery(seed, fuzzMaxCount)
-		if ok != wantOK[i] || sok != wantOK[i] {
-			t.Errorf("seed %d: decode ok=%v scan ok=%v, want %v", i, ok, sok, wantOK[i])
+	for _, seed := range queryHeaderSeeds() {
+		_, indices, hdrLen, ok := decodeQuery(nil, seed.hdr, fuzzMaxCount)
+		_, count, shdr, _, _, sok := scanQuery(seed.hdr, fuzzMaxCount)
+		if ok != seed.ok || sok != seed.ok {
+			t.Errorf("%s: decode ok=%v scan ok=%v, want %v", seed.name, ok, sok, seed.ok)
 		}
 		if ok && (count != len(indices) || shdr != hdrLen) {
-			t.Errorf("seed %d: scan (%d, %d) != decode (%d, %d)", i, count, shdr, len(indices), hdrLen)
+			t.Errorf("%s: scan (%d, %d) != decode (%d, %d)", seed.name, count, shdr, len(indices), hdrLen)
 		}
 	}
-	// The non-minimal seed decodes to what its minimal form does, under a
-	// different key: a retry is the identical frame, not an equivalent one.
-	tag, indices, _, _ := decodeQuery(seeds[8], fuzzMaxCount)
-	if tag != 1 || len(indices) != 3 || indices[0] != 1 || indices[1] != 2 || indices[2] != 4 {
-		t.Errorf("non-minimal seed decoded to tag %d indices %v", tag, indices)
+}
+
+// TestHostileQueryHeaders: a header whose few bytes announce more than
+// they hold, or hold it in a second form, is refused by both readers
+// without an allocation.
+func TestHostileQueryHeaders(t *testing.T) {
+	for _, seed := range hostileQueryHeaders() {
+		if len(seed.hdr) > 10 {
+			t.Errorf("%s: %d bytes, want a few", seed.name, len(seed.hdr))
+		}
+		var ok, sok bool
+		allocs := testing.AllocsPerRun(20, func() {
+			_, _, _, ok = decodeQuery(nil, seed.hdr, fuzzMaxCount)
+			_, _, _, _, _, sok = scanQuery(seed.hdr, fuzzMaxCount)
+		})
+		if ok || sok {
+			t.Errorf("%s: decode ok=%v scan ok=%v, want both refused", seed.name, ok, sok)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: refused with %v allocations, want 0", seed.name, allocs)
+		}
 	}
-	if qkeyOfHeader(tag, seeds[8]) == qkeyOfHeader(tag, encodeQueryHeader(tag, indices)) {
-		t.Error("non-minimal and minimal encodings share a key")
+	// The fixture codec, which has no L, refuses a header past its bound.
+	frame := appendFrame(nil, kQuerySrc, 1, rawPayload(append(binary.AppendUvarint([]byte{0x00}, fixtureMaxQuery+1), 0x00, queryEscape, 0x80, 0x80, 0x40)))
+	if _, err := RoundTripMirrorFrame(frame); err == nil {
+		t.Error("RoundTripMirrorFrame accepted a QUERYSRC of fixtureMaxQuery+1 indices")
+	}
+}
+
+// stepQueryHeader is the header as it was before runs had an escape: a
+// zig-zag varint step for every index after the first.
+func stepQueryHeader(tag int, indices []int) []byte {
+	out := binary.AppendVarint(nil, int64(tag))
+	out = binary.AppendUvarint(out, uint64(len(indices)))
+	prev := 0
+	for _, idx := range indices {
+		out = binary.AppendVarint(out, int64(idx-prev))
+		prev = idx
+	}
+	return out
+}
+
+// TestQueryHeaderKeepsStepLists: a list with no three +1 steps in a row and
+// no repeat encodes byte for byte as before runs had an escape, and a list
+// with them encodes shorter.
+func TestQueryHeaderKeepsStepLists(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		idx := make([]int, rng.Intn(64))
+		plus := 0 // +1 steps in a row ending at the last index
+		for i := range idx {
+			for {
+				step := rng.Intn(9) - 4
+				if rng.Intn(8) == 0 {
+					step = rng.Intn(1<<20) - 1<<19
+				}
+				if i == 0 {
+					idx[i] = rng.Intn(1 << 16)
+					break
+				}
+				if step == 0 || (step == 1 && plus == 2) {
+					continue
+				}
+				if idx[i] = idx[i-1] + step; step == 1 {
+					plus++
+				} else {
+					plus = 0
+				}
+				break
+			}
+		}
+		tag := rng.Intn(200) - 100
+		if got, want := encodeQueryHeader(tag, idx), stepQueryHeader(tag, idx); !bytes.Equal(got, want) {
+			t.Fatalf("%v: encodes to %x, was %x", idx, got, want)
+		}
+		if len(idx) < 2 {
+			continue
+		}
+		// Put a run or a repeat in: that list encodes otherwise.
+		at := 1 + rng.Intn(len(idx)-1)
+		grown := slices.Clone(idx[:at])
+		if rng.Intn(2) == 0 {
+			grown = append(grown, idx[at-1])
+		} else {
+			for k := 1; k <= 3+rng.Intn(30); k++ {
+				grown = append(grown, idx[at-1]+k)
+			}
+		}
+		grown = append(grown, idx[at:]...)
+		if got := encodeQueryHeader(tag, grown); bytes.Equal(got, stepQueryHeader(tag, grown)) {
+			t.Fatalf("%v: a run or repeat encodes as it did before", grown)
+		}
 	}
 }
 
@@ -276,18 +382,18 @@ func FuzzFrameRoundTrip(f *testing.F) {
 }
 
 // TestDecodeQueryBounds pins the hostile-allocation guard: a count field
-// claiming more indices than the payload could possibly hold must be
-// rejected before any allocation sized by it.
+// above the bound is rejected before any allocation sized by it, and one
+// at the bound is not.
 func TestDecodeQueryBounds(t *testing.T) {
 	huge := binary.AppendVarint(nil, 0)
 	huge = binary.AppendUvarint(huge, 1<<40)
-	if _, _, _, ok := decodeQuery(huge, 1<<20); ok {
+	if _, _, _, ok := decodeQuery(nil, huge, 1<<20); ok {
 		t.Fatal("accepted count 2^40 with empty body")
 	}
-	if _, _, _, ok := decodeQuery(encodeQueryHeader(1, []int{1, 2, 3}), 2); ok {
+	if _, _, _, ok := decodeQuery(nil, encodeQueryHeader(1, []int{1, 2, 3}), 2); ok {
 		t.Fatal("accepted 3 indices over maxCount 2")
 	}
-	if tag, idx, hdrLen, ok := decodeQuery(encodeQueryHeader(1, []int{1, 2, 3}), 3); !ok || tag != 1 || len(idx) != 3 || hdrLen != 5 {
+	if tag, idx, hdrLen, ok := decodeQuery(nil, encodeQueryHeader(1, []int{1, 2, 3}), 3); !ok || tag != 1 || len(idx) != 3 || hdrLen != 5 {
 		t.Fatalf("rejected legitimate query: ok=%v tag=%d idx=%v", ok, tag, idx)
 	}
 }

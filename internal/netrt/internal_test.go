@@ -447,7 +447,7 @@ func TestHostileFramesCannotPanicHub(t *testing.T) {
 		if kind != kQReply {
 			continue
 		}
-		tag, indices, _, ok := decodeQuery(payload, 64)
+		tag, indices, _, ok := decodeQuery(nil, payload, 64)
 		if !ok || tag != 0 || len(indices) != 3 {
 			t.Fatalf("mangled reply: ok=%v tag=%d indices=%v", ok, tag, indices)
 		}
@@ -768,7 +768,7 @@ func TestLateReplyServesParkedCall(t *testing.T) {
 			c.Terminate()
 		}
 		// b's reply comes in after all.
-		h.answerQuery(h.peers[1], hdrB, time.Now())
+		h.answerQuery(h.peers[1], h.peers[1].conn, hdrB, time.Now())
 		c.handleFrame(kQReply, 2, payloadOf(queued(t, h, h.peers[1])))
 		if st.DupFramesDropped != 0 || c.q.Parked() != 0 || len(c.queries) != 1 || c.queries[0] != pqA {
 			t.Fatalf("terminated=%v: %d duplicates, %d parked, %d pending; want b settled and a flushed",

@@ -90,10 +90,10 @@ func TestHubKeepsNoReadBuffer(t *testing.T) {
 
 	for _, answer := range []struct {
 		name string
-		call func(*hubPeer, []byte, time.Time)
+		call func(*hubPeer, *frameConn, []byte, time.Time)
 	}{{"QREPLY", h.answerQuery}, {"QPROOF", h.answerMirrorQuery}} {
 		payload := encodeQueryHeader(5, []int{100, 101, 102, 140})
-		answer.call(src, payload, time.Now())
+		answer.call(src, src.conn, payload, time.Now())
 		reply := queued(t, h, src)
 		before := appendFrame(nil, reply.kind, reply.seq, reply.p)
 		scribble(payload)
@@ -107,6 +107,54 @@ func TestHubKeepsNoReadBuffer(t *testing.T) {
 	scribble(payload)
 	if src.output == nil || !src.output.Equal(out) {
 		t.Errorf("the recorded output is %v, want %v", src.output, out)
+	}
+}
+
+// TestHubReusesQueryBuffer: the hub decodes a query's list into the buffer
+// its connection keeps, so a later query of no more indices decodes into
+// the same array, and what the hub sent for the earlier one stays as it
+// was.
+func TestHubReusesQueryBuffer(t *testing.T) {
+	h := bareHub(t, Config{N: 2, T: 0, L: 4096, MsgBits: 64, Seed: 8})
+	hp := h.peers[0]
+	steps, run := make([]int, 300), make([]int, 200)
+	for i := range steps {
+		steps[i] = 3 * i
+	}
+	for i := range run {
+		run[i] = 1000 + i
+	}
+	h.answerQuery(hp, hp.conn, encodeQueryHeader(1, steps), time.Now())
+	first := queued(t, h, hp)
+	sent := appendFrame(nil, first.kind, first.seq, first.p)
+	buf := &hp.conn.indices[0]
+	h.answerQuery(hp, hp.conn, encodeQueryHeader(2, run), time.Now())
+	second := queued(t, h, hp)
+	if &hp.conn.indices[0] != buf {
+		t.Error("the second query's list was decoded into a new array")
+	}
+	if !bytes.Equal(sent, appendFrame(nil, first.kind, first.seq, first.p)) {
+		t.Error("the first reply changed when the second query was decoded")
+	}
+	for _, f := range []struct {
+		frame outFrame
+		idx   []int
+	}{{first, steps}, {second, run}} {
+		payload := payloadOf(f.frame)
+		_, count, hdrLen, _, _, ok := scanQuery(payload, h.cfg.L)
+		if !ok || count != len(f.idx) {
+			t.Fatalf("a reply's header does not scan to its %d indices", len(f.idx))
+		}
+		n, k := binary.Uvarint(payload[hdrLen:])
+		bits, err := bitarray.FromBytes(payload[hdrLen+k : hdrLen+k+int(n)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, i := range f.idx {
+			if bits.Get(j) != h.input.Get(i) {
+				t.Fatalf("reply bit %d of a %d-index query is not X[%d]", j, len(f.idx), i)
+			}
+		}
 	}
 }
 
@@ -147,11 +195,12 @@ func TestClientKeepsNoReadBuffer(t *testing.T) {
 	seq := uint64(1)
 	for i, answer := range []struct {
 		kind byte
-		call func(*hubPeer, []byte, time.Time)
+		call func(*hubPeer, *frameConn, []byte, time.Time)
 	}{{kQReply, h.answerQuery}, {kQProof, h.answerMirrorQuery}} {
 		idx := []int{200, 201, 202, 230, 231}
 		c.Query(7, idx)
-		answer.call(h.peers[c.id], encodeQueryHeader(7, idx), time.Now())
+		hp := h.peers[c.id]
+		answer.call(hp, hp.conn, encodeQueryHeader(7, idx), time.Now())
 		payload := payloadOf(queued(t, h, h.peers[c.id]))
 		seq++
 		c.handleFrame(answer.kind, seq, payload)

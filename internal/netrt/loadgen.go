@@ -95,6 +95,9 @@ type connLoad struct {
 	conn *frameConn
 	out  frameBatch // frames not yet written: see flush
 	seq  uint64
+	// idx and hdr are where sendNext builds a query's indices and header.
+	idx []int
+	hdr []byte
 	// recv dedups the hub's reliable stream, which the replies ride, and
 	// acked is the cumulative position last acked to the hub.
 	recv  dedupReliable
@@ -126,14 +129,16 @@ func (c *connLoad) sendNext(li int) {
 		span = 1
 	}
 	start := (global*31 + ord*17) % span
-	indices := make([]int, c.spec.BitsPerQuery)
-	for i := range indices {
-		indices[i] = start + i
+	c.idx = c.idx[:0]
+	for i := range c.spec.BitsPerQuery {
+		c.idx = append(c.idx, start+i)
 	}
 	c.seq++
-	payload := encodeQueryHeader(global, indices)
+	// The indices are one run, so the header is at most 41 bytes: add
+	// copies it next to the frame's own, and c.hdr is free again at once.
+	c.hdr = appendQueryHeader(c.hdr[:0], global, c.idx)
 	c.sentAt[li] = time.Now()
-	_ = c.out.add(kQuery, c.seq, rawPayload(payload))
+	_ = c.out.add(kQuery, c.seq, rawPayload(c.hdr))
 	c.queries++
 	c.inflight++
 }

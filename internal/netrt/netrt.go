@@ -727,13 +727,13 @@ func (h *hub) handle(hp *hubPeer, conn *frameConn, kind byte, seq uint64, payloa
 		case kQuery:
 			dbg("peer %d query %dB", hp.id, len(payload))
 			if h.mirror != nil {
-				h.answerMirrorQuery(hp, payload, now)
+				h.answerMirrorQuery(hp, conn, payload, now)
 			} else {
-				h.answerQuery(hp, payload, now)
+				h.answerQuery(hp, conn, payload, now)
 			}
 		case kQuerySrc:
 			dbg("peer %d fallback query %dB", hp.id, len(payload))
-			h.answerQuery(hp, payload, now)
+			h.answerQuery(hp, conn, payload, now)
 		case kDone:
 			dbg("peer %d done", hp.id)
 			h.markDone(hp, payload)
@@ -943,18 +943,20 @@ func (h *hub) after(d time.Duration, f func()) {
 	})
 }
 
-// answerQuery serves the source: decode tag + delta indices, route the
-// fetch through the source tier, and reply with the requested bits.
+// answerQuery serves the source: decode the header's index list into
+// conn's decode buffer, route the fetch through the source tier (which
+// keeps no Request.Indices past Fetch), and reply with the requested bits.
 // Replies ride the peer's reliable stream beside its MSGs, so a reply the
 // network loses is retransmitted by the hub. An injected source failure
 // comes back as a QERR frame instead, so the client learns of active
 // refusals without waiting out its silence deadline. Q is the client's to
 // charge, at its Query.
-func (h *hub) answerQuery(hp *hubPeer, payload []byte, now time.Time) {
-	_, indices, hdrLen, ok := decodeQuery(payload, h.cfg.L)
+func (h *hub) answerQuery(hp *hubPeer, conn *frameConn, payload []byte, now time.Time) {
+	_, indices, hdrLen, ok := decodeQuery(conn.indices, payload, h.cfg.L)
 	if !ok {
 		return
 	}
+	conn.indices = indices
 	for _, idx := range indices {
 		if idx < 0 || idx >= h.cfg.L {
 			return
@@ -1008,13 +1010,13 @@ func (h *hub) answerQuery(hp *hubPeer, payload []byte, now time.Time) {
 // verbatim. Verification happens on the client; the hub never vouches for
 // a mirror's bits. The fleet is asked
 // for a leaf span, so the header is scanned for its bounds, not decoded.
-func (h *hub) answerMirrorQuery(hp *hubPeer, payload []byte, now time.Time) {
+func (h *hub) answerMirrorQuery(hp *hubPeer, conn *frameConn, payload []byte, now time.Time) {
 	_, count, hdrLen, lo, hi, ok := scanQuery(payload, h.cfg.L)
 	if !ok {
 		return
 	}
 	if count == 0 {
-		h.answerQuery(hp, payload, now)
+		h.answerQuery(hp, conn, payload, now)
 		return
 	}
 	if lo < 0 || hi >= h.cfg.L {
@@ -1456,6 +1458,11 @@ type client struct {
 	// rearm (one slot) wakes it to re-arm for a deadline earlier than hkAt.
 	stopHK chan struct{}
 	rearm  chan struct{}
+
+	// enc is where Send and Broadcast encode a message, and Query a query
+	// header, before copying it out at its exact size. Like the protocol
+	// that calls them, they run on the loop goroutine alone.
+	enc []byte
 }
 
 // countAction ticks the churn action clock; false means the crash point
@@ -2120,7 +2127,8 @@ func (c *client) Send(to sim.PeerID, m sim.Message) {
 	if to < 0 || int(to) >= c.cfg.N || to == c.id || !c.countAction() {
 		return
 	}
-	body := marshalAppend(make([]byte, 0, 16+m.SizeBits()/8), m)
+	c.enc = marshalAppend(c.enc[:0], m)
+	body := bytes.Clone(c.enc)
 	c.mu.Lock()
 	c.push(kMsg, numPayload(uint64(to), body))
 	c.mu.Unlock()
@@ -2149,8 +2157,8 @@ func (c *client) Broadcast(m sim.Message) {
 	if k == 0 {
 		return
 	}
-	body := binary.AppendUvarint(make([]byte, 0, 16+m.SizeBits()/8), uint64(k))
-	body = marshalAppend(body, m)
+	c.enc = marshalAppend(binary.AppendUvarint(c.enc[:0], uint64(k)), m)
+	body := bytes.Clone(c.enc)
 	c.mu.Lock()
 	c.enqueue(kBcast, rawPayload(body))
 	c.mu.Unlock()
@@ -2177,7 +2185,8 @@ func (c *client) Query(tag int, indices []int) {
 		c.mu.Unlock()
 		return
 	}
-	payload := encodeQueryHeader(tag, b.Call.Fetch)
+	c.enc = appendQueryHeader(c.enc[:0], tag, b.Call.Fetch)
+	payload := bytes.Clone(c.enc)
 	pq := &pendingQuery{call: b.Call, payload: payload, key: qkeyOfHeader(tag, payload), kind: kQuery}
 	c.queries = append(c.queries, pq)
 	c.follow(pq, c.q.Admit(c.clock(now), b.Call), now)

@@ -10,7 +10,7 @@ import (
 	"repro/internal/source"
 )
 
-// QPROOF payload, after the standard query header (tag + delta indices):
+// QPROOF payload, after the standard query header (encodeQueryHeader):
 //
 //	[1B flags][uvarint leafLo][uvarint leafHi]
 //	[uvarint nbytes][bitarray bytes][uvarint count][count × 32B hashes]
@@ -26,6 +26,13 @@ const qproofRefused byte = 0x01
 // qproofMaxLeaf bounds decoded leaf indices against hostile frames; a
 // legitimate tree over L ≤ maxFrame bits never has more leaves.
 const qproofMaxLeaf = maxFrame
+
+// fixtureMaxQuery bounds the indices a query header read by the fixture
+// codec may name. The codec has no L to bound them by, and a run of any
+// length costs a few bytes, so without a bound a five-byte header could
+// make the round trip allocate gigabytes. The largest query the corpus or
+// the benchmark's probe encodes has 2^18 indices.
+const fixtureMaxQuery = 1 << 20
 
 // encodeProofReply returns a QPROOF payload: hdr (the encoded query
 // header) followed by the body for rep, in a buffer of its own sized once.
@@ -90,7 +97,7 @@ func RoundTripMirrorFrame(data []byte) ([]byte, error) {
 		copy(root[:], payload)
 		return MarshalRootFrame(root), nil
 	case kQProof:
-		tag, indices, hdrLen, ok := decodeQuery(payload, -1)
+		tag, indices, hdrLen, ok := decodeQuery(nil, payload, fixtureMaxQuery)
 		if !ok {
 			return nil, fmt.Errorf("netrt: malformed QPROOF query header")
 		}
@@ -100,7 +107,7 @@ func RoundTripMirrorFrame(data []byte) ([]byte, error) {
 		}
 		return MarshalProofFrame(seq, tag, indices, rep), nil
 	case kQuerySrc:
-		tag, indices, hdrLen, ok := decodeQuery(payload, -1)
+		tag, indices, hdrLen, ok := decodeQuery(nil, payload, fixtureMaxQuery)
 		if !ok {
 			return nil, fmt.Errorf("netrt: malformed QUERYSRC header")
 		}

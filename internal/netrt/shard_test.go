@@ -128,7 +128,7 @@ func TestStartHub(t *testing.T) {
 		if kind != kQReply {
 			continue
 		}
-		tag, indices, _, ok := decodeQuery(payload, 64)
+		tag, indices, _, ok := decodeQuery(nil, payload, 64)
 		if !ok || tag != 7 || len(indices) != 3 {
 			t.Fatalf("mangled reply: ok=%v tag=%d indices=%v", ok, tag, indices)
 		}

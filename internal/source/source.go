@@ -34,7 +34,9 @@ type Reply struct {
 // Source answers index queries against the external array. Fetch either
 // returns the requested bits or a *Error; implementations must be safe
 // for concurrent use (netrt's hub serves queries from multiple
-// connection goroutines).
+// connection goroutines). Fetch must not keep req.Indices after it
+// returns: the caller may write over the slice (the hub decodes every
+// query of a connection into one buffer).
 type Source interface {
 	Fetch(req Request) (Reply, error)
 }
