@@ -416,3 +416,54 @@ func TestArenaMatchesFreshArrays(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownWordVsModel checks the word walk of the unknown bits against
+// the bit model: word wi holds bit b exactly when bit 64·wi+b is below Len
+// and unknown, so no bit past Len ever reads as unknown — on a fresh
+// tracker, as bits are learned, and once it is complete. The lengths sit
+// on and off the word boundary, one of them a single bit.
+func TestUnknownWordVsModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for _, n := range []int{1, 63, 64, 65, 4096, 65536 + 7} {
+		tr := NewTracker(n)
+		known := make([]bool, n)
+		check := func(stage string) {
+			t.Helper()
+			if got, want := tr.UnknownWords(), (n+63)/64; got != want {
+				t.Fatalf("n=%d %s: %d words, want %d", n, stage, got, want)
+			}
+			for wi := 0; wi < tr.UnknownWords(); wi++ {
+				w := tr.UnknownWord(wi)
+				for b := 0; b < 64; b++ {
+					i := wi*64 + b
+					if want := i < n && !known[i]; (w>>uint(b))&1 == 1 != want {
+						t.Fatalf("n=%d %s: word %d bit %d (index %d) reads unknown=%v, model %v", n, stage, wi, b, i, !want, want)
+					}
+				}
+			}
+			if !panics(func() { tr.UnknownWord(tr.UnknownWords()) }) {
+				t.Fatalf("n=%d %s: word %d past the last read without a panic", n, stage, tr.UnknownWords())
+			}
+		}
+		check("fresh")
+		for _, density := range []float64{0.01, 0.2, 0.6} {
+			for k := 0; k < int(density*float64(n))+1; k++ {
+				lo := rng.Intn(n)
+				hi := min(n, lo+1+rng.Intn(70))
+				if rng.Intn(2) == 0 {
+					hi = lo + 1
+				}
+				tr.LearnRange(lo, hi, New(n), lo)
+				for i := lo; i < hi; i++ {
+					known[i] = true
+				}
+			}
+			check("partly known")
+		}
+		tr.LearnRange(0, n, New(n), 0)
+		for i := range known {
+			known[i] = true
+		}
+		check("complete")
+	}
+}

@@ -263,17 +263,28 @@ func (t *Tracker) UnknownRuns(lo, hi int, fn func(runLo, runHi int)) {
 	}
 }
 
+// UnknownWords returns how many words UnknownWord numbers: word wi covers
+// bits [64·wi, 64·wi+64).
+func (t *Tracker) UnknownWords() int { return len(t.known.words) }
+
+// UnknownWord returns word wi of the unknown mask: bit b is set exactly
+// when bit 64·wi+b lies below Len and is not yet known. A caller walks the
+// unknown bits a word at a time with it, clearing the lowest set bit, and
+// pays no call per bit. It panics if wi is not below UnknownWords.
+func (t *Tracker) UnknownWord(wi int) uint64 {
+	inv := ^t.known.words[wi]
+	if wi == len(t.known.words)-1 && t.vals.n%wordBits != 0 {
+		inv &= 1<<(uint(t.vals.n)%wordBits) - 1
+	}
+	return inv
+}
+
 // UnknownAll returns every unknown index, in increasing order.
 func (t *Tracker) UnknownAll() []int {
 	dst := make([]int, 0, t.unknown)
-	for wi, w := range t.known.words {
-		inv := ^w
-		if wi == len(t.known.words)-1 && t.vals.n%wordBits != 0 {
-			inv &= (1 << (uint(t.vals.n) % wordBits)) - 1
-		}
-		for inv != 0 {
+	for wi := range t.known.words {
+		for inv := t.UnknownWord(wi); inv != 0; inv &= inv - 1 {
 			dst = append(dst, wi*wordBits+bits.TrailingZeros64(inv))
-			inv &= inv - 1
 		}
 	}
 	return dst

@@ -60,6 +60,21 @@ func FromSorted(indices []int) Set {
 	return s
 }
 
+// FromRanges returns the Set whose ranges are rs, which it adopts: rs
+// must be in increasing order, disjoint and non-adjacent, and the caller
+// writes it no more. A walk that counted its ranges beforehand fills one
+// buffer, or carves one backing array into capacity-capped parts, with no
+// call per element, and checks the result once here. It panics if rs
+// breaks the Set invariant (a protocol bug) or starts below −MaxIndex.
+func FromRanges(rs []Range) Set {
+	for i, r := range rs {
+		if r.Hi <= r.Lo || r.Lo < -MaxIndex || i > 0 && r.Lo <= rs[i-1].Hi {
+			panic(fmt.Sprintf("intset: range %d [%d,%d) is empty, out of order or touches the one before", i, r.Lo, r.Hi))
+		}
+	}
+	return Set{ranges: rs}
+}
+
 // FromRange returns the set [lo, hi).
 func FromRange(lo, hi int) Set {
 	if hi <= lo {
@@ -168,15 +183,6 @@ func (s Set) String() string {
 type Builder struct {
 	set Set
 }
-
-// BuilderOver returns a Builder that fills buf from its start. A caller
-// that counted the coalesced ranges beforehand hands in a buffer of exactly
-// that capacity and the set is built without a single growth; carving one
-// backing array into capacity-capped sub-slices (buf[lo:lo:hi]) builds many
-// sets from one allocation, and a range beyond the cap reallocates instead
-// of writing into the neighbour. The increasing/coalescing checks of Add
-// and AddRange apply unchanged.
-func BuilderOver(buf []Range) Builder { return Builder{set: Set{ranges: buf[:0]}} }
 
 // Add appends x, which must exceed every previously added index.
 func (b *Builder) Add(x int) { b.set.appendOne(x) }

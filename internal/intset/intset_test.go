@@ -59,6 +59,49 @@ func TestNonIncreasingPanics(t *testing.T) {
 	FromSorted([]int{3, 3})
 }
 
+// TestFromRanges: FromRanges adopts any ranges a Builder could have built,
+// sharing their storage, and refuses every list that breaks the Set
+// invariant rather than hold it.
+func TestFromRanges(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		var b Builder
+		for x := rng.Intn(5) - 2; x < 300; x += 1 + rng.Intn(8) {
+			hi := x + 1 + rng.Intn(4)
+			b.AddRange(x, hi)
+			x = hi
+		}
+		want := b.Set()
+		rs := want.Ranges()
+		got := FromRanges(rs)
+		if got.String() != want.String() || len(rs) > 0 && &got.Ranges()[0] != &rs[0] {
+			t.Fatalf("FromRanges(%v) = %v, not the same set over the same ranges", want, got)
+		}
+	}
+	if !FromRanges(nil).Empty() {
+		t.Fatal("FromRanges(nil) is not empty")
+	}
+	for _, rs := range [][]Range{
+		{{3, 3}},                   // empty
+		{{5, 2}},                   // reversed
+		{{0, 4}, {4, 6}},           // adjacent
+		{{0, 4}, {2, 6}},           // overlapping
+		{{7, 9}, {0, 2}},           // out of order
+		{{-MaxIndex - 1, 0}},       // below the bound
+		{{0, 1}, {5, 6}, {6, 7}},   // adjacent at the end
+		{{0, 1}, {3, 2}, {10, 11}}, // reversed in the middle
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("FromRanges(%v) did not panic", rs)
+				}
+			}()
+			FromRanges(rs)
+		}()
+	}
+}
+
 func TestBuilderAddRange(t *testing.T) {
 	var b Builder
 	b.AddRange(0, 5)

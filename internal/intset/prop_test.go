@@ -140,43 +140,15 @@ func TestSetVsModel(t *testing.T) {
 			t.Fatalf("builder produced %d ranges, FromSorted %d", built.RangeCount(), fromSorted.RangeCount())
 		}
 
-		// So must a Builder over a caller's buffer of exactly the needed
-		// size, and it must build in place.
-		buf := make([]Range, fromSorted.RangeCount())
-		over := BuilderOver(buf)
-		for _, x := range keys {
-			over.Add(x)
-		}
-		checkAgainstModel(t, over.Set(), model, universe)
-		if n := over.Set().RangeCount(); n != len(buf) || (n > 0 && &over.Set().ranges[0] != &buf[0]) {
-			t.Fatalf("BuilderOver left its buffer: %d ranges for a buffer of %d", n, len(buf))
+		// So must FromRanges over a caller's copy of those ranges, and it
+		// must hold them in place.
+		buf := append([]Range(nil), built.Ranges()...)
+		adopted := FromRanges(buf)
+		checkAgainstModel(t, adopted, model, universe)
+		if n := adopted.RangeCount(); n != len(buf) || (n > 0 && &adopted.ranges[0] != &buf[0]) {
+			t.Fatalf("FromRanges left its buffer: %d ranges for a buffer of %d", n, len(buf))
 		}
 	}
-}
-
-// TestBuilderOverStaysInsideItsSlice: two builders over capacity-capped
-// halves of one array; overfilling the first must reallocate it rather
-// than write into the second, and the order checks still apply.
-func TestBuilderOverStaysInsideItsSlice(t *testing.T) {
-	backing := make([]Range, 4)
-	first, second := BuilderOver(backing[0:0:2]), BuilderOver(backing[2:2:4])
-	second.AddRange(100, 110)
-	second.Add(200)
-	for _, x := range []int{1, 3, 5, 7} { // four ranges into room for two
-		first.Add(x)
-	}
-	if got := first.Set().String(); got != "{1,3,5,7}" {
-		t.Fatalf("first = %s", got)
-	}
-	if got := second.Set().String(); got != "{100-109,200}" {
-		t.Fatalf("second = %s after the first set overflowed", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-increasing Add on a BuilderOver did not panic")
-		}
-	}()
-	second.Add(150)
 }
 
 func TestFromRangeVsModel(t *testing.T) {

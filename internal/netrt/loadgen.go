@@ -113,7 +113,10 @@ type connLoad struct {
 	completed int
 
 	queries, replies int64
-	latencies        []float64
+	// latencies is this connection's window of GenerateLoad's one sample
+	// array: room for every query its clients send, so a reply's sample
+	// never grows it.
+	latencies []float64
 }
 
 // sendNext issues local client li's next query: BitsPerQuery consecutive
@@ -227,12 +230,15 @@ func (x *Hub) GenerateLoad(spec LoadSpec) (*LoadResult, error) {
 	per := s.Clients / s.Conns
 	extra := s.Clients % s.Conns
 	drivers := make([]*connLoad, s.Conns)
+	// One sample per query, each connection filling its own window.
+	samples := make([]float64, s.Clients*s.QueriesPerClient)
 	next := 0
 	for i := range drivers {
 		count := per
 		if i < extra {
 			count++
 		}
+		lo, hi := next*s.QueriesPerClient, (next+count)*s.QueriesPerClient
 		d := &connLoad{
 			spec:      s,
 			l:         x.h.cfg.L,
@@ -241,6 +247,7 @@ func (x *Hub) GenerateLoad(spec LoadSpec) (*LoadResult, error) {
 			remaining: make([]int32, count),
 			issued:    make([]int32, count),
 			sentAt:    make([]time.Time, count),
+			latencies: samples[lo:lo:hi],
 		}
 		for j := range d.remaining {
 			d.remaining[j] = int32(s.QueriesPerClient)
@@ -290,7 +297,9 @@ func (x *Hub) GenerateLoad(spec LoadSpec) (*LoadResult, error) {
 		return nil, err
 	}
 
-	res := &LoadResult{Duration: time.Since(start)}
+	// A window with missing replies leaves a gap: compacting moves each
+	// window down onto the end of the ones before it, in place.
+	res := &LoadResult{Duration: time.Since(start), LatenciesMs: samples[:0]}
 	for _, d := range drivers {
 		res.Queries += d.queries
 		res.Replies += d.replies

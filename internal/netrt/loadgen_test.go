@@ -49,6 +49,37 @@ func TestGenerateLoad(t *testing.T) {
 	}
 }
 
+// TestGenerateLoadCompactsMissingReplies: a run cut off by its Timeout
+// leaves gaps in the connections' sample windows, and the result holds
+// exactly one sample per reply, sorted, with no gap left as a zero.
+func TestGenerateLoadCompactsMissingReplies(t *testing.T) {
+	hub, err := StartHub(Config{N: 4, L: 256, MsgBits: 64, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	for _, timeout := range []time.Duration{20 * time.Millisecond, 5 * time.Millisecond, time.Millisecond} {
+		res, err := hub.GenerateLoad(LoadSpec{
+			Clients: 20000, Conns: 4, QueriesPerClient: 3, Window: 64, Timeout: timeout,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(res.LatenciesMs)) != res.Replies {
+			t.Fatalf("timeout %v: %d samples for %d replies", timeout, len(res.LatenciesMs), res.Replies)
+		}
+		for i, ms := range res.LatenciesMs {
+			if ms <= 0 || i > 0 && ms < res.LatenciesMs[i-1] {
+				t.Fatalf("timeout %v: sample %d is %v after %v", timeout, i, ms, res.LatenciesMs[max(i-1, 0)])
+			}
+		}
+		if res.Replies < res.Queries {
+			return
+		}
+	}
+	t.Skip("every run was answered in full before its timeout: no gap to compact")
+}
+
 // TestGenerateLoadValidation pins the load-spec error paths.
 func TestGenerateLoadValidation(t *testing.T) {
 	hub, err := StartHub(Config{N: 2, L: 64, MsgBits: 64, Seed: 1})

@@ -70,9 +70,10 @@ func BenchmarkAnswerReq2(b *testing.B) {
 			zeros := bitarray.New(sh.L)
 			req := &Req2{Phase: 2, IdxBits: p.idxBits}
 			for k, q := range crashed {
-				req.Items = append(req.Items, Req2Item{Q: q, Indices: intset.Hold(shares[q])})
+				share := shares[q].Indices
+				req.Items = append(req.Items, Req2Item{Q: q, Indices: intset.Hold(share)})
 				if c.mixed && k%3 == 0 {
-					shares[q].ForEachRange(func(lo, hi int) { p.track.LearnRange(lo, hi, zeros, lo) })
+					share.ForEachRange(func(lo, hi int) { p.track.LearnRange(lo, hi, zeros, lo) })
 				}
 			}
 			if c.decoded {
@@ -107,5 +108,33 @@ func BenchmarkPartition(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkEnterWait2 prices one stage-3 entry in the des-crashk cell: a
+// peer in phase 2 that heard the 12 other live peers and learned nothing
+// since the phase began, so each of the 115 crashed peers' shares goes
+// into the Req2 as it is.
+func BenchmarkEnterWait2(b *testing.B) {
+	sh := benchShapes[0]
+	p, crashed := phase2Peer(sh.n, sh.t, sh.L)
+	p.phase, p.reqs = 2, p.unknownByOwner(2)
+	for j := range p.heard {
+		p.heard[j] = sim.PeerID(j) != p.ctx.ID()
+	}
+	for _, q := range crashed {
+		p.heard[q] = false
+	}
+	rc := rec(p)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rc.Reset()
+		p.stage = stWait1
+		p.enterWait2()
+	}
+	b.StopTimer()
+	if req, ok := rc.Sent[len(rc.Sent)-1].Msg.(*Req2); !ok || len(req.Items) != len(crashed) {
+		b.Fatalf("stage 3 sent %v, want a Req2 naming the %d crashed peers", rc.Sent, len(crashed))
 	}
 }

@@ -32,6 +32,8 @@
 package crashk
 
 import (
+	"math/bits"
+
 	"repro/internal/bitarray"
 	"repro/internal/intset"
 	"repro/internal/sim"
@@ -124,21 +126,26 @@ type Peer struct {
 	// queryWait tracks outstanding stage-1 source queries for this phase.
 	queryWait int
 
-	// heard is the set of peers whose Resp1 for the current phase arrived:
-	// stage 2 waits for n−t−1 of them and stage 3 asks about the rest.
-	// Reset at every startPhase; a Resp1 of another phase still teaches its
-	// values but is not recorded here.
-	heard map[sim.PeerID]bool
+	// heard marks, by peer, whose Resp1 for the current phase arrived, and
+	// heardCount counts them: stage 2 waits for n−t−1 of them and stage 3
+	// asks about the rest. Reset at every startPhase; a Resp1 of another
+	// phase still teaches its values but is not recorded here.
+	heard      []bool
+	heardCount int
 
-	// byOwner is the current phase's partition of the bits unknown at
-	// startPhase, by owner. Known bits only grow, so until the phase ends
-	// byOwner[q] ∩ still-unknown is exactly what a fresh partition would
-	// assign to q; stage 3 narrows the silent peers' entries that way.
-	byOwner []intset.Set
-	// counts, ends and builders are unknownByOwner's per-owner scratch,
-	// sized n at the first phase and reused by every later one.
+	// reqs is the current phase's partition of the bits unknown at
+	// startPhase, by owner, held as the stage-1 requests themselves: reqs[q]
+	// went to q, and reqs[me] names my own queries. A sent request is
+	// frozen (MODEL.md, "Ownership of what is delivered"), so nothing writes
+	// reqs after startPhase. Known bits only grow, so until the phase ends
+	// reqs[q].Indices ∩ still-unknown is exactly what a fresh partition
+	// would assign to q; stage 3 narrows a silent q's share that way, into
+	// its Req2 item.
+	reqs []Req1
+	// counts, ends and parts are unknownByOwner's per-owner scratch, sized
+	// n at the first phase and reused by every later one.
 	counts, ends []int
-	builders     []intset.Builder
+	parts        [][]intset.Range
 
 	// needs is the per-silent-peer request content of the current phase's
 	// Req2, kept to evaluate the Fast early exit.
@@ -173,7 +180,7 @@ func (p *Peer) Init(ctx sim.Context) {
 	n, L := ctx.N(), ctx.L()
 	p.track = bitarray.NewTracker(L)
 	p.idxBits = indexBits(L)
-	p.heard = make(map[sim.PeerID]bool)
+	p.heard = make([]bool, n)
 	p.defer1 = make(map[int][]deferred1)
 	p.defer2 = make(map[int][]deferred2)
 	if p.opts.Threshold <= 0 {
@@ -197,79 +204,47 @@ func (p *Peer) startPhase(r int) {
 	p.stage = stQuery
 	sim.MarkPhase(p.ctx, phaseName(r))
 	clear(p.heard)
+	p.heardCount = 0
 	p.needs = nil
 	p.resp2Count = 0
 
-	// Partition my unknown bits by this phase's owner.
-	byOwner := p.unknownByOwner(r)
-	p.byOwner = byOwner
-
-	// Stage 1: query my own bits, request the rest.
-	n, me := p.ctx.N(), p.ctx.ID()
-	mine := byOwner[me]
+	// Partition my unknown bits by this phase's owner, straight into the
+	// stage-1 requests. Stage 1: query my own bits, request the rest.
+	p.reqs = p.unknownByOwner(r)
+	me := p.ctx.ID()
+	mine := p.reqs[me].Indices
 	p.queryWait = 0
 	if !mine.Empty() {
 		p.queryWait = 1
 		p.ctx.Query(r, mine.Elements())
 	}
-	reqs := make([]Req1, 0, n-1)
-	for j := 0; j < n; j++ {
-		id := sim.PeerID(j)
-		if id == me {
-			continue
+	for j := range p.reqs {
+		if id := sim.PeerID(j); id != me {
+			p.ctx.Send(id, &p.reqs[j])
 		}
-		reqs = append(reqs, Req1{Phase: r, Indices: byOwner[id], IdxBits: p.idxBits})
-		p.ctx.Send(id, &reqs[len(reqs)-1])
 	}
 	if p.queryWait == 0 {
 		p.enterWait1()
 	}
 }
 
-// eachOwnedRun calls fn(o, lo, hi) for runs [lo, hi) of still-unknown bits
-// whose phase-r owner is o; each owner sees its runs in increasing order.
-// Phase 1's owner function is the block partition, so each block's maximal
-// unknown runs come from the tracker a word at a time; later phases hash
-// every unknown bit and pass it on as a run of one.
-func (p *Peer) eachOwnedRun(r int, fn func(o, lo, hi int)) {
-	n, L := p.ctx.N(), p.ctx.L()
-	if r == 1 {
-		for o := 0; o < n; o++ {
-			lo, hi := sim.BlockRange(L, n, sim.PeerID(o))
-			p.track.UnknownRuns(lo, hi, func(lo, hi int) { fn(o, lo, hi) })
-		}
-		return
-	}
-	p.track.UnknownRuns(0, L, func(lo, hi int) {
-		for x := lo; x < hi; x++ {
-			fn(int(owner(p.opts.Reassign, r, x, L, n)), x, x+1)
-		}
-	})
-}
-
-// unknownByOwner groups the currently unknown bits by their phase-r owner.
+// unknownByOwner groups the currently unknown bits by their phase-r owner,
+// as the phase's requests: entry o is the Req1 that names owner o's share.
 // Two walks over the tracker: the first counts each owner's coalesced
 // ranges, so that one backing array of exactly that total can be carved
-// into per-owner sub-slices capped at their own count; the second fills
-// them. owner() is recomputed in the second walk rather than remembered:
-// a per-bit scratch would be the one allocation here that grows with L.
-// The per-owner scratch is the peer's, so a phase allocates the backing
-// array and the sets and nothing else.
-func (p *Peer) unknownByOwner(r int) []intset.Set {
+// into per-owner parts capped at their own count; the second fills them.
+// owner() is recomputed in the second walk rather than remembered: a
+// per-bit scratch would be the one allocation here that grows with L. The
+// per-owner scratch is the peer's, so a phase allocates the backing array
+// and the requests and nothing else.
+func (p *Peer) unknownByOwner(r int) []Req1 {
 	n := p.ctx.N()
 	if len(p.counts) != n {
-		p.counts, p.ends, p.builders = make([]int, n), make([]int, n), make([]intset.Builder, n)
+		p.counts, p.ends, p.parts = make([]int, n), make([]int, n), make([][]intset.Range, n)
 	}
-	counts, ends, builders := p.counts, p.ends, p.builders
-	for i := range counts {
-		counts[i], ends[i] = 0, -1 // -1: adjacent to no run
-	}
-	p.eachOwnedRun(r, func(o, lo, hi int) {
-		if lo != ends[o] {
-			counts[o]++
-		}
-		ends[o] = hi
-	})
+	counts, parts := p.counts, p.parts
+	clear(counts)
+	p.walkOwned(r, false)
 	total := 0
 	for _, c := range counts {
 		total += c
@@ -277,22 +252,84 @@ func (p *Peer) unknownByOwner(r int) []intset.Set {
 	backing := make([]intset.Range, total)
 	off := 0
 	for i, c := range counts {
-		builders[i] = intset.BuilderOver(backing[off : off : off+c])
+		parts[i] = backing[off : off : off+c]
 		off += c
 	}
-	p.eachOwnedRun(r, func(o, lo, hi int) { builders[o].AddRange(lo, hi) })
-	sets := make([]intset.Set, n)
-	for i := range builders {
-		sets[i] = builders[i].Set()
+	p.walkOwned(r, true)
+	reqs := make([]Req1, n)
+	for i := range reqs {
+		reqs[i] = Req1{Phase: r, Indices: intset.FromRanges(parts[i]), IdxBits: p.idxBits}
 	}
-	return sets
+	return reqs
+}
+
+// walkOwned is one of unknownByOwner's walks: it takes the still-unknown
+// bits to their phase-r owners, each owner's in increasing order, and
+// either counts each owner's coalesced ranges or, with fill, appends them
+// to its part. Phase 1's owner function is the block partition, so each
+// block's unknown runs come from the tracker whole, and a block's maximal
+// runs never touch. Later phases take the tracker's unknown bits a word at
+// a time and hash each one, whichever the Reassign strategy, with no call
+// per bit but owner(); a bit right after its owner's last one (ends)
+// widens that owner's last range.
+func (p *Peer) walkOwned(r int, fill bool) {
+	n, L := p.ctx.N(), p.ctx.L()
+	counts, ends, parts := p.counts, p.ends, p.parts
+	if r == 1 {
+		for o := 0; o < n; o++ {
+			lo, hi := sim.BlockRange(L, n, sim.PeerID(o))
+			if fill {
+				p.track.UnknownRuns(lo, hi, func(lo, hi int) {
+					parts[o] = append(parts[o], intset.Range{Lo: int32(lo), Hi: int32(hi)})
+				})
+			} else {
+				p.track.UnknownRuns(lo, hi, func(int, int) { counts[o]++ })
+			}
+		}
+		return
+	}
+	for i := range ends {
+		ends[i] = -1 // adjacent to no bit
+	}
+	for wi, words := 0, p.track.UnknownWords(); wi < words; wi++ {
+		for w := p.track.UnknownWord(wi); w != 0; w &= w - 1 {
+			x := wi*64 + bits.TrailingZeros64(w)
+			o := owner(p.opts.Reassign, r, x, L, n)
+			switch {
+			case x == ends[o]: // it widens o's last range
+				if fill {
+					parts[o][len(parts[o])-1].Hi++
+				}
+			case fill:
+				parts[o] = append(parts[o], intset.Range{Lo: int32(x), Hi: int32(x + 1)})
+			default:
+				counts[o]++
+			}
+			ends[o] = x + 1
+		}
+	}
+}
+
+// knownRange is Tracker.KnownRange with a one-bit range tested inline:
+// from phase 2 on, nearly every range of a partitioned set is one bit. It
+// rules on an item held as its encoding.
+func (p *Peer) knownRange(lo, hi int) bool {
+	if hi == lo+1 {
+		return p.track.Known(lo)
+	}
+	return p.track.KnownRange(lo, hi)
 }
 
 // allKnown reports whether every bit of set, which must lie in [0, L), is
-// known; it stops at the first range holding an unknown one.
+// known; it stops at the first range holding an unknown one. A one-bit
+// range is one bit test, as in knownRange.
 func (p *Peer) allKnown(set intset.Set) bool {
 	for _, r := range set.Ranges() {
-		if !p.track.KnownRange(int(r.Lo), int(r.Hi)) {
+		if r.Hi == r.Lo+1 {
+			if !p.track.Known(int(r.Lo)) {
+				return false
+			}
+		} else if !p.track.KnownRange(int(r.Lo), int(r.Hi)) {
 			return false
 		}
 	}
@@ -303,7 +340,11 @@ func (p *Peer) allKnown(set intset.Set) bool {
 // known bit.
 func (p *Peer) anyKnown(set intset.Set) bool {
 	for _, r := range set.Ranges() {
-		if p.track.AnyKnown(int(r.Lo), int(r.Hi)) {
+		if r.Hi == r.Lo+1 {
+			if p.track.Known(int(r.Lo)) {
+				return true
+			}
+		} else if p.track.AnyKnown(int(r.Lo), int(r.Hi)) {
 			return true
 		}
 	}
@@ -313,20 +354,31 @@ func (p *Peer) anyKnown(set intset.Set) bool {
 // stillUnknown returns set minus the bits learned since it was computed:
 // the very same Set when none was, a filtered copy otherwise. The set's
 // ranges never touch, so neither do the unknown runs of two of them, and
-// the runs counted are the copy's ranges.
+// the runs counted are the copy's ranges; a one-bit range is one run or
+// none, by one bit test.
 func (p *Peer) stillUnknown(set intset.Set) intset.Set {
 	if !p.anyKnown(set) {
 		return set
 	}
 	runs := 0
+	count := func(int, int) { runs++ }
 	for _, r := range set.Ranges() {
-		p.track.UnknownRuns(int(r.Lo), int(r.Hi), func(int, int) { runs++ })
+		if r.Hi != r.Lo+1 {
+			p.track.UnknownRuns(int(r.Lo), int(r.Hi), count)
+		} else if !p.track.Known(int(r.Lo)) {
+			runs++
+		}
 	}
-	b := intset.BuilderOver(make([]intset.Range, runs))
+	rs := make([]intset.Range, 0, runs)
+	add := func(lo, hi int) { rs = append(rs, intset.Range{Lo: int32(lo), Hi: int32(hi)}) }
 	for _, r := range set.Ranges() {
-		p.track.UnknownRuns(int(r.Lo), int(r.Hi), b.AddRange)
+		if r.Hi != r.Lo+1 {
+			p.track.UnknownRuns(int(r.Lo), int(r.Hi), add)
+		} else if !p.track.Known(int(r.Lo)) {
+			rs = append(rs, r)
+		}
 	}
-	return b.Set()
+	return intset.FromRanges(rs)
 }
 
 // enterWait1 moves to stage 2: my own queries are done, so I can now
@@ -346,7 +398,7 @@ func (p *Peer) checkWait1() {
 		return
 	}
 	// Count myself: wait for n−t−1 others.
-	if len(p.heard) < p.ctx.N()-p.ctx.T()-1 {
+	if p.heardCount < p.ctx.N()-p.ctx.T()-1 {
 		return
 	}
 	p.enterWait2()
@@ -367,18 +419,15 @@ func (p *Peer) enterWait2() {
 	delete(p.defer2, r)
 
 	// What a silent peer still owes me is its share of the phase's
-	// partition less anything learned since.
+	// partition less anything learned since. The share went out as its
+	// Req1, so it is narrowed into the Req2 item only: a first pass counts
+	// the silent peers that still owe a bit, a second builds their items.
 	me := p.ctx.ID()
-	silent := func(id sim.PeerID) bool { return id != me && !p.heard[id] }
 	missing := 0
-	for j, set := range p.byOwner {
-		if !silent(sim.PeerID(j)) || set.Empty() {
-			continue
-		}
-		if set = p.stillUnknown(set); !set.Empty() {
+	for j := range p.reqs {
+		if j != int(me) && !p.heard[j] && !p.allKnown(p.reqs[j].Indices) {
 			missing++
 		}
-		p.byOwner[j] = set
 	}
 	if missing == 0 {
 		// Nothing missing: skip the stage-3 wait.
@@ -386,9 +435,12 @@ func (p *Peer) enterWait2() {
 		return
 	}
 	items := make([]Req2Item, 0, missing)
-	for j, set := range p.byOwner {
-		if id := sim.PeerID(j); silent(id) && !set.Empty() {
-			items = append(items, Req2Item{Q: id, Indices: intset.Hold(set)})
+	for j := range p.reqs {
+		if j == int(me) || p.heard[j] {
+			continue
+		}
+		if set := p.stillUnknown(p.reqs[j].Indices); !set.Empty() {
+			items = append(items, Req2Item{Q: sim.PeerID(j), Indices: intset.Hold(set)})
 		}
 	}
 	p.needs = items
@@ -508,7 +560,10 @@ func (p *Peer) OnMessage(from sim.PeerID, m sim.Message) {
 		}
 		p.learnSet(msg.Indices, msg.Values)
 		if p.phase == msg.Phase {
-			p.heard[from] = true
+			if !p.heard[from] {
+				p.heard[from] = true
+				p.heardCount++
+			}
 			p.checkWait1()
 		}
 		p.recheck()
@@ -602,7 +657,7 @@ func (p *Peer) answerReq2(from sim.PeerID, req *Req2) {
 		if set, held := it.Indices.Held(); held {
 			ok = inRange(set, L) && p.allKnown(set)
 		} else if lo, hi := it.Indices.Bounds(); lo >= 0 && hi <= L {
-			ok = it.Indices.Walk(p.track.KnownRange)
+			ok = it.Indices.Walk(p.knownRange)
 		}
 		ruled = append(ruled, ok)
 		if ok {
@@ -622,13 +677,17 @@ func (p *Peer) answerReq2(from sim.PeerID, req *Req2) {
 		ar = bitarray.NewArena(answered, total)
 		resp.Items = make([]Resp2Item, 0, answered)
 	}
-	var neither intset.Builder
+	var neither []intset.Range
 	if runs > 0 {
-		neither = intset.BuilderOver(make([]intset.Range, runs))
+		neither = make([]intset.Range, 0, runs)
 	}
 	for k, it := range req.Items {
 		if !ruled[k] {
-			neither.Add(int(it.Q))
+			if last := len(neither) - 1; last >= 0 && neither[last].Hi == int32(it.Q) {
+				neither[last].Hi++
+			} else {
+				neither = append(neither, intset.Range{Lo: int32(it.Q), Hi: int32(it.Q) + 1})
+			}
 			continue
 		}
 		set := it.Indices.Set()
@@ -640,7 +699,7 @@ func (p *Peer) answerReq2(from sim.PeerID, req *Req2) {
 		})
 		resp.Items = append(resp.Items, Resp2Item{Q: it.Q, Indices: set, Values: vals})
 	}
-	resp.MeNeither = neither.Set()
+	resp.MeNeither = intset.FromRanges(neither)
 	p.ctx.Send(from, resp)
 }
 

@@ -20,7 +20,7 @@ func partitionPeer(id sim.PeerID, n, L int, re Reassign) *Peer {
 		opts:    Options{Reassign: re, Threshold: 1, MaxPhases: 64},
 		track:   bitarray.NewTracker(L),
 		idxBits: indexBits(L),
-		heard:   make(map[sim.PeerID]bool),
+		heard:   make([]bool, n),
 		defer1:  make(map[int][]deferred1),
 		defer2:  make(map[int][]deferred2),
 	}
@@ -49,8 +49,9 @@ func learnRandom(rng *rand.Rand, tr *bitarray.Tracker, density float64) {
 }
 
 // modelPartition is the partition's definition: every unknown bit, in
-// increasing order, appended to its owner's list.
-func modelPartition(p *Peer, r int) []intset.Set {
+// increasing order, appended to its owner's list, which is the phase's
+// request to that owner.
+func modelPartition(p *Peer, r int) []Req1 {
 	n, L := p.ctx.N(), p.ctx.L()
 	per := make([][]int, n)
 	for x := 0; x < L; x++ {
@@ -59,36 +60,51 @@ func modelPartition(p *Peer, r int) []intset.Set {
 			per[o] = append(per[o], x)
 		}
 	}
-	sets := make([]intset.Set, n)
+	reqs := make([]Req1, n)
 	for i, idx := range per {
-		sets[i] = intset.FromSorted(idx)
+		reqs[i] = Req1{Phase: r, Indices: intset.FromSorted(idx), IdxBits: p.idxBits}
 	}
-	return sets
+	return reqs
 }
 
 func rangesOf(s intset.Set) []intset.Range {
 	return append([]intset.Range(nil), s.Ranges()...) // nil for every empty set
 }
 
-func requireSameSets(t *testing.T, label string, got, want []intset.Set) {
+// snapshot copies every request's ranges, to compare after the requests
+// were sent: a sent request is never written again.
+func snapshot(reqs []Req1) [][]intset.Range {
+	out := make([][]intset.Range, len(reqs))
+	for i, q := range reqs {
+		out[i] = rangesOf(q.Indices)
+	}
+	return out
+}
+
+func requireSameReqs(t *testing.T, label string, got, want []Req1) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("%s: %d sets, want %d", label, len(got), len(want))
+		t.Fatalf("%s: %d requests, want %d", label, len(got), len(want))
 	}
 	for i := range want {
-		if !reflect.DeepEqual(rangesOf(got[i]), rangesOf(want[i])) {
-			t.Fatalf("%s: owner %d has %v, want %v", label, i, got[i], want[i])
+		if got[i].Phase != want[i].Phase || got[i].IdxBits != want[i].IdxBits {
+			t.Fatalf("%s: owner %d's request is phase %d with %d-bit indices, want phase %d with %d",
+				label, i, got[i].Phase, got[i].IdxBits, want[i].Phase, want[i].IdxBits)
+		}
+		if !reflect.DeepEqual(rangesOf(got[i].Indices), rangesOf(want[i].Indices)) {
+			t.Fatalf("%s: owner %d has %v, want %v", label, i, got[i].Indices, want[i].Indices)
 		}
 		// Counted exactly: the backing is carved into just what each holds.
-		if r := got[i].Ranges(); cap(r) != len(r) {
+		if r := got[i].Indices.Ranges(); cap(r) != len(r) {
 			t.Fatalf("%s: owner %d holds %d ranges in room for %d", label, i, len(r), cap(r))
 		}
 	}
 }
 
 // TestPartitionMatchesModel checks the two-walk, one-backing partition
-// against the per-owner FromSorted model, and stage 3's narrowed sets
-// against a fresh partition taken at that moment.
+// against the per-owner FromSorted model, stage 3's narrowed sets against a
+// fresh partition taken at that moment, and that stage 3 left the phase's
+// requests, which went out at startPhase, as they were.
 func TestPartitionMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, re := range []Reassign{ReassignHash, ReassignRotate} {
@@ -102,9 +118,10 @@ func TestPartitionMatchesModel(t *testing.T) {
 					learnRandom(rng, p.track, density)
 
 					got := p.unknownByOwner(r)
-					requireSameSets(t, label, got, modelPartition(p, r))
+					requireSameReqs(t, label, got, modelPartition(p, r))
+					sent := snapshot(got)
 					// Later in the phase: more bits known, some peers heard.
-					p.phase, p.stage, p.byOwner = r, stWait1, got
+					p.phase, p.stage, p.reqs = r, stWait1, got
 					learnRandom(rng, p.track, 0.3)
 					for j := 0; j < n; j++ {
 						if rng.Intn(3) == 0 {
@@ -113,34 +130,39 @@ func TestPartitionMatchesModel(t *testing.T) {
 					}
 					fresh := modelPartition(p, r)
 					var want []Req2Item
-					for j, set := range fresh {
-						if id := sim.PeerID(j); id != p.ctx.ID() && !p.heard[id] && !set.Empty() {
-							want = append(want, Req2Item{Q: id, Indices: intset.Hold(set)})
+					for j, q := range fresh {
+						if id := sim.PeerID(j); id != p.ctx.ID() && !p.heard[id] && !q.Indices.Empty() {
+							want = append(want, Req2Item{Q: id, Indices: intset.Hold(q.Indices)})
 						}
 					}
 					p.enterWait2()
-					var sent *Req2
+					for o, q := range got {
+						if !reflect.DeepEqual(rangesOf(q.Indices), sent[o]) {
+							t.Fatalf("%s: stage 3 rewrote owner %d's sent request: %v, sent as %v", label, o, q.Indices, sent[o])
+						}
+					}
+					var req2 *Req2
 					for _, s := range rec(p).Sent {
 						if s.To == simtest.Broadcast {
-							if req, ok := s.Msg.(*Req2); ok && sent == nil {
-								sent = req
+							if req, ok := s.Msg.(*Req2); ok && req2 == nil {
+								req2 = req
 							}
 						}
 					}
 					if len(want) == 0 {
-						if sent != nil {
-							t.Fatalf("%s: Req2 broadcast with nothing missing: %v", label, sent.Items)
+						if req2 != nil {
+							t.Fatalf("%s: Req2 broadcast with nothing missing: %v", label, req2.Items)
 						}
 						continue
 					}
-					if sent == nil {
+					if req2 == nil {
 						t.Fatalf("%s: no Req2 broadcast, want %d items", label, len(want))
 					}
-					if len(sent.Items) != len(want) || cap(sent.Items) != len(want) {
+					if len(req2.Items) != len(want) || cap(req2.Items) != len(want) {
 						t.Fatalf("%s: Req2 has %d items (cap %d), want exactly %d",
-							label, len(sent.Items), cap(sent.Items), len(want))
+							label, len(req2.Items), cap(req2.Items), len(want))
 					}
-					for k, it := range sent.Items {
+					for k, it := range req2.Items {
 						set, held := it.Indices.Held()
 						if !held {
 							t.Fatalf("%s: item %d is not held in memory", label, k)
@@ -171,7 +193,7 @@ func TestReq2PeersIncrease(t *testing.T) {
 		re := []Reassign{ReassignHash, ReassignRotate}[trial%2]
 		p := partitionPeer(sim.PeerID(rng.Intn(n)), n, L, re)
 		learnRandom(rng, p.track, rng.Float64())
-		p.phase, p.stage, p.byOwner = r, stWait1, p.unknownByOwner(r)
+		p.phase, p.stage, p.reqs = r, stWait1, p.unknownByOwner(r)
 		heard := rng.Float64()
 		for j := 0; j < n; j++ {
 			if rng.Float64() < heard {
@@ -209,7 +231,7 @@ func TestReq2PeersIncrease(t *testing.T) {
 
 // TestPartitionAllocBudget pins the partition's allocations: after a
 // peer's first phase, which sizes its per-owner scratch, a phase allocates
-// the backing array and the sets and nothing else, whatever L is and in
+// the backing array and the requests and nothing else, whatever L is and in
 // either kind of phase.
 func TestPartitionAllocBudget(t *testing.T) {
 	for _, L := range []int{1 << 10, 1 << 16} {
@@ -223,14 +245,49 @@ func TestPartitionAllocBudget(t *testing.T) {
 	}
 }
 
+// TestStartPhaseAllocBudget: a phase's start allocates the partition's two
+// and the list of its own bits it queries, and nothing else — the requests
+// it sends are the partition's own entries.
+func TestStartPhaseAllocBudget(t *testing.T) {
+	for _, L := range []int{1 << 10, 1 << 16} {
+		for _, r := range []int{1, 2} {
+			p := partitionPeer(3, 16, L, ReassignHash)
+			for x := 0; x < L; x += 2 {
+				p.track.Learn(x, true) // every owner's share is unknown odd bits
+			}
+			rc := rec(p)
+			allocs := testing.AllocsPerRun(10, func() {
+				rc.Reset()
+				p.startPhase(r)
+			})
+			if len(rc.Queries) != 1 || len(rc.Sent) != 15 {
+				t.Fatalf("L=%d phase %d: %d queries and %d sends, want 1 and 15", L, r, len(rc.Queries), len(rc.Sent))
+			}
+			if allocs != 3 {
+				t.Errorf("L=%d phase %d: startPhase allocated %.0f times, want 3", L, r, allocs)
+			}
+			for k, s := range rc.Sent {
+				to := sim.PeerID(k) // in id order, skipping the peer itself
+				if to >= p.ctx.ID() {
+					to++
+				}
+				if s.To != to || s.Msg != &p.reqs[to] {
+					t.Fatalf("L=%d phase %d: send %d to %d is not peer %d's partition entry", L, r, k, s.To, to)
+				}
+			}
+		}
+	}
+}
+
 // TestStillUnknownSharesUntouchedSet: a silent peer's set none of whose
 // bits was learned goes into the Req2 as it is, without a copy.
 func TestStillUnknownSharesUntouchedSet(t *testing.T) {
 	p := partitionPeer(0, 16, 1<<12, ReassignHash)
 	learnRandom(rand.New(rand.NewSource(4)), p.track, 0.5)
-	sets := p.unknownByOwner(2)
+	reqs := p.unknownByOwner(2)
 	if allocs := testing.AllocsPerRun(10, func() {
-		for _, s := range sets {
+		for _, q := range reqs {
+			s := q.Indices
 			if got := p.stillUnknown(s); got.RangeCount() != s.RangeCount() {
 				t.Fatalf("untouched set changed: %v → %v", s, got)
 			}
@@ -270,10 +327,10 @@ func TestPhase1PartitionWalksBlocks(t *testing.T) {
 			learn(p)
 			label := fmt.Sprintf("L=%d n=%d %s", c.L, c.n, name)
 			got := p.unknownByOwner(1)
-			requireSameSets(t, label, got, modelPartition(p, 1))
+			requireSameReqs(t, label, got, modelPartition(p, 1))
 			covered := 0
-			for _, s := range got {
-				covered += s.Len()
+			for _, q := range got {
+				covered += q.Indices.Len()
 			}
 			if covered != p.track.UnknownCount() {
 				t.Fatalf("%s: partition holds %d bits, %d are unknown", label, covered, p.track.UnknownCount())
