@@ -216,7 +216,7 @@ func run(args []string, stdout io.Writer, interrupt <-chan struct{}) int {
 			for _, v := range vs {
 				fmt.Fprintf(stdout, "    ! %s\n", v)
 			}
-			f, rerr := storm.RecordFinding(spec, vs, *outDir, *shrink)
+			f, rerr := storm.RecordFinding(spec, vs, *outDir, *shrink, err)
 			switch {
 			case rerr != nil:
 				opFailed = true

@@ -200,26 +200,26 @@ func BenchmarkBroadcastRelay(b *testing.B) {
 	m := crashkReq2()
 	h := bareHub(b, Config{N: n, T: 8, L: 65536, MsgBits: 65536 / n, Seed: 1})
 	// Each link is a recConn whose writes the far end reads back.
-	type link struct {
+	type pipe struct {
 		rc *recConn
 		r  *bytes.Reader
 		in *frameConn
 	}
-	newLink := func() link {
-		l := link{rc: &recConn{}, r: bytes.NewReader(nil)}
-		l.in = newFrameConn(&recConn{src: l.r}, 0)
-		return l
+	newPipe := func() pipe {
+		p := pipe{rc: &recConn{}, r: bytes.NewReader(nil)}
+		p.in = newFrameConn(&recConn{src: p.r}, 0)
+		return p
 	}
-	up := newLink()
-	sender := &client{stats: &sim.PeerStats{}, cfg: &h.cfg, id: 0, conn: newFrameConn(up.rc, 0)}
+	up := newPipe()
+	sender := &client{stats: &sim.PeerStats{}, cfg: &h.cfg, id: 0, link: link{conn: newFrameConn(up.rc, 0)}}
 	from := h.peers[0]
 	from.conn = newFrameConn(&recConn{discard: true}, 0)
-	down := make([]link, n)
+	down := make([]pipe, n)
 	dests := make([]*client, n)
 	for i := 1; i < n; i++ {
-		down[i] = newLink()
+		down[i] = newPipe()
 		h.peers[sim.PeerID(i)].conn = newFrameConn(down[i].rc, 0)
-		dests[i] = &client{stats: &sim.PeerStats{}, cfg: &h.cfg, id: sim.PeerID(i), impl: &recorder{}, conn: newFrameConn(&recConn{discard: true}, 0)}
+		dests[i] = &client{stats: &sim.PeerStats{}, cfg: &h.cfg, id: sim.PeerID(i), impl: &recorder{}, link: link{conn: newFrameConn(&recConn{discard: true}, 0)}}
 	}
 	// Every connection's writer keeps its own scratch: the sender's, and
 	// the hub's and the client's end of each destination's.
@@ -231,7 +231,7 @@ func BenchmarkBroadcastRelay(b *testing.B) {
 		up.rc.wrote = up.rc.wrote[:0]
 		sender.Broadcast(m)
 		sender.pass(sender.conn, &sw)
-		sender.out.ackTo(sender.out.nextSeq)
+		sender.ack(sender.out.nextSeq)
 		up.r.Reset(up.rc.wrote)
 		for {
 			kind, seq, payload, err := up.in.readFrame()
@@ -249,7 +249,7 @@ func BenchmarkBroadcastRelay(b *testing.B) {
 		}
 		for i := 1; i < n; i++ {
 			hp, l, c := h.peers[sim.PeerID(i)], down[i], dests[i]
-			hp.out.ackTo(hp.out.nextSeq)
+			hp.ack(hp.out.nextSeq)
 			l.r.Reset(l.rc.wrote)
 			l.rc.wrote = l.rc.wrote[:0]
 			kind, seq, payload, err := l.in.readFrame()

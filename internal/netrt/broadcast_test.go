@@ -27,7 +27,7 @@ type sentFrame struct {
 func pipeClient(id sim.PeerID, n int, churn *sim.ChurnPeer) (c *client, sent func() []sentFrame) {
 	near, far := net.Pipe()
 	fc := newFrameConn(near, 0)
-	c = &client{stats: &sim.PeerStats{}, cfg: &Config{N: n}, id: id, conn: fc, churn: churn}
+	c = &client{stats: &sim.PeerStats{}, cfg: &Config{N: n}, id: id, link: link{conn: fc}, churn: churn}
 	done := make(chan []sentFrame)
 	go func() {
 		var frames []sentFrame
@@ -176,12 +176,12 @@ func TestBroadcastMatchesSends(t *testing.T) {
 // the allocations of encoding its message once and nothing per destination.
 func TestBroadcastAllocatesItsBodyOnly(t *testing.T) {
 	const n = 16
-	c := &client{stats: &sim.PeerStats{}, cfg: &Config{N: n}, id: 3, conn: newFrameConn(&recConn{discard: true}, 0)}
+	c := &client{stats: &sim.PeerStats{}, cfg: &Config{N: n}, id: 3, link: link{conn: newFrameConn(&recConn{discard: true}, 0)}}
 	for _, m := range broadcastSamples() {
 		body := testing.AllocsPerRun(50, func() { sinkBytes = marshalAppend(make([]byte, 0, 16+m.SizeBits()/8), m) })
 		got := testing.AllocsPerRun(50, func() {
 			c.Broadcast(m)
-			c.out.ackTo(c.out.nextSeq)
+			c.ack(c.out.nextSeq)
 		})
 		if got != body {
 			t.Errorf("%T to %d peers: %v allocations, encoding it once is %v", m, n-1, got, body)
@@ -201,7 +201,7 @@ func TestBroadcastRouteAllocatesOneBody(t *testing.T) {
 		relay := func() {
 			h.route(src, kBcast, payload)
 			for _, hp := range h.peers {
-				hp.out.ackTo(hp.out.nextSeq)
+				hp.ack(hp.out.nextSeq)
 			}
 		}
 		relay()

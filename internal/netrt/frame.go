@@ -97,40 +97,19 @@ const (
 	kLast = kBcast
 )
 
-// kindName renders a frame kind for debug output and timeout reports.
+// kindNames names the frame kinds for debug output, metrics and timeout
+// reports.
+var kindNames = [kLast + 1]string{kHello: "HELLO", kMsg: "MSG", kQuery: "QUERY",
+	kQReply: "QREPLY", kDone: "DONE", kAck: "ACK", kPing: "PING", kReject: "REJECT",
+	kQErr: "QERR", kRoot: "ROOT", kQProof: "QPROOF", kQuerySrc: "QUERYSRC",
+	kResume: "RESUME", kBcast: "BCAST"}
+
+// kindName renders a frame kind.
 func kindName(k byte) string {
-	switch k {
-	case kHello:
-		return "HELLO"
-	case kMsg:
-		return "MSG"
-	case kQuery:
-		return "QUERY"
-	case kQReply:
-		return "QREPLY"
-	case kDone:
-		return "DONE"
-	case kAck:
-		return "ACK"
-	case kPing:
-		return "PING"
-	case kReject:
-		return "REJECT"
-	case kQErr:
-		return "QERR"
-	case kRoot:
-		return "ROOT"
-	case kQProof:
-		return "QPROOF"
-	case kQuerySrc:
-		return "QUERYSRC"
-	case kResume:
-		return "RESUME"
-	case kBcast:
-		return "BCAST"
-	default:
-		return fmt.Sprintf("kind(%d)", k)
+	if k <= kLast && kindNames[k] != "" {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("kind(%d)", k)
 }
 
 // maxFrame bounds a frame's size (hostile or buggy peers).
@@ -176,9 +155,9 @@ type frameConn struct {
 
 	// wake (one slot) starts a pass of the connection's writer. owed is
 	// what the pass sends ahead of the owner's outbox, in order: RESUME,
-	// ROOT, one ACK per admitted frame (outbox.ack counts repeats), pings,
-	// copies the fault plan held back. retx asks for an outbox rescan. The
-	// owner's mutex guards both.
+	// ROOT, one ACK per admitted frame (stream.ack counts repeats), pings,
+	// copies the fault plan held back. retx asks for an outbox rescan
+	// (link.take). The owner's mutex guards both.
 	wake chan struct{}
 	owed []outFrame
 	retx bool
@@ -188,17 +167,6 @@ type frameConn struct {
 func (fc *frameConn) owe(kind byte, seq uint64, p framePayload) {
 	fc.owed = append(fc.owed, outFrame{kind: kind, seq: seq, p: p})
 	fc.poke()
-}
-
-// take appends to dst what a writer pass at now sends: the frames owed,
-// then what is due from out (owner's mutex held).
-func (fc *frameConn) take(dst []outFrame, out *outbox, now, cutoff time.Time) []outFrame {
-	dst = append(dst, fc.owed...)
-	clear(fc.owed)
-	fc.owed = fc.owed[:0]
-	dst = out.take(dst, now, cutoff, fc.retx)
-	fc.retx = false
-	return dst
 }
 
 // poke starts a pass of the connection's writer, if one is not pending.

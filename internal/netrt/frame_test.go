@@ -346,8 +346,8 @@ func TestFrameAllocBudgets(t *testing.T) {
 	}
 
 	// A duplicate MSG is acked and dropped.
-	c := &client{stats: &sim.PeerStats{}, cfg: &Config{N: 4, L: 64}, id: 1, conn: newFrameConn(&recConn{discard: true}, 0)}
-	c.recv.resumeAt(10)
+	c := &client{stats: &sim.PeerStats{}, cfg: &Config{N: 4, L: 64}, id: 1, link: link{conn: newFrameConn(&recConn{discard: true}, 0)}}
+	c.resume(binary.AppendUvarint([]byte{0}, 10)) // RESUME: send base 0, ack base 10
 	msg := marshalAppend(binary.AppendUvarint(nil, 2), broadcastSamples()[1])
 	var cw wbuf
 	if n := testing.AllocsPerRun(100, func() {
@@ -359,7 +359,7 @@ func TestFrameAllocBudgets(t *testing.T) {
 
 	s := &hubShard{}
 	h := &hub{shards: []*hubShard{s}, idle: time.Second, stop: make(chan struct{})}
-	hp := &hubPeer{conn: newFrameConn(&recConn{discard: true}, 0)}
+	hp := &hubPeer{link: link{conn: newFrameConn(&recConn{discard: true}, 0)}}
 	var hw wbuf
 	if n := testing.AllocsPerRun(100, func() {
 		hp.mu.Lock()

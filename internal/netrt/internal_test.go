@@ -118,228 +118,6 @@ func TestStallWindow(t *testing.T) {
 	}
 }
 
-func TestDedupReliable(t *testing.T) {
-	var d dedupReliable
-	if d.admit(0) {
-		t.Fatal("seq 0 is reserved for control frames")
-	}
-	for _, c := range []struct {
-		seq   uint64
-		fresh bool
-		ack   uint64
-	}{
-		{2, true, 0}, {1, true, 2}, {1, false, 2}, {2, false, 2},
-		{5, true, 2}, {4, true, 2}, {3, true, 5}, {5, false, 5},
-	} {
-		if got := d.admit(c.seq); got != c.fresh {
-			t.Fatalf("admit(%d) = %v, want %v", c.seq, got, c.fresh)
-		}
-		if d.cumAck() != c.ack {
-			t.Fatalf("after admit(%d): cumAck = %d, want %d", c.seq, d.cumAck(), c.ack)
-		}
-	}
-	if len(d.ahead) != 0 {
-		t.Fatalf("ahead set not drained: %v", d.ahead)
-	}
-}
-
-// dedupModel is dedupReliable's specification as a set: a seq is admitted
-// once, above the floor that resumeAt and fastForward set, and the
-// cumulative ack is the end of the run of admitted seqs above the floor.
-type dedupModel struct {
-	floor uint64
-	seen  map[uint64]bool
-}
-
-func (m *dedupModel) admit(seq uint64) bool {
-	if seq == 0 || seq <= m.floor || m.seen[seq] {
-		return false
-	}
-	m.seen[seq] = true
-	return true
-}
-
-func (m *dedupModel) cumAck() uint64 {
-	c := m.floor
-	for m.seen[c+1] {
-		c++
-	}
-	return c
-}
-
-func (m *dedupModel) fastForward() uint64 {
-	for s := range m.seen {
-		m.floor = max(m.floor, s)
-	}
-	m.seen = map[uint64]bool{}
-	return m.floor
-}
-
-// TestChaosDedupReliableModel drives dedupReliable and dedupModel through
-// the same random streams — mostly in order, which takes admit's fast
-// path, with reorderings, duplicates, the reserved seq 0, resumes and
-// fast-forwards — and checks that they agree after every step.
-func TestChaosDedupReliableModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for run := 0; run < 200; run++ {
-		var d dedupReliable
-		m := &dedupModel{seen: map[uint64]bool{}}
-		for step := 0; step < 300; step++ {
-			switch r := rng.Intn(100); {
-			case r == 0:
-				base := d.cumAck() + uint64(rng.Intn(5))
-				d.resumeAt(base)
-				m.floor, m.seen = base, map[uint64]bool{}
-			case r == 1:
-				if got, want := d.fastForward(), m.fastForward(); got != want {
-					t.Fatalf("run %d step %d: fastForward = %d, model %d", run, step, got, want)
-				}
-			default:
-				var seq uint64
-				switch c := d.cumAck(); {
-				case r < 60:
-					seq = c + 1 // the next in order
-				case r < 85:
-					seq = c + 2 + uint64(rng.Intn(6)) // ahead of a gap
-				case r < 98:
-					seq = uint64(rng.Int63n(int64(c) + 1)) // a duplicate, or 0
-				default:
-					seq = 0
-				}
-				if got, want := d.admit(seq), m.admit(seq); got != want {
-					t.Fatalf("run %d step %d: admit(%d) = %v, model %v", run, step, seq, got, want)
-				}
-			}
-			if got, want := d.cumAck(), m.cumAck(); got != want {
-				t.Fatalf("run %d step %d: cumAck = %d, model %d", run, step, got, want)
-			}
-			for s := range d.ahead {
-				if s <= d.contig+1 {
-					t.Fatalf("run %d step %d: seq %d held ahead of contig %d", run, step, s, d.contig)
-				}
-			}
-		}
-	}
-}
-
-// takeDue takes every frame due at now (outbox.take with a full scan).
-func (o *outbox) takeDue(now, cutoff time.Time) []outFrame { return o.take(nil, now, cutoff, true) }
-
-func TestOutboxAckAndRetransmit(t *testing.T) {
-	var o outbox
-	o.push(kMsg, rawPayload([]byte("a")))
-	o.push(kMsg, rawPayload([]byte("b")))
-	o.push(kMsg, rawPayload([]byte("c")))
-	now := time.Now()
-	due := o.takeDue(now, now)
-	if len(due) != 3 || due[0].seq != 1 || due[2].seq != 3 {
-		t.Fatalf("initial takeDue = %v", due)
-	}
-	// Nothing is due again before the cutoff passes.
-	if due := o.takeDue(now, now.Add(-time.Second)); len(due) != 0 {
-		t.Fatalf("premature retransmit: %v", due)
-	}
-	o.ackTo(2)
-	due = o.takeDue(now.Add(time.Second), now.Add(time.Second))
-	if len(due) != 1 || due[0].seq != 3 || due[0].attempt != 2 {
-		t.Fatalf("post-ack takeDue = %+v", due)
-	}
-	o.markAllDue()
-	if due := o.takeDue(now, now.Add(-time.Hour)); len(due) != 1 {
-		t.Fatalf("markAllDue did not rearm: %v", due)
-	}
-	o.ackTo(3)
-	if !o.empty() {
-		t.Fatal("outbox not drained by cumulative ack")
-	}
-}
-
-// TestChaosOutboxFastRetransmit: the third repeat of the receiver's
-// cumulative ack while frames are unacked marks the oldest one due at
-// once; a higher ack resets the count; an empty outbox counts nothing.
-func TestChaosOutboxFastRetransmit(t *testing.T) {
-	var o outbox
-	for i := 0; i < 4; i++ {
-		if o.ack(0) {
-			t.Fatal("an empty outbox called for a fast retransmit")
-		}
-	}
-	if o.repeats != 0 {
-		t.Fatalf("an empty outbox counted %d repeated acks", o.repeats)
-	}
-	for _, b := range []string{"a", "b", "c", "d", "e", "f"} {
-		o.push(kMsg, rawPayload([]byte(b)))
-	}
-	now := time.Now()
-	o.takeDue(now, now)
-	due := func() []outFrame { return o.takeDue(now, now.Add(-time.Hour)) }
-
-	// Frame 1 is lost, and frames 2, 3 and 4 each draw an ack of 0.
-	if o.ack(0) || o.ack(0) {
-		t.Fatal("fast retransmit before the third repeated ack")
-	}
-	if d := due(); len(d) != 0 {
-		t.Fatalf("frames due before the third repeated ack: %v", d)
-	}
-	if !o.ack(0) {
-		t.Fatal("the third repeated ack did not call for a fast retransmit")
-	}
-	if d := due(); len(d) != 1 || d[0].seq != 1 || d[0].attempt != 2 {
-		t.Fatalf("after the third repeated ack, due = %+v, want seq 1 on its second attempt", d)
-	}
-	if o.ack(0) {
-		t.Fatal("a fourth repeat retransmitted again")
-	}
-
-	// A higher ack pops what it covers and starts a new count; a stale one
-	// counts nothing.
-	if o.ack(2) || o.base() != 2 {
-		t.Fatalf("ack 2: base %d, want 2", o.base())
-	}
-	if o.ack(1) || o.ack(2) || o.ack(2) {
-		t.Fatal("fast retransmit before the third repeat of the new ack")
-	}
-	if !o.ack(2) {
-		t.Fatal("the third repeat of the new ack did not call for a fast retransmit")
-	}
-	if d := due(); len(d) != 1 || d[0].seq != 3 {
-		t.Fatalf("after the new ack's third repeat, due = %+v, want seq 3", d)
-	}
-	o.ack(6)
-	for i := 0; i < 3; i++ {
-		if o.ack(6) {
-			t.Fatal("a drained outbox called for a fast retransmit")
-		}
-	}
-}
-
-// TestOutboxReusesItsFront: acked frames are popped off the front, and a
-// stream that keeps a steady number of frames in flight stops growing the
-// outbox's slice.
-func TestOutboxReusesItsFront(t *testing.T) {
-	var o outbox
-	for i := 0; i < 8; i++ {
-		o.push(kMsg, rawPayload(nil))
-	}
-	grown := 0
-	for round := 0; round < 1000; round++ {
-		before := cap(o.frames)
-		o.push(kMsg, rawPayload(nil))
-		if cap(o.frames) != before {
-			grown++
-		}
-		o.ackTo(o.nextSeq - 8)
-		live := o.unacked()
-		if len(live) != 8 || live[0].seq != o.nextSeq-7 || live[7].seq != o.nextSeq {
-			t.Fatalf("round %d: unacked seqs %d..%d (%d), want %d..%d", round,
-				live[0].seq, live[len(live)-1].seq, len(live), o.nextSeq-7, o.nextSeq)
-		}
-	}
-	if grown > 2 {
-		t.Errorf("the outbox's slice grew %d times with 8 frames in flight", grown)
-	}
-}
-
 func TestBackoffDelayCappedAndJittered(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	base, max := 10*time.Millisecond, 200*time.Millisecond
@@ -748,7 +526,7 @@ func TestLateReplyServesParkedCall(t *testing.T) {
 		rec, st := &recorder{}, &sim.PeerStats{}
 		policy := source.Policy{BreakerThreshold: 1, BreakerCooldown: 60}
 		c := &client{cfg: &h.cfg, res: h.res, id: 1, impl: rec, start: time.Now(),
-			conn: newFrameConn(&recConn{discard: true}, 0), stats: st,
+			link: link{conn: newFrameConn(&recConn{discard: true}, 0)}, stats: st,
 			q: qplane.NewRemoteTier(h.cfg.L, h.cfg.Seed, policy).NewPlane(1, st, false)}
 		a, b := []int{1, 2, 3}, []int{40, 41}
 		hdrA, hdrB := encodeQueryHeader(1, a), encodeQueryHeader(2, b)

@@ -39,7 +39,7 @@ func bareHub(t testing.TB, cfg Config) *hub {
 		h.mirror = source.NewMirrored(input, cfg.Mirrors, cfg.N, h.src)
 	}
 	for i := 0; i < cfg.N; i++ {
-		h.peers[sim.PeerID(i)] = &hubPeer{id: sim.PeerID(i), conn: newFrameConn(&recConn{discard: true}, 0)}
+		h.peers[sim.PeerID(i)] = &hubPeer{id: sim.PeerID(i), link: link{conn: newFrameConn(&recConn{discard: true}, 0)}}
 	}
 	return h
 }
@@ -170,7 +170,7 @@ func TestClientKeepsNoReadBuffer(t *testing.T) {
 	h := bareHub(t, Config{N: 4, T: 1, L: 4096, MsgBits: 256, Seed: 8, Mirrors: plan})
 	rec := &recorder{}
 	st := &sim.PeerStats{}
-	c := &client{cfg: &h.cfg, id: 1, impl: rec, start: time.Now(), conn: newFrameConn(&recConn{discard: true}, 0),
+	c := &client{cfg: &h.cfg, id: 1, impl: rec, start: time.Now(), link: link{conn: newFrameConn(&recConn{discard: true}, 0)},
 		q: qplane.NewRemoteTier(h.cfg.L, h.cfg.Seed, source.Policy{}).NewPlane(1, st, false), stats: st,
 		mparams: h.mirror.Params()}
 

@@ -127,10 +127,7 @@ func (c *connLoad) sendNext(li int) {
 	global := c.first + li
 	ord := int(c.issued[li])
 	c.issued[li]++
-	span := c.l - c.spec.BitsPerQuery
-	if span < 1 {
-		span = 1
-	}
+	span := max(c.l-c.spec.BitsPerQuery, 1)
 	start := (global*31 + ord*17) % span
 	c.idx = c.idx[:0]
 	for i := range c.spec.BitsPerQuery {

@@ -20,13 +20,10 @@ type netMetrics struct {
 	tl    *obs.Timeline
 	start time.Time
 
-	// Frame and byte counters by (side, direction, kind). The hub and
+	// Frame and byte counters by [side][direction][kind]. The hub and
 	// all clients run in one process, so "side" distinguishes the two
 	// halves of each link.
-	hubFramesTx, hubFramesRx [kLast + 1]*obs.Counter
-	cliFramesTx, cliFramesRx [kLast + 1]*obs.Counter
-	hubBytesTx, hubBytesRx   [kLast + 1]*obs.Counter
-	cliBytesTx, cliBytesRx   [kLast + 1]*obs.Counter
+	frames, bytes [2][2][kLast + 1]*obs.Counter
 
 	backoff *obs.Histogram
 
@@ -64,65 +61,38 @@ func newNetMetrics(cfg *Config, start time.Time) *netMetrics {
 	frames := reg.CounterVec("dr_net_frames_total", "Frames moved on TCP links.", "side", "dir", "kind")
 	bytes := reg.CounterVec("dr_net_frame_bytes_total", "Frame payload bytes moved on TCP links.", "side", "dir", "kind")
 	for k := byte(kHello); k <= kLast; k++ {
-		kn := kindName(k)
-		m.hubFramesTx[k] = frames.With("hub", "tx", kn)
-		m.hubFramesRx[k] = frames.With("hub", "rx", kn)
-		m.cliFramesTx[k] = frames.With("client", "tx", kn)
-		m.cliFramesRx[k] = frames.With("client", "rx", kn)
-		m.hubBytesTx[k] = bytes.With("hub", "tx", kn)
-		m.hubBytesRx[k] = bytes.With("hub", "rx", kn)
-		m.cliBytesTx[k] = bytes.With("client", "tx", kn)
-		m.cliBytesRx[k] = bytes.With("client", "rx", kn)
+		for side, sn := range [2]string{"hub", "client"} {
+			for dir, dn := range [2]string{"tx", "rx"} {
+				m.frames[side][dir][k] = frames.With(sn, dn, kindName(k))
+				m.bytes[side][dir][k] = bytes.With(sn, dn, kindName(k))
+			}
+		}
 	}
 	m.backoff = reg.Histogram("dr_net_backoff_seconds",
 		"Reconnect backoff sleeps.", obs.ExpBuckets(1e-3, 4, 8))
-	qBits := reg.CounterVec("dr_net_query_bits_total", "Source bits charged per peer at Query (the Q measure).", "protocol", "peer")
-	qCalls := reg.CounterVec("dr_net_query_calls_total", "Source queries charged per peer.", "protocol", "peer")
-	msgs := reg.CounterVec("dr_net_msgs_sent_total", "Peer messages routed, in b-bit chunks (the M measure).", "protocol", "peer")
-	msgBits := reg.CounterVec("dr_net_msg_bits_sent_total", "Payload bits routed peer-to-peer.", "protocol", "peer")
-	recon := reg.CounterVec("dr_net_reconnects_total", "Client redials that re-established a link.", "peer")
-	qret := reg.CounterVec("dr_net_query_retries_total", "Source queries re-sent after a refused or silent attempt.", "peer")
-	dups := reg.CounterVec("dr_net_dup_frames_dropped_total", "Duplicate frames discarded by dedup.", "peer")
-	pdrop := reg.CounterVec("dr_net_plan_dropped_total", "Deliveries dropped by the fault plan.", "peer")
-	pdup := reg.CounterVec("dr_net_plan_duped_total", "Deliveries duplicated by the fault plan.", "peer")
-	sfail := reg.CounterVec("dr_net_source_failures_total", "Source queries refused by the source fault plan.", "peer")
-	mhits := reg.CounterVec("dr_net_mirror_hits_total", "Queries answered by a verified mirror reply.", "peer")
-	mpfail := reg.CounterVec("dr_net_mirror_proof_failures_total", "Mirror replies rejected by Merkle verification.", "peer")
-	mfb := reg.CounterVec("dr_net_mirror_fallback_total", "Queries re-issued to the authoritative source.", "peer")
-	n := cfg.N
-	m.queryBits = make([]*obs.Counter, n)
-	m.queryCalls = make([]*obs.Counter, n)
-	m.msgs = make([]*obs.Counter, n)
-	m.msgBits = make([]*obs.Counter, n)
-	m.reconnects = make([]*obs.Counter, n)
-	m.qretries = make([]*obs.Counter, n)
-	m.dups = make([]*obs.Counter, n)
-	m.planDropped = make([]*obs.Counter, n)
-	m.planDup = make([]*obs.Counter, n)
-	m.srcFails = make([]*obs.Counter, n)
-	m.mirHits = make([]*obs.Counter, n)
-	m.mirPfails = make([]*obs.Counter, n)
-	m.mirFallbacks = make([]*obs.Counter, n)
-	for i := 0; i < n; i++ {
-		id := strconv.Itoa(i)
-		m.queryBits[i] = qBits.With(label, id)
-		m.queryCalls[i] = qCalls.With(label, id)
-		m.msgs[i] = msgs.With(label, id)
-		m.msgBits[i] = msgBits.With(label, id)
-		m.reconnects[i] = recon.With(id)
-		m.qretries[i] = qret.With(id)
-		m.dups[i] = dups.With(id)
-		m.planDropped[i] = pdrop.With(id)
-		m.planDup[i] = pdup.With(id)
-		m.srcFails[i] = sfail.With(id)
-		m.mirHits[i] = mhits.With(id)
-		m.mirPfails[i] = mpfail.With(id)
-		m.mirFallbacks[i] = mfb.With(id)
+	// perPeer resolves vec's series for every peer id, the label values
+	// ahead of the id given.
+	perPeer := func(vec *obs.CounterVec, values ...string) []*obs.Counter {
+		hs := make([]*obs.Counter, cfg.N)
+		for i := range hs {
+			hs[i] = vec.With(append(values[:len(values):len(values)], strconv.Itoa(i))...)
+		}
+		return hs
 	}
-	nShards := cfg.Shards
-	if nShards < 1 {
-		nShards = 1
-	}
+	m.queryBits = perPeer(reg.CounterVec("dr_net_query_bits_total", "Source bits charged per peer at Query (the Q measure).", "protocol", "peer"), label)
+	m.queryCalls = perPeer(reg.CounterVec("dr_net_query_calls_total", "Source queries charged per peer.", "protocol", "peer"), label)
+	m.msgs = perPeer(reg.CounterVec("dr_net_msgs_sent_total", "Peer messages routed, in b-bit chunks (the M measure).", "protocol", "peer"), label)
+	m.msgBits = perPeer(reg.CounterVec("dr_net_msg_bits_sent_total", "Payload bits routed peer-to-peer.", "protocol", "peer"), label)
+	m.reconnects = perPeer(reg.CounterVec("dr_net_reconnects_total", "Client redials that re-established a link.", "peer"))
+	m.qretries = perPeer(reg.CounterVec("dr_net_query_retries_total", "Source queries re-sent after a refused or silent attempt.", "peer"))
+	m.dups = perPeer(reg.CounterVec("dr_net_dup_frames_dropped_total", "Duplicate frames discarded by dedup.", "peer"))
+	m.planDropped = perPeer(reg.CounterVec("dr_net_plan_dropped_total", "Deliveries dropped by the fault plan.", "peer"))
+	m.planDup = perPeer(reg.CounterVec("dr_net_plan_duped_total", "Deliveries duplicated by the fault plan.", "peer"))
+	m.srcFails = perPeer(reg.CounterVec("dr_net_source_failures_total", "Source queries refused by the source fault plan.", "peer"))
+	m.mirHits = perPeer(reg.CounterVec("dr_net_mirror_hits_total", "Queries answered by a verified mirror reply.", "peer"))
+	m.mirPfails = perPeer(reg.CounterVec("dr_net_mirror_proof_failures_total", "Mirror replies rejected by Merkle verification.", "peer"))
+	m.mirFallbacks = perPeer(reg.CounterVec("dr_net_mirror_fallback_total", "Queries re-issued to the authoritative source.", "peer"))
+	nShards := cfg.shards()
 	shardVec := reg.CounterVec("dr_net_shard_frames_total",
 		"Hub connection writer events, by the shard of the peer: frames written, frames dropped with their connection, write errors.",
 		"shard", "event")
@@ -140,38 +110,20 @@ func newNetMetrics(cfg *Config, start time.Time) *netMetrics {
 	return m
 }
 
-func validKind(k byte) bool { return k >= kHello && k <= kLast }
+// The sides and directions of the frame counters.
+const (
+	sideHub, sideClient = 0, 1
+	dirTx, dirRx        = 0, 1
+)
 
-func (m *netMetrics) hubTx(kind byte, payloadLen int) {
-	if m == nil || !validKind(kind) {
+// frame counts one frame of kind, with a payload of payloadLen bytes, sent
+// (dirTx) or received (dirRx) by the hub (sideHub) or a client.
+func (m *netMetrics) frame(side, dir int, kind byte, payloadLen int) {
+	if m == nil || kind < kHello || kind > kLast {
 		return
 	}
-	m.hubFramesTx[kind].Inc()
-	m.hubBytesTx[kind].Add(int64(payloadLen))
-}
-
-func (m *netMetrics) hubRx(kind byte, payloadLen int) {
-	if m == nil || !validKind(kind) {
-		return
-	}
-	m.hubFramesRx[kind].Inc()
-	m.hubBytesRx[kind].Add(int64(payloadLen))
-}
-
-func (m *netMetrics) cliTx(kind byte, payloadLen int) {
-	if m == nil || !validKind(kind) {
-		return
-	}
-	m.cliFramesTx[kind].Inc()
-	m.cliBytesTx[kind].Add(int64(payloadLen))
-}
-
-func (m *netMetrics) cliRx(kind byte, payloadLen int) {
-	if m == nil || !validKind(kind) {
-		return
-	}
-	m.cliFramesRx[kind].Inc()
-	m.cliBytesRx[kind].Add(int64(payloadLen))
+	m.frames[side][dir][kind].Inc()
+	m.bytes[side][dir][kind].Add(int64(payloadLen))
 }
 
 func (m *netMetrics) backoffObserve(d time.Duration) {

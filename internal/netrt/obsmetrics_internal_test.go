@@ -18,10 +18,10 @@ func newTimelineForTest() *obs.Timeline { return obs.NewTimeline() }
 func TestNetMetricsDisabledAllocFree(t *testing.T) {
 	var m *netMetrics
 	allocs := testing.AllocsPerRun(1000, func() {
-		m.hubTx(kMsg, 64)
-		m.hubRx(kQuery, 16)
-		m.cliTx(kDone, 8)
-		m.cliRx(kQReply, 32)
+		m.frame(sideHub, dirTx, kMsg, 64)
+		m.frame(sideHub, dirRx, kQuery, 16)
+		m.frame(sideClient, dirTx, kDone, 8)
+		m.frame(sideClient, dirRx, kQReply, 32)
 		m.queryCharged(3, 128)
 		m.msgRouted(2, 1, 512)
 		m.reconnect(1)
@@ -46,7 +46,7 @@ func TestNetMetricsTimelineOnly(t *testing.T) {
 	if m == nil {
 		t.Fatal("timeline-only config produced a nil bundle")
 	}
-	m.hubTx(kMsg, 10)
+	m.frame(sideHub, dirTx, kMsg, 10)
 	m.queryCharged(1, 32)
 	m.reconnect(2)
 	m.mark(0, "phase", "x")
@@ -72,10 +72,10 @@ func TestNetMetricsCountEveryKind(t *testing.T) {
 		t.Fatalf("kindName names %d kinds, want kHello..kLast (%d)", len(kinds), kLast)
 	}
 	for _, k := range kinds {
-		m.hubTx(k, 10)
-		m.hubRx(k, 20)
-		m.cliTx(k, 30)
-		m.cliRx(k, 40)
+		m.frame(sideHub, dirTx, k, 10)
+		m.frame(sideHub, dirRx, k, 20)
+		m.frame(sideClient, dirTx, k, 30)
+		m.frame(sideClient, dirRx, k, 40)
 	}
 	snap := reg.Snapshot()
 	for _, k := range kinds {

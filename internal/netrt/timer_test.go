@@ -24,7 +24,7 @@ func planeClient(t *testing.T, res Resilience, pol source.Policy) *client {
 	h := bareHub(t, Config{N: 2, T: 0, L: 256, MsgBits: 64, Seed: 8})
 	st := &sim.PeerStats{}
 	return &client{cfg: &h.cfg, res: res.withDefaults(), id: 1, impl: &recorder{}, start: time.Now(),
-		conn: newFrameConn(&recConn{discard: true}, 0), stats: st,
+		link: link{conn: newFrameConn(&recConn{discard: true}, 0)}, stats: st,
 		q: qplane.NewRemoteTier(h.cfg.L, h.cfg.Seed, pol).NewPlane(1, st, false)}
 }
 

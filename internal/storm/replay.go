@@ -9,11 +9,13 @@ package storm
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"repro/internal/dst"
+	"repro/internal/netrt"
 )
 
 // marshalFinding renders a finding artifact as indented JSON.
@@ -77,18 +79,33 @@ type Finding struct {
 	// reproduction); false pins the schedule as ExpectCorrect evidence
 	// that the failure is socket-only.
 	DesReproduced bool `json:"des_reproduced"`
+	// Pending is the table of a run that timed out (*netrt.TimeoutError):
+	// each unterminated peer, with the hub's outbox depth and ack base
+	// toward it. StacksFile holds the goroutine profile taken as the
+	// deadline fired.
+	Pending    []netrt.PendingPeer `json:"pending,omitempty"`
+	StacksFile string              `json:"stacks_file,omitempty"`
 }
 
 // RecordFinding writes a failing storm into dir: the spec + violations
 // as JSON, and — when the protocol has a des port — the bridged replay
 // as a .dsr, shrunk to minimal form when the des engine reproduces a
-// violation. Returns the finding with artifact paths filled in.
-func RecordFinding(spec Spec, violations []Violation, dir string, shrink bool) (*Finding, error) {
+// violation. When runErr, the run's error, is a *netrt.TimeoutError, the
+// JSON keeps its pending table and its goroutine profile goes beside it as
+// .stacks.txt. Returns the finding with artifact paths filled in.
+func RecordFinding(spec Spec, violations []Violation, dir string, shrink bool, runErr error) (*Finding, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	f := &Finding{Spec: spec, Violations: violations}
 	base := fmt.Sprintf("storm-%s-s%d", spec.Protocol, spec.StormSeed)
+	if terr := (*netrt.TimeoutError)(nil); errors.As(runErr, &terr) {
+		f.Pending = terr.Pending
+		f.StacksFile = filepath.Join(dir, base+".stacks.txt")
+		if err := os.WriteFile(f.StacksFile, terr.Stacks, 0o644); err != nil {
+			return nil, err
+		}
+	}
 
 	r, err := DesReplay(spec)
 	if err == nil {

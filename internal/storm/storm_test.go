@@ -3,6 +3,7 @@ package storm
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 
 	"repro/download"
 	"repro/internal/dst"
+	"repro/internal/netrt"
 	"repro/internal/sim"
 )
 
@@ -205,9 +207,12 @@ func TestRecordFinding(t *testing.T) {
 	spec := Generate(download.Naive, 6, 3, 256, 64, PinnedStormSeed)
 	dir := t.TempDir()
 	vs := []Violation{{Invariant: "termination", Detail: "synthetic socket-only failure"}}
-	f, err := RecordFinding(spec, vs, dir, false)
+	f, err := RecordFinding(spec, vs, dir, false, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if f.Pending != nil || f.StacksFile != "" {
+		t.Errorf("a finding with no timeout kept timeout evidence: %+v", f)
 	}
 	if f.DesReproduced {
 		t.Error("healthy composition reported as des-reproduced")
@@ -239,12 +244,41 @@ func TestRecordFinding(t *testing.T) {
 
 	t.Run("no des port", func(t *testing.T) {
 		fast := Generate(download.CrashKFast, 6, 4, 256, 64, 1)
-		f, err := RecordFinding(fast, vs, t.TempDir(), false)
+		f, err := RecordFinding(fast, vs, t.TempDir(), false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if f.ReplayFile != "" {
 			t.Error("crashk-fast has no des port but a .dsr was written")
+		}
+	})
+
+	t.Run("timeout", func(t *testing.T) {
+		dir := t.TempDir()
+		pending := []netrt.PendingPeer{{ID: 2, Connected: true, LastFrame: "MSG",
+			LastFrameAge: 1500 * time.Millisecond, Unacked: 7, AckBase: 41}}
+		terr := &netrt.TimeoutError{After: time.Second, Pending: pending, Stacks: []byte("goroutine 1 [select]:\n")}
+		f, err := RecordFinding(spec, vs, dir, false, fmt.Errorf("storm: %w", terr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := filepath.Join(dir, "storm-naive-s3.stacks.txt"); f.StacksFile != want {
+			t.Fatalf("stacks written to %q, want %q", f.StacksFile, want)
+		}
+		if stacks, err := os.ReadFile(f.StacksFile); err != nil || !bytes.Equal(stacks, terr.Stacks) {
+			t.Errorf("stacks file holds %q (%v), want the goroutine profile", stacks, err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "storm-naive-s3.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Finding
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back.Pending, pending) || back.StacksFile != f.StacksFile {
+			t.Errorf("finding JSON keeps pending %+v and stacks %q, want %+v and %q",
+				back.Pending, back.StacksFile, pending, f.StacksFile)
 		}
 	})
 }
