@@ -53,15 +53,20 @@ bench:
 # CPU and heap profile of one cell of `go run ./benchmark`: a whole-download
 # cell (download/cells_bench_test.go: des-crashk, des-committee, tcp-crashk,
 # tcp-naive-bmaj, plus des-committee-quarter for the short-run committee
-# schedule and table1-committee for the shape of the paper's Table-1 row,
-# 94.8 M messages a download), 40 downloads as in one benchmark pass, or one
-# of the two workloads that drive internal/netrt directly (internal/netrt/bench_test.go):
-# hub-load, 10 load trials, and tcp-storm, 40 downloads. The package follows
-# from the cell's name. The test binary and the profiles land in benchmark/out/
-# (git-ignored) for `go tool pprof -list`; the cumulative top is printed.
-# Not a gate.
+# schedule), 40 downloads as in one benchmark pass, or one of the two
+# workloads that drive internal/netrt directly (internal/netrt/bench_test.go):
+# hub-load, 10 load trials, and tcp-storm, 40 downloads. table1-committee is
+# Table 1's committee cell itself (bench_test.go's
+# BenchmarkExperiments/T1/committee, 94.8 M messages a run), 40 runs. The
+# package follows from the cell's name. The test binary and the profiles land
+# in benchmark/out/ (git-ignored) for `go tool pprof -list`; the cumulative top
+# is printed. Not a gate.
 CELL ?= des-crashk
-ifeq ($(CELL),hub-load)
+ifeq ($(CELL),table1-committee)
+PROFILE_PKG := .
+PROFILE_BENCH := BenchmarkExperiments/T1/committee$$
+PROFILE_N := 40x
+else ifeq ($(CELL),hub-load)
 PROFILE_PKG := ./internal/netrt
 PROFILE_BENCH := BenchmarkHubLoad$$
 PROFILE_N := 10x

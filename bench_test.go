@@ -1,6 +1,7 @@
-// Package repro's top-level benchmarks regenerate the paper's evaluation
-// under `go test -bench`: one benchmark per Table-1 row and per
-// experiment in DESIGN.md's index. Benchmarks report the paper's
+// Package repro's top-level benchmark regenerates the paper's evaluation
+// under `go test -bench`: BenchmarkExperiments/<ID>/<cell> runs one cell
+// of one experiment of internal/experiments, at full size and seed 7 —
+// the runs whose tables EXPERIMENTS.md holds — and reports the paper's
 // complexity measures as custom metrics:
 //
 //	queryQ     — query complexity Q (max source bits per nonfaulty peer)
@@ -8,336 +9,56 @@
 //	msgs       — message complexity M (total nonfaulty messages)
 //	vtime      — virtual time T (units of max network latency)
 //
-// Wall-clock ns/op measures the simulator, not the protocol — the paper's
-// claims are about the custom metrics' shapes (see EXPERIMENTS.md).
+// Experiments without cells — the ones that are no des run (E7, E8, E10,
+// A7) and the ones that build their runs inside the table (E3, A1, A2,
+// A4–A6) — are timed whole, as BenchmarkExperiments/<ID>. Wall-clock ns/op
+// measures the simulator, not the protocol — the paper's claims are about
+// the custom metrics' shapes (see EXPERIMENTS.md).
 package repro_test
 
 import (
-	"fmt"
 	"testing"
 
-	"repro/internal/adversary"
-	"repro/internal/des"
-	"repro/internal/lowerbound"
-	"repro/internal/oracle"
-	"repro/internal/protocols/committee"
-	"repro/internal/protocols/crash1"
-	"repro/internal/protocols/crashk"
-	"repro/internal/protocols/multicycle"
-	"repro/internal/protocols/naive"
-	"repro/internal/protocols/segproto"
-	"repro/internal/protocols/twocycle"
-	"repro/internal/sim"
+	"repro/internal/experiments"
 )
 
-func benchSpec(n, t, L int, seed int64, factory func(sim.PeerID) sim.Peer, faults sim.FaultSpec) *sim.Spec {
-	b := L / n
-	if b < 64 {
-		b = 64
-	}
-	return &sim.Spec{
-		Config:  sim.Config{N: n, T: t, L: L, MsgBits: b, Seed: seed},
-		NewPeer: factory,
-		Delays:  adversary.NewRandomUnit(seed + 17),
-		Faults:  faults,
-	}
-}
-
-// runBench executes the spec b.N times and reports the paper's metrics.
-func runBench(b *testing.B, mk func(seed int64) *sim.Spec) {
-	b.Helper()
-	b.ReportAllocs()
-	var q, msgs, avgQ, vtime float64
-	for i := 0; i < b.N; i++ {
-		res, err := des.New().Run(mk(int64(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Correct {
-			b.Fatalf("iteration %d incorrect: %v", i, res.Failures)
-		}
-		q += float64(res.Q)
-		msgs += float64(res.Msgs)
-		avgQ += res.AvgQ()
-		vtime += res.Time
-	}
-	n := float64(b.N)
-	b.ReportMetric(q/n, "queryQ")
-	b.ReportMetric(avgQ/n, "avgQ")
-	b.ReportMetric(msgs/n, "msgs")
-	b.ReportMetric(vtime/n, "vtime")
-}
-
-func crashFaults(n, t int, seed int64) sim.FaultSpec {
-	if t == 0 {
-		return sim.FaultSpec{}
-	}
-	f := adversary.SpreadFaulty(n, t)
-	return sim.FaultSpec{
-		Model: sim.FaultCrash, Faulty: f,
-		Crash: adversary.NewCrashRandom(seed, f, 20*n),
-	}
-}
-
-func byzFaults(n, t int, liar func(sim.PeerID, *sim.Knowledge) sim.Peer) sim.FaultSpec {
-	if t == 0 {
-		return sim.FaultSpec{}
-	}
-	return sim.FaultSpec{
-		Model: sim.FaultByzantine, Faulty: adversary.SpreadFaulty(n, t),
-		NewByzantine: liar,
-	}
-}
-
-// --- Table 1 rows -----------------------------------------------------
-
-const (
-	t1N = 256
-	t1L = 1 << 14
-)
-
-func BenchmarkTable1_Naive(b *testing.B) {
-	runBench(b, func(seed int64) *sim.Spec {
-		return benchSpec(t1N, 9*t1N/10, t1L, seed, naive.New,
-			byzFaults(t1N, 9*t1N/10, adversary.NewSilent))
-	})
-}
-
-func BenchmarkTable1_Crash1(b *testing.B) {
-	runBench(b, func(seed int64) *sim.Spec {
-		return benchSpec(t1N, 1, t1L, seed, crash1.New, crashFaults(t1N, 1, seed))
-	})
-}
-
-func BenchmarkTable1_CrashK(b *testing.B) {
-	runBench(b, func(seed int64) *sim.Spec {
-		return benchSpec(t1N, 9*t1N/10, t1L, seed, crashk.NewFast,
-			crashFaults(t1N, 9*t1N/10, seed))
-	})
-}
-
-func BenchmarkTable1_Committee(b *testing.B) {
-	runBench(b, func(seed int64) *sim.Spec {
-		return benchSpec(t1N, t1N/4, t1L, seed, committee.New,
-			byzFaults(t1N, t1N/4, committee.NewLiar))
-	})
-}
-
-func BenchmarkTable1_TwoCycle(b *testing.B) {
-	runBench(b, func(seed int64) *sim.Spec {
-		return benchSpec(t1N, t1N/4, t1L, seed, twocycle.New,
-			byzFaults(t1N, t1N/4, segproto.NewColludingLiar))
-	})
-}
-
-func BenchmarkTable1_MultiCycle(b *testing.B) {
-	runBench(b, func(seed int64) *sim.Spec {
-		return benchSpec(t1N, t1N/4, t1L, seed, multicycle.New,
-			byzFaults(t1N, t1N/4, segproto.NewColludingLiar))
-	})
-}
-
-// --- E1: Thm 2.3, Q vs n ----------------------------------------------
-
-func BenchmarkE1_Crash1(b *testing.B) {
-	for _, n := range []int{8, 16, 32, 64} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			runBench(b, func(seed int64) *sim.Spec {
-				return benchSpec(n, 1, 1<<14, seed, crash1.New, crashFaults(n, 1, seed))
-			})
-		})
-	}
-}
-
-// --- E2: Thm 2.13, Q vs β ---------------------------------------------
-
-func BenchmarkE2_CrashK(b *testing.B) {
-	const n, L = 32, 1 << 14
-	for _, beta := range []float64{0.1, 0.25, 0.5, 0.75, 0.9} {
-		t := int(beta * n)
-		b.Run(fmt.Sprintf("beta=%.2f", beta), func(b *testing.B) {
-			runBench(b, func(seed int64) *sim.Spec {
-				return benchSpec(n, t, L, seed, crashk.New, crashFaults(n, t, seed))
-			})
-		})
-	}
-}
-
-// --- E4: Thm 3.4, committee Q vs β ------------------------------------
-
-func BenchmarkE4_Committee(b *testing.B) {
-	const n, L = 32, 1 << 13
-	for _, beta := range []float64{0.1, 0.25, 0.4} {
-		t := int(beta * n)
-		b.Run(fmt.Sprintf("beta=%.2f", beta), func(b *testing.B) {
-			runBench(b, func(seed int64) *sim.Spec {
-				return benchSpec(n, t, L, seed, committee.New,
-					byzFaults(n, t, committee.NewLiar))
-			})
-		})
-	}
-}
-
-// --- E5: Thm 3.7, 2-cycle Q vs L --------------------------------------
-
-func BenchmarkE5_TwoCycle(b *testing.B) {
-	const n = 256
-	for _, L := range []int{1 << 12, 1 << 14, 1 << 16} {
-		b.Run(fmt.Sprintf("L=%d", L), func(b *testing.B) {
-			runBench(b, func(seed int64) *sim.Spec {
-				return benchSpec(n, n/4, L, seed, twocycle.New,
-					byzFaults(n, n/4, segproto.NewColludingLiar))
-			})
-		})
-	}
-}
-
-// --- E6: Thm 3.12, multi-cycle ----------------------------------------
-
-func BenchmarkE6_MultiCycle(b *testing.B) {
-	const n = 256
-	for _, L := range []int{1 << 12, 1 << 14} {
-		b.Run(fmt.Sprintf("L=%d", L), func(b *testing.B) {
-			runBench(b, func(seed int64) *sim.Spec {
-				return benchSpec(n, n/4, L, seed, multicycle.New,
-					byzFaults(n, n/4, segproto.NewColludingLiar))
-			})
-		})
-	}
-}
-
-// --- E7/E8: lower-bound attacks ---------------------------------------
-
-func BenchmarkE7_DetAttack(b *testing.B) {
-	success := 0
-	for i := 0; i < b.N; i++ {
-		rep, err := lowerbound.AttackDeterministic(lowerbound.AttackConfig{
-			N: 8, L: 512, Seed: int64(i), NewPeer: crashk.New,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Succeeded {
-			success++
-		}
-	}
-	b.ReportMetric(float64(success)/float64(b.N), "attack-success-rate")
-}
-
-func BenchmarkE8_RandAttack(b *testing.B) {
-	success, trials := 0, 0
-	for i := 0; i < b.N; i++ {
-		reports, err := lowerbound.AttackRandomized(lowerbound.AttackConfig{
-			N: 8, L: 256, Seed: int64(i) * 131, NewPeer: crashk.New,
-		}, 3, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range reports {
-			trials++
-			if r.Succeeded {
-				success++
+func BenchmarkExperiments(b *testing.B) {
+	cfg := experiments.Config{Seed: 7}
+	for _, e := range experiments.All() {
+		b.Run(e.ID, func(b *testing.B) {
+			if e.Cells == nil {
+				for i := 0; i < b.N; i++ {
+					if _, err := e.Run(cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+				return
 			}
-		}
-	}
-	b.ReportMetric(float64(success)/float64(trials), "attack-success-rate")
-}
-
-// --- E9: time vs b ----------------------------------------------------
-
-func BenchmarkE9_TimeVsB(b *testing.B) {
-	const n, L = 16, 1 << 14
-	for _, msgBits := range []int{64, 512, 4096} {
-		b.Run(fmt.Sprintf("b=%d", msgBits), func(b *testing.B) {
-			var vtime float64
-			for i := 0; i < b.N; i++ {
-				f := adversary.SpreadFaulty(n, n/4)
-				res, err := des.New().Run(&sim.Spec{
-					Config:  sim.Config{N: n, T: n / 4, L: L, MsgBits: msgBits, Seed: int64(i)},
-					NewPeer: crashk.NewFast,
-					Delays:  adversary.NewFixed(1.0),
-					Faults: sim.FaultSpec{
-						Model: sim.FaultCrash, Faulty: f,
-						Crash: &adversary.CrashAll{Point: 0},
-					},
+			for j, c := range e.Cells(cfg) {
+				b.Run(c.Name, func(b *testing.B) {
+					b.ReportAllocs()
+					var q, avgQ, msgs, vtime float64
+					for i := 0; i < b.N; i++ {
+						// A spec runs once: build a fresh one outside the timer.
+						b.StopTimer()
+						cell := e.Cells(cfg)[j]
+						b.StartTimer()
+						res, err := cell.Run()
+						if err != nil {
+							b.Fatal(err)
+						}
+						q += float64(res.Q)
+						avgQ += res.AvgQ()
+						msgs += float64(res.Msgs)
+						vtime += res.Time
+					}
+					n := float64(b.N)
+					b.ReportMetric(q/n, "queryQ")
+					b.ReportMetric(avgQ/n, "avgQ")
+					b.ReportMetric(msgs/n, "msgs")
+					b.ReportMetric(vtime/n, "vtime")
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Correct {
-					b.Fatalf("incorrect: %v", res.Failures)
-				}
-				vtime += res.Time
 			}
-			b.ReportMetric(vtime/float64(b.N), "vtime")
 		})
 	}
-}
-
-// --- E10: oracle ODC --------------------------------------------------
-
-func BenchmarkE10_Oracle(b *testing.B) {
-	for _, nodes := range []int{8, 16, 32} {
-		b.Run(fmt.Sprintf("n=%d", nodes), func(b *testing.B) {
-			var savings float64
-			for i := 0; i < b.N; i++ {
-				cfg := &oracle.Config{
-					Nodes: nodes, NodeFaults: nodes / 4,
-					SourceFaults: 2, Cells: 32, Seed: int64(i),
-				}
-				feeds, err := oracle.GenerateFeeds(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				base, err := oracle.RunBaseline(cfg, feeds)
-				if err != nil {
-					b.Fatal(err)
-				}
-				f := adversary.SpreadFaulty(cfg.Nodes, cfg.NodeFaults)
-				runner := oracle.NewRunner(cfg, committee.New, sim.FaultSpec{
-					Model: sim.FaultByzantine, Faulty: f,
-					NewByzantine: committee.NewLiar,
-				}, adversary.NewRandomUnit(cfg.Seed))
-				down, err := oracle.RunDownload(cfg, feeds, runner)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !down.ODDHolds {
-					b.Fatal("ODD violated")
-				}
-				savings += float64(base.PerNodeQueryBits) / float64(down.PerNodeQueryBits)
-			}
-			b.ReportMetric(savings/float64(b.N), "savings-x")
-		})
-	}
-}
-
-// --- A3: fast variant ablation ----------------------------------------
-
-func BenchmarkA3_FastVariant(b *testing.B) {
-	const n, L = 24, 1 << 13
-	for _, v := range []struct {
-		name    string
-		factory func(sim.PeerID) sim.Peer
-	}{{"base", crashk.New}, {"fast", crashk.NewFast}} {
-		b.Run(v.name, func(b *testing.B) {
-			runBench(b, func(seed int64) *sim.Spec {
-				spec := benchSpec(n, n/2, L, seed, v.factory, crashFaults(n, n/2, seed))
-				spec.Delays = adversary.NewRandom(seed, 0.5, 1.0)
-				return spec
-			})
-		})
-	}
-}
-
-// --- microbenchmarks on the hot data structures -----------------------
-
-func BenchmarkDtreeBuildResolve(b *testing.B) {
-	// Covered in internal packages' tests; here we measure the composed
-	// protocol-scale path: a full twocycle determination at n=256.
-	runBenchOnce := func(seed int64) *sim.Spec {
-		return benchSpec(256, 64, 1<<13, seed, twocycle.New,
-			byzFaults(256, 64, segproto.NewScatterLiar))
-	}
-	runBench(b, runBenchOnce)
 }

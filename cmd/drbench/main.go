@@ -1,5 +1,5 @@
 // Command drbench regenerates the paper's evaluation: Table 1 and every
-// per-theorem experiment and ablation listed in DESIGN.md / EXPERIMENTS.md.
+// per-theorem experiment and ablation, as EXPERIMENTS.md's Markdown tables.
 //
 // Exit codes: 0 every selected experiment ran, 1 an experiment failed,
 // 2 usage.
@@ -35,7 +35,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list  = fs.Bool("list", false, "list experiments and exit")
 		suite = fs.String("suite", "all", "comma-separated experiment IDs, or 'all'")
 		quick = fs.Bool("quick", false, "reduced sizes for a fast smoke run")
-		csv   = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+		csv   = fs.Bool("csv", false, "emit CSV instead of Markdown tables")
 		seed  = fs.Int64("seed", 7, "suite seed")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -43,5 +46,28 @@ func TestExitCodeQuickSuite(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "[A4 completed in") {
 		t.Fatalf("no A4 table:\n%s", out.String())
+	}
+}
+
+// TestDocumentedSuitesExist holds every `drbench -suite <X>` that the
+// top-level documents write to an experiment drbench can run: X is "all"
+// or a comma-separated list of IDs that experiments.ByID resolves.
+func TestDocumentedSuitesExist(t *testing.T) {
+	suite := regexp.MustCompile(`drbench -suite ([A-Za-z0-9,]+)`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range suite.FindAllStringSubmatch(string(data), -1) {
+			if m[1] == "all" {
+				continue
+			}
+			for _, id := range strings.Split(m[1], ",") {
+				if _, ok := experiments.ByID(id); !ok {
+					t.Errorf("%s: %q names no experiment", doc, m[0])
+				}
+			}
+		}
 	}
 }

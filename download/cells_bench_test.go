@@ -14,13 +14,9 @@ import (
 // mirror-plan seed is fixed. des-committee-quarter is not a benchmark
 // workload: it is des-committee at β = 1/4, where a member's list is runs
 // of one or two indices and not of 127, the other shape of schedule the
-// vote tally has to be fast on. table1-committee is not one either: it has
-// the shape of EXPERIMENTS.md T1's committee row and of the full/committee
-// row of internal/regression's table1.json (N=256, β = 1/4, L=16384, Liar;
-// 94.8 M messages a download), so that a profile has the large cell at
-// hand — but the delay policy and the placement of the faulty peers are
-// download's, not internal/experiments', so its paper metrics are not
-// that row's.
+// vote tally has to be fast on. Table 1's committee cell is profiled
+// through the root package's BenchmarkExperiments (`make profile
+// CELL=table1-committee`).
 var benchCells = []struct {
 	name string
 	opts download.Options
@@ -30,8 +26,6 @@ var benchCells = []struct {
 	{"des-committee", download.Options{Protocol: download.Committee, N: 128, T: 63, L: 2048,
 		Behavior: download.Liar}},
 	{"des-committee-quarter", download.Options{Protocol: download.Committee, N: 128, T: 32, L: 2048,
-		Behavior: download.Liar}},
-	{"table1-committee", download.Options{Protocol: download.Committee, N: 256, T: 64, L: 16384,
 		Behavior: download.Liar}},
 	{"tcp-crashk", download.Options{Protocol: download.CrashKFast, N: 16, T: 8, L: 65536,
 		Behavior: download.CrashImmediate, TCP: true}},

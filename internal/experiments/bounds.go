@@ -8,14 +8,12 @@ import (
 	"repro/internal/protocols/naive"
 )
 
-// E7DetAttack demonstrates Theorem 3.1: at β ≥ 1/2, the
+// e7DetAttack demonstrates Theorem 3.1: at β ≥ 1/2, the
 // indistinguishability adversary forces any deterministic protocol that
 // queries fewer than L bits to output wrongly, while the naive protocol
 // (Q = L) is untouchable.
-func E7DetAttack(cfg Config) (*Table, error) {
+func e7DetAttack(cfg Config) (*Table, error) {
 	t := &Table{
-		ID:      "E7",
-		Title:   "deterministic Byzantine-majority lower bound (Thm 3.1)",
 		Columns: []string{"protocol", "seed", "victim-Q(probe)", "L", "outcome"},
 		Notes: []string{
 			"sub-naive deterministic protocol (crashk misused at β ≥ 1/2): attack must succeed",
@@ -53,13 +51,11 @@ func E7DetAttack(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// E8RandAttack demonstrates Theorem 3.2: the randomized construction's
+// e8RandAttack demonstrates Theorem 3.2: the randomized construction's
 // empirical success rate against a sub-L/2 protocol approaches
 // 1 − q/L, and drops to zero against full-coverage protocols.
-func E8RandAttack(cfg Config) (*Table, error) {
+func e8RandAttack(cfg Config) (*Table, error) {
 	t := &Table{
-		ID:      "E8",
-		Title:   "randomized Byzantine-majority lower bound (Thm 3.2)",
 		Columns: []string{"protocol", "trials", "success-rate", "victim-q/L", "1-q/L"},
 		Notes: []string{
 			"adversary trains on simulated runs, targets the least-queried bit",

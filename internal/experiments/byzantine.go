@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/adversary"
+	"repro/internal/des"
 	"repro/internal/protocols/committee"
 	"repro/internal/protocols/multicycle"
 	"repro/internal/protocols/naive"
@@ -13,58 +15,81 @@ import (
 	"repro/internal/stats"
 )
 
-// E4Committee sweeps β < 1/2 for the deterministic committee protocol
-// (Theorem 3.4). Series: Q = L(2t+1)/n grows linearly in β·L, against
-// the strongest consistent-lie attack.
-func E4Committee(cfg Config) (*Table, error) {
-	t := &Table{
-		ID:      "E4",
-		Title:   "deterministic Byzantine committee Download (Thm 3.4)",
-		Columns: []string{"beta", "n", "t", "Q", "L(2t+1)/n", "Q/naive", "time"},
-		Notes:   []string{"faulty peers run the consistent-lie attack"},
-	}
+// E4Cells sweeps β < 1/2 for the committee protocol against the
+// consistent-lie attack.
+func E4Cells(cfg Config) []Cell {
 	n, L := 32, 1<<14
 	if cfg.Quick {
 		n, L = 16, 1<<11
 	}
+	var cells []Cell
 	for _, beta := range []float64{0.0, 0.1, 0.2, 0.3, 0.4, 0.45} {
 		tf := int(beta * float64(n))
-		var faults sim.FaultSpec
-		if tf > 0 {
-			faults = sim.FaultSpec{
-				Model:        sim.FaultByzantine,
-				Faulty:       adversary.SpreadFaulty(n, tf),
-				NewByzantine: committee.NewLiar,
-			}
-		}
-		res, err := run(&sim.Spec{
-			Config:  sim.Config{N: n, T: tf, L: L, MsgBits: msgBitsFor(L, n), Seed: cfg.Seed},
+		cells = append(cells, Cell{fmt.Sprintf("beta=%.2f", beta), &sim.Spec{
+			Config:  config(cfg.Seed, n, tf, L),
 			NewPeer: committee.New,
 			Delays:  adversary.NewRandomUnit(cfg.Seed + int64(tf)),
-			Faults:  faults,
-		})
+			Faults:  byzantine(adversary.SpreadFaulty(n, tf), committee.NewLiar),
+		}})
+	}
+	return cells
+}
+
+// e4Committee sweeps β < 1/2 for the deterministic committee protocol
+// (Theorem 3.4). Series: Q = L(2t+1)/n grows linearly in β·L, against
+// the strongest consistent-lie attack.
+func e4Committee(cfg Config) (*Table, error) {
+	t := &Table{
+		Columns: []string{"beta", "n", "t", "Q", "L(2t+1)/n", "Q/naive", "time"},
+		Notes:   []string{"faulty peers run the consistent-lie attack"},
+	}
+	for _, c := range E4Cells(cfg) {
+		res, err := c.Run()
 		if err != nil {
 			return nil, err
 		}
-		if !res.Correct {
-			return nil, fmt.Errorf("E4 beta=%.2f: %v", beta, res.Failures)
-		}
-		theory := L * committee.CommitteeSize(tf) / n
-		t.AddRow(ftoa(beta), itoa(n), itoa(tf), itoa(res.Q), itoa(theory),
-			ratio(res.Q, L), ftoa(res.Time))
+		n, tf, L := c.Spec.Config.N, c.Spec.Config.T, c.Spec.Config.L
+		t.AddRow(strings.TrimPrefix(c.Name, "beta="), itoa(n), itoa(tf), itoa(res.Q),
+			itoa(L*committee.CommitteeSize(tf)/n), fratio(float64(res.Q), float64(L)), ftoa(res.Time))
 	}
 	return t, nil
 }
 
-// E5TwoCycle sweeps L for the 2-cycle randomized protocol against the
+// E5Cells sweeps L at β = 1/4 against colluding liars: for each L the
+// 2-cycle protocol, then the committee protocol.
+func E5Cells(cfg Config) []Cell {
+	n, Ls := 256, []int{1 << 10, 1 << 12, 1 << 14, 1 << 16}
+	if cfg.Quick {
+		n, Ls = 128, []int{1 << 10, 1 << 12}
+	}
+	tf := n / 4
+	faulty := adversary.SpreadFaulty(n, tf)
+	var cells []Cell
+	for _, L := range Ls {
+		cells = append(cells,
+			Cell{fmt.Sprintf("twocycle-L=%d", L), &sim.Spec{
+				Config:  config(cfg.Seed, n, tf, L),
+				NewPeer: twocycle.New,
+				Delays:  adversary.NewRandomUnit(cfg.Seed + int64(L)),
+				Faults:  byzantine(faulty, segproto.NewColludingLiar),
+			}},
+			Cell{fmt.Sprintf("committee-L=%d", L), &sim.Spec{
+				Config:  config(cfg.Seed, n, tf, L),
+				NewPeer: committee.New,
+				Delays:  adversary.NewRandomUnit(cfg.Seed + int64(L) + 1),
+				Faults:  byzantine(faulty, committee.NewLiar),
+			}})
+	}
+	return cells
+}
+
+// e5TwoCycle sweeps L for the 2-cycle randomized protocol against the
 // committee and naive baselines (Theorems 3.4/3.7). Series: the
 // randomized protocol's Q grows like Õ(L/n) and crosses below the
 // deterministic committee cost (≈ 2βL) as L grows — randomization beats
 // determinism at scale, the gap the paper's Table 1 displays.
-func E5TwoCycle(cfg Config) (*Table, error) {
+func e5TwoCycle(cfg Config) (*Table, error) {
 	t := &Table{
-		ID:    "E5",
-		Title: "2-cycle randomized vs deterministic baselines (Thm 3.7)",
 		Columns: []string{"L", "Q(twocycle)", "Q(committee)", "Q(naive)",
 			"two/committee", "params"},
 		Notes: []string{
@@ -72,106 +97,82 @@ func E5TwoCycle(cfg Config) (*Table, error) {
 			"crossover: randomized wins once L ≫ n — Table 1's randomized-vs-deterministic gap",
 		},
 	}
-	n := 256
-	Ls := []int{1 << 10, 1 << 12, 1 << 14, 1 << 16}
-	if cfg.Quick {
-		n = 128
-		Ls = []int{1 << 10, 1 << 12}
-	}
-	tf := n / 4
-	faulty := adversary.SpreadFaulty(n, tf)
-	for _, L := range Ls {
-		two, err := run(&sim.Spec{
-			Config:  sim.Config{N: n, T: tf, L: L, MsgBits: msgBitsFor(L, n), Seed: cfg.Seed},
-			NewPeer: twocycle.New,
-			Delays:  adversary.NewRandomUnit(cfg.Seed + int64(L)),
-			Faults: sim.FaultSpec{
-				Model: sim.FaultByzantine, Faulty: faulty,
-				NewByzantine: segproto.NewColludingLiar,
-			},
-		})
+	cells := E5Cells(cfg)
+	for i := 0; i < len(cells); i += 2 {
+		two, err := cells[i].Run()
 		if err != nil {
 			return nil, err
 		}
-		if !two.Correct {
-			return nil, fmt.Errorf("E5 L=%d: %v", L, two.Failures)
-		}
-		com, err := run(&sim.Spec{
-			Config:  sim.Config{N: n, T: tf, L: L, MsgBits: msgBitsFor(L, n), Seed: cfg.Seed},
-			NewPeer: committee.New,
-			Delays:  adversary.NewRandomUnit(cfg.Seed + int64(L) + 1),
-			Faults: sim.FaultSpec{
-				Model: sim.FaultByzantine, Faulty: faulty,
-				NewByzantine: committee.NewLiar,
-			},
-		})
+		com, err := cells[i+1].Run()
 		if err != nil {
 			return nil, err
 		}
-		if !com.Correct {
-			return nil, fmt.Errorf("E5 committee L=%d: %v", L, com.Failures)
-		}
+		n, tf, L := cells[i].Spec.Config.N, cells[i].Spec.Config.T, cells[i].Spec.Config.L
 		p := segproto.Derive(n, tf, L, 0)
 		params := "naive-regime"
 		if !p.Naive {
 			params = fmt.Sprintf("m=%d k=%d", p.Segments, p.Threshold(p.Segments))
 		}
 		t.AddRow(itoa(L), itoa(two.Q), itoa(com.Q), itoa(L),
-			ratio(two.Q, com.Q), params)
+			fratio(float64(two.Q), float64(com.Q)), params)
 	}
 	return t, nil
 }
 
-// E6MultiCycle compares the multi-cycle protocol's expected cost with the
-// 2-cycle protocol and naive across seeds (Theorem 3.12). Series: the
-// multi-cycle average stays comparable while its messages grow with the
-// doubling segments.
-func E6MultiCycle(cfg Config) (*Table, error) {
-	t := &Table{
-		ID:      "E6",
-		Title:   "multi-cycle randomized Download, expected cost (Thm 3.12)",
-		Columns: []string{"protocol", "avgQ (mean ± std)", "maxQ(worst seed)", "msgs(mean)", "time(mean)"},
-		Notes:   []string{"n, L fixed; silent Byzantine faults; per-seed statistics"},
-	}
-	n, L := 256, 1<<14
-	seeds := 5
+// e6Protocols are E6's rows, each run over E6's seeds.
+var e6Protocols = []struct {
+	name    string
+	factory func(sim.PeerID) sim.Peer
+}{
+	{"twocycle", twocycle.New},
+	{"multicycle", multicycle.New},
+	{"naive", naive.New},
+}
+
+// E6Cells runs each of e6Protocols over consecutive seeds (5, or 2 when
+// quick) against silent Byzantine peers.
+func E6Cells(cfg Config) []Cell {
+	n, L, seeds := 256, 1<<14, 5
 	if cfg.Quick {
-		n, L = 128, 1<<12
-		seeds = 2
+		n, L, seeds = 128, 1<<12, 2
 	}
 	tf := n / 4
 	faulty := adversary.SpreadFaulty(n, tf)
-	protocols := []struct {
-		name    string
-		factory func(sim.PeerID) sim.Peer
-	}{
-		{"twocycle", twocycle.New},
-		{"multicycle", multicycle.New},
-		{"naive", naive.New},
-	}
-	for _, p := range protocols {
-		var avgQ, msgs, times stats.Sample
-		maxQ := 0
+	var cells []Cell
+	for _, p := range e6Protocols {
 		for s := 0; s < seeds; s++ {
-			res, err := run(&sim.Spec{
-				Config:  sim.Config{N: n, T: tf, L: L, MsgBits: msgBitsFor(L, n), Seed: cfg.Seed + int64(s)},
+			cells = append(cells, Cell{fmt.Sprintf("%s-s%d", p.name, s), &sim.Spec{
+				Config:  config(cfg.Seed+int64(s), n, tf, L),
 				NewPeer: p.factory,
 				Delays:  adversary.NewRandomUnit(cfg.Seed + int64(s)*31),
-				Faults: sim.FaultSpec{
-					Model: sim.FaultByzantine, Faulty: faulty,
-					NewByzantine: adversary.NewSilent,
-				},
-			})
+				Faults:  byzantine(faulty, adversary.NewSilent),
+			}})
+		}
+	}
+	return cells
+}
+
+// e6MultiCycle compares the multi-cycle protocol's expected cost with the
+// 2-cycle protocol and naive across seeds (Theorem 3.12). Series: the
+// multi-cycle average stays comparable while its messages grow with the
+// doubling segments.
+func e6MultiCycle(cfg Config) (*Table, error) {
+	t := &Table{
+		Columns: []string{"protocol", "avgQ (mean ± std)", "maxQ(worst seed)", "msgs(mean)", "time(mean)"},
+		Notes:   []string{"n, L fixed; silent Byzantine faults; per-seed statistics"},
+	}
+	cells := E6Cells(cfg)
+	seeds := len(cells) / len(e6Protocols)
+	for k, p := range e6Protocols {
+		var avgQ, msgs, times stats.Sample
+		maxQ := 0
+		for _, c := range cells[k*seeds : (k+1)*seeds] {
+			res, err := c.Run()
 			if err != nil {
 				return nil, err
 			}
-			if !res.Correct {
-				return nil, fmt.Errorf("E6 %s seed %d: %v", p.name, s, res.Failures)
-			}
 			avgQ.Add(res.AvgQ())
-			if res.Q > maxQ {
-				maxQ = res.Q
-			}
+			maxQ = max(maxQ, res.Q)
 			msgs.AddInt(res.Msgs)
 			times.Add(res.Time)
 		}
@@ -182,16 +183,12 @@ func E6MultiCycle(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// A1Threshold sweeps the 2-cycle frequency threshold k: too low admits
+// a1Threshold sweeps the 2-cycle frequency threshold k: too low admits
 // more forged candidates (higher determine cost), too high empties
 // candidate sets (direct-query fallback). The derived k sits in the
 // efficient valley.
-func A1Threshold(cfg Config) (*Table, error) {
-	t := &Table{
-		ID:      "A1",
-		Title:   "2-cycle frequency threshold ablation",
-		Columns: []string{"k", "Q", "correct", "note"},
-	}
+func a1Threshold(cfg Config) (*Table, error) {
+	t := &Table{Columns: []string{"k", "Q", "correct", "note"}}
 	n, L := 256, 1<<14
 	if cfg.Quick {
 		n, L = 128, 1<<12
@@ -212,14 +209,11 @@ func A1Threshold(cfg Config) (*Table, error) {
 		if k == derived {
 			note = "derived k"
 		}
-		res, err := run(&sim.Spec{
-			Config:  sim.Config{N: n, T: tf, L: L, MsgBits: msgBitsFor(L, n), Seed: cfg.Seed},
+		res, err := des.New().Run(&sim.Spec{
+			Config:  config(cfg.Seed, n, tf, L),
 			NewPeer: twocycle.NewWithOptions(twocycle.Options{ForceThreshold: k}),
 			Delays:  adversary.NewRandomUnit(cfg.Seed + int64(k)),
-			Faults: sim.FaultSpec{
-				Model: sim.FaultByzantine, Faulty: faulty,
-				NewByzantine: segproto.NewColludingLiar,
-			},
+			Faults:  byzantine(faulty, segproto.NewColludingLiar),
 		})
 		if err != nil {
 			return nil, err
@@ -229,14 +223,10 @@ func A1Threshold(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// A2Adversaries runs each Byzantine-tolerant protocol against every
+// a2Adversaries runs each Byzantine-tolerant protocol against every
 // adversary strategy, reporting Q and correctness — the robustness grid.
-func A2Adversaries(cfg Config) (*Table, error) {
-	t := &Table{
-		ID:      "A2",
-		Title:   "adversary-strategy grid",
-		Columns: []string{"protocol", "adversary", "Q", "correct", "time"},
-	}
+func a2Adversaries(cfg Config) (*Table, error) {
+	t := &Table{Columns: []string{"protocol", "adversary", "Q", "correct", "time"}}
 	n, L := 256, 1<<13
 	if cfg.Quick {
 		n, L = 128, 1<<11
@@ -260,14 +250,11 @@ func A2Adversaries(cfg Config) (*Table, error) {
 			"liar":    p.liar,
 		}
 		for _, name := range []string{"silent", "spammer", "echo", "liar"} {
-			res, err := run(&sim.Spec{
-				Config:  sim.Config{N: n, T: tf, L: L, MsgBits: msgBitsFor(L, n), Seed: cfg.Seed},
+			res, err := des.New().Run(&sim.Spec{
+				Config:  config(cfg.Seed, n, tf, L),
 				NewPeer: p.factory,
 				Delays:  adversary.NewRandomUnit(cfg.Seed + int64(len(name))),
-				Faults: sim.FaultSpec{
-					Model: sim.FaultByzantine, Faulty: faulty,
-					NewByzantine: strategies[name],
-				},
+				Faults:  byzantine(faulty, strategies[name]),
 			})
 			if err != nil {
 				return nil, err

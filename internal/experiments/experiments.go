@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/des"
 	"repro/internal/sim"
@@ -27,38 +28,36 @@ type Table struct {
 // AddRow appends a formatted row.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// Fprint renders the table as aligned text.
+// Fprint renders the table as Markdown: the ID and title in bold, the
+// rows with every column padded to its widest cell, and one bullet per
+// note. drbench prints this, and EXPERIMENTS.md holds it verbatim.
 func (t *Table) Fprint(w io.Writer) {
-	fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title)
+	fmt.Fprintf(w, "**%s — %s**\n\n", t.ID, t.Title)
 	widths := make([]int, len(t.Columns))
-	for i, c := range t.Columns {
-		widths[i] = len(c)
-	}
-	for _, row := range t.Rows {
+	for _, row := range append([][]string{t.Columns}, t.Rows...) {
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
+			widths[i] = max(widths[i], utf8.RuneCountInString(cell))
 		}
 	}
 	line := func(cells []string) {
-		parts := make([]string, len(cells))
 		for i, c := range cells {
-			parts[i] = fmt.Sprintf("%-*s", widths[i], c)
+			fmt.Fprintf(w, "| %-*s ", widths[i], c)
 		}
-		fmt.Fprintln(w, "  "+strings.Join(parts, "  "))
+		fmt.Fprintln(w, "|")
 	}
 	line(t.Columns)
-	sep := make([]string, len(t.Columns))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
+	for _, width := range widths {
+		fmt.Fprintf(w, "|%s", strings.Repeat("-", width+2))
 	}
-	line(sep)
+	fmt.Fprintln(w, "|")
 	for _, row := range t.Rows {
 		line(row)
 	}
+	if len(t.Notes) > 0 {
+		fmt.Fprintln(w)
+	}
 	for _, n := range t.Notes {
-		fmt.Fprintf(w, "  note: %s\n", n)
+		fmt.Fprintf(w, "- %s\n", n)
 	}
 	fmt.Fprintln(w)
 }
@@ -80,34 +79,47 @@ type Config struct {
 	Quick bool
 }
 
-// Experiment is a named generator.
+// Experiment is a named generator. Cells, when set, lists the runs its
+// table is built from, one Cell per des run; it is nil for the
+// experiments that build their runs inside the table or are no des run.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(cfg Config) (*Table, error)
+	Cells func(cfg Config) []Cell
+	table func(cfg Config) (*Table, error)
+}
+
+// Run builds the experiment's table.
+func (e Experiment) Run(cfg Config) (*Table, error) {
+	t, err := e.table(cfg)
+	if err != nil {
+		return nil, err
+	}
+	t.ID, t.Title = e.ID, e.Title
+	return t, nil
 }
 
 // All returns every experiment in index order.
 func All() []Experiment {
 	return []Experiment{
-		{"T1", "Table 1: protocol comparison (measured)", Table1},
-		{"E1", "Thm 2.3: single-crash deterministic Download, Q vs n", E1Crash1},
-		{"E2", "Thm 2.13: t-crash deterministic Download, Q vs β", E2CrashKBeta},
-		{"E3", "Claim 4: per-phase unknown-bit decay", E3Decay},
-		{"E4", "Thm 3.4: committee Download, Q vs β (< 1/2)", E4Committee},
-		{"E5", "Thm 3.7: 2-cycle randomized Download, Q vs L crossover", E5TwoCycle},
-		{"E6", "Thm 3.12: multi-cycle randomized Download, expected Q", E6MultiCycle},
-		{"E7", "Thm 3.1: deterministic lower bound attack (β ≥ 1/2)", E7DetAttack},
-		{"E8", "Thm 3.2: randomized lower bound attack (β ≥ 1/2)", E8RandAttack},
-		{"E9", "Thm 2.13: time complexity vs message size b", E9TimeVsB},
-		{"E10", "Thm 4.2: oracle ODC — baseline vs Download-based", E10Oracle},
-		{"A1", "Ablation: 2-cycle frequency threshold k", A1Threshold},
-		{"A2", "Ablation: adversary strategies per protocol", A2Adversaries},
-		{"A3", "Ablation: Thm 2.13 fast variant vs base Algorithm 2", A3FastVariant},
-		{"A4", "Ablation: synchronous lockstep vs adversarial asynchrony", A4Synchrony},
-		{"A5", "Extension: dynamic Byzantine (rotating corruption)", A5DynamicByzantine},
-		{"A6", "Ablation: Algorithm 2 reassignment strategy (hash vs rotation)", A6Reassign},
-		{"A7", "Verification: bounded-exhaustive schedule enumeration", A7Exhaustive},
+		{"T1", "Table 1: protocol comparison at common scale (measured)", T1Cells, table1},
+		{"E1", "Thm 2.3: single-crash deterministic Download, Q vs n", E1Cells, e1Crash1},
+		{"E2", "Thm 2.13: t-crash deterministic Download for any β < 1, Q vs β", E2Cells, e2CrashKBeta},
+		{"E3", "Claim 4: per-phase unknown-bit decay in Algorithm 2", nil, e3Decay},
+		{"E4", "Thm 3.4: deterministic Byzantine committee Download, Q vs β (< 1/2)", E4Cells, e4Committee},
+		{"E5", "Thm 3.7: 2-cycle randomized vs deterministic baselines, Q vs L", E5Cells, e5TwoCycle},
+		{"E6", "Thm 3.12: multi-cycle randomized Download, expected Q", E6Cells, e6MultiCycle},
+		{"E7", "Thm 3.1: deterministic lower bound attack (β ≥ 1/2)", nil, e7DetAttack},
+		{"E8", "Thm 3.2: randomized lower bound attack (β ≥ 1/2)", nil, e8RandAttack},
+		{"E9", "Thm 2.13: time complexity vs message size b", E9Cells, e9TimeVsB},
+		{"E10", "Thm 4.2: oracle ODC — baseline vs Download-based", nil, e10Oracle},
+		{"A1", "Ablation: 2-cycle frequency threshold k", nil, a1Threshold},
+		{"A2", "Ablation: adversary strategies per protocol", nil, a2Adversaries},
+		{"A3", "Ablation: Thm 2.13 fast stage-3 rule vs base Algorithm 2", A3Cells, a3FastVariant},
+		{"A4", "Ablation: synchronous lockstep vs adversarial asynchrony", nil, a4Synchrony},
+		{"A5", "Extension: dynamic Byzantine, growing corruption union at fixed concurrency", nil, a5DynamicByzantine},
+		{"A6", "Ablation: Algorithm 2 reassignment strategy (hash vs rotation)", nil, a6Reassign},
+		{"A7", "Verification: bounded-exhaustive schedule enumeration", nil, a7Exhaustive},
 	}
 }
 
@@ -121,21 +133,45 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// run executes a spec on the des runtime.
-func run(spec *sim.Spec) (*sim.Result, error) {
-	return des.New().Run(spec)
+// Cell is one simulator run of an experiment. Its Spec carries seeded
+// delay and crash plans that a run consumes, so a Spec runs once; call
+// the experiment's Cells again for a fresh one.
+type Cell struct {
+	Name string
+	Spec *sim.Spec
 }
 
-// msgBitsFor derives the default message size b = max(64, L/n).
-func msgBitsFor(L, n int) int {
-	b := L / n
-	if b < 64 {
-		b = 64
+// Run executes the cell on the des runtime and fails unless every honest
+// peer output X.
+func (c Cell) Run() (*sim.Result, error) {
+	res, err := des.New().Run(c.Spec)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", c.Name, err)
 	}
-	return b
+	if !res.Correct {
+		return nil, fmt.Errorf("%s: %v", c.Name, res.Failures)
+	}
+	return res, nil
+}
+
+// config is the run shape every experiment starts from: message size
+// b = max(64, L/n).
+func config(seed int64, n, t, L int) sim.Config {
+	return sim.Config{N: n, T: t, L: L, MsgBits: max(64, L/n), Seed: seed}
+}
+
+// crash makes the faulty peers crash at the points plan gives them. An
+// empty faulty set runs failure-free, as under sim.FaultNone.
+func crash(faulty []sim.PeerID, plan sim.CrashPolicy) sim.FaultSpec {
+	return sim.FaultSpec{Model: sim.FaultCrash, Faulty: faulty, Crash: plan}
+}
+
+// byzantine makes the faulty peers run liar in place of the protocol. An
+// empty faulty set runs failure-free, as under sim.FaultNone.
+func byzantine(faulty []sim.PeerID, liar func(sim.PeerID, *sim.Knowledge) sim.Peer) sim.FaultSpec {
+	return sim.FaultSpec{Model: sim.FaultByzantine, Faulty: faulty, NewByzantine: liar}
 }
 
 func itoa(v int) string          { return fmt.Sprintf("%d", v) }
 func ftoa(v float64) string      { return fmt.Sprintf("%.2f", v) }
-func ratio(a, b int) string      { return fmt.Sprintf("%.2f", float64(a)/float64(b)) }
 func fratio(a, b float64) string { return fmt.Sprintf("%.2f", a/b) }

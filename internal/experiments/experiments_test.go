@@ -2,6 +2,7 @@ package experiments_test
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -59,47 +60,57 @@ func TestExperimentShapes(t *testing.T) {
 	// Spot-check the load-bearing shapes on the quick configuration.
 	cfg := experiments.Config{Seed: 11, Quick: true}
 
+	// Thm 2.13: Q = O(L/(n−t)) for every β < 1. The constant held here is
+	// 2: no peer queries more than twice the survivors' balanced share.
+	const e2Bound = 2.0
 	t.Run("E2 flat in beta", func(t *testing.T) {
-		table, err := experiments.E2CrashKBeta(cfg)
+		table, err := run(t, "E2", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Column 5 is Q·(n−t)/L; it must stay within a small constant.
 		for _, row := range table.Rows {
-			v := row[5]
-			if v >= "9" && len(v) == 4 { // crude: "x.yz" < 9
-				t.Errorf("beta=%s: normalized Q %s not Θ(1)", row[0], v)
+			v, err := strconv.ParseFloat(row[5], 64) // Q·(n−t)/L
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v > e2Bound {
+				t.Errorf("beta=%s: Q·(n−t)/L = %v, above %v", row[0], v, e2Bound)
 			}
 		}
 	})
 
+	// Thm 3.4: Q = L(2t+1)/n exactly, at every β < 1/2.
 	t.Run("E4 linear in beta", func(t *testing.T) {
-		table, err := experiments.E4Committee(cfg)
+		table, err := run(t, "E4", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prev := -1
-		for _, row := range table.Rows {
-			var q int
-			if _, err := fmtSscan(row[3], &q); err != nil {
-				t.Fatal(err)
+		cells := experiments.E4Cells(cfg)
+		if len(table.Rows) != len(cells) {
+			t.Fatalf("%d rows for %d cells", len(table.Rows), len(cells))
+		}
+		for i, row := range table.Rows {
+			n, tf, q := atoi(t, row[1]), atoi(t, row[2]), atoi(t, row[3])
+			if want := cells[i].Spec.Config.L * (2*tf + 1) / n; q != want {
+				t.Errorf("beta=%s: Q = %d, want L(2t+1)/n = %d", row[0], q, want)
 			}
-			if q < prev {
-				t.Errorf("committee Q decreased: %d after %d", q, prev)
-			}
-			prev = q
 		}
 	})
 }
 
-func fmtSscan(s string, v *int) (int, error) {
-	n := 0
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			break
-		}
-		n = n*10 + int(c-'0')
+func run(t *testing.T, id string, cfg experiments.Config) (*experiments.Table, error) {
+	e, ok := experiments.ByID(id)
+	if !ok {
+		t.Fatalf("no experiment %s", id)
 	}
-	*v = n
-	return n, nil
+	return e.Run(cfg)
+}
+
+func atoi(t *testing.T, s string) int {
+	t.Helper()
+	v, err := strconv.Atoi(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }

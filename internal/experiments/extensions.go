@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/adversary"
+	"repro/internal/des"
 	"repro/internal/protocols/committee"
 	"repro/internal/protocols/crashk"
 	"repro/internal/protocols/segproto"
@@ -11,16 +12,14 @@ import (
 	"repro/internal/sim"
 )
 
-// A4Synchrony compares each protocol under synchronous lockstep (all
+// a4Synchrony compares each protocol under synchronous lockstep (all
 // latencies exactly 1, simultaneous start — the setting of the prior work
 // in the paper's Table 1) against the adversarial asynchronous schedule.
 // Query complexity is schedule-independent for the deterministic
 // protocols; time stretches under asynchrony by at most the latency
 // spread. This is the "Synchrony" column of Table 1 made measurable.
-func A4Synchrony(cfg Config) (*Table, error) {
+func a4Synchrony(cfg Config) (*Table, error) {
 	t := &Table{
-		ID:      "A4",
-		Title:   "synchronous lockstep vs adversarial asynchrony",
 		Columns: []string{"protocol", "schedule", "Q", "time", "msgs"},
 		Notes: []string{
 			"sync = unit latencies & simultaneous start; async = seeded adversarial delays in (0,1] with staggered starts",
@@ -31,20 +30,14 @@ func A4Synchrony(cfg Config) (*Table, error) {
 		n, L = 32, 1<<11
 	}
 	tf := n / 4
-	crashSet := adversary.SpreadFaulty(n, tf)
+	faulty := adversary.SpreadFaulty(n, tf)
 	rows := []struct {
 		name    string
 		factory func(sim.PeerID) sim.Peer
 		faults  sim.FaultSpec
 	}{
-		{"crashk", crashk.NewFast, sim.FaultSpec{
-			Model: sim.FaultCrash, Faulty: crashSet,
-			Crash: adversary.NewCrashRandom(cfg.Seed, crashSet, 20*n),
-		}},
-		{"committee", committee.New, sim.FaultSpec{
-			Model: sim.FaultByzantine, Faulty: crashSet,
-			NewByzantine: committee.NewLiar,
-		}},
+		{"crashk", crashk.NewFast, crash(faulty, adversary.NewCrashRandom(cfg.Seed, faulty, 20*n))},
+		{"committee", committee.New, byzantine(faulty, committee.NewLiar)},
 	}
 	for _, r := range rows {
 		for _, sched := range []struct {
@@ -54,17 +47,14 @@ func A4Synchrony(cfg Config) (*Table, error) {
 			{"sync", adversary.NewFixed(1.0)},
 			{"async", adversary.NewRandomUnit(cfg.Seed + 3)},
 		} {
-			res, err := run(&sim.Spec{
-				Config:  sim.Config{N: n, T: tf, L: L, MsgBits: msgBitsFor(L, n), Seed: cfg.Seed},
+			res, err := Cell{r.name + "-" + sched.name, &sim.Spec{
+				Config:  config(cfg.Seed, n, tf, L),
 				NewPeer: r.factory,
 				Delays:  sched.delays,
 				Faults:  r.faults,
-			})
+			}}.Run()
 			if err != nil {
 				return nil, err
-			}
-			if !res.Correct {
-				return nil, fmt.Errorf("A4 %s/%s: %v", r.name, sched.name, res.Failures)
 			}
 			t.AddRow(r.name, sched.name, itoa(res.Q), ftoa(res.Time), itoa(res.Msgs))
 		}
@@ -72,16 +62,14 @@ func A4Synchrony(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// A5DynamicByzantine stresses the dynamic-corruption model of the
+// a5DynamicByzantine stresses the dynamic-corruption model of the
 // companion paper: the adversary rotates control through a growing union
 // of peers while keeping the number of concurrently corrupted peers
 // fixed at t/2. The static analysis only promises tolerance for union ≤ t;
 // the experiment measures where the randomized protocol actually stops
 // being correct as the union grows past it.
-func A5DynamicByzantine(cfg Config) (*Table, error) {
+func a5DynamicByzantine(cfg Config) (*Table, error) {
 	t := &Table{
-		ID:      "A5",
-		Title:   "dynamic Byzantine: growing corruption union, fixed concurrency",
 		Columns: []string{"union", "concurrent~", "T(bound)", "correct", "Q"},
 		Notes: []string{
 			"corrupted peers run the colluding liar inside staggered windows, honest outside",
@@ -90,13 +78,10 @@ func A5DynamicByzantine(cfg Config) (*Table, error) {
 	}
 	n, L := 128, 1<<12
 	if cfg.Quick {
-		n, L = 128, 1<<11
+		L = 1 << 11
 	}
 	tf := n / 4
 	for _, union := range []int{tf / 2, tf, 3 * tf / 2} {
-		if union > n-1 {
-			continue
-		}
 		faulty := adversary.SpreadFaulty(n, union)
 		windows := make(map[sim.PeerID]adversary.Window, union)
 		// Two staggered shifts: halves the concurrent corruption.
@@ -107,21 +92,16 @@ func A5DynamicByzantine(cfg Config) (*Table, error) {
 				windows[p] = adversary.Window{Start: 2, End: 6}
 			}
 		}
-		spec := &sim.Spec{
+		faults := byzantine(faulty, adversary.NewRotating(twocycle.New, segproto.NewColludingLiar, windows))
+		faults.AllowExcess = true
+		res, err := des.New().Run(&sim.Spec{
 			// T stays at the static bound: the protocol's parameters
 			// must not know about the dynamic union's size.
-			Config:  sim.Config{N: n, T: tf, L: L, MsgBits: msgBitsFor(L, n), Seed: cfg.Seed},
+			Config:  config(cfg.Seed, n, tf, L),
 			NewPeer: twocycle.New,
 			Delays:  adversary.NewRandomUnit(cfg.Seed + int64(union)),
-			Faults: sim.FaultSpec{
-				Model:  sim.FaultByzantine,
-				Faulty: faulty,
-				NewByzantine: adversary.NewRotating(
-					twocycle.New, segproto.NewColludingLiar, windows),
-				AllowExcess: true,
-			},
-		}
-		res, err := run(spec)
+			Faults:  faults,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -129,11 +109,4 @@ func A5DynamicByzantine(cfg Config) (*Table, error) {
 			fmt.Sprintf("%v", res.Correct), itoa(res.Q))
 	}
 	return t, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

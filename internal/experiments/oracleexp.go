@@ -7,26 +7,23 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/protocols/committee"
 	"repro/internal/protocols/crashk"
-	"repro/internal/sim"
 )
 
-// E10Oracle reproduces the Section 4 / Theorem 4.2 comparison: the
+// e10Oracle reproduces the Section 4 / Theorem 4.2 comparison: the
 // Download-based Oracle Data Collection step versus the classical
 // every-node-reads-everything baseline, sweeping the network size n.
 // Series: baseline per-node cost is flat in n; Download-based per-node
 // cost falls ≈ 1/n, so the savings factor grows linearly — the paper's
 // point that the DR model makes oracle networks cheaper the larger they
 // are. The ODD honest-range property must hold for both.
-func E10Oracle(cfg Config) (*Table, error) {
+func e10Oracle(cfg Config) (*Table, error) {
 	t := &Table{
-		ID:    "E10",
-		Title: "oracle ODC: baseline vs Download-based (Thm 4.2)",
 		Columns: []string{"n", "network", "per-node bits (base)", "per-node bits (download)",
 			"savings", "ODD", "agree"},
 		Notes: []string{
 			"2f_s+1 = 5 sources (2 Byzantine outliers), m = 32 cells of 64 bits",
 			"crash network (crashk download): savings grow ≈ linearly in n (Q = O(L/n))",
-			"byzantine network (committee download): savings ≈ 1/(2β), flat in n (Q ≈ 2βL)",
+			"byzantine network (committee download): savings capped near 1/(2β) (Q ≈ 2βL)",
 		},
 	}
 	ns := []int{8, 16, 32}
@@ -53,15 +50,13 @@ func E10Oracle(cfg Config) (*Table, error) {
 			var runner oracle.DownloadRunner
 			switch kind {
 			case "crash":
-				runner = oracle.NewRunner(ocfg, crashk.New, sim.FaultSpec{
-					Model: sim.FaultCrash, Faulty: faulty,
-					Crash: adversary.NewCrashRandom(ocfg.Seed, faulty, 50*n),
-				}, adversary.NewRandomUnit(ocfg.Seed))
+				runner = oracle.NewRunner(ocfg, crashk.New,
+					crash(faulty, adversary.NewCrashRandom(ocfg.Seed, faulty, 50*n)),
+					adversary.NewRandomUnit(ocfg.Seed))
 			case "byzantine":
-				runner = oracle.NewRunner(ocfg, committee.New, sim.FaultSpec{
-					Model: sim.FaultByzantine, Faulty: faulty,
-					NewByzantine: committee.NewLiar,
-				}, adversary.NewRandomUnit(ocfg.Seed+1))
+				runner = oracle.NewRunner(ocfg, committee.New,
+					byzantine(faulty, committee.NewLiar),
+					adversary.NewRandomUnit(ocfg.Seed+1))
 			}
 			down, err := oracle.RunDownload(ocfg, feeds, runner)
 			if err != nil {

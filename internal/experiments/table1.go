@@ -12,9 +12,77 @@ import (
 	"repro/internal/protocols/segproto"
 	"repro/internal/protocols/twocycle"
 	"repro/internal/sim"
+	"repro/internal/source"
 )
 
-// Table1 reproduces the paper's Table 1 — the protocol comparison — with
+// t1Row is one row of Table 1: the cell that measures it and the columns
+// the paper states. The label is display text only; the cell's name
+// picks the delay seed and keys the row in internal/regression's
+// table1.json, so relabelling a row moves no number.
+type t1Row struct {
+	label, faultModel, resilience, kind, theory string
+	cell                                        Cell
+}
+
+// t1Rows builds Table 1 at n = 256, L = 2^14 (the paper's scale) or, for
+// a quick run, n = 128, L = 2^12. Every protocol runs under its maximal
+// tolerable fault pattern, and each cell's delay seed is seed + len(name).
+func t1Rows(cfg Config) []t1Row {
+	n, L := 256, 1<<14
+	if cfg.Quick {
+		n, L = 128, 1<<12
+	}
+	cell := func(name string, tf int, peer func(sim.PeerID) sim.Peer, faults sim.FaultSpec) Cell {
+		return Cell{name, &sim.Spec{
+			Config:  config(cfg.Seed, n, tf, L),
+			NewPeer: peer,
+			Delays:  adversary.NewRandomUnit(cfg.Seed + int64(len(name))),
+			Faults:  faults,
+		}}
+	}
+	randomCrash := func(tf int) sim.FaultSpec {
+		f := adversary.SpreadFaulty(n, tf)
+		return crash(f, adversary.NewCrashRandom(cfg.Seed, f, 20*n))
+	}
+	lying := func(tf int, liar func(sim.PeerID, *sim.Knowledge) sim.Peer) sim.FaultSpec {
+		return byzantine(adversary.SpreadFaulty(n, tf), liar)
+	}
+	tQuarter, tHalf, tNineTenths := n/4, n/2, 9*n/10
+	// naive-mir re-runs the naive cell, delay seed included, through a
+	// Byzantine-majority mirror fleet: 3 of 5 mirrors lie, their replies
+	// fail verification and fall back to the source.
+	mir := cell("naive", tNineTenths, naive.New, lying(tNineTenths, adversary.NewSilent))
+	mir.Name = "naive-mir"
+	mir.Spec.Mirrors = &source.MirrorPlan{Mirrors: 5, Byz: 3, Behavior: source.BehaviorMixed, LeafBits: 64, Seed: 9}
+	return []t1Row{
+		{"naive", "byzantine", "any β < 1", "det", fmt.Sprintf("L = %d", L),
+			cell("naive", tNineTenths, naive.New, lying(tNineTenths, adversary.NewSilent))},
+		{"crash1 (Thm 2.3)", "crash", "t = 1", "det", fmt.Sprintf("≈ L/n = %d", L/n),
+			cell("crash1", 1, crash1.New, randomCrash(1))},
+		{"crashk (Thm 2.13)", "crash", "any β < 1", "det", fmt.Sprintf("O(L/n), L/(n−t) = %d", L/(n-tNineTenths)),
+			cell("crashk", tNineTenths, crashk.NewFast, randomCrash(tNineTenths))},
+		{"committee (Thm 3.4)", "byzantine", "β < 1/2", "det", fmt.Sprintf("L(2t+1)/n = %d", L*(2*tQuarter+1)/n),
+			cell("committee", tQuarter, committee.New, lying(tQuarter, committee.NewLiar))},
+		{"twocycle (Thm 3.7)", "byzantine", "β < 1/2", "rand", "Õ(L/n) whp",
+			cell("twocycle", tQuarter, twocycle.New, lying(tQuarter, segproto.NewColludingLiar))},
+		{"multicycle (Thm 3.12)", "byzantine", "β < 1/2", "rand", "Õ(L/n) expected",
+			cell("multicycle", tQuarter, multicycle.New, lying(tQuarter, segproto.NewColludingLiar))},
+		{"committee@β≥1/2", "byzantine", "β ≥ 1/2 ⇒ Q = L (Thm 3.1)", "det", fmt.Sprintf("L = %d", L),
+			cell("committee-majority", tHalf, committee.New, lying(tHalf, adversary.NewSilent))},
+		{"naive, 3/5 mirrors lie", "byzantine", "any β < 1", "det", fmt.Sprintf("L = %d", L), mir},
+	}
+}
+
+// T1Cells returns Table 1's cells, one per row.
+func T1Cells(cfg Config) []Cell {
+	var cells []Cell
+	for _, r := range t1Rows(cfg) {
+		cells = append(cells, r.cell)
+	}
+	return cells
+}
+
+// table1 reproduces the paper's Table 1 — the protocol comparison — with
 // measured numbers: every implemented protocol runs at a common scale
 // under its maximal tolerable fault pattern, reporting measured Q next to
 // the theoretical bound, fault model, resilience, and protocol type.
@@ -23,76 +91,23 @@ import (
 // deterministic construction adapted per Theorem 3.4, and the 2-cycle /
 // multi-cycle protocols are [4]'s randomized protocols adapted per
 // Theorems 3.7/3.12.)
-func Table1(cfg Config) (*Table, error) {
+func table1(cfg Config) (*Table, error) {
 	t := &Table{
-		ID:    "T1",
-		Title: "protocol comparison at common scale (paper Table 1, measured)",
 		Columns: []string{"protocol", "fault model", "resilience", "type",
 			"Q(measured)", "Q(theory)", "time", "msgs"},
 	}
-	n, L := 256, 1<<14
-	if cfg.Quick {
-		n, L = 128, 1<<12
-	}
-	type row struct {
-		name       string
-		factory    func(sim.PeerID) sim.Peer
-		faults     sim.FaultSpec
-		tf         int
-		faultModel string
-		resilience string
-		kind       string
-		theory     string
-	}
-	mkByz := func(tf int, liar func(sim.PeerID, *sim.Knowledge) sim.Peer) sim.FaultSpec {
-		return sim.FaultSpec{
-			Model:        sim.FaultByzantine,
-			Faulty:       adversary.SpreadFaulty(n, tf),
-			NewByzantine: liar,
-		}
-	}
-	mkCrash := func(tf int) sim.FaultSpec {
-		f := adversary.SpreadFaulty(n, tf)
-		return sim.FaultSpec{
-			Model: sim.FaultCrash, Faulty: f,
-			Crash: adversary.NewCrashRandom(cfg.Seed, f, 20*n),
-		}
-	}
-	tQuarter, tHalfMinus, tNineTenths := n/4, n/2-1, 9*n/10
-	rows := []row{
-		{"naive", naive.New, mkByz(tNineTenths, adversary.NewSilent), tNineTenths,
-			"byzantine", "any β < 1", "det", fmt.Sprintf("L = %d", L)},
-		{"crash1 (Thm 2.3)", crash1.New, mkCrash(1), 1,
-			"crash", "t = 1", "det", fmt.Sprintf("≈ L/n = %d", L/n)},
-		{"crashk (Thm 2.13)", crashk.NewFast, mkCrash(tNineTenths), tNineTenths,
-			"crash", "any β < 1", "det", fmt.Sprintf("O(L/n), L/(n−t) = %d", L/(n-tNineTenths))},
-		{"committee (Thm 3.4)", committee.New, mkByz(tQuarter, committee.NewLiar), tQuarter,
-			"byzantine", "β < 1/2", "det", fmt.Sprintf("L(2t+1)/n = %d", L*(2*tQuarter+1)/n)},
-		{"twocycle (Thm 3.7)", twocycle.New, mkByz(tQuarter, segproto.NewColludingLiar), tQuarter,
-			"byzantine", "β < 1/2", "rand", "Õ(L/n) whp"},
-		{"multicycle (Thm 3.12)", multicycle.New, mkByz(tQuarter, segproto.NewColludingLiar), tQuarter,
-			"byzantine", "β < 1/2", "rand", "Õ(L/n) expected"},
-		{"committee@β≥1/2", committee.New, mkByz(tHalfMinus+1, adversary.NewSilent), tHalfMinus + 1,
-			"byzantine", "β ≥ 1/2 ⇒ Q = L (Thm 3.1)", "det", fmt.Sprintf("L = %d", L)},
-	}
+	rows := t1Rows(cfg)
 	for _, r := range rows {
-		res, err := run(&sim.Spec{
-			Config:  sim.Config{N: n, T: r.tf, L: L, MsgBits: msgBitsFor(L, n), Seed: cfg.Seed},
-			NewPeer: r.factory,
-			Delays:  adversary.NewRandomUnit(cfg.Seed + int64(len(r.name))),
-			Faults:  r.faults,
-		})
+		res, err := r.cell.Run()
 		if err != nil {
 			return nil, err
 		}
-		if !res.Correct {
-			return nil, fmt.Errorf("T1 %s: %v", r.name, res.Failures)
-		}
-		t.AddRow(r.name, r.faultModel, r.resilience, r.kind,
+		t.AddRow(r.label, r.faultModel, r.resilience, r.kind,
 			itoa(res.Q), r.theory, ftoa(res.Time), itoa(res.Msgs))
 	}
+	shape := rows[0].cell.Spec.Config
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("n = %d, L = %d, b = %d; all runs seeded and adversarial", n, L, msgBitsFor(L, n)),
+		fmt.Sprintf("n = %d, L = %d, b = %d; all runs seeded and adversarial", shape.N, shape.L, shape.MsgBits),
 		"shapes to check: crash protocols at O(L/n) for any β; committee at ≈2βL; randomized at Õ(L/n); β ≥ 1/2 forces L")
 	return t, nil
 }

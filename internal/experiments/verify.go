@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/explore"
 	"repro/internal/protocols/crash1"
@@ -10,16 +11,14 @@ import (
 	"repro/internal/sim"
 )
 
-// A7Exhaustive reports the bounded-exhaustive verification results: for
+// a7Exhaustive reports the bounded-exhaustive verification results: for
 // tiny configurations, every delivery schedule up to the stated decision
 // depth is enumerated and checked. Unlike the statistical experiments,
 // these rows are universally quantified — "0 failures" means no schedule
 // in the covered tree breaks the protocol, the strongest statement a
 // finite harness makes.
-func A7Exhaustive(cfg Config) (*Table, error) {
+func a7Exhaustive(cfg Config) (*Table, error) {
 	t := &Table{
-		ID:    "A7",
-		Title: "bounded-exhaustive schedule verification",
 		Columns: []string{"protocol", "n", "crash-point", "depth", "schedules",
 			"coverage", "failures", "deadlocks"},
 		Notes: []string{
@@ -62,9 +61,15 @@ func A7Exhaustive(cfg Config) (*Table, error) {
 		if !rep.Exhaustive {
 			coverage = "budget-capped"
 		}
-		point := "-"
-		if len(r.crash) > 0 {
-			point = fmt.Sprintf("%v", r.crash)
+		var points []string
+		for p := sim.PeerID(0); int(p) < r.n; p++ {
+			if at, ok := r.crash[p]; ok {
+				points = append(points, fmt.Sprintf("p%d@%d", p, at))
+			}
+		}
+		point := strings.Join(points, " ")
+		if point == "" {
+			point = "-"
 		}
 		t.AddRow(r.name, itoa(r.n), point, itoa(depth),
 			itoa(rep.Executions), coverage, itoa(rep.Failures), itoa(rep.Deadlocks))

@@ -4,9 +4,10 @@
 // stream, or a protocol — which must be deliberate and documented.
 //
 // Pinned values live in testdata/goldens.json (small cells, every fault
-// plane) and testdata/table1.json (Table 1's protocol rows at the quick
-// and the paper's scale). When a semantic change is intentional,
-// regenerate both with:
+// plane), testdata/table1.json (Table 1's cells at the quick and the
+// paper's scale) and the tables of EXPERIMENTS.md (every experiment at
+// full size). When a semantic change is intentional, regenerate all three
+// with:
 //
 //	go test ./internal/regression -update
 //
@@ -34,7 +35,7 @@ import (
 	"repro/internal/source"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/*.json from the current engine")
+var update = flag.Bool("update", false, "rewrite testdata/*.json and EXPERIMENTS.md's tables from the current engine")
 
 // golden captures one pinned execution. The source-tier counters are
 // omitted when zero, so pre-existing goldens keep their exact encoding.
