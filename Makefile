@@ -94,13 +94,17 @@ conform:
 # negative controls, des-vs-live equivalence, fixture round-trips), the
 # drconform exit-code regressions, then the committed golden corpus
 # executed on every runtime — des, live, and real TCP sockets — diffed
-# field-by-field into a protocol × runtime pass matrix. Regenerate the
-# corpus with
+# field-by-field into a protocol × runtime pass matrix, then one small
+# unpinned sweep with every column (des, live, tcp, and des again behind
+# a flaky source, behind a Byzantine-majority mirror fleet, and under
+# the hardening supervisor). Regenerate the corpus with
 # `go test ./internal/conformance -update` (refuses semantic drift
 # unless CorpusVersion is bumped).
 conformance:
 	$(GO) test -count=1 -timeout $(TIMEOUT) ./internal/conformance/ ./cmd/drconform/
-	$(GO) run ./cmd/drconform -fixtures -tcp
+	$(GO) run ./cmd/drconform -fixtures -live -tcp
+	$(GO) run ./cmd/drconform -n 6 -L 256 -seeds 1 -live -tcp -harden -flaky-source \
+		-mirrors "mirrors=5,byz=3,behavior=mixed,seed=7"
 
 # Tier-2 robustness gate: the chaos and live-runtime suites under the race
 # detector, then a quick drchaos survival sweep over real sockets.

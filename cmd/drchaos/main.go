@@ -1,15 +1,22 @@
 // Command drchaos soaks Download protocols on the real-socket runtime
 // under seeded network chaos: it sweeps drop rate × connection flaps for
 // each protocol, layers on duplication, jitter with reordering, and an
-// optional healed partition, and prints a survival matrix. Every run's
-// fault schedule is a pure function of its seed, so a failing cell can be
-// replayed exactly.
+// optional healed partition, and prints a survival matrix. Every cell is
+// a storm spec (internal/storm) built from the flags, run by storm.Run
+// and held to storm.Check's invariants: every honest peer outputs X, Q
+// stays inside the protocol's envelope, rejoining churn peers restore
+// from their checkpoints, and rejected mirror proofs fall back to the
+// source. Every run's fault schedule is a pure function of its seed, so
+// a failing cell can be replayed exactly.
 //
 // With -churn (or a seeded schedule via -storm-seed) the matrix gains a
 // crash-recovery column: churn peers crash themselves mid-run and, when
 // scheduled to rejoin, restore warm from durable checkpoints over the
 // RESUME handshake; the summary then reports rejoin and checkpoint
 // counters alongside the network-recovery work.
+//
+// Exit codes: 0 every run survived, 1 a run breached an invariant, 2
+// usage, 130 interrupted — partial matrix flushed first.
 //
 // Example:
 //
@@ -33,7 +40,6 @@ import (
 	"repro/download"
 	"repro/internal/adversary"
 	"repro/internal/conformance"
-	"repro/internal/netrt"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/source"
@@ -89,37 +95,11 @@ func (a *tally) add(res *sim.Result) {
 	}
 }
 
-// flapSchedule spreads `count` connection severs round-robin over the
-// first peers, staggered in time so the run sees them mid-protocol.
-func flapSchedule(n, count int) map[sim.PeerID][]time.Duration {
-	if count <= 0 {
-		return nil
-	}
-	flaps := make(map[sim.PeerID][]time.Duration)
-	for k := 0; k < count; k++ {
-		p := sim.PeerID(k % n)
-		at := 20*time.Millisecond + time.Duration(k)*60*time.Millisecond
-		flaps[p] = append(flaps[p], at)
-	}
-	return flaps
-}
-
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
+// parseList parses a comma-separated flag value element by element.
+func parseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
+		v, err := parse(strings.TrimSpace(f))
 		if err != nil {
 			return nil, err
 		}
@@ -137,14 +117,14 @@ func run(args []string, stdout io.Writer, interrupt <-chan struct{}) int {
 	var (
 		protoList = fs.String("protocols", "naive,crashk,committee", "comma-separated protocols to soak")
 		n         = fs.Int("n", 6, "peers")
-		t         = fs.Int("t", 0, "fault bound")
+		t         = fs.Int("t", 0, "fault bound (0 with -faulty, -churn or -storm-seed: the protocol's conformance fault bound)")
 		faulty    = fs.Int("faulty", 0, "peers absent from the start (≤ t)")
 		l         = fs.Int("L", 512, "input bits")
 		b         = fs.Int("b", 128, "message size parameter")
 		drops     = fs.String("drops", "0,0.1,0.2", "comma-separated drop rates to sweep")
 		flaps     = fs.String("flaps", "0,2", "comma-separated flap counts to sweep")
 		dup       = fs.Float64("dup", 0.1, "duplication probability")
-		delay     = fs.Duration("delay", 2*time.Millisecond, "max jitter per delivery")
+		delay     = fs.Duration("delay", 2*time.Millisecond, "max jitter per delivery (whole milliseconds)")
 		reorder   = fs.Float64("reorder", 0.05, "forced-reordering probability")
 		partition = fs.Bool("partition", true, "include one healed partition (needs n ≥ 4)")
 		srcSpec   = fs.String("source-faults", "", `seeded source fault plan layered on every run, e.g. "fail=0.25,outage=0..0.5,seed=7"`)
@@ -159,52 +139,82 @@ func run(args []string, stdout io.Writer, interrupt <-chan struct{}) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(os.Stderr, "drchaos: "+format+"\n", a...)
+		return 2
+	}
 
-	dropRates, err := parseFloats(*drops)
+	dropRates, err := parseList(*drops, func(f string) (float64, error) { return strconv.ParseFloat(f, 64) })
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "drchaos: bad -drops: %v\n", err)
-		return 2
+		return usage("bad -drops: %v", err)
 	}
-	flapCounts, err := parseInts(*flaps)
+	flapCounts, err := parseList(*flaps, strconv.Atoi)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "drchaos: bad -flaps: %v\n", err)
-		return 2
+		return usage("bad -flaps: %v", err)
 	}
-	var absent []sim.PeerID
-	if *faulty > 0 {
-		absent = adversary.SpreadFaulty(*n, *faulty)
+	if *delay%time.Millisecond != 0 {
+		return usage("bad -delay %v: jitter is a whole number of milliseconds", *delay)
 	}
-	var srcFaults *source.FaultPlan
-	if *srcSpec != "" {
-		plan, err := source.ParsePlan(*srcSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "drchaos: bad -source-faults: %v\n", err)
-			return 2
-		}
-		srcFaults = plan
+	if *faulty < 0 {
+		return usage("-faulty %d must not be negative", *faulty)
 	}
-	var mirPlan *source.MirrorPlan
-	if *mirSpec != "" {
-		plan, err := source.ParseMirrorPlan(*mirSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "drchaos: bad -mirrors: %v\n", err)
-			return 2
-		}
-		mirPlan = plan
+	if _, err := source.ParsePlan(*srcSpec); err != nil {
+		return usage("bad -source-faults: %v", err)
+	}
+	if _, err := source.ParseMirrorPlan(*mirSpec); err != nil {
+		return usage("bad -mirrors: %v", err)
 	}
 	if *churnSpec != "" && *stormSeed != 0 {
-		fmt.Fprintln(os.Stderr, "drchaos: -churn and -storm-seed are mutually exclusive")
-		return 2
+		return usage("-churn and -storm-seed are mutually exclusive")
 	}
 	baseChurn, err := download.ParseChurn(*churnSpec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "drchaos: bad -churn: %v\n", err)
-		return 2
+		return usage("bad -churn: %v", err)
 	}
 	infoByName := make(map[string]download.Info)
 	for _, info := range download.Protocols() {
 		infoByName[string(info.Protocol)] = info
 	}
+
+	// One base spec per protocol; a cell sets its network plane and seed.
+	var protos []string
+	var specs []storm.Spec
+	for _, ps := range strings.Split(*protoList, ",") {
+		proto := download.Protocol(strings.TrimSpace(ps))
+		info, ok := infoByName[string(proto)]
+		if !ok {
+			return usage("unknown protocol %q", proto)
+		}
+		// Crash-recovery plane: an explicit -churn schedule, or the storm
+		// generator's seeded crash plane (which schedules rejoining churn
+		// only where a cold protocol restart converges). When any peer is
+		// faulty and no -t was given, the per-protocol conformance fault
+		// bound keeps the faulty peers inside the budget.
+		tb := *t
+		if tb == 0 && (*faulty > 0 || len(baseChurn) > 0 || *stormSeed != 0) {
+			tb = conformance.FaultBound(info, *n)
+		}
+		if *faulty > tb {
+			return usage("-faulty %d exceeds the fault bound t=%d of %s", *faulty, tb, proto)
+		}
+		spec := storm.Spec{
+			Protocol: string(proto), N: *n, T: tb, L: *l, MsgBits: *b,
+			SourceFaults: *srcSpec,
+			Mirrors:      *mirSpec,
+		}
+		for _, p := range adversary.SpreadFaulty(*n, *faulty) {
+			spec.Absent = append(spec.Absent, int(p))
+		}
+		for _, cp := range baseChurn {
+			spec.Churn = append(spec.Churn, storm.ChurnEntry{Peer: cp.Peer, CrashAfter: cp.CrashAfter, Downtime: cp.Downtime})
+		}
+		if *stormSeed != 0 {
+			spec.Churn = append(spec.Churn, storm.Generate(proto, *n, tb, *l, *b, *stormSeed).Churn...)
+		}
+		protos = append(protos, string(proto))
+		specs = append(specs, spec)
+	}
+
 	var (
 		reg      *obs.Registry
 		timeline *obs.Timeline
@@ -214,25 +224,22 @@ func run(args []string, stdout io.Writer, interrupt <-chan struct{}) int {
 		timeline = obs.NewTimeline()
 		srv, err := obs.Serve(*obsAddr, reg, timeline)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "drchaos: %v\n", err)
-			return 2
+			return usage("%v", err)
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "drchaos: observability on http://%s/\n", srv.Addr)
 	}
 
-	type combo struct {
-		drop  float64
-		flaps int
-	}
-	var combos []combo
+	var combos []storm.NetPlan
 	for _, d := range dropRates {
 		for _, f := range flapCounts {
-			combos = append(combos, combo{d, f})
+			combos = append(combos, storm.NetPlan{
+				Drop: d, Dup: *dup, Reorder: *reorder,
+				DelayMs: int(*delay / time.Millisecond), Flaps: f, Partition: *partition,
+			})
 		}
 	}
 
-	protos := strings.Split(*protoList, ",")
 	results := make(map[string][]string) // protocol → cell strings
 	tallies := make(map[string]*tally)
 	failures := 0
@@ -249,95 +256,21 @@ func run(args []string, stdout io.Writer, interrupt <-chan struct{}) int {
 		}
 	}
 
-	for _, ps := range protos {
-		proto := download.Protocol(strings.TrimSpace(ps))
-		factory, err := proto.Factory()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "drchaos: %v\n", err)
-			return 2
-		}
-		// Crash-recovery plane: an explicit -churn schedule, or the storm
-		// generator's seeded crash plane (which schedules rejoining churn
-		// only where a cold protocol restart converges). When churn is
-		// active and no -t was given, the per-protocol conformance fault
-		// bound keeps the churn peers inside the budget.
-		tb := *t
-		if (len(baseChurn) > 0 || *stormSeed != 0) && tb == 0 {
-			tb = conformance.FaultBound(infoByName[string(proto)], *n)
-		}
-		var churn []sim.ChurnPeer
-		for _, cp := range baseChurn {
-			churn = append(churn, sim.ChurnPeer{Peer: sim.PeerID(cp.Peer), CrashAfter: cp.CrashAfter, Downtime: cp.Downtime})
-		}
-		if *stormSeed != 0 {
-			for _, ce := range storm.Generate(proto, *n, tb, *l, *b, *stormSeed).Churn {
-				churn = append(churn, sim.ChurnPeer{Peer: sim.PeerID(ce.Peer), CrashAfter: ce.CrashAfter, Downtime: ce.Downtime})
-			}
-		}
-		rejoins := 0
-		for _, cp := range churn {
-			if cp.Downtime >= 0 {
-				rejoins++
-			}
-		}
+	for i, spec := range specs {
+		proto := protos[i]
 		tl := &tally{}
-		tallies[string(proto)] = tl
-		for _, c := range combos {
+		tallies[proto] = tl
+		for _, net := range combos {
+			spec.Net = net
 			pass, done := 0, 0
 			for seed := 1; seed <= *seeds && !check(); seed++ {
-				plan := &netrt.FaultPlan{
-					Seed:    int64(seed) * 7919,
-					Drop:    c.drop,
-					Dup:     *dup,
-					Delay:   *delay,
-					Reorder: *reorder,
-					Flaps:   flapSchedule(*n, c.flaps),
-				}
-				if *partition && *n >= 4 {
-					plan.Partitions = []netrt.Partition{{
-						A:     []sim.PeerID{0, 1},
-						B:     []sim.PeerID{2, 3},
-						Start: 40 * time.Millisecond,
-						Heal:  400 * time.Millisecond,
-					}}
-				}
-				// Rejoining churn needs a durable checkpoint store; each run
-				// gets a fresh one so no incarnation restores state a prior
-				// seed's run persisted.
-				var ckptDir string
-				if rejoins > 0 {
-					dir, err := os.MkdirTemp("", "drchaos-ckpt")
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "drchaos: checkpoint dir: %v\n", err)
-						return 1
-					}
-					ckptDir = dir
-				}
-				res, err := netrt.Run(netrt.Config{
-					N: *n, T: tb, L: *l, MsgBits: *b,
-					Seed:          int64(seed),
-					NewPeer:       factory,
-					Absent:        absent,
-					Churn:         churn,
-					CheckpointDir: ckptDir,
-					Faults:        plan,
-					SourceFaults:  srcFaults,
-					Mirrors:       mirPlan,
-					Timeout:       *timeout,
-					Resilience: netrt.Resilience{
-						QueryTimeout: 250 * time.Millisecond,
-						RTO:          60 * time.Millisecond,
-					},
-					Metrics:  reg,
-					Timeline: timeline,
-					Label:    string(proto),
+				spec.Seed = int64(seed)
+				res, err := storm.Run(spec, storm.RunOptions{
+					Timeout: *timeout, Metrics: reg, Timeline: timeline,
 				})
-				if ckptDir != "" {
-					os.RemoveAll(ckptDir)
-				}
+				vs := storm.Check(spec, res, err)
 				done++
-				ok := err == nil && res.Correct
-				if ok {
+				if len(vs) == 0 {
 					pass++
 				} else {
 					failures++
@@ -345,23 +278,24 @@ func run(args []string, stdout io.Writer, interrupt <-chan struct{}) int {
 				if res != nil {
 					tl.add(res)
 				}
-				if *verbose || !ok {
+				if *verbose || len(vs) > 0 {
 					detail := "ok"
-					if err != nil {
-						detail = err.Error()
-					} else if !res.Correct {
-						detail = strings.Join(res.Failures, "; ")
+					if len(vs) > 0 {
+						parts := make([]string, len(vs))
+						for i, v := range vs {
+							parts[i] = v.String()
+						}
+						detail = strings.Join(parts, "; ")
 					}
 					fmt.Fprintf(stdout, "  %-10s drop=%.2f flaps=%d seed=%d: %s\n",
-						proto, c.drop, c.flaps, seed, detail)
+						proto, net.Drop, net.Flaps, seed, detail)
 				}
 			}
 			// A cell cut short by the interrupt reports pass/done rather
 			// than pass/seeds so the flushed matrix never overstates
 			// coverage; completed cells have done == seeds.
 			if done > 0 || !interrupted {
-				results[string(proto)] = append(results[string(proto)],
-					fmt.Sprintf("%d/%d", pass, done))
+				results[proto] = append(results[proto], fmt.Sprintf("%d/%d", pass, done))
 			}
 			if interrupted {
 				break
@@ -376,11 +310,10 @@ func run(args []string, stdout io.Writer, interrupt <-chan struct{}) int {
 		*dup, *delay, *reorder, *partition && *n >= 4)
 	fmt.Fprintf(stdout, "%-12s", "PROTOCOL")
 	for _, c := range combos {
-		fmt.Fprintf(stdout, " %-12s", fmt.Sprintf("d=%.2f/f=%d", c.drop, c.flaps))
+		fmt.Fprintf(stdout, " %-12s", fmt.Sprintf("d=%.2f/f=%d", c.Drop, c.Flaps))
 	}
 	fmt.Fprintln(stdout)
-	for _, ps := range protos {
-		p := strings.TrimSpace(ps)
+	for _, p := range protos {
 		if _, ran := tallies[p]; !ran {
 			continue // protocol never started before the interrupt
 		}
@@ -392,19 +325,18 @@ func run(args []string, stdout io.Writer, interrupt <-chan struct{}) int {
 	}
 
 	fmt.Fprintf(stdout, "\nrecovery work (totals across all runs):\n")
-	for _, ps := range protos {
-		p := strings.TrimSpace(ps)
+	for _, p := range protos {
 		tl := tallies[p]
 		if tl == nil {
 			continue
 		}
 		fmt.Fprintf(stdout, "%-12s query-retries=%-5d reconnects=%-5d plan-dropped=%-6d plan-duped=%-5d dups-deduped=%d\n",
 			p, tl.retries, tl.reconnects, tl.planDropped, tl.planDuped, tl.dupsDropped)
-		if srcFaults != nil {
+		if *srcSpec != "" {
 			fmt.Fprintf(stdout, "%-12s src-failures=%-5d src-retries=%-5d breaker-opens=%-5d deferred=%d\n",
 				"", tl.srcFailures, tl.srcRetries, tl.breakerOpens, tl.deferred)
 		}
-		if mirPlan != nil {
+		if *mirSpec != "" {
 			fmt.Fprintf(stdout, "%-12s mirror-hits=%-5d proof-failures=%-5d fallback-queries=%d\n",
 				"", tl.mirrorHits, tl.proofFailures, tl.fallbackQueries)
 		}

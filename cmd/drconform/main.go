@@ -1,10 +1,13 @@
-// Command drconform is the cross-runtime conformance gate.
+// Command drconform is the cross-runtime conformance gate. Both modes
+// run cases through one runner (conformance.RunCases) and print one
+// pass/fail matrix, a row per (protocol, behavior) and a column per
+// enabled runtime.
 //
-// Sweep mode (default) runs the full grid: every protocol against every
-// compatible fault behavior across several seeds, printing a pass/fail
-// matrix with one column per enabled runtime. Every cell is additionally
-// checked against the protocol's Q/M complexity envelope (docs/SPEC.md);
-// a correct-but-over-budget run fails the row and the exit code.
+// Sweep mode (default) runs every protocol against every compatible
+// fault behavior across several seeds at one (n, L). Sweep cases are
+// unpinned: each cell must be correct and inside the protocol's Q/M
+// complexity envelope (docs/SPEC.md); a correct-but-over-budget run
+// fails the row and the exit code.
 //
 // Fixture mode (-fixtures) runs the committed golden corpus
 // (internal/conformance/fixtures): every pinned case on every enabled
@@ -12,12 +15,16 @@
 // the wire-frame round-trip and .dsr replay integrity checks. This is
 // the contract any new runtime must pass before it can land.
 //
+// The des column always runs; -live, -tcp, -flaky-source, -mirrors and
+// -harden each add one column, in either mode. A cell a runtime cannot
+// serve (download.Run returns *download.UnsupportedError) prints "-".
+//
 // Examples:
 //
 //	drconform -n 16 -L 2048 -seeds 5
 //	drconform -live -tcp -seeds 2
 //	drconform -mirrors "mirrors=5,byz=3,behavior=mixed,seed=7"
-//	drconform -fixtures -tcp
+//	drconform -fixtures -live -tcp
 package main
 
 import (
@@ -55,76 +62,83 @@ func notifyInterrupt() <-chan struct{} {
 // cell-run passed — correctness, field-level fixture conformance, AND
 // the Q/M envelopes. (A sweep that printed a failing row but exited 0
 // would make the CI gate decorative; the regression test in main_test.go
-// pins the nonzero exit.) An interrupted sweep flushes the partial
-// matrix and exits 130, the shell convention for death-by-SIGINT.
+// pins the nonzero exit.) An interrupted run flushes the partial matrix
+// and exits 130, the shell convention for death-by-SIGINT.
 func run(args []string, stdout io.Writer, interrupt <-chan struct{}) int {
 	fs := flag.NewFlagSet("drconform", flag.ContinueOnError)
 	var (
 		n        = fs.Int("n", 16, "peers (sweep mode)")
 		l        = fs.Int("L", 2048, "input bits (sweep mode)")
 		seeds    = fs.Int("seeds", 3, "seeds per cell (sweep mode)")
-		liveRT   = fs.Bool("live", false, "also run the concurrent runtime")
-		tcpRT    = fs.Bool("tcp", false, "also run the real-socket runtime")
-		hardenRT = fs.Bool("harden", false, "add a column re-running each des cell under the hardening supervisor")
-		srcCol   = fs.Bool("flaky-source", false, "add a SRC column re-running each des cell against a flaky source")
-		srcSpec  = fs.String("source-faults", "fail=0.2,timeout=0.1,outage=1..3,seed=11",
-			"source fault plan used by the -flaky-source column")
-		mirrors = fs.String("mirrors", "",
-			"add a MIR column re-running each des cell through this untrusted mirror fleet plan (source.ParseMirrorPlan grammar)")
-		fixtures = fs.Bool("fixtures", false, "run the committed golden fixture corpus instead of the sweep grid")
+		liveRT   = fs.Bool("live", false, "add the concurrent runtime's column")
+		tcpRT    = fs.Bool("tcp", false, "add the real-socket runtime's column")
+		hardenRT = fs.Bool("harden", false, "add a column re-running each case on des under the hardening supervisor")
+		srcCol   = fs.Bool("flaky-source", false, "add a SRC column re-running each case on des against a flaky source")
+		srcSpec  = fs.String("source-faults", conformance.FlakyPlan, "source fault plan used by the -flaky-source column")
+		mirrors  = fs.String("mirrors", "",
+			"add a MIR column re-running each case on des through this untrusted mirror fleet plan (source.ParseMirrorPlan grammar)")
+		fixtures = fs.Bool("fixtures", false, "run the committed golden fixture corpus instead of the sweep")
 		fixDir   = fs.String("fixture-dir", conformance.DefaultDir, "fixture corpus directory (fixture mode)")
-		liveOff  = fs.Bool("no-live", false, "drop the live column from fixture mode (it is on by default there)")
-		scale    = fs.Duration("live-scale", 500*time.Microsecond, "live runtime time scale in fixture mode")
+		scale    = fs.Duration("live-scale", 500*time.Microsecond, "live runtime time scale")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
+	cfg := conformance.Config{
+		Runtimes:   []conformance.Runtime{conformance.DES},
+		LiveScale:  *scale,
+		SourcePlan: *srcSpec,
+		Mirrors:    *mirrors,
+		Interrupt:  interrupt,
+	}
+	for _, col := range []struct {
+		on bool
+		rt conformance.Runtime
+	}{
+		{*liveRT, conformance.Live},
+		{*tcpRT, conformance.TCP},
+		{*srcCol, conformance.SRC},
+		{*mirrors != "", conformance.MIR},
+		{*hardenRT, conformance.Harden},
+	} {
+		if col.on {
+			cfg.Runtimes = append(cfg.Runtimes, col.rt)
+		}
+	}
+
+	var (
+		rep    *conformance.Report
+		cases  int
+		corpus *conformance.Corpus
+	)
 	if *fixtures {
-		return runFixtures(stdout, *fixDir, *tcpRT, !*liveOff, *scale)
+		var err error
+		if corpus, err = conformance.Load(*fixDir); err != nil {
+			fmt.Fprintf(stdout, "drconform: %v\n", err)
+			return 1
+		}
+		rep = conformance.RunFixtures(corpus, cfg)
+		cases = len(corpus.Results.Cases)
+	} else {
+		sweep := conformance.SweepCases(*n, *l, *seeds)
+		rep = conformance.RunCases(sweep, cfg)
+		cases = len(sweep)
 	}
-
-	rep := conformance.RunGrid(conformance.GridConfig{
-		N: *n, L: *l, Seeds: *seeds,
-		Live: *liveRT, TCP: *tcpRT, Harden: *hardenRT,
-		FlakySource: *srcCol, SourcePlan: *srcSpec,
-		Mirrors:   *mirrors,
-		Interrupt: interrupt,
-	})
-	rep.Write(stdout)
-	if rep.Interrupted {
-		return 130
-	}
-	if rep.Failures > 0 {
-		return 1
-	}
-	return 0
-}
-
-func runFixtures(stdout io.Writer, dir string, tcp, live bool, scale time.Duration) int {
-	corpus, err := conformance.Load(dir)
-	if err != nil {
-		fmt.Fprintf(stdout, "drconform: %v\n", err)
-		return 1
-	}
-	runtimes := []conformance.Runtime{conformance.DES}
-	if live {
-		runtimes = append(runtimes, conformance.Live)
-	}
-	if tcp {
-		runtimes = append(runtimes, conformance.TCP)
-	}
-	rep := conformance.RunFixtures(corpus, conformance.Config{
-		Runtimes:  runtimes,
-		LiveScale: scale,
-	})
 	rep.WriteMatrix(stdout)
-	if rep.Failed() {
-		fmt.Fprintf(stdout, "\nFAILED: fixture conformance\n")
+	switch {
+	case rep.Interrupted:
+		fmt.Fprintf(stdout, "\nINTERRUPTED: partial matrix (%d cell-runs failed so far)\n", rep.Failures())
+		return 130
+	case rep.Failed():
+		fmt.Fprintf(stdout, "\nFAILED: %d cell-runs or corpus checks failed\n", rep.Failures())
 		return 1
 	}
-	fmt.Fprintf(stdout, "\nOK: %d cases × %d runtimes conform (corpus v%d, %d frames, %d replays)\n",
-		len(corpus.Results.Cases), len(runtimes), conformance.CorpusVersion,
-		len(corpus.Frames.Frames), len(corpus.Replays.Replays))
+	fmt.Fprintf(stdout, "\nOK: %d cases × %d runtimes conform", cases, len(cfg.Runtimes))
+	if corpus != nil {
+		fmt.Fprintf(stdout, " (corpus v%d, %d frames, %d replays)",
+			conformance.CorpusVersion, len(corpus.Frames.Frames), len(corpus.Replays.Replays))
+	}
+	fmt.Fprintln(stdout)
 	return 0
 }

@@ -47,7 +47,7 @@ func TestExitCodeCleanGrid(t *testing.T) {
 // for speed) through the CLI path and requires exit 0.
 func TestExitCodeFixtureMode(t *testing.T) {
 	var out strings.Builder
-	code := run([]string{"-fixtures", "-no-live",
+	code := run([]string{"-fixtures",
 		"-fixture-dir", "../../internal/conformance/fixtures"}, &out, nil)
 	if code != 0 {
 		t.Fatalf("fixture mode exited %d:\n%s", code, out.String())
@@ -80,5 +80,23 @@ func TestExitCodeInterrupt(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "PROTOCOL") {
 		t.Fatalf("matrix header missing from flush:\n%s", out.String())
+	}
+}
+
+// TestExitCodeEveryDesColumn runs the SRC, MIR and HARDEN columns on a
+// small sweep: each is des again behind a flaky source, behind a
+// Byzantine-majority mirror fleet, or under the hardening supervisor,
+// and every one of their cells must pass.
+func TestExitCodeEveryDesColumn(t *testing.T) {
+	var out strings.Builder
+	code := run([]string{"-n", "6", "-L", "64", "-seeds", "1", "-harden", "-flaky-source",
+		"-mirrors", "mirrors=5,byz=3,behavior=mixed,seed=7"}, &out, nil)
+	if code != 0 {
+		t.Fatalf("sweep with every des column exited %d:\n%s", code, out.String())
+	}
+	for _, head := range []string{"SRC", "MIR", "HARDEN(d/e/c)"} {
+		if !strings.Contains(out.String(), head) {
+			t.Errorf("no %s column:\n%s", head, out.String())
+		}
 	}
 }

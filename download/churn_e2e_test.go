@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/download"
+	"repro/internal/harden"
 )
 
 // TestChurnOverLiveViaOptions drives the live (goroutine) runtime through
@@ -67,30 +68,41 @@ func TestChurnOverTCPViaOptions(t *testing.T) {
 }
 
 // TestUnsupportedErrorTyped pins that the residual capability gaps come
-// back as *download.UnsupportedError, so orchestrators (the storm driver,
-// conformance harness) can branch on the gap instead of string-matching.
+// back as *download.UnsupportedError, hardening on TCP among them, so an
+// orchestrator branches on the gap instead of string-matching: the
+// conformance runner (conformance.RunCase) prints such a cell as skipped.
 func TestUnsupportedErrorTyped(t *testing.T) {
 	cases := []struct {
-		name    string
-		opts    download.Options
-		runtime string
+		name     string
+		opts     download.Options
+		runtime  string
+		hardened bool
 	}{
 		{"tcp churn rejoin without checkpoint dir", download.Options{
 			Protocol: download.Naive, N: 4, T: 1, L: 64, TCP: true,
 			Churn: []download.ChurnPeer{{Peer: 0, CrashAfter: 1, Downtime: 1}},
-		}, "tcp"},
+		}, "tcp", false},
 		{"checkpoint dir on live", download.Options{
 			Protocol: download.Naive, N: 4, T: 1, L: 64, Live: true,
 			CheckpointDir: "/tmp/ckpt",
-		}, "live"},
+		}, "live", false},
 		{"byzantine behavior on tcp", download.Options{
 			Protocol: download.Committee, N: 4, T: 1, L: 64, TCP: true,
 			Behavior: download.Liar,
-		}, "tcp"},
+		}, "tcp", false},
+		{"hardening on tcp", download.Options{
+			Protocol: download.Committee, N: 4, T: 1, L: 64, TCP: true,
+		}, "tcp", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := download.Run(tc.opts)
+			run := download.Run
+			if tc.hardened {
+				run = func(o download.Options) (*download.Report, error) {
+					return download.RunHardened(o, harden.Policy{})
+				}
+			}
+			_, err := run(tc.opts)
 			var ue *download.UnsupportedError
 			if !errors.As(err, &ue) {
 				t.Fatalf("err = %v (%T), want *download.UnsupportedError", err, err)

@@ -1,7 +1,6 @@
 package download
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/des"
@@ -101,7 +100,8 @@ func RunHardenedLadder(opts Options, pol harden.Policy, ladder []Protocol) (*Rep
 		return nil, err
 	}
 	if opts.TCP {
-		return nil, errors.New("download: hardening requires a simulated runtime (des or live), not TCP")
+		return nil, &UnsupportedError{Runtime: "tcp", Feature: "hardening",
+			Reason: "the supervisor re-runs and audits on a simulated runtime; use des or live"}
 	}
 	if len(ladder) == 0 || ladder[0] != opts.Protocol {
 		return nil, fmt.Errorf("download: ladder must start at %q", opts.Protocol)

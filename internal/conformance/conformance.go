@@ -37,6 +37,8 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+
+	"repro/download"
 )
 
 // CorpusVersion is the fixture corpus format-and-semantics version.
@@ -144,6 +146,66 @@ type Case struct {
 // a fault: a rejoined peer's replayed queries shift schedules.
 func (c *Case) FaultFree() bool {
 	return c.Behavior == "" && c.SourceFaults == "" && c.Churn == ""
+}
+
+// options are the download options that execute the case on des.
+func (c *Case) options() (download.Options, error) {
+	churn, err := download.ParseChurn(c.Churn)
+	return download.Options{
+		Protocol: download.Protocol(c.Protocol),
+		N:        c.N, T: c.T, L: c.L, MsgBits: c.MsgBits,
+		Seed:         c.Seed,
+		Behavior:     download.FaultBehavior(c.Behavior),
+		SourceFaults: c.SourceFaults,
+		Mirrors:      c.Mirrors,
+		Churn:        churn,
+	}, err
+}
+
+// expectOf is the result vector of one run.
+func expectOf(rep *download.Report) Expect {
+	return Expect{
+		Correct:   rep.Correct,
+		OutputFNV: HashBits(rep.Output),
+		Q:         rep.Q,
+		Msgs:      rep.Msgs,
+		MsgBits:   rep.MsgBits,
+		Events:    rep.Events,
+		Time:      fmt.Sprintf("%.4f", rep.Time),
+
+		SrcFailures:  rep.SourceFailures,
+		SrcRetries:   rep.SourceRetries,
+		BreakerOpens: rep.BreakerOpens,
+
+		MirrorHits:      rep.MirrorHits,
+		ProofFailures:   rep.ProofFailures,
+		FallbackQueries: rep.FallbackQueries,
+
+		Rejoins:     rep.Rejoins,
+		WarmHitBits: rep.WarmHitBits,
+	}
+}
+
+// Pinned reports whether the case carries a des-pinned expectation. A
+// sweep case (SweepCases) does not: it is held to correctness and the
+// envelope only.
+func (c *Case) Pinned() bool { return c.Expect.OutputFNV != "" }
+
+// variant names the matrix row a case sits in: its behavior, or the
+// fault plane a fault-free case exercises.
+func (c *Case) variant() string {
+	switch {
+	case c.Behavior != "":
+		return c.Behavior
+	case c.SourceFaults != "":
+		return "flaky-source"
+	case c.Mirrors != "":
+		return "mirrors"
+	case c.Churn != "":
+		return "churn"
+	default:
+		return "(none)"
+	}
 }
 
 // Results is the decoded results.json.

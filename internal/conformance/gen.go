@@ -28,7 +28,7 @@ import (
 
 // BehaviorsFor returns the fault behaviors meaningful for a protocol's
 // fault model, plus the failure-free baseline. Shared by the drconform
-// grid and the fixture generator so both sweep the same behavior space.
+// sweep and the fixture generator so both cover the same behavior space.
 func BehaviorsFor(info download.Info) []download.FaultBehavior {
 	switch info.FaultModel {
 	case "crash":
@@ -68,9 +68,6 @@ type gridShape struct{ n, l int }
 var (
 	gridShapes = []gridShape{{6, 256}, {10, 640}}
 	gridSeeds  = []int64{1, 2}
-	// flakyPlan is the seeded source fault plan of the per-protocol
-	// flaky-source cases (virtual time units; des-only cells).
-	flakyPlan = "fail=0.2,timeout=0.1,outage=1..3,seed=11"
 	// The per-protocol mirror plans: an all-honest fleet (every query
 	// should verify against the commitment) and a Byzantine-majority
 	// fleet cycling the concrete misbehaviors (forged, truncated,
@@ -96,25 +93,56 @@ func behaviorSlug(b download.FaultBehavior) string {
 	return string(b)
 }
 
+// FlakyPlan is the seeded source fault plan of the per-protocol
+// flaky-source cases (virtual time units; des-only cells) and the
+// default plan of drconform's SRC column.
+const FlakyPlan = "fail=0.2,timeout=0.1,outage=1..3,seed=11"
+
+// behaviorCases enumerates one protocol's behaviors × seeds at one
+// (n, L), with T at the protocol's FaultBound.
+func behaviorCases(info download.Info, n, l int, seeds []int64) []Case {
+	var cases []Case
+	t := FaultBound(info, n)
+	for _, behavior := range BehaviorsFor(info) {
+		for _, seed := range seeds {
+			cases = append(cases, Case{
+				Name: fmt.Sprintf("%s/n%dt%d/%s/s%d",
+					info.Protocol, n, t, behaviorSlug(behavior), seed),
+				Protocol: string(info.Protocol),
+				N:        n, T: t, L: l,
+				MsgBits:  derivedMsgBits(n, l),
+				Seed:     seed,
+				Behavior: string(behavior),
+			})
+		}
+	}
+	return cases
+}
+
+// SweepCases is drconform's sweep: every protocol × BehaviorsFor × seeds
+// 0…seeds−1 at one (n, L). Its cases are unpinned (see Case.Pinned): each
+// expects a correct run, within the protocol's envelope.
+func SweepCases(n, l, seeds int) []Case {
+	list := make([]int64, seeds)
+	for i := range list {
+		list[i] = int64(i)
+	}
+	var cases []Case
+	for _, info := range download.Protocols() {
+		cases = append(cases, behaviorCases(info, n, l, list)...)
+	}
+	for i := range cases {
+		cases[i].Expect.Correct = true
+	}
+	return cases
+}
+
 // gridCases enumerates the corpus grid without expectations.
 func gridCases() []Case {
 	var cases []Case
 	for _, info := range download.Protocols() {
 		for _, shape := range gridShapes {
-			t := FaultBound(info, shape.n)
-			for _, behavior := range BehaviorsFor(info) {
-				for _, seed := range gridSeeds {
-					cases = append(cases, Case{
-						Name: fmt.Sprintf("%s/n%dt%d/%s/s%d",
-							info.Protocol, shape.n, t, behaviorSlug(behavior), seed),
-						Protocol: string(info.Protocol),
-						N:        shape.n, T: t, L: shape.l,
-						MsgBits:  derivedMsgBits(shape.n, shape.l),
-						Seed:     seed,
-						Behavior: string(behavior),
-					})
-				}
-			}
+			cases = append(cases, behaviorCases(info, shape.n, shape.l, gridSeeds)...)
 		}
 		// One flaky-source cell per protocol: fault-free peers against a
 		// failing source, pinning the retry/breaker counter stream.
@@ -126,7 +154,7 @@ func gridCases() []Case {
 			N:        shape.n, T: t, L: shape.l,
 			MsgBits:      derivedMsgBits(shape.n, shape.l),
 			Seed:         3,
-			SourceFaults: flakyPlan,
+			SourceFaults: FlakyPlan,
 		})
 		// Two mirror cells per protocol: queries routed through an
 		// untrusted mirror fleet, honest and Byzantine-majority. Both
@@ -177,19 +205,11 @@ func generateResults() (*Results, error) {
 	cases := gridCases()
 	for i := range cases {
 		c := &cases[i]
-		churn, err := download.ParseChurn(c.Churn)
+		opts, err := c.options()
 		if err != nil {
 			return nil, fmt.Errorf("conformance: generate %s: %w", c.Name, err)
 		}
-		rep, err := download.Run(download.Options{
-			Protocol: download.Protocol(c.Protocol),
-			N:        c.N, T: c.T, L: c.L, MsgBits: c.MsgBits,
-			Seed:         c.Seed,
-			Behavior:     download.FaultBehavior(c.Behavior),
-			SourceFaults: c.SourceFaults,
-			Mirrors:      c.Mirrors,
-			Churn:        churn,
-		})
+		rep, err := download.Run(opts)
 		if err != nil {
 			return nil, fmt.Errorf("conformance: generate %s: %w", c.Name, err)
 		}
@@ -201,7 +221,7 @@ func generateResults() (*Results, error) {
 			// query pins nothing; the plan seed needs retuning.
 			return nil, fmt.Errorf("conformance: generate %s: degenerate mirror cell (no fleet traffic)", c.Name)
 		}
-		for _, cp := range churn {
+		for _, cp := range opts.Churn {
 			if cp.Downtime >= 0 && rep.Rejoins == 0 {
 				// A rejoin cell where nothing rejoined pins nothing; the
 				// crash point never fired.
@@ -212,26 +232,7 @@ func generateResults() (*Results, error) {
 			return nil, fmt.Errorf("conformance: generate %s: %s (tighten the run or widen the documented envelope)",
 				c.Name, strings.Join(v, "; "))
 		}
-		c.Expect = Expect{
-			Correct:   rep.Correct,
-			OutputFNV: HashBits(rep.Output),
-			Q:         rep.Q,
-			Msgs:      rep.Msgs,
-			MsgBits:   rep.MsgBits,
-			Events:    rep.Events,
-			Time:      fmt.Sprintf("%.4f", rep.Time),
-
-			SrcFailures:  rep.SourceFailures,
-			SrcRetries:   rep.SourceRetries,
-			BreakerOpens: rep.BreakerOpens,
-
-			MirrorHits:      rep.MirrorHits,
-			ProofFailures:   rep.ProofFailures,
-			FallbackQueries: rep.FallbackQueries,
-
-			Rejoins:     rep.Rejoins,
-			WarmHitBits: rep.WarmHitBits,
-		}
+		c.Expect = expectOf(rep)
 	}
 	return &Results{Version: CorpusVersion, Cases: cases}, nil
 }

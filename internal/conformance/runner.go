@@ -4,51 +4,45 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
 	"repro/download"
 	"repro/internal/dst"
+	"repro/internal/harden"
 	"repro/internal/netrt"
 	"repro/internal/wire"
 )
 
-// Runtime names one execution engine column of the conformance matrix.
+// Runtime names one column of the conformance matrix.
 type Runtime string
 
-// The conformance runtimes.
+// The conformance runtimes. SRC, MIR and Harden are the des engine again:
+// every query routed through Config.SourcePlan (SRC) or through the
+// untrusted mirror fleet Config.Mirrors (MIR), or the run supervised by
+// download.RunHardened (Harden).
 const (
-	DES  Runtime = "des"  // deterministic discrete-event engine
-	Live Runtime = "live" // goroutine runtime (wall-clock, scaled)
-	TCP  Runtime = "tcp"  // real-socket runtime (internal/netrt)
+	DES    Runtime = "des"    // deterministic discrete-event engine
+	Live   Runtime = "live"   // goroutine runtime (wall-clock, scaled)
+	TCP    Runtime = "tcp"    // real-socket runtime (internal/netrt)
+	SRC    Runtime = "src"    // des behind a flaky source
+	MIR    Runtime = "mir"    // des behind a mirror fleet
+	Harden Runtime = "harden" // des under the hardening supervisor
 )
 
-// Supports reports whether the runtime can execute a case at all. A
-// skipped cell is not a pass: the matrix prints it as "-", and the
-// equivalence suite asserts the documented rejection error for the
-// unsupported combinations.
+// Supports reports whether conformance runs a case on the runtime at all.
+// Its one rule is conformance's own: a case with a source plan does not
+// run on tcp, because the plan's times are des steps there and sockets
+// would read them as seconds. What a runtime can serve is download's to
+// say: a run it refuses with *download.UnsupportedError is skipped too.
+// A skipped cell is not a pass; the matrix prints it as "-".
 func (rt Runtime) Supports(c *Case) bool {
-	switch rt {
-	case Live:
-		// The live runtime runs every case: it gained the source
-		// resilience tier and churn alongside the socket runtime.
-		return true
-	case TCP:
-		// Real sockets support only crash-from-start faults; source
-		// plans are excluded because their time-valued fields mean
-		// virtual units in fixtures but seconds on sockets. Churn runs:
-		// its pinned fields (correctness, output, rejoin count) are
-		// time-invariant, so the downtime unit difference cannot drift.
-		return c.SourceFaults == "" &&
-			(c.Behavior == "" || c.Behavior == string(download.CrashImmediate))
-	default:
-		return true
-	}
+	return rt != TCP || c.SourceFaults == ""
 }
 
 // qScheduleInvariant lists the protocols whose fault-free query
@@ -70,17 +64,25 @@ var qScheduleInvariant = map[string]bool{
 }
 
 // fieldsFor returns the Expect fields the runtime must reproduce for a
-// case. Correctness and the output bits are runtime-invariant; Q is
+// case. An unpinned case holds correctness alone. Correctness and the
+// output bits are runtime-invariant, and all the SRC, MIR and Harden
+// columns hold, since they change the run the pin was taken from; Q is
 // additionally pinned on live/tcp for fault-free cases of the
 // schedule-invariant protocols; the cost/schedule fields (msgs, events,
 // time) and source counters are deterministic only on the des engine.
 func fieldsFor(rt Runtime, c *Case) []string {
+	if !c.Pinned() {
+		return []string{"correct"}
+	}
 	fields := []string{"correct", "output_fnv"}
-	if rt == DES {
+	switch rt {
+	case DES:
 		return append(fields, "q", "msgs", "msg_bits", "events", "time",
 			"src_failures", "src_retries", "breaker_opens",
 			"mirror_hits", "proof_failures", "fallback_queries",
 			"rejoins", "warm_hit_bits")
+	case SRC, MIR, Harden:
+		return fields
 	}
 	if c.FaultFree() && qScheduleInvariant[c.Protocol] {
 		fields = append(fields, "q")
@@ -110,7 +112,8 @@ func (d FieldDiff) String() string {
 type CaseOutcome struct {
 	Case    *Case
 	Runtime Runtime
-	// Skipped marks a cell the runtime does not support.
+	// Skipped marks a cell the runtime does not run: one Supports
+	// rules out, or one download refused with *download.UnsupportedError.
 	Skipped bool
 	// Err is a configuration or runtime error (not a mismatch).
 	Err error
@@ -118,6 +121,8 @@ type CaseOutcome struct {
 	Diffs []FieldDiff
 	// Envelope lists Q/M complexity-envelope violations.
 	Envelope []string
+	// Hardening is the supervisor's account of a Harden cell.
+	Hardening *download.HardeningReport
 }
 
 // Failed reports the cell failed conformance.
@@ -125,7 +130,7 @@ func (o *CaseOutcome) Failed() bool {
 	return !o.Skipped && (o.Err != nil || len(o.Diffs) > 0 || len(o.Envelope) > 0)
 }
 
-// Config tunes a fixture run.
+// Config tunes a conformance run.
 type Config struct {
 	// Runtimes selects the matrix columns; empty means {DES, Live}.
 	Runtimes []Runtime
@@ -133,11 +138,20 @@ type Config struct {
 	// (0 keeps the library default). The conformance gate runs many
 	// live executions, so it uses a sub-millisecond scale.
 	LiveScale time.Duration
+	// SourcePlan is the source.ParsePlan plan of the SRC column, and
+	// Mirrors the source.ParseMirrorPlan fleet of the MIR column.
+	SourcePlan string
+	Mirrors    string
 	// Filter, when non-nil, limits the run to matching cases.
 	Filter func(*Case) bool
+	// Interrupt, when it becomes readable (usually by being closed from
+	// a signal handler), stops the run before its next case. The partial
+	// report is still returned with Interrupted set, so an interrupted
+	// CI job can flush the matrix it has.
+	Interrupt <-chan struct{}
 }
 
-// Report is the outcome of a full fixture run.
+// Report is the outcome of a conformance run.
 type Report struct {
 	Runtimes []Runtime
 	Outcomes []CaseOutcome
@@ -145,20 +159,24 @@ type Report struct {
 	// round-trip mismatches, replay hash/verification drift).
 	FrameErrs  []error
 	ReplayErrs []error
+	// Interrupted marks a run stopped early by Config.Interrupt:
+	// Outcomes covers only the cases finished before it fired.
+	Interrupted bool
+}
+
+// Failures counts the failed cells and corpus checks.
+func (r *Report) Failures() int {
+	n := len(r.FrameErrs) + len(r.ReplayErrs)
+	for i := range r.Outcomes {
+		if r.Outcomes[i].Failed() {
+			n++
+		}
+	}
+	return n
 }
 
 // Failed reports whether any cell or corpus check failed.
-func (r *Report) Failed() bool {
-	if len(r.FrameErrs) > 0 || len(r.ReplayErrs) > 0 {
-		return true
-	}
-	for i := range r.Outcomes {
-		if r.Outcomes[i].Failed() {
-			return true
-		}
-	}
-	return false
-}
+func (r *Report) Failed() bool { return r.Failures() > 0 }
 
 // RunCase executes one case on one runtime and diffs the outcome.
 func RunCase(c *Case, rt Runtime, cfg *Config) CaseOutcome {
@@ -167,27 +185,19 @@ func RunCase(c *Case, rt Runtime, cfg *Config) CaseOutcome {
 		out.Skipped = true
 		return out
 	}
-	churn, err := download.ParseChurn(c.Churn)
+	opts, err := c.options()
 	if err != nil {
 		out.Err = err
 		return out
 	}
-	opts := download.Options{
-		Protocol: download.Protocol(c.Protocol),
-		N:        c.N, T: c.T, L: c.L, MsgBits: c.MsgBits,
-		Seed:         c.Seed,
-		Behavior:     download.FaultBehavior(c.Behavior),
-		SourceFaults: c.SourceFaults,
-		Mirrors:      c.Mirrors,
-		Churn:        churn,
-		Live:         rt == Live,
-		TCP:          rt == TCP,
-	}
-	if rt == Live {
+	run := download.Run
+	switch rt {
+	case Live:
+		opts.Live = true
 		opts.LiveTimeScale = cfg.LiveScale
-	}
-	if rt == TCP {
-		for _, cp := range churn {
+	case TCP:
+		opts.TCP = true
+		for _, cp := range opts.Churn {
 			if cp.Downtime >= 0 {
 				// Rejoin over sockets crosses a process restart and needs
 				// the durable checkpoint store.
@@ -201,80 +211,70 @@ func RunCase(c *Case, rt Runtime, cfg *Config) CaseOutcome {
 				break
 			}
 		}
+	case SRC:
+		opts.SourceFaults = cfg.SourcePlan
+	case MIR:
+		opts.Mirrors = cfg.Mirrors
+	case Harden:
+		run = func(o download.Options) (*download.Report, error) {
+			return download.RunHardened(o, harden.Policy{})
+		}
 	}
-	rep, err := download.Run(opts)
-	if err != nil {
+	rep, err := run(opts)
+	var unsupported *download.UnsupportedError
+	switch {
+	case errors.As(err, &unsupported):
+		out.Skipped = true
+		return out
+	case err != nil:
 		out.Err = err
 		return out
 	}
 	out.Diffs = diff(c, rep, fieldsFor(rt, c))
+	if rt == Harden {
+		// A hardened Q sums every attempt, audit bits included, so it is
+		// not one run's Q and the envelope does not bound it.
+		out.Hardening = rep.Hardening
+		return out
+	}
 	out.Envelope = CheckEnvelope(opts.Protocol, c.N, c.T, c.L, c.MsgBits, rep)
 	return out
 }
 
-// diff compares the report against the case's pinned expectation on the
-// selected fields.
+// expectFields reads each field an Expect pins, by its JSON name.
+var expectFields = map[string]func(e *Expect) any{
+	"correct":          func(e *Expect) any { return e.Correct },
+	"output_fnv":       func(e *Expect) any { return e.OutputFNV },
+	"q":                func(e *Expect) any { return e.Q },
+	"msgs":             func(e *Expect) any { return e.Msgs },
+	"msg_bits":         func(e *Expect) any { return e.MsgBits },
+	"events":           func(e *Expect) any { return e.Events },
+	"time":             func(e *Expect) any { return e.Time },
+	"src_failures":     func(e *Expect) any { return e.SrcFailures },
+	"src_retries":      func(e *Expect) any { return e.SrcRetries },
+	"breaker_opens":    func(e *Expect) any { return e.BreakerOpens },
+	"mirror_hits":      func(e *Expect) any { return e.MirrorHits },
+	"proof_failures":   func(e *Expect) any { return e.ProofFailures },
+	"fallback_queries": func(e *Expect) any { return e.FallbackQueries },
+	"rejoins":          func(e *Expect) any { return e.Rejoins },
+	"warm_hit_bits":    func(e *Expect) any { return e.WarmHitBits },
+}
+
+// diff compares the report against the case's expectation on the
+// selected fields. An incorrect run's diff names its first failure.
 func diff(c *Case, rep *download.Report, fields []string) []FieldDiff {
-	want := c.Expect
-	got := Expect{
-		Correct:   rep.Correct,
-		OutputFNV: HashBits(rep.Output),
-		Q:         rep.Q,
-		Msgs:      rep.Msgs,
-		MsgBits:   rep.MsgBits,
-		Events:    rep.Events,
-		Time:      fmt.Sprintf("%.4f", rep.Time),
-
-		SrcFailures:  rep.SourceFailures,
-		SrcRetries:   rep.SourceRetries,
-		BreakerOpens: rep.BreakerOpens,
-
-		MirrorHits:      rep.MirrorHits,
-		ProofFailures:   rep.ProofFailures,
-		FallbackQueries: rep.FallbackQueries,
-
-		Rejoins:     rep.Rejoins,
-		WarmHitBits: rep.WarmHitBits,
-	}
+	got := expectOf(rep)
 	var diffs []FieldDiff
-	add := func(field string, gotV, wantV any) {
-		if gotV != wantV {
-			diffs = append(diffs, FieldDiff{field, fmt.Sprint(gotV), fmt.Sprint(wantV)})
-		}
-	}
 	for _, f := range fields {
-		switch f {
-		case "correct":
-			add(f, got.Correct, want.Correct)
-		case "output_fnv":
-			add(f, got.OutputFNV, want.OutputFNV)
-		case "q":
-			add(f, got.Q, want.Q)
-		case "msgs":
-			add(f, got.Msgs, want.Msgs)
-		case "msg_bits":
-			add(f, got.MsgBits, want.MsgBits)
-		case "events":
-			add(f, got.Events, want.Events)
-		case "time":
-			add(f, got.Time, want.Time)
-		case "src_failures":
-			add(f, got.SrcFailures, want.SrcFailures)
-		case "src_retries":
-			add(f, got.SrcRetries, want.SrcRetries)
-		case "breaker_opens":
-			add(f, got.BreakerOpens, want.BreakerOpens)
-		case "mirror_hits":
-			add(f, got.MirrorHits, want.MirrorHits)
-		case "proof_failures":
-			add(f, got.ProofFailures, want.ProofFailures)
-		case "fallback_queries":
-			add(f, got.FallbackQueries, want.FallbackQueries)
-		case "rejoins":
-			add(f, got.Rejoins, want.Rejoins)
-		case "warm_hit_bits":
-			add(f, got.WarmHitBits, want.WarmHitBits)
+		g, w := expectFields[f](&got), expectFields[f](&c.Expect)
+		if g == w {
+			continue
 		}
+		d := FieldDiff{f, fmt.Sprint(g), fmt.Sprint(w)}
+		if f == "correct" && len(rep.Failures) > 0 {
+			d.Got += " (" + rep.Failures[0] + ")"
+		}
+		diffs = append(diffs, d)
 	}
 	return diffs
 }
@@ -358,76 +358,108 @@ func VerifyReplays(dir string, replays *Replays) []error {
 	return errs
 }
 
-// RunFixtures executes the corpus on every configured runtime and
-// verifies the frame and replay fixtures.
-func RunFixtures(corpus *Corpus, cfg Config) *Report {
+// RunCases executes every case on every configured runtime, case by
+// case, until Config.Interrupt fires.
+func RunCases(cases []Case, cfg Config) *Report {
 	if len(cfg.Runtimes) == 0 {
 		cfg.Runtimes = []Runtime{DES, Live}
 	}
 	rep := &Report{Runtimes: cfg.Runtimes}
-	for i := range corpus.Results.Cases {
-		c := &corpus.Results.Cases[i]
+	for i := range cases {
+		c := &cases[i]
 		if cfg.Filter != nil && !cfg.Filter(c) {
 			continue
+		}
+		select {
+		case <-cfg.Interrupt:
+			rep.Interrupted = true
+			return rep
+		default:
 		}
 		for _, rt := range cfg.Runtimes {
 			rep.Outcomes = append(rep.Outcomes, RunCase(c, rt, &cfg))
 		}
 	}
-	if cfg.Filter == nil {
+	return rep
+}
+
+// RunFixtures executes the corpus on every configured runtime and
+// verifies the frame and replay fixtures.
+func RunFixtures(corpus *Corpus, cfg Config) *Report {
+	rep := RunCases(corpus.Results.Cases, cfg)
+	if cfg.Filter == nil && !rep.Interrupted {
 		rep.FrameErrs = VerifyFrames(&corpus.Frames)
 		rep.ReplayErrs = VerifyReplays(corpus.Dir, &corpus.Replays)
 	}
 	return rep
 }
 
-// WriteMatrix renders the protocol×runtime pass matrix followed by
-// field-level diffs for every failing cell and any corpus-integrity
-// errors.
+// WriteMatrix renders the pass/fail matrix, one row per (protocol,
+// variant) and one column per runtime, followed by the details of every
+// failing cell and any corpus-integrity errors. A cell reads passed/failed
+// runs, "-" when every run was skipped; a Harden cell adds how many
+// passing runs detected a violation, escalated, and ended corrected.
 func (r *Report) WriteMatrix(w io.Writer) {
-	type tally struct{ pass, fail, skip int }
-	rows := make(map[string]map[Runtime]*tally)
-	var protos []string
+	type tally struct{ pass, fail, detected, escalated, corrected int }
+	type row struct {
+		proto, variant string
+		cells          map[Runtime]*tally
+	}
+	var rows []*row
+	index := make(map[[2]string]*row)
 	for i := range r.Outcomes {
 		o := &r.Outcomes[i]
-		cells, ok := rows[o.Case.Protocol]
-		if !ok {
-			cells = make(map[Runtime]*tally)
-			rows[o.Case.Protocol] = cells
-			protos = append(protos, o.Case.Protocol)
+		key := [2]string{o.Case.Protocol, o.Case.variant()}
+		rw := index[key]
+		if rw == nil {
+			rw = &row{proto: key[0], variant: key[1], cells: make(map[Runtime]*tally)}
+			index[key] = rw
+			rows = append(rows, rw)
 		}
-		cell := cells[o.Runtime]
+		cell := rw.cells[o.Runtime]
 		if cell == nil {
 			cell = &tally{}
-			cells[o.Runtime] = cell
+			rw.cells[o.Runtime] = cell
 		}
 		switch {
 		case o.Skipped:
-			cell.skip++
 		case o.Failed():
 			cell.fail++
 		default:
 			cell.pass++
+			if h := o.Hardening; h != nil {
+				cell.detected += b2i(h.Detected)
+				cell.escalated += b2i(len(h.Escalations) > 1)
+				cell.corrected += b2i(h.Corrected)
+			}
 		}
 	}
-	sort.Strings(protos)
-	fmt.Fprintf(w, "%-12s", "PROTOCOL")
+	width := func(rt Runtime) int {
+		if rt == Harden {
+			return 16
+		}
+		return 8
+	}
+	fmt.Fprintf(w, "%-12s %-14s", "PROTOCOL", "BEHAVIOR")
 	for _, rt := range r.Runtimes {
-		fmt.Fprintf(w, " %-10s", strings.ToUpper(string(rt)))
+		head := strings.ToUpper(string(rt))
+		if rt == Harden {
+			head += "(d/e/c)"
+		}
+		fmt.Fprintf(w, " %-*s", width(rt), head)
 	}
 	fmt.Fprintln(w)
-	for _, p := range protos {
-		fmt.Fprintf(w, "%-12s", p)
+	for _, rw := range rows {
+		fmt.Fprintf(w, "%-12s %-14s", rw.proto, rw.variant)
 		for _, rt := range r.Runtimes {
-			cell := rows[p][rt]
-			switch {
-			case cell == nil || cell.pass+cell.fail == 0:
-				fmt.Fprintf(w, " %-10s", "-")
-			case cell.fail > 0:
-				fmt.Fprintf(w, " %-10s", fmt.Sprintf("FAIL %d/%d", cell.fail, cell.pass+cell.fail))
-			default:
-				fmt.Fprintf(w, " %-10s", fmt.Sprintf("ok %d", cell.pass))
+			text := "-"
+			if c := rw.cells[rt]; c != nil && c.pass+c.fail > 0 {
+				text = fmt.Sprintf("%d/%d", c.pass, c.fail)
+				if rt == Harden {
+					text += fmt.Sprintf(" d%d e%d c%d", c.detected, c.escalated, c.corrected)
+				}
 			}
+			fmt.Fprintf(w, " %-*s", width(rt), text)
 		}
 		fmt.Fprintln(w)
 	}
@@ -453,4 +485,11 @@ func (r *Report) WriteMatrix(w io.Writer) {
 	for _, err := range r.ReplayErrs {
 		fmt.Fprintf(w, "\nFAIL replay fixture: %v\n", err)
 	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
