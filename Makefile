@@ -37,15 +37,14 @@ vet: build
 test:
 	$(GO) test -shuffle=on -timeout $(TIMEOUT) ./...
 
-# The concurrency suites under the race detector: the live scheduler —
-# and through it the query plane (internal/qplane), whose transitions
-# live's timer callbacks and serving goroutines share under the peer
-# mutex — the sharded socket hub + load generator, the download facade,
-# the des engine, and committee's Report, the one message that caches on
-# itself and is shared between recipients (TestSharedReportRace, and
-# internal/live's TestCommitteeLiveWithLiars through the live runtime).
+# The concurrency suites under the race detector: the socket runtime —
+# the sharded hub + load generator, each client's query plane
+# (internal/qplane) and its timer, and Byzantine peers on their own
+# clients (TestTCPByzantine*) — the download facade, the des engine, and
+# committee's Report, the one message that caches on itself and is
+# shared between recipients (TestSharedReportRace).
 race:
-	$(GO) test -race -timeout $(TIMEOUT) ./internal/des/ ./internal/live/ ./internal/netrt/ ./download/ ./internal/protocols/committee/
+	$(GO) test -race -timeout $(TIMEOUT) ./internal/des/ ./internal/netrt/ ./download/ ./internal/protocols/committee/
 
 bench:
 	$(GO) test -bench=. -benchmem . | tee bench_output.txt
@@ -91,25 +90,27 @@ conform:
 
 # Cross-runtime conformance gate (see docs/SPEC.md + docs/TESTING.md
 # "The conformance tier"): the conformance package suite (drift refusal,
-# negative controls, des-vs-live equivalence, fixture round-trips), the
+# negative controls, des-vs-tcp equivalence, fixture round-trips), the
 # drconform exit-code regressions, then the committed golden corpus
-# executed on every runtime — des, live, and real TCP sockets — diffed
+# executed on both runtimes — des and real TCP sockets — diffed
 # field-by-field into a protocol × runtime pass matrix, then one small
-# unpinned sweep with every column (des, live, tcp, and des again behind
+# unpinned sweep with every column (des, tcp, and des again behind
 # a flaky source, behind a Byzantine-majority mirror fleet, and under
 # the hardening supervisor). Regenerate the corpus with
 # `go test ./internal/conformance -update` (refuses semantic drift
 # unless CorpusVersion is bumped).
 conformance:
 	$(GO) test -count=1 -timeout $(TIMEOUT) ./internal/conformance/ ./cmd/drconform/
-	$(GO) run ./cmd/drconform -fixtures -live -tcp
-	$(GO) run ./cmd/drconform -n 6 -L 256 -seeds 1 -live -tcp -harden -flaky-source \
+	$(GO) run ./cmd/drconform -fixtures -tcp
+	$(GO) run ./cmd/drconform -n 6 -L 256 -seeds 1 -tcp -harden -flaky-source \
 		-mirrors "mirrors=5,byz=3,behavior=mixed,seed=7"
 
-# Tier-2 robustness gate: the chaos and live-runtime suites under the race
-# detector, then a quick drchaos survival sweep over real sockets.
+# Tier-2 robustness gate: the chaos suites and the Byzantine-over-sockets
+# suites (netrt's TestTCPByzantine*, the corpus's TestCorpusByzantine)
+# under the race detector, then a quick drchaos survival sweep over real
+# sockets.
 chaos:
-	$(GO) test -race -count=1 -timeout $(TIMEOUT) -run 'TestChaos|TestLive' ./...
+	$(GO) test -race -count=1 -timeout $(TIMEOUT) -run 'TestChaos|TestTCPByzantine|TestCorpusByzantine' ./...
 	$(GO) run ./cmd/drchaos -seeds 2
 
 # Flaky-source robustness gate (see docs/RUNTIMES.md "Source faults"):
@@ -127,14 +128,15 @@ source-chaos:
 # Merkle-mirror gate (see docs/MODEL.md "The mirror tier" +
 # docs/SPEC.md frames): the commitment scheme's property and forgery
 # suites, the mirror fleet suite, every mirror test across the runtimes
-# (des, live under the race detector, real TCP sockets with the
-# QPROOF/QUERYSRC frames, dst replay, download e2e), then a drconform
+# (des, real TCP sockets with the QPROOF/QUERYSRC frames — again under
+# the race detector, where the hub shares one fleet —, dst replay,
+# download e2e), then a drconform
 # sweep with the mirror column — every protocol × fleet cell re-run
 # against a Byzantine-majority mirror fleet.
 mirrors:
 	$(GO) test -count=1 -timeout $(TIMEOUT) ./internal/merkle/ ./internal/source/
 	$(GO) test -count=1 -timeout $(TIMEOUT) -run 'TestMirror' ./internal/des/ ./internal/netrt/ ./internal/dst/ ./download/
-	$(GO) test -race -count=1 -timeout $(TIMEOUT) -run 'TestLiveMirror' ./internal/live/
+	$(GO) test -race -count=1 -timeout $(TIMEOUT) -run 'TestMirror' ./internal/netrt/
 	$(GO) run ./cmd/drconform -n 12 -L 1024 -seeds 2 -mirrors "mirrors=5,byz=3,behavior=mixed,seed=7"
 
 # Million-peer scale gate (see docs/SCALING.md): drload's suite (the

@@ -27,6 +27,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -41,58 +42,18 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/conformance"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/source"
 	"repro/internal/storm"
 )
 
+// main stops the soak at a run boundary on SIGINT/SIGTERM, and the
+// partial survival matrix is still flushed (CI kills a timed-out job with
+// SIGTERM; the evidence must survive the kill). A second signal kills the
+// process.
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, notifyInterrupt()))
-}
-
-// notifyInterrupt converts SIGINT/SIGTERM into a closed channel so the
-// soak can stop at a run boundary and still flush its partial survival
-// matrix (CI kills a timed-out job with SIGTERM; the evidence must
-// survive the kill).
-func notifyInterrupt() <-chan struct{} {
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	done := make(chan struct{})
-	go func() {
-		<-sig
-		signal.Stop(sig)
-		close(done)
-	}()
-	return done
-}
-
-// tally accumulates one protocol's robustness counters across its runs.
-type tally struct {
-	retries, reconnects, planDropped, planDuped, dupsDropped int
-	srcFailures, srcRetries, breakerOpens, deferred          int
-	mirrorHits, proofFailures, fallbackQueries               int
-	rejoins, ckptSaves, ckptRestores                         int
-}
-
-func (a *tally) add(res *sim.Result) {
-	a.rejoins += res.Rejoins
-	a.ckptSaves += res.CheckpointSaves
-	a.ckptRestores += res.CheckpointRestores
-	a.retries += res.QueryRetries
-	a.reconnects += res.Reconnects
-	a.srcFailures += res.SourceFailures
-	a.srcRetries += res.SourceRetries
-	a.breakerOpens += res.BreakerOpens
-	a.deferred += res.DeferredQueries
-	a.mirrorHits += res.MirrorHits
-	a.proofFailures += res.ProofFailures
-	a.fallbackQueries += res.FallbackQueries
-	for i := range res.PerPeer {
-		ps := &res.PerPeer[i]
-		a.planDropped += ps.PlanDropped
-		a.planDuped += ps.PlanDuped
-		a.dupsDropped += ps.DupFramesDropped
-	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop)
+	os.Exit(run(os.Args[1:], os.Stdout, ctx.Done()))
 }
 
 // parseList parses a comma-separated flag value element by element.
@@ -241,7 +202,7 @@ func run(args []string, stdout io.Writer, interrupt <-chan struct{}) int {
 	}
 
 	results := make(map[string][]string) // protocol → cell strings
-	tallies := make(map[string]*tally)
+	tallies := make(map[string]*storm.Tally)
 	failures := 0
 	interrupted := false
 	// check polls the interrupt channel at run boundaries so a SIGTERM'd
@@ -258,7 +219,7 @@ func run(args []string, stdout io.Writer, interrupt <-chan struct{}) int {
 
 	for i, spec := range specs {
 		proto := protos[i]
-		tl := &tally{}
+		tl := &storm.Tally{}
 		tallies[proto] = tl
 		for _, net := range combos {
 			spec.Net = net
@@ -275,9 +236,7 @@ func run(args []string, stdout io.Writer, interrupt <-chan struct{}) int {
 				} else {
 					failures++
 				}
-				if res != nil {
-					tl.add(res)
-				}
+				tl.Add(res, vs)
 				if *verbose || len(vs) > 0 {
 					detail := "ok"
 					if len(vs) > 0 {
@@ -331,18 +290,18 @@ func run(args []string, stdout io.Writer, interrupt <-chan struct{}) int {
 			continue
 		}
 		fmt.Fprintf(stdout, "%-12s query-retries=%-5d reconnects=%-5d plan-dropped=%-6d plan-duped=%-5d dups-deduped=%d\n",
-			p, tl.retries, tl.reconnects, tl.planDropped, tl.planDuped, tl.dupsDropped)
+			p, tl.QueryRetries, tl.Reconnects, tl.PlanDropped, tl.PlanDuped, tl.DupFramesDropped)
 		if *srcSpec != "" {
 			fmt.Fprintf(stdout, "%-12s src-failures=%-5d src-retries=%-5d breaker-opens=%-5d deferred=%d\n",
-				"", tl.srcFailures, tl.srcRetries, tl.breakerOpens, tl.deferred)
+				"", tl.SourceFailures, tl.SourceRetries, tl.BreakerOpens, tl.DeferredQueries)
 		}
 		if *mirSpec != "" {
 			fmt.Fprintf(stdout, "%-12s mirror-hits=%-5d proof-failures=%-5d fallback-queries=%d\n",
-				"", tl.mirrorHits, tl.proofFailures, tl.fallbackQueries)
+				"", tl.MirrorHits, tl.ProofFailures, tl.FallbackQueries)
 		}
 		if len(baseChurn) > 0 || *stormSeed != 0 {
 			fmt.Fprintf(stdout, "%-12s rejoins=%-5d ckpt-saves=%-5d ckpt-restores=%d\n",
-				"", tl.rejoins, tl.ckptSaves, tl.ckptRestores)
+				"", tl.Rejoins, tl.CheckpointSaves, tl.CheckpointRestores)
 		}
 	}
 

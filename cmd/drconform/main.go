@@ -15,47 +15,37 @@
 // the wire-frame round-trip and .dsr replay integrity checks. This is
 // the contract any new runtime must pass before it can land.
 //
-// The des column always runs; -live, -tcp, -flaky-source, -mirrors and
-// -harden each add one column, in either mode. A cell a runtime cannot
+// The des column always runs; -tcp, -flaky-source, -mirrors and -harden
+// each add one column, in either mode. A cell a runtime cannot
 // serve (download.Run returns *download.UnsupportedError) prints "-".
 //
 // Examples:
 //
 //	drconform -n 16 -L 2048 -seeds 5
-//	drconform -live -tcp -seeds 2
+//	drconform -tcp -seeds 2
 //	drconform -mirrors "mirrors=5,byz=3,behavior=mixed,seed=7"
-//	drconform -fixtures -live -tcp
+//	drconform -fixtures -tcp
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"repro/internal/conformance"
 )
 
+// main stops the sweep at a cell boundary on SIGINT/SIGTERM, and the
+// partial matrix is still flushed (CI kills a timed-out job with SIGTERM;
+// the evidence must survive). A second signal kills the process.
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, notifyInterrupt()))
-}
-
-// notifyInterrupt converts SIGINT/SIGTERM into a closed channel so the
-// sweep can stop at a cell boundary and still flush its partial matrix
-// (CI kills a timed-out job with SIGTERM; the evidence must survive).
-func notifyInterrupt() <-chan struct{} {
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	done := make(chan struct{})
-	go func() {
-		<-sig
-		signal.Stop(sig)
-		close(done)
-	}()
-	return done
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop)
+	os.Exit(run(os.Args[1:], os.Stdout, ctx.Done()))
 }
 
 // run executes the CLI and returns its exit code: 0 only when every
@@ -70,7 +60,6 @@ func run(args []string, stdout io.Writer, interrupt <-chan struct{}) int {
 		n        = fs.Int("n", 16, "peers (sweep mode)")
 		l        = fs.Int("L", 2048, "input bits (sweep mode)")
 		seeds    = fs.Int("seeds", 3, "seeds per cell (sweep mode)")
-		liveRT   = fs.Bool("live", false, "add the concurrent runtime's column")
 		tcpRT    = fs.Bool("tcp", false, "add the real-socket runtime's column")
 		hardenRT = fs.Bool("harden", false, "add a column re-running each case on des under the hardening supervisor")
 		srcCol   = fs.Bool("flaky-source", false, "add a SRC column re-running each case on des against a flaky source")
@@ -79,7 +68,6 @@ func run(args []string, stdout io.Writer, interrupt <-chan struct{}) int {
 			"add a MIR column re-running each case on des through this untrusted mirror fleet plan (source.ParseMirrorPlan grammar)")
 		fixtures = fs.Bool("fixtures", false, "run the committed golden fixture corpus instead of the sweep")
 		fixDir   = fs.String("fixture-dir", conformance.DefaultDir, "fixture corpus directory (fixture mode)")
-		scale    = fs.Duration("live-scale", 500*time.Microsecond, "live runtime time scale")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -87,7 +75,6 @@ func run(args []string, stdout io.Writer, interrupt <-chan struct{}) int {
 
 	cfg := conformance.Config{
 		Runtimes:   []conformance.Runtime{conformance.DES},
-		LiveScale:  *scale,
 		SourcePlan: *srcSpec,
 		Mirrors:    *mirrors,
 		Interrupt:  interrupt,
@@ -96,7 +83,6 @@ func run(args []string, stdout io.Writer, interrupt <-chan struct{}) int {
 		on bool
 		rt conformance.Runtime
 	}{
-		{*liveRT, conformance.Live},
 		{*tcpRT, conformance.TCP},
 		{*srcCol, conformance.SRC},
 		{*mirrors != "", conformance.MIR},

@@ -6,7 +6,7 @@
 //	drsim -list
 //	drsim -protocol crashk -n 32 -t 24 -L 65536 -behavior crash-random
 //	drsim -protocol committee -n 16 -t 7 -L 4096 -behavior liar -v
-//	drsim -protocol twocycle -n 256 -t 64 -L 16384 -behavior liar -live
+//	drsim -protocol twocycle -n 128 -t 32 -L 16384 -behavior equivocate -tcp
 package main
 
 import (
@@ -48,8 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		deadline = fs.Float64("deadline", 0, "cut the run off after this many time units (0: none)")
 		srcPlan  = fs.String("source-faults", "", `seeded source fault plan, e.g. "fail=0.25,outage=2..5,seed=7" (des and TCP runtimes)`)
 		mirrors  = fs.String("mirrors", "", `untrusted mirror fleet plan, e.g. "mirrors=5,byz=3,behavior=mixed,seed=7" (all runtimes; Merkle-verified replies, authoritative fallback)`)
-		liveRT   = fs.Bool("live", false, "run on the concurrent goroutine runtime")
-		tcpRT    = fs.Bool("tcp", false, "run over real TCP sockets (crash-from-start faults only)")
+		tcpRT    = fs.Bool("tcp", false, "run over real TCP sockets (every behavior; faults within -t)")
 		verbose  = fs.Bool("v", false, "print per-peer stats, and on a TCP time-out the goroutine stacks")
 		trace    = fs.Bool("trace", false, "print event trace to stderr")
 		traceOut = fs.String("tracejson", "", "write a structured JSONL event trace to this file")
@@ -84,7 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Deadline:          *deadline,
 		SourceFaults:      *srcPlan,
 		Mirrors:           *mirrors,
-		Live:              *liveRT,
 		TCP:               *tcpRT,
 	}
 	if *trace {

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -31,52 +32,16 @@ import (
 	"repro/download"
 	"repro/internal/conformance"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/storm"
 )
 
+// main stops the soak at a storm boundary on SIGINT/SIGTERM, and the
+// partial matrix is still flushed (CI kills a timed-out job with SIGTERM;
+// the evidence must survive). A second signal kills the process.
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, notifyInterrupt()))
-}
-
-// notifyInterrupt converts SIGINT/SIGTERM into a closed channel so the
-// soak stops at a storm boundary and still flushes its partial matrix
-// (CI kills a timed-out job with SIGTERM; the evidence must survive).
-func notifyInterrupt() <-chan struct{} {
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	done := make(chan struct{})
-	go func() {
-		<-sig
-		signal.Stop(sig)
-		close(done)
-	}()
-	return done
-}
-
-// tally accumulates one protocol's storm outcomes and recovery work.
-type tally struct {
-	runs, survived                     int
-	rejoins, ckptSaves, ckptRestores   int
-	shardRestarts, retries, reconnects int
-	srcFailures, srcRetries            int
-	proofFailures, fallbackQueries     int
-}
-
-func (a *tally) add(res *sim.Result) {
-	if res == nil {
-		return
-	}
-	a.rejoins += res.Rejoins
-	a.ckptSaves += res.CheckpointSaves
-	a.ckptRestores += res.CheckpointRestores
-	a.shardRestarts += res.ShardRestarts
-	a.retries += res.QueryRetries
-	a.reconnects += res.Reconnects
-	a.srcFailures += res.SourceFailures
-	a.srcRetries += res.SourceRetries
-	a.proofFailures += res.ProofFailures
-	a.fallbackQueries += res.FallbackQueries
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop)
+	os.Exit(run(os.Args[1:], os.Stdout, ctx.Done()))
 }
 
 // planes renders a storm's composition in one line for run logs.
@@ -158,9 +123,9 @@ func run(args []string, stdout io.Writer, interrupt <-chan struct{}) int {
 		fmt.Fprintf(os.Stderr, "drstorm: observability on http://%s/\n", srv.Addr)
 	}
 
-	tallies := make(map[string]*tally)
+	tallies := make(map[string]*storm.Tally)
 	for _, p := range protos {
-		tallies[p] = &tally{}
+		tallies[p] = &storm.Tally{}
 	}
 	var (
 		breaches    int
@@ -201,11 +166,8 @@ func run(args []string, stdout io.Writer, interrupt <-chan struct{}) int {
 				Timeout: *timeout, Metrics: reg, Timeline: timeline,
 			})
 			vs := storm.Check(spec, res, err)
-			tl := tallies[p]
-			tl.runs++
-			tl.add(res)
+			tallies[p].Add(res, vs)
 			if len(vs) == 0 {
-				tl.survived++
 				if *verbose {
 					fmt.Fprintf(stdout, "  %-11s s=%-4d ok    %s\n", p, stormSeed, planes(spec))
 				}
@@ -238,21 +200,21 @@ func run(args []string, stdout io.Writer, interrupt <-chan struct{}) int {
 		"PROTOCOL", "SURVIVED", "REJOINS", "CKPT(S/R)", "SHARD-BOUNCE", "RETRIES", "RECONNECTS")
 	for _, p := range protos {
 		tl := tallies[p]
-		if tl.runs == 0 {
+		if tl.Runs == 0 {
 			continue // never started before the interrupt
 		}
 		fmt.Fprintf(stdout, "%-12s %-10s %-8d %-12s %-14d %-8d %-10d\n",
-			p, fmt.Sprintf("%d/%d", tl.survived, tl.runs), tl.rejoins,
-			fmt.Sprintf("%d/%d", tl.ckptSaves, tl.ckptRestores),
-			tl.shardRestarts, tl.retries, tl.reconnects)
+			p, fmt.Sprintf("%d/%d", tl.Survived, tl.Runs), tl.Rejoins,
+			fmt.Sprintf("%d/%d", tl.CheckpointSaves, tl.CheckpointRestores),
+			tl.ShardRestarts, tl.QueryRetries, tl.Reconnects)
 	}
 	fmt.Fprintf(stdout, "\nsource/mirror work (totals): ")
 	var sf, sr, pf, fq int
 	for _, tl := range tallies {
-		sf += tl.srcFailures
-		sr += tl.srcRetries
-		pf += tl.proofFailures
-		fq += tl.fallbackQueries
+		sf += tl.SourceFailures
+		sr += tl.SourceRetries
+		pf += tl.ProofFailures
+		fq += tl.FallbackQueries
 	}
 	fmt.Fprintf(stdout, "src-failures=%d src-retries=%d proof-failures=%d fallback-queries=%d\n", sf, sr, pf, fq)
 

@@ -10,7 +10,7 @@ import (
 // (drchaos -churn) and the conformance fixtures: comma-separated
 // "peer:crashAfter:downtime" triples, e.g. "0:4:2,3:7:-1". Peer and
 // crashAfter are non-negative integers; downtime is a float in runtime
-// time units (virtual on des/live, seconds on TCP), and a negative value
+// time units (virtual on des, seconds on TCP), and a negative value
 // means the peer crashes for good. An empty string is an empty schedule.
 func ParseChurn(s string) ([]ChurnPeer, error) {
 	if strings.TrimSpace(s) == "" {

@@ -3,42 +3,10 @@ package download_test
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"repro/download"
 	"repro/internal/harden"
 )
-
-// TestChurnOverLiveViaOptions drives the live (goroutine) runtime through
-// the public API with a crash-rejoin churn peer composed with a flaky
-// source: the rejoined peer finishes, honest peers are untouched.
-func TestChurnOverLiveViaOptions(t *testing.T) {
-	rep, err := download.Run(download.Options{
-		Protocol: download.Naive,
-		N:        4, T: 1, L: 128,
-		Seed:          11,
-		Live:          true,
-		LiveTimeScale: 200 * time.Microsecond,
-		SourceFaults:  "fail=0.2,seed=3",
-		Churn:         []download.ChurnPeer{{Peer: 0, CrashAfter: 2, Downtime: 3}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Correct {
-		t.Fatalf("incorrect: %v", rep.Failures)
-	}
-	if rep.Rejoins != 1 {
-		t.Errorf("Rejoins = %d, want 1", rep.Rejoins)
-	}
-	cp := rep.PerPeer[0]
-	if cp.Honest || !cp.Crashed || !cp.Rejoined || !cp.Terminated {
-		t.Errorf("churn peer flags = %+v, want crashed+rejoined+terminated, not honest", cp)
-	}
-	if rep.SourceRetries == 0 {
-		t.Errorf("fail=0.2 produced no retries")
-	}
-}
 
 // TestChurnOverTCPViaOptions drives the socket runtime through the public
 // API: the churn peer crashes mid-run, rejoins through the durable
@@ -68,7 +36,8 @@ func TestChurnOverTCPViaOptions(t *testing.T) {
 }
 
 // TestUnsupportedErrorTyped pins that the residual capability gaps come
-// back as *download.UnsupportedError, hardening on TCP among them, so an
+// back as *download.UnsupportedError, hardening and faults beyond T on
+// TCP among them, so an
 // orchestrator branches on the gap instead of string-matching: the
 // conformance runner (conformance.RunCase) prints such a cell as skipped.
 func TestUnsupportedErrorTyped(t *testing.T) {
@@ -82,13 +51,13 @@ func TestUnsupportedErrorTyped(t *testing.T) {
 			Protocol: download.Naive, N: 4, T: 1, L: 64, TCP: true,
 			Churn: []download.ChurnPeer{{Peer: 0, CrashAfter: 1, Downtime: 1}},
 		}, "tcp", false},
-		{"checkpoint dir on live", download.Options{
-			Protocol: download.Naive, N: 4, T: 1, L: 64, Live: true,
+		{"checkpoint dir on des", download.Options{
+			Protocol: download.Naive, N: 4, T: 1, L: 64,
 			CheckpointDir: "/tmp/ckpt",
-		}, "live", false},
-		{"byzantine behavior on tcp", download.Options{
-			Protocol: download.Committee, N: 4, T: 1, L: 64, TCP: true,
-			Behavior: download.Liar,
+		}, "des", false},
+		{"excess faults on tcp", download.Options{
+			Protocol: download.Naive, N: 6, T: 1, L: 64, TCP: true,
+			Behavior: download.CrashImmediate, Faulty: 3, AllowExcessFaults: true,
 		}, "tcp", false},
 		{"hardening on tcp", download.Options{
 			Protocol: download.Committee, N: 4, T: 1, L: 64, TCP: true,

@@ -31,12 +31,10 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"repro/internal/adversary"
 	"repro/internal/bitarray"
 	"repro/internal/des"
-	"repro/internal/live"
 	"repro/internal/netrt"
 	"repro/internal/obs"
 	"repro/internal/protocols/committee"
@@ -156,18 +154,17 @@ type Options struct {
 	// violation and escalates (see docs/HARDENING.md).
 	AllowExcessFaults bool
 	// Deadline, when positive, cuts the execution off after this many
-	// time units (virtual in des, scaled wall time in live) and reports
-	// the expiry as a failure. Zero disables the cut-off (the event cap
-	// and the live runtime's wall-clock default still apply). Ignored by
-	// TCP runs, which bound time via the netrt timeout.
+	// virtual time units and reports the expiry as a failure. Zero
+	// disables the cut-off (the event cap still applies). Ignored by TCP
+	// runs, which bound time via the netrt timeout.
 	Deadline float64
 	// SourceFaults, when non-empty, makes the external source misbehave
 	// per the source.ParsePlan grammar — e.g.
 	// "fail=0.25,timeout=0.1,outage=2..5,rate=64/256,seed=7". Time units
-	// are virtual in the des and live runtimes and seconds on TCP. Honest
-	// peers survive via the source resilience layer (retry/backoff/
-	// breaker); the Report's Source* counters account for the recovery
-	// work. Supported on every runtime.
+	// are virtual on des and seconds on TCP. Honest peers survive via the
+	// source resilience layer (retry/backoff/breaker); the Report's
+	// Source* counters account for the recovery work. Supported on every
+	// runtime.
 	SourceFaults string
 	// Mirrors, when non-empty, routes queries through a fleet of
 	// untrusted replicas per the source.ParseMirrorPlan grammar — e.g.
@@ -190,24 +187,19 @@ type Options struct {
 	// CheckpointDir is where TCP churn peers persist durable checkpoints
 	// so a rejoining incarnation restarts warm (see internal/checkpoint).
 	// Required when Churn has a rejoining peer (Downtime >= 0) on TCP;
-	// meaningless elsewhere — the des and live runtimes persist in
-	// memory — and rejected there to catch misconfiguration.
+	// meaningless elsewhere — the des runtime persists in memory — and
+	// rejected there to catch misconfiguration.
 	CheckpointDir string
-	// Workers is live only; des and TCP ignore it. When > 1 the live
-	// runtime serves peers from a shared run queue with this many workers
-	// instead of one goroutine each.
+	// Workers is unused: no runtime reads it.
+	//
+	// Deprecated: ignored.
 	Workers int
-	// Live runs the goroutine runtime instead of the deterministic
-	// discrete-event runtime.
-	Live bool
-	// LiveTimeScale overrides the live runtime's wall duration of one
-	// virtual time unit (default 2ms). Conformance sweeps run hundreds
-	// of live executions and use a sub-millisecond scale. Requires Live.
-	LiveTimeScale time.Duration
-	// TCP runs the real-socket runtime (internal/netrt): peers exchange
-	// wire-encoded frames through a local hub. Only crash-from-start
-	// faults are supported there (Behavior CrashImmediate); other
-	// behaviors are rejected. Mutually exclusive with Live.
+	// TCP runs the real-socket runtime (internal/netrt) instead of the
+	// deterministic discrete-event runtime: peers exchange wire-encoded
+	// frames through a local hub. Every Behavior runs there: crashed
+	// peers never connect, a random crash point is a mid-run crash, and
+	// Byzantine peers run their behavior on their own clients. Faults
+	// beyond T (AllowExcessFaults) are des only.
 	TCP bool
 	// Trace receives per-event tracing when non-nil.
 	Trace io.Writer
@@ -230,7 +222,7 @@ type Options struct {
 // Callers distinguish it with errors.As and can switch runtimes or fill
 // the missing option instead of treating the run as misconfigured.
 type UnsupportedError struct {
-	// Runtime names the selected runtime: "des", "live", or "tcp".
+	// Runtime names the selected runtime: "des" or "tcp".
 	Runtime string
 	// Feature is the option (combination) the runtime lacks.
 	Feature string
@@ -244,14 +236,10 @@ func (e *UnsupportedError) Error() string {
 
 // runtimeName labels the runtime the options select, for errors.
 func (o *Options) runtimeName() string {
-	switch {
-	case o.TCP:
+	if o.TCP {
 		return "tcp"
-	case o.Live:
-		return "live"
-	default:
-		return "des"
 	}
+	return "des"
 }
 
 // ChurnPeer schedules one crash-recovery peer (see Options.Churn): it
@@ -287,11 +275,11 @@ type Report struct {
 	// Msgs and MsgBits are the message complexity of nonfaulty peers.
 	Msgs    int
 	MsgBits int
-	// Time is the virtual (or scaled wall) time of the last honest
-	// termination.
+	// Time is the virtual (or, on TCP, wall-clock seconds) time of the
+	// last honest termination.
 	Time float64
-	// Events is the number of delivered events (des runtime; zero on the
-	// live and TCP runtimes, which have no global event loop).
+	// Events is the number of delivered events (des runtime; zero on
+	// TCP, which has no global event loop).
 	Events int
 	// Correct reports that every nonfaulty peer output X exactly.
 	Correct bool
@@ -349,15 +337,7 @@ func Run(opts Options) (*Report, error) {
 		rec = trace.NewRecorder(opts.TraceJSONL)
 		spec.Observer = rec
 	}
-	var rt sim.Runtime = des.New()
-	if opts.Live {
-		lr := live.New()
-		if opts.LiveTimeScale > 0 {
-			lr.TimeScale = opts.LiveTimeScale
-		}
-		rt = lr
-	}
-	res, err := rt.Run(spec)
+	res, err := des.New().Run(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -407,12 +387,6 @@ func (o *Options) validate() (*resolved, error) {
 		return nil, fmt.Errorf("download: Deadline=%g must not be negative", o.Deadline)
 	case o.Input != nil && len(o.Input) != o.L:
 		return nil, fmt.Errorf("download: input length %d != L=%d", len(o.Input), o.L)
-	case o.Live && o.TCP:
-		return nil, errors.New("download: Live and TCP are mutually exclusive")
-	case o.LiveTimeScale < 0:
-		return nil, fmt.Errorf("download: LiveTimeScale=%v must not be negative", o.LiveTimeScale)
-	case o.LiveTimeScale > 0 && !o.Live:
-		return nil, errors.New("download: LiveTimeScale requires Live")
 	}
 	if r.srcPlan, err = source.ParsePlan(o.SourceFaults); err != nil {
 		return nil, err
@@ -439,9 +413,9 @@ func (o *Options) validate() (*resolved, error) {
 		if r.faulty > o.T && !o.AllowExcessFaults {
 			return nil, fmt.Errorf("download: %d faulty exceeds bound T=%d (set AllowExcessFaults to model a violated fault bound)", r.faulty, o.T)
 		}
-		if o.TCP && o.Behavior != CrashImmediate {
-			return nil, &UnsupportedError{Runtime: "tcp", Feature: fmt.Sprintf("behavior %q", o.Behavior),
-				Reason: "sockets implement crash-from-start faults only"}
+		if r.faulty > o.T && o.TCP {
+			return nil, &UnsupportedError{Runtime: "tcp", Feature: "AllowExcessFaults",
+				Reason: fmt.Sprintf("the socket runtime holds faulty peers to T=%d; run %d faulty peers on des", o.T, r.faulty)}
 		}
 	default:
 		return nil, fmt.Errorf("download: unknown behavior %q", o.Behavior)
@@ -484,22 +458,35 @@ func (o *Options) validateChurn() error {
 	}
 	if o.CheckpointDir != "" && !o.TCP {
 		return &UnsupportedError{Runtime: o.runtimeName(), Feature: "CheckpointDir",
-			Reason: "durable checkpoints exist on the TCP runtime only; des and live persist rejoin state in memory"}
+			Reason: "durable checkpoints exist on the TCP runtime only; des persists rejoin state in memory"}
 	}
 	return nil
 }
 
 // runTCP maps the options onto the real-socket runtime. The faulty peers
-// are absent from the start: validate admits no other behavior on sockets.
+// are the ones des would place: crashed-from-start peers never connect, a
+// random crash point is a churn crash that never rejoins, and a Byzantine
+// behavior runs on its peers' clients.
 func runTCP(opts Options, r *resolved) (*Report, error) {
-	res, err := netrt.Run(netrt.Config{
+	cfg := netrt.Config{
 		N: opts.N, T: opts.T, L: opts.L, MsgBits: r.msgBits,
 		Seed: opts.Seed, NewPeer: r.factory, Input: r.input,
-		Absent:       adversary.SpreadFaulty(opts.N, r.faulty),
 		SourceFaults: r.srcPlan, Mirrors: r.mirrorPlan,
 		Churn: r.churn, CheckpointDir: opts.CheckpointDir,
 		Metrics: opts.Metrics, Timeline: opts.Timeline, Label: string(opts.Protocol),
-	})
+	}
+	f := buildFaults(opts, r.faulty)
+	switch opts.Behavior {
+	case CrashImmediate:
+		cfg.Absent = f.Faulty
+	case CrashRandom:
+		for _, p := range f.Faulty {
+			cfg.Churn = append(cfg.Churn, sim.ChurnPeer{Peer: p, CrashAfter: f.Crash.CrashPoint(p), Downtime: -1})
+		}
+	case Silent, Spam, Liar, Equivocate:
+		cfg.Byzantine = f
+	}
+	res, err := netrt.Run(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -524,7 +511,6 @@ func buildSpec(opts Options, r *resolved) *sim.Spec {
 		Timeline:     opts.Timeline,
 		Label:        string(opts.Protocol),
 		Deadline:     opts.Deadline,
-		Workers:      opts.Workers,
 	}
 }
 

@@ -87,12 +87,14 @@ func TestBehaviorMatrix(t *testing.T) {
 	}
 }
 
-func TestLiveRuntimeViaFacade(t *testing.T) {
+// TestCrashRandomOverTCP: a random crash point reaches the socket
+// runtime as a churn crash that never rejoins.
+func TestCrashRandomOverTCP(t *testing.T) {
 	rep, err := download.Run(download.Options{
 		Protocol: download.CrashKFast,
 		N:        6, T: 2, L: 256, Seed: 4,
 		Behavior: download.CrashRandom,
-		Live:     true,
+		TCP:      true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,10 +3,7 @@ package download
 import (
 	"fmt"
 
-	"repro/internal/des"
 	"repro/internal/harden"
-	"repro/internal/live"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -101,7 +98,7 @@ func RunHardenedLadder(opts Options, pol harden.Policy, ladder []Protocol) (*Rep
 	}
 	if opts.TCP {
 		return nil, &UnsupportedError{Runtime: "tcp", Feature: "hardening",
-			Reason: "the supervisor re-runs and audits on a simulated runtime; use des or live"}
+			Reason: "the supervisor re-runs and audits on a simulated runtime; use des"}
 	}
 	if len(ladder) == 0 || ladder[0] != opts.Protocol {
 		return nil, fmt.Errorf("download: ladder must start at %q", opts.Protocol)
@@ -123,15 +120,10 @@ func RunHardenedLadder(opts Options, pol harden.Policy, ladder []Protocol) (*Rep
 	if pol.AttemptDeadline == 0 {
 		pol.AttemptDeadline = opts.Deadline
 	}
-	var rt sim.Runtime = des.New()
-	if opts.Live {
-		rt = live.New()
-	}
 	out, err := harden.Run(harden.Config{
-		Base:    *spec,
-		Rungs:   rungs,
-		Policy:  pol,
-		Runtime: rt,
+		Base:   *spec,
+		Rungs:  rungs,
+		Policy: pol,
 	})
 	if err != nil {
 		return nil, err

@@ -32,26 +32,6 @@ func TestMirrorE2EDes(t *testing.T) {
 	}
 }
 
-// TestMirrorE2ELive: the same fleet on the goroutine runtime.
-func TestMirrorE2ELive(t *testing.T) {
-	rep, err := download.Run(download.Options{
-		Protocol: download.Naive, N: 4, L: 256, Seed: 43, Live: true,
-		Mirrors: "mirrors=4,byz=2,behavior=forge,seed=5",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Correct {
-		t.Fatalf("incorrect: %v", rep.Failures)
-	}
-	if rep.Q != 256 {
-		t.Errorf("Q = %d, want 256", rep.Q)
-	}
-	if rep.MirrorHits+rep.FallbackQueries == 0 {
-		t.Error("mirror tier saw no traffic")
-	}
-}
-
 // TestMirrorE2ETCP: over real sockets the mirror replies ride QPROOF
 // frames and the root rides a ROOT push; the facade surfaces the same
 // counters.

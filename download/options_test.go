@@ -85,10 +85,6 @@ func TestOptionValidationMatrix(t *testing.T) {
 			o.Input = make([]bool, 65)
 			return o
 		}, "input length 65 != L=64"},
-		{"live and tcp together", func(o download.Options) download.Options {
-			o.Live, o.TCP = true, true
-			return o
-		}, "mutually exclusive"},
 		{"unknown behavior", func(o download.Options) download.Options {
 			o.Behavior = "weird"
 			return o
@@ -122,10 +118,16 @@ func TestOptionValidationMatrix(t *testing.T) {
 			o.TCP = true
 			o.Faulty, o.Behavior = 1, download.Silent
 			return o
-		}, "unsupported on the tcp runtime"},
+		}, ""},
 		{"tcp with random crash", func(o download.Options) download.Options {
 			o.TCP = true
 			o.Faulty, o.Behavior = 1, download.CrashRandom
+			return o
+		}, ""},
+		{"tcp with excess faults", func(o download.Options) download.Options {
+			o.TCP = true
+			o.Faulty, o.Behavior = 2, download.Silent
+			o.AllowExcessFaults = true
 			return o
 		}, "unsupported on the tcp runtime"},
 		{"every behavior accepted in sim", func(o download.Options) download.Options {

@@ -26,8 +26,7 @@ func TestTCPTransport(t *testing.T) {
 
 func TestTCPTransportRejections(t *testing.T) {
 	cases := []download.Options{
-		{Protocol: download.CrashK, N: 6, T: 2, L: 64, TCP: true, Live: true},
-		{Protocol: download.CrashK, N: 6, T: 2, L: 64, TCP: true, Behavior: download.Liar},
+		{Protocol: download.CrashK, N: 6, T: 2, L: 64, TCP: true, Behavior: download.Liar, Faulty: 3, AllowExcessFaults: true},
 		{Protocol: "bogus", N: 6, T: 2, L: 64, TCP: true},
 		{Protocol: download.CrashK, N: 6, T: 2, L: 64, TCP: true, Input: make([]bool, 3)},
 	}

@@ -39,9 +39,8 @@ func (f *Fixed) StartDelay(_ sim.PeerID) float64 { return 0 }
 
 // Random assigns independent uniform delays in (Min, Max] to every
 // delivery and staggers peer start times uniformly in [0, Max). It is
-// safe for concurrent use (the live runtime invokes it from many
-// goroutines); under the des runtime, calls occur in a deterministic
-// order, so executions are reproducible from the seed.
+// safe for concurrent use; under the des runtime, calls occur in a
+// deterministic order, so executions are reproducible from the seed.
 type Random struct {
 	mu  sync.Mutex
 	rng *rand.Rand

@@ -132,7 +132,7 @@ type Case struct {
 	Mirrors string `json:"mirrors,omitempty"`
 	// Churn is a download.ParseChurn schedule of crash-recovery peers
 	// ("peer:crashAfter:downtime,..."). Downtime is in runtime time
-	// units (virtual on des/live, seconds on TCP); the pinned fields
+	// units (virtual on des, seconds on TCP); the pinned fields
 	// are time-invariant, so the unit difference cannot drift a cell.
 	Churn  string `json:"churn,omitempty"`
 	Expect Expect `json:"expect"`

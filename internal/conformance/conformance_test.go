@@ -2,9 +2,9 @@ package conformance
 
 import (
 	"flag"
+	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/download"
 )
@@ -37,12 +37,11 @@ func TestCorpus(t *testing.T) {
 	}
 }
 
-// TestCorpusMirrors is the live and tcp half of the mirror-row
-// acceptance gate (des runs the full corpus in TestCorpus): every pinned
-// mirror case — honest fleet and Byzantine-majority fleet — must conform
-// on the concurrent and real-socket runtimes too, which exercises the
-// ROOT/QPROOF/QUERYSRC frames end to end.
-func TestCorpusMirrors(t *testing.T) {
+// corpusOnTCP runs the pinned cases keep selects on the real-socket
+// runtime (des runs the full corpus in TestCorpus). The corpus must hold
+// at least one such case, or the gate would pass on nothing.
+func corpusOnTCP(t *testing.T, rows string, keep func(*Case) bool) {
+	t.Helper()
 	if *update {
 		t.Skip("regeneration runs in TestCorpus")
 	}
@@ -53,65 +52,49 @@ func TestCorpusMirrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load corpus (regenerate with -update): %v", err)
 	}
-	mirrors := 0
-	for _, c := range corpus.Results.Cases {
-		if c.Mirrors != "" {
-			mirrors++
-		}
+	if !slices.ContainsFunc(corpus.Results.Cases, func(c Case) bool { return keep(&c) }) {
+		t.Fatalf("corpus has no %s cases (regenerate with -update)", rows)
 	}
-	if mirrors == 0 {
-		t.Fatal("corpus has no mirror cases (regenerate with -update)")
-	}
-	rep := RunFixtures(corpus, Config{
-		Runtimes:  []Runtime{Live, TCP},
-		LiveScale: 200 * time.Microsecond,
-		Filter:    func(c *Case) bool { return c.Mirrors != "" },
-	})
+	rep := RunFixtures(corpus, Config{Runtimes: []Runtime{TCP}, Filter: keep})
 	if rep.Failed() {
 		var b strings.Builder
 		rep.WriteMatrix(&b)
-		t.Fatalf("mirror rows failed live/tcp conformance:\n%s", b.String())
+		t.Fatalf("%s rows failed tcp conformance:\n%s", rows, b.String())
 	}
 }
 
-// TestCorpusChurn is the live and tcp half of the crash-recovery
-// acceptance gate: every pinned churn case must conform on the
-// concurrent and real-socket runtimes. The tcp cells exercise the full
-// recovery machinery end to end — the peer process crashes at its
-// action count, the rejoined incarnation restores from the durable
-// checkpoint store and resumes over the RESUME handshake — and must
-// still pin the runtime-invariant fields (correctness, output bits,
-// rejoin count).
+// TestCorpusMirrors is the tcp half of the mirror-row acceptance gate:
+// every pinned mirror case — honest fleet and Byzantine-majority fleet —
+// must conform over real sockets too, which exercises the
+// ROOT/QPROOF/QUERYSRC frames end to end.
+func TestCorpusMirrors(t *testing.T) {
+	corpusOnTCP(t, "mirror", func(c *Case) bool { return c.Mirrors != "" })
+}
+
+// TestCorpusChurn is the tcp half of the crash-recovery acceptance gate:
+// every pinned churn case must conform over real sockets. The cells
+// exercise the full recovery machinery end to end — the peer process
+// crashes at its action count, the rejoined incarnation restores from
+// the durable checkpoint store and resumes over the RESUME handshake —
+// and must still pin the runtime-invariant fields (correctness, output
+// bits, rejoin count).
 func TestCorpusChurn(t *testing.T) {
-	if *update {
-		t.Skip("regeneration runs in TestCorpus")
-	}
-	if testing.Short() {
-		t.Skip("socket runtime corpus in -short mode")
-	}
-	corpus, err := Load(fixturesDir)
-	if err != nil {
-		t.Fatalf("load corpus (regenerate with -update): %v", err)
-	}
-	churn := 0
-	for _, c := range corpus.Results.Cases {
-		if c.Churn != "" {
-			churn++
+	corpusOnTCP(t, "churn", func(c *Case) bool { return c.Churn != "" })
+}
+
+// TestCorpusByzantine runs every Byzantine and crash-random row over real
+// sockets: the faulty peers run their behavior on their own clients, so
+// forged reports, scattered lies and junk cross the wire, and random
+// crash points arrive as churn crashes that never rejoin. Every honest
+// peer must output X, pinned by correctness and the output bits.
+func TestCorpusByzantine(t *testing.T) {
+	corpusOnTCP(t, "Byzantine or crash-random", func(c *Case) bool {
+		switch download.FaultBehavior(c.Behavior) {
+		case download.CrashRandom, download.Silent, download.Spam, download.Liar, download.Equivocate:
+			return true
 		}
-	}
-	if churn == 0 {
-		t.Fatal("corpus has no churn cases (regenerate with -update)")
-	}
-	rep := RunFixtures(corpus, Config{
-		Runtimes:  []Runtime{Live, TCP},
-		LiveScale: 200 * time.Microsecond,
-		Filter:    func(c *Case) bool { return c.Churn != "" },
+		return false
 	})
-	if rep.Failed() {
-		var b strings.Builder
-		rep.WriteMatrix(&b)
-		t.Fatalf("churn rows failed live/tcp conformance:\n%s", b.String())
-	}
 }
 
 // TestCorpusCoversAllProtocols guards the grid enumeration: a protocol

@@ -2,7 +2,6 @@ package des_test
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/adversary"
@@ -33,69 +32,43 @@ func (d noDelays) StartDelay(sim.PeerID) float64 {
 	return 0
 }
 
-// TestDesIgnoresWorkers: Spec.Workers is a live-runtime knob. Both des
-// entry points run the one serial loop whatever it says — same Result,
-// same observer stream, and under a chooser the same decisions, with the
-// delay policy never consulted.
-func TestDesIgnoresWorkers(t *testing.T) {
+// TestRunChoicesIgnoresDelays: under a chooser the chooser is the whole
+// scheduling adversary. RunChoices never consults the spec's delay policy,
+// asks the chooser at every fan-out, and its clock is the delivered-event
+// count; the same spec under des.Run's delay policy stays correct too.
+func TestRunChoicesIgnoresDelays(t *testing.T) {
 	for _, tc := range detCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			type run struct {
-				res   *sim.Result
-				sched des.Schedule
-				log   eventLog
+			res, err := des.New().Run(tc.spec())
+			if err != nil {
+				t.Fatal(err)
 			}
-			var timed, chosen [2]run
-			for i, workers := range []int{0, 4} {
-				r := &timed[i]
-				spec := tc.spec()
-				spec.Workers = workers
-				spec.Observer = &r.log
-				var err error
-				if r.res, err = des.New().Run(spec); err != nil {
-					t.Fatal(err)
-				}
-
-				r = &chosen[i]
-				spec = tc.spec()
-				spec.Workers = workers
-				spec.Deadline = 0 // virtual time; RunChoices refuses it
-				spec.Delays = noDelays{t}
-				spec.Observer = &r.log
-				rng := rand.New(rand.NewSource(99))
-				r.res, r.sched, err = des.RunChoices(spec, func(_, fanout int) int { return rng.Intn(fanout) })
-				if err != nil {
-					t.Fatal(err)
-				}
-				if r.sched.Panic != nil {
-					t.Fatalf("workers=%d: peer panic: %v", workers, r.sched.Panic)
-				}
-			}
-			if res := timed[0].res; !res.Correct && !res.DeadlineHit {
+			if !res.Correct && !res.DeadlineHit {
 				t.Fatalf("Run incorrect: %v", res.Failures)
 			}
-			ch := chosen[0]
-			if !ch.res.Correct {
-				t.Fatalf("RunChoices incorrect: %v", ch.res)
+
+			var log eventLog
+			spec := tc.spec()
+			spec.Deadline = 0 // virtual time; RunChoices refuses it
+			spec.Delays = noDelays{t}
+			spec.Observer = &log
+			rng := rand.New(rand.NewSource(99))
+			res, sched, err := des.RunChoices(spec, func(_, fanout int) int { return rng.Intn(fanout) })
+			if err != nil {
+				t.Fatal(err)
 			}
-			if len(ch.sched.Choices) == 0 || ch.sched.MaxFanout < 2 {
-				t.Fatalf("the chooser was never asked: %+v", ch.sched)
+			if sched.Panic != nil {
+				t.Fatalf("peer panic: %v", sched.Panic)
+			}
+			if !res.Correct {
+				t.Fatalf("RunChoices incorrect: %v", res)
+			}
+			if len(sched.Choices) == 0 || sched.MaxFanout < 2 {
+				t.Fatalf("the chooser was never asked: %+v", sched)
 			}
 			// The clock is the delivered-event count.
-			if last := ch.log.events[len(ch.log.events)-1].Time; last > float64(ch.res.Events) {
-				t.Errorf("event at time %g in a run of %d steps", last, ch.res.Events)
-			}
-			for name, pair := range map[string][2]run{"Run": timed, "RunChoices": chosen} {
-				a, b := pair[0], pair[1]
-				if !reflect.DeepEqual(a.res, b.res) {
-					t.Errorf("%s: Result differs: workers=0 %v, workers=4 %v", name, a.res, b.res)
-				}
-				if !reflect.DeepEqual(a.sched, b.sched) {
-					t.Errorf("%s: schedule differs between worker counts", name)
-				}
-				if !reflect.DeepEqual(a.log.events, b.log.events) {
-					t.Errorf("%s: observer streams differ (%d vs %d events)", name, len(a.log.events), len(b.log.events))
-				}
+			if last := log.events[len(log.events)-1].Time; last > float64(res.Events) {
+				t.Errorf("event at time %g in a run of %d steps", last, res.Events)
 			}
 		})
 	}

@@ -40,8 +40,6 @@ import (
 // Runtime executes specs deterministically on a virtual clock.
 type Runtime struct{}
 
-var _ sim.Runtime = (*Runtime)(nil)
-
 // New returns a discrete-event runtime.
 func New() *Runtime { return &Runtime{} }
 
@@ -229,8 +227,6 @@ func newEngine(spec *sim.Spec, choose func(decision, fanout int) int) *engine {
 			Input:  e.input,
 			Config: cfg,
 			Faulty: append([]sim.PeerID(nil), spec.Faults.Faulty...),
-			Rand:   rand.New(rand.NewSource(cfg.Seed ^ 0x0bad5eed)),
-			Shared: make(map[string]any),
 		}
 	}
 	for i := 0; i < cfg.N; i++ {

@@ -2,7 +2,6 @@ package dst
 
 import (
 	"repro/internal/adversary"
-	"repro/internal/des"
 	"repro/internal/harden"
 )
 
@@ -80,10 +79,9 @@ func CheckHardened(r *Replay, ladder []string, pol harden.Policy) (*HardenedChec
 	}
 	spec.Delays = adversary.NewRandomUnit(r.Seed + 1000003)
 	out, err := harden.Run(harden.Config{
-		Base:    *spec,
-		Rungs:   rungs,
-		Policy:  pol,
-		Runtime: des.New(),
+		Base:   *spec,
+		Rungs:  rungs,
+		Policy: pol,
 	})
 	if err != nil {
 		return nil, err

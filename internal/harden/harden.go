@@ -110,9 +110,9 @@ type Policy struct {
 	// AuditSeed decorrelates audit index choices from the execution seed
 	// (it is mixed with the spec seed and attempt number).
 	AuditSeed int64
-	// AttemptDeadline, when positive, bounds each attempt in runtime time
-	// units (virtual for des, scaled wall for live) via sim.Spec.Deadline.
-	// An expiry is a confirmed liveness violation.
+	// AttemptDeadline, when positive, bounds each attempt in virtual time
+	// units via sim.Spec.Deadline. An expiry is a confirmed liveness
+	// violation.
 	AttemptDeadline float64
 	// PhaseDeadline bounds how long a peer may sit in one phase with no
 	// progress before starvation attribution names it; 0 inherits
@@ -137,9 +137,6 @@ type Config struct {
 	Rungs []Rung
 	// Policy tunes detectors, audit, and ladder descent.
 	Policy Policy
-	// Runtime executes attempts; nil selects the deterministic des
-	// runtime.
-	Runtime sim.Runtime
 }
 
 // Attempt is the outcome of one rung's execution.
@@ -219,10 +216,6 @@ func Run(cfg Config) (*Outcome, error) {
 			return nil, fmt.Errorf("harden: rung %d missing name or factory", i)
 		}
 	}
-	rt := cfg.Runtime
-	if rt == nil {
-		rt = des.New()
-	}
 	pol := cfg.Policy
 	auditK := pol.AuditBits
 	if auditK == 0 {
@@ -295,7 +288,7 @@ func Run(cfg Config) (*Outcome, error) {
 		col := NewCollector(n, phaseDeadline, base.Observer)
 		spec.Observer = col
 
-		res, err := rt.Run(&spec)
+		res, err := des.New().Run(&spec)
 		if err != nil {
 			return nil, fmt.Errorf("harden: rung %s: %w", rung.Name, err)
 		}

@@ -213,11 +213,14 @@ func TestChurnCrashDuringProbeOverTCP(t *testing.T) {
 
 func TestChurnNeverRejoinsOverTCP(t *testing.T) {
 	// Downtime < 0: a plain mid-run crash. The run must complete without
-	// waiting for the crashed peer, and nothing rejoins.
+	// waiting for the crashed peer, and nothing rejoins. A peer whose
+	// crash point lies past its last action (as a random crash point
+	// may) finishes and is not reported crashed, as on des.
 	res, err := netrt.Run(netrt.Config{
-		N: 4, T: 1, L: 256, MsgBits: 64, Seed: 22,
+		N: 5, T: 2, L: 256, MsgBits: 64, Seed: 22,
 		NewPeer: newHalver,
-		Churn:   []sim.ChurnPeer{{Peer: 2, CrashAfter: 3, Downtime: -1}},
+		Churn: []sim.ChurnPeer{{Peer: 2, CrashAfter: 3, Downtime: -1},
+			{Peer: 4, CrashAfter: 1 << 30, Downtime: -1}},
 		Timeout: 30 * time.Second,
 	})
 	if err != nil {
@@ -229,8 +232,11 @@ func TestChurnNeverRejoinsOverTCP(t *testing.T) {
 	if res.Rejoins != 0 || res.CheckpointSaves != 0 {
 		t.Errorf("Rejoins=%d CheckpointSaves=%d, want 0/0", res.Rejoins, res.CheckpointSaves)
 	}
-	if res.PerPeer[2].Terminated {
-		t.Error("crashed churn peer terminated")
+	if ps := res.PerPeer[2]; ps.Terminated || !ps.Crashed {
+		t.Errorf("churn peer 2: terminated=%v crashed=%v, want a crash", ps.Terminated, ps.Crashed)
+	}
+	if ps := res.PerPeer[4]; ps.Crashed || ps.Honest {
+		t.Errorf("churn peer 4: crashed=%v honest=%v, want faulty but never crashed", ps.Crashed, ps.Honest)
 	}
 }
 

@@ -38,9 +38,11 @@ func churnFor(cfg *Config, id sim.PeerID) *sim.ChurnPeer {
 // peer's query plane, rejoins via the resume handshake, and runs to
 // completion serving its warm bits locally. The plane q and the stats st
 // outlive the incarnations, and q settles into st when the last one ends;
-// start is the run's clock, and stop closes when the hub stops.
-func runClient(cfg *Config, id sim.PeerID, addr string, q *qplane.Plane, st *sim.PeerStats,
-	met *netMetrics, start time.Time, stop <-chan struct{}) error {
+// newPeer builds each incarnation's protocol instance (or, for a
+// Byzantine peer, its behavior); start is the run's clock, and stop closes
+// when the hub stops.
+func runClient(cfg *Config, id sim.PeerID, newPeer func(sim.PeerID) sim.Peer, addr string,
+	q *qplane.Plane, st *sim.PeerStats, met *netMetrics, start time.Time, stop <-chan struct{}) error {
 	defer func() { q.Settle(time.Since(start).Seconds()) }()
 	churn := churnFor(cfg, id)
 	var store *checkpoint.Store
@@ -60,7 +62,7 @@ func runClient(cfg *Config, id sim.PeerID, addr string, q *qplane.Plane, st *sim
 			addr:    addr,
 			rng:     rand.New(rand.NewSource(cfg.Seed + int64(id)*0x9e3779b97f4a7c + 1)),
 			nrng:    rand.New(rand.NewSource(cfg.Seed ^ (int64(id)*0x51af + 0xdead))),
-			impl:    cfg.NewPeer(id),
+			impl:    newPeer(id),
 			start:   start,
 			met:     met,
 			q:       q,
@@ -78,6 +80,7 @@ func runClient(cfg *Config, id sim.PeerID, addr string, q *qplane.Plane, st *sim
 		if !crashed {
 			return nil
 		}
+		st.Crashed = true
 		met.mark(int(id), "churn", "")
 		if churn.Downtime < 0 {
 			return nil // never rejoins: a plain mid-run crash

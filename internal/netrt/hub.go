@@ -64,10 +64,11 @@ type hub struct {
 	start  time.Time
 	expect int
 
-	// faulty marks absent, killed, and churning peers: their terminations
-	// never count toward the completion quota (a killed peer may finish
-	// before its kill fires; ending the run on its DONE would abandon
-	// honest peers mid-protocol) — except the rejoining subset below.
+	// faulty marks absent, killed, churning and Byzantine peers: their
+	// terminations never count toward the completion quota (a killed peer
+	// may finish before its kill fires; ending the run on its DONE would
+	// abandon honest peers mid-protocol) — except the rejoining subset
+	// below.
 	faulty map[sim.PeerID]bool
 	// rejoining marks churn peers with a rejoin scheduled (Downtime ≥ 0):
 	// faulty, but still expected to DONE, so the quota counts them.
@@ -104,13 +105,16 @@ func newHub(cfg Config, input *bitarray.Array, met *netMetrics) (*hub, error) {
 		}
 		shards[i] = newHubShard(i, ln)
 	}
-	faulty := make(map[sim.PeerID]bool, len(cfg.Absent)+len(cfg.KillAfter)+len(cfg.Churn))
+	faulty := make(map[sim.PeerID]bool, len(cfg.Absent)+len(cfg.KillAfter)+len(cfg.Churn)+len(cfg.Byzantine.Faulty))
 	absent := make(map[sim.PeerID]bool, len(cfg.Absent))
 	for _, p := range cfg.Absent {
 		faulty[p] = true
 		absent[p] = true
 	}
 	for p := range cfg.KillAfter {
+		faulty[p] = true
+	}
+	for _, p := range cfg.Byzantine.Faulty {
 		faulty[p] = true
 	}
 	// Churn peers are faulty by definition, but the rejoining ones still
@@ -759,7 +763,11 @@ func (h *hub) result(per []sim.PeerStats) *sim.Result {
 	for i := range per {
 		id := sim.PeerID(i)
 		ps := &per[i]
-		ps.ID, ps.Honest, ps.Crashed = id, !h.faulty[id], h.faulty[id]
+		ps.ID, ps.Honest = id, !h.faulty[id]
+		// A churn peer's client records its own crash; the hub knows
+		// which peers never connected and which it killed.
+		_, killed := h.cfg.KillAfter[id]
+		ps.Crashed = ps.Crashed || killed || h.peers[id] == nil
 		if hp := h.peers[id]; hp != nil {
 			hp.mu.Lock()
 			ps.MsgsSent = hp.msgsSent

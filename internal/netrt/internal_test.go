@@ -313,7 +313,7 @@ func runPeer(t *testing.T, addr string, l int, peer sim.Peer, pol source.Policy)
 	st := &sim.PeerStats{}
 	q := qplane.NewRemoteTier(cfg.L, cfg.Seed, cfg.SourcePolicy).NewPlane(0, st, false)
 	done := make(chan error, 1)
-	go func() { done <- runClient(cfg, 0, addr, q, st, nil, time.Now(), nil) }()
+	go func() { done <- runClient(cfg, 0, cfg.NewPeer, addr, q, st, nil, time.Now(), nil) }()
 	select {
 	case err := <-done:
 		if err != nil {

@@ -10,16 +10,18 @@
 //	peer ──TCP──▶ hub ──TCP──▶ peer      (MSG frames, wire-encoded)
 //	peer ──TCP──▶ hub (source) ──▶ peer  (QUERY/QREPLY frames)
 //
-// Fault injection goes well beyond crash-from-start (Absent) and mid-run
-// kills (KillAfter): a seeded FaultPlan lets the hub drop, duplicate,
-// delay, reorder and stall deliveries, sever connections that may
-// reconnect, and impose timed partitions that later heal. A resilience
-// layer keeps honest peers live through all of it — unacked frames are
-// retransmitted until cumulatively acked (fair loss → reliable link),
-// receivers dedup by per-sender sequence number, clients redial with
-// capped exponential backoff, unanswered source queries are re-issued,
-// and idle connections are detected by heartbeat-refreshed read
-// deadlines. Timing is wall-clock, but the fault schedule itself is a
+// Peers may be faulty as the model allows: crashed from the start
+// (Absent), killed mid-run (KillAfter), crashing and rejoining (Churn), or
+// Byzantine, running an adversary behavior in place of the protocol
+// (Byzantine). Network faults go further: a seeded FaultPlan lets the hub
+// drop, duplicate, delay, reorder and stall deliveries, sever connections
+// that may reconnect, and impose timed partitions that later heal. A
+// resilience layer keeps honest peers live through all of it — unacked
+// frames are retransmitted until cumulatively acked (fair loss → reliable
+// link), receivers dedup by per-sender sequence number, clients redial
+// with capped exponential backoff, unanswered source queries are
+// re-issued, and idle connections are detected by heartbeat-refreshed
+// read deadlines. Timing is wall-clock, but the fault schedule itself is a
 // pure function of the plan's seed, so a chaotic run's faults replay
 // exactly. See docs/RUNTIMES.md for the full matrix and frame format.
 //
@@ -76,6 +78,13 @@ type Config struct {
 	// Absent lists peers that crash before starting (never connect);
 	// must satisfy len(Absent) ≤ T.
 	Absent []sim.PeerID
+	// Byzantine replaces peers with adversary behaviors: each peer in
+	// Byzantine.Faulty runs Byzantine.NewByzantine's behavior in place of
+	// NewPeer's, on its own client like any other peer, so everything it
+	// sends crosses the wire. The other FaultSpec fields are not read.
+	// Byzantine peers count toward T with the crash faults, and the run
+	// never waits for their DONE.
+	Byzantine sim.FaultSpec
 	// KillAfter crashes peers mid-run: the hub severs each listed
 	// peer's connection after the given wall duration from run start and
 	// refuses its reconnects. Killed peers count toward T together with
@@ -172,7 +181,10 @@ func (c *Config) validate() error {
 	if c.NewPeer == nil {
 		return errors.New("netrt: missing NewPeer")
 	}
-	faulty := len(c.Absent) + len(c.KillAfter) + len(c.Churn)
+	if len(c.Byzantine.Faulty) > 0 && c.Byzantine.NewByzantine == nil {
+		return errors.New("netrt: Byzantine peers need NewByzantine")
+	}
+	faulty := len(c.Absent) + len(c.KillAfter) + len(c.Churn) + len(c.Byzantine.Faulty)
 	for _, p := range c.Absent {
 		if _, both := c.KillAfter[p]; both {
 			return fmt.Errorf("netrt: peer %d both absent and killed", p)
@@ -200,6 +212,13 @@ func (c *Config) validate() error {
 		if cp.Downtime >= 0 {
 			needCkpt = true
 		}
+	}
+	for _, p := range c.Byzantine.Faulty {
+		_, killed := c.KillAfter[p]
+		if p < 0 || int(p) >= c.N || seen[p] || killed || slices.Contains(c.Absent, p) {
+			return fmt.Errorf("netrt: Byzantine peer %d out of range or in another fault set", p)
+		}
+		seen[p] = true
 	}
 	if needCkpt && c.CheckpointDir == "" {
 		return errors.New("netrt: churn rejoin requires CheckpointDir for durable checkpoints")
@@ -293,8 +312,9 @@ func Run(cfg Config) (*sim.Result, error) {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
-	input := (&sim.Config{N: cfg.N, T: cfg.T, L: cfg.L, MsgBits: cfg.MsgBits,
-		Seed: cfg.Seed, Input: cfg.Input}).ResolveInput()
+	simCfg := sim.Config{N: cfg.N, T: cfg.T, L: cfg.L, MsgBits: cfg.MsgBits,
+		Seed: cfg.Seed, Input: cfg.Input}
+	input := simCfg.ResolveInput()
 
 	met := newNetMetrics(&cfg, time.Now())
 	h, err := newHub(cfg, input, met)
@@ -307,6 +327,11 @@ func Run(cfg Config) (*sim.Result, error) {
 	for _, p := range cfg.Absent {
 		absent[p] = true
 	}
+	// One Knowledge serves every Byzantine peer, as on des; behaviors
+	// only read it.
+	byz := &cfg.Byzantine
+	know := &sim.Knowledge{Input: input, Config: simCfg, Faulty: byz.Faulty}
+	newByz := func(id sim.PeerID) sim.Peer { return byz.NewByzantine(id, know) }
 
 	// Each client drives its peer's query plane, which charges Q at Query
 	// and keeps the peer's accounting in stats across both incarnations
@@ -321,10 +346,14 @@ func Run(cfg Config) (*sim.Result, error) {
 			continue
 		}
 		q := tier.NewPlane(i, &stats[i], churnFor(&cfg, id) != nil)
+		newPeer := cfg.NewPeer
+		if byz.IsFaulty(id) {
+			newPeer = newByz
+		}
 		clients.Add(1)
 		go func() {
 			defer clients.Done()
-			if err := runClient(&cfg, id, h.addrFor(id), q, &stats[id], met, h.start, h.stop); err != nil {
+			if err := runClient(&cfg, id, newPeer, h.addrFor(id), q, &stats[id], met, h.start, h.stop); err != nil {
 				errs <- fmt.Errorf("peer %d: %w", id, err)
 			}
 		}()

@@ -7,7 +7,6 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/bitarray"
 	"repro/internal/des"
-	"repro/internal/live"
 	"repro/internal/netrt"
 	"repro/internal/sim"
 	"repro/internal/source"
@@ -64,11 +63,8 @@ func TestIdenticalQueriesChargedPerCall(t *testing.T) {
 			return &sim.Spec{Config: sim.Config{N: n, T: 0, L: l, MsgBits: 64, Seed: 41},
 				NewPeer: newPeer, Delays: adversary.NewRandomUnit(41), Mirrors: mirrors}
 		}
-		liveRT := live.New()
-		liveRT.TimeScale = 500 * time.Microsecond
 		runs := map[string]func() (*sim.Result, error){
-			"des":  func() (*sim.Result, error) { return des.New().Run(spec()) },
-			"live": func() (*sim.Result, error) { return liveRT.Run(spec()) },
+			"des": func() (*sim.Result, error) { return des.New().Run(spec()) },
 			"tcp": func() (*sim.Result, error) {
 				return netrt.Run(netrt.Config{N: n, T: 0, L: l, MsgBits: 64, Seed: 41,
 					NewPeer: newPeer, Mirrors: mirrors, Timeout: 30 * time.Second})

@@ -22,8 +22,8 @@
 // the list of 64-index words it votes in, and that list is what is counted.
 // A ballot depends on the report and on (sender, L, n, s) only, so it is
 // kept on the Report under that key: where one *Report reaches many
-// recipients in one process (des, live) it is scattered at the first
-// delivery and read at the others.
+// recipients in one process (des) it is scattered at the first delivery
+// and read at the others.
 package committee
 
 import (
@@ -47,13 +47,13 @@ func indexBits(L int) int {
 // value of index Indices[k]. One Report per peer covers all of its
 // committee assignments.
 //
-// A Report is frozen once it is sent (sim.Message): des and live hand the
-// same *Report to every recipient. ballot is the one thing written after
-// that — the report's votes as words, built by whichever recipient counts
-// it first (tally.count) and stored with the key it was built under. It
-// is atomic because recipients may run on different goroutines (live;
-// TestSharedReportRace and internal/live's TestCommitteeLiveWithLiars
-// race it); two that race build equal ballots and either store stands.
+// A Report is frozen once it is sent (sim.Message): des hands the same
+// *Report to every recipient. ballot is the one thing written after that
+// — the report's votes as words, built by whichever recipient counts it
+// first (tally.count) and stored with the key it was built under. It is
+// atomic so that recipients on different goroutines may share a report
+// (TestSharedReportRace races it); two that race build equal ballots and
+// either store stands.
 // Holding it makes a Report uncopyable by value.
 type Report struct {
 	Indices []int

@@ -286,7 +286,7 @@ var tallyCells = []struct{ n, t, l int }{
 // Equivocator, Forge'd and hostile reports, in random order and with
 // repeated senders, leave tracker, vote counts, completion and output
 // equal to the per-index loop's after every single message. Reports are
-// shared the way des and live share them: every report object goes to
+// shared the way des shares them: every report object goes to
 // three receivers with different ids (two of one parity, one of the other,
 // so the Equivocator's two objects are both in play), and a third of the
 // senders are Byzantine relays that pass on an honest peer's very pointer
@@ -375,11 +375,10 @@ func TestReportReusedAcrossCells(t *testing.T) {
 	}
 }
 
-// TestSharedReportRace is internal/live's sharing pattern without the
-// runtime around it (TestCommitteeLiveWithLiars races it through live
-// itself): eight goroutines, each with its own tally, count the same 128
-// report objects in eight different orders — on two cells, so that lookups
-// under a foreign key race with the rest. With at most t liars the final
+// TestSharedReportRace shares reports across goroutines, as des's sharing
+// pattern would on concurrent recipients: eight goroutines, each with its
+// own tally, count the same 128 report objects in eight different orders
+// — on two cells, so that lookups under a foreign key race with the rest. With at most t liars the final
 // state does not depend on the order, and every goroutine's counters and
 // tracker must equal those of a sequential count of unshared reports.
 // Meant for `make race`; without the detector it still checks the values.
@@ -604,7 +603,7 @@ func benchCount(b *testing.B, n, tf, l int, runs, first bool) {
 // both scatter paths — the schedule picks the faster one (docs/PERF.md) —
 // and in both halves: first is a report not counted before in this
 // process (scatter, two allocations, cast), later is each of the other
-// n − 2 deliveries of the same object on des and live (cast only). A
+// n − 2 deliveries of the same object on des (cast only). A
 // socket receiver decodes its own copy and pays first every time.
 func BenchmarkCount(b *testing.B) {
 	for _, c := range []struct{ n, t int }{{128, 63}, {128, 60}, {128, 56}, {128, 48}, {128, 32}, {256, 64}, {32, 3}} {

@@ -14,8 +14,6 @@ func knowledgeFor(n, t, L int) *sim.Knowledge {
 	return &sim.Knowledge{
 		Input:  bitarray.Random(rand.New(rand.NewSource(1)), L),
 		Config: sim.Config{N: n, T: t, L: L, MsgBits: 64, Seed: 1},
-		Rand:   rand.New(rand.NewSource(2)),
-		Shared: map[string]any{},
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package qplane is the query plane of every runtime (des under either of
-// its schedulers, live, and netrt's socket clients): the per-peer lifecycle
+// its schedulers, and netrt's socket clients): the per-peer lifecycle
 // of a protocol query on its way to the external source and back, and the
 // one place where the paper's query complexity Q is charged.
 //
@@ -7,9 +7,9 @@
 // scheduler: every transition takes the caller's notion of "now" and
 // returns a Next telling the driver what to schedule. The drivers own
 // only the timing — des turns a Next into timed events under Run and into
-// chooser-ordered pending events under RunChoices, live into wall timers
-// under the peer's mutex, netrt into QUERY frames and a timer armed at the
-// earliest deadline — so one lifecycle serves four drivers:
+// chooser-ordered pending events under RunChoices, netrt into QUERY
+// frames and a timer armed at the earliest deadline — so one lifecycle
+// serves three drivers:
 //
 //	Begin ─┬─ WarmHit ───────────────────────────────► reply
 //	       ├─ Oracle ────────────────────────────────► reply

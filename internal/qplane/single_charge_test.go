@@ -17,7 +17,7 @@ func runtimeFiles(t *testing.T, visit func(dir string, fset *token.FileSet, f *a
 	t.Helper()
 	fset := token.NewFileSet()
 	files := 0
-	for _, dir := range []string{"../des", "../dst", "../live", "../netrt"} {
+	for _, dir := range []string{"../des", "../dst", "../netrt"} {
 		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 				return err
@@ -34,16 +34,16 @@ func runtimeFiles(t *testing.T, visit func(dir string, fset *token.FileSet, f *a
 			t.Fatal(err)
 		}
 	}
-	// des 2 (des, heap), dst 7, live 2, netrt 8.
-	if files < 19 {
+	// des 2 (des, heap), dst 7, netrt 11.
+	if files < 20 {
 		t.Fatalf("scanned only %d files: the runtime packages moved, update this guard", files)
 	}
 }
 
 // TestChargeStaysSingle guards "the only place Q is charged": no
-// non-test file of the runtimes — des, dst, live and the socket runtime
-// netrt — may assign PeerStats.QueryBits; they charge through Plane.Begin
-// or not at all.
+// non-test file of the runtimes — des, dst and the socket runtime netrt —
+// may assign PeerStats.QueryBits; they charge through Plane.Begin or not
+// at all.
 func TestChargeStaysSingle(t *testing.T) {
 	isQ := func(e ast.Expr) bool {
 		switch e := e.(type) {

@@ -110,8 +110,7 @@ type Result struct {
 	// EventCapHit reports the execution was cut off by the event cap.
 	EventCapHit bool
 	// DeadlineHit reports the execution was cut off by Spec.Deadline
-	// (or, in the live runtime, its wall-clock deadline) with honest
-	// peers still running.
+	// with honest peers still running.
 	DeadlineHit bool
 	// Failures lists human-readable correctness violations.
 	Failures []string

@@ -9,11 +9,10 @@
 // Byzantine). The headline complexity measure is the query complexity Q —
 // the maximum number of bits queried by any nonfaulty peer.
 //
-// Three runtimes execute the same protocols: package des (deterministic
+// Two runtimes execute the same protocols: package des (deterministic
 // discrete-event; scheduled by a delay policy on virtual time, or event by
-// event by a chooser), package live (real goroutines with wall-clock
-// delays) and package netrt (every peer a client of one hub over real TCP
-// sockets).
+// event by a chooser) and package netrt (every peer a client of one hub
+// over real TCP sockets, each peer on its own goroutines).
 package sim
 
 import (
@@ -28,10 +27,10 @@ type PeerID int
 // Message is any protocol message. SizeBits is used for message-complexity
 // accounting: a message of s bits counts as ceil(s/b) network messages.
 //
-// A message handed to Send or Broadcast is frozen: des and live deliver the
-// one pointer to every recipient, possibly on several goroutines, and
-// neither the sender, the runtime, an observer nor a recipient writes to
-// it again (adversary.Forgeable returns a deep copy for that reason).
+// A message handed to Send or Broadcast is frozen: des delivers the one
+// pointer to every recipient, and neither the sender, the runtime, an
+// observer nor a recipient writes to it again (adversary.Forgeable returns
+// a deep copy for that reason).
 // Whatever a message type caches on itself must be a function of its own
 // fields and of a key it checks on every use — a Byzantine sender may relay
 // another peer's pointer under its own id — and safe to fill concurrently.
@@ -106,8 +105,8 @@ type Context interface {
 
 	// Rand returns this peer's private seeded randomness source.
 	Rand() *rand.Rand
-	// Now returns the current virtual time (des) or elapsed scaled time
-	// (live); message delays are normalized so one time unit is the
+	// Now returns the current virtual time (des) or elapsed wall seconds
+	// (netrt); message delays are normalized so one time unit is the
 	// maximum network latency under the default delay policy.
 	Now() float64
 	// Logf emits a trace line when tracing is enabled in the Spec.
@@ -176,17 +175,14 @@ const (
 )
 
 // Knowledge is what the adversary knows when constructing Byzantine
-// behaviors: the full input, the execution config, the faulty set, and a
-// shared mutable blackboard for coordination among Byzantine peers.
+// behaviors: the full input, the execution config and the faulty set. One
+// value is shared by every Byzantine peer of a run, on sockets across
+// goroutines, so behaviors only read it; each draws randomness from its
+// own Context.Rand.
 type Knowledge struct {
 	Input  *bitarray.Array
 	Config Config
 	Faulty []PeerID
-	Rand   *rand.Rand
-	// Shared is a coordination blackboard. Runtimes deliver events to
-	// peers sequentially in des; in live, Byzantine behaviors sharing it
-	// must synchronize themselves.
-	Shared map[string]any
 }
 
 // ChurnPeer schedules one crash-recovery peer: it runs the honest

@@ -120,17 +120,11 @@ type Spec struct {
 	// label). Empty means the series are emitted without resolution by
 	// protocol; runtimes substitute "unknown".
 	Label string
-	// Deadline, when positive, aborts the execution once the clock passes
-	// this many time units — virtual time in des, scaled wall time in
-	// live (units × TimeScale). The cut-off is reported via
+	// Deadline, when positive, aborts the execution once the virtual
+	// clock passes this many time units. The cut-off is reported via
 	// Result.DeadlineHit; peers still running count as non-terminated.
-	// Zero means no deadline (the event cap and the live runtime's
-	// wall-clock default still apply).
+	// Zero means no deadline (the event cap still applies).
 	Deadline float64
-	// Workers is live only; des and TCP ignore it. When > 1 the live
-	// runtime serves its ready queue with this many workers instead of
-	// one per peer.
-	Workers int
 }
 
 // Observer receives structured execution events from the des runtime.
@@ -233,11 +227,4 @@ func (s *Spec) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Runtime executes a Spec to completion and reports the outcome. Package
-// des provides the deterministic virtual-time runtime; package live runs
-// peers as real goroutines.
-type Runtime interface {
-	Run(spec *Spec) (*Result, error)
 }

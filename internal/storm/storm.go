@@ -402,3 +402,48 @@ func Check(spec Spec, res *sim.Result, runErr error) []Violation {
 	}
 	return vs
 }
+
+// Tally sums what a set of storm runs went through, as drchaos and
+// drstorm report it: how many survived, and the recovery counters of
+// their results.
+type Tally struct {
+	Runs, Survived                                               int
+	Rejoins, CheckpointSaves, CheckpointRestores, ShardRestarts  int
+	QueryRetries, Reconnects                                     int
+	SourceFailures, SourceRetries, BreakerOpens, DeferredQueries int
+	MirrorHits, ProofFailures, FallbackQueries                   int
+	// PlanDropped, PlanDuped and DupFramesDropped sum the per-peer
+	// fault-plan and dedup counters.
+	PlanDropped, PlanDuped, DupFramesDropped int
+}
+
+// Add counts one run: vs is what Check found, and res, which may be nil,
+// is Run's result.
+func (t *Tally) Add(res *sim.Result, vs []Violation) {
+	t.Runs++
+	if len(vs) == 0 {
+		t.Survived++
+	}
+	if res == nil {
+		return
+	}
+	t.Rejoins += res.Rejoins
+	t.CheckpointSaves += res.CheckpointSaves
+	t.CheckpointRestores += res.CheckpointRestores
+	t.ShardRestarts += res.ShardRestarts
+	t.QueryRetries += res.QueryRetries
+	t.Reconnects += res.Reconnects
+	t.SourceFailures += res.SourceFailures
+	t.SourceRetries += res.SourceRetries
+	t.BreakerOpens += res.BreakerOpens
+	t.DeferredQueries += res.DeferredQueries
+	t.MirrorHits += res.MirrorHits
+	t.ProofFailures += res.ProofFailures
+	t.FallbackQueries += res.FallbackQueries
+	for i := range res.PerPeer {
+		ps := &res.PerPeer[i]
+		t.PlanDropped += ps.PlanDropped
+		t.PlanDuped += ps.PlanDuped
+		t.DupFramesDropped += ps.DupFramesDropped
+	}
+}
