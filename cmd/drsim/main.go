@@ -50,13 +50,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		mirrors  = fs.String("mirrors", "", `untrusted mirror fleet plan, e.g. "mirrors=5,byz=3,behavior=mixed,seed=7" (all runtimes; Merkle-verified replies, authoritative fallback)`)
 		tcpRT    = fs.Bool("tcp", false, "run over real TCP sockets (every behavior; faults within -t)")
 		verbose  = fs.Bool("v", false, "print per-peer stats, and on a TCP time-out the goroutine stacks")
-		trace    = fs.Bool("trace", false, "print event trace to stderr")
-		traceOut = fs.String("tracejson", "", "write a structured JSONL event trace to this file")
+		traceOut = fs.String("tracejson", "", "write the run's event stream as JSONL to this file (/dev/stderr to watch it)")
 
 		obsAddr = fs.String("obs", "", "serve observability endpoints (/metrics, /snapshot.json, /timeline.jsonl, /debug/vars, /debug/pprof) on this address, e.g. :9090")
 		obsHold = fs.Duration("obs-linger", 0, "keep the -obs server alive this long after the run so endpoints can be scraped")
 		metOut  = fs.String("metrics-out", "", "write a JSON metrics snapshot to this file after the run")
-		tlOut   = fs.String("timeline-out", "", "write a drtrace-compatible JSONL timeline to this file after the run")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -85,9 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Mirrors:           *mirrors,
 		TCP:               *tcpRT,
 	}
-	if *trace {
-		opts.Trace = stderr
-	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
@@ -101,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		reg *obs.Registry
 		tl  *obs.Timeline
 	)
-	if *obsAddr != "" || *metOut != "" || *tlOut != "" {
+	if *obsAddr != "" || *metOut != "" {
 		reg = obs.New()
 		tl = obs.NewTimeline()
 		opts.Metrics, opts.Timeline = reg, tl
@@ -140,7 +135,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "Q           %d bits/peer (max over honest; avg %.1f; naive would be %d)\n",
 		rep.Q, rep.AvgQ, *l)
 	fmt.Fprintf(stdout, "messages    %d (%d payload bits)\n", rep.Msgs, rep.MsgBits)
-	fmt.Fprintf(stdout, "time        %.2f (virtual units; 1 = max network latency)\n", rep.Time)
+	if *tcpRT {
+		fmt.Fprintf(stdout, "time        %.4f s (wall clock since the run started)\n", rep.Time)
+	} else {
+		fmt.Fprintf(stdout, "time        %.2f (virtual units; 1 = max network latency)\n", rep.Time)
+	}
 	if *mirrors != "" || rep.MirrorHits > 0 || rep.ProofFailures > 0 {
 		fmt.Fprintf(stdout, "mirrors     %d verified hits, %d proof failures, %d fallback queries (only verified bits charge into Q)\n",
 			rep.MirrorHits, rep.ProofFailures, rep.FallbackQueries)
@@ -178,12 +177,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	if *tlOut != "" {
-		if err := writeTimeline(*tlOut, tl); err != nil {
-			fmt.Fprintf(stderr, "drsim: %v\n", err)
-			return 2
-		}
-	}
 	if srv != nil && *obsHold > 0 {
 		fmt.Fprintf(stderr, "drsim: lingering %v on http://%s/ (metrics frozen)\n", *obsHold, srv.Addr)
 		time.Sleep(*obsHold)
@@ -203,19 +196,6 @@ func writeMetricsSnapshot(path string, reg *obs.Registry) error {
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(reg.Snapshot()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeTimeline dumps the timeline as drtrace-compatible JSONL.
-func writeTimeline(path string, tl *obs.Timeline) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tl.WriteJSONL(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -183,14 +183,10 @@ func run(args []string, stdout io.Writer, interrupt <-chan struct{}) int {
 			case rerr != nil:
 				opFailed = true
 				fmt.Fprintf(os.Stderr, "drstorm: record finding: %v\n", rerr)
-			case f.ReplayFile != "":
-				kind := "socket-only (des control pinned)"
-				if f.DesReproduced {
-					kind = "des-reproduced (shrunk replay)"
-				}
-				fmt.Fprintf(stdout, "    artifact: %s — %s\n", f.ReplayFile, kind)
+			case f.DesReproduced:
+				fmt.Fprintf(stdout, "    artifact: %s — des-reproduced (shrunk replay)\n", f.ReplayFile)
 			default:
-				fmt.Fprintf(stdout, "    artifact: spec JSON only (%s has no des port)\n", p)
+				fmt.Fprintf(stdout, "    artifact: %s — socket-only (des control pinned)\n", f.ReplayFile)
 			}
 		}
 	}

@@ -1,7 +1,7 @@
 // Command drtrace summarizes a structured execution trace produced by
-// `drsim -tracejson <file>` (or download.Options.TraceJSONL): event
-// counts by kind, message-type histogram with payload volumes, and a
-// per-peer activity table.
+// `drsim -tracejson <file>` (or download.Options.TraceJSONL), on des or
+// over sockets (-tcp): event counts by kind, message-type histogram with
+// payload volumes, and a per-peer activity table.
 //
 // Example:
 //

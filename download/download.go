@@ -201,19 +201,19 @@ type Options struct {
 	// Byzantine peers run their behavior on their own clients. Faults
 	// beyond T (AllowExcessFaults) are des only.
 	TCP bool
-	// Trace receives per-event tracing when non-nil.
-	Trace io.Writer
 	// TraceJSONL, when non-nil, receives one JSON object per structured
-	// runtime event (sends, deliveries, queries, crashes, terminations)
-	// — see internal/trace for the analyzer. des runtime only.
+	// runtime event (sends, deliveries, queries, phases, crashes,
+	// terminations; sim.ObservedEvent) on every runtime — see
+	// internal/trace for the analyzer.
 	TraceJSONL io.Writer
 	// Metrics, when non-nil, receives runtime counters and histograms
 	// from the selected runtime (see docs/OBSERVABILITY.md for the
 	// series). The registry is concurrency-safe and may be shared across
 	// runs; nil disables collection at zero cost.
 	Metrics *obs.Registry
-	// Timeline, when non-nil, receives span/event marks (protocol phase
-	// transitions, crashes, reconnects, terminations).
+	// Timeline, when non-nil, marks the lifecycle events of the run's
+	// event stream (protocol phase transitions, crashes, reconnects,
+	// terminations; sim.TimelineObserver).
 	Timeline *obs.Timeline
 }
 
@@ -275,8 +275,9 @@ type Report struct {
 	// Msgs and MsgBits are the message complexity of nonfaulty peers.
 	Msgs    int
 	MsgBits int
-	// Time is the virtual (or, on TCP, wall-clock seconds) time of the
-	// last honest termination.
+	// Time is when the last honest peer terminated: in virtual time
+	// units on des (1 = the maximum network latency), in wall-clock
+	// seconds since the run started on TCP.
 	Time float64
 	// Events is the number of delivered events (des runtime; zero on
 	// TCP, which has no global event loop).
@@ -328,25 +329,35 @@ func Run(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	observer, flush := opts.stream()
+	var res *sim.Result
 	if opts.TCP {
-		return runTCP(opts, r)
+		res, err = runTCP(opts, r, observer)
+	} else {
+		spec := buildSpec(opts, r)
+		spec.Observer = observer
+		res, err = des.New().Run(spec)
 	}
-	spec := buildSpec(opts, r)
-	var rec *trace.Recorder
-	if opts.TraceJSONL != nil {
-		rec = trace.NewRecorder(opts.TraceJSONL)
-		spec.Observer = rec
-	}
-	res, err := des.New().Run(spec)
 	if err != nil {
 		return nil, err
 	}
-	if rec != nil {
-		if err := rec.Flush(); err != nil {
-			return nil, fmt.Errorf("download: trace: %w", err)
-		}
+	if err := flush(); err != nil {
+		return nil, fmt.Errorf("download: trace: %w", err)
 	}
 	return buildReport(res), nil
+}
+
+// stream is the run's event stream as the options ask for it: the JSONL
+// recorder of TraceJSONL and the timeline view of Timeline. The observer
+// is nil when nothing listens, so an untraced run attaches none; flush
+// drains the recorder.
+func (o *Options) stream() (observer sim.Observer, flush func() error) {
+	tl := sim.TimelineObserver(o.Timeline)
+	if o.TraceJSONL == nil {
+		return tl, func() error { return nil }
+	}
+	rec := trace.NewRecorder(o.TraceJSONL)
+	return sim.Tee(rec, tl), rec.Flush
 }
 
 // resolved is what checked options come to: the values every runtime's
@@ -463,17 +474,18 @@ func (o *Options) validateChurn() error {
 	return nil
 }
 
-// runTCP maps the options onto the real-socket runtime. The faulty peers
-// are the ones des would place: crashed-from-start peers never connect, a
-// random crash point is a churn crash that never rejoins, and a Byzantine
-// behavior runs on its peers' clients.
-func runTCP(opts Options, r *resolved) (*Report, error) {
+// runTCP maps the options onto the real-socket runtime, its events to
+// observer. The faulty peers are the ones des would place:
+// crashed-from-start peers never connect, a random crash point is a churn
+// crash that never rejoins, and a Byzantine behavior runs on its peers'
+// clients.
+func runTCP(opts Options, r *resolved, observer sim.Observer) (*sim.Result, error) {
 	cfg := netrt.Config{
 		N: opts.N, T: opts.T, L: opts.L, MsgBits: r.msgBits,
 		Seed: opts.Seed, NewPeer: r.factory, Input: r.input,
 		SourceFaults: r.srcPlan, Mirrors: r.mirrorPlan,
 		Churn: r.churn, CheckpointDir: opts.CheckpointDir,
-		Metrics: opts.Metrics, Timeline: opts.Timeline, Label: string(opts.Protocol),
+		Metrics: opts.Metrics, Observer: observer, Label: string(opts.Protocol),
 	}
 	f := buildFaults(opts, r.faulty)
 	switch opts.Behavior {
@@ -486,11 +498,7 @@ func runTCP(opts Options, r *resolved) (*Report, error) {
 	case Silent, Spam, Liar, Equivocate:
 		cfg.Byzantine = f
 	}
-	res, err := netrt.Run(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return buildReport(res), nil
+	return netrt.Run(cfg)
 }
 
 func buildSpec(opts Options, r *resolved) *sim.Spec {
@@ -506,9 +514,7 @@ func buildSpec(opts Options, r *resolved) *sim.Spec {
 		Faults:       faults,
 		SourceFaults: r.srcPlan,
 		Mirrors:      r.mirrorPlan,
-		Trace:        opts.Trace,
 		Metrics:      opts.Metrics,
-		Timeline:     opts.Timeline,
 		Label:        string(opts.Protocol),
 		Deadline:     opts.Deadline,
 	}

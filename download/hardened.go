@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/harden"
-	"repro/internal/trace"
 )
 
 // HardenedAttempt summarizes one rung of a hardened execution.
@@ -112,11 +111,8 @@ func RunHardenedLadder(opts Options, pol harden.Policy, ladder []Protocol) (*Rep
 		rungs[i] = harden.Rung{Name: string(p), NewPeer: factory}
 	}
 	spec := buildSpec(opts, r)
-	var rec *trace.Recorder
-	if opts.TraceJSONL != nil {
-		rec = trace.NewRecorder(opts.TraceJSONL)
-		spec.Observer = rec
-	}
+	var flush func() error
+	spec.Observer, flush = opts.stream()
 	if pol.AttemptDeadline == 0 {
 		pol.AttemptDeadline = opts.Deadline
 	}
@@ -128,10 +124,8 @@ func RunHardenedLadder(opts Options, pol harden.Policy, ladder []Protocol) (*Rep
 	if err != nil {
 		return nil, err
 	}
-	if rec != nil {
-		if err := rec.Flush(); err != nil {
-			return nil, fmt.Errorf("download: trace: %w", err)
-		}
+	if err := flush(); err != nil {
+		return nil, fmt.Errorf("download: trace: %w", err)
 	}
 	rep := buildReport(out.Final)
 	rep.Q = out.Q

@@ -1,9 +1,11 @@
 package adversary
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 func TestFixed(t *testing.T) {
@@ -147,5 +149,17 @@ func TestJunkSize(t *testing.T) {
 	j := &Junk{Bits: 77}
 	if j.SizeBits() != 77 {
 		t.Errorf("SizeBits = %d", j.SizeBits())
+	}
+}
+
+// TestWrappedContextsForwardPhases: the contexts Rotating and the
+// strategist wrap a protocol's context in pass its phase marks through to
+// the runtime's (MarkPhase is a Context method, so embedding forwards it).
+func TestWrappedContextsForwardPhases(t *testing.T) {
+	ctx := simtest.New(0, 4, 1, 64)
+	(&mutedCtx{Context: ctx}).MarkPhase("muted")
+	(&strategistCtx{Context: ctx}).MarkPhase("strategist")
+	if want := []string{"muted", "strategist"}; !slices.Equal(ctx.Phases, want) {
+		t.Fatalf("the runtime saw phases %v, want %v", ctx.Phases, want)
 	}
 }

@@ -206,7 +206,6 @@ type engine struct {
 	mTerms    *obs.Counter
 	mDispatch *obs.Histogram
 	mDepth    *obs.Histogram
-	tl        *obs.Timeline
 }
 
 func newEngine(spec *sim.Spec, choose func(decision, fanout int) int) *engine {
@@ -297,7 +296,6 @@ func newEngine(spec *sim.Spec, choose func(decision, fanout int) int) *engine {
 			p.mMsgBits = msgBits.With(label, id)
 		}
 	}
-	e.tl = spec.Timeline
 	// Schedule starts.
 	for _, p := range e.peers {
 		ev := e.newEvent()
@@ -498,11 +496,7 @@ func (e *engine) step(p *peerState, ev *event) {
 		case evSrcFail:
 			e.srcFail(p, ev.src.call, ev.src.fail)
 		case evSrcWake:
-			n := p.q.Wake(e.now)
-			if n.Op == qplane.Fetch {
-				e.tracef("t=%.3f peer %d source PROBE (ordinal=%d)", e.now, p.id, n.Call.Ordinal)
-			}
-			e.srcDo(p, n)
+			e.srcDo(p, p.q.Wake(e.now))
 		}
 		e.release(ev)
 		return
@@ -588,9 +582,7 @@ func (e *engine) crash(p *peerState) {
 	p.crashed = true
 	p.stats.Crashed = true
 	e.mCrashes.Inc()
-	e.tl.Mark(e.now, int(p.id), "crash", "")
 	e.observe("crash", p.id, -1, "", 0)
-	e.tracef("t=%.3f peer %d CRASH (actions=%d)", e.now, p.id, p.actions)
 	if p.rejoins() {
 		ev := e.newEvent()
 		ev.kind, ev.to = evRejoin, p.id
@@ -629,9 +621,7 @@ func (e *engine) rejoin(p *peerState) {
 	p.impl = e.spec.NewPeer(p.id)
 	p.started = true
 	p.pending = nil
-	e.tl.Mark(e.now, int(p.id), "rejoin", "")
 	e.observe("rejoin", p.id, -1, "", 0)
-	e.tracef("t=%.3f peer %d REJOIN (%d bits persisted)", e.now, p.id, p.q.Persisted())
 	e.current = p.id
 	p.impl.Init(p.ctx)
 	e.current = -1
@@ -666,12 +656,7 @@ func (e *engine) issue(p *peerState, call *qplane.Call) {
 // srcSuccess reports a source success to the plane; a breaker it closes
 // re-issues every parked call.
 func (e *engine) srcSuccess(p *peerState) {
-	flushed, closed := p.q.Success(e.now)
-	if !closed {
-		return
-	}
-	e.tracef("t=%.3f peer %d source BREAKER closed (flushing %d parked)",
-		e.now, p.id, len(flushed))
+	flushed, _ := p.q.Success(e.now)
 	for _, call := range flushed {
 		e.issue(p, call)
 	}
@@ -705,8 +690,6 @@ func (e *engine) fetch(p *peerState, call *qplane.Call) {
 	qr, latency, err := p.q.Fetch(e.now, call)
 	if err != nil {
 		kind := source.KindOf(err)
-		e.tracef("t=%.3f peer %d source FAIL %s (ordinal=%d attempt=%d)",
-			e.now, p.id, kind, call.Ordinal, call.Attempt)
 		if e.choose != nil {
 			// No deadline or round trip to wait out: the chooser already
 			// controls when the retry lands, so the failure is ruled on at
@@ -740,11 +723,7 @@ func (e *engine) fetch(p *peerState, call *qplane.Call) {
 // the call off or parks it behind the opened breaker.
 func (e *engine) srcFail(p *peerState, call *qplane.Call, kind source.Kind) {
 	e.observe("qfail", p.id, -1, kind.String(), len(call.Fetch))
-	n := p.q.Fail(e.now, call, kind)
-	if n.Op != qplane.Retry {
-		e.tracef("t=%.3f peer %d source BREAKER open (parked=%d)", e.now, p.id, p.q.Parked())
-	}
-	e.srcDo(p, n)
+	e.srcDo(p, p.q.Fail(e.now, call, kind))
 }
 
 func (e *engine) result() *sim.Result {
@@ -825,19 +804,8 @@ func (e *engine) observe(kind string, peer, other sim.PeerID, msgType string, bi
 func (e *engine) observeMsg(kind string, peer, other sim.PeerID, m sim.Message) {
 	e.spec.Observer.OnEvent(sim.ObservedEvent{
 		Time: e.now, Kind: kind, Peer: peer, Other: other,
-		MsgType: msgTypeName(m), Bits: m.SizeBits(), Msg: m,
+		MsgType: sim.MsgType(m), Bits: m.SizeBits(), Msg: m,
 	})
-}
-
-func (e *engine) tracef(format string, args ...any) {
-	if e.spec.Trace != nil {
-		fmt.Fprintf(e.spec.Trace, format+"\n", args...)
-	}
-}
-
-// msgTypeName returns a short type label for observers.
-func msgTypeName(m sim.Message) string {
-	return fmt.Sprintf("%T", m)
 }
 
 // peerCtx implements sim.Context for one peer.
@@ -986,10 +954,7 @@ func (c *peerCtx) Terminate() {
 		c.e.churnLive--
 	}
 	c.e.mTerms.Inc()
-	c.e.tl.Mark(c.e.now, int(c.p.id), "terminate", "")
 	c.e.observe("terminate", c.p.id, -1, "", 0)
-	c.e.tracef("t=%.3f peer %d TERMINATE (qbits=%d msgs=%d)",
-		c.e.now, c.p.id, c.p.stats.QueryBits, c.p.stats.MsgsSent)
 }
 
 // Rand seeds the peer's stream at its first call, from (Seed, id) alone: no
@@ -1002,25 +967,14 @@ func (c *peerCtx) Rand() *rand.Rand {
 }
 func (c *peerCtx) Now() float64 { return c.e.now }
 
-// MarkPhase implements sim.PhaseMarker: it records a phase-transition
-// mark on the spec's timeline at the current virtual time and forwards a
-// "phase" event to the observer (the harden starvation detector keys its
-// progress tracking off these). With neither attached it is a free no-op.
+// MarkPhase forwards a "phase" event to the observer (the harden
+// starvation detector keys its progress tracking off these). With none
+// attached it is a free no-op.
 func (c *peerCtx) MarkPhase(name string) {
-	if (c.e.tl == nil && c.e.spec.Observer == nil) || !c.active() {
+	if c.e.spec.Observer == nil || !c.active() {
 		return
 	}
-	c.e.tl.Mark(c.e.now, int(c.p.id), "phase", name)
-	if c.e.spec.Observer != nil {
-		c.e.spec.Observer.OnEvent(sim.ObservedEvent{
-			Time: c.e.now, Kind: "phase", Peer: c.p.id, Other: -1, Name: name,
-		})
-	}
-}
-
-func (c *peerCtx) Logf(format string, args ...any) {
-	if c.e.spec.Trace != nil {
-		fmt.Fprintf(c.e.spec.Trace, "t=%.3f peer %d: "+format+"\n",
-			append([]any{c.e.now, c.p.id}, args...)...)
-	}
+	c.e.spec.Observer.OnEvent(sim.ObservedEvent{
+		Time: c.e.now, Kind: "phase", Peer: c.p.id, Other: -1, Name: name,
+	})
 }

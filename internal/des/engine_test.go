@@ -1,7 +1,6 @@
 package des_test
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/adversary"
@@ -181,18 +180,6 @@ func (s *startLate) StartDelay(p sim.PeerID) float64 {
 		return s.delay
 	}
 	return 0
-}
-
-func TestTraceOutput(t *testing.T) {
-	var sb strings.Builder
-	spec := naiveSpec(5)
-	spec.Trace = &sb
-	if _, err := des.New().Run(spec); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "TERMINATE") {
-		t.Errorf("trace missing TERMINATE lines: %q", sb.String())
-	}
 }
 
 func TestContextMisusePanics(t *testing.T) {

@@ -11,8 +11,8 @@ import (
 	"repro/internal/sim"
 )
 
-// TestMetricsMatchResult runs crashk with a registry and timeline
-// attached and checks that the metric series agree with the Result's own
+// TestMetricsMatchResult runs crashk with a registry and a timeline view
+// of its event stream attached and checks that the metric series agree with the Result's own
 // accounting: per-peer query bits, the event counter, crash and
 // termination totals, and per-peer phase spans on the timeline.
 func TestMetricsMatchResult(t *testing.T) {
@@ -26,7 +26,7 @@ func TestMetricsMatchResult(t *testing.T) {
 		Faults: sim.FaultSpec{Model: sim.FaultCrash, Faulty: faulty,
 			Crash: adversary.NewCrashRandom(7, faulty, 120)},
 		Metrics:  reg,
-		Timeline: tl,
+		Observer: sim.TimelineObserver(tl),
 		Label:    "crashk",
 	}
 	res, err := des.New().Run(spec)

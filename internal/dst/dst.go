@@ -74,8 +74,9 @@ var registry = map[string]Protocol{
 	"crash1": {Name: "crash1", Doc: "Algorithm 1: one crash fault, Q = O(L/n)", New: crash1.New},
 	"crash1-legacy": {Name: "crash1-legacy", TestHook: true,
 		Doc: "Algorithm 1 with the PRE-FIX silent termination (deadlocks at n=4)", New: crash1.NewLegacy},
-	"crashk":    {Name: "crashk", Doc: "Algorithm 2: t crash faults", New: crashk.New},
-	"committee": {Name: "committee", Doc: "Theorem 3.4 committees, Byzantine β < 1/2", New: committee.New},
+	"crashk":      {Name: "crashk", Doc: "Algorithm 2: t crash faults", New: crashk.New},
+	"crashk-fast": {Name: "crashk-fast", Doc: "Algorithm 2 with the fast stage-3 rule", New: crashk.NewFast},
+	"committee":   {Name: "committee", Doc: "Theorem 3.4 committees, Byzantine β < 1/2", New: committee.New},
 	"committee-weak": {Name: "committee-weak", TestHook: true,
 		Doc: "committee with acceptance threshold t instead of t+1 (unsafe)", New: committee.NewWeak},
 	"twocycle": {Name: "twocycle", Doc: "Theorem 3.7 two-cycle randomized protocol", New: twocycle.New, Randomized: true},

@@ -184,9 +184,10 @@ func TestObserverEmitsTrace(t *testing.T) {
 
 // TestObservabilityDoesNotPerturb: an observer, a timeline and a metrics
 // registry watch a replay without changing it — same event hash, choices
-// and Result as the bare run. All three protocols call sim.MarkPhase; des's
-// context delivers those marks (to the caller's observer and the timeline)
-// and the event hash must not fold them, or every pinned hash would move.
+// and Result as the bare run. All three protocols mark phases; des's
+// context delivers those marks (to the caller's observer, and so to the
+// timeline viewing it) and the event hash must not fold them, or every
+// pinned hash would move.
 func TestObservabilityDoesNotPerturb(t *testing.T) {
 	h := eventHash{sum: fnvOffset}
 	h.OnEvent(sim.ObservedEvent{Kind: "phase", Peer: 1, Other: -1, Name: "download"})
@@ -203,7 +204,8 @@ func TestObservabilityDoesNotPerturb(t *testing.T) {
 			t.Fatal(err)
 		}
 		var mem trace.Memory
-		spec.Observer, spec.Timeline, spec.Metrics, spec.Label = &mem, obs.NewTimeline(), obs.New(), proto
+		tl := obs.NewTimeline()
+		spec.Observer, spec.Metrics, spec.Label = sim.Tee(&mem, sim.TimelineObserver(tl)), obs.New(), proto
 		watched, err := run(spec, replayChooser(rec.Choices))
 		if err != nil {
 			t.Fatal(err)
@@ -225,7 +227,7 @@ func TestObservabilityDoesNotPerturb(t *testing.T) {
 			}
 		}
 		marks := 0
-		for _, ev := range spec.Timeline.Events() {
+		for _, ev := range tl.Events() {
 			if ev.Kind == "phase" {
 				marks++
 			}

@@ -44,7 +44,7 @@ func e4Committee(cfg Config) (*Table, error) {
 		Notes:   []string{"faulty peers run the consistent-lie attack"},
 	}
 	for _, c := range E4Cells(cfg) {
-		res, err := c.Run()
+		res, err := cfg.run(c)
 		if err != nil {
 			return nil, err
 		}
@@ -99,11 +99,11 @@ func e5TwoCycle(cfg Config) (*Table, error) {
 	}
 	cells := E5Cells(cfg)
 	for i := 0; i < len(cells); i += 2 {
-		two, err := cells[i].Run()
+		two, err := cfg.run(cells[i])
 		if err != nil {
 			return nil, err
 		}
-		com, err := cells[i+1].Run()
+		com, err := cfg.run(cells[i+1])
 		if err != nil {
 			return nil, err
 		}
@@ -167,7 +167,7 @@ func e6MultiCycle(cfg Config) (*Table, error) {
 		var avgQ, msgs, times stats.Sample
 		maxQ := 0
 		for _, c := range cells[k*seeds : (k+1)*seeds] {
-			res, err := c.Run()
+			res, err := cfg.run(c)
 			if err != nil {
 				return nil, err
 			}

@@ -43,7 +43,7 @@ func e1Crash1(cfg Config) (*Table, error) {
 		},
 	}
 	for _, c := range E1Cells(cfg) {
-		res, err := c.Run()
+		res, err := cfg.run(c)
 		if err != nil {
 			return nil, err
 		}
@@ -88,7 +88,7 @@ func e2CrashKBeta(cfg Config) (*Table, error) {
 	for _, c := range E2Cells(cfg) {
 		trace := newQueryTrace()
 		c.Spec.NewPeer = trace.wrapFactory(c.Spec.NewPeer)
-		res, err := c.Run()
+		res, err := cfg.run(c)
 		if err != nil {
 			return nil, err
 		}
@@ -117,12 +117,12 @@ func e3Decay(cfg Config) (*Table, error) {
 	}
 	tf := n / 2
 	trace := newQueryTrace()
-	_, err := Cell{"decay", &sim.Spec{
+	_, err := cfg.run(Cell{"decay", &sim.Spec{
 		Config:  config(cfg.Seed, n, tf, L),
 		NewPeer: trace.wrapFactory(crashk.New),
 		Delays:  adversary.NewRandomUnit(cfg.Seed + 5),
 		Faults:  crash(adversary.SpreadFaulty(n, tf), &adversary.CrashAll{Point: 0}),
-	}}.Run()
+	}})
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +177,7 @@ func e9TimeVsB(cfg Config) (*Table, error) {
 		Notes:   []string{"time falls hyperbolically in b, then hits the Θ(phases) floor"},
 	}
 	for _, c := range E9Cells(cfg) {
-		res, err := c.Run()
+		res, err := cfg.run(c)
 		if err != nil {
 			return nil, err
 		}
@@ -243,7 +243,7 @@ func a3FastVariant(cfg Config) (*Table, error) {
 		},
 	}
 	for _, c := range A3Cells(cfg) {
-		res, err := c.Run()
+		res, err := cfg.run(c)
 		if err != nil {
 			return nil, err
 		}

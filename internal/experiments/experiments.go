@@ -77,6 +77,18 @@ type Config struct {
 	// Quick shrinks sizes for smoke runs (CI); full sizes match
 	// EXPERIMENTS.md.
 	Quick bool
+	// Run, when set, runs every cell a table is built from in place of
+	// Cell.Run, so a caller that keeps the cells' results beside the
+	// table (internal/regression pins both) runs each cell once.
+	Run func(Cell) (*sim.Result, error)
+}
+
+// run executes c through cfg.Run, or Cell.Run when that is unset.
+func (cfg Config) run(c Cell) (*sim.Result, error) {
+	if cfg.Run != nil {
+		return cfg.Run(c)
+	}
+	return c.Run()
 }
 
 // Experiment is a named generator. Cells, when set, lists the runs its

@@ -47,12 +47,12 @@ func a4Synchrony(cfg Config) (*Table, error) {
 			{"sync", adversary.NewFixed(1.0)},
 			{"async", adversary.NewRandomUnit(cfg.Seed + 3)},
 		} {
-			res, err := Cell{r.name + "-" + sched.name, &sim.Spec{
+			res, err := cfg.run(Cell{r.name + "-" + sched.name, &sim.Spec{
 				Config:  config(cfg.Seed, n, tf, L),
 				NewPeer: r.factory,
 				Delays:  sched.delays,
 				Faults:  r.faults,
-			}}.Run()
+			}})
 			if err != nil {
 				return nil, err
 			}

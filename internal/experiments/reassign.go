@@ -30,12 +30,12 @@ func a6Reassign(cfg Config) (*Table, error) {
 			name string
 			mode crashk.Reassign
 		}{{"hash", crashk.ReassignHash}, {"rotate", crashk.ReassignRotate}} {
-			res, err := Cell{fmt.Sprintf("%s-beta=%.2f", strat.name, beta), &sim.Spec{
+			res, err := cfg.run(Cell{fmt.Sprintf("%s-beta=%.2f", strat.name, beta), &sim.Spec{
 				Config:  config(cfg.Seed, n, tf, L),
 				NewPeer: crashk.NewWithOptions(crashk.Options{Reassign: strat.mode}),
 				Delays:  adversary.NewRandomUnit(cfg.Seed + int64(tf)),
 				Faults:  crash(faulty, &adversary.CrashAll{Point: 0}),
-			}}.Run()
+			}})
 			if err != nil {
 				return nil, err
 			}

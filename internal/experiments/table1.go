@@ -98,7 +98,7 @@ func table1(cfg Config) (*Table, error) {
 	}
 	rows := t1Rows(cfg)
 	for _, r := range rows {
-		res, err := r.cell.Run()
+		res, err := cfg.run(r.cell)
 		if err != nil {
 			return nil, err
 		}

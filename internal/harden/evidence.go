@@ -24,9 +24,8 @@ import (
 //     phase deadline and the phase they were stuck in.
 //
 // The collector chains to an optional next observer so user-supplied
-// observers keep working under the supervisor. Events arrive only from
-// runtimes with observer support (des); detectors degrade to the
-// runtime's own deadline/deadlock signals elsewhere.
+// observers keep working under the supervisor. It reads the one event
+// stream every runtime emits, so it runs off des and off sockets alike.
 type Collector struct {
 	phaseDeadline float64
 	now           float64

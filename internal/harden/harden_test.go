@@ -1,10 +1,14 @@
 package harden
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/adversary"
 	"repro/internal/bitarray"
+	"repro/internal/des"
+	"repro/internal/netrt"
+	"repro/internal/protocols/committee"
 	"repro/internal/sim"
 )
 
@@ -220,5 +224,48 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{Rungs: []Rung{{Name: "x"}}}); err == nil {
 		t.Error("rung without factory accepted")
+	}
+}
+
+// TestCollectorOnSockets runs the evidence collector off the socket
+// runtime's event stream: committee with its faulty peers equivocating.
+// Byzantine peers send from their own clients, so their sends reach the
+// stream with their messages, and the collector names only faulty peers,
+// the same set it names off des for the same case.
+func TestCollectorOnSockets(t *testing.T) {
+	const n, tf, L, b, seed = 8, 3, 512, 64, 5
+	faulty := adversary.SpreadFaulty(n, tf)
+	byz := sim.FaultSpec{Model: sim.FaultByzantine, Faulty: faulty, NewByzantine: committee.NewEquivocator}
+
+	onDes := NewCollector(n, 0, nil)
+	if _, err := des.New().Run(&sim.Spec{
+		Config:  sim.Config{N: n, T: tf, L: L, MsgBits: b, Seed: seed},
+		NewPeer: committee.New, Delays: adversary.NewRandomUnit(seed), Faults: byz,
+		Observer: onDes,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	onTCP := NewCollector(n, 0, nil)
+	res, err := netrt.Run(netrt.Config{
+		N: n, T: tf, L: L, MsgBits: b, Seed: seed,
+		NewPeer: committee.New, Byzantine: byz, Observer: onTCP,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Correct {
+		t.Fatalf("committee under equivocation over sockets: %v", res.Failures)
+	}
+	got := onTCP.Equivocators()
+	if len(got) == 0 {
+		t.Fatal("the collector named no equivocator off the socket stream")
+	}
+	for _, p := range got {
+		if !slices.Contains(faulty, p) {
+			t.Errorf("the collector named honest peer %d off the socket stream", p)
+		}
+	}
+	if want := onDes.Equivocators(); !slices.Equal(got, want) {
+		t.Errorf("equivocators off sockets %v, off des %v", got, want)
 	}
 }

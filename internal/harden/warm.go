@@ -140,8 +140,3 @@ func (c *warmCtx) Query(tag int, indices []int) {
 	// waiting for, onto which the cached values are merged.
 	c.Context.Query(tag, miss)
 }
-
-// MarkPhase forwards phase marks to the runtime (the embedded-interface
-// promotion would otherwise hide the runtime's optional PhaseMarker from
-// sim.MarkPhase's type assertion).
-func (c *warmCtx) MarkPhase(name string) { sim.MarkPhase(c.Context, name) }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/protocols/naive"
 	"repro/internal/sim"
 	"repro/internal/source"
-	"repro/internal/wire"
 )
 
 // halver is the churn test protocol (mirroring the des runtime's churn
@@ -272,11 +271,6 @@ func TestChurnValidationOverTCP(t *testing.T) {
 			c.Absent = []sim.PeerID{0}
 			c.Churn = []sim.ChurnPeer{{Peer: 0, CrashAfter: 1, Downtime: 1}}
 		}},
-		{"killed and churning", func(c *netrt.Config) {
-			c.T = 2
-			c.KillAfter = map[sim.PeerID]time.Duration{0: time.Millisecond}
-			c.Churn = []sim.ChurnPeer{{Peer: 0, CrashAfter: 1, Downtime: 1}}
-		}},
 		{"bounce shard out of range", func(c *netrt.Config) {
 			c.Shards = 2
 			c.ShardBounces = []netrt.ShardBounce{{Shard: 2, After: time.Millisecond, Down: time.Millisecond}}
@@ -389,11 +383,7 @@ func (p *prefixPeer) finish() {
 func TestBroadcastPrefixOverTCP(t *testing.T) {
 	const n, L, msgBits, victim = 5, 256, 64, sim.PeerID(2)
 	msg := &crashk.Full{Values: bitarray.New(L)}
-	encoded, err := wire.Marshal(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perRecipient := (len(encoded)*8 + msgBits - 1) / msgBits
+	perRecipient := (msg.SizeBits() + msgBits - 1) / msgBits
 	others := []sim.PeerID{0, 1, 3, 4}
 	for k := 0; k <= n-1; k++ {
 		heard := make([]atomic.Int32, n)

@@ -39,10 +39,10 @@ func churnFor(cfg *Config, id sim.PeerID) *sim.ChurnPeer {
 // completion serving its warm bits locally. The plane q and the stats st
 // outlive the incarnations, and q settles into st when the last one ends;
 // newPeer builds each incarnation's protocol instance (or, for a
-// Byzantine peer, its behavior); start is the run's clock, and stop closes
-// when the hub stops.
+// Byzantine peer, its behavior); ev is the run's event stream, start the
+// run's clock, and stop closes when the hub stops.
 func runClient(cfg *Config, id sim.PeerID, newPeer func(sim.PeerID) sim.Peer, addr string,
-	q *qplane.Plane, st *sim.PeerStats, met *netMetrics, start time.Time, stop <-chan struct{}) error {
+	q *qplane.Plane, st *sim.PeerStats, met *netMetrics, ev *events, start time.Time, stop <-chan struct{}) error {
 	defer func() { q.Settle(time.Since(start).Seconds()) }()
 	churn := churnFor(cfg, id)
 	var store *checkpoint.Store
@@ -65,6 +65,7 @@ func runClient(cfg *Config, id sim.PeerID, newPeer func(sim.PeerID) sim.Peer, ad
 			impl:    newPeer(id),
 			start:   start,
 			met:     met,
+			ev:      ev,
 			q:       q,
 			stats:   st,
 			mparams: merkle.Params{TotalBits: cfg.L, LeafBits: cfg.Mirrors.EffectiveLeafBits()},
@@ -81,7 +82,6 @@ func runClient(cfg *Config, id sim.PeerID, newPeer func(sim.PeerID) sim.Peer, ad
 			return nil
 		}
 		st.Crashed = true
-		met.mark(int(id), "churn", "")
 		if churn.Downtime < 0 {
 			return nil // never rejoins: a plain mid-run crash
 		}
@@ -120,7 +120,6 @@ func (c *client) run(churn *sim.ChurnPeer, store *checkpoint.Store, rejoined boo
 				}
 				c.lastPhase = ck.Phase
 				c.stats.CheckpointRestores++
-				c.met.mark(int(id), "restore", "")
 				dbg("client %d: warm rejoin with %d checkpointed bits", id, ck.WarmBits())
 			}
 		}
@@ -143,6 +142,11 @@ func (c *client) run(churn *sim.ChurnPeer, store *checkpoint.Store, rejoined boo
 	// once the timer has stopped touching it.
 	defer func() { c.stopHK <- struct{}{} }()
 	if c.countAction() {
+		if rejoined {
+			c.ev.peer("rejoin", id, "", 0)
+		} else {
+			c.ev.peer("start", id, "", 0)
+		}
 		c.impl.Init(c)
 	}
 	c.drainLocal()
@@ -195,7 +199,6 @@ func (c *client) run(churn *sim.ChurnPeer, store *checkpoint.Store, rejoined boo
 				c.mu.Unlock()
 			}
 		}
-		c.met.mark(int(id), "crash", "")
 		return true, nil
 	}
 	return false, connErr
@@ -213,8 +216,10 @@ type client struct {
 	// start is when the run started: the clock of Now and of the query
 	// plane, shared by both incarnations of a churn peer.
 	start time.Time
-	// met is the run's shared observability bundle; nil when disabled.
+	// met is the run's shared metrics bundle and ev its event stream;
+	// each is nil when disabled.
 	met *netMetrics
+	ev  *events
 
 	stop <-chan struct{} // the hub's: nothing of the client waits past it
 
@@ -295,6 +300,7 @@ func (c *client) countAction() bool {
 	if c.actions > c.churn.CrashAfter {
 		c.crashed = true
 		dbg("client %d: churn crash at action %d", c.id, c.actions)
+		c.ev.peer("crash", c.id, "", 0)
 		return false
 	}
 	return true
@@ -325,6 +331,7 @@ func (c *client) drainLocal() {
 // deliver hands the protocol a query reply once the plane has learnt it.
 func (c *client) deliver(qr sim.QueryReply) {
 	c.q.Learn(qr)
+	c.ev.peer("qreply", c.id, "", len(qr.Indices))
 	c.impl.OnQueryReply(qr)
 }
 
@@ -387,6 +394,7 @@ func (c *client) connect(initial bool) error {
 		if !initial {
 			c.stats.Reconnects++
 			c.met.reconnect(int(c.id))
+			c.ev.peer("reconnect", c.id, "", 0)
 		}
 		c.writers.Add(1)
 		c.mu.Unlock()
@@ -524,6 +532,7 @@ func (c *client) handleFrame(kind byte, seq uint64, payload []byte) {
 		if !c.countAction() {
 			return
 		}
+		c.ev.msg("deliver", c.id, sim.PeerID(from64), m)
 		c.impl.OnMessage(sim.PeerID(from64), m)
 	case kRoot:
 		if len(payload) != merkle.HashBytes {
@@ -606,8 +615,31 @@ func (c *client) Send(to sim.PeerID, m sim.Message) {
 	c.enc = marshalAppend(c.enc[:0], m)
 	body := bytes.Clone(c.enc)
 	c.mu.Lock()
-	c.push(kMsg, numPayload(uint64(to), body))
+	if !c.crashed && !c.terminated {
+		c.sent(m, to, 1)
+		c.send(kMsg, numPayload(uint64(to), body))
+	}
 	c.mu.Unlock()
+}
+
+// sent charges m to its k recipients from to on, in id order and the
+// peer itself skipped, into M — ⌈SizeBits/b⌉ messages each, as des
+// charges a send — and emits their send events (mu held).
+func (c *client) sent(m sim.Message, to sim.PeerID, k int) {
+	size := m.SizeBits()
+	chunks := max(1, (size+c.cfg.MsgBits-1)/c.cfg.MsgBits)
+	c.stats.MsgsSent += k * chunks
+	c.stats.MsgBitsSent += k * size
+	c.met.msgSent(int(c.id), k*chunks, k*size)
+	if c.ev == nil {
+		return
+	}
+	for ; k > 0; to++ {
+		if to != c.id {
+			c.ev.msg("send", c.id, to, m)
+			k--
+		}
+	}
 }
 
 // marshalAppend is wire.MarshalAppend for messages a protocol emitted: one
@@ -639,6 +671,7 @@ func (c *client) Broadcast(m sim.Message) {
 	// Unlike push, this sends when a tick crashed the peer too: the
 	// recipients counted before the crash are owed the message.
 	if !c.terminated {
+		c.sent(m, 0, k)
 		c.send(kBcast, rawPayload(body))
 	}
 	c.mu.Unlock()
@@ -660,7 +693,7 @@ func (c *client) Output(out *bitarray.Array) {
 func (c *client) Terminate() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.terminated {
+	if c.terminated || c.crashed {
 		return
 	}
 	var raw []byte
@@ -669,15 +702,16 @@ func (c *client) Terminate() {
 	}
 	c.push(kDone, numPayload(uint64(len(raw)), raw))
 	c.terminated = true
+	c.ev.peer("terminate", c.id, "", 0)
 }
 
-// MarkPhase implements sim.PhaseMarker: it records a phase-transition
-// mark on the run's timeline at wall-clock seconds since run start.
+// MarkPhase implements sim.Context: the phase is what a churn peer's
+// checkpoint records, and a "phase" event.
 func (c *client) MarkPhase(name string) {
 	c.mu.Lock()
 	c.lastPhase = name
 	c.mu.Unlock()
-	c.met.mark(int(c.id), "phase", name)
+	c.ev.emit(sim.ObservedEvent{Kind: "phase", Peer: c.id, Other: -1, Name: name})
 }
 
 // Rand implements sim.Context.
@@ -685,9 +719,6 @@ func (c *client) Rand() *rand.Rand { return c.rng }
 
 // Now implements sim.Context.
 func (c *client) Now() float64 { return c.clock(time.Now()) }
-
-// Logf implements sim.Context.
-func (c *client) Logf(string, ...any) {}
 
 // backoffDelay returns the capped exponential delay before redial
 // `attempt` (0-based), jittered to ±50% so flapped peers do not redial in

@@ -52,9 +52,8 @@ type FaultPlan struct {
 	StallEvery time.Duration
 	StallFor   time.Duration
 	// Flaps severs a peer's connection at each listed offset from run
-	// start. Unlike Config.KillAfter, the peer may reconnect; in-flight
-	// frames on the severed connection are lost and recovered by the
-	// resilience layer.
+	// start. The peer reconnects; in-flight frames on the severed
+	// connection are lost and recovered by the resilience layer.
 	Flaps map[sim.PeerID][]time.Duration
 	// Partitions lists timed cuts: while elapsed ∈ [Start, Heal), MSG
 	// frames between side A and side B are dropped in both directions.

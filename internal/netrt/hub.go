@@ -27,11 +27,7 @@ type hubPeer struct {
 	// peer.
 	mu sync.Mutex
 	link
-	// killed marks a KillAfter casualty: reconnects are refused.
-	killed bool
 
-	msgsSent int
-	msgBits  int
 	// srcServes counts query arrivals from this peer; it is the Ordinal
 	// fed to the source fault plan, so every retried serve rolls fresh
 	// fault decisions (a failure rate < 1 answers eventually).
@@ -64,9 +60,9 @@ type hub struct {
 	start  time.Time
 	expect int
 
-	// faulty marks absent, killed, churning and Byzantine peers: their
-	// terminations never count toward the completion quota (a killed peer
-	// may finish before its kill fires; ending the run on its DONE would
+	// faulty marks absent, churning and Byzantine peers: their
+	// terminations never count toward the completion quota (a crashing
+	// peer may finish before its crash; ending the run on its DONE would
 	// abandon honest peers mid-protocol) — except the rejoining subset
 	// below.
 	faulty map[sim.PeerID]bool
@@ -76,14 +72,15 @@ type hub struct {
 	// peers holds link state for every non-absent peer; the map is
 	// fully built in newHub and never mutated, so reads need no lock.
 	peers map[sim.PeerID]*hubPeer
-	// met is the shared observability bundle; nil when disabled (every
-	// method is nil-safe).
+	// met is the shared metrics bundle and ev the run's event stream;
+	// each is nil when disabled (every method is nil-safe).
 	met *netMetrics
+	ev  *events
 
 	stop chan struct{}
 
 	mu sync.Mutex
-	// timers holds the pending kill, flap and shard-bounce triggers so close
+	// timers holds the pending flap and shard-bounce triggers so close
 	// can cancel them. A delayed delivery's timer is not kept (see after).
 	timers  []*time.Timer
 	done    int
@@ -92,7 +89,9 @@ type hub struct {
 	wg      sync.WaitGroup
 }
 
-func newHub(cfg Config, input *bitarray.Array, met *netMetrics) (*hub, error) {
+// newHub starts a hub whose clock (the fault plan's, the source's and
+// termination times) starts at start.
+func newHub(cfg Config, input *bitarray.Array, met *netMetrics, ev *events, start time.Time) (*hub, error) {
 	nShards := cfg.shards()
 	shards := make([]*hubShard, nShards)
 	for i := range shards {
@@ -105,14 +104,11 @@ func newHub(cfg Config, input *bitarray.Array, met *netMetrics) (*hub, error) {
 		}
 		shards[i] = newHubShard(i, ln)
 	}
-	faulty := make(map[sim.PeerID]bool, len(cfg.Absent)+len(cfg.KillAfter)+len(cfg.Churn)+len(cfg.Byzantine.Faulty))
+	faulty := make(map[sim.PeerID]bool, len(cfg.Absent)+len(cfg.Churn)+len(cfg.Byzantine.Faulty))
 	absent := make(map[sim.PeerID]bool, len(cfg.Absent))
 	for _, p := range cfg.Absent {
 		faulty[p] = true
 		absent[p] = true
-	}
-	for p := range cfg.KillAfter {
-		faulty[p] = true
 	}
 	for _, p := range cfg.Byzantine.Faulty {
 		faulty[p] = true
@@ -135,12 +131,13 @@ func newHub(cfg Config, input *bitarray.Array, met *netMetrics) (*hub, error) {
 		input:     input,
 		src:       source.Wrap(source.NewTrusted(input), cfg.SourceFaults),
 		shards:    shards,
-		start:     time.Now(),
+		start:     start,
 		expect:    cfg.N - len(faulty) + len(rejoining),
 		faulty:    faulty,
 		rejoining: rejoining,
 		peers:     make(map[sim.PeerID]*hubPeer, cfg.N),
 		met:       met,
+		ev:        ev,
 		stop:      make(chan struct{}),
 		allDone:   make(chan struct{}),
 	}
@@ -152,15 +149,8 @@ func newHub(cfg Config, input *bitarray.Array, met *netMetrics) (*hub, error) {
 			h.peers[id] = &hubPeer{id: id, link: link{met: met, peer: i}}
 		}
 	}
-	// Kill and flap schedules are armed up front; both sever the current
-	// connection, but only kills refuse the reconnect that follows.
-	for p, d := range cfg.KillAfter {
-		hp := h.peers[p]
-		h.timers = append(h.timers, time.AfterFunc(d, func() {
-			hp.sever(true)
-			h.met.mark(int(hp.id), "crash", "")
-		}))
-	}
+	// Flaps are armed up front: each severs the current connection, and
+	// the peer redials.
 	if h.plan != nil {
 		for p, times := range h.plan.Flaps {
 			hp := h.peers[p]
@@ -169,9 +159,9 @@ func newHub(cfg Config, input *bitarray.Array, met *netMetrics) (*hub, error) {
 			}
 			for _, at := range times {
 				h.timers = append(h.timers, time.AfterFunc(at, func() {
-					if hp.sever(false) != nil {
+					if hp.sever() != nil {
 						dbg("flap: severed peer %d", hp.id)
-						h.met.mark(int(hp.id), "flap", "")
+						h.ev.peer("flap", hp.id, "", 0)
 					}
 				}))
 			}
@@ -198,11 +188,9 @@ func newHub(cfg Config, input *bitarray.Array, met *netMetrics) (*hub, error) {
 	return h, nil
 }
 
-// sever closes hp's connection, if any, and returns it; kill also refuses
-// every reconnect from now on.
-func (hp *hubPeer) sever(kill bool) *frameConn {
+// sever closes hp's connection, if any, and returns it.
+func (hp *hubPeer) sever() *frameConn {
 	hp.mu.Lock()
-	hp.killed = hp.killed || kill
 	conn := hp.conn
 	hp.conn = nil
 	hp.mu.Unlock()
@@ -237,8 +225,7 @@ func (h *hub) acceptLoop(s *hubShard, ln net.Listener) {
 	}
 }
 
-// rejectConn permanently refuses a connection (unknown, absent, or killed
-// peer): the REJECT frame tells the client to stop redialing.
+// rejectConn permanently refuses a connection (unknown or absent peer): the REJECT frame tells the client to stop redialing.
 func (h *hub) rejectConn(conn *frameConn) {
 	_ = writeHandshake(conn, kReject, framePayload{})
 	conn.Close()
@@ -267,11 +254,6 @@ func (h *hub) serve(nc net.Conn) {
 		return
 	}
 	hp.mu.Lock()
-	if hp.killed {
-		hp.mu.Unlock()
-		h.rejectConn(conn)
-		return
-	}
 	if resume {
 		// Resume handshake: realign both stream positions for the rejoined
 		// incarnation (stream.resumeBody). RESUME is owed first, so it
@@ -302,9 +284,6 @@ func (h *hub) serve(nc net.Conn) {
 		return
 	}
 	dbg("peer %d connected (reconnect=%v resume=%v)", hp.id, old != nil, resume)
-	if resume {
-		h.met.mark(int(hp.id), "rejoin", "")
-	}
 	h.wg.Add(1) // serve's own count is held, so the hub cannot be waiting yet
 	go h.writer(hp, conn)
 	conn.poke()
@@ -376,11 +355,11 @@ func (h *hub) handle(hp *hubPeer, conn *frameConn, kind byte, seq uint64, payloa
 // route relays a MSG (payload: uvarint dest, wire bytes) or a BCAST
 // (payload: uvarint k, wire bytes; the recipients are the first k peers in
 // id order, the sender skipped) as one MSG per recipient, its number
-// rewritten to the sender. Each recipient is charged into the sender's M,
-// present or not; each present one's reliable stream gets a MSG, all of
-// them holding one copy of the body — payload is the connection's read
-// buffer. A BCAST naming no recipient, or more than there are, is refused
-// uncharged.
+// rewritten to the sender. Each present recipient's reliable stream gets
+// a MSG, all of them holding one copy of the body — payload is the
+// connection's read buffer. A BCAST naming no recipient, or more than
+// there are, is refused. M is the sender's client's to charge, at its
+// Send.
 func (h *hub) route(src *hubPeer, kind byte, payload []byte) {
 	v, n := binary.Uvarint(payload)
 	if n <= 0 {
@@ -394,13 +373,6 @@ func (h *hub) route(src *hubPeer, kind byte, payload []byte) {
 		}
 		to, k = 0, v
 	}
-	chunks := max((len(body)*8+h.cfg.MsgBits-1)/h.cfg.MsgBits, 1)
-	src.mu.Lock()
-	src.msgsSent += int(k) * chunks
-	src.msgBits += int(k) * len(body) * 8
-	src.mu.Unlock()
-	h.met.msgRouted(int(src.id), int(k)*chunks, int(k)*len(body)*8)
-
 	var shared []byte
 	for ; k > 0 && to < uint64(h.cfg.N); to++ {
 		if kind == kBcast && to == uint64(src.id) {
@@ -574,7 +546,7 @@ func (h *hub) answerQuery(hp *hubPeer, conn *frameConn, payload []byte, now time
 	})
 	if err != nil {
 		kind := source.KindOf(err)
-		h.met.sourceFailure(int(hp.id), kind.String())
+		h.met.sourceFailure(int(hp.id))
 		dbg("source: refusing peer %d query: %v", hp.id, err)
 		if kind == source.KindTimeout {
 			// A lost reply: stay silent and let the client's query
@@ -646,9 +618,6 @@ func (h *hub) markDone(hp *hubPeer, payload []byte) {
 	hp.output = out
 	hp.termTime = time.Since(h.start).Seconds()
 	hp.mu.Unlock()
-	if !already {
-		h.met.mark(int(hp.id), "terminate", "")
-	}
 	if already || (h.faulty[hp.id] && !h.rejoining[hp.id]) {
 		return
 	}
@@ -754,7 +723,7 @@ func (h *hub) close() {
 }
 
 // result completes the clients' per-peer stats with the hub's half:
-// message counts, fault-plan and dedup counters, and what each peer output.
+// fault-plan and dedup counters, and what each peer output.
 func (h *hub) result(per []sim.PeerStats) *sim.Result {
 	res := &sim.Result{PerPeer: per}
 	for _, s := range h.shards {
@@ -765,13 +734,10 @@ func (h *hub) result(per []sim.PeerStats) *sim.Result {
 		ps := &per[i]
 		ps.ID, ps.Honest = id, !h.faulty[id]
 		// A churn peer's client records its own crash; the hub knows
-		// which peers never connected and which it killed.
-		_, killed := h.cfg.KillAfter[id]
-		ps.Crashed = ps.Crashed || killed || h.peers[id] == nil
+		// which peers never connected.
+		ps.Crashed = ps.Crashed || h.peers[id] == nil
 		if hp := h.peers[id]; hp != nil {
 			hp.mu.Lock()
-			ps.MsgsSent = hp.msgsSent
-			ps.MsgBitsSent = hp.msgBits
 			ps.Terminated = hp.terminated
 			ps.TermTime = hp.termTime
 			ps.Output = hp.output

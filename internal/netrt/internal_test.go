@@ -132,7 +132,8 @@ func TestBackoffDelayCappedAndJittered(t *testing.T) {
 func newTestHub(t *testing.T, cfg Config) *hub {
 	t.Helper()
 	input := (&sim.Config{N: cfg.N, T: cfg.T, L: cfg.L, MsgBits: cfg.MsgBits, Seed: cfg.Seed}).ResolveInput()
-	h, err := newHub(cfg, input, newNetMetrics(&cfg, time.Now()))
+	start := time.Now()
+	h, err := newHub(cfg, input, newNetMetrics(&cfg), newEvents(&cfg, start), start)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +314,7 @@ func runPeer(t *testing.T, addr string, l int, peer sim.Peer, pol source.Policy)
 	st := &sim.PeerStats{}
 	q := qplane.NewRemoteTier(cfg.L, cfg.Seed, cfg.SourcePolicy).NewPlane(0, st, false)
 	done := make(chan error, 1)
-	go func() { done <- runClient(cfg, 0, cfg.NewPeer, addr, q, st, nil, time.Now(), nil) }()
+	go func() { done <- runClient(cfg, 0, cfg.NewPeer, addr, q, st, nil, nil, time.Now(), nil) }()
 	select {
 	case err := <-done:
 		if err != nil {

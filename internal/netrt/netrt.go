@@ -11,9 +11,9 @@
 //	peer ──TCP──▶ hub (source) ──▶ peer  (QUERY/QREPLY frames)
 //
 // Peers may be faulty as the model allows: crashed from the start
-// (Absent), killed mid-run (KillAfter), crashing and rejoining (Churn), or
-// Byzantine, running an adversary behavior in place of the protocol
-// (Byzantine). Network faults go further: a seeded FaultPlan lets the hub
+// (Absent), crashing mid-run and perhaps rejoining (Churn), or Byzantine,
+// running an adversary behavior in place of the protocol (Byzantine).
+// Network faults go further: a seeded FaultPlan lets the hub
 // drop, duplicate, delay, reorder and stall deliveries, sever connections
 // that may reconnect, and impose timed partitions that later heal. A
 // resilience layer keeps honest peers live through all of it — unacked
@@ -31,7 +31,8 @@
 // client.go a peer's client, whose query-plane driver and timers are in
 // query.go; frame.go and proofframe.go the frames and their I/O;
 // faultplan.go the fault schedule; shard.go the listener shards;
-// loadgen.go drload's raw-frame clients; obsmetrics.go the metrics.
+// loadgen.go drload's raw-frame clients; obsmetrics.go the event stream
+// and the metrics.
 package netrt
 
 import (
@@ -85,18 +86,14 @@ type Config struct {
 	// Byzantine peers count toward T with the crash faults, and the run
 	// never waits for their DONE.
 	Byzantine sim.FaultSpec
-	// KillAfter crashes peers mid-run: the hub severs each listed
-	// peer's connection after the given wall duration from run start and
-	// refuses its reconnects. Killed peers count toward T together with
-	// Absent ones.
-	KillAfter map[sim.PeerID]time.Duration
 	// Churn lists peers that crash themselves mid-run after CrashAfter
 	// protocol actions (sends, queries, deliveries — the same action
 	// clock as the des runtime) and, when Downtime ≥ 0, restart after
 	// roughly Downtime seconds, rejoining warm from their on-disk
-	// checkpoint via the resume handshake. Churn peers count toward T
-	// together with Absent and KillAfter, but rejoining ones are still
-	// expected to terminate: the run waits for their DONE.
+	// checkpoint via the resume handshake; Downtime < 0 is a plain
+	// mid-run crash. Churn peers count toward T together with Absent
+	// ones, but rejoining ones are still expected to terminate: the run
+	// waits for their DONE.
 	Churn []sim.ChurnPeer
 	// CheckpointDir is where churn peers persist durable checkpoints
 	// (internal/checkpoint); required when any churn peer rejoins
@@ -111,7 +108,7 @@ type Config struct {
 	ShardBounces []ShardBounce
 	// Faults optionally injects a seeded network fault schedule at the
 	// hub (drops, duplicates, delays, stalls, flaps, healed partitions).
-	// Unlike Absent/KillAfter, a FaultPlan never counts toward T: honest
+	// Unlike Absent and Churn, a FaultPlan never counts toward T: honest
 	// peers are expected to survive it via the resilience layer.
 	Faults *FaultPlan
 	// SourceFaults optionally makes the hub's source tier misbehave:
@@ -155,8 +152,16 @@ type Config struct {
 	// retries, dedup and fault-plan counters. Nil disables collection at
 	// zero cost.
 	Metrics *obs.Registry
-	// Timeline, when non-nil, receives wall-clock span marks (phases,
-	// reconnects, query retries, kills, terminations).
+	// Observer, when non-nil, receives the run's events in the schema of
+	// the des runtime (sim.ObservedEvent), Time in seconds since the run
+	// started: each client emits its own peer's start, send, deliver,
+	// query, qreply, qfail, phase, crash, rejoin and terminate, and the
+	// socket-only reconnect, qretry and prooffail; the hub emits flap.
+	// Callbacks come one at a time, under one lock per run. Nil costs
+	// nothing.
+	Observer sim.Observer
+	// Timeline, when non-nil, marks the lifecycle events of the same
+	// stream (sim.TimelineObserver).
 	Timeline *obs.Timeline
 	// Label is the "protocol" label value on metric series.
 	Label string
@@ -184,12 +189,7 @@ func (c *Config) validate() error {
 	if len(c.Byzantine.Faulty) > 0 && c.Byzantine.NewByzantine == nil {
 		return errors.New("netrt: Byzantine peers need NewByzantine")
 	}
-	faulty := len(c.Absent) + len(c.KillAfter) + len(c.Churn) + len(c.Byzantine.Faulty)
-	for _, p := range c.Absent {
-		if _, both := c.KillAfter[p]; both {
-			return fmt.Errorf("netrt: peer %d both absent and killed", p)
-		}
-	}
+	faulty := len(c.Absent) + len(c.Churn) + len(c.Byzantine.Faulty)
 	seen := make(map[sim.PeerID]bool, len(c.Churn))
 	needCkpt := false
 	for _, cp := range c.Churn {
@@ -206,16 +206,12 @@ func (c *Config) validate() error {
 		if slices.Contains(c.Absent, cp.Peer) {
 			return fmt.Errorf("netrt: peer %d both absent and churning", cp.Peer)
 		}
-		if _, both := c.KillAfter[cp.Peer]; both {
-			return fmt.Errorf("netrt: peer %d both killed and churning", cp.Peer)
-		}
 		if cp.Downtime >= 0 {
 			needCkpt = true
 		}
 	}
 	for _, p := range c.Byzantine.Faulty {
-		_, killed := c.KillAfter[p]
-		if p < 0 || int(p) >= c.N || seen[p] || killed || slices.Contains(c.Absent, p) {
+		if p < 0 || int(p) >= c.N || seen[p] || slices.Contains(c.Absent, p) {
 			return fmt.Errorf("netrt: Byzantine peer %d out of range or in another fault set", p)
 		}
 		seen[p] = true
@@ -316,8 +312,9 @@ func Run(cfg Config) (*sim.Result, error) {
 		Seed: cfg.Seed, Input: cfg.Input}
 	input := simCfg.ResolveInput()
 
-	met := newNetMetrics(&cfg, time.Now())
-	h, err := newHub(cfg, input, met)
+	start := time.Now()
+	ev := newEvents(&cfg, start)
+	h, err := newHub(cfg, input, newNetMetrics(&cfg), ev, start)
 	if err != nil {
 		return nil, err
 	}
@@ -326,6 +323,7 @@ func Run(cfg Config) (*sim.Result, error) {
 	absent := make(map[sim.PeerID]bool, len(cfg.Absent))
 	for _, p := range cfg.Absent {
 		absent[p] = true
+		ev.peer("crash", p, "", 0) // as des crashes a peer at its first action
 	}
 	// One Knowledge serves every Byzantine peer, as on des; behaviors
 	// only read it.
@@ -353,7 +351,7 @@ func Run(cfg Config) (*sim.Result, error) {
 		clients.Add(1)
 		go func() {
 			defer clients.Done()
-			if err := runClient(&cfg, id, newPeer, h.addrFor(id), q, &stats[id], met, h.start, h.stop); err != nil {
+			if err := runClient(&cfg, id, newPeer, h.addrFor(id), q, &stats[id], h.met, ev, start, h.stop); err != nil {
 				errs <- fmt.Errorf("peer %d: %w", id, err)
 			}
 		}()

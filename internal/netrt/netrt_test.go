@@ -141,19 +141,21 @@ func TestManySeedsSequential(t *testing.T) {
 	}
 }
 
-func TestKillAfterMidRun(t *testing.T) {
-	// Two peers lose their connections mid-run: the survivors must
-	// still complete (crashk tolerates it), and the killed peers are
-	// reported as faulty rather than failing the run.
-	killed := map[sim.PeerID]time.Duration{
-		1: 2 * time.Millisecond,
-		5: 5 * time.Millisecond,
+// TestChurnCrashMidRun: two peers crash mid-run and never rejoin (a churn
+// crash with a negative downtime, which is how download runs crash-random
+// on sockets). The survivors must still complete (crashk tolerates it),
+// and the crashed peers are reported crashed and faulty rather than
+// failing the run.
+func TestChurnCrashMidRun(t *testing.T) {
+	crashed := []sim.ChurnPeer{
+		{Peer: 1, CrashAfter: 3, Downtime: -1},
+		{Peer: 5, CrashAfter: 12, Downtime: -1},
 	}
 	res, err := netrt.Run(netrt.Config{
 		N: 8, T: 3, L: 2048, MsgBits: 256, Seed: 6,
-		NewPeer:   crashk.New,
-		KillAfter: killed,
-		Timeout:   30 * time.Second,
+		NewPeer: crashk.New,
+		Churn:   crashed,
+		Timeout: 30 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,26 +163,10 @@ func TestKillAfterMidRun(t *testing.T) {
 	if !res.Correct {
 		t.Fatalf("incorrect: %v", res)
 	}
-	for id := range killed {
-		if res.PerPeer[id].Honest {
-			t.Errorf("killed peer %d counted as honest", id)
+	for _, cp := range crashed {
+		if ps := res.PerPeer[cp.Peer]; ps.Honest || !ps.Crashed || ps.Rejoined {
+			t.Errorf("crashed peer %d: honest=%v crashed=%v rejoined=%v, want faulty, crashed, not rejoined",
+				cp.Peer, ps.Honest, ps.Crashed, ps.Rejoined)
 		}
-	}
-}
-
-func TestKillAfterValidation(t *testing.T) {
-	if _, err := netrt.Run(netrt.Config{
-		N: 4, T: 1, L: 64, MsgBits: 64, NewPeer: crashk.New,
-		Absent:    []sim.PeerID{1},
-		KillAfter: map[sim.PeerID]time.Duration{1: time.Millisecond},
-	}); err == nil {
-		t.Error("absent+killed peer accepted")
-	}
-	if _, err := netrt.Run(netrt.Config{
-		N: 4, T: 1, L: 64, MsgBits: 64, NewPeer: crashk.New,
-		Absent:    []sim.PeerID{0},
-		KillAfter: map[sim.PeerID]time.Duration{1: time.Millisecond},
-	}); err == nil {
-		t.Error("2 faulty with t=1 accepted")
 	}
 }

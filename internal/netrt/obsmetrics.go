@@ -2,14 +2,61 @@ package netrt
 
 import (
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
-// netMetrics bundles every observability handle the TCP runtime touches.
-// It is built once per Run when Config.Metrics or Config.Timeline is set
-// and stays nil otherwise; every method is a no-op on a nil receiver, so
+// events is a run's event stream: Config.Observer, and Config.Timeline
+// through sim.TimelineObserver, fed by every client with its own peer's
+// events and by the hub with its flaps. Callbacks are serialised under
+// mu, so an observer has one caller at a time as on des, and Time — read
+// under mu too — is seconds since the run started and never goes back.
+// It is nil when neither is set, and every method is a no-op on nil.
+type events struct {
+	mu    sync.Mutex
+	obs   sim.Observer
+	start time.Time
+}
+
+func newEvents(cfg *Config, start time.Time) *events {
+	o := sim.Tee(cfg.Observer, sim.TimelineObserver(cfg.Timeline))
+	if o == nil {
+		return nil
+	}
+	return &events{obs: o, start: start}
+}
+
+// emit stamps ev and hands it to the observer.
+func (e *events) emit(ev sim.ObservedEvent) {
+	if e == nil {
+		return
+	}
+	e.mu.Lock()
+	ev.Time = time.Since(e.start).Seconds()
+	e.obs.OnEvent(ev)
+	e.mu.Unlock()
+}
+
+// peer emits a peer's event of a kind that names no counterparty.
+func (e *events) peer(kind string, p sim.PeerID, msgType string, bits int) {
+	e.emit(sim.ObservedEvent{Kind: kind, Peer: p, Other: -1, MsgType: msgType, Bits: bits})
+}
+
+// msg emits a send or a deliver of m between p and other.
+func (e *events) msg(kind string, p, other sim.PeerID, m sim.Message) {
+	if e == nil {
+		return
+	}
+	e.emit(sim.ObservedEvent{Kind: kind, Peer: p, Other: other,
+		MsgType: sim.MsgType(m), Bits: m.SizeBits(), Msg: m})
+}
+
+// netMetrics bundles every metric handle the TCP runtime touches. It is
+// built once per Run when Config.Metrics is set and stays nil
+// otherwise; every method is a no-op on a nil receiver, so
 // the hub and client hot paths call them unconditionally and a disabled
 // run pays a single pointer nil-check per call site (pinned by
 // TestNetMetricsDisabledAllocFree).
@@ -17,9 +64,6 @@ import (
 // Frame counters are fixed arrays indexed by the frame-kind byte: no map
 // lookup and no label resolution happens per frame.
 type netMetrics struct {
-	tl    *obs.Timeline
-	start time.Time
-
 	// Frame and byte counters by [side][direction][kind]. The hub and
 	// all clients run in one process, so "side" distinguishes the two
 	// halves of each link.
@@ -44,16 +88,13 @@ type netMetrics struct {
 }
 
 // newNetMetrics resolves every handle up front. Returns nil when the
-// config enables neither metrics nor a timeline.
-func newNetMetrics(cfg *Config, start time.Time) *netMetrics {
-	if cfg.Metrics == nil && cfg.Timeline == nil {
-		return nil
-	}
-	m := &netMetrics{tl: cfg.Timeline, start: start}
+// config enables no metrics.
+func newNetMetrics(cfg *Config) *netMetrics {
 	reg := cfg.Metrics
 	if reg == nil {
-		return m
+		return nil
 	}
+	m := &netMetrics{}
 	label := cfg.Label
 	if label == "" {
 		label = "unknown"
@@ -81,8 +122,8 @@ func newNetMetrics(cfg *Config, start time.Time) *netMetrics {
 	}
 	m.queryBits = perPeer(reg.CounterVec("dr_net_query_bits_total", "Source bits charged per peer at Query (the Q measure).", "protocol", "peer"), label)
 	m.queryCalls = perPeer(reg.CounterVec("dr_net_query_calls_total", "Source queries charged per peer.", "protocol", "peer"), label)
-	m.msgs = perPeer(reg.CounterVec("dr_net_msgs_sent_total", "Peer messages routed, in b-bit chunks (the M measure).", "protocol", "peer"), label)
-	m.msgBits = perPeer(reg.CounterVec("dr_net_msg_bits_sent_total", "Payload bits routed peer-to-peer.", "protocol", "peer"), label)
+	m.msgs = perPeer(reg.CounterVec("dr_net_msgs_sent_total", "Peer messages sent, in b-bit chunks (the M measure).", "protocol", "peer"), label)
+	m.msgBits = perPeer(reg.CounterVec("dr_net_msg_bits_sent_total", "Payload bits sent peer-to-peer.", "protocol", "peer"), label)
 	m.reconnects = perPeer(reg.CounterVec("dr_net_reconnects_total", "Client redials that re-established a link.", "peer"))
 	m.qretries = perPeer(reg.CounterVec("dr_net_query_retries_total", "Source queries re-sent after a refused or silent attempt.", "peer"))
 	m.dups = perPeer(reg.CounterVec("dr_net_dup_frames_dropped_total", "Duplicate frames discarded by dedup.", "peer"))
@@ -133,8 +174,7 @@ func (m *netMetrics) backoffObserve(d time.Duration) {
 	m.backoff.Observe(d.Seconds())
 }
 
-// peerAdd guards the per-peer slices: they are nil when only a timeline
-// is attached, and ids are range-checked against hostile hello frames.
+// peerAdd range-checks ids against hostile hello frames.
 func peerAdd(handles []*obs.Counter, peer int, n int64) {
 	if peer >= 0 && peer < len(handles) {
 		handles[peer].Add(n)
@@ -149,7 +189,7 @@ func (m *netMetrics) queryCharged(peer, bits int) {
 	peerAdd(m.queryCalls, peer, 1)
 }
 
-func (m *netMetrics) msgRouted(peer, chunks, bits int) {
+func (m *netMetrics) msgSent(peer, chunks, bits int) {
 	if m == nil {
 		return
 	}
@@ -162,7 +202,6 @@ func (m *netMetrics) reconnect(peer int) {
 		return
 	}
 	peerAdd(m.reconnects, peer, 1)
-	m.mark(peer, "reconnect", "")
 }
 
 func (m *netMetrics) queryRetry(peer int) {
@@ -170,7 +209,6 @@ func (m *netMetrics) queryRetry(peer int) {
 		return
 	}
 	peerAdd(m.qretries, peer, 1)
-	m.mark(peer, "qretry", "")
 }
 
 func (m *netMetrics) dupDropped(peer int) {
@@ -195,8 +233,7 @@ func (m *netMetrics) planDupe(peer int) {
 }
 
 // mirrorVerdict records the outcome of one proof-carrying mirror reply:
-// a verified hit, or a rejection (with its fallback re-issue). The
-// timeline mark makes proof failures visible in drtrace.
+// a verified hit, or a rejection (with its fallback re-issue).
 func (m *netMetrics) mirrorVerdict(peer int, verified, refused bool) {
 	if m == nil {
 		return
@@ -207,19 +244,16 @@ func (m *netMetrics) mirrorVerdict(peer int, verified, refused bool) {
 	}
 	if !refused {
 		peerAdd(m.mirPfails, peer, 1)
-		m.mark(peer, "prooffail", "")
 	}
 	peerAdd(m.mirFallbacks, peer, 1)
 }
 
-// sourceFailure records one injected source refusal toward a peer; the
-// timeline mark carries the failure kind.
-func (m *netMetrics) sourceFailure(peer int, kind string) {
+// sourceFailure records one injected source refusal toward a peer.
+func (m *netMetrics) sourceFailure(peer int) {
 	if m == nil {
 		return
 	}
 	peerAdd(m.srcFails, peer, 1)
-	m.mark(peer, "srcfail", kind)
 }
 
 // shardEventN counts n connection writer events under their peer's shard.
@@ -247,13 +281,4 @@ func (m *netMetrics) shardBatch(frames int) {
 		return
 	}
 	m.shardBatchH.Observe(float64(frames))
-}
-
-// mark records a timeline event stamped with wall-clock seconds since
-// run start — the TCP runtime's analogue of virtual time.
-func (m *netMetrics) mark(peer int, kind, name string) {
-	if m == nil || m.tl == nil {
-		return
-	}
-	m.tl.Mark(time.Since(m.start).Seconds(), peer, kind, name)
 }

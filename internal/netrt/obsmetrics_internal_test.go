@@ -6,52 +6,61 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/protocols/crash1"
+	"repro/internal/sim"
 )
 
-func newTimelineForTest() *obs.Timeline { return obs.NewTimeline() }
-
 // TestNetMetricsDisabledAllocFree pins the zero-cost-when-disabled
-// contract on the TCP runtime's per-frame hooks: a run without metrics
-// carries a nil *netMetrics, and every method the send/receive/chaos
-// paths call through it must be an allocation-free no-op. A regression
-// here would add allocations to every frame of every netrt run.
+// contract on the TCP runtime's per-frame hooks: a run without metrics or
+// an observer carries a nil *netMetrics and a nil *events, and every
+// method the send/receive/chaos paths call through them must be an
+// allocation-free no-op. A regression here would add allocations to
+// every frame of every netrt run.
 func TestNetMetricsDisabledAllocFree(t *testing.T) {
 	var m *netMetrics
+	var ev *events
+	msg := &crash1.WhoIsMissing{}
 	allocs := testing.AllocsPerRun(1000, func() {
 		m.frame(sideHub, dirTx, kMsg, 64)
 		m.frame(sideHub, dirRx, kQuery, 16)
 		m.frame(sideClient, dirTx, kDone, 8)
 		m.frame(sideClient, dirRx, kQReply, 32)
 		m.queryCharged(3, 128)
-		m.msgRouted(2, 1, 512)
+		m.msgSent(2, 1, 512)
 		m.reconnect(1)
 		m.queryRetry(4)
 		m.dupDropped(0)
 		m.planDrop(2)
 		m.planDupe(2)
 		m.backoffObserve(5 * time.Millisecond)
-		m.mark(1, "phase", "download")
+		ev.peer("query", 1, "", 128)
+		ev.msg("send", 1, 2, msg)
+		ev.emit(sim.ObservedEvent{Kind: "phase", Peer: 1, Other: -1, Name: "download"})
 	})
 	if allocs != 0 {
-		t.Fatalf("disabled netMetrics allocated %.2f times per op, want 0", allocs)
+		t.Fatalf("disabled netMetrics/events allocated %.2f times per op, want 0", allocs)
 	}
 }
 
-// TestNetMetricsTimelineOnly: attaching only a timeline must not panic
-// on the counter paths (the per-peer handle slices stay nil).
+// TestNetMetricsTimelineOnly: a timeline-only config builds no metrics
+// bundle, and its timeline is a view of the event stream that keeps the
+// lifecycle kinds only.
 func TestNetMetricsTimelineOnly(t *testing.T) {
-	cfg := &Config{N: 3}
-	cfg.Timeline = newTimelineForTest()
-	m := newNetMetrics(cfg, time.Now())
-	if m == nil {
-		t.Fatal("timeline-only config produced a nil bundle")
+	cfg := &Config{N: 3, Timeline: obs.NewTimeline()}
+	if m := newNetMetrics(cfg); m != nil {
+		t.Fatal("timeline-only config built a metrics bundle")
 	}
-	m.frame(sideHub, dirTx, kMsg, 10)
-	m.queryCharged(1, 32)
-	m.reconnect(2)
-	m.mark(0, "phase", "x")
-	if cfg.Timeline.Len() != 2 { // reconnect mark + phase mark
-		t.Fatalf("timeline has %d events, want 2", cfg.Timeline.Len())
+	ev := newEvents(cfg, time.Now())
+	if ev == nil {
+		t.Fatal("timeline-only config built no event stream")
+	}
+	ev.peer("reconnect", 2, "", 0)
+	ev.peer("query", 1, "", 32)
+	ev.msg("send", 1, 2, &crash1.WhoIsMissing{})
+	ev.emit(sim.ObservedEvent{Kind: "phase", Peer: 0, Other: -1, Name: "x"})
+	got := cfg.Timeline.Events()
+	if len(got) != 2 || got[0].Kind != "reconnect" || got[1].Kind != "phase" || got[1].Name != "x" {
+		t.Fatalf("timeline holds %+v, want the reconnect and the phase mark", got)
 	}
 }
 
@@ -61,7 +70,7 @@ func TestNetMetricsTimelineOnly(t *testing.T) {
 // dr_net_frame_bytes_total.
 func TestNetMetricsCountEveryKind(t *testing.T) {
 	reg := obs.New()
-	m := newNetMetrics(&Config{N: 2, Metrics: reg}, time.Now())
+	m := newNetMetrics(&Config{N: 2, Metrics: reg})
 	var kinds []byte
 	for k := 0; k < 256; k++ {
 		if !strings.HasPrefix(kindName(byte(k)), "kind(") {

@@ -111,10 +111,18 @@ func (c *client) transmit(pq *pendingQuery, now time.Time) {
 	if pq.call.Attempt > 1 {
 		c.stats.QueryRetries++
 		c.met.queryRetry(int(c.id))
+		c.ev.peer("qretry", c.id, "", len(pq.call.Fetch))
 	}
 	pq.deadline = now.Add(c.res.QueryTimeout)
 	c.armAt(pq.deadline)
 	c.push(pq.kind, rawPayload(pq.payload))
+}
+
+// fail rules pq's attempt failed as kind at now (mu held): a "qfail"
+// event, and the plane's verdict on it.
+func (c *client) fail(pq *pendingQuery, kind source.Kind, now time.Time) {
+	c.ev.peer("qfail", c.id, kind.String(), len(pq.call.Fetch))
+	c.follow(pq, c.q.Fail(c.clock(now), pq.call, kind), now)
 }
 
 // follow carries out the plane's verdict n on pq at now (mu held): send a
@@ -187,7 +195,7 @@ func (c *client) refused(key qkey, hdr []byte, kind source.Kind) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if pq := c.owed(key, hdr); pq != nil && pq.state == sent && !c.terminated {
-		c.follow(pq, c.q.Fail(c.clock(now), pq.call, kind), now)
+		c.fail(pq, kind, now)
 		dbg("client %d: source %s for query tag=%d", c.id, kind, key.tag)
 	}
 }
@@ -226,6 +234,9 @@ func (c *client) handleProofReply(key qkey, hdr, body []byte) {
 		bits, verified = rep.Bits.GatherFrom(pq.call.Fetch, rep.LeafLo*c.mparams.LeafBits)
 	}
 	c.met.mirrorVerdict(int(c.id), verified, rep.Refused)
+	if !verified && !rep.Refused {
+		c.ev.peer("prooffail", c.id, "", len(pq.call.Fetch))
+	}
 	if verified {
 		c.complete(key, hdr, bits, true)
 		return
@@ -306,7 +317,7 @@ func (c *client) housekeep(now time.Time, period time.Duration) time.Time {
 			case pq.state == backoff:
 				c.follow(pq, c.q.Admit(nowS, pq.call), now)
 			default: // silent: the attempt failed as a lost reply
-				c.follow(pq, c.q.Fail(nowS, pq.call, source.KindTimeout), now)
+				c.fail(pq, source.KindTimeout, now)
 			}
 		}
 		if !c.wakeAt.IsZero() && !now.Before(c.wakeAt) {
@@ -371,6 +382,7 @@ func (c *client) Query(tag int, indices []int) {
 	}
 	b := c.q.Begin(tag, indices)
 	c.met.queryCharged(int(c.id), b.Charged)
+	c.ev.peer("query", c.id, "", b.Charged)
 	if b.Kind == qplane.WarmHit {
 		c.pendingLocal = append(c.pendingLocal, b.Reply)
 		c.mu.Unlock()

@@ -77,7 +77,7 @@ func (h *hub) bounceShard(s *hubShard, down time.Duration) {
 	s.closeListener()
 	for _, hp := range h.peers {
 		if h.shardFor(hp.id) == s {
-			hp.sever(false)
+			hp.sever()
 		}
 	}
 	t := time.AfterFunc(down, func() { h.restartShard(s) })
@@ -179,8 +179,8 @@ func StartHub(cfg Config) (*Hub, error) {
 	}
 	input := (&sim.Config{N: cfg.N, T: cfg.T, L: cfg.L, MsgBits: cfg.MsgBits,
 		Seed: cfg.Seed, Input: cfg.Input}).ResolveInput()
-	met := newNetMetrics(&cfg, time.Now())
-	h, err := newHub(cfg, input, met)
+	start := time.Now()
+	h, err := newHub(cfg, input, newNetMetrics(&cfg), newEvents(&cfg, start), start)
 	if err != nil {
 		return nil, err
 	}

@@ -9,14 +9,14 @@ import (
 )
 
 // Timeline records span/event marks against a monotonically meaningful
-// clock: the des runtime stamps virtual time, the TCP runtime stamps
-// wall-clock seconds since run start. Marks are cheap (one slice append
-// under a mutex) and every method is a no-op on a nil receiver, so
-// runtimes call Mark unconditionally through nil-able handles.
+// clock: virtual time on des, seconds since run start on sockets. The
+// runtimes fill it through sim.TimelineObserver, a view of their event
+// stream that keeps its lifecycle kinds. Marks are cheap (one slice
+// append under a mutex) and every method is a no-op on a nil receiver.
 //
 // The JSONL dump uses the same field names as sim.ObservedEvent ("t",
-// "kind", "peer", "msg"), so a timeline file is readable by cmd/drtrace
-// exactly like a -tracejson trace.
+// "kind", "peer", "name"), so a timeline file is one schema with a
+// -tracejson trace, and cmd/drtrace reads both.
 type Timeline struct {
 	mu      sync.Mutex
 	events  []Event
@@ -30,18 +30,17 @@ type Timeline struct {
 const DefaultTimelineLimit = 1 << 18
 
 // Event is one timeline mark. Field names match sim.ObservedEvent so
-// dumps are drtrace-compatible.
+// dumps are drtrace-readable.
 type Event struct {
 	// Time is virtual time (des) or seconds since run start (netrt).
 	Time float64 `json:"t"`
-	// Kind classifies the mark: "phase", "terminate", "crash",
-	// "reconnect", "qretry", or a caller-defined kind.
+	// Kind classifies the mark: "phase", "terminate", "crash", "rejoin",
+	// "reconnect", "qretry", or another sim.ObservedEvent kind.
 	Kind string `json:"kind"`
 	// Peer is the acting peer, -1 for run-global marks.
 	Peer int `json:"peer"`
-	// Name carries the phase name or other detail; serialized as "msg"
-	// so drtrace's message-type histogram picks it up.
-	Name string `json:"msg,omitempty"`
+	// Name is the phase name of a "phase" mark.
+	Name string `json:"name,omitempty"`
 }
 
 // Span is one derived per-peer phase interval (see Spans).

@@ -161,7 +161,7 @@ func (p *Peer) Init(ctx sim.Context) {
 	if p.weakAccept && t >= 1 {
 		accept = t
 	}
-	sim.MarkPhase(ctx, "elect")
+	ctx.MarkPhase("elect")
 	if CommitteeSize(t) > n {
 		// β ≥ 1/2: deterministic protocols cannot beat naive (Thm 3.1).
 		p.naive = true
@@ -169,7 +169,7 @@ func (p *Peer) Init(ctx sim.Context) {
 		for i := range all {
 			all[i] = i
 		}
-		sim.MarkPhase(ctx, "download")
+		ctx.MarkPhase("download")
 		ctx.Query(0, all)
 		return
 	}
@@ -180,7 +180,7 @@ func (p *Peer) Init(ctx sim.Context) {
 		p.reported = true // nothing to report
 		return
 	}
-	sim.MarkPhase(ctx, "download")
+	ctx.MarkPhase("download")
 	ctx.Query(0, mine)
 }
 
@@ -200,7 +200,7 @@ func (p *Peer) OnQueryReply(r sim.QueryReply) {
 	// written again, so the Report takes it as it is.
 	p.ctx.Broadcast(&Report{Indices: r.Indices, Bits: r.Bits.Slice(0, len(r.Indices)), IdxBits: p.idxBits})
 	p.reported = true
-	sim.MarkPhase(p.ctx, "verify")
+	p.ctx.MarkPhase("verify")
 	p.maybeFinish()
 }
 

@@ -151,7 +151,7 @@ func (p *Peer) Init(ctx sim.Context) {
 	p.heard1 = make(map[sim.PeerID]bool)
 	p.missing = -1
 	p.stage = stP1Query
-	sim.MarkPhase(ctx, "phase1")
+	ctx.MarkPhase("phase1")
 	lo, hi := sim.BlockRange(L, ctx.N(), ctx.ID())
 	if lo == hi {
 		p.afterP1Query()
@@ -165,7 +165,6 @@ func (p *Peer) Init(ctx sim.Context) {
 }
 
 func (p *Peer) afterP1Query() {
-	p.ctx.Logf("crash1: stage1 done, pushing block")
 	p.stage = stP1Wait1
 	// Push my block to everyone.
 	lo, hi := sim.BlockRange(p.ctx.L(), p.ctx.N(), p.ctx.ID())
@@ -205,7 +204,6 @@ func (p *Peer) checkP1Wait1() {
 			break
 		}
 	}
-	p.ctx.Logf("crash1: missing=%d, asking", p.missing)
 	p.stage = stP1Wait2
 	p.opinions = 1 // my own "me neither"
 	p.gotValues = false
@@ -255,8 +253,7 @@ func (p *Peer) spreadShare(q, who sim.PeerID) []int {
 }
 
 func (p *Peer) enterPhase2() {
-	p.ctx.Logf("crash1: entering phase 2 (missing=%d)", p.missing)
-	sim.MarkPhase(p.ctx, "phase2")
+	p.ctx.MarkPhase("phase2")
 	p.stage = stP2Query
 	mine := p.spreadShare(p.missing, p.ctx.ID())
 	// Drop already-known bits (none expected, but harmless).
@@ -302,8 +299,7 @@ func (p *Peer) checkP2() {
 
 // enterCompletion marks completion mode and terminates via finish.
 func (p *Peer) enterCompletion() {
-	p.ctx.Logf("crash1: completion mode")
-	sim.MarkPhase(p.ctx, "completion")
+	p.ctx.MarkPhase("completion")
 	p.completion = true
 	p.finish()
 }

@@ -202,7 +202,7 @@ func (p *Peer) startPhase(r int) {
 	}
 	p.phase = r
 	p.stage = stQuery
-	sim.MarkPhase(p.ctx, phaseName(r))
+	p.ctx.MarkPhase(phaseName(r))
 	clear(p.heard)
 	p.heardCount = 0
 	p.needs = nil
@@ -500,7 +500,7 @@ func phaseName(r int) string {
 
 // finishDirect queries every remaining unknown bit, then terminates.
 func (p *Peer) finishDirect() {
-	sim.MarkPhase(p.ctx, "direct")
+	p.ctx.MarkPhase("direct")
 	p.stage = stFinal
 	unknown := p.track.UnknownAll()
 	if len(unknown) == 0 {

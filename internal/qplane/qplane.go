@@ -372,9 +372,6 @@ func (p *Plane) Learn(qr sim.QueryReply) {
 	}
 }
 
-// Persisted is the number of bits a churn peer has persisted.
-func (p *Plane) Persisted() int { return p.persist.Len() - p.persist.UnknownCount() }
-
 // Persist is a churn peer's tracker of persisted bits (nil for any other
 // peer), for a driver that checkpoints it.
 func (p *Plane) Persist() *bitarray.Tracker { return p.persist }

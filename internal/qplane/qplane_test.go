@@ -259,8 +259,8 @@ func TestRejoinWarmSplit(t *testing.T) {
 				t.Fatalf("cold Begin = %+v", first)
 			}
 			p.Learn(resolve(first))
-			if p.Persisted() != 4 {
-				t.Fatalf("persisted %d bits, want 4", p.Persisted())
+			if persisted := p.Persist().Len() - p.Persist().UnknownCount(); persisted != 4 {
+				t.Fatalf("persisted %d bits, want 4", persisted)
 			}
 			p.Rejoin(nil)
 			if !stats.Rejoined {

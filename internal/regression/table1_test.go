@@ -3,9 +3,11 @@ package regression
 import (
 	"encoding/json"
 	"os"
+	"sync"
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/sim"
 )
 
 // table1Row pins the paper metrics of one Table-1 cell. AvgQ and VTime
@@ -24,6 +26,35 @@ const (
 	table1Seed = 7
 )
 
+// fullT1 runs each cell of Table 1 at full size, seed 7, once for the
+// package: TestTable1Goldens pins its results and TestExperimentsDoc
+// renders T1's table from them. A cell's specs come fresh from each
+// T1Cells call, so its name keys it.
+var fullT1 = struct {
+	sync.Mutex
+	runs map[string]*t1Run
+}{runs: make(map[string]*t1Run)}
+
+type t1Run struct {
+	once sync.Once
+	res  *sim.Result
+	err  error
+}
+
+// runFullT1 is an experiments.Config.Run for the full-size, seed-7 cells
+// of Table 1.
+func runFullT1(c experiments.Cell) (*sim.Result, error) {
+	fullT1.Lock()
+	r := fullT1.runs[c.Name]
+	if r == nil {
+		r = &t1Run{}
+		fullT1.runs[c.Name] = r
+	}
+	fullT1.Unlock()
+	r.once.Do(func() { r.res, r.err = c.Run() })
+	return r.res, r.err
+}
+
 // TestTable1Goldens pins the exact paper metrics of every cell of
 // experiments.Table1, keyed "<scale>/<cell>", at the quick (n = 128,
 // L = 2^12) and the paper's (n = 256, L = 2^14) scale, seed 7.
@@ -34,8 +65,13 @@ func TestTable1Goldens(t *testing.T) {
 		name  string
 		quick bool
 	}{{"quick", true}, {"full", false}} {
-		for _, c := range experiments.T1Cells(experiments.Config{Seed: table1Seed, Quick: scale.quick}) {
-			res, err := c.Run()
+		cfg := experiments.Config{Seed: table1Seed, Quick: scale.quick}
+		run := experiments.Cell.Run
+		if !scale.quick {
+			run = runFullT1
+		}
+		for _, c := range experiments.T1Cells(cfg) {
+			res, err := run(c)
 			if err != nil {
 				t.Fatalf("%s: %v", scale.name, err)
 			}

@@ -109,28 +109,11 @@ type Context interface {
 	// (netrt); message delays are normalized so one time unit is the
 	// maximum network latency under the default delay policy.
 	Now() float64
-	// Logf emits a trace line when tracing is enabled in the Spec.
-	Logf(format string, args ...any)
-}
-
-// PhaseMarker is an optional Context extension: runtimes that record an
-// observability timeline implement it so protocols can mark logical
-// phase transitions ("download", "verify", …). Use the MarkPhase helper
-// rather than asserting directly.
-type PhaseMarker interface {
-	// MarkPhase records that the calling peer entered the named phase at
-	// the current (virtual or wall) time.
+	// MarkPhase records that the peer entered the named protocol phase
+	// ("download", "verify", …): a "phase" event on the run's Observer,
+	// and nothing when none is attached. Phase transitions are rare
+	// (O(log n) per execution), so protocols call it unconditionally.
 	MarkPhase(name string)
-}
-
-// MarkPhase marks a protocol phase transition when the runtime supports
-// it and is a no-op otherwise, so protocols call it unconditionally.
-// Phase transitions are rare (O(log n) per execution), so the interface
-// assertion is not a hot-path concern.
-func MarkPhase(ctx Context, name string) {
-	if pm, ok := ctx.(PhaseMarker); ok {
-		pm.MarkPhase(name)
-	}
 }
 
 // DelayPolicy is the adversary's scheduling power: it assigns every

@@ -25,9 +25,8 @@ type Query struct {
 	Indices []int
 }
 
-// Ctx is a sim.Context and sim.PhaseMarker that records the peer's effects
-// in call order.
-// Now is always 0, Logf discards its line, and MsgBits is 64.
+// Ctx is a sim.Context that records the peer's effects in call order.
+// Now is always 0 and MsgBits is 64.
 type Ctx struct {
 	id      sim.PeerID
 	n, t, l int
@@ -40,10 +39,7 @@ type Ctx struct {
 	Phases     []string // every MarkPhase name, in call order
 }
 
-var (
-	_ sim.Context     = (*Ctx)(nil)
-	_ sim.PhaseMarker = (*Ctx)(nil)
-)
+var _ sim.Context = (*Ctx)(nil)
 
 // New returns a context for peer id of n peers tolerating t faults over an
 // L-bit input. Its Rand is seeded with id.
@@ -73,5 +69,4 @@ func (c *Ctx) Output(out *bitarray.Array) { c.Out = out }
 func (c *Ctx) Terminate()                 { c.Terminated = true }
 func (c *Ctx) Rand() *rand.Rand           { return c.rng }
 func (c *Ctx) Now() float64               { return 0 }
-func (c *Ctx) Logf(string, ...any)        {}
 func (c *Ctx) MarkPhase(name string)      { c.Phases = append(c.Phases, name) }

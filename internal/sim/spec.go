@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 
 	"repro/internal/bitarray"
@@ -99,23 +98,17 @@ type Spec struct {
 	// (itself subject to SourceFaults) whenever a proof fails. Only
 	// verified bits are charged into Q. Nil keeps direct source access.
 	Mirrors *source.MirrorPlan
-	// Trace, when non-nil, receives Logf output and runtime traces.
-	Trace io.Writer
 	// Observer, when non-nil, receives a structured callback for every
-	// send, delivery, query, crash, and termination (des runtime only,
-	// under either scheduler). See package trace for a JSONL recorder and
-	// analyzer.
+	// start, send, delivery, query, phase mark, crash, and termination,
+	// on either scheduler. See package trace for a JSONL recorder and
+	// analyzer, and TimelineObserver for an obs.Timeline view.
 	Observer Observer
 	// Metrics, when non-nil, receives runtime counters and histograms
 	// (per-peer query bits, message counts, event-loop stats). The
-	// registry is concurrency-safe, so unlike Trace/Observer it may be
+	// registry is concurrency-safe, so unlike an Observer it may be
 	// shared by runs executing at once. Nil disables all metric
 	// collection at zero cost (see package obs).
 	Metrics *obs.Registry
-	// Timeline, when non-nil, receives span/event marks (phase
-	// transitions, crashes, terminations) keyed to virtual time in des
-	// and wall time in the TCP runtime.
-	Timeline *obs.Timeline
 	// Label identifies this execution in metric series (the "protocol"
 	// label). Empty means the series are emitted without resolution by
 	// protocol; runtimes substitute "unknown".
@@ -125,38 +118,6 @@ type Spec struct {
 	// Result.DeadlineHit; peers still running count as non-terminated.
 	// Zero means no deadline (the event cap still applies).
 	Deadline float64
-}
-
-// Observer receives structured execution events from the des runtime.
-// Callbacks run synchronously on the engine's goroutine: implementations
-// must be fast and must not call back into the engine.
-type Observer interface {
-	OnEvent(ev ObservedEvent)
-}
-
-// ObservedEvent is one structured runtime event.
-type ObservedEvent struct {
-	// Time is the virtual time of the event.
-	Time float64 `json:"t"`
-	// Kind is one of "start", "send", "deliver", "query", "qreply",
-	// "qfail", "crash", "rejoin", "terminate", "phase". For "qfail"
-	// events MsgType carries the source failure kind.
-	Kind string `json:"kind"`
-	// Peer is the acting peer (sender, receiver, querier, …).
-	Peer PeerID `json:"peer"`
-	// Other is the counterparty for send/deliver (receiver resp. sender).
-	Other PeerID `json:"other,omitempty"`
-	// MsgType is the Go type name of the message for send/deliver.
-	MsgType string `json:"msg,omitempty"`
-	// Bits is the payload size for send/deliver, or the number of
-	// queried bits for query/qreply.
-	Bits int `json:"bits,omitempty"`
-	// Name is the phase name for "phase" events (sim.MarkPhase marks).
-	Name string `json:"name,omitempty"`
-	// Msg is the message payload for send/deliver events. It is shared
-	// with the execution — observers must treat it as read-only — and is
-	// excluded from JSON traces (MsgType/Bits summarize it there).
-	Msg Message `json:"-"`
 }
 
 // Validate reports spec-level errors.

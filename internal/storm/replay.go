@@ -40,8 +40,8 @@ const (
 )
 
 // DesReplay lowers a storm spec onto the deterministic engine as an
-// unrecorded dst replay. It fails for protocols outside the dst registry
-// (crashk-fast has no des choice-engine port).
+// unrecorded dst replay. It fails for a protocol outside the dst registry,
+// which holds every protocol a storm runs.
 func DesReplay(spec Spec) (*dst.Replay, error) {
 	if _, err := dst.LookupProtocol(spec.Protocol); err != nil {
 		return nil, err
@@ -71,8 +71,7 @@ func DesReplay(spec Spec) (*dst.Replay, error) {
 type Finding struct {
 	Spec       Spec        `json:"spec"`
 	Violations []Violation `json:"violations"`
-	// ReplayFile is the .dsr path when the des bridge produced one
-	// (empty for protocols outside the dst registry).
+	// ReplayFile is the path of the des bridge's .dsr.
 	ReplayFile string `json:"replay_file,omitempty"`
 	// DesReproduced reports whether the des re-execution of the bridged
 	// composition also violated (then the .dsr is a shrunk failure
@@ -88,8 +87,7 @@ type Finding struct {
 }
 
 // RecordFinding writes a failing storm into dir: the spec + violations
-// as JSON, and — when the protocol has a des port — the bridged replay
-// as a .dsr, shrunk to minimal form when the des engine reproduces a
+// as JSON, and the bridged replay as a .dsr, shrunk to minimal form when the des engine reproduces a
 // violation. When runErr, the run's error, is a *netrt.TimeoutError, the
 // JSON keeps its pending table and its goroutine profile goes beside it as
 // .stacks.txt. Returns the finding with artifact paths filled in.
@@ -108,33 +106,34 @@ func RecordFinding(spec Spec, violations []Violation, dir string, shrink bool, r
 	}
 
 	r, err := DesReplay(spec)
-	if err == nil {
-		rec, out, rerr := dst.Record(r, spec.StormSeed)
-		switch {
-		case rerr != nil:
-			return nil, fmt.Errorf("storm: record des bridge: %w", rerr)
-		case out.Violation():
-			f.DesReproduced = true
-			rec.Expect = dst.ExpectViolation
-			if shrink {
-				shrunk, _, serr := dst.Shrink(rec, dst.ShrinkOptions{})
-				if serr == nil {
-					rec = shrunk
-				}
+	if err != nil {
+		return nil, err
+	}
+	rec, out, err := dst.Record(r, spec.StormSeed)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("storm: record des bridge: %w", err)
+	case out.Violation():
+		f.DesReproduced = true
+		rec.Expect = dst.ExpectViolation
+		if shrink {
+			shrunk, _, serr := dst.Shrink(rec, dst.ShrinkOptions{})
+			if serr == nil {
+				rec = shrunk
 			}
-			rec.Note = fmt.Sprintf("Shrunk des reproduction of storm seed %d on %s "+
-				"(socket-only network plane dropped): %v", spec.StormSeed, spec.Protocol, violations)
-		default:
-			rec.Expect = dst.ExpectCorrect
-			rec.Note = fmt.Sprintf("Storm seed %d on %s violated on the socket runtime (%v) "+
-				"but its des bridge passes: the failure is socket-only (network plane, "+
-				"resume handshake, or checkpoint store). Pinned as a correct-schedule control.",
-				spec.StormSeed, spec.Protocol, violations)
 		}
-		f.ReplayFile = filepath.Join(dir, base+".dsr")
-		if err := rec.Save(f.ReplayFile); err != nil {
-			return nil, err
-		}
+		rec.Note = fmt.Sprintf("Shrunk des reproduction of storm seed %d on %s "+
+			"(socket-only network plane dropped): %v", spec.StormSeed, spec.Protocol, violations)
+	default:
+		rec.Expect = dst.ExpectCorrect
+		rec.Note = fmt.Sprintf("Storm seed %d on %s violated on the socket runtime (%v) "+
+			"but its des bridge passes: the failure is socket-only (network plane, "+
+			"resume handshake, or checkpoint store). Pinned as a correct-schedule control.",
+			spec.StormSeed, spec.Protocol, violations)
+	}
+	f.ReplayFile = filepath.Join(dir, base+".dsr")
+	if err := rec.Save(f.ReplayFile); err != nil {
+		return nil, err
 	}
 
 	data, err := marshalFinding(f)

@@ -242,14 +242,24 @@ func TestRecordFinding(t *testing.T) {
 		t.Fatalf("finding JSON does not round-trip: %+v", back)
 	}
 
-	t.Run("no des port", func(t *testing.T) {
+	t.Run("crashk-fast replays", func(t *testing.T) {
 		fast := Generate(download.CrashKFast, 6, 4, 256, 64, 1)
 		f, err := RecordFinding(fast, vs, t.TempDir(), false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f.ReplayFile != "" {
-			t.Error("crashk-fast has no des port but a .dsr was written")
+		if f.ReplayFile == "" {
+			t.Fatal("no .dsr written for a crashk-fast finding")
+		}
+		r, err := dst.Load(f.ReplayFile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Protocol != string(download.CrashKFast) {
+			t.Errorf("the .dsr replays %q, want crashk-fast", r.Protocol)
+		}
+		if _, err := dst.Verify(r); err != nil {
+			t.Errorf("crashk-fast finding replay fails verification: %v", err)
 		}
 	})
 

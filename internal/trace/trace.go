@@ -1,9 +1,10 @@
-// Package trace records and analyzes structured execution traces from
-// the des runtime. A Recorder implements sim.Observer, writing one JSON
-// object per event (JSONL); Analyze folds a trace back into per-kind and
-// per-peer summaries and a per-message-type histogram — the raw material
-// for debugging protocol behavior ("who sent what, when, to whom") that
-// aggregate Result metrics deliberately discard.
+// Package trace records and analyzes structured execution traces: the
+// event stream (sim.Observer) of either runtime. A Recorder implements
+// sim.Observer, writing one JSON object per event (JSONL); Analyze folds a
+// trace back into per-kind and per-peer summaries and a per-message-type
+// histogram — the raw material for debugging protocol behavior ("who sent
+// what, when, to whom") that aggregate Result metrics deliberately
+// discard.
 package trace
 
 import (
