@@ -38,7 +38,7 @@ test:
 	$(GO) test -shuffle=on -timeout $(TIMEOUT) ./...
 
 # The concurrency suites under the race detector: the socket runtime —
-# the sharded hub + load generator, each client's query plane
+# the hub + load generator, each client's query plane
 # (internal/qplane) and its timer, and Byzantine peers on their own
 # clients (TestTCPByzantine*) — the download facade, the des engine, and
 # committee's Report, the one message that caches on itself and is
@@ -141,12 +141,12 @@ mirrors:
 
 # Million-peer scale gate (see docs/SCALING.md): drload's suite (the
 # LOAD_ file format and the exit codes), then a 50k-client drload run
-# against one sharded hub with hard SLOs — p99 closed-loop latency under
+# against one hub with hard SLOs — p99 closed-loop latency under
 # 2s and zero dropped queries. drload exits 3 on a breach. The
 # LOAD_<timestamp>.json artifact lands in load/ for upload.
 scale-smoke:
 	$(GO) test -count=1 -timeout $(TIMEOUT) ./cmd/drload/
-	$(GO) run ./cmd/drload -clients 50000 -conns 32 -shards 8 \
+	$(GO) run ./cmd/drload -clients 50000 -conns 32 \
 		-slo-p99 2000 -slo-zero-drop -out load
 
 # Composed-fault storm gate (see docs/RUNTIMES.md "Crash recovery" and
@@ -154,10 +154,10 @@ scale-smoke:
 # checkers with negative controls, the pinned acceptance storm over real
 # TCP plus its byte-identical committed .dsr — the checkpoint codec
 # property suite and the drstorm exit-code regressions; the churn /
-# resume-handshake / shard-bounce netrt suites under the race detector;
+# resume-handshake / listener-outage netrt suites under the race detector;
 # then a drstorm matrix: every protocol × STORMS seeded storms, each
 # composing network chaos × source outage × Byzantine-majority mirrors ×
-# crash-recovery churn × a hub shard bounce on real sockets. drstorm
+# crash-recovery churn × a hub listener outage on real sockets. drstorm
 # exits 3 on any invariant breach; failing storms leave their spec JSON
 # and a (des-shrunk) .dsr replay in storm-findings/. STORMTIME mirrors
 # FUZZTIME: non-zero turns the fixed matrix into a wall-clock soak that
@@ -166,7 +166,7 @@ STORMTIME ?= 0s
 STORMS ?= 3
 storm:
 	$(GO) test -count=1 -timeout $(TIMEOUT) ./internal/storm/ ./internal/checkpoint/ ./cmd/drstorm/
-	$(GO) test -race -count=1 -timeout $(TIMEOUT) -run 'TestChurn|TestShard' ./internal/netrt/
+	$(GO) test -race -count=1 -timeout $(TIMEOUT) -run 'TestChurn|TestListenerOutage' ./internal/netrt/
 	$(GO) run ./cmd/drstorm -storms $(STORMS) -budget $(STORMTIME) -out storm-findings
 
 experiments:

@@ -1,7 +1,7 @@
 package main
 
 // A LOAD_ file records one drload run: closed-loop query latency
-// percentiles, throughput, and the hub's shard robustness counters. It is
+// percentiles, throughput, and the hub's connection-writer counters. It is
 // schema-versioned and timestamp-named. It carries wall-clock scale
 // measurements, not deterministic paper metrics, so it is gated against
 // absolute SLO thresholds (CheckSLO), which run turns into exit codes.
@@ -22,7 +22,7 @@ const LoadSchemaVersion = 1
 // LoadFilePrefix is the filename prefix of load-generator outputs.
 const LoadFilePrefix = "LOAD_"
 
-// LoadShard is one hub shard's robustness counters at run end (see
+// LoadShard is the hub's connection-writer counters at run end (see
 // netrt.ShardStats).
 type LoadShard struct {
 	Enqueued  int64 `json:"enqueued"`
@@ -40,11 +40,10 @@ type LoadFile struct {
 	Note    string `json:"note,omitempty"`
 
 	// Configuration: logical clients, the TCP connections they are
-	// multiplexed over, hub shards, queries issued per client, and the
-	// DR-model parameters of the hub's source array.
+	// multiplexed over, queries issued per client, and the DR-model
+	// parameters of the hub's source array.
 	Clients          int   `json:"clients"`
 	Conns            int   `json:"conns"`
-	Shards           int   `json:"shards"`
 	QueriesPerClient int   `json:"queries_per_client"`
 	BitsPerQuery     int   `json:"bits_per_query"`
 	L                int   `json:"l"`
@@ -65,7 +64,8 @@ type LoadFile struct {
 	P99Ms float64 `json:"p99_ms"`
 	MaxMs float64 `json:"max_ms"`
 
-	// ShardStats snapshots the hub's per-shard counters, indexed by shard.
+	// ShardStats snapshots the hub's writer counters in one entry. A file
+	// written while the hub had listener shards holds one per shard.
 	ShardStats []LoadShard `json:"shard_stats,omitempty"`
 }
 

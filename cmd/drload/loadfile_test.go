@@ -10,7 +10,7 @@ import (
 
 func sampleLoad() *LoadFile {
 	return &LoadFile{
-		Clients: 50000, Conns: 32, Shards: 8, QueriesPerClient: 2,
+		Clients: 50000, Conns: 32, QueriesPerClient: 2,
 		BitsPerQuery: 8, L: 256, MsgBits: 64, Seed: 1,
 		DurationSec: 3.5, Queries: 100000, Replies: 100000,
 		ThroughputQPS: 28571.4,

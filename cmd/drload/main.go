@@ -1,4 +1,4 @@
-// Command drload is the scale gate: it starts one sharded netrt hub and
+// Command drload is the scale gate: it starts one netrt hub and
 // drives a fleet of simulated clients against it, measuring closed-loop
 // source-query latency and throughput. Logical clients are multiplexed
 // over a small number of TCP connections (the client id rides in the
@@ -6,14 +6,14 @@
 //
 // The run is recorded as a schema-versioned LOAD_<timestamp>.json
 // (loadfile.go) holding p50/p90/p99/max latency, throughput, the drop
-// count, and the hub's per-shard robustness counters. SLO flags turn the
+// count, and the hub's connection-writer counters. SLO flags turn the
 // measurement into a CI gate: -slo-p99 bounds p99 latency and
 // -slo-zero-drop requires every query answered. Exit codes: 0 ok, 1 an
 // operational failure, 2 bad flags, 3 an SLO breach.
 //
 // Examples:
 //
-//	drload -clients 100000 -conns 32 -shards 8
+//	drload -clients 100000 -conns 32
 //	drload -clients 50000 -slo-p99 250 -slo-zero-drop -out artifacts/
 package main
 
@@ -37,7 +37,6 @@ func run(args []string, stdout io.Writer) int {
 	var (
 		clients = fs.Int("clients", 100000, "simulated logical clients")
 		conns   = fs.Int("conns", 32, "TCP connections the clients multiplex over")
-		shards  = fs.Int("shards", 8, "hub listener shards")
 		queries = fs.Int("queries", 1, "queries per client (closed loop)")
 		qbits   = fs.Int("qbits", 8, "bits requested per query")
 		window  = fs.Int("window", 256, "in-flight clients per connection")
@@ -56,7 +55,6 @@ func run(args []string, stdout io.Writer) int {
 
 	hub, err := netrt.StartHub(netrt.Config{
 		N: *conns, L: *l, MsgBits: *msgBits, Seed: *seed,
-		Shards: *shards,
 	})
 	if err != nil {
 		fmt.Fprintf(stdout, "drload: %v\n", err)
@@ -64,8 +62,8 @@ func run(args []string, stdout io.Writer) int {
 	}
 	defer hub.Close()
 
-	fmt.Fprintf(stdout, "drload: %d clients over %d conns, %d shards, %d queries/client\n",
-		*clients, *conns, *shards, *queries)
+	fmt.Fprintf(stdout, "drload: %d clients over %d conns, %d queries/client\n",
+		*clients, *conns, *queries)
 	res, err := hub.GenerateLoad(netrt.LoadSpec{
 		Clients: *clients, Conns: *conns,
 		QueriesPerClient: *queries, BitsPerQuery: *qbits,
@@ -78,7 +76,7 @@ func run(args []string, stdout io.Writer) int {
 
 	file := &LoadFile{
 		Label:   *label,
-		Clients: *clients, Conns: *conns, Shards: *shards,
+		Clients: *clients, Conns: *conns,
 		QueriesPerClient: *queries, BitsPerQuery: *qbits,
 		L: *l, MsgBits: *msgBits, Seed: *seed,
 		DurationSec: res.Duration.Seconds(),

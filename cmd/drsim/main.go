@@ -45,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		behavior = fs.String("behavior", "", "fault behavior: crash|crash-random|silent|spam|liar|equivocate")
 		excess   = fs.Bool("allow-excess", false, "permit -faulty above -t (model a violated fault bound; pair with -harden)")
 		hardened = fs.Bool("harden", false, "run under the hardening supervisor (detect violations, audit outputs, escalate toward naive)")
-		deadline = fs.Float64("deadline", 0, "cut the run off after this many time units (0: none)")
+		deadline = fs.Float64("deadline", 0, "cut the run off after this many time units, seconds with -tcp (0: none; -tcp then stops at 30 s)")
 		srcPlan  = fs.String("source-faults", "", `seeded source fault plan, e.g. "fail=0.25,outage=2..5,seed=7" (des and TCP runtimes)`)
 		mirrors  = fs.String("mirrors", "", `untrusted mirror fleet plan, e.g. "mirrors=5,byz=3,behavior=mixed,seed=7" (all runtimes; Merkle-verified replies, authoritative fallback)`)
 		tcpRT    = fs.Bool("tcp", false, "run over real TCP sockets (every behavior; faults within -t)")

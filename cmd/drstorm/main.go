@@ -2,7 +2,7 @@
 // runtime and gates on the model's invariants. Each storm layers every
 // fault plane the repo implements onto one execution — network chaos,
 // a flaky source with an outage window, a Byzantine-majority mirror
-// fleet, crash-recovery churn, and a hub shard bounce — all derived
+// fleet, crash-recovery churn, and a hub listener outage — all derived
 // from a single storm seed (see internal/storm). A failing storm is
 // written to the artifact directory as its exact spec (JSON) plus a
 // deterministic-engine .dsr replay, shrunk when des reproduces the
@@ -59,8 +59,8 @@ func planes(spec storm.Spec) string {
 	}
 	parts = append(parts, fmt.Sprintf("net(drop=%.2f,flaps=%d,part=%v)",
 		spec.Net.Drop, spec.Net.Flaps, spec.Net.Partition))
-	if spec.Bounce != nil {
-		parts = append(parts, fmt.Sprintf("bounce(shard %d)", spec.Bounce.Shard))
+	if o := spec.Net.Outage; o != nil {
+		parts = append(parts, fmt.Sprintf("outage(at=%dms,down=%dms)", o.AfterMs, o.DownMs))
 	}
 	return strings.Join(parts, " ")
 }
@@ -192,17 +192,17 @@ func run(args []string, stdout io.Writer, interrupt <-chan struct{}) int {
 	}
 
 	fmt.Fprintf(stdout, "\nstorm matrix (survived/storms; n=%d L=%d b=%d, every plane composed per seed):\n\n", *n, *l, *b)
-	fmt.Fprintf(stdout, "%-12s %-10s %-8s %-12s %-14s %-8s %-10s\n",
-		"PROTOCOL", "SURVIVED", "REJOINS", "CKPT(S/R)", "SHARD-BOUNCE", "RETRIES", "RECONNECTS")
+	fmt.Fprintf(stdout, "%-12s %-10s %-8s %-12s %-8s %-10s\n",
+		"PROTOCOL", "SURVIVED", "REJOINS", "CKPT(S/R)", "RETRIES", "RECONNECTS")
 	for _, p := range protos {
 		tl := tallies[p]
 		if tl.Runs == 0 {
 			continue // never started before the interrupt
 		}
-		fmt.Fprintf(stdout, "%-12s %-10s %-8d %-12s %-14d %-8d %-10d\n",
+		fmt.Fprintf(stdout, "%-12s %-10s %-8d %-12s %-8d %-10d\n",
 			p, fmt.Sprintf("%d/%d", tl.Survived, tl.Runs), tl.Rejoins,
 			fmt.Sprintf("%d/%d", tl.CheckpointSaves, tl.CheckpointRestores),
-			tl.ShardRestarts, tl.QueryRetries, tl.Reconnects)
+			tl.QueryRetries, tl.Reconnects)
 	}
 	fmt.Fprintf(stdout, "\nsource/mirror work (totals): ")
 	var sf, sr, pf, fq int

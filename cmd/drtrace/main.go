@@ -57,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *timeline {
 		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, trace.Timeline(events, *width))
+		fmt.Fprint(stdout, trace.Lanes(events, *width))
 	}
 
 	if *perPeer {

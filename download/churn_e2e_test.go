@@ -3,35 +3,60 @@ package download_test
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"repro/download"
 	"repro/internal/harden"
+	"repro/internal/netrt"
 )
 
 // TestChurnOverTCPViaOptions drives the socket runtime through the public
 // API: the churn peer crashes mid-run, rejoins through the durable
-// checkpoint store in CheckpointDir, and the run stays correct.
+// checkpoint store — in CheckpointDir, or with none given in a temporary
+// directory of the run's own — and the run stays correct.
 func TestChurnOverTCPViaOptions(t *testing.T) {
-	rep, err := download.Run(download.Options{
-		Protocol: download.Naive,
-		N:        4, T: 1, L: 128,
-		Seed:          12,
-		TCP:           true,
-		CheckpointDir: t.TempDir(),
-		Churn:         []download.ChurnPeer{{Peer: 0, CrashAfter: 2, Downtime: 0.2}},
+	for _, tc := range []struct {
+		name, dir string
+	}{{"checkpoint dir", t.TempDir()}, {"no checkpoint dir", ""}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := download.Run(download.Options{
+				Protocol: download.Naive,
+				N:        4, T: 1, L: 128,
+				Seed:          12,
+				TCP:           true,
+				CheckpointDir: tc.dir,
+				Churn:         []download.ChurnPeer{{Peer: 0, CrashAfter: 2, Downtime: 0.2}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Correct {
+				t.Fatalf("incorrect: %v", rep.Failures)
+			}
+			if rep.Rejoins != 1 || rep.CheckpointRestores != 1 {
+				t.Errorf("Rejoins = %d, CheckpointRestores = %d, want 1 each", rep.Rejoins, rep.CheckpointRestores)
+			}
+			cp := rep.PerPeer[0]
+			if cp.Honest || !cp.Rejoined || !cp.Terminated {
+				t.Errorf("churn peer flags = %+v, want rejoined+terminated, not honest", cp)
+			}
+		})
+	}
+}
+
+// TestDeadlineOverTCP: on TCP, Deadline is the run's wall-clock bound in
+// seconds, and a run past it returns netrt's TimeoutError.
+func TestDeadlineOverTCP(t *testing.T) {
+	_, err := download.Run(download.Options{
+		Protocol: download.Committee, N: 8, T: 2, L: 4096, Seed: 3,
+		TCP: true, Deadline: 0.001,
 	})
-	if err != nil {
-		t.Fatal(err)
+	var terr *netrt.TimeoutError
+	if !errors.As(err, &terr) {
+		t.Fatalf("err = %v (%T), want *netrt.TimeoutError", err, err)
 	}
-	if !rep.Correct {
-		t.Fatalf("incorrect: %v", rep.Failures)
-	}
-	if rep.Rejoins != 1 {
-		t.Errorf("Rejoins = %d, want 1", rep.Rejoins)
-	}
-	cp := rep.PerPeer[0]
-	if cp.Honest || !cp.Rejoined || !cp.Terminated {
-		t.Errorf("churn peer flags = %+v, want rejoined+terminated, not honest", cp)
+	if terr.After != time.Millisecond {
+		t.Errorf("timed out after %v, want 1ms", terr.After)
 	}
 }
 
@@ -47,10 +72,6 @@ func TestUnsupportedErrorTyped(t *testing.T) {
 		runtime  string
 		hardened bool
 	}{
-		{"tcp churn rejoin without checkpoint dir", download.Options{
-			Protocol: download.Naive, N: 4, T: 1, L: 64, TCP: true,
-			Churn: []download.ChurnPeer{{Peer: 0, CrashAfter: 1, Downtime: 1}},
-		}, "tcp", false},
 		{"checkpoint dir on des", download.Options{
 			Protocol: download.Naive, N: 4, T: 1, L: 64,
 			CheckpointDir: "/tmp/ckpt",

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"time"
 
 	"repro/internal/adversary"
 	"repro/internal/bitarray"
@@ -153,10 +154,12 @@ type Options struct {
 	// void in that regime — pair it with RunHardened, which detects the
 	// violation and escalates (see docs/HARDENING.md).
 	AllowExcessFaults bool
-	// Deadline, when positive, cuts the execution off after this many
-	// virtual time units and reports the expiry as a failure. Zero
-	// disables the cut-off (the event cap still applies). Ignored by TCP
-	// runs, which bound time via the netrt timeout.
+	// Deadline, when positive, cuts the execution off. On des it is in
+	// virtual time units, and the expiry is reported as a failure in the
+	// Report; zero disables the cut-off (the event cap still applies). On
+	// TCP it is in seconds of wall clock (netrt's Timeout), and a run
+	// past it returns a *netrt.TimeoutError naming the unterminated
+	// peers; zero keeps netrt's default of 30 s.
 	Deadline float64
 	// SourceFaults, when non-empty, makes the external source misbehave
 	// per the source.ParsePlan grammar — e.g.
@@ -179,16 +182,16 @@ type Options struct {
 	// Churn schedules crash-recovery peers: each crashes after its
 	// action count, stays down for Downtime, then rejoins and resumes
 	// from its persisted verified-index state. Churn peers count toward
-	// T alongside Faulty ones. Supported on every runtime; rejoining
-	// churn on TCP additionally needs CheckpointDir, because a socket
-	// peer's process state dies with it and recovery must come from a
-	// durable checkpoint.
+	// T alongside Faulty ones. Supported on every runtime; on TCP a
+	// socket peer's process state dies with it, so a rejoining peer
+	// restores from a durable checkpoint (see CheckpointDir).
 	Churn []ChurnPeer
 	// CheckpointDir is where TCP churn peers persist durable checkpoints
 	// so a rejoining incarnation restarts warm (see internal/checkpoint).
-	// Required when Churn has a rejoining peer (Downtime >= 0) on TCP;
-	// meaningless elsewhere — the des runtime persists in memory — and
-	// rejected there to catch misconfiguration.
+	// Empty, a TCP run with a rejoining peer (Downtime >= 0) checkpoints
+	// to a temporary directory that it removes when it ends. Meaningless
+	// elsewhere — the des runtime persists in memory — and rejected there
+	// to catch misconfiguration.
 	CheckpointDir string
 	// Workers is unused: no runtime reads it.
 	//
@@ -445,13 +448,9 @@ func (o *Options) validate() (*resolved, error) {
 	return r, nil
 }
 
-// validateChurn checks the churn schedule against the selected runtime.
-// Churn itself runs everywhere; the residual gap is durable recovery on
-// sockets — a rejoining TCP peer restarts as a fresh process and can only
-// come back warm from an on-disk checkpoint, so that combination without
-// a CheckpointDir is an UnsupportedError rather than a silent cold start.
+// validateChurn checks the churn schedule, and refuses a CheckpointDir
+// on des, which keeps rejoin state in memory.
 func (o *Options) validateChurn() error {
-	rejoining := false
 	for _, cp := range o.Churn {
 		if cp.Peer < 0 || cp.Peer >= o.N {
 			return fmt.Errorf("download: churn peer %d outside [0, N) for N=%d", cp.Peer, o.N)
@@ -459,13 +458,6 @@ func (o *Options) validateChurn() error {
 		if cp.CrashAfter < 0 {
 			return fmt.Errorf("download: churn peer %d has negative CrashAfter %d", cp.Peer, cp.CrashAfter)
 		}
-		if cp.Downtime >= 0 {
-			rejoining = true
-		}
-	}
-	if o.TCP && rejoining && o.CheckpointDir == "" {
-		return &UnsupportedError{Runtime: "tcp", Feature: "Churn rejoin without CheckpointDir",
-			Reason: "a rejoining socket peer restarts cold unless it can restore a durable checkpoint; set CheckpointDir"}
 	}
 	if o.CheckpointDir != "" && !o.TCP {
 		return &UnsupportedError{Runtime: o.runtimeName(), Feature: "CheckpointDir",
@@ -475,7 +467,8 @@ func (o *Options) validateChurn() error {
 }
 
 // runTCP maps the options onto the real-socket runtime, its events to
-// observer. The faulty peers are the ones des would place:
+// observer and Deadline to the run's Timeout. The faulty peers are the
+// ones des would place:
 // crashed-from-start peers never connect, a random crash point is a churn
 // crash that never rejoins, and a Byzantine behavior runs on its peers'
 // clients.
@@ -485,6 +478,7 @@ func runTCP(opts Options, r *resolved, observer sim.Observer) (*sim.Result, erro
 		Seed: opts.Seed, NewPeer: r.factory, Input: r.input,
 		SourceFaults: r.srcPlan, Mirrors: r.mirrorPlan,
 		Churn: r.churn, CheckpointDir: opts.CheckpointDir,
+		Timeout: time.Duration(opts.Deadline * float64(time.Second)),
 		Metrics: opts.Metrics, Observer: observer, Label: string(opts.Protocol),
 	}
 	f := buildFaults(opts, r.faulty)

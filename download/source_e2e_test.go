@@ -71,11 +71,6 @@ func TestSourceFaultOptionValidation(t *testing.T) {
 			Protocol: download.Naive, N: 4, T: 1, L: 64,
 			SourceFaults: "frobnicate=1",
 		}, "unknown plan field"},
-		{"churn rejoin on tcp needs checkpoint dir", download.Options{
-			Protocol: download.Naive, N: 4, T: 1, L: 64,
-			TCP:   true,
-			Churn: []download.ChurnPeer{{Peer: 1, CrashAfter: 2, Downtime: 1}},
-		}, "set CheckpointDir"},
 		{"checkpoint dir off tcp", download.Options{
 			Protocol: download.Naive, N: 4, T: 1, L: 64,
 			CheckpointDir: "/tmp/ckpt",

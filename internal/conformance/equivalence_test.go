@@ -98,7 +98,6 @@ func TestDesTCPEquivalenceUnderFaults(t *testing.T) {
 		t.Fatalf("des: %v", err)
 	}
 	opts.TCP = true
-	opts.CheckpointDir = t.TempDir()
 	tcp, err := download.Run(opts)
 	if err != nil {
 		t.Fatalf("tcp: %v", err)

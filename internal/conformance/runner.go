@@ -191,20 +191,6 @@ func RunCase(c *Case, rt Runtime, cfg *Config) CaseOutcome {
 	switch rt {
 	case TCP:
 		opts.TCP = true
-		for _, cp := range opts.Churn {
-			if cp.Downtime >= 0 {
-				// Rejoin over sockets crosses a process restart and needs
-				// the durable checkpoint store.
-				dir, err := os.MkdirTemp("", "drconform-ckpt")
-				if err != nil {
-					out.Err = err
-					return out
-				}
-				defer os.RemoveAll(dir)
-				opts.CheckpointDir = dir
-				break
-			}
-		}
 	case SRC:
 		opts.SourceFaults = cfg.SourcePlan
 	case MIR:

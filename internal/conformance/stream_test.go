@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"slices"
 	"testing"
 
 	"repro/download"
@@ -24,12 +23,7 @@ func streamRun(t *testing.T, c *Case, rt Runtime) (rep *download.Report, events 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt == TCP {
-		opts.TCP = true
-		if slices.ContainsFunc(opts.Churn, func(cp download.ChurnPeer) bool { return cp.Downtime >= 0 }) {
-			opts.CheckpointDir = t.TempDir()
-		}
-	}
+	opts.TCP = rt == TCP
 	var buf bytes.Buffer
 	opts.TraceJSONL = &buf
 	rep, err = download.Run(opts)

@@ -560,9 +560,9 @@ func (e *engine) deliver(p *peerState, ev *event) {
 		p.impl.Init(p.ctx)
 	case evMessage:
 		if e.spec.Observer != nil {
-			// msgTypeName reflects on the message; only pay for it when
-			// someone is listening (it dominated allocation otherwise).
-			e.observeMsg("deliver", p.id, ev.from, ev.msg)
+			// The type label and the size walk are paid for only when
+			// someone is listening (they dominated allocation otherwise).
+			e.observeMsg("deliver", p.id, ev.from, ev.msg, sim.MsgType(ev.msg), ev.msg.SizeBits())
 		}
 		p.impl.OnMessage(ev.from, ev.msg)
 	case evQueryReply:
@@ -799,12 +799,12 @@ func (e *engine) observe(kind string, peer, other sim.PeerID, msgType string, bi
 }
 
 // observeMsg forwards a send/deliver event carrying the message payload
-// (evidence collectors inspect it for conflicting claims). Callers gate on
-// spec.Observer != nil.
-func (e *engine) observeMsg(kind string, peer, other sim.PeerID, m sim.Message) {
+// (evidence collectors inspect it for conflicting claims), its type label
+// and its size. Callers gate on spec.Observer != nil.
+func (e *engine) observeMsg(kind string, peer, other sim.PeerID, m sim.Message, typ string, bits int) {
 	e.spec.Observer.OnEvent(sim.ObservedEvent{
 		Time: e.now, Kind: kind, Peer: peer, Other: other,
-		MsgType: sim.MsgType(m), Bits: m.SizeBits(), Msg: m,
+		MsgType: typ, Bits: bits, Msg: m,
 	})
 }
 
@@ -831,20 +831,23 @@ func (c *peerCtx) active() bool {
 }
 
 func (c *peerCtx) Send(to sim.PeerID, m sim.Message) {
-	size, chunks := c.sizeOf(m)
-	c.send(to, m, size, chunks)
+	size, chunks, typ := c.sizeOf(m)
+	c.send(to, m, size, chunks, typ)
 }
 
-// sizeOf returns m's accounted size and the number of b-bit link messages
-// it occupies.
-func (c *peerCtx) sizeOf(m sim.Message) (size, chunks int) {
+// sizeOf returns m's accounted size, the number of b-bit link messages
+// it occupies and, when an observer listens, its type label.
+func (c *peerCtx) sizeOf(m sim.Message) (size, chunks int, typ string) {
 	size = m.SizeBits()
-	return size, max(1, (size+c.e.cfg.MsgBits-1)/c.e.cfg.MsgBits)
+	if c.e.spec.Observer != nil {
+		typ = sim.MsgType(m)
+	}
+	return size, max(1, (size+c.e.cfg.MsgBits-1)/c.e.cfg.MsgBits), typ
 }
 
 // send is Send with sizeOf(m) supplied by the caller, so a broadcast walks
-// a long message once and not once per recipient.
-func (c *peerCtx) send(to sim.PeerID, m sim.Message, size, chunks int) {
+// a long message and labels it once and not once per recipient.
+func (c *peerCtx) send(to sim.PeerID, m sim.Message, size, chunks int, typ string) {
 	if !c.active() {
 		return
 	}
@@ -866,7 +869,7 @@ func (c *peerCtx) send(to sim.PeerID, m sim.Message, size, chunks int) {
 	p.mMsgs.Add(int64(chunks))
 	p.mMsgBits.Add(int64(size))
 	if c.e.spec.Observer != nil {
-		c.e.observeMsg("send", p.id, to, m)
+		c.e.observeMsg("send", p.id, to, m, typ, size)
 	}
 	var at float64
 	if c.e.choose == nil {
@@ -894,10 +897,10 @@ func (c *peerCtx) send(to sim.PeerID, m sim.Message, size, chunks int) {
 }
 
 func (c *peerCtx) Broadcast(m sim.Message) {
-	size, chunks := c.sizeOf(m)
+	size, chunks, typ := c.sizeOf(m)
 	for i := 0; i < c.e.cfg.N; i++ {
 		if sim.PeerID(i) != c.p.id {
-			c.send(sim.PeerID(i), m, size, chunks)
+			c.send(sim.PeerID(i), m, size, chunks, typ)
 		}
 	}
 }

@@ -100,7 +100,7 @@ func BenchmarkHubLoad(b *testing.B) {
 	want := int64(trial.Clients * trial.QueriesPerClient)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		hub, err := StartHub(Config{N: 2, Shards: 2, L: 4096, MsgBits: 64, Seed: int64(i + 1)})
+		hub, err := StartHub(Config{N: 2, L: 4096, MsgBits: 64, Seed: int64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func BenchmarkHubLoad(b *testing.B) {
 			b.Fatal(err)
 		}
 		if res.Queries != want || res.Replies != want || res.TimedOut || dropped != 0 {
-			b.Fatalf("queries=%d replies=%d (want %d each) timedOut=%v shardDropped=%d",
+			b.Fatalf("queries=%d replies=%d (want %d each) timedOut=%v dropped=%d",
 				res.Queries, res.Replies, want, res.TimedOut, dropped)
 		}
 		b.ReportMetric(res.Percentile(50), "p50-ms")
@@ -150,7 +150,6 @@ func benchStorm(b *testing.B, drop float64) {
 			SourceFaults:  &source.FaultPlan{Seed: seed + 2000, FailRate: 0.1},
 			SourcePolicy:  source.Policy{BaseBackoff: 0.02, MaxBackoff: 0.2, Deadline: 0.25, BreakerCooldown: 0.1},
 			Resilience:    Resilience{QueryTimeout: 60 * time.Millisecond, RTO: 30 * time.Millisecond},
-			Shards:        2,
 		})
 		if err != nil {
 			b.Fatal(err)

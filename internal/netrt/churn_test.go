@@ -2,6 +2,7 @@ package netrt_test
 
 import (
 	"fmt"
+	"os"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -9,10 +10,12 @@ import (
 
 	"repro/internal/bitarray"
 	"repro/internal/netrt"
+	"repro/internal/obs"
 	"repro/internal/protocols/crashk"
 	"repro/internal/protocols/naive"
 	"repro/internal/sim"
 	"repro/internal/source"
+	"repro/internal/trace"
 )
 
 // halver is the churn test protocol (mirroring the des runtime's churn
@@ -55,17 +58,31 @@ func (p *halver) OnQueryReply(r sim.QueryReply) {
 	}
 }
 
+// TestChurnRejoinWarmOverTCP: peer 0 crashes itself after 4 actions
+// (init, query 1, delivery 1, query 2 — the second delivery is the
+// dropped excess), checkpoints the 128 bits it verified, and rejoins
+// 300ms later. The rejoined incarnation must finish with output X,
+// serving its checkpointed bits warm instead of re-fetching them: from a
+// given CheckpointDir, and with none given from the temporary directory
+// Run creates and removes.
 func TestChurnRejoinWarmOverTCP(t *testing.T) {
-	// Peer 0 crashes itself after 4 actions (init, query 1, delivery 1,
-	// query 2 — the second delivery is the dropped excess), checkpoints
-	// the 128 bits it verified, and rejoins 300ms later. The rejoined
-	// incarnation must finish with output X, serving its checkpointed
-	// bits warm instead of re-fetching them.
+	t.Run("given dir", func(t *testing.T) { checkRejoinWarm(t, t.TempDir()) })
+	t.Run("temp dir", func(t *testing.T) {
+		tmp := t.TempDir()
+		t.Setenv("TMPDIR", tmp)
+		checkRejoinWarm(t, "")
+		if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
+			t.Errorf("Run left %v behind in the temp dir (%v)", left, err)
+		}
+	})
+}
+
+func checkRejoinWarm(t *testing.T, dir string) {
 	res, err := netrt.Run(netrt.Config{
 		N: 4, T: 1, L: 256, MsgBits: 64, Seed: 21,
 		NewPeer:       newHalver,
 		Churn:         []sim.ChurnPeer{{Peer: 0, CrashAfter: 4, Downtime: 0.3}},
-		CheckpointDir: t.TempDir(),
+		CheckpointDir: dir,
 		Timeout:       30 * time.Second,
 	})
 	if err != nil {
@@ -248,10 +265,6 @@ func TestChurnValidationOverTCP(t *testing.T) {
 		name   string
 		mutate func(*netrt.Config)
 	}{
-		{"rejoin without checkpoint dir", func(c *netrt.Config) {
-			c.CheckpointDir = ""
-			c.Churn = []sim.ChurnPeer{{Peer: 0, CrashAfter: 1, Downtime: 1}}
-		}},
 		{"out of range", func(c *netrt.Config) {
 			c.Churn = []sim.ChurnPeer{{Peer: 9, CrashAfter: 1, Downtime: -1}}
 		}},
@@ -271,12 +284,11 @@ func TestChurnValidationOverTCP(t *testing.T) {
 			c.Absent = []sim.PeerID{0}
 			c.Churn = []sim.ChurnPeer{{Peer: 0, CrashAfter: 1, Downtime: 1}}
 		}},
-		{"bounce shard out of range", func(c *netrt.Config) {
-			c.Shards = 2
-			c.ShardBounces = []netrt.ShardBounce{{Shard: 2, After: time.Millisecond, Down: time.Millisecond}}
+		{"outage at a negative time", func(c *netrt.Config) {
+			c.Faults = &netrt.FaultPlan{Outages: []netrt.Outage{{At: -time.Millisecond, Down: time.Millisecond}}}
 		}},
-		{"bounce without delay", func(c *netrt.Config) {
-			c.ShardBounces = []netrt.ShardBounce{{Shard: 0, After: 0, Down: time.Millisecond}}
+		{"outage with a negative downtime", func(c *netrt.Config) {
+			c.Faults = &netrt.FaultPlan{Outages: []netrt.Outage{{At: time.Millisecond, Down: -time.Millisecond}}}
 		}},
 	}
 	for _, tc := range cases {
@@ -288,29 +300,31 @@ func TestChurnValidationOverTCP(t *testing.T) {
 	}
 }
 
-func TestShardBounceMidDownload(t *testing.T) {
-	// Kill one of two hub listener shards almost immediately and bring it
-	// back 150ms later. Peers homed on the dead shard are severed mid-
-	// download and must redial through backoff until the listener returns;
-	// every client still finishes with output X.
+func TestListenerOutageMidDownload(t *testing.T) {
+	// Take the hub's listener down almost immediately and bring it back
+	// 150ms later. Every peer is severed mid-download and must redial
+	// through backoff until the listener returns; every client still
+	// finishes with output X.
 	//
 	// "Mid-download" holds by construction, not by the sockets being slow:
 	// with T = 0 nobody finishes a phase without hearing from peer 0, and a
 	// partition keeps peer 0's messages from everyone for 20 times the
-	// bounce delay (and their retransmission for an RTO after that), so the
-	// run cannot have ended when the bounce timer fires.
-	const bounceAfter = 2 * time.Millisecond
+	// outage delay (and their retransmission for an RTO after that), so the
+	// run cannot have ended when the outage timer fires.
+	const at, down = 2 * time.Millisecond, 150 * time.Millisecond
+	reg := obs.New()
+	log := &trace.Memory{} // netrt calls it one event at a time
 	res, err := netrt.Run(netrt.Config{
 		N: 8, T: 0, L: 4096, MsgBits: 256, Seed: 23,
 		NewPeer: crashk.New,
-		Shards:  2,
-		ShardBounces: []netrt.ShardBounce{
-			{Shard: 1, After: bounceAfter, Down: 150 * time.Millisecond},
-		},
-		Faults: &netrt.FaultPlan{Seed: 23, Partitions: []netrt.Partition{
-			{A: []sim.PeerID{0}, B: []sim.PeerID{1, 2, 3, 4, 5, 6, 7}, Start: 0, Heal: 20 * bounceAfter},
-		}},
-		Timeout: 30 * time.Second,
+		Faults: &netrt.FaultPlan{Seed: 23,
+			Outages: []netrt.Outage{{At: at, Down: down}},
+			Partitions: []netrt.Partition{
+				{A: []sim.PeerID{0}, B: []sim.PeerID{1, 2, 3, 4, 5, 6, 7}, Start: 0, Heal: 20 * at},
+			}},
+		Timeout:  30 * time.Second,
+		Metrics:  reg,
+		Observer: log,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -318,13 +332,43 @@ func TestShardBounceMidDownload(t *testing.T) {
 	if !res.Correct {
 		t.Fatalf("incorrect: %v", res)
 	}
-	if res.ShardRestarts < 1 {
-		t.Errorf("ShardRestarts = %d, want >= 1", res.ShardRestarts)
-	}
 	for i := range res.PerPeer {
 		if !res.PerPeer[i].Terminated {
 			t.Errorf("peer %d did not terminate", i)
 		}
+	}
+	// The outage flaps every installed connection, and no peer gets back
+	// in before the listener does. A peer that dialed before the outage
+	// but was not yet accepted loses its connection without a flap, so
+	// there may be more reconnects than flaps.
+	var flaps, reconnects int
+	for _, ev := range log.Events {
+		switch ev.Kind {
+		case "flap":
+			flaps++
+		case "reconnect":
+			reconnects++
+			if ev.Time < (at + down).Seconds() {
+				t.Errorf("peer %d reconnected at %.3fs, while the listener was down", ev.Peer, ev.Time)
+			}
+		}
+	}
+	if reconnects < flaps || res.Reconnects != reconnects {
+		t.Errorf("flaps=%d reconnect events=%d Result.Reconnects=%d, want a reconnect for every flap",
+			flaps, reconnects, res.Reconnects)
+	}
+	// A backoff sleep follows only a failed dial: the redials that the
+	// closed listener refused.
+	var backoffs uint64
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name == "dr_net_backoff_seconds" {
+			for _, s := range m.Series {
+				backoffs += s.Count
+			}
+		}
+	}
+	if backoffs == 0 {
+		t.Error("no redial failed while the listener was down")
 	}
 }
 

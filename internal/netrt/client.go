@@ -532,7 +532,9 @@ func (c *client) handleFrame(kind byte, seq uint64, payload []byte) {
 		if !c.countAction() {
 			return
 		}
-		c.ev.msg("deliver", c.id, sim.PeerID(from64), m)
+		if c.ev != nil {
+			c.ev.msg("deliver", c.id, sim.PeerID(from64), m, sim.MsgType(m), m.SizeBits())
+		}
 		c.impl.OnMessage(sim.PeerID(from64), m)
 	case kRoot:
 		if len(payload) != merkle.HashBytes {
@@ -634,9 +636,10 @@ func (c *client) sent(m sim.Message, to sim.PeerID, k int) {
 	if c.ev == nil {
 		return
 	}
+	typ := sim.MsgType(m)
 	for ; k > 0; to++ {
 		if to != c.id {
-			c.ev.msg("send", c.id, to, m)
+			c.ev.msg("send", c.id, to, m, typ, size)
 			k--
 		}
 	}

@@ -2,6 +2,7 @@ package netrt
 
 import (
 	"fmt"
+	"net"
 	"time"
 
 	"repro/internal/adversary"
@@ -58,6 +59,18 @@ type FaultPlan struct {
 	// Partitions lists timed cuts: while elapsed ∈ [Start, Heal), MSG
 	// frames between side A and side B are dropped in both directions.
 	Partitions []Partition
+	// Outages take the hub's listener down: every connection is severed
+	// and redials are refused until the listener is back.
+	Outages []Outage
+}
+
+// Outage is one listener outage: At after run start the hub closes its
+// listener and severs every connection; Down later it listens again on
+// the same address, where the clients' redial backoff finds it. Down
+// must fit inside the clients' reconnect budget (Resilience.Reconnect*),
+// or they exhaust their redials and fail the run.
+type Outage struct {
+	At, Down time.Duration
 }
 
 // Partition is one timed network cut that later heals.
@@ -111,6 +124,11 @@ func (p *FaultPlan) validate(n int) error {
 			if at < 0 {
 				return fmt.Errorf("netrt: flap time %v negative", at)
 			}
+		}
+	}
+	for _, o := range p.Outages {
+		if o.At < 0 || o.Down < 0 {
+			return fmt.Errorf("netrt: listener outage at %v for %v negative", o.At, o.Down)
 		}
 	}
 	for i, pt := range p.Partitions {
@@ -211,4 +229,154 @@ func (p *FaultPlan) stallRemaining(to sim.PeerID, elapsed time.Duration) time.Du
 		return period - pos
 	}
 	return 0
+}
+
+// --- the hub's side: arming the plan and applying it ------------------
+
+// armPlan arms the plan's flaps and outages. It runs once the accept loop
+// owns the listener, so an early outage races the running loop, not hub
+// construction; outage may already be adding a timer of its own, so the
+// list is extended under h.mu.
+func (h *hub) armPlan() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for p, times := range h.plan.Flaps {
+		hp := h.peers[p]
+		if hp == nil {
+			continue
+		}
+		for _, at := range times {
+			h.timers = append(h.timers, time.AfterFunc(at, func() { h.flap(hp) }))
+		}
+	}
+	for _, o := range h.plan.Outages {
+		h.timers = append(h.timers, time.AfterFunc(o.At, func() { h.outage(o.Down) }))
+	}
+}
+
+// flap severs hp's connection, if any; the peer redials.
+func (h *hub) flap(hp *hubPeer) {
+	if hp.sever() != nil {
+		dbg("flap: severed peer %d", hp.id)
+		h.ev.peer("flap", hp.id, "", 0)
+	}
+}
+
+// outage takes the listener down for down: it closes the listener, flaps
+// every peer, and arms the re-listen. Clients redial with capped backoff
+// until relisten brings the address back.
+func (h *hub) outage(down time.Duration) {
+	dbg("listener outage (down %v)", down)
+	h.mu.Lock()
+	ln := h.ln
+	h.ln = nil
+	h.mu.Unlock()
+	if ln != nil {
+		ln.Close()
+	}
+	for _, hp := range h.peers {
+		h.flap(hp)
+	}
+	t := time.AfterFunc(down, h.relisten)
+	h.mu.Lock()
+	if h.closed {
+		t.Stop()
+	} else {
+		h.timers = append(h.timers, t)
+	}
+	h.mu.Unlock()
+}
+
+// relisten listens again on the hub's address and restarts the accept
+// loop. The address can linger in TIME_WAIT briefly, so the bind retries;
+// clients keep backing off in the meantime. The wg.Add and the listener
+// install happen together under h.mu against the closed flag, so a racing
+// close either sees the new listener (and closes it, ending the accept
+// loop) or the re-listen abandons cleanly.
+func (h *hub) relisten() {
+	var ln net.Listener
+	var err error
+	for a := 0; a < 100; a++ {
+		h.mu.Lock()
+		closed := h.closed
+		h.mu.Unlock()
+		if closed {
+			return
+		}
+		if ln, err = listen(h.addr); err == nil {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if err != nil {
+		dbg("listener restart failed: %v", err)
+		return
+	}
+	h.mu.Lock()
+	if h.closed {
+		h.mu.Unlock()
+		ln.Close()
+		return
+	}
+	h.ln = ln
+	h.wg.Add(1)
+	h.mu.Unlock()
+	dbg("listener back on %s", h.addr)
+	go h.acceptLoop(ln) // balances the wg.Add above via its own Done
+}
+
+// sever closes hp's connection, if any, and returns it.
+func (hp *hubPeer) sever() *frameConn {
+	hp.mu.Lock()
+	conn := hp.conn
+	hp.conn = nil
+	hp.mu.Unlock()
+	if conn != nil {
+		conn.Close()
+		conn.poke()
+	}
+	return conn
+}
+
+// fate puts an attempt of f toward hp to the fault plan (hp.mu held): it
+// reports whether the attempt goes out now, and schedules its delayed and
+// duplicate copies. Decisions are keyed by (link, seq, attempt), so the
+// schedule replays yet a lossy link still delivers eventually.
+func (h *hub) fate(hp *hubPeer, f outFrame, attempt int) bool {
+	if h.plan == nil {
+		return true
+	}
+	// A MSG's number is its sender; the rest come from the source.
+	kind, seq, p, from := f.kind, f.seq, f.p, srcID
+	if kind == kMsg {
+		from = sim.PeerID(p.num)
+	}
+	elapsed := time.Since(h.start)
+	if h.plan.dropFrame(from, hp.id, seq, attempt, elapsed) {
+		hp.planDropped++
+		h.met.planDrop(int(hp.id))
+		dbg("plan: drop %s %d→%d seq=%d attempt=%d", kindName(kind), from, hp.id, seq, attempt)
+		return false
+	}
+	delay := h.plan.delayFor(from, hp.id, seq, attempt) + h.plan.stallRemaining(hp.id, elapsed)
+	// A held-back copy goes to hp's connection of the moment, if any.
+	later := func(d time.Duration) {
+		h.after(d, func() {
+			hp.mu.Lock()
+			if hp.conn != nil {
+				hp.conn.owe(kind, seq, p)
+			}
+			hp.mu.Unlock()
+		})
+	}
+	if h.plan.dupFrame(from, hp.id, seq, attempt) {
+		hp.planDuped++
+		h.met.planDupe(int(hp.id))
+		later(h.plan.dupDelayFor(from, hp.id, seq, attempt))
+	}
+	if delay > 0 {
+		later(delay)
+		return false
+	}
+	return true
 }

@@ -357,8 +357,7 @@ func TestFrameAllocBudgets(t *testing.T) {
 		t.Errorf("a client ACK allocates %v times", n)
 	}
 
-	s := &hubShard{}
-	h := &hub{shards: []*hubShard{s}, idle: time.Second, stop: make(chan struct{})}
+	h := &hub{idle: time.Second, stop: make(chan struct{})}
 	hp := &hubPeer{link: link{conn: newFrameConn(&recConn{discard: true}, 0)}}
 	var hw wbuf
 	if n := testing.AllocsPerRun(100, func() {
@@ -369,8 +368,8 @@ func TestFrameAllocBudgets(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("a hub ACK allocates %v times", n)
 	}
-	if got := s.written.Load(); got != 101 {
-		t.Errorf("the shard wrote %d ACKs, want 101", got)
+	if got := h.writes.written.Load(); got != 101 {
+		t.Errorf("the hub wrote %d ACKs, want 101", got)
 	}
 }
 
@@ -479,7 +478,7 @@ func TestHubTakesABurstInFewReads(t *testing.T) {
 // not lost between the hello read and the serve loop.
 func TestHelloAndQueryInOneSegment(t *testing.T) {
 	h := newTestHub(t, Config{N: 2, T: 0, L: 64, MsgBits: 64, Seed: 2, IdleTimeout: 5 * time.Second})
-	conn, err := net.Dial("tcp", h.addrFor(1))
+	conn, err := net.Dial("tcp", h.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,7 +581,7 @@ func TestResumeAndReplayInOneSegment(t *testing.T) {
 func TestIdleDeadlineSparesAPingingLink(t *testing.T) {
 	const idle = 200 * time.Millisecond
 	h := newTestHub(t, Config{N: 1, T: 0, L: 64, MsgBits: 64, Seed: 1, IdleTimeout: idle})
-	conn, err := net.Dial("tcp", h.shards[0].addr)
+	conn, err := net.Dial("tcp", h.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,6 +606,49 @@ func TestIdleDeadlineSparesAPingingLink(t *testing.T) {
 		}
 		if kind == kQReply {
 			return
+		}
+	}
+}
+
+// TestAppendFrameMatchesWriteFrame pins that appendFrame, the one
+// definition of a frame's bytes, is what the one write primitive
+// (writeFrames, through a one-frame batch) puts on the connection, and that
+// frames laid end to end decode one by one.
+func TestAppendFrameMatchesWriteFrame(t *testing.T) {
+	cases := []struct {
+		kind    byte
+		seq     uint64
+		p       framePayload
+		payload []byte
+	}{
+		{kPing, 0, framePayload{}, nil},
+		{kMsg, 1, rawPayload([]byte{1, 2, 3}), []byte{1, 2, 3}},
+		{kMsg, 2, numPayload(300, []byte{1, 2, 3}), []byte{0xAC, 0x02, 1, 2, 3}},
+		{kQReply, 1 << 40, rawPayload(bytes.Repeat([]byte{0xAB}, 300)), bytes.Repeat([]byte{0xAB}, 300)},
+		{kAck, 127, numPayload(127, nil), []byte{127}},
+		{kDone, 128, rawPayload([]byte{}), nil},
+	}
+	for _, tc := range cases {
+		direct := &recConn{}
+		if err := newFrameConn(direct, 0).writeFrame(tc.kind, tc.seq, tc.p); err != nil {
+			t.Fatal(err)
+		}
+		batched := appendFrame(nil, tc.kind, tc.seq, tc.p)
+		if !bytes.Equal(direct.wrote, batched) {
+			t.Fatalf("kind=%d seq=%d: writeFrame %x != appendFrame %x",
+				tc.kind, tc.seq, direct.wrote, batched)
+		}
+		// And a coalesced double encoding must decode as two frames.
+		both := appendFrame(batched, tc.kind, tc.seq+1, tc.p)
+		r := bytes.NewReader(both)
+		for want := tc.seq; want <= tc.seq+1; want++ {
+			kind, seq, payload, err := readFrame(r)
+			if err != nil {
+				t.Fatalf("decode coalesced: %v", err)
+			}
+			if kind != tc.kind || seq != want || !bytes.Equal(payload, tc.payload) {
+				t.Fatalf("coalesced decode drift: kind=%d seq=%d", kind, seq)
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"runtime/pprof"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bitarray"
@@ -54,11 +55,12 @@ type hub struct {
 	// mirror, when non-nil, is the untrusted fleet QUERY frames are
 	// served from; QUERYSRC fallbacks bypass it through src.
 	mirror *source.Mirrored
-	// shards are the hub's listener units; peer i belongs to shard
-	// i % len(shards). Built once in newHub, never mutated.
-	shards []*hubShard
+	// addr is the one address every peer dials; the listener on it is ln.
+	addr   string
 	start  time.Time
 	expect int
+	// writes tallies what the connection writers did (Hub.ShardStats).
+	writes writeCounters
 
 	// faulty marks absent, churning and Byzantine peers: their
 	// terminations never count toward the completion quota (a crashing
@@ -80,8 +82,10 @@ type hub struct {
 	stop chan struct{}
 
 	mu sync.Mutex
-	// timers holds the pending flap and shard-bounce triggers so close
-	// can cancel them. A delayed delivery's timer is not kept (see after).
+	// ln is the listener, nil while an outage has it down or once closed.
+	ln net.Listener
+	// timers holds the pending flap and outage triggers so close can
+	// cancel them. A delayed delivery's timer is not kept (see after).
 	timers  []*time.Timer
 	done    int
 	closed  bool
@@ -92,17 +96,9 @@ type hub struct {
 // newHub starts a hub whose clock (the fault plan's, the source's and
 // termination times) starts at start.
 func newHub(cfg Config, input *bitarray.Array, met *netMetrics, ev *events, start time.Time) (*hub, error) {
-	nShards := cfg.shards()
-	shards := make([]*hubShard, nShards)
-	for i := range shards {
-		ln, err := listen("127.0.0.1:0")
-		if err != nil {
-			for _, s := range shards[:i] {
-				s.closeListener()
-			}
-			return nil, fmt.Errorf("netrt: listen shard %d: %w", i, err)
-		}
-		shards[i] = newHubShard(i, ln)
+	ln, err := listen("127.0.0.1:0")
+	if err != nil {
+		return nil, fmt.Errorf("netrt: listen: %w", err)
 	}
 	faulty := make(map[sim.PeerID]bool, len(cfg.Absent)+len(cfg.Churn)+len(cfg.Byzantine.Faulty))
 	absent := make(map[sim.PeerID]bool, len(cfg.Absent))
@@ -130,7 +126,8 @@ func newHub(cfg Config, input *bitarray.Array, met *netMetrics, ev *events, star
 		plan:      cfg.Faults,
 		input:     input,
 		src:       source.Wrap(source.NewTrusted(input), cfg.SourceFaults),
-		shards:    shards,
+		addr:      ln.Addr().String(),
+		ln:        ln,
 		start:     start,
 		expect:    cfg.N - len(faulty) + len(rejoining),
 		faulty:    faulty,
@@ -149,68 +146,16 @@ func newHub(cfg Config, input *bitarray.Array, met *netMetrics, ev *events, star
 			h.peers[id] = &hubPeer{id: id, link: link{met: met, peer: i}}
 		}
 	}
-	// Flaps are armed up front: each severs the current connection, and
-	// the peer redials.
-	if h.plan != nil {
-		for p, times := range h.plan.Flaps {
-			hp := h.peers[p]
-			if hp == nil {
-				continue
-			}
-			for _, at := range times {
-				h.timers = append(h.timers, time.AfterFunc(at, func() {
-					if hp.sever() != nil {
-						dbg("flap: severed peer %d", hp.id)
-						h.ev.peer("flap", hp.id, "", 0)
-					}
-				}))
-			}
-		}
-	}
-	h.wg.Add(1 + len(h.shards))
-	for _, s := range h.shards {
-		go h.acceptLoop(s, s.ln)
-	}
-	// Bounce timers arm only after the accept loops own their listeners:
-	// an early bounce must race the running loop, not hub construction.
-	// With the loops running, later and bounceShard may already be adding
-	// timers of their own, so the list is extended under h.mu as they do.
-	h.mu.Lock()
-	for _, b := range cfg.ShardBounces {
-		s := h.shards[b.Shard]
-		down := b.Down
-		h.timers = append(h.timers, time.AfterFunc(b.After, func() {
-			h.bounceShard(s, down)
-		}))
-	}
-	h.mu.Unlock()
+	h.wg.Add(2)
+	go h.acceptLoop(ln)
 	go h.tickLoop()
+	if h.plan != nil {
+		h.armPlan()
+	}
 	return h, nil
 }
 
-// sever closes hp's connection, if any, and returns it.
-func (hp *hubPeer) sever() *frameConn {
-	hp.mu.Lock()
-	conn := hp.conn
-	hp.conn = nil
-	hp.mu.Unlock()
-	if conn != nil {
-		conn.Close()
-		conn.poke()
-	}
-	return conn
-}
-
-// shardFor maps a peer to its shard: the same arithmetic clients use to
-// pick which address to dial.
-func (h *hub) shardFor(id sim.PeerID) *hubShard {
-	return h.shards[int(id)%len(h.shards)]
-}
-
-// addrFor is the listen address peer id must dial.
-func (h *hub) addrFor(id sim.PeerID) string { return h.shardFor(id).addr }
-
-func (h *hub) acceptLoop(s *hubShard, ln net.Listener) {
+func (h *hub) acceptLoop(ln net.Listener) {
 	defer h.wg.Done()
 	for {
 		conn, err := ln.Accept()
@@ -414,21 +359,30 @@ func (h *hub) pass(hp *hubPeer, conn *frameConn, w *wbuf) bool {
 	for _, f := range w.frames {
 		h.met.frame(sideHub, dirTx, f.kind, f.p.len())
 	}
-	s := h.shardFor(hp.id)
 	n, err := w.write(conn, h.idle)
-	s.enqueued.Add(int64(n))
+	h.writes.enqueued.Add(int64(n))
 	switch {
 	case err != nil:
-		s.writeErrs.Add(1)
-		h.met.shardEventN(s.idx, "write_err", 1)
+		h.writes.writeErrs.Add(1)
+		h.met.writerEvent("write_err", 1)
 		return false
 	case n > 0:
-		s.written.Add(int64(n))
-		s.flushes.Add(1)
-		h.met.shardEventN(s.idx, "written", n)
-		h.met.shardBatch(n)
+		h.writes.written.Add(int64(n))
+		h.writes.flushes.Add(1)
+		h.met.writerEvent("written", n)
+		h.met.writerBatch(n)
 	}
 	return true
+}
+
+// writeCounters are the connection writers' tallies, kept beside the
+// metrics so a hub without a registry still reports them.
+type writeCounters struct {
+	enqueued  atomic.Int64 // frames a writer pass took or dropped
+	written   atomic.Int64 // frames that reached a socket write
+	dropped   atomic.Int64 // frames still owed to a connection that went away
+	writeErrs atomic.Int64 // writes that failed
+	flushes   atomic.Int64 // writer passes that wrote at least one frame
 }
 
 // collect appends what conn owes hp to dst, outbox frames put to the fault
@@ -441,10 +395,9 @@ func (h *hub) collect(hp *hubPeer, conn *frameConn, dst []outFrame) ([]outFrame,
 	dst, mine := hp.take(conn, dst, now, now.Add(-h.res.RTO))
 	if !mine {
 		if n := len(conn.owed); n > 0 {
-			s := h.shardFor(hp.id)
-			s.enqueued.Add(int64(n))
-			s.dropped.Add(int64(n))
-			h.met.shardEventN(s.idx, "conn_down", n)
+			h.writes.enqueued.Add(int64(n))
+			h.writes.dropped.Add(int64(n))
+			h.met.writerEvent("conn_down", n)
 		}
 		return dst, false
 	}
@@ -455,49 +408,6 @@ func (h *hub) collect(hp *hubPeer, conn *frameConn, dst []outFrame) ([]outFrame,
 		}
 	}
 	return kept, true
-}
-
-// fate puts an attempt of f toward hp to the fault plan (hp.mu held): it
-// reports whether the attempt goes out now, and schedules its delayed and
-// duplicate copies. Decisions are keyed by (link, seq, attempt), so the
-// schedule replays yet a lossy link still delivers eventually.
-func (h *hub) fate(hp *hubPeer, f outFrame, attempt int) bool {
-	if h.plan == nil {
-		return true
-	}
-	// A MSG's number is its sender; the rest come from the source.
-	kind, seq, p, from := f.kind, f.seq, f.p, srcID
-	if kind == kMsg {
-		from = sim.PeerID(p.num)
-	}
-	elapsed := time.Since(h.start)
-	if h.plan.dropFrame(from, hp.id, seq, attempt, elapsed) {
-		hp.planDropped++
-		h.met.planDrop(int(hp.id))
-		dbg("plan: drop %s %d→%d seq=%d attempt=%d", kindName(kind), from, hp.id, seq, attempt)
-		return false
-	}
-	delay := h.plan.delayFor(from, hp.id, seq, attempt) + h.plan.stallRemaining(hp.id, elapsed)
-	// A held-back copy goes to hp's connection of the moment, if any.
-	later := func(d time.Duration) {
-		h.after(d, func() {
-			hp.mu.Lock()
-			if hp.conn != nil {
-				hp.conn.owe(kind, seq, p)
-			}
-			hp.mu.Unlock()
-		})
-	}
-	if h.plan.dupFrame(from, hp.id, seq, attempt) {
-		hp.planDuped++
-		h.met.planDupe(int(hp.id))
-		later(h.plan.dupDelayFor(from, hp.id, seq, attempt))
-	}
-	if delay > 0 {
-		later(delay)
-		return false
-	}
-	return true
 }
 
 // after runs f in d unless the hub has stopped by then. The timer is not
@@ -703,13 +613,15 @@ func (h *hub) close() {
 	h.closed = true
 	timers := h.timers
 	h.timers = nil
+	ln := h.ln
+	h.ln = nil
 	h.mu.Unlock()
 	close(h.stop)
 	for _, t := range timers {
 		t.Stop()
 	}
-	for _, s := range h.shards {
-		s.closeListener()
+	if ln != nil {
+		ln.Close()
 	}
 	for _, hp := range h.peers {
 		hp.mu.Lock()
@@ -726,9 +638,6 @@ func (h *hub) close() {
 // fault-plan and dedup counters, and what each peer output.
 func (h *hub) result(per []sim.PeerStats) *sim.Result {
 	res := &sim.Result{PerPeer: per}
-	for _, s := range h.shards {
-		res.ShardRestarts += int(s.restarts.Load())
-	}
 	for i := range per {
 		id := sim.PeerID(i)
 		ps := &per[i]

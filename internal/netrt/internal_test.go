@@ -146,7 +146,7 @@ func newTestHub(t *testing.T, cfg Config) *hub {
 func TestIdleDeadlineDetectsDeadLink(t *testing.T) {
 	const idle = 200 * time.Millisecond
 	h := newTestHub(t, Config{N: 1, T: 0, L: 64, MsgBits: 64, Seed: 1, IdleTimeout: idle})
-	conn, err := net.Dial("tcp", h.shards[0].addr)
+	conn, err := net.Dial("tcp", h.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestHostileFramesCannotPanicHub(t *testing.T) {
 		},
 	}
 	for i, raw := range hostile {
-		conn, err := net.Dial("tcp", h.shards[0].addr)
+		conn, err := net.Dial("tcp", h.addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +205,7 @@ func TestHostileFramesCannotPanicHub(t *testing.T) {
 		conn.Close()
 	}
 	// The hub must still serve a well-formed peer.
-	conn, err := net.Dial("tcp", h.shards[0].addr)
+	conn, err := net.Dial("tcp", h.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestFallbackRetryChargesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := newTestHub(t, Config{N: 1, T: 0, L: 256, MsgBits: 64, Seed: 5, Mirrors: plan, IdleTimeout: 5 * time.Second})
-	conn, err := net.Dial("tcp", h.shards[0].addr)
+	conn, err := net.Dial("tcp", h.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,7 +605,7 @@ func TestRejectUnknownPeer(t *testing.T) {
 	h := newTestHub(t, Config{N: 2, T: 1, L: 64, MsgBits: 64, Seed: 3,
 		Absent: []sim.PeerID{1}, IdleTimeout: time.Second})
 	for _, id := range []uint64{1, 17} {
-		conn, err := net.Dial("tcp", h.shards[0].addr)
+		conn, err := net.Dial("tcp", h.addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -729,7 +729,7 @@ func TestLaterKeepsNoDeliveryTimer(t *testing.T) {
 	const n = 40
 	h := newTestHub(t, Config{N: 1, T: 0, L: 64, MsgBits: 64, Seed: 1, IdleTimeout: 5 * time.Second,
 		Faults: &FaultPlan{Seed: 2, Dup: 0.3, Delay: time.Millisecond, Reorder: 0.2}})
-	conn, err := net.Dial("tcp", h.shards[0].addr)
+	conn, err := net.Dial("tcp", h.addr)
 	if err != nil {
 		t.Fatal(err)
 	}

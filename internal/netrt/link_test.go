@@ -349,7 +349,7 @@ func TestResumeFirstThenRootThenAck(t *testing.T) {
 	hp.send(kMsg, numPayload(1, []byte{8}))
 	hp.mu.Unlock()
 	dialPeer := func(hello []byte) *frameConn {
-		conn, err := net.Dial("tcp", h.shards[0].addr)
+		conn, err := net.Dial("tcp", h.addr)
 		if err != nil {
 			t.Fatal(err)
 		}

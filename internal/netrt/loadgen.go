@@ -13,14 +13,85 @@ package netrt
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/bitarray"
 	"repro/internal/sim"
 )
+
+// Hub is a running hub handle for external drivers (cmd/drload): raw
+// frame clients dial Addr and speak the framed protocol directly, without
+// the protocol client layer that Run wraps around sim.Peer. cfg.NewPeer
+// is ignored and may be nil.
+type Hub struct {
+	h     *hub
+	input *bitarray.Array
+}
+
+// StartHub validates the scale-relevant subset of cfg and starts a hub
+// alone: its listener and the retransmit and heartbeat clock, but no
+// protocol clients. The caller owns connection traffic and must Close.
+func StartHub(cfg Config) (*Hub, error) {
+	if cfg.N < 1 {
+		return nil, errors.New("netrt: StartHub needs N >= 1")
+	}
+	if cfg.L < 1 || cfg.MsgBits < 1 {
+		return nil, fmt.Errorf("netrt: StartHub needs L >= 1 and MsgBits >= 1 (got L=%d, b=%d)", cfg.L, cfg.MsgBits)
+	}
+	if cfg.SourceFaults != nil {
+		if err := cfg.SourceFaults.Validate(); err != nil {
+			return nil, fmt.Errorf("netrt: %w", err)
+		}
+	}
+	input := (&sim.Config{N: cfg.N, T: cfg.T, L: cfg.L, MsgBits: cfg.MsgBits,
+		Seed: cfg.Seed, Input: cfg.Input}).ResolveInput()
+	start := time.Now()
+	h, err := newHub(cfg, input, newNetMetrics(&cfg), newEvents(&cfg, start), start)
+	if err != nil {
+		return nil, err
+	}
+	return &Hub{h: h, input: input}, nil
+}
+
+// Addr is the hub's listen address, which every peer dials.
+func (x *Hub) Addr() string { return x.h.addr }
+
+// Input is the source array the hub serves.
+func (x *Hub) Input() *bitarray.Array { return x.input }
+
+// ShardStats is the hub's connection writers' counter snapshot.
+type ShardStats struct {
+	// Enqueued counts the frames the writers took or dropped; Written the
+	// frames that reached a socket write; Dropped the frames discarded
+	// because their connection went away before its writer sent them.
+	Enqueued, Written, Dropped int64
+	// WriteErrs counts failed writes; Flushes writer passes that moved at
+	// least one frame.
+	WriteErrs, Flushes int64
+}
+
+// ShardStats snapshots the writers' counters as a list of one. The name
+// and the list are from when the hub had a listener per shard; they stay
+// because the benchmark harness sums the list's Dropped into its hub-load
+// gate.
+func (x *Hub) ShardStats() []ShardStats {
+	w := &x.h.writes
+	return []ShardStats{{
+		Enqueued:  w.enqueued.Load(),
+		Written:   w.written.Load(),
+		Dropped:   w.dropped.Load(),
+		WriteErrs: w.writeErrs.Load(),
+		Flushes:   w.flushes.Load(),
+	}}
+}
+
+// Close stops the listener, writers, and background loops.
+func (x *Hub) Close() { x.h.close() }
 
 // LoadSpec configures one GenerateLoad run.
 type LoadSpec struct {
@@ -215,7 +286,7 @@ func (c *connLoad) run(deadline time.Time) error {
 
 // GenerateLoad runs the load spec against the hub and aggregates the
 // outcome. The hub must have been started with N ≥ spec.Conns: each
-// connection registers as hub peer i and dials that peer's shard.
+// connection registers as hub peer i.
 func (x *Hub) GenerateLoad(spec LoadSpec) (*LoadResult, error) {
 	s := spec.withDefaults()
 	if s.Clients < 1 || s.Conns < 1 {
@@ -257,7 +328,7 @@ func (x *Hub) GenerateLoad(spec LoadSpec) (*LoadResult, error) {
 	// setup failure never leaves half a fleet running.
 	for i, d := range drivers {
 		id := sim.PeerID(i)
-		conn, err := dial(x.h.addrFor(id), 10*time.Second)
+		conn, err := dial(x.h.addr, 10*time.Second)
 		if err == nil {
 			// No idle deadline: run reads against the trial's own.
 			d.conn = newFrameConn(conn, 0)

@@ -1,19 +1,19 @@
 package netrt
 
 import (
+	"net"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // TestGenerateLoad drives a few thousand logical clients over a handful
-// of connections against a sharded hub: every query must be answered
-// (zero drops), latencies recorded, and the shard counters must account
-// for at least one reply frame per query.
+// of connections against a hub: every query must be answered (zero
+// drops), latencies recorded, and the writer counters must account for at
+// least one reply frame per query.
 func TestGenerateLoad(t *testing.T) {
-	hub, err := StartHub(Config{
-		N: 8, L: 256, MsgBits: 64, Seed: 4,
-		Shards: 4,
-	})
+	hub, err := StartHub(Config{N: 8, L: 256, MsgBits: 64, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestGenerateLoad(t *testing.T) {
 	}
 	// Each query draws a QREPLY plus an ACK from its connection's writer.
 	if written < wantQ {
-		t.Fatalf("shards wrote %d frames, want >= %d", written, wantQ)
+		t.Fatalf("the writers wrote %d frames, want >= %d", written, wantQ)
 	}
 }
 
@@ -92,5 +92,60 @@ func TestGenerateLoadValidation(t *testing.T) {
 	}
 	if _, err := hub.GenerateLoad(LoadSpec{Clients: 10, Conns: 4}); err == nil {
 		t.Error("conns > hub N accepted")
+	}
+}
+
+// TestStartHub drives the exported load-generation surface with raw
+// frames: hello, a query, a qreply back, and writer counters that account
+// for the written frames.
+func TestStartHub(t *testing.T) {
+	hub, err := StartHub(Config{
+		N: 4, L: 64, MsgBits: 64, Seed: 9,
+		IdleTimeout: 2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	id := sim.PeerID(3)
+	conn, err := net.Dial("tcp", hub.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fc := newFrameConn(conn, 0)
+	if err := fc.writeFrame(kHello, 0, numPayload(uint64(id), nil)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fc.writeFrame(kQuery, 1, rawPayload(encodeQueryHeader(7, []int{0, 3, 5}))); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for {
+		kind, _, payload, err := fc.readFrame()
+		if err != nil {
+			t.Fatalf("no reply from StartHub hub: %v", err)
+		}
+		if kind != kQReply {
+			continue
+		}
+		tag, indices, _, ok := decodeQuery(nil, payload, 64)
+		if !ok || tag != 7 || len(indices) != 3 {
+			t.Fatalf("mangled reply: ok=%v tag=%d indices=%v", ok, tag, indices)
+		}
+		break
+	}
+	stats := hub.ShardStats()
+	if len(stats) != 1 {
+		t.Fatalf("ShardStats: got %d entries, want 1", len(stats))
+	}
+	// The connection's writer counts its ack/qreply frames a pass after
+	// the write that let the reply be read, so give it until a deadline.
+	for deadline := time.Now().Add(5 * time.Second); stats[0].Written == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		stats = hub.ShardStats()
+	}
+	if stats[0].Written == 0 || stats[0].Enqueued < stats[0].Written {
+		t.Errorf("the writers counted no frames: %+v", stats)
 	}
 }

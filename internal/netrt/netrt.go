@@ -15,7 +15,8 @@
 // running an adversary behavior in place of the protocol (Byzantine).
 // Network faults go further: a seeded FaultPlan lets the hub
 // drop, duplicate, delay, reorder and stall deliveries, sever connections
-// that may reconnect, and impose timed partitions that later heal. A
+// that may reconnect, take the hub's listener down for a while, and
+// impose timed partitions that later heal. A
 // resilience layer keeps honest peers live through all of it — unacked
 // frames are retransmitted until cumulatively acked (fair loss → reliable
 // link), receivers dedup by per-sender sequence number, clients redial
@@ -30,9 +31,9 @@
 // stream, and its glue to the installed connection); hub.go the hub;
 // client.go a peer's client, whose query-plane driver and timers are in
 // query.go; frame.go and proofframe.go the frames and their I/O;
-// faultplan.go the fault schedule; shard.go the listener shards;
-// loadgen.go drload's raw-frame clients; obsmetrics.go the event stream
-// and the metrics.
+// faultplan.go the fault schedule and the hub's arming of it; loadgen.go
+// the hub alone (StartHub) and drload's raw-frame clients; obsmetrics.go
+// the event stream and the metrics.
 package netrt
 
 import (
@@ -96,18 +97,14 @@ type Config struct {
 	// waits for their DONE.
 	Churn []sim.ChurnPeer
 	// CheckpointDir is where churn peers persist durable checkpoints
-	// (internal/checkpoint); required when any churn peer rejoins
-	// (Downtime ≥ 0). A missing or corrupt checkpoint at rejoin is a cold
-	// start, never wrong bits.
+	// (internal/checkpoint). Empty, a run with a rejoining churn peer
+	// (Downtime ≥ 0) checkpoints to a temporary directory that Run
+	// creates and removes. A missing or corrupt checkpoint at rejoin is a
+	// cold start, never wrong bits.
 	CheckpointDir string
-	// ShardBounces kills hub listener shards mid-run and restarts them
-	// after a downtime window. Clients homed on a bounced shard are
-	// severed and redial with backoff until the listener returns: a
-	// bounce degrades latency, never correctness, and (like Faults) never
-	// counts toward T.
-	ShardBounces []ShardBounce
 	// Faults optionally injects a seeded network fault schedule at the
-	// hub (drops, duplicates, delays, stalls, flaps, healed partitions).
+	// hub (drops, duplicates, delays, stalls, flaps, listener outages,
+	// healed partitions).
 	// Unlike Absent and Churn, a FaultPlan never counts toward T: honest
 	// peers are expected to survive it via the resilience layer.
 	Faults *FaultPlan
@@ -132,11 +129,13 @@ type Config struct {
 	Mirrors *source.MirrorPlan
 	// IdleTimeout overrides the dead-link detection window (default 5s).
 	IdleTimeout time.Duration
-	// Shards sets the number of hub listener shards. Peer id i dials the
-	// shard i % Shards, and each shard owns a listener and its accept
-	// loop. 0 or 1 keeps a single shard.
+	// Shards is unused: the hub has one listener. It stays because the
+	// benchmark harness sets it.
+	//
+	// Deprecated: ignored.
 	Shards int
 	// ShardQueue is unused: a connection's one queue is its peer's outbox.
+	// It stays because the benchmark harness sets it.
 	//
 	// Deprecated: ignored.
 	ShardQueue int
@@ -175,9 +174,6 @@ func (c *Config) idleTimeout() time.Duration {
 	return defaultIdleTimeout
 }
 
-// shards is Shards with its default applied.
-func (c *Config) shards() int { return max(c.Shards, 1) }
-
 func (c *Config) validate() error {
 	sc := sim.Config{N: c.N, T: c.T, L: c.L, MsgBits: c.MsgBits, Seed: c.Seed, Input: c.Input}
 	if err := sc.Validate(); err != nil {
@@ -191,7 +187,6 @@ func (c *Config) validate() error {
 	}
 	faulty := len(c.Absent) + len(c.Churn) + len(c.Byzantine.Faulty)
 	seen := make(map[sim.PeerID]bool, len(c.Churn))
-	needCkpt := false
 	for _, cp := range c.Churn {
 		if cp.Peer < 0 || int(cp.Peer) >= c.N {
 			return fmt.Errorf("netrt: churn peer %d out of range", cp.Peer)
@@ -206,9 +201,6 @@ func (c *Config) validate() error {
 		if slices.Contains(c.Absent, cp.Peer) {
 			return fmt.Errorf("netrt: peer %d both absent and churning", cp.Peer)
 		}
-		if cp.Downtime >= 0 {
-			needCkpt = true
-		}
 	}
 	for _, p := range c.Byzantine.Faulty {
 		if p < 0 || int(p) >= c.N || seen[p] || slices.Contains(c.Absent, p) {
@@ -216,20 +208,8 @@ func (c *Config) validate() error {
 		}
 		seen[p] = true
 	}
-	if needCkpt && c.CheckpointDir == "" {
-		return errors.New("netrt: churn rejoin requires CheckpointDir for durable checkpoints")
-	}
 	if faulty > c.T {
 		return fmt.Errorf("netrt: %d faulty peers exceeds t=%d", faulty, c.T)
-	}
-	nShards := c.shards()
-	for _, b := range c.ShardBounces {
-		if b.Shard < 0 || b.Shard >= nShards {
-			return fmt.Errorf("netrt: shard bounce targets shard %d of %d", b.Shard, nShards)
-		}
-		if b.After <= 0 || b.Down < 0 {
-			return fmt.Errorf("netrt: shard bounce needs After > 0 and Down >= 0 (got %v/%v)", b.After, b.Down)
-		}
 	}
 	if c.Faults != nil {
 		if err := c.Faults.validate(c.N); err != nil {
@@ -245,9 +225,6 @@ func (c *Config) validate() error {
 		if err := c.Mirrors.Validate(); err != nil {
 			return fmt.Errorf("netrt: %w", err)
 		}
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("netrt: negative Shards (%d)", c.Shards)
 	}
 	return nil
 }
@@ -308,6 +285,14 @@ func Run(cfg Config) (*sim.Result, error) {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
+	if cfg.CheckpointDir == "" && slices.ContainsFunc(cfg.Churn, func(cp sim.ChurnPeer) bool { return cp.Downtime >= 0 }) {
+		dir, err := os.MkdirTemp("", "netrt-ckpt")
+		if err != nil {
+			return nil, fmt.Errorf("netrt: checkpoint dir: %w", err)
+		}
+		defer os.RemoveAll(dir)
+		cfg.CheckpointDir = dir
+	}
 	simCfg := sim.Config{N: cfg.N, T: cfg.T, L: cfg.L, MsgBits: cfg.MsgBits,
 		Seed: cfg.Seed, Input: cfg.Input}
 	input := simCfg.ResolveInput()
@@ -351,7 +336,7 @@ func Run(cfg Config) (*sim.Result, error) {
 		clients.Add(1)
 		go func() {
 			defer clients.Done()
-			if err := runClient(&cfg, id, newPeer, h.addrFor(id), q, &stats[id], h.met, ev, start, h.stop); err != nil {
+			if err := runClient(&cfg, id, newPeer, h.addr, q, &stats[id], h.met, ev, start, h.stop); err != nil {
 				errs <- fmt.Errorf("peer %d: %w", id, err)
 			}
 		}()

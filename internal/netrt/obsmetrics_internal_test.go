@@ -34,7 +34,7 @@ func TestNetMetricsDisabledAllocFree(t *testing.T) {
 		m.planDupe(2)
 		m.backoffObserve(5 * time.Millisecond)
 		ev.peer("query", 1, "", 128)
-		ev.msg("send", 1, 2, msg)
+		ev.msg("send", 1, 2, msg, "*crash1.WhoIsMissing", msg.SizeBits())
 		ev.emit(sim.ObservedEvent{Kind: "phase", Peer: 1, Other: -1, Name: "download"})
 	})
 	if allocs != 0 {
@@ -56,7 +56,7 @@ func TestNetMetricsTimelineOnly(t *testing.T) {
 	}
 	ev.peer("reconnect", 2, "", 0)
 	ev.peer("query", 1, "", 32)
-	ev.msg("send", 1, 2, &crash1.WhoIsMissing{})
+	ev.msg("send", 1, 2, &crash1.WhoIsMissing{}, "*crash1.WhoIsMissing", 0)
 	ev.emit(sim.ObservedEvent{Kind: "phase", Peer: 0, Other: -1, Name: "x"})
 	got := cfg.Timeline.Events()
 	if len(got) != 2 || got[0].Kind != "reconnect" || got[1].Kind != "phase" || got[1].Name != "x" {

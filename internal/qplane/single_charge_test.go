@@ -34,8 +34,8 @@ func runtimeFiles(t *testing.T, visit func(dir string, fset *token.FileSet, f *a
 			t.Fatal(err)
 		}
 	}
-	// des 2 (des, heap), dst 7, netrt 11.
-	if files < 20 {
+	// des 2 (des, heap), dst 7, netrt 10.
+	if files < 19 {
 		t.Fatalf("scanned only %d files: the runtime packages moved, update this guard", files)
 	}
 }

@@ -139,9 +139,6 @@ type Result struct {
 	// counters over all peers (netrt runtime; zero elsewhere).
 	CheckpointSaves    int
 	CheckpointRestores int
-	// ShardRestarts counts hub listener shards that were killed and came
-	// back mid-run (netrt runtime; zero elsewhere).
-	ShardRestarts int
 	// Mirror-tier aggregates over honest peers (runtimes executing a
 	// source.MirrorPlan; zero elsewhere).
 	MirrorHits      int

@@ -3,7 +3,7 @@
 // instead of a flaky socket log. The bridge carries every plane the des
 // engine models — crash-from-start peers, churn, the source fault plan
 // (in step units), the mirror fleet — and drops the socket-only network
-// plane (drops, flaps, partitions, shard bounces), which the replay's
+// plane (drops, flaps, partitions, listener outages), which the replay's
 // Note records.
 package storm
 
@@ -31,7 +31,7 @@ func marshalFinding(f *Finding) ([]byte, error) {
 // (see TestStormReplayPinned): chosen so the naive composition draws
 // every plane at once — rejoining churn, a source outage with transient
 // failures, a Byzantine-majority mirror fleet, network chaos, and a
-// sharded hub. The .dsr recorded from its des bridge is pinned
+// listener outage. The .dsr recorded from its des bridge is pinned
 // byte-for-byte in internal/dst/testdata/replays.
 const (
 	PinnedStormSeed    int64 = 3

@@ -6,8 +6,8 @@
 // mirror tier injects forged proofs, and the churn suites crash and
 // rejoin peers. A storm layers all of them onto a single socket-runtime
 // execution — seeded network chaos × a flaky source × a
-// Byzantine-majority mirror fleet × crash-recovery churn × a hub shard
-// bounce — because real deployments compose failures, and the paper's
+// Byzantine-majority mirror fleet × crash-recovery churn × a hub listener
+// outage — because real deployments compose failures, and the paper's
 // guarantees must survive the composition, not just each summand.
 //
 // Everything is a pure function of one storm seed: Generate derives the
@@ -32,7 +32,6 @@ package storm
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"time"
 
 	"repro/download"
@@ -73,11 +72,13 @@ type NetPlan struct {
 	DelayMs   int     `json:"delay_ms"`
 	Flaps     int     `json:"flaps"`
 	Partition bool    `json:"partition,omitempty"`
+	// Outage, when set, takes the hub's listener down once mid-run.
+	Outage *Outage `json:"outage,omitempty"`
 }
 
-// Bounce schedules one hub listener-shard kill/restart during the storm.
-type Bounce struct {
-	Shard   int `json:"shard"`
+// Outage is one hub listener outage: AfterMs into the run the listener
+// closes and every connection is severed, and DownMs later it is back.
+type Outage struct {
 	AfterMs int `json:"after_ms"`
 	DownMs  int `json:"down_ms"`
 }
@@ -109,10 +110,6 @@ type Spec struct {
 	Mirrors string `json:"mirrors,omitempty"`
 	// Net is the socket-only network chaos plane.
 	Net NetPlan `json:"net"`
-	// Shards and Bounce shape the hub: with Shards > 1 the storm may
-	// kill and restart one listener shard mid-run.
-	Shards int     `json:"shards"`
-	Bounce *Bounce `json:"bounce,omitempty"`
 }
 
 // Rejoins returns the number of churn peers expected to rejoin.
@@ -206,14 +203,13 @@ func Generate(proto download.Protocol, n, t, l, b int, stormSeed int64) Spec {
 		spec.Net.Partition = true
 	}
 
-	// Hub plane: maybe shard the listener and bounce one shard mid-run.
-	spec.Shards = 1 + rng.Intn(2)
-	if spec.Shards > 1 && rng.Float64() < 0.5 {
-		spec.Bounce = &Bounce{
-			Shard:   rng.Intn(spec.Shards),
-			AfterMs: 30 + rng.Intn(50),
-			DownMs:  100 + rng.Intn(150),
-		}
+	// Listener outage: maybe take the hub's listener down once. The draws
+	// are those of the sharded hub it replaced — a shard count, and for a
+	// bounce the index of the bounced shard, both dropped — so every seed
+	// still composes the same other planes.
+	if shards := 1 + rng.Intn(2); shards > 1 && rng.Float64() < 0.5 {
+		_ = rng.Intn(shards)
+		spec.Net.Outage = &Outage{AfterMs: 30 + rng.Intn(50), DownMs: 100 + rng.Intn(150)}
 	}
 	return spec
 }
@@ -222,17 +218,14 @@ func Generate(proto download.Protocol, n, t, l, b int, stormSeed int64) Spec {
 type RunOptions struct {
 	// Timeout bounds the socket run (default 30s).
 	Timeout time.Duration
-	// CheckpointDir overrides the temp dir used for durable checkpoints
-	// when the storm has rejoining churn.
-	CheckpointDir string
 	// Metrics/Timeline optionally observe the run (drstorm -obs).
 	Metrics  *obs.Registry
 	Timeline *obs.Timeline
 }
 
 // Run executes the storm on the real-socket runtime. It builds the full
-// netrt configuration — fault plan, source plan, mirror fleet, churn
-// schedule, shard bounce — and returns the runtime's result. The error
+// netrt configuration — fault plan with its listener outage, source plan,
+// mirror fleet, churn schedule — and returns the runtime's result. The error
 // return carries config or termination failures (e.g. *netrt.TimeoutError
 // with honest peers still running); invariant checking is Check's job so
 // a caller can hold a partially failed run to the full list.
@@ -273,6 +266,12 @@ func Run(spec Spec, opts RunOptions) (*sim.Result, error) {
 			Heal:  400 * time.Millisecond,
 		}}
 	}
+	if o := spec.Net.Outage; o != nil {
+		plan.Outages = []netrt.Outage{{
+			At:   time.Duration(o.AfterMs) * time.Millisecond,
+			Down: time.Duration(o.DownMs) * time.Millisecond,
+		}}
+	}
 
 	var absent []sim.PeerID
 	for _, p := range spec.Absent {
@@ -284,23 +283,6 @@ func Run(spec Spec, opts RunOptions) (*sim.Result, error) {
 			Peer: sim.PeerID(c.Peer), CrashAfter: c.CrashAfter, Downtime: c.Downtime,
 		})
 	}
-	ckptDir := opts.CheckpointDir
-	if ckptDir == "" && spec.Rejoins() > 0 {
-		dir, err := os.MkdirTemp("", "drstorm-ckpt")
-		if err != nil {
-			return nil, fmt.Errorf("storm: checkpoint dir: %w", err)
-		}
-		defer os.RemoveAll(dir)
-		ckptDir = dir
-	}
-	var bounces []netrt.ShardBounce
-	if spec.Bounce != nil {
-		bounces = []netrt.ShardBounce{{
-			Shard: spec.Bounce.Shard,
-			After: time.Duration(spec.Bounce.AfterMs) * time.Millisecond,
-			Down:  time.Duration(spec.Bounce.DownMs) * time.Millisecond,
-		}}
-	}
 
 	timeout := opts.Timeout
 	if timeout <= 0 {
@@ -308,17 +290,14 @@ func Run(spec Spec, opts RunOptions) (*sim.Result, error) {
 	}
 	return netrt.Run(netrt.Config{
 		N: spec.N, T: spec.T, L: spec.L, MsgBits: spec.MsgBits,
-		Seed:          spec.Seed,
-		NewPeer:       factory,
-		Absent:        absent,
-		Churn:         churn,
-		CheckpointDir: ckptDir,
-		ShardBounces:  bounces,
-		Shards:        spec.Shards,
-		Faults:        plan,
-		SourceFaults:  srcPlan,
-		Mirrors:       mirPlan,
-		Timeout:       timeout,
+		Seed:         spec.Seed,
+		NewPeer:      factory,
+		Absent:       absent,
+		Churn:        churn,
+		Faults:       plan,
+		SourceFaults: srcPlan,
+		Mirrors:      mirPlan,
+		Timeout:      timeout,
 		Resilience: netrt.Resilience{
 			QueryTimeout: 250 * time.Millisecond,
 			RTO:          60 * time.Millisecond,
@@ -408,7 +387,7 @@ func Check(spec Spec, res *sim.Result, runErr error) []Violation {
 // their results.
 type Tally struct {
 	Runs, Survived                                               int
-	Rejoins, CheckpointSaves, CheckpointRestores, ShardRestarts  int
+	Rejoins, CheckpointSaves, CheckpointRestores                 int
 	QueryRetries, Reconnects                                     int
 	SourceFailures, SourceRetries, BreakerOpens, DeferredQueries int
 	MirrorHits, ProofFailures, FallbackQueries                   int
@@ -430,7 +409,6 @@ func (t *Tally) Add(res *sim.Result, vs []Violation) {
 	t.Rejoins += res.Rejoins
 	t.CheckpointSaves += res.CheckpointSaves
 	t.CheckpointRestores += res.CheckpointRestores
-	t.ShardRestarts += res.ShardRestarts
 	t.QueryRetries += res.QueryRetries
 	t.Reconnects += res.Reconnects
 	t.SourceFailures += res.SourceFailures

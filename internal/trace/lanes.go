@@ -8,9 +8,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Timeline renders per-peer event lanes over bucketed time — a compact
-// visual of an execution's shape: when each peer was active, when it
-// queried, crashed, or terminated.
+// Lanes renders per-peer event lanes over bucketed time — a compact
+// visual of an execution's shape (drtrace -timeline): when each peer was
+// active, when it queried, crashed, or terminated.
 //
 //	0 |S=q*===*=========T     |
 //	1 |S=q*==*===X           |
@@ -19,7 +19,7 @@ import (
 // s send burst, X crash, T terminate, = idle within an active span.
 // When several event kinds land in one bucket the most significant one
 // (X > T > S > q > r > * > s) is shown.
-func Timeline(events []sim.ObservedEvent, width int) string {
+func Lanes(events []sim.ObservedEvent, width int) string {
 	if len(events) == 0 {
 		return "(empty trace)\n"
 	}

@@ -137,10 +137,11 @@ func TestMessageTypeHistogram(t *testing.T) {
 	}
 }
 
+// TestTimeline pins drtrace -timeline's rendering, trace.Lanes.
 func TestTimeline(t *testing.T) {
 	mem := &trace.Memory{}
 	runWithObserver(t, mem, crashk.New, 6, 2, 512)
-	out := trace.Timeline(mem.Events, 60)
+	out := trace.Lanes(mem.Events, 60)
 	for _, want := range []string{"legend:", "T", "S"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("timeline missing %q:\n%s", want, out)
@@ -150,7 +151,7 @@ func TestTimeline(t *testing.T) {
 	if lines := strings.Count(out, "\n"); lines != 6+2 {
 		t.Errorf("timeline has %d lines:\n%s", lines, out)
 	}
-	if got := trace.Timeline(nil, 40); !strings.Contains(got, "empty") {
+	if got := trace.Lanes(nil, 40); !strings.Contains(got, "empty") {
 		t.Errorf("empty timeline = %q", got)
 	}
 }
