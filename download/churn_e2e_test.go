@@ -105,4 +105,22 @@ func TestUnsupportedErrorTyped(t *testing.T) {
 			}
 		})
 	}
+	// A closed gap stays closed: a rejoining tcp churn peer with no
+	// CheckpointDir checkpoints to a temporary dir instead of being refused.
+	t.Run("tcp churn rejoin without checkpoint dir", func(t *testing.T) {
+		rep, err := download.Run(download.Options{
+			Protocol: download.Naive, N: 4, T: 1, L: 64, TCP: true,
+			Churn: []download.ChurnPeer{{Peer: 0, CrashAfter: 1, Downtime: 1}},
+		})
+		var ue *download.UnsupportedError
+		if errors.As(err, &ue) {
+			t.Fatalf("err = %v, want the run to be supported", ue)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Correct || rep.Rejoins != 1 {
+			t.Errorf("Correct = %v, Rejoins = %d, want a correct run with 1 rejoin", rep.Correct, rep.Rejoins)
+		}
+	})
 }

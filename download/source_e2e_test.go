@@ -56,7 +56,8 @@ func TestE2ESourceChaosByzantineMajority(t *testing.T) {
 	}
 }
 
-// TestSourceFaultOptionValidation pins the option-level rejections.
+// TestSourceFaultOptionValidation pins the option-level rejections, and
+// that a tcp churn rejoin with no CheckpointDir is no longer one of them.
 func TestSourceFaultOptionValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -89,6 +90,23 @@ func TestSourceFaultOptionValidation(t *testing.T) {
 			}
 		})
 	}
+	// A rejoining churn peer on tcp needs a checkpoint dir, but the options
+	// need not name one: with none given the run checkpoints to a
+	// temporary dir of its own, so validation lets the options through.
+	t.Run("churn rejoin on tcp needs checkpoint dir", func(t *testing.T) {
+		rep, err := download.Run(download.Options{
+			Protocol: download.Naive, N: 4, T: 1, L: 64,
+			TCP:   true,
+			Churn: []download.ChurnPeer{{Peer: 1, CrashAfter: 2, Downtime: 1}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Correct || rep.CheckpointRestores != 1 {
+			t.Errorf("Correct = %v, CheckpointRestores = %d, want a correct run with 1 restore",
+				rep.Correct, rep.CheckpointRestores)
+		}
+	})
 }
 
 // TestSourceFaultsOverTCPViaOptions drives the TCP runtime through the
