@@ -107,23 +107,30 @@ conformance:
 
 # Tier-2 robustness gate: the chaos suites and the Byzantine-over-sockets
 # suites (netrt's TestTCPByzantine*, the corpus's TestCorpusByzantine)
-# under the race detector, then a quick drchaos survival sweep over real
-# sockets.
+# under the race detector, the drstorm and drshrink exit-code
+# regressions, then a quick drstorm chaos grid over real sockets:
+# protocol × drop rate × flap count, two seeds a cell, each run held to
+# storm.Check's invariants; a breached cell exits 3 and leaves its spec
+# JSON and .dsr replay in storm-findings/.
 chaos:
 	$(GO) test -race -count=1 -timeout $(TIMEOUT) -run 'TestChaos|TestTCPByzantine|TestCorpusByzantine' ./...
-	$(GO) run ./cmd/drchaos -seeds 2
+	$(GO) test -count=1 -timeout $(TIMEOUT) ./cmd/drstorm/ ./cmd/drshrink/
+	$(GO) run ./cmd/drstorm -protocols naive,crashk,committee -drops 0,0.1,0.2 -flaps 0,2 -storms 2
 
 # Flaky-source robustness gate (see docs/RUNTIMES.md "Source faults"):
 #  1. the source package suite plus every source/churn test across the
 #     runtimes (des, netrt, dst replay corpus, download e2e);
 #  2. the conformance matrix with the flaky-source column — every
 #     protocol × behavior cell re-run against a seeded faulty source;
-#  3. a drchaos sweep layering source faults on network chaos.
+#  3. the drstorm and drshrink exit-code regressions, then a drstorm chaos
+#     grid layering source faults on network chaos.
 source-chaos:
 	$(GO) test -count=1 -timeout $(TIMEOUT) ./internal/source/ ./internal/dst/
 	$(GO) test -count=1 -timeout $(TIMEOUT) -run 'TestSource|TestChurn|TestE2ESourceChaos|TestPinned' ./internal/des/ ./internal/netrt/ ./download/
 	$(GO) run ./cmd/drconform -n 12 -L 1024 -seeds 2 -flaky-source
-	$(GO) run ./cmd/drchaos -seeds 2 -drops 0,0.1 -flaps 0 -source-faults "fail=0.2,timeout=0.1,seed=3"
+	$(GO) test -count=1 -timeout $(TIMEOUT) ./cmd/drstorm/ ./cmd/drshrink/
+	$(GO) run ./cmd/drstorm -protocols naive,crashk,committee -drops 0,0.1 -flaps 0 -storms 2 \
+		-source-faults "fail=0.2,timeout=0.1,seed=3"
 
 # Merkle-mirror gate (see docs/MODEL.md "The mirror tier" +
 # docs/SPEC.md frames): the commitment scheme's property and forgery

@@ -1,11 +1,13 @@
 // Command drshrink is the CLI surface of the deterministic-simulation
-// test harness (internal/dst): record executions as replay files, replay
+// test harness (internal/dst): record executions as replay files, explore
+// every schedule of a small configuration up to a decision depth, replay
 // and verify them, shrink failures to minimal counterexamples, and run
 // the Byzantine strategy search.
 //
 // Subcommands:
 //
 //	drshrink record  -protocol crash1 -n 4 -t 1 -L 64 -seed 7 -sched 3 -o run.dsr
+//	drshrink explore -protocol crash1 -n 3 -L 12 -crash 0:6 -depth 6 -o bad.dsr
 //	drshrink replay  run.dsr                 # re-execute, print the outcome
 //	drshrink verify  run.dsr [more.dsr ...]  # check expectation + event hash
 //	drshrink shrink  run.dsr -o min.dsr      # delta-debug to a minimal failure
@@ -36,7 +38,7 @@ func main() {
 }
 
 func usage() int {
-	fmt.Fprintln(os.Stderr, "usage: drshrink <record|replay|verify|shrink|search|trace|list> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: drshrink <record|explore|replay|verify|shrink|search|trace|list> [flags]")
 	return 2
 }
 
@@ -47,6 +49,8 @@ func run(args []string) int {
 	switch args[0] {
 	case "record":
 		return cmdRecord(args[1:])
+	case "explore":
+		return cmdExplore(args[1:])
 	case "replay":
 		return cmdReplay(args[1:])
 	case "verify":
@@ -102,10 +106,7 @@ func cmdRecord(args []string) int {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
 	proto, n, t, l, b, seed := modelFlags(fs)
 	sched := fs.Int64("sched", 1, "schedule seed for the recorded random schedule")
-	crash := fs.String("crash", "", "crash spec `peer:point[,peer:point...]` (fault model: crash)")
-	program := fs.String("byz", "", "Byzantine strategy program, e.g. `lie,equivocate` (fault model: byzantine)")
-	byzSeed := fs.Int64("byzseed", 1, "strategy coin seed (with -byz)")
-	faulty := fs.String("faulty", "", "comma-separated faulty peer ids (default 0..t-1 when a fault model is set)")
+	faults := faultFlags(fs)
 	out := fs.String("o", "", "output replay file (default: stdout)")
 	fs.Parse(args)
 
@@ -113,7 +114,7 @@ func cmdRecord(args []string) int {
 		Version: dst.Version, Protocol: *proto,
 		N: *n, T: *t, L: *l, MsgBits: *b, Seed: *seed,
 	}
-	if err := applyFaults(r, *crash, *program, *byzSeed, *faulty); err != nil {
+	if err := faults(r); err != nil {
 		return fail(err)
 	}
 	rec, o, err := dst.Record(r, *sched)
@@ -127,6 +128,48 @@ func cmdRecord(args []string) int {
 	}
 	printOutcome(rec.Protocol, o)
 	return writeReplay(rec, *out)
+}
+
+// cmdExplore enumerates every schedule of one configuration up to a
+// decision depth (dst.Explore). Exit codes: 0 every schedule clean, 1 a
+// schedule failed or deadlocked (its witness goes to -o), 2 usage.
+func cmdExplore(args []string) int {
+	fs := flag.NewFlagSet("explore", flag.ContinueOnError)
+	proto, n, t, l, b, seed := modelFlags(fs)
+	faults := faultFlags(fs)
+	depth := fs.Int("depth", 6, "explored decision depth (the tree is exponential in it)")
+	budget := fs.Int("budget", 500000, "max executions")
+	out := fs.String("o", "", "write the first failing schedule here as a replay")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	r := &dst.Replay{
+		Version: dst.Version, Protocol: *proto,
+		N: *n, T: *t, L: *l, MsgBits: *b, Seed: *seed,
+	}
+	if err := faults(r); err != nil {
+		fmt.Fprintf(os.Stderr, "drshrink: %v\n", err)
+		return 2
+	}
+	rep, err := dst.Explore(r, *depth, *budget)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "drshrink: %v\n", err)
+		return 2
+	}
+	var crash []string
+	for _, cp := range r.CrashPoints {
+		crash = append(crash, fmt.Sprintf("%d:%d", cp.Peer, cp.Point))
+	}
+	fmt.Printf("%s n=%d t=%d L=%d depth=%d crash=%s\n", r.Protocol, r.N, r.T, r.L, *depth, strings.Join(crash, ","))
+	fmt.Println(rep)
+	if rep.Ok() {
+		return 0
+	}
+	fmt.Printf("first failing schedule: %v (expect %s)\n", rep.Witness.Choices, rep.Witness.Expect)
+	if *out != "" {
+		writeReplay(rep.Witness, *out)
+	}
+	return 1
 }
 
 func cmdReplay(args []string) int {
@@ -330,6 +373,16 @@ func cmdSearch(args []string) int {
 		return 1
 	}
 	return 0
+}
+
+// faultFlags registers the fault-pattern flags on fs; the returned func
+// applies them to a replay.
+func faultFlags(fs *flag.FlagSet) func(*dst.Replay) error {
+	crash := fs.String("crash", "", "crash spec `peer:point[,peer:point...]` (fault model: crash)")
+	program := fs.String("byz", "", "Byzantine strategy program, e.g. `lie,equivocate` (fault model: byzantine)")
+	byzSeed := fs.Int64("byzseed", 1, "strategy coin seed (with -byz)")
+	faulty := fs.String("faulty", "", "comma-separated faulty peer ids (default 0..t-1 when a fault model is set)")
+	return func(r *dst.Replay) error { return applyFaults(r, *crash, *program, *byzSeed, *faulty) }
 }
 
 func applyFaults(r *dst.Replay, crash, program string, byzSeed int64, faulty string) error {

@@ -58,3 +58,43 @@ func TestUsageErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestExitCodeCleanExploration pins explore's passing path on the README
+// example: every schedule of the tree is clean, exit 0.
+func TestExitCodeCleanExploration(t *testing.T) {
+	args := []string{"explore", "-protocol", "crash1", "-n", "3", "-L", "12", "-crash", "0:6", "-depth", "6"}
+	if code := run(args); code != 0 {
+		t.Fatalf("clean exploration exited %d, want 0", code)
+	}
+}
+
+// TestExploreWitnessVerifies pins explore's failing path: the planted
+// Algorithm 1 deadlock (crash1-legacy) exits 1, and the witness it writes
+// with -o passes `drshrink verify` — expectation and event hash.
+func TestExploreWitnessVerifies(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "witness.dsr")
+	args := []string{"explore", "-protocol", "crash1-legacy", "-n", "3", "-t", "1", "-L", "1",
+		"-seed", "7", "-crash", "0:4", "-depth", "4", "-o", out}
+	if code := run(args); code != 1 {
+		t.Fatalf("exploration of a planted deadlock exited %d, want 1", code)
+	}
+	if code := run([]string{"verify", out}); code != 0 {
+		t.Fatalf("verify of the explore witness exited %d, want 0", code)
+	}
+}
+
+// TestExitCodeBadFlags pins explore's usage path: malformed input exits 2
+// before anything runs.
+func TestExitCodeBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"explore", "-crash", "0"},
+		{"explore", "-crash", "0:x"},
+		{"explore", "-protocol", "bogus"},
+		{"explore", "-depth", "0"},
+		{"explore", "-no-such-flag"},
+	} {
+		if code := run(args); code != 2 {
+			t.Errorf("run(%q) exited %d, want 2", args, code)
+		}
+	}
+}

@@ -88,3 +88,85 @@ func TestExitCodeInterrupt(t *testing.T) {
 		t.Fatalf("matrix header missing from flush:\n%s", out.String())
 	}
 }
+
+// TestGridExitCodeCleanSoak pins grid mode's passing path on a tiny
+// sweep: exit 0, a survival matrix with one pass/seeds entry per cell,
+// and an OK summary.
+func TestGridExitCodeCleanSoak(t *testing.T) {
+	var out strings.Builder
+	code := run([]string{"-protocols", "naive", "-n", "4", "-L", "128",
+		"-drops", "0", "-flaps", "0,2", "-storms", "1"}, &out, nil)
+	if code != 0 {
+		t.Fatalf("clean grid exited %d:\n%s", code, out.String())
+	}
+	for _, want := range []string{"survival matrix", "d=0.00/f=0   d=0.00/f=2", "1/1          1/1", "OK: all storms survived"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("no %q in the summary:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestGridExitCodeBreachGate pins that a grid cell is judged by
+// storm.Check like a storm: with an impossible envelope for naive a
+// correct run breaches, the sweep exits 3, and each breached cell leaves
+// its own spec JSON and .dsr.
+func TestGridExitCodeBreachGate(t *testing.T) {
+	saved := conformance.Envelopes[download.Naive]
+	conformance.Envelopes[download.Naive] = conformance.Envelope{
+		MaxQ: func(n, tb, L, b int) int { return 0 },
+	}
+	defer func() { conformance.Envelopes[download.Naive] = saved }()
+
+	dir := t.TempDir()
+	var out strings.Builder
+	code := run([]string{"-protocols", "naive", "-n", "4", "-L", "128",
+		"-drops", "0,0.1", "-flaps", "0", "-storms", "1", "-out", dir, "-shrink=false"}, &out, nil)
+	if code != 3 {
+		t.Fatalf("breached grid exited %d, want 3:\n%s", code, out.String())
+	}
+	if !strings.Contains(out.String(), "envelope") {
+		t.Fatalf("breach not reported:\n%s", out.String())
+	}
+	for _, f := range []string{
+		"storm-naive-d0.00-f0-seed1.json", "storm-naive-d0.00-f0-seed1.dsr",
+		"storm-naive-d0.10-f0-seed1.json", "storm-naive-d0.10-f0-seed1.dsr",
+	} {
+		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
+			t.Errorf("missing artifact %s: %v", f, err)
+		}
+	}
+}
+
+// TestGridExitCodeInterrupt pins the signal contract in grid mode: the
+// partial survival matrix is flushed and the sweep exits 130.
+func TestGridExitCodeInterrupt(t *testing.T) {
+	interrupt := make(chan struct{})
+	close(interrupt) // fires before the first run
+	var out strings.Builder
+	code := run([]string{"-protocols", "naive,crashk", "-n", "4", "-L", "128",
+		"-drops", "0,0.1", "-flaps", "0", "-storms", "3"}, &out, interrupt)
+	if code != 130 {
+		t.Fatalf("interrupted grid exited %d, want 130:\n%s", code, out.String())
+	}
+	for _, want := range []string{"INTERRUPTED: partial matrix flushed", "survival matrix"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("no %q in the flush:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestGridExitCodeBadFlags pins grid usage errors to exit 2, distinct
+// from the breach gate's 3.
+func TestGridExitCodeBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-drops", "abc"},
+		{"-flaps", "0,x"},
+		{"-source-faults", "fail=lots"},
+		{"-drops", "0", "-budget", "1m"},
+	} {
+		var out strings.Builder
+		if code := run(args, &out, nil); code != 2 {
+			t.Errorf("%v exited %d, want 2:\n%s", args, code, out.String())
+		}
+	}
+}

@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// ParseChurn parses the churn schedule grammar shared by the CLI flags
-// (drchaos -churn) and the conformance fixtures: comma-separated
+// ParseChurn parses the churn schedule grammar of the conformance
+// fixtures (conformance.Case.Churn): comma-separated
 // "peer:crashAfter:downtime" triples, e.g. "0:4:2,3:7:-1". Peer and
 // crashAfter are non-negative integers; downtime is a float in runtime
 // time units (virtual on des, seconds on TCP), and a negative value

@@ -11,7 +11,7 @@
 // dst makes every execution a first-class, serializable artifact:
 //
 //   - Record: any choice-driven run — random schedule search, the
-//     Byzantine strategy search, or a promoted explore/fuzz finding — is
+//     Byzantine strategy search, or an Explore/fuzz witness — is
 //     captured as a versioned replay file (*.dsr) holding the input seed,
 //     the fault pattern (crash points or a Byzantine strategy program and
 //     its coin seed), and every scheduling decision taken.
@@ -32,9 +32,9 @@
 // debugging minimizes well: a minimal counterexample is a short list of
 // small integers, not a float schedule. Scheduling choices beyond the
 // recorded list default to FIFO (choice 0), so truncating a replay is
-// always meaningful. Package explore enumerates small delivery-order
-// trees the same way: RunPrefix runs one schedule from a choice prefix
-// and reports the fan-outs the enumerator's odometer needs.
+// always meaningful. Explore, the exhaustive mode, enumerates small
+// delivery-order trees the same way: every choice prefix up to a depth,
+// each as one run of the replay's configuration.
 package dst
 
 import (

@@ -288,21 +288,11 @@ func (m crashMap) CrashPoint(p sim.PeerID) int {
 	return -1
 }
 
-// lower is the one place dst builds a sim.Spec: Replay.spec feeds it from
-// a file, RunPrefix from a Cell. A replay may list more faulty peers than
-// t (the shrinker lowers T, the search adds churn on top of its t faulty),
-// which sim.Spec admits only when told so.
-func lower(cfg sim.Config, newPeer func(sim.PeerID) sim.Peer, faults sim.FaultSpec) *sim.Spec {
-	if faults.Model == 0 {
-		faults.Model = sim.FaultNone
-	}
-	faults.AllowExcess = len(faults.Faulty)+len(faults.Churn) > cfg.T
-	return &sim.Spec{Config: cfg, NewPeer: newPeer, Faults: faults}
-}
-
-// spec lowers the replay to the sim.Spec it describes. A churn peer's
-// rejoin is an event the chooser places, so its Downtime only says whether
-// there is one.
+// spec is the one place dst builds a sim.Spec: it lowers the replay to
+// the spec it describes. A churn peer's rejoin is an event the chooser
+// places, so its Downtime only says whether there is one. A replay may
+// list more faulty peers than t (the shrinker lowers T, the search adds
+// churn on top of its t faulty), which sim.Spec admits only when told so.
 func (r *Replay) spec() (*sim.Spec, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
@@ -319,7 +309,7 @@ func (r *Replay) spec() (*sim.Spec, error) {
 	if err != nil {
 		return nil, err
 	}
-	var faults sim.FaultSpec
+	faults := sim.FaultSpec{Model: sim.FaultNone}
 	for _, p := range r.Faulty {
 		faults.Faulty = append(faults.Faulty, sim.PeerID(p))
 	}
@@ -342,9 +332,14 @@ func (r *Replay) spec() (*sim.Spec, error) {
 			Peer: sim.PeerID(cp.Peer), CrashAfter: cp.Point, Downtime: down,
 		})
 	}
-	spec := lower(sim.Config{N: r.N, T: r.T, L: r.L, MsgBits: r.MsgBits, Seed: r.Seed}, proto.New, faults)
-	spec.SourceFaults, spec.Mirrors = plan, mplan
-	return spec, nil
+	faults.AllowExcess = len(faults.Faulty)+len(faults.Churn) > r.T
+	return &sim.Spec{
+		Config:       sim.Config{N: r.N, T: r.T, L: r.L, MsgBits: r.MsgBits, Seed: r.Seed},
+		NewPeer:      proto.New,
+		Faults:       faults,
+		SourceFaults: plan,
+		Mirrors:      mplan,
+	}, nil
 }
 
 // Run replays the recorded schedule and returns the outcome. It is the

@@ -4,11 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/explore"
-	"repro/internal/protocols/crash1"
-	"repro/internal/protocols/crashk"
-	"repro/internal/protocols/naive"
-	"repro/internal/sim"
+	"repro/internal/dst"
 )
 
 // a7Exhaustive reports the bounded-exhaustive verification results: for
@@ -33,39 +29,37 @@ func a7Exhaustive(cfg Config) (*Table, error) {
 		budget = 50000
 	}
 	type row struct {
-		name    string
-		factory func(sim.PeerID) sim.Peer
-		n, tf   int
-		crash   map[sim.PeerID]int
+		name  string
+		n, tf int
+		crash []dst.CrashPoint
 	}
 	rows := []row{
-		{"naive", naive.New, 3, 0, nil},
-		{"crash1", crash1.New, 3, 1, map[sim.PeerID]int{0: 0}},
-		{"crash1", crash1.New, 3, 1, map[sim.PeerID]int{0: 4}},
-		{"crash1", crash1.New, 3, 1, map[sim.PeerID]int{0: 8}},
-		{"crashk", crashk.New, 3, 1, map[sim.PeerID]int{0: 5}},
-		{"crashk", crashk.New, 4, 2, map[sim.PeerID]int{0: 3, 2: 9}},
+		{"naive", 3, 0, nil},
+		{"crash1", 3, 1, []dst.CrashPoint{{Peer: 0, Point: 0}}},
+		{"crash1", 3, 1, []dst.CrashPoint{{Peer: 0, Point: 4}}},
+		{"crash1", 3, 1, []dst.CrashPoint{{Peer: 0, Point: 8}}},
+		{"crashk", 3, 1, []dst.CrashPoint{{Peer: 0, Point: 5}}},
+		{"crashk", 4, 2, []dst.CrashPoint{{Peer: 0, Point: 3}, {Peer: 2, Point: 9}}},
 	}
 	for _, r := range rows {
-		rep, err := explore.Run(explore.Config{
-			N: r.n, T: r.tf, L: 12, Seed: cfg.Seed,
-			NewPeer:     r.factory,
-			CrashPoints: r.crash,
-			MaxChoices:  depth,
-			Budget:      budget,
-		})
+		replay := &dst.Replay{
+			Version: dst.Version, Protocol: r.name,
+			N: r.n, T: r.tf, L: 12, MsgBits: 64, Seed: cfg.Seed,
+		}
+		var points []string
+		for _, cp := range r.crash {
+			replay.Fault = dst.FaultCrash
+			replay.Faulty = append(replay.Faulty, cp.Peer)
+			replay.CrashPoints = append(replay.CrashPoints, cp)
+			points = append(points, fmt.Sprintf("p%d@%d", cp.Peer, cp.Point))
+		}
+		rep, err := dst.Explore(replay, depth, budget)
 		if err != nil {
 			return nil, err
 		}
 		coverage := "exhaustive"
 		if !rep.Exhaustive {
 			coverage = "budget-capped"
-		}
-		var points []string
-		for p := sim.PeerID(0); int(p) < r.n; p++ {
-			if at, ok := r.crash[p]; ok {
-				points = append(points, fmt.Sprintf("p%d@%d", p, at))
-			}
 		}
 		point := strings.Join(points, " ")
 		if point == "" {
@@ -74,7 +68,7 @@ func a7Exhaustive(cfg Config) (*Table, error) {
 		t.AddRow(r.name, itoa(r.n), point, itoa(depth),
 			itoa(rep.Executions), coverage, itoa(rep.Failures), itoa(rep.Deadlocks))
 		if !rep.Ok() {
-			return nil, fmt.Errorf("A7 %s: %v (witness %v)", r.name, rep, rep.FirstBad)
+			return nil, fmt.Errorf("A7 %s: %v (witness %v)", r.name, rep, rep.Witness.Choices)
 		}
 	}
 	return t, nil

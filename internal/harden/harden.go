@@ -107,17 +107,11 @@ type Policy struct {
 	// the mirror plan's effective granularity (source.DefaultLeafBits
 	// when no plan is set).
 	MerkleLeafBits int
-	// AuditSeed decorrelates audit index choices from the execution seed
-	// (it is mixed with the spec seed and attempt number).
-	AuditSeed int64
 	// AttemptDeadline, when positive, bounds each attempt in virtual time
 	// units via sim.Spec.Deadline. An expiry is a confirmed liveness
-	// violation.
+	// violation, and a peer that sits in one phase with no progress for
+	// longer is named by starvation attribution.
 	AttemptDeadline float64
-	// PhaseDeadline bounds how long a peer may sit in one phase with no
-	// progress before starvation attribution names it; 0 inherits
-	// AttemptDeadline.
-	PhaseDeadline float64
 	// MaxAttempts caps ladder descent; 0 means every rung may run.
 	MaxAttempts int
 	// DisableWarmStart runs every attempt cold (escalations re-query
@@ -225,11 +219,6 @@ func Run(cfg Config) (*Outcome, error) {
 	if maxAttempts <= 0 || maxAttempts > len(cfg.Rungs) {
 		maxAttempts = len(cfg.Rungs)
 	}
-	phaseDeadline := pol.PhaseDeadline
-	if phaseDeadline <= 0 {
-		phaseDeadline = pol.AttemptDeadline
-	}
-
 	base := cfg.Base
 	// Pin the input before the first attempt: attempt seeds vary (a
 	// re-run of a randomized protocol must not replay the exact unlucky
@@ -285,7 +274,7 @@ func Run(cfg Config) (*Outcome, error) {
 			}
 		}
 
-		col := NewCollector(n, phaseDeadline, base.Observer)
+		col := NewCollector(n, pol.AttemptDeadline, base.Observer)
 		spec.Observer = col
 
 		res, err := des.New().Run(&spec)
@@ -357,7 +346,7 @@ func Run(cfg Config) (*Outcome, error) {
 			aud = runMerkleAudit(res, srcTree, input, caches)
 			met.merkleAudits.With(rung.Name).Add(int64(aud.Peers))
 		} else {
-			aud = runAudit(res, input, auditK, pol.AuditSeed^spec.Config.Seed, caches)
+			aud = runAudit(res, input, auditK, spec.Config.Seed, caches)
 		}
 		att.AuditedPeers, att.AuditBits = aud.Peers, aud.Bits
 		out.AuditBits += aud.Bits

@@ -349,7 +349,7 @@ func (c *client) at(s float64) time.Time { return c.start.Add(time.Duration(s * 
 func (c *client) connect(initial bool) error {
 	for a := 0; a < c.res.ReconnectAttempts; a++ {
 		if a > 0 {
-			d := backoffDelay(c.nrng, a-1, c.res.ReconnectBase, c.res.ReconnectMax)
+			d := backoffDelay(c.nrng, a-1, c.res.ReconnectBase, reconnectMax)
 			c.met.backoffObserve(d)
 			select {
 			case <-time.After(d):

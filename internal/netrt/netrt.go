@@ -69,6 +69,9 @@ func dbg(format string, args ...any) {
 // never trip it.
 const defaultIdleTimeout = 5 * time.Second
 
+// reconnectMax caps the backoff between redial attempts.
+const reconnectMax = time.Second
+
 // Config describes one networked execution.
 type Config struct {
 	// N, T, L, MsgBits are the DR-model parameters.
@@ -387,10 +390,9 @@ type Resilience struct {
 	// source query before the attempt fails as a lost reply
 	// (source.KindTimeout) and the query plane rules on it. Default 500ms.
 	QueryTimeout time.Duration
-	// ReconnectBase/ReconnectMax shape the capped exponential backoff
-	// between redial attempts (±50% jitter). Defaults 25ms / 1s.
+	// ReconnectBase is the first delay of the exponential backoff between
+	// redial attempts (±50% jitter), capped at reconnectMax. Default 25ms.
 	ReconnectBase time.Duration
-	ReconnectMax  time.Duration
 	// ReconnectAttempts bounds consecutive failed redials before a
 	// client gives up. Default 12.
 	ReconnectAttempts int
@@ -406,9 +408,6 @@ func (r Resilience) withDefaults() Resilience {
 	}
 	if r.ReconnectBase <= 0 {
 		r.ReconnectBase = 25 * time.Millisecond
-	}
-	if r.ReconnectMax <= 0 {
-		r.ReconnectMax = time.Second
 	}
 	if r.ReconnectAttempts <= 0 {
 		r.ReconnectAttempts = 12

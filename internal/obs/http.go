@@ -12,7 +12,7 @@ import (
 // This file exposes a registry and timeline operationally: an http.Handler
 // bundling /metrics (Prometheus text), /snapshot.json, /timeline.jsonl,
 // /debug/vars (expvar), and /debug/pprof, and a Serve helper that binds
-// them to an address for the -obs flag of drsim/drchaos/drstorm.
+// them to an address for the -obs flag of drsim and drstorm.
 
 // Handler returns a mux serving the observability endpoints. Either
 // argument may be nil; the corresponding endpoints then serve empty

@@ -64,7 +64,7 @@ const labelSep = "\xff"
 
 // getFamily fetches or creates a family, enforcing schema consistency: a
 // name registered twice must agree on type and labels (re-registration
-// is how repeated runs share series, e.g. drchaos sweep cells).
+// is how repeated runs share series, e.g. the storms of a drstorm soak).
 func (r *Registry) getFamily(name, help, typ string, labels []string, buckets []float64) *family {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -200,8 +200,8 @@ func (p *FaultPlan) String() string {
 	return strings.Join(parts, ",")
 }
 
-// ParsePlan parses the drchaos-style plan grammar: comma-separated
-// key=value fields.
+// ParsePlan parses the -source-faults plan grammar of drsim, drconform,
+// drshrink and drstorm: comma-separated key=value fields.
 //
 //	fail=0.25          per-attempt transient failure probability
 //	timeout=0.1        per-attempt lost-reply probability

@@ -126,7 +126,7 @@ func (p *MirrorPlan) String() string {
 	return strings.Join(parts, ",")
 }
 
-// ParseMirrorPlan parses the drsim/drchaos-style mirror grammar:
+// ParseMirrorPlan parses the -mirrors grammar of drsim and drconform:
 // comma-separated key=value fields.
 //
 //	mirrors=5        fleet size (required for a non-empty plan)

@@ -96,7 +96,7 @@ func RecordFinding(spec Spec, violations []Violation, dir string, shrink bool, r
 		return nil, err
 	}
 	f := &Finding{Spec: spec, Violations: violations}
-	base := fmt.Sprintf("storm-%s-s%d", spec.Protocol, spec.StormSeed)
+	base := spec.Name()
 	if terr := (*netrt.TimeoutError)(nil); errors.As(runErr, &terr) {
 		f.Pending = terr.Pending
 		f.StacksFile = filepath.Join(dir, base+".stacks.txt")
@@ -122,14 +122,14 @@ func RecordFinding(spec Spec, violations []Violation, dir string, shrink bool, r
 				rec = shrunk
 			}
 		}
-		rec.Note = fmt.Sprintf("Shrunk des reproduction of storm seed %d on %s "+
-			"(socket-only network plane dropped): %v", spec.StormSeed, spec.Protocol, violations)
+		rec.Note = fmt.Sprintf("Shrunk des reproduction of %s "+
+			"(socket-only network plane dropped): %v", base, violations)
 	default:
 		rec.Expect = dst.ExpectCorrect
-		rec.Note = fmt.Sprintf("Storm seed %d on %s violated on the socket runtime (%v) "+
+		rec.Note = fmt.Sprintf("%s violated on the socket runtime (%v) "+
 			"but its des bridge passes: the failure is socket-only (network plane, "+
 			"resume handshake, or checkpoint store). Pinned as a correct-schedule control.",
-			spec.StormSeed, spec.Protocol, violations)
+			base, violations)
 	}
 	f.ReplayFile = filepath.Join(dir, base+".dsr")
 	if err := rec.Save(f.ReplayFile); err != nil {

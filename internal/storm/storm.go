@@ -2,7 +2,7 @@
 // seeded nemesis schedule and checks the model's invariants under it.
 //
 // The isolated robustness suites each exercise one adversary at a time:
-// drchaos injects network faults, the source tier injects outages, the
+// a chaos grid injects network faults, the source tier injects outages, the
 // mirror tier injects forged proofs, and the churn suites crash and
 // rejoin peers. A storm layers all of them onto a single socket-runtime
 // execution — seeded network chaos × a flaky source × a
@@ -214,6 +214,42 @@ func Generate(proto download.Protocol, n, t, l, b int, stormSeed int64) Spec {
 	return spec
 }
 
+// Grid builds the specs of a chaos sweep for one protocol: every (drop,
+// flaps) cell of network chaos at duplication 0.1, 2 ms jitter,
+// reordering 0.05 and — when n ≥ 4 — one healed partition, with no faulty
+// peer (T = 0), run under seeds 1..seeds. sourceFaults, when set, layers
+// a source fault plan on every run. Cells come drop-major, then by flaps,
+// then by seed.
+func Grid(proto download.Protocol, n, l, b int, drops []float64, flaps []int, seeds int, sourceFaults string) []Spec {
+	var specs []Spec
+	for _, d := range drops {
+		for _, f := range flaps {
+			for seed := 1; seed <= seeds; seed++ {
+				specs = append(specs, Spec{
+					Protocol: string(proto), N: n, L: l, MsgBits: b,
+					Seed:         int64(seed),
+					SourceFaults: sourceFaults,
+					Net: NetPlan{
+						Drop: d, Dup: 0.1, Reorder: 0.05, DelayMs: 2,
+						Flaps: f, Partition: n >= 4,
+					},
+				})
+			}
+		}
+	}
+	return specs
+}
+
+// Name is the base name of the spec's finding artifacts: a generated
+// storm is named by its storm seed, a grid cell, which has none, by its
+// drop rate, flap count and run seed.
+func (s *Spec) Name() string {
+	if s.StormSeed != 0 {
+		return fmt.Sprintf("storm-%s-s%d", s.Protocol, s.StormSeed)
+	}
+	return fmt.Sprintf("storm-%s-d%.2f-f%d-seed%d", s.Protocol, s.Net.Drop, s.Net.Flaps, s.Seed)
+}
+
 // RunOptions tunes storm execution.
 type RunOptions struct {
 	// Timeout bounds the socket run (default 30s).
@@ -382,9 +418,8 @@ func Check(spec Spec, res *sim.Result, runErr error) []Violation {
 	return vs
 }
 
-// Tally sums what a set of storm runs went through, as drchaos and
-// drstorm report it: how many survived, and the recovery counters of
-// their results.
+// Tally sums what a set of storm runs went through, as drstorm reports
+// it: how many survived, and the recovery counters of their results.
 type Tally struct {
 	Runs, Survived                                               int
 	Rejoins, CheckpointSaves, CheckpointRestores                 int
