@@ -300,11 +300,13 @@ type Report struct {
 	DeferredQueries int
 	DegradedTime    float64
 	Rejoins         int
-	// Crash-recovery accounting, nonzero only under Options.Churn:
-	// WarmHitBits counts query bits rejoined peers served from persisted
-	// state without re-charging Q; CheckpointSaves/CheckpointRestores
-	// count durable checkpoint writes and warm restores (TCP runtime,
-	// where recovery crosses a process restart).
+	// Warm-start and crash-recovery accounting: WarmHitBits counts query
+	// bits served from already-verified bits without charging Q — a
+	// rejoined churn peer's persisted bits, and in a hardened run the
+	// bits earlier rungs verified that the final rung was served;
+	// CheckpointSaves/CheckpointRestores count durable checkpoint writes
+	// and warm restores (TCP runtime, where recovery crosses a process
+	// restart).
 	WarmHitBits        int
 	CheckpointSaves    int
 	CheckpointRestores int

@@ -18,7 +18,8 @@ type HardenedAttempt struct {
 	// AuditedPeers and AuditBits summarize the rung's source audit.
 	AuditedPeers int
 	AuditBits    int
-	// WarmHitBits counts query bits served from the warm-start cache.
+	// WarmHitBits counts query bits served from bits earlier rungs
+	// verified instead of from the source.
 	WarmHitBits int
 	// VerifiedBits is the per-peer count of source-verified bits after
 	// this attempt — the warm-start state the next rung inherits.
@@ -45,7 +46,7 @@ type HardeningReport struct {
 	Attempts []HardenedAttempt
 	// AuditBits and WarmHitBits total the per-attempt figures. Audit
 	// bits are already accounted into Report.Q; warm hits are the bits
-	// escalated attempts did NOT pay thanks to the cache.
+	// escalated attempts did NOT pay thanks to warm start.
 	AuditBits   int
 	WarmHitBits int
 }
@@ -78,7 +79,7 @@ func DefaultLadder(p Protocol) []Protocol {
 // protocol's default escalation ladder: the run is watched by violation
 // detectors, every honest output is spot-checked against the source, and
 // a confirmed violation escalates to the next weaker-assumption protocol
-// with a warm-start cache of already-verified bits. The returned
+// warm from the bits earlier attempts verified. The returned
 // Report's Q and per-peer query bits are cumulative across attempts
 // (audit bits included) and its Hardening field records what happened.
 // The adversary keeps attacking the *original* protocol on every rung —
@@ -153,7 +154,7 @@ func RunHardenedLadder(opts Options, pol harden.Policy, ladder []Protocol) (*Rep
 			Equivocators: att.Equivocators,
 			AuditedPeers: att.AuditedPeers,
 			AuditBits:    att.AuditBits,
-			WarmHitBits:  att.WarmHitBits,
+			WarmHitBits:  att.Result.WarmHitBits,
 			VerifiedBits: append([]int(nil), att.VerifiedBits...),
 			Correct:      att.Result.Correct,
 		}

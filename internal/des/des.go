@@ -236,6 +236,10 @@ func newEngine(spec *sim.Spec, choose func(decision, fanout int) int) *engine {
 			crashPoint: -1,
 			stats:      sim.PeerStats{ID: id, Honest: true},
 		}
+		var warm *bitarray.Tracker // spec.Warm's bits, unless NewByzantine runs
+		if spec.Warm != nil {
+			warm = spec.Warm[i]
+		}
 		if spec.Faults.IsFaulty(id) {
 			p.honest = false
 			p.stats.Honest = false
@@ -245,6 +249,7 @@ func newEngine(spec *sim.Spec, choose func(decision, fanout int) int) *engine {
 				p.impl = spec.NewPeer(id)
 			case sim.FaultByzantine:
 				p.impl = spec.Faults.NewByzantine(id, know)
+				warm = nil
 			}
 		} else if cp := spec.Faults.ChurnFor(id); cp != nil {
 			// Churn peers run the honest protocol but are accounted
@@ -261,7 +266,7 @@ func newEngine(spec *sim.Spec, choose func(decision, fanout int) int) *engine {
 		} else {
 			p.impl = spec.NewPeer(id)
 		}
-		p.q = tier.NewPlane(i, &p.stats, p.churn != nil)
+		p.q = tier.NewPlane(i, &p.stats, p.churn != nil, warm)
 		p.ctx = &peerCtx{e: e, p: p}
 		e.peers[i] = p
 		if p.honest {

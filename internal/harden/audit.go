@@ -31,11 +31,11 @@ type AuditReport struct {
 // seeded-random indices against the source. Modeling note: this is a
 // *self*-audit — each honest peer checks its own output by querying the
 // source, so the k bits are charged to that peer's Q and the audited
-// values join its warm-start cache. Byzantine peers would lie about (or
+// values join its verified bits. Byzantine peers would lie about (or
 // skip) their audit, so their outputs are neither audited nor trusted;
 // the honesty flag stands in for "peers that actually run the audit".
 // k ≥ L degenerates to a full comparison (small-instance tests use it).
-func runAudit(res *sim.Result, input *bitarray.Array, k int, seed int64, caches []*Cache) *AuditReport {
+func runAudit(res *sim.Result, input *bitarray.Array, k int, seed int64, verified []*bitarray.Tracker) *AuditReport {
 	rep := &AuditReport{PerPeerBits: make([]int, len(res.PerPeer))}
 	if k <= 0 {
 		return rep
@@ -59,9 +59,7 @@ func runAudit(res *sim.Result, input *bitarray.Array, k int, seed int64, caches 
 		rep.Bits += len(idxs)
 		for _, idx := range idxs {
 			truth := input.Get(idx)
-			if caches != nil && caches[i] != nil {
-				caches[i].Learn(idx, truth)
-			}
+			verified[i].LearnFromSource(idx, truth)
 			if idx >= st.Output.Len() || st.Output.Get(idx) != truth {
 				rep.Mismatches = append(rep.Mismatches, AuditMismatch{Peer: st.ID, Index: idx})
 			}

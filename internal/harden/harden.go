@@ -21,9 +21,10 @@
 //     and a wrong one is localized by a logarithmic hash descent, so a
 //     forgery can never slip through a sampling gap.
 //   - An escalation ladder with warm start: on any confirmed violation
-//     the run restarts under the next, weaker-assumption rung, carrying
-//     a per-peer cache of source-verified bits so verified indices are
-//     never re-queried.
+//     the run restarts under the next, weaker-assumption rung, handing
+//     each peer's source-verified bits to the runtime (sim.Spec.Warm),
+//     whose query plane serves them free, so verified indices are never
+//     re-queried.
 //
 // The supervisor decides from legitimate signals only — evidence,
 // audits, and runtime liveness flags. It never compares outputs against
@@ -37,8 +38,8 @@ import (
 	"fmt"
 	"strconv"
 
+	"repro/internal/bitarray"
 	"repro/internal/des"
-	"repro/internal/intset"
 	"repro/internal/merkle"
 	"repro/internal/sim"
 )
@@ -112,8 +113,6 @@ type Policy struct {
 	// violation, and a peer that sits in one phase with no progress for
 	// longer is named by starvation attribution.
 	AttemptDeadline float64
-	// MaxAttempts caps ladder descent; 0 means every rung may run.
-	MaxAttempts int
 	// DisableWarmStart runs every attempt cold (escalations re-query
 	// verified bits). Exists for A/B accounting; leave it off.
 	DisableWarmStart bool
@@ -138,7 +137,8 @@ type Attempt struct {
 	// Rung is the rung name (also the metric "protocol" label of the
 	// attempt's per-peer series).
 	Rung string
-	// Result is the runtime's report for this attempt.
+	// Result is the runtime's report for this attempt; its WarmHitBits
+	// are the query bits served from the bits earlier rungs verified.
 	Result *sim.Result
 	// Violations lists the confirmed detector findings; empty means the
 	// attempt was declared clean.
@@ -151,9 +151,6 @@ type Attempt struct {
 	// AuditBits is the total charged across peers.
 	AuditedPeers int
 	AuditBits    int
-	// WarmHitBits is the total query bits served from the warm cache
-	// instead of the source, across peers.
-	WarmHitBits int
 	// VerifiedBits is the per-peer count of source-verified bits after
 	// this attempt (including its audit) — the warm-start state the next
 	// rung inherits.
@@ -173,17 +170,15 @@ type Outcome struct {
 	// attempt was declared clean.
 	Corrected bool
 	// PerPeerQ is each peer's cumulative source-bit charge across all
-	// attempts: protocol queries plus audit bits (warm-cache hits are
-	// free). Q is its max over honest peers — the hardened run's query
+	// attempts: protocol queries plus audit bits (warm hits are free).
+	// Q is its max over honest peers — the hardened run's query
 	// complexity, directly comparable to an unhardened Report.Q.
 	PerPeerQ []int
 	Q        int
-	// AuditBits and WarmHitBits total the per-attempt figures.
+	// AuditBits and WarmHitBits total the attempts' audit bits and
+	// Result.WarmHitBits.
 	AuditBits   int
 	WarmHitBits int
-	// Verified is each peer's final set of source-verified indices, as
-	// coalesced ranges.
-	Verified []intset.Set
 }
 
 // Escalations returns the rung names in the order they ran.
@@ -196,9 +191,9 @@ func (o *Outcome) Escalations() []string {
 }
 
 // Run executes the escalation ladder: each rung runs under the evidence
-// collector and (unless disabled) the warm-start wrapper, is audited
-// against the source, and either ends the ladder (clean) or escalates to
-// the next rung. The error return covers configuration problems only;
+// collector and (unless disabled) warm from the bits earlier rungs
+// verified, is audited against the source, and either ends the ladder
+// (clean) or escalates to the next rung. The error return covers configuration problems only;
 // protocol-level outcomes — including an exhausted ladder — live in the
 // Outcome.
 func Run(cfg Config) (*Outcome, error) {
@@ -215,10 +210,6 @@ func Run(cfg Config) (*Outcome, error) {
 	if auditK == 0 {
 		auditK = DefaultAuditBits
 	}
-	maxAttempts := pol.MaxAttempts
-	if maxAttempts <= 0 || maxAttempts > len(cfg.Rungs) {
-		maxAttempts = len(cfg.Rungs)
-	}
 	base := cfg.Base
 	// Pin the input before the first attempt: attempt seeds vary (a
 	// re-run of a randomized protocol must not replay the exact unlucky
@@ -231,9 +222,11 @@ func Run(cfg Config) (*Outcome, error) {
 	}
 
 	met := newMetrics(base.Metrics)
-	caches := make([]*Cache, n)
-	for i := range caches {
-		caches[i] = NewCache(base.Config.L)
+	// verified holds each peer's source-verified bits: its rungs' query
+	// replies, which the runtime learns into it, and its audits.
+	verified := make([]*bitarray.Tracker, n)
+	for i := range verified {
+		verified[i] = bitarray.NewTracker(base.Config.L)
 	}
 
 	// The commitment tree over the pinned input doubles as the audit's
@@ -249,29 +242,14 @@ func Run(cfg Config) (*Outcome, error) {
 	}
 
 	out := &Outcome{PerPeerQ: make([]int, n)}
-	for ai := 0; ai < maxAttempts; ai++ {
-		rung := cfg.Rungs[ai]
+	for ai, rung := range cfg.Rungs {
 		spec := base
 		spec.Label = rung.Name
 		spec.Deadline = pol.AttemptDeadline
 		spec.Config.Seed = base.Config.Seed + int64(ai)*0x9e3779b9
-
-		stats := make([]*warmStats, n)
-		for i := range stats {
-			stats[i] = &warmStats{}
-		}
-		inner := rung.NewPeer
-		if pol.DisableWarmStart {
-			spec.NewPeer = inner
-		} else {
-			spec.NewPeer = func(id sim.PeerID) sim.Peer {
-				return &warmPeer{
-					inner:   inner(id),
-					cache:   caches[id],
-					stats:   stats[id],
-					pending: make(map[int][]cachedHit),
-				}
-			}
+		spec.NewPeer = rung.NewPeer
+		if !pol.DisableWarmStart {
+			spec.Warm = verified
 		}
 
 		col := NewCollector(n, pol.AttemptDeadline, base.Observer)
@@ -287,11 +265,10 @@ func Run(cfg Config) (*Outcome, error) {
 		for i := range res.PerPeer {
 			out.PerPeerQ[i] += res.PerPeer[i].QueryBits
 		}
-		for i, ws := range stats {
-			att.WarmHitBits += ws.hitBits
-			met.warmHits.With(rung.Name, itoa(i)).Add(int64(ws.hitBits))
+		for i := range res.PerPeer {
+			met.warmHits.With(rung.Name, itoa(i)).Add(int64(res.PerPeer[i].WarmHitBits))
 		}
-		out.WarmHitBits += att.WarmHitBits
+		out.WarmHitBits += res.WarmHitBits
 
 		// Detectors: evidence first, then the runtime's liveness flags.
 		if eq := col.Equivocators(); len(eq) > 0 {
@@ -338,15 +315,16 @@ func Run(cfg Config) (*Outcome, error) {
 		}
 
 		// Budgeted source audit. It runs even after a cut-off: peers that
-		// did terminate get checked, and every audited bit enters the warm
-		// cache either way. The Merkle mode replaces the k spot-checks
-		// with one root fetch plus a log-proof descent on mismatch.
+		// did terminate get checked, and every audited bit is verified for
+		// the next rung either way. The Merkle mode replaces the k
+		// spot-checks with one root fetch plus a log-proof descent on
+		// mismatch.
 		var aud *AuditReport
 		if srcTree != nil && auditK > 0 {
-			aud = runMerkleAudit(res, srcTree, input, caches)
+			aud = runMerkleAudit(res, srcTree, input, verified)
 			met.merkleAudits.With(rung.Name).Add(int64(aud.Peers))
 		} else {
-			aud = runAudit(res, input, auditK, spec.Config.Seed, caches)
+			aud = runAudit(res, input, auditK, spec.Config.Seed, verified)
 		}
 		att.AuditedPeers, att.AuditBits = aud.Peers, aud.Bits
 		out.AuditBits += aud.Bits
@@ -371,8 +349,8 @@ func Run(cfg Config) (*Outcome, error) {
 		}
 
 		att.VerifiedBits = make([]int, n)
-		for i, c := range caches {
-			att.VerifiedBits[i] = c.Count()
+		for i, v := range verified {
+			att.VerifiedBits[i] = v.Len() - v.UnknownCount()
 		}
 		for _, v := range att.Violations {
 			met.violations.With(rung.Name, string(v.Kind)).Inc()
@@ -385,7 +363,7 @@ func Run(cfg Config) (*Outcome, error) {
 			break
 		}
 		out.Detected = true
-		if ai+1 < maxAttempts {
+		if ai+1 < len(cfg.Rungs) {
 			met.escalations.With(rung.Name, cfg.Rungs[ai+1].Name).Inc()
 		}
 	}
@@ -394,10 +372,6 @@ func Run(cfg Config) (*Outcome, error) {
 		if out.Final.PerPeer[i].Honest && out.PerPeerQ[i] > out.Q {
 			out.Q = out.PerPeerQ[i]
 		}
-	}
-	out.Verified = make([]intset.Set, n)
-	for i, c := range caches {
-		out.Verified[i] = c.Verified()
 	}
 	return out, nil
 }

@@ -162,11 +162,8 @@ func TestRunAuditFindsForgery(t *testing.T) {
 		{ID: 3, Honest: false, Terminated: true, Output: forged}, // byzantine: skipped
 		{ID: 4, Honest: true, Terminated: false},                 // never finished: skipped
 	}}
-	caches := make([]*Cache, 5)
-	for i := range caches {
-		caches[i] = NewCache(64)
-	}
-	rep := runAudit(res, input, 8, 1, caches)
+	verified := trackers(5, 64)
+	rep := runAudit(res, input, 8, 1, verified)
 	if rep.Peers != 3 {
 		t.Fatalf("audited %d peers, want 3", rep.Peers)
 	}
@@ -189,33 +186,20 @@ func TestRunAuditFindsForgery(t *testing.T) {
 	if forgedHits != 8 || noOutput != 1 {
 		t.Fatalf("mismatches: forged=%d noOutput=%d, want 8 and 1", forgedHits, noOutput)
 	}
-	// Audited truth entered the warm cache.
-	if caches[1].Count() != 8 {
-		t.Fatalf("peer 1 cache has %d bits, want 8", caches[1].Count())
+	// Audited truth joined the peer's verified bits.
+	if got := 64 - verified[1].UnknownCount(); got != 8 {
+		t.Fatalf("peer 1 has %d verified bits, want 8", got)
 	}
 }
 
-func TestCacheVerifiedSet(t *testing.T) {
-	c := NewCache(16)
-	for _, i := range []int{0, 1, 2, 7, 9, 10} {
-		c.Learn(i, i%2 == 0)
+// trackers returns n empty trackers of l bits: the supervisor's
+// per-peer verified bits before the first rung.
+func trackers(n, l int) []*bitarray.Tracker {
+	ts := make([]*bitarray.Tracker, n)
+	for i := range ts {
+		ts[i] = bitarray.NewTracker(l)
 	}
-	if c.Count() != 6 {
-		t.Fatalf("count = %d", c.Count())
-	}
-	s := c.Verified()
-	if s.Len() != 6 || !s.Contains(7) || s.Contains(8) {
-		t.Fatalf("verified set = %v", s)
-	}
-	if s.RangeCount() != 3 { // [0,2] [7,7] [9,10]
-		t.Fatalf("range count = %d, want 3", s.RangeCount())
-	}
-	if v, ok := c.Lookup(2); !ok || !v {
-		t.Fatalf("lookup(2) = %v %v", v, ok)
-	}
-	if _, ok := c.Lookup(3); ok {
-		t.Fatal("lookup(3) hit an unlearned bit")
-	}
+	return ts
 }
 
 func TestRunValidation(t *testing.T) {

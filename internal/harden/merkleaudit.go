@@ -13,7 +13,7 @@ import (
 // into Q), and compares:
 //
 //   - Roots match: the entire output is verified in one fetch — every
-//     bit joins the warm cache, so a clean attempt's audit costs a
+//     bit joins its verified bits, so a clean attempt's audit costs a
 //     constant 256 bits instead of k, yet covers all L bits.
 //   - Roots differ: a logarithmic descent localizes a wrong bit. At
 //     each level the peer fetches the source hashes of the current
@@ -22,12 +22,12 @@ import (
 //     and reports the first differing index. Total cost is
 //     RootBits + O(log N)·2·RootBits + LeafBits — exponentially cheaper
 //     than re-downloading, and it still yields a *confirmed* mismatch
-//     (the fetched leaf bits are source truth and enter the cache).
+//     (the fetched leaf bits are source truth and join them).
 //
 // Unlike the sampling audit, a forged output can never slip through:
 // any single wrong bit flips the root. The probabilistic escape window
 // (1−ρ)^k of runAudit closes completely.
-func runMerkleAudit(res *sim.Result, src *merkle.Tree, input *bitarray.Array, caches []*Cache) *AuditReport {
+func runMerkleAudit(res *sim.Result, src *merkle.Tree, input *bitarray.Array, verified []*bitarray.Tracker) *AuditReport {
 	rep := &AuditReport{PerPeerBits: make([]int, len(res.PerPeer))}
 	p := src.Params()
 	for i := range res.PerPeer {
@@ -58,11 +58,9 @@ func runMerkleAudit(res *sim.Result, src *merkle.Tree, input *bitarray.Array, ca
 		bits := merkle.RootBits // the authoritative root fetch
 		if local.Root() == src.Root() {
 			// One fetch verified the whole output: every bit is now source
-			// truth for the warm cache.
-			if caches != nil && caches[i] != nil {
-				for idx := 0; idx < p.TotalBits; idx++ {
-					caches[i].Learn(idx, st.Output.Get(idx))
-				}
+			// truth.
+			for idx := 0; idx < p.TotalBits; idx++ {
+				verified[i].LearnFromSource(idx, st.Output.Get(idx))
 			}
 			rep.PerPeerBits[i] += bits
 			rep.Bits += bits
@@ -99,9 +97,7 @@ func runMerkleAudit(res *sim.Result, src *merkle.Tree, input *bitarray.Array, ca
 		mismatchAt := -1
 		for k := 0; k < w; k++ {
 			truth := input.Get(base + k)
-			if caches != nil && caches[i] != nil {
-				caches[i].Learn(base+k, truth)
-			}
+			verified[i].LearnFromSource(base+k, truth)
 			if mismatchAt < 0 && st.Output.Get(base+k) != truth {
 				mismatchAt = base + k
 			}

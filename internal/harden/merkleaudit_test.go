@@ -28,7 +28,7 @@ func merkleAuditBound(p merkle.Params) int {
 }
 
 // TestMerkleAuditCleanOutput: an exact output verifies with a single
-// root fetch (256 bits) and the whole array enters the warm cache.
+// root fetch (256 bits) and the whole array joins the verified bits.
 func TestMerkleAuditCleanOutput(t *testing.T) {
 	const L = 4096
 	input := merkleAuditInput(L)
@@ -36,16 +36,16 @@ func TestMerkleAuditCleanOutput(t *testing.T) {
 	res := &sim.Result{PerPeer: []sim.PeerStats{
 		{ID: 0, Honest: true, Terminated: true, Output: input.Clone()},
 	}}
-	caches := []*Cache{NewCache(L)}
-	rep := runMerkleAudit(res, src, input, caches)
+	verified := trackers(1, L)
+	rep := runMerkleAudit(res, src, input, verified)
 	if rep.Peers != 1 || len(rep.Mismatches) != 0 {
 		t.Fatalf("clean output: peers=%d mismatches=%v", rep.Peers, rep.Mismatches)
 	}
 	if rep.Bits != merkle.RootBits {
 		t.Fatalf("clean audit charged %d bits, want exactly RootBits=%d", rep.Bits, merkle.RootBits)
 	}
-	if caches[0].Count() != L {
-		t.Fatalf("root match verified %d bits into the cache, want all %d", caches[0].Count(), L)
+	if n := verified[0].UnknownCount(); n != 0 {
+		t.Fatalf("root match left %d of %d bits unverified, want none", n, L)
 	}
 }
 
@@ -62,8 +62,8 @@ func TestMerkleAuditLocalizesForgery(t *testing.T) {
 		res := &sim.Result{PerPeer: []sim.PeerStats{
 			{ID: 0, Honest: true, Terminated: true, Output: forged},
 		}}
-		caches := []*Cache{NewCache(L)}
-		rep := runMerkleAudit(res, src, input, caches)
+		verified := trackers(1, L)
+		rep := runMerkleAudit(res, src, input, verified)
 		if len(rep.Mismatches) != 1 || rep.Mismatches[0].Index != flip {
 			t.Fatalf("flip %d: mismatches = %v, want exactly index %d", flip, rep.Mismatches, flip)
 		}
@@ -73,9 +73,9 @@ func TestMerkleAuditLocalizesForgery(t *testing.T) {
 		if rep.Bits >= L {
 			t.Fatalf("flip %d: audit charged %d bits — no cheaper than re-downloading L=%d", flip, rep.Bits, L)
 		}
-		// The fetched leaf's truth entered the cache.
-		if v, ok := caches[0].Lookup(flip); !ok || v != input.Get(flip) {
-			t.Fatalf("flip %d: cache lookup = %v %v, want source truth", flip, v, ok)
+		// The fetched leaf's truth joined the verified bits.
+		if v, ok := verified[0].Get(flip); !ok || v != input.Get(flip) {
+			t.Fatalf("flip %d: verified bit = %v %v, want source truth", flip, v, ok)
 		}
 	}
 }
@@ -93,7 +93,7 @@ func TestMerkleAuditCostGrowsLogarithmically(t *testing.T) {
 		res := &sim.Result{PerPeer: []sim.PeerStats{
 			{ID: 0, Honest: true, Terminated: true, Output: forged},
 		}}
-		return runMerkleAudit(res, src, input, nil).Bits
+		return runMerkleAudit(res, src, input, trackers(1, L)).Bits
 	}
 	c1, c2 := cost(1<<12), cost(1<<14)
 	if c2 != c1+2*2*merkle.RootBits {
@@ -115,7 +115,7 @@ func TestMerkleAuditDegenerateOutputs(t *testing.T) {
 		{ID: 2, Honest: false, Terminated: true, Output: nil},
 		{ID: 3, Honest: true, Terminated: false},
 	}}
-	rep := runMerkleAudit(res, src, input, nil)
+	rep := runMerkleAudit(res, src, input, trackers(4, L))
 	if rep.Peers != 2 {
 		t.Fatalf("audited %d peers, want 2", rep.Peers)
 	}

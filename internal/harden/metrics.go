@@ -32,7 +32,7 @@ func newMetrics(r *obs.Registry) *metrics {
 		mismatches: r.CounterVec("dr_harden_audit_mismatches_total",
 			"Audited output bits that disagreed with the source.", "rung"),
 		warmHits: r.CounterVec("dr_harden_warm_hit_bits_total",
-			"Query bits served from the warm-start cache instead of the source.", "rung", "peer"),
+			"Query bits served from bits earlier rungs verified instead of the source.", "rung", "peer"),
 		equivocates: r.CounterVec("dr_harden_equivocating_peers_total",
 			"Distinct peers with equivocation evidence.", "rung"),
 		merkleAudits: r.CounterVec("dr_harden_merkle_audits_total",

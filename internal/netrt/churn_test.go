@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/adversary"
 	"repro/internal/bitarray"
 	"repro/internal/netrt"
 	"repro/internal/obs"
@@ -227,15 +228,76 @@ func TestChurnCrashDuringProbeOverTCP(t *testing.T) {
 	}
 }
 
+// announcer is halver with a signal that orders a crash before the run's
+// end: on its first reply peer by broadcasts a message before its second
+// query, and every other peer terminates only once that message came.
+type announcer struct {
+	ctx   sim.Context
+	by    sim.PeerID
+	heard bool
+	out   *bitarray.Array
+}
+
+func newAnnouncer(by sim.PeerID) func(sim.PeerID) sim.Peer {
+	return func(sim.PeerID) sim.Peer { return &announcer{by: by} }
+}
+
+func (p *announcer) Init(ctx sim.Context) {
+	p.ctx = ctx
+	ctx.Query(1, firstBits(ctx.L()/2))
+}
+
+func (p *announcer) OnMessage(sim.PeerID, sim.Message) {
+	p.heard = true
+	p.finish()
+}
+
+func (p *announcer) OnQueryReply(r sim.QueryReply) {
+	if r.Tag == 1 {
+		if p.ctx.ID() == p.by {
+			p.ctx.Broadcast(&adversary.Junk{Bits: 8})
+		}
+		p.ctx.Query(2, firstBits(p.ctx.L()))
+		return
+	}
+	p.out = bitarray.New(p.ctx.L())
+	for j, idx := range r.Indices {
+		p.out.Set(idx, r.Bits.Get(j))
+	}
+	p.finish()
+}
+
+func (p *announcer) finish() {
+	if p.out != nil && (p.heard || p.ctx.ID() == p.by) {
+		p.ctx.Output(p.out)
+		p.ctx.Terminate()
+	}
+}
+
+// firstBits returns the indices [0, n).
+func firstBits(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
 func TestChurnNeverRejoinsOverTCP(t *testing.T) {
 	// Downtime < 0: a plain mid-run crash. The run must complete without
 	// waiting for the crashed peer, and nothing rejoins. A peer whose
 	// crash point lies past its last action (as a random crash point
 	// may) finishes and is not reported crashed, as on des.
+	//
+	// Peer 2's actions are init, query 1, reply 1 and its broadcast's
+	// four sends; its eighth, query 2, crashes it. The crash runs in the
+	// handler that broadcast, so it precedes every honest termination:
+	// honest peers wait for the broadcast, and peer 2's client sees the
+	// run end only after that handler returns.
 	res, err := netrt.Run(netrt.Config{
 		N: 5, T: 2, L: 256, MsgBits: 64, Seed: 22,
-		NewPeer: newHalver,
-		Churn: []sim.ChurnPeer{{Peer: 2, CrashAfter: 3, Downtime: -1},
+		NewPeer: newAnnouncer(2),
+		Churn: []sim.ChurnPeer{{Peer: 2, CrashAfter: 7, Downtime: -1},
 			{Peer: 4, CrashAfter: 1 << 30, Downtime: -1}},
 		Timeout: 30 * time.Second,
 	})

@@ -312,7 +312,7 @@ func runPeer(t *testing.T, addr string, l int, peer sim.Peer, pol source.Policy)
 		Resilience: Resilience{QueryTimeout: 40 * time.Millisecond}, SourcePolicy: pol,
 		NewPeer: func(sim.PeerID) sim.Peer { return peer }}
 	st := &sim.PeerStats{}
-	q := qplane.NewRemoteTier(cfg.L, cfg.Seed, cfg.SourcePolicy).NewPlane(0, st, false)
+	q := qplane.NewRemoteTier(cfg.L, cfg.Seed, cfg.SourcePolicy).NewPlane(0, st, false, nil)
 	done := make(chan error, 1)
 	go func() { done <- runClient(cfg, 0, cfg.NewPeer, addr, q, st, nil, nil, time.Now(), nil) }()
 	select {
@@ -528,7 +528,7 @@ func TestLateReplyServesParkedCall(t *testing.T) {
 		policy := source.Policy{BreakerThreshold: 1, BreakerCooldown: 60}
 		c := &client{cfg: &h.cfg, res: h.res, id: 1, impl: rec, start: time.Now(),
 			link: link{conn: newFrameConn(&recConn{discard: true}, 0)}, stats: st,
-			q: qplane.NewRemoteTier(h.cfg.L, h.cfg.Seed, policy).NewPlane(1, st, false)}
+			q: qplane.NewRemoteTier(h.cfg.L, h.cfg.Seed, policy).NewPlane(1, st, false, nil)}
 		a, b := []int{1, 2, 3}, []int{40, 41}
 		hdrA, hdrB := encodeQueryHeader(1, a), encodeQueryHeader(2, b)
 		c.Query(1, slices.Clone(a))

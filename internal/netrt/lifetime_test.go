@@ -170,7 +170,7 @@ func TestClientKeepsNoReadBuffer(t *testing.T) {
 	rec := &recorder{}
 	st := &sim.PeerStats{}
 	c := &client{cfg: &h.cfg, id: 1, impl: rec, start: time.Now(), link: link{conn: newFrameConn(&recConn{discard: true}, 0)},
-		q: qplane.NewRemoteTier(h.cfg.L, h.cfg.Seed, source.Policy{}).NewPlane(1, st, false), stats: st,
+		q: qplane.NewRemoteTier(h.cfg.L, h.cfg.Seed, source.Policy{}).NewPlane(1, st, false, nil), stats: st,
 		mparams: h.mirror.Params()}
 
 	root := h.mirror.Root()

@@ -331,7 +331,7 @@ func Run(cfg Config) (*sim.Result, error) {
 		if absent[id] {
 			continue
 		}
-		q := tier.NewPlane(i, &stats[i], churnFor(&cfg, id) != nil)
+		q := tier.NewPlane(i, &stats[i], churnFor(&cfg, id) != nil, nil)
 		newPeer := cfg.NewPeer
 		if byz.IsFaulty(id) {
 			newPeer = newByz

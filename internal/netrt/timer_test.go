@@ -25,7 +25,7 @@ func planeClient(t *testing.T, res Resilience, pol source.Policy) *client {
 	st := &sim.PeerStats{}
 	return &client{cfg: &h.cfg, res: res.withDefaults(), id: 1, impl: &recorder{}, start: time.Now(),
 		link: link{conn: newFrameConn(&recConn{discard: true}, 0)}, stats: st,
-		q: qplane.NewRemoteTier(h.cfg.L, h.cfg.Seed, pol).NewPlane(1, st, false)}
+		q: qplane.NewRemoteTier(h.cfg.L, h.cfg.Seed, pol).NewPlane(1, st, false, nil)}
 }
 
 // TestSilenceFailsAsTimeout: a sent query counts as silent QueryTimeout

@@ -89,13 +89,16 @@ func NewRemoteTier(l int, seed int64, policy source.Policy) *Tier {
 // NewPlane returns peer's plane. Everything the plane accounts — Q, warm
 // hits, and at Settle the source and mirror counters — lands in stats. A
 // churn peer persists its source-verified bits so that after Rejoin its
-// queries are served warm where possible.
-func (t *Tier) NewPlane(peer int, stats *sim.PeerStats, churn bool) *Plane {
+// queries are served warm where possible. A non-nil warm holds bits
+// verified before the run (an earlier hardening rung's): the plane serves
+// them from its first query, as after a Rejoin, and Learn extends it.
+func (t *Tier) NewPlane(peer int, stats *sim.PeerStats, churn bool, warm *bitarray.Tracker) *Plane {
 	p := &Plane{tier: t, peer: peer, stats: stats}
 	if t.clients {
 		p.client = source.NewClient(peer, t.policy)
 	}
-	if churn {
+	p.persist, p.warm = warm, warm != nil
+	if churn && warm == nil {
 		p.persist = bitarray.NewTracker(t.l)
 	}
 	return p
@@ -138,7 +141,8 @@ const (
 	Issue Kind = iota + 1
 	// Oracle: Reply is complete; it is due after one query round trip.
 	Oracle
-	// WarmHit: Reply was served entirely from persisted bits; there is
+	// WarmHit: Reply was served entirely from persisted bits — a
+	// rejoined churn peer's, or those an earlier rung verified; there is
 	// no source round trip.
 	WarmHit
 )
@@ -184,12 +188,14 @@ type Plane struct {
 	wakeSet bool    // a Wake is pending
 	ordinal uint64  // monotonic logical-query counter
 	persist *bitarray.Tracker
+	warm    bool // Begin serves persist's bits: after Rejoin, or seeded
 }
 
 // Begin starts one protocol query and is the only place Q is charged. A
-// rejoined churn peer is served from its persisted (source-verified)
-// bits where possible: warm bits are free, only the remainder is charged
-// and sent to the source. Out-of-range indices are a protocol bug. Begin
+// warm plane — a rejoined churn peer's, or one seeded with an earlier
+// rung's bits — is served from its persisted (source-verified) bits
+// where possible: warm bits are free, only the remainder is charged and
+// sent to the source. Out-of-range indices are a protocol bug. Begin
 // keeps indices, which the caller hands over (sim.Context.Query): it is
 // the reply's Indices and, without a warm split, the Call's Fetch.
 func (p *Plane) Begin(tag int, indices []int) Begun {
@@ -204,7 +210,7 @@ func (p *Plane) Begin(tag int, indices []int) Begun {
 		pos   []int
 		fetch = indices
 	)
-	if p.stats.Rejoined && p.persist != nil {
+	if p.warm {
 		warm = bitarray.New(len(indices))
 		for j, idx := range indices {
 			if v, ok := p.persist.Get(idx); ok {
@@ -365,15 +371,16 @@ func (p *Plane) Unpark(c *Call) {
 func (p *Plane) Parked() int { return len(p.parked) }
 
 // Learn persists a delivered reply's source-verified bits so a churn
-// rejoin resumes warm instead of re-downloading.
+// rejoin resumes warm instead of re-downloading, and a seeded tracker
+// grows for the next rung.
 func (p *Plane) Learn(qr sim.QueryReply) {
 	if p.persist != nil {
 		p.persist.LearnIndexedFromSource(qr.Indices, qr.Bits)
 	}
 }
 
-// Persist is a churn peer's tracker of persisted bits (nil for any other
-// peer), for a driver that checkpoints it.
+// Persist is the tracker of persisted bits — a churn peer's, or the
+// seeded one (nil for any other peer) — for a driver that checkpoints it.
 func (p *Plane) Persist() *bitarray.Tracker { return p.persist }
 
 // Rejoin starts a churn peer's second incarnation: in-flight calls of
@@ -390,6 +397,7 @@ func (p *Plane) Rejoin(warm *bitarray.Tracker) {
 	}
 	p.parked = nil
 	p.wakeSet = false
+	p.warm = true
 	p.stats.Rejoined = true
 }
 

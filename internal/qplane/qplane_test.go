@@ -60,7 +60,7 @@ func TestLifecycle(t *testing.T) {
 	tier := &Tier{l: in.Len(), input: in, src: src, clients: true,
 		policy: source.Policy{BreakerThreshold: 3, BreakerCooldown: cooldown, Seed: 1}}
 	var stats sim.PeerStats
-	p := tier.NewPlane(4, &stats, false)
+	p := tier.NewPlane(4, &stats, false, nil)
 
 	calls := map[string]*Call{}
 	name := func(c *Call) string {
@@ -238,7 +238,7 @@ func TestRejoinWarmSplit(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stats sim.PeerStats
-			p := tc.tier.NewPlane(0, &stats, true)
+			p := tc.tier.NewPlane(0, &stats, true, nil)
 			// resolve runs a begun query to its reply.
 			resolve := func(b Begun) sim.QueryReply {
 				if b.Kind != Issue {
@@ -308,6 +308,69 @@ func TestRejoinWarmSplit(t *testing.T) {
 	}
 }
 
+// TestSeededWarmSplit: a plane handed a tracker of bits verified before
+// the run (an earlier hardening rung's) serves them from its first query
+// as a rejoined peer's plane does — a fully warm query is a WarmHit, a
+// partly warm one fetches and charges only its unknown bits — without
+// marking the peer rejoined, and Learn grows the handed tracker itself.
+func TestSeededWarmSplit(t *testing.T) {
+	in := testInput(16)
+	for _, tc := range []struct {
+		name string
+		tier *Tier
+		want Kind // a partly warm query's kind
+	}{
+		{"oracle", NewTier(in, 4, 1, nil, nil, source.Policy{}), Oracle},
+		{"source tier", &Tier{l: in.Len(), input: in, src: source.NewTrusted(in)}, Issue},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seed := bitarray.NewTracker(in.Len())
+			for i := 0; i < 4; i++ {
+				seed.LearnFromSource(i, in.Get(i))
+			}
+			var stats sim.PeerStats
+			p := tc.tier.NewPlane(0, &stats, false, seed)
+			if p.Persist() != seed {
+				t.Fatal("the plane does not persist into the handed tracker")
+			}
+
+			full := p.Begin(1, []int{3, 0, 1})
+			if full.Kind != WarmHit || full.Charged != 0 {
+				t.Fatalf("fully warm Begin = %+v, want a WarmHit charging 0", full)
+			}
+			wantBits(t, "fully warm", in, full.Reply, []int{3, 0, 1})
+
+			part := p.Begin(2, []int{5, 2, 6, 1})
+			if part.Kind != tc.want || part.Charged != 2 {
+				t.Fatalf("partly warm Begin = %+v, want kind %d charging 2", part, tc.want)
+			}
+			qr := part.Reply
+			if part.Kind == Issue {
+				if !reflect.DeepEqual(part.Call.Fetch, []int{5, 6}) {
+					t.Fatalf("partly warm query fetches %v, want [5 6]", part.Call.Fetch)
+				}
+				var err error
+				if qr, _, err = p.Fetch(0, part.Call); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wantBits(t, "partly warm", in, qr, []int{5, 2, 6, 1})
+			p.Learn(qr)
+
+			if stats.QueryBits != 2 || stats.WarmHitBits != 5 || stats.QueryCalls != 2 {
+				t.Errorf("QueryBits=%d WarmHitBits=%d QueryCalls=%d, want 2, 5 and 2",
+					stats.QueryBits, stats.WarmHitBits, stats.QueryCalls)
+			}
+			if stats.Rejoined {
+				t.Error("a seeded plane marked its peer rejoined")
+			}
+			if known := seed.Len() - seed.UnknownCount(); known != 6 || !seed.Known(5) || !seed.Known(6) {
+				t.Errorf("the handed tracker knows %d bits, want the 4 seeded plus 5 and 6", known)
+			}
+		})
+	}
+}
+
 // TestRejoinDropsDeadProbe: a churn peer that crashed while its half-open
 // probe was out never hears that probe's outcome. Rejoin forgets it, so
 // the next incarnation's first call goes out as a fresh probe instead of
@@ -316,7 +379,7 @@ func TestRejoinDropsDeadProbe(t *testing.T) {
 	const cooldown = 2.0
 	var stats sim.PeerStats
 	p := NewRemoteTier(16, 1, source.Policy{BreakerThreshold: 1, BreakerCooldown: cooldown}).
-		NewPlane(0, &stats, true)
+		NewPlane(0, &stats, true, nil)
 	a := p.Begin(1, []int{0, 1}).Call
 	if n := p.Admit(0, a); n.Op != Fetch {
 		t.Fatalf("Admit = %+v, want Fetch", n)
@@ -344,7 +407,7 @@ func TestRejoinDropsDeadProbe(t *testing.T) {
 func TestUnparkTakesLateReply(t *testing.T) {
 	var stats sim.PeerStats
 	p := NewRemoteTier(16, 1, source.Policy{BreakerThreshold: 1, BreakerCooldown: 2}).
-		NewPlane(0, &stats, false)
+		NewPlane(0, &stats, false, nil)
 	a, b := p.Begin(1, []int{0}).Call, p.Begin(2, []int{1}).Call
 	p.Admit(0, a)
 	p.Admit(0, b)
@@ -371,7 +434,7 @@ func TestUnparkTakesLateReply(t *testing.T) {
 // [0, L) is a protocol bug and must not be charged.
 func TestBeginRejectsOutOfRange(t *testing.T) {
 	var stats sim.PeerStats
-	p := NewTier(testInput(8), 2, 1, nil, nil, source.Policy{}).NewPlane(1, &stats, false)
+	p := NewTier(testInput(8), 2, 1, nil, nil, source.Policy{}).NewPlane(1, &stats, false, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-range index accepted")

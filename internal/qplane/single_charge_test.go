@@ -96,3 +96,57 @@ func TestDstHasNoContext(t *testing.T) {
 		}
 	})
 }
+
+// TestHardenWrapsNoPeer guards "one warm path": the hardening supervisor
+// hands its verified bits to the runtime (sim.Spec.Warm), whose plane
+// serves them, and does not wrap a protocol to serve them itself.
+// No non-test file of package harden may declare, as a method, a verb of
+// sim.Context or a callback of sim.Peer; the names are read off the
+// interfaces in package sim.
+func TestHardenWrapsNoPeer(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "../sim/sim.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verbs := map[string]string{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		ts, ok := n.(*ast.TypeSpec)
+		if !ok || (ts.Name.Name != "Context" && ts.Name.Name != "Peer") {
+			return true
+		}
+		for _, m := range ts.Type.(*ast.InterfaceType).Methods.List {
+			for _, name := range m.Names {
+				verbs[name.Name] = "sim." + ts.Name.Name
+			}
+		}
+		return false
+	})
+	if verbs["Query"] == "" || verbs["OnQueryReply"] == "" {
+		t.Fatalf("read %d method names off sim.Context and sim.Peer: the interfaces moved, update this guard", len(verbs))
+	}
+	files := 0
+	err = filepath.WalkDir("../harden", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		files++
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil && verbs[fn.Name.Name] != "" {
+				t.Errorf("%s: method %s is a %s method; hand warm bits to the runtime through sim.Spec.Warm instead",
+					fset.Position(fn.Pos()), fn.Name.Name, verbs[fn.Name.Name])
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files == 0 {
+		t.Fatal("scanned no file of package harden")
+	}
+}

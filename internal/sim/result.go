@@ -63,8 +63,9 @@ type PeerStats struct {
 	DeferredQueries int
 	// DegradedTime is time this peer spent with its breaker not closed.
 	DegradedTime float64
-	// WarmHitBits counts query bits served from persisted state after a
-	// churn rejoin instead of from the source.
+	// WarmHitBits counts query bits served from already-verified bits
+	// instead of from the source: a churn peer's persisted bits after its
+	// rejoin, or the bits earlier hardening rungs verified (Spec.Warm).
 	WarmHitBits int
 	// Rejoined reports this churn peer crashed and rejoined.
 	Rejoined bool
@@ -131,9 +132,8 @@ type Result struct {
 	// Rejoins counts churn peers (faulty by definition) that crashed and
 	// rejoined, over all peers.
 	Rejoins int
-	// WarmHitBits totals query bits served from persisted warm state
-	// after churn rejoins, over all peers (churn peers are faulty, so the
-	// honest-only aggregates never see them).
+	// WarmHitBits totals PeerStats.WarmHitBits — churn rejoins' and
+	// hardening rungs' warm hits — over all peers, faulty ones included.
 	WarmHitBits int
 	// CheckpointSaves/CheckpointRestores aggregate the durable-checkpoint
 	// counters over all peers (netrt runtime; zero elsewhere).

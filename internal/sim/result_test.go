@@ -120,6 +120,32 @@ func TestSpecValidateObserverAndExcess(t *testing.T) {
 	}
 }
 
+// TestSpecValidateWarm: Warm holds one tracker per peer, nil for a peer
+// with none, each over the input's L bits.
+func TestSpecValidateWarm(t *testing.T) {
+	spec := &Spec{
+		Config:  Config{N: 3, T: 0, L: 8, MsgBits: 64},
+		NewPeer: func(PeerID) Peer { return nil },
+		Delays:  fakeDelays{},
+	}
+	for _, tc := range []struct {
+		name string
+		warm []*bitarray.Tracker
+		ok   bool
+	}{
+		{"none", nil, true},
+		{"one per peer", []*bitarray.Tracker{bitarray.NewTracker(8), nil, bitarray.NewTracker(8)}, true},
+		{"too few", []*bitarray.Tracker{bitarray.NewTracker(8), bitarray.NewTracker(8)}, false},
+		{"too many", []*bitarray.Tracker{nil, nil, nil, nil}, false},
+		{"wrong length", []*bitarray.Tracker{bitarray.NewTracker(8), bitarray.NewTracker(16), nil}, false},
+	} {
+		spec.Warm = tc.warm
+		if err := spec.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 type fakeDelays struct{}
 
 func (fakeDelays) MessageDelay(_, _ PeerID, _ float64, _ int) float64 { return 1 }

@@ -173,8 +173,8 @@ type Knowledge struct {
 // semantics), stays down for Downtime time units, and then rejoins as a
 // fresh protocol instance that resumes from its persisted verified-index
 // state (the bits it had learned from the source before crashing, served
-// warm without re-querying — the PR 5 warm-start cache shape applied to
-// recovery). Churn peers count toward the fault bound t and are reported
+// warm without re-querying by the query plane's one warm path, the one
+// that serves Spec.Warm). Churn peers count toward the fault bound t and are reported
 // faulty, so correctness aggregates never depend on them; rejoining is
 // extra credit the adversary cannot exploit.
 type ChurnPeer struct {

@@ -98,6 +98,13 @@ type Spec struct {
 	// (itself subject to SourceFaults) whenever a proof fails. Only
 	// verified bits are charged into Q. Nil keeps direct source access.
 	Mirrors *source.MirrorPlan
+	// Warm, when non-nil, holds one tracker per peer (nil for none) of
+	// bits already verified from the source, as a hardening supervisor
+	// carries from one rung to the next. The runtime serves a peer's
+	// queries from its tracker where it can, charging only the rest to Q
+	// and counting the rest in PeerStats.WarmHitBits, and extends the
+	// tracker with every reply; a Byzantine peer's tracker is not used.
+	Warm []*bitarray.Tracker
 	// Observer, when non-nil, receives a structured callback for every
 	// start, send, delivery, query, phase mark, crash, and termination,
 	// on either scheduler. See package trace for a JSONL recorder and
@@ -175,6 +182,14 @@ func (s *Spec) Validate() error {
 		seen[cp.Peer] = true
 		if cp.CrashAfter < 0 {
 			return fmt.Errorf("sim: churn peer %d has negative crash point", cp.Peer)
+		}
+	}
+	if s.Warm != nil && len(s.Warm) != s.Config.N {
+		return fmt.Errorf("sim: %d warm trackers for n=%d", len(s.Warm), s.Config.N)
+	}
+	for i, w := range s.Warm {
+		if w != nil && w.Len() != s.Config.L {
+			return fmt.Errorf("sim: peer %d's warm tracker covers %d bits, not L=%d", i, w.Len(), s.Config.L)
 		}
 	}
 	if s.SourceFaults != nil {

@@ -96,6 +96,26 @@ func TestGridMatchesChaosSweep(t *testing.T) {
 	}
 }
 
+// TestGridBridgesSourcePlan: a grid cell run with -source-faults keeps
+// its source plan on the des bridge, its time-valued fields scaled from
+// seconds to steps, so a breached cell replays against a faulty source.
+func TestGridBridgesSourcePlan(t *testing.T) {
+	for _, tc := range []struct{ plan, want string }{
+		{"fail=0.2,timeout=0.1,seed=3", "fail=0.2,timeout=0.1,seed=3"},
+		{"fail=0.1,latency=0.02,outage=0.051..0.25,rate=640,seed=4", "fail=0.1,latency=2,outage=5..25,rate=7/640,seed=4"},
+	} {
+		for _, spec := range Grid(download.Naive, 6, 512, 128, []float64{0, 0.1}, []int{0}, 2, tc.plan) {
+			r, err := DesReplay(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.SourcePlan != tc.want {
+				t.Errorf("%s bridges with source plan %q, want %q", spec.Name(), r.SourcePlan, tc.want)
+			}
+		}
+	}
+}
+
 // TestGridFindingsPerCell: two breached cells of one protocol leave two
 // artifact pairs, not one pair the second overwrote.
 func TestGridFindingsPerCell(t *testing.T) {

@@ -2,20 +2,23 @@
 // engine so the failure becomes a minimized, committed .dsr artifact
 // instead of a flaky socket log. The bridge carries every plane the des
 // engine models — crash-from-start peers, churn, the source fault plan
-// (in step units), the mirror fleet — and drops the socket-only network
+// (scaled to steps), the mirror fleet — and drops the socket-only network
 // plane (drops, flaps, partitions, listener outages), which the replay's
 // Note records.
 package storm
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
 	"repro/internal/dst"
 	"repro/internal/netrt"
+	"repro/internal/source"
 )
 
 // marshalFinding renders a finding artifact as indented JSON.
@@ -39,19 +42,32 @@ const (
 	PinnedReplayFile         = "naive-storm-composed.dsr"
 )
 
+// desStepsPerSecond scales the source fault plan's time-valued fields
+// from a socket run's seconds to the deterministic engine's steps, so the
+// des reproduction sees the same storm shape.
+const desStepsPerSecond = 100
+
 // DesReplay lowers a storm spec onto the deterministic engine as an
 // unrecorded dst replay. It fails for a protocol outside the dst registry,
-// which holds every protocol a storm runs.
+// which holds every protocol a storm runs, and for a source fault plan
+// that does not parse.
 func DesReplay(spec Spec) (*dst.Replay, error) {
 	if _, err := dst.LookupProtocol(spec.Protocol); err != nil {
 		return nil, err
+	}
+	plan, err := source.ParsePlan(spec.SourceFaults)
+	if err != nil {
+		return nil, err
+	}
+	if plan != nil {
+		toSteps(plan)
 	}
 	r := &dst.Replay{
 		Version:  dst.Version,
 		Protocol: spec.Protocol,
 		N:        spec.N, T: spec.T, L: spec.L, MsgBits: spec.MsgBits,
 		Seed:       spec.Seed,
-		SourcePlan: spec.SourceFaultsDes,
+		SourcePlan: plan.String(),
 		MirrorPlan: spec.Mirrors,
 	}
 	for _, p := range spec.Absent {
@@ -65,6 +81,24 @@ func DesReplay(spec Spec) (*dst.Replay, error) {
 		})
 	}
 	return r, nil
+}
+
+// toSteps scales plan's time-valued fields from a socket run's seconds
+// to des steps: outage bounds rounded to whole steps, latency, and a rate
+// per second made one per step (rounded up, so a limited source stays
+// limited) with its burst kept in bits.
+func toSteps(plan *source.FaultPlan) {
+	for i, w := range plan.Outages {
+		plan.Outages[i] = source.Window{
+			Start: math.Round(w.Start * desStepsPerSecond),
+			End:   math.Round(w.End * desStepsPerSecond),
+		}
+	}
+	plan.Latency *= desStepsPerSecond
+	if plan.RateBits > 0 {
+		plan.RateBurst = cmp.Or(plan.RateBurst, plan.RateBits)
+		plan.RateBits = (plan.RateBits + desStepsPerSecond - 1) / desStepsPerSecond
+	}
 }
 
 // Finding is one failing storm's artifact bundle.

@@ -42,16 +42,6 @@ import (
 	"repro/internal/source"
 )
 
-// Horizon scaling for the source fault plan's time-valued fields. The
-// same dimensionless draws are rendered in both units so the socket run
-// and its des reproduction see the same storm shape: seconds on TCP
-// (outages a few hundred ms into a run lasting a couple of seconds),
-// delivered-event steps on the deterministic engine.
-const (
-	tcpHorizonSeconds = 1.0
-	desHorizonSteps   = 100.0
-)
-
 // ChurnEntry is one crash-recovery churn peer of a storm: the peer
 // crashes itself after CrashAfter protocol actions and, when Downtime is
 // non-negative, rejoins after roughly Downtime seconds, restoring warm
@@ -101,10 +91,9 @@ type Spec struct {
 	Absent []int `json:"absent,omitempty"`
 	// Churn peers crash mid-run (and maybe rejoin); they count toward T.
 	Churn []ChurnEntry `json:"churn,omitempty"`
-	// SourceFaults / SourceFaultsDes are the same source fault draws
-	// rendered in socket units (seconds) and des units (steps).
-	SourceFaults    string `json:"source_faults,omitempty"`
-	SourceFaultsDes string `json:"source_faults_des,omitempty"`
+	// SourceFaults is the source fault plan, its time-valued fields in
+	// seconds; DesReplay scales them to des steps.
+	SourceFaults string `json:"source_faults,omitempty"`
 	// Mirrors, when non-empty, fronts the source with an untrusted
 	// (usually Byzantine-majority) mirror fleet.
 	Mirrors string `json:"mirrors,omitempty"`
@@ -174,15 +163,13 @@ func Generate(proto download.Protocol, n, t, l, b int, stormSeed int64) Spec {
 	}
 
 	// Source plane: always on — transient failures plus one outage
-	// window, rendered in both time units from the same draws.
+	// window a few hundred ms into a run lasting a couple of seconds.
 	failRate := 0.05 + 0.2*rng.Float64()
 	oStart := 0.3 * rng.Float64()
 	oEnd := oStart + 0.1 + 0.3*rng.Float64()
 	srcSeed := 1 + rng.Int63n(1000)
 	spec.SourceFaults = fmt.Sprintf("fail=%.2f,outage=%.2f..%.2f,seed=%d",
-		failRate, oStart*tcpHorizonSeconds, oEnd*tcpHorizonSeconds, srcSeed)
-	spec.SourceFaultsDes = fmt.Sprintf("fail=%.2f,outage=%.0f..%.0f,seed=%d",
-		failRate, oStart*desHorizonSteps, oEnd*desHorizonSteps, srcSeed)
+		failRate, oStart, oEnd, srcSeed)
 
 	// Mirror plane: usually a Byzantine-majority fleet cycling the
 	// concrete misbehaviors; proofs must keep wrong bits out of Q.
