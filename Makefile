@@ -38,13 +38,18 @@ test:
 	$(GO) test -shuffle=on -timeout $(TIMEOUT) ./...
 
 # The concurrency suites under the race detector: the socket runtime —
-# the hub + load generator, each client's query plane
-# (internal/qplane) and its timer, and Byzantine peers on their own
-# clients (TestTCPByzantine*) — the download facade, the des engine, and
-# committee's Report, the one message that caches on itself and is
-# shared between recipients (TestSharedReportRace).
+# the hub + load generator, each client's query-plane driver and its
+# timer (the plane's own package, internal/qplane, starts no goroutine),
+# and Byzantine fates on their own clients (TestTCPByzantine*) — the
+# download facade, the des engine, committee's Report, the one message
+# that caches on itself and is shared between recipients
+# (TestSharedReportRace), and the packages whose tests start sockets or
+# share a registry: harden (TestCollectorOnSockets runs Byzantine fates on
+# netrt), storm (TestStormPinnedSeedOverTCP runs churn fates and absent
+# peers) and obs.
 race:
-	$(GO) test -race -timeout $(TIMEOUT) ./internal/des/ ./internal/netrt/ ./download/ ./internal/protocols/committee/
+	$(GO) test -race -timeout $(TIMEOUT) ./internal/des/ ./internal/netrt/ ./download/ ./internal/protocols/committee/ \
+		./internal/harden/ ./internal/storm/ ./internal/obs/
 
 bench:
 	$(GO) test -bench=. -benchmem . | tee bench_output.txt

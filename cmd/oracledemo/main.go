@@ -63,15 +63,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var runner oracle.DownloadRunner
 	switch *network {
 	case "crash":
-		runner = oracle.NewRunner(cfg, crashk.New, sim.FaultSpec{
-			Model: sim.FaultCrash, Faulty: faulty,
-			Crash: adversary.NewCrashRandom(cfg.Seed, faulty, 50*cfg.Nodes),
-		}, adversary.NewRandomUnit(cfg.Seed))
+		runner = oracle.NewRunner(cfg, crashk.New,
+			adversary.NewCrashRandom(cfg.Seed, faulty, 50*cfg.Nodes), adversary.NewRandomUnit(cfg.Seed))
 	case "byzantine":
-		runner = oracle.NewRunner(cfg, committee.New, sim.FaultSpec{
-			Model: sim.FaultByzantine, Faulty: faulty,
-			NewByzantine: committee.NewLiar,
-		}, adversary.NewRandomUnit(cfg.Seed))
+		runner = oracle.NewRunner(cfg, committee.New,
+			sim.Byzantines(faulty, committee.NewLiar), adversary.NewRandomUnit(cfg.Seed))
 	default:
 		fmt.Fprintf(stderr, "oracledemo: unknown network model %q\n", *network)
 		return 2

@@ -337,7 +337,7 @@ func Run(opts Options) (*Report, error) {
 	observer, flush := opts.stream()
 	var res *sim.Result
 	if opts.TCP {
-		res, err = runTCP(opts, r, observer)
+		res, err = netrt.Run(tcpConfig(opts, r, observer))
 	} else {
 		spec := buildSpec(opts, r)
 		spec.Observer = observer
@@ -373,8 +373,9 @@ type resolved struct {
 	input      *bitarray.Array
 	srcPlan    *source.FaultPlan
 	mirrorPlan *source.MirrorPlan
-	churn      []sim.ChurnPeer
-	faulty     int // number of peers misbehaving per Options.Behavior
+	// faults are the faulty peers' fates, the same on every runtime: the
+	// peers misbehaving per Options.Behavior, then the churn schedule.
+	faults sim.Faults
 }
 
 // validate catches option-level misconfiguration with a specific error
@@ -419,20 +420,21 @@ func (o *Options) validate() (*resolved, error) {
 			return nil, errors.New("download: faulty peers given without a behavior")
 		}
 	case CrashImmediate, CrashRandom, Silent, Spam, Liar, Equivocate:
-		r.faulty = o.Faulty
-		if r.faulty == 0 {
-			r.faulty = o.T
+		faulty := o.Faulty
+		if faulty == 0 {
+			faulty = o.T
 		}
-		if r.faulty >= o.N {
-			return nil, fmt.Errorf("download: %d faulty peers leaves no honest peer (N=%d)", r.faulty, o.N)
+		if faulty >= o.N {
+			return nil, fmt.Errorf("download: %d faulty peers leaves no honest peer (N=%d)", faulty, o.N)
 		}
-		if r.faulty > o.T && !o.AllowExcessFaults {
-			return nil, fmt.Errorf("download: %d faulty exceeds bound T=%d (set AllowExcessFaults to model a violated fault bound)", r.faulty, o.T)
+		if faulty > o.T && !o.AllowExcessFaults {
+			return nil, fmt.Errorf("download: %d faulty exceeds bound T=%d (set AllowExcessFaults to model a violated fault bound)", faulty, o.T)
 		}
-		if r.faulty > o.T && o.TCP {
+		if faulty > o.T && o.TCP {
 			return nil, &UnsupportedError{Runtime: "tcp", Feature: "AllowExcessFaults",
-				Reason: fmt.Sprintf("the socket runtime holds faulty peers to T=%d; run %d faulty peers on des", o.T, r.faulty)}
+				Reason: fmt.Sprintf("the socket runtime holds faulty peers to T=%d; run %d faulty peers on des", o.T, faulty)}
 		}
+		r.faults = sim.Faults{Fates: o.fates(faulty), AllowExcess: faulty > o.T}
 	default:
 		return nil, fmt.Errorf("download: unknown behavior %q", o.Behavior)
 	}
@@ -443,7 +445,7 @@ func (o *Options) validate() (*resolved, error) {
 		r.input = bitarray.FromBools(o.Input)
 	}
 	for _, cp := range o.Churn {
-		r.churn = append(r.churn, sim.ChurnPeer{
+		r.faults.Fates = append(r.faults.Fates, sim.Fate{
 			Peer: sim.PeerID(cp.Peer), CrashAfter: cp.CrashAfter, Downtime: cp.Downtime,
 		})
 	}
@@ -468,38 +470,21 @@ func (o *Options) validateChurn() error {
 	return nil
 }
 
-// runTCP maps the options onto the real-socket runtime, its events to
-// observer and Deadline to the run's Timeout. The faulty peers are the
-// ones des would place:
-// crashed-from-start peers never connect, a random crash point is a churn
-// crash that never rejoins, and a Byzantine behavior runs on its peers'
-// clients.
-func runTCP(opts Options, r *resolved, observer sim.Observer) (*sim.Result, error) {
-	cfg := netrt.Config{
+// tcpConfig maps the options onto the real-socket runtime, its events to
+// observer and Deadline to the run's Timeout. Its fates are buildSpec's.
+func tcpConfig(opts Options, r *resolved, observer sim.Observer) netrt.Config {
+	return netrt.Config{
 		N: opts.N, T: opts.T, L: opts.L, MsgBits: r.msgBits,
 		Seed: opts.Seed, NewPeer: r.factory, Input: r.input,
+		Fates:        r.faults.Fates,
 		SourceFaults: r.srcPlan, Mirrors: r.mirrorPlan,
-		Churn: r.churn, CheckpointDir: opts.CheckpointDir,
-		Timeout: time.Duration(opts.Deadline * float64(time.Second)),
-		Metrics: opts.Metrics, Observer: observer, Label: string(opts.Protocol),
+		CheckpointDir: opts.CheckpointDir,
+		Timeout:       time.Duration(opts.Deadline * float64(time.Second)),
+		Metrics:       opts.Metrics, Observer: observer, Label: string(opts.Protocol),
 	}
-	f := buildFaults(opts, r.faulty)
-	switch opts.Behavior {
-	case CrashImmediate:
-		cfg.Absent = f.Faulty
-	case CrashRandom:
-		for _, p := range f.Faulty {
-			cfg.Churn = append(cfg.Churn, sim.ChurnPeer{Peer: p, CrashAfter: f.Crash.CrashPoint(p), Downtime: -1})
-		}
-	case Silent, Spam, Liar, Equivocate:
-		cfg.Byzantine = f
-	}
-	return netrt.Run(cfg)
 }
 
 func buildSpec(opts Options, r *resolved) *sim.Spec {
-	faults := buildFaults(opts, r.faulty)
-	faults.Churn = r.churn
 	return &sim.Spec{
 		Config: sim.Config{
 			N: opts.N, T: opts.T, L: opts.L,
@@ -507,7 +492,7 @@ func buildSpec(opts Options, r *resolved) *sim.Spec {
 		},
 		NewPeer:      r.factory,
 		Delays:       adversary.NewRandomUnit(opts.Seed + 1000003),
-		Faults:       faults,
+		Faults:       r.faults,
 		SourceFaults: r.srcPlan,
 		Mirrors:      r.mirrorPlan,
 		Metrics:      opts.Metrics,
@@ -516,28 +501,20 @@ func buildSpec(opts Options, r *resolved) *sim.Spec {
 	}
 }
 
-// buildFaults places count faulty peers of the validated behavior.
-func buildFaults(opts Options, count int) sim.FaultSpec {
-	if opts.Behavior == NoFaults {
-		return sim.FaultSpec{Model: sim.FaultNone}
-	}
-	f := sim.FaultSpec{
-		Faulty:      adversary.SpreadFaulty(opts.N, count),
-		AllowExcess: count > opts.T,
-	}
-	switch opts.Behavior {
+// fates places count faulty peers of the validated behavior.
+func (o *Options) fates(count int) []sim.Fate {
+	faulty := adversary.SpreadFaulty(o.N, count)
+	switch o.Behavior {
 	case CrashImmediate:
-		f.Model, f.Crash = sim.FaultCrash, &adversary.CrashAll{Point: 0}
+		return sim.Crashes(faulty, 0)
 	case CrashRandom:
-		f.Model, f.Crash = sim.FaultCrash, adversary.NewCrashRandom(opts.Seed+9, f.Faulty, 100*opts.N)
+		return adversary.NewCrashRandom(o.Seed+9, faulty, 100*o.N)
 	case Silent:
-		f.Model, f.NewByzantine = sim.FaultByzantine, adversary.NewSilent
+		return sim.Byzantines(faulty, adversary.NewSilent)
 	case Spam:
-		f.Model, f.NewByzantine = sim.FaultByzantine, adversary.NewSpammer(8, 512)
-	case Liar, Equivocate:
-		f.Model, f.NewByzantine = sim.FaultByzantine, liarFor(opts.Protocol, opts.Behavior)
+		return sim.Byzantines(faulty, adversary.NewSpammer(8, 512))
 	}
-	return f
+	return sim.Byzantines(faulty, liarFor(o.Protocol, o.Behavior))
 }
 
 // liarFor picks the strongest protocol-aware attacker available.

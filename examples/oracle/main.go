@@ -46,18 +46,12 @@ func main() {
 		faulty := adversary.SpreadFaulty(cfg.Nodes, cfg.NodeFaults)
 
 		crash, err := oracle.RunDownload(cfg, feeds, oracle.NewRunner(cfg, crashk.New,
-			sim.FaultSpec{
-				Model: sim.FaultCrash, Faulty: faulty,
-				Crash: adversary.NewCrashRandom(cfg.Seed, faulty, 50*nodes),
-			}, adversary.NewRandomUnit(cfg.Seed)))
+			adversary.NewCrashRandom(cfg.Seed, faulty, 50*nodes), adversary.NewRandomUnit(cfg.Seed)))
 		if err != nil {
 			log.Fatal(err)
 		}
 		byz, err := oracle.RunDownload(cfg, feeds, oracle.NewRunner(cfg, committee.New,
-			sim.FaultSpec{
-				Model: sim.FaultByzantine, Faulty: faulty,
-				NewByzantine: committee.NewLiar,
-			}, adversary.NewRandomUnit(cfg.Seed+1)))
+			sim.Byzantines(faulty, committee.NewLiar), adversary.NewRandomUnit(cfg.Seed+1)))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -92,34 +92,20 @@ func TestSlowQueries(t *testing.T) {
 	}
 }
 
-func TestCrashPolicies(t *testing.T) {
-	m := CrashMap{3: 7}
-	if m.CrashPoint(3) != 7 || m.CrashPoint(4) >= 0 {
-		t.Error("CrashMap wrong")
+// TestNewCrashRandom pins the crash points NewCrashRandom draws for one
+// seed, one per peer in order and none rejoining: every seeded
+// crash-random run (the corpus, the goldens, Table 1) depends on them.
+func TestNewCrashRandom(t *testing.T) {
+	peers := []sim.PeerID{0, 1, 2, 5, 7}
+	fates := NewCrashRandom(9, peers, 100)
+	want := []int{58, 99, 86, 64, 13}
+	if len(fates) != len(peers) {
+		t.Fatalf("%d fates for %d peers", len(fates), len(peers))
 	}
-	all := &CrashAll{Point: 5}
-	if all.CrashPoint(0) != 5 || all.CrashPoint(99) != 5 {
-		t.Error("CrashAll wrong")
-	}
-	peers := []sim.PeerID{0, 1, 2}
-	cr := NewCrashRandom(9, peers, 100)
-	for _, p := range peers {
-		pt := cr.CrashPoint(p)
-		if pt < 0 || pt > 100 {
-			t.Errorf("random crash point %d out of range", pt)
+	for i, f := range fates {
+		if f.Peer != peers[i] || f.CrashAfter != want[i] || f.Downtime >= 0 || f.Byzantine != nil {
+			t.Errorf("fate %d = %+v, want peer %d crashing after %d for good", i, f, peers[i], want[i])
 		}
-	}
-	if cr.CrashPoint(50) >= 0 {
-		t.Error("non-listed peer got a crash point")
-	}
-	cr2 := NewCrashRandom(9, peers, 100)
-	for _, p := range peers {
-		if cr.CrashPoint(p) != cr2.CrashPoint(p) {
-			t.Error("CrashRandom not deterministic per seed")
-		}
-	}
-	if (NeverCrash{}).CrashPoint(0) <= 1<<40 {
-		t.Error("NeverCrash point too small")
 	}
 }
 

@@ -6,66 +6,15 @@ import (
 	"repro/internal/sim"
 )
 
-// CrashMap is an explicit per-peer crash schedule: the value is the action
-// count (sends + event deliveries) after which the peer crashes. Peers
-// absent from the map never crash.
-type CrashMap map[sim.PeerID]int
-
-var _ sim.CrashPolicy = (CrashMap)(nil)
-
-// CrashPoint implements sim.CrashPolicy.
-func (m CrashMap) CrashPoint(p sim.PeerID) int {
-	if pt, ok := m[p]; ok {
-		return pt
-	}
-	return -1
-}
-
-// CrashAll crashes every faulty peer after the same action count. Point 0
-// crashes a peer before it performs any action — equivalent to the peer
-// never existing, the harshest schedule for "wait for n−t" arguments.
-type CrashAll struct {
-	// Point is the shared crash point.
-	Point int
-}
-
-var _ sim.CrashPolicy = (*CrashAll)(nil)
-
-// CrashPoint implements sim.CrashPolicy.
-func (c *CrashAll) CrashPoint(sim.PeerID) int { return c.Point }
-
-// CrashRandom draws an independent crash point uniformly from [0, Max] per
-// peer, seeded for reproducibility. Mid-broadcast crashes arise naturally:
-// a Broadcast of n−1 sends spans n−1 consecutive action counts.
-type CrashRandom struct {
-	points map[sim.PeerID]int
-}
-
-var _ sim.CrashPolicy = (*CrashRandom)(nil)
-
-// NewCrashRandom precomputes crash points in [0, max] for the given peers.
-func NewCrashRandom(seed int64, peers []sim.PeerID, max int) *CrashRandom {
+// NewCrashRandom returns one crash fate per peer, in order, each crashing
+// after a point drawn independently and uniformly from [0, max], seeded
+// for reproducibility; none rejoins. Mid-broadcast crashes arise
+// naturally: a Broadcast of n−1 sends spans n−1 consecutive action counts.
+func NewCrashRandom(seed int64, peers []sim.PeerID, max int) []sim.Fate {
 	rng := rand.New(rand.NewSource(seed))
-	pts := make(map[sim.PeerID]int, len(peers))
-	for _, p := range peers {
-		pts[p] = rng.Intn(max + 1)
+	fates := sim.Crashes(peers, 0)
+	for i := range fates {
+		fates[i].CrashAfter = rng.Intn(max + 1)
 	}
-	return &CrashRandom{points: pts}
+	return fates
 }
-
-// CrashPoint implements sim.CrashPolicy.
-func (c *CrashRandom) CrashPoint(p sim.PeerID) int {
-	if pt, ok := c.points[p]; ok {
-		return pt
-	}
-	return -1
-}
-
-// NeverCrash marks peers as faulty without ever crashing them — useful for
-// testing that protocols do not over-rely on failures actually happening.
-type NeverCrash struct{}
-
-var _ sim.CrashPolicy = (*NeverCrash)(nil)
-
-// CrashPoint implements sim.CrashPolicy.
-func (NeverCrash) CrashPoint(sim.PeerID) int { return int(^uint(0) >> 1) }

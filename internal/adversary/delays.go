@@ -1,7 +1,7 @@
 // Package adversary implements the adversary of the DR model: scheduling
 // policies that assign finite delays to every message and query
-// (sim.DelayPolicy), crash schedules (sim.CrashPolicy), and generic
-// Byzantine behaviors. Protocol-specific Byzantine attackers live next to
+// (sim.DelayPolicy), random crash points for crash fates (sim.Fate), and
+// generic Byzantine behaviors. Protocol-specific Byzantine attackers live next to
 // the protocols they target.
 //
 // Delays are normalized so that one virtual time unit is the maximum

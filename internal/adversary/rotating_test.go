@@ -45,12 +45,8 @@ func TestRotatingCommittee(t *testing.T) {
 		Config:  sim.Config{N: n, T: tf, L: L, MsgBits: 64, Seed: 5},
 		NewPeer: committee.New,
 		Delays:  adversary.NewRandomUnit(5),
-		Faults: sim.FaultSpec{
-			Model:  sim.FaultByzantine,
-			Faulty: faulty,
-			NewByzantine: adversary.NewRotating(
-				committee.New, committee.NewLiar, windows),
-		},
+		Faults: sim.Faults{Fates: sim.Byzantines(faulty, adversary.NewRotating(
+			committee.New, committee.NewLiar, windows))},
 	}
 	res, err := des.New().Run(spec)
 	if err != nil {
@@ -92,12 +88,8 @@ func TestRotatingTwoCycle(t *testing.T) {
 		Config:  sim.Config{N: n, T: tf, L: L, MsgBits: 64, Seed: 6},
 		NewPeer: twocycle.New,
 		Delays:  adversary.NewRandomUnit(6),
-		Faults: sim.FaultSpec{
-			Model:  sim.FaultByzantine,
-			Faulty: faulty,
-			NewByzantine: adversary.NewRotating(
-				twocycle.New, segproto.NewColludingLiar, windows),
-		},
+		Faults: sim.Faults{Fates: sim.Byzantines(faulty, adversary.NewRotating(
+			twocycle.New, segproto.NewColludingLiar, windows))},
 	}
 	res, err := des.New().Run(spec)
 	if err != nil {
@@ -120,12 +112,8 @@ func TestRotatingNeverCorrupted(t *testing.T) {
 				Delays:  adversary.NewRandomUnit(seed),
 			}
 			if rotating {
-				spec.Faults = sim.FaultSpec{
-					Model:  sim.FaultByzantine,
-					Faulty: []sim.PeerID{1, 3},
-					NewByzantine: adversary.NewRotating(
-						committee.New, committee.NewLiar, nil),
-				}
+				spec.Faults = sim.Faults{Fates: sim.Byzantines([]sim.PeerID{1, 3},
+					adversary.NewRotating(committee.New, committee.NewLiar, nil))}
 			}
 			res, err := des.New().Run(spec)
 			if err != nil {

@@ -126,7 +126,7 @@ func RandomStrategy(r *rand.Rand, seed int64) Strategy {
 // floodBudget bounds the total junk broadcasts one strategist may emit.
 const floodBudget = 16
 
-// NewStrategist returns a sim.FaultSpec.NewByzantine factory: each faulty
+// NewStrategist returns a sim.Fate.Byzantine factory: each faulty
 // peer runs honest(id) internally, with every outgoing Send/Broadcast
 // rewritten by the strategy program. Queries, and hence the internal
 // protocol's source view, stay honest — the adversary lies on the wire,

@@ -76,8 +76,7 @@ func TestRunAllocBudgetCrash1(t *testing.T) {
 			Config:  sim.Config{N: 8, T: 1, L: 1024, MsgBits: 128, Seed: 9},
 			NewPeer: crash1.New,
 			Delays:  adversary.NewRandomUnit(9),
-			Faults: sim.FaultSpec{Model: sim.FaultCrash, Faulty: f,
-				Crash: adversary.NewCrashRandom(9, f, 80)},
+			Faults:  sim.Faults{Fates: adversary.NewCrashRandom(9, f, 80)},
 		}
 	})
 }
@@ -89,8 +88,7 @@ func committeeSpec() *sim.Spec {
 		Config:  sim.Config{N: 32, T: 8, L: 512, MsgBits: 128, Seed: 9},
 		NewPeer: committee.New,
 		Delays:  adversary.NewRandomUnit(9),
-		Faults: sim.FaultSpec{Model: sim.FaultByzantine, Faulty: adversary.SpreadFaulty(32, 8),
-			NewByzantine: committee.NewLiar},
+		Faults:  sim.Faults{Fates: sim.Byzantines(adversary.SpreadFaulty(32, 8), committee.NewLiar)},
 	}
 }
 

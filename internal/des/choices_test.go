@@ -120,28 +120,19 @@ func detCases() []specCase {
 		{"crashk/crash-faults", func() *sim.Spec {
 			s := base(crashk.New, 10, 3, 256, 6)
 			faulty := adversary.SpreadFaulty(10, 3)
-			s.Faults = sim.FaultSpec{
-				Model: sim.FaultCrash, Faulty: faulty,
-				Crash: adversary.NewCrashRandom(7, faulty, 1000),
-			}
+			s.Faults = sim.Faults{Fates: adversary.NewCrashRandom(7, faulty, 1000)}
 			return s
 		}},
 		// Most sends go to peers crashed from the start: dead letters that
 		// the engine counts without queueing (see TestDeadLetters).
 		{"crashk-fast/crash-majority", func() *sim.Spec {
 			s := base(crashk.NewFast, 16, 12, 512, 10)
-			s.Faults = sim.FaultSpec{
-				Model: sim.FaultCrash, Faulty: adversary.SpreadFaulty(16, 12),
-				Crash: &adversary.CrashAll{Point: 0},
-			}
+			s.Faults = sim.Faults{Fates: sim.Crashes(adversary.SpreadFaulty(16, 12), 0)}
 			return s
 		}},
 		{"committee/silent-byzantine", func() *sim.Spec {
 			s := base(committee.New, 9, 2, 96, 8)
-			s.Faults = sim.FaultSpec{
-				Model: sim.FaultByzantine, Faulty: adversary.SpreadFaulty(9, 2),
-				NewByzantine: adversary.NewSilent,
-			}
+			s.Faults = sim.Faults{Fates: sim.Byzantines(adversary.SpreadFaulty(9, 2), adversary.NewSilent)}
 			return s
 		}},
 		{"crash1/deadline", func() *sim.Spec {

@@ -18,9 +18,9 @@ import (
 // never draws builds none, and one that does gets the stream it always got.
 
 func TestCoinsOnlyWhereDrawn(t *testing.T) {
-	crash := func(n, tf int) sim.FaultSpec {
+	crash := func(n, tf int) sim.Faults {
 		f := adversary.SpreadFaulty(n, tf)
-		return sim.FaultSpec{Model: sim.FaultCrash, Faulty: f, Crash: adversary.NewCrashRandom(9, f, 80)}
+		return sim.Faults{Fates: adversary.NewCrashRandom(9, f, 80)}
 	}
 	cells := []struct {
 		name  string
@@ -146,7 +146,7 @@ func TestCoinStreamSurvivesRejoin(t *testing.T) {
 		Delays:  adversary.NewFixed(1),
 		// Peer 2 draws at start, crashes two sends into its broadcast and
 		// draws again when it rejoins.
-		Faults: sim.FaultSpec{Churn: []sim.ChurnPeer{{Peer: 2, CrashAfter: 3, Downtime: 1}}},
+		Faults: sim.Faults{Fates: []sim.Fate{{Peer: 2, CrashAfter: 3, Downtime: 1}}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,7 @@ import (
 // failure-free, crash and Byzantine executions.
 func familyCells() map[string]func() *sim.Spec {
 	const seed = 42
-	mk := func(n, tf, L int, factory func(sim.PeerID) sim.Peer, faults func() sim.FaultSpec) func() *sim.Spec {
+	mk := func(n, tf, L int, factory func(sim.PeerID) sim.Peer, faults func() sim.Faults) func() *sim.Spec {
 		return func() *sim.Spec {
 			return &sim.Spec{
 				Config:  sim.Config{N: n, T: tf, L: L, MsgBits: 128, Seed: seed},
@@ -33,18 +33,16 @@ func familyCells() map[string]func() *sim.Spec {
 			}
 		}
 	}
-	none := func() sim.FaultSpec { return sim.FaultSpec{} }
-	crash := func(n, tf int) func() sim.FaultSpec {
-		return func() sim.FaultSpec {
+	none := func() sim.Faults { return sim.Faults{} }
+	crash := func(n, tf int) func() sim.Faults {
+		return func() sim.Faults {
 			f := adversary.SpreadFaulty(n, tf)
-			return sim.FaultSpec{Model: sim.FaultCrash, Faulty: f,
-				Crash: adversary.NewCrashRandom(seed, f, 10*n)}
+			return sim.Faults{Fates: adversary.NewCrashRandom(seed, f, 10*n)}
 		}
 	}
-	byz := func(n, tf int, b func(sim.PeerID, *sim.Knowledge) sim.Peer) func() sim.FaultSpec {
-		return func() sim.FaultSpec {
-			return sim.FaultSpec{Model: sim.FaultByzantine,
-				Faulty: adversary.SpreadFaulty(n, tf), NewByzantine: b}
+	byz := func(n, tf int, b func(sim.PeerID, *sim.Knowledge) sim.Peer) func() sim.Faults {
+		return func() sim.Faults {
+			return sim.Faults{Fates: sim.Byzantines(adversary.SpreadFaulty(n, tf), b)}
 		}
 	}
 	return map[string]func() *sim.Spec{
@@ -72,7 +70,7 @@ func sourceFaultedCells(t *testing.T, seeds ...int64) map[string]func() *sim.Spe
 				Config:       sim.Config{N: 8, T: 2, L: 512, MsgBits: 64, Seed: seed},
 				NewPeer:      naive.NewBatched(64),
 				Delays:       adversary.NewRandomUnit(seed + 3),
-				Faults:       sim.FaultSpec{Churn: []sim.ChurnPeer{{Peer: 0, CrashAfter: 6, Downtime: 3}}},
+				Faults:       sim.Faults{Fates: []sim.Fate{{Peer: 0, CrashAfter: 6, Downtime: 3}}},
 				SourceFaults: plan,
 			}
 		}

@@ -120,13 +120,22 @@ func (d toPeerDelay) StartDelay(sim.PeerID) float64          { return 0 }
 
 const churnDelay = 1.5
 
+// crashesAt returns crash fates from (peer, crash point) pairs.
+func crashesAt(pairs ...int) []sim.Fate {
+	var fates []sim.Fate
+	for i := 0; i < len(pairs); i += 2 {
+		fates = append(fates, sim.Fate{Peer: sim.PeerID(pairs[i]), CrashAfter: pairs[i+1], Downtime: -1})
+	}
+	return fates
+}
+
 func deadLetterCells(t *testing.T) []specCase {
-	crashSpec := func(newPeer func(sim.PeerID) sim.Peer, n, tt, l int, seed int64, faulty []sim.PeerID, crash sim.CrashPolicy) *sim.Spec {
+	crashSpec := func(newPeer func(sim.PeerID) sim.Peer, n, tt, l int, seed int64, fates []sim.Fate) *sim.Spec {
 		return &sim.Spec{
 			Config:  sim.Config{N: n, T: tt, L: l, MsgBits: 64, Seed: seed},
 			NewPeer: newPeer,
 			Delays:  adversary.NewRandomUnit(seed + 1000003),
-			Faults:  sim.FaultSpec{Model: sim.FaultCrash, Faulty: faulty, Crash: crash},
+			Faults:  sim.Faults{Fates: fates},
 		}
 	}
 	// Peer 0 is dead from the start and every message to it is slow, so
@@ -137,12 +146,11 @@ func deadLetterCells(t *testing.T) []specCase {
 	starved := func(deadline float64) func() *sim.Spec {
 		return func() *sim.Spec {
 			return &sim.Spec{
-				Config:   sim.Config{N: 4, T: 2, L: 8, MsgBits: 64, Seed: 21, Input: bitarray.New(8)},
-				NewPeer:  newStarver,
-				Delays:   toPeerDelay{slow: 4, fast: 3},
-				Deadline: deadline,
-				Faults: sim.FaultSpec{Model: sim.FaultCrash, Faulty: []sim.PeerID{0, 1},
-					Crash: adversary.CrashMap{0: 0, 1: 6}},
+				Config:       sim.Config{N: 4, T: 2, L: 8, MsgBits: 64, Seed: 21, Input: bitarray.New(8)},
+				NewPeer:      newStarver,
+				Delays:       toPeerDelay{slow: 4, fast: 3},
+				Deadline:     deadline,
+				Faults:       sim.Faults{Fates: crashesAt(0, 0, 1, 6)},
 				SourceFaults: mustPlan(t, "outage=0..1000,seed=3"),
 				SourcePolicy: source.Policy{BreakerThreshold: 2, BreakerCooldown: 0.5, BaseBackoff: 0.1},
 			}
@@ -150,11 +158,10 @@ func deadLetterCells(t *testing.T) []specCase {
 	}
 	return []specCase{
 		{"crash-majority-from-start", func() *sim.Spec {
-			return crashSpec(crashk.NewFast, 16, 12, 512, 31, adversary.SpreadFaulty(16, 12), &adversary.CrashAll{Point: 0})
+			return crashSpec(crashk.NewFast, 16, 12, 512, 31, sim.Crashes(adversary.SpreadFaulty(16, 12), 0))
 		}},
 		{"crash-mid-broadcast", func() *sim.Spec {
-			return crashSpec(crashk.New, 10, 4, 256, 32, []sim.PeerID{1, 4, 6, 9},
-				adversary.CrashMap{1: 3, 4: 12, 6: 25, 9: 40})
+			return crashSpec(crashk.New, 10, 4, 256, 32, crashesAt(1, 3, 4, 12, 6, 25, 9, 40))
 		}},
 		{"receivers-terminate-early", func() *sim.Spec {
 			return &sim.Spec{
@@ -168,7 +175,7 @@ func deadLetterCells(t *testing.T) []specCase {
 				Config:  sim.Config{N: 8, T: 2, L: 128, MsgBits: 64, Seed: 34},
 				NewPeer: crashk.New,
 				Delays:  adversary.NewFixed(churnDelay),
-				Faults: sim.FaultSpec{Churn: []sim.ChurnPeer{
+				Faults: sim.Faults{Fates: []sim.Fate{
 					{Peer: 2, CrashAfter: 5, Downtime: 1},
 					{Peer: 5, CrashAfter: 9, Downtime: -1},
 				}},

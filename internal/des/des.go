@@ -7,16 +7,18 @@
 // Under RunChoices the adversary schedules directly: a chooser picks which
 // pending event is delivered next, and time is the number of events
 // delivered (package dst records, replays, shrinks and searches such
-// runs; package explore enumerates them). Given a seed and, for
+// runs, and dst.Explore enumerates them). Given a seed and, for
 // RunChoices, the decisions, executions are fully reproducible.
 //
-// The engine implements the paper's failure semantics:
+// The engine implements the paper's failure semantics, one sim.Fate per
+// faulty peer:
 //
-//   - Crash faults stop a peer at an adversary-chosen action count; a
-//     crash point falling between the individual sends of one Broadcast
-//     reproduces "sent some, but perhaps not all, of the messages".
-//   - Byzantine faults replace the honest protocol with adversary-built
-//     behaviors that know the input and coordinate via a shared blackboard.
+//   - A crash stops a peer at an adversary-chosen action count; a crash
+//     point falling between the individual sends of one Broadcast
+//     reproduces "sent some, but perhaps not all, of the messages". With
+//     a downtime, the peer later rejoins warm.
+//   - A Byzantine fate replaces the honest protocol with an adversary-built
+//     behavior that knows the input and coordinates via a shared blackboard.
 //
 // The engine also detects global deadlock (no pending events while some
 // honest peer has not terminated) — the failure mode the paper's
@@ -155,8 +157,8 @@ type peerState struct {
 	// source-call lifecycle and the churn warm state. The engine supplies
 	// only the event times.
 	q *qplane.Plane
-	// Churn (nil without a churn schedule for this peer).
-	churn *sim.ChurnPeer
+	// fate is the peer's fault (nil for an honest peer).
+	fate *sim.Fate
 	// Metric handles, resolved once at engine construction. All nil when
 	// spec.Metrics is nil; nil obs handles are allocation-free no-ops, so
 	// the hot paths below call them unconditionally.
@@ -198,6 +200,10 @@ type engine struct {
 	deadAt   float64
 	deadPast bool
 	res      sim.Result
+	// know is what Byzantine fates know (nil without one).
+	know *sim.Knowledge
+	// kinds are the event kinds the observer reads (none without one).
+	kinds sim.KindSet
 	// Observability handles (see peerState): nil handles are no-ops, and
 	// timing/depth sampling is additionally gated on mDispatch so the
 	// disabled path never touches the wall clock.
@@ -220,14 +226,9 @@ func newEngine(spec *sim.Spec, choose func(decision, fanout int) int) *engine {
 		cap:     cfg.EventCap(),
 	}
 	tier := qplane.NewTier(e.input, cfg.N, cfg.Seed, spec.SourceFaults, spec.Mirrors, spec.SourcePolicy)
-	var know *sim.Knowledge
-	if spec.Faults.Model == sim.FaultByzantine {
-		know = &sim.Knowledge{
-			Input:  e.input,
-			Config: cfg,
-			Faulty: append([]sim.PeerID(nil), spec.Faults.Faulty...),
-		}
-	}
+	e.know = spec.Faults.Knowledge(e.input, cfg)
+	e.kinds = sim.KindsOf(spec.Observer)
+	fates := spec.Faults.ByPeer(cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		id := sim.PeerID(i)
 		p := &peerState{
@@ -235,38 +236,28 @@ func newEngine(spec *sim.Spec, choose func(decision, fanout int) int) *engine {
 			honest:     true,
 			crashPoint: -1,
 			stats:      sim.PeerStats{ID: id, Honest: true},
+			fate:       fates[i],
 		}
-		var warm *bitarray.Tracker // spec.Warm's bits, unless NewByzantine runs
+		var warm *bitarray.Tracker // spec.Warm's bits, unless a Byzantine behavior runs
 		if spec.Warm != nil {
 			warm = spec.Warm[i]
 		}
-		if spec.Faults.IsFaulty(id) {
+		if f := p.fate; f != nil {
+			// A faulty peer crashes at its action count and, with a
+			// downtime, later rejoins warm from its persisted verified
+			// bits; the engine drains events for it until it terminates.
 			p.honest = false
 			p.stats.Honest = false
-			switch spec.Faults.Model {
-			case sim.FaultCrash:
-				p.crashPoint = spec.Faults.Crash.CrashPoint(id)
-				p.impl = spec.NewPeer(id)
-			case sim.FaultByzantine:
-				p.impl = spec.Faults.NewByzantine(id, know)
+			p.crashPoint = f.CrashAfter
+			if f.Byzantine != nil {
 				warm = nil
 			}
-		} else if cp := spec.Faults.ChurnFor(id); cp != nil {
-			// Churn peers run the honest protocol but are accounted
-			// faulty: they crash at their action count and (Downtime ≥ 0)
-			// later rejoin warm from their persisted verified bits.
-			p.honest = false
-			p.stats.Honest = false
-			p.churn = cp
-			p.crashPoint = cp.CrashAfter
-			p.impl = spec.NewPeer(id)
-			if cp.Downtime >= 0 {
+			if f.Rejoins() {
 				e.churnLive++
 			}
-		} else {
-			p.impl = spec.NewPeer(id)
 		}
-		p.q = tier.NewPlane(i, &p.stats, p.churn != nil, warm)
+		p.impl = e.newImpl(p)
+		p.q = tier.NewPlane(i, &p.stats, p.fate.Rejoins(), warm)
 		p.ctx = &peerCtx{e: e, p: p}
 		e.peers[i] = p
 		if p.honest {
@@ -312,6 +303,15 @@ func newEngine(spec *sim.Spec, choose func(decision, fanout int) int) *engine {
 		e.push(at, ev)
 	}
 	return e
+}
+
+// newImpl builds p's protocol instance: its fate's Byzantine behavior, or
+// the honest protocol.
+func (e *engine) newImpl(p *peerState) sim.Peer {
+	if p.fate != nil && p.fate.Byzantine != nil {
+		return p.fate.Byzantine(p.id, e.know)
+	}
+	return e.spec.NewPeer(p.id)
 }
 
 // newEvent returns a zeroed event, reusing a recycled slot when one is
@@ -561,13 +561,13 @@ func (e *engine) deliver(p *peerState, ev *event) {
 	switch ev.kind {
 	case evStart:
 		p.started = true
-		e.observe("start", p.id, -1, "", 0)
+		e.observe(sim.KindStart, p.id, -1, "", 0)
 		p.impl.Init(p.ctx)
 	case evMessage:
-		if e.spec.Observer != nil {
+		if e.kinds&sim.KindDeliver != 0 {
 			// The type label and the size walk are paid for only when
-			// someone is listening (they dominated allocation otherwise).
-			e.observeMsg("deliver", p.id, ev.from, ev.msg, sim.MsgType(ev.msg), ev.msg.SizeBits())
+			// someone reads deliveries (they dominated allocation otherwise).
+			e.observeMsg(sim.KindDeliver, p.id, ev.from, ev.msg, sim.MsgType(ev.msg), ev.msg.SizeBits())
 		}
 		p.impl.OnMessage(ev.from, ev.msg)
 	case evQueryReply:
@@ -577,7 +577,7 @@ func (e *engine) deliver(p *peerState, ev *event) {
 			e.srcSuccess(p)
 		}
 		p.q.Learn(ev.src.qr)
-		e.observe("qreply", p.id, -1, "", len(ev.src.qr.Indices))
+		e.observe(sim.KindQReply, p.id, -1, "", len(ev.src.qr.Indices))
 		p.impl.OnQueryReply(ev.src.qr)
 	}
 	e.current = -1
@@ -587,18 +587,18 @@ func (e *engine) crash(p *peerState) {
 	p.crashed = true
 	p.stats.Crashed = true
 	e.mCrashes.Inc()
-	e.observe("crash", p.id, -1, "", 0)
+	e.observe(sim.KindCrash, p.id, -1, "", 0)
 	if p.rejoins() {
 		ev := e.newEvent()
 		ev.kind, ev.to = evRejoin, p.id
-		e.push(e.now+p.churn.Downtime, ev)
+		e.push(e.now+p.fate.Downtime, ev)
 	}
 }
 
-// rejoins reports whether a crash of p is followed by a rejoin: p is a
-// churn peer with a downtime that has not used its one rejoin yet.
+// rejoins reports whether a crash of p is followed by a rejoin: p's fate
+// has a downtime and p has not used its one rejoin yet.
 func (p *peerState) rejoins() bool {
-	return p.churn != nil && p.churn.Downtime >= 0 && !p.stats.Rejoined
+	return p.fate.Rejoins() && !p.stats.Rejoined
 }
 
 // unreachable reports whether p can never again read a message: it has
@@ -623,10 +623,10 @@ func (e *engine) rejoin(p *peerState) {
 	p.q.Rejoin(nil)
 	p.crashPoint = -1
 	p.actions = 0
-	p.impl = e.spec.NewPeer(p.id)
+	p.impl = e.newImpl(p)
 	p.started = true
 	p.pending = nil
-	e.observe("rejoin", p.id, -1, "", 0)
+	e.observe(sim.KindRejoin, p.id, -1, "", 0)
 	e.current = p.id
 	p.impl.Init(p.ctx)
 	e.current = -1
@@ -727,7 +727,7 @@ func (e *engine) fetch(p *peerState, call *qplane.Call) {
 // srcFail delivers a now-known failure to the plane, which either backs
 // the call off or parks it behind the opened breaker.
 func (e *engine) srcFail(p *peerState, call *qplane.Call, kind source.Kind) {
-	e.observe("qfail", p.id, -1, kind.String(), len(call.Fetch))
+	e.observe(sim.KindQFail, p.id, -1, kind.String(), len(call.Fetch))
 	e.srcDo(p, p.q.Fail(e.now, call, kind))
 }
 
@@ -792,23 +792,24 @@ func (e *engine) result() *sim.Result {
 	return &e.res
 }
 
-// observe forwards a structured event to the spec's Observer.
-func (e *engine) observe(kind string, peer, other sim.PeerID, msgType string, bits int) {
-	if e.spec.Observer == nil {
+// observe forwards a structured event of one kind to the spec's Observer,
+// if it reads that kind.
+func (e *engine) observe(kind sim.KindSet, peer, other sim.PeerID, msgType string, bits int) {
+	if e.kinds&kind == 0 {
 		return
 	}
 	e.spec.Observer.OnEvent(sim.ObservedEvent{
-		Time: e.now, Kind: kind, Peer: peer, Other: other,
+		Time: e.now, Kind: kind.Name(), Peer: peer, Other: other,
 		MsgType: msgType, Bits: bits,
 	})
 }
 
 // observeMsg forwards a send/deliver event carrying the message payload
 // (evidence collectors inspect it for conflicting claims), its type label
-// and its size. Callers gate on spec.Observer != nil.
-func (e *engine) observeMsg(kind string, peer, other sim.PeerID, m sim.Message, typ string, bits int) {
+// and its size. Callers gate on the observer reading kind.
+func (e *engine) observeMsg(kind sim.KindSet, peer, other sim.PeerID, m sim.Message, typ string, bits int) {
 	e.spec.Observer.OnEvent(sim.ObservedEvent{
-		Time: e.now, Kind: kind, Peer: peer, Other: other,
+		Time: e.now, Kind: kind.Name(), Peer: peer, Other: other,
 		MsgType: typ, Bits: bits, Msg: m,
 	})
 }
@@ -844,7 +845,7 @@ func (c *peerCtx) Send(to sim.PeerID, m sim.Message) {
 // it occupies and, when an observer listens, its type label.
 func (c *peerCtx) sizeOf(m sim.Message) (size, chunks int, typ string) {
 	size = m.SizeBits()
-	if c.e.spec.Observer != nil {
+	if c.e.kinds&sim.KindSend != 0 {
 		typ = sim.MsgType(m)
 	}
 	return size, max(1, (size+c.e.cfg.MsgBits-1)/c.e.cfg.MsgBits), typ
@@ -873,8 +874,8 @@ func (c *peerCtx) send(to sim.PeerID, m sim.Message, size, chunks int, typ strin
 	p.stats.MsgBitsSent += size
 	p.mMsgs.Add(int64(chunks))
 	p.mMsgBits.Add(int64(size))
-	if c.e.spec.Observer != nil {
-		c.e.observeMsg("send", p.id, to, m, typ, size)
+	if c.e.kinds&sim.KindSend != 0 {
+		c.e.observeMsg(sim.KindSend, p.id, to, m, typ, size)
 	}
 	var at float64
 	if c.e.choose == nil {
@@ -925,7 +926,7 @@ func (c *peerCtx) Query(tag int, indices []int) {
 	b := p.q.Begin(tag, indices)
 	p.mQueryBits.Add(int64(b.Charged))
 	p.mQueries.Inc()
-	c.e.observe("query", p.id, -1, "", b.Charged)
+	c.e.observe(sim.KindQuery, p.id, -1, "", b.Charged)
 	switch b.Kind {
 	case qplane.Issue:
 		// Through the (possibly faulty, possibly mirrored) source tier.
@@ -958,11 +959,11 @@ func (c *peerCtx) Terminate() {
 	c.p.stats.TermTime = c.e.now
 	if c.p.honest {
 		c.e.honestLive--
-	} else if c.p.churn != nil && c.p.churn.Downtime >= 0 {
+	} else if c.p.fate.Rejoins() {
 		c.e.churnLive--
 	}
 	c.e.mTerms.Inc()
-	c.e.observe("terminate", c.p.id, -1, "", 0)
+	c.e.observe(sim.KindTerminate, c.p.id, -1, "", 0)
 }
 
 // Rand seeds the peer's stream at its first call, from (Seed, id) alone: no
@@ -979,10 +980,10 @@ func (c *peerCtx) Now() float64 { return c.e.now }
 // starvation detector keys its progress tracking off these). With none
 // attached it is a free no-op.
 func (c *peerCtx) MarkPhase(name string) {
-	if c.e.spec.Observer == nil || !c.active() {
+	if c.e.kinds&sim.KindPhase == 0 || !c.active() {
 		return
 	}
 	c.e.spec.Observer.OnEvent(sim.ObservedEvent{
-		Time: c.e.now, Kind: "phase", Peer: c.p.id, Other: -1, Name: name,
+		Time: c.e.now, Kind: sim.KindPhase.Name(), Peer: c.p.id, Other: -1, Name: name,
 	})
 }

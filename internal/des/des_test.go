@@ -36,11 +36,7 @@ func TestNaiveAllHonest(t *testing.T) {
 func TestNaiveSurvivesByzantineMajority(t *testing.T) {
 	spec := naiveSpec(2)
 	spec.Config.T = 5 // majority faulty
-	spec.Faults = sim.FaultSpec{
-		Model:        sim.FaultByzantine,
-		Faulty:       adversary.FaultyPeers(5),
-		NewByzantine: adversary.NewSpammer(10, 128),
-	}
+	spec.Faults = sim.Faults{Fates: sim.Byzantines(adversary.FaultyPeers(5), adversary.NewSpammer(10, 128))}
 	res, err := des.New().Run(spec)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -69,11 +65,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestCrashBeforeStart(t *testing.T) {
 	spec := naiveSpec(3)
-	spec.Faults = sim.FaultSpec{
-		Model:  sim.FaultCrash,
-		Faulty: []sim.PeerID{0, 1},
-		Crash:  &adversary.CrashAll{Point: 0},
-	}
+	spec.Faults = sim.Faults{Fates: sim.Crashes([]sim.PeerID{0, 1}, 0)}
 	res, err := des.New().Run(spec)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -101,33 +93,15 @@ func TestSpecValidation(t *testing.T) {
 		{"zero msg bits", func(s *sim.Spec) { s.Config.MsgBits = 0 }},
 		{"nil factory", func(s *sim.Spec) { s.NewPeer = nil }},
 		{"nil delays", func(s *sim.Spec) { s.Delays = nil }},
-		{"crash without policy", func(s *sim.Spec) {
-			s.Faults = sim.FaultSpec{Model: sim.FaultCrash, Faulty: []sim.PeerID{0}}
-		}},
-		{"byzantine without factory", func(s *sim.Spec) {
-			s.Faults = sim.FaultSpec{Model: sim.FaultByzantine, Faulty: []sim.PeerID{0}}
-		}},
 		{"too many faulty", func(s *sim.Spec) {
-			s.Faults = sim.FaultSpec{
-				Model:  sim.FaultCrash,
-				Faulty: []sim.PeerID{0, 1, 2},
-				Crash:  &adversary.CrashAll{Point: 0},
-			}
+			s.Faults = sim.Faults{Fates: sim.Crashes([]sim.PeerID{0, 1, 2}, 0)}
 		}},
 		{"duplicate faulty", func(s *sim.Spec) {
 			s.Config.T = 3
-			s.Faults = sim.FaultSpec{
-				Model:  sim.FaultCrash,
-				Faulty: []sim.PeerID{0, 0},
-				Crash:  &adversary.CrashAll{Point: 0},
-			}
+			s.Faults = sim.Faults{Fates: sim.Crashes([]sim.PeerID{0, 0}, 0)}
 		}},
 		{"faulty out of range", func(s *sim.Spec) {
-			s.Faults = sim.FaultSpec{
-				Model:  sim.FaultCrash,
-				Faulty: []sim.PeerID{99},
-				Crash:  &adversary.CrashAll{Point: 0},
-			}
+			s.Faults = sim.Faults{Fates: sim.Crashes([]sim.PeerID{99}, 0)}
 		}},
 	}
 	for _, tc := range tests {

@@ -57,11 +57,7 @@ func TestWaitForAllDeadlocks(t *testing.T) {
 	base := sim.Spec{
 		Config: sim.Config{N: 6, T: 1, L: 8, MsgBits: 64, Seed: 1, Input: input},
 		Delays: adversary.NewFixed(0.5),
-		Faults: sim.FaultSpec{
-			Model:  sim.FaultCrash,
-			Faulty: []sim.PeerID{2},
-			Crash:  &adversary.CrashAll{Point: 0},
-		},
+		Faults: sim.Faults{Fates: sim.Crashes([]sim.PeerID{2}, 0)},
 	}
 
 	waitAll := base

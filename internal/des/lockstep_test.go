@@ -21,19 +21,11 @@ func TestFixedDelaysYieldRoundStructure(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		factory func(sim.PeerID) sim.Peer
-		faults  sim.FaultSpec
+		faults  sim.Faults
 		tf      int
 	}{
-		{"crashk", crashk.New, sim.FaultSpec{
-			Model:  sim.FaultCrash,
-			Faulty: adversary.SpreadFaulty(10, 3),
-			Crash:  &adversary.CrashAll{Point: 0},
-		}, 3},
-		{"committee", committee.New, sim.FaultSpec{
-			Model:        sim.FaultByzantine,
-			Faulty:       adversary.SpreadFaulty(10, 4),
-			NewByzantine: committee.NewLiar,
-		}, 4},
+		{"crashk", crashk.New, sim.Faults{Fates: sim.Crashes(adversary.SpreadFaulty(10, 3), 0)}, 3},
+		{"committee", committee.New, sim.Faults{Fates: sim.Byzantines(adversary.SpreadFaulty(10, 4), committee.NewLiar)}, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := des.New().Run(&sim.Spec{

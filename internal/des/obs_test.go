@@ -20,11 +20,10 @@ func TestMetricsMatchResult(t *testing.T) {
 	tl := obs.NewTimeline()
 	faulty := adversary.SpreadFaulty(8, 2)
 	spec := &sim.Spec{
-		Config:  sim.Config{N: 8, T: 2, L: 1024, MsgBits: 128, Seed: 7},
-		NewPeer: crashk.New,
-		Delays:  adversary.NewRandomUnit(7),
-		Faults: sim.FaultSpec{Model: sim.FaultCrash, Faulty: faulty,
-			Crash: adversary.NewCrashRandom(7, faulty, 120)},
+		Config:   sim.Config{N: 8, T: 2, L: 1024, MsgBits: 128, Seed: 7},
+		NewPeer:  crashk.New,
+		Delays:   adversary.NewRandomUnit(7),
+		Faults:   sim.Faults{Fates: adversary.NewCrashRandom(7, faulty, 120)},
 		Metrics:  reg,
 		Observer: sim.TimelineObserver(tl),
 		Label:    "crashk",
@@ -120,5 +119,56 @@ func TestMetricsSharedAcrossRuns(t *testing.T) {
 		if _, ok := snap.Series("dr_sim_query_bits_total", map[string]string{"protocol": label, "peer": "0"}); !ok {
 			t.Errorf("missing series for label %q", label)
 		}
+	}
+}
+
+// kindCounter counts the events of each kind it receives; it reads only
+// the kinds it declares.
+type kindCounter struct {
+	kinds sim.KindSet
+	count map[string]int
+}
+
+func (c *kindCounter) Kinds() sim.KindSet           { return c.kinds }
+func (c *kindCounter) OnEvent(ev sim.ObservedEvent) { c.count[ev.Kind]++ }
+
+// TestObserverReadsDeclaredKinds: an observer that names its kinds gets
+// those kinds and no other, all of them: no send or deliver is built for
+// it, while every start, query, crash and termination still arrives.
+func TestObserverReadsDeclaredKinds(t *testing.T) {
+	c := &kindCounter{kinds: sim.KindStart | sim.KindQuery | sim.KindCrash | sim.KindTerminate, count: map[string]int{}}
+	res, err := des.New().Run(&sim.Spec{
+		Config:   sim.Config{N: 8, T: 2, L: 1024, MsgBits: 128, Seed: 7},
+		NewPeer:  crashk.New,
+		Delays:   adversary.NewRandomUnit(7),
+		Faults:   sim.Faults{Fates: adversary.NewCrashRandom(7, adversary.SpreadFaulty(8, 2), 120)},
+		Observer: c,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Msgs == 0 {
+		t.Fatal("the run sent no message")
+	}
+	crashed, terms := 0, 0
+	for _, ps := range res.PerPeer {
+		if ps.Crashed {
+			crashed++
+		}
+		if ps.Terminated {
+			terms++
+		}
+	}
+	want := map[string]int{"start": 8, "crash": crashed, "terminate": terms}
+	for kind, n := range c.count {
+		if kind == "query" {
+			continue
+		}
+		if n != want[kind] {
+			t.Errorf("%d %q events, want %d", n, kind, want[kind])
+		}
+	}
+	if c.count["query"] == 0 || c.count["start"] != 8 || c.count["send"] != 0 || c.count["deliver"] != 0 {
+		t.Errorf("event counts %v: want queries, 8 starts and no send or deliver", c.count)
 	}
 }

@@ -26,20 +26,16 @@ func fuzzRun(t *testing.T, factory func(sim.PeerID) sim.Peer, n, tf, L int, scri
 		script = []byte{1}
 	}
 	faulty := adversary.SpreadFaulty(n, tf)
-	var faults sim.FaultSpec
+	var faults sim.Faults
 	if tf > 0 {
 		if byz {
-			faults = sim.FaultSpec{
-				Model: sim.FaultByzantine, Faulty: faulty,
-				NewByzantine: adversary.NewSilent,
-			}
+			faults = sim.Faults{Fates: sim.Byzantines(faulty, adversary.NewSilent)}
 		} else {
 			// Crash points come from the script too.
-			points := make(adversary.CrashMap, tf)
-			for i, p := range faulty {
-				points[p] = int(script[i%len(script)]) * 2
+			faults = sim.Faults{Fates: sim.Crashes(faulty, 0)}
+			for i := range faults.Fates {
+				faults.Fates[i].CrashAfter = int(script[i%len(script)]) * 2
 			}
-			faults = sim.FaultSpec{Model: sim.FaultCrash, Faulty: faulty, Crash: points}
 		}
 	}
 	res, err := des.New().Run(&sim.Spec{

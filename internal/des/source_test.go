@@ -159,7 +159,7 @@ func TestChurnRejoinResumesWarm(t *testing.T) {
 		Delays:  adversary.NewRandomUnit(21),
 		// Actions: start(1), query#1(2), reply#1(3), query#2(4); the
 		// crash lands on the reply#2 delivery, after 128 bits persisted.
-		Faults: sim.FaultSpec{Churn: []sim.ChurnPeer{{Peer: 0, CrashAfter: 4, Downtime: 5}}},
+		Faults: sim.Faults{Fates: []sim.Fate{{Peer: 0, CrashAfter: 4, Downtime: 5}}},
 	}
 	res, err := des.New().Run(spec)
 	if err != nil {
@@ -199,7 +199,7 @@ func TestChurnRejoinUnderSourceFaults(t *testing.T) {
 		Config:       sim.Config{N: 4, T: 1, L: 256, MsgBits: 64, Seed: 23},
 		NewPeer:      newHalver,
 		Delays:       adversary.NewRandomUnit(23),
-		Faults:       sim.FaultSpec{Churn: []sim.ChurnPeer{{Peer: 1, CrashAfter: 4, Downtime: 4}}},
+		Faults:       sim.Faults{Fates: []sim.Fate{{Peer: 1, CrashAfter: 4, Downtime: 4}}},
 		SourceFaults: mustPlan(t, "fail=0.2,seed=3"),
 	}
 	res, err := des.New().Run(spec)
@@ -227,7 +227,7 @@ func TestChurnNeverRejoins(t *testing.T) {
 		Config:  sim.Config{N: 4, T: 1, L: 256, MsgBits: 64, Seed: 25},
 		NewPeer: newHalver,
 		Delays:  adversary.NewRandomUnit(25),
-		Faults:  sim.FaultSpec{Churn: []sim.ChurnPeer{{Peer: 2, CrashAfter: 2, Downtime: -1}}},
+		Faults:  sim.Faults{Fates: []sim.Fate{{Peer: 2, CrashAfter: 2, Downtime: -1}}},
 	}
 	res, err := des.New().Run(spec)
 	if err != nil {
@@ -258,19 +258,19 @@ func TestChurnSpecValidation(t *testing.T) {
 		mut  func(*sim.Spec)
 	}{
 		{"out of range", func(s *sim.Spec) {
-			s.Faults.Churn = []sim.ChurnPeer{{Peer: 9, CrashAfter: 1, Downtime: 1}}
+			s.Faults.Fates = []sim.Fate{{Peer: 9, CrashAfter: 1, Downtime: 1}}
 		}},
 		{"negative crash point", func(s *sim.Spec) {
-			s.Faults.Churn = []sim.ChurnPeer{{Peer: 0, CrashAfter: -1, Downtime: 1}}
+			s.Faults.Fates = []sim.Fate{{Peer: 0, CrashAfter: -1, Downtime: 1}}
 		}},
 		{"duplicate churn peer", func(s *sim.Spec) {
-			s.Faults.Churn = []sim.ChurnPeer{
+			s.Faults.Fates = []sim.Fate{
 				{Peer: 0, CrashAfter: 1, Downtime: 1},
 				{Peer: 0, CrashAfter: 2, Downtime: 1},
 			}
 		}},
 		{"exceeds fault bound", func(s *sim.Spec) {
-			s.Faults.Churn = []sim.ChurnPeer{
+			s.Faults.Fates = []sim.Fate{
 				{Peer: 0, CrashAfter: 1, Downtime: 1},
 				{Peer: 1, CrashAfter: 1, Downtime: 1},
 			}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -116,23 +117,9 @@ func (r *Replay) Validate() error {
 	if err != nil {
 		return err
 	}
-	_ = proto
 	sc := sim.Config{N: r.N, T: r.T, L: r.L, MsgBits: r.MsgBits, Seed: r.Seed}
 	if err := sc.Validate(); err != nil {
 		return fmt.Errorf("dst: %w", err)
-	}
-	seen := make(map[int]bool, len(r.Faulty))
-	for _, p := range r.Faulty {
-		if p < 0 || p >= r.N {
-			return fmt.Errorf("dst: faulty peer %d out of range", p)
-		}
-		if seen[p] {
-			return fmt.Errorf("dst: duplicate faulty peer %d", p)
-		}
-		seen[p] = true
-	}
-	if len(r.Faulty) >= r.N {
-		return fmt.Errorf("dst: %d faulty peers leaves no honest peer", len(r.Faulty))
 	}
 	switch r.Fault {
 	case "", FaultNone:
@@ -141,7 +128,7 @@ func (r *Replay) Validate() error {
 		}
 	case FaultCrash:
 		for _, cp := range r.CrashPoints {
-			if !seen[cp.Peer] {
+			if !slices.Contains(r.Faulty, cp.Peer) {
 				return fmt.Errorf("dst: crash point for non-faulty peer %d", cp.Peer)
 			}
 			if cp.Point < 0 {
@@ -159,20 +146,12 @@ func (r *Replay) Validate() error {
 		return fmt.Errorf("dst: unknown fault model %q", r.Fault)
 	}
 	for _, cp := range r.Churn {
-		if cp.Peer < 0 || cp.Peer >= r.N {
-			return fmt.Errorf("dst: churn peer %d out of range", cp.Peer)
-		}
-		if seen[cp.Peer] {
-			return fmt.Errorf("dst: churn peer %d also listed faulty", cp.Peer)
-		}
-		seen[cp.Peer] = true
 		if cp.Point < 0 {
 			return fmt.Errorf("dst: negative churn crash point for peer %d", cp.Peer)
 		}
 	}
-	if len(r.Faulty)+len(r.Churn) >= r.N {
-		return fmt.Errorf("dst: %d faulty peers (incl. churn) leaves no honest peer",
-			len(r.Faulty)+len(r.Churn))
+	if err := r.faults(proto.New).Validate(r.N, r.T); err != nil {
+		return fmt.Errorf("dst: %w", err)
 	}
 	if _, err := source.ParsePlan(r.SourcePlan); err != nil {
 		return err
@@ -278,16 +257,6 @@ func (r *Replay) Save(path string) error {
 	return nil
 }
 
-// crashMap serves a crash-point table as a sim.CrashPolicy.
-type crashMap map[sim.PeerID]int
-
-func (m crashMap) CrashPoint(p sim.PeerID) int {
-	if pt, ok := m[p]; ok {
-		return pt
-	}
-	return -1
-}
-
 // spec is the one place dst builds a sim.Spec: it lowers the replay to
 // the spec it describes. A churn peer's rejoin is an event the chooser
 // places, so its Downtime only says whether there is one. A replay may
@@ -309,37 +278,48 @@ func (r *Replay) spec() (*sim.Spec, error) {
 	if err != nil {
 		return nil, err
 	}
-	faults := sim.FaultSpec{Model: sim.FaultNone}
-	for _, p := range r.Faulty {
-		faults.Faulty = append(faults.Faulty, sim.PeerID(p))
-	}
+	return &sim.Spec{
+		Config:       sim.Config{N: r.N, T: r.T, L: r.L, MsgBits: r.MsgBits, Seed: r.Seed},
+		NewPeer:      proto.New,
+		Faults:       r.faults(proto.New),
+		SourceFaults: plan,
+		Mirrors:      mplan,
+	}, nil
+}
+
+// faults lowers the header's fault fields to fates: the faulty set in its
+// order, each crashing at its crash point (never, without one) or running
+// the strategy, then the churn peers.
+func (r *Replay) faults(honest func(sim.PeerID) sim.Peer) sim.Faults {
+	var f sim.Faults
 	switch r.Fault {
 	case FaultCrash:
-		crash := make(crashMap, len(r.CrashPoints))
+		points := make(map[int]int, len(r.CrashPoints))
 		for _, cp := range r.CrashPoints {
-			crash[sim.PeerID(cp.Peer)] = cp.Point
+			points[cp.Peer] = cp.Point
 		}
-		faults.Model, faults.Crash = sim.FaultCrash, crash
+		for _, p := range r.Faulty {
+			after, ok := points[p]
+			if !ok {
+				after = -1
+			}
+			f.Fates = append(f.Fates, sim.Fate{Peer: sim.PeerID(p), CrashAfter: after, Downtime: -1})
+		}
 	case FaultByzantine:
-		faults.Model, faults.NewByzantine = sim.FaultByzantine, r.strategy().NewStrategist(proto.New)
+		byz := r.strategy().NewStrategist(honest)
+		for _, p := range r.Faulty {
+			f.Fates = append(f.Fates, sim.Fate{Peer: sim.PeerID(p), CrashAfter: -1, Downtime: -1, Byzantine: byz})
+		}
 	}
 	for _, cp := range r.Churn {
 		down := -1.0
 		if cp.Rejoin {
 			down = 0
 		}
-		faults.Churn = append(faults.Churn, sim.ChurnPeer{
-			Peer: sim.PeerID(cp.Peer), CrashAfter: cp.Point, Downtime: down,
-		})
+		f.Fates = append(f.Fates, sim.Fate{Peer: sim.PeerID(cp.Peer), CrashAfter: cp.Point, Downtime: down})
 	}
-	faults.AllowExcess = len(faults.Faulty)+len(faults.Churn) > r.T
-	return &sim.Spec{
-		Config:       sim.Config{N: r.N, T: r.T, L: r.L, MsgBits: r.MsgBits, Seed: r.Seed},
-		NewPeer:      proto.New,
-		Faults:       faults,
-		SourceFaults: plan,
-		Mirrors:      mplan,
-	}, nil
+	f.AllowExcess = len(f.Fates) > r.T
+	return f
 }
 
 // Run replays the recorded schedule and returns the outcome. It is the

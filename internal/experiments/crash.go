@@ -26,7 +26,7 @@ func E1Cells(cfg Config) []Cell {
 			Config:  config(cfg.Seed, n, 1, L),
 			NewPeer: crash1.New,
 			Delays:  adversary.NewRandomUnit(cfg.Seed + int64(n)),
-			Faults:  crash(victim, adversary.NewCrashRandom(cfg.Seed, victim, 3*n)),
+			Faults:  sim.Faults{Fates: adversary.NewCrashRandom(cfg.Seed, victim, 3*n)},
 		}})
 	}
 	return cells
@@ -69,7 +69,7 @@ func E2Cells(cfg Config) []Cell {
 			Config:  config(cfg.Seed, n, tf, L),
 			NewPeer: crashk.New,
 			Delays:  adversary.NewRandomUnit(cfg.Seed + int64(tf)),
-			Faults:  crash(faulty, adversary.NewCrashRandom(cfg.Seed, faulty, 20*n)),
+			Faults:  sim.Faults{Fates: adversary.NewCrashRandom(cfg.Seed, faulty, 20*n)},
 		}})
 	}
 	return cells
@@ -121,7 +121,7 @@ func e3Decay(cfg Config) (*Table, error) {
 		Config:  config(cfg.Seed, n, tf, L),
 		NewPeer: trace.wrapFactory(crashk.New),
 		Delays:  adversary.NewRandomUnit(cfg.Seed + 5),
-		Faults:  crash(adversary.SpreadFaulty(n, tf), &adversary.CrashAll{Point: 0}),
+		Faults:  crash(adversary.SpreadFaulty(n, tf), 0),
 	}})
 	if err != nil {
 		return nil, err
@@ -163,7 +163,7 @@ func E9Cells(cfg Config) []Cell {
 			Config:  sim.Config{N: n, T: tf, L: L, MsgBits: b, Seed: cfg.Seed},
 			NewPeer: crashk.NewFast,
 			Delays:  adversary.NewFixed(1.0), // worst-case unit latency
-			Faults:  crash(faulty, &adversary.CrashAll{Point: 0}),
+			Faults:  crash(faulty, 0),
 		}})
 	}
 	return cells
@@ -220,7 +220,7 @@ func A3Cells(cfg Config) []Cell {
 				NewPeer: variant.factory,
 				Delays: adversary.NewTargetedSlow(
 					adversary.NewRandom(cfg.Seed, 0.1, 0.5), slow, slowDelay),
-				Faults: crash(crashed, &adversary.CrashAll{Point: crashPoint}),
+				Faults: crash(crashed, crashPoint),
 			}})
 		}
 	}

@@ -172,16 +172,14 @@ func config(seed int64, n, t, L int) sim.Config {
 	return sim.Config{N: n, T: t, L: L, MsgBits: max(64, L/n), Seed: seed}
 }
 
-// crash makes the faulty peers crash at the points plan gives them. An
-// empty faulty set runs failure-free, as under sim.FaultNone.
-func crash(faulty []sim.PeerID, plan sim.CrashPolicy) sim.FaultSpec {
-	return sim.FaultSpec{Model: sim.FaultCrash, Faulty: faulty, Crash: plan}
+// crash makes the faulty peers crash after the given number of actions.
+func crash(faulty []sim.PeerID, after int) sim.Faults {
+	return sim.Faults{Fates: sim.Crashes(faulty, after)}
 }
 
-// byzantine makes the faulty peers run liar in place of the protocol. An
-// empty faulty set runs failure-free, as under sim.FaultNone.
-func byzantine(faulty []sim.PeerID, liar func(sim.PeerID, *sim.Knowledge) sim.Peer) sim.FaultSpec {
-	return sim.FaultSpec{Model: sim.FaultByzantine, Faulty: faulty, NewByzantine: liar}
+// byzantine makes the faulty peers run liar in place of the protocol.
+func byzantine(faulty []sim.PeerID, liar func(sim.PeerID, *sim.Knowledge) sim.Peer) sim.Faults {
+	return sim.Faults{Fates: sim.Byzantines(faulty, liar)}
 }
 
 func itoa(v int) string          { return fmt.Sprintf("%d", v) }

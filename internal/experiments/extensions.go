@@ -34,9 +34,9 @@ func a4Synchrony(cfg Config) (*Table, error) {
 	rows := []struct {
 		name    string
 		factory func(sim.PeerID) sim.Peer
-		faults  sim.FaultSpec
+		faults  sim.Faults
 	}{
-		{"crashk", crashk.NewFast, crash(faulty, adversary.NewCrashRandom(cfg.Seed, faulty, 20*n))},
+		{"crashk", crashk.NewFast, sim.Faults{Fates: adversary.NewCrashRandom(cfg.Seed, faulty, 20*n)}},
 		{"committee", committee.New, byzantine(faulty, committee.NewLiar)},
 	}
 	for _, r := range rows {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/protocols/committee"
 	"repro/internal/protocols/crashk"
+	"repro/internal/sim"
 )
 
 // e10Oracle reproduces the Section 4 / Theorem 4.2 comparison: the
@@ -51,11 +52,11 @@ func e10Oracle(cfg Config) (*Table, error) {
 			switch kind {
 			case "crash":
 				runner = oracle.NewRunner(ocfg, crashk.New,
-					crash(faulty, adversary.NewCrashRandom(ocfg.Seed, faulty, 50*n)),
+					adversary.NewCrashRandom(ocfg.Seed, faulty, 50*n),
 					adversary.NewRandomUnit(ocfg.Seed))
 			case "byzantine":
 				runner = oracle.NewRunner(ocfg, committee.New,
-					byzantine(faulty, committee.NewLiar),
+					sim.Byzantines(faulty, committee.NewLiar),
 					adversary.NewRandomUnit(ocfg.Seed+1))
 			}
 			down, err := oracle.RunDownload(ocfg, feeds, runner)

@@ -34,7 +34,7 @@ func a6Reassign(cfg Config) (*Table, error) {
 				Config:  config(cfg.Seed, n, tf, L),
 				NewPeer: crashk.NewWithOptions(crashk.Options{Reassign: strat.mode}),
 				Delays:  adversary.NewRandomUnit(cfg.Seed + int64(tf)),
-				Faults:  crash(faulty, &adversary.CrashAll{Point: 0}),
+				Faults:  crash(faulty, 0),
 			}})
 			if err != nil {
 				return nil, err

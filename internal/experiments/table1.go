@@ -32,7 +32,7 @@ func t1Rows(cfg Config) []t1Row {
 	if cfg.Quick {
 		n, L = 128, 1<<12
 	}
-	cell := func(name string, tf int, peer func(sim.PeerID) sim.Peer, faults sim.FaultSpec) Cell {
+	cell := func(name string, tf int, peer func(sim.PeerID) sim.Peer, faults sim.Faults) Cell {
 		return Cell{name, &sim.Spec{
 			Config:  config(cfg.Seed, n, tf, L),
 			NewPeer: peer,
@@ -40,11 +40,11 @@ func t1Rows(cfg Config) []t1Row {
 			Faults:  faults,
 		}}
 	}
-	randomCrash := func(tf int) sim.FaultSpec {
+	randomCrash := func(tf int) sim.Faults {
 		f := adversary.SpreadFaulty(n, tf)
-		return crash(f, adversary.NewCrashRandom(cfg.Seed, f, 20*n))
+		return sim.Faults{Fates: adversary.NewCrashRandom(cfg.Seed, f, 20*n)}
 	}
-	lying := func(tf int, liar func(sim.PeerID, *sim.Knowledge) sim.Peer) sim.FaultSpec {
+	lying := func(tf int, liar func(sim.PeerID, *sim.Knowledge) sim.Peer) sim.Faults {
 		return byzantine(adversary.SpreadFaulty(n, tf), liar)
 	}
 	tQuarter, tHalf, tNineTenths := n/4, n/2, 9*n/10

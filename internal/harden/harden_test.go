@@ -219,12 +219,12 @@ func TestRunValidation(t *testing.T) {
 func TestCollectorOnSockets(t *testing.T) {
 	const n, tf, L, b, seed = 8, 3, 512, 64, 5
 	faulty := adversary.SpreadFaulty(n, tf)
-	byz := sim.FaultSpec{Model: sim.FaultByzantine, Faulty: faulty, NewByzantine: committee.NewEquivocator}
+	byz := sim.Byzantines(faulty, committee.NewEquivocator)
 
 	onDes := NewCollector(n, 0, nil)
 	if _, err := des.New().Run(&sim.Spec{
 		Config:  sim.Config{N: n, T: tf, L: L, MsgBits: b, Seed: seed},
-		NewPeer: committee.New, Delays: adversary.NewRandomUnit(seed), Faults: byz,
+		NewPeer: committee.New, Delays: adversary.NewRandomUnit(seed), Faults: sim.Faults{Fates: byz},
 		Observer: onDes,
 	}); err != nil {
 		t.Fatal(err)
@@ -232,7 +232,7 @@ func TestCollectorOnSockets(t *testing.T) {
 	onTCP := NewCollector(n, 0, nil)
 	res, err := netrt.Run(netrt.Config{
 		N: n, T: tf, L: L, MsgBits: b, Seed: seed,
-		NewPeer: committee.New, Byzantine: byz, Observer: onTCP,
+		NewPeer: committee.New, Fates: byz, Observer: onTCP,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -264,14 +264,10 @@ func runAttack(cfg AttackConfig, probe *probeResult, target int, rep *Report) (*
 		},
 		NewPeer: cfg.NewPeer,
 		Delays:  adversary.NewTargetedSlow(adversary.NewHashDelay(cfg.Seed+3, 0, 0.5), b, slowDelay),
-		Faults: sim.FaultSpec{
-			Model:  sim.FaultByzantine,
-			Faulty: corrupt,
-			NewByzantine: func(id sim.PeerID, _ *sim.Knowledge) sim.Peer {
-				// Behave exactly as the honest protocol would on X1.
-				return &inputSimulator{inner: cfg.NewPeer(id), simulated: probe.input}
-			},
-		},
+		Faults: sim.Faults{Fates: sim.Byzantines(corrupt, func(id sim.PeerID, _ *sim.Knowledge) sim.Peer {
+			// Behave exactly as the honest protocol would on X1.
+			return &inputSimulator{inner: cfg.NewPeer(id), simulated: probe.input}
+		})},
 	}
 	res, err := des.New().Run(spec)
 	if err != nil {

@@ -144,7 +144,7 @@ func benchStorm(b *testing.B, drop float64) {
 			N: 16, T: 4, L: 65536, MsgBits: 65536 / 16, Seed: seed,
 			NewPeer: crashk.NewFast, Label: "crashk-fast",
 			Absent:        []sim.PeerID{3, 8, 13},
-			Churn:         []sim.ChurnPeer{{Peer: 1, CrashAfter: 60, Downtime: 0.05}},
+			Churn:         []sim.Fate{{Peer: 1, CrashAfter: 60, Downtime: 0.05}},
 			CheckpointDir: b.TempDir(),
 			Faults:        &FaultPlan{Seed: seed + 1000, Drop: drop, Dup: .02, Delay: 2 * time.Millisecond, Reorder: .05},
 			SourceFaults:  &source.FaultPlan{Seed: seed + 2000, FailRate: 0.1},

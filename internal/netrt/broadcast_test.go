@@ -24,7 +24,7 @@ type sentFrame struct {
 // pipeClient is a client on an in-memory connection: sent() runs a pass of
 // the connection's writer, closes the client's end, and returns every
 // frame the far end read.
-func pipeClient(id sim.PeerID, n int, churn *sim.ChurnPeer) (c *client, sent func() []sentFrame) {
+func pipeClient(id sim.PeerID, n int, churn *sim.Fate) (c *client, sent func() []sentFrame) {
 	near, far := net.Pipe()
 	fc := newFrameConn(near, 0)
 	c = &client{stats: &sim.PeerStats{}, cfg: &Config{N: n, MsgBits: 256}, id: id, link: link{conn: fc}, churn: churn}
@@ -78,11 +78,11 @@ func TestBroadcastMatchesSends(t *testing.T) {
 		// crash before the first send to one the broadcast never reaches.
 		for crashAfter := -1; crashAfter <= n; crashAfter++ {
 			label := fmt.Sprintf("message %d, CrashAfter %d", mi, crashAfter)
-			churn := func() *sim.ChurnPeer {
+			churn := func() *sim.Fate {
 				if crashAfter < 0 {
 					return nil
 				}
-				return &sim.ChurnPeer{Peer: id, CrashAfter: crashAfter}
+				return &sim.Fate{Peer: id, CrashAfter: crashAfter}
 			}
 			bc, bcSent := pipeClient(id, n, churn())
 			bc.Broadcast(m)

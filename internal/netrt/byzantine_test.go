@@ -15,8 +15,8 @@ import (
 )
 
 // byzantine places tf Byzantine peers of one behavior among n.
-func byzantine(n, tf int, behavior func(sim.PeerID, *sim.Knowledge) sim.Peer) sim.FaultSpec {
-	return sim.FaultSpec{Model: sim.FaultByzantine, Faulty: adversary.SpreadFaulty(n, tf), NewByzantine: behavior}
+func byzantine(n, tf int, behavior func(sim.PeerID, *sim.Knowledge) sim.Peer) []sim.Fate {
+	return sim.Byzantines(adversary.SpreadFaulty(n, tf), behavior)
 }
 
 // TestTCPByzantineCommitteeLiars: committee under t lying members over
@@ -26,9 +26,9 @@ func TestTCPByzantineCommitteeLiars(t *testing.T) {
 	byz := byzantine(9, 4, committee.NewLiar)
 	res, err := netrt.Run(netrt.Config{
 		N: 9, T: 4, L: 270, MsgBits: 256, Seed: 5,
-		NewPeer:   committee.New,
-		Byzantine: byz,
-		Timeout:   20 * time.Second,
+		NewPeer: committee.New,
+		Fates:   byz,
+		Timeout: 20 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -36,9 +36,9 @@ func TestTCPByzantineCommitteeLiars(t *testing.T) {
 	if !res.Correct {
 		t.Fatalf("incorrect: %v", res)
 	}
-	for _, p := range byz.Faulty {
-		if res.PerPeer[p].MsgsSent == 0 {
-			t.Errorf("liar %d sent nothing", p)
+	for _, f := range byz {
+		if res.PerPeer[f.Peer].MsgsSent == 0 {
+			t.Errorf("liar %d sent nothing", f.Peer)
 		}
 	}
 }
@@ -52,9 +52,9 @@ func TestTCPByzantineTwoCycleLiars(t *testing.T) {
 	const n, tf, l = 128, 16, 1 << 11
 	res, err := netrt.Run(netrt.Config{
 		N: n, T: tf, L: l, MsgBits: 128, Seed: 21,
-		NewPeer:   twocycle.New,
-		Byzantine: byzantine(n, tf, segproto.NewColludingLiar),
-		Timeout:   60 * time.Second,
+		NewPeer: twocycle.New,
+		Fates:   byzantine(n, tf, segproto.NewColludingLiar),
+		Timeout: 60 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,9 +89,9 @@ func TestTCPByzantineBehaviors(t *testing.T) {
 			byz := byzantine(n, tf, tc.behavior)
 			res, err := netrt.Run(netrt.Config{
 				N: n, T: tf, L: 1024, MsgBits: 128, Seed: 7,
-				NewPeer:   tc.newPeer,
-				Byzantine: byz,
-				Timeout:   20 * time.Second,
+				NewPeer: tc.newPeer,
+				Fates:   byz,
+				Timeout: 20 * time.Second,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -99,36 +99,31 @@ func TestTCPByzantineBehaviors(t *testing.T) {
 			if !res.Correct {
 				t.Fatalf("incorrect: %v", res)
 			}
-			for _, p := range byz.Faulty {
-				if ps := res.PerPeer[p]; ps.Honest || ps.Crashed {
-					t.Errorf("Byzantine peer %d reported honest=%v crashed=%v, want neither", p, ps.Honest, ps.Crashed)
+			for _, f := range byz {
+				if ps := res.PerPeer[f.Peer]; ps.Honest || ps.Crashed {
+					t.Errorf("Byzantine peer %d reported honest=%v crashed=%v, want neither", f.Peer, ps.Honest, ps.Crashed)
 				}
 			}
 		})
 	}
 }
 
-// TestTCPByzantineValidation: a Byzantine set needs its behavior, stays
-// inside T together with the crash faults, and shares no peer with them.
+// TestTCPByzantineValidation: Byzantine fates stay inside T together with
+// the crash faults, and share no peer with them.
 func TestTCPByzantineValidation(t *testing.T) {
 	base := func() netrt.Config {
 		return netrt.Config{N: 4, T: 1, L: 64, MsgBits: 64, NewPeer: naive.New}
 	}
 	cases := map[string]func(*netrt.Config){
-		"no behavior": func(c *netrt.Config) {
-			c.Byzantine = sim.FaultSpec{Model: sim.FaultByzantine, Faulty: []sim.PeerID{1}}
-		},
 		"over t with an absent peer": func(c *netrt.Config) {
-			c.Byzantine = byzantine(4, 1, adversary.NewSilent)
-			c.Absent = []sim.PeerID{2}
+			c.Fates = append(byzantine(4, 1, adversary.NewSilent), sim.Crashes([]sim.PeerID{2}, 0)...)
 		},
 		"also absent": func(c *netrt.Config) {
 			c.T = 2
-			c.Byzantine = sim.FaultSpec{Faulty: []sim.PeerID{2}, NewByzantine: adversary.NewSilent}
-			c.Absent = []sim.PeerID{2}
+			c.Fates = append(sim.Byzantines([]sim.PeerID{2}, adversary.NewSilent), sim.Crashes([]sim.PeerID{2}, 0)...)
 		},
 		"out of range": func(c *netrt.Config) {
-			c.Byzantine = sim.FaultSpec{Faulty: []sim.PeerID{4}, NewByzantine: adversary.NewSilent}
+			c.Fates = sim.Byzantines([]sim.PeerID{4}, adversary.NewSilent)
 		},
 	}
 	for name, mutate := range cases {

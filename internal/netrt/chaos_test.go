@@ -55,7 +55,7 @@ func TestChaosMatrix(t *testing.T) {
 	}{
 		{"naive", netrt.Config{N: 5, T: 0, L: 256, MsgBits: 64, NewPeer: naive.New}},
 		{"crashk", netrt.Config{N: 6, T: 2, L: 512, MsgBits: 128, NewPeer: crashk.New,
-			Absent: []sim.PeerID{4}}},
+			Fates: sim.Crashes([]sim.PeerID{4}, 0)}},
 		{"committee", netrt.Config{N: 9, T: 2, L: 270, MsgBits: 256, NewPeer: committee.New}},
 	}
 	for _, tc := range cases {
@@ -278,7 +278,7 @@ func TestChaosManySeeds(t *testing.T) {
 			cfg := netrt.Config{
 				N: 5, T: 1, L: 300, MsgBits: 128, Seed: seed,
 				NewPeer:    crashk.New,
-				Absent:     []sim.PeerID{3},
+				Fates:      sim.Crashes([]sim.PeerID{3}, 0),
 				Faults:     chaosPlan(seed),
 				Resilience: fastResilience(),
 				Timeout:    30 * time.Second,

@@ -82,7 +82,7 @@ func checkRejoinWarm(t *testing.T, dir string) {
 	res, err := netrt.Run(netrt.Config{
 		N: 4, T: 1, L: 256, MsgBits: 64, Seed: 21,
 		NewPeer:       newHalver,
-		Churn:         []sim.ChurnPeer{{Peer: 0, CrashAfter: 4, Downtime: 0.3}},
+		Fates:         []sim.Fate{{Peer: 0, CrashAfter: 4, Downtime: 0.3}},
 		CheckpointDir: dir,
 		Timeout:       30 * time.Second,
 	})
@@ -205,7 +205,7 @@ func TestChurnCrashDuringProbeOverTCP(t *testing.T) {
 			}
 			return &probeCrash{tag: tag}
 		},
-		Churn:         []sim.ChurnPeer{{Peer: 0, CrashAfter: 2, Downtime: 0.1}},
+		Fates:         []sim.Fate{{Peer: 0, CrashAfter: 2, Downtime: 0.1}},
 		CheckpointDir: t.TempDir(),
 		SourceFaults:  fp,
 		SourcePolicy:  source.Policy{BaseBackoff: 0.02, MaxBackoff: 0.1, BreakerThreshold: 1, BreakerCooldown: 0.4},
@@ -297,7 +297,7 @@ func TestChurnNeverRejoinsOverTCP(t *testing.T) {
 	res, err := netrt.Run(netrt.Config{
 		N: 5, T: 2, L: 256, MsgBits: 64, Seed: 22,
 		NewPeer: newAnnouncer(2),
-		Churn: []sim.ChurnPeer{{Peer: 2, CrashAfter: 7, Downtime: -1},
+		Fates: []sim.Fate{{Peer: 2, CrashAfter: 7, Downtime: -1},
 			{Peer: 4, CrashAfter: 1 << 30, Downtime: -1}},
 		Timeout: 30 * time.Second,
 	})
@@ -328,23 +328,23 @@ func TestChurnValidationOverTCP(t *testing.T) {
 		mutate func(*netrt.Config)
 	}{
 		{"out of range", func(c *netrt.Config) {
-			c.Churn = []sim.ChurnPeer{{Peer: 9, CrashAfter: 1, Downtime: -1}}
+			c.Churn = []sim.Fate{{Peer: 9, CrashAfter: 1, Downtime: -1}}
 		}},
 		{"duplicate", func(c *netrt.Config) {
 			c.T = 2
-			c.Churn = []sim.ChurnPeer{{Peer: 0, CrashAfter: 1, Downtime: 1}, {Peer: 0, CrashAfter: 2, Downtime: 1}}
+			c.Churn = []sim.Fate{{Peer: 0, CrashAfter: 1, Downtime: 1}, {Peer: 0, CrashAfter: 2, Downtime: 1}}
 		}},
 		{"negative crash point", func(c *netrt.Config) {
-			c.Churn = []sim.ChurnPeer{{Peer: 0, CrashAfter: -1, Downtime: 1}}
+			c.Churn = []sim.Fate{{Peer: 0, CrashAfter: -1, Downtime: 1}}
 		}},
 		{"churn plus absent exceeds t", func(c *netrt.Config) {
 			c.Absent = []sim.PeerID{1}
-			c.Churn = []sim.ChurnPeer{{Peer: 0, CrashAfter: 1, Downtime: 1}}
+			c.Churn = []sim.Fate{{Peer: 0, CrashAfter: 1, Downtime: 1}}
 		}},
 		{"absent and churning", func(c *netrt.Config) {
 			c.T = 2
 			c.Absent = []sim.PeerID{0}
-			c.Churn = []sim.ChurnPeer{{Peer: 0, CrashAfter: 1, Downtime: 1}}
+			c.Churn = []sim.Fate{{Peer: 0, CrashAfter: 1, Downtime: 1}}
 		}},
 		{"outage at a negative time", func(c *netrt.Config) {
 			c.Faults = &netrt.FaultPlan{Outages: []netrt.Outage{{At: -time.Millisecond, Down: time.Millisecond}}}
@@ -498,7 +498,7 @@ func TestBroadcastPrefixOverTCP(t *testing.T) {
 			NewPeer: func(id sim.PeerID) sim.Peer {
 				return &prefixPeer{victim: victim, msg: msg, wait: slices.Contains(others[:k], id), heard: &heard[id]}
 			},
-			Churn:   []sim.ChurnPeer{{Peer: victim, CrashAfter: 1 + k, Downtime: -1}},
+			Fates:   []sim.Fate{{Peer: victim, CrashAfter: 1 + k, Downtime: -1}},
 			Timeout: 30 * time.Second,
 		})
 		if err != nil {

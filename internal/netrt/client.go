@@ -20,31 +20,25 @@ import (
 	"repro/internal/wire"
 )
 
-// churnFor returns id's churn schedule, or nil.
-func churnFor(cfg *Config, id sim.PeerID) *sim.ChurnPeer {
-	for i := range cfg.Churn {
-		if cfg.Churn[i].Peer == id {
-			return &cfg.Churn[i]
-		}
-	}
-	return nil
-}
-
 // runClient drives a peer's protocol instance, reconnecting through
 // connection loss until the protocol terminates and its DONE frame is
-// acknowledged. A churn peer may go through two incarnations: the first
-// crashes itself at its action count and persists a durable checkpoint;
-// after the downtime a fresh instance loads the checkpoint into the
-// peer's query plane, rejoins via the resume handshake, and runs to
-// completion serving its warm bits locally. The plane q and the stats st
-// outlive the incarnations, and q settles into st when the last one ends;
+// acknowledged. fate is the peer's fault, nil for an honest peer. A peer
+// whose fate crashes it (CrashAfter ≥ 0) may go through two incarnations:
+// the first crashes itself at its action count and persists a durable
+// checkpoint; after the downtime a fresh instance loads the checkpoint
+// into the peer's query plane, rejoins via the resume handshake, and runs
+// to completion serving its warm bits locally. The plane q and the stats
+// st outlive the incarnations, and q settles into st when the last one ends;
 // newPeer builds each incarnation's protocol instance (or, for a
 // Byzantine peer, its behavior); ev is the run's event stream, start the
 // run's clock, and stop closes when the hub stops.
-func runClient(cfg *Config, id sim.PeerID, newPeer func(sim.PeerID) sim.Peer, addr string,
+func runClient(cfg *Config, id sim.PeerID, fate *sim.Fate, newPeer func(sim.PeerID) sim.Peer, addr string,
 	q *qplane.Plane, st *sim.PeerStats, met *netMetrics, ev *events, start time.Time, stop <-chan struct{}) error {
 	defer func() { q.Settle(time.Since(start).Seconds()) }()
-	churn := churnFor(cfg, id)
+	var churn *sim.Fate // the fate, if it crashes the peer
+	if fate != nil && fate.CrashAfter >= 0 {
+		churn = fate
+	}
 	var store *checkpoint.Store
 	if churn != nil && cfg.CheckpointDir != "" {
 		var err error
@@ -97,7 +91,7 @@ func runClient(cfg *Config, id sim.PeerID, newPeer func(sim.PeerID) sim.Peer, ad
 // run runs one life of the peer: dial, Init, frame loop, and either a
 // clean exit (terminated or rejected) or a self-inflicted churn crash,
 // reported via crashed so runClient can schedule the rejoin.
-func (c *client) run(churn *sim.ChurnPeer, store *checkpoint.Store, rejoined bool) (crashed bool, err error) {
+func (c *client) run(churn *sim.Fate, store *checkpoint.Store, rejoined bool) (crashed bool, err error) {
 	cfg, id := c.cfg, c.id
 	if churn != nil && !rejoined {
 		// Only the first incarnation crashes; the rejoined one runs the
@@ -143,9 +137,9 @@ func (c *client) run(churn *sim.ChurnPeer, store *checkpoint.Store, rejoined boo
 	defer func() { c.stopHK <- struct{}{} }()
 	if c.countAction() {
 		if rejoined {
-			c.ev.peer("rejoin", id, "", 0)
+			c.ev.peer(sim.KindRejoin, id, "", 0)
 		} else {
-			c.ev.peer("start", id, "", 0)
+			c.ev.peer(sim.KindStart, id, "", 0)
 		}
 		c.impl.Init(c)
 	}
@@ -260,7 +254,7 @@ type client struct {
 	// the resume handshake. pendingLocal queues fully-warm query replies
 	// for delivery between frames, so the protocol is never re-entered
 	// from inside Query.
-	churn        *sim.ChurnPeer
+	churn        *sim.Fate
 	needResume   bool
 	actions      int
 	crashed      bool
@@ -284,8 +278,8 @@ type client struct {
 }
 
 // countAction ticks the churn action clock; false means the crash point
-// was just passed or already hit: the caller must drop the action (the
-// des runtime's CrashPolicy semantics — the exceeding action is lost).
+// was just passed or already hit: the caller must drop the action (as on
+// des, where a sim.Fate's exceeding action is lost).
 // After the crash the frame loop exits and run closes the connection.
 func (c *client) countAction() bool {
 	if c.churn == nil {
@@ -300,7 +294,7 @@ func (c *client) countAction() bool {
 	if c.actions > c.churn.CrashAfter {
 		c.crashed = true
 		dbg("client %d: churn crash at action %d", c.id, c.actions)
-		c.ev.peer("crash", c.id, "", 0)
+		c.ev.peer(sim.KindCrash, c.id, "", 0)
 		return false
 	}
 	return true
@@ -331,7 +325,7 @@ func (c *client) drainLocal() {
 // deliver hands the protocol a query reply once the plane has learnt it.
 func (c *client) deliver(qr sim.QueryReply) {
 	c.q.Learn(qr)
-	c.ev.peer("qreply", c.id, "", len(qr.Indices))
+	c.ev.peer(sim.KindQReply, c.id, "", len(qr.Indices))
 	c.impl.OnQueryReply(qr)
 }
 
@@ -394,7 +388,7 @@ func (c *client) connect(initial bool) error {
 		if !initial {
 			c.stats.Reconnects++
 			c.met.reconnect(int(c.id))
-			c.ev.peer("reconnect", c.id, "", 0)
+			c.ev.peer(sim.KindReconnect, c.id, "", 0)
 		}
 		c.writers.Add(1)
 		c.mu.Unlock()
@@ -532,8 +526,8 @@ func (c *client) handleFrame(kind byte, seq uint64, payload []byte) {
 		if !c.countAction() {
 			return
 		}
-		if c.ev != nil {
-			c.ev.msg("deliver", c.id, sim.PeerID(from64), m, sim.MsgType(m), m.SizeBits())
+		if c.ev.reads(sim.KindDeliver) {
+			c.ev.msg(sim.KindDeliver, c.id, sim.PeerID(from64), m, sim.MsgType(m), m.SizeBits())
 		}
 		c.impl.OnMessage(sim.PeerID(from64), m)
 	case kRoot:
@@ -633,13 +627,13 @@ func (c *client) sent(m sim.Message, to sim.PeerID, k int) {
 	c.stats.MsgsSent += k * chunks
 	c.stats.MsgBitsSent += k * size
 	c.met.msgSent(int(c.id), k*chunks, k*size)
-	if c.ev == nil {
+	if !c.ev.reads(sim.KindSend) {
 		return
 	}
 	typ := sim.MsgType(m)
 	for ; k > 0; to++ {
 		if to != c.id {
-			c.ev.msg("send", c.id, to, m, typ, size)
+			c.ev.msg(sim.KindSend, c.id, to, m, typ, size)
 			k--
 		}
 	}
@@ -705,7 +699,7 @@ func (c *client) Terminate() {
 	}
 	c.push(kDone, numPayload(uint64(len(raw)), raw))
 	c.terminated = true
-	c.ev.peer("terminate", c.id, "", 0)
+	c.ev.peer(sim.KindTerminate, c.id, "", 0)
 }
 
 // MarkPhase implements sim.Context: the phase is what a churn peer's
@@ -714,7 +708,7 @@ func (c *client) MarkPhase(name string) {
 	c.mu.Lock()
 	c.lastPhase = name
 	c.mu.Unlock()
-	c.ev.emit(sim.ObservedEvent{Kind: "phase", Peer: c.id, Other: -1, Name: name})
+	c.ev.emit(sim.KindPhase, sim.ObservedEvent{Peer: c.id, Other: -1, Name: name})
 }
 
 // Rand implements sim.Context.

@@ -258,7 +258,7 @@ func (h *hub) armPlan() {
 func (h *hub) flap(hp *hubPeer) {
 	if hp.sever() != nil {
 		dbg("flap: severed peer %d", hp.id)
-		h.ev.peer("flap", hp.id, "", 0)
+		h.ev.peer(sim.KindFlap, hp.id, "", 0)
 	}
 }
 

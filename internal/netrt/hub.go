@@ -62,15 +62,12 @@ type hub struct {
 	// writes tallies what the connection writers did (Hub.ShardStats).
 	writes writeCounters
 
-	// faulty marks absent, churning and Byzantine peers: their
-	// terminations never count toward the completion quota (a crashing
-	// peer may finish before its crash; ending the run on its DONE would
-	// abandon honest peers mid-protocol) — except the rejoining subset
-	// below.
-	faulty map[sim.PeerID]bool
-	// rejoining marks churn peers with a rejoin scheduled (Downtime ≥ 0):
-	// faulty, but still expected to DONE, so the quota counts them.
-	rejoining map[sim.PeerID]bool
+	// fates holds each peer's fate, nil for an honest peer. A faulty
+	// peer's termination never counts toward the completion quota (a
+	// crashing peer may finish before its crash; ending the run on its
+	// DONE would abandon honest peers mid-protocol) — unless its fate
+	// rejoins: such a peer still owes a DONE (see owesDone).
+	fates []*sim.Fate
 	// peers holds link state for every non-absent peer; the map is
 	// fully built in newHub and never mutated, so reads need no lock.
 	peers map[sim.PeerID]*hubPeer
@@ -100,50 +97,32 @@ func newHub(cfg Config, input *bitarray.Array, met *netMetrics, ev *events, star
 	if err != nil {
 		return nil, fmt.Errorf("netrt: listen: %w", err)
 	}
-	faulty := make(map[sim.PeerID]bool, len(cfg.Absent)+len(cfg.Churn)+len(cfg.Byzantine.Faulty))
-	absent := make(map[sim.PeerID]bool, len(cfg.Absent))
-	for _, p := range cfg.Absent {
-		faulty[p] = true
-		absent[p] = true
-	}
-	for _, p := range cfg.Byzantine.Faulty {
-		faulty[p] = true
-	}
-	// Churn peers are faulty by definition, but the rejoining ones still
-	// owe a DONE: the completion quota waits for them, so a run only ends
-	// once recovered peers have actually finished the download.
-	rejoining := make(map[sim.PeerID]bool, len(cfg.Churn))
-	for _, cp := range cfg.Churn {
-		faulty[cp.Peer] = true
-		if cp.Downtime >= 0 {
-			rejoining[cp.Peer] = true
-		}
-	}
 	h := &hub{
-		cfg:       cfg,
-		res:       cfg.Resilience.withDefaults(),
-		idle:      cfg.idleTimeout(),
-		plan:      cfg.Faults,
-		input:     input,
-		src:       source.Wrap(source.NewTrusted(input), cfg.SourceFaults),
-		addr:      ln.Addr().String(),
-		ln:        ln,
-		start:     start,
-		expect:    cfg.N - len(faulty) + len(rejoining),
-		faulty:    faulty,
-		rejoining: rejoining,
-		peers:     make(map[sim.PeerID]*hubPeer, cfg.N),
-		met:       met,
-		ev:        ev,
-		stop:      make(chan struct{}),
-		allDone:   make(chan struct{}),
+		cfg:     cfg,
+		res:     cfg.Resilience.withDefaults(),
+		idle:    cfg.idleTimeout(),
+		plan:    cfg.Faults,
+		input:   input,
+		src:     source.Wrap(source.NewTrusted(input), cfg.SourceFaults),
+		addr:    ln.Addr().String(),
+		ln:      ln,
+		start:   start,
+		fates:   sim.Faults{Fates: cfg.Fates}.ByPeer(cfg.N),
+		peers:   make(map[sim.PeerID]*hubPeer, cfg.N),
+		met:     met,
+		ev:      ev,
+		stop:    make(chan struct{}),
+		allDone: make(chan struct{}),
 	}
 	if cfg.Mirrors.Enabled() {
 		h.mirror = source.NewMirrored(input, cfg.Mirrors, cfg.N, h.src)
 	}
-	for i := 0; i < cfg.N; i++ {
-		if id := sim.PeerID(i); !absent[id] {
-			h.peers[id] = &hubPeer{id: id, link: link{met: met, peer: i}}
+	for i, f := range h.fates {
+		if h.owesDone(sim.PeerID(i)) {
+			h.expect++
+		}
+		if !f.Absent() {
+			h.peers[sim.PeerID(i)] = &hubPeer{id: sim.PeerID(i), link: link{met: met, peer: i}}
 		}
 	}
 	h.wg.Add(2)
@@ -528,7 +507,7 @@ func (h *hub) markDone(hp *hubPeer, payload []byte) {
 	hp.output = out
 	hp.termTime = time.Since(h.start).Seconds()
 	hp.mu.Unlock()
-	if already || (h.faulty[hp.id] && !h.rejoining[hp.id]) {
+	if already || !h.owesDone(hp.id) {
 		return
 	}
 	h.mu.Lock()
@@ -575,13 +554,20 @@ func (h *hub) tickLoop() {
 	}
 }
 
+// owesDone reports whether the run waits for id's DONE: id is honest, or
+// its fate rejoins, so a run only ends once recovered peers have actually
+// finished the download.
+func (h *hub) owesDone(id sim.PeerID) bool {
+	return h.fates[id] == nil || h.fates[id].Rejoins()
+}
+
 // timeoutError snapshots the unterminated honest peers for the run's
 // deadline report.
 func (h *hub) timeoutError(after time.Duration) *TimeoutError {
 	e := &TimeoutError{After: after}
 	for i := 0; i < h.cfg.N; i++ {
 		id := sim.PeerID(i)
-		if h.faulty[id] && !h.rejoining[id] {
+		if !h.owesDone(id) {
 			continue
 		}
 		hp := h.peers[id]
@@ -641,7 +627,7 @@ func (h *hub) result(per []sim.PeerStats) *sim.Result {
 	for i := range per {
 		id := sim.PeerID(i)
 		ps := &per[i]
-		ps.ID, ps.Honest = id, !h.faulty[id]
+		ps.ID, ps.Honest = id, h.fates[id] == nil
 		// A churn peer's client records its own crash; the hub knows
 		// which peers never connected.
 		ps.Crashed = ps.Crashed || h.peers[id] == nil

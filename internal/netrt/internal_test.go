@@ -314,7 +314,7 @@ func runPeer(t *testing.T, addr string, l int, peer sim.Peer, pol source.Policy)
 	st := &sim.PeerStats{}
 	q := qplane.NewRemoteTier(cfg.L, cfg.Seed, cfg.SourcePolicy).NewPlane(0, st, false, nil)
 	done := make(chan error, 1)
-	go func() { done <- runClient(cfg, 0, cfg.NewPeer, addr, q, st, nil, nil, time.Now(), nil) }()
+	go func() { done <- runClient(cfg, 0, nil, cfg.NewPeer, addr, q, st, nil, nil, time.Now(), nil) }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -603,7 +603,7 @@ func (p *askSeq) OnQueryReply(r sim.QueryReply) {
 // REJECT frame, not silence, so clients stop redialing.
 func TestRejectUnknownPeer(t *testing.T) {
 	h := newTestHub(t, Config{N: 2, T: 1, L: 64, MsgBits: 64, Seed: 3,
-		Absent: []sim.PeerID{1}, IdleTimeout: time.Second})
+		Fates: sim.Crashes([]sim.PeerID{1}, 0), IdleTimeout: time.Second})
 	for _, id := range []uint64{1, 17} {
 		conn, err := net.Dial("tcp", h.addr)
 		if err != nil {

@@ -33,7 +33,8 @@ func bareHub(t testing.TB, cfg Config) *hub {
 	input := (&sim.Config{N: cfg.N, T: cfg.T, L: cfg.L, MsgBits: cfg.MsgBits, Seed: cfg.Seed}).ResolveInput()
 	h := &hub{cfg: cfg, res: cfg.Resilience.withDefaults(), idle: time.Second, input: input,
 		src: source.Wrap(source.NewTrusted(input), nil), start: time.Now(),
-		expect: cfg.N, peers: make(map[sim.PeerID]*hubPeer), stop: make(chan struct{}), allDone: make(chan struct{})}
+		expect: cfg.N, fates: make([]*sim.Fate, cfg.N), peers: make(map[sim.PeerID]*hubPeer),
+		stop: make(chan struct{}), allDone: make(chan struct{})}
 	if cfg.Mirrors.Enabled() {
 		h.mirror = source.NewMirrored(input, cfg.Mirrors, cfg.N, h.src)
 	}

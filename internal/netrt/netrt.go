@@ -10,10 +10,11 @@
 //	peer ──TCP──▶ hub ──TCP──▶ peer      (MSG frames, wire-encoded)
 //	peer ──TCP──▶ hub (source) ──▶ peer  (QUERY/QREPLY frames)
 //
-// Peers may be faulty as the model allows: crashed from the start
-// (Absent), crashing mid-run and perhaps rejoining (Churn), or Byzantine,
-// running an adversary behavior in place of the protocol (Byzantine).
-// Network faults go further: a seeded FaultPlan lets the hub
+// Peers may be faulty as the model allows, each by its sim.Fate (Fates), as
+// on des: crashed from the start (such a peer never connects), crashing
+// mid-run and perhaps rejoining, or Byzantine, running an adversary
+// behavior in place of the protocol on its own client. Network faults go
+// further: a seeded FaultPlan lets the hub
 // drop, duplicate, delay, reorder and stall deliveries, sever connections
 // that may reconnect, take the hub's listener down for a while, and
 // impose timed partitions that later heal. A
@@ -80,24 +81,24 @@ type Config struct {
 	Seed int64
 	// NewPeer constructs the protocol instance per peer.
 	NewPeer func(sim.PeerID) sim.Peer
-	// Absent lists peers that crash before starting (never connect);
-	// must satisfy len(Absent) ≤ T.
+	// Fates lists the faulty peers, as sim.Spec.Faults does on des, with
+	// the same action clock (sends, queries, deliveries). A peer that
+	// never acts and never rejoins (CrashAfter 0, Downtime < 0) gets no
+	// client: it never connects. A crashed peer with Downtime ≥ 0 restarts
+	// after roughly Downtime seconds and rejoins warm from its on-disk
+	// checkpoint via the resume handshake; the run waits for its DONE. A
+	// Byzantine behavior runs on its own client like any other peer, so
+	// everything it sends crosses the wire. At most T fates.
+	Fates []sim.Fate
+	// Absent lists peers that never connect: a crash fate at action 0.
+	//
+	// Deprecated: use Fates; validate appends these to them. It stays
+	// because the benchmark harness sets it.
 	Absent []sim.PeerID
-	// Byzantine replaces peers with adversary behaviors: each peer in
-	// Byzantine.Faulty runs Byzantine.NewByzantine's behavior in place of
-	// NewPeer's, on its own client like any other peer, so everything it
-	// sends crosses the wire. The other FaultSpec fields are not read.
-	// Byzantine peers count toward T with the crash faults, and the run
-	// never waits for their DONE.
-	Byzantine sim.FaultSpec
-	// Churn lists peers that crash themselves mid-run after CrashAfter
-	// protocol actions (sends, queries, deliveries — the same action
-	// clock as the des runtime) and, when Downtime ≥ 0, restart after
-	// roughly Downtime seconds, rejoining warm from their on-disk
-	// checkpoint via the resume handshake; Downtime < 0 is a plain
-	// mid-run crash. Churn peers count toward T together with Absent
-	// ones, but rejoining ones are still expected to terminate: the run
-	// waits for their DONE.
+	// Churn lists more fates.
+	//
+	// Deprecated: use Fates; validate appends these to them. It stays
+	// because the benchmark harness sets it.
 	Churn []sim.ChurnPeer
 	// CheckpointDir is where churn peers persist durable checkpoints
 	// (internal/checkpoint). Empty, a run with a rejoining churn peer
@@ -108,7 +109,7 @@ type Config struct {
 	// Faults optionally injects a seeded network fault schedule at the
 	// hub (drops, duplicates, delays, stalls, flaps, listener outages,
 	// healed partitions).
-	// Unlike Absent and Churn, a FaultPlan never counts toward T: honest
+	// Unlike Fates, a FaultPlan never counts toward T: honest
 	// peers are expected to survive it via the resilience layer.
 	Faults *FaultPlan
 	// SourceFaults optionally makes the hub's source tier misbehave:
@@ -185,34 +186,13 @@ func (c *Config) validate() error {
 	if c.NewPeer == nil {
 		return errors.New("netrt: missing NewPeer")
 	}
-	if len(c.Byzantine.Faulty) > 0 && c.Byzantine.NewByzantine == nil {
-		return errors.New("netrt: Byzantine peers need NewByzantine")
-	}
-	faulty := len(c.Absent) + len(c.Churn) + len(c.Byzantine.Faulty)
-	seen := make(map[sim.PeerID]bool, len(c.Churn))
-	for _, cp := range c.Churn {
-		if cp.Peer < 0 || int(cp.Peer) >= c.N {
-			return fmt.Errorf("netrt: churn peer %d out of range", cp.Peer)
-		}
-		if seen[cp.Peer] {
-			return fmt.Errorf("netrt: duplicate churn peer %d", cp.Peer)
-		}
-		seen[cp.Peer] = true
-		if cp.CrashAfter < 0 {
-			return fmt.Errorf("netrt: churn peer %d has negative crash point", cp.Peer)
-		}
-		if slices.Contains(c.Absent, cp.Peer) {
-			return fmt.Errorf("netrt: peer %d both absent and churning", cp.Peer)
-		}
-	}
-	for _, p := range c.Byzantine.Faulty {
-		if p < 0 || int(p) >= c.N || seen[p] || slices.Contains(c.Absent, p) {
-			return fmt.Errorf("netrt: Byzantine peer %d out of range or in another fault set", p)
-		}
-		seen[p] = true
-	}
-	if faulty > c.T {
-		return fmt.Errorf("netrt: %d faulty peers exceeds t=%d", faulty, c.T)
+	// The deprecated spellings become fates, appended to a copy so the
+	// caller's array is never written.
+	c.Fates = append(slices.Clip(c.Fates), sim.Crashes(c.Absent, 0)...)
+	c.Fates = append(c.Fates, c.Churn...)
+	c.Absent, c.Churn = nil, nil
+	if err := (sim.Faults{Fates: c.Fates}).Validate(c.N, c.T); err != nil {
+		return err
 	}
 	if c.Faults != nil {
 		if err := c.Faults.validate(c.N); err != nil {
@@ -277,8 +257,8 @@ func (e *TimeoutError) Error() string {
 }
 
 // Run executes the configuration and reports the outcome in the same
-// Result shape as the simulation runtimes. Absent peers are reported as
-// crashed/faulty. A run whose honest peers outlast Timeout fails with a
+// Result shape as the simulation runtimes. Peers that never connect are
+// reported as crashed/faulty. A run whose honest peers outlast Timeout fails with a
 // *TimeoutError.
 func Run(cfg Config) (*sim.Result, error) {
 	if err := cfg.validate(); err != nil {
@@ -288,7 +268,7 @@ func Run(cfg Config) (*sim.Result, error) {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
-	if cfg.CheckpointDir == "" && slices.ContainsFunc(cfg.Churn, func(cp sim.ChurnPeer) bool { return cp.Downtime >= 0 }) {
+	if cfg.CheckpointDir == "" && slices.ContainsFunc(cfg.Fates, func(f sim.Fate) bool { return f.Rejoins() }) {
 		dir, err := os.MkdirTemp("", "netrt-ckpt")
 		if err != nil {
 			return nil, fmt.Errorf("netrt: checkpoint dir: %w", err)
@@ -308,38 +288,36 @@ func Run(cfg Config) (*sim.Result, error) {
 	}
 	defer h.close()
 
-	absent := make(map[sim.PeerID]bool, len(cfg.Absent))
-	for _, p := range cfg.Absent {
-		absent[p] = true
-		ev.peer("crash", p, "", 0) // as des crashes a peer at its first action
+	for _, f := range cfg.Fates {
+		if f.Absent() {
+			ev.peer(sim.KindCrash, f.Peer, "", 0) // as des crashes a peer at its first action
+		}
 	}
 	// One Knowledge serves every Byzantine peer, as on des; behaviors
 	// only read it.
-	byz := &cfg.Byzantine
-	know := &sim.Knowledge{Input: input, Config: simCfg, Faulty: byz.Faulty}
-	newByz := func(id sim.PeerID) sim.Peer { return byz.NewByzantine(id, know) }
+	know := sim.Faults{Fates: cfg.Fates}.Knowledge(input, simCfg)
 
 	// Each client drives its peer's query plane, which charges Q at Query
 	// and keeps the peer's accounting in stats across both incarnations
-	// of a churn peer; the hub adds its half at the end.
+	// of a rejoining peer; the hub adds its half at the end.
 	tier := qplane.NewRemoteTier(cfg.L, cfg.Seed, cfg.SourcePolicy)
 	stats := make([]sim.PeerStats, cfg.N)
 	var clients sync.WaitGroup
 	errs := make(chan error, cfg.N)
 	for i := 0; i < cfg.N; i++ {
-		id := sim.PeerID(i)
-		if absent[id] {
+		id, fate := sim.PeerID(i), h.fates[i]
+		if fate.Absent() {
 			continue
 		}
-		q := tier.NewPlane(i, &stats[i], churnFor(&cfg, id) != nil, nil)
+		q := tier.NewPlane(i, &stats[i], fate.Rejoins(), nil)
 		newPeer := cfg.NewPeer
-		if byz.IsFaulty(id) {
-			newPeer = newByz
+		if fate != nil && fate.Byzantine != nil {
+			newPeer = func(id sim.PeerID) sim.Peer { return fate.Byzantine(id, know) }
 		}
 		clients.Add(1)
 		go func() {
 			defer clients.Done()
-			if err := runClient(&cfg, id, newPeer, h.addr, q, &stats[id], h.met, ev, start, h.stop); err != nil {
+			if err := runClient(&cfg, id, fate, newPeer, h.addr, q, &stats[id], h.met, ev, start, h.stop); err != nil {
 				errs <- fmt.Errorf("peer %d: %w", id, err)
 			}
 		}()

@@ -37,7 +37,7 @@ func TestCrashKOverTCPWithAbsentPeers(t *testing.T) {
 	res, err := netrt.Run(netrt.Config{
 		N: 8, T: 3, L: 2048, MsgBits: 256, Seed: 2,
 		NewPeer: crashk.New,
-		Absent:  []sim.PeerID{1, 4, 6},
+		Fates:   sim.Crashes([]sim.PeerID{1, 4, 6}, 0),
 		Timeout: 30 * time.Second,
 	})
 	if err != nil {
@@ -60,7 +60,7 @@ func TestCrash1OverTCP(t *testing.T) {
 	res, err := netrt.Run(netrt.Config{
 		N: 6, T: 1, L: 600, MsgBits: 128, Seed: 3,
 		NewPeer: crash1.New,
-		Absent:  []sim.PeerID{2},
+		Fates:   sim.Crashes([]sim.PeerID{2}, 0),
 		Timeout: 20 * time.Second,
 	})
 	if err != nil {
@@ -110,11 +110,28 @@ func TestConfigValidation(t *testing.T) {
 	bad := []netrt.Config{
 		{N: 1, T: 0, L: 8, MsgBits: 64, NewPeer: naive.New},
 		{N: 4, T: 1, L: 8, MsgBits: 64},
-		{N: 4, T: 1, L: 8, MsgBits: 64, NewPeer: naive.New, Absent: []sim.PeerID{0, 1}},
+		{N: 4, T: 1, L: 8, MsgBits: 64, NewPeer: naive.New, Fates: sim.Crashes([]sim.PeerID{0, 1}, 0)},
 	}
 	for i, cfg := range bad {
 		if _, err := netrt.Run(cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
+		}
+	}
+}
+
+// TestAbsentValidation: an Absent peer is a fate, checked as every fate
+// is: one out of range or listed twice is refused before the run, not run
+// into an incorrect result.
+func TestAbsentValidation(t *testing.T) {
+	for name, absent := range map[string][]sim.PeerID{
+		"above range": {99},
+		"below range": {-1},
+		"duplicate":   {2, 2},
+	} {
+		res, err := netrt.Run(netrt.Config{N: 4, T: 2, L: 64, MsgBits: 64, NewPeer: naive.New,
+			Absent: absent, Timeout: 10 * time.Second})
+		if err == nil {
+			t.Errorf("%s: Absent %v accepted (Correct=%v)", name, absent, res.Correct)
 		}
 	}
 }
@@ -128,7 +145,7 @@ func TestManySeedsSequential(t *testing.T) {
 			res, err := netrt.Run(netrt.Config{
 				N: 6, T: 2, L: 1024, MsgBits: 128, Seed: seed,
 				NewPeer: crashk.NewFast,
-				Absent:  []sim.PeerID{0, 3},
+				Fates:   sim.Crashes([]sim.PeerID{0, 3}, 0),
 				Timeout: 20 * time.Second,
 			})
 			if err != nil {
@@ -141,20 +158,20 @@ func TestManySeedsSequential(t *testing.T) {
 	}
 }
 
-// TestChurnCrashMidRun: two peers crash mid-run and never rejoin (a churn
-// crash with a negative downtime, which is how download runs crash-random
-// on sockets). The survivors must still complete (crashk tolerates it),
+// TestChurnCrashMidRun: two peers crash mid-run and never rejoin (a fate
+// with a negative downtime, as download runs crash-random on every
+// runtime). The survivors must still complete (crashk tolerates it),
 // and the crashed peers are reported crashed and faulty rather than
 // failing the run.
 func TestChurnCrashMidRun(t *testing.T) {
-	crashed := []sim.ChurnPeer{
+	crashed := []sim.Fate{
 		{Peer: 1, CrashAfter: 3, Downtime: -1},
 		{Peer: 5, CrashAfter: 12, Downtime: -1},
 	}
 	res, err := netrt.Run(netrt.Config{
 		N: 8, T: 3, L: 2048, MsgBits: 256, Seed: 6,
 		NewPeer: crashk.New,
-		Churn:   crashed,
+		Fates:   crashed,
 		Timeout: 30 * time.Second,
 	})
 	if err != nil {

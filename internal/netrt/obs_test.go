@@ -8,6 +8,7 @@ import (
 	"repro/internal/netrt"
 	"repro/internal/obs"
 	"repro/internal/protocols/crashk"
+	"repro/internal/sim"
 )
 
 // TestChaosMetrics runs crashk under a lossy fault plan with a registry
@@ -122,5 +123,51 @@ func TestChaosMetrics(t *testing.T) {
 	}
 	if kinds["terminate"] != cfg.N {
 		t.Errorf("timeline has %d terminate marks, want %d", kinds["terminate"], cfg.N)
+	}
+}
+
+// kindCounter counts the events of each kind it receives; it reads only
+// the kinds it declares. Callbacks come one at a time, so it needs no lock.
+type kindCounter struct {
+	kinds sim.KindSet
+	count map[string]int
+}
+
+func (c *kindCounter) Kinds() sim.KindSet           { return c.kinds }
+func (c *kindCounter) OnEvent(ev sim.ObservedEvent) { c.count[ev.Kind]++ }
+
+// TestObserverReadsDeclaredKinds: over sockets too, an observer that names
+// its kinds gets those kinds and no other, all of them: no client builds a
+// send or deliver event for it, while every start, query, crash and
+// termination still arrives.
+func TestObserverReadsDeclaredKinds(t *testing.T) {
+	c := &kindCounter{kinds: sim.KindStart | sim.KindQuery | sim.KindCrash | sim.KindTerminate, count: map[string]int{}}
+	res, err := netrt.Run(netrt.Config{
+		N: 6, T: 2, L: 1024, MsgBits: 128, Seed: 4,
+		NewPeer:  crashk.NewFast,
+		Fates:    []sim.Fate{{Peer: 1, CrashAfter: 0, Downtime: -1}, {Peer: 4, CrashAfter: 3, Downtime: -1}},
+		Observer: c,
+		Timeout:  20 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Correct || res.Msgs == 0 {
+		t.Fatalf("want a correct run that sends messages: %v", res)
+	}
+	terms := 0
+	for _, ps := range res.PerPeer {
+		if ps.Terminated {
+			terms++
+		}
+	}
+	want := map[string]int{"start": 5, "crash": 2, "terminate": terms}
+	for kind, n := range c.count {
+		if kind != "query" && n != want[kind] {
+			t.Errorf("%d %q events, want %d", n, kind, want[kind])
+		}
+	}
+	if c.count["query"] == 0 || c.count["send"] != 0 || c.count["deliver"] != 0 {
+		t.Errorf("event counts %v: want queries and no send or deliver", c.count)
 	}
 }

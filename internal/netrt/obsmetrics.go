@@ -18,22 +18,29 @@ import (
 type events struct {
 	mu    sync.Mutex
 	obs   sim.Observer
+	kinds sim.KindSet // the kinds obs reads
 	start time.Time
 }
 
 func newEvents(cfg *Config, start time.Time) *events {
 	o := sim.Tee(cfg.Observer, sim.TimelineObserver(cfg.Timeline))
-	if o == nil {
+	kinds := sim.KindsOf(o)
+	if kinds == 0 {
 		return nil
 	}
-	return &events{obs: o, start: start}
+	return &events{obs: o, kinds: kinds, start: start}
 }
 
-// emit stamps ev and hands it to the observer.
-func (e *events) emit(ev sim.ObservedEvent) {
-	if e == nil {
+// reads reports whether the observer reads kind; false when e is nil.
+func (e *events) reads(kind sim.KindSet) bool { return e != nil && e.kinds&kind != 0 }
+
+// emit stamps ev as one event of kind and hands it to the observer, if it
+// reads that kind.
+func (e *events) emit(kind sim.KindSet, ev sim.ObservedEvent) {
+	if !e.reads(kind) {
 		return
 	}
+	ev.Kind = kind.Name()
 	e.mu.Lock()
 	ev.Time = time.Since(e.start).Seconds()
 	e.obs.OnEvent(ev)
@@ -41,14 +48,14 @@ func (e *events) emit(ev sim.ObservedEvent) {
 }
 
 // peer emits a peer's event of a kind that names no counterparty.
-func (e *events) peer(kind string, p sim.PeerID, msgType string, bits int) {
-	e.emit(sim.ObservedEvent{Kind: kind, Peer: p, Other: -1, MsgType: msgType, Bits: bits})
+func (e *events) peer(kind sim.KindSet, p sim.PeerID, msgType string, bits int) {
+	e.emit(kind, sim.ObservedEvent{Peer: p, Other: -1, MsgType: msgType, Bits: bits})
 }
 
 // msg emits a send or a deliver of m between p and other, with its type
 // label and size as the caller worked them out.
-func (e *events) msg(kind string, p, other sim.PeerID, m sim.Message, typ string, bits int) {
-	e.emit(sim.ObservedEvent{Kind: kind, Peer: p, Other: other, MsgType: typ, Bits: bits, Msg: m})
+func (e *events) msg(kind sim.KindSet, p, other sim.PeerID, m sim.Message, typ string, bits int) {
+	e.emit(kind, sim.ObservedEvent{Peer: p, Other: other, MsgType: typ, Bits: bits, Msg: m})
 }
 
 // netMetrics bundles every metric handle the TCP runtime touches. It is

@@ -33,9 +33,9 @@ func TestNetMetricsDisabledAllocFree(t *testing.T) {
 		m.planDrop(2)
 		m.planDupe(2)
 		m.backoffObserve(5 * time.Millisecond)
-		ev.peer("query", 1, "", 128)
-		ev.msg("send", 1, 2, msg, "*crash1.WhoIsMissing", msg.SizeBits())
-		ev.emit(sim.ObservedEvent{Kind: "phase", Peer: 1, Other: -1, Name: "download"})
+		ev.peer(sim.KindQuery, 1, "", 128)
+		ev.msg(sim.KindSend, 1, 2, msg, "*crash1.WhoIsMissing", msg.SizeBits())
+		ev.emit(sim.KindPhase, sim.ObservedEvent{Peer: 1, Other: -1, Name: "download"})
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled netMetrics/events allocated %.2f times per op, want 0", allocs)
@@ -54,10 +54,10 @@ func TestNetMetricsTimelineOnly(t *testing.T) {
 	if ev == nil {
 		t.Fatal("timeline-only config built no event stream")
 	}
-	ev.peer("reconnect", 2, "", 0)
-	ev.peer("query", 1, "", 32)
-	ev.msg("send", 1, 2, &crash1.WhoIsMissing{}, "*crash1.WhoIsMissing", 0)
-	ev.emit(sim.ObservedEvent{Kind: "phase", Peer: 0, Other: -1, Name: "x"})
+	ev.peer(sim.KindReconnect, 2, "", 0)
+	ev.peer(sim.KindQuery, 1, "", 32)
+	ev.msg(sim.KindSend, 1, 2, &crash1.WhoIsMissing{}, "*crash1.WhoIsMissing", 0)
+	ev.emit(sim.KindPhase, sim.ObservedEvent{Peer: 0, Other: -1, Name: "x"})
 	got := cfg.Timeline.Events()
 	if len(got) != 2 || got[0].Kind != "reconnect" || got[1].Kind != "phase" || got[1].Name != "x" {
 		t.Fatalf("timeline holds %+v, want the reconnect and the phase mark", got)

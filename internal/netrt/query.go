@@ -10,6 +10,7 @@ import (
 	"repro/internal/hashmix"
 	"repro/internal/merkle"
 	"repro/internal/qplane"
+	"repro/internal/sim"
 	"repro/internal/source"
 )
 
@@ -111,7 +112,7 @@ func (c *client) transmit(pq *pendingQuery, now time.Time) {
 	if pq.call.Attempt > 1 {
 		c.stats.QueryRetries++
 		c.met.queryRetry(int(c.id))
-		c.ev.peer("qretry", c.id, "", len(pq.call.Fetch))
+		c.ev.peer(sim.KindQRetry, c.id, "", len(pq.call.Fetch))
 	}
 	pq.deadline = now.Add(c.res.QueryTimeout)
 	c.armAt(pq.deadline)
@@ -121,7 +122,7 @@ func (c *client) transmit(pq *pendingQuery, now time.Time) {
 // fail rules pq's attempt failed as kind at now (mu held): a "qfail"
 // event, and the plane's verdict on it.
 func (c *client) fail(pq *pendingQuery, kind source.Kind, now time.Time) {
-	c.ev.peer("qfail", c.id, kind.String(), len(pq.call.Fetch))
+	c.ev.peer(sim.KindQFail, c.id, kind.String(), len(pq.call.Fetch))
 	c.follow(pq, c.q.Fail(c.clock(now), pq.call, kind), now)
 }
 
@@ -235,7 +236,7 @@ func (c *client) handleProofReply(key qkey, hdr, body []byte) {
 	}
 	c.met.mirrorVerdict(int(c.id), verified, rep.Refused)
 	if !verified && !rep.Refused {
-		c.ev.peer("prooffail", c.id, "", len(pq.call.Fetch))
+		c.ev.peer(sim.KindProofFail, c.id, "", len(pq.call.Fetch))
 	}
 	if verified {
 		c.complete(key, hdr, bits, true)
@@ -382,7 +383,7 @@ func (c *client) Query(tag int, indices []int) {
 	}
 	b := c.q.Begin(tag, indices)
 	c.met.queryCharged(int(c.id), b.Charged)
-	c.ev.peer("query", c.id, "", b.Charged)
+	c.ev.peer(sim.KindQuery, c.id, "", b.Charged)
 	if b.Kind == qplane.WarmHit {
 		c.pendingLocal = append(c.pendingLocal, b.Reply)
 		c.mu.Unlock()

@@ -58,11 +58,7 @@ func TestFullPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	byzNodes := adversary.SpreadFaulty(cfg.Nodes, cfg.NodeFaults)
-	runner := oracle.NewRunner(cfg, committee.New, sim.FaultSpec{
-		Model:        sim.FaultByzantine,
-		Faulty:       byzNodes,
-		NewByzantine: committee.NewLiar,
-	}, adversary.NewRandomUnit(cfg.Seed))
+	runner := oracle.NewRunner(cfg, committee.New, sim.Byzantines(byzNodes, committee.NewLiar), adversary.NewRandomUnit(cfg.Seed))
 	res, err := oracle.RunPipeline(cfg, feeds, runner, byzNodes)
 	if err != nil {
 		t.Fatal(err)
@@ -91,11 +87,7 @@ func TestPipelineQuorumNeedsHonestAgreement(t *testing.T) {
 		t.Fatal(err)
 	}
 	byzNodes := adversary.SpreadFaulty(cfg.Nodes, cfg.NodeFaults)
-	runner := oracle.NewRunner(cfg, committee.New, sim.FaultSpec{
-		Model:        sim.FaultByzantine,
-		Faulty:       byzNodes,
-		NewByzantine: committee.NewLiar,
-	}, adversary.NewRandomUnit(cfg.Seed+5))
+	runner := oracle.NewRunner(cfg, committee.New, sim.Byzantines(byzNodes, committee.NewLiar), adversary.NewRandomUnit(cfg.Seed+5))
 	res, err := oracle.RunPipeline(cfg, feeds, runner, byzNodes)
 	if err != nil {
 		t.Fatal(err)

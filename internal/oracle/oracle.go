@@ -245,8 +245,8 @@ func RunBaseline(cfg *Config, feeds *Feeds) (*Result, error) {
 type DownloadRunner func(input *bitarray.Array, seed int64) (*sim.Result, error)
 
 // NewRunner builds a DownloadRunner over the des runtime for the given
-// protocol factory and fault pattern.
-func NewRunner(cfg *Config, newPeer func(sim.PeerID) sim.Peer, faults sim.FaultSpec, delays sim.DelayPolicy) DownloadRunner {
+// protocol factory and faulty peers' fates.
+func NewRunner(cfg *Config, newPeer func(sim.PeerID) sim.Peer, fates []sim.Fate, delays sim.DelayPolicy) DownloadRunner {
 	return func(input *bitarray.Array, seed int64) (*sim.Result, error) {
 		spec := &sim.Spec{
 			Config: sim.Config{
@@ -256,7 +256,7 @@ func NewRunner(cfg *Config, newPeer func(sim.PeerID) sim.Peer, faults sim.FaultS
 			},
 			NewPeer: newPeer,
 			Delays:  delays,
-			Faults:  faults,
+			Faults:  sim.Faults{Fates: fates},
 		}
 		return des.New().Run(spec)
 	}

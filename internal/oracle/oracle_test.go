@@ -106,11 +106,7 @@ func TestDownloadODCWithCrashNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	faulty := adversary.SpreadFaulty(cfg.Nodes, cfg.NodeFaults)
-	runner := oracle.NewRunner(cfg, crashk.New, sim.FaultSpec{
-		Model:  sim.FaultCrash,
-		Faulty: faulty,
-		Crash:  adversary.NewCrashRandom(cfg.Seed, faulty, 200),
-	}, adversary.NewRandomUnit(cfg.Seed))
+	runner := oracle.NewRunner(cfg, crashk.New, adversary.NewCrashRandom(cfg.Seed, faulty, 200), adversary.NewRandomUnit(cfg.Seed))
 	res, err := oracle.RunDownload(cfg, feeds, runner)
 	if err != nil {
 		t.Fatal(err)
@@ -138,11 +134,7 @@ func TestDownloadODCWithByzantineNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	faulty := adversary.SpreadFaulty(cfg.Nodes, cfg.NodeFaults)
-	runner := oracle.NewRunner(cfg, committee.New, sim.FaultSpec{
-		Model:        sim.FaultByzantine,
-		Faulty:       faulty,
-		NewByzantine: committee.NewLiar,
-	}, adversary.NewRandomUnit(cfg.Seed+1))
+	runner := oracle.NewRunner(cfg, committee.New, sim.Byzantines(faulty, committee.NewLiar), adversary.NewRandomUnit(cfg.Seed+1))
 	res, err := oracle.RunDownload(cfg, feeds, runner)
 	if err != nil {
 		t.Fatal(err)

@@ -39,7 +39,7 @@ func TestEveryCrashVictim(t *testing.T) {
 					NewPeer: crash1.New,
 					Faults: testutil.CrashFaults(
 						[]sim.PeerID{sim.PeerID(victim)},
-						&adversary.CrashAll{Point: point},
+						point,
 					),
 				})
 			})
@@ -63,7 +63,7 @@ func TestMidBroadcastCrash(t *testing.T) {
 					[]sim.PeerID{2},
 					// Victim's actions: start delivery + 1 query, then
 					// the broadcast sends; offset into the broadcast.
-					&adversary.CrashAll{Point: 2 + point},
+					2+point,
 				),
 			})
 		})
@@ -76,7 +76,7 @@ func TestTwoPeers(t *testing.T) {
 		Name: "n2",
 		N:    2, T: 1, L: 128, Seed: 1,
 		NewPeer: crash1.New,
-		Faults:  testutil.CrashFaults([]sim.PeerID{0}, &adversary.CrashAll{Point: 0}),
+		Faults:  testutil.CrashFaults([]sim.PeerID{0}, 0),
 	})
 	if res.Q != 128 {
 		t.Errorf("survivor Q = %d, want full input 128", res.Q)
@@ -91,8 +91,7 @@ func TestQueryBound(t *testing.T) {
 			Name: "bound",
 			N:    n, T: 1, L: L, Seed: seed,
 			NewPeer: crash1.New,
-			Faults: testutil.CrashFaults([]sim.PeerID{5},
-				adversary.NewCrashRandom(seed, []sim.PeerID{5}, 4*n)),
+			Faults:  sim.Faults{Fates: adversary.NewCrashRandom(seed, []sim.PeerID{5}, 4*n)},
 		})
 		bound := L/n + L/(n*(n-1)) + n + 2
 		if res.Q > bound {

@@ -24,11 +24,7 @@ func TestFuzzerFoundDeadlockRegression(t *testing.T) {
 		Config:  sim.Config{N: 4, T: 1, L: 64, MsgBits: 64, Seed: 7},
 		NewPeer: crash1.New,
 		Delays:  adversary.NewScripted(script),
-		Faults: sim.FaultSpec{
-			Model:  sim.FaultCrash,
-			Faulty: []sim.PeerID{0},
-			Crash:  adversary.CrashMap{0: 4},
-		},
+		Faults:  sim.Faults{Fates: sim.Crashes([]sim.PeerID{0}, 4)},
 	})
 	if err != nil {
 		t.Fatal(err)

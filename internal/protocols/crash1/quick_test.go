@@ -22,11 +22,7 @@ func TestQuickRandomConfigs(t *testing.T) {
 			Config:  sim.Config{N: n, T: 1, L: L, MsgBits: 64, Seed: seed},
 			NewPeer: crash1.New,
 			Delays:  adversary.NewRandomUnit(seed + 1),
-			Faults: sim.FaultSpec{
-				Model:  sim.FaultCrash,
-				Faulty: []sim.PeerID{victim},
-				Crash:  adversary.CrashMap{victim: point},
-			},
+			Faults:  sim.Faults{Fates: sim.Crashes([]sim.PeerID{victim}, point)},
 		})
 		if err != nil || !res.Correct {
 			t.Logf("n=%d L=%d victim=%d point=%d seed=%d: err=%v res=%v",
@@ -61,11 +57,7 @@ func TestQuickScheduleScripts(t *testing.T) {
 			Config:  sim.Config{N: n, T: 1, L: 120, MsgBits: 64, Seed: 5},
 			NewPeer: crash1.New,
 			Delays:  adversary.NewScripted(script),
-			Faults: sim.FaultSpec{
-				Model:  sim.FaultCrash,
-				Faulty: []sim.PeerID{0},
-				Crash:  adversary.CrashMap{0: point},
-			},
+			Faults:  sim.Faults{Fates: sim.Crashes([]sim.PeerID{0}, point)},
 		})
 		if err != nil || !res.Correct {
 			t.Logf("n=%d point=%d script=%v: err=%v res=%v", n, point, script, err, res)

@@ -37,7 +37,7 @@ func TestCrashGrid(t *testing.T) {
 	}
 	for _, c := range cfgs {
 		faulty := adversary.SpreadFaulty(c.n, c.tFaults)
-		for name, policy := range testutil.CrashPolicies(99, faulty, c.n) {
+		for name, fates := range testutil.CrashFates(99, faulty, c.n) {
 			for seed := int64(0); seed < 3; seed++ {
 				label := fmt.Sprintf("n=%d t=%d L=%d %s seed=%d", c.n, c.tFaults, c.L, name, seed)
 				t.Run(label, func(t *testing.T) {
@@ -45,7 +45,7 @@ func TestCrashGrid(t *testing.T) {
 						Name: label,
 						N:    c.n, T: c.tFaults, L: c.L, Seed: seed,
 						NewPeer: crashk.New,
-						Faults:  testutil.CrashFaults(faulty, policy),
+						Faults:  sim.Faults{Fates: fates},
 					})
 				})
 			}
@@ -63,7 +63,7 @@ func TestQueryComplexityScalesAsLOverN(t *testing.T) {
 			Name: "qc",
 			N:    c.n, T: c.tf, L: L, Seed: 5,
 			NewPeer: crashk.New,
-			Faults:  testutil.CrashFaults(faulty, &adversary.CrashAll{Point: 0}),
+			Faults:  testutil.CrashFaults(faulty, 0),
 		})
 		bound := 4*L/(c.n-c.tf) + 2*L/c.n + 256
 		if res.Q > bound {
@@ -79,7 +79,7 @@ func TestFastVariantCorrect(t *testing.T) {
 			Name: "fast",
 			N:    12, T: 5, L: 2048, Seed: seed,
 			NewPeer: crashk.NewFast,
-			Faults:  testutil.CrashFaults(faulty, adversary.NewCrashRandom(seed, faulty, 600)),
+			Faults:  sim.Faults{Fates: adversary.NewCrashRandom(seed, faulty, 600)},
 		})
 		if res.Q > 4*2048/7+512 {
 			t.Errorf("fast variant Q = %d unexpectedly high", res.Q)
@@ -96,7 +96,7 @@ func TestFastVariantNotSlower(t *testing.T) {
 			Name: "time",
 			N:    10, T: 4, L: 4096, Seed: 11,
 			NewPeer: factory,
-			Faults:  testutil.CrashFaults(faulty, &adversary.CrashAll{Point: 0}),
+			Faults:  testutil.CrashFaults(faulty, 0),
 			Delays:  adversary.NewRandom(11, 0.5, 1.0),
 		})
 		return res.Time
@@ -115,7 +115,7 @@ func TestNeverCrashFaulty(t *testing.T) {
 		Name: "nevercrash",
 		N:    8, T: 3, L: 1024, Seed: 3,
 		NewPeer: crashk.New,
-		Faults:  testutil.CrashFaults(faulty, adversary.NeverCrash{}),
+		Faults:  testutil.CrashFaults(faulty, -1),
 	})
 }
 
@@ -126,7 +126,7 @@ func TestSingleCrashMatchesDedicatedBound(t *testing.T) {
 		Name: "t1",
 		N:    n, T: 1, L: L, Seed: 17,
 		NewPeer: crashk.New,
-		Faults:  testutil.CrashFaults([]sim.PeerID{3}, &adversary.CrashAll{Point: n * 2}),
+		Faults:  testutil.CrashFaults([]sim.PeerID{3}, n*2),
 	})
 	if res.Q > 3*L/n+64 {
 		t.Errorf("Q = %d, want ≈ 2L/n = %d", res.Q, 2*L/n)
@@ -140,8 +140,7 @@ func TestMessageComplexityBounded(t *testing.T) {
 		Name: "msgs",
 		N:    n, T: 2, L: L, MsgBits: L / n, Seed: 23,
 		NewPeer: crashk.New,
-		Faults: testutil.CrashFaults(adversary.SpreadFaulty(n, 2),
-			&adversary.CrashAll{Point: 0}),
+		Faults:  testutil.CrashFaults(adversary.SpreadFaulty(n, 2), 0),
 	})
 	bound := 6 * n * n * (L/(L/n) + 4) // generous constant
 	if res.Msgs > bound {
@@ -161,7 +160,7 @@ func TestUnknownBitsDecayAcrossPhases(t *testing.T) {
 			Name: "decay",
 			N:    n, T: tf, L: L, Seed: int64(tf),
 			NewPeer: crashk.New,
-			Faults:  testutil.CrashFaults(faulty, &adversary.CrashAll{Point: 0}),
+			Faults:  testutil.CrashFaults(faulty, 0),
 		})
 		// Geometric sum: L/n · 1/(1−β) plus hash-imbalance and
 		// threshold slack.
@@ -177,8 +176,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		Name: "det",
 		N:    9, T: 3, L: 999, Seed: 77,
 		NewPeer: crashk.New,
-		Faults: testutil.CrashFaults(adversary.SpreadFaulty(9, 3),
-			adversary.NewCrashRandom(77, adversary.SpreadFaulty(9, 3), 200)),
+		Faults:  sim.Faults{Fates: adversary.NewCrashRandom(77, adversary.SpreadFaulty(9, 3), 200)},
 	}
 	a := testutil.RunCorrect(t, c).String()
 	// Fresh delay policy with same seed for the second run.

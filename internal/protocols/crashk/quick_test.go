@@ -22,13 +22,10 @@ func TestQuickRandomConfigs(t *testing.T) {
 		if fast {
 			factory = crashk.NewFast
 		}
-		var faults sim.FaultSpec
+		var faults sim.Faults
 		if tf > 0 {
 			faulty := adversary.SpreadFaulty(n, tf)
-			faults = sim.FaultSpec{
-				Model: sim.FaultCrash, Faulty: faulty,
-				Crash: adversary.NewCrashRandom(seed, faulty, 30*n),
-			}
+			faults = sim.Faults{Fates: adversary.NewCrashRandom(seed, faulty, 30*n)}
 		}
 		res, err := des.New().Run(&sim.Spec{
 			Config:  sim.Config{N: n, T: tf, L: L, MsgBits: 64, Seed: seed},

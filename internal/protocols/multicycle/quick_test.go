@@ -41,10 +41,7 @@ func TestQuickForcedSegments(t *testing.T) {
 			Config:  sim.Config{N: n, T: tf, L: L, MsgBits: 64, Seed: seed},
 			NewPeer: multicycle.NewWithOptions(multicycle.Options{ForceSegments: m1}),
 			Delays:  adversary.NewRandomUnit(seed + 1),
-			Faults: sim.FaultSpec{
-				Model: sim.FaultByzantine, Faulty: faulty,
-				NewByzantine: behavior,
-			},
+			Faults:  sim.Faults{Fates: sim.Byzantines(faulty, behavior)},
 		})
 		if err != nil || !res.Correct {
 			t.Logf("m1=%d L=%d seed=%d silent=%v: err=%v res=%v", m1, L, seed, silent, err, res)

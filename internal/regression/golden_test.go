@@ -59,7 +59,7 @@ type frozen struct {
 
 func freeze() []frozen {
 	const seed = 1234
-	mk := func(n, t, L int, factory func(sim.PeerID) sim.Peer, faults sim.FaultSpec) func() *sim.Spec {
+	mk := func(n, t, L int, factory func(sim.PeerID) sim.Peer, faults sim.Faults) func() *sim.Spec {
 		return func() *sim.Spec {
 			return &sim.Spec{
 				Config:  sim.Config{N: n, T: t, L: L, MsgBits: 128, Seed: seed},
@@ -69,19 +69,17 @@ func freeze() []frozen {
 			}
 		}
 	}
-	crash := func(n, t int) sim.FaultSpec {
+	crash := func(n, t int) sim.Faults {
 		f := adversary.SpreadFaulty(n, t)
-		return sim.FaultSpec{Model: sim.FaultCrash, Faulty: f,
-			Crash: adversary.NewCrashRandom(seed, f, 10*n)}
+		return sim.Faults{Fates: adversary.NewCrashRandom(seed, f, 10*n)}
 	}
-	byz := func(n, t int, b func(sim.PeerID, *sim.Knowledge) sim.Peer) sim.FaultSpec {
-		return sim.FaultSpec{Model: sim.FaultByzantine,
-			Faulty: adversary.SpreadFaulty(n, t), NewByzantine: b}
+	byz := func(n, t int, b func(sim.PeerID, *sim.Knowledge) sim.Peer) sim.Faults {
+		return sim.Faults{Fates: sim.Byzantines(adversary.SpreadFaulty(n, t), b)}
 	}
 	// srcFaulted overlays a seeded source fault plan (and optionally one
 	// crash-rejoin churn peer) on a spec: pins the full retry/backoff/
 	// breaker event stream, not just the clean-path schedule.
-	srcFaulted := func(spec func() *sim.Spec, plan string, churn ...sim.ChurnPeer) func() *sim.Spec {
+	srcFaulted := func(spec func() *sim.Spec, plan string, churn ...sim.Fate) func() *sim.Spec {
 		return func() *sim.Spec {
 			s := spec()
 			p, err := source.ParsePlan(plan)
@@ -89,7 +87,7 @@ func freeze() []frozen {
 				panic(err)
 			}
 			s.SourceFaults = p
-			s.Faults.Churn = append(s.Faults.Churn, churn...)
+			s.Faults.Fates = append(s.Faults.Fates, churn...)
 			return s
 		}
 	}
@@ -101,7 +99,7 @@ func freeze() []frozen {
 		{"crashk-flaky-churn", srcFaulted(
 			mk(12, 6, 2048, crashk.New, crash(12, 5)),
 			"fail=0.15,outage=2..4,seed=13",
-			sim.ChurnPeer{Peer: 11, CrashAfter: 3, Downtime: 2})},
+			sim.Fate{Peer: 11, CrashAfter: 3, Downtime: 2})},
 		{"committee-flaky-source", srcFaulted(
 			mk(9, 4, 540, committee.New, byz(9, 4, committee.NewLiar)),
 			"fail=0.2,latency=0.3,seed=17")},

@@ -137,9 +137,40 @@ func TestConfigValidateAndDerived(t *testing.T) {
 	}
 }
 
-func TestFaultSpecIsFaulty(t *testing.T) {
-	f := FaultSpec{Faulty: []PeerID{1, 4}}
-	if !f.IsFaulty(1) || !f.IsFaulty(4) || f.IsFaulty(0) {
-		t.Error("IsFaulty wrong")
+// TestFaultsByPeer: each fate is found under its peer, and an honest peer
+// has none.
+func TestFaultsByPeer(t *testing.T) {
+	f := Faults{Fates: []Fate{{Peer: 4, CrashAfter: 2, Downtime: 1}, {Peer: 1, CrashAfter: -1, Downtime: -1}}}
+	by := f.ByPeer(6)
+	if len(by) != 6 || by[1] != &f.Fates[1] || by[4] != &f.Fates[0] || by[0] != nil || by[5] != nil {
+		t.Errorf("ByPeer = %v", by)
+	}
+	if !by[4].Rejoins() || by[1].Rejoins() || by[0].Rejoins() || by[0].Absent() {
+		t.Error("Rejoins or Absent wrong")
+	}
+}
+
+// TestFaultsValidate is the one check of fates against n and t.
+func TestFaultsValidate(t *testing.T) {
+	crash := func(peers ...PeerID) []Fate { return Crashes(peers, 0) }
+	for _, tc := range []struct {
+		name   string
+		faults Faults
+		ok     bool
+	}{
+		{"none", Faults{}, true},
+		{"at the bound", Faults{Fates: crash(0, 3)}, true},
+		{"duplicate peer", Faults{Fates: crash(1, 1)}, false},
+		{"crash and Byzantine on one peer", Faults{Fates: append(crash(2), Byzantines([]PeerID{2}, nil)...)}, false},
+		{"out of range above", Faults{Fates: crash(4)}, false},
+		{"out of range below", Faults{Fates: crash(-1)}, false},
+		{"count above t", Faults{Fates: crash(0, 1, 2)}, false},
+		{"count above t allowed", Faults{Fates: crash(0, 1, 2), AllowExcess: true}, true},
+		{"count reaches n", Faults{Fates: crash(0, 1, 2, 3), AllowExcess: true}, false},
+		{"downtime without crash", Faults{Fates: []Fate{{Peer: 0, CrashAfter: -1, Downtime: 1}}}, false},
+	} {
+		if err := tc.faults.Validate(4, 2); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"reflect"
 
 	"repro/internal/obs"
@@ -12,8 +13,53 @@ import (
 // goroutine, on netrt under one mutex per run — so an observer needs no
 // locking of its own. They must be fast and must not call back into the
 // runtime.
+//
+// An observer may also implement Kinds() KindSet to name the kinds it
+// reads; runtimes then build and deliver no event of any other kind. An
+// observer without the method reads every kind.
 type Observer interface {
 	OnEvent(ev ObservedEvent)
+}
+
+// KindSet is a set of event kinds, one bit per kind.
+type KindSet uint16
+
+// The event kinds, in the order of their bits.
+const (
+	KindStart KindSet = 1 << iota
+	KindSend
+	KindDeliver
+	KindQuery
+	KindQReply
+	KindQFail
+	KindCrash
+	KindRejoin
+	KindTerminate
+	KindPhase
+	KindReconnect
+	KindQRetry
+	KindProofFail
+	KindFlap
+
+	// AllKinds is every kind.
+	AllKinds KindSet = 1<<iota - 1
+)
+
+var kindNames = [...]string{"start", "send", "deliver", "query", "qreply", "qfail",
+	"crash", "rejoin", "terminate", "phase", "reconnect", "qretry", "prooffail", "flap"}
+
+// Name is the stream's name of a one-kind set: ObservedEvent.Kind.
+func (k KindSet) Name() string { return kindNames[bits.TrailingZeros16(uint16(k))] }
+
+// KindsOf returns the kinds o reads: none for nil, all unless o names them.
+func KindsOf(o Observer) KindSet {
+	switch o := o.(type) {
+	case nil:
+		return 0
+	case interface{ Kinds() KindSet }:
+		return o.Kinds()
+	}
+	return AllKinds
 }
 
 // ObservedEvent is one structured runtime event.
@@ -74,6 +120,16 @@ func (t tee) OnEvent(ev ObservedEvent) {
 	}
 }
 
+// Kinds is the union of the kinds the observers read. An event reaches
+// every observer of the tee, so one that names its kinds still filters.
+func (t tee) Kinds() KindSet {
+	var k KindSet
+	for _, o := range t {
+		k |= KindsOf(o)
+	}
+	return k
+}
+
 // TimelineObserver is tl as an observer: a view of the stream that marks
 // its lifecycle events (phases, crashes, rejoins, terminations and the
 // socket recovery kinds) on tl, or nil when tl is nil.
@@ -86,8 +142,14 @@ func TimelineObserver(tl *obs.Timeline) Observer {
 
 type timelineObserver struct{ tl *obs.Timeline }
 
-// OnEvent marks the lifecycle kinds; the per-message and per-query
-// traffic stays in the full stream.
+// timelineKinds are the lifecycle kinds a timeline marks; the per-message
+// and per-query traffic stays in the full stream.
+const timelineKinds = KindPhase | KindTerminate | KindCrash | KindRejoin | KindQFail |
+	KindReconnect | KindQRetry | KindProofFail | KindFlap
+
+func (timelineObserver) Kinds() KindSet { return timelineKinds }
+
+// OnEvent marks the lifecycle kinds; in a tee it also sees the others.
 func (o timelineObserver) OnEvent(ev ObservedEvent) {
 	switch ev.Kind {
 	case "phase", "terminate", "crash", "rejoin", "qfail", "reconnect", "qretry", "prooffail", "flap":

@@ -104,17 +104,15 @@ func TestSpecValidateObserverAndExcess(t *testing.T) {
 		Config:  Config{N: 3, T: 1, L: 8, MsgBits: 64},
 		NewPeer: func(PeerID) Peer { return nil },
 		Delays:  fakeDelays{},
-		Faults: FaultSpec{
-			Model:        FaultByzantine,
-			Faulty:       []PeerID{0, 1},
-			NewByzantine: func(PeerID, *Knowledge) Peer { return nil },
-			AllowExcess:  true,
+		Faults: Faults{
+			Fates:       Byzantines([]PeerID{0, 1}, func(PeerID, *Knowledge) Peer { return nil }),
+			AllowExcess: true,
 		},
 	}
 	if err := spec.Validate(); err != nil {
 		t.Fatalf("AllowExcess rejected: %v", err)
 	}
-	spec.Faults.Faulty = []PeerID{0, 1, 2}
+	spec.Faults.Fates = Crashes([]PeerID{0, 1, 2}, 0)
 	if err := spec.Validate(); err == nil {
 		t.Fatal("all-faulty accepted")
 	}

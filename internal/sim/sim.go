@@ -1,6 +1,7 @@
 // Package sim defines the shared contract of the Data Retrieval (DR) model
 // simulation: the peer interface protocols implement, the context a runtime
-// provides to peers, fault and delay policies, and execution specs/results.
+// provides to peers, faulty peers' fates and delay policies, and execution
+// specs/results.
 //
 // The DR model (Augustine et al.): n peers on a complete asynchronous
 // network plus a trusted external source storing an L-bit array X. Peers
@@ -128,108 +129,4 @@ type DelayPolicy interface {
 	// StartDelay returns when peer p begins executing (non-simultaneous
 	// start is allowed by the model).
 	StartDelay(p PeerID) float64
-}
-
-// CrashPolicy decides when crash-faulty peers stop. Actions are counted
-// per peer: each send attempt and each event delivery increments the
-// counter, so a crash point falling between two sends of one Broadcast
-// models the paper's "sent some, but perhaps not all" mid-operation crash.
-type CrashPolicy interface {
-	// CrashPoint returns the action count after which peer p crashes, or
-	// a negative value if p never crashes. Runtimes consult it only for
-	// peers listed as faulty in the FaultSpec.
-	CrashPoint(p PeerID) int
-}
-
-// FaultModel selects the failure semantics of the faulty set.
-type FaultModel int
-
-// Fault models. Start at 1 so the zero value is invalid and must be set
-// explicitly (FaultNone for failure-free executions).
-const (
-	// FaultNone runs a failure-free execution; the faulty set is empty.
-	FaultNone FaultModel = iota + 1
-	// FaultCrash stops faulty peers at their crash points; until then
-	// they follow the protocol honestly.
-	FaultCrash
-	// FaultByzantine replaces faulty peers with adversary-chosen
-	// behaviors constructed by FaultSpec.NewByzantine.
-	FaultByzantine
-)
-
-// Knowledge is what the adversary knows when constructing Byzantine
-// behaviors: the full input, the execution config and the faulty set. One
-// value is shared by every Byzantine peer of a run, on sockets across
-// goroutines, so behaviors only read it; each draws randomness from its
-// own Context.Rand.
-type Knowledge struct {
-	Input  *bitarray.Array
-	Config Config
-	Faulty []PeerID
-}
-
-// ChurnPeer schedules one crash-recovery peer: it runs the honest
-// protocol, crashes at an adversary-chosen action count (CrashPolicy
-// semantics), stays down for Downtime time units, and then rejoins as a
-// fresh protocol instance that resumes from its persisted verified-index
-// state (the bits it had learned from the source before crashing, served
-// warm without re-querying by the query plane's one warm path, the one
-// that serves Spec.Warm). Churn peers count toward the fault bound t and are reported
-// faulty, so correctness aggregates never depend on them; rejoining is
-// extra credit the adversary cannot exploit.
-type ChurnPeer struct {
-	// Peer is the churning peer.
-	Peer PeerID
-	// CrashAfter is the action count after which the peer crashes
-	// (each send and each event delivery is one action).
-	CrashAfter int
-	// Downtime is how long the peer stays down before rejoining, in
-	// runtime time units. Negative means it never rejoins (plain crash).
-	Downtime float64
-}
-
-// FaultSpec describes the execution's failure pattern.
-type FaultSpec struct {
-	Model  FaultModel
-	Faulty []PeerID
-	// Crash is required when Model is FaultCrash.
-	Crash CrashPolicy
-	// Churn lists crash-recovery peers. Churn is orthogonal to Model:
-	// it combines with any fault model (including FaultByzantine, where
-	// the Faulty set lies while the churn peer crashes and recovers).
-	// Churn peers must not appear in Faulty; together the two sets are
-	// checked against the bound t (AllowExcess lifts the check).
-	Churn []ChurnPeer
-	// NewByzantine is required when Model is FaultByzantine; it builds
-	// the behavior run in place of the honest protocol at faulty peers.
-	NewByzantine func(id PeerID, k *Knowledge) Peer
-	// AllowExcess permits |Faulty| > Config.T. It exists for two regimes
-	// where the listed faults legitimately exceed the static bound: the
-	// dynamic-corruption model (see adversary.Rotating), where Faulty
-	// lists the *union* of peers ever corrupted while the number
-	// corrupted at any instant stays ≤ T; and assumption-violation
-	// studies (download.Options.AllowExcessFaults, package harden), which
-	// deliberately run a protocol outside its fault bound to exercise the
-	// detect-and-escalate machinery. Ordinary static runs leave it false.
-	AllowExcess bool
-}
-
-// IsFaulty reports whether p appears in the faulty set.
-func (f *FaultSpec) IsFaulty(p PeerID) bool {
-	for _, q := range f.Faulty {
-		if q == p {
-			return true
-		}
-	}
-	return false
-}
-
-// ChurnFor returns p's churn schedule, or nil.
-func (f *FaultSpec) ChurnFor(p PeerID) *ChurnPeer {
-	for i := range f.Churn {
-		if f.Churn[i].Peer == p {
-			return &f.Churn[i]
-		}
-	}
-	return nil
 }

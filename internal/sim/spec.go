@@ -81,8 +81,9 @@ type Spec struct {
 	NewPeer func(id PeerID) Peer
 	// Delays is the adversary's scheduling policy. Required.
 	Delays DelayPolicy
-	// Faults describes the failure pattern; zero value means FaultNone.
-	Faults FaultSpec
+	// Faults lists the faulty peers' fates; the zero value is a
+	// failure-free execution.
+	Faults Faults
 	// SourceFaults, when non-nil and enabled, makes the external source
 	// unreliable per the plan; runtimes route every query through it and
 	// drive a per-peer retry/backoff/breaker client (package source).
@@ -138,51 +139,8 @@ func (s *Spec) Validate() error {
 	if s.Delays == nil {
 		return errors.New("sim: spec missing delay policy")
 	}
-	switch s.Faults.Model {
-	case 0, FaultNone:
-		if len(s.Faults.Faulty) != 0 {
-			return errors.New("sim: FaultNone with non-empty faulty set")
-		}
-	case FaultCrash:
-		if s.Faults.Crash == nil {
-			return errors.New("sim: FaultCrash requires a CrashPolicy")
-		}
-	case FaultByzantine:
-		if s.Faults.NewByzantine == nil {
-			return errors.New("sim: FaultByzantine requires NewByzantine")
-		}
-	default:
-		return fmt.Errorf("sim: unknown fault model %d", s.Faults.Model)
-	}
-	faulty := len(s.Faults.Faulty) + len(s.Faults.Churn)
-	if faulty > s.Config.T && !s.Faults.AllowExcess {
-		return fmt.Errorf("sim: %d faulty peers (incl. churn) exceeds bound t=%d",
-			faulty, s.Config.T)
-	}
-	if faulty >= s.Config.N {
-		return fmt.Errorf("sim: %d faulty peers leaves no honest peer", faulty)
-	}
-	seen := make(map[PeerID]bool, faulty)
-	for _, p := range s.Faults.Faulty {
-		if p < 0 || int(p) >= s.Config.N {
-			return fmt.Errorf("sim: faulty peer %d out of range", p)
-		}
-		if seen[p] {
-			return fmt.Errorf("sim: duplicate faulty peer %d", p)
-		}
-		seen[p] = true
-	}
-	for _, cp := range s.Faults.Churn {
-		if cp.Peer < 0 || int(cp.Peer) >= s.Config.N {
-			return fmt.Errorf("sim: churn peer %d out of range", cp.Peer)
-		}
-		if seen[cp.Peer] {
-			return fmt.Errorf("sim: churn peer %d also listed faulty", cp.Peer)
-		}
-		seen[cp.Peer] = true
-		if cp.CrashAfter < 0 {
-			return fmt.Errorf("sim: churn peer %d has negative crash point", cp.Peer)
-		}
+	if err := s.Faults.Validate(s.Config.N, s.Config.T); err != nil {
+		return err
 	}
 	if s.Warm != nil && len(s.Warm) != s.Config.N {
 		return fmt.Errorf("sim: %d warm trackers for n=%d", len(s.Warm), s.Config.N)

@@ -112,6 +112,19 @@ func (s *Spec) Rejoins() int {
 	return n
 }
 
+// Fates lowers the crash plane to the faulty peers' fates: each absent
+// peer never acts, and each churn peer crashes as its entry says.
+func (s *Spec) Fates() []sim.Fate {
+	var fates []sim.Fate
+	for _, p := range s.Absent {
+		fates = append(fates, sim.Fate{Peer: sim.PeerID(p), Downtime: -1})
+	}
+	for _, c := range s.Churn {
+		fates = append(fates, sim.Fate{Peer: sim.PeerID(c.Peer), CrashAfter: c.CrashAfter, Downtime: c.Downtime})
+	}
+	return fates
+}
+
 // rejoinSafe reports whether rejoining churn is in the storm vocabulary
 // for a protocol. A rejoined peer restarts its protocol from scratch
 // with only its persisted source bits warm; that always converges for
@@ -296,17 +309,6 @@ func Run(spec Spec, opts RunOptions) (*sim.Result, error) {
 		}}
 	}
 
-	var absent []sim.PeerID
-	for _, p := range spec.Absent {
-		absent = append(absent, sim.PeerID(p))
-	}
-	var churn []sim.ChurnPeer
-	for _, c := range spec.Churn {
-		churn = append(churn, sim.ChurnPeer{
-			Peer: sim.PeerID(c.Peer), CrashAfter: c.CrashAfter, Downtime: c.Downtime,
-		})
-	}
-
 	timeout := opts.Timeout
 	if timeout <= 0 {
 		timeout = 30 * time.Second
@@ -315,8 +317,7 @@ func Run(spec Spec, opts RunOptions) (*sim.Result, error) {
 		N: spec.N, T: spec.T, L: spec.L, MsgBits: spec.MsgBits,
 		Seed:         spec.Seed,
 		NewPeer:      factory,
-		Absent:       absent,
-		Churn:        churn,
+		Fates:        spec.Fates(),
 		Faults:       plan,
 		SourceFaults: srcPlan,
 		Mirrors:      mirPlan,

@@ -18,7 +18,7 @@ type Case struct {
 	MsgBits int
 	Seed    int64
 	NewPeer func(sim.PeerID) sim.Peer
-	Faults  sim.FaultSpec
+	Faults  sim.Faults
 	Delays  sim.DelayPolicy
 }
 
@@ -66,23 +66,24 @@ func RunCorrect(t *testing.T, c *Case) *sim.Result {
 	return res
 }
 
-// CrashFaults builds a FaultSpec crashing the given peers with the policy.
-func CrashFaults(peers []sim.PeerID, policy sim.CrashPolicy) sim.FaultSpec {
-	return sim.FaultSpec{Model: sim.FaultCrash, Faulty: peers, Crash: policy}
+// CrashFaults crashes the given peers after the given number of actions;
+// below 0 they never crash, but are still faulty.
+func CrashFaults(peers []sim.PeerID, after int) sim.Faults {
+	return sim.Faults{Fates: sim.Crashes(peers, after)}
 }
 
-// ByzFaults builds a FaultSpec with the given Byzantine behavior factory.
-func ByzFaults(peers []sim.PeerID, factory func(sim.PeerID, *sim.Knowledge) sim.Peer) sim.FaultSpec {
-	return sim.FaultSpec{Model: sim.FaultByzantine, Faulty: peers, NewByzantine: factory}
+// ByzFaults runs the given Byzantine behavior factory at peers.
+func ByzFaults(peers []sim.PeerID, factory func(sim.PeerID, *sim.Knowledge) sim.Peer) sim.Faults {
+	return sim.Faults{Fates: sim.Byzantines(peers, factory)}
 }
 
-// CrashPolicies returns a labeled palette of crash schedules for grid
-// tests: immediate silence, random mid-execution points (seeded), and a
+// CrashFates returns a labeled palette of crash schedules for grid tests:
+// immediate silence, random mid-execution points (seeded), and a
 // mid-broadcast point that interrupts multi-send operations.
-func CrashPolicies(seed int64, peers []sim.PeerID, n int) map[string]sim.CrashPolicy {
-	return map[string]sim.CrashPolicy{
-		"immediate":    &adversary.CrashAll{Point: 0},
-		"midbroadcast": &adversary.CrashAll{Point: n / 2},
+func CrashFates(seed int64, peers []sim.PeerID, n int) map[string][]sim.Fate {
+	return map[string][]sim.Fate{
+		"immediate":    sim.Crashes(peers, 0),
+		"midbroadcast": sim.Crashes(peers, n/2),
 		"random":       adversary.NewCrashRandom(seed, peers, 50*n),
 		"late":         adversary.NewCrashRandom(seed+1, peers, 5000*n),
 	}

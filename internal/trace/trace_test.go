@@ -15,13 +15,10 @@ import (
 
 func runWithObserver(t *testing.T, obs sim.Observer, factory func(sim.PeerID) sim.Peer, n, tf, L int) *sim.Result {
 	t.Helper()
-	var faults sim.FaultSpec
+	var faults sim.Faults
 	if tf > 0 {
 		faulty := adversary.SpreadFaulty(n, tf)
-		faults = sim.FaultSpec{
-			Model: sim.FaultCrash, Faulty: faulty,
-			Crash: adversary.NewCrashRandom(3, faulty, 40),
-		}
+		faults = sim.Faults{Fates: adversary.NewCrashRandom(3, faulty, 40)}
 	}
 	res, err := des.New().Run(&sim.Spec{
 		Config:   sim.Config{N: n, T: tf, L: L, MsgBits: 64, Seed: 3},

@@ -49,13 +49,12 @@ func (f *freezer) OnEvent(ev sim.ObservedEvent) {
 // slow peer's late answers teach bits in later phases, so stage 3 narrows
 // the shares it asks about.
 func TestSentMessagesStayFrozen(t *testing.T) {
-	crashes := func(n, t int, random bool) sim.FaultSpec {
-		f := sim.FaultSpec{Model: sim.FaultCrash, Faulty: adversary.SpreadFaulty(n, t)}
-		f.Crash = &adversary.CrashAll{Point: 0}
+	crashes := func(n, t int, random bool) sim.Faults {
+		faulty := adversary.SpreadFaulty(n, t)
 		if random {
-			f.Crash = adversary.NewCrashRandom(1, f.Faulty, 40*n)
+			return sim.Faults{Fates: adversary.NewCrashRandom(1, faulty, 40*n)}
 		}
-		return f
+		return sim.Faults{Fates: sim.Crashes(faulty, 0)}
 	}
 	cases := []testutil.Case{
 		{Name: "naive", N: 8, T: 5, L: 512, NewPeer: naive.New, Faults: crashes(8, 5, false)},
@@ -72,8 +71,8 @@ func TestSentMessagesStayFrozen(t *testing.T) {
 		})
 		slowed := crashes(16, 10, true)
 		var slow []sim.PeerID // the first three honest peers
-		for id, f := sim.PeerID(0), slowed.Faulty; len(slow) < 3; id++ {
-			if len(f) > 0 && f[0] == id {
+		for id, f := sim.PeerID(0), slowed.Fates; len(slow) < 3; id++ {
+			if len(f) > 0 && f[0].Peer == id {
 				f = f[1:]
 				continue
 			}
