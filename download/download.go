@@ -258,13 +258,15 @@ type ChurnPeer struct {
 
 // PeerReport is the per-peer outcome.
 type PeerReport struct {
-	ID         int
-	Honest     bool
-	Crashed    bool
-	Terminated bool
-	QueryBits  int
-	MsgsSent   int
-	Correct    bool
+	ID          int
+	Honest      bool
+	Crashed     bool
+	Terminated  bool
+	QueryBits   int
+	QueryCalls  int
+	MsgsSent    int
+	MsgBitsSent int
+	Correct     bool
 	// Rejoined reports a churn peer that crashed and rejoined.
 	Rejoined bool
 }
@@ -571,14 +573,16 @@ func buildReport(res *sim.Result) *Report {
 	for i := range res.PerPeer {
 		ps := &res.PerPeer[i]
 		rep.PerPeer = append(rep.PerPeer, PeerReport{
-			ID:         int(ps.ID),
-			Honest:     ps.Honest,
-			Crashed:    ps.Crashed,
-			Terminated: ps.Terminated,
-			QueryBits:  ps.QueryBits,
-			MsgsSent:   ps.MsgsSent,
-			Correct:    ps.OutputCorrect,
-			Rejoined:   ps.Rejoined,
+			ID:          int(ps.ID),
+			Honest:      ps.Honest,
+			Crashed:     ps.Crashed,
+			Terminated:  ps.Terminated,
+			QueryBits:   ps.QueryBits,
+			QueryCalls:  ps.QueryCalls,
+			MsgsSent:    ps.MsgsSent,
+			MsgBitsSent: ps.MsgBitsSent,
+			Correct:     ps.OutputCorrect,
+			Rejoined:    ps.Rejoined,
 		})
 		if rep.Output == nil && ps.Honest && ps.OutputCorrect {
 			out := make([]bool, ps.Output.Len())

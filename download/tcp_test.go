@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/download"
+	"repro/internal/obs"
 )
 
 func TestTCPTransport(t *testing.T) {
@@ -57,6 +58,41 @@ func TestTCPFixedInput(t *testing.T) {
 	for i := range input {
 		if rep.Output[i] != input[i] {
 			t.Fatalf("output differs at %d", i)
+		}
+	}
+}
+
+// TestBenchmarkSeriesNames pins the metric families the benchmark's
+// per-layer rows read, by name: after one metered download on each
+// runtime every one is registered. A renamed family would read as zero
+// there, not fail.
+func TestBenchmarkSeriesNames(t *testing.T) {
+	reg := obs.New()
+	for _, tcp := range []bool{false, true} {
+		rep, err := download.Run(download.Options{
+			Protocol: download.CrashK, N: 4, T: 1, L: 256, Seed: 3,
+			TCP: tcp, Metrics: reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Correct {
+			t.Fatalf("tcp=%v: incorrect run: %v", tcp, rep.Failures)
+		}
+	}
+	registered := map[string]bool{}
+	for _, m := range reg.Snapshot().Metrics {
+		registered[m.Name] = true
+	}
+	for _, name := range []string{
+		"dr_sim_query_calls_total", "dr_sim_dispatch_seconds", "dr_sim_queue_depth",
+		"dr_net_query_calls_total", "dr_net_query_retries_total", "dr_net_reconnects_total",
+		"dr_net_dup_frames_dropped_total", "dr_net_plan_dropped_total",
+		"dr_net_frames_total", "dr_net_frame_bytes_total",
+		"dr_net_shard_frames_total", "dr_net_shard_batch_frames",
+	} {
+		if !registered[name] {
+			t.Errorf("%s is not registered", name)
 		}
 	}
 }

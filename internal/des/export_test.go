@@ -46,3 +46,6 @@ func RunCountingCoins(spec *sim.Spec) (res *sim.Result, coins int) {
 	}
 	return e.result(), coins
 }
+
+// EventKinds is the event kinds an engine for spec builds.
+func EventKinds(spec *sim.Spec) sim.KindSet { return newEngine(spec, nil).kinds }

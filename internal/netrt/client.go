@@ -387,7 +387,6 @@ func (c *client) connect(initial bool) error {
 		old := c.install(conn)
 		if !initial {
 			c.stats.Reconnects++
-			c.met.reconnect(int(c.id))
 			c.ev.peer(sim.KindReconnect, c.id, "", 0)
 		}
 		c.writers.Add(1)
@@ -626,7 +625,6 @@ func (c *client) sent(m sim.Message, to sim.PeerID, k int) {
 	chunks := max(1, (size+c.cfg.MsgBits-1)/c.cfg.MsgBits)
 	c.stats.MsgsSent += k * chunks
 	c.stats.MsgBitsSent += k * size
-	c.met.msgSent(int(c.id), k*chunks, k*size)
 	if !c.ev.reads(sim.KindSend) {
 		return
 	}

@@ -435,7 +435,6 @@ func (h *hub) answerQuery(hp *hubPeer, conn *frameConn, payload []byte, now time
 	})
 	if err != nil {
 		kind := source.KindOf(err)
-		h.met.sourceFailure(int(hp.id))
 		dbg("source: refusing peer %d query: %v", hp.id, err)
 		if kind == source.KindTimeout {
 			// A lost reply: stay silent and let the client's query

@@ -9,12 +9,13 @@ import (
 	"repro/internal/sim"
 )
 
-// events is a run's event stream: Config.Observer, and Config.Timeline
-// through sim.TimelineObserver, fed by every client with its own peer's
-// events and by the hub with its flaps. Callbacks are serialised under
+// events is a run's event stream: Config.Observer, Config.Timeline
+// through sim.TimelineObserver, and the protocol metrics of
+// Config.Metrics through sim.MetricsObserver, fed by every client with its
+// own peer's events and by the hub with its flaps. Callbacks are serialised under
 // mu, so an observer has one caller at a time as on des, and Time — read
 // under mu too — is seconds since the run started and never goes back.
-// It is nil when neither is set, and every method is a no-op on nil.
+// It is nil when none is set, and every method is a no-op on nil.
 type events struct {
 	mu    sync.Mutex
 	obs   sim.Observer
@@ -23,7 +24,8 @@ type events struct {
 }
 
 func newEvents(cfg *Config, start time.Time) *events {
-	o := sim.Tee(cfg.Observer, sim.TimelineObserver(cfg.Timeline))
+	o := sim.Tee(cfg.Observer, sim.TimelineObserver(cfg.Timeline),
+		sim.MetricsObserver(cfg.Metrics, "dr_net", cfg.Label, cfg.MsgBits))
 	kinds := sim.KindsOf(o)
 	if kinds == 0 {
 		return nil
@@ -58,7 +60,9 @@ func (e *events) msg(kind sim.KindSet, p, other sim.PeerID, m sim.Message, typ s
 	e.emit(kind, sim.ObservedEvent{Peer: p, Other: other, MsgType: typ, Bits: bits, Msg: m})
 }
 
-// netMetrics bundles every metric handle the TCP runtime touches. It is
+// netMetrics bundles the transport's metric handles: frames, bytes,
+// backoff, dedup, fault-plan and writer counters, which no event carries
+// (the protocol series are the fold in events). It is
 // built once per Run when Config.Metrics is set and stays nil
 // otherwise; every method is a no-op on a nil receiver, so
 // the hub and client hot paths call them unconditionally and a disabled
@@ -76,15 +80,8 @@ type netMetrics struct {
 	backoff *obs.Histogram
 
 	// Per-peer handles indexed by peer id.
-	queryBits, queryCalls []*obs.Counter
-	msgs, msgBits         []*obs.Counter
-	reconnects, qretries  []*obs.Counter
-	dups                  []*obs.Counter
-	planDropped, planDup  []*obs.Counter
-	srcFails              []*obs.Counter
-	// Mirror-tier verdicts per peer: verified hits, Merkle rejections,
-	// and authoritative fallbacks.
-	mirHits, mirPfails, mirFallbacks []*obs.Counter
+	dups                 []*obs.Counter
+	planDropped, planDup []*obs.Counter
 
 	// The hub's connection writers: frames written, frames dropped with
 	// their connection, write errors, and frames per writer pass.
@@ -100,10 +97,6 @@ func newNetMetrics(cfg *Config) *netMetrics {
 		return nil
 	}
 	m := &netMetrics{}
-	label := cfg.Label
-	if label == "" {
-		label = "unknown"
-	}
 	frames := reg.CounterVec("dr_net_frames_total", "Frames moved on TCP links.", "side", "dir", "kind")
 	bytes := reg.CounterVec("dr_net_frame_bytes_total", "Frame payload bytes moved on TCP links.", "side", "dir", "kind")
 	for k := byte(kHello); k <= kLast; k++ {
@@ -116,28 +109,17 @@ func newNetMetrics(cfg *Config) *netMetrics {
 	}
 	m.backoff = reg.Histogram("dr_net_backoff_seconds",
 		"Reconnect backoff sleeps.", obs.ExpBuckets(1e-3, 4, 8))
-	// perPeer resolves vec's series for every peer id, the label values
-	// ahead of the id given.
-	perPeer := func(vec *obs.CounterVec, values ...string) []*obs.Counter {
+	// perPeer resolves vec's series for every peer id.
+	perPeer := func(vec *obs.CounterVec) []*obs.Counter {
 		hs := make([]*obs.Counter, cfg.N)
 		for i := range hs {
-			hs[i] = vec.With(append(values[:len(values):len(values)], strconv.Itoa(i))...)
+			hs[i] = vec.With(strconv.Itoa(i))
 		}
 		return hs
 	}
-	m.queryBits = perPeer(reg.CounterVec("dr_net_query_bits_total", "Source bits charged per peer at Query (the Q measure).", "protocol", "peer"), label)
-	m.queryCalls = perPeer(reg.CounterVec("dr_net_query_calls_total", "Source queries charged per peer.", "protocol", "peer"), label)
-	m.msgs = perPeer(reg.CounterVec("dr_net_msgs_sent_total", "Peer messages sent, in b-bit chunks (the M measure).", "protocol", "peer"), label)
-	m.msgBits = perPeer(reg.CounterVec("dr_net_msg_bits_sent_total", "Payload bits sent peer-to-peer.", "protocol", "peer"), label)
-	m.reconnects = perPeer(reg.CounterVec("dr_net_reconnects_total", "Client redials that re-established a link.", "peer"))
-	m.qretries = perPeer(reg.CounterVec("dr_net_query_retries_total", "Source queries re-sent after a refused or silent attempt.", "peer"))
 	m.dups = perPeer(reg.CounterVec("dr_net_dup_frames_dropped_total", "Duplicate frames discarded by dedup.", "peer"))
 	m.planDropped = perPeer(reg.CounterVec("dr_net_plan_dropped_total", "Deliveries dropped by the fault plan.", "peer"))
 	m.planDup = perPeer(reg.CounterVec("dr_net_plan_duped_total", "Deliveries duplicated by the fault plan.", "peer"))
-	m.srcFails = perPeer(reg.CounterVec("dr_net_source_failures_total", "Source queries refused by the source fault plan.", "peer"))
-	m.mirHits = perPeer(reg.CounterVec("dr_net_mirror_hits_total", "Queries answered by a verified mirror reply.", "peer"))
-	m.mirPfails = perPeer(reg.CounterVec("dr_net_mirror_proof_failures_total", "Mirror replies rejected by Merkle verification.", "peer"))
-	m.mirFallbacks = perPeer(reg.CounterVec("dr_net_mirror_fallback_total", "Queries re-issued to the authoritative source.", "peer"))
 	// The writer series keep the names they had when the hub had a
 	// listener per shard, because the benchmark harness reads them so.
 	writes := reg.CounterVec("dr_net_shard_frames_total",
@@ -179,36 +161,6 @@ func peerAdd(handles []*obs.Counter, peer int, n int64) {
 	}
 }
 
-func (m *netMetrics) queryCharged(peer, bits int) {
-	if m == nil {
-		return
-	}
-	peerAdd(m.queryBits, peer, int64(bits))
-	peerAdd(m.queryCalls, peer, 1)
-}
-
-func (m *netMetrics) msgSent(peer, chunks, bits int) {
-	if m == nil {
-		return
-	}
-	peerAdd(m.msgs, peer, int64(chunks))
-	peerAdd(m.msgBits, peer, int64(bits))
-}
-
-func (m *netMetrics) reconnect(peer int) {
-	if m == nil {
-		return
-	}
-	peerAdd(m.reconnects, peer, 1)
-}
-
-func (m *netMetrics) queryRetry(peer int) {
-	if m == nil {
-		return
-	}
-	peerAdd(m.qretries, peer, 1)
-}
-
 func (m *netMetrics) dupDropped(peer int) {
 	if m == nil {
 		return
@@ -228,30 +180,6 @@ func (m *netMetrics) planDupe(peer int) {
 		return
 	}
 	peerAdd(m.planDup, peer, 1)
-}
-
-// mirrorVerdict records the outcome of one proof-carrying mirror reply:
-// a verified hit, or a rejection (with its fallback re-issue).
-func (m *netMetrics) mirrorVerdict(peer int, verified, refused bool) {
-	if m == nil {
-		return
-	}
-	if verified {
-		peerAdd(m.mirHits, peer, 1)
-		return
-	}
-	if !refused {
-		peerAdd(m.mirPfails, peer, 1)
-	}
-	peerAdd(m.mirFallbacks, peer, 1)
-}
-
-// sourceFailure records one injected source refusal toward a peer.
-func (m *netMetrics) sourceFailure(peer int) {
-	if m == nil {
-		return
-	}
-	peerAdd(m.srcFails, peer, 1)
 }
 
 // writerEvent counts n events of one of the hub's connection writers.

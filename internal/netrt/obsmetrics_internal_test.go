@@ -25,10 +25,6 @@ func TestNetMetricsDisabledAllocFree(t *testing.T) {
 		m.frame(sideHub, dirRx, kQuery, 16)
 		m.frame(sideClient, dirTx, kDone, 8)
 		m.frame(sideClient, dirRx, kQReply, 32)
-		m.queryCharged(3, 128)
-		m.msgSent(2, 1, 512)
-		m.reconnect(1)
-		m.queryRetry(4)
 		m.dupDropped(0)
 		m.planDrop(2)
 		m.planDupe(2)
@@ -102,4 +98,12 @@ func TestNetMetricsCountEveryKind(t *testing.T) {
 			}
 		}
 	}
+}
+
+// EventKinds is the event kinds a run of cfg builds.
+func EventKinds(cfg Config) sim.KindSet {
+	if ev := newEvents(&cfg, time.Now()); ev != nil {
+		return ev.kinds
+	}
+	return 0
 }

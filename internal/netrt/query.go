@@ -111,7 +111,6 @@ func (c *client) transmit(pq *pendingQuery, now time.Time) {
 	pq.state = sent
 	if pq.call.Attempt > 1 {
 		c.stats.QueryRetries++
-		c.met.queryRetry(int(c.id))
 		c.ev.peer(sim.KindQRetry, c.id, "", len(pq.call.Fetch))
 	}
 	pq.deadline = now.Add(c.res.QueryTimeout)
@@ -234,7 +233,6 @@ func (c *client) handleProofReply(key qkey, hdr, body []byte) {
 		// failure, not partial coverage to be trusted.
 		bits, verified = rep.Bits.GatherFrom(pq.call.Fetch, rep.LeafLo*c.mparams.LeafBits)
 	}
-	c.met.mirrorVerdict(int(c.id), verified, rep.Refused)
 	if !verified && !rep.Refused {
 		c.ev.peer(sim.KindProofFail, c.id, "", len(pq.call.Fetch))
 	}
@@ -382,7 +380,6 @@ func (c *client) Query(tag int, indices []int) {
 		return
 	}
 	b := c.q.Begin(tag, indices)
-	c.met.queryCharged(int(c.id), b.Charged)
 	c.ev.peer(sim.KindQuery, c.id, "", b.Charged)
 	if b.Kind == qplane.WarmHit {
 		c.pendingLocal = append(c.pendingLocal, b.Reply)

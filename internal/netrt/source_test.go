@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/netrt"
+	"repro/internal/obs"
 	"repro/internal/protocols/naive"
 	"repro/internal/source"
 )
@@ -47,8 +48,10 @@ func TestSourceFlakyOverTCP(t *testing.T) {
 // TestSourceOutageBreakerOverTCP starts the run inside a source outage
 // window: consecutive QERR refusals must open each client's breaker
 // (degraded mode, queries parked), and once the window heals, half-open
-// probes recover the download.
+// probes recover the download. The run's dr_source_* series, folded
+// from its qfail events and published from its PerPeer, equal the Result.
 func TestSourceOutageBreakerOverTCP(t *testing.T) {
+	reg := obs.New()
 	res, err := netrt.Run(netrt.Config{
 		N: 4, T: 0, L: 128, MsgBits: 64, Seed: 22,
 		NewPeer:      naive.NewBatched(32),
@@ -56,6 +59,7 @@ func TestSourceOutageBreakerOverTCP(t *testing.T) {
 		SourcePolicy: fastSource,
 		Resilience:   netrt.Resilience{QueryTimeout: 100 * time.Millisecond},
 		Timeout:      30 * time.Second,
+		Metrics:      reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,6 +72,25 @@ func TestSourceOutageBreakerOverTCP(t *testing.T) {
 	}
 	if res.DegradedTime <= 0 {
 		t.Errorf("DegradedTime = %v, want > 0", res.DegradedTime)
+	}
+	snap := reg.Snapshot()
+	for name, want := range map[string]int{
+		"dr_source_failures_total":      res.SourceFailures,
+		"dr_source_retries_total":       res.SourceRetries,
+		"dr_source_breaker_opens_total": res.BreakerOpens,
+		"dr_source_deferred_total":      res.DeferredQueries,
+	} {
+		got := 0.0
+		for _, m := range snap.Metrics {
+			if m.Name == name {
+				for _, s := range m.Series {
+					got += s.Value
+				}
+			}
+		}
+		if int(got) != want {
+			t.Errorf("%s = %v, the result says %d", name, got, want)
+		}
 	}
 }
 

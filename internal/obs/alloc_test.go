@@ -49,10 +49,9 @@ func TestEnabledCounterAddAllocFree(t *testing.T) {
 	}
 }
 
-// The source-tier instruments (dr_source_*, dr_net_source_failures_total)
-// ride the same nil-handle contract: a run without -obs resolves them all
-// through a nil registry, and every per-failure/per-retry update in the
-// des result export and the netrt hub path must stay allocation-free.
+// The source-tier instruments (dr_source_*, dr_mirror_*) ride the same
+// nil-handle contract: a run without -obs resolves them all through a nil
+// registry, and every update of them must stay allocation-free.
 func TestDisabledSourceMetricsAllocFree(t *testing.T) {
 	var r *Registry
 	fails := r.CounterVec("dr_source_failures_total",
@@ -63,8 +62,8 @@ func TestDisabledSourceMetricsAllocFree(t *testing.T) {
 		"Circuit-breaker open transitions.", "protocol").With("naive")
 	deferred := r.CounterVec("dr_source_deferred_total",
 		"Queries parked while a breaker was open.", "protocol").With("naive")
-	netFails := r.CounterVec("dr_net_source_failures_total",
-		"Source queries refused by the source fault plan.", "peer").With("0")
+	hits := r.CounterVec("dr_mirror_hits_total",
+		"Queries answered by a verified mirror reply.", "protocol").With("naive")
 	var tl *Timeline
 	allocs := testing.AllocsPerRun(1000, func() {
 		fails.With("naive", "outage").Add(1)
@@ -72,7 +71,7 @@ func TestDisabledSourceMetricsAllocFree(t *testing.T) {
 		retries.Add(1)
 		opens.Inc()
 		deferred.Add(2)
-		netFails.Inc()
+		hits.Inc()
 		tl.Mark(1.0, 0, "srcfail", "outage")
 	})
 	if allocs != 0 {

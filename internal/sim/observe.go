@@ -3,6 +3,7 @@ package sim
 import (
 	"math/bits"
 	"reflect"
+	"strconv"
 
 	"repro/internal/obs"
 )
@@ -155,4 +156,145 @@ func (o timelineObserver) OnEvent(ev ObservedEvent) {
 	case "phase", "terminate", "crash", "rejoin", "qfail", "reconnect", "qretry", "prooffail", "flap":
 		o.tl.Mark(ev.Time, int(ev.Peer), ev.Kind, ev.Name)
 	}
+}
+
+// The per-peer series the metrics fold keeps, each under the runtime's
+// prefix and labeled by protocol and peer.
+const (
+	seriesQueryBits = iota
+	seriesQueryCalls
+	seriesMsgs
+	seriesMsgBits
+	seriesCrashes
+	seriesTerms
+	seriesReconnects
+	seriesQRetries
+	numSeries
+)
+
+var foldedSeries = [numSeries]struct{ name, help string }{
+	{"_query_bits_total", "Source bits charged at Query (the Q measure)."},
+	{"_query_calls_total", "Source Query invocations."},
+	{"_msgs_sent_total", "Peer messages sent, in b-bit chunks (the M measure)."},
+	{"_msg_bits_sent_total", "Payload bits sent peer-to-peer."},
+	{"_crashes_total", "Peer crashes executed by the fault adversary."},
+	{"_terminations_total", "Peer terminations."},
+	{"_reconnects_total", "Client redials that re-established a link."},
+	{"_query_retries_total", "Source queries re-sent after a refused or silent attempt."},
+}
+
+// metricsKinds are the kinds the metrics fold reads.
+const metricsKinds = KindQuery | KindSend | KindCrash | KindTerminate | KindReconnect | KindQRetry | KindQFail
+
+// MetricsObserver is the protocol metrics of a run as a fold of its event
+// stream into reg, or nil when reg is nil. Each query, send, crash,
+// termination, reconnect and query retry adds to its peer's series
+// prefix+"_query_bits_total" and so on (see foldedSeries); a send counts
+// ⌈bits/msgBits⌉ messages, at least one, as M charges it. Each qfail adds
+// to dr_source_failures_total by its failure kind. The prefix is the
+// runtime's (dr_sim on des, dr_net on sockets); label is the "protocol"
+// label value.
+func MetricsObserver(reg *obs.Registry, prefix, label string, msgBits int) Observer {
+	if reg == nil {
+		return nil
+	}
+	m := &metricsObserver{msgBits: msgBits, label: metricLabel(label)}
+	for i, s := range foldedSeries {
+		m.vecs[i] = reg.CounterVec(prefix+s.name, s.help, "protocol", "peer")
+	}
+	m.fails = reg.CounterVec("dr_source_failures_total",
+		"Source query attempts that failed, by failure kind.", "protocol", "kind")
+	return m
+}
+
+type metricsObserver struct {
+	msgBits int
+	label   string
+	vecs    [numSeries]*obs.CounterVec
+	// peers holds each series' counters by peer id, each resolved at its
+	// peer's first event of the series.
+	peers [numSeries][]*obs.Counter
+	fails *obs.CounterVec
+}
+
+func (*metricsObserver) Kinds() KindSet { return metricsKinds }
+
+// OnEvent folds the kinds it reads; in a tee it also sees the others.
+func (m *metricsObserver) OnEvent(ev ObservedEvent) {
+	switch ev.Kind {
+	case "query":
+		m.add(seriesQueryBits, ev.Peer, ev.Bits)
+		m.add(seriesQueryCalls, ev.Peer, 1)
+	case "send":
+		m.add(seriesMsgs, ev.Peer, max(1, (ev.Bits+m.msgBits-1)/m.msgBits))
+		m.add(seriesMsgBits, ev.Peer, ev.Bits)
+	case "crash":
+		m.add(seriesCrashes, ev.Peer, 1)
+	case "terminate":
+		m.add(seriesTerms, ev.Peer, 1)
+	case "reconnect":
+		m.add(seriesReconnects, ev.Peer, 1)
+	case "qretry":
+		m.add(seriesQRetries, ev.Peer, 1)
+	case "qfail":
+		m.fails.With(m.label, ev.MsgType).Inc()
+	}
+}
+
+func (m *metricsObserver) add(s int, p PeerID, n int) {
+	hs := m.peers[s]
+	if int(p) >= len(hs) {
+		hs = append(hs, make([]*obs.Counter, int(p)+1-len(hs))...)
+		m.peers[s] = hs
+	}
+	if hs[p] == nil {
+		hs[p] = m.vecs[s].With(m.label, strconv.Itoa(int(p)))
+	}
+	hs[p].Add(int64(n))
+}
+
+// planSeries are the query plane's counters that no event carries.
+var planSeries = [...]struct {
+	name, help string
+	of         func(*PeerStats) int
+}{
+	{"dr_source_retries_total", "Source query attempts re-issued after a failure.",
+		func(s *PeerStats) int { return s.SourceRetries }},
+	{"dr_source_breaker_opens_total", "Circuit-breaker open transitions.",
+		func(s *PeerStats) int { return s.BreakerOpens }},
+	{"dr_source_deferred_total", "Queries parked while a breaker was open.",
+		func(s *PeerStats) int { return s.DeferredQueries }},
+	{"dr_mirror_hits_total", "Queries answered by a verified mirror reply.",
+		func(s *PeerStats) int { return s.MirrorHits }},
+	{"dr_mirror_proof_failures_total", "Mirror replies rejected by Merkle verification.",
+		func(s *PeerStats) int { return s.ProofFailures }},
+	{"dr_mirror_fallback_total", "Queries re-issued to the authoritative source.",
+		func(s *PeerStats) int { return s.FallbackQueries }},
+}
+
+// PublishPlane adds a run's settled query-plane counters, summed over
+// perPeer, to reg's dr_source_* and dr_mirror_* series of the protocol
+// label: the retries, breaker opens, deferred queries, mirror hits, proof
+// failures and fallbacks that no event carries. Both runtimes call it once
+// per run with a source plan or mirrors; a nil reg is a no-op.
+func PublishPlane(reg *obs.Registry, label string, perPeer []PeerStats) {
+	if reg == nil {
+		return
+	}
+	label = metricLabel(label)
+	for _, s := range planSeries {
+		n := 0
+		for i := range perPeer {
+			n += s.of(&perPeer[i])
+		}
+		reg.CounterVec(s.name, s.help, "protocol").With(label).Add(int64(n))
+	}
+}
+
+// metricLabel is a run's "protocol" label value: label, or "unknown".
+func metricLabel(label string) string {
+	if label == "" {
+		return "unknown"
+	}
+	return label
 }

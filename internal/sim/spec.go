@@ -111,8 +111,9 @@ type Spec struct {
 	// on either scheduler. See package trace for a JSONL recorder and
 	// analyzer, and TimelineObserver for an obs.Timeline view.
 	Observer Observer
-	// Metrics, when non-nil, receives runtime counters and histograms
-	// (per-peer query bits, message counts, event-loop stats). The
+	// Metrics, when non-nil, receives the protocol series folded from
+	// the event stream (MetricsObserver, prefix dr_sim), the query plane's
+	// totals (PublishPlane) and the engine's event-loop stats. The
 	// registry is concurrency-safe, so unlike an Observer it may be
 	// shared by runs executing at once. Nil disables all metric
 	// collection at zero cost (see package obs).
