@@ -1,11 +1,14 @@
 package netrt_test
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/netrt"
+	"repro/internal/obs"
 	"repro/internal/protocols/naive"
+	"repro/internal/sim"
 	"repro/internal/source"
 )
 
@@ -143,5 +146,46 @@ func TestMirrorFaultPlanOverTCP(t *testing.T) {
 	}
 	if res.MirrorHits == 0 {
 		t.Errorf("no verified mirror hits under a half-honest fleet")
+	}
+}
+
+// queryOncePeer queries the first 64 bits and never terminates.
+type queryOncePeer struct{}
+
+func (queryOncePeer) Init(ctx sim.Context) {
+	idx := make([]int, 64)
+	for i := range idx {
+		idx[i] = i
+	}
+	ctx.Query(0, idx)
+}
+func (queryOncePeer) OnMessage(sim.PeerID, sim.Message) {}
+func (queryOncePeer) OnQueryReply(sim.QueryReply)       {}
+
+// TestTimedOutRunPublishesMirrorMetrics: a run that times out still
+// publishes the query plane's dr_mirror_* totals, settled by every client
+// before Run returns its *TimeoutError.
+func TestTimedOutRunPublishesMirrorMetrics(t *testing.T) {
+	reg := obs.New()
+	_, err := netrt.Run(netrt.Config{
+		N: 3, T: 0, L: 256, MsgBits: 64, Seed: 31,
+		NewPeer: func(sim.PeerID) sim.Peer { return queryOncePeer{} },
+		Mirrors: tcpMirrors(t, "mirrors=4,leaf=64,seed=5"),
+		Metrics: reg,
+		Label:   "once",
+		Timeout: time.Second,
+	})
+	var terr *netrt.TimeoutError
+	if !errors.As(err, &terr) {
+		t.Fatalf("error is %T, want *netrt.TimeoutError: %v", err, err)
+	}
+	snap := reg.Snapshot()
+	for _, name := range []string{"dr_mirror_hits_total", "dr_mirror_proof_failures_total", "dr_mirror_fallback_total"} {
+		if _, ok := snap.Series(name, map[string]string{"protocol": "once"}); !ok {
+			t.Errorf("%s missing after a timed-out run", name)
+		}
+	}
+	if s, _ := snap.Series("dr_mirror_hits_total", map[string]string{"protocol": "once"}); s.Value < 3 {
+		t.Errorf("dr_mirror_hits_total = %v after each of 3 peers was served, want >= 3", s.Value)
 	}
 }
