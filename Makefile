@@ -193,6 +193,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz=FuzzSetScan -fuzztime=$(FUZZTIME) -run '^$$' ./internal/intset/
+	$(GO) test -fuzz=FuzzSetWords -fuzztime=$(FUZZTIME) -run '^$$' ./internal/intset/
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME) -run '^$$' ./internal/netrt/
 	$(GO) test -fuzz=FuzzDecodeQuery -fuzztime=$(FUZZTIME) -run '^$$' ./internal/netrt/
 	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=$(FUZZTIME) -run '^$$' ./internal/netrt/

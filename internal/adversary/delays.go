@@ -10,7 +10,6 @@ package adversary
 
 import (
 	"math/rand"
-	"sync"
 
 	"repro/internal/sim"
 )
@@ -38,11 +37,10 @@ func (f *Fixed) QueryDelay(_ sim.PeerID, _ float64) float64 { return f.D }
 func (f *Fixed) StartDelay(_ sim.PeerID) float64 { return 0 }
 
 // Random assigns independent uniform delays in (Min, Max] to every
-// delivery and staggers peer start times uniformly in [0, Max). It is
-// safe for concurrent use; under the des runtime, calls occur in a
-// deterministic order, so executions are reproducible from the seed.
+// delivery and staggers peer start times uniformly in [0, Max). Like
+// math/rand.Rand, it belongs to one goroutine: des calls it from its own,
+// in a deterministic order, so executions are reproducible from the seed.
 type Random struct {
-	mu  sync.Mutex
 	rng *rand.Rand
 	min float64
 	max float64
@@ -64,8 +62,6 @@ func NewRandom(seed int64, min, max float64) *Random {
 func NewRandomUnit(seed int64) *Random { return NewRandom(seed, 0, 1) }
 
 func (r *Random) draw() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.min + (r.max-r.min)*(1-r.rng.Float64()) // in (min, max]
 }
 

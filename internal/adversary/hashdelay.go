@@ -1,10 +1,6 @@
 package adversary
 
-import (
-	"sync"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // HashDelay assigns pseudo-random delays that are a pure function of
 // (seed, endpoint pair, per-pair message ordinal). Unlike Random — which
@@ -13,14 +9,14 @@ import (
 // reproducible latency sequence. This is exactly the adversary the
 // lower-bound constructions need: two executions in which a channel
 // carries the same message sequence see identical latencies on that
-// channel, no matter what happens elsewhere.
+// channel, no matter what happens elsewhere. Its per-pair ordinals belong
+// to one goroutine, as with every sim.DelayPolicy.
 type HashDelay struct {
 	// Seed selects the latency landscape.
 	Seed int64
 	// Min and Max bound message and query delays: (Min, Max].
 	Min, Max float64
 
-	mu     sync.Mutex
 	msgSeq map[[2]sim.PeerID]uint64
 	qrySeq map[sim.PeerID]uint64
 }
@@ -47,21 +43,17 @@ func (p *HashDelay) delay(h uint64) float64 {
 
 // MessageDelay implements sim.DelayPolicy.
 func (p *HashDelay) MessageDelay(from, to sim.PeerID, _ float64, _ int) float64 {
-	p.mu.Lock()
 	key := [2]sim.PeerID{from, to}
 	seq := p.msgSeq[key]
 	p.msgSeq[key] = seq + 1
-	p.mu.Unlock()
 	h := mix(uint64(p.Seed) ^ mix(uint64(from)<<32|uint64(uint32(to))) ^ mix(seq+0x9E37))
 	return p.delay(h)
 }
 
 // QueryDelay implements sim.DelayPolicy.
 func (p *HashDelay) QueryDelay(peer sim.PeerID, _ float64) float64 {
-	p.mu.Lock()
 	seq := p.qrySeq[peer]
 	p.qrySeq[peer] = seq + 1
-	p.mu.Unlock()
 	h := mix(uint64(p.Seed) ^ mix(uint64(peer)+0xABCD) ^ mix(seq+0x51AF))
 	return p.delay(h)
 }

@@ -1,10 +1,6 @@
 package adversary
 
-import (
-	"sync"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Scripted is a delay policy driven by an explicit byte script: each
 // delay decision consumes one byte b and yields 0.01 + b/64 time units
@@ -17,9 +13,9 @@ import (
 //     FuzzCrashKSchedules in package des).
 //   - Reproducing a specific pathological schedule found elsewhere.
 //
-// An empty script behaves as Fixed(1).
+// An empty script behaves as Fixed(1). Its script position belongs to one
+// goroutine, as with every sim.DelayPolicy.
 type Scripted struct {
-	mu     sync.Mutex
 	script []byte
 	pos    int
 }
@@ -30,8 +26,6 @@ var _ sim.DelayPolicy = (*Scripted)(nil)
 func NewScripted(script []byte) *Scripted { return &Scripted{script: script} }
 
 func (s *Scripted) next() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if len(s.script) == 0 {
 		return 1
 	}

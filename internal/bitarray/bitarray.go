@@ -63,7 +63,7 @@ func (a *Array) Len() int { return a.n }
 // Get returns bit i. It panics if i is out of range.
 func (a *Array) Get(i int) bool {
 	a.check(i)
-	return a.words[i/wordBits]&(1<<(uint(i)%wordBits)) != 0
+	return a.words[uint(i)/wordBits]&(1<<(uint(i)%wordBits)) != 0
 }
 
 // Bit returns bit i as 0 or 1. It panics if i is out of range.
@@ -78,9 +78,9 @@ func (a *Array) Bit(i int) byte {
 func (a *Array) Set(i int, v bool) {
 	a.check(i)
 	if v {
-		a.words[i/wordBits] |= 1 << (uint(i) % wordBits)
+		a.words[uint(i)/wordBits] |= 1 << (uint(i) % wordBits)
 	} else {
-		a.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
+		a.words[uint(i)/wordBits] &^= 1 << (uint(i) % wordBits)
 	}
 }
 
@@ -342,10 +342,20 @@ func (ar *Arena) New(n int) *Array {
 	return &ar.arrs[len(ar.arrs)-1]
 }
 
+// check panics if i is not a bit of a. It panics with a small value whose
+// message is formatted only when printed, so that check, and Get, Set and
+// Tracker.Known with it, inline.
 func (a *Array) check(i int) {
-	if i < 0 || i >= a.n {
-		panic(fmt.Sprintf("bitarray: index %d out of range of %d bits", i, a.n))
+	if uint(i) >= uint(a.n) {
+		panic(indexError{i, a.n})
 	}
+}
+
+// indexError is the value a single-bit access out of range panics with.
+type indexError struct{ index, len int }
+
+func (e indexError) Error() string {
+	return fmt.Sprintf("bitarray: index %d out of range of %d bits", e.index, e.len)
 }
 
 // clearTail zeroes bits beyond Len in the final word so Equal/Count are

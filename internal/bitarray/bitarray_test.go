@@ -2,6 +2,7 @@ package bitarray
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -64,6 +65,33 @@ func TestOutOfRangePanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestIndexPanicText: a single-bit access out of range panics with a value
+// that prints as the text it always has, which is what a recovered peer
+// panic is recorded as (dst's PanicValue is fmt.Sprint of it).
+func TestIndexPanicText(t *testing.T) {
+	for _, n := range []int{0, 10, 64, 100} {
+		a, tr := New(n), NewTracker(n)
+		for _, i := range []int{-1, n, n + 64, -65} {
+			want := fmt.Sprintf("bitarray: index %d out of range of %d bits", i, n)
+			for name, fn := range map[string]func(){
+				"Get":   func() { a.Get(i) },
+				"Bit":   func() { a.Bit(i) },
+				"Set":   func() { a.Set(i, true) },
+				"Known": func() { tr.Known(i) },
+			} {
+				func() {
+					defer func() {
+						if got := fmt.Sprint(recover()); got != want {
+							t.Errorf("%s(%d) on %d bits panicked with %q, want %q", name, i, n, got, want)
+						}
+					}()
+					fn()
+				}()
+			}
+		}
 	}
 }
 

@@ -98,9 +98,38 @@ func header(b []byte) (count, width int, ok bool) {
 // written to out[i]. Pairs that pass make ranges that are sorted,
 // disjoint and not adjacent, so they are stored as they are, with no
 // Builder check.
+//
+// Four short pairs are read as one word: eight bytes, each below 0x80
+// and none zero, are four (gap, length) pairs of one-byte varints with
+// every gap and length at least 1, so only the end of the last can break
+// a rule. Everything else takes the loop a pair at a time.
 func pairs(b []byte, count int, out []Range) (width, elems, lo, hi int, ok bool) {
 	pos, prevEnd, total := 0, uint64(0), uint64(0)
-	for i := 0; i < count; i++ {
+	for i := 0; i < count; {
+		if count-i >= 4 && pos+8 <= len(b) {
+			w := binary.LittleEndian.Uint64(b[pos:])
+			if (w|(w-ones))&highs == 0 {
+				gaps, lens := w&evens, w>>8&evens
+				end := prevEnd + (gaps+lens)*lanes>>48
+				if end > MaxIndex {
+					return 0, 0, 0, 0, false
+				}
+				if i == 0 {
+					lo = int(gaps & 0xff)
+				}
+				total += lens * lanes >> 48
+				if out != nil {
+					for k := 0; k < 4; k, gaps, lens = k+1, gaps>>16, lens>>16 {
+						start := prevEnd + gaps&0xff
+						prevEnd = start + lens&0xff
+						out[i+k] = Range{int32(start), int32(prevEnd)}
+					}
+				}
+				prevEnd = end
+				pos, i = pos+8, i+4
+				continue
+			}
+		}
 		var gap, length uint64
 		if pos+1 < len(b) && b[pos]|b[pos+1] < 0x80 {
 			gap, length, pos = uint64(b[pos]), uint64(b[pos+1]), pos+2
@@ -120,9 +149,20 @@ func pairs(b []byte, count int, out []Range) (width, elems, lo, hi int, ok bool)
 		}
 		total += length
 		prevEnd = end
+		i++
 	}
 	return pos, int(total), lo, int(prevEnd), true
 }
+
+// The masks of the four-pair word: a 1 in every byte, every byte's top
+// bit, the low byte of every 16-bit lane, and the multiplier that sums
+// the four lanes into the top one.
+const (
+	ones  = 0x0101010101010101
+	highs = 0x8080808080808080
+	evens = 0x00ff00ff00ff00ff
+	lanes = 0x0001000100010001
+)
 
 // slowPair reads the (gap, length) pair at b[pos:] when it is not two
 // bytes below 0x80, which the loops over pairs read themselves: a gap and

@@ -160,3 +160,113 @@ func TestCodecAllocations(t *testing.T) {
 		t.Fatalf("Decode allocated %.0f times, want 1", allocs)
 	}
 }
+
+// refDecode is the set encoding by its definition, one varint at a time
+// with no fast path: the reference that the codec's four-pair word read is
+// held to. It returns the ranges and the bytes they took, or ok false.
+func refDecode(b []byte) (rs []Range, width int, ok bool) {
+	pos := 0
+	varint := func() (uint64, bool) {
+		v, k := binary.Uvarint(b[pos:])
+		if k <= 0 || (k > 1 && b[pos+k-1] == 0) {
+			return 0, false
+		}
+		pos += k
+		return v, true
+	}
+	count, ok := varint()
+	if !ok || count > MaxRanges || count > uint64((len(b)-pos)/2) {
+		return nil, 0, false
+	}
+	end := uint64(0)
+	for i := uint64(0); i < count; i++ {
+		gap, ok := varint()
+		if !ok {
+			return nil, 0, false
+		}
+		length, ok := varint()
+		if !ok || length == 0 || (gap == 0 && i > 0) || gap > MaxIndex || length > MaxIndex || end+gap+length > MaxIndex {
+			return nil, 0, false
+		}
+		rs = append(rs, Range{int32(end + gap), int32(end + gap + length)})
+		end += gap + length
+	}
+	return rs, pos, true
+}
+
+// wordSeeds are inputs at the edges of the four-pair word read: a valid
+// run of short pairs with, in each of its first four pairs, a zero gap, a
+// zero length, or a 0x80 byte; an end that crosses MaxIndex inside a word;
+// fewer than four pairs left before bytes that are not the set's own; and
+// words that reach into the next encoding.
+func wordSeeds() [][]byte {
+	base := []byte{6, 3, 2, 1, 4, 7, 1, 2, 2, 5, 3, 9, 1} // six short pairs
+	with := func(at int, v ...byte) []byte {
+		out := slices.Clone(base[:at])
+		out = append(out, v...)
+		return append(out, base[at+1:]...)
+	}
+	seeds := [][]byte{base, append(slices.Clone(base), base...)}
+	for lane := 0; lane < 4; lane++ {
+		gap, length := 1+2*lane, 2+2*lane
+		seeds = append(seeds,
+			with(gap, 0), with(length, 0), // a zero gap (valid first) or length
+			with(gap, 0x80), with(length, 0x80), // a byte that continues a varint
+			with(gap, 0x80, 0x01), with(length, 0x80, 0x01), // a long pair in the lane
+		)
+	}
+	top := binary.AppendUvarint(nil, MaxIndex-10) // ten below the bound
+	for _, tail := range [][]byte{
+		{1, 1, 1, 1, 1, 1, 1, 1}, // ends one below the bound
+		{1, 1, 1, 1, 1, 1, 1, 2}, // ends on it
+		{1, 1, 1, 1, 1, 1, 1, 3}, // one past it
+		{1, 1, 1, 1, 9, 1, 1, 1}, // crosses it in the third pair
+	} {
+		seeds = append(seeds, append(append([]byte{5}, top...), append([]byte{1}, tail...)...)) // a long first pair, then four short
+	}
+	seeds = append(seeds,
+		[]byte{3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1},       // three pairs, then bytes that are not theirs
+		[]byte{5, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, // four in a word, one left
+		[]byte{4, 1, 1, 1, 1, 1, 1, 0x80, 0x01},       // the fourth pair long
+		[]byte{4, 1, 1, 1, 1, 1, 1, 1},                // the fourth pair cut short
+		append([]byte{2, 4, 4, 5, 5}, base...),        // two pairs, then the next encoding
+	)
+	return seeds
+}
+
+// FuzzSetWords holds Decode and Scan to refDecode on any bytes: the same
+// acceptance and width, and on acceptance the same ranges, element count,
+// range count and bounds. Its seeds start it from both verdicts.
+func FuzzSetWords(f *testing.F) {
+	seeds, accepted := wordSeeds(), 0
+	for _, seed := range seeds {
+		if _, _, ok := refDecode(seed); ok {
+			accepted++
+		}
+		f.Add(seed)
+	}
+	if accepted < 10 || len(seeds)-accepted < 10 {
+		f.Fatalf("%d of %d word seeds accepted; want ten of each verdict", accepted, len(seeds))
+	}
+	f.Add(AppendEncoding(nil, phase2Item(rand.New(rand.NewSource(2)), 300)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wwidth, wok := refDecode(data)
+		set, width, ok := Decode(data)
+		sp, swidth, sok := Scan(data)
+		if ok != wok || sok != wok || width != wwidth || swidth != wwidth {
+			t.Fatalf("% x: reference (%v, %d bytes), Decode (%v, %d), Scan (%v, %d)", data, wok, wwidth, ok, width, sok, swidth)
+		}
+		if !ok {
+			return
+		}
+		if !slices.Equal(set.Ranges(), want) || !slices.Equal(walked(sp.Lazy()), want) {
+			t.Fatalf("% x: reference ranges %v, Decode %v, Scan walks %v", data, want, set.Ranges(), walked(sp.Lazy()))
+		}
+		ref := Set{ranges: want}
+		lo, hi := ref.Bounds()
+		if sp.len != ref.Len() || sp.ranges != len(want) || sp.lo != lo || sp.hi != hi {
+			t.Fatalf("% x: span (len %d, ranges %d, bounds [%d,%d)), reference (%d, %d, [%d,%d))",
+				data, sp.len, sp.ranges, sp.lo, sp.hi, ref.Len(), len(want), lo, hi)
+		}
+	})
+}

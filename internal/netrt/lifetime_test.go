@@ -225,7 +225,7 @@ func TestClientKeepsNoReadBuffer(t *testing.T) {
 	seq++
 	c.handleFrame(kQErr, seq, payload)
 	pq := c.owed(qkeyOfHeader(2, hdr), hdr)
-	if pq == nil || pq.state != backoff || c.q.Settle(0).Failures != 1 {
+	if c.q.Settle(0); pq == nil || pq.state != backoff || c.stats.SourceFailures != 1 {
 		t.Fatal("the QERR was not recorded against its query")
 	}
 	deadline := pq.deadline

@@ -17,15 +17,24 @@ import (
 // a real socket against a scripted hub — that a refused query and a
 // breaker probe go out when the policy says, not at the next period.
 
+// failKinds counts a run's "qfail" events by source failure kind.
+type failKinds map[string]int
+
+func (failKinds) Kinds() sim.KindSet             { return sim.KindQFail }
+func (f failKinds) OnEvent(ev sim.ObservedEvent) { f[ev.MsgType]++ }
+
 // planeClient is a client of a bare hub's peer 1 with a live query plane
-// under pol, whose frames go nowhere.
-func planeClient(t *testing.T, res Resilience, pol source.Policy) *client {
+// under pol, whose frames go nowhere, and the kinds of the failures it
+// emits.
+func planeClient(t *testing.T, res Resilience, pol source.Policy) (*client, failKinds) {
 	t.Helper()
-	h := bareHub(t, Config{N: 2, T: 0, L: 256, MsgBits: 64, Seed: 8})
+	fails := failKinds{}
+	h := bareHub(t, Config{N: 2, T: 0, L: 256, MsgBits: 64, Seed: 8, Observer: fails})
 	st := &sim.PeerStats{}
-	return &client{cfg: &h.cfg, res: res.withDefaults(), id: 1, impl: &recorder{}, start: time.Now(),
-		link: link{conn: newFrameConn(&recConn{discard: true}, 0)}, stats: st,
-		q: qplane.NewRemoteTier(h.cfg.L, h.cfg.Seed, pol).NewPlane(1, st, false, nil)}
+	start := time.Now()
+	return &client{cfg: &h.cfg, res: res.withDefaults(), id: 1, impl: &recorder{}, start: start,
+		link: link{conn: newFrameConn(&recConn{discard: true}, 0)}, stats: st, ev: newEvents(&h.cfg, start),
+		q: qplane.NewRemoteTier(h.cfg.L, h.cfg.Seed, pol).NewPlane(1, st, false, nil)}, fails
 }
 
 // TestSilenceFailsAsTimeout: a sent query counts as silent QueryTimeout
@@ -36,7 +45,8 @@ func planeClient(t *testing.T, res Resilience, pol source.Policy) *client {
 func TestSilenceFailsAsTimeout(t *testing.T) {
 	const timeout = 100 * time.Millisecond
 	pol := source.Policy{MaxAttempts: 3, BreakerThreshold: 10}
-	c := planeClient(t, Resilience{QueryTimeout: timeout}, pol)
+	c, fails := planeClient(t, Resilience{QueryTimeout: timeout}, pol)
+	timeouts := source.KindTimeout.String()
 	before := time.Now()
 	c.Query(1, []int{1, 2, 3})
 	after := time.Now()
@@ -47,10 +57,10 @@ func TestSilenceFailsAsTimeout(t *testing.T) {
 	for a := 1; a < pol.MaxAttempts; a++ {
 		silent := pq.deadline
 		c.housekeep(silent, time.Hour)
-		st := c.q.Settle(c.clock(silent))
-		if pq.state != backoff || !pq.deadline.After(silent) || st.Timeouts != a || st.Failures != a {
+		c.q.Settle(c.clock(silent))
+		if pq.state != backoff || !pq.deadline.After(silent) || fails[timeouts] != a || c.stats.SourceFailures != a {
 			t.Fatalf("silence %d: state %d, due %v later, %d timeouts of %d failures; want backed off, %d timeouts",
-				a, pq.state, pq.deadline.Sub(silent), st.Timeouts, st.Failures, a)
+				a, pq.state, pq.deadline.Sub(silent), fails[timeouts], c.stats.SourceFailures, a)
 		}
 		due := pq.deadline
 		c.housekeep(due, time.Hour)
@@ -60,10 +70,10 @@ func TestSilenceFailsAsTimeout(t *testing.T) {
 		}
 	}
 	c.housekeep(pq.deadline, time.Hour)
-	st := c.q.Settle(c.clock(pq.deadline))
-	if pq.state != parked || c.q.Parked() != 1 || st.Timeouts != pol.MaxAttempts || st.Retries != pol.MaxAttempts-1 {
+	c.q.Settle(c.clock(pq.deadline))
+	if pq.state != parked || c.q.Parked() != 1 || fails[timeouts] != pol.MaxAttempts || c.stats.SourceRetries != pol.MaxAttempts-1 {
 		t.Fatalf("after %d silences: state %d, %d parked, %d timeouts, %d retries; want the call parked",
-			pol.MaxAttempts, pq.state, c.q.Parked(), st.Timeouts, st.Retries)
+			pol.MaxAttempts, pq.state, c.q.Parked(), fails[timeouts], c.stats.SourceRetries)
 	}
 	if c.stats.QueryRetries != pol.MaxAttempts-1 {
 		t.Errorf("QueryRetries = %d, want %d re-sends", c.stats.QueryRetries, pol.MaxAttempts-1)
@@ -74,15 +84,16 @@ func TestSilenceFailsAsTimeout(t *testing.T) {
 // BreakerThreshold 1 the first one opens the breaker and parks the call
 // until the wake.
 func TestSilenceOpensBreaker(t *testing.T) {
-	c := planeClient(t, Resilience{QueryTimeout: 100 * time.Millisecond},
+	c, fails := planeClient(t, Resilience{QueryTimeout: 100 * time.Millisecond},
 		source.Policy{BreakerThreshold: 1, BreakerCooldown: 60})
 	c.Query(1, []int{1, 2, 3})
 	pq := c.queries[0]
 	c.housekeep(pq.deadline, time.Hour)
-	st := c.q.Settle(c.clock(pq.deadline))
-	if pq.state != parked || st.BreakerOpens != 1 || st.Timeouts != 1 || c.wakeAt.IsZero() {
+	c.q.Settle(c.clock(pq.deadline))
+	timeouts := fails[source.KindTimeout.String()]
+	if pq.state != parked || c.stats.BreakerOpens != 1 || timeouts != 1 || c.wakeAt.IsZero() {
 		t.Fatalf("state %d, %d breaker opens, %d timeouts, wake armed %v; want the call parked behind the open breaker",
-			pq.state, st.BreakerOpens, st.Timeouts, !c.wakeAt.IsZero())
+			pq.state, c.stats.BreakerOpens, timeouts, !c.wakeAt.IsZero())
 	}
 }
 
@@ -90,17 +101,18 @@ func TestSilenceOpensBreaker(t *testing.T) {
 // silence already failed its attempt is a stale verdict on that attempt.
 // It adds no second failure and leaves the call's backoff as it was.
 func TestSilenceThenRefusalFailsOnce(t *testing.T) {
-	c := planeClient(t, Resilience{QueryTimeout: 100 * time.Millisecond}, source.Policy{})
+	c, fails := planeClient(t, Resilience{QueryTimeout: 100 * time.Millisecond}, source.Policy{})
 	idx := []int{1, 2, 3}
 	c.Query(1, slices.Clone(idx))
 	pq := c.queries[0]
 	c.housekeep(pq.deadline, time.Hour)
 	due := pq.deadline
 	c.handleFrame(kQErr, 1, append(encodeQueryHeader(1, idx), byte(source.KindFlaky)))
-	st := c.q.Settle(c.clock(due))
-	if pq.state != backoff || pq.deadline != due || st.Failures != 1 || st.Timeouts != 1 || st.Flaky != 0 {
+	c.q.Settle(c.clock(due))
+	timeouts, flaky := fails[source.KindTimeout.String()], fails[source.KindFlaky.String()]
+	if pq.state != backoff || pq.deadline != due || c.stats.SourceFailures != 1 || timeouts != 1 || flaky != 0 {
 		t.Fatalf("state %d, due moved %v, %d failures (%d timeouts, %d flaky); want one timeout and the backoff kept",
-			pq.state, pq.deadline.Sub(due), st.Failures, st.Timeouts, st.Flaky)
+			pq.state, pq.deadline.Sub(due), c.stats.SourceFailures, timeouts, flaky)
 	}
 }
 

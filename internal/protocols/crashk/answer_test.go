@@ -252,6 +252,46 @@ func TestAnswerReq2MatchesModel(t *testing.T) {
 	}
 }
 
+// TestFirstProbeRuling: a held item whose first index is a bit of [0, L)
+// the peer does not know is ruled me-neither by that one probe, and every
+// other item falls through to the full ruling. Each item below, alone and
+// all together in one request, is answered as the model answers it: the
+// probe's own case, a known first index with an unknown one after it,
+// a first index below 0 and one at L, and the empty set.
+func TestFirstProbeRuling(t *testing.T) {
+	const n, L = 8, 256
+	p := partitionPeer(1, n, L, ReassignHash)
+	ones := bitarray.New(L)
+	ones.Fill(true)
+	p.track.LearnRange(10, 20, ones, 10) // bits 10..19 known, the rest not
+	all := &Req2{Phase: 2, IdxBits: p.idxBits}
+	for k, c := range []struct {
+		name  string
+		set   intset.Set
+		probe bool // whether the one probe rules it
+	}{
+		{"first unknown", intset.FromSorted([]int{5, 10, 11}), true},
+		{"first known, a later one unknown", intset.FromSorted([]int{10, 12, 30}), false},
+		{"first known, all known", intset.FromRange(12, 18), false},
+		{"first below 0", intset.FromRange(-2, 3), false},
+		{"first at L", intset.FromRange(L, L+2), false},
+		{"first below 0, the rest known", intset.FromSorted([]int{-1, 10, 11}), false},
+		{"empty", intset.Set{}, false},
+	} {
+		if got := p.firstUnknown(c.set, L); got != c.probe {
+			t.Errorf("%s %v: firstUnknown = %v, want %v", c.name, c.set, got, c.probe)
+		}
+		req := &Req2{Phase: 2, IdxBits: p.idxBits, Items: []Req2Item{{Q: 3, Indices: intset.Hold(c.set)}}}
+		rec(p).Reset()
+		p.answerReq2(7, req)
+		requireSameResp2(t, c.name, sentResp2(t, p, 7), splitModel(req, p.idxBits, modelAnswer(p, req)))
+		all.Items = append(all.Items, Req2Item{Q: sim.PeerID(k), Indices: intset.Hold(c.set)})
+	}
+	rec(p).Reset()
+	p.answerReq2(7, all)
+	requireSameResp2(t, "all together", sentResp2(t, p, 7), splitModel(all, p.idxBits, modelAnswer(p, all)))
+}
+
 // TestMalformedReq2GetsNoAnswer: a request whose peers are not strictly
 // increasing, or lie outside [0, N), is not answered — wherever in the
 // request the offending peer is.

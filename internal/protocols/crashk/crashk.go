@@ -655,7 +655,7 @@ func (p *Peer) answerReq2(from sim.PeerID, req *Req2) {
 		prev = q
 		var ok bool
 		if set, held := it.Indices.Held(); held {
-			ok = inRange(set, L) && p.allKnown(set)
+			ok = !p.firstUnknown(set, L) && inRange(set, L) && p.allKnown(set)
 		} else if lo, hi := it.Indices.Bounds(); lo >= 0 && hi <= L {
 			ok = it.Indices.Walk(p.knownRange)
 		}
@@ -723,4 +723,12 @@ func validPayload(set intset.Set, values *bitarray.Array, L int) bool {
 func inRange(set intset.Set, L int) bool {
 	lo, hi := set.Bounds()
 	return lo >= 0 && hi <= L
+}
+
+// firstUnknown reports whether set's first index is a bit of [0, L) that
+// p does not know. Such an item is me-neither whatever its other ranges
+// hold, so answerReq2 rules it with this one probe and reads no further.
+func (p *Peer) firstUnknown(set intset.Set, L int) bool {
+	rs := set.Ranges()
+	return len(rs) > 0 && rs[0].Lo >= 0 && int(rs[0].Lo) < L && !p.track.Known(int(rs[0].Lo))
 }

@@ -403,13 +403,11 @@ func (p *Plane) Rejoin(warm *bitarray.Tracker) {
 
 // Settle closes the books at the end of a run: a still-open degraded
 // interval is folded in and the client's and the mirror fleet's counters
-// are copied into the peer's stats. It returns the client's full
-// counters (zero without a fault plan) for per-kind metrics.
-func (p *Plane) Settle(now float64) source.Stats {
-	var st source.Stats
+// are copied into the peer's stats.
+func (p *Plane) Settle(now float64) {
 	if p.client != nil {
 		p.client.Settle(now)
-		st = p.client.Stats()
+		st := p.client.Stats()
 		p.stats.SourceRetries = st.Retries
 		p.stats.SourceFailures = st.Failures
 		p.stats.BreakerOpens = st.BreakerOpens
@@ -422,5 +420,4 @@ func (p *Plane) Settle(now float64) source.Stats {
 		p.stats.ProofFailures = ms.ProofFailures
 		p.stats.FallbackQueries = ms.FallbackQueries
 	}
-	return st
 }

@@ -120,7 +120,9 @@ type Context interface {
 // DelayPolicy is the adversary's scheduling power: it assigns every
 // message and query a finite positive delay, per the asynchronous model.
 // Implementations must be deterministic given their own seed so that des
-// executions are reproducible.
+// executions are reproducible. A policy belongs to one goroutine, like
+// math/rand.Rand: des calls it from its own and nothing else calls it, so
+// a run that runs beside others builds its own policy.
 type DelayPolicy interface {
 	// MessageDelay returns the latency of a message from→to sent at now.
 	MessageDelay(from, to PeerID, now float64, sizeBits int) float64

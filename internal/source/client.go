@@ -85,12 +85,9 @@ func (s State) String() string {
 type Stats struct {
 	// Retries counts re-issued attempts after a failure.
 	Retries int
-	// Failures counts failed attempts, further broken down by kind.
-	Failures   int
-	Outages    int
-	Flaky      int
-	RateLimits int
-	Timeouts   int
+	// Failures counts failed attempts; each one's kind is on the "qfail"
+	// event its runtime emits.
+	Failures int
 	// BreakerOpens counts transitions to StateOpen (including half-open
 	// probes that failed and re-opened).
 	BreakerOpens int
@@ -173,21 +170,12 @@ func (c *Client) OnSuccess(now float64) (flush bool) {
 
 // OnFailure records a failed attempt at now. attempt is the 1-based
 // attempt count of the logical query (ordinal identifies it for jitter).
+// Every kind of failure counts alike; the kind is the caller's to report.
 // The return value directs the caller: park=true means stop retrying and
 // queue the query behind the breaker until WakeAt (the breaker is now
 // open); otherwise retryAt is when the next attempt should be issued.
-func (c *Client) OnFailure(now float64, kind Kind, ordinal uint64, attempt int) (retryAt float64, park bool) {
+func (c *Client) OnFailure(now float64, _ Kind, ordinal uint64, attempt int) (retryAt float64, park bool) {
 	c.stats.Failures++
-	switch kind {
-	case KindOutage:
-		c.stats.Outages++
-	case KindFlaky:
-		c.stats.Flaky++
-	case KindRateLimit:
-		c.stats.RateLimits++
-	case KindTimeout:
-		c.stats.Timeouts++
-	}
 	c.consecutive++
 	if c.state == StateHalfOpen {
 		// The probe failed: the source is still down, re-open.
