@@ -4,8 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/download"
-	"repro/internal/conformance"
+	"repro/internal/protocols"
 )
 
 // TestExitCodePropagatesEnvelopeFailure is the regression test for the
@@ -15,11 +14,12 @@ import (
 // an impossible envelope for naive (Q must be ≤ 0 bits), so the same
 // small grid that passes below fails here.
 func TestExitCodePropagatesEnvelopeFailure(t *testing.T) {
-	saved := conformance.Envelopes[download.Naive]
-	conformance.Envelopes[download.Naive] = conformance.Envelope{
+	naive, _ := protocols.Lookup("naive")
+	saved := naive.Envelope
+	naive.Envelope = protocols.Envelope{
 		MaxQ: func(n, tb, L, b int) int { return 0 },
 	}
-	defer func() { conformance.Envelopes[download.Naive] = saved }()
+	defer func() { naive.Envelope = saved }()
 
 	var out strings.Builder
 	code := run([]string{"-n", "6", "-L", "64", "-seeds", "1"}, &out, nil)

@@ -23,6 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -31,6 +32,7 @@ import (
 
 	"repro/internal/dst"
 	"repro/internal/harden"
+	"repro/internal/protocols"
 )
 
 func main() {
@@ -62,7 +64,7 @@ func run(args []string) int {
 	case "trace":
 		return cmdTrace(args[1:])
 	case "list":
-		return cmdList()
+		return cmdList(os.Stdout)
 	case "-h", "--help", "help":
 		usage()
 		return 0
@@ -77,16 +79,16 @@ func fail(err error) int {
 	return 1
 }
 
-func cmdList() int {
-	for _, name := range dst.ProtocolNames() {
-		p, _ := dst.LookupProtocol(name)
+func cmdList(w io.Writer) int {
+	for _, name := range protocols.Names() {
+		p, _ := protocols.Lookup(name)
 		tag := ""
 		if p.TestHook {
 			tag = " [test hook]"
 		} else if p.Randomized {
 			tag = " [randomized]"
 		}
-		fmt.Printf("%-18s %s%s\n", p.Name, p.Doc, tag)
+		fmt.Fprintf(w, "%-18s %s%s\n", p.Name, p.Doc, tag)
 	}
 	return 0
 }

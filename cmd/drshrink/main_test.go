@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -96,5 +97,26 @@ func TestExitCodeBadFlags(t *testing.T) {
 		if code := run(args); code != 2 {
 			t.Errorf("run(%q) exited %d, want 2", args, code)
 		}
+	}
+}
+
+// TestListText pins `drshrink list`: every registry name in sorted order
+// with its description and tag.
+func TestListText(t *testing.T) {
+	const want = `committee          Theorem 3.4 committees, Byzantine β < 1/2
+committee-weak     committee with acceptance threshold t instead of t+1 (unsafe) [test hook]
+crash1             Algorithm 1: one crash fault, Q = O(L/n)
+crash1-legacy      Algorithm 1 with the PRE-FIX silent termination (deadlocks at n=4) [test hook]
+crashk             Algorithm 2: t crash faults
+crashk-fast        Algorithm 2 with the fast stage-3 rule
+multicycle         Theorem 3.12 multi-cycle randomized protocol [randomized]
+multicycle-weak    multi-cycle with frequency threshold forced to 1 (unsafe) [test hook]
+naive              every peer queries the full input (Q = L)
+twocycle           Theorem 3.7 two-cycle randomized protocol [randomized]
+twocycle-weak      two-cycle with frequency threshold forced to 1 (unsafe) [test hook]
+`
+	var out strings.Builder
+	if code := cmdList(&out); code != 0 || out.String() != want {
+		t.Fatalf("list exited %d:\n%s\nwant:\n%s", code, out.String(), want)
 	}
 }

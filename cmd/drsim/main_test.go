@@ -32,6 +32,23 @@ func TestExitCodeList(t *testing.T) {
 	}
 }
 
+// TestListText pins -list's table, one row per protocol in Table 1's
+// order.
+func TestListText(t *testing.T) {
+	const want = `PROTOCOL     DETERMINISM    FAULTS      RESILIENCE             QUERY                SOURCE
+naive        deterministic  any         any β < 1              L                    folklore; optimal for β ≥ 1/2 (Thm 3.1/3.2)
+crash1       deterministic  crash       t = 1                  L/n + L/(n(n−1))     Thm 2.3
+crashk       deterministic  crash       any β < 1              O(L/n)               Thm 2.13 (Alg. 2)
+crashk-fast  deterministic  crash       any β < 1              O(L/n), better time  Thm 2.13 (modified)
+committee    deterministic  byzantine   β < 1/2                L(2t+1)/n ≈ 2βL      Thm 3.4
+twocycle     randomized     byzantine   β < 1/2                Õ(L/n) whp           Thm 3.7 (Protocol 4)
+multicycle   randomized     byzantine   β < 1/2                Õ(L/n) expected      Thm 3.12
+`
+	if code, out, _ := drsim("-list"); code != 0 || out != want {
+		t.Fatalf("-list exited %d:\n%s\nwant:\n%s", code, out, want)
+	}
+}
+
 // TestExitCodeDesRun pins the passing path on the simulator.
 func TestExitCodeDesRun(t *testing.T) {
 	code, out, errOut := drsim("-protocol", "naive", "-n", "4", "-t", "0", "-L", "64")

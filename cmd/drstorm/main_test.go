@@ -6,8 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/download"
-	"repro/internal/conformance"
+	"repro/internal/protocols"
 )
 
 // TestExitCodeCleanStorm pins the passing path: a small naive storm
@@ -35,11 +34,12 @@ func TestExitCodeBreachGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("socket storm in -short mode")
 	}
-	saved := conformance.Envelopes[download.Naive]
-	conformance.Envelopes[download.Naive] = conformance.Envelope{
+	naive, _ := protocols.Lookup("naive")
+	saved := naive.Envelope
+	naive.Envelope = protocols.Envelope{
 		MaxQ: func(n, tb, L, b int) int { return 0 },
 	}
-	defer func() { conformance.Envelopes[download.Naive] = saved }()
+	defer func() { naive.Envelope = saved }()
 
 	dir := t.TempDir()
 	var out strings.Builder
@@ -111,11 +111,12 @@ func TestGridExitCodeCleanSoak(t *testing.T) {
 // correct run breaches, the sweep exits 3, and each breached cell leaves
 // its own spec JSON and .dsr.
 func TestGridExitCodeBreachGate(t *testing.T) {
-	saved := conformance.Envelopes[download.Naive]
-	conformance.Envelopes[download.Naive] = conformance.Envelope{
+	naive, _ := protocols.Lookup("naive")
+	saved := naive.Envelope
+	naive.Envelope = protocols.Envelope{
 		MaxQ: func(n, tb, L, b int) int { return 0 },
 	}
-	defer func() { conformance.Envelopes[download.Naive] = saved }()
+	defer func() { naive.Envelope = saved }()
 
 	dir := t.TempDir()
 	var out strings.Builder

@@ -38,13 +38,7 @@ import (
 	"repro/internal/des"
 	"repro/internal/netrt"
 	"repro/internal/obs"
-	"repro/internal/protocols/committee"
-	"repro/internal/protocols/crash1"
-	"repro/internal/protocols/crashk"
-	"repro/internal/protocols/multicycle"
-	"repro/internal/protocols/naive"
-	"repro/internal/protocols/segproto"
-	"repro/internal/protocols/twocycle"
+	"repro/internal/protocols"
 	"repro/internal/sim"
 	"repro/internal/source"
 	"repro/internal/trace"
@@ -74,39 +68,41 @@ type Info struct {
 	Theorem     string
 }
 
-// Protocols lists all implementations with their paper provenance.
+// Protocols lists all implementations with their paper provenance, in
+// the order of the protocol table (internal/protocols).
 func Protocols() []Info {
-	return []Info{
-		{Naive, "deterministic", "any", "any β < 1", "L", "folklore; optimal for β ≥ 1/2 (Thm 3.1/3.2)"},
-		{Crash1, "deterministic", "crash", "t = 1", "L/n + L/(n(n−1))", "Thm 2.3"},
-		{CrashK, "deterministic", "crash", "any β < 1", "O(L/n)", "Thm 2.13 (Alg. 2)"},
-		{CrashKFast, "deterministic", "crash", "any β < 1", "O(L/n), better time", "Thm 2.13 (modified)"},
-		{Committee, "deterministic", "byzantine", "β < 1/2", "L(2t+1)/n ≈ 2βL", "Thm 3.4"},
-		{TwoCycle, "randomized", "byzantine", "β < 1/2", "Õ(L/n) whp", "Thm 3.7 (Protocol 4)"},
-		{MultiCycle, "randomized", "byzantine", "β < 1/2", "Õ(L/n) expected", "Thm 3.12"},
+	var out []Info
+	for _, row := range protocols.Rows() {
+		if row.TestHook {
+			continue
+		}
+		determinism := "deterministic"
+		if row.Randomized {
+			determinism = "randomized"
+		}
+		out = append(out, Info{Protocol(row.Name), determinism, row.FaultModel,
+			row.Resilience, row.Query, row.Theorem})
 	}
+	return out
 }
 
 // Factory returns the peer constructor for a protocol.
 func (p Protocol) Factory() (func(sim.PeerID) sim.Peer, error) {
-	switch p {
-	case Naive:
-		return naive.New, nil
-	case Crash1:
-		return crash1.New, nil
-	case CrashK:
-		return crashk.New, nil
-	case CrashKFast:
-		return crashk.NewFast, nil
-	case Committee:
-		return committee.New, nil
-	case TwoCycle:
-		return twocycle.New, nil
-	case MultiCycle:
-		return multicycle.New, nil
-	default:
+	row, err := p.row()
+	if err != nil {
+		return nil, err
+	}
+	return row.New, nil
+}
+
+// row is p's row of the protocol table; a test hook is no download
+// protocol.
+func (p Protocol) row() (*protocols.Row, error) {
+	row, err := protocols.Lookup(string(p))
+	if err != nil || row.TestHook {
 		return nil, fmt.Errorf("download: unknown protocol %q", p)
 	}
+	return row, nil
 }
 
 // FaultBehavior names an adversarial behavior for the faulty peers.
@@ -370,7 +366,7 @@ func (o *Options) stream() (observer sim.Observer, flush func() error) {
 // resolved is what checked options come to: the values every runtime's
 // set-up needs, derived in one place.
 type resolved struct {
-	factory    func(sim.PeerID) sim.Peer
+	row        *protocols.Row
 	msgBits    int // Options.MsgBits, or max(64, L/N) when that is 0
 	input      *bitarray.Array
 	srcPlan    *source.FaultPlan
@@ -388,7 +384,7 @@ type resolved struct {
 func (o *Options) validate() (*resolved, error) {
 	r := &resolved{msgBits: o.MsgBits}
 	var err error
-	if r.factory, err = o.Protocol.Factory(); err != nil {
+	if r.row, err = o.Protocol.row(); err != nil {
 		return nil, err
 	}
 	switch {
@@ -436,7 +432,7 @@ func (o *Options) validate() (*resolved, error) {
 			return nil, &UnsupportedError{Runtime: "tcp", Feature: "AllowExcessFaults",
 				Reason: fmt.Sprintf("the socket runtime holds faulty peers to T=%d; run %d faulty peers on des", o.T, faulty)}
 		}
-		r.faults = sim.Faults{Fates: o.fates(faulty), AllowExcess: faulty > o.T}
+		r.faults = sim.Faults{Fates: o.fates(r.row, faulty), AllowExcess: faulty > o.T}
 	default:
 		return nil, fmt.Errorf("download: unknown behavior %q", o.Behavior)
 	}
@@ -477,7 +473,7 @@ func (o *Options) validateChurn() error {
 func tcpConfig(opts Options, r *resolved, observer sim.Observer) netrt.Config {
 	return netrt.Config{
 		N: opts.N, T: opts.T, L: opts.L, MsgBits: r.msgBits,
-		Seed: opts.Seed, NewPeer: r.factory, Input: r.input,
+		Seed: opts.Seed, NewPeer: r.row.New, Input: r.input,
 		Fates:        r.faults.Fates,
 		SourceFaults: r.srcPlan, Mirrors: r.mirrorPlan,
 		CheckpointDir: opts.CheckpointDir,
@@ -492,7 +488,7 @@ func buildSpec(opts Options, r *resolved) *sim.Spec {
 			N: opts.N, T: opts.T, L: opts.L,
 			MsgBits: r.msgBits, Seed: opts.Seed, Input: r.input,
 		},
-		NewPeer:      r.factory,
+		NewPeer:      r.row.New,
 		Delays:       adversary.NewRandomUnit(opts.Seed + 1000003),
 		Faults:       r.faults,
 		SourceFaults: r.srcPlan,
@@ -503,8 +499,9 @@ func buildSpec(opts Options, r *resolved) *sim.Spec {
 	}
 }
 
-// fates places count faulty peers of the validated behavior.
-func (o *Options) fates(count int) []sim.Fate {
+// fates places count faulty peers of the validated behavior; the liar and
+// equivocate behaviors run the attackers of the protocol's row.
+func (o *Options) fates(row *protocols.Row, count int) []sim.Fate {
 	faulty := adversary.SpreadFaulty(o.N, count)
 	switch o.Behavior {
 	case CrashImmediate:
@@ -516,27 +513,10 @@ func (o *Options) fates(count int) []sim.Fate {
 	case Spam:
 		return sim.Byzantines(faulty, adversary.NewSpammer(8, 512))
 	}
-	return sim.Byzantines(faulty, liarFor(o.Protocol, o.Behavior))
-}
-
-// liarFor picks the strongest protocol-aware attacker available.
-func liarFor(p Protocol, b FaultBehavior) func(sim.PeerID, *sim.Knowledge) sim.Peer {
-	switch p {
-	case Committee:
-		if b == Equivocate {
-			return committee.NewEquivocator
-		}
-		return committee.NewLiar
-	case TwoCycle, MultiCycle:
-		if b == Equivocate {
-			return segproto.NewScatterLiar
-		}
-		return segproto.NewColludingLiar
-	default:
-		// Crash protocols have no Byzantine-aware attacker; silence is
-		// the strongest valid behavior in their model.
-		return adversary.NewSilent
+	if o.Behavior == Equivocate {
+		return sim.Byzantines(faulty, row.Equivocator)
 	}
+	return sim.Byzantines(faulty, row.Liar)
 }
 
 func buildReport(res *sim.Result) *Report {

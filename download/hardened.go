@@ -51,28 +51,20 @@ type HardeningReport struct {
 	WarmHitBits int
 }
 
-// DefaultLadder orders protocols by weakening assumptions, starting at
-// p: randomized Byzantine protocols fall back to the deterministic
-// committee protocol and finally to naive (correct for any β < 1, the
-// unavoidable fallback once β ≥ 1/2 — see docs/HARDENING.md); crash
-// protocols fall back within the crash family before naive.
+// DefaultLadder is the escalation ladder of p's row in the protocol
+// table (internal/protocols): it starts at p, weakens assumptions rung by
+// rung and ends at naive, correct for any β < 1. An unknown protocol
+// gets naive alone.
 func DefaultLadder(p Protocol) []Protocol {
-	switch p {
-	case MultiCycle:
-		return []Protocol{MultiCycle, TwoCycle, Committee, Naive}
-	case TwoCycle:
-		return []Protocol{TwoCycle, Committee, Naive}
-	case Committee:
-		return []Protocol{Committee, Naive}
-	case Crash1:
-		return []Protocol{Crash1, CrashK, Naive}
-	case CrashK:
-		return []Protocol{CrashK, Naive}
-	case CrashKFast:
-		return []Protocol{CrashKFast, Naive}
-	default:
+	row, err := p.row()
+	if err != nil {
 		return []Protocol{Naive}
 	}
+	ladder := make([]Protocol, len(row.Ladder))
+	for i, name := range row.Ladder {
+		ladder[i] = Protocol(name)
+	}
+	return ladder
 }
 
 // RunHardened executes opts under the hardening supervisor with the

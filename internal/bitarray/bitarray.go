@@ -84,9 +84,6 @@ func (a *Array) Set(i int, v bool) {
 	}
 }
 
-// SetBit assigns bit i from a 0/1 byte. Any nonzero byte sets the bit.
-func (a *Array) SetBit(i int, v byte) { a.Set(i, v != 0) }
-
 // Fill sets every bit to v.
 func (a *Array) Fill(v bool) {
 	var w uint64

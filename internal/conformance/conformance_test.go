@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/download"
+	"repro/internal/protocols"
 )
 
 var update = flag.Bool("update", false, "regenerate the fixture corpus (refuses semantic drift without a CorpusVersion bump)")
@@ -204,16 +205,14 @@ func TestNegativeControl(t *testing.T) {
 // TestEnvelopeViolationDetected pins the envelope checker itself: a
 // report past the Q bound must be flagged.
 func TestEnvelopeViolationDetected(t *testing.T) {
-	rep := &download.Report{Q: 1 << 30, Msgs: 1 << 30}
-	v := CheckEnvelope(download.Naive, 8, 4, 256, 64, rep)
+	v := protocols.CheckEnvelope("naive", 8, 4, 256, 64, 1<<30, 1<<30)
 	if len(v) != 2 {
 		t.Fatalf("want Q and msgs violations, got %v", v)
 	}
-	ok := &download.Report{Q: 256, Msgs: 0}
-	if v := CheckEnvelope(download.Naive, 8, 4, 256, 64, ok); len(v) != 0 {
+	if v := protocols.CheckEnvelope("naive", 8, 4, 256, 64, 256, 0); len(v) != 0 {
 		t.Fatalf("clean report flagged: %v", v)
 	}
-	if v := CheckEnvelope(download.Protocol("unknown"), 8, 4, 256, 64, rep); v != nil {
+	if v := protocols.CheckEnvelope("unknown", 8, 4, 256, 64, 1<<30, 1<<30); v != nil {
 		t.Fatalf("unregistered protocol flagged: %v", v)
 	}
 }

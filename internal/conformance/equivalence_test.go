@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/download"
+	"repro/internal/protocols"
 )
 
 // sameOutput fails the test unless the two runs output the same bits.
@@ -27,7 +28,7 @@ func sameOutput(t *testing.T, des, tcp *download.Report) {
 // complexity Q. crash1's and the crashk family's Q is asserted against
 // the complexity envelope instead, because which blocks they re-query
 // depends on message arrival order even without faults (see
-// qScheduleInvariant). This property is what makes the des-pinned
+// protocols.Row.QScheduleInvariant). This property is what makes the des-pinned
 // fixture corpus a sound proxy for concurrent behavior.
 func TestDesTCPEquivalence(t *testing.T) {
 	if testing.Short() {
@@ -59,13 +60,13 @@ func TestDesTCPEquivalence(t *testing.T) {
 					if !des.Correct || !tcp.Correct {
 						t.Fatalf("correctness: des=%v tcp=%v %v", des.Correct, tcp.Correct, tcp.Failures)
 					}
-					if qScheduleInvariant[string(info.Protocol)] {
+					if row, _ := protocols.Lookup(string(info.Protocol)); row.QScheduleInvariant {
 						if des.Q != tcp.Q {
 							t.Errorf("Q diverged: des=%d tcp=%d", des.Q, tcp.Q)
 						}
 					} else {
 						b := derivedMsgBits(sh.n, sh.l)
-						if v := CheckEnvelope(info.Protocol, sh.n, tBound, sh.l, b, tcp); len(v) > 0 {
+						if v := protocols.CheckEnvelope(string(info.Protocol), sh.n, tBound, sh.l, b, tcp.Q, tcp.Msgs); len(v) > 0 {
 							t.Errorf("tcp Q outside envelope: %v", v)
 						}
 					}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/intset"
 	"repro/internal/merkle"
 	"repro/internal/netrt"
+	"repro/internal/protocols"
 	"repro/internal/protocols/committee"
 	"repro/internal/protocols/crash1"
 	"repro/internal/protocols/crashk"
@@ -48,14 +49,16 @@ func BehaviorsFor(info download.Info) []download.FaultBehavior {
 	}
 }
 
-// FaultBound picks the maximal T the protocol's resilience permits.
+// FaultBound picks the maximal T the protocol's resilience permits: its
+// row's fixed bound, if it has one, or else its fault model's.
 func FaultBound(info download.Info, n int) int {
-	switch {
-	case info.Protocol == download.Crash1:
-		return 1
-	case info.FaultModel == "crash":
+	if row, err := protocols.Lookup(string(info.Protocol)); err == nil && row.MaxT > 0 {
+		return row.MaxT
+	}
+	switch info.FaultModel {
+	case "crash":
 		return 3 * n / 4
-	case info.FaultModel == "byzantine":
+	case "byzantine":
 		return n/2 - 1
 	default:
 		return n / 2
@@ -228,7 +231,7 @@ func generateResults() (*Results, error) {
 				return nil, fmt.Errorf("conformance: generate %s: degenerate churn cell (no rejoin)", c.Name)
 			}
 		}
-		if v := CheckEnvelope(download.Protocol(c.Protocol), c.N, c.T, c.L, c.MsgBits, rep); len(v) > 0 {
+		if v := protocols.CheckEnvelope(c.Protocol, c.N, c.T, c.L, c.MsgBits, rep.Q, rep.Msgs); len(v) > 0 {
 			return nil, fmt.Errorf("conformance: generate %s: %s (tighten the run or widen the documented envelope)",
 				c.Name, strings.Join(v, "; "))
 		}

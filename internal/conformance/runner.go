@@ -15,6 +15,7 @@ import (
 	"repro/internal/dst"
 	"repro/internal/harden"
 	"repro/internal/netrt"
+	"repro/internal/protocols"
 	"repro/internal/wire"
 )
 
@@ -43,27 +44,6 @@ func (rt Runtime) Supports(c *Case) bool {
 	return rt != TCP || c.SourceFaults == ""
 }
 
-// qScheduleInvariant lists the protocols whose fault-free query
-// complexity Q does not depend on message arrival order: their query
-// pattern is fixed by (n, t, L, seed) alone, so the des-pinned Q must
-// reproduce on the socket runtime too (the des-vs-tcp equivalence
-// property asserts this). Under Byzantine faults Q moves with the
-// schedule even for these (twocycle under equivocate at n = 128, t = 32,
-// L = 16,384: 5463 on des, 5464 on tcp), so faulty cases pin correctness
-// and the output alone. Two families are excluded and held
-// to their envelope instead (see docs/SPEC.md, "Runtime invariance").
-// The crashk family's reassignment stage reacts to whichever progress
-// reports arrive first. crash1 waits for n−1 pushes, so with everyone
-// alive the slowest peer's block is re-spread and re-queried, and which
-// peer is slowest is the schedule's choice: on TCP crash1/n6t1/none/s1
-// missed its des-pinned Q in 17 of 30 runs.
-var qScheduleInvariant = map[string]bool{
-	string(download.Naive):      true,
-	string(download.Committee):  true,
-	string(download.TwoCycle):   true,
-	string(download.MultiCycle): true,
-}
-
 // fieldsFor returns the Expect fields the runtime must reproduce for a
 // case. An unpinned case holds correctness alone. Correctness and the
 // output bits are runtime-invariant, and all the SRC, MIR and Harden
@@ -85,7 +65,7 @@ func fieldsFor(rt Runtime, c *Case) []string {
 	case SRC, MIR, Harden:
 		return fields
 	}
-	if c.FaultFree() && qScheduleInvariant[c.Protocol] {
+	if row, err := protocols.Lookup(c.Protocol); err == nil && c.FaultFree() && row.QScheduleInvariant {
 		fields = append(fields, "q")
 	}
 	if c.Churn != "" {
@@ -217,7 +197,7 @@ func RunCase(c *Case, rt Runtime, cfg *Config) CaseOutcome {
 		out.Hardening = rep.Hardening
 		return out
 	}
-	out.Envelope = CheckEnvelope(opts.Protocol, c.N, c.T, c.L, c.MsgBits, rep)
+	out.Envelope = protocols.CheckEnvelope(c.Protocol, c.N, c.T, c.L, c.MsgBits, rep.Q, rep.Msgs)
 	return out
 }
 

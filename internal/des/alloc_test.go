@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/des"
+	"repro/internal/obs"
 	"repro/internal/protocols/committee"
 	"repro/internal/protocols/crash1"
 	"repro/internal/protocols/naive"
@@ -100,5 +101,34 @@ func TestRunAllocBudgetCommittee(t *testing.T) {
 	allocBudget(t, "committee", 1500, committeeSpec)
 	if b := bytesPerRun(5, runCorrect(t, committeeSpec)); b > 490_000 {
 		t.Errorf("committee: %.0f bytes per run, budget 490000", b)
+	}
+}
+
+type sizedMsg struct{ bits int }
+
+func (m *sizedMsg) SizeBits() int { return m.bits }
+
+// eventCount is an observer of every kind that keeps no event.
+type eventCount int
+
+func (c *eventCount) OnEvent(*sim.ObservedEvent) { *c++ }
+
+// TestMeteredSendAllocFree: on a metered run every send is an event the
+// metrics fold reads. The engine refills its one event and the fold adds
+// to counters it resolved at the peer's first send, so a send allocates
+// nothing, with or without a trace observer beside the fold.
+func TestMeteredSendAllocFree(t *testing.T) {
+	for _, observer := range []sim.Observer{nil, new(eventCount)} {
+		spec := &sim.Spec{
+			Config:   sim.Config{N: 4, T: 0, L: 256, MsgBits: 64, Seed: 9},
+			NewPeer:  naive.New,
+			Delays:   adversary.NewRandomUnit(9),
+			Metrics:  obs.New(),
+			Observer: observer,
+			Label:    "naive",
+		}
+		if n := des.SendEventAllocs(spec, &sizedMsg{200}); n != 0 {
+			t.Errorf("observer %T: a metered send allocates %.0f times, want 0", observer, n)
+		}
 	}
 }

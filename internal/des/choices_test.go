@@ -91,9 +91,10 @@ type eventLog struct {
 	events []sim.ObservedEvent
 }
 
-func (l *eventLog) OnEvent(ev sim.ObservedEvent) {
-	ev.Msg = nil // payload identity is covered by MsgType/Bits
-	l.events = append(l.events, ev)
+func (l *eventLog) OnEvent(ev *sim.ObservedEvent) {
+	e := *ev
+	e.Msg = nil // payload identity is covered by MsgType/Bits
+	l.events = append(l.events, e)
 }
 
 // specCase builds a fresh spec per run; specs hold mutable runtime state

@@ -199,6 +199,9 @@ type engine struct {
 	// each reads, and kinds their union.
 	obs, fold                  sim.Observer
 	obsKinds, foldKinds, kinds sim.KindSet
+	// ev is the event being handed to them: one per engine, refilled for
+	// each event, so passing its address allocates nothing.
+	ev sim.ObservedEvent
 	// The engine's own metric handles, resolved once at construction and
 	// nil when spec.Metrics is nil: nil handles are allocation-free
 	// no-ops, and timing/depth sampling is additionally gated on mDispatch
@@ -729,20 +732,21 @@ func (e *engine) observe(kind sim.KindSet, peer, other sim.PeerID, m sim.Message
 	if e.kinds&kind == 0 {
 		return
 	}
-	e.emit(kind, &sim.ObservedEvent{
+	e.ev = sim.ObservedEvent{
 		Time: e.now, Kind: kind.Name(), Peer: peer, Other: other,
 		MsgType: typ, Bits: bits, Msg: m,
-	})
+	}
+	e.emit(kind)
 }
 
-// emit hands *ev to obs and to fold, each if it reads kind: outside a
-// sim.Tee, a send only the fold reads costs one copy and one dispatch.
-func (e *engine) emit(kind sim.KindSet, ev *sim.ObservedEvent) {
+// emit hands e.ev, an event of kind, to obs and to fold, each if it reads
+// kind: outside a sim.Tee, a send only the fold reads costs one dispatch.
+func (e *engine) emit(kind sim.KindSet) {
 	if e.obsKinds&kind != 0 {
-		e.obs.OnEvent(*ev)
+		e.obs.OnEvent(&e.ev)
 	}
 	if e.foldKinds&kind != 0 {
-		e.fold.OnEvent(*ev)
+		e.fold.OnEvent(&e.ev)
 	}
 }
 
@@ -910,7 +914,8 @@ func (c *peerCtx) MarkPhase(name string) {
 	if c.e.kinds&sim.KindPhase == 0 || !c.active() {
 		return
 	}
-	c.e.emit(sim.KindPhase, &sim.ObservedEvent{
+	c.e.ev = sim.ObservedEvent{
 		Time: c.e.now, Kind: sim.KindPhase.Name(), Peer: c.p.id, Other: -1, Name: name,
-	})
+	}
+	c.e.emit(sim.KindPhase)
 }

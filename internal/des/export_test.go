@@ -2,6 +2,7 @@ package des
 
 import (
 	"fmt"
+	"testing"
 
 	"repro/internal/sim"
 )
@@ -49,3 +50,12 @@ func RunCountingCoins(spec *sim.Spec) (res *sim.Result, coins int) {
 
 // EventKinds is the event kinds an engine for spec builds.
 func EventKinds(spec *sim.Spec) sim.KindSet { return newEngine(spec, nil).kinds }
+
+// SendEventAllocs is the allocations of one send event of m from peer 1
+// on an engine for spec, once a first send has resolved what it reads.
+func SendEventAllocs(spec *sim.Spec, m sim.Message) float64 {
+	e := newEngine(spec, nil)
+	send := func() { e.observe(sim.KindSend, 1, 2, m, "", 200) }
+	send()
+	return testing.AllocsPerRun(100, send)
+}

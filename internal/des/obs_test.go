@@ -124,8 +124,8 @@ type kindCounter struct {
 	count map[string]int
 }
 
-func (c *kindCounter) Kinds() sim.KindSet           { return c.kinds }
-func (c *kindCounter) OnEvent(ev sim.ObservedEvent) { c.count[ev.Kind]++ }
+func (c *kindCounter) Kinds() sim.KindSet            { return c.kinds }
+func (c *kindCounter) OnEvent(ev *sim.ObservedEvent) { c.count[ev.Kind]++ }
 
 // TestObserverReadsDeclaredKinds: an observer that names its kinds gets
 // those kinds and no other, all of them: no send or deliver is built for

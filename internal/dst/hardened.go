@@ -3,6 +3,7 @@ package dst
 import (
 	"repro/internal/adversary"
 	"repro/internal/harden"
+	"repro/internal/protocols"
 )
 
 // The hardened re-check: every finding the strategy search produces is a
@@ -62,7 +63,7 @@ func CheckHardened(r *Replay, ladder []string, pol harden.Policy) (*HardenedChec
 	}
 	rungs := make([]harden.Rung, len(ladder))
 	for i, name := range ladder {
-		p, err := LookupProtocol(name)
+		p, err := protocols.Lookup(name)
 		if err != nil {
 			return nil, err
 		}

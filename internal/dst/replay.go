@@ -9,6 +9,7 @@ import (
 	"strconv"
 
 	"repro/internal/adversary"
+	"repro/internal/protocols"
 	"repro/internal/sim"
 	"repro/internal/source"
 )
@@ -113,7 +114,7 @@ func (r *Replay) Validate() error {
 	if r.Version != Version {
 		return fmt.Errorf("dst: replay version %d, want %d", r.Version, Version)
 	}
-	proto, err := LookupProtocol(r.Protocol)
+	proto, err := protocols.Lookup(r.Protocol)
 	if err != nil {
 		return err
 	}
@@ -266,7 +267,7 @@ func (r *Replay) spec() (*sim.Spec, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
-	proto, err := LookupProtocol(r.Protocol)
+	proto, err := protocols.Lookup(r.Protocol)
 	if err != nil {
 		return nil, err
 	}

@@ -99,7 +99,7 @@ func (h *eventHash) foldString(s string) {
 }
 
 // OnEvent hashes one event-sequence entry.
-func (h *eventHash) OnEvent(ev sim.ObservedEvent) {
+func (h *eventHash) OnEvent(ev *sim.ObservedEvent) {
 	if ev.Kind != "phase" {
 		h.foldString(ev.Kind)
 		h.foldInt(int(ev.Peer))

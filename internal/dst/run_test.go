@@ -190,7 +190,7 @@ func TestObserverEmitsTrace(t *testing.T) {
 // pinned hash would move.
 func TestObservabilityDoesNotPerturb(t *testing.T) {
 	h := eventHash{sum: fnvOffset}
-	h.OnEvent(sim.ObservedEvent{Kind: "phase", Peer: 1, Other: -1, Name: "download"})
+	h.OnEvent(&sim.ObservedEvent{Kind: "phase", Peer: 1, Other: -1, Name: "download"})
 	if h.sum != fnvOffset {
 		t.Fatal("the event hash folds phase marks")
 	}

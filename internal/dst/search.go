@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/adversary"
+	"repro/internal/protocols"
 )
 
 // The Byzantine strategy search: a seeded enumeration of (strategy
@@ -92,7 +93,7 @@ type SearchReport struct {
 // parameters); violations are findings, not errors.
 func Search(opts SearchOptions) (*SearchReport, error) {
 	opts.defaults()
-	if _, err := LookupProtocol(opts.Protocol); err != nil {
+	if _, err := protocols.Lookup(opts.Protocol); err != nil {
 		return nil, err
 	}
 	start := time.Now()

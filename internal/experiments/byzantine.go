@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/des"
+	"repro/internal/protocols"
 	"repro/internal/protocols/committee"
 	"repro/internal/protocols/multicycle"
 	"repro/internal/protocols/naive"
@@ -233,33 +234,28 @@ func a2Adversaries(cfg Config) (*Table, error) {
 	}
 	tf := n / 4
 	faulty := adversary.SpreadFaulty(n, tf)
-	protocols := []struct {
-		name    string
-		factory func(sim.PeerID) sim.Peer
-		liar    func(sim.PeerID, *sim.Knowledge) sim.Peer
-	}{
-		{"committee", committee.New, committee.NewLiar},
-		{"twocycle", twocycle.New, segproto.NewColludingLiar},
-		{"multicycle", multicycle.New, segproto.NewColludingLiar},
-	}
-	for _, p := range protocols {
+	for _, proto := range []string{"committee", "twocycle", "multicycle"} {
+		p, err := protocols.Lookup(proto)
+		if err != nil {
+			return nil, err
+		}
 		strategies := map[string]func(sim.PeerID, *sim.Knowledge) sim.Peer{
 			"silent":  adversary.NewSilent,
 			"spammer": adversary.NewSpammer(6, 512),
 			"echo":    adversary.NewEcho(6),
-			"liar":    p.liar,
+			"liar":    p.Liar,
 		}
 		for _, name := range []string{"silent", "spammer", "echo", "liar"} {
 			res, err := des.New().Run(&sim.Spec{
 				Config:  config(cfg.Seed, n, tf, L),
-				NewPeer: p.factory,
+				NewPeer: p.New,
 				Delays:  adversary.NewRandomUnit(cfg.Seed + int64(len(name))),
 				Faults:  byzantine(faulty, strategies[name]),
 			})
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(p.name, name, itoa(res.Q), fmt.Sprintf("%v", res.Correct), ftoa(res.Time))
+			t.AddRow(p.Name, name, itoa(res.Q), fmt.Sprintf("%v", res.Correct), ftoa(res.Time))
 		}
 	}
 	return t, nil

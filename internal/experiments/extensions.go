@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/des"
-	"repro/internal/protocols/committee"
+	"repro/internal/protocols"
 	"repro/internal/protocols/crashk"
 	"repro/internal/protocols/segproto"
 	"repro/internal/protocols/twocycle"
@@ -31,13 +31,17 @@ func a4Synchrony(cfg Config) (*Table, error) {
 	}
 	tf := n / 4
 	faulty := adversary.SpreadFaulty(n, tf)
+	committee, err := protocols.Lookup("committee")
+	if err != nil {
+		return nil, err
+	}
 	rows := []struct {
 		name    string
 		factory func(sim.PeerID) sim.Peer
 		faults  sim.Faults
 	}{
 		{"crashk", crashk.NewFast, sim.Faults{Fates: adversary.NewCrashRandom(cfg.Seed, faulty, 20*n)}},
-		{"committee", committee.New, byzantine(faulty, committee.NewLiar)},
+		{"committee", committee.New, byzantine(faulty, committee.Liar)},
 	}
 	for _, r := range rows {
 		for _, sched := range []struct {

@@ -97,7 +97,7 @@ func NewCollector(n int, phaseDeadline float64, next sim.Observer) *Collector {
 }
 
 // OnEvent implements sim.Observer.
-func (c *Collector) OnEvent(ev sim.ObservedEvent) {
+func (c *Collector) OnEvent(ev *sim.ObservedEvent) {
 	if ev.Time > c.now {
 		c.now = ev.Time
 	}

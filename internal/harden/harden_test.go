@@ -25,7 +25,7 @@ func (m claimMsg) Claims(dst []sim.Claim) []sim.Claim {
 }
 
 func send(c *Collector, at float64, from sim.PeerID, m sim.Message) {
-	c.OnEvent(sim.ObservedEvent{Time: at, Kind: "send", Peer: from, Other: 1, Msg: m})
+	c.OnEvent(&sim.ObservedEvent{Time: at, Kind: "send", Peer: from, Other: 1, Msg: m})
 }
 
 func TestCollectorEquivocation(t *testing.T) {
@@ -64,12 +64,12 @@ func TestCollectorIgnoresNonClaimers(t *testing.T) {
 
 func TestCollectorStarvation(t *testing.T) {
 	c := NewCollector(3, 10, nil)
-	c.OnEvent(sim.ObservedEvent{Time: 0, Kind: "start", Peer: 0})
-	c.OnEvent(sim.ObservedEvent{Time: 0, Kind: "start", Peer: 1})
-	c.OnEvent(sim.ObservedEvent{Time: 1, Kind: "phase", Peer: 0, Name: "download"})
-	c.OnEvent(sim.ObservedEvent{Time: 2, Kind: "terminate", Peer: 1})
+	c.OnEvent(&sim.ObservedEvent{Time: 0, Kind: "start", Peer: 0})
+	c.OnEvent(&sim.ObservedEvent{Time: 0, Kind: "start", Peer: 1})
+	c.OnEvent(&sim.ObservedEvent{Time: 1, Kind: "phase", Peer: 0, Name: "download"})
+	c.OnEvent(&sim.ObservedEvent{Time: 2, Kind: "terminate", Peer: 1})
 	// Peer 2 never started; peer 1 terminated; peer 0 stalls in "download".
-	c.OnEvent(sim.ObservedEvent{Time: 50, Kind: "query", Peer: 1}) // advances the clock
+	c.OnEvent(&sim.ObservedEvent{Time: 50, Kind: "query", Peer: 1}) // advances the clock
 	got := c.Starved()
 	if len(got) != 1 || got[0].Peer != 0 || got[0].Phase != "download" {
 		t.Fatalf("starved = %v, want peer 0 in download", got)
@@ -78,7 +78,7 @@ func TestCollectorStarvation(t *testing.T) {
 		t.Fatalf("stalled = %v, want 49", got[0].Stalled)
 	}
 	// Progress resets the stall clock.
-	c.OnEvent(sim.ObservedEvent{Time: 55, Kind: "qreply", Peer: 0})
+	c.OnEvent(&sim.ObservedEvent{Time: 55, Kind: "qreply", Peer: 0})
 	if got := c.Starved(); len(got) != 0 {
 		t.Fatalf("recently active peer still starved: %v", got)
 	}
@@ -86,18 +86,18 @@ func TestCollectorStarvation(t *testing.T) {
 
 func TestCollectorChainsNext(t *testing.T) {
 	var seen []string
-	next := observerFunc(func(ev sim.ObservedEvent) { seen = append(seen, ev.Kind) })
+	next := observerFunc(func(ev *sim.ObservedEvent) { seen = append(seen, ev.Kind) })
 	c := NewCollector(2, 0, next)
-	c.OnEvent(sim.ObservedEvent{Time: 1, Kind: "start", Peer: 0})
+	c.OnEvent(&sim.ObservedEvent{Time: 1, Kind: "start", Peer: 0})
 	send(c, 2, 0, claimMsg{"seg", 1, 5})
 	if len(seen) != 2 || seen[0] != "start" || seen[1] != "send" {
 		t.Fatalf("chained observer saw %v", seen)
 	}
 }
 
-type observerFunc func(sim.ObservedEvent)
+type observerFunc func(*sim.ObservedEvent)
 
-func (f observerFunc) OnEvent(ev sim.ObservedEvent) { f(ev) }
+func (f observerFunc) OnEvent(ev *sim.ObservedEvent) { f(ev) }
 
 func TestAuditIndices(t *testing.T) {
 	const L, k = 1024, 16

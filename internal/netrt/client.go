@@ -102,11 +102,7 @@ func (c *client) run(churn *sim.Fate, store *checkpoint.Store, rejoined bool) (c
 		c.needResume = true
 		var warm *bitarray.Tracker
 		if store != nil {
-			ck, lerr := store.Load(int(id), cfg.N, cfg.T, cfg.L, cfg.Seed)
-			switch {
-			case lerr != nil:
-				dbg("client %d: checkpoint unusable, cold rejoin: %v", id, lerr)
-			case ck != nil:
+			if ck, lerr := store.Load(int(id), cfg.N, cfg.T, cfg.L, cfg.Seed); lerr == nil && ck != nil {
 				warm = ck.Tracker()
 				if ck.RootKnown {
 					c.root = ck.Root
@@ -114,7 +110,6 @@ func (c *client) run(churn *sim.Fate, store *checkpoint.Store, rejoined bool) (c
 				}
 				c.lastPhase = ck.Phase
 				c.stats.CheckpointRestores++
-				dbg("client %d: warm rejoin with %d checkpointed bits", id, ck.WarmBits())
 			}
 		}
 		if warm == nil {
@@ -144,13 +139,10 @@ func (c *client) run(churn *sim.Fate, store *checkpoint.Store, rejoined bool) (c
 		c.impl.Init(c)
 	}
 	c.drainLocal()
-	dbg("client %d init done, entering loop", id)
 	c.loop()
 	c.mu.Lock()
 	conn := c.conn
-	rejected := c.rejected
 	connErr := c.connErr
-	terminated := c.terminated
 	crashed = c.crashed
 	c.stats.DupFramesDropped += c.dups
 	// The writer's last pass sends what is still owed: after a churn
@@ -161,8 +153,6 @@ func (c *client) run(churn *sim.Fate, store *checkpoint.Store, rejoined bool) (c
 		conn.poke()
 	}
 	c.writers.Wait()
-	dbg("client %d loop exited (terminated=%v rejected=%v crashed=%v err=%v)",
-		id, terminated, rejected, crashed, connErr)
 	if conn != nil && !crashed && connErr == nil {
 		// Graceful: our DONE is acked (or we were rejected). Half-close and
 		// drain so the hub's in-flight writes are not RST.
@@ -185,9 +175,7 @@ func (c *client) run(churn *sim.Fate, store *checkpoint.Store, rejoined bool) (c
 				cs.Root = c.root
 			}
 			cs.FromTracker(c.q.Persist())
-			if serr := store.Save(cs); serr != nil {
-				dbg("client %d: checkpoint save failed: %v", id, serr)
-			} else {
+			if store.Save(cs) == nil {
 				c.mu.Lock()
 				c.stats.CheckpointSaves++
 				c.mu.Unlock()
@@ -293,7 +281,6 @@ func (c *client) countAction() bool {
 	c.actions++
 	if c.actions > c.churn.CrashAfter {
 		c.crashed = true
-		dbg("client %d: churn crash at action %d", c.id, c.actions)
 		c.ev.peer(sim.KindCrash, c.id, "", 0)
 		return false
 	}
@@ -378,7 +365,6 @@ func (c *client) connect(initial bool) error {
 		}
 		if needResume {
 			if err := c.awaitResume(conn); err != nil {
-				dbg("client %d: resume handshake failed: %v", c.id, err)
 				conn.Close()
 				continue
 			}
@@ -444,7 +430,6 @@ func (c *client) awaitResume(conn *frameConn) error {
 			err := c.resume(payload)
 			c.needResume = err != nil
 			c.mu.Unlock()
-			dbg("client %d resumed at %x: %v", c.id, payload, err)
 			return err
 		case kReject:
 			c.mu.Lock()
@@ -478,7 +463,6 @@ func (c *client) loop() {
 			if finished {
 				return
 			}
-			dbg("client %d link down: %v", c.id, err)
 			if cerr := c.connect(false); cerr != nil {
 				c.mu.Lock()
 				if !c.terminated && !c.rejected && !errors.Is(cerr, errHubGone) {
@@ -519,7 +503,6 @@ func (c *client) handleFrame(kind byte, seq uint64, payload []byte) {
 		}
 		m, err := wire.Unmarshal(payload[n:], c.cfg.L)
 		if err != nil {
-			dbg("client %d: malformed msg from %d: %v", c.id, from64, err)
 			return // malformed frame: drop, like line noise
 		}
 		if !c.countAction() {
@@ -544,7 +527,6 @@ func (c *client) handleFrame(kind byte, seq uint64, payload []byte) {
 		// A reply echoes its query's header: the call is matched by it.
 		tag, count, hdrLen, _, _, ok := scanQuery(payload, c.cfg.L)
 		if !ok {
-			dbg("client %d: malformed %s", c.id, kindName(kind))
 			return
 		}
 		hdr, rest := payload[:hdrLen], payload[hdrLen:]

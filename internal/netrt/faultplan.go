@@ -257,7 +257,6 @@ func (h *hub) armPlan() {
 // flap severs hp's connection, if any; the peer redials.
 func (h *hub) flap(hp *hubPeer) {
 	if hp.sever() != nil {
-		dbg("flap: severed peer %d", hp.id)
 		h.ev.peer(sim.KindFlap, hp.id, "", 0)
 	}
 }
@@ -266,7 +265,6 @@ func (h *hub) flap(hp *hubPeer) {
 // every peer, and arms the re-listen. Clients redial with capped backoff
 // until relisten brings the address back.
 func (h *hub) outage(down time.Duration) {
-	dbg("listener outage (down %v)", down)
 	h.mu.Lock()
 	ln := h.ln
 	h.ln = nil
@@ -309,8 +307,7 @@ func (h *hub) relisten() {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if err != nil {
-		dbg("listener restart failed: %v", err)
-		return
+		return // the clients exhaust their redials and fail the run
 	}
 	h.mu.Lock()
 	if h.closed {
@@ -321,7 +318,6 @@ func (h *hub) relisten() {
 	h.ln = ln
 	h.wg.Add(1)
 	h.mu.Unlock()
-	dbg("listener back on %s", h.addr)
 	go h.acceptLoop(ln) // balances the wg.Add above via its own Done
 }
 
@@ -355,7 +351,6 @@ func (h *hub) fate(hp *hubPeer, f outFrame, attempt int) bool {
 	if h.plan.dropFrame(from, hp.id, seq, attempt, elapsed) {
 		hp.planDropped++
 		h.met.planDrop(int(hp.id))
-		dbg("plan: drop %s %d→%d seq=%d attempt=%d", kindName(kind), from, hp.id, seq, attempt)
 		return false
 	}
 	delay := h.plan.delayFor(from, hp.id, seq, attempt) + h.plan.stallRemaining(hp.id, elapsed)

@@ -184,7 +184,6 @@ func (h *hub) serve(nc net.Conn) {
 		// reaches the client before ROOT or any replay.
 		body := hp.resumeBody()
 		conn.owe(kResume, 0, rawPayload(body))
-		dbg("peer %d resume: %x", hp.id, body)
 	}
 	if h.mirror != nil {
 		// The commitment precedes any reply on this connection, so the
@@ -207,7 +206,6 @@ func (h *hub) serve(nc net.Conn) {
 		conn.Close() // raced the shutdown sweep
 		return
 	}
-	dbg("peer %d connected (reconnect=%v resume=%v)", hp.id, old != nil, resume)
 	h.wg.Add(1) // serve's own count is held, so the hub cannot be waiting yet
 	go h.writer(hp, conn)
 	conn.poke()
@@ -224,7 +222,6 @@ func (h *hub) serve(nc net.Conn) {
 			}
 			hp.mu.Unlock()
 			conn.poke()
-			dbg("peer %d link down: %v", hp.id, err)
 			return
 		}
 		h.met.frame(sideHub, dirRx, kind, len(payload))
@@ -263,14 +260,12 @@ func (h *hub) handle(hp *hubPeer, conn *frameConn, kind byte, seq uint64, payloa
 		case kMsg, kBcast:
 			h.route(hp, kind, payload)
 		case kQuery, kQuerySrc: // QUERYSRC, the fallback, bypasses the mirrors
-			dbg("peer %d query %dB (fallback %v)", hp.id, len(payload), kind == kQuerySrc)
 			if kind == kQuery && h.mirror != nil {
 				h.answerMirrorQuery(hp, conn, payload, now)
 			} else {
 				h.answerQuery(hp, conn, payload, now)
 			}
 		case kDone:
-			dbg("peer %d done", hp.id)
 			h.markDone(hp, payload)
 		}
 	}
@@ -435,7 +430,6 @@ func (h *hub) answerQuery(hp *hubPeer, conn *frameConn, payload []byte, now time
 	})
 	if err != nil {
 		kind := source.KindOf(err)
-		dbg("source: refusing peer %d query: %v", hp.id, err)
 		if kind == source.KindTimeout {
 			// A lost reply: stay silent and let the client's query
 			// deadline discover it.

@@ -255,7 +255,6 @@ func (l *link) admit(seq uint64) bool {
 // acked applies the far end's ACK v; a fast retransmit wakes the writer.
 func (l *link) acked(v uint64) {
 	if l.ack(v) && l.conn != nil {
-		dbg("peer %d: third repeat of ack %d, fast retransmit", l.peer, v)
 		l.conn.poke()
 	}
 }

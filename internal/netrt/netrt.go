@@ -56,14 +56,6 @@ import (
 	"repro/internal/source"
 )
 
-var debugNetrt = os.Getenv("DEBUG_NETRT") != ""
-
-func dbg(format string, args ...any) {
-	if debugNetrt {
-		fmt.Fprintf(os.Stderr, "netrt: "+format+"\n", args...)
-	}
-}
-
 // defaultIdleTimeout is the dead-link detection window: a connection with
 // no inbound traffic for this long is closed and treated as crashed.
 // Heartbeats flow every third of the window, so live-but-quiet links

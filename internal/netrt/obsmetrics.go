@@ -21,6 +21,9 @@ type events struct {
 	obs   sim.Observer
 	kinds sim.KindSet // the kinds obs reads
 	start time.Time
+	// ev is the event being handed to obs, refilled under mu for each
+	// event, so passing its address allocates nothing.
+	ev sim.ObservedEvent
 }
 
 func newEvents(cfg *Config, start time.Time) *events {
@@ -44,8 +47,9 @@ func (e *events) emit(kind sim.KindSet, ev sim.ObservedEvent) {
 	}
 	ev.Kind = kind.Name()
 	e.mu.Lock()
-	ev.Time = time.Since(e.start).Seconds()
-	e.obs.OnEvent(ev)
+	e.ev = ev
+	e.ev.Time = time.Since(e.start).Seconds()
+	e.obs.OnEvent(&e.ev)
 	e.mu.Unlock()
 }
 

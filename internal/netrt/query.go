@@ -196,7 +196,6 @@ func (c *client) refused(key qkey, hdr []byte, kind source.Kind) {
 	defer c.mu.Unlock()
 	if pq := c.owed(key, hdr); pq != nil && pq.state == sent && !c.terminated {
 		c.fail(pq, kind, now)
-		dbg("client %d: source %s for query tag=%d", c.id, kind, key.tag)
 	}
 }
 
@@ -208,7 +207,6 @@ func (c *client) refused(key qkey, hdr []byte, kind source.Kind) {
 func (c *client) handleProofReply(key qkey, hdr, body []byte) {
 	rep, ok := decodeProofReply(body)
 	if !ok {
-		dbg("client %d: malformed qproof body", c.id)
 		return
 	}
 	// Only this goroutine settles a pending query, so pq stays tracked

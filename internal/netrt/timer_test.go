@@ -20,8 +20,8 @@ import (
 // failKinds counts a run's "qfail" events by source failure kind.
 type failKinds map[string]int
 
-func (failKinds) Kinds() sim.KindSet             { return sim.KindQFail }
-func (f failKinds) OnEvent(ev sim.ObservedEvent) { f[ev.MsgType]++ }
+func (failKinds) Kinds() sim.KindSet              { return sim.KindQFail }
+func (f failKinds) OnEvent(ev *sim.ObservedEvent) { f[ev.MsgType]++ }
 
 // planeClient is a client of a bare hub's peer 1 with a live query plane
 // under pol, whose frames go nowhere, and the kinds of the failures it

@@ -13,13 +13,14 @@ import (
 // sockets). Callbacks come one at a time — on des from the engine's
 // goroutine, on netrt under one mutex per run — so an observer needs no
 // locking of its own. They must be fast and must not call back into the
-// runtime.
+// runtime. The event is the runtime's: read-only, and valid only for the
+// call, so an observer that keeps one copies *ev.
 //
 // An observer may also implement Kinds() KindSet to name the kinds it
 // reads; runtimes then build and deliver no event of any other kind. An
 // observer without the method reads every kind.
 type Observer interface {
-	OnEvent(ev ObservedEvent)
+	OnEvent(ev *ObservedEvent)
 }
 
 // KindSet is a set of event kinds, one bit per kind.
@@ -115,7 +116,7 @@ func Tee(list ...Observer) Observer {
 
 type tee []Observer
 
-func (t tee) OnEvent(ev ObservedEvent) {
+func (t tee) OnEvent(ev *ObservedEvent) {
 	for _, o := range t {
 		o.OnEvent(ev)
 	}
@@ -151,7 +152,7 @@ const timelineKinds = KindPhase | KindTerminate | KindCrash | KindRejoin | KindQ
 func (timelineObserver) Kinds() KindSet { return timelineKinds }
 
 // OnEvent marks the lifecycle kinds; in a tee it also sees the others.
-func (o timelineObserver) OnEvent(ev ObservedEvent) {
+func (o timelineObserver) OnEvent(ev *ObservedEvent) {
 	switch ev.Kind {
 	case "phase", "terminate", "crash", "rejoin", "qfail", "reconnect", "qretry", "prooffail", "flap":
 		o.tl.Mark(ev.Time, int(ev.Peer), ev.Kind, ev.Name)
@@ -220,7 +221,7 @@ type metricsObserver struct {
 func (*metricsObserver) Kinds() KindSet { return metricsKinds }
 
 // OnEvent folds the kinds it reads; in a tee it also sees the others.
-func (m *metricsObserver) OnEvent(ev ObservedEvent) {
+func (m *metricsObserver) OnEvent(ev *ObservedEvent) {
 	switch ev.Kind {
 	case "query":
 		m.add(seriesQueryBits, ev.Peer, ev.Bits)

@@ -9,12 +9,12 @@ import (
 
 type allKinds struct{}
 
-func (allKinds) OnEvent(ObservedEvent) {}
+func (allKinds) OnEvent(*ObservedEvent) {}
 
 type someKinds KindSet
 
-func (someKinds) OnEvent(ObservedEvent) {}
-func (k someKinds) Kinds() KindSet      { return KindSet(k) }
+func (someKinds) OnEvent(*ObservedEvent) {}
+func (k someKinds) Kinds() KindSet       { return KindSet(k) }
 
 // TestKindsOf: an observer reads every kind unless it names them, a tee
 // reads the union of its observers' kinds, and a timeline its nine

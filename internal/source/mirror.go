@@ -256,12 +256,6 @@ func (m *Mirrored) ServeMirror(req RangeRequest) RangeReply {
 	return m.mirrors[m.Pick(req.Peer, req.Ordinal)].Serve(req)
 }
 
-// Authoritative fetches from the inner source, bypassing the fleet
-// (the verified-fallback path).
-func (m *Mirrored) Authoritative(req Request) (Reply, error) {
-	return m.inner.Fetch(req)
-}
-
 // Fetch implements Source: the full mirror-first, verified-fallback
 // flow with per-peer accounting.
 func (m *Mirrored) Fetch(req Request) (Reply, error) {
@@ -295,11 +289,6 @@ func (m *Mirrored) Fetch(req Request) (Reply, error) {
 	m.record(req.Peer, st)
 	return m.inner.Fetch(req)
 }
-
-// RecordClientVerdict accounts one client-side verification outcome —
-// the netrt runtime verifies on the client but keeps per-peer stats
-// here on the hub's fleet, where the Result is assembled.
-func (m *Mirrored) RecordClientVerdict(peer int, verdict MirrorStats) { m.record(peer, verdict) }
 
 func (m *Mirrored) record(peer int, st MirrorStats) {
 	m.mu.Lock()

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/dst"
 	"repro/internal/netrt"
+	"repro/internal/protocols"
 	"repro/internal/source"
 )
 
@@ -48,11 +49,11 @@ const (
 const desStepsPerSecond = 100
 
 // DesReplay lowers a storm spec onto the deterministic engine as an
-// unrecorded dst replay. It fails for a protocol outside the dst registry,
-// which holds every protocol a storm runs, and for a source fault plan
-// that does not parse.
+// unrecorded dst replay. It fails for a protocol outside the protocol
+// table, which holds every protocol a storm runs, and for a source fault
+// plan that does not parse.
 func DesReplay(spec Spec) (*dst.Replay, error) {
-	if _, err := dst.LookupProtocol(spec.Protocol); err != nil {
+	if _, err := protocols.Lookup(spec.Protocol); err != nil {
 		return nil, err
 	}
 	plan, err := source.ParsePlan(spec.SourceFaults)

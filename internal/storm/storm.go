@@ -35,9 +35,9 @@ import (
 	"time"
 
 	"repro/download"
-	"repro/internal/conformance"
 	"repro/internal/netrt"
 	"repro/internal/obs"
+	"repro/internal/protocols"
 	"repro/internal/sim"
 	"repro/internal/source"
 )
@@ -125,22 +125,13 @@ func (s *Spec) Fates() []sim.Fate {
 	return fates
 }
 
-// rejoinSafe reports whether rejoining churn is in the storm vocabulary
-// for a protocol. A rejoined peer restarts its protocol from scratch
-// with only its persisted source bits warm; that always converges for
-// the source-only naive protocol, but a mid-run restart of a
-// message-coupled protocol may never terminate (its peers have moved
-// past the rounds it replays), and the runtime waits for rejoining
-// peers. Those protocols get crash-for-good churn instead, which any
-// crash- or Byzantine-tolerant protocol must absorb within t.
-func rejoinSafe(p download.Protocol) bool { return p == download.Naive }
-
 // Generate derives the composed storm for one master seed. The draw
 // order below is fixed and load-bearing: the pinned storm replay is
 // byte-identical across regenerations only while equal (parameters,
 // stormSeed) keep producing the identical Spec.
 func Generate(proto download.Protocol, n, t, l, b int, stormSeed int64) Spec {
 	rng := rand.New(rand.NewSource(stormSeed))
+	row, _ := protocols.Lookup(string(proto))
 	spec := Spec{
 		Protocol: string(proto),
 		N:        n, T: t, L: l, MsgBits: b,
@@ -156,7 +147,7 @@ func Generate(proto download.Protocol, n, t, l, b int, stormSeed int64) Spec {
 		perm := rng.Perm(n)
 		for i := 0; i < count; i++ {
 			ce := ChurnEntry{Peer: perm[i], CrashAfter: 2 + rng.Intn(5), Downtime: -1}
-			if rejoinSafe(proto) && rng.Float64() < 0.75 {
+			if row != nil && row.StormRejoin && rng.Float64() < 0.75 {
 				// A rejoining peer must actually crash for the rejoin
 				// invariant to be checkable, so pin its crash point below
 				// the protocol's action count: naive's action clock runs
@@ -364,9 +355,8 @@ func Check(spec Spec, res *sim.Result, runErr error) []Violation {
 
 	// Complexity envelope: unverified mirror bits or double-charged
 	// retries would inflate Q past the per-protocol bound.
-	rep := &download.Report{Q: res.Q, Msgs: res.Msgs}
-	for _, v := range conformance.CheckEnvelope(download.Protocol(spec.Protocol),
-		spec.N, spec.T, spec.L, spec.MsgBits, rep) {
+	for _, v := range protocols.CheckEnvelope(spec.Protocol,
+		spec.N, spec.T, spec.L, spec.MsgBits, res.Q, res.Msgs) {
 		vs = append(vs, Violation{"envelope", v})
 	}
 

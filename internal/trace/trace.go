@@ -35,7 +35,7 @@ func NewRecorder(w io.Writer) *Recorder {
 }
 
 // OnEvent implements sim.Observer.
-func (r *Recorder) OnEvent(ev sim.ObservedEvent) {
+func (r *Recorder) OnEvent(ev *sim.ObservedEvent) {
 	if r.err != nil {
 		return
 	}
@@ -62,7 +62,7 @@ type Memory struct {
 var _ sim.Observer = (*Memory)(nil)
 
 // OnEvent implements sim.Observer.
-func (m *Memory) OnEvent(ev sim.ObservedEvent) { m.Events = append(m.Events, ev) }
+func (m *Memory) OnEvent(ev *sim.ObservedEvent) { m.Events = append(m.Events, *ev) }
 
 // Summary is the folded view of a trace.
 type Summary struct {

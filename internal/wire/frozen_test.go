@@ -27,7 +27,7 @@ type freezer struct {
 	seen  map[sim.Message]bool
 }
 
-func (f *freezer) OnEvent(ev sim.ObservedEvent) {
+func (f *freezer) OnEvent(ev *sim.ObservedEvent) {
 	if ev.Kind != "send" || f.seen[ev.Msg] {
 		return
 	}
