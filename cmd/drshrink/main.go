@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"repro/internal/dst"
-	"repro/internal/harden"
 	"repro/internal/protocols"
 )
 
@@ -349,7 +348,7 @@ func cmdSearch(args []string) int {
 			fmt.Printf("  wrote %s.dsr and %s.jsonl\n", base, base)
 		}
 		if *hardenRerun {
-			chk, err := dst.CheckHardened(f.Replay, nil, harden.Policy{})
+			chk, err := dst.CheckHardened(f.Replay, nil)
 			if err != nil {
 				return fail(err)
 			}

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/download"
-	"repro/internal/harden"
 	"repro/internal/netrt"
 	"repro/internal/obs"
 )
@@ -117,7 +116,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		err error
 	)
 	if *hardened {
-		rep, err = download.RunHardened(opts, harden.Policy{AttemptDeadline: *deadline})
+		rep, err = download.RunHardened(opts)
 	} else {
 		rep, err = download.Run(opts)
 	}
@@ -133,7 +132,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		*protocol, *n, *t, *l, *seed, *behavior)
 	fmt.Fprintf(stdout, "correct     %v\n", rep.Correct)
 	fmt.Fprintf(stdout, "Q           %d bits/peer (max over honest; avg %.1f; naive would be %d)\n",
-		rep.Q, rep.AvgQ, *l)
+		rep.Q, rep.AvgQ(), *l)
 	fmt.Fprintf(stdout, "messages    %d (%d payload bits)\n", rep.Msgs, rep.MsgBits)
 	if *tcpRT {
 		fmt.Fprintf(stdout, "time        %.4f s (wall clock since the run started)\n", rep.Time)
@@ -154,10 +153,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "FAILURE     %s\n", f)
 	}
 	if h := rep.Hardening; h != nil {
-		fmt.Fprintf(stdout, "hardening   detected=%v corrected=%v ladder=%v\n", h.Detected, h.Corrected, h.Ladder)
+		fmt.Fprintf(stdout, "hardening   detected=%v corrected=%v ladder=%v\n", h.Detected, h.Corrected, download.DefaultLadder(opts.Protocol))
 		fmt.Fprintf(stdout, "            audit %d bits (in Q), warm cache served %d bits free\n", h.AuditBits, h.WarmHitBits)
 		for i, a := range h.Attempts {
-			fmt.Fprintf(stdout, "attempt %d   %-10s violations=%d audited=%d peers\n", i, a.Protocol, len(a.Violations), a.AuditedPeers)
+			fmt.Fprintf(stdout, "attempt %d   %-10s violations=%d audited=%d peers\n", i, a.Rung, len(a.Violations), a.AuditedPeers)
 			for _, v := range a.Violations {
 				fmt.Fprintf(stdout, "            ! %s\n", v)
 			}

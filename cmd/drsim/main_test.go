@@ -142,3 +142,108 @@ func TestExitCodeTCPTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestHardenedText pins the whole report of a hardened run whose fault
+// bound is violated (32 liars against t = 15): the twocycle rung is
+// caught by its audit, committee deadlocks, and naive ends correct.
+func TestHardenedText(t *testing.T) {
+	const want = `protocol    twocycle  (n=64 t=15 L=1024 seed=26 behavior="liar")
+correct     true
+Q           1051 bits/peer (max over honest; avg 1048.1; naive would be 1024)
+messages    0 (0 payload bits)
+time        1.90 (virtual units; 1 = max network latency)
+hardening   detected=true corrected=true ladder=[twocycle committee naive]
+            audit 1024 bits (in Q), warm cache served 32520 bits free
+attempt 0   twocycle   violations=60 audited=32 peers
+            ! audit-mismatch: peer 9 output wrong at audited bit 177
+            ! audit-mismatch: peer 9 output wrong at audited bit 154
+            ! audit-mismatch: peer 9 output wrong at audited bit 131
+            ! audit-mismatch: peer 9 output wrong at audited bit 21
+            ! audit-mismatch: peer 9 output wrong at audited bit 250
+            ! audit-mismatch: peer 9 output wrong at audited bit 300
+            ! audit-mismatch: peer 15 output wrong at audited bit 168
+            ! audit-mismatch: peer 15 output wrong at audited bit 96
+            ! audit-mismatch: peer 15 output wrong at audited bit 358
+            ! audit-mismatch: peer 15 output wrong at audited bit 226
+            ! audit-mismatch: peer 15 output wrong at audited bit 132
+            ! audit-mismatch: peer 15 output wrong at audited bit 403
+            ! audit-mismatch: peer 23 output wrong at audited bit 225
+            ! audit-mismatch: peer 23 output wrong at audited bit 171
+            ! audit-mismatch: peer 23 output wrong at audited bit 284
+            ! audit-mismatch: peer 23 output wrong at audited bit 205
+            ! audit-mismatch: peer 23 output wrong at audited bit 48
+            ! audit-mismatch: peer 23 output wrong at audited bit 475
+            ! audit-mismatch: peer 23 output wrong at audited bit 30
+            ! audit-mismatch: peer 23 output wrong at audited bit 472
+            ! audit-mismatch: peer 41 output wrong at audited bit 290
+            ! audit-mismatch: peer 41 output wrong at audited bit 329
+            ! audit-mismatch: peer 41 output wrong at audited bit 220
+            ! audit-mismatch: peer 41 output wrong at audited bit 9
+            ! audit-mismatch: peer 41 output wrong at audited bit 509
+            ! audit-mismatch: peer 41 output wrong at audited bit 454
+            ! audit-mismatch: peer 41 output wrong at audited bit 479
+            ! audit-mismatch: peer 41 output wrong at audited bit 348
+            ! audit-mismatch: peer 43 output wrong at audited bit 33
+            ! audit-mismatch: peer 43 output wrong at audited bit 503
+            ! audit-mismatch: peer 43 output wrong at audited bit 263
+            ! audit-mismatch: peer 43 output wrong at audited bit 505
+            ! audit-mismatch: peer 43 output wrong at audited bit 471
+            ! audit-mismatch: peer 43 output wrong at audited bit 391
+            ! audit-mismatch: peer 43 output wrong at audited bit 372
+            ! audit-mismatch: peer 43 output wrong at audited bit 504
+            ! audit-mismatch: peer 43 output wrong at audited bit 210
+            ! audit-mismatch: peer 49 output wrong at audited bit 445
+            ! audit-mismatch: peer 49 output wrong at audited bit 324
+            ! audit-mismatch: peer 49 output wrong at audited bit 495
+            ! audit-mismatch: peer 49 output wrong at audited bit 13
+            ! audit-mismatch: peer 49 output wrong at audited bit 447
+            ! audit-mismatch: peer 49 output wrong at audited bit 175
+            ! audit-mismatch: peer 49 output wrong at audited bit 240
+            ! audit-mismatch: peer 49 output wrong at audited bit 123
+            ! audit-mismatch: peer 49 output wrong at audited bit 20
+            ! audit-mismatch: peer 55 output wrong at audited bit 301
+            ! audit-mismatch: peer 55 output wrong at audited bit 355
+            ! audit-mismatch: peer 55 output wrong at audited bit 15
+            ! audit-mismatch: peer 55 output wrong at audited bit 152
+            ! audit-mismatch: peer 55 output wrong at audited bit 216
+            ! audit-mismatch: peer 55 output wrong at audited bit 17
+            ! audit-mismatch: peer 55 output wrong at audited bit 52
+            ! audit-mismatch: peer 55 output wrong at audited bit 184
+            ! audit-mismatch: peer 55 output wrong at audited bit 177
+            ! audit-mismatch: peer 61 output wrong at audited bit 480
+            ! audit-mismatch: peer 61 output wrong at audited bit 92
+            ! audit-mismatch: peer 61 output wrong at audited bit 317
+            ! audit-mismatch: peer 61 output wrong at audited bit 123
+            ! audit-mismatch: peer 61 output wrong at audited bit 289
+attempt 1   committee  violations=1 audited=0 peers
+            ! deadlock: all live honest peers blocked with no deliverable events
+attempt 2   naive      violations=0 audited=32 peers
+`
+	code, out, errOut := drsim("-protocol", "twocycle", "-n", "64", "-t", "15", "-L", "1024",
+		"-faulty", "32", "-behavior", "liar", "-allow-excess", "-seed", "26", "-harden")
+	if code != 0 || out != want {
+		t.Fatalf("-harden exited %d:\n%s%s\nwant:\n%s", code, out, errOut, want)
+	}
+}
+
+// TestVerboseText pins the report of a small des run with its -v
+// per-peer table, crashed peers included.
+func TestVerboseText(t *testing.T) {
+	const want = `protocol    crashk  (n=6 t=2 L=256 seed=1 behavior="crash")
+correct     true
+Q           86 bits/peer (max over honest; avg 71.2; naive would be 256)
+messages    552 (31637 payload bits)
+time        19.97 (virtual units; 1 = max network latency)
+PEER  HONEST  CRASHED  TERMINATED  QUERYBITS  MSGS
+0     false   true     false       0          0
+1     true    false    true        83         135
+2     true    false    true        56         135
+3     false   true     false       0          0
+4     true    false    true        86         140
+5     true    false    true        60         142
+`
+	code, out, errOut := drsim("-protocol", "crashk", "-n", "6", "-t", "2", "-L", "256", "-behavior", "crash", "-v")
+	if code != 0 || out != want {
+		t.Fatalf("-v exited %d:\n%s%s\nwant:\n%s", code, out, errOut, want)
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/download"
-	"repro/internal/harden"
 	"repro/internal/netrt"
 )
 
@@ -89,7 +88,7 @@ func TestUnsupportedErrorTyped(t *testing.T) {
 			run := download.Run
 			if tc.hardened {
 				run = func(o download.Options) (*download.Report, error) {
-					return download.RunHardened(o, harden.Policy{})
+					return download.RunHardened(o)
 				}
 			}
 			_, err := run(tc.opts)

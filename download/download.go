@@ -30,12 +30,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"repro/internal/adversary"
 	"repro/internal/bitarray"
 	"repro/internal/des"
+	"repro/internal/harden"
 	"repro/internal/netrt"
 	"repro/internal/obs"
 	"repro/internal/protocols"
@@ -252,76 +252,19 @@ type ChurnPeer struct {
 	Downtime   float64
 }
 
-// PeerReport is the per-peer outcome.
-type PeerReport struct {
-	ID          int
-	Honest      bool
-	Crashed     bool
-	Terminated  bool
-	QueryBits   int
-	QueryCalls  int
-	MsgsSent    int
-	MsgBitsSent int
-	Correct     bool
-	// Rejoined reports a churn peer that crashed and rejoined.
-	Rejoined bool
-}
-
-// Report is the outcome of one execution.
+// Report is the outcome of one execution: the runtime's sim.Result — Q,
+// the message complexity Msgs, the termination time Time, correctness,
+// the recovery counters and one sim.PeerStats per peer — plus the
+// downloaded array.
 type Report struct {
-	// Q is the query complexity: max bits queried by a nonfaulty peer.
-	Q int
-	// AvgQ is the mean over nonfaulty peers.
-	AvgQ float64
-	// Msgs and MsgBits are the message complexity of nonfaulty peers.
-	Msgs    int
-	MsgBits int
-	// Time is when the last honest peer terminated: in virtual time
-	// units on des (1 = the maximum network latency), in wall-clock
-	// seconds since the run started on TCP.
-	Time float64
-	// Events is the number of delivered events (des runtime; zero on
-	// TCP, which has no global event loop).
-	Events int
-	// Correct reports that every nonfaulty peer output X exactly.
-	Correct bool
-	// Failures describes violations when Correct is false.
-	Failures []string
-	// Source resilience accounting, nonzero only under SourceFaults:
-	// honest peers' failed attempts, recovery retries, breaker-open
-	// transitions, queries parked behind an open breaker, and the longest
-	// time any peer spent degraded. Rejoins counts churn peers that
-	// crashed and came back.
-	SourceFailures  int
-	SourceRetries   int
-	BreakerOpens    int
-	DeferredQueries int
-	DegradedTime    float64
-	Rejoins         int
-	// Warm-start and crash-recovery accounting: WarmHitBits counts query
-	// bits served from already-verified bits without charging Q — a
-	// rejoined churn peer's persisted bits, and in a hardened run the
-	// bits earlier rungs verified that the final rung was served;
-	// CheckpointSaves/CheckpointRestores count durable checkpoint writes
-	// and warm restores (TCP runtime, where recovery crosses a process
-	// restart).
-	WarmHitBits        int
-	CheckpointSaves    int
-	CheckpointRestores int
-	// Mirror-tier accounting, nonzero only under Options.Mirrors:
-	// queries answered by a verified mirror reply, mirror replies
-	// rejected by Merkle verification, and queries re-issued to the
-	// authoritative source after a refusal or a failed proof.
-	MirrorHits      int
-	ProofFailures   int
-	FallbackQueries int
-	// PerPeer has one entry per peer, by ID.
-	PerPeer []PeerReport
-	// Output is the first honest peer's output (the downloaded array).
+	sim.Result
+	// Output is the first honest peer's correct output (the downloaded
+	// array); nil when no honest peer output X.
 	Output []bool
 	// Hardening is set only by RunHardened: the supervisor's account of
-	// detections, escalations, audit charges, and warm-start savings.
-	Hardening *HardeningReport
+	// attempts, detections, escalations, audit charges, and warm-start
+	// savings.
+	Hardening *harden.Outcome
 }
 
 // Run executes one Download and reports the outcome. Configuration
@@ -520,56 +463,15 @@ func (o *Options) fates(row *protocols.Row, count int) []sim.Fate {
 }
 
 func buildReport(res *sim.Result) *Report {
-	rep := &Report{
-		Q:        res.Q,
-		AvgQ:     res.AvgQ(),
-		Msgs:     res.Msgs,
-		MsgBits:  res.MsgBits,
-		Time:     res.Time,
-		Events:   res.Events,
-		Correct:  res.Correct,
-		Failures: append([]string(nil), res.Failures...),
-
-		SourceFailures:  res.SourceFailures,
-		SourceRetries:   res.SourceRetries,
-		BreakerOpens:    res.BreakerOpens,
-		DeferredQueries: res.DeferredQueries,
-		DegradedTime:    res.DegradedTime,
-		Rejoins:         res.Rejoins,
-
-		WarmHitBits:        res.WarmHitBits,
-		CheckpointSaves:    res.CheckpointSaves,
-		CheckpointRestores: res.CheckpointRestores,
-
-		MirrorHits:      res.MirrorHits,
-		ProofFailures:   res.ProofFailures,
-		FallbackQueries: res.FallbackQueries,
-	}
-	ids := make([]int, 0, len(res.PerPeer))
-	for i := range res.PerPeer {
-		ids = append(ids, int(res.PerPeer[i].ID))
-	}
-	sort.Ints(ids)
+	rep := &Report{Result: *res}
 	for i := range res.PerPeer {
 		ps := &res.PerPeer[i]
-		rep.PerPeer = append(rep.PerPeer, PeerReport{
-			ID:          int(ps.ID),
-			Honest:      ps.Honest,
-			Crashed:     ps.Crashed,
-			Terminated:  ps.Terminated,
-			QueryBits:   ps.QueryBits,
-			QueryCalls:  ps.QueryCalls,
-			MsgsSent:    ps.MsgsSent,
-			MsgBitsSent: ps.MsgBitsSent,
-			Correct:     ps.OutputCorrect,
-			Rejoined:    ps.Rejoined,
-		})
-		if rep.Output == nil && ps.Honest && ps.OutputCorrect {
-			out := make([]bool, ps.Output.Len())
-			for j := range out {
-				out[j] = ps.Output.Get(j)
+		if ps.Honest && ps.OutputCorrect {
+			rep.Output = make([]bool, ps.Output.Len())
+			for j := range rep.Output {
+				rep.Output[j] = ps.Output.Get(j)
 			}
-			rep.Output = out
+			break
 		}
 	}
 	return rep

@@ -44,7 +44,7 @@ func TestUnhardenedByzantineMajority(t *testing.T) {
 		if !p.Terminated {
 			t.Fatalf("peer %d: honest peer did not terminate (attack should be silent)", p.ID)
 		}
-		if !p.Correct {
+		if !p.OutputCorrect {
 			wrong++
 		}
 	}
@@ -61,7 +61,7 @@ func TestUnhardenedByzantineMajority(t *testing.T) {
 func TestHardenedByzantineMajorityCorrected(t *testing.T) {
 	opts := byzMajorityOpts()
 	ladder := []download.Protocol{download.TwoCycle, download.Naive}
-	rep, err := download.RunHardenedLadder(opts, harden.Policy{}, ladder)
+	rep, err := download.RunHardenedLadder(opts, ladder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +72,8 @@ func TestHardenedByzantineMajorityCorrected(t *testing.T) {
 	if !h.Detected || !h.Corrected {
 		t.Fatalf("detected=%v corrected=%v, want both", h.Detected, h.Corrected)
 	}
-	if len(h.Escalations) != 2 || h.Escalations[0] != download.TwoCycle || h.Escalations[1] != download.Naive {
-		t.Fatalf("escalations = %v, want [twocycle naive]", h.Escalations)
+	if esc := h.Escalations(); len(esc) != 2 || esc[0] != string(download.TwoCycle) || esc[1] != string(download.Naive) {
+		t.Fatalf("escalations = %v, want [twocycle naive]", esc)
 	}
 	if len(h.Attempts[0].Violations) == 0 {
 		t.Fatal("first attempt recorded no violations")
@@ -82,7 +82,7 @@ func TestHardenedByzantineMajorityCorrected(t *testing.T) {
 		t.Fatalf("hardened run not correct: %v", rep.Failures)
 	}
 	for _, p := range rep.PerPeer {
-		if p.Honest && !p.Correct {
+		if p.Honest && !p.OutputCorrect {
 			t.Fatalf("peer %d: honest peer output wrong under hardening", p.ID)
 		}
 	}
@@ -110,7 +110,7 @@ func TestHardenedWarmStartNoRequery(t *testing.T) {
 	reg := obs.New()
 	opts.Metrics = reg
 	ladder := []download.Protocol{download.TwoCycle, download.Naive}
-	rep, err := download.RunHardenedLadder(opts, harden.Policy{}, ladder)
+	rep, err := download.RunHardenedLadder(opts, ladder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestHardenedWarmStartNoRequery(t *testing.T) {
 		if !p.Honest {
 			continue
 		}
-		peer := strconv.Itoa(p.ID)
+		peer := strconv.Itoa(int(p.ID))
 		naiveQ, ok := snap.Series("dr_sim_query_bits_total",
 			map[string]string{"protocol": "naive", "peer": peer})
 		if !ok {
@@ -144,26 +144,46 @@ func TestHardenedWarmStartNoRequery(t *testing.T) {
 	}
 }
 
-// TestHardenedColdStartForComparison pins the A/B control: with the warm
-// start disabled the naive rung re-queries the full input, so the
-// cumulative Q exceeds the warm bound — evidence the cache is what keeps
-// hardening affordable.
-func TestHardenedColdStartForComparison(t *testing.T) {
+// TestHardenedRunAttemptsKeepOwnQueryBits: the Report's per-peer query bits
+// are cumulative across attempts, while each attempt's Result keeps its
+// own — the final one included, though the Report is built from it. The
+// naive rung queries exactly the bits its peer had not verified, and the
+// attempts' bits plus the audit bits sum to the Report's.
+func TestHardenedRunAttemptsKeepOwnQueryBits(t *testing.T) {
 	opts := byzMajorityOpts()
 	ladder := []download.Protocol{download.TwoCycle, download.Naive}
-	rep, err := download.RunHardenedLadder(opts, harden.Policy{DisableWarmStart: true}, ladder)
+	rep, err := download.RunHardenedLadder(opts, ladder)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Correct || !rep.Hardening.Corrected {
-		t.Fatalf("cold-start run should still correct (correct=%v)", rep.Correct)
+	h := rep.Hardening
+	if len(h.Attempts) != 2 {
+		t.Fatalf("got %d attempts, want 2", len(h.Attempts))
 	}
-	if rep.Hardening.WarmHitBits != 0 {
-		t.Fatalf("warm hits = %d with warm start disabled", rep.Hardening.WarmHitBits)
+	final := h.Attempts[1].Result
+	if final != h.Final {
+		t.Fatal("the last attempt's Result is not the outcome's Final")
 	}
-	warmBound := opts.L + len(rep.Hardening.Attempts)*harden.DefaultAuditBits
-	if rep.Q <= warmBound {
-		t.Fatalf("cold Q = %d within warm bound %d; expected re-queried bits", rep.Q, warmBound)
+	var attemptBits, cumulative int
+	for j := range rep.PerPeer {
+		for _, att := range h.Attempts {
+			attemptBits += att.Result.PerPeer[j].QueryBits
+		}
+		cumulative += rep.PerPeer[j].QueryBits
+		if !rep.PerPeer[j].Honest {
+			continue
+		}
+		own, want := final.PerPeer[j].QueryBits, opts.L-h.Attempts[0].VerifiedBits[j]
+		if own != want {
+			t.Errorf("peer %d: the naive attempt's Result says %d query bits, want its own L-verified = %d (the Report says %d)",
+				j, own, want, rep.PerPeer[j].QueryBits)
+		}
+		if own >= rep.PerPeer[j].QueryBits {
+			t.Errorf("peer %d: attempt bits %d not below the cumulative %d", j, own, rep.PerPeer[j].QueryBits)
+		}
+	}
+	if attemptBits+h.AuditBits != cumulative {
+		t.Errorf("attempts' query bits %d + audit bits %d != the Report's %d", attemptBits, h.AuditBits, cumulative)
 	}
 }
 
@@ -175,7 +195,7 @@ func TestHardenedCleanRunNoEscalation(t *testing.T) {
 		N:        16, T: 3, L: 256,
 		Faulty: 3, Behavior: download.Liar,
 		Seed: 7,
-	}, harden.Policy{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,14 +219,13 @@ func TestHardenedOptionErrors(t *testing.T) {
 	base := download.Options{Protocol: download.TwoCycle, N: 8, T: 3, L: 64}
 	tcp := base
 	tcp.TCP = true
-	if _, err := download.RunHardened(tcp, harden.Policy{}); err == nil {
+	if _, err := download.RunHardened(tcp); err == nil {
 		t.Error("TCP accepted by RunHardened")
 	}
-	if _, err := download.RunHardenedLadder(base, harden.Policy{}, nil); err == nil {
+	if _, err := download.RunHardenedLadder(base, nil); err == nil {
 		t.Error("empty ladder accepted")
 	}
-	if _, err := download.RunHardenedLadder(base, harden.Policy{},
-		[]download.Protocol{download.Naive, download.TwoCycle}); err == nil {
+	if _, err := download.RunHardenedLadder(base, []download.Protocol{download.Naive, download.TwoCycle}); err == nil {
 		t.Error("ladder not starting at opts.Protocol accepted")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/download"
-	"repro/internal/harden"
 	"repro/internal/merkle"
 )
 
@@ -75,7 +74,7 @@ func TestMirrorHardenedAudit(t *testing.T) {
 	rep, err := download.RunHardened(download.Options{
 		Protocol: download.Naive, N: 4, L: 512, Seed: 47,
 		Mirrors: "mirrors=3,byz=1,behavior=stale,leaf=64,seed=3",
-	}, harden.Policy{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

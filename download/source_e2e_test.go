@@ -31,7 +31,7 @@ func TestE2ESourceChaosByzantineMajority(t *testing.T) {
 		t.Fatalf("honest peer failed under source chaos + Byzantine majority: %v", rep.Failures)
 	}
 	for _, pp := range rep.PerPeer {
-		if pp.Honest && !pp.Correct {
+		if pp.Honest && !pp.OutputCorrect {
 			t.Errorf("honest peer %d output wrong", pp.ID)
 		}
 	}

@@ -103,7 +103,7 @@ type CaseOutcome struct {
 	// Envelope lists Q/M complexity-envelope violations.
 	Envelope []string
 	// Hardening is the supervisor's account of a Harden cell.
-	Hardening *download.HardeningReport
+	Hardening *harden.Outcome
 }
 
 // Failed reports the cell failed conformance.
@@ -177,7 +177,7 @@ func RunCase(c *Case, rt Runtime, cfg *Config) CaseOutcome {
 		opts.Mirrors = cfg.Mirrors
 	case Harden:
 		run = func(o download.Options) (*download.Report, error) {
-			return download.RunHardened(o, harden.Policy{})
+			return download.RunHardened(o)
 		}
 	}
 	rep, err := run(opts)
@@ -389,7 +389,7 @@ func (r *Report) WriteMatrix(w io.Writer) {
 			cell.pass++
 			if h := o.Hardening; h != nil {
 				cell.detected += b2i(h.Detected)
-				cell.escalated += b2i(len(h.Escalations) > 1)
+				cell.escalated += b2i(len(h.Attempts) > 1)
 				cell.corrected += b2i(h.Corrected)
 			}
 		}

@@ -103,7 +103,7 @@ func TestStreamEqualsResult(t *testing.T) {
 
 // metricsEqualResult checks the metrics of c's run on rt against its
 // report. Each peer's folded query bits, query calls, messages and
-// message bits are its PeerReport's, a faulty peer's too. On a
+// message bits are its PeerStats', a faulty peer's too. On a
 // source-plan or mirror case every dr_source_* and dr_mirror_* total is
 // the report's, which sums the honest peers: these cases have no faulty
 // peer, so that is every peer.
@@ -111,7 +111,7 @@ func metricsEqualResult(t *testing.T, c *Case, rt Runtime, rep *download.Report,
 	t.Helper()
 	prefix := map[Runtime]string{DES: "dr_sim", TCP: "dr_net"}[rt]
 	for _, p := range rep.PerPeer {
-		labels := map[string]string{"protocol": c.Protocol, "peer": strconv.Itoa(p.ID)}
+		labels := map[string]string{"protocol": c.Protocol, "peer": strconv.Itoa(int(p.ID))}
 		for _, s := range []struct {
 			name string
 			want int

@@ -54,7 +54,7 @@ func DefaultLadder(protocol string) []string {
 // with the given escalation ladder (nil selects DefaultLadder). The
 // error covers structural problems only; the supervisor's performance is
 // the HardenedCheck.
-func CheckHardened(r *Replay, ladder []string, pol harden.Policy) (*HardenedCheck, error) {
+func CheckHardened(r *Replay, ladder []string) (*HardenedCheck, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
@@ -79,11 +79,7 @@ func CheckHardened(r *Replay, ladder []string, pol harden.Policy) (*HardenedChec
 		return nil, err
 	}
 	spec.Delays = adversary.NewRandomUnit(r.Seed + 1000003)
-	out, err := harden.Run(harden.Config{
-		Base:   *spec,
-		Rungs:  rungs,
-		Policy: pol,
-	})
+	out, err := harden.Run(harden.Config{Base: *spec, Rungs: rungs})
 	if err != nil {
 		return nil, err
 	}

@@ -109,7 +109,7 @@ func e5TwoCycle(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		n, tf, L := cells[i].Spec.Config.N, cells[i].Spec.Config.T, cells[i].Spec.Config.L
-		p := segproto.Derive(n, tf, L, 0)
+		p := segproto.Derive(n, tf, L)
 		params := "naive-regime"
 		if !p.Naive {
 			params = fmt.Sprintf("m=%d k=%d", p.Segments, p.Threshold(p.Segments))
@@ -196,7 +196,7 @@ func a1Threshold(cfg Config) (*Table, error) {
 	}
 	tf := n / 4
 	faulty := adversary.SpreadFaulty(n, tf)
-	p := segproto.Derive(n, tf, L, 0)
+	p := segproto.Derive(n, tf, L)
 	if p.Naive {
 		t.Notes = append(t.Notes, "parameters degenerate at this scale; no sweep")
 		return t, nil

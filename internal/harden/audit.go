@@ -37,9 +37,6 @@ type AuditReport struct {
 // k ≥ L degenerates to a full comparison (small-instance tests use it).
 func runAudit(res *sim.Result, input *bitarray.Array, k int, seed int64, verified []*bitarray.Tracker) *AuditReport {
 	rep := &AuditReport{PerPeerBits: make([]int, len(res.PerPeer))}
-	if k <= 0 {
-		return rep
-	}
 	L := input.Len()
 	if k > L {
 		k = L

@@ -15,11 +15,11 @@
 //     the runtime's own deadlock/event-cap/deadline signals.
 //   - A budgeted source audit: each honest output is spot-checked on k
 //     seeded-random indices against the source before the attempt is
-//     declared clean. Audit bits are charged into Q. Policy.MerkleAudit
-//     (automatic under an untrusted-mirror plan) upgrades this to the
-//     commitment audit: one root fetch verifies a whole clean output,
-//     and a wrong one is localized by a logarithmic hash descent, so a
-//     forgery can never slip through a sampling gap.
+//     declared clean. Audit bits are charged into Q. Under an
+//     untrusted-mirror plan it is the commitment audit instead: one
+//     root fetch verifies a whole clean output, and a wrong one is
+//     localized by a logarithmic hash descent, so a forgery can never
+//     slip through a sampling gap.
 //   - An escalation ladder with warm start: on any confirmed violation
 //     the run restarts under the next, weaker-assumption rung, handing
 //     each peer's source-verified bits to the runtime (sim.Spec.Warm),
@@ -44,11 +44,11 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultAuditBits is the per-peer audit budget k when Policy.AuditBits
-// is zero: a forged output that differs from X on a ρ fraction of bits
-// escapes one peer's audit with probability (1−ρ)^k; 16 bits push even a
-// single-bit-flip forgery on a kilobit input below 2% per peer, and any
-// densely-wrong output (like a forged protocol segment) below 2^-10.
+// DefaultAuditBits is the per-peer audit budget k: a forged output that
+// differs from X on a ρ fraction of bits escapes one peer's audit with
+// probability (1−ρ)^k; 16 bits push even a single-bit-flip forgery on a
+// kilobit input below 2% per peer, and any densely-wrong output (like a
+// forged protocol segment) below 2^-10.
 const DefaultAuditBits = 16
 
 // ViolationKind names a detector.
@@ -92,44 +92,20 @@ type Rung struct {
 	NewPeer func(id sim.PeerID) sim.Peer
 }
 
-// Policy tunes the supervisor.
-type Policy struct {
-	// AuditBits is the per-peer source-audit budget k; 0 selects
-	// DefaultAuditBits, negative disables the audit (both modes).
-	AuditBits int
-	// MerkleAudit switches the source audit from k spot-checks to the
-	// commitment audit (see runMerkleAudit): one root fetch verifies a
-	// whole clean output, and a wrong one is localized by a logarithmic
-	// hash descent — a forgery can never slip through a sampling gap.
-	// The mode also engages automatically when the base spec runs an
-	// untrusted-mirror plan (the commitment already exists there).
-	MerkleAudit bool
-	// MerkleLeafBits sets the audit tree's leaf granularity; 0 inherits
-	// the mirror plan's effective granularity (source.DefaultLeafBits
-	// when no plan is set).
-	MerkleLeafBits int
-	// AttemptDeadline, when positive, bounds each attempt in virtual time
-	// units via sim.Spec.Deadline. An expiry is a confirmed liveness
-	// violation, and a peer that sits in one phase with no progress for
-	// longer is named by starvation attribution.
-	AttemptDeadline float64
-	// DisableWarmStart runs every attempt cold (escalations re-query
-	// verified bits). Exists for A/B accounting; leave it off.
-	DisableWarmStart bool
-}
-
 // Config describes one hardened execution.
 type Config struct {
 	// Base carries the model parameters, delay policy, fault pattern, and
-	// observability sinks. Its NewPeer, Label, Observer, and Deadline are
+	// observability sinks. Its NewPeer, Label, Observer and Warm are
 	// per-rung concerns and are overwritten each attempt (a user-supplied
 	// Observer still receives every event, chained behind the evidence
-	// collector).
+	// collector). Its Deadline, when positive, bounds each attempt: an
+	// expiry is a confirmed liveness violation, and a peer that sits in
+	// one phase with no progress for longer is named by starvation
+	// attribution. Its Mirrors, when enabled, switch the source audit to
+	// the commitment audit at the plan's effective leaf size.
 	Base sim.Spec
 	// Rungs is the escalation ladder, strongest assumption first.
 	Rungs []Rung
-	// Policy tunes detectors, audit, and ladder descent.
-	Policy Policy
 }
 
 // Attempt is the outcome of one rung's execution.
@@ -191,9 +167,9 @@ func (o *Outcome) Escalations() []string {
 }
 
 // Run executes the escalation ladder: each rung runs under the evidence
-// collector and (unless disabled) warm from the bits earlier rungs
-// verified, is audited against the source, and either ends the ladder
-// (clean) or escalates to the next rung. The error return covers configuration problems only;
+// collector and warm from the bits earlier rungs verified, is audited
+// against the source, and either ends the ladder (clean) or escalates to
+// the next rung. The error return covers configuration problems only;
 // protocol-level outcomes — including an exhausted ladder — live in the
 // Outcome.
 func Run(cfg Config) (*Outcome, error) {
@@ -204,11 +180,6 @@ func Run(cfg Config) (*Outcome, error) {
 		if r.Name == "" || r.NewPeer == nil {
 			return nil, fmt.Errorf("harden: rung %d missing name or factory", i)
 		}
-	}
-	pol := cfg.Policy
-	auditK := pol.AuditBits
-	if auditK == 0 {
-		auditK = DefaultAuditBits
 	}
 	base := cfg.Base
 	// Pin the input before the first attempt: attempt seeds vary (a
@@ -233,26 +204,19 @@ func Run(cfg Config) (*Outcome, error) {
 	// source side: roots and interior hashes fetched from it are what a
 	// real deployment would read from the authoritative source.
 	var srcTree *merkle.Tree
-	if pol.MerkleAudit || base.Mirrors.Enabled() {
-		leafBits := pol.MerkleLeafBits
-		if leafBits == 0 {
-			leafBits = base.Mirrors.EffectiveLeafBits()
-		}
-		srcTree = merkle.Build(input, leafBits)
+	if base.Mirrors.Enabled() {
+		srcTree = merkle.Build(input, base.Mirrors.EffectiveLeafBits())
 	}
 
 	out := &Outcome{PerPeerQ: make([]int, n)}
 	for ai, rung := range cfg.Rungs {
 		spec := base
 		spec.Label = rung.Name
-		spec.Deadline = pol.AttemptDeadline
 		spec.Config.Seed = base.Config.Seed + int64(ai)*0x9e3779b9
 		spec.NewPeer = rung.NewPeer
-		if !pol.DisableWarmStart {
-			spec.Warm = verified
-		}
+		spec.Warm = verified
 
-		col := NewCollector(n, pol.AttemptDeadline, base.Observer)
+		col := NewCollector(n, base.Deadline, base.Observer)
 		spec.Observer = col
 
 		res, err := des.New().Run(&spec)
@@ -301,7 +265,7 @@ func Run(cfg Config) (*Outcome, error) {
 			cutOff = true
 			att.Violations = append(att.Violations, Violation{
 				Kind:   ViolationDeadline,
-				Detail: fmt.Sprintf("attempt deadline %.1f expired with honest peers running", pol.AttemptDeadline),
+				Detail: fmt.Sprintf("attempt deadline %.1f expired with honest peers running", base.Deadline),
 			})
 		}
 		if cutOff {
@@ -320,11 +284,11 @@ func Run(cfg Config) (*Outcome, error) {
 		// spot-checks with one root fetch plus a log-proof descent on
 		// mismatch.
 		var aud *AuditReport
-		if srcTree != nil && auditK > 0 {
+		if srcTree != nil {
 			aud = runMerkleAudit(res, srcTree, input, verified)
 			met.merkleAudits.With(rung.Name).Add(int64(aud.Peers))
 		} else {
-			aud = runAudit(res, input, auditK, spec.Config.Seed, verified)
+			aud = runAudit(res, input, DefaultAuditBits, spec.Config.Seed, verified)
 		}
 		att.AuditedPeers, att.AuditBits = aud.Peers, aud.Bits
 		out.AuditBits += aud.Bits

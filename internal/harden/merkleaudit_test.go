@@ -9,6 +9,7 @@ import (
 	"repro/internal/merkle"
 	"repro/internal/protocols/naive"
 	"repro/internal/sim"
+	"repro/internal/source"
 )
 
 func merkleAuditInput(L int) *bitarray.Array {
@@ -150,25 +151,29 @@ func (f *forgingPeer) Init(ctx sim.Context) {
 func (f *forgingPeer) OnMessage(sim.PeerID, sim.Message) {}
 func (f *forgingPeer) OnQueryReply(sim.QueryReply)       {}
 
-// TestRunMerkleAuditDetectsAndCorrects: the supervisor under
-// Policy.MerkleAudit catches a one-bit forgery no sampling budget is
+// TestRunMerkleAuditDetectsAndCorrects: the supervisor under a mirror
+// plan, whose commitment audit it then runs, catches a one-bit forgery no sampling budget is
 // guaranteed to see, escalates, and the honest rung's clean output is
 // verified by a single root fetch. The hardened Q stays L + O(log N).
 func TestRunMerkleAuditDetectsAndCorrects(t *testing.T) {
 	const L = 2048
+	mirrors, err := source.ParseMirrorPlan("mirrors=1,byz=0,leaf=64")
+	if err != nil {
+		t.Fatal(err)
+	}
 	out, err := Run(Config{
 		Base: sim.Spec{
 			Config: sim.Config{
 				N: 4, T: 0, L: L, MsgBits: 64, Seed: 77,
 				Input: bitarray.New(L), // all-zero input; the forger flips bit 1291
 			},
-			Delays: adversary.NewRandomUnit(78),
+			Delays:  adversary.NewRandomUnit(78),
+			Mirrors: mirrors,
 		},
 		Rungs: []Rung{
 			{Name: "forger", NewPeer: func(sim.PeerID) sim.Peer { return &forgingPeer{flip: 1291} }},
 			{Name: "naive", NewPeer: naive.NewBatched(64)},
 		},
-		Policy: Policy{MerkleAudit: true, MerkleLeafBits: 64},
 	})
 	if err != nil {
 		t.Fatal(err)

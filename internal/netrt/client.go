@@ -497,13 +497,17 @@ func (c *client) handleFrame(kind byte, seq uint64, payload []byte) {
 		if fresh, term := c.admitFrame(seq); !fresh || term {
 			return
 		}
+		// A body that does not decode was admitted and acked all the
+		// same: drop it like line noise, but count it.
 		from64, n := binary.Uvarint(payload)
 		if n <= 0 {
+			c.met.malformedDropped(int(c.id))
 			return
 		}
 		m, err := wire.Unmarshal(payload[n:], c.cfg.L)
 		if err != nil {
-			return // malformed frame: drop, like line noise
+			c.met.malformedDropped(int(c.id))
+			return
 		}
 		if !c.countAction() {
 			return

@@ -12,6 +12,7 @@ import (
 	"testing/iotest"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -518,6 +519,44 @@ func (p *recorder) OnMessage(from sim.PeerID, m sim.Message) {
 	p.msgs = append(p.msgs, m)
 }
 func (p *recorder) OnQueryReply(r sim.QueryReply) { p.replies = append(p.replies, r) }
+
+// TestMalformedMsgCounted: a MSG frame the client admits, and so acks,
+// whose sender id or body does not decode is dropped, counted in
+// dr_net_malformed_frames_dropped_total for the receiving peer, and never
+// reaches the protocol; a well-formed MSG after them is delivered.
+func TestMalformedMsgCounted(t *testing.T) {
+	reg := obs.New()
+	cfg := &Config{N: 4, L: 64, Metrics: reg}
+	rec := &recorder{}
+	c := &client{stats: &sim.PeerStats{}, cfg: cfg, id: 1, impl: rec, met: newNetMetrics(cfg),
+		link: link{conn: newFrameConn(&recConn{discard: true}, 0)}}
+	c.resume(binary.AppendUvarint([]byte{0}, 10)) // RESUME: send base 0, ack base 10
+	from := binary.AppendUvarint(nil, 2)
+	for i, garbage := range [][]byte{
+		{0x80},                               // truncated sender id
+		from,                                 // no body
+		append(from[:1:1], 0xff, 0xff, 0xff), // a body of no message type
+	} {
+		c.handleFrame(kMsg, 11+uint64(i), garbage)
+	}
+	if len(rec.msgs) != 0 {
+		t.Fatalf("the protocol received %d malformed messages", len(rec.msgs))
+	}
+	malformed := func() float64 {
+		got, _ := reg.Snapshot().Series("dr_net_malformed_frames_dropped_total", map[string]string{"peer": "1"})
+		return got.Value
+	}
+	if got := malformed(); got != 3 {
+		t.Fatalf("dr_net_malformed_frames_dropped_total{peer=1} = %v, want 3", got)
+	}
+	c.handleFrame(kMsg, 14, marshalAppend(from, broadcastSamples()[1]))
+	if len(rec.msgs) != 1 || rec.from[0] != 2 {
+		t.Fatalf("the well-formed MSG after them reached the protocol %d times (from %v)", len(rec.msgs), rec.from)
+	}
+	if got := malformed(); got != 3 {
+		t.Errorf("a well-formed MSG moved the malformed count to %v", got)
+	}
+}
 
 // TestResumeAndReplayInOneSegment: the hub's RESUME and the two frames it
 // replays right behind it arrive in one segment. awaitResume consumes the

@@ -65,8 +65,8 @@ func (e *events) msg(kind sim.KindSet, p, other sim.PeerID, m sim.Message, typ s
 }
 
 // netMetrics bundles the transport's metric handles: frames, bytes,
-// backoff, dedup, fault-plan and writer counters, which no event carries
-// (the protocol series are the fold in events). It is
+// backoff, dedup, malformed-body, fault-plan and writer counters, which
+// no event carries (the protocol series are the fold in events). It is
 // built once per Run when Config.Metrics is set and stays nil
 // otherwise; every method is a no-op on a nil receiver, so
 // the hub and client hot paths call them unconditionally and a disabled
@@ -84,7 +84,7 @@ type netMetrics struct {
 	backoff *obs.Histogram
 
 	// Per-peer handles indexed by peer id.
-	dups                 []*obs.Counter
+	dups, malformed      []*obs.Counter
 	planDropped, planDup []*obs.Counter
 
 	// The hub's connection writers: frames written, frames dropped with
@@ -122,6 +122,7 @@ func newNetMetrics(cfg *Config) *netMetrics {
 		return hs
 	}
 	m.dups = perPeer(reg.CounterVec("dr_net_dup_frames_dropped_total", "Duplicate frames discarded by dedup.", "peer"))
+	m.malformed = perPeer(reg.CounterVec("dr_net_malformed_frames_dropped_total", "Admitted MSG frames dropped because their body does not decode.", "peer"))
 	m.planDropped = perPeer(reg.CounterVec("dr_net_plan_dropped_total", "Deliveries dropped by the fault plan.", "peer"))
 	m.planDup = perPeer(reg.CounterVec("dr_net_plan_duped_total", "Deliveries duplicated by the fault plan.", "peer"))
 	// The writer series keep the names they had when the hub had a
@@ -170,6 +171,13 @@ func (m *netMetrics) dupDropped(peer int) {
 		return
 	}
 	peerAdd(m.dups, peer, 1)
+}
+
+func (m *netMetrics) malformedDropped(peer int) {
+	if m == nil {
+		return
+	}
+	peerAdd(m.malformed, peer, 1)
 }
 
 func (m *netMetrics) planDrop(peer int) {

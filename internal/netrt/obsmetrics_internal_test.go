@@ -26,6 +26,7 @@ func TestNetMetricsDisabledAllocFree(t *testing.T) {
 		m.frame(sideClient, dirTx, kDone, 8)
 		m.frame(sideClient, dirRx, kQReply, 32)
 		m.dupDropped(0)
+		m.malformedDropped(0)
 		m.planDrop(2)
 		m.planDupe(2)
 		m.backoffObserve(5 * time.Millisecond)

@@ -31,8 +31,6 @@ import (
 
 // Options tune the protocol.
 type Options struct {
-	// C overrides the concentration constant (≤ 0 selects the default).
-	C float64
 	// ForceSegments overrides the derived cycle-1 segment count; it is
 	// rounded down to a power of two.
 	ForceSegments int
@@ -99,7 +97,7 @@ func (p *Peer) Init(ctx sim.Context) {
 	p.track = bitarray.NewTracker(ctx.L())
 	p.col = segproto.NewCollector(ctx.L())
 	p.answers = make(map[int]bool)
-	p.params = segproto.Derive(ctx.N(), ctx.T(), ctx.L(), p.opts.C)
+	p.params = segproto.Derive(ctx.N(), ctx.T(), ctx.L())
 	if p.opts.ForceSegments > 1 {
 		p.params.Naive = false
 		p.params.Segments = p.opts.ForceSegments

@@ -32,7 +32,7 @@ func NewColludingLiar(_ sim.PeerID, k *sim.Knowledge) sim.Peer {
 func (a *ColludingLiar) Init(ctx sim.Context) {
 	a.ctx = ctx
 	cfg := a.know.Config
-	params := Derive(cfg.N, cfg.T, cfg.L, 0)
+	params := Derive(cfg.N, cfg.T, cfg.L)
 	if params.Naive {
 		return // honest peers ignore messages in the naive regime
 	}
@@ -96,7 +96,7 @@ func NewScatterLiar(_ sim.PeerID, k *sim.Knowledge) sim.Peer {
 func (a *ScatterLiar) Init(ctx sim.Context) {
 	a.ctx = ctx
 	cfg := a.know.Config
-	params := Derive(cfg.N, cfg.T, cfg.L, 0)
+	params := Derive(cfg.N, cfg.T, cfg.L)
 	if params.Naive {
 		return
 	}

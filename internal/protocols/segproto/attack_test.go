@@ -20,7 +20,7 @@ func knowledgeFor(n, t, L int) *sim.Knowledge {
 func TestColludingLiarForgesFrequentableString(t *testing.T) {
 	const n, tf, L = 256, 64, 1 << 12
 	know := knowledgeFor(n, tf, L)
-	params := Derive(n, tf, L, 0)
+	params := Derive(n, tf, L)
 	if params.Naive {
 		t.Fatal("test scale too small")
 	}
@@ -68,7 +68,7 @@ func TestColludingLiarSilentInNaiveRegime(t *testing.T) {
 func TestScatterLiarSendsWellFormedVariedStrings(t *testing.T) {
 	const n, tf, L = 256, 64, 1 << 12
 	know := knowledgeFor(n, tf, L)
-	params := Derive(n, tf, L, 0)
+	params := Derive(n, tf, L)
 	seen := map[int]bool{}
 	for id := sim.PeerID(0); id < 6; id++ {
 		ctx := simtest.New(id, n, tf, L)

@@ -76,27 +76,22 @@ type Params struct {
 	// Gap is n − 2t, the guaranteed number of honest peers among any
 	// n−t−1 heard-from set (plus self).
 	Gap int
-	// C is the concentration constant used in the derivation.
-	C float64
 }
 
-// DefaultC balances segment count against failure probability; the
-// ablation experiment A1 sweeps it.
+// DefaultC is the concentration constant: it balances segment count
+// against failure probability.
 const DefaultC = 4.0
 
 // Derive computes protocol parameters for n peers, t faults, and input
-// length L. c ≤ 0 selects DefaultC.
-func Derive(n, t, L int, c float64) Params {
-	if c <= 0 {
-		c = DefaultC
-	}
+// length L.
+func Derive(n, t, L int) Params {
 	gap := n - 2*t
-	p := Params{Gap: gap, C: c}
+	p := Params{Gap: gap}
 	if gap <= 0 {
 		p.Naive = true
 		return p
 	}
-	m := int(float64(gap) / (c * math.Log(float64(n))))
+	m := int(float64(gap) / (DefaultC * math.Log(float64(n))))
 	if m > L {
 		m = L
 	}

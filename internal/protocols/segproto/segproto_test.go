@@ -1,7 +1,6 @@
 package segproto
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -15,7 +14,7 @@ func TestDeriveProperties(t *testing.T) {
 		n := int(nU)%1000 + 2
 		tf := int(tU) % n
 		L := int(lU) + 2
-		p := Derive(n, tf, L, 0)
+		p := Derive(n, tf, L)
 		if p.Gap != n-2*tf {
 			return false
 		}
@@ -36,21 +35,6 @@ func TestDeriveProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDeriveMonotoneInC(t *testing.T) {
-	// Larger c → fewer, larger segments (more redundancy per segment).
-	prev := math.MaxInt
-	for _, c := range []float64{1, 2, 4, 8, 16} {
-		p := Derive(1000, 200, 1<<20, c)
-		if p.Naive {
-			continue
-		}
-		if p.Segments > prev {
-			t.Errorf("c=%v: segments %d increased", c, p.Segments)
-		}
-		prev = p.Segments
 	}
 }
 

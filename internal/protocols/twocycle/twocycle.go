@@ -35,8 +35,6 @@ import (
 
 // Options tune the protocol.
 type Options struct {
-	// C overrides the concentration constant (≤ 0 selects the default).
-	C float64
 	// ForceSegments overrides the derived segment count (for ablations).
 	ForceSegments int
 	// ForceThreshold overrides the derived frequency threshold k.
@@ -92,7 +90,7 @@ func (p *Peer) Init(ctx sim.Context) {
 	p.ctx = ctx
 	p.track = bitarray.NewTracker(ctx.L())
 	p.col = segproto.NewCollector(ctx.L())
-	p.params = segproto.Derive(ctx.N(), ctx.T(), ctx.L(), p.opts.C)
+	p.params = segproto.Derive(ctx.N(), ctx.T(), ctx.L())
 	p.segs = p.params.Segments
 	if p.opts.ForceSegments > 1 && p.opts.ForceSegments <= ctx.L() {
 		p.segs = p.opts.ForceSegments

@@ -32,7 +32,7 @@ func TestParamsDerivation(t *testing.T) {
 		{64, 40, 4096, true}, // β > 1/2
 	}
 	for _, tc := range tests {
-		p := segproto.Derive(tc.n, tc.tf, tc.L, 0)
+		p := segproto.Derive(tc.n, tc.tf, tc.L)
 		if p.Naive != tc.wantNaive {
 			t.Errorf("Derive(%d,%d,%d): naive=%v want %v (m=%d)",
 				tc.n, tc.tf, tc.L, p.Naive, tc.wantNaive, p.Segments)
@@ -70,7 +70,7 @@ func TestByzantineAttacks(t *testing.T) {
 	for _, beta := range []float64{0.1, 0.25, 0.4} {
 		n, tf, L := sized(beta)
 		faulty := adversary.SpreadFaulty(n, tf)
-		sublinear := !segproto.Derive(n, tf, L, 0).Naive
+		sublinear := !segproto.Derive(n, tf, L).Naive
 		for name, factory := range attacks {
 			for seed := int64(0); seed < 2; seed++ {
 				label := fmt.Sprintf("beta=%.2f %s seed=%d", beta, name, seed)

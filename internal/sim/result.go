@@ -101,7 +101,9 @@ type Result struct {
 	Msgs int
 	// MsgBits is total payload bits sent by honest peers.
 	MsgBits int
-	// Time is the virtual time at which the last honest peer terminated.
+	// Time is when the last honest peer terminated: in virtual time
+	// units on des (1 = the maximum network latency), in wall-clock
+	// seconds since the run started on TCP.
 	Time float64
 	// Correct reports that every honest peer terminated with output X.
 	Correct bool
