@@ -111,6 +111,15 @@ func freeze() []frozen {
 		{"committee-equivocator", mk(9, 4, 540, committee.New, byz(9, 4, committee.NewEquivocator))},
 		{"twocycle", mk(128, 16, 4096, twocycle.New, byz(128, 16, segproto.NewColludingLiar))},
 		{"multicycle", mk(128, 16, 4096, multicycle.New, byz(128, 16, segproto.NewColludingLiar))},
+		// Segment-engine shapes the two rows above do not reach: a derived
+		// m = 3 with k low enough that the colluders' forgery enters the
+		// trees, a forced m that does not divide L, and four cycles.
+		{"twocycle-m3-forged", mk(64, 4, 4096,
+			twocycle.NewWithOptions(twocycle.Options{ForceThreshold: 4}), byz(64, 4, segproto.NewColludingLiar))},
+		{"twocycle-force5", mk(128, 16, 4096,
+			twocycle.NewWithOptions(twocycle.Options{ForceSegments: 5}), byz(128, 16, segproto.NewColludingLiar))},
+		{"multicycle-force8", mk(128, 16, 4096,
+			multicycle.NewWithOptions(multicycle.Options{ForceSegments: 8}), byz(128, 16, segproto.NewColludingLiar))},
 	}
 }
 
