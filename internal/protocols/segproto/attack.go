@@ -33,24 +33,19 @@ func (a *ColludingLiar) Init(ctx sim.Context) {
 	a.ctx = ctx
 	cfg := a.know.Config
 	params := Derive(cfg.N, cfg.T, cfg.L)
-	if params.Naive {
-		return // honest peers ignore messages in the naive regime
-	}
-	// Forge for the 2-cycle partition and for every multi-cycle
-	// partition level; honest peers validate lengths per cycle, so each
-	// protocol picks up the messages that parse for it.
-	a.forgeCycle(1, params.Segments)
-	m := params.PowerOfTwoSegments()
-	if m >= 2 && m != params.Segments {
-		// Multi-cycle cycle-1 partition differs from the 2-cycle one
-		// only when rounding changed it; send that variant too.
-		a.forgeCycle(1, m)
-	}
-	cycle := 2
-	for m >= 4 { // cycles 2..D−1 broadcast partitions of m/2, m/4, …, 2
-		m >>= 1
-		a.forgeCycle(cycle, m)
-		cycle++
+	// Forge for every broadcasting cycle of both schedules, each (cycle,
+	// segment count) once; honest peers validate lengths per cycle, so
+	// each protocol picks up the messages that parse for it. The naive
+	// regime's schedule [1] broadcasts nothing.
+	sent := make(map[[2]int]bool)
+	for _, dyadic := range []bool{false, true} {
+		schedule := params.Schedule(dyadic)
+		for c, m := range schedule[:len(schedule)-1] {
+			if key := [2]int{c + 1, m}; !sent[key] {
+				sent[key] = true
+				a.forgeCycle(c+1, m)
+			}
+		}
 	}
 }
 
