@@ -150,8 +150,8 @@ func TestHardenedText(t *testing.T) {
 	const want = `protocol    twocycle  (n=64 t=15 L=1024 seed=26 behavior="liar")
 correct     true
 Q           1051 bits/peer (max over honest; avg 1048.1; naive would be 1024)
-messages    0 (0 payload bits)
-time        1.90 (virtual units; 1 = max network latency)
+messages    20160 (1181376 payload bits)
+time        11.28 (virtual units; 1 = max network latency)
 hardening   detected=true corrected=true ladder=[twocycle committee naive]
             audit 1024 bits (in Q), warm cache served 32520 bits free
 attempt 0   twocycle   violations=60 audited=32 peers

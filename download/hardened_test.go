@@ -187,6 +187,48 @@ func TestHardenedRunAttemptsKeepOwnQueryBits(t *testing.T) {
 	}
 }
 
+// TestHardenedReportSumsAttempts: a hardened Report's M, message bits,
+// time and events are the sums of its attempts', in total and per peer,
+// as its Q is, while each attempt keeps its own.
+func TestHardenedReportSumsAttempts(t *testing.T) {
+	rep, err := download.RunHardened(byzMajorityOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := rep.Hardening
+	if len(h.Attempts) < 2 || h.Final.Msgs >= rep.Msgs {
+		t.Fatalf("want an escalated run whose earlier rungs sent messages: %d attempts, final M %d, Report M %d",
+			len(h.Attempts), h.Final.Msgs, rep.Msgs)
+	}
+	var msgs, msgBits, events int
+	var time float64
+	perPeer := make([][2]int, len(rep.PerPeer))
+	for _, a := range h.Attempts {
+		msgs += a.Result.Msgs
+		msgBits += a.Result.MsgBits
+		events += a.Result.Events
+		time += a.Result.Time
+		for i, ps := range a.Result.PerPeer {
+			perPeer[i][0] += ps.MsgsSent
+			perPeer[i][1] += ps.MsgBitsSent
+		}
+	}
+	if rep.Msgs != msgs || rep.MsgBits != msgBits || rep.Events != events || rep.Time != time {
+		t.Errorf("Report (M %d, bits %d, events %d, time %v) != attempts' sums (%d, %d, %d, %v)",
+			rep.Msgs, rep.MsgBits, rep.Events, rep.Time, msgs, msgBits, events, time)
+	}
+	for i, ps := range rep.PerPeer {
+		if got := [2]int{ps.MsgsSent, ps.MsgBitsSent}; got != perPeer[i] {
+			t.Errorf("peer %d: Report's (messages, bits) %v != attempts' sums %v", i, got, perPeer[i])
+		}
+	}
+	for i, ps := range h.Final.PerPeer {
+		if ps.Honest && ps.MsgsSent != 0 {
+			t.Errorf("the naive attempt's own Result says honest peer %d sent %d messages", i, ps.MsgsSent)
+		}
+	}
+}
+
 // TestHardenedCleanRunNoEscalation: inside its assumed regime the first
 // rung passes the audit and the ladder never descends.
 func TestHardenedCleanRunNoEscalation(t *testing.T) {
