@@ -220,7 +220,10 @@ cover:
 #  1. the dst suite (record/replay determinism, shrinker, replay corpus);
 #  2. strategy search over the Byzantine-capable protocols below their β
 #     thresholds — fixed seeds make every run reproducible; any finding
-#     writes a .dsr replay + .jsonl trace under dst-findings/ and fails;
+#     writes a .dsr replay + .jsonl trace under dst-findings/ and fails.
+#     twocycle and multicycle search at n = 32, t = 1, L = 64, where
+#     segproto.Derive gives m = 2 (gap 30); at n = 4 it gives m = 0 and
+#     a search would explore only the naive fallback;
 #  3. positive control: against the deliberately weakened committee the
 #     same search MUST find a violation, or the harness itself is broken.
 DST_BUDGET ?= 3m
@@ -229,8 +232,8 @@ dst-search:
 	$(GO) test -count=1 -timeout $(TIMEOUT) ./internal/dst/ ./internal/adversary/
 	$(GO) run ./cmd/drshrink search -protocol committee  -n 4 -t 1 -L 32 -seed 101 -strategies 48 -schedules 6 -budget $(DST_BUDGET) -out-dir dst-findings
 	$(GO) run ./cmd/drshrink search -protocol committee  -n 7 -t 3 -L 70 -seed 102 -strategies 24 -schedules 4 -budget $(DST_BUDGET) -out-dir dst-findings
-	$(GO) run ./cmd/drshrink search -protocol twocycle   -n 4 -t 1 -L 32 -seed 103 -strategies 24 -schedules 4 -budget $(DST_BUDGET) -out-dir dst-findings
-	$(GO) run ./cmd/drshrink search -protocol multicycle -n 4 -t 1 -L 32 -seed 104 -strategies 24 -schedules 4 -budget $(DST_BUDGET) -out-dir dst-findings
+	$(GO) run ./cmd/drshrink search -protocol twocycle   -n 32 -t 1 -L 64 -seed 103 -strategies 24 -schedules 4 -budget $(DST_BUDGET) -out-dir dst-findings
+	$(GO) run ./cmd/drshrink search -protocol multicycle -n 32 -t 1 -L 64 -seed 104 -strategies 24 -schedules 4 -budget $(DST_BUDGET) -out-dir dst-findings
 	@if $(GO) run ./cmd/drshrink search -protocol committee-weak -n 4 -t 1 -L 16 -seed 1 -strategies 16 -schedules 4 -max-findings 1 >/dev/null 2>&1; then \
 		echo "dst-search: positive control FAILED: no violation found against committee-weak"; exit 1; \
 	else echo "dst-search: positive control ok (committee-weak violation found)"; fi
@@ -246,14 +249,15 @@ dst-regen:
 #     warm start re-queries zero verified bits);
 #  2. the strategy search re-targeted at hardened runs: every violation
 #     the search finds against the safe protocols must be corrected by
-#     the supervisor (findings land in harden-findings/ as .dsr replays);
+#     the supervisor (findings land in harden-findings/ as .dsr replays;
+#     twocycle at n = 32, the smallest shape that runs its segment engine);
 #  3. positive control: against committee-weak the search MUST find
 #     violations AND the supervisor must correct every one of them.
 harden:
 	$(GO) test -count=1 -timeout $(TIMEOUT) ./internal/harden/
 	$(GO) test -count=1 -timeout $(TIMEOUT) -run 'TestHardened|TestUnhardened|TestOptionValidationMatrix' ./download/
 	$(GO) run ./cmd/drshrink search -protocol committee -n 4 -t 1 -L 32 -seed 201 -strategies 24 -schedules 4 -no-shrink -harden -out-dir harden-findings
-	$(GO) run ./cmd/drshrink search -protocol twocycle  -n 4 -t 1 -L 32 -seed 202 -strategies 16 -schedules 4 -no-shrink -harden -out-dir harden-findings
+	$(GO) run ./cmd/drshrink search -protocol twocycle  -n 32 -t 1 -L 64 -seed 202 -strategies 16 -schedules 4 -no-shrink -harden -out-dir harden-findings
 	$(GO) run ./cmd/drshrink search -protocol committee-weak -n 4 -t 1 -L 16 -seed 203 -strategies 16 -schedules 4 -no-shrink -harden -expect-finding -out-dir harden-findings
 
 # Line counts of the Go sources: non-test Go outside benchmark/ (the
