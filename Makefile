@@ -246,7 +246,8 @@ dst-regen:
 # Hardening gate (see docs/HARDENING.md):
 #  1. the harden package suite plus the pinned end-to-end regressions
 #     (Byzantine-majority wrong output detected, escalated, corrected;
-#     warm start re-queries zero verified bits);
+#     warm start re-queries zero verified bits; the hardened re-check of
+#     a committed replay);
 #  2. the strategy search re-targeted at hardened runs: every violation
 #     the search finds against the safe protocols must be corrected by
 #     the supervisor (findings land in harden-findings/ as .dsr replays;
@@ -255,7 +256,7 @@ dst-regen:
 #     violations AND the supervisor must correct every one of them.
 harden:
 	$(GO) test -count=1 -timeout $(TIMEOUT) ./internal/harden/
-	$(GO) test -count=1 -timeout $(TIMEOUT) -run 'TestHardened|TestUnhardened|TestOptionValidationMatrix' ./download/
+	$(GO) test -count=1 -timeout $(TIMEOUT) -run 'TestHardened|TestUnhardened|TestOptionValidationMatrix|TestCheckHardened' ./download/ ./internal/dst/
 	$(GO) run ./cmd/drshrink search -protocol committee -n 4 -t 1 -L 32 -seed 201 -strategies 24 -schedules 4 -no-shrink -harden -out-dir harden-findings
 	$(GO) run ./cmd/drshrink search -protocol twocycle  -n 32 -t 1 -L 64 -seed 202 -strategies 16 -schedules 4 -no-shrink -harden -out-dir harden-findings
 	$(GO) run ./cmd/drshrink search -protocol committee-weak -n 4 -t 1 -L 16 -seed 203 -strategies 16 -schedules 4 -no-shrink -harden -expect-finding -out-dir harden-findings

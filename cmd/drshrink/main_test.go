@@ -120,3 +120,58 @@ twocycle-weak      two-cycle with frequency threshold forced to 1 (unsafe) [test
 		t.Fatalf("list exited %d:\n%s\nwant:\n%s", code, out.String(), want)
 	}
 }
+
+// TestHardenedPositiveControl pins `make harden`'s positive control: the
+// search against committee-weak finds five violations, and the hardened
+// re-run of each ends correct, four of them by escalating to naive. Its
+// stdout is pinned whole, with the output directory and the elapsed time
+// normalised.
+func TestHardenedPositiveControl(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"search", "-protocol", "committee-weak", "-n", "4", "-t", "1", "-L", "16",
+		"-seed", "203", "-strategies", "16", "-schedules", "4", "-no-shrink", "-harden",
+		"-expect-finding", "-out-dir", dir}
+	code, stdout := runStdout(t, args)
+	stdout = strings.ReplaceAll(stdout, dir, "harden-findings")
+	stdout = regexp.MustCompile(`findings in \S+`).ReplaceAllString(stdout, "findings in ELAPSED")
+	const want = `search: committee-weak: 128 runs, 5 findings in ELAPSED
+finding 0: s2063974025443682496[equivocate,lie,equivocate,equivocate] -> [peer 1: output wrong at bit 2]
+  wrote harden-findings/committee-weak-finding-00.dsr and harden-findings/committee-weak-finding-00.jsonl
+  hardened: detected=false corrected=false final-correct=true ladder=[committee-weak] Q=28
+finding 1: s7953752410955653305[lie,equivocate,deliver] -> [peer 2: output wrong at bit 5]
+  wrote harden-findings/committee-weak-finding-01.dsr and harden-findings/committee-weak-finding-01.jsonl
+  hardened: detected=true corrected=true final-correct=true ladder=[committee-weak naive] Q=44
+finding 2: s7953752410955653305[lie,equivocate,deliver] -> [peer 3: output wrong at bit 8]
+  wrote harden-findings/committee-weak-finding-02.dsr and harden-findings/committee-weak-finding-02.jsonl
+  hardened: detected=true corrected=true final-correct=true ladder=[committee-weak naive] Q=44
+finding 3: s7953752410955653305[lie,equivocate,deliver] -> [peer 0: output wrong at bit 11 peer 1: output wrong at bit 2]
+  wrote harden-findings/committee-weak-finding-03.dsr and harden-findings/committee-weak-finding-03.jsonl
+  hardened: detected=true corrected=true final-correct=true ladder=[committee-weak naive] Q=44
+finding 4: s1692252817186645717[lie,flood] -> [peer 2: output wrong at bit 5 peer 3: output wrong at bit 0]
+  wrote harden-findings/committee-weak-finding-04.dsr and harden-findings/committee-weak-finding-04.jsonl
+  hardened: detected=true corrected=true final-correct=true ladder=[committee-weak naive] Q=44
+`
+	if code != 0 || stdout != want {
+		t.Fatalf("hardened positive control exited %d (want 0):\n%s\nwant:\n%s", code, stdout, want)
+	}
+}
+
+// runStdout runs args with os.Stdout sent to a file and returns the exit
+// code and what was printed there.
+func runStdout(t *testing.T, args []string) (int, string) {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	code := run(args)
+	os.Stdout = saved
+	b, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(b)
+}
