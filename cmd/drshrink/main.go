@@ -348,13 +348,13 @@ func cmdSearch(args []string) int {
 			fmt.Printf("  wrote %s.dsr and %s.jsonl\n", base, base)
 		}
 		if *hardenRerun {
-			chk, err := dst.CheckHardened(f.Replay, nil)
+			h, err := dst.CheckHardened(f.Replay, nil)
 			if err != nil {
 				return fail(err)
 			}
 			fmt.Printf("  hardened: detected=%v corrected=%v final-correct=%v ladder=%v Q=%d\n",
-				chk.Detected, chk.Corrected, chk.FinalCorrect, chk.Outcome.Escalations(), chk.Outcome.Q)
-			if !chk.Ok() {
+				h.Detected, h.Corrected, h.Result.Correct, h.Escalations(), h.Result.Q)
+			if !h.Result.Correct {
 				uncorrected++
 			}
 		}

@@ -2,7 +2,6 @@ package download
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/harden"
 )
@@ -28,11 +27,11 @@ func DefaultLadder(p Protocol) []Protocol {
 // detectors, every honest output is audited against the source, and a
 // confirmed violation escalates to the next weaker-assumption protocol
 // warm from the bits earlier attempts verified. Each attempt runs under
-// opts.Deadline. The returned Report is the final attempt's, with Q,
-// Msgs, MsgBits, Time, Events and each peer's query bits, messages and
-// message bits summed over the attempts (Q with the audit bits); its
-// Hardening field is the supervisor's outcome, whose attempts keep their
-// own results. The adversary keeps attacking the *original*
+// opts.Deadline. The returned Report is the supervisor's account of the
+// run (harden.Outcome.Result: the final attempt's Result, with Q,
+// messages, time and events summed over the attempts, Q with the audit
+// bits); its Hardening field is the supervisor's outcome, whose attempts
+// keep their own results. The adversary keeps attacking the *original*
 // protocol on every rung — escalation changes the honest code, not the
 // faults.
 func RunHardened(opts Options) (*Report, error) {
@@ -72,26 +71,7 @@ func RunHardenedLadder(opts Options, ladder []Protocol) (*Report, error) {
 	if err := flush(); err != nil {
 		return nil, fmt.Errorf("download: trace: %w", err)
 	}
-	rep := buildReport(out.Final)
-	// The final attempt's PerPeer is shared with out.Attempts; clone it so
-	// the attempt keeps its own figures.
-	rep.PerPeer = slices.Clone(rep.PerPeer)
-	rep.Q, rep.Msgs, rep.MsgBits, rep.Time, rep.Events = out.Q, 0, 0, 0, 0
-	for i := range rep.PerPeer {
-		rep.PerPeer[i].QueryBits = out.PerPeerQ[i]
-		rep.PerPeer[i].MsgsSent, rep.PerPeer[i].MsgBitsSent = 0, 0
-	}
-	for _, a := range out.Attempts {
-		res := a.Result
-		rep.Msgs += res.Msgs
-		rep.MsgBits += res.MsgBits
-		rep.Time += res.Time
-		rep.Events += res.Events
-		for i, ps := range res.PerPeer {
-			rep.PerPeer[i].MsgsSent += ps.MsgsSent
-			rep.PerPeer[i].MsgBitsSent += ps.MsgBitsSent
-		}
-	}
+	rep := buildReport(&out.Result)
 	rep.Hardening = out
 	return rep, nil
 }

@@ -161,8 +161,8 @@ func TestHardenedRunAttemptsKeepOwnQueryBits(t *testing.T) {
 		t.Fatalf("got %d attempts, want 2", len(h.Attempts))
 	}
 	final := h.Attempts[1].Result
-	if final != h.Final {
-		t.Fatal("the last attempt's Result is not the outcome's Final")
+	if &final.PerPeer[0] == &h.Result.PerPeer[0] {
+		t.Fatal("the outcome's Result shares the last attempt's PerPeer")
 	}
 	var attemptBits, cumulative int
 	for j := range rep.PerPeer {
@@ -196,9 +196,10 @@ func TestHardenedReportSumsAttempts(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := rep.Hardening
-	if len(h.Attempts) < 2 || h.Final.Msgs >= rep.Msgs {
+	final := h.Attempts[len(h.Attempts)-1].Result
+	if len(h.Attempts) < 2 || final.Msgs >= rep.Msgs {
 		t.Fatalf("want an escalated run whose earlier rungs sent messages: %d attempts, final M %d, Report M %d",
-			len(h.Attempts), h.Final.Msgs, rep.Msgs)
+			len(h.Attempts), final.Msgs, rep.Msgs)
 	}
 	var msgs, msgBits, events int
 	var time float64
@@ -222,7 +223,7 @@ func TestHardenedReportSumsAttempts(t *testing.T) {
 			t.Errorf("peer %d: Report's (messages, bits) %v != attempts' sums %v", i, got, perPeer[i])
 		}
 	}
-	for i, ps := range h.Final.PerPeer {
+	for i, ps := range final.PerPeer {
 		if ps.Honest && ps.MsgsSent != 0 {
 			t.Errorf("the naive attempt's own Result says honest peer %d sent %d messages", i, ps.MsgsSent)
 		}

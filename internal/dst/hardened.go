@@ -21,23 +21,6 @@ import (
 // faulty set) and the model parameters carry over exactly, so the check
 // answers "does hardening beat this adversary", not "this schedule".
 
-// HardenedCheck is the verdict of one hardened re-run.
-type HardenedCheck struct {
-	// Outcome is the supervisor's full account (attempts, violations,
-	// escalations, Q accounting).
-	Outcome *harden.Outcome
-	// Detected and Corrected mirror the supervisor's verdict.
-	Detected  bool
-	Corrected bool
-	// FinalCorrect is the ground-truth check of the final attempt: every
-	// honest peer output X exactly. The supervisor never consults this to
-	// decide escalation; the harness consults it to judge the supervisor.
-	FinalCorrect bool
-}
-
-// Ok reports that the hardened run ended with every honest peer correct.
-func (c *HardenedCheck) Ok() bool { return c.FinalCorrect }
-
 // DefaultLadder returns the escalation ladder a hardened re-check uses
 // for a registry protocol: the protocol itself, then naive (the
 // any-β fallback). Weakened *-weak/-legacy variants keep their flawed
@@ -53,8 +36,11 @@ func DefaultLadder(protocol string) []string {
 // CheckHardened re-runs the scenario of r under the hardening supervisor
 // with the given escalation ladder (nil selects DefaultLadder). The
 // error covers structural problems only; the supervisor's performance is
-// the HardenedCheck.
-func CheckHardened(r *Replay, ladder []string) (*HardenedCheck, error) {
+// the Outcome: its Detected and Corrected are the supervisor's verdict,
+// and its Result.Correct, the ground truth of the final attempt (every
+// honest peer output X), is what judges the supervisor, which never
+// consults it to decide escalation.
+func CheckHardened(r *Replay, ladder []string) (*harden.Outcome, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
@@ -79,22 +65,5 @@ func CheckHardened(r *Replay, ladder []string) (*HardenedCheck, error) {
 		return nil, err
 	}
 	spec.Delays = adversary.NewRandomUnit(r.Seed + 1000003)
-	out, err := harden.Run(harden.Config{Base: *spec, Rungs: rungs})
-	if err != nil {
-		return nil, err
-	}
-	check := &HardenedCheck{
-		Outcome:   out,
-		Detected:  out.Detected,
-		Corrected: out.Corrected,
-	}
-	check.FinalCorrect = true
-	for i := range out.Final.PerPeer {
-		st := &out.Final.PerPeer[i]
-		if st.Honest && !st.OutputCorrect {
-			check.FinalCorrect = false
-			break
-		}
-	}
-	return check, nil
+	return harden.Run(harden.Config{Base: *spec, Rungs: rungs})
 }

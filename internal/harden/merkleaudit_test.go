@@ -190,17 +190,17 @@ func TestRunMerkleAuditDetectsAndCorrects(t *testing.T) {
 	if !found {
 		t.Fatalf("forger attempt raised no audit violation: %v", out.Attempts[0].Violations)
 	}
-	if !out.Final.Correct {
+	if !out.Result.Correct {
 		t.Fatalf("final attempt incorrect")
 	}
 	p := merkle.Params{TotalBits: L, LeafBits: 64}
 	// Two attempts, each auditing ≤ the log bound per peer, on top of the
 	// naive rung's L protocol bits (minus the warm bits the first audit's
 	// descent already verified).
-	if maxQ := L + 2*merkleAuditBound(p); out.Q > maxQ {
-		t.Fatalf("hardened Q = %d, want ≤ L + 2·auditBound = %d", out.Q, maxQ)
+	if maxQ := L + 2*merkleAuditBound(p); out.Result.Q > maxQ {
+		t.Fatalf("hardened Q = %d, want ≤ L + 2·auditBound = %d", out.Result.Q, maxQ)
 	}
-	if out.Q < L {
-		t.Fatalf("hardened Q = %d below L = %d — protocol bits went missing", out.Q, L)
+	if out.Result.Q < L {
+		t.Fatalf("hardened Q = %d below L = %d — protocol bits went missing", out.Result.Q, L)
 	}
 }
