@@ -2,6 +2,7 @@ package netrt_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -163,14 +164,28 @@ func TestManySeedsSequential(t *testing.T) {
 // runtime). The survivors must still complete (crashk tolerates it),
 // and the crashed peers are reported crashed and faulty rather than
 // failing the run.
+//
+// No honest crashk peer waits for a given other peer, and sockets start
+// no peer before another, so a crashing peer's client could connect only
+// after the survivors had finished, and never reach its crash point. So
+// both crash points lie in crashk's Init, whose actions are init, the
+// phase-1 query and one Req1 send to each other peer (peer 1 crashes on
+// its second send, peer 5 on its fifth), and every survivor begins its
+// Init only once both crashing peers have begun theirs (initGate). A
+// client runs its Init to the end once it began, and the run waits for
+// every client.
 func TestChurnCrashMidRun(t *testing.T) {
 	crashed := []sim.Fate{
 		{Peer: 1, CrashAfter: 3, Downtime: -1},
-		{Peer: 5, CrashAfter: 12, Downtime: -1},
+		{Peer: 5, CrashAfter: 6, Downtime: -1},
 	}
+	var begun sync.WaitGroup
+	begun.Add(len(crashed))
 	res, err := netrt.Run(netrt.Config{
 		N: 8, T: 3, L: 2048, MsgBits: 256, Seed: 6,
-		NewPeer: crashk.New,
+		NewPeer: func(id sim.PeerID) sim.Peer {
+			return &initGate{Peer: crashk.New(id), crashes: id == 1 || id == 5, begun: &begun}
+		},
 		Fates:   crashed,
 		Timeout: 30 * time.Second,
 	})
@@ -186,4 +201,21 @@ func TestChurnCrashMidRun(t *testing.T) {
 				cp.Peer, ps.Honest, ps.Crashed, ps.Rejoined)
 		}
 	}
+}
+
+// initGate holds the Init of a peer that does not crash until every peer
+// that crashes has begun its own.
+type initGate struct {
+	sim.Peer
+	crashes bool
+	begun   *sync.WaitGroup
+}
+
+func (g *initGate) Init(ctx sim.Context) {
+	if g.crashes {
+		g.begun.Done()
+	} else {
+		g.begun.Wait()
+	}
+	g.Peer.Init(ctx)
 }
