@@ -194,9 +194,10 @@ func (neverPeer) OnMessage(sim.PeerID, sim.Message) {}
 func (neverPeer) OnQueryReply(sim.QueryReply)       {}
 
 // TestTimeoutErrorReportsPendingPeers checks that a hung run fails with a
-// structured error naming the unterminated peers.
+// structured error naming the unterminated peers, and still returns its
+// result, DeadlineHit set, beside it.
 func TestTimeoutErrorReportsPendingPeers(t *testing.T) {
-	_, err := netrt.Run(netrt.Config{
+	res, err := netrt.Run(netrt.Config{
 		N: 2, T: 0, L: 64, MsgBits: 64, Seed: 1,
 		NewPeer: func(sim.PeerID) sim.Peer { return neverPeer{} },
 		Timeout: 400 * time.Millisecond,
@@ -214,6 +215,9 @@ func TestTimeoutErrorReportsPendingPeers(t *testing.T) {
 	}
 	if len(terr.Pending) != 2 {
 		t.Fatalf("Pending = %v, want both peers", terr.Pending)
+	}
+	if res == nil || !res.DeadlineHit || res.Correct {
+		t.Errorf("result beside the timeout = %v, want one with DeadlineHit set and not correct", res)
 	}
 	for _, p := range terr.Pending {
 		if !p.Connected {

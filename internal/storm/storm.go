@@ -253,9 +253,10 @@ type RunOptions struct {
 // Run executes the storm on the real-socket runtime. It builds the full
 // netrt configuration — fault plan with its listener outage, source plan,
 // mirror fleet, churn schedule — and returns the runtime's result. The error
-// return carries config or termination failures (e.g. *netrt.TimeoutError
-// with honest peers still running); invariant checking is Check's job so
-// a caller can hold a partially failed run to the full list.
+// return carries config or termination failures; a run that timed out
+// (*netrt.TimeoutError, honest peers still running) returns its settled
+// result, DeadlineHit set, beside the error. Invariant checking is Check's
+// job so a caller can hold a partially failed run to the full list.
 func Run(spec Spec, opts RunOptions) (*sim.Result, error) {
 	factory, err := download.Protocol(spec.Protocol).Factory()
 	if err != nil {

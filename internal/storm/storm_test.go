@@ -3,6 +3,7 @@ package storm
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -132,6 +133,31 @@ func TestCheckNegativeControls(t *testing.T) {
 			t.Fatalf("want one termination violation, got %v", vs)
 		}
 	})
+}
+
+// TestTimedOutStormReports: a storm cut off by its timeout still reports.
+// Its churn peer rejoins only 5 s after its crash, and the run waits for
+// a rejoining peer, so a 200 ms timeout fires first: Run returns the
+// settled result, DeadlineHit set, beside the *netrt.TimeoutError, and
+// Check holds it to the invariants, not to termination alone.
+func TestTimedOutStormReports(t *testing.T) {
+	spec := Spec{Protocol: "naive", N: 4, T: 1, L: 256, MsgBits: 64, Seed: 1,
+		Churn: []ChurnEntry{{Peer: 1, CrashAfter: 2, Downtime: 5}}}
+	res, err := Run(spec, RunOptions{Timeout: 200 * time.Millisecond})
+	var terr *netrt.TimeoutError
+	if !errors.As(err, &terr) {
+		t.Fatalf("err = %v (%T), want *netrt.TimeoutError", err, err)
+	}
+	if res == nil || !res.DeadlineHit || res.Correct {
+		t.Fatalf("result beside the timeout = %v, want one with DeadlineHit set and not correct", res)
+	}
+	found := map[string]bool{}
+	for _, v := range Check(spec, res, err) {
+		found[v.Invariant] = true
+	}
+	if !found["termination"] || !found["correctness"] {
+		t.Fatalf("violations %v, want termination and correctness", found)
+	}
 }
 
 // TestStormPinnedSeedOverTCP is the acceptance storm on real sockets:
