@@ -1,6 +1,9 @@
 package adversary
 
-import "repro/internal/sim"
+import (
+	"repro/internal/hashmix"
+	"repro/internal/sim"
+)
 
 // HashDelay assigns pseudo-random delays that are a pure function of
 // (seed, endpoint pair, per-pair message ordinal). Unlike Random — which
@@ -38,7 +41,7 @@ func NewHashDelay(seed int64, min, max float64) *HashDelay {
 }
 
 func (p *HashDelay) delay(h uint64) float64 {
-	return p.Min + (p.Max-p.Min)*unit(h)
+	return p.Min + (p.Max-p.Min)*hashmix.Unit(h)
 }
 
 // MessageDelay implements sim.DelayPolicy.
@@ -46,7 +49,7 @@ func (p *HashDelay) MessageDelay(from, to sim.PeerID, _ float64, _ int) float64 
 	key := [2]sim.PeerID{from, to}
 	seq := p.msgSeq[key]
 	p.msgSeq[key] = seq + 1
-	h := mix(uint64(p.Seed) ^ mix(uint64(from)<<32|uint64(uint32(to))) ^ mix(seq+0x9E37))
+	h := hashmix.Mix(uint64(p.Seed) ^ hashmix.Mix(uint64(from)<<32|uint64(uint32(to))) ^ hashmix.Mix(seq+0x9E37))
 	return p.delay(h)
 }
 
@@ -54,12 +57,12 @@ func (p *HashDelay) MessageDelay(from, to sim.PeerID, _ float64, _ int) float64 
 func (p *HashDelay) QueryDelay(peer sim.PeerID, _ float64) float64 {
 	seq := p.qrySeq[peer]
 	p.qrySeq[peer] = seq + 1
-	h := mix(uint64(p.Seed) ^ mix(uint64(peer)+0xABCD) ^ mix(seq+0x51AF))
+	h := hashmix.Mix(uint64(p.Seed) ^ hashmix.Mix(uint64(peer)+0xABCD) ^ hashmix.Mix(seq+0x51AF))
 	return p.delay(h)
 }
 
 // StartDelay implements sim.DelayPolicy.
 func (p *HashDelay) StartDelay(peer sim.PeerID) float64 {
-	h := mix(uint64(p.Seed) ^ mix(uint64(peer)+0xF00D))
-	return (p.Max - p.Min) * unit(h)
+	h := hashmix.Mix(uint64(p.Seed) ^ hashmix.Mix(uint64(peer)+0xF00D))
+	return (p.Max - p.Min) * hashmix.Unit(h)
 }

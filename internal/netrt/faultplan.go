@@ -5,7 +5,7 @@ import (
 	"net"
 	"time"
 
-	"repro/internal/adversary"
+	"repro/internal/hashmix"
 	"repro/internal/sim"
 )
 
@@ -19,7 +19,7 @@ const srcID = sim.PeerID(-1)
 // and every query reply crosses exactly one planned hop). Each per-frame
 // decision — drop, duplicate, extra delay — is a pure function of
 // (Seed, sender, receiver, stream sequence number, attempt), computed via
-// adversary.Mix64. Two runs with the same plan therefore impose the same
+// hashmix.Mix64. Two runs with the same plan therefore impose the same
 // fault schedule on the same traffic, no matter how goroutines interleave:
 // the one non-reproducible runtime gets a replayable adversary.
 //
@@ -163,7 +163,7 @@ const (
 )
 
 func (p *FaultPlan) roll(tag uint64, from, to sim.PeerID, seq uint64, attempt int) float64 {
-	return adversary.MixUnit(uint64(p.Seed), tag,
+	return hashmix.MixUnit(uint64(p.Seed), tag,
 		uint64(int64(from)), uint64(int64(to)), seq, uint64(attempt))
 }
 
@@ -223,7 +223,7 @@ func (p *FaultPlan) stallRemaining(to sim.PeerID, elapsed time.Duration) time.Du
 		return 0
 	}
 	period := p.StallEvery + p.StallFor
-	phase := time.Duration(adversary.MixUnit(uint64(p.Seed), rollStallPhase, uint64(int64(to))) * float64(period))
+	phase := time.Duration(hashmix.MixUnit(uint64(p.Seed), rollStallPhase, uint64(int64(to))) * float64(period))
 	pos := (elapsed + phase) % period
 	if pos >= p.StallEvery {
 		return period - pos

@@ -11,7 +11,7 @@
 // motivate sources that are slow, rate-limited, or intermittently
 // unreachable. This package opens that scenario space with the same
 // discipline netrt.FaultPlan established for the network: every fault
-// decision is a pure function of (seed, identity) via adversary.Mix64, so
+// decision is a pure function of (seed, identity) via hashmix.Mix64, so
 // a faulty source is a replayable adversary, not a flaky test.
 package source
 
