@@ -33,23 +33,3 @@ func BlockOwner(L, n, i int) PeerID {
 	}
 	return PeerID(r + (i-boundary)/q)
 }
-
-// SpreadOwner deterministically assigns the j-th element (0-based, in
-// increasing index order) of a reassigned set among n peers: element j
-// goes to peer j mod n. Used when a missing peer's bits are re-spread
-// evenly over all peers; every honest peer derives the same mapping from
-// the same set.
-func SpreadOwner(j, n int) PeerID { return PeerID(j % n) }
-
-// SpreadSlots returns the positions j (into a set of m reassigned
-// elements) owned by peer p under SpreadOwner.
-func SpreadSlots(m, n int, p PeerID) []int {
-	if m <= 0 {
-		return nil
-	}
-	out := make([]int, 0, m/n+1)
-	for j := int(p); j < m; j += n {
-		out = append(out, j)
-	}
-	return out
-}

@@ -4,7 +4,7 @@ import "testing"
 
 // Table-driven boundary tests for the assignment helpers at the edges the
 // generic property tests sample only incidentally: L not divisible by n,
-// L < n (empty blocks), n = 1, and the extreme fault budget t = n-1.
+// L < n (empty blocks) and n = 1.
 
 func TestBlockRangeBoundaries(t *testing.T) {
 	cases := []struct {
@@ -82,72 +82,6 @@ func TestBlockPartitionExactCover(t *testing.T) {
 			if maxSize-minSize > 1 {
 				t.Fatalf("L=%d n=%d: block sizes range [%d,%d], want spread <= 1",
 					L, n, minSize, maxSize)
-			}
-		}
-	}
-}
-
-// TestSpreadSlotsBoundaries: the spread reassignment at m < n, m = 0,
-// n = 1, and the t = n-1 regime (one survivor owns everything).
-func TestSpreadSlotsBoundaries(t *testing.T) {
-	cases := []struct {
-		name string
-		m, n int
-		p    PeerID
-		want []int
-	}{
-		{"m-zero", 0, 3, 0, nil},
-		{"m-negative", -2, 3, 0, nil},
-		{"m-less-than-n-hit", 2, 5, 1, []int{1}},
-		{"m-less-than-n-miss", 2, 5, 4, nil},
-		{"n-one-owns-all", 4, 1, 0, []int{0, 1, 2, 3}},
-		{"wraparound", 7, 3, 1, []int{1, 4}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := SpreadSlots(tc.m, tc.n, tc.p)
-			if len(got) != len(tc.want) {
-				t.Fatalf("SpreadSlots(%d,%d,%d) = %v, want %v", tc.m, tc.n, tc.p, got, tc.want)
-			}
-			for i := range got {
-				if got[i] != tc.want[i] {
-					t.Fatalf("SpreadSlots(%d,%d,%d) = %v, want %v", tc.m, tc.n, tc.p, got, tc.want)
-				}
-			}
-		})
-	}
-}
-
-// TestSpreadExactCoverAtMaxFaults: with t = n-1 faulty peers, the m
-// reassigned slots must still be covered exactly once across ALL n peers
-// (SpreadOwner is fault-oblivious — survivors just pick up their share),
-// and SpreadOwner must agree with SpreadSlots.
-func TestSpreadExactCoverAtMaxFaults(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 5} {
-		// The t = n-1 regime reassigns up to (n-1) crashed blocks' items;
-		// m below covers those shapes. The partition itself is
-		// fault-oblivious, which is exactly what makes it safe there.
-		for _, m := range []int{0, 1, n - 1, n, 3*n + 2} {
-			if m < 0 {
-				continue
-			}
-			covered := make([]int, m)
-			for p := 0; p < n; p++ {
-				for _, j := range SpreadSlots(m, n, PeerID(p)) {
-					if j < 0 || j >= m {
-						t.Fatalf("m=%d n=%d: slot %d out of range", m, n, j)
-					}
-					covered[j]++
-					if SpreadOwner(j, n) != PeerID(p) {
-						t.Fatalf("m=%d n=%d: SpreadOwner(%d) = %d, slot listed for %d",
-							m, n, j, SpreadOwner(j, n), p)
-					}
-				}
-			}
-			for j, c := range covered {
-				if c != 1 {
-					t.Fatalf("m=%d n=%d: slot %d covered %d times", m, n, j, c)
-				}
 			}
 		}
 	}

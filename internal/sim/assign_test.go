@@ -73,41 +73,6 @@ func TestQuickBlockOwnerConsistency(t *testing.T) {
 	}
 }
 
-func TestSpreadOwnerBalance(t *testing.T) {
-	const m, n = 100, 7
-	counts := make([]int, n)
-	for j := 0; j < m; j++ {
-		counts[SpreadOwner(j, n)]++
-	}
-	for p, c := range counts {
-		if c < m/n || c > m/n+1 {
-			t.Errorf("peer %d got %d of %d items", p, c, m)
-		}
-	}
-}
-
-func TestSpreadSlots(t *testing.T) {
-	const m, n = 11, 4
-	seen := make(map[int]bool)
-	for p := 0; p < n; p++ {
-		for _, j := range SpreadSlots(m, n, PeerID(p)) {
-			if SpreadOwner(j, n) != PeerID(p) {
-				t.Fatalf("slot %d not owned by %d", j, p)
-			}
-			if seen[j] {
-				t.Fatalf("slot %d assigned twice", j)
-			}
-			seen[j] = true
-		}
-	}
-	if len(seen) != m {
-		t.Fatalf("covered %d of %d slots", len(seen), m)
-	}
-	if SpreadSlots(0, n, 0) != nil {
-		t.Error("empty spread not nil")
-	}
-}
-
 func TestConfigValidateAndDerived(t *testing.T) {
 	c := Config{N: 10, T: 3, L: 100, MsgBits: 16, Seed: 1}
 	if err := c.Validate(); err != nil {
