@@ -15,7 +15,7 @@ GOVULNCHECK := golang.org/x/vuln/cmd/govulncheck@v1.1.3
 # pathologies). Override for slow local machines: make test TIMEOUT=20m.
 TIMEOUT ?= 10m
 
-.PHONY: all build fmt vet test race bench profile conform conformance chaos source-chaos mirrors scale-smoke storm experiments fuzz lint cover dst-search dst-regen harden loc clean
+.PHONY: all build fmt vet test race bench profile conform conformance chaos source-chaos mirrors scale-smoke storm experiments fuzz lint cover dst-search dst-regen harden harden-tcp loc clean
 
 all: build vet test
 
@@ -253,13 +253,31 @@ dst-regen:
 #     the supervisor (findings land in harden-findings/ as .dsr replays;
 #     twocycle at n = 32, the smallest shape that runs its segment engine);
 #  3. positive control: against committee-weak the search MUST find
-#     violations AND the supervisor must correct every one of them.
-harden:
+#     violations AND the supervisor must correct every one of them;
+#  4. the pinned end-to-end scenario with every rung over sockets
+#     (harden-tcp).
+harden: harden-tcp
 	$(GO) test -count=1 -timeout $(TIMEOUT) ./internal/harden/
 	$(GO) test -count=1 -timeout $(TIMEOUT) -run 'TestHardened|TestUnhardened|TestOptionValidationMatrix|TestCheckHardened' ./download/ ./internal/dst/
 	$(GO) run ./cmd/drshrink search -protocol committee -n 4 -t 1 -L 32 -seed 201 -strategies 24 -schedules 4 -no-shrink -harden -out-dir harden-findings
 	$(GO) run ./cmd/drshrink search -protocol twocycle  -n 32 -t 1 -L 64 -seed 202 -strategies 16 -schedules 4 -no-shrink -harden -out-dir harden-findings
 	$(GO) run ./cmd/drshrink search -protocol committee-weak -n 4 -t 1 -L 16 -seed 203 -strategies 16 -schedules 4 -no-shrink -harden -expect-finding -out-dir harden-findings
+
+# The pinned end-to-end scenario (twocycle, n = 64, t = 15, 32 liars,
+# seed 26) hardened over sockets, 3 s per attempt, through the shipped
+# drsim binary: every run must print a correct output, and one must
+# print corrected=true, the forgery detected and corrected. Over sockets
+# the forgery lands in about half the runs of a fresh process (the hub
+# relays broadcasts in arrival order; docs/HARDENING.md "The runner"), so
+# up to ten runs are made.
+harden-tcp:
+	@bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && $(GO) build -o "$$bin/drsim" ./cmd/drsim && \
+	for i in 1 2 3 4 5 6 7 8 9 10; do \
+		out=$$("$$bin/drsim" -protocol twocycle -n 64 -t 15 -L 1024 -faulty 32 -behavior liar -allow-excess -seed 26 -harden -tcp -deadline 3); \
+		echo "$$out" | grep -v 'audit-mismatch'; \
+		echo "$$out" | grep -q '^correct     true' || { echo "harden-tcp: hardened run over sockets not correct"; exit 1; }; \
+		if echo "$$out" | grep -q 'corrected=true'; then exit 0; fi; \
+	done; echo "harden-tcp: no forgery detected and corrected in 10 socket runs"; exit 1
 
 # Line counts of the Go sources: non-test Go outside benchmark/ (the
 # library, CLIs and examples), all Go under benchmark/, and _test.go files

@@ -16,8 +16,9 @@
 // the contract any new runtime must pass before it can land.
 //
 // The des column always runs; -tcp, -flaky-source, -mirrors and -harden
-// each add one column, in either mode. A cell a runtime cannot
-// serve (download.Run returns *download.UnsupportedError) prints "-".
+// each add one column, in either mode. A cell none of whose runs ran
+// prints "-": on tcp, a case with a source plan, whose times are des
+// steps (conformance.Runtime.Supports).
 //
 // Examples:
 //

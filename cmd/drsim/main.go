@@ -47,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		deadline = fs.Float64("deadline", 0, "cut the run off after this many time units, seconds with -tcp (0: none; -tcp then stops at 30 s)")
 		srcPlan  = fs.String("source-faults", "", `seeded source fault plan, e.g. "fail=0.25,outage=2..5,seed=7" (des and TCP runtimes)`)
 		mirrors  = fs.String("mirrors", "", `untrusted mirror fleet plan, e.g. "mirrors=5,byz=3,behavior=mixed,seed=7" (all runtimes; Merkle-verified replies, authoritative fallback)`)
-		tcpRT    = fs.Bool("tcp", false, "run over real TCP sockets (every behavior; faults within -t)")
+		tcpRT    = fs.Bool("tcp", false, "run over real TCP sockets (every behavior and option, -harden and -allow-excess included)")
 		verbose  = fs.Bool("v", false, "print per-peer stats, and on a TCP time-out the goroutine stacks")
 		traceOut = fs.String("tracejson", "", "write the run's event stream as JSONL to this file (/dev/stderr to watch it)")
 

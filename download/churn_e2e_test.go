@@ -2,6 +2,7 @@ package download_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -59,67 +60,57 @@ func TestDeadlineOverTCP(t *testing.T) {
 	}
 }
 
-// TestUnsupportedErrorTyped pins that the residual capability gaps come
-// back as *download.UnsupportedError, hardening and faults beyond T on
-// TCP among them, so an
-// orchestrator branches on the gap instead of string-matching: the
-// conformance runner (conformance.RunCase) prints such a cell as skipped.
-func TestUnsupportedErrorTyped(t *testing.T) {
+// TestRuntimeCoverage pins what each runtime serves: every option runs
+// on tcp as on des — faults beyond T, hardening, and a rejoining churn
+// peer with no CheckpointDir, which checkpoints to a temporary dir — and
+// the one option that means nothing on des, CheckpointDir, is refused
+// there as misconfiguration.
+func TestRuntimeCoverage(t *testing.T) {
+	t.Run("checkpoint dir on des", func(t *testing.T) {
+		_, err := download.Run(download.Options{
+			Protocol: download.Naive, N: 4, T: 1, L: 64,
+			CheckpointDir: "/tmp/ckpt",
+		})
+		if err == nil || !strings.Contains(err.Error(), "CheckpointDir") {
+			t.Fatalf("err = %v, want CheckpointDir refused on des", err)
+		}
+	})
 	cases := []struct {
 		name     string
 		opts     download.Options
-		runtime  string
 		hardened bool
 	}{
-		{"checkpoint dir on des", download.Options{
-			Protocol: download.Naive, N: 4, T: 1, L: 64,
-			CheckpointDir: "/tmp/ckpt",
-		}, "des", false},
 		{"excess faults on tcp", download.Options{
 			Protocol: download.Naive, N: 6, T: 1, L: 64, TCP: true,
 			Behavior: download.CrashImmediate, Faulty: 3, AllowExcessFaults: true,
-		}, "tcp", false},
+		}, false},
 		{"hardening on tcp", download.Options{
 			Protocol: download.Committee, N: 4, T: 1, L: 64, TCP: true,
-		}, "tcp", true},
+		}, true},
+		{"tcp churn rejoin without checkpoint dir", download.Options{
+			Protocol: download.Naive, N: 4, T: 1, L: 64, TCP: true,
+			Churn: []download.ChurnPeer{{Peer: 0, CrashAfter: 1, Downtime: 1}},
+		}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			run := download.Run
 			if tc.hardened {
-				run = func(o download.Options) (*download.Report, error) {
-					return download.RunHardened(o)
-				}
+				run = download.RunHardened
 			}
-			_, err := run(tc.opts)
-			var ue *download.UnsupportedError
-			if !errors.As(err, &ue) {
-				t.Fatalf("err = %v (%T), want *download.UnsupportedError", err, err)
+			rep, err := run(tc.opts)
+			if err != nil {
+				t.Fatalf("err = %v, want the run to be served", err)
 			}
-			if ue.Runtime != tc.runtime {
-				t.Errorf("Runtime = %q, want %q", ue.Runtime, tc.runtime)
+			if !rep.Correct {
+				t.Errorf("incorrect run: %v", rep.Failures)
 			}
-			if ue.Feature == "" || ue.Reason == "" {
-				t.Errorf("typed error missing detail: %+v", ue)
+			if tc.hardened && (rep.Hardening == nil || len(rep.Hardening.Attempts) != 1) {
+				t.Errorf("Hardening = %+v, want one clean attempt", rep.Hardening)
+			}
+			if len(tc.opts.Churn) > 0 && rep.Rejoins != 1 {
+				t.Errorf("Rejoins = %d, want 1", rep.Rejoins)
 			}
 		})
 	}
-	// A closed gap stays closed: a rejoining tcp churn peer with no
-	// CheckpointDir checkpoints to a temporary dir instead of being refused.
-	t.Run("tcp churn rejoin without checkpoint dir", func(t *testing.T) {
-		rep, err := download.Run(download.Options{
-			Protocol: download.Naive, N: 4, T: 1, L: 64, TCP: true,
-			Churn: []download.ChurnPeer{{Peer: 0, CrashAfter: 1, Downtime: 1}},
-		})
-		var ue *download.UnsupportedError
-		if errors.As(err, &ue) {
-			t.Fatalf("err = %v, want the run to be supported", ue)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rep.Correct || rep.Rejoins != 1 {
-			t.Errorf("Correct = %v, Rejoins = %d, want a correct run with 1 rejoin", rep.Correct, rep.Rejoins)
-		}
-	})
 }

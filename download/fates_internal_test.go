@@ -23,7 +23,8 @@ func TestFatesOneLowering(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", b, err)
 		}
-		des, tcp := buildSpec(opts, r).Faults.Fates, tcpConfig(opts, r, nil).Fates
+		spec := buildSpec(opts, r)
+		des, tcp := spec.Faults.Fates, tcpConfig(spec, "").Fates
 		if len(des) != len(tcp) {
 			t.Fatalf("%q: des runs %d fates, tcp %d", b, len(des), len(tcp))
 		}

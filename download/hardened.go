@@ -46,10 +46,6 @@ func RunHardenedLadder(opts Options, ladder []Protocol) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.TCP {
-		return nil, &UnsupportedError{Runtime: "tcp", Feature: "hardening",
-			Reason: "the supervisor re-runs and audits on a simulated runtime; use des"}
-	}
 	if len(ladder) == 0 || ladder[0] != opts.Protocol {
 		return nil, fmt.Errorf("download: ladder must start at %q", opts.Protocol)
 	}
@@ -64,7 +60,7 @@ func RunHardenedLadder(opts Options, ladder []Protocol) (*Report, error) {
 	spec := buildSpec(opts, r)
 	var flush func() error
 	spec.Observer, flush = opts.stream()
-	out, err := harden.Run(harden.Config{Base: *spec, Rungs: rungs})
+	out, err := harden.Run(harden.Config{Base: *spec, Rungs: rungs, Run: opts.runner()})
 	if err != nil {
 		return nil, err
 	}

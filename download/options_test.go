@@ -129,7 +129,7 @@ func TestOptionValidationMatrix(t *testing.T) {
 			o.Faulty, o.Behavior = 2, download.Silent
 			o.AllowExcessFaults = true
 			return o
-		}, "unsupported on the tcp runtime"},
+		}, ""},
 		{"every behavior accepted in sim", func(o download.Options) download.Options {
 			o.Faulty, o.Behavior = 1, download.Equivocate
 			return o

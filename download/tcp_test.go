@@ -1,9 +1,11 @@
 package download_test
 
 import (
+	"errors"
 	"testing"
 
 	"repro/download"
+	"repro/internal/netrt"
 	"repro/internal/obs"
 )
 
@@ -27,7 +29,6 @@ func TestTCPTransport(t *testing.T) {
 
 func TestTCPTransportRejections(t *testing.T) {
 	cases := []download.Options{
-		{Protocol: download.CrashK, N: 6, T: 2, L: 64, TCP: true, Behavior: download.Liar, Faulty: 3, AllowExcessFaults: true},
 		{Protocol: "bogus", N: 6, T: 2, L: 64, TCP: true},
 		{Protocol: download.CrashK, N: 6, T: 2, L: 64, TCP: true, Input: make([]bool, 3)},
 	}
@@ -35,6 +36,14 @@ func TestTCPTransportRejections(t *testing.T) {
 		if _, err := download.Run(opts); err == nil {
 			t.Errorf("case %d: invalid TCP options accepted", i)
 		}
+	}
+	// Faults beyond T are no misconfiguration: the run is served, as on
+	// des. Three liars stall crashk, so it runs to its deadline.
+	excess := download.Options{Protocol: download.CrashK, N: 6, T: 2, L: 64, TCP: true,
+		Behavior: download.Liar, Faulty: 3, AllowExcessFaults: true, Deadline: 0.5}
+	var terr *netrt.TimeoutError
+	if _, err := download.Run(excess); err != nil && !errors.As(err, &terr) {
+		t.Errorf("faults beyond T refused on TCP: %v", err)
 	}
 }
 

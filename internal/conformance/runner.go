@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -37,9 +36,8 @@ const (
 // Supports reports whether conformance runs a case on the runtime at all.
 // Its one rule is conformance's own: a case with a source plan does not
 // run on tcp, because the plan's times are des steps there and sockets
-// would read them as seconds. What a runtime can serve is download's to
-// say: a run it refuses with *download.UnsupportedError is skipped too.
-// A skipped cell is not a pass; the matrix prints it as "-".
+// would read them as seconds. Every other case runs on every runtime. A
+// skipped cell is not a pass; the matrix prints it as "-".
 func (rt Runtime) Supports(c *Case) bool {
 	return rt != TCP || c.SourceFaults == ""
 }
@@ -93,8 +91,8 @@ func (d FieldDiff) String() string {
 type CaseOutcome struct {
 	Case    *Case
 	Runtime Runtime
-	// Skipped marks a cell the runtime does not run: one Supports
-	// rules out, or one download refused with *download.UnsupportedError.
+	// Skipped marks a cell the runtime does not run: one Supports rules
+	// out.
 	Skipped bool
 	// Err is a configuration or runtime error (not a mismatch).
 	Err error
@@ -176,17 +174,10 @@ func RunCase(c *Case, rt Runtime, cfg *Config) CaseOutcome {
 	case MIR:
 		opts.Mirrors = cfg.Mirrors
 	case Harden:
-		run = func(o download.Options) (*download.Report, error) {
-			return download.RunHardened(o)
-		}
+		run = download.RunHardened
 	}
 	rep, err := run(opts)
-	var unsupported *download.UnsupportedError
-	switch {
-	case errors.As(err, &unsupported):
-		out.Skipped = true
-		return out
-	case err != nil:
+	if err != nil {
 		out.Err = err
 		return out
 	}

@@ -2,7 +2,6 @@ package conformance
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"maps"
 	"strconv"
@@ -31,9 +30,6 @@ func streamRun(t *testing.T, c *Case, rt Runtime, reg *obs.Registry) (rep *downl
 	var buf bytes.Buffer
 	opts.TraceJSONL = &buf
 	rep, err = download.Run(opts)
-	if unsupported := (*download.UnsupportedError)(nil); errors.As(err, &unsupported) {
-		return nil, nil, false
-	}
 	if err != nil {
 		t.Fatalf("%s on %s: %v", c.Name, rt, err)
 	}

@@ -27,6 +27,7 @@
 package des
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -51,6 +52,9 @@ func New() *Runtime { return &Runtime{} }
 func (rt *Runtime) Run(spec *sim.Spec) (*sim.Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("des: %w", err)
+	}
+	if spec.Delays == nil {
+		return nil, errors.New("des: spec missing delay policy")
 	}
 	e := newEngine(spec, nil)
 	e.run()
@@ -237,10 +241,6 @@ func newEngine(spec *sim.Spec, choose func(decision, fanout int) int) *engine {
 			stats:      sim.PeerStats{ID: id, Honest: true},
 			fate:       fates[i],
 		}
-		var warm *bitarray.Tracker // spec.Warm's bits, unless a Byzantine behavior runs
-		if spec.Warm != nil {
-			warm = spec.Warm[i]
-		}
 		if f := p.fate; f != nil {
 			// A faulty peer crashes at its action count and, with a
 			// downtime, later rejoins warm from its persisted verified
@@ -248,15 +248,12 @@ func newEngine(spec *sim.Spec, choose func(decision, fanout int) int) *engine {
 			p.honest = false
 			p.stats.Honest = false
 			p.crashPoint = f.CrashAfter
-			if f.Byzantine != nil {
-				warm = nil
-			}
 			if f.Rejoins() {
 				e.churnLive++
 			}
 		}
 		p.impl = e.newImpl(p)
-		p.q = tier.NewPlane(i, &p.stats, p.fate.Rejoins(), warm)
+		p.q = tier.NewPlane(i, &p.stats, p.fate.Rejoins(), spec.PeerWarm(i, p.fate))
 		p.ctx = &peerCtx{e: e, p: p}
 		e.peers[i] = p
 		if p.honest {

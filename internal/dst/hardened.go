@@ -2,6 +2,7 @@ package dst
 
 import (
 	"repro/internal/adversary"
+	"repro/internal/des"
 	"repro/internal/harden"
 	"repro/internal/protocols"
 )
@@ -65,5 +66,5 @@ func CheckHardened(r *Replay, ladder []string) (*harden.Outcome, error) {
 		return nil, err
 	}
 	spec.Delays = adversary.NewRandomUnit(r.Seed + 1000003)
-	return harden.Run(harden.Config{Base: *spec, Rungs: rungs})
+	return harden.Run(harden.Config{Base: *spec, Rungs: rungs, Run: des.New().Run})
 }

@@ -40,7 +40,6 @@ import (
 	"strconv"
 
 	"repro/internal/bitarray"
-	"repro/internal/des"
 	"repro/internal/merkle"
 	"repro/internal/sim"
 )
@@ -107,6 +106,11 @@ type Config struct {
 	Base sim.Spec
 	// Rungs is the escalation ladder, strongest assumption first.
 	Rungs []Rung
+	// Run executes one attempt's spec on a runtime. Required. An error
+	// beside a Result whose DeadlineHit is set, as a socket run past its
+	// timeout returns, is the attempt's deadline violation; any other
+	// error is a configuration error.
+	Run func(*sim.Spec) (*sim.Result, error)
 }
 
 // Attempt is the outcome of one rung's execution.
@@ -177,6 +181,9 @@ func Run(cfg Config) (*Outcome, error) {
 	if len(cfg.Rungs) == 0 {
 		return nil, errors.New("harden: empty escalation ladder")
 	}
+	if cfg.Run == nil {
+		return nil, errors.New("harden: no runner")
+	}
 	for i, r := range cfg.Rungs {
 		if r.Name == "" || r.NewPeer == nil {
 			return nil, fmt.Errorf("harden: rung %d missing name or factory", i)
@@ -220,8 +227,8 @@ func Run(cfg Config) (*Outcome, error) {
 		col := NewCollector(n, base.Deadline, base.Observer)
 		spec.Observer = col
 
-		res, err := des.New().Run(&spec)
-		if err != nil {
+		res, err := cfg.Run(&spec)
+		if err != nil && (res == nil || !res.DeadlineHit) {
 			return nil, fmt.Errorf("harden: rung %s: %w", rung.Name, err)
 		}
 		met.attempts.With(rung.Name).Inc()

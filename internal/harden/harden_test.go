@@ -209,6 +209,10 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{Rungs: []Rung{{Name: "x"}}}); err == nil {
 		t.Error("rung without factory accepted")
 	}
+	rungs := []Rung{{Name: "x", NewPeer: func(sim.PeerID) sim.Peer { return nil }}}
+	if _, err := Run(Config{Rungs: rungs}); err == nil {
+		t.Error("config without runner accepted")
+	}
 }
 
 // TestCollectorOnSockets runs the evidence collector off the socket

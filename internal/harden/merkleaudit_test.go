@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/bitarray"
+	"repro/internal/des"
 	"repro/internal/merkle"
 	"repro/internal/protocols/naive"
 	"repro/internal/sim"
@@ -174,6 +175,7 @@ func TestRunMerkleAuditDetectsAndCorrects(t *testing.T) {
 			{Name: "forger", NewPeer: func(sim.PeerID) sim.Peer { return &forgingPeer{flip: 1291} }},
 			{Name: "naive", NewPeer: naive.NewBatched(64)},
 		},
+		Run: des.New().Run,
 	})
 	if err != nil {
 		t.Fatal(err)

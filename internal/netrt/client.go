@@ -153,12 +153,16 @@ func (c *client) run(churn *sim.Fate, store *checkpoint.Store, rejoined bool) (c
 		conn.poke()
 	}
 	c.writers.Wait()
-	if conn != nil && !crashed && connErr == nil {
-		// Graceful: our DONE is acked (or we were rejected). Half-close and
-		// drain so the hub's in-flight writes are not RST.
+	if conn != nil && connErr == nil {
+		// Our DONE is acked, we were rejected, or we crashed. Half-close
+		// and drain until the hub closes on our EOF, so that unread input
+		// does not turn the close into a reset that loses the frames in
+		// flight (after a crash, all the peer sent before its crash
+		// point). A silent hub is waited on for the idle window at most.
 		if tc, ok := conn.nc.(*net.TCPConn); ok {
 			_ = tc.CloseWrite()
 		}
+		_ = conn.nc.SetReadDeadline(time.Now().Add(c.idle))
 		_, _ = io.Copy(io.Discard, conn.nc)
 	}
 	if conn != nil {
@@ -218,7 +222,7 @@ type client struct {
 	// a rejoined peer's warm bits, and rules on every retry, park and
 	// probe. stats is the peer's accounting. Both outlive the incarnation.
 	// Guarded by mu — the read loop and the housekeeping timer both drive
-	// the plane — except q.Learn, which touches only the churn tracker and
+	// the plane — except q.Learn, which touches only the persisted tracker and
 	// runs, like the Begin that reads it, on the loop goroutine alone.
 	q     *qplane.Plane
 	stats *sim.PeerStats

@@ -41,6 +41,8 @@ type hubPeer struct {
 	termTime   float64
 	lastKind   byte
 	lastFrame  time.Time
+	// connected reports that a connection from the peer was ever installed.
+	connected bool
 }
 
 type hub struct {
@@ -194,6 +196,7 @@ func (h *hub) serve(nc net.Conn) {
 		}
 	}
 	old := hp.install(conn)
+	hp.connected = true
 	hp.mu.Unlock()
 	if old != nil {
 		old.Close()
@@ -622,10 +625,14 @@ func (h *hub) result(per []sim.PeerStats) *sim.Result {
 		ps := &per[i]
 		ps.ID, ps.Honest = id, h.fates[id] == nil
 		// A churn peer's client records its own crash; the hub knows
-		// which peers never connected.
+		// which peers never connected. A crash fate that never connected
+		// ran no action, as an absent peer runs none.
 		ps.Crashed = ps.Crashed || h.peers[id] == nil
 		if hp := h.peers[id]; hp != nil {
 			hp.mu.Lock()
+			if f := h.fates[id]; f != nil && f.CrashAfter >= 0 && !hp.connected {
+				ps.Crashed = true
+			}
 			ps.Terminated = hp.terminated
 			ps.TermTime = hp.termTime
 			ps.Output = hp.output

@@ -80,8 +80,15 @@ type Config struct {
 	// after roughly Downtime seconds and rejoins warm from its on-disk
 	// checkpoint via the resume handshake; the run waits for its DONE. A
 	// Byzantine behavior runs on its own client like any other peer, so
-	// everything it sends crosses the wire. At most T fates.
+	// everything it sends crosses the wire. At most T fates, unless
+	// AllowExcess.
 	Fates []sim.Fate
+	// AllowExcess permits more than T fates (sim.Faults.AllowExcess).
+	AllowExcess bool
+	// Warm holds each peer's source-verified bits, as sim.Spec.Warm does
+	// on des: a peer that runs NewPeer is served from its tracker where
+	// it can, and its tracker learns every reply.
+	Warm []*bitarray.Tracker
 	// Absent lists peers that never connect: a crash fate at action 0.
 	//
 	// Deprecated: use Fates; validate appends these to them. It stays
@@ -173,36 +180,28 @@ func (c *Config) idleTimeout() time.Duration {
 	return defaultIdleTimeout
 }
 
+// spec is the run's model as a sim.Spec, which both runtimes check
+// alike (sim.Spec.Validate; a socket run has no delay policy).
+func (c *Config) spec() *sim.Spec {
+	return &sim.Spec{
+		Config:  sim.Config{N: c.N, T: c.T, L: c.L, MsgBits: c.MsgBits, Seed: c.Seed, Input: c.Input},
+		NewPeer: c.NewPeer,
+		Faults:  sim.Faults{Fates: c.Fates, AllowExcess: c.AllowExcess},
+		Warm:    c.Warm, SourceFaults: c.SourceFaults, Mirrors: c.Mirrors,
+	}
+}
+
 func (c *Config) validate() error {
-	sc := sim.Config{N: c.N, T: c.T, L: c.L, MsgBits: c.MsgBits, Seed: c.Seed, Input: c.Input}
-	if err := sc.Validate(); err != nil {
-		return err
-	}
-	if c.NewPeer == nil {
-		return errors.New("netrt: missing NewPeer")
-	}
 	// The deprecated spellings become fates, appended to a copy so the
 	// caller's array is never written.
 	c.Fates = append(slices.Clip(c.Fates), sim.Crashes(c.Absent, 0)...)
 	c.Fates = append(c.Fates, c.Churn...)
 	c.Absent, c.Churn = nil, nil
-	if err := (sim.Faults{Fates: c.Fates}).Validate(c.N, c.T); err != nil {
-		return err
+	if err := c.spec().Validate(); err != nil {
+		return fmt.Errorf("netrt: %w", err)
 	}
 	if c.Faults != nil {
-		if err := c.Faults.validate(c.N); err != nil {
-			return err
-		}
-	}
-	if c.SourceFaults != nil {
-		if err := c.SourceFaults.Validate(); err != nil {
-			return fmt.Errorf("netrt: %w", err)
-		}
-	}
-	if c.Mirrors != nil {
-		if err := c.Mirrors.Validate(); err != nil {
-			return fmt.Errorf("netrt: %w", err)
-		}
+		return c.Faults.validate(c.N)
 	}
 	return nil
 }
@@ -272,9 +271,8 @@ func Run(cfg Config) (*sim.Result, error) {
 		defer os.RemoveAll(dir)
 		cfg.CheckpointDir = dir
 	}
-	simCfg := sim.Config{N: cfg.N, T: cfg.T, L: cfg.L, MsgBits: cfg.MsgBits,
-		Seed: cfg.Seed, Input: cfg.Input}
-	input := simCfg.ResolveInput()
+	spec := cfg.spec()
+	input := spec.Config.ResolveInput()
 
 	start := time.Now()
 	ev := newEvents(&cfg, start)
@@ -291,7 +289,7 @@ func Run(cfg Config) (*sim.Result, error) {
 	}
 	// One Knowledge serves every Byzantine peer, as on des; behaviors
 	// only read it.
-	know := sim.Faults{Fates: cfg.Fates}.Knowledge(input, simCfg)
+	know := spec.Faults.Knowledge(input, spec.Config)
 
 	// Each client drives its peer's query plane, which charges Q at Query
 	// and keeps the peer's accounting in stats across both incarnations
@@ -305,7 +303,7 @@ func Run(cfg Config) (*sim.Result, error) {
 		if fate.Absent() {
 			continue
 		}
-		q := tier.NewPlane(i, &stats[i], fate.Rejoins(), nil)
+		q := tier.NewPlane(i, &stats[i], fate.Rejoins(), spec.PeerWarm(i, fate))
 		newPeer := cfg.NewPeer
 		if fate != nil && fate.Byzantine != nil {
 			newPeer = func(id sim.PeerID) sim.Peer { return fate.Byzantine(id, know) }

@@ -2,10 +2,10 @@ package netrt_test
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/adversary"
 	"repro/internal/netrt"
 	"repro/internal/protocols/committee"
 	"repro/internal/protocols/crash1"
@@ -165,27 +165,20 @@ func TestManySeedsSequential(t *testing.T) {
 // and the crashed peers are reported crashed and faulty rather than
 // failing the run.
 //
-// No honest crashk peer waits for a given other peer, and sockets start
-// no peer before another, so a crashing peer's client could connect only
-// after the survivors had finished, and never reach its crash point. So
-// both crash points lie in crashk's Init, whose actions are init, the
+// Both crash points lie in crashk's Init, whose actions are init, the
 // phase-1 query and one Req1 send to each other peer (peer 1 crashes on
-// its second send, peer 5 on its fifth), and every survivor begins its
-// Init only once both crashing peers have begun theirs (initGate). A
-// client runs its Init to the end once it began, and the run waits for
-// every client.
+// its second send, peer 5 on its fifth). No honest crashk peer waits for
+// a given other peer, and sockets start no peer before another, so the
+// survivors may finish before a crashing peer's client connects; such a
+// peer ran no action and is reported crashed, as an absent one is.
 func TestChurnCrashMidRun(t *testing.T) {
 	crashed := []sim.Fate{
 		{Peer: 1, CrashAfter: 3, Downtime: -1},
 		{Peer: 5, CrashAfter: 6, Downtime: -1},
 	}
-	var begun sync.WaitGroup
-	begun.Add(len(crashed))
 	res, err := netrt.Run(netrt.Config{
 		N: 8, T: 3, L: 2048, MsgBits: 256, Seed: 6,
-		NewPeer: func(id sim.PeerID) sim.Peer {
-			return &initGate{Peer: crashk.New(id), crashes: id == 1 || id == 5, begun: &begun}
-		},
+		NewPeer: crashk.New,
 		Fates:   crashed,
 		Timeout: 30 * time.Second,
 	})
@@ -203,19 +196,83 @@ func TestChurnCrashMidRun(t *testing.T) {
 	}
 }
 
-// initGate holds the Init of a peer that does not crash until every peer
-// that crashes has begun its own.
-type initGate struct {
-	sim.Peer
-	crashes bool
-	begun   *sync.WaitGroup
+// TestChurnCrashAfterHello: what a client sent before its crash point
+// reaches the hub. Every peer broadcasts a hello first, and an honest
+// peer starts crashk only once it holds every other peer's hello, so a
+// crashed peer's lost hello would stall the run; both crash points come
+// after the hello, in crashk's Init (peer 1 on its second Req1 send, peer
+// 5 on its fifth).
+func TestChurnCrashAfterHello(t *testing.T) {
+	crashed := []sim.Fate{
+		{Peer: 1, CrashAfter: 10, Downtime: -1},
+		{Peer: 5, CrashAfter: 13, Downtime: -1},
+	}
+	res, err := netrt.Run(netrt.Config{
+		N: 8, T: 3, L: 2048, MsgBits: 256, Seed: 6,
+		NewPeer: func(id sim.PeerID) sim.Peer {
+			return &helloFirst{Peer: crashk.New(id), wait: id != 1 && id != 5}
+		},
+		Fates:   crashed,
+		Timeout: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Correct {
+		t.Fatalf("incorrect: %v", res)
+	}
+	for _, cp := range crashed {
+		if ps := res.PerPeer[cp.Peer]; !ps.Crashed {
+			t.Errorf("peer %d not reported crashed", cp.Peer)
+		}
+	}
 }
 
-func (g *initGate) Init(ctx sim.Context) {
-	if g.crashes {
-		g.begun.Done()
-	} else {
-		g.begun.Wait()
+// helloFirst broadcasts a hello (an adversary.Junk, which the wire
+// carries) before its protocol's Init; with wait set it holds that Init,
+// and the protocol messages that arrive before it, until every other
+// peer's hello is in.
+type helloFirst struct {
+	sim.Peer
+	wait    bool
+	ctx     sim.Context
+	hellos  int
+	started bool
+	held    []heldMsg
+}
+
+type heldMsg struct {
+	from sim.PeerID
+	m    sim.Message
+}
+
+func (h *helloFirst) Init(ctx sim.Context) {
+	h.ctx = ctx
+	ctx.Broadcast(&adversary.Junk{Bits: 8})
+	if !h.wait {
+		h.start()
 	}
-	g.Peer.Init(ctx)
+}
+
+func (h *helloFirst) OnMessage(from sim.PeerID, m sim.Message) {
+	_, hello := m.(*adversary.Junk)
+	switch {
+	case hello:
+		if h.hellos++; h.hellos == h.ctx.N()-1 && h.wait {
+			h.start()
+		}
+	case h.started:
+		h.Peer.OnMessage(from, m)
+	default:
+		h.held = append(h.held, heldMsg{from, m})
+	}
+}
+
+func (h *helloFirst) start() {
+	h.started = true
+	h.Peer.Init(h.ctx)
+	for _, hm := range h.held {
+		h.Peer.OnMessage(hm.from, hm.m)
+	}
+	h.held = nil
 }

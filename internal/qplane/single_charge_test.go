@@ -125,22 +125,48 @@ func TestHardenWrapsNoPeer(t *testing.T) {
 	if verbs["Query"] == "" || verbs["OnQueryReply"] == "" {
 		t.Fatalf("read %d method names off sim.Context and sim.Peer: the interfaces moved, update this guard", len(verbs))
 	}
-	files := 0
-	err = filepath.WalkDir("../harden", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return err
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		files++
+	hardenFiles(t, fset, 0, func(f *ast.File) {
 		for _, d := range f.Decls {
 			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil && verbs[fn.Name.Name] != "" {
 				t.Errorf("%s: method %s is a %s method; hand warm bits to the runtime through sim.Spec.Warm instead",
 					fset.Position(fn.Pos()), fn.Name.Name, verbs[fn.Name.Name])
 			}
 		}
+	})
+}
+
+// TestHardenImportsNoRuntime guards "one supervisor on every runtime":
+// harden.Run runs each attempt through the runner its caller passes
+// (harden.Config.Run), so no non-test file of package harden may import
+// a runtime, des or the socket runtime netrt.
+func TestHardenImportsNoRuntime(t *testing.T) {
+	fset := token.NewFileSet()
+	hardenFiles(t, fset, parser.ImportsOnly, func(f *ast.File) {
+		for _, imp := range f.Imports {
+			switch path := strings.Trim(imp.Path.Value, `"`); path {
+			case "repro/internal/des", "repro/internal/netrt":
+				t.Errorf("%s: package harden imports %s; take the runtime as harden.Config.Run instead",
+					fset.Position(imp.Pos()), path)
+			}
+		}
+	})
+}
+
+// hardenFiles parses every non-test Go file of package harden in mode and
+// hands it to visit, failing the test when it finds none.
+func hardenFiles(t *testing.T, fset *token.FileSet, mode parser.Mode, visit func(f *ast.File)) {
+	t.Helper()
+	files := 0
+	err := filepath.WalkDir("../harden", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, mode)
+		if err != nil {
+			return err
+		}
+		files++
+		visit(f)
 		return nil
 	})
 	if err != nil {

@@ -79,7 +79,7 @@ type Spec struct {
 	Config Config
 	// NewPeer constructs the honest protocol instance for peer id.
 	NewPeer func(id PeerID) Peer
-	// Delays is the adversary's scheduling policy. Required.
+	// Delays is the adversary's scheduling policy. des.Run requires it.
 	Delays DelayPolicy
 	// Faults lists the faulty peers' fates; the zero value is a
 	// failure-free execution.
@@ -129,16 +129,23 @@ type Spec struct {
 	Deadline float64
 }
 
-// Validate reports spec-level errors.
+// PeerWarm is the tracker peer i's query plane is seeded with, given its
+// fate: its Warm entry, unless a Byzantine behavior runs in its place.
+func (s *Spec) PeerWarm(i int, fate *Fate) *bitarray.Tracker {
+	if s.Warm == nil || (fate != nil && fate.Byzantine != nil) {
+		return nil
+	}
+	return s.Warm[i]
+}
+
+// Validate reports spec-level errors. It leaves Delays to des.Run: a
+// choice-driven or socket run has none.
 func (s *Spec) Validate() error {
 	if err := s.Config.Validate(); err != nil {
 		return err
 	}
 	if s.NewPeer == nil {
 		return errors.New("sim: spec missing NewPeer factory")
-	}
-	if s.Delays == nil {
-		return errors.New("sim: spec missing delay policy")
 	}
 	if err := s.Faults.Validate(s.Config.N, s.Config.T); err != nil {
 		return err
