@@ -62,7 +62,11 @@ import (
 //	    escapes to a run of +1 steps or a repeat. Lists without either
 //	    encode as before, so every earlier frame is unchanged; a pinned
 //	    QUERYSRC whose list holds a run and a repeat is added.
-const CorpusVersion = 4
+//	5 — the index set drops its (gap, length) pairs: a one-index range
+//	    is its gap from the previous end (from −1 for the first), a
+//	    longer one a 0x00 byte, its length less two, then its gap. Every
+//	    frame holding a non-empty set moves; the rest are unchanged.
+const CorpusVersion = 5
 
 // Fixture file names within a corpus directory.
 const (

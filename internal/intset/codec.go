@@ -1,18 +1,24 @@
 package intset
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
-// The set encoding (docs/SPEC.md §2.1): the range count, then one
-// (gap-from-previous-end, length) pair per range, every value an unsigned
-// varint. From phase 2 on nearly every pair crashk sends is two values
-// below 0x80, which are their own varints: two bytes a range. Only
-// non-negative sets are encoded; the first gap is from 0.
+// The set encoding (docs/SPEC.md §2.1): the range count, then the ranges
+// in increasing order. A range of one index is its gap, the distance from
+// the previous range's end to its index, the first gap taken from −1; a
+// longer range is a 0x00 byte, its length less two, then its gap. Every
+// value is an unsigned varint. Ranges that touch are one range, so every
+// gap is at least 1 and no gap's varint starts with 0x00, which is free
+// to mark the longer ranges. From phase 2 on nearly every range crashk
+// sends is one index with a gap below 0x80: one byte a range. Only
+// non-negative sets are encoded.
 //
-// The decoders accept exactly what AppendEncoding can emit: lengths ≥ 1,
-// gaps ≥ 1 after the first range (a gap of 0 would have been coalesced),
-// minimal varints, every index ≤ MaxIndex, and a count no larger than
-// MaxRanges and than half the bytes after it. So a decoded set re-encodes
-// to the bytes it came from.
+// The decoders accept exactly what AppendEncoding can emit: gaps ≥ 1,
+// minimal varints, every range end ≤ MaxIndex, and a count no larger than
+// MaxRanges and than the bytes after it. So a decoded set re-encodes to
+// the bytes it came from.
 
 // MaxRanges bounds the range count of an encoded set against hostile
 // input.
@@ -22,17 +28,22 @@ const MaxRanges = 1 << 20
 // index, to dst.
 func AppendEncoding(dst []byte, s Set) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s.ranges)))
-	prevEnd := int64(0)
+	prevEnd := int64(-1)
 	for _, rg := range s.ranges {
 		lo, hi := int64(rg.Lo), int64(rg.Hi)
 		gap, length := uint64(lo-prevEnd), uint64(hi-lo)
-		if gap|length < 0x80 {
-			dst = append(dst, byte(gap), byte(length))
-		} else {
-			dst = binary.AppendUvarint(dst, gap)
-			dst = binary.AppendUvarint(dst, length)
-		}
 		prevEnd = hi
+		switch {
+		case (length-1)<<7|gap < 0x80: // one index, a one-byte gap
+			dst = append(dst, byte(gap))
+		case (length-2)|gap < 0x80: // every value one byte
+			dst = append(dst, 0, byte(length-2), byte(gap))
+		default:
+			if length > 1 {
+				dst = binary.AppendUvarint(append(dst, 0), length-2)
+			}
+			dst = binary.AppendUvarint(dst, gap)
+		}
 	}
 	return dst
 }
@@ -46,7 +57,7 @@ func Decode(b []byte) (s Set, width int, ok bool) {
 		return Set{}, 0, false
 	}
 	ranges := make([]Range, count)
-	w, _, _, _, ok := pairs(b[k:], count, ranges)
+	w, _, _, _, ok := scanRanges(b[k:], count, ranges)
 	if !ok {
 		return Set{}, 0, false
 	}
@@ -69,7 +80,7 @@ func Scan(b []byte) (sp Span, width int, ok bool) {
 	if !ok {
 		return Span{}, 0, false
 	}
-	w, elems, lo, hi, ok := pairs(b[k:], count, nil)
+	w, elems, lo, hi, ok := scanRanges(b[k:], count, nil)
 	if !ok {
 		return Span{}, 0, false
 	}
@@ -81,82 +92,96 @@ func Scan(b []byte) (sp Span, width int, ok bool) {
 // written afterwards.
 func (sp *Span) Lazy() Lazy { return Lazy{span: sp} }
 
-// header reads an encoding's range count. A range costs at least two
-// bytes, so a count above half of what follows is refused before it sizes
+// header reads an encoding's range count. A range costs at least one
+// byte, so a count above what follows is refused before it sizes
 // anything.
 func header(b []byte) (count, width int, ok bool) {
 	n, k := minimalUvarint(b)
-	if k == 0 || n > MaxRanges || n > uint64((len(b)-k)/2) {
+	if k == 0 || n > MaxRanges || n > uint64(len(b)-k) {
 		return 0, 0, false
 	}
 	return int(n), k, true
 }
 
-// pairs validates count pairs at the front of b and returns the bytes
-// they took, their element count, the start of the first range and the
-// end of the last (both 0 for no range); when out is not nil, range i is
-// written to out[i]. Pairs that pass make ranges that are sorted,
-// disjoint and not adjacent, so they are stored as they are, with no
-// Builder check.
+// scanRanges validates count ranges at the front of b and returns the
+// bytes they took, their element count, the start of the first range and
+// the end of the last (both 0 for no range); when out is not nil, range i
+// is written to out[i]. Ranges that pass are sorted, disjoint and not
+// adjacent, so they are stored as they are, with no Builder check.
 //
-// Four short pairs are read as one word: eight bytes, each below 0x80
-// and none zero, are four (gap, length) pairs of one-byte varints with
-// every gap and length at least 1, so only the end of the last can break
-// a rule. Everything else takes the loop a pair at a time.
-func pairs(b []byte, count int, out []Range) (width, elems, lo, hi int, ok bool) {
-	pos, prevEnd, total := 0, uint64(0), uint64(0)
-	for i := 0; i < count; {
-		if count-i >= 4 && pos+8 <= len(b) {
+// One-index ranges are read a word at a time: every byte of the word
+// below the first that is 0x00 or has its top bit set is a one-byte gap of
+// at least 1. The range at the byte that stopped the word takes the
+// loop's own path. Ends only grow, so the bound is checked once, on the
+// last: every gap is at most MaxIndex and every length at most
+// MaxIndex+2, so MaxRanges of them sum far below the top of a uint64.
+func scanRanges(b []byte, count int, out []Range) (width, elems, lo, hi int, ok bool) {
+	if count == 0 {
+		return 0, 0, 0, 0, true
+	}
+	// prevEnd starts at −1, so the first range's index is its gap less
+	// one; sums through it wrap back into range.
+	pos, prevEnd, total := 0, ^uint64(0), uint64(0)
+	for i := 0; i < count; i++ {
+		for count-i >= 8 && pos+8 <= len(b) {
 			w := binary.LittleEndian.Uint64(b[pos:])
-			if (w|(w-ones))&highs == 0 {
-				gaps, lens := w&evens, w>>8&evens
-				end := prevEnd + (gaps+lens)*lanes>>48
-				if end > MaxIndex {
-					return 0, 0, 0, 0, false
+			k := 8
+			if stop := (w | (w - ones)) & highs; stop != 0 {
+				k = bits.TrailingZeros64(stop) >> 3
+				w &= 1<<(8*k) - 1
+			}
+			if i == 0 && k > 0 {
+				lo = int(w&0xff - 1)
+			}
+			if out != nil {
+				for j, next, v := i, prevEnd, w; j < i+k; j, v = j+1, v>>8 {
+					next += v & 0xff
+					out[j] = Range{int32(next), int32(next + 1)}
+					next++
 				}
-				if i == 0 {
-					lo = int(gaps & 0xff)
-				}
-				total += lens * lanes >> 48
-				if out != nil {
-					for k := 0; k < 4; k, gaps, lens = k+1, gaps>>16, lens>>16 {
-						start := prevEnd + gaps&0xff
-						prevEnd = start + lens&0xff
-						out[i+k] = Range{int32(start), int32(prevEnd)}
-					}
-				}
-				prevEnd = end
-				pos, i = pos+8, i+4
-				continue
+			}
+			prevEnd += (w&evens+w>>8&evens)*lanes>>48 + uint64(k)
+			total += uint64(k)
+			if pos, i = pos+k, i+k; k < 8 {
+				break
 			}
 		}
-		var gap, length uint64
-		if pos+1 < len(b) && b[pos]|b[pos+1] < 0x80 {
-			gap, length, pos = uint64(b[pos]), uint64(b[pos+1]), pos+2
-		} else if gap, length, pos = slowPair(b, pos); pos == 0 {
+		if i == count {
+			break
+		}
+		if pos >= len(b) {
 			return 0, 0, 0, 0, false
 		}
-		// A sum that wrapped has a term above MaxIndex, refused just below.
-		end := prevEnd + gap + length
-		if length == 0 || (gap == 0 && i > 0) || gap > MaxIndex || length > MaxIndex || end > MaxIndex {
-			return 0, 0, 0, 0, false
+		gap, length := uint64(b[pos]), uint64(1)
+		switch {
+		case gap-1 < 0x7f:
+			pos++
+		case gap == 0 && pos+2 < len(b) && b[pos+1] < 0x80 && b[pos+2]-1 < 0x7f:
+			gap, length, pos = uint64(b[pos+2]), uint64(b[pos+1])+2, pos+3
+		default:
+			// gap−1 wraps a gap of 0 above the bound.
+			if gap, length, pos = slowRange(b, pos); pos == 0 || gap-1 >= MaxIndex {
+				return 0, 0, 0, 0, false
+			}
 		}
 		if i == 0 {
-			lo = int(gap)
+			lo = int(gap - 1)
 		}
+		prevEnd += gap + length
 		if out != nil {
-			out[i] = Range{int32(prevEnd + gap), int32(end)}
+			out[i] = Range{int32(prevEnd - length), int32(prevEnd)}
 		}
 		total += length
-		prevEnd = end
-		i++
+	}
+	if prevEnd > MaxIndex {
+		return 0, 0, 0, 0, false
 	}
 	return pos, int(total), lo, int(prevEnd), true
 }
 
-// The masks of the four-pair word: a 1 in every byte, every byte's top
-// bit, the low byte of every 16-bit lane, and the multiplier that sums
-// the four lanes into the top one.
+// The masks of the word of gaps: a 1 in every byte, every byte's top bit,
+// the low byte of every 16-bit lane, and the multiplier that sums the
+// four lanes into the top one.
 const (
 	ones  = 0x0101010101010101
 	highs = 0x8080808080808080
@@ -164,19 +189,25 @@ const (
 	lanes = 0x0001000100010001
 )
 
-// slowPair reads the (gap, length) pair at b[pos:] when it is not two
-// bytes below 0x80, which the loops over pairs read themselves: a gap and
-// a length, each a minimal varint. next is 0 if the pair is not there.
-func slowPair(b []byte, pos int) (gap, length uint64, next int) {
-	gap, kg := minimalUvarint(b[pos:])
-	if kg == 0 {
+// slowRange reads the range at b[pos:] when it is neither one byte from
+// 0x01 to 0x7f nor three with every value one byte, which the loops over
+// ranges read themselves: an optional 0x00 and length less two, then a
+// gap, each a minimal varint. A length above MaxIndex+2 is refused here,
+// so that adding two cannot wrap it. next is 0 if the range is not there.
+func slowRange(b []byte, pos int) (gap, length uint64, next int) {
+	length = 1
+	if pos < len(b) && b[pos] == 0 {
+		v, k := minimalUvarint(b[pos+1:])
+		if k == 0 || v > MaxIndex {
+			return 0, 0, 0
+		}
+		length, pos = v+2, pos+1+k
+	}
+	gap, k := minimalUvarint(b[pos:])
+	if k == 0 {
 		return 0, 0, 0
 	}
-	length, kl := minimalUvarint(b[pos+kg:])
-	if kl == 0 {
-		return 0, 0, 0
-	}
-	return gap, length, pos + kg + kl
+	return gap, length, pos + k
 }
 
 // minimalUvarint is binary.Uvarint with every refusal reported as a width
@@ -246,7 +277,7 @@ func (l Lazy) Bounds() (lo, hi int) {
 
 // Walk calls fn for every range [lo, hi) in increasing order until fn
 // returns false, and reports whether it reached the end. A span is
-// decoded a pair at a time, so a walk that stops early reads no further.
+// decoded a range at a time, so a walk that stops early reads no further.
 func (l Lazy) Walk(fn func(lo, hi int) bool) bool {
 	if l.span == nil {
 		for _, r := range l.set.ranges {
@@ -258,17 +289,19 @@ func (l Lazy) Walk(fn func(lo, hi int) bool) bool {
 	}
 	b := l.span.enc
 	_, pos := binary.Uvarint(b)
-	prevEnd := uint64(0)
+	prevEnd := ^uint64(0) // −1, as in scanRanges
 	for i := 0; i < l.span.ranges; i++ {
-		var gap, length uint64
-		if b[pos]|b[pos+1] < 0x80 {
-			gap, length, pos = uint64(b[pos]), uint64(b[pos+1]), pos+2
-		} else {
-			gap, length, pos = slowPair(b, pos)
+		gap, length := uint64(b[pos]), uint64(1)
+		switch {
+		case gap-1 < 0x7f:
+			pos++
+		case gap == 0 && b[pos+1] < 0x80 && b[pos+2]-1 < 0x7f:
+			gap, length, pos = uint64(b[pos+2]), uint64(b[pos+1])+2, pos+3
+		default:
+			gap, length, pos = slowRange(b, pos)
 		}
-		lo := prevEnd + gap
 		prevEnd += gap + length
-		if !fn(int(lo), int(prevEnd)) {
+		if !fn(int(prevEnd-length), int(prevEnd)) {
 			return false
 		}
 	}

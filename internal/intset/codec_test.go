@@ -9,13 +9,17 @@ import (
 )
 
 // phase2Item is the set of a crashk stage-2 item from phase 2 on: a share
-// spread by the owner hash, one range per bit with gaps below 0x80, so two
-// bytes a range.
-func phase2Item(rng *rand.Rand, ranges int) Set {
+// spread by the owner hash, one range per bit with gaps below 0x80, so one
+// byte a range. One range in long is two indices long (none if long is
+// 0), so the decoders take the 0x00 escape.
+func phase2Item(rng *rand.Rand, ranges, long int) Set {
 	var b Builder
 	for i, x := 0, rng.Intn(40); i < ranges; i++ {
 		b.Add(x)
-		x += 2 + rng.Intn(62)
+		if long > 0 && rng.Intn(long) == 0 {
+			b.Add(x + 1)
+		}
+		x += 3 + rng.Intn(61)
 	}
 	return b.Set()
 }
@@ -65,29 +69,34 @@ func requireSameAsSet(t *testing.T, l Lazy, s Set) {
 // bytes; the span then walks, unpacks, counts and bounds as the decoded
 // Set does; and both re-encode to the very bytes they came from.
 func FuzzSetScan(f *testing.F) {
-	top := binary.AppendUvarint(nil, MaxIndex-1) // a gap one below the bound
+	top := binary.AppendUvarint(nil, MaxIndex) // the first index on MaxIndex−1
 	for _, seed := range [][]byte{
 		{},
 		{0},                      // the empty set
 		{0, 0xAA},                // and bytes after it that are not its own
-		{1, 5},                   // count 1, one byte left
+		{1, 1},                   // the first range at index 0: gap 1 from −1
 		{1},                      // count 1, nothing left
+		{3, 1, 1},                // a count larger than the bytes left
+		{1, 0},                   // 0x00 as the last byte
+		{1, 0, 0},                // an escape and its length, no gap
+		{1, 0, 0x80, 0x00, 1},    // an escape, then a padded length
+		{1, 0, 0, 0},             // a gap of 0 after an escape
+		{2, 1, 0, 0, 0},          // the same after a first range
+		{1, 0, 5, 1},             // a seven-index range from 0
+		{2, 0x80, 0x01, 1},       // a two-byte gap, then a one-byte one
+		{2, 1, 0, 0x80, 0x01, 1}, // a one-index range, then a long one
 		{2, 0x80, 0x01, 1, 0x80}, // ends inside a varint
-		{1, 3, 0},                // length 0
-		{1, 0x80, 0x01, 0},       // length 0 after a long gap
-		{2, 1, 1, 0, 1},          // gap 0 after the first range
-		{1, 0, 1},                // gap 0 first: the range [0, 1)
-		{1, 0x80, 0x00, 1},       // padded gap
-		{1, 1, 0x81, 0x00},       // padded length
-		{0x81, 0x00, 1, 1},       // padded count
-		{3, 1, 1, 1, 1},          // a count the bytes cannot hold
-		{2, 0x80, 0x01, 1, 1, 2}, // a long pair, then a short one
-		{2, 1, 2, 0x80, 0x01, 1}, // a short pair, then a long one
-		{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 1}, // varint overflow
-		append(append([]byte{1}, top...), 1),                               // Hi on the bound
-		append(append([]byte{1}, top...), 2),                               // Hi one past it
-		append(binary.AppendUvarint(nil, MaxRanges+1), make([]byte, 8)...), // count above MaxRanges
-		AppendEncoding(nil, phase2Item(rand.New(rand.NewSource(1)), 1900)),
+		{1, 0x80, 0x00},          // padded gap
+		{1, 0, 1, 0x81, 0x00},    // padded gap after an escape
+		{0x81, 0x00, 1},          // padded count
+		{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, // varint overflow
+		append([]byte{1}, top...),                                                 // Hi on the bound
+		append([]byte{1}, binary.AppendUvarint(nil, MaxIndex+1)...),               // Hi one past it
+		append([]byte{1, 0}, append(binary.AppendUvarint(nil, MaxIndex-2), 1)...), // [0, MaxIndex): an escape to the bound
+		append([]byte{1, 0}, append(binary.AppendUvarint(nil, MaxIndex-1), 1)...), // an escape whose length ends past it
+		append([]byte{1, 0}, append(binary.AppendUvarint(nil, 1<<64-1), 1)...),    // a length that wraps when two is added
+		append(binary.AppendUvarint(nil, MaxRanges+1), make([]byte, 8)...),        // count above MaxRanges
+		AppendEncoding(nil, phase2Item(rand.New(rand.NewSource(1)), 1900, 16)),
 	} {
 		f.Add(seed)
 	}
@@ -118,7 +127,7 @@ func FuzzSetScan(f *testing.F) {
 // zero Lazy is the empty set, held.
 func TestLazyHeld(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, s := range []Set{{}, FromRange(0, 1), FromRange(5, 900), FromSorted([]int{0, 2, 3, 127, 128, 300}), phase2Item(rng, 200)} {
+	for _, s := range []Set{{}, FromRange(0, 1), FromRange(5, 900), FromSorted([]int{0, 2, 3, 127, 128, 300}), phase2Item(rng, 200, 16)} {
 		l := Hold(s)
 		if got, held := l.Held(); !held || !slices.Equal(got.Ranges(), s.Ranges()) {
 			t.Fatalf("Hold(%v).Held() = %v, %v", s, got, held)
@@ -144,7 +153,7 @@ func TestLazyHeld(t *testing.T) {
 // TestCodecAllocations: Scan and a walk of the span allocate nothing; Decode
 // allocates the ranges once, sized by the count.
 func TestCodecAllocations(t *testing.T) {
-	s := phase2Item(rand.New(rand.NewSource(4)), 1900)
+	s := phase2Item(rand.New(rand.NewSource(4)), 1900, 16)
 	enc := AppendEncoding(nil, s)
 	var sp Span
 	if allocs := testing.AllocsPerRun(50, func() { sp, _, _ = Scan(enc) }); allocs != 0 {
@@ -162,7 +171,7 @@ func TestCodecAllocations(t *testing.T) {
 }
 
 // refDecode is the set encoding by its definition, one varint at a time
-// with no fast path: the reference that the codec's four-pair word read is
+// with no fast path: the reference that the codec's eight-gap word read is
 // held to. It returns the ranges and the bytes they took, or ok false.
 func refDecode(b []byte) (rs []Range, width int, ok bool) {
 	pos := 0
@@ -175,61 +184,72 @@ func refDecode(b []byte) (rs []Range, width int, ok bool) {
 		return v, true
 	}
 	count, ok := varint()
-	if !ok || count > MaxRanges || count > uint64((len(b)-pos)/2) {
+	if !ok || count > MaxRanges || count > uint64(len(b)-pos) {
 		return nil, 0, false
 	}
-	end := uint64(0)
+	end := int64(-1)
 	for i := uint64(0); i < count; i++ {
+		length := uint64(1)
+		if pos < len(b) && b[pos] == 0 {
+			pos++
+			extra, ok := varint()
+			if !ok || extra > MaxIndex {
+				return nil, 0, false
+			}
+			length = 2 + extra
+		}
 		gap, ok := varint()
-		if !ok {
+		if !ok || gap == 0 || gap > MaxIndex || end+int64(gap)+int64(length) > MaxIndex {
 			return nil, 0, false
 		}
-		length, ok := varint()
-		if !ok || length == 0 || (gap == 0 && i > 0) || gap > MaxIndex || length > MaxIndex || end+gap+length > MaxIndex {
-			return nil, 0, false
-		}
-		rs = append(rs, Range{int32(end + gap), int32(end + gap + length)})
-		end += gap + length
+		lo := end + int64(gap)
+		end = lo + int64(length)
+		rs = append(rs, Range{int32(lo), int32(end)})
 	}
 	return rs, pos, true
 }
 
-// wordSeeds are inputs at the edges of the four-pair word read: a valid
-// run of short pairs with, in each of its first four pairs, a zero gap, a
-// zero length, or a 0x80 byte; an end that crosses MaxIndex inside a word;
-// fewer than four pairs left before bytes that are not the set's own; and
-// words that reach into the next encoding.
+// wordSeeds are inputs at the edges of the eight-gap word read: a valid
+// run of one-byte gaps with, in each of its first eight, a 0x00 escape
+// where a gap was, a 0x80 byte, a two-byte gap, a two-index range (valid)
+// or an escape followed by a padded length; an end that crosses MaxIndex
+// inside a word; fewer than eight ranges left before bytes that are not
+// the set's own; and words that reach into the next encoding.
 func wordSeeds() [][]byte {
-	base := []byte{6, 3, 2, 1, 4, 7, 1, 2, 2, 5, 3, 9, 1} // six short pairs
-	with := func(at int, v ...byte) []byte {
+	base := []byte{12, 3, 2, 1, 4, 7, 1, 2, 2, 5, 3, 9, 1} // twelve one-byte gaps
+	splice := func(at, drop int, v ...byte) []byte {
 		out := slices.Clone(base[:at])
 		out = append(out, v...)
-		return append(out, base[at+1:]...)
+		return append(out, base[at+drop:]...)
 	}
 	seeds := [][]byte{base, append(slices.Clone(base), base...)}
-	for lane := 0; lane < 4; lane++ {
-		gap, length := 1+2*lane, 2+2*lane
+	for lane := 1; lane <= 8; lane++ {
 		seeds = append(seeds,
-			with(gap, 0), with(length, 0), // a zero gap (valid first) or length
-			with(gap, 0x80), with(length, 0x80), // a byte that continues a varint
-			with(gap, 0x80, 0x01), with(length, 0x80, 0x01), // a long pair in the lane
+			splice(lane, 1, 0),          // an escape where a gap was
+			splice(lane, 1, 0x80),       // a byte that continues a varint
+			splice(lane, 1, 0x80, 0x01), // a two-byte gap in the lane
+			splice(lane, 0, 0, 0),       // a two-index range in the lane
+			splice(lane, 0, 0, 0x80, 0), // an escape, then a padded length
 		)
 	}
-	top := binary.AppendUvarint(nil, MaxIndex-10) // ten below the bound
+	top := binary.AppendUvarint(nil, MaxIndex-20) // a first range ending 20 below the bound
 	for _, tail := range [][]byte{
-		{1, 1, 1, 1, 1, 1, 1, 1}, // ends one below the bound
-		{1, 1, 1, 1, 1, 1, 1, 2}, // ends on it
-		{1, 1, 1, 1, 1, 1, 1, 3}, // one past it
-		{1, 1, 1, 1, 9, 1, 1, 1}, // crosses it in the third pair
+		{1, 1, 1, 1, 1, 1, 1, 1},  // ends four below the bound
+		{1, 1, 1, 1, 1, 1, 1, 5},  // ends on it
+		{1, 1, 1, 1, 1, 1, 1, 6},  // one past it
+		{1, 1, 1, 1, 13, 1, 1, 1}, // crosses it in the fifth range
 	} {
-		seeds = append(seeds, append(append([]byte{5}, top...), append([]byte{1}, tail...)...)) // a long first pair, then four short
+		seeds = append(seeds, append(append([]byte{9}, top...), tail...)) // a long first gap, then eight short
 	}
 	seeds = append(seeds,
-		[]byte{3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1},       // three pairs, then bytes that are not theirs
-		[]byte{5, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, // four in a word, one left
-		[]byte{4, 1, 1, 1, 1, 1, 1, 0x80, 0x01},       // the fourth pair long
-		[]byte{4, 1, 1, 1, 1, 1, 1, 1},                // the fourth pair cut short
-		append([]byte{2, 4, 4, 5, 5}, base...),        // two pairs, then the next encoding
+		[]byte{3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1},          // three ranges, then bytes that are not theirs
+		[]byte{9, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1},       // eight in a word, one left
+		[]byte{8, 1, 1, 1, 1, 1, 1, 1, 0x80, 0x01},       // the eighth gap long
+		[]byte{8, 1, 1, 1, 1, 1, 1, 1, 0, 0, 1},          // the eighth range an escape
+		[]byte{8, 1, 1, 1, 1, 1, 1, 1},                   // the eighth range cut short
+		append([]byte{2, 0, 3, 4, 5}, base...),           // two ranges, then the next encoding
+		append([]byte{1, 0, 0}, base[1:]...),             // an escape whose gap is the next word's
+		append([]byte{10, 1, 1, 1, 1, 1, 1, 1, 1}, 0, 0), // an escape right after a word, cut short
 	)
 	return seeds
 }
@@ -248,7 +268,7 @@ func FuzzSetWords(f *testing.F) {
 	if accepted < 10 || len(seeds)-accepted < 10 {
 		f.Fatalf("%d of %d word seeds accepted; want ten of each verdict", accepted, len(seeds))
 	}
-	f.Add(AppendEncoding(nil, phase2Item(rand.New(rand.NewSource(2)), 300)))
+	f.Add(AppendEncoding(nil, phase2Item(rand.New(rand.NewSource(2)), 300, 16)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wwidth, wok := refDecode(data)
 		set, width, ok := Decode(data)

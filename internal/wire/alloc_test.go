@@ -68,7 +68,8 @@ func TestMarshalAllocBudget(t *testing.T) {
 // TestUnmarshalSetAllocBudget pins the decode side of a phase ≥ 2 request,
 // whose set has about one range per bit: the message, the set's ranges
 // reserved once from the count in the header — eight bytes each — and
-// nothing per range.
+// nothing per range. On the wire each of those ranges is one byte, its
+// gap; the decoded set is eight times its encoding.
 func TestUnmarshalSetAllocBudget(t *testing.T) {
 	var b intset.Builder
 	for x := 0; x < 2*4096; x += 2 {
@@ -79,6 +80,9 @@ func TestUnmarshalSetAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	const ranges, runs = 4096, 100
+	if len(raw) > ranges+8 {
+		t.Fatalf("a %d-range Req1 of one-index ranges is %d bytes, budget one a range + 8", ranges, len(raw))
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	allocs := testing.AllocsPerRun(runs, func() {
@@ -99,10 +103,10 @@ func TestUnmarshalSetAllocBudget(t *testing.T) {
 
 // TestUnmarshalReq2AllocBudget pins the decode of a Req2 shaped like
 // tcp-crashk's from phase 2 on (N=16, T=8, L=65536): eight items of 1,900
-// one-bit ranges, two bytes each on the wire. Its items keep their sets as
+// one-bit ranges, one byte each on the wire. Its items keep their sets as
 // their validated encodings, so the decode allocates the message, the
 // items, their spans and one copy of the bytes — at most items + 2 objects
-// and 2.5 B a range, where unpacked ranges would take 8 B a range.
+// and 1.25 B a range, where unpacked ranges would take 8 B a range.
 func TestUnmarshalReq2AllocBudget(t *testing.T) {
 	const items, ranges, L = 8, 1900, 1 << 16
 	rng := rand.New(rand.NewSource(23))
@@ -136,8 +140,8 @@ func TestUnmarshalReq2AllocBudget(t *testing.T) {
 	perOp := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
 	perRange := perOp / (items * ranges)
 	t.Logf("%.0f allocations, %.2f B a range", allocs, perRange)
-	if perRange > 2.5 {
-		t.Fatalf("Unmarshal of a %d-item Req2 allocated %.0f bytes per op, %.2f B a range, budget 2.5", items, perOp, perRange)
+	if perRange > 1.25 {
+		t.Fatalf("Unmarshal of a %d-item Req2 allocated %.0f bytes per op, %.2f B a range, budget 1.25", items, perOp, perRange)
 	}
 }
 

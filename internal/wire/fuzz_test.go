@@ -42,8 +42,8 @@ func FuzzUnmarshal(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(append(req1, 0xDE))
-	f.Add([]byte{req1[0], 1, 2, 1, 1, 0, 1})
-	f.Add([]byte{req1[0], 1, 1, 0x80, 0x00, 1})
+	f.Add([]byte{req1[0], 1, 2, 1, 0, 0, 0})
+	f.Add([]byte{req1[0], 1, 1, 0x80, 0x00})
 	// Frames the decoder must refuse because they would re-encode to other
 	// bytes — a me-neither byte of 2, an empty bitarray field — and a bit
 	// count whose word count wraps.

@@ -202,6 +202,8 @@ func TestResp2HostileLists(t *testing.T) {
 // canonical twin, which decodes and re-encodes to itself.
 func TestDecoderRefusesWhatItCannotReproduce(t *testing.T) {
 	zeroBits := []byte{8, 0, 0, 0, 0, 0, 0, 0, 0} // the 0-bit array's field
+	word := func(n, w byte) []byte { return []byte{16, n, 0, 0, 0, 0, 0, 0, 0, w, 0, 0, 0, 0, 0, 0, 0} }
+	oneBit, twoBits, threeBits := word(1, 1), word(2, 3), word(3, 5) // n-bit fields
 	for _, c := range []struct {
 		name      string
 		bad, good []byte
@@ -211,6 +213,12 @@ func TestDecoderRefusesWhatItCannotReproduce(t *testing.T) {
 		{"Resp2 supplied item with an empty bitarray field",
 			[]byte{tagCrashkResp2, 2, 1, 5, 0, 0, 0}, append([]byte{tagCrashkResp2, 2, 1, 5, 0, 0}, zeroBits...)},
 		{"Resp2 byte 2 and an empty field", []byte{4, 2, 1, 5, 2, 0, 0}, []byte{4, 2, 1, 5, 1}},
+		{"Resp2 item set {3} with a padded gap", append([]byte{tagCrashkResp2, 2, 1, 5, 0, 1, 0x84, 0x00}, oneBit...),
+			append([]byte{tagCrashkResp2, 2, 1, 5, 0, 1, 4}, oneBit...)},
+		{"Resp2 item set {3-4} with a padded length", append([]byte{tagCrashkResp2, 2, 1, 5, 0, 1, 0, 0x80, 0x00, 4}, twoBits...),
+			append([]byte{tagCrashkResp2, 2, 1, 5, 0, 1, 0, 0, 4}, twoBits...)},
+		{"crash1 Reply set {0-2} as a range and an escape with gap 0", append([]byte{tagCrash1Reply, 2, 3, 0, 2, 1, 0, 0, 0}, threeBits...),
+			append([]byte{tagCrash1Reply, 2, 3, 0, 1, 0, 1, 1}, threeBits...)},
 		{"crash1 Reply me-neither byte 2", append([]byte{tagCrash1Reply, 1, 7, 2, 0}, zeroBits...),
 			append([]byte{tagCrash1Reply, 1, 7, 0, 0}, zeroBits...)},
 		{"crash1 Reply me-neither byte 2, nothing after", []byte{tagCrash1Reply, 1, 7, 2}, []byte{tagCrash1Reply, 1, 7, 1}},

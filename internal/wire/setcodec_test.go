@@ -15,18 +15,22 @@ import (
 )
 
 // The set codec against a model. modelWriteSet and modelReadSet are the
-// codec as it stood before it worked a pair at a time: a closure over
-// ForEachRange on one side, two binary.Uvarint calls a range on the other.
-// They are the definition of the bytes; reader.set and writer.set must
-// agree with them everywhere except on the three inputs the decoder now
-// refuses and the model still takes, which modelReadSet reports.
+// set encoding of SPEC.md §2.1 written from its definition: a closure over
+// ForEachRange on one side, one binary.Uvarint call a value on the other,
+// with no one-byte or eight-gap fast path. They are the definition of the
+// bytes; reader.set and writer.set must agree with them everywhere except
+// on the inputs the decoder refuses and the model still takes, which
+// modelReadSet reports.
 
 func modelWriteSet(buf []byte, s intset.Set) []byte {
 	buf = binary.AppendUvarint(buf, uint64(s.RangeCount()))
-	prevEnd := 0
+	prevEnd := -1
 	s.ForEachRange(func(lo, hi int) {
+		if hi-lo > 1 {
+			buf = append(buf, 0)
+			buf = binary.AppendUvarint(buf, uint64(hi-lo-2))
+		}
 		buf = binary.AppendUvarint(buf, uint64(lo-prevEnd))
-		buf = binary.AppendUvarint(buf, uint64(hi-lo))
 		prevEnd = hi
 	})
 	return buf
@@ -36,7 +40,7 @@ func modelWriteSet(buf []byte, s intset.Set) []byte {
 // can have written.
 type lenient struct {
 	gapZero bool // a range after the first starts where the last one ended
-	padded  bool // the count, a gap or a length varint ends in a zero byte
+	padded  bool // the count, a length or a gap varint ends in a zero byte
 }
 
 func modelReadSet(buf []byte) (set intset.Set, rest []byte, why lenient, err error) {
@@ -53,15 +57,21 @@ func modelReadSet(buf []byte) (set intset.Set, rest []byte, why lenient, err err
 		return v
 	}
 	n64 := uvarint()
-	if err != nil || n64 > maxItems || n64 > uint64(len(buf)/2) {
+	if err != nil || n64 > maxItems || n64 > uint64(len(buf)) {
 		return intset.Set{}, nil, why, ErrTruncated
 	}
 	var b intset.Builder
-	prevEnd := 0
+	prevEnd := -1
 	for i := 0; i < int(n64); i++ {
+		length := uint64(1)
+		if len(buf) > 0 && buf[0] == 0 {
+			buf = buf[1:]
+			if length = 2 + uvarint(); length < 2 || length > maxIndex {
+				err = ErrTruncated
+			}
+		}
 		gap := uvarint()
-		length := uvarint()
-		if err != nil || gap > maxIndex || length == 0 || length > maxIndex {
+		if err != nil || gap > maxIndex || (gap == 0 && i == 0) {
 			return intset.Set{}, nil, why, ErrTruncated
 		}
 		lo := prevEnd + int(gap)
@@ -69,7 +79,7 @@ func modelReadSet(buf []byte) (set intset.Set, rest []byte, why lenient, err err
 		if hi > maxIndex {
 			return intset.Set{}, nil, why, ErrTruncated
 		}
-		if gap == 0 && i > 0 {
+		if gap == 0 {
 			why.gapZero = true
 		}
 		b.AddRange(lo, hi)
@@ -225,7 +235,7 @@ func TestSetDecoderMatchesModelOnBytes(t *testing.T) {
 			}
 		}
 		if trial%2 == 1 && len(data) > 0 {
-			data[0] = byte(rng.Intn(1 + len(data)/2)) // a count the bytes can hold
+			data[0] = byte(rng.Intn(len(data))) // a count the bytes can hold
 		}
 		_, _, why, err := modelReadSet(data)
 		if err == nil && (why.gapZero || why.padded) {
@@ -245,40 +255,44 @@ func req1Frame(set ...byte) []byte { return append([]byte{tagCrashkReq1, 1}, set
 
 // TestSetCodecSeams walks the decoder's edges by hand, through Unmarshal.
 func TestSetCodecSeams(t *testing.T) {
-	top := binary.AppendUvarint(nil, maxIndex-1) // a gap that lands one below the bound
+	top := binary.AppendUvarint(nil, maxIndex) // a first gap that lands one below the bound
+	escape := func(extra uint64, gap ...byte) []byte {
+		return append(append([]byte{1, 0}, binary.AppendUvarint(nil, extra)...), gap...)
+	}
 	for _, c := range []struct {
 		name string
 		set  []byte
 		want string // "" = ErrTruncated
 	}{
 		{"empty set", []byte{0}, "{}"},
-		{"both bytes 0x7f", []byte{1, 0x7f, 0x7f}, "{127-253}"},
-		{"one-byte gap, two-byte length", []byte{1, 0x7f, 0x80, 0x01}, "{127-254}"},
-		{"two-byte gap, one-byte length", []byte{1, 0x80, 0x01, 0x7f}, "{128-254}"},
-		{"two-byte gap and length", []byte{1, 0x80, 0x01, 0x80, 0x01}, "{128-255}"},
-		{"fast pair after slow pair", []byte{2, 0x80, 0x01, 1, 2, 3}, "{128,131-133}"},
-		{"slow pair after fast pair", []byte{2, 1, 2, 0x80, 0x01, 1}, "{1-2,131}"},
-		{"first gap 0", []byte{1, 0, 1}, "{0}"},
-		{"count 1, one byte left", []byte{1, 5}, ""},
+		{"first range at index 0", []byte{1, 1}, "{0}"},
+		{"one-byte gap 0x7f", []byte{1, 0x7f}, "{126}"},
+		{"two-byte gap", []byte{1, 0x80, 0x01}, "{127}"},
+		{"escape, one-byte length and gap", []byte{1, 0, 0x7d, 0x7f}, "{126-252}"},
+		{"escape, two-byte length", []byte{1, 0, 0x80, 0x01, 1}, "{0-129}"},
+		{"escape, two-byte length and gap", []byte{1, 0, 0x80, 0x01, 0x80, 0x01}, "{127-256}"},
+		{"one-index range after an escape", []byte{2, 0, 0, 1, 2}, "{0-1,4}"},
+		{"escape after a one-index range", []byte{2, 1, 0, 0, 2}, "{0,3-4}"},
+		{"two-byte gap after a one-byte one", []byte{2, 1, 0x80, 0x01}, "{0,129}"},
+		{"count 2, one byte left", []byte{2, 5}, ""},
 		{"count 1, nothing left", []byte{1}, ""},
-		{"buffer ends inside the second pair", []byte{2, 0x80, 0x01, 1, 5}, ""},
-		{"buffer ends inside a varint", []byte{2, 0x80, 0x01, 1, 0x80}, ""},
-		{"length 0", []byte{1, 3, 0}, ""},
-		{"length 0, slow path", []byte{1, 0x80, 0x01, 0}, ""},
-		{"gap 0 after the first", []byte{2, 1, 1, 0, 1}, ""},
-		{"gap 0 after the first, slow path", []byte{2, 0x80, 0x01, 1, 0, 0x80, 0x01}, ""},
-		{"padded gap 0x80 0x00", []byte{1, 0x80, 0x00, 1}, ""},
-		{"padded gap 0x81 0x00", []byte{1, 0x81, 0x00, 1}, ""},
-		{"padded length", []byte{1, 1, 0x81, 0x00}, ""},
-		{"padded to three bytes", []byte{1, 0x81, 0x80, 0x00, 1}, ""},
-		{"Hi on the bound", append(append([]byte{1}, top...), 1), fmt.Sprintf("{%d}", maxIndex-1)},
-		{"Hi one past the bound", append(append([]byte{1}, top...), 2), ""},
-		{"gap past the bound", append(append([]byte{1}, binary.AppendUvarint(nil, maxIndex+1)...), 1), ""},
-		{"length past the bound", append([]byte{1, 0}, binary.AppendUvarint(nil, maxIndex+1)...), ""},
-		{"gap of 2^63", append(append([]byte{1}, binary.AppendUvarint(nil, 1<<63)...), 1), ""},
-		{"gap of 2^64-1", append(append([]byte{2, 1, 1}, binary.AppendUvarint(nil, 1<<64-1)...), 1), ""},
-		{"length of 2^64-1 wraps the sum", append([]byte{1, 5}, binary.AppendUvarint(nil, 1<<64-1)...), ""},
-		{"varint overflows", []byte{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 1}, ""},
+		{"0x00 as the last byte", []byte{1, 0}, ""},
+		{"escape and length, no gap", []byte{1, 0, 3}, ""},
+		{"buffer ends inside a varint", []byte{2, 0x80, 0x01, 0x80}, ""},
+		{"gap 0 after an escape", []byte{1, 0, 0, 0}, ""},
+		{"gap 0 after the first range", []byte{2, 1, 0, 0, 0}, ""},
+		{"padded gap 0x80 0x00", []byte{1, 0x80, 0x00}, ""},
+		{"padded gap 0x81 0x00", []byte{1, 0x81, 0x00}, ""},
+		{"padded length", []byte{1, 0, 0x81, 0x00, 1}, ""},
+		{"padded to three bytes", []byte{1, 0x81, 0x80, 0x00}, ""},
+		{"Hi on the bound", append([]byte{1}, top...), fmt.Sprintf("{%d}", maxIndex-1)},
+		{"Hi one past the bound", append([]byte{1}, binary.AppendUvarint(nil, maxIndex+1)...), ""},
+		{"escape to the bound", escape(maxIndex-2, 1), fmt.Sprintf("{0-%d}", maxIndex-1)},
+		{"escape one past the bound", escape(maxIndex-1, 1), ""},
+		{"escape length of 2^64-1 wraps when two is added", escape(1<<64-1, 1), ""},
+		{"gap of 2^63", append([]byte{1}, binary.AppendUvarint(nil, 1<<63)...), ""},
+		{"gap of 2^64-1", append([]byte{2, 1}, binary.AppendUvarint(nil, 1<<64-1)...), ""},
+		{"varint overflows", []byte{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, ""},
 	} {
 		raw := req1Frame(c.set...)
 		m, err := Unmarshal(raw, 4096)
@@ -323,7 +337,7 @@ func TestUnmarshalIsLengthStrict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, raw := range [][]byte{req1Frame(1, 0, 64), req2, {tagCrashkFull, 8, 0, 0, 0, 0, 0, 0, 0, 0}, {tagJunk, 7}, {tagCrash1Who, 1, 2}} {
+	for _, raw := range [][]byte{req1Frame(1, 0, 62, 1), req2, {tagCrashkFull, 8, 0, 0, 0, 0, 0, 0, 0, 0}, {tagJunk, 7}, {tagCrash1Who, 1, 2}} {
 		if _, err := Unmarshal(raw, 4096); err != nil {
 			t.Fatalf("% x: %v", raw, err)
 		}

@@ -7,10 +7,11 @@
 //
 // Frame format (docs/SPEC.md §2.1): one type byte, then a type-specific
 // payload built from unsigned varints (encoding/binary), length-prefixed
-// bitarray payloads, and index sets encoded as a range count and one
-// (gap-from-previous-end, length) pair per coalesced range — matching the
-// accounting model of package intset, and two bytes a range for the sets
-// crashk sends from phase 2 on. The set codec is intset's
+// bitarray payloads, and index sets encoded as a range count and then
+// each coalesced range: a one-index range as its gap from the previous
+// range's end, a longer one as a 0x00 byte, its length less two and its
+// gap. The sets crashk sends from phase 2 on are nearly all one-index
+// ranges with gaps below 0x80, one byte each. The set codec is intset's
 // (AppendEncoding, Decode, Scan), used for every set field. Decoding is
 // length-strict and accepts exactly what the encoder can emit, so
 // Marshal(Unmarshal(b)) == b for every frame b that decodes.
