@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/adversary"
 	"repro/internal/bitarray"
@@ -383,30 +382,11 @@ func (o *Options) validateChurn() error {
 // runner is the runtime the options select, which Run and
 // RunHardenedLadder both call: des, or the real-socket runtime running the
 // same spec.
-func (o *Options) runner() func(*sim.Spec) (*sim.Result, error) {
+func (o *Options) runner() sim.Runner {
 	if !o.TCP {
 		return des.New().Run
 	}
-	return func(spec *sim.Spec) (*sim.Result, error) {
-		return netrt.Run(tcpConfig(spec, o.CheckpointDir))
-	}
-}
-
-// tcpConfig maps a spec onto the real-socket runtime: the model, the
-// fates, the warm bits, the event stream and the metrics, with Deadline,
-// in seconds, as the run's Timeout.
-func tcpConfig(spec *sim.Spec, checkpointDir string) netrt.Config {
-	c := &spec.Config
-	return netrt.Config{
-		N: c.N, T: c.T, L: c.L, MsgBits: c.MsgBits, Seed: c.Seed, Input: c.Input,
-		NewPeer: spec.NewPeer,
-		Fates:   spec.Faults.Fates, AllowExcess: spec.Faults.AllowExcess,
-		Warm:         spec.Warm,
-		SourceFaults: spec.SourceFaults, SourcePolicy: spec.SourcePolicy, Mirrors: spec.Mirrors,
-		CheckpointDir: checkpointDir,
-		Timeout:       time.Duration(spec.Deadline * float64(time.Second)),
-		Metrics:       spec.Metrics, Observer: spec.Observer, Label: spec.Label,
-	}
+	return netrt.Runner(netrt.Net{CheckpointDir: o.CheckpointDir})
 }
 
 func buildSpec(opts Options, r *resolved) *sim.Spec {

@@ -1,16 +1,15 @@
 package download
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/sim"
 )
 
-// TestFatesOneLowering: for every behavior, des and tcp run the same
-// fates, lowered once from the options — the behavior's faulty peers, then
-// the churn schedule. A crash never acts and never rejoins, so on sockets
-// it never connects.
+// TestFatesOneLowering: for every behavior, the options lower once to the
+// spec's fates, which des and tcp both run (one spec, two runners): the
+// behavior's faulty peers, then the churn schedule. A crash never acts and
+// never rejoins, so on sockets it never connects.
 func TestFatesOneLowering(t *testing.T) {
 	churn := ChurnPeer{Peer: 7, CrashAfter: 2, Downtime: -1}
 	for _, b := range Behaviors() {
@@ -23,19 +22,8 @@ func TestFatesOneLowering(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", b, err)
 		}
-		spec := buildSpec(opts, r)
-		des, tcp := spec.Faults.Fates, tcpConfig(spec, "").Fates
-		if len(des) != len(tcp) {
-			t.Fatalf("%q: des runs %d fates, tcp %d", b, len(des), len(tcp))
-		}
-		for i := range des {
-			d, c := des[i], tcp[i]
-			if d.Peer != c.Peer || d.CrashAfter != c.CrashAfter || d.Downtime != c.Downtime ||
-				reflect.ValueOf(d.Byzantine).Pointer() != reflect.ValueOf(c.Byzantine).Pointer() {
-				t.Errorf("%q: fate %d is %+v on des, %+v on tcp", b, i, d, c)
-			}
-		}
-		faulty, last := des[:len(des)-1], des[len(des)-1]
+		fates := buildSpec(opts, r).Faults.Fates
+		faulty, last := fates[:len(fates)-1], fates[len(fates)-1]
 		if want := (sim.Fate{Peer: 7, CrashAfter: 2, Downtime: -1}); last.Peer != want.Peer ||
 			last.CrashAfter != want.CrashAfter || last.Downtime != want.Downtime || last.Byzantine != nil {
 			t.Errorf("%q: churn fate %+v, want %+v", b, last, want)

@@ -110,7 +110,7 @@ type Config struct {
 	// beside a Result whose DeadlineHit is set, as a socket run past its
 	// timeout returns, is the attempt's deadline violation; any other
 	// error is a configuration error.
-	Run func(*sim.Spec) (*sim.Result, error)
+	Run sim.Runner
 }
 
 // Attempt is the outcome of one rung's execution.

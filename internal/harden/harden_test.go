@@ -234,9 +234,11 @@ func TestCollectorOnSockets(t *testing.T) {
 		t.Fatal(err)
 	}
 	onTCP := NewCollector(n, 0, nil)
-	res, err := netrt.Run(netrt.Config{
-		N: n, T: tf, L: L, MsgBits: b, Seed: seed,
-		NewPeer: committee.New, Fates: byz, Observer: onTCP,
+	res, err := netrt.Runner(netrt.Net{})(&sim.Spec{
+		Config:   sim.Config{N: n, T: tf, L: L, MsgBits: b, Seed: seed},
+		NewPeer:  committee.New,
+		Faults:   sim.Faults{Fates: byz},
+		Observer: onTCP,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -100,7 +100,7 @@ func BenchmarkHubLoad(b *testing.B) {
 	want := int64(trial.Clients * trial.QueriesPerClient)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		hub, err := StartHub(Config{N: 2, L: 4096, MsgBits: 64, Seed: int64(i + 1)})
+		hub, err := startHub(&sim.Spec{Config: sim.Config{N: 2, L: 4096, MsgBits: 64, Seed: int64(i + 1)}}, Net{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -140,16 +140,17 @@ func benchStorm(b *testing.B, drop float64) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		seed := int64(i + 1)
-		res, err := Run(Config{
-			N: 16, T: 4, L: 65536, MsgBits: 65536 / 16, Seed: seed,
-			NewPeer: crashk.NewFast, Label: "crashk-fast",
-			Absent:        []sim.PeerID{3, 8, 13},
-			Churn:         []sim.Fate{{Peer: 1, CrashAfter: 60, Downtime: 0.05}},
+		res, err := Runner(Net{
 			CheckpointDir: b.TempDir(),
 			Faults:        &FaultPlan{Seed: seed + 1000, Drop: drop, Dup: .02, Delay: 2 * time.Millisecond, Reorder: .05},
-			SourceFaults:  &source.FaultPlan{Seed: seed + 2000, FailRate: 0.1},
-			SourcePolicy:  source.Policy{BaseBackoff: 0.02, MaxBackoff: 0.2, Deadline: 0.25, BreakerCooldown: 0.1},
 			Resilience:    Resilience{QueryTimeout: 60 * time.Millisecond, RTO: 30 * time.Millisecond},
+		})(&sim.Spec{
+			Config:       sim.Config{N: 16, T: 4, L: 65536, MsgBits: 65536 / 16, Seed: seed},
+			NewPeer:      crashk.NewFast,
+			Label:        "crashk-fast",
+			Faults:       sim.Faults{Fates: append(sim.Crashes([]sim.PeerID{3, 8, 13}, 0), []sim.Fate{{Peer: 1, CrashAfter: 60, Downtime: 0.05}}...)},
+			SourceFaults: &source.FaultPlan{Seed: seed + 2000, FailRate: 0.1},
+			SourcePolicy: source.Policy{BaseBackoff: 0.02, MaxBackoff: 0.2, Deadline: 0.25, BreakerCooldown: 0.1},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -197,7 +198,8 @@ func crashkReq2() *crashk.Req2 {
 func BenchmarkBroadcastRelay(b *testing.B) {
 	const n = 16
 	m := crashkReq2()
-	h := bareHub(b, Config{N: n, T: 8, L: 65536, MsgBits: 65536 / n, Seed: 1})
+	spec := &sim.Spec{Config: sim.Config{N: n, T: 8, L: 65536, MsgBits: 65536 / n, Seed: 1}}
+	h := bareHub(b, spec)
 	// Each link is a recConn whose writes the far end reads back.
 	type pipe struct {
 		rc *recConn
@@ -210,7 +212,7 @@ func BenchmarkBroadcastRelay(b *testing.B) {
 		return p
 	}
 	up := newPipe()
-	sender := &client{stats: &sim.PeerStats{}, cfg: &h.cfg, id: 0, link: link{conn: newFrameConn(up.rc, 0)}}
+	sender := &client{stats: &sim.PeerStats{}, model: spec.Config, id: 0, link: link{conn: newFrameConn(up.rc, 0)}}
 	from := h.peers[0]
 	from.conn = newFrameConn(&recConn{discard: true}, 0)
 	down := make([]pipe, n)
@@ -218,7 +220,7 @@ func BenchmarkBroadcastRelay(b *testing.B) {
 	for i := 1; i < n; i++ {
 		down[i] = newPipe()
 		h.peers[sim.PeerID(i)].conn = newFrameConn(down[i].rc, 0)
-		dests[i] = &client{stats: &sim.PeerStats{}, cfg: &h.cfg, id: sim.PeerID(i), impl: &recorder{}, link: link{conn: newFrameConn(&recConn{discard: true}, 0)}}
+		dests[i] = &client{stats: &sim.PeerStats{}, model: spec.Config, id: sim.PeerID(i), impl: &recorder{}, link: link{conn: newFrameConn(&recConn{discard: true}, 0)}}
 	}
 	// Every connection's writer keeps its own scratch: the sender's, and
 	// the hub's and the client's end of each destination's.

@@ -27,7 +27,7 @@ type sentFrame struct {
 func pipeClient(id sim.PeerID, n int, churn *sim.Fate) (c *client, sent func() []sentFrame) {
 	near, far := net.Pipe()
 	fc := newFrameConn(near, 0)
-	c = &client{stats: &sim.PeerStats{}, cfg: &Config{N: n, MsgBits: 256}, id: id, link: link{conn: fc}, churn: churn}
+	c = &client{stats: &sim.PeerStats{}, model: sim.Config{N: n, MsgBits: 256}, id: id, link: link{conn: fc}, churn: churn}
 	done := make(chan []sentFrame)
 	go func() {
 		var frames []sentFrame
@@ -71,7 +71,7 @@ func broadcastSamples() []sim.Message {
 // holding one copy of the body. The sender is charged the same M.
 func TestBroadcastMatchesSends(t *testing.T) {
 	const n, id = 6, sim.PeerID(2)
-	cfg := Config{N: n, T: 1, L: 2048, MsgBits: 256, Seed: 1}
+	spec := &sim.Spec{Config: sim.Config{N: n, T: 1, L: 2048, MsgBits: 256, Seed: 1}}
 	for mi, m := range broadcastSamples() {
 		encoded := marshalAppend(nil, m)
 		// crashAfter < 0: no churn. Otherwise the action budget, from a
@@ -137,7 +137,7 @@ func TestBroadcastMatchesSends(t *testing.T) {
 
 			// Each upload through a hub of its own. The hub copies what it
 			// keeps: the BCAST's read buffer is written over after it.
-			hb, hs := bareHub(t, cfg), bareHub(t, cfg)
+			hb, hs := bareHub(t, spec), bareHub(t, spec)
 			for _, f := range got {
 				hb.handle(hb.peers[id], hb.peers[id].conn, f.kind, f.seq, f.payload)
 				scribble(f.payload)
@@ -175,7 +175,7 @@ func TestBroadcastMatchesSends(t *testing.T) {
 // the allocations of encoding its message once and nothing per destination.
 func TestBroadcastAllocatesItsBodyOnly(t *testing.T) {
 	const n = 16
-	c := &client{stats: &sim.PeerStats{}, cfg: &Config{N: n, MsgBits: 256}, id: 3, link: link{conn: newFrameConn(&recConn{discard: true}, 0)}}
+	c := &client{stats: &sim.PeerStats{}, model: sim.Config{N: n, MsgBits: 256}, id: 3, link: link{conn: newFrameConn(&recConn{discard: true}, 0)}}
 	for _, m := range broadcastSamples() {
 		body := testing.AllocsPerRun(50, func() { sinkBytes = marshalAppend(make([]byte, 0, 16+m.SizeBits()/8), m) })
 		got := testing.AllocsPerRun(50, func() {
@@ -192,7 +192,7 @@ func TestBroadcastAllocatesItsBodyOnly(t *testing.T) {
 // BCAST to however many peers it names for one copy of its body.
 func TestBroadcastRouteAllocatesOneBody(t *testing.T) {
 	const n = 16
-	h := bareHub(t, Config{N: n, T: 1, L: 2048, MsgBits: 256, Seed: 1})
+	h := bareHub(t, &sim.Spec{Config: sim.Config{N: n, T: 1, L: 2048, MsgBits: 256, Seed: 1}})
 	src := h.peers[3]
 	encoded := marshalAppend(nil, broadcastSamples()[0])
 	for _, k := range []int{1, 7, n - 1} {
@@ -236,7 +236,7 @@ func TestHostileBcast(t *testing.T) {
 		{name: "k=2, peer 0 absent", payload: body(2), absent: []sim.PeerID{0}, reached: []sim.PeerID{2}},
 		{name: "k=N-1, all absent", payload: body(n - 1), absent: []sim.PeerID{0, 2, 3, 4}},
 	} {
-		h := bareHub(t, Config{N: n, T: 1, L: 2048, MsgBits: msgBits, Seed: 1})
+		h := bareHub(t, &sim.Spec{Config: sim.Config{N: n, T: 1, L: 2048, MsgBits: msgBits, Seed: 1}})
 		for _, a := range tc.absent {
 			delete(h.peers, a)
 		}

@@ -2,7 +2,6 @@ package netrt_test
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/adversary"
 	"repro/internal/netrt"
@@ -22,13 +21,21 @@ func byzantine(n, tf int, behavior func(sim.PeerID, *sim.Knowledge) sim.Peer) []
 // TestTCPByzantineCommitteeLiars: committee under t lying members over
 // real sockets. Every forged report is wire-encoded by its liar's client
 // and decoded by each recipient's, and the honest peers still output X.
+// The honest peers never need a liar to finish, so each of them first
+// waits for every other peer's hello (helloFirst): no liar can miss the
+// run, and a liar sends its report in the same Init as its hello.
 func TestTCPByzantineCommitteeLiars(t *testing.T) {
-	byz := byzantine(9, 4, committee.NewLiar)
-	res, err := netrt.Run(netrt.Config{
-		N: 9, T: 4, L: 270, MsgBits: 256, Seed: 5,
-		NewPeer: committee.New,
-		Fates:   byz,
-		Timeout: 20 * time.Second,
+	const n = 9
+	byz := byzantine(n, 4, func(id sim.PeerID, k *sim.Knowledge) sim.Peer {
+		return &helloFirst{Peer: committee.NewLiar(id, k)}
+	})
+	res, err := netrt.Runner(netrt.Net{})(&sim.Spec{
+		Config: sim.Config{N: n, T: 4, L: 270, MsgBits: 256, Seed: 5},
+		NewPeer: func(id sim.PeerID) sim.Peer {
+			return &helloFirst{Peer: committee.New(id), wait: true}
+		},
+		Faults:   sim.Faults{Fates: byz},
+		Deadline: 20,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -36,9 +43,11 @@ func TestTCPByzantineCommitteeLiars(t *testing.T) {
 	if !res.Correct {
 		t.Fatalf("incorrect: %v", res)
 	}
+	// A hello is one message to each of the n-1 others; the report is
+	// more.
 	for _, f := range byz {
-		if res.PerPeer[f.Peer].MsgsSent == 0 {
-			t.Errorf("liar %d sent nothing", f.Peer)
+		if sent := res.PerPeer[f.Peer].MsgsSent; sent <= n-1 {
+			t.Errorf("liar %d sent %d messages, no more than its hello", f.Peer, sent)
 		}
 	}
 }
@@ -50,11 +59,11 @@ func TestTCPByzantineTwoCycleLiars(t *testing.T) {
 		t.Skip("many sockets")
 	}
 	const n, tf, l = 128, 16, 1 << 11
-	res, err := netrt.Run(netrt.Config{
-		N: n, T: tf, L: l, MsgBits: 128, Seed: 21,
-		NewPeer: twocycle.New,
-		Fates:   byzantine(n, tf, segproto.NewColludingLiar),
-		Timeout: 60 * time.Second,
+	res, err := netrt.Runner(netrt.Net{})(&sim.Spec{
+		Config:   sim.Config{N: n, T: tf, L: l, MsgBits: 128, Seed: 21},
+		NewPeer:  twocycle.New,
+		Faults:   sim.Faults{Fates: byzantine(n, tf, segproto.NewColludingLiar)},
+		Deadline: 60,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,11 +96,11 @@ func TestTCPByzantineBehaviors(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			byz := byzantine(n, tf, tc.behavior)
-			res, err := netrt.Run(netrt.Config{
-				N: n, T: tf, L: 1024, MsgBits: 128, Seed: 7,
-				NewPeer: tc.newPeer,
-				Fates:   byz,
-				Timeout: 20 * time.Second,
+			res, err := netrt.Runner(netrt.Net{})(&sim.Spec{
+				Config:   sim.Config{N: n, T: tf, L: 1024, MsgBits: 128, Seed: 7},
+				NewPeer:  tc.newPeer,
+				Faults:   sim.Faults{Fates: byz},
+				Deadline: 20,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -111,25 +120,25 @@ func TestTCPByzantineBehaviors(t *testing.T) {
 // TestTCPByzantineValidation: Byzantine fates stay inside T together with
 // the crash faults, and share no peer with them.
 func TestTCPByzantineValidation(t *testing.T) {
-	base := func() netrt.Config {
-		return netrt.Config{N: 4, T: 1, L: 64, MsgBits: 64, NewPeer: naive.New}
+	base := func() *sim.Spec {
+		return &sim.Spec{Config: sim.Config{N: 4, T: 1, L: 64, MsgBits: 64}, NewPeer: naive.New}
 	}
-	cases := map[string]func(*netrt.Config){
-		"over t with an absent peer": func(c *netrt.Config) {
-			c.Fates = append(byzantine(4, 1, adversary.NewSilent), sim.Crashes([]sim.PeerID{2}, 0)...)
+	cases := map[string]func(*sim.Spec){
+		"over t with an absent peer": func(s *sim.Spec) {
+			s.Faults.Fates = append(byzantine(4, 1, adversary.NewSilent), sim.Crashes([]sim.PeerID{2}, 0)...)
 		},
-		"also absent": func(c *netrt.Config) {
-			c.T = 2
-			c.Fates = append(sim.Byzantines([]sim.PeerID{2}, adversary.NewSilent), sim.Crashes([]sim.PeerID{2}, 0)...)
+		"also absent": func(s *sim.Spec) {
+			s.Config.T = 2
+			s.Faults.Fates = append(sim.Byzantines([]sim.PeerID{2}, adversary.NewSilent), sim.Crashes([]sim.PeerID{2}, 0)...)
 		},
-		"out of range": func(c *netrt.Config) {
-			c.Fates = sim.Byzantines([]sim.PeerID{4}, adversary.NewSilent)
+		"out of range": func(s *sim.Spec) {
+			s.Faults.Fates = sim.Byzantines([]sim.PeerID{4}, adversary.NewSilent)
 		},
 	}
 	for name, mutate := range cases {
-		cfg := base()
-		mutate(&cfg)
-		if _, err := netrt.Run(cfg); err == nil {
+		spec := base()
+		mutate(spec)
+		if _, err := netrt.Runner(netrt.Net{})(spec); err == nil {
 			t.Errorf("%s: invalid config accepted", name)
 		}
 	}

@@ -51,12 +51,12 @@ func fastResilience() netrt.Resilience {
 func TestChaosMatrix(t *testing.T) {
 	cases := []struct {
 		name string
-		cfg  netrt.Config
+		spec sim.Spec
 	}{
-		{"naive", netrt.Config{N: 5, T: 0, L: 256, MsgBits: 64, NewPeer: naive.New}},
-		{"crashk", netrt.Config{N: 6, T: 2, L: 512, MsgBits: 128, NewPeer: crashk.New,
-			Fates: sim.Crashes([]sim.PeerID{4}, 0)}},
-		{"committee", netrt.Config{N: 9, T: 2, L: 270, MsgBits: 256, NewPeer: committee.New}},
+		{"naive", sim.Spec{Config: sim.Config{N: 5, T: 0, L: 256, MsgBits: 64}, NewPeer: naive.New}},
+		{"crashk", sim.Spec{Config: sim.Config{N: 6, T: 2, L: 512, MsgBits: 128}, NewPeer: crashk.New,
+			Faults: sim.Faults{Fates: sim.Crashes([]sim.PeerID{4}, 0)}}},
+		{"committee", sim.Spec{Config: sim.Config{N: 9, T: 2, L: 270, MsgBits: 256}, NewPeer: committee.New}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -64,12 +64,10 @@ func TestChaosMatrix(t *testing.T) {
 			t.Parallel()
 			chaosEvents := 0
 			for seed := int64(1); seed <= 3; seed++ {
-				cfg := tc.cfg
-				cfg.Seed = seed
-				cfg.Faults = chaosPlan(seed * 101)
-				cfg.Resilience = fastResilience()
-				cfg.Timeout = 30 * time.Second
-				res, err := netrt.Run(cfg)
+				spec := tc.spec
+				spec.Config.Seed = seed
+				spec.Deadline = 30
+				res, err := netrt.Runner(netrt.Net{Faults: chaosPlan(seed * 101), Resilience: fastResilience()})(&spec)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
@@ -127,11 +125,7 @@ func (p *slowScanPeer) OnQueryReply(r sim.QueryReply) {
 // TestChaosFlapReconnect severs every peer's connection mid-run and
 // expects the clients to redial, replay, and finish correctly.
 func TestChaosFlapReconnect(t *testing.T) {
-	res, err := netrt.Run(netrt.Config{
-		N: 3, T: 0, L: 24, MsgBits: 64, Seed: 5,
-		NewPeer: func(sim.PeerID) sim.Peer {
-			return &slowScanPeer{pause: 15 * time.Millisecond}
-		},
+	res, err := netrt.Runner(netrt.Net{
 		Faults: &netrt.FaultPlan{
 			Seed: 9,
 			Flaps: map[sim.PeerID][]time.Duration{
@@ -145,7 +139,12 @@ func TestChaosFlapReconnect(t *testing.T) {
 			RTO:           50 * time.Millisecond,
 			ReconnectBase: 5 * time.Millisecond,
 		},
-		Timeout: 20 * time.Second,
+	})(&sim.Spec{
+		Config: sim.Config{N: 3, T: 0, L: 24, MsgBits: 64, Seed: 5},
+		NewPeer: func(sim.PeerID) sim.Peer {
+			return &slowScanPeer{pause: 15 * time.Millisecond}
+		},
+		Deadline: 20,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -164,16 +163,17 @@ func TestChaosFlapReconnect(t *testing.T) {
 // functions of the plans' seeds): correctness must come from the retry
 // path, visibly counted.
 func TestChaosQueryRetry(t *testing.T) {
-	res, err := netrt.Run(netrt.Config{
-		N: 6, T: 0, L: 128, MsgBits: 64, Seed: 11,
-		NewPeer:      naive.New,
-		Faults:       &netrt.FaultPlan{Seed: 3, Drop: 0.5},
-		SourceFaults: &source.FaultPlan{Seed: 4, TimeoutRate: 0.5},
+	res, err := netrt.Runner(netrt.Net{
+		Faults: &netrt.FaultPlan{Seed: 3, Drop: 0.5},
 		Resilience: netrt.Resilience{
 			QueryTimeout: 100 * time.Millisecond,
 			RTO:          50 * time.Millisecond,
 		},
-		Timeout: 20 * time.Second,
+	})(&sim.Spec{
+		Config:       sim.Config{N: 6, T: 0, L: 128, MsgBits: 64, Seed: 11},
+		NewPeer:      naive.New,
+		SourceFaults: &source.FaultPlan{Seed: 4, TimeoutRate: 0.5},
+		Deadline:     20,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -197,14 +197,15 @@ func (neverPeer) OnQueryReply(sim.QueryReply)       {}
 // structured error naming the unterminated peers, and still returns its
 // result, DeadlineHit set, beside it.
 func TestTimeoutErrorReportsPendingPeers(t *testing.T) {
-	res, err := netrt.Run(netrt.Config{
-		N: 2, T: 0, L: 64, MsgBits: 64, Seed: 1,
-		NewPeer: func(sim.PeerID) sim.Peer { return neverPeer{} },
-		Timeout: 400 * time.Millisecond,
+	res, err := netrt.Runner(netrt.Net{
 		Resilience: netrt.Resilience{
 			ReconnectAttempts: 2,
 			ReconnectBase:     2 * time.Millisecond,
 		},
+	})(&sim.Spec{
+		Config:   sim.Config{N: 2, T: 0, L: 64, MsgBits: 64, Seed: 1},
+		NewPeer:  func(sim.PeerID) sim.Peer { return neverPeer{} },
+		Deadline: 0.4,
 	})
 	if err == nil {
 		t.Fatal("expected timeout error")
@@ -240,8 +241,11 @@ func TestRunReturnsWithinTimeout(t *testing.T) {
 	const timeout = 300 * time.Millisecond
 	before := runtime.NumGoroutine()
 	start := time.Now()
-	_, err := netrt.Run(netrt.Config{N: 4, T: 0, L: 64, MsgBits: 64, Seed: 1,
-		NewPeer: func(sim.PeerID) sim.Peer { return neverPeer{} }, Timeout: timeout})
+	_, err := netrt.Runner(netrt.Net{})(&sim.Spec{
+		Config:   sim.Config{N: 4, T: 0, L: 64, MsgBits: 64, Seed: 1},
+		NewPeer:  func(sim.PeerID) sim.Peer { return neverPeer{} },
+		Deadline: (timeout).Seconds(),
+	})
 	took := time.Since(start)
 	var terr *netrt.TimeoutError
 	if !errors.As(err, &terr) {
@@ -279,15 +283,12 @@ func TestChaosManySeeds(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
 			t.Parallel()
-			cfg := netrt.Config{
-				N: 5, T: 1, L: 300, MsgBits: 128, Seed: seed,
-				NewPeer:    crashk.New,
-				Fates:      sim.Crashes([]sim.PeerID{3}, 0),
-				Faults:     chaosPlan(seed),
-				Resilience: fastResilience(),
-				Timeout:    30 * time.Second,
-			}
-			res, err := netrt.Run(cfg)
+			res, err := netrt.Runner(netrt.Net{Faults: chaosPlan(seed), Resilience: fastResilience()})(&sim.Spec{
+				Config:   sim.Config{N: 5, T: 1, L: 300, MsgBits: 128, Seed: seed},
+				NewPeer:  crashk.New,
+				Faults:   sim.Faults{Fates: sim.Crashes([]sim.PeerID{3}, 0)},
+				Deadline: 30,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -79,12 +79,11 @@ func TestChurnRejoinWarmOverTCP(t *testing.T) {
 }
 
 func checkRejoinWarm(t *testing.T, dir string) {
-	res, err := netrt.Run(netrt.Config{
-		N: 4, T: 1, L: 256, MsgBits: 64, Seed: 21,
-		NewPeer:       newHalver,
-		Fates:         []sim.Fate{{Peer: 0, CrashAfter: 4, Downtime: 0.3}},
-		CheckpointDir: dir,
-		Timeout:       30 * time.Second,
+	res, err := netrt.Runner(netrt.Net{CheckpointDir: dir})(&sim.Spec{
+		Config:   sim.Config{N: 4, T: 1, L: 256, MsgBits: 64, Seed: 21},
+		NewPeer:  newHalver,
+		Faults:   sim.Faults{Fates: []sim.Fate{{Peer: 0, CrashAfter: 4, Downtime: 0.3}}},
+		Deadline: 30,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -194,8 +193,11 @@ func TestChurnCrashDuringProbeOverTCP(t *testing.T) {
 		}
 	}
 	incarnations := 0 // NewPeer(0) runs on peer 0's goroutine alone
-	res, err := netrt.Run(netrt.Config{
-		N: n, T: 1, L: l, MsgBits: 64, Seed: 24,
+	res, err := netrt.Runner(netrt.Net{
+		CheckpointDir: t.TempDir(),
+		Resilience:    netrt.Resilience{QueryTimeout: 2 * time.Second},
+	})(&sim.Spec{
+		Config: sim.Config{N: n, T: 1, L: l, MsgBits: 64, Seed: 24},
 		NewPeer: func(id sim.PeerID) sim.Peer {
 			tag := 1
 			if id == 0 {
@@ -205,12 +207,10 @@ func TestChurnCrashDuringProbeOverTCP(t *testing.T) {
 			}
 			return &probeCrash{tag: tag}
 		},
-		Fates:         []sim.Fate{{Peer: 0, CrashAfter: 2, Downtime: 0.1}},
-		CheckpointDir: t.TempDir(),
-		SourceFaults:  fp,
-		SourcePolicy:  source.Policy{BaseBackoff: 0.02, MaxBackoff: 0.1, BreakerThreshold: 1, BreakerCooldown: 0.4},
-		Resilience:    netrt.Resilience{QueryTimeout: 2 * time.Second},
-		Timeout:       10 * time.Second,
+		Faults:       sim.Faults{Fates: []sim.Fate{{Peer: 0, CrashAfter: 2, Downtime: 0.1}}},
+		SourceFaults: fp,
+		SourcePolicy: source.Policy{BaseBackoff: 0.02, MaxBackoff: 0.1, BreakerThreshold: 1, BreakerCooldown: 0.4},
+		Deadline:     10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -289,17 +289,25 @@ func TestChurnNeverRejoinsOverTCP(t *testing.T) {
 	// crash point lies past its last action (as a random crash point
 	// may) finishes and is not reported crashed, as on des.
 	//
-	// Peer 2's actions are init, query 1, reply 1 and its broadcast's
-	// four sends; its eighth, query 2, crashes it. The crash runs in the
-	// handler that broadcast, so it precedes every honest termination:
-	// honest peers wait for the broadcast, and peer 2's client sees the
-	// run end only after that handler returns.
-	res, err := netrt.Run(netrt.Config{
-		N: 5, T: 2, L: 256, MsgBits: 64, Seed: 22,
-		NewPeer: newAnnouncer(2),
-		Fates: []sim.Fate{{Peer: 2, CrashAfter: 7, Downtime: -1},
-			{Peer: 4, CrashAfter: 1 << 30, Downtime: -1}},
-		Timeout: 30 * time.Second,
+	// Every peer first trades hellos (helloFirst), so the run cannot end
+	// before peer 4 has connected: a peer that never connects is
+	// reported crashed (TestChurnCrashMidRun). Nothing but hellos is sent
+	// before every peer holds them all, so peer 2's actions are fixed:
+	// init, its hello's four sends, the four hellos' deliveries, query 1,
+	// reply 1 and its broadcast's four sends; its sixteenth, query 2,
+	// crashes it. The crash runs in the handler that broadcast, so it
+	// precedes every honest termination: honest peers wait for the
+	// broadcast, and peer 2's client sees the run end only after that
+	// handler returns.
+	announcer := newAnnouncer(2)
+	res, err := netrt.Runner(netrt.Net{})(&sim.Spec{
+		Config: sim.Config{N: 5, T: 2, L: 256, MsgBits: 64, Seed: 22},
+		NewPeer: func(id sim.PeerID) sim.Peer {
+			return &helloFirst{Peer: announcer(id), wait: true}
+		},
+		Faults: sim.Faults{Fates: []sim.Fate{{Peer: 2, CrashAfter: 15, Downtime: -1},
+			{Peer: 4, CrashAfter: 1 << 30, Downtime: -1}}},
+		Deadline: 30,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -319,44 +327,39 @@ func TestChurnNeverRejoinsOverTCP(t *testing.T) {
 }
 
 func TestChurnValidationOverTCP(t *testing.T) {
-	base := func() netrt.Config {
-		return netrt.Config{N: 4, T: 1, L: 64, MsgBits: 64, NewPeer: naive.New,
-			CheckpointDir: t.TempDir()}
-	}
 	cases := []struct {
 		name   string
-		mutate func(*netrt.Config)
+		mutate func(*sim.Spec, *netrt.Net)
 	}{
-		{"out of range", func(c *netrt.Config) {
-			c.Churn = []sim.Fate{{Peer: 9, CrashAfter: 1, Downtime: -1}}
+		{"out of range", func(s *sim.Spec, _ *netrt.Net) {
+			s.Faults.Fates = []sim.Fate{{Peer: 9, CrashAfter: 1, Downtime: -1}}
 		}},
-		{"duplicate", func(c *netrt.Config) {
-			c.T = 2
-			c.Churn = []sim.Fate{{Peer: 0, CrashAfter: 1, Downtime: 1}, {Peer: 0, CrashAfter: 2, Downtime: 1}}
+		{"duplicate", func(s *sim.Spec, _ *netrt.Net) {
+			s.Config.T = 2
+			s.Faults.Fates = []sim.Fate{{Peer: 0, CrashAfter: 1, Downtime: 1}, {Peer: 0, CrashAfter: 2, Downtime: 1}}
 		}},
-		{"negative crash point", func(c *netrt.Config) {
-			c.Churn = []sim.Fate{{Peer: 0, CrashAfter: -1, Downtime: 1}}
+		{"negative crash point", func(s *sim.Spec, _ *netrt.Net) {
+			s.Faults.Fates = []sim.Fate{{Peer: 0, CrashAfter: -1, Downtime: 1}}
 		}},
-		{"churn plus absent exceeds t", func(c *netrt.Config) {
-			c.Absent = []sim.PeerID{1}
-			c.Churn = []sim.Fate{{Peer: 0, CrashAfter: 1, Downtime: 1}}
+		{"churn plus absent exceeds t", func(s *sim.Spec, _ *netrt.Net) {
+			s.Faults.Fates = append(sim.Crashes([]sim.PeerID{1}, 0), sim.Fate{Peer: 0, CrashAfter: 1, Downtime: 1})
 		}},
-		{"absent and churning", func(c *netrt.Config) {
-			c.T = 2
-			c.Absent = []sim.PeerID{0}
-			c.Churn = []sim.Fate{{Peer: 0, CrashAfter: 1, Downtime: 1}}
+		{"absent and churning", func(s *sim.Spec, _ *netrt.Net) {
+			s.Config.T = 2
+			s.Faults.Fates = append(sim.Crashes([]sim.PeerID{0}, 0), sim.Fate{Peer: 0, CrashAfter: 1, Downtime: 1})
 		}},
-		{"outage at a negative time", func(c *netrt.Config) {
-			c.Faults = &netrt.FaultPlan{Outages: []netrt.Outage{{At: -time.Millisecond, Down: time.Millisecond}}}
+		{"outage at a negative time", func(_ *sim.Spec, n *netrt.Net) {
+			n.Faults = &netrt.FaultPlan{Outages: []netrt.Outage{{At: -time.Millisecond, Down: time.Millisecond}}}
 		}},
-		{"outage with a negative downtime", func(c *netrt.Config) {
-			c.Faults = &netrt.FaultPlan{Outages: []netrt.Outage{{At: time.Millisecond, Down: -time.Millisecond}}}
+		{"outage with a negative downtime", func(_ *sim.Spec, n *netrt.Net) {
+			n.Faults = &netrt.FaultPlan{Outages: []netrt.Outage{{At: time.Millisecond, Down: -time.Millisecond}}}
 		}},
 	}
 	for _, tc := range cases {
-		cfg := base()
-		tc.mutate(&cfg)
-		if _, err := netrt.Run(cfg); err == nil {
+		spec := &sim.Spec{Config: sim.Config{N: 4, T: 1, L: 64, MsgBits: 64}, NewPeer: naive.New}
+		net := netrt.Net{CheckpointDir: t.TempDir()}
+		tc.mutate(spec, &net)
+		if _, err := netrt.Runner(net)(spec); err == nil {
 			t.Errorf("%s: invalid config accepted", tc.name)
 		}
 	}
@@ -376,15 +379,16 @@ func TestListenerOutageMidDownload(t *testing.T) {
 	const at, down = 2 * time.Millisecond, 150 * time.Millisecond
 	reg := obs.New()
 	log := &trace.Memory{} // netrt calls it one event at a time
-	res, err := netrt.Run(netrt.Config{
-		N: 8, T: 0, L: 4096, MsgBits: 256, Seed: 23,
-		NewPeer: crashk.New,
+	res, err := netrt.Runner(netrt.Net{
 		Faults: &netrt.FaultPlan{Seed: 23,
 			Outages: []netrt.Outage{{At: at, Down: down}},
 			Partitions: []netrt.Partition{
 				{A: []sim.PeerID{0}, B: []sim.PeerID{1, 2, 3, 4, 5, 6, 7}, Start: 0, Heal: 20 * at},
 			}},
-		Timeout:  30 * time.Second,
+	})(&sim.Spec{
+		Config:   sim.Config{N: 8, T: 0, L: 4096, MsgBits: 256, Seed: 23},
+		NewPeer:  crashk.New,
+		Deadline: 30,
 		Metrics:  reg,
 		Observer: log,
 	})
@@ -493,13 +497,13 @@ func TestBroadcastPrefixOverTCP(t *testing.T) {
 	others := []sim.PeerID{0, 1, 3, 4}
 	for k := 0; k <= n-1; k++ {
 		heard := make([]atomic.Int32, n)
-		res, err := netrt.Run(netrt.Config{
-			N: n, T: 1, L: L, MsgBits: msgBits, Seed: int64(40 + k),
+		res, err := netrt.Runner(netrt.Net{})(&sim.Spec{
+			Config: sim.Config{N: n, T: 1, L: L, MsgBits: msgBits, Seed: int64(40 + k)},
 			NewPeer: func(id sim.PeerID) sim.Peer {
 				return &prefixPeer{victim: victim, msg: msg, wait: slices.Contains(others[:k], id), heard: &heard[id]}
 			},
-			Fates:   []sim.Fate{{Peer: victim, CrashAfter: 1 + k, Downtime: -1}},
-			Timeout: 30 * time.Second,
+			Faults:   sim.Faults{Fates: []sim.Fate{{Peer: victim, CrashAfter: 1 + k, Downtime: -1}}},
+			Deadline: 30,
 		})
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)

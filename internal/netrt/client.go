@@ -32,7 +32,7 @@ import (
 // newPeer builds each incarnation's protocol instance (or, for a
 // Byzantine peer, its behavior); ev is the run's event stream, start the
 // run's clock, and stop closes when the hub stops.
-func runClient(cfg *Config, id sim.PeerID, fate *sim.Fate, newPeer func(sim.PeerID) sim.Peer, addr string,
+func runClient(spec *sim.Spec, net *Net, id sim.PeerID, fate *sim.Fate, newPeer func(sim.PeerID) sim.Peer, addr string,
 	q *qplane.Plane, st *sim.PeerStats, met *netMetrics, ev *events, start time.Time, stop <-chan struct{}) error {
 	defer func() { q.Settle(time.Since(start).Seconds()) }()
 	var churn *sim.Fate // the fate, if it crashes the peer
@@ -40,29 +40,29 @@ func runClient(cfg *Config, id sim.PeerID, fate *sim.Fate, newPeer func(sim.Peer
 		churn = fate
 	}
 	var store *checkpoint.Store
-	if churn != nil && cfg.CheckpointDir != "" {
+	if churn != nil && net.CheckpointDir != "" {
 		var err error
-		if store, err = checkpoint.NewStore(cfg.CheckpointDir); err != nil {
+		if store, err = checkpoint.NewStore(net.CheckpointDir); err != nil {
 			return fmt.Errorf("netrt: checkpoint store: %w", err)
 		}
 	}
 	rejoined := false
 	for {
 		c := &client{
-			cfg:     cfg,
-			res:     cfg.Resilience.withDefaults(),
-			idle:    cfg.idleTimeout(),
+			model:   spec.Config,
+			res:     net.Resilience.withDefaults(),
+			idle:    net.idleTimeout(),
 			id:      id,
 			addr:    addr,
-			rng:     rand.New(rand.NewSource(cfg.Seed + int64(id)*0x9e3779b97f4a7c + 1)),
-			nrng:    rand.New(rand.NewSource(cfg.Seed ^ (int64(id)*0x51af + 0xdead))),
+			rng:     rand.New(rand.NewSource(spec.Config.Seed + int64(id)*0x9e3779b97f4a7c + 1)),
+			nrng:    rand.New(rand.NewSource(spec.Config.Seed ^ (int64(id)*0x51af + 0xdead))),
 			impl:    newPeer(id),
 			start:   start,
 			met:     met,
 			ev:      ev,
 			q:       q,
 			stats:   st,
-			mparams: merkle.Params{TotalBits: cfg.L, LeafBits: cfg.Mirrors.EffectiveLeafBits()},
+			mparams: merkle.Params{TotalBits: spec.Config.L, LeafBits: spec.Mirrors.EffectiveLeafBits()},
 			stop:    stop,
 			link:    link{met: met, peer: int(id)},
 			stopHK:  make(chan struct{}),
@@ -92,7 +92,7 @@ func runClient(cfg *Config, id sim.PeerID, fate *sim.Fate, newPeer func(sim.Peer
 // clean exit (terminated or rejected) or a self-inflicted churn crash,
 // reported via crashed so runClient can schedule the rejoin.
 func (c *client) run(churn *sim.Fate, store *checkpoint.Store, rejoined bool) (crashed bool, err error) {
-	cfg, id := c.cfg, c.id
+	m, id := &c.model, c.id
 	if churn != nil && !rejoined {
 		// Only the first incarnation crashes; the rejoined one runs the
 		// honest protocol to completion.
@@ -102,7 +102,7 @@ func (c *client) run(churn *sim.Fate, store *checkpoint.Store, rejoined bool) (c
 		c.needResume = true
 		var warm *bitarray.Tracker
 		if store != nil {
-			if ck, lerr := store.Load(int(id), cfg.N, cfg.T, cfg.L, cfg.Seed); lerr == nil && ck != nil {
+			if ck, lerr := store.Load(int(id), m.N, m.T, m.L, m.Seed); lerr == nil && ck != nil {
 				warm = ck.Tracker()
 				if ck.RootKnown {
 					c.root = ck.Root
@@ -115,7 +115,7 @@ func (c *client) run(churn *sim.Fate, store *checkpoint.Store, rejoined bool) (c
 		if warm == nil {
 			// A torn, corrupt, mismatched or missing checkpoint rejoins
 			// cold: never wrong bits.
-			warm = bitarray.NewTracker(cfg.L)
+			warm = bitarray.NewTracker(m.L)
 		}
 		c.q.Rejoin(warm)
 	}
@@ -172,8 +172,8 @@ func (c *client) run(churn *sim.Fate, store *checkpoint.Store, rejoined bool) (c
 		// Persist the durable checkpoint before going down: everything the
 		// dead incarnation verified from the source survives the crash.
 		if store != nil && churn.Downtime >= 0 {
-			cs := &checkpoint.State{Peer: int(id), N: cfg.N, T: cfg.T, L: cfg.L,
-				Seed: cfg.Seed, Phase: c.lastPhase}
+			cs := &checkpoint.State{Peer: int(id), N: m.N, T: m.T, L: m.L,
+				Seed: m.Seed, Phase: c.lastPhase}
 			if c.rootKnown {
 				cs.RootKnown = true
 				cs.Root = c.root
@@ -191,14 +191,16 @@ func (c *client) run(churn *sim.Fate, store *checkpoint.Store, rejoined bool) (c
 }
 
 type client struct {
-	cfg  *Config
-	res  Resilience
-	idle time.Duration
-	id   sim.PeerID
-	addr string
-	rng  *rand.Rand // protocol randomness (sim.Context.Rand)
-	nrng *rand.Rand // network randomness (backoff jitter), kept separate
-	impl sim.Peer
+	// model is the spec's, copied so the per-frame reads of N, L and
+	// MsgBits are fields of the client.
+	model sim.Config
+	res   Resilience
+	idle  time.Duration
+	id    sim.PeerID
+	addr  string
+	rng   *rand.Rand // protocol randomness (sim.Context.Rand)
+	nrng  *rand.Rand // network randomness (backoff jitter), kept separate
+	impl  sim.Peer
 	// start is when the run started: the clock of Now and of the query
 	// plane, shared by both incarnations of a churn peer.
 	start time.Time
@@ -233,7 +235,7 @@ type client struct {
 	wakeAt   time.Time
 	hkAt     time.Time
 	lastPing time.Time
-	// Mirror-tier state (Config.Mirrors): the authoritative commitment
+	// Mirror-tier state (sim.Spec.Mirrors): the authoritative commitment
 	// from the hub's ROOT frame and the tree shape for verification.
 	mparams   merkle.Params
 	root      [merkle.HashBytes]byte
@@ -508,7 +510,7 @@ func (c *client) handleFrame(kind byte, seq uint64, payload []byte) {
 			c.met.malformedDropped(int(c.id))
 			return
 		}
-		m, err := wire.Unmarshal(payload[n:], c.cfg.L)
+		m, err := wire.Unmarshal(payload[n:], c.model.L)
 		if err != nil {
 			c.met.malformedDropped(int(c.id))
 			return
@@ -533,7 +535,7 @@ func (c *client) handleFrame(kind byte, seq uint64, payload []byte) {
 			return
 		}
 		// A reply echoes its query's header: the call is matched by it.
-		tag, count, hdrLen, _, _, ok := scanQuery(payload, c.cfg.L)
+		tag, count, hdrLen, _, _, ok := scanQuery(payload, c.model.L)
 		if !ok {
 			return
 		}
@@ -581,20 +583,20 @@ func (c *client) push(kind byte, p framePayload) {
 func (c *client) ID() sim.PeerID { return c.id }
 
 // N implements sim.Context.
-func (c *client) N() int { return c.cfg.N }
+func (c *client) N() int { return c.model.N }
 
 // T implements sim.Context.
-func (c *client) T() int { return c.cfg.T }
+func (c *client) T() int { return c.model.T }
 
 // L implements sim.Context.
-func (c *client) L() int { return c.cfg.L }
+func (c *client) L() int { return c.model.L }
 
 // MsgBits implements sim.Context.
-func (c *client) MsgBits() int { return c.cfg.MsgBits }
+func (c *client) MsgBits() int { return c.model.MsgBits }
 
 // Send implements sim.Context: one action tick and one MSG frame.
 func (c *client) Send(to sim.PeerID, m sim.Message) {
-	if to < 0 || int(to) >= c.cfg.N || to == c.id || !c.countAction() {
+	if to < 0 || int(to) >= c.model.N || to == c.id || !c.countAction() {
 		return
 	}
 	c.enc = marshalAppend(c.enc[:0], m)
@@ -612,7 +614,7 @@ func (c *client) Send(to sim.PeerID, m sim.Message) {
 // charges a send — and emits their send events (mu held).
 func (c *client) sent(m sim.Message, to sim.PeerID, k int) {
 	size := m.SizeBits()
-	chunks := max(1, (size+c.cfg.MsgBits-1)/c.cfg.MsgBits)
+	chunks := max(1, (size+c.model.MsgBits-1)/c.model.MsgBits)
 	c.stats.MsgsSent += k * chunks
 	c.stats.MsgBitsSent += k * size
 	if !c.ev.reads(sim.KindSend) {
@@ -644,7 +646,7 @@ func marshalAppend(dst []byte, m sim.Message) []byte {
 // inside the broadcast reaches exactly the peers a Send loop would have.
 func (c *client) Broadcast(m sim.Message) {
 	k := 0
-	for k < c.cfg.N-1 && c.countAction() {
+	for k < c.model.N-1 && c.countAction() {
 		k++
 	}
 	if k == 0 {

@@ -95,6 +95,9 @@ func (pt *Partition) separates(from, to sim.PeerID) bool {
 }
 
 func (p *FaultPlan) validate(n int) error {
+	if p == nil {
+		return nil
+	}
 	check := func(name string, v float64) error {
 		if v < 0 || v >= 1 {
 			return fmt.Errorf("netrt: fault plan %s=%v outside [0, 1)", name, v)

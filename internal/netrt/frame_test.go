@@ -180,7 +180,7 @@ func TestWriteFrameConcurrent(t *testing.T) {
 		return append(binary.BigEndian.AppendUint64(nil, uint64(w)<<32|uint64(i)), patterned(sizeOf(i), uint64(w*each+i))...)
 	}
 	out, in := loopbackPair(t)
-	h := bareHub(t, Config{N: 1, L: 64, MsgBits: 64})
+	h := bareHub(t, &sim.Spec{Config: sim.Config{N: 1, L: 64, MsgBits: 64}})
 	hp := h.peers[0]
 	hp.conn = newFrameConn(out, 0)
 	h.wg.Add(1)
@@ -347,7 +347,7 @@ func TestFrameAllocBudgets(t *testing.T) {
 	}
 
 	// A duplicate MSG is acked and dropped.
-	c := &client{stats: &sim.PeerStats{}, cfg: &Config{N: 4, L: 64}, id: 1, link: link{conn: newFrameConn(&recConn{discard: true}, 0)}}
+	c := &client{stats: &sim.PeerStats{}, model: sim.Config{N: 4, L: 64}, id: 1, link: link{conn: newFrameConn(&recConn{discard: true}, 0)}}
 	c.resume(binary.AppendUvarint([]byte{0}, 10)) // RESUME: send base 0, ack base 10
 	msg := marshalAppend(binary.AppendUvarint(nil, 2), broadcastSamples()[1])
 	var cw wbuf
@@ -431,7 +431,7 @@ func loopbackPair(t *testing.T) (dialed, accepted net.Conn) {
 // buffer-full, where the unbuffered reader took two reads a frame.
 func TestHubTakesABurstInFewReads(t *testing.T) {
 	const queries = 1000
-	h := newTestHub(t, Config{N: 1, T: 0, L: 4096, MsgBits: 64, Seed: 3, IdleTimeout: 5 * time.Second})
+	h := newTestHub(t, &sim.Spec{Config: sim.Config{N: 1, T: 0, L: 4096, MsgBits: 64, Seed: 3}}, Net{IdleTimeout: 5 * time.Second})
 	peer, hubSide := loopbackPair(t)
 	burst := appendFrame(nil, kHello, 0, numPayload(0, nil))
 	for q := 1; q <= queries; q++ {
@@ -478,7 +478,7 @@ func TestHubTakesABurstInFewReads(t *testing.T) {
 // TestHelloAndQueryInOneSegment: what follows HELLO in the same write is
 // not lost between the hello read and the serve loop.
 func TestHelloAndQueryInOneSegment(t *testing.T) {
-	h := newTestHub(t, Config{N: 2, T: 0, L: 64, MsgBits: 64, Seed: 2, IdleTimeout: 5 * time.Second})
+	h := newTestHub(t, &sim.Spec{Config: sim.Config{N: 2, T: 0, L: 64, MsgBits: 64, Seed: 2}}, Net{IdleTimeout: 5 * time.Second})
 	conn, err := net.Dial("tcp", h.addr)
 	if err != nil {
 		t.Fatal(err)
@@ -526,9 +526,9 @@ func (p *recorder) OnQueryReply(r sim.QueryReply) { p.replies = append(p.replies
 // reaches the protocol; a well-formed MSG after them is delivered.
 func TestMalformedMsgCounted(t *testing.T) {
 	reg := obs.New()
-	cfg := &Config{N: 4, L: 64, Metrics: reg}
+	spec := &sim.Spec{Config: sim.Config{N: 4, L: 64}, Metrics: reg}
 	rec := &recorder{}
-	c := &client{stats: &sim.PeerStats{}, cfg: cfg, id: 1, impl: rec, met: newNetMetrics(cfg),
+	c := &client{stats: &sim.PeerStats{}, model: spec.Config, id: 1, impl: rec, met: newNetMetrics(spec),
 		link: link{conn: newFrameConn(&recConn{discard: true}, 0)}}
 	c.resume(binary.AppendUvarint([]byte{0}, 10)) // RESUME: send base 0, ack base 10
 	from := binary.AppendUvarint(nil, 2)
@@ -573,7 +573,7 @@ func TestResumeAndReplayInOneSegment(t *testing.T) {
 	}
 	rc := &recConn{src: bytes.NewReader(segment)}
 	rec := &recorder{}
-	c := &client{stats: &sim.PeerStats{}, cfg: &Config{N: 8, L: 4096}, id: 1, idle: time.Second, impl: rec, needResume: true}
+	c := &client{stats: &sim.PeerStats{}, model: sim.Config{N: 8, L: 4096}, id: 1, idle: time.Second, impl: rec, needResume: true}
 	fc := newFrameConn(rc, c.idle)
 	if err := c.awaitResume(fc); err != nil {
 		t.Fatal(err)
@@ -619,7 +619,7 @@ func TestResumeAndReplayInOneSegment(t *testing.T) {
 // silent half.
 func TestIdleDeadlineSparesAPingingLink(t *testing.T) {
 	const idle = 200 * time.Millisecond
-	h := newTestHub(t, Config{N: 1, T: 0, L: 64, MsgBits: 64, Seed: 1, IdleTimeout: idle})
+	h := newTestHub(t, &sim.Spec{Config: sim.Config{N: 1, T: 0, L: 64, MsgBits: 64, Seed: 1}}, Net{IdleTimeout: idle})
 	conn, err := net.Dial("tcp", h.addr)
 	if err != nil {
 		t.Fatal(err)

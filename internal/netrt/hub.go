@@ -46,7 +46,8 @@ type hubPeer struct {
 }
 
 type hub struct {
-	cfg   Config
+	// n and l are the spec's N and L, read on every frame.
+	n, l  int
 	res   Resilience
 	idle  time.Duration
 	plan  *FaultPlan
@@ -94,30 +95,32 @@ type hub struct {
 
 // newHub starts a hub whose clock (the fault plan's, the source's and
 // termination times) starts at start.
-func newHub(cfg Config, input *bitarray.Array, met *netMetrics, ev *events, start time.Time) (*hub, error) {
+func newHub(spec *sim.Spec, net *Net, input *bitarray.Array, met *netMetrics, ev *events, start time.Time) (*hub, error) {
 	ln, err := listen("127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("netrt: listen: %w", err)
 	}
+	n := spec.Config.N
 	h := &hub{
-		cfg:     cfg,
-		res:     cfg.Resilience.withDefaults(),
-		idle:    cfg.idleTimeout(),
-		plan:    cfg.Faults,
+		n:       n,
+		l:       spec.Config.L,
+		res:     net.Resilience.withDefaults(),
+		idle:    net.idleTimeout(),
+		plan:    net.Faults,
 		input:   input,
-		src:     source.Wrap(source.NewTrusted(input), cfg.SourceFaults),
+		src:     source.Wrap(source.NewTrusted(input), spec.SourceFaults),
 		addr:    ln.Addr().String(),
 		ln:      ln,
 		start:   start,
-		fates:   sim.Faults{Fates: cfg.Fates}.ByPeer(cfg.N),
-		peers:   make(map[sim.PeerID]*hubPeer, cfg.N),
+		fates:   spec.Faults.ByPeer(n),
+		peers:   make(map[sim.PeerID]*hubPeer, n),
 		met:     met,
 		ev:      ev,
 		stop:    make(chan struct{}),
 		allDone: make(chan struct{}),
 	}
-	if cfg.Mirrors.Enabled() {
-		h.mirror = source.NewMirrored(input, cfg.Mirrors, cfg.N, h.src)
+	if spec.Mirrors.Enabled() {
+		h.mirror = source.NewMirrored(input, spec.Mirrors, n, h.src)
 	}
 	for i, f := range h.fates {
 		if h.owesDone(sim.PeerID(i)) {
@@ -172,7 +175,7 @@ func (h *hub) serve(nc net.Conn) {
 	// churn peer); anything beyond it is reserved and ignored.
 	resume := n > 0 && len(payload) > n && payload[n]&1 != 0
 	var hp *hubPeer
-	if n > 0 && id64 < uint64(h.cfg.N) {
+	if n > 0 && id64 < uint64(h.n) {
 		hp = h.peers[sim.PeerID(id64)]
 	}
 	if hp == nil {
@@ -290,13 +293,13 @@ func (h *hub) route(src *hubPeer, kind byte, payload []byte) {
 	body := payload[n:]
 	to, k := v, uint64(1)
 	if kind == kBcast {
-		if v == 0 || v >= uint64(h.cfg.N) {
+		if v == 0 || v >= uint64(h.n) {
 			return
 		}
 		to, k = 0, v
 	}
 	var shared []byte
-	for ; k > 0 && to < uint64(h.cfg.N); to++ {
+	for ; k > 0 && to < uint64(h.n); to++ {
 		if kind == kBcast && to == uint64(src.id) {
 			continue
 		}
@@ -409,13 +412,13 @@ func (h *hub) after(d time.Duration, f func()) {
 // refusals without waiting out its silence deadline. Q is the client's to
 // charge, at its Query.
 func (h *hub) answerQuery(hp *hubPeer, conn *frameConn, payload []byte, now time.Time) {
-	_, indices, hdrLen, ok := decodeQuery(conn.indices, payload, h.cfg.L)
+	_, indices, hdrLen, ok := decodeQuery(conn.indices, payload, h.l)
 	if !ok {
 		return
 	}
 	conn.indices = indices
 	for _, idx := range indices {
-		if idx < 0 || idx >= h.cfg.L {
+		if idx < 0 || idx >= h.l {
 			return
 		}
 	}
@@ -466,7 +469,7 @@ func (h *hub) answerQuery(hp *hubPeer, conn *frameConn, payload []byte, now time
 // a mirror's bits. The fleet is asked
 // for a leaf span, so the header is scanned for its bounds, not decoded.
 func (h *hub) answerMirrorQuery(hp *hubPeer, conn *frameConn, payload []byte, now time.Time) {
-	_, count, hdrLen, lo, hi, ok := scanQuery(payload, h.cfg.L)
+	_, count, hdrLen, lo, hi, ok := scanQuery(payload, h.l)
 	if !ok {
 		return
 	}
@@ -474,7 +477,7 @@ func (h *hub) answerMirrorQuery(hp *hubPeer, conn *frameConn, payload []byte, no
 		h.answerQuery(hp, conn, payload, now)
 		return
 	}
-	if lo < 0 || hi >= h.cfg.L {
+	if lo < 0 || hi >= h.l {
 		return
 	}
 	hp.mu.Lock()
@@ -561,7 +564,7 @@ func (h *hub) owesDone(id sim.PeerID) bool {
 // deadline report.
 func (h *hub) timeoutError(after time.Duration) *TimeoutError {
 	e := &TimeoutError{After: after}
-	for i := 0; i < h.cfg.N; i++ {
+	for i := 0; i < h.n; i++ {
 		id := sim.PeerID(i)
 		if !h.owesDone(id) {
 			continue

@@ -129,11 +129,11 @@ func TestBackoffDelayCappedAndJittered(t *testing.T) {
 	}
 }
 
-func newTestHub(t *testing.T, cfg Config) *hub {
+func newTestHub(t *testing.T, spec *sim.Spec, net Net) *hub {
 	t.Helper()
-	input := (&sim.Config{N: cfg.N, T: cfg.T, L: cfg.L, MsgBits: cfg.MsgBits, Seed: cfg.Seed}).ResolveInput()
+	input := spec.Config.ResolveInput()
 	start := time.Now()
-	h, err := newHub(cfg, input, newNetMetrics(&cfg), newEvents(&cfg, start), start)
+	h, err := newHub(spec, &net, input, newNetMetrics(spec), newEvents(spec, start), start)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func newTestHub(t *testing.T, cfg Config) *hub {
 // frames, no heartbeats) must be closed within roughly the idle window.
 func TestIdleDeadlineDetectsDeadLink(t *testing.T) {
 	const idle = 200 * time.Millisecond
-	h := newTestHub(t, Config{N: 1, T: 0, L: 64, MsgBits: 64, Seed: 1, IdleTimeout: idle})
+	h := newTestHub(t, &sim.Spec{Config: sim.Config{N: 1, T: 0, L: 64, MsgBits: 64, Seed: 1}}, Net{IdleTimeout: idle})
 	conn, err := net.Dial("tcp", h.addr)
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestIdleDeadlineDetectsDeadLink(t *testing.T) {
 // corrupt lengths, truncated sequence varints, hostile query counts —
 // and verifies it stays up and keeps serving well-formed peers.
 func TestHostileFramesCannotPanicHub(t *testing.T) {
-	h := newTestHub(t, Config{N: 2, T: 0, L: 64, MsgBits: 64, Seed: 2, IdleTimeout: time.Second})
+	h := newTestHub(t, &sim.Spec{Config: sim.Config{N: 2, T: 0, L: 64, MsgBits: 64, Seed: 2}}, Net{IdleTimeout: time.Second})
 	hostile := [][]byte{
 		{0, 0, 0, 0},             // length 0 (< kind+seq minimum)
 		{0xFF, 0xFF, 0xFF, 0xFF}, // length 4 GiB (> maxFrame)
@@ -308,13 +308,13 @@ func (p *askOnce) OnQueryReply(r sim.QueryReply) {
 // finishes, and returns its stats.
 func runPeer(t *testing.T, addr string, l int, peer sim.Peer, pol source.Policy) *sim.PeerStats {
 	t.Helper()
-	cfg := &Config{N: 1, L: l, MsgBits: 64, Seed: 1, IdleTimeout: 5 * time.Second,
-		Resilience: Resilience{QueryTimeout: 40 * time.Millisecond}, SourcePolicy: pol,
+	spec := &sim.Spec{Config: sim.Config{N: 1, L: l, MsgBits: 64, Seed: 1}, SourcePolicy: pol,
 		NewPeer: func(sim.PeerID) sim.Peer { return peer }}
+	net := &Net{IdleTimeout: 5 * time.Second, Resilience: Resilience{QueryTimeout: 40 * time.Millisecond}}
 	st := &sim.PeerStats{}
-	q := qplane.NewRemoteTier(cfg.L, cfg.Seed, cfg.SourcePolicy).NewPlane(0, st, false, nil)
+	q := qplane.NewRemoteTier(l, spec.Config.Seed, pol).NewPlane(0, st, false, nil)
 	done := make(chan error, 1)
-	go func() { done <- runClient(cfg, 0, nil, cfg.NewPeer, addr, q, st, nil, nil, time.Now(), nil) }()
+	go func() { done <- runClient(spec, net, 0, nil, spec.NewPeer, addr, q, st, nil, nil, time.Now(), nil) }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -422,7 +422,7 @@ func TestFallbackRetryChargesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := newTestHub(t, Config{N: 1, T: 0, L: 256, MsgBits: 64, Seed: 5, Mirrors: plan, IdleTimeout: 5 * time.Second})
+	h := newTestHub(t, &sim.Spec{Config: sim.Config{N: 1, T: 0, L: 256, MsgBits: 64, Seed: 5}, Mirrors: plan}, Net{IdleTimeout: 5 * time.Second})
 	conn, err := net.Dial("tcp", h.addr)
 	if err != nil {
 		t.Fatal(err)
@@ -523,12 +523,13 @@ func TestFallbackRetryChargesOnce(t *testing.T) {
 // delivered or re-sent.
 func TestLateReplyServesParkedCall(t *testing.T) {
 	for _, terminated := range []bool{false, true} {
-		h := bareHub(t, Config{N: 2, T: 0, L: 256, MsgBits: 64, Seed: 8})
+		spec := &sim.Spec{Config: sim.Config{N: 2, T: 0, L: 256, MsgBits: 64, Seed: 8}}
+		h := bareHub(t, spec)
 		rec, st := &recorder{}, &sim.PeerStats{}
 		policy := source.Policy{BreakerThreshold: 1, BreakerCooldown: 60}
-		c := &client{cfg: &h.cfg, res: h.res, id: 1, impl: rec, start: time.Now(),
+		c := &client{model: spec.Config, res: h.res, id: 1, impl: rec, start: time.Now(),
 			link: link{conn: newFrameConn(&recConn{discard: true}, 0)}, stats: st,
-			q: qplane.NewRemoteTier(h.cfg.L, h.cfg.Seed, policy).NewPlane(1, st, false, nil)}
+			q: qplane.NewRemoteTier(spec.Config.L, spec.Config.Seed, policy).NewPlane(1, st, false, nil)}
 		a, b := []int{1, 2, 3}, []int{40, 41}
 		hdrA, hdrB := encodeQueryHeader(1, a), encodeQueryHeader(2, b)
 		c.Query(1, slices.Clone(a))
@@ -602,8 +603,10 @@ func (p *askSeq) OnQueryReply(r sim.QueryReply) {
 // TestRejectUnknownPeer: connections for out-of-range or absent ids get a
 // REJECT frame, not silence, so clients stop redialing.
 func TestRejectUnknownPeer(t *testing.T) {
-	h := newTestHub(t, Config{N: 2, T: 1, L: 64, MsgBits: 64, Seed: 3,
-		Fates: sim.Crashes([]sim.PeerID{1}, 0), IdleTimeout: time.Second})
+	h := newTestHub(t, &sim.Spec{
+		Config: sim.Config{N: 2, T: 1, L: 64, MsgBits: 64, Seed: 3},
+		Faults: sim.Faults{Fates: sim.Crashes([]sim.PeerID{1}, 0)},
+	}, Net{IdleTimeout: time.Second})
 	for _, id := range []uint64{1, 17} {
 		conn, err := net.Dial("tcp", h.addr)
 		if err != nil {
@@ -695,11 +698,13 @@ func TestChaosLostFramesResentAtNextFrame(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	res, err := Run(Config{N: 2, T: 0, L: L, MsgBits: 64, Seed: 3,
-		NewPeer:    func(sim.PeerID) sim.Peer { return &lossProbe{} },
+	res, err := Runner(Net{
 		Faults:     plan,
 		Resilience: Resilience{RTO: 10 * time.Second, QueryTimeout: 10 * time.Second},
-		Timeout:    5 * time.Second,
+	})(&sim.Spec{
+		Config:   sim.Config{N: 2, T: 0, L: L, MsgBits: 64, Seed: 3},
+		NewPeer:  func(sim.PeerID) sim.Peer { return &lossProbe{} },
+		Deadline: 5,
 	})
 	if err != nil {
 		t.Fatalf("plan seed %d: %v", plan.Seed, err)
@@ -727,8 +732,9 @@ func TestChaosLostFramesResentAtNextFrame(t *testing.T) {
 // alive until the hub closes.
 func TestLaterKeepsNoDeliveryTimer(t *testing.T) {
 	const n = 40
-	h := newTestHub(t, Config{N: 1, T: 0, L: 64, MsgBits: 64, Seed: 1, IdleTimeout: 5 * time.Second,
-		Faults: &FaultPlan{Seed: 2, Dup: 0.3, Delay: time.Millisecond, Reorder: 0.2}})
+	h := newTestHub(t, &sim.Spec{
+		Config: sim.Config{N: 1, T: 0, L: 64, MsgBits: 64, Seed: 1},
+	}, Net{IdleTimeout: 5 * time.Second, Faults: &FaultPlan{Seed: 2, Dup: 0.3, Delay: time.Millisecond, Reorder: 0.2}})
 	conn, err := net.Dial("tcp", h.addr)
 	if err != nil {
 		t.Fatal(err)

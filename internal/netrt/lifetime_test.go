@@ -28,17 +28,18 @@ func scribble(b []byte) {
 // bareHub is a hub's state without its goroutines: every peer is
 // connected, and what the hub owes a peer stays owed until a test takes it
 // (queued) or runs a writer pass.
-func bareHub(t testing.TB, cfg Config) *hub {
+func bareHub(t testing.TB, spec *sim.Spec) *hub {
 	t.Helper()
-	input := (&sim.Config{N: cfg.N, T: cfg.T, L: cfg.L, MsgBits: cfg.MsgBits, Seed: cfg.Seed}).ResolveInput()
-	h := &hub{cfg: cfg, res: cfg.Resilience.withDefaults(), idle: time.Second, input: input,
+	c := &spec.Config
+	input := c.ResolveInput()
+	h := &hub{n: c.N, l: c.L, res: Resilience{}.withDefaults(), idle: time.Second, input: input,
 		src: source.Wrap(source.NewTrusted(input), nil), start: time.Now(),
-		expect: cfg.N, fates: make([]*sim.Fate, cfg.N), peers: make(map[sim.PeerID]*hubPeer),
+		expect: c.N, fates: make([]*sim.Fate, c.N), peers: make(map[sim.PeerID]*hubPeer),
 		stop: make(chan struct{}), allDone: make(chan struct{})}
-	if cfg.Mirrors.Enabled() {
-		h.mirror = source.NewMirrored(input, cfg.Mirrors, cfg.N, h.src)
+	if spec.Mirrors.Enabled() {
+		h.mirror = source.NewMirrored(input, spec.Mirrors, c.N, h.src)
 	}
-	for i := 0; i < cfg.N; i++ {
+	for i := 0; i < c.N; i++ {
 		h.peers[sim.PeerID(i)] = &hubPeer{id: sim.PeerID(i), link: link{conn: newFrameConn(&recConn{discard: true}, 0)}}
 	}
 	return h
@@ -69,7 +70,7 @@ func TestHubKeepsNoReadBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := bareHub(t, Config{N: 4, T: 1, L: 4096, MsgBits: 256, Seed: 8, Mirrors: plan})
+	h := bareHub(t, &sim.Spec{Config: sim.Config{N: 4, T: 1, L: 4096, MsgBits: 256, Seed: 8}, Mirrors: plan})
 	src, dest := h.peers[0], h.peers[2]
 	check := func(what string, before, after []byte) {
 		t.Helper()
@@ -115,7 +116,7 @@ func TestHubKeepsNoReadBuffer(t *testing.T) {
 // the same array, and what the hub sent for the earlier one stays as it
 // was.
 func TestHubReusesQueryBuffer(t *testing.T) {
-	h := bareHub(t, Config{N: 2, T: 0, L: 4096, MsgBits: 64, Seed: 8})
+	h := bareHub(t, &sim.Spec{Config: sim.Config{N: 2, T: 0, L: 4096, MsgBits: 64, Seed: 8}})
 	hp := h.peers[0]
 	steps, run := make([]int, 300), make([]int, 200)
 	for i := range steps {
@@ -141,7 +142,7 @@ func TestHubReusesQueryBuffer(t *testing.T) {
 		idx   []int
 	}{{first, steps}, {second, run}} {
 		payload := payloadOf(f.frame)
-		_, count, hdrLen, _, _, ok := scanQuery(payload, h.cfg.L)
+		_, count, hdrLen, _, _, ok := scanQuery(payload, h.l)
 		if !ok || count != len(f.idx) {
 			t.Fatalf("a reply's header does not scan to its %d indices", len(f.idx))
 		}
@@ -167,11 +168,12 @@ func TestClientKeepsNoReadBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := bareHub(t, Config{N: 4, T: 1, L: 4096, MsgBits: 256, Seed: 8, Mirrors: plan})
+	spec := &sim.Spec{Config: sim.Config{N: 4, T: 1, L: 4096, MsgBits: 256, Seed: 8}, Mirrors: plan}
+	h := bareHub(t, spec)
 	rec := &recorder{}
 	st := &sim.PeerStats{}
-	c := &client{cfg: &h.cfg, id: 1, impl: rec, start: time.Now(), link: link{conn: newFrameConn(&recConn{discard: true}, 0)},
-		q: qplane.NewRemoteTier(h.cfg.L, h.cfg.Seed, source.Policy{}).NewPlane(1, st, false, nil), stats: st,
+	c := &client{model: spec.Config, id: 1, impl: rec, start: time.Now(), link: link{conn: newFrameConn(&recConn{discard: true}, 0)},
+		q: qplane.NewRemoteTier(spec.Config.L, spec.Config.Seed, source.Policy{}).NewPlane(1, st, false, nil), stats: st,
 		mparams: h.mirror.Params()}
 
 	root := h.mirror.Root()

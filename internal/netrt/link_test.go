@@ -305,7 +305,7 @@ func TestLinkInstall(t *testing.T) {
 // next writer pass resend the oldest of them, long before its 4·RTO.
 func TestClientFastRetransmit(t *testing.T) {
 	rc := &recConn{}
-	c := &client{stats: &sim.PeerStats{}, cfg: &Config{N: 4, L: 64}, id: 1,
+	c := &client{stats: &sim.PeerStats{}, model: sim.Config{N: 4, L: 64}, id: 1,
 		res: Resilience{}.withDefaults(), link: link{conn: newFrameConn(rc, 0)}}
 	c.mu.Lock()
 	for i := 0; i < 3; i++ {
@@ -339,7 +339,7 @@ func TestResumeFirstThenRootThenAck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := newTestHub(t, Config{N: 2, T: 1, L: 4096, MsgBits: 256, Seed: 1, Mirrors: plan})
+	h := newTestHub(t, &sim.Spec{Config: sim.Config{N: 2, T: 1, L: 4096, MsgBits: 256, Seed: 1}, Mirrors: plan}, Net{})
 	hp := h.peers[0]
 	hp.mu.Lock()
 	for _, seq := range []uint64{1, 2, 4} { // 3 died with the peer's last incarnation

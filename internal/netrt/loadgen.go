@@ -26,7 +26,7 @@ import (
 
 // Hub is a running hub handle for external drivers (cmd/drload): raw
 // frame clients dial Addr and speak the framed protocol directly, without
-// the protocol client layer that Run wraps around sim.Peer. cfg.NewPeer
+// the protocol client layer that Runner wraps around sim.Peer. cfg.NewPeer
 // is ignored and may be nil.
 type Hub struct {
 	h     *hub
@@ -37,21 +37,29 @@ type Hub struct {
 // alone: its listener and the retransmit and heartbeat clock, but no
 // protocol clients. The caller owns connection traffic and must Close.
 func StartHub(cfg Config) (*Hub, error) {
-	if cfg.N < 1 {
+	spec, net := cfg.lower()
+	return startHub(spec, net)
+}
+
+// startHub is StartHub on the spec and the Net a Config lowers to. Of the
+// spec it reads the model, the source plan and the observability sinks;
+// NewPeer and the fates are ignored.
+func startHub(spec *sim.Spec, net Net) (*Hub, error) {
+	c := &spec.Config
+	if c.N < 1 {
 		return nil, errors.New("netrt: StartHub needs N >= 1")
 	}
-	if cfg.L < 1 || cfg.MsgBits < 1 {
-		return nil, fmt.Errorf("netrt: StartHub needs L >= 1 and MsgBits >= 1 (got L=%d, b=%d)", cfg.L, cfg.MsgBits)
+	if c.L < 1 || c.MsgBits < 1 {
+		return nil, fmt.Errorf("netrt: StartHub needs L >= 1 and MsgBits >= 1 (got L=%d, b=%d)", c.L, c.MsgBits)
 	}
-	if cfg.SourceFaults != nil {
-		if err := cfg.SourceFaults.Validate(); err != nil {
+	if spec.SourceFaults != nil {
+		if err := spec.SourceFaults.Validate(); err != nil {
 			return nil, fmt.Errorf("netrt: %w", err)
 		}
 	}
-	input := (&sim.Config{N: cfg.N, T: cfg.T, L: cfg.L, MsgBits: cfg.MsgBits,
-		Seed: cfg.Seed, Input: cfg.Input}).ResolveInput()
+	input := c.ResolveInput()
 	start := time.Now()
-	h, err := newHub(cfg, input, newNetMetrics(&cfg), newEvents(&cfg, start), start)
+	h, err := newHub(spec, &net, input, newNetMetrics(spec), newEvents(spec, start), start)
 	if err != nil {
 		return nil, err
 	}
@@ -292,8 +300,8 @@ func (x *Hub) GenerateLoad(spec LoadSpec) (*LoadResult, error) {
 	if s.Clients < 1 || s.Conns < 1 {
 		return nil, fmt.Errorf("netrt: load spec needs Clients >= 1 and Conns >= 1 (got %d, %d)", s.Clients, s.Conns)
 	}
-	if s.Conns > x.h.cfg.N {
-		return nil, fmt.Errorf("netrt: %d conns exceed the hub's N=%d peers", s.Conns, x.h.cfg.N)
+	if s.Conns > x.h.n {
+		return nil, fmt.Errorf("netrt: %d conns exceed the hub's N=%d peers", s.Conns, x.h.n)
 	}
 	per := s.Clients / s.Conns
 	extra := s.Clients % s.Conns
@@ -309,7 +317,7 @@ func (x *Hub) GenerateLoad(spec LoadSpec) (*LoadResult, error) {
 		lo, hi := next*s.QueriesPerClient, (next+count)*s.QueriesPerClient
 		d := &connLoad{
 			spec:      s,
-			l:         x.h.cfg.L,
+			l:         x.h.l,
 			first:     next,
 			count:     count,
 			remaining: make([]int32, count),

@@ -13,7 +13,7 @@ import (
 // drops), latencies recorded, and the writer counters must account for at
 // least one reply frame per query.
 func TestGenerateLoad(t *testing.T) {
-	hub, err := StartHub(Config{N: 8, L: 256, MsgBits: 64, Seed: 4})
+	hub, err := startHub(&sim.Spec{Config: sim.Config{N: 8, L: 256, MsgBits: 64, Seed: 4}}, Net{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestGenerateLoad(t *testing.T) {
 // leaves gaps in the connections' sample windows, and the result holds
 // exactly one sample per reply, sorted, with no gap left as a zero.
 func TestGenerateLoadCompactsMissingReplies(t *testing.T) {
-	hub, err := StartHub(Config{N: 4, L: 256, MsgBits: 64, Seed: 5})
+	hub, err := startHub(&sim.Spec{Config: sim.Config{N: 4, L: 256, MsgBits: 64, Seed: 5}}, Net{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestGenerateLoadCompactsMissingReplies(t *testing.T) {
 
 // TestGenerateLoadValidation pins the load-spec error paths.
 func TestGenerateLoadValidation(t *testing.T) {
-	hub, err := StartHub(Config{N: 2, L: 64, MsgBits: 64, Seed: 1})
+	hub, err := startHub(&sim.Spec{Config: sim.Config{N: 2, L: 64, MsgBits: 64, Seed: 1}}, Net{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +99,9 @@ func TestGenerateLoadValidation(t *testing.T) {
 // frames: hello, a query, a qreply back, and writer counters that account
 // for the written frames.
 func TestStartHub(t *testing.T) {
-	hub, err := StartHub(Config{
-		N: 4, L: 64, MsgBits: 64, Seed: 9,
-		IdleTimeout: 2 * time.Second,
-	})
+	hub, err := startHub(&sim.Spec{
+		Config: sim.Config{N: 4, L: 64, MsgBits: 64, Seed: 9},
+	}, Net{IdleTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

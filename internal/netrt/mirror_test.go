@@ -25,11 +25,11 @@ func tcpMirrors(t *testing.T, s string) *source.MirrorPlan {
 // proof verifies against the pushed ROOT, and the download completes
 // with Q = L and zero fallbacks.
 func TestMirrorHonestFleetOverTCP(t *testing.T) {
-	res, err := netrt.Run(netrt.Config{
-		N: 4, T: 0, L: 256, MsgBits: 64, Seed: 31,
-		NewPeer: naive.NewBatched(32),
-		Mirrors: tcpMirrors(t, "mirrors=4,leaf=64,seed=5"),
-		Timeout: 30 * time.Second,
+	res, err := netrt.Runner(netrt.Net{})(&sim.Spec{
+		Config:   sim.Config{N: 4, T: 0, L: 256, MsgBits: 64, Seed: 31},
+		NewPeer:  naive.NewBatched(32),
+		Mirrors:  tcpMirrors(t, "mirrors=4,leaf=64,seed=5"),
+		Deadline: 30,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -50,11 +50,11 @@ func TestMirrorHonestFleetOverTCP(t *testing.T) {
 // mixed behaviors. Clients reject every bad proof, fall back via
 // QUERYSRC, and the download stays exact with Q = L.
 func TestMirrorByzantineMajorityOverTCP(t *testing.T) {
-	res, err := netrt.Run(netrt.Config{
-		N: 4, T: 0, L: 256, MsgBits: 64, Seed: 33,
-		NewPeer: naive.NewBatched(32),
-		Mirrors: tcpMirrors(t, "mirrors=5,byz=3,behavior=mixed,leaf=32,seed=9"),
-		Timeout: 30 * time.Second,
+	res, err := netrt.Runner(netrt.Net{})(&sim.Spec{
+		Config:   sim.Config{N: 4, T: 0, L: 256, MsgBits: 64, Seed: 33},
+		NewPeer:  naive.NewBatched(32),
+		Mirrors:  tcpMirrors(t, "mirrors=5,byz=3,behavior=mixed,leaf=32,seed=9"),
+		Deadline: 30,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,11 +75,11 @@ func TestMirrorByzantineMajorityOverTCP(t *testing.T) {
 // must fall back — zero hits, fallbacks equal to serve attempts, and the
 // authoritative tier carries the whole Q = L download.
 func TestMirrorAllForgeOverTCP(t *testing.T) {
-	res, err := netrt.Run(netrt.Config{
-		N: 3, T: 0, L: 192, MsgBits: 64, Seed: 35,
-		NewPeer: naive.NewBatched(32),
-		Mirrors: tcpMirrors(t, "mirrors=3,byz=3,behavior=forge,seed=4"),
-		Timeout: 30 * time.Second,
+	res, err := netrt.Runner(netrt.Net{})(&sim.Spec{
+		Config:   sim.Config{N: 3, T: 0, L: 192, MsgBits: 64, Seed: 35},
+		NewPeer:  naive.NewBatched(32),
+		Mirrors:  tcpMirrors(t, "mirrors=3,byz=3,behavior=forge,seed=4"),
+		Deadline: 30,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -102,13 +102,13 @@ func TestMirrorAllForgeOverTCP(t *testing.T) {
 // authoritative tier: fallback queries ride QUERYSRC into the
 // QERR/retry/breaker machinery and the run still completes.
 func TestMirrorWithSourceFaultsOverTCP(t *testing.T) {
-	res, err := netrt.Run(netrt.Config{
-		N: 3, T: 0, L: 128, MsgBits: 64, Seed: 37,
+	res, err := netrt.Runner(netrt.Net{})(&sim.Spec{
+		Config:       sim.Config{N: 3, T: 0, L: 128, MsgBits: 64, Seed: 37},
 		NewPeer:      naive.NewBatched(32),
 		Mirrors:      tcpMirrors(t, "mirrors=2,byz=2,behavior=wrong,seed=6"),
 		SourceFaults: &source.FaultPlan{Seed: 3, FailRate: 0.3},
 		SourcePolicy: fastSource,
-		Timeout:      30 * time.Second,
+		Deadline:     30,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,15 +128,16 @@ func TestMirrorWithSourceFaultsOverTCP(t *testing.T) {
 // Byzantine fleet: lost QPROOFs are recovered by query re-issue,
 // duplicated ones are deduped, and the proof path still converges.
 func TestMirrorFaultPlanOverTCP(t *testing.T) {
-	res, err := netrt.Run(netrt.Config{
-		N: 3, T: 0, L: 128, MsgBits: 64, Seed: 39,
-		NewPeer: naive.NewBatched(16),
-		Mirrors: tcpMirrors(t, "mirrors=4,byz=2,behavior=mixed,leaf=32,seed=7"),
+	res, err := netrt.Runner(netrt.Net{
 		Faults: &netrt.FaultPlan{
 			Seed: 11, Drop: 0.15, Dup: 0.1,
 		},
 		Resilience: netrt.Resilience{QueryTimeout: 150 * time.Millisecond},
-		Timeout:    30 * time.Second,
+	})(&sim.Spec{
+		Config:   sim.Config{N: 3, T: 0, L: 128, MsgBits: 64, Seed: 39},
+		NewPeer:  naive.NewBatched(16),
+		Mirrors:  tcpMirrors(t, "mirrors=4,byz=2,behavior=mixed,leaf=32,seed=7"),
+		Deadline: 30,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -167,13 +168,13 @@ func (queryOncePeer) OnQueryReply(sim.QueryReply)       {}
 // before Run returns its *TimeoutError.
 func TestTimedOutRunPublishesMirrorMetrics(t *testing.T) {
 	reg := obs.New()
-	_, err := netrt.Run(netrt.Config{
-		N: 3, T: 0, L: 256, MsgBits: 64, Seed: 31,
-		NewPeer: func(sim.PeerID) sim.Peer { return queryOncePeer{} },
-		Mirrors: tcpMirrors(t, "mirrors=4,leaf=64,seed=5"),
-		Metrics: reg,
-		Label:   "once",
-		Timeout: time.Second,
+	_, err := netrt.Runner(netrt.Net{})(&sim.Spec{
+		Config:   sim.Config{N: 3, T: 0, L: 256, MsgBits: 64, Seed: 31},
+		NewPeer:  func(sim.PeerID) sim.Peer { return queryOncePeer{} },
+		Mirrors:  tcpMirrors(t, "mirrors=4,leaf=64,seed=5"),
+		Metrics:  reg,
+		Label:    "once",
+		Deadline: 1,
 	})
 	var terr *netrt.TimeoutError
 	if !errors.As(err, &terr) {

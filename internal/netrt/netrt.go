@@ -10,15 +10,16 @@
 //	peer ──TCP──▶ hub ──TCP──▶ peer      (MSG frames, wire-encoded)
 //	peer ──TCP──▶ hub (source) ──▶ peer  (QUERY/QREPLY frames)
 //
-// Peers may be faulty as the model allows, each by its sim.Fate (Fates), as
-// on des: crashed from the start (such a peer never connects), crashing
-// mid-run and perhaps rejoining, or Byzantine, running an adversary
-// behavior in place of the protocol on its own client. Network faults go
-// further: a seeded FaultPlan lets the hub
-// drop, duplicate, delay, reorder and stall deliveries, sever connections
-// that may reconnect, take the hub's listener down for a while, and
-// impose timed partitions that later heal. A
-// resilience layer keeps honest peers live through all of it — unacked
+// A run is a *sim.Spec, the one the des runtime runs, plus the Net
+// settings des has no counterpart for (Runner). Peers may be faulty as the
+// model allows, each by its sim.Fate (sim.Spec.Faults), as on des: crashed
+// from the start (such a peer never connects), crashing mid-run and
+// perhaps rejoining, or Byzantine, running an adversary behavior in place
+// of the protocol on its own client. Network faults go further: a seeded
+// FaultPlan (Net.Faults) lets the hub drop, duplicate, delay, reorder and
+// stall deliveries, sever connections that may reconnect, take the hub's
+// listener down for a while, and impose timed partitions that later heal.
+// A resilience layer keeps honest peers live through all of it — unacked
 // frames are retransmitted until cumulatively acked (fair loss → reliable
 // link), receivers dedup by per-sender sequence number, clients redial
 // with capped exponential backoff, unanswered source queries are
@@ -27,8 +28,9 @@
 // pure function of the plan's seed, so a chaotic run's faults replay
 // exactly. See docs/RUNTIMES.md for the full matrix and frame format.
 //
-// The files, by role: netrt.go holds Config, Resilience, Run and its
-// errors; link.go the reliable link both ends run (the pure ARQ machine,
+// The files, by role: netrt.go holds Net, Resilience, Runner and its
+// errors; config.go the deprecated Config and its lowering to a spec and
+// a Net; link.go the reliable link both ends run (the pure ARQ machine,
 // stream, and its glue to the installed connection); hub.go the hub;
 // client.go a peer's client, whose query-plane driver and timers are in
 // query.go; frame.go and proofframe.go the frames and their I/O;
@@ -49,11 +51,8 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/bitarray"
-	"repro/internal/obs"
 	"repro/internal/qplane"
 	"repro/internal/sim"
-	"repro/internal/source"
 )
 
 // defaultIdleTimeout is the dead-link detection window: a connection with
@@ -65,145 +64,77 @@ const defaultIdleTimeout = 5 * time.Second
 // reconnectMax caps the backoff between redial attempts.
 const reconnectMax = time.Second
 
-// Config describes one networked execution.
-type Config struct {
-	// N, T, L, MsgBits are the DR-model parameters.
-	N, T, L, MsgBits int
-	// Seed drives the input array and peer randomness.
-	Seed int64
-	// NewPeer constructs the protocol instance per peer.
-	NewPeer func(sim.PeerID) sim.Peer
-	// Fates lists the faulty peers, as sim.Spec.Faults does on des, with
-	// the same action clock (sends, queries, deliveries). A peer that
-	// never acts and never rejoins (CrashAfter 0, Downtime < 0) gets no
-	// client: it never connects. A crashed peer with Downtime ≥ 0 restarts
-	// after roughly Downtime seconds and rejoins warm from its on-disk
-	// checkpoint via the resume handshake; the run waits for its DONE. A
-	// Byzantine behavior runs on its own client like any other peer, so
-	// everything it sends crosses the wire. At most T fates, unless
-	// AllowExcess.
-	Fates []sim.Fate
-	// AllowExcess permits more than T fates (sim.Faults.AllowExcess).
-	AllowExcess bool
-	// Warm holds each peer's source-verified bits, as sim.Spec.Warm does
-	// on des: a peer that runs NewPeer is served from its tracker where
-	// it can, and its tracker learns every reply.
-	Warm []*bitarray.Tracker
-	// Absent lists peers that never connect: a crash fate at action 0.
-	//
-	// Deprecated: use Fates; validate appends these to them. It stays
-	// because the benchmark harness sets it.
-	Absent []sim.PeerID
-	// Churn lists more fates.
-	//
-	// Deprecated: use Fates; validate appends these to them. It stays
-	// because the benchmark harness sets it.
-	Churn []sim.ChurnPeer
-	// CheckpointDir is where churn peers persist durable checkpoints
-	// (internal/checkpoint). Empty, a run with a rejoining churn peer
-	// (Downtime ≥ 0) checkpoints to a temporary directory that Run
+// Net holds the settings of a socket run that des has no counterpart for;
+// everything else, the model, the fates and the source included, is the
+// *sim.Spec that Runner runs. The zero value is a clean network with
+// default resilience.
+type Net struct {
+	// Faults optionally injects a seeded network fault schedule at the
+	// hub (drops, duplicates, delays, stalls, flaps, listener outages,
+	// healed partitions). Unlike the spec's fates, a FaultPlan never
+	// counts toward T: honest peers are expected to survive it via the
+	// resilience layer.
+	Faults *FaultPlan
+	// Resilience tunes retry/reconnect behavior; zero fields default.
+	Resilience Resilience
+	// IdleTimeout overrides the dead-link detection window (default 5s).
+	IdleTimeout time.Duration
+	// CheckpointDir is where rejoining peers persist durable checkpoints
+	// (internal/checkpoint). Empty, a run with a rejoining fate
+	// (Downtime ≥ 0) checkpoints to a temporary directory that the run
 	// creates and removes. A missing or corrupt checkpoint at rejoin is a
 	// cold start, never wrong bits.
 	CheckpointDir string
-	// Faults optionally injects a seeded network fault schedule at the
-	// hub (drops, duplicates, delays, stalls, flaps, listener outages,
-	// healed partitions).
-	// Unlike Fates, a FaultPlan never counts toward T: honest
-	// peers are expected to survive it via the resilience layer.
-	Faults *FaultPlan
-	// SourceFaults optionally makes the hub's source tier misbehave:
-	// queries crossing it suffer the plan's outage windows, rate limit,
-	// transient failures, and reply latency (source.FaultPlan units are
-	// seconds here). Active refusals come back as QERR frames, which feed
-	// the retry/backoff/breaker lifecycle of each client's query plane
-	// (package qplane). Like Faults, a source plan never counts toward T.
-	SourceFaults *source.FaultPlan
-	// SourcePolicy tunes the clients' source resilience layer (times in
-	// seconds); zero fields default per source.Policy, and a zero Seed
-	// derives from Seed so backoff jitter is reproducible.
-	SourcePolicy source.Policy
-	// Mirrors, when non-nil and enabled, fronts the source with an
-	// untrusted mirror fleet: QUERY frames draw proof-carrying QPROOF
-	// replies that the client verifies against the hub-published ROOT
-	// commitment, falling back to QUERYSRC (the authoritative tier,
-	// itself subject to SourceFaults) when a proof fails. Q is charged at
-	// the client's Query either way. Like Faults, mirrors never count
-	// toward T.
-	Mirrors *source.MirrorPlan
-	// IdleTimeout overrides the dead-link detection window (default 5s).
-	IdleTimeout time.Duration
-	// Shards is unused: the hub has one listener. It stays because the
-	// benchmark harness sets it.
-	//
-	// Deprecated: ignored.
-	Shards int
-	// ShardQueue is unused: a connection's one queue is its peer's outbox.
-	// It stays because the benchmark harness sets it.
-	//
-	// Deprecated: ignored.
-	ShardQueue int
-	// Resilience tunes retry/reconnect behavior; zero fields default.
-	Resilience Resilience
-	// Timeout bounds the whole run (default 30s). When it fires, Run
-	// returns a *TimeoutError naming the unterminated peers, beside the
-	// settled Result with DeadlineHit set.
-	Timeout time.Duration
-	// Input optionally fixes the source array.
-	Input *bitarray.Array
-	// Metrics, when non-nil, receives the run's metrics: the protocol
-	// series folded from the event stream (sim.MetricsObserver, prefix
-	// dr_net), the query plane's dr_source_* and dr_mirror_* totals
-	// (sim.PublishPlane), and the transport's own counters: frames and
-	// bytes by kind and direction, backoff, dedup, fault-plan and writer
-	// counters. Nil disables collection at zero cost.
-	Metrics *obs.Registry
-	// Observer, when non-nil, receives the run's events in the schema of
-	// the des runtime (sim.ObservedEvent), Time in seconds since the run
-	// started: each client emits its own peer's start, send, deliver,
-	// query, qreply, qfail, phase, crash, rejoin and terminate, and the
-	// socket-only reconnect, qretry and prooffail; the hub emits flap.
-	// Callbacks come one at a time, under one lock per run. Nil costs
-	// nothing.
-	Observer sim.Observer
-	// Timeline, when non-nil, marks the lifecycle events of the same
-	// stream (sim.TimelineObserver).
-	Timeline *obs.Timeline
-	// Label is the "protocol" label value on metric series.
-	Label string
 }
 
 // idleTimeout is IdleTimeout with its default applied.
-func (c *Config) idleTimeout() time.Duration {
-	if c.IdleTimeout > 0 {
-		return c.IdleTimeout
+func (n *Net) idleTimeout() time.Duration {
+	if n.IdleTimeout > 0 {
+		return n.IdleTimeout
 	}
 	return defaultIdleTimeout
 }
 
-// spec is the run's model as a sim.Spec, which both runtimes check
-// alike (sim.Spec.Validate; a socket run has no delay policy).
-func (c *Config) spec() *sim.Spec {
-	return &sim.Spec{
-		Config:  sim.Config{N: c.N, T: c.T, L: c.L, MsgBits: c.MsgBits, Seed: c.Seed, Input: c.Input},
-		NewPeer: c.NewPeer,
-		Faults:  sim.Faults{Fates: c.Fates, AllowExcess: c.AllowExcess},
-		Warm:    c.Warm, SourceFaults: c.SourceFaults, Mirrors: c.Mirrors,
+// runTimeout is the wall-clock bound of a run of spec: its Deadline in
+// seconds, 30 s when it sets none.
+func runTimeout(spec *sim.Spec) time.Duration {
+	if spec.Deadline > 0 {
+		return time.Duration(spec.Deadline * float64(time.Second))
 	}
+	return 30 * time.Second
 }
 
-func (c *Config) validate() error {
-	// The deprecated spellings become fates, appended to a copy so the
-	// caller's array is never written.
-	c.Fates = append(slices.Clip(c.Fates), sim.Crashes(c.Absent, 0)...)
-	c.Fates = append(c.Fates, c.Churn...)
-	c.Absent, c.Churn = nil, nil
-	if err := c.spec().Validate(); err != nil {
-		return fmt.Errorf("netrt: %w", err)
-	}
-	if c.Faults != nil {
-		return c.Faults.validate(c.N)
-	}
-	return nil
+// Runner returns the socket runtime as a sim.Runner: each call runs its
+// spec over real TCP sockets with net's settings, and reports the outcome
+// in the same Result shape as des. The spec reads as it does on des, with
+// these differences:
+//
+//   - Deadline is the run's wall-clock timeout in seconds (0 means 30 s).
+//     A run whose honest peers outlast it fails with a *TimeoutError, and
+//     its Result, with DeadlineHit set and the peers still running counted
+//     as not terminated, comes back beside it.
+//   - Delays and MaxEvents are des's and are ignored: the network and the
+//     Go scheduler order the deliveries.
+//   - A fate that never acts and never rejoins (CrashAfter 0, Downtime < 0)
+//     gets no client: the peer never connects. A crashed peer with
+//     Downtime ≥ 0 restarts after roughly Downtime seconds and rejoins
+//     warm from its on-disk checkpoint via the resume handshake; the run
+//     waits for its DONE. A Byzantine behavior runs on its own client like
+//     any other peer, so everything it sends crosses the wire.
+//   - SourceFaults' times are seconds; active refusals come back as QERR
+//     frames, which feed each client's query plane (package qplane).
+//     Mirrors front the source with QPROOF replies that the client
+//     verifies against the hub-published ROOT commitment, falling back to
+//     QUERYSRC when a proof fails. Neither counts toward T.
+//   - Observer receives the run's events, Time in seconds since the run
+//     started: each client emits its own peer's events, plus the
+//     socket-only reconnect, qretry and prooffail; the hub emits flap.
+//   - Metrics receives, beside the protocol series (prefix dr_net) and the
+//     query plane's totals, the transport's own counters: frames and bytes
+//     by kind and direction, backoff, dedup, fault-plan and writer
+//     counters.
+func Runner(net Net) sim.Runner {
+	return func(spec *sim.Spec) (*sim.Result, error) { return run(spec, net) }
 }
 
 // PendingPeer describes one honest peer that had not terminated when the
@@ -223,9 +154,9 @@ type PendingPeer struct {
 	AckBase uint64
 }
 
-// TimeoutError reports which peers were still running when Config.Timeout
-// elapsed, replacing the former silent non-termination result so a hung
-// run names its suspects.
+// TimeoutError reports which peers were still running when the run's
+// timeout (the spec's Deadline) elapsed, replacing the former silent
+// non-termination result so a hung run names its suspects.
 type TimeoutError struct {
 	After   time.Duration
 	Pending []PendingPeer
@@ -250,68 +181,66 @@ func (e *TimeoutError) Error() string {
 	return b.String()
 }
 
-// Run executes the configuration and reports the outcome in the same
-// Result shape as the simulation runtimes. Peers that never connect are
-// reported as crashed/faulty. A run whose honest peers outlast Timeout fails with a
-// *TimeoutError, and its Result, with DeadlineHit set and the peers still
-// running counted as not terminated, comes back beside it.
-func Run(cfg Config) (*sim.Result, error) {
-	if err := cfg.validate(); err != nil {
+// run is one call of Runner(net). Peers that never connect are reported
+// as crashed and faulty.
+func run(spec *sim.Spec, net Net) (*sim.Result, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, fmt.Errorf("netrt: %w", err)
+	}
+	c := &spec.Config
+	if err := net.Faults.validate(c.N); err != nil {
 		return nil, err
 	}
-	timeout := cfg.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	if cfg.CheckpointDir == "" && slices.ContainsFunc(cfg.Fates, func(f sim.Fate) bool { return f.Rejoins() }) {
+	timeout := runTimeout(spec)
+	fates := spec.Faults.Fates
+	if net.CheckpointDir == "" && slices.ContainsFunc(fates, func(f sim.Fate) bool { return f.Rejoins() }) {
 		dir, err := os.MkdirTemp("", "netrt-ckpt")
 		if err != nil {
 			return nil, fmt.Errorf("netrt: checkpoint dir: %w", err)
 		}
 		defer os.RemoveAll(dir)
-		cfg.CheckpointDir = dir
+		net.CheckpointDir = dir
 	}
-	spec := cfg.spec()
-	input := spec.Config.ResolveInput()
+	input := c.ResolveInput()
 
 	start := time.Now()
-	ev := newEvents(&cfg, start)
-	h, err := newHub(cfg, input, newNetMetrics(&cfg), ev, start)
+	ev := newEvents(spec, start)
+	h, err := newHub(spec, &net, input, newNetMetrics(spec), ev, start)
 	if err != nil {
 		return nil, err
 	}
 	defer h.close()
 
-	for _, f := range cfg.Fates {
+	for _, f := range fates {
 		if f.Absent() {
 			ev.peer(sim.KindCrash, f.Peer, "", 0) // as des crashes a peer at its first action
 		}
 	}
 	// One Knowledge serves every Byzantine peer, as on des; behaviors
 	// only read it.
-	know := spec.Faults.Knowledge(input, spec.Config)
+	know := spec.Faults.Knowledge(input, *c)
 
 	// Each client drives its peer's query plane, which charges Q at Query
 	// and keeps the peer's accounting in stats across both incarnations
 	// of a rejoining peer; the hub adds its half at the end.
-	tier := qplane.NewRemoteTier(cfg.L, cfg.Seed, cfg.SourcePolicy)
-	stats := make([]sim.PeerStats, cfg.N)
+	tier := qplane.NewRemoteTier(c.L, c.Seed, spec.SourcePolicy)
+	stats := make([]sim.PeerStats, c.N)
 	var clients sync.WaitGroup
-	errs := make(chan error, cfg.N)
-	for i := 0; i < cfg.N; i++ {
+	errs := make(chan error, c.N)
+	for i := 0; i < c.N; i++ {
 		id, fate := sim.PeerID(i), h.fates[i]
 		if fate.Absent() {
 			continue
 		}
 		q := tier.NewPlane(i, &stats[i], fate.Rejoins(), spec.PeerWarm(i, fate))
-		newPeer := cfg.NewPeer
+		newPeer := spec.NewPeer
 		if fate != nil && fate.Byzantine != nil {
 			newPeer = func(id sim.PeerID) sim.Peer { return fate.Byzantine(id, know) }
 		}
 		clients.Add(1)
 		go func() {
 			defer clients.Done()
-			if err := runClient(&cfg, id, fate, newPeer, h.addr, q, &stats[id], h.met, ev, start, h.stop); err != nil {
+			if err := runClient(spec, &net, id, fate, newPeer, h.addr, q, &stats[id], h.met, ev, start, h.stop); err != nil {
 				errs <- fmt.Errorf("peer %d: %w", id, err)
 			}
 		}()
@@ -326,8 +255,8 @@ func Run(cfg Config) (*sim.Result, error) {
 	h.close()
 	clients.Wait()
 	// Every client has settled its plane into stats, failed runs' too.
-	if cfg.SourceFaults.Enabled() || cfg.Mirrors.Enabled() {
-		sim.PublishPlane(cfg.Metrics, cfg.Label, stats)
+	if spec.SourceFaults.Enabled() || spec.Mirrors.Enabled() {
+		sim.PublishPlane(spec.Metrics, spec.Label, stats)
 	}
 	var terr *TimeoutError
 	if err != nil && !errors.As(err, &terr) {

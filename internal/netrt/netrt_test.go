@@ -3,7 +3,6 @@ package netrt_test
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/adversary"
 	"repro/internal/netrt"
@@ -16,10 +15,10 @@ import (
 )
 
 func TestNaiveOverTCP(t *testing.T) {
-	res, err := netrt.Run(netrt.Config{
-		N: 4, T: 0, L: 512, MsgBits: 128, Seed: 1,
-		NewPeer: naive.New,
-		Timeout: 20 * time.Second,
+	res, err := netrt.Runner(netrt.Net{})(&sim.Spec{
+		Config:   sim.Config{N: 4, T: 0, L: 512, MsgBits: 128, Seed: 1},
+		NewPeer:  naive.New,
+		Deadline: 20,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -35,11 +34,11 @@ func TestNaiveOverTCP(t *testing.T) {
 func TestCrashKOverTCPWithAbsentPeers(t *testing.T) {
 	// Three peers never connect: the n−t waiting rules must keep the
 	// run live over real sockets.
-	res, err := netrt.Run(netrt.Config{
-		N: 8, T: 3, L: 2048, MsgBits: 256, Seed: 2,
-		NewPeer: crashk.New,
-		Fates:   sim.Crashes([]sim.PeerID{1, 4, 6}, 0),
-		Timeout: 30 * time.Second,
+	res, err := netrt.Runner(netrt.Net{})(&sim.Spec{
+		Config:   sim.Config{N: 8, T: 3, L: 2048, MsgBits: 256, Seed: 2},
+		NewPeer:  crashk.New,
+		Faults:   sim.Faults{Fates: sim.Crashes([]sim.PeerID{1, 4, 6}, 0)},
+		Deadline: 30,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,11 +57,11 @@ func TestCrashKOverTCPWithAbsentPeers(t *testing.T) {
 }
 
 func TestCrash1OverTCP(t *testing.T) {
-	res, err := netrt.Run(netrt.Config{
-		N: 6, T: 1, L: 600, MsgBits: 128, Seed: 3,
-		NewPeer: crash1.New,
-		Fates:   sim.Crashes([]sim.PeerID{2}, 0),
-		Timeout: 20 * time.Second,
+	res, err := netrt.Runner(netrt.Net{})(&sim.Spec{
+		Config:   sim.Config{N: 6, T: 1, L: 600, MsgBits: 128, Seed: 3},
+		NewPeer:  crash1.New,
+		Faults:   sim.Faults{Fates: sim.Crashes([]sim.PeerID{2}, 0)},
+		Deadline: 20,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,10 +72,10 @@ func TestCrash1OverTCP(t *testing.T) {
 }
 
 func TestCommitteeOverTCP(t *testing.T) {
-	res, err := netrt.Run(netrt.Config{
-		N: 9, T: 2, L: 270, MsgBits: 256, Seed: 4,
-		NewPeer: committee.New,
-		Timeout: 20 * time.Second,
+	res, err := netrt.Runner(netrt.Net{})(&sim.Spec{
+		Config:   sim.Config{N: 9, T: 2, L: 270, MsgBits: 256, Seed: 4},
+		NewPeer:  committee.New,
+		Deadline: 20,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -91,10 +90,10 @@ func TestTwoCycleOverTCP(t *testing.T) {
 		t.Skip("many sockets")
 	}
 	// Sized into the non-naive regime; all peers honest-but-concurrent.
-	res, err := netrt.Run(netrt.Config{
-		N: 128, T: 16, L: 1 << 12, MsgBits: 256, Seed: 5,
-		NewPeer: twocycle.New,
-		Timeout: 60 * time.Second,
+	res, err := netrt.Runner(netrt.Net{})(&sim.Spec{
+		Config:   sim.Config{N: 128, T: 16, L: 1 << 12, MsgBits: 256, Seed: 5},
+		NewPeer:  twocycle.New,
+		Deadline: 60,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,31 +107,15 @@ func TestTwoCycleOverTCP(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	bad := []netrt.Config{
-		{N: 1, T: 0, L: 8, MsgBits: 64, NewPeer: naive.New},
-		{N: 4, T: 1, L: 8, MsgBits: 64},
-		{N: 4, T: 1, L: 8, MsgBits: 64, NewPeer: naive.New, Fates: sim.Crashes([]sim.PeerID{0, 1}, 0)},
+	bad := []*sim.Spec{
+		{Config: sim.Config{N: 1, T: 0, L: 8, MsgBits: 64}, NewPeer: naive.New},
+		{Config: sim.Config{N: 4, T: 1, L: 8, MsgBits: 64}},
+		{Config: sim.Config{N: 4, T: 1, L: 8, MsgBits: 64}, NewPeer: naive.New,
+			Faults: sim.Faults{Fates: sim.Crashes([]sim.PeerID{0, 1}, 0)}},
 	}
-	for i, cfg := range bad {
-		if _, err := netrt.Run(cfg); err == nil {
+	for i, spec := range bad {
+		if _, err := netrt.Runner(netrt.Net{})(spec); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
-		}
-	}
-}
-
-// TestAbsentValidation: an Absent peer is a fate, checked as every fate
-// is: one out of range or listed twice is refused before the run, not run
-// into an incorrect result.
-func TestAbsentValidation(t *testing.T) {
-	for name, absent := range map[string][]sim.PeerID{
-		"above range": {99},
-		"below range": {-1},
-		"duplicate":   {2, 2},
-	} {
-		res, err := netrt.Run(netrt.Config{N: 4, T: 2, L: 64, MsgBits: 64, NewPeer: naive.New,
-			Absent: absent, Timeout: 10 * time.Second})
-		if err == nil {
-			t.Errorf("%s: Absent %v accepted (Correct=%v)", name, absent, res.Correct)
 		}
 	}
 }
@@ -143,11 +126,11 @@ func TestManySeedsSequential(t *testing.T) {
 	}
 	for seed := int64(10); seed < 13; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			res, err := netrt.Run(netrt.Config{
-				N: 6, T: 2, L: 1024, MsgBits: 128, Seed: seed,
-				NewPeer: crashk.NewFast,
-				Fates:   sim.Crashes([]sim.PeerID{0, 3}, 0),
-				Timeout: 20 * time.Second,
+			res, err := netrt.Runner(netrt.Net{})(&sim.Spec{
+				Config:   sim.Config{N: 6, T: 2, L: 1024, MsgBits: 128, Seed: seed},
+				NewPeer:  crashk.NewFast,
+				Faults:   sim.Faults{Fates: sim.Crashes([]sim.PeerID{0, 3}, 0)},
+				Deadline: 20,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -176,11 +159,11 @@ func TestChurnCrashMidRun(t *testing.T) {
 		{Peer: 1, CrashAfter: 3, Downtime: -1},
 		{Peer: 5, CrashAfter: 6, Downtime: -1},
 	}
-	res, err := netrt.Run(netrt.Config{
-		N: 8, T: 3, L: 2048, MsgBits: 256, Seed: 6,
-		NewPeer: crashk.New,
-		Fates:   crashed,
-		Timeout: 30 * time.Second,
+	res, err := netrt.Runner(netrt.Net{})(&sim.Spec{
+		Config:   sim.Config{N: 8, T: 3, L: 2048, MsgBits: 256, Seed: 6},
+		NewPeer:  crashk.New,
+		Faults:   sim.Faults{Fates: crashed},
+		Deadline: 30,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -207,13 +190,13 @@ func TestChurnCrashAfterHello(t *testing.T) {
 		{Peer: 1, CrashAfter: 10, Downtime: -1},
 		{Peer: 5, CrashAfter: 13, Downtime: -1},
 	}
-	res, err := netrt.Run(netrt.Config{
-		N: 8, T: 3, L: 2048, MsgBits: 256, Seed: 6,
+	res, err := netrt.Runner(netrt.Net{})(&sim.Spec{
+		Config: sim.Config{N: 8, T: 3, L: 2048, MsgBits: 256, Seed: 6},
 		NewPeer: func(id sim.PeerID) sim.Peer {
 			return &helloFirst{Peer: crashk.New(id), wait: id != 1 && id != 5}
 		},
-		Fates:   crashed,
-		Timeout: 10 * time.Second,
+		Faults:   sim.Faults{Fates: crashed},
+		Deadline: 10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -231,11 +214,13 @@ func TestChurnCrashAfterHello(t *testing.T) {
 // helloFirst broadcasts a hello (an adversary.Junk, which the wire
 // carries) before its protocol's Init; with wait set it holds that Init,
 // and the protocol messages that arrive before it, until every other
-// peer's hello is in.
+// peer's hello is in. A sender's first Junk is its hello, since it sends
+// nothing before it; a later Junk is the protocol's.
 type helloFirst struct {
 	sim.Peer
 	wait    bool
 	ctx     sim.Context
+	greeted []bool // greeted[p]: p's hello is in
 	hellos  int
 	started bool
 	held    []heldMsg
@@ -248,6 +233,7 @@ type heldMsg struct {
 
 func (h *helloFirst) Init(ctx sim.Context) {
 	h.ctx = ctx
+	h.greeted = make([]bool, ctx.N())
 	ctx.Broadcast(&adversary.Junk{Bits: 8})
 	if !h.wait {
 		h.start()
@@ -255,9 +241,10 @@ func (h *helloFirst) Init(ctx sim.Context) {
 }
 
 func (h *helloFirst) OnMessage(from sim.PeerID, m sim.Message) {
-	_, hello := m.(*adversary.Junk)
+	_, junk := m.(*adversary.Junk)
 	switch {
-	case hello:
+	case junk && !h.greeted[from]:
+		h.greeted[from] = true
 		if h.hellos++; h.hellos == h.ctx.N()-1 && h.wait {
 			h.start()
 		}

@@ -21,9 +21,7 @@ import (
 func TestChaosMetrics(t *testing.T) {
 	reg := obs.New()
 	tl := obs.NewTimeline()
-	cfg := netrt.Config{
-		N: 5, T: 0, L: 256, MsgBits: 64, Seed: 2,
-		NewPeer: crashk.New,
+	res, err := netrt.Runner(netrt.Net{
 		Faults: &netrt.FaultPlan{
 			Seed: 11, Drop: 0.15, Dup: 0.15,
 			Delay: 2 * time.Millisecond, Reorder: 0.1,
@@ -33,12 +31,14 @@ func TestChaosMetrics(t *testing.T) {
 			RTO:           60 * time.Millisecond,
 			ReconnectBase: 10 * time.Millisecond,
 		},
-		Timeout:  30 * time.Second,
+	})(&sim.Spec{
+		Config:   sim.Config{N: 5, T: 0, L: 256, MsgBits: 64, Seed: 2},
+		NewPeer:  crashk.New,
+		Deadline: 30,
+		Observer: sim.TimelineObserver(tl),
 		Metrics:  reg,
-		Timeline: tl,
 		Label:    "crashk",
-	}
-	res, err := netrt.Run(cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +125,8 @@ func TestChaosMetrics(t *testing.T) {
 	if kinds["phase"] == 0 {
 		t.Error("timeline has no phase marks")
 	}
-	if kinds["terminate"] != cfg.N {
-		t.Errorf("timeline has %d terminate marks, want %d", kinds["terminate"], cfg.N)
+	if kinds["terminate"] != 5 {
+		t.Errorf("timeline has %d terminate marks, want 5", kinds["terminate"])
 	}
 }
 
@@ -146,12 +146,12 @@ func (c *kindCounter) OnEvent(ev *sim.ObservedEvent) { c.count[ev.Kind]++ }
 // termination still arrives.
 func TestObserverReadsDeclaredKinds(t *testing.T) {
 	c := &kindCounter{kinds: sim.KindStart | sim.KindQuery | sim.KindCrash | sim.KindTerminate, count: map[string]int{}}
-	res, err := netrt.Run(netrt.Config{
-		N: 6, T: 2, L: 1024, MsgBits: 128, Seed: 4,
+	res, err := netrt.Runner(netrt.Net{})(&sim.Spec{
+		Config:   sim.Config{N: 6, T: 2, L: 1024, MsgBits: 128, Seed: 4},
 		NewPeer:  crashk.NewFast,
-		Fates:    []sim.Fate{{Peer: 1, CrashAfter: 0, Downtime: -1}, {Peer: 4, CrashAfter: 3, Downtime: -1}},
+		Faults:   sim.Faults{Fates: []sim.Fate{{Peer: 1, CrashAfter: 0, Downtime: -1}, {Peer: 4, CrashAfter: 3, Downtime: -1}}},
 		Observer: c,
-		Timeout:  20 * time.Second,
+		Deadline: 20,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestObserverReadsDeclaredKinds(t *testing.T) {
 	// A registry and no Observer: the clients build exactly the kinds the
 	// metrics fold reads, and no deliver, qreply or phase event.
 	fold := sim.KindsOf(sim.MetricsObserver(obs.New(), "dr_net", "", 128))
-	got := netrt.EventKinds(netrt.Config{N: 6, T: 2, L: 1024, MsgBits: 128, NewPeer: crashk.NewFast, Metrics: obs.New()})
+	got := netrt.EventKinds(&sim.Spec{Config: sim.Config{N: 6, T: 2, L: 1024, MsgBits: 128}, NewPeer: crashk.NewFast, Metrics: obs.New()})
 	if got != fold || got&(sim.KindDeliver|sim.KindQReply|sim.KindPhase) != 0 {
 		t.Errorf("with a registry the clients build kinds %b, want the fold's %b", got, fold)
 	}

@@ -9,10 +9,9 @@ import (
 	"repro/internal/sim"
 )
 
-// events is a run's event stream: Config.Observer, Config.Timeline
-// through sim.TimelineObserver, and the protocol metrics of
-// Config.Metrics through sim.MetricsObserver, fed by every client with its
-// own peer's events and by the hub with its flaps. Callbacks are serialised under
+// events is a run's event stream: sim.Spec.Observer and the protocol
+// metrics of sim.Spec.Metrics through sim.MetricsObserver, fed by every
+// client with its own peer's events and by the hub with its flaps. Callbacks are serialised under
 // mu, so an observer has one caller at a time as on des, and Time — read
 // under mu too — is seconds since the run started and never goes back.
 // It is nil when none is set, and every method is a no-op on nil.
@@ -26,9 +25,9 @@ type events struct {
 	ev sim.ObservedEvent
 }
 
-func newEvents(cfg *Config, start time.Time) *events {
-	o := sim.Tee(cfg.Observer, sim.TimelineObserver(cfg.Timeline),
-		sim.MetricsObserver(cfg.Metrics, "dr_net", cfg.Label, cfg.MsgBits))
+func newEvents(spec *sim.Spec, start time.Time) *events {
+	o := sim.Tee(spec.Observer,
+		sim.MetricsObserver(spec.Metrics, "dr_net", spec.Label, spec.Config.MsgBits))
 	kinds := sim.KindsOf(o)
 	if kinds == 0 {
 		return nil
@@ -67,7 +66,7 @@ func (e *events) msg(kind sim.KindSet, p, other sim.PeerID, m sim.Message, typ s
 // netMetrics bundles the transport's metric handles: frames, bytes,
 // backoff, dedup, malformed-body, fault-plan and writer counters, which
 // no event carries (the protocol series are the fold in events). It is
-// built once per Run when Config.Metrics is set and stays nil
+// built once per run when sim.Spec.Metrics is set and stays nil
 // otherwise; every method is a no-op on a nil receiver, so
 // the hub and client hot paths call them unconditionally and a disabled
 // run pays a single pointer nil-check per call site (pinned by
@@ -94,9 +93,9 @@ type netMetrics struct {
 }
 
 // newNetMetrics resolves every handle up front. Returns nil when the
-// config enables no metrics.
-func newNetMetrics(cfg *Config) *netMetrics {
-	reg := cfg.Metrics
+// spec enables no metrics.
+func newNetMetrics(spec *sim.Spec) *netMetrics {
+	reg := spec.Metrics
 	if reg == nil {
 		return nil
 	}
@@ -115,7 +114,7 @@ func newNetMetrics(cfg *Config) *netMetrics {
 		"Reconnect backoff sleeps.", obs.ExpBuckets(1e-3, 4, 8))
 	// perPeer resolves vec's series for every peer id.
 	perPeer := func(vec *obs.CounterVec) []*obs.Counter {
-		hs := make([]*obs.Counter, cfg.N)
+		hs := make([]*obs.Counter, spec.Config.N)
 		for i := range hs {
 			hs[i] = vec.With(strconv.Itoa(i))
 		}

@@ -39,23 +39,24 @@ func TestNetMetricsDisabledAllocFree(t *testing.T) {
 	}
 }
 
-// TestNetMetricsTimelineOnly: a timeline-only config builds no metrics
+// TestNetMetricsTimelineOnly: a timeline-only spec builds no metrics
 // bundle, and its timeline is a view of the event stream that keeps the
 // lifecycle kinds only.
 func TestNetMetricsTimelineOnly(t *testing.T) {
-	cfg := &Config{N: 3, Timeline: obs.NewTimeline()}
-	if m := newNetMetrics(cfg); m != nil {
-		t.Fatal("timeline-only config built a metrics bundle")
+	tl := obs.NewTimeline()
+	spec := &sim.Spec{Config: sim.Config{N: 3}, Observer: sim.TimelineObserver(tl)}
+	if m := newNetMetrics(spec); m != nil {
+		t.Fatal("timeline-only spec built a metrics bundle")
 	}
-	ev := newEvents(cfg, time.Now())
+	ev := newEvents(spec, time.Now())
 	if ev == nil {
-		t.Fatal("timeline-only config built no event stream")
+		t.Fatal("timeline-only spec built no event stream")
 	}
 	ev.peer(sim.KindReconnect, 2, "", 0)
 	ev.peer(sim.KindQuery, 1, "", 32)
 	ev.msg(sim.KindSend, 1, 2, &crash1.WhoIsMissing{}, "*crash1.WhoIsMissing", 0)
 	ev.emit(sim.KindPhase, sim.ObservedEvent{Peer: 0, Other: -1, Name: "x"})
-	got := cfg.Timeline.Events()
+	got := tl.Events()
 	if len(got) != 2 || got[0].Kind != "reconnect" || got[1].Kind != "phase" || got[1].Name != "x" {
 		t.Fatalf("timeline holds %+v, want the reconnect and the phase mark", got)
 	}
@@ -67,7 +68,7 @@ func TestNetMetricsTimelineOnly(t *testing.T) {
 // dr_net_frame_bytes_total.
 func TestNetMetricsCountEveryKind(t *testing.T) {
 	reg := obs.New()
-	m := newNetMetrics(&Config{N: 2, Metrics: reg})
+	m := newNetMetrics(&sim.Spec{Config: sim.Config{N: 2}, Metrics: reg})
 	var kinds []byte
 	for k := 0; k < 256; k++ {
 		if !strings.HasPrefix(kindName(byte(k)), "kind(") {
@@ -101,9 +102,9 @@ func TestNetMetricsCountEveryKind(t *testing.T) {
 	}
 }
 
-// EventKinds is the event kinds a run of cfg builds.
-func EventKinds(cfg Config) sim.KindSet {
-	if ev := newEvents(&cfg, time.Now()); ev != nil {
+// EventKinds is the event kinds a run of spec builds.
+func EventKinds(spec *sim.Spec) sim.KindSet {
+	if ev := newEvents(spec, time.Now()); ev != nil {
 		return ev.kinds
 	}
 	return 0

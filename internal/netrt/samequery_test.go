@@ -2,7 +2,6 @@ package netrt_test
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/adversary"
 	"repro/internal/bitarray"
@@ -66,8 +65,12 @@ func TestIdenticalQueriesChargedPerCall(t *testing.T) {
 		runs := map[string]func() (*sim.Result, error){
 			"des": func() (*sim.Result, error) { return des.New().Run(spec()) },
 			"tcp": func() (*sim.Result, error) {
-				return netrt.Run(netrt.Config{N: n, T: 0, L: l, MsgBits: 64, Seed: 41,
-					NewPeer: newPeer, Mirrors: mirrors, Timeout: 30 * time.Second})
+				return netrt.Runner(netrt.Net{})(&sim.Spec{
+					Config:   sim.Config{N: n, T: 0, L: l, MsgBits: 64, Seed: 41},
+					NewPeer:  newPeer,
+					Mirrors:  mirrors,
+					Deadline: 30,
+				})
 			},
 		}
 		for name, run := range runs {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/netrt"
 	"repro/internal/obs"
 	"repro/internal/protocols/naive"
+	"repro/internal/sim"
 	"repro/internal/source"
 )
 
@@ -23,12 +24,12 @@ var fastSource = source.Policy{
 // fetches: every refusal comes back as a QERR frame, the client backs off
 // and retries, and the run still downloads X exactly.
 func TestSourceFlakyOverTCP(t *testing.T) {
-	res, err := netrt.Run(netrt.Config{
-		N: 4, T: 0, L: 256, MsgBits: 64, Seed: 21,
+	res, err := netrt.Runner(netrt.Net{})(&sim.Spec{
+		Config:       sim.Config{N: 4, T: 0, L: 256, MsgBits: 64, Seed: 21},
 		NewPeer:      naive.NewBatched(32),
 		SourceFaults: &source.FaultPlan{Seed: 3, FailRate: 0.3},
 		SourcePolicy: fastSource,
-		Timeout:      30 * time.Second,
+		Deadline:     30,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -52,13 +53,12 @@ func TestSourceFlakyOverTCP(t *testing.T) {
 // from its qfail events and published from its PerPeer, equal the Result.
 func TestSourceOutageBreakerOverTCP(t *testing.T) {
 	reg := obs.New()
-	res, err := netrt.Run(netrt.Config{
-		N: 4, T: 0, L: 128, MsgBits: 64, Seed: 22,
+	res, err := netrt.Runner(netrt.Net{Resilience: netrt.Resilience{QueryTimeout: 100 * time.Millisecond}})(&sim.Spec{
+		Config:       sim.Config{N: 4, T: 0, L: 128, MsgBits: 64, Seed: 22},
 		NewPeer:      naive.NewBatched(32),
 		SourceFaults: &source.FaultPlan{Seed: 5, Outages: []source.Window{{Start: 0, End: 0.7}}},
 		SourcePolicy: fastSource,
-		Resilience:   netrt.Resilience{QueryTimeout: 100 * time.Millisecond},
-		Timeout:      30 * time.Second,
+		Deadline:     30,
 		Metrics:      reg,
 	})
 	if err != nil {
@@ -98,13 +98,12 @@ func TestSourceOutageBreakerOverTCP(t *testing.T) {
 // stays silent, so recovery must come from the client's silence deadline —
 // the pre-existing query retry path — not from QERR frames.
 func TestSourceLostRepliesOverTCP(t *testing.T) {
-	res, err := netrt.Run(netrt.Config{
-		N: 4, T: 0, L: 256, MsgBits: 64, Seed: 23,
+	res, err := netrt.Runner(netrt.Net{Resilience: netrt.Resilience{QueryTimeout: 60 * time.Millisecond}})(&sim.Spec{
+		Config:       sim.Config{N: 4, T: 0, L: 256, MsgBits: 64, Seed: 23},
 		NewPeer:      naive.NewBatched(64),
 		SourceFaults: &source.FaultPlan{Seed: 7, TimeoutRate: 0.4},
 		SourcePolicy: fastSource,
-		Resilience:   netrt.Resilience{QueryTimeout: 60 * time.Millisecond},
-		Timeout:      30 * time.Second,
+		Deadline:     30,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,8 +122,8 @@ func TestSourceLostRepliesOverTCP(t *testing.T) {
 
 // TestSourcePlanValidationOverTCP rejects malformed source plans up front.
 func TestSourcePlanValidationOverTCP(t *testing.T) {
-	_, err := netrt.Run(netrt.Config{
-		N: 4, T: 0, L: 64, MsgBits: 64, Seed: 1,
+	_, err := netrt.Runner(netrt.Net{})(&sim.Spec{
+		Config:       sim.Config{N: 4, T: 0, L: 64, MsgBits: 64, Seed: 1},
 		NewPeer:      naive.New,
 		SourceFaults: &source.FaultPlan{FailRate: 1.5},
 	})

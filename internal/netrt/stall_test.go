@@ -54,8 +54,11 @@ func TestNoStallAtSmallBuffers(t *testing.T) {
 	} {
 		t.Run(p.name, func(t *testing.T) {
 			start := time.Now()
-			res, err := Run(Config{N: n, T: 8, L: l, MsgBits: l / n, Seed: 1, NewPeer: p.newPeer,
-				Timeout: 5 * time.Second})
+			res, err := Runner(Net{})(&sim.Spec{
+				Config:   sim.Config{N: n, T: 8, L: l, MsgBits: l / n, Seed: 1},
+				NewPeer:  p.newPeer,
+				Deadline: 5,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -29,12 +29,12 @@ func (f failKinds) OnEvent(ev *sim.ObservedEvent) { f[ev.MsgType]++ }
 func planeClient(t *testing.T, res Resilience, pol source.Policy) (*client, failKinds) {
 	t.Helper()
 	fails := failKinds{}
-	h := bareHub(t, Config{N: 2, T: 0, L: 256, MsgBits: 64, Seed: 8, Observer: fails})
+	spec := &sim.Spec{Config: sim.Config{N: 2, T: 0, L: 256, MsgBits: 64, Seed: 8}, Observer: fails}
 	st := &sim.PeerStats{}
 	start := time.Now()
-	return &client{cfg: &h.cfg, res: res.withDefaults(), id: 1, impl: &recorder{}, start: start,
-		link: link{conn: newFrameConn(&recConn{discard: true}, 0)}, stats: st, ev: newEvents(&h.cfg, start),
-		q: qplane.NewRemoteTier(h.cfg.L, h.cfg.Seed, pol).NewPlane(1, st, false, nil)}, fails
+	return &client{model: spec.Config, res: res.withDefaults(), id: 1, impl: &recorder{}, start: start,
+		link: link{conn: newFrameConn(&recConn{discard: true}, 0)}, stats: st, ev: newEvents(spec, start),
+		q: qplane.NewRemoteTier(spec.Config.L, spec.Config.Seed, pol).NewPlane(1, st, false, nil)}, fails
 }
 
 // TestSilenceFailsAsTimeout: a sent query counts as silent QueryTimeout

@@ -152,13 +152,92 @@ func TestHardenImportsNoRuntime(t *testing.T) {
 	})
 }
 
+// TestNetrtConfigConfined guards "one spec on both runtimes": a socket
+// run is a *sim.Spec and a netrt.Net (netrt.Runner), and netrt.Config is
+// only the adapter the benchmark harness and cmd/drload still call. No Go
+// file may name it outside those two, the non-test files of package netrt
+// and the adapter's own test. Inside package netrt the type is the bare
+// identifier Config.
+func TestNetrtConfigConfined(t *testing.T) {
+	allowed := func(rel string) bool {
+		switch {
+		case strings.HasPrefix(rel, "benchmark/"), strings.HasPrefix(rel, "cmd/drload/"),
+			rel == "internal/netrt/config_test.go":
+			return true
+		}
+		return strings.HasPrefix(rel, "internal/netrt/") && !strings.HasSuffix(rel, "_test.go")
+	}
+	fset := token.NewFileSet()
+	files := goFiles(t, fset, "../..", 0, func(rel string) bool { return !allowed(rel) }, func(f *ast.File) {
+		for _, pos := range namesNetrtConfig(f) {
+			t.Errorf("%s: names netrt.Config; run a *sim.Spec through netrt.Runner instead", fset.Position(pos))
+		}
+	})
+	if files < 100 {
+		t.Fatalf("scanned only %d files of the module: the walk lost its root", files)
+	}
+}
+
+// namesNetrtConfig returns where f names the type netrt.Config: as that
+// selector, or, in package netrt, as the identifier Config that is no
+// selector's, key's or field's name.
+func namesNetrtConfig(f *ast.File) []token.Pos {
+	inNetrt := f.Name.Name == "netrt"
+	names := map[*ast.Ident]bool{}
+	var at []token.Pos
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			if x, ok := n.X.(*ast.Ident); ok && x.Name == "netrt" && n.Sel.Name == "Config" {
+				at = append(at, n.Pos())
+			}
+			names[n.Sel] = true
+		case *ast.KeyValueExpr:
+			if k, ok := n.Key.(*ast.Ident); ok {
+				names[k] = true
+			}
+		case *ast.Field:
+			for _, id := range n.Names {
+				names[id] = true
+			}
+		case *ast.Ident:
+			if inNetrt && n.Name == "Config" && !names[n] {
+				at = append(at, n.Pos())
+			}
+		}
+		return true
+	})
+	return at
+}
+
 // hardenFiles parses every non-test Go file of package harden in mode and
 // hands it to visit, failing the test when it finds none.
 func hardenFiles(t *testing.T, fset *token.FileSet, mode parser.Mode, visit func(f *ast.File)) {
 	t.Helper()
+	nonTest := func(rel string) bool { return !strings.HasSuffix(rel, "_test.go") }
+	if goFiles(t, fset, "../harden", mode, nonTest, visit) == 0 {
+		t.Fatal("scanned no file of package harden")
+	}
+}
+
+// goFiles parses, in mode, every Go file under root whose path relative to
+// root keep accepts, hands it to visit, and returns how many it parsed.
+// Hidden directories are skipped.
+func goFiles(t *testing.T, fset *token.FileSet, root string, mode parser.Mode, keep func(rel string) bool, visit func(f *ast.File)) int {
+	t.Helper()
 	files := 0
-	err := filepath.WalkDir("../harden", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil || !strings.HasSuffix(path, ".go") || !keep(filepath.ToSlash(rel)) {
 			return err
 		}
 		f, err := parser.ParseFile(fset, path, nil, mode)
@@ -172,7 +251,5 @@ func hardenFiles(t *testing.T, fset *token.FileSet, mode parser.Mode, visit func
 	if err != nil {
 		t.Fatal(err)
 	}
-	if files == 0 {
-		t.Fatal("scanned no file of package harden")
-	}
+	return files
 }

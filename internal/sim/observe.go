@@ -9,12 +9,12 @@ import (
 )
 
 // Observer receives a run's structured events: the one per-event channel
-// of every runtime (Spec.Observer on des, netrt.Config.Observer on
-// sockets). Callbacks come one at a time — on des from the engine's
-// goroutine, on netrt under one mutex per run — so an observer needs no
-// locking of its own. They must be fast and must not call back into the
-// runtime. The event is the runtime's: read-only, and valid only for the
-// call, so an observer that keeps one copies *ev.
+// of every runtime (Spec.Observer, on des and on sockets alike). Callbacks
+// come one at a time — on des from the engine's goroutine, on netrt under
+// one mutex per run — so an observer needs no locking of its own. They
+// must be fast and must not call back into the runtime. The event is the
+// runtime's: read-only, and valid only for the call, so an observer that
+// keeps one copies *ev.
 //
 // An observer may also implement Kinds() KindSet to name the kinds it
 // reads; runtimes then build and deliver no event of any other kind. An

@@ -129,6 +129,10 @@ type Spec struct {
 	Deadline float64
 }
 
+// Runner executes one spec on a runtime: des.New().Run on the simulator,
+// or netrt.Runner's closure over real sockets.
+type Runner func(*Spec) (*Result, error)
+
 // PeerWarm is the tracker peer i's query plane is seeded with, given its
 // fate: its Warm entry, unless a Byzantine behavior runs in its place.
 func (s *Spec) PeerWarm(i int, fate *Fate) *bitarray.Tracker {

@@ -250,9 +250,10 @@ type RunOptions struct {
 	Timeline *obs.Timeline
 }
 
-// Run executes the storm on the real-socket runtime. It builds the full
-// netrt configuration — fault plan with its listener outage, source plan,
-// mirror fleet, churn schedule — and returns the runtime's result. The error
+// Run executes the storm on the real-socket runtime. It builds the run's
+// sim.Spec — source plan, mirror fleet, churn schedule — and its
+// netrt.Net — fault plan with its listener outage — and returns the
+// runtime's result. The error
 // return carries config or termination failures; a run that timed out
 // (*netrt.TimeoutError, honest peers still running) returns its settled
 // result, DeadlineHit set, beside the error. Invariant checking is Check's
@@ -301,26 +302,22 @@ func Run(spec Spec, opts RunOptions) (*sim.Result, error) {
 		}}
 	}
 
-	timeout := opts.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	return netrt.Run(netrt.Config{
-		N: spec.N, T: spec.T, L: spec.L, MsgBits: spec.MsgBits,
-		Seed:         spec.Seed,
-		NewPeer:      factory,
-		Fates:        spec.Fates(),
-		Faults:       plan,
-		SourceFaults: srcPlan,
-		Mirrors:      mirPlan,
-		Timeout:      timeout,
+	return netrt.Runner(netrt.Net{
+		Faults: plan,
 		Resilience: netrt.Resilience{
 			QueryTimeout: 250 * time.Millisecond,
 			RTO:          60 * time.Millisecond,
 		},
-		Metrics:  opts.Metrics,
-		Timeline: opts.Timeline,
-		Label:    spec.Protocol,
+	})(&sim.Spec{
+		Config:       sim.Config{N: spec.N, T: spec.T, L: spec.L, MsgBits: spec.MsgBits, Seed: spec.Seed},
+		NewPeer:      factory,
+		Faults:       sim.Faults{Fates: spec.Fates()},
+		SourceFaults: srcPlan,
+		Mirrors:      mirPlan,
+		Observer:     sim.TimelineObserver(opts.Timeline),
+		Metrics:      opts.Metrics,
+		Label:        spec.Protocol,
+		Deadline:     opts.Timeout.Seconds(),
 	})
 }
 
